@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use norns_bench::json::{self, BenchDoc, Json};
 use norns_bench::{gibps, quick_mode, Report};
 use norns_flow::{FlowConfig, FlowJobState, JobBody, NodeSpec, WorkflowExecutor};
-use norns_ipc::{CtlClient, DaemonConfig, PipelinedCtl, UrdDaemon};
+use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon};
 use norns_proto::{
     BackendKind, DataspaceDesc, Durability, ResourceDesc, TaskOp, TaskSpec, TaskState,
     DEFAULT_PRIORITY,
@@ -177,7 +177,7 @@ fn measure_concurrent(
         let start_line = Arc::clone(&start_line);
         let control_path = control_path.to_path_buf();
         handles.push(std::thread::spawn(move || {
-            let mut conn = PipelinedCtl::connect(&control_path).unwrap();
+            let mut conn = CtlClient::connect(&control_path).unwrap();
             start_line.wait();
             let mut issued = 0usize;
             let mut done = 0usize;

@@ -31,7 +31,7 @@
 //!
 //! The event loop never polls individual tasks: each daemon with
 //! outstanding staging work holds one **parked** wire-v7 `WaitAny`
-//! (issued through a [`norns_ipc::PipelinedCtl`] connection) covering
+//! (issued through a [`norns_ipc::CtlClient`] connection) covering
 //! *all* of its outstanding task ids, and the executor sleeps on a
 //! single epoll set spanning every daemon's control socket. A wait is
 //! reissued only when the outstanding set gains an uncovered id, so
@@ -48,7 +48,7 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use norns_ipc::{ClientError, PipelinedCtl};
+use norns_ipc::{ClientError, CtlClient};
 use norns_proto::{
     Durability, ErrorCode, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec, TaskState, TaskStats,
     MAX_WAIT_SET,
@@ -195,7 +195,7 @@ pub enum JobBody {
 
 struct Node {
     spec: NodeSpec,
-    ctl: PipelinedCtl,
+    ctl: CtlClient,
     /// The node's advertised data-plane address (empty when remote
     /// staging is disabled on it).
     data_addr: String,
@@ -340,7 +340,7 @@ impl WorkflowExecutor {
         if self.nodes.iter().any(|n| n.spec.name == spec.name) {
             return Err(FlowError::Plan(format!("duplicate node {:?}", spec.name)));
         }
-        let mut ctl = PipelinedCtl::connect(&spec.control_path)?;
+        let mut ctl = CtlClient::connect(&spec.control_path)?;
         let data_addr = ctl.status()?.data_addr;
         self.poller
             .add(ctl.as_raw_fd(), self.nodes.len() as u64, Interest::READ)

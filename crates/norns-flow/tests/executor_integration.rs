@@ -496,7 +496,10 @@ fn stage_in_timeout_cancels_job() {
     }
 
     let mut exec = WorkflowExecutor::new(FlowConfig {
-        stage_in_timeout: Duration::from_millis(100),
+        // Far below what two rounds of 48 MiB copies can take: with
+        // 100 ms a warm page cache finished the blockers in time on
+        // every other run.
+        stage_in_timeout: Duration::from_millis(5),
         ..FlowConfig::default()
     });
     exec.add_node(node_spec(&daemon, "n0", &["tmp0"])).unwrap();

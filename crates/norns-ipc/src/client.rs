@@ -1,15 +1,21 @@
 //! Client libraries for the real daemon: [`CtlClient`] (the
-//! `nornsctl` API) and [`UserClient`] (the `norns` API) speak one
-//! request/response at a time; [`PipelinedCtl`] and [`PipelinedUser`]
-//! keep many tagged requests outstanding on a single connection and
-//! demultiplex responses arriving out of order (wire v7).
+//! `nornsctl` API) and [`UserClient`] (the `norns` API).
+//!
+//! The API is asynchronous at its core, like the paper's
+//! (`norns_submit` returns an id, `norns_wait` is layered on top):
+//! `issue_*` writes a tagged request and returns its tag at once, many
+//! requests may be outstanding on the one connection, and responses
+//! arriving out of order are demultiplexed by tag (wire v7) through
+//! `wait_for` / `poll` / `try_drain`. A blocking verb is the same call
+//! at depth 1 — issue, then `wait_for` that tag — so it can be mixed
+//! freely with outstanding pipelined requests.
 //!
 //! Each client owns one connection; spawn one per thread to model
 //! concurrent processes (as the Fig. 4 benchmark does), or hold one
-//! pipelined client and batch.
+//! client and batch.
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -55,344 +61,44 @@ impl From<std::io::Error> for ClientError {
 
 pub type ClientResult<T> = Result<T, ClientError>;
 
-/// Encode one v7 request payload: varint tag, request body, optional
-/// trailing inline memory payload.
-fn tagged_body(tag: u64, request: &Bytes, payload: Option<&[u8]>) -> BytesMut {
-    let mut body = BytesMut::with_capacity(10 + request.len() + payload.map_or(0, <[u8]>::len));
-    put_varint(&mut body, tag);
-    body.extend_from_slice(request);
-    if let Some(p) = payload {
-        body.extend_from_slice(p);
-    }
-    body
+fn protocol(e: impl std::fmt::Display) -> ClientError {
+    ClientError::Protocol(e.to_string())
 }
 
-struct Connection {
-    stream: UnixStream,
-    reader: FrameReader,
-    next_tag: u64,
-}
-
-impl Connection {
-    fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(Connection {
-            stream: UnixStream::connect(path)?,
-            reader: FrameReader::new(),
-            next_tag: 0,
-        })
-    }
-
-    fn call(&mut self, request: Bytes, payload: Option<&[u8]>) -> ClientResult<Response> {
-        let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        let framed = encode_frame(&tagged_body(tag, &request, payload));
-        self.stream.write_all(&framed)?;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            if let Some(frame) = self
-                .reader
-                .next_frame()
-                .map_err(|e| ClientError::Protocol(e.to_string()))?
-            {
-                let (got, response) = decode_tagged::<Response>(frame)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                if got != tag {
-                    return Err(ClientError::Protocol(format!(
-                        "response tag {got} does not match request tag {tag}"
-                    )));
-                }
-                return Ok(response);
-            }
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
-                return Err(ClientError::Protocol("daemon closed the connection".into()));
-            }
-            self.reader.extend(&buf[..n]);
-        }
+/// The `Err` arm shared by every `expect_*`: a daemon error response
+/// or a response of the wrong shape.
+fn unexpected<T>(r: Response) -> ClientResult<T> {
+    match r {
+        Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+        other => Err(protocol(format!("unexpected response: {other:?}"))),
     }
 }
 
 pub fn expect_ok(r: Response) -> ClientResult<()> {
     match r {
         Response::Ok => Ok(()),
-        Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response: {other:?}"
-        ))),
+        other => unexpected(other),
     }
 }
 
 pub fn expect_task_id(r: Response) -> ClientResult<u64> {
     match r {
         Response::TaskSubmitted { task_id } => Ok(task_id),
-        Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response: {other:?}"
-        ))),
+        other => unexpected(other),
     }
 }
 
 pub fn expect_stats(r: Response) -> ClientResult<TaskStats> {
     match r {
         Response::TaskStatus(stats) => Ok(stats),
-        Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response: {other:?}"
-        ))),
+        other => unexpected(other),
     }
 }
 
 pub fn expect_completion(r: Response) -> ClientResult<(u64, TaskStats)> {
     match r {
         Response::TaskCompleted { task_id, stats } => Ok((task_id, stats)),
-        Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response: {other:?}"
-        ))),
-    }
-}
-
-/// The administrative (`nornsctl`) client.
-pub struct CtlClient(Connection);
-
-impl CtlClient {
-    pub fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(CtlClient(Connection::connect(path)?))
-    }
-
-    fn call(&mut self, req: &CtlRequest, payload: Option<&[u8]>) -> ClientResult<Response> {
-        self.0.call(req.to_bytes(), payload)
-    }
-
-    pub fn ping(&mut self) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::SendCommand(DaemonCommand::Ping), None)?)
-    }
-
-    pub fn send_command(&mut self, cmd: DaemonCommand) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::SendCommand(cmd), None)?)
-    }
-
-    pub fn status(&mut self) -> ClientResult<DaemonStatus> {
-        match self.call(&CtlRequest::Status, None)? {
-            Response::Status(s) => Ok(s),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
-    }
-
-    pub fn register_dataspace(&mut self, desc: DataspaceDesc) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::RegisterDataspace(desc), None)?)
-    }
-
-    pub fn unregister_dataspace(&mut self, nsid: &str) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::UnregisterDataspace {
-                nsid: nsid.to_string(),
-            },
-            None,
-        )?)
-    }
-
-    pub fn register_job(&mut self, job: JobDesc) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::RegisterJob(job), None)?)
-    }
-
-    pub fn unregister_job(&mut self, job_id: u64) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::UnregisterJob { job_id }, None)?)
-    }
-
-    pub fn add_process(&mut self, job_id: u64, pid: u64, uid: u32, gid: u32) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::AddProcess {
-                job_id,
-                pid,
-                uid,
-                gid,
-            },
-            None,
-        )?)
-    }
-
-    /// Map a `RemotePath.host` to a peer daemon's data-plane address
-    /// (v4). Re-registering a host updates its address.
-    pub fn register_peer(&mut self, host: &str, data_addr: &str) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::RegisterPeer {
-                host: host.to_string(),
-                data_addr: data_addr.to_string(),
-            },
-            None,
-        )?)
-    }
-
-    /// Submit a task; `payload` carries the buffer for
-    /// memory-region inputs.
-    pub fn submit(
-        &mut self,
-        job_id: u64,
-        spec: TaskSpec,
-        payload: Option<&[u8]>,
-    ) -> ClientResult<u64> {
-        expect_task_id(self.call(&CtlRequest::SubmitTask { job_id, spec }, payload)?)
-    }
-
-    /// Block until the task is terminal or the timeout expires.
-    /// `timeout_usec == 0` means wait forever; an expired nonzero
-    /// timeout returns the task's in-flight snapshot (state still
-    /// `Pending`/`InProgress`), never an error.
-    pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
-        expect_stats(self.call(
-            &CtlRequest::WaitTask {
-                task_id,
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    /// Block until *any* task of the set is terminal (v5 batch wait):
-    /// one round-trip returns the first completion as `(task_id,
-    /// stats)` instead of N polling loops. `timeout_usec == 0` means
-    /// wait forever; an expired nonzero timeout surfaces as a
-    /// [`ClientError::Remote`] carrying [`ErrorCode::Timeout`].
-    pub fn wait_any(
-        &mut self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> ClientResult<(u64, TaskStats)> {
-        expect_completion(self.call(
-            &CtlRequest::WaitAny {
-                task_ids: task_ids.to_vec(),
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
-        expect_stats(self.call(&CtlRequest::QueryTask { task_id }, None)?)
-    }
-
-    /// Cancel a still-pending task (`nornsctl` task control).
-    pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::CancelTask { task_id }, None)?)
-    }
-
-    /// Enumerate a dataspace directory's children (v6): names only,
-    /// sorted, at most [`norns_proto::MAX_DIR_ENTRIES`] of them
-    /// (larger directories are refused, not truncated). A
-    /// non-directory path yields [`ErrorCode::BadArgs`]; scatter
-    /// planners use that to fall back to single-file placement.
-    pub fn list_dir(&mut self, nsid: &str, path: &str) -> ClientResult<Vec<String>> {
-        match self.call(
-            &CtlRequest::ListDir {
-                nsid: nsid.to_string(),
-                path: path.to_string(),
-            },
-            None,
-        )? {
-            Response::DirEntries { entries } => Ok(entries),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
-    }
-}
-
-/// The application (`norns`) client.
-pub struct UserClient {
-    conn: Connection,
-    pid: u64,
-}
-
-impl UserClient {
-    pub fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(UserClient {
-            conn: Connection::connect(path)?,
-            pid: std::process::id() as u64,
-        })
-    }
-
-    pub fn with_pid(path: &Path, pid: u64) -> ClientResult<Self> {
-        Ok(UserClient {
-            conn: Connection::connect(path)?,
-            pid,
-        })
-    }
-
-    fn call(&mut self, req: &UserRequest, payload: Option<&[u8]>) -> ClientResult<Response> {
-        self.conn.call(req.to_bytes(), payload)
-    }
-
-    /// `norns_get_dataspace_info`.
-    pub fn dataspaces(&mut self) -> ClientResult<Vec<DataspaceDesc>> {
-        match self.call(&UserRequest::GetDataspaceInfo, None)? {
-            Response::Dataspaces(d) => Ok(d),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
-    }
-
-    /// `norns_submit` (Listing 2).
-    pub fn submit(&mut self, spec: TaskSpec, payload: Option<&[u8]>) -> ClientResult<u64> {
-        let pid = self.pid;
-        expect_task_id(self.call(&UserRequest::SubmitTask { pid, spec }, payload)?)
-    }
-
-    /// `norns_wait`. Scoped to this client's pid: waiting on another
-    /// submitter's task yields `PermissionDenied` (v4).
-    /// `timeout_usec == 0` means wait forever; an expired nonzero
-    /// timeout returns the in-flight snapshot, never an error.
-    pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
-        let pid = self.pid;
-        expect_stats(self.call(
-            &UserRequest::WaitTask {
-                pid,
-                task_id,
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    /// Block until any task of the set is terminal (v5 batch wait);
-    /// every id must be one of this client's own submissions.
-    /// `timeout_usec == 0` means wait forever; an expired nonzero
-    /// timeout surfaces as a [`ClientError::Remote`] carrying
-    /// [`ErrorCode::Timeout`].
-    pub fn wait_any(
-        &mut self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> ClientResult<(u64, TaskStats)> {
-        let pid = self.pid;
-        expect_completion(self.call(
-            &UserRequest::WaitAny {
-                pid,
-                task_ids: task_ids.to_vec(),
-                timeout_usec,
-            },
-            None,
-        )?)
-    }
-
-    /// `norns_error` (status/stats query). Scoped to this client's pid
-    /// like [`UserClient::wait`].
-    pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
-        let pid = self.pid;
-        expect_stats(self.call(&UserRequest::QueryTask { pid, task_id }, None)?)
-    }
-
-    /// Cancel a still-pending task. Only tasks submitted by this
-    /// client's pid can be cancelled through the user API.
-    pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
-        let pid = self.pid;
-        expect_ok(self.call(&UserRequest::CancelTask { pid, task_id }, None)?)
+        other => unexpected(other),
     }
 }
 
@@ -401,10 +107,9 @@ impl UserClient {
 /// answered — is a protocol violation, surfaced as an error rather
 /// than a panic or a silent drop.
 pub fn demux(pending: &mut HashSet<u64>, frame: Bytes) -> ClientResult<(u64, Response)> {
-    let (tag, response) =
-        decode_tagged::<Response>(frame).map_err(|e| ClientError::Protocol(e.to_string()))?;
+    let (tag, response) = decode_tagged::<Response>(frame).map_err(protocol)?;
     if !pending.remove(&tag) {
-        return Err(ClientError::Protocol(format!(
+        return Err(protocol(format!(
             "response carries unknown or duplicate tag {tag}"
         )));
     }
@@ -412,163 +117,135 @@ pub fn demux(pending: &mut HashSet<u64>, frame: Bytes) -> ClientResult<(u64, Res
 }
 
 /// One connection with many tagged requests outstanding (wire v7).
-///
-/// `issue_*` methods write a request and return its tag immediately;
-/// responses are collected with [`PipelinedConn::try_drain`] (never
-/// blocks), [`PipelinedConn::poll`] (bounded block) or
-/// [`PipelinedConn::wait_for`] (blocks for one specific tag, stashing
-/// others). The connection exposes its raw fd so an event loop can
-/// multiplex many pipelined connections over one `epoll` set.
-pub struct PipelinedConn {
+/// Every response read off the socket lands in `stash`; the collection
+/// calls differ only in how long they are willing to block for it.
+struct Conn {
     stream: UnixStream,
     reader: FrameReader,
+    /// Socket read buffer, owned by the connection so a read costs no
+    /// per-call zeroing.
+    buf: Box<[u8]>,
     next_tag: u64,
     pending: HashSet<u64>,
     stash: Vec<(u64, Response)>,
 }
 
-impl PipelinedConn {
+impl Conn {
     fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(PipelinedConn {
+        Ok(Conn {
             stream: UnixStream::connect(path)?,
             reader: FrameReader::new(),
+            buf: vec![0u8; 64 * 1024].into_boxed_slice(),
             next_tag: 0,
             pending: HashSet::new(),
             stash: Vec::new(),
         })
     }
 
-    /// Requests issued but not yet answered (stashed responses count
-    /// as answered).
-    fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
+    /// Write one v7 request — varint tag, request body, optional
+    /// trailing inline memory payload — and return its tag.
     fn issue(&mut self, request: Bytes, payload: Option<&[u8]>) -> ClientResult<u64> {
         let tag = self.next_tag;
         self.next_tag = self.next_tag.wrapping_add(1);
-        let framed = encode_frame(&tagged_body(tag, &request, payload));
-        self.stream.write_all(&framed)?;
+        let mut body = BytesMut::with_capacity(10 + request.len() + payload.map_or(0, <[u8]>::len));
+        put_varint(&mut body, tag);
+        body.extend_from_slice(&request);
+        if let Some(p) = payload {
+            body.extend_from_slice(p);
+        }
+        self.stream.write_all(&encode_frame(&body))?;
         self.pending.insert(tag);
         Ok(tag)
     }
 
-    /// Demultiplex every complete frame already buffered.
-    fn drain_frames(&mut self, out: &mut Vec<(u64, Response)>) -> ClientResult<()> {
-        while let Some(frame) = self
-            .reader
-            .next_frame()
-            .map_err(|e| ClientError::Protocol(e.to_string()))?
-        {
-            out.push(demux(&mut self.pending, frame)?);
+    /// The one socket read: a single `read` in whatever blocking mode
+    /// the stream is in, demultiplexing every frame it completes into
+    /// the stash. `Ok(false)` means the read would block or its
+    /// timeout elapsed; EOF is an `UnexpectedEof` I/O error.
+    fn fill(&mut self) -> ClientResult<bool> {
+        let n = loop {
+            match self.stream.read(&mut self.buf) {
+                Ok(0) => {
+                    let closed = "daemon closed the connection";
+                    return Err(std::io::Error::new(ErrorKind::UnexpectedEof, closed).into());
+                }
+                Ok(n) => break n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(false)
+                }
+                Err(e) => return Err(e.into()),
+            }
+        };
+        self.reader.extend(&self.buf[..n]);
+        while let Some(frame) = self.reader.next_frame().map_err(protocol)? {
+            self.stash.push(demux(&mut self.pending, frame)?);
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Collect whatever responses have already arrived, without ever
-    /// blocking. Returns stashed responses first.
+    /// blocking. A closed connection is an error only once there is
+    /// nothing left to hand back and something still outstanding.
     fn try_drain(&mut self) -> ClientResult<Vec<(u64, Response)>> {
-        let mut out = std::mem::take(&mut self.stash);
-        self.drain_frames(&mut out)?;
         self.stream.set_nonblocking(true)?;
-        let mut buf = [0u8; 64 * 1024];
-        let read_result = loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => break Err(()),
-                Ok(n) => self.reader.extend(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    let _ = self.stream.set_nonblocking(false);
-                    return Err(e.into());
-                }
+        let read = loop {
+            match self.fill() {
+                Ok(true) => {}
+                other => break other,
             }
         };
         self.stream.set_nonblocking(false)?;
-        self.drain_frames(&mut out)?;
-        if read_result.is_err() && out.is_empty() && !self.pending.is_empty() {
-            return Err(ClientError::Protocol("daemon closed the connection".into()));
+        if let Err(e) = read {
+            let closed = matches!(&e, ClientError::Io(io) if io.kind() == ErrorKind::UnexpectedEof);
+            if !closed || (self.stash.is_empty() && !self.pending.is_empty()) {
+                return Err(e);
+            }
         }
-        Ok(out)
+        Ok(std::mem::take(&mut self.stash))
     }
 
     /// Collect responses, blocking up to `timeout` for the first
     /// arrival. An empty vec means the timeout elapsed.
     fn poll(&mut self, timeout: Duration) -> ClientResult<Vec<(u64, Response)>> {
-        let mut out = std::mem::take(&mut self.stash);
-        self.drain_frames(&mut out)?;
-        if !out.is_empty() {
-            return Ok(out);
+        if self.stash.is_empty() {
+            self.stream
+                .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+            let read = self.fill();
+            self.stream.set_read_timeout(None)?;
+            read?;
         }
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        let mut buf = [0u8; 64 * 1024];
-        let r = self.stream.read(&mut buf);
-        self.stream.set_read_timeout(None)?;
-        match r {
-            Ok(0) => Err(ClientError::Protocol("daemon closed the connection".into())),
-            Ok(n) => {
-                self.reader.extend(&buf[..n]);
-                self.drain_frames(&mut out)?;
-                Ok(out)
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(out)
-            }
-            Err(e) => Err(e.into()),
-        }
+        Ok(std::mem::take(&mut self.stash))
     }
 
     /// Block until the response for `tag` arrives; responses for other
-    /// tags are stashed for a later drain.
+    /// tags stay stashed for a later collection call.
     fn wait_for(&mut self, tag: u64) -> ClientResult<Response> {
         loop {
             if let Some(pos) = self.stash.iter().position(|(t, _)| *t == tag) {
                 return Ok(self.stash.remove(pos).1);
             }
             if !self.pending.contains(&tag) {
-                return Err(ClientError::Protocol(format!(
-                    "tag {tag} has no outstanding request"
-                )));
+                return Err(protocol(format!("tag {tag} has no outstanding request")));
             }
-            let mut buf = [0u8; 64 * 1024];
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
-                return Err(ClientError::Protocol("daemon closed the connection".into()));
-            }
-            self.reader.extend(&buf[..n]);
-            let mut got = Vec::new();
-            self.drain_frames(&mut got)?;
-            self.stash.append(&mut got);
+            self.fill()?;
         }
     }
 }
 
-impl AsRawFd for PipelinedConn {
-    fn as_raw_fd(&self) -> RawFd {
-        self.stream.as_raw_fd()
-    }
-}
+/// The administrative (`nornsctl`) client — one connection per daemon
+/// is enough to multiplex every wait an orchestrator has outstanding.
+pub struct CtlClient(Conn);
 
-/// The administrative (`nornsctl`) client with request pipelining:
-/// the full [`CtlClient`] API (each call issues and then blocks for
-/// its own response, stashing out-of-order arrivals) plus `issue_*` /
-/// `wait_for` / `try_drain` for keeping many requests in flight — one
-/// connection per daemon is enough to multiplex every wait an
-/// orchestrator has outstanding.
-pub struct PipelinedCtl(PipelinedConn);
-
-impl PipelinedCtl {
+impl CtlClient {
     pub fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(PipelinedCtl(PipelinedConn::connect(path)?))
+        Ok(CtlClient(Conn::connect(path)?))
     }
 
-    /// Requests issued but not yet answered.
+    /// Requests issued but not yet answered (stashed responses count
+    /// as answered).
     pub fn in_flight(&self) -> usize {
-        self.0.in_flight()
+        self.0.pending.len()
     }
 
     /// Issue a request, returning its tag without waiting.
@@ -576,44 +253,13 @@ impl PipelinedCtl {
         self.0.issue(req.to_bytes(), payload)
     }
 
-    /// Issue a `WaitTask` without blocking on it.
-    pub fn issue_wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<u64> {
-        self.issue(
-            &CtlRequest::WaitTask {
-                task_id,
-                timeout_usec,
-            },
-            None,
-        )
-    }
-
-    /// Issue a `WaitAny` without blocking on it.
-    pub fn issue_wait_any(&mut self, task_ids: &[u64], timeout_usec: u64) -> ClientResult<u64> {
-        self.issue(
-            &CtlRequest::WaitAny {
-                task_ids: task_ids.to_vec(),
-                timeout_usec,
-            },
-            None,
-        )
-    }
-
-    /// Issue a `QueryTask` without blocking on it.
-    pub fn issue_query(&mut self, task_id: u64) -> ClientResult<u64> {
-        self.issue(&CtlRequest::QueryTask { task_id }, None)
-    }
-
-    /// Issue a `Ping` without blocking on it.
-    pub fn issue_ping(&mut self) -> ClientResult<u64> {
-        self.issue(&CtlRequest::SendCommand(DaemonCommand::Ping), None)
-    }
-
     /// Collect already-arrived responses without blocking.
     pub fn try_drain(&mut self) -> ClientResult<Vec<(u64, Response)>> {
         self.0.try_drain()
     }
 
-    /// Collect responses, blocking up to `timeout` for the first one.
+    /// Collect responses, blocking up to `timeout` for the first one;
+    /// an empty vec means the timeout elapsed.
     pub fn poll(&mut self, timeout: Duration) -> ClientResult<Vec<(u64, Response)>> {
         self.0.poll(timeout)
     }
@@ -623,88 +269,121 @@ impl PipelinedCtl {
         self.0.wait_for(tag)
     }
 
-    fn call(&mut self, req: &CtlRequest, payload: Option<&[u8]>) -> ClientResult<Response> {
-        let tag = self.issue(req, payload)?;
+    fn call(&mut self, req: &CtlRequest) -> ClientResult<Response> {
+        let tag = self.issue(req, None)?;
         self.wait_for(tag)
     }
 
+    /// Issue a `Ping` without blocking on it.
+    pub fn issue_ping(&mut self) -> ClientResult<u64> {
+        self.issue(&CtlRequest::SendCommand(DaemonCommand::Ping), None)
+    }
+
+    /// One empty round-trip through the daemon's reactor.
     pub fn ping(&mut self) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::SendCommand(DaemonCommand::Ping), None)?)
+        self.send_command(DaemonCommand::Ping)
     }
 
     pub fn send_command(&mut self, cmd: DaemonCommand) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::SendCommand(cmd), None)?)
+        expect_ok(self.call(&CtlRequest::SendCommand(cmd))?)
     }
 
     pub fn status(&mut self) -> ClientResult<DaemonStatus> {
-        match self.call(&CtlRequest::Status, None)? {
+        match self.call(&CtlRequest::Status)? {
             Response::Status(s) => Ok(s),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
+            other => unexpected(other),
         }
     }
 
     pub fn register_dataspace(&mut self, desc: DataspaceDesc) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::RegisterDataspace(desc), None)?)
+        expect_ok(self.call(&CtlRequest::RegisterDataspace(desc))?)
     }
 
     pub fn unregister_dataspace(&mut self, nsid: &str) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::UnregisterDataspace {
-                nsid: nsid.to_string(),
-            },
-            None,
-        )?)
+        let nsid = nsid.to_string();
+        expect_ok(self.call(&CtlRequest::UnregisterDataspace { nsid })?)
     }
 
     pub fn register_job(&mut self, job: JobDesc) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::RegisterJob(job), None)?)
+        expect_ok(self.call(&CtlRequest::RegisterJob(job))?)
     }
 
     pub fn unregister_job(&mut self, job_id: u64) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::UnregisterJob { job_id }, None)?)
+        expect_ok(self.call(&CtlRequest::UnregisterJob { job_id })?)
     }
 
     pub fn add_process(&mut self, job_id: u64, pid: u64, uid: u32, gid: u32) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::AddProcess {
-                job_id,
-                pid,
-                uid,
-                gid,
-            },
-            None,
-        )?)
+        expect_ok(self.call(&CtlRequest::AddProcess {
+            job_id,
+            pid,
+            uid,
+            gid,
+        })?)
     }
 
+    /// Map a `RemotePath.host` to a peer daemon's data-plane address
+    /// (v4). Re-registering a host updates its address.
     pub fn register_peer(&mut self, host: &str, data_addr: &str) -> ClientResult<()> {
-        expect_ok(self.call(
-            &CtlRequest::RegisterPeer {
-                host: host.to_string(),
-                data_addr: data_addr.to_string(),
-            },
-            None,
-        )?)
+        expect_ok(self.call(&CtlRequest::RegisterPeer {
+            host: host.to_string(),
+            data_addr: data_addr.to_string(),
+        })?)
     }
 
+    /// Submit a task; `payload` carries the buffer for memory-region
+    /// inputs. The response is `TaskSubmitted` ([`expect_task_id`]).
+    pub fn issue_submit(
+        &mut self,
+        job_id: u64,
+        spec: TaskSpec,
+        payload: Option<&[u8]>,
+    ) -> ClientResult<u64> {
+        self.issue(&CtlRequest::SubmitTask { job_id, spec }, payload)
+    }
+
+    /// [`CtlClient::issue_submit`], then block for its response.
     pub fn submit(
         &mut self,
         job_id: u64,
         spec: TaskSpec,
         payload: Option<&[u8]>,
     ) -> ClientResult<u64> {
-        expect_task_id(self.call(&CtlRequest::SubmitTask { job_id, spec }, payload)?)
+        let tag = self.issue_submit(job_id, spec, payload)?;
+        expect_task_id(self.wait_for(tag)?)
     }
 
-    /// Blocking `WaitTask`, same semantics as [`CtlClient::wait`].
+    /// Wait until the task is terminal or the timeout expires.
+    /// `timeout_usec == 0` means wait forever; an expired nonzero
+    /// timeout answers with the task's in-flight snapshot (state still
+    /// `Pending`/`InProgress`), never an error.
+    pub fn issue_wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<u64> {
+        let req = CtlRequest::WaitTask {
+            task_id,
+            timeout_usec,
+        };
+        self.issue(&req, None)
+    }
+
+    /// [`CtlClient::issue_wait`], then block for its response.
     pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
         let tag = self.issue_wait(task_id, timeout_usec)?;
         expect_stats(self.wait_for(tag)?)
     }
 
-    /// Blocking `WaitAny`, same semantics as [`CtlClient::wait_any`].
+    /// Wait until *any* task of the set is terminal (v5 batch wait):
+    /// one round-trip returns the first completion as `(task_id,
+    /// stats)` instead of N polling loops. `timeout_usec == 0` means
+    /// wait forever; an expired nonzero timeout surfaces as a
+    /// [`ClientError::Remote`] carrying [`ErrorCode::Timeout`].
+    pub fn issue_wait_any(&mut self, task_ids: &[u64], timeout_usec: u64) -> ClientResult<u64> {
+        let req = CtlRequest::WaitAny {
+            task_ids: task_ids.to_vec(),
+            timeout_usec,
+        };
+        self.issue(&req, None)
+    }
+
+    /// [`CtlClient::issue_wait_any`], then block for its response.
     pub fn wait_any(
         &mut self,
         task_ids: &[u64],
@@ -714,110 +393,66 @@ impl PipelinedCtl {
         expect_completion(self.wait_for(tag)?)
     }
 
+    /// Issue a `QueryTask` without blocking on it.
+    pub fn issue_query(&mut self, task_id: u64) -> ClientResult<u64> {
+        self.issue(&CtlRequest::QueryTask { task_id }, None)
+    }
+
+    /// [`CtlClient::issue_query`], then block for its response.
     pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
-        expect_stats(self.call(&CtlRequest::QueryTask { task_id }, None)?)
+        let tag = self.issue_query(task_id)?;
+        expect_stats(self.wait_for(tag)?)
     }
 
+    /// Cancel a still-pending task (`nornsctl` task control).
     pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
-        expect_ok(self.call(&CtlRequest::CancelTask { task_id }, None)?)
+        expect_ok(self.call(&CtlRequest::CancelTask { task_id })?)
     }
 
+    /// Enumerate a dataspace directory's children (v6): names only,
+    /// sorted, at most [`norns_proto::MAX_DIR_ENTRIES`] of them
+    /// (larger directories are refused, not truncated). A
+    /// non-directory path yields [`ErrorCode::BadArgs`]; scatter
+    /// planners use that to fall back to single-file placement.
     pub fn list_dir(&mut self, nsid: &str, path: &str) -> ClientResult<Vec<String>> {
-        match self.call(
-            &CtlRequest::ListDir {
-                nsid: nsid.to_string(),
-                path: path.to_string(),
-            },
-            None,
-        )? {
+        let req = CtlRequest::ListDir {
+            nsid: nsid.to_string(),
+            path: path.to_string(),
+        };
+        match self.call(&req)? {
             Response::DirEntries { entries } => Ok(entries),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
+            other => unexpected(other),
         }
     }
 }
 
-impl AsRawFd for PipelinedCtl {
-    fn as_raw_fd(&self) -> RawFd {
-        self.0.as_raw_fd()
-    }
-}
-
-/// The application (`norns`) client with request pipelining.
-pub struct PipelinedUser {
-    conn: PipelinedConn,
+/// The application (`norns`) client. Every request carries the pid the
+/// client was opened with; the daemon scopes task observation and
+/// cancellation to that pid's own submissions (v4).
+pub struct UserClient {
+    conn: Conn,
     pid: u64,
 }
 
-impl PipelinedUser {
+impl UserClient {
     pub fn connect(path: &Path) -> ClientResult<Self> {
-        Ok(PipelinedUser {
-            conn: PipelinedConn::connect(path)?,
-            pid: std::process::id() as u64,
-        })
+        Self::with_pid(path, std::process::id() as u64)
     }
 
     pub fn with_pid(path: &Path, pid: u64) -> ClientResult<Self> {
-        Ok(PipelinedUser {
-            conn: PipelinedConn::connect(path)?,
+        Ok(UserClient {
+            conn: Conn::connect(path)?,
             pid,
         })
     }
 
     /// Requests issued but not yet answered.
     pub fn in_flight(&self) -> usize {
-        self.conn.in_flight()
+        self.conn.pending.len()
     }
 
-    /// Issue a `SubmitTask` without blocking on it.
-    pub fn issue_submit(&mut self, spec: TaskSpec, payload: Option<&[u8]>) -> ClientResult<u64> {
-        let pid = self.pid;
-        self.conn
-            .issue(UserRequest::SubmitTask { pid, spec }.to_bytes(), payload)
-    }
-
-    /// Issue a `WaitTask` without blocking on it.
-    pub fn issue_wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<u64> {
-        let pid = self.pid;
-        self.conn.issue(
-            UserRequest::WaitTask {
-                pid,
-                task_id,
-                timeout_usec,
-            }
-            .to_bytes(),
-            None,
-        )
-    }
-
-    /// Issue a `WaitAny` without blocking on it.
-    pub fn issue_wait_any(&mut self, task_ids: &[u64], timeout_usec: u64) -> ClientResult<u64> {
-        let pid = self.pid;
-        self.conn.issue(
-            UserRequest::WaitAny {
-                pid,
-                task_ids: task_ids.to_vec(),
-                timeout_usec,
-            }
-            .to_bytes(),
-            None,
-        )
-    }
-
-    /// Issue a `QueryTask` without blocking on it.
-    pub fn issue_query(&mut self, task_id: u64) -> ClientResult<u64> {
-        let pid = self.pid;
-        self.conn
-            .issue(UserRequest::QueryTask { pid, task_id }.to_bytes(), None)
-    }
-
-    /// Issue a `CancelTask` without blocking on it.
-    pub fn issue_cancel(&mut self, task_id: u64) -> ClientResult<u64> {
-        let pid = self.pid;
-        self.conn
-            .issue(UserRequest::CancelTask { pid, task_id }.to_bytes(), None)
+    fn issue(&mut self, req: UserRequest, payload: Option<&[u8]>) -> ClientResult<u64> {
+        self.conn.issue(req.to_bytes(), payload)
     }
 
     /// Collect already-arrived responses without blocking.
@@ -835,21 +470,100 @@ impl PipelinedUser {
         self.conn.wait_for(tag)
     }
 
-    /// Blocking submit, same semantics as [`UserClient::submit`].
+    /// `norns_get_dataspace_info`.
+    pub fn dataspaces(&mut self) -> ClientResult<Vec<DataspaceDesc>> {
+        let tag = self.issue(UserRequest::GetDataspaceInfo, None)?;
+        match self.wait_for(tag)? {
+            Response::Dataspaces(d) => Ok(d),
+            other => unexpected(other),
+        }
+    }
+
+    /// `norns_submit` (Listing 2).
+    pub fn issue_submit(&mut self, spec: TaskSpec, payload: Option<&[u8]>) -> ClientResult<u64> {
+        let pid = self.pid;
+        self.issue(UserRequest::SubmitTask { pid, spec }, payload)
+    }
+
+    /// [`UserClient::issue_submit`], then block for its response.
     pub fn submit(&mut self, spec: TaskSpec, payload: Option<&[u8]>) -> ClientResult<u64> {
         let tag = self.issue_submit(spec, payload)?;
         expect_task_id(self.wait_for(tag)?)
     }
 
-    /// Blocking wait, same semantics as [`UserClient::wait`].
+    /// `norns_wait`; waiting on another submitter's task yields
+    /// `PermissionDenied`. Timeout semantics as [`CtlClient::issue_wait`].
+    pub fn issue_wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<u64> {
+        let req = UserRequest::WaitTask {
+            pid: self.pid,
+            task_id,
+            timeout_usec,
+        };
+        self.issue(req, None)
+    }
+
+    /// [`UserClient::issue_wait`], then block for its response.
     pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
         let tag = self.issue_wait(task_id, timeout_usec)?;
         expect_stats(self.wait_for(tag)?)
     }
+
+    /// Batch wait; every id must be one of this client's own
+    /// submissions. Timeout semantics as [`CtlClient::issue_wait_any`].
+    pub fn issue_wait_any(&mut self, task_ids: &[u64], timeout_usec: u64) -> ClientResult<u64> {
+        let req = UserRequest::WaitAny {
+            pid: self.pid,
+            task_ids: task_ids.to_vec(),
+            timeout_usec,
+        };
+        self.issue(req, None)
+    }
+
+    /// [`UserClient::issue_wait_any`], then block for its response.
+    pub fn wait_any(
+        &mut self,
+        task_ids: &[u64],
+        timeout_usec: u64,
+    ) -> ClientResult<(u64, TaskStats)> {
+        let tag = self.issue_wait_any(task_ids, timeout_usec)?;
+        expect_completion(self.wait_for(tag)?)
+    }
+
+    /// `norns_error` (status/stats query).
+    pub fn issue_query(&mut self, task_id: u64) -> ClientResult<u64> {
+        let pid = self.pid;
+        self.issue(UserRequest::QueryTask { pid, task_id }, None)
+    }
+
+    /// [`UserClient::issue_query`], then block for its response.
+    pub fn query(&mut self, task_id: u64) -> ClientResult<TaskStats> {
+        let tag = self.issue_query(task_id)?;
+        expect_stats(self.wait_for(tag)?)
+    }
+
+    /// Cancel a still-pending task.
+    pub fn issue_cancel(&mut self, task_id: u64) -> ClientResult<u64> {
+        let pid = self.pid;
+        self.issue(UserRequest::CancelTask { pid, task_id }, None)
+    }
+
+    /// [`UserClient::issue_cancel`], then block for its response.
+    pub fn cancel(&mut self, task_id: u64) -> ClientResult<()> {
+        let tag = self.issue_cancel(task_id)?;
+        expect_ok(self.wait_for(tag)?)
+    }
 }
 
-impl AsRawFd for PipelinedUser {
+/// The raw fd, so an event loop can multiplex many connections over
+/// one `epoll` set.
+impl AsRawFd for CtlClient {
     fn as_raw_fd(&self) -> RawFd {
-        self.conn.as_raw_fd()
+        self.0.stream.as_raw_fd()
+    }
+}
+
+impl AsRawFd for UserClient {
+    fn as_raw_fd(&self) -> RawFd {
+        self.conn.stream.as_raw_fd()
     }
 }

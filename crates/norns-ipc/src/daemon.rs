@@ -191,7 +191,6 @@ impl UrdDaemon {
                 chunk_size: config.chunk_size,
                 remote_window: config.remote_window,
                 target_copies: config.target_copies,
-                ..EngineConfig::default()
             },
             config.policy.to_policy(),
         );
@@ -456,6 +455,12 @@ impl Shared {
                 let _ = handle.join();
             }
         }
+        // A connection accepted just before the flag went up may still
+        // be queued for a reactor that exited without registering it;
+        // drop it so its client sees EOF like every other.
+        for reactor in &self.reactors {
+            reactor.incoming.lock().clear();
+        }
         // Reactor 0 (the only accept path) is joined: no further
         // data-plane connections can appear, so one pass drains all.
         // norns-lint: allow(lock-across-blocking): joining data-plane handlers is the point of shutdown; serialised under `shutdown_done`
@@ -627,7 +632,11 @@ fn reactor_loop(shared: Arc<Shared>, reactor: Arc<Reactor>, mut listeners: Optio
             d.arm(&reactor.poller);
         }
     }
-    loop {
+    // The flag is checked before every wait as well as after it: a
+    // shutdown wake that lands while this iteration is still handling
+    // an earlier wake is consumed by the same `drain`, and only the
+    // flag (set before the wake) is left to say so.
+    while !shared.shutdown.load(Ordering::SeqCst) {
         events.clear();
         let timeout = listeners
             .as_ref()

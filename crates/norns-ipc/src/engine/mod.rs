@@ -13,10 +13,13 @@
 //!   [`norns_sched::Scheduler`] behind a mutex+condvar; the pending
 //!   set is **bounded** (submissions past the capacity are rejected
 //!   with [`ErrorCode::Busy`], EAGAIN-style). Task state lives in a
-//!   sharded table ([`shard`]): N id-keyed shards with per-shard
-//!   condvars, so a completion wakes only the waiters parked on its
-//!   shard, and user-socket admission checks go through an O(1)
-//!   `pid → job` reverse index instead of a scan over all jobs.
+//!   sharded table ([`shard`]) whose id-keyed shards keep traffic on
+//!   different tasks off one lock. Every wait — the blocking
+//!   [`Engine::wait`] / [`Engine::wait_any`] and the reactor's
+//!   callback waits alike — is a subscription in one registry keyed
+//!   by task id, so a completion wakes exactly its own waiters.
+//!   User-socket admission checks go through an O(1) `pid → job`
+//!   reverse index instead of a scan over all jobs.
 //! * Data plane — [`transfer`]: transfers larger than the configured
 //!   chunk size are decomposed into chunk *sub-units* fed back through
 //!   the scheduler, so several workers cooperate on one file (and,
@@ -141,8 +144,6 @@ pub struct EngineConfig {
     /// Transfers larger than this are decomposed into chunk sub-units;
     /// clamped to at least [`MIN_CHUNK_SIZE`].
     pub chunk_size: u64,
-    /// Task-table shard count (rounded up to a power of two).
-    pub shards: usize,
     /// Range requests each worker keeps in flight per data-plane
     /// connection during remote staging; `1` is stop-and-wait, clamped
     /// to `1..=`[`MAX_REMOTE_WINDOW`](crate::MAX_REMOTE_WINDOW).
@@ -159,7 +160,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            shards: DEFAULT_SHARDS,
             remote_window: DEFAULT_REMOTE_WINDOW,
             target_copies: 1,
         }
@@ -212,24 +212,23 @@ enum Outcome {
     Chunked(Arc<dyn TransferPlan>),
 }
 
-/// Callback behind an asynchronously-parked wait
-/// ([`Engine::wait_task_async`] / [`Engine::wait_any_async`]): invoked
-/// exactly once — from the worker thread that drives the terminal
-/// transition, from the timer thread on timeout, or inline from the
-/// subscribing thread when the wait can resolve immediately. Callbacks
-/// must be quick and non-blocking (the reactor's pushes a completion
-/// into a queue and wakes an epoll loop).
+/// Callback behind a parked wait: invoked exactly once — from the
+/// worker thread that drives the terminal transition, from whichever
+/// thread resolves the timeout, or inline from the subscribing thread
+/// when the wait can resolve immediately. Callbacks must be quick and
+/// non-blocking (the reactor's pushes a completion into a queue and
+/// wakes an epoll loop; the blocking calls' sends into a channel).
 pub type WaitCallback = Box<dyn FnOnce(Result<(u64, TaskStats), (ErrorCode, String)>) + Send>;
 
-/// Timeout semantics differ between the two wait ops (mirroring the
-/// blocking API): an expired `WaitTask` returns the in-flight snapshot,
-/// an expired `WaitAny` is [`ErrorCode::Timeout`].
+/// Timeout semantics differ between the two wait ops: an expired
+/// `WaitTask` returns the in-flight snapshot, an expired `WaitAny` is
+/// [`ErrorCode::Timeout`].
 enum WaitKind {
     Single,
     Any,
 }
 
-/// One parked asynchronous wait.
+/// One parked wait.
 struct WaitSub {
     kind: WaitKind,
     task_ids: Vec<u64>,
@@ -341,7 +340,7 @@ pub struct Engine {
     shutting_down: AtomicBool,
     workers: Mutex<Vec<JoinHandle<()>>>,
     started_at: Instant,
-    /// Parked asynchronous waits (v7 pipelined `WaitTask`/`WaitAny`).
+    /// Parked waits, blocking and callback alike.
     wait_subs: Mutex<WaitSubs>,
     wait_timer: Mutex<WaitTimer>,
     wait_timer_cv: Condvar,
@@ -395,7 +394,7 @@ impl Engine {
         let workers = config.workers.max(1);
         let engine = Arc::new(Engine {
             registry: Mutex::new(Registry::default()),
-            tasks: ShardedTaskTable::new(config.shards),
+            tasks: ShardedTaskTable::new(),
             dispatch: Mutex::new(DispatchState {
                 sched: Scheduler::new(workers, policy).with_capacity(config.queue_capacity),
                 work: HashMap::new(),
@@ -615,11 +614,6 @@ impl Engine {
     /// single decomposed transfer.
     pub fn peak_chunk_workers(&self) -> u64 {
         self.peak_chunk_workers.load(Ordering::Relaxed)
-    }
-
-    /// Task-table shard count (for tests and status tooling).
-    pub fn task_table_shards(&self) -> usize {
-        self.tasks.shard_count()
     }
 
     // ---- registration ----
@@ -1192,13 +1186,14 @@ impl Engine {
         }
     }
 
-    /// Transition a pending task to `Cancelled` and wake its shard.
-    /// Counters move inside the shard-locked closure, before the wake:
-    /// anyone whom the wake unblocks must already see them updated.
+    /// Transition a pending task to `Cancelled` and notify its
+    /// waiters. Counters move inside the shard-locked closure, before
+    /// the notification: anyone it unblocks must already see them
+    /// updated.
     fn mark_cancelled(&self, task_id: u64) {
         let stats = self
             .tasks
-            .update_and_wake(task_id, |t| {
+            .update(task_id, |t| {
                 if t.stats.state == TaskState::Pending {
                     t.stats.state = TaskState::Cancelled;
                     t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
@@ -1377,10 +1372,10 @@ impl Engine {
         self.finish_task(task_id, outcome, elapsed_usec);
     }
 
-    /// Move a task to its terminal state, fix up counters and wake the
-    /// task's shard.
+    /// Move a task to its terminal state, fix up counters and notify
+    /// the task's waiters.
     fn finish_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
-        let stats = self.tasks.update_and_wake(task_id, |t| {
+        let stats = self.tasks.update(task_id, |t| {
             let mut cancelled = false;
             match outcome {
                 PlanOutcome::Done(moved) => {
@@ -1403,8 +1398,8 @@ impl Engine {
             }
             t.stats.elapsed_usec = elapsed_usec;
             // Counters inside the shard-locked closure, before the
-            // wake: a waiter unblocked by this completion must already
-            // see them updated.
+            // notification: a waiter unblocked by this completion must
+            // already see them updated.
             self.running_count.fetch_sub(1, Ordering::SeqCst);
             // Internal replica tasks never count against the
             // user-facing totals: `completed + cancelled` accounts
@@ -1852,29 +1847,28 @@ impl Engine {
             .ok_or((ErrorCode::NotFound, format!("task {task_id}")))
     }
 
-    /// Block until the task reaches a terminal state or the timeout
-    /// expires (`timeout_usec == 0` → wait forever). Parks on the
-    /// task's shard, so completions elsewhere never wake this caller.
-    pub fn wait(&self, task_id: u64, timeout_usec: u64) -> Option<TaskStats> {
-        let deadline = if timeout_usec == 0 {
-            None
-        } else {
-            Some(Instant::now() + std::time::Duration::from_micros(timeout_usec))
-        };
-        self.tasks.wait(task_id, deadline)
-    }
+    // ---- waits ----
+    //
+    // There is one wait mechanism: a one-shot callback subscribed in
+    // the `wait_subs` registry. Every terminal transition funnels
+    // through `finish_task` or `mark_cancelled`, which notify the
+    // inverted `by_task` index. The reactor daemon must not pin a
+    // thread per parked `WaitTask` / `WaitAny`, so its callbacks queue
+    // a response and its timeouts are deadlines on a single
+    // lazily-spawned timer thread; the blocking calls subscribe a
+    // callback that sends into a channel and park the caller on it.
+    // Semantics are the same either way: an expired `WaitTask`
+    // delivers the in-flight snapshot, an expired `WaitAny` delivers
+    // `ErrorCode::Timeout`, `timeout_usec == 0` parks forever.
 
-    /// `wait` with the user-socket ownership rule applied (see
-    /// [`Engine::query_scoped`]).
-    pub fn wait_scoped(
-        &self,
-        task_id: u64,
-        timeout_usec: u64,
-        requester: Option<u64>,
-    ) -> Result<TaskStats, (ErrorCode, String)> {
-        self.check_owner(task_id, requester)?;
-        self.wait(task_id, timeout_usec)
-            .ok_or((ErrorCode::NotFound, format!("task {task_id}")))
+    /// Block until the task reaches a terminal state or the timeout
+    /// expires (`timeout_usec == 0` → wait forever). An expired
+    /// timeout returns the in-flight snapshot; `None` means the id is
+    /// unknown.
+    pub fn wait(&self, task_id: u64, timeout_usec: u64) -> Option<TaskStats> {
+        self.wait_parked(WaitKind::Single, vec![task_id], timeout_usec)
+            .ok()
+            .map(|(_, stats)| stats)
     }
 
     /// Block until *any* task of the set reaches a terminal state —
@@ -1882,12 +1876,10 @@ impl Engine {
     /// completion as `(task_id, stats)`; when several tasks are
     /// already terminal, the earliest in `task_ids` wins.
     ///
-    /// One parked wait covers the whole set regardless of how many
-    /// task-table shards it spans, so an orchestrator watching N
-    /// staging tasks costs one blocked call, not N pollers.
+    /// One parked wait covers the whole set, so an orchestrator
+    /// watching N staging tasks costs one blocked call, not N pollers.
     /// `timeout_usec == 0` means wait forever; a nonzero timeout that
-    /// expires yields [`ErrorCode::Timeout`]. An unknown id (or one
-    /// collected by `clear_completions` mid-wait) yields
+    /// expires yields [`ErrorCode::Timeout`]. An unknown id yields
     /// [`ErrorCode::NotFound`]; an empty set is [`ErrorCode::BadArgs`].
     pub fn wait_any(
         &self,
@@ -1905,6 +1897,51 @@ impl Engine {
         timeout_usec: u64,
         requester: Option<u64>,
     ) -> Result<(u64, TaskStats), (ErrorCode, String)> {
+        self.check_wait_set(task_ids, requester)?;
+        self.wait_parked(WaitKind::Any, task_ids.to_vec(), timeout_usec)
+    }
+
+    /// Subscribe a channel-sending callback and park the calling
+    /// thread on the channel.
+    fn wait_parked(
+        &self,
+        kind: WaitKind,
+        task_ids: Vec<u64>,
+        timeout_usec: u64,
+    ) -> Result<(u64, TaskStats), (ErrorCode, String)> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sub = self.subscribe_wait(
+            kind,
+            task_ids,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        if let Some(sub_id) = sub.filter(|_| timeout_usec > 0) {
+            match rx.recv_timeout(Duration::from_micros(timeout_usec)) {
+                Ok(result) => return result,
+                // `take_sub` inside decides a completion racing the
+                // deadline: whichever side gets the subscription sends
+                // the one result the `recv` below picks up.
+                Err(_) => self.fire_wait_timeout(sub_id),
+            }
+        }
+        rx.recv().unwrap_or_else(|_| {
+            Err((
+                ErrorCode::SystemError,
+                "wait subscription dropped unfired".into(),
+            ))
+        })
+    }
+
+    /// The wait-set rules every `WaitAny` entry point enforces: a
+    /// non-empty set of at most [`norns_proto::MAX_WAIT_SET`] ids, all
+    /// visible to `requester`.
+    fn check_wait_set(
+        &self,
+        task_ids: &[u64],
+        requester: Option<u64>,
+    ) -> Result<(), (ErrorCode, String)> {
         if task_ids.is_empty() {
             return Err((ErrorCode::BadArgs, "empty wait set".into()));
         }
@@ -1918,37 +1955,14 @@ impl Engine {
                 ),
             ));
         }
-        for &id in task_ids {
-            self.check_owner(id, requester)?;
-        }
-        let deadline = if timeout_usec == 0 {
-            None
-        } else {
-            Some(Instant::now() + std::time::Duration::from_micros(timeout_usec))
-        };
-        match self.tasks.wait_any(task_ids, deadline) {
-            shard::MultiWait::Done(id, stats) => Ok((id, stats)),
-            shard::MultiWait::Gone(id) => Err((ErrorCode::NotFound, format!("task {id}"))),
-            shard::MultiWait::TimedOut => Err((
-                ErrorCode::Timeout,
-                format!("no task of {} completed in time", task_ids.len()),
-            )),
-        }
+        task_ids
+            .iter()
+            .try_for_each(|&id| self.check_owner(id, requester))
     }
 
-    // ---- asynchronous waits (v7 pipelined control plane) ----
-    //
-    // The reactor daemon must not pin a thread per parked `WaitTask` /
-    // `WaitAny`: these register a one-shot callback instead. Every
-    // terminal transition funnels through `complete_task` or
-    // `mark_cancelled`, which notify the inverted `by_task` index; a
-    // nonzero timeout arms a deadline on a single lazily-spawned timer
-    // thread. Semantics mirror the blocking API exactly: an expired
-    // `WaitTask` delivers the in-flight snapshot, an expired `WaitAny`
-    // delivers `ErrorCode::Timeout`, `timeout_usec == 0` parks forever.
-
-    /// Asynchronous [`Engine::wait_scoped`]. Returns the subscription
-    /// id when the wait parked (cancel it with
+    /// Callback form of [`Engine::wait`] with the user-socket
+    /// ownership rule applied (see [`Engine::query_scoped`]). Returns
+    /// the subscription id when the wait parked (cancel it with
     /// [`Engine::unsubscribe_wait`] if the connection dies first), or
     /// `None` when the callback already fired — inline for validation
     /// failures and already-terminal tasks, or from a racing
@@ -1964,10 +1978,10 @@ impl Engine {
             callback(Err(e));
             return None;
         }
-        self.subscribe_wait(WaitKind::Single, vec![task_id], timeout_usec, callback)
+        self.subscribe_with_deadline(WaitKind::Single, vec![task_id], timeout_usec, callback)
     }
 
-    /// Asynchronous [`Engine::wait_any_scoped`] (see
+    /// Callback form of [`Engine::wait_any_scoped`] (see
     /// [`Engine::wait_task_async`] for the callback contract).
     pub fn wait_any_async(
         self: &Arc<Self>,
@@ -1976,28 +1990,11 @@ impl Engine {
         requester: Option<u64>,
         callback: WaitCallback,
     ) -> Option<u64> {
-        if task_ids.is_empty() {
-            callback(Err((ErrorCode::BadArgs, "empty wait set".into())));
+        if let Err(e) = self.check_wait_set(task_ids, requester) {
+            callback(Err(e));
             return None;
         }
-        if task_ids.len() > norns_proto::MAX_WAIT_SET {
-            callback(Err((
-                ErrorCode::BadArgs,
-                format!(
-                    "wait set of {} exceeds the {}-id cap",
-                    task_ids.len(),
-                    norns_proto::MAX_WAIT_SET
-                ),
-            )));
-            return None;
-        }
-        for &id in task_ids {
-            if let Err(e) = self.check_owner(id, requester) {
-                callback(Err(e));
-                return None;
-            }
-        }
-        self.subscribe_wait(WaitKind::Any, task_ids.to_vec(), timeout_usec, callback)
+        self.subscribe_with_deadline(WaitKind::Any, task_ids.to_vec(), timeout_usec, callback)
     }
 
     /// Drop a parked wait whose subscriber went away (connection
@@ -2012,11 +2009,28 @@ impl Engine {
         self.wait_subs.lock().subs.len()
     }
 
-    fn subscribe_wait(
+    /// Subscribe, then arm `timeout_usec` (when nonzero) on the timer
+    /// thread.
+    fn subscribe_with_deadline(
         self: &Arc<Self>,
         kind: WaitKind,
         task_ids: Vec<u64>,
         timeout_usec: u64,
+        callback: WaitCallback,
+    ) -> Option<u64> {
+        let sub_id = self.subscribe_wait(kind, task_ids, callback)?;
+        if timeout_usec > 0 {
+            self.arm_wait_deadline(sub_id, Instant::now() + Duration::from_micros(timeout_usec));
+        }
+        Some(sub_id)
+    }
+
+    /// Register a wait. Returns the subscription id when it parked,
+    /// `None` when the callback already fired.
+    fn subscribe_wait(
+        &self,
+        kind: WaitKind,
+        task_ids: Vec<u64>,
         callback: WaitCallback,
     ) -> Option<u64> {
         let sub_id = {
@@ -2040,8 +2054,8 @@ impl Engine {
         // either sees the sub in `by_task` (and fires it) or we see
         // the terminal state here — a lost wakeup is impossible, and
         // remove-under-lock in `take_sub` picks the single firing
-        // side. Scanning in set order preserves the blocking
-        // `wait_any` tie-break (earliest listed terminal task wins).
+        // side. Scanning in set order gives `wait_any` its tie-break
+        // (earliest listed terminal task wins).
         for &t in &task_ids {
             match self.tasks.snapshot(t) {
                 Some(stats) if stats.state.is_terminal() => {
@@ -2058,12 +2072,6 @@ impl Engine {
                     return None;
                 }
             }
-        }
-        if timeout_usec > 0 {
-            self.arm_wait_deadline(
-                sub_id,
-                Instant::now() + std::time::Duration::from_micros(timeout_usec),
-            );
         }
         Some(sub_id)
     }
@@ -2188,8 +2196,6 @@ impl Engine {
             return;
         };
         let result = match sub.kind {
-            // Blocking `WaitTask` returns the in-flight snapshot on an
-            // expired timeout; mirror that.
             WaitKind::Single => match sub.task_ids.first() {
                 Some(&id) => match self.tasks.snapshot(id) {
                     Some(stats) => Ok((id, stats)),
@@ -2452,11 +2458,83 @@ mod tests {
         engine.shutdown();
     }
 
+    fn tiny_write(path: &str) -> TaskSpec {
+        TaskSpec::new(
+            TaskOp::Copy,
+            ResourceDesc::MemoryRegion { addr: 0, size: 4 },
+            Some(ResourceDesc::PosixPath {
+                nsid: "tmp0".into(),
+                path: path.into(),
+            }),
+        )
+    }
+
     #[test]
     fn wait_timeout_returns_current_state() {
-        let (engine, _root) = engine_with_ds("timeout");
-        // Unknown task → None.
-        assert!(engine.wait(999, 1000).is_none());
+        let root = temp_root("timeout");
+        let engine = Engine::with_policy(1, 64, Box::new(Fcfs));
+        register_tmp0(&engine, &root);
+        // Pin the single worker on a long copy so the victim behind it
+        // is still queued when its bounded wait expires.
+        fs::write(root.join("tmp0/blocker-src"), vec![0x77u8; 64 << 20]).unwrap();
+        let blocker = engine
+            .submit(1, copy_spec("blocker-src", "blocker-dst"), None)
+            .unwrap();
+        let victim = engine
+            .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
+            .unwrap();
+        let stats = engine.wait(victim, 1_000).unwrap();
+        assert_eq!(stats.state, TaskState::Pending, "in-flight snapshot");
+        assert_eq!(engine.parked_waits(), 0, "an expired wait unsubscribes");
+        // Unknown task → None, with or without a timeout.
+        assert!(engine.wait(999, 1_000).is_none());
+        assert!(engine.wait(999, 0).is_none());
+        assert_eq!(engine.wait(victim, 0).unwrap().state, TaskState::Finished);
+        engine.wait(blocker, 0).unwrap();
+        engine.shutdown();
+    }
+
+    /// Timeouts swept from 1 to 400 µs around the few tens of
+    /// microseconds a tiny task takes, so the completion and the
+    /// deadline race in both orders: whichever claims the
+    /// subscription, the blocking wait returns one coherent result and
+    /// leaves nothing parked.
+    #[test]
+    fn blocking_wait_survives_completion_vs_timeout_race() {
+        let (engine, _root) = engine_with_ds("waitrace");
+        let (mut finished, mut expired) = (0, 0);
+        for i in 0..2_000u64 {
+            let id = engine
+                .submit(1, tiny_write("race"), Some(b"abcd".to_vec()))
+                .unwrap();
+            let timeout = 1 + i % 400;
+            if i % 2 == 0 {
+                let stats = engine.wait(id, timeout).expect("task exists");
+                if stats.state.is_terminal() {
+                    finished += 1;
+                } else {
+                    expired += 1;
+                }
+            } else {
+                match engine.wait_any(&[id], timeout) {
+                    Ok((done, stats)) => {
+                        assert_eq!(done, id);
+                        assert!(stats.state.is_terminal());
+                        finished += 1;
+                    }
+                    Err((code, _)) => {
+                        assert_eq!(code, ErrorCode::Timeout);
+                        expired += 1;
+                    }
+                }
+            }
+            assert_eq!(engine.wait(id, 0).unwrap().state, TaskState::Finished);
+        }
+        assert_eq!(engine.parked_waits(), 0);
+        assert!(
+            finished > 0 && expired > 0,
+            "the sweep must hit both sides of the race ({finished} finished, {expired} expired)"
+        );
         engine.shutdown();
     }
 
@@ -2489,7 +2567,6 @@ mod tests {
         assert_eq!(st.registered_dataspaces, 1);
         assert_eq!(st.cancelled_tasks, 0);
         assert_eq!(st.chunk_size, DEFAULT_CHUNK_SIZE);
-        assert_eq!(engine.task_table_shards(), DEFAULT_SHARDS);
         assert!(engine.uptime_usec() < 60_000_000);
         engine.shutdown();
     }
@@ -2768,18 +2845,12 @@ mod tests {
         let blocker = engine
             .submit(7, copy_spec("blocker-src", "blocker-dst"), None)
             .unwrap();
-        let mem = |path: &str| {
-            TaskSpec::new(
-                TaskOp::Copy,
-                ResourceDesc::MemoryRegion { addr: 0, size: 4 },
-                Some(ResourceDesc::PosixPath {
-                    nsid: "tmp0".into(),
-                    path: path.into(),
-                }),
-            )
-        };
-        let a = engine.submit(7, mem("a"), Some(b"aaaa".to_vec())).unwrap();
-        let b = engine.submit(7, mem("b"), Some(b"bbbb".to_vec())).unwrap();
+        let a = engine
+            .submit(7, tiny_write("a"), Some(b"aaaa".to_vec()))
+            .unwrap();
+        let b = engine
+            .submit(7, tiny_write("b"), Some(b"bbbb".to_vec()))
+            .unwrap();
         // Nothing terminal yet: a short timeout expires.
         assert!(matches!(
             engine.wait_any(&[a, b], 5_000),
@@ -2807,6 +2878,7 @@ mod tests {
         // Every id owned by the requester: the scoped wait succeeds.
         let (done, _) = engine.wait_any_scoped(&[b, a], 0, Some(7)).unwrap();
         assert_eq!(done, b, "earliest listed terminal wins");
+        assert_eq!(engine.parked_waits(), 0);
         engine.shutdown();
     }
 

@@ -1,27 +1,30 @@
 //! The sharded task table.
 //!
 //! The task table is the daemon's *control plane*: every `submit`,
-//! `query`, `wait`, cancel and completion touches it. A single
-//! `Mutex<HashMap>` with one global condvar made each completion a
-//! thundering herd — `notify_all` woke every waiter in the daemon, and
-//! all of them serialized on one lock to discover that their task was
-//! still running. Here the table is split into N id-keyed shards, each
-//! with its own mutex and condvar: a completion locks one shard and
-//! wakes only the waiters parked on that shard. Task ids are allocated
-//! sequentially, so consecutive tasks land on different shards and the
-//! lock traffic spreads evenly.
+//! `query`, progress snapshot, cancel and completion touches it. It is
+//! split into [`DEFAULT_SHARDS`] id-keyed shards, each behind its own
+//! mutex, so traffic on different tasks does not serialize on one
+//! lock. Task ids are allocated sequentially, so consecutive tasks
+//! land on different shards and the lock traffic spreads evenly.
+//!
+//! The table only stores state. Waiting is not its business: a
+//! terminal transition is delivered to waiters by the engine's
+//! wait-subscription registry, which wakes exactly the subscribers of
+//! that task.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use norns_proto::TaskStats;
 
-/// Default shard count (rounded up to a power of two).
+/// Task-table shard count; a power of two, so an id maps to its shard
+/// with a mask.
 pub const DEFAULT_SHARDS: usize = 16;
+const _: () = assert!(DEFAULT_SHARDS.is_power_of_two());
 
 /// One tracked task.
 pub(crate) struct TaskEntry {
@@ -57,75 +60,29 @@ impl TaskEntry {
     }
 }
 
-struct Shard {
-    entries: Mutex<HashMap<u64, TaskEntry>>,
-    cv: Condvar,
-}
-
-/// What a [`ShardedTaskTable::wait_any`] call resolved to.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum MultiWait {
-    /// First task of the set to reach a terminal state.
-    Done(u64, TaskStats),
-    /// A waited id is not (or no longer) in the table — it never
-    /// existed, or completion-list GC collected it mid-wait.
-    Gone(u64),
-    /// The deadline passed with every task still in flight.
-    TimedOut,
-}
-
-/// The id-sharded task table with per-shard condvars.
-///
-/// Single-task waits park on the task's shard. Batch waits
-/// ([`ShardedTaskTable::wait_any`]) span shards, so they park on one
-/// dedicated multi-wait condvar instead; terminal transitions bump its
-/// epoch only while batch waiters are registered (`multi_waiters`), so
-/// the common single-wait path pays one relaxed atomic load and no
-/// extra lock.
+/// The id-sharded task table.
 pub(crate) struct ShardedTaskTable {
-    shards: Box<[Shard]>,
-    mask: u64,
-    /// Completion epoch guarding the multi-wait condvar; bumped by
-    /// every terminal transition while batch waiters exist.
-    multi: Mutex<u64>,
-    multi_cv: Condvar,
-    /// Number of threads currently parked in (or entering) `wait_any`.
-    multi_waiters: AtomicUsize,
+    shards: [Mutex<HashMap<u64, TaskEntry>>; DEFAULT_SHARDS],
 }
 
 impl ShardedTaskTable {
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let shards: Vec<Shard> = (0..n)
-            .map(|_| Shard {
-                entries: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            })
-            .collect();
+    pub fn new() -> Self {
         ShardedTaskTable {
-            shards: shards.into_boxed_slice(),
-            mask: n as u64 - 1,
-            multi: Mutex::new(0),
-            multi_cv: Condvar::new(),
-            multi_waiters: AtomicUsize::new(0),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, task_id: u64) -> &Shard {
-        &self.shards[(task_id & self.mask) as usize]
+    fn shard(&self, task_id: u64) -> &Mutex<HashMap<u64, TaskEntry>> {
+        &self.shards[task_id as usize & (DEFAULT_SHARDS - 1)]
     }
 
     pub fn insert(&self, task_id: u64, entry: TaskEntry) {
-        self.shard(task_id).entries.lock().insert(task_id, entry);
+        self.shard(task_id).lock().insert(task_id, entry);
     }
 
     /// Read-only access to one entry.
     pub fn read<R>(&self, task_id: u64, f: impl FnOnce(&TaskEntry) -> R) -> Option<R> {
-        self.shard(task_id).entries.lock().get(&task_id).map(f)
+        self.shard(task_id).lock().get(&task_id).map(f)
     }
 
     /// Current stats with live progress overlaid.
@@ -133,109 +90,15 @@ impl ShardedTaskTable {
         self.read(task_id, TaskEntry::snapshot)
     }
 
-    /// Mutate one entry without waking waiters (non-terminal
-    /// transitions like `Pending → InProgress`).
+    /// Mutate one entry.
     pub fn update<R>(&self, task_id: u64, f: impl FnOnce(&mut TaskEntry) -> R) -> Option<R> {
-        self.shard(task_id).entries.lock().get_mut(&task_id).map(f)
-    }
-
-    /// Mutate one entry and wake only this shard's waiters (terminal
-    /// transitions) — no global thundering herd. Batch waiters (which
-    /// park on the multi-wait condvar, not a shard) are woken too, but
-    /// only when some are registered.
-    pub fn update_and_wake<R>(
-        &self,
-        task_id: u64,
-        f: impl FnOnce(&mut TaskEntry) -> R,
-    ) -> Option<R> {
-        let shard = self.shard(task_id);
-        let result = shard.entries.lock().get_mut(&task_id).map(f);
-        shard.cv.notify_all();
-        // SeqCst pairs with the waiter's registration: either the
-        // waiter's pre-park scan sees the state update above, or this
-        // load sees its registration and wakes it.
-        if self.multi_waiters.load(Ordering::SeqCst) > 0 {
-            *self.multi.lock() += 1;
-            self.multi_cv.notify_all();
-        }
-        result
-    }
-
-    /// Block until the task reaches a terminal state or the deadline
-    /// passes (`None` → wait forever). Parks on the task's shard only.
-    pub fn wait(&self, task_id: u64, deadline: Option<Instant>) -> Option<TaskStats> {
-        let shard = self.shard(task_id);
-        let mut entries = shard.entries.lock();
-        loop {
-            match entries.get(&task_id) {
-                None => return None,
-                Some(t) if t.stats.state.is_terminal() => return Some(t.snapshot()),
-                Some(_) => {}
-            }
-            match deadline {
-                Some(d) => {
-                    if shard.cv.wait_until(&mut entries, d).timed_out() {
-                        return entries.get(&task_id).map(TaskEntry::snapshot);
-                    }
-                }
-                None => shard.cv.wait(&mut entries),
-            }
-        }
-    }
-
-    /// Block until *any* task of the set reaches a terminal state or
-    /// the deadline passes (`None` → wait forever). One parked wait on
-    /// the multi-wait condvar covers the whole set regardless of how
-    /// many shards it spans; ids are scanned in order, so when several
-    /// tasks are already terminal the earliest in `task_ids` wins.
-    pub fn wait_any(&self, task_ids: &[u64], deadline: Option<Instant>) -> MultiWait {
-        // Register before the first scan: a completion between the scan
-        // and the park sees the registration and bumps the epoch, so
-        // the park cannot miss it.
-        self.multi_waiters.fetch_add(1, Ordering::SeqCst);
-        let outcome = self.wait_any_registered(task_ids, deadline);
-        self.multi_waiters.fetch_sub(1, Ordering::SeqCst);
-        outcome
-    }
-
-    fn wait_any_registered(&self, task_ids: &[u64], deadline: Option<Instant>) -> MultiWait {
-        let mut epoch = self.multi.lock();
-        loop {
-            // Scan while holding the epoch lock: any terminal
-            // transition after this scan must serialize on the lock we
-            // hold and will be observed by the post-park rescan.
-            for &id in task_ids {
-                match self.read(id, |t| t.stats.state.is_terminal().then(|| t.snapshot())) {
-                    None => return MultiWait::Gone(id),
-                    Some(Some(stats)) => return MultiWait::Done(id, stats),
-                    Some(None) => {}
-                }
-            }
-            match deadline {
-                Some(d) => {
-                    if self.multi_cv.wait_until(&mut epoch, d).timed_out() {
-                        // Final rescan: a completion racing the timeout
-                        // should win, like the single-task wait's
-                        // timed-out snapshot does.
-                        for &id in task_ids {
-                            if let Some(Some(stats)) =
-                                self.read(id, |t| t.stats.state.is_terminal().then(|| t.snapshot()))
-                            {
-                                return MultiWait::Done(id, stats);
-                            }
-                        }
-                        return MultiWait::TimedOut;
-                    }
-                }
-                None => self.multi_cv.wait(&mut epoch),
-            }
-        }
+        self.shard(task_id).lock().get_mut(&task_id).map(f)
     }
 
     /// Drop every entry the predicate rejects (completion-list GC).
     pub fn retain(&self, mut keep: impl FnMut(&TaskEntry) -> bool) {
-        for shard in self.shards.iter() {
-            shard.entries.lock().retain(|_, t| keep(t));
+        for shard in &self.shards {
+            shard.lock().retain(|_, t| keep(t));
         }
     }
 }
@@ -265,15 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedTaskTable::new(0).shard_count(), 1);
-        assert_eq!(ShardedTaskTable::new(5).shard_count(), 8);
-        assert_eq!(ShardedTaskTable::new(16).shard_count(), 16);
-    }
-
-    #[test]
     fn snapshot_overlays_live_progress() {
-        let table = ShardedTaskTable::new(4);
+        let table = ShardedTaskTable::new();
         let e = entry(TaskState::InProgress);
         let progress = Arc::clone(&e.progress);
         table.insert(7, e);
@@ -281,7 +137,7 @@ mod tests {
         progress.store(42, Ordering::Relaxed);
         assert_eq!(table.snapshot(7).unwrap().bytes_moved, 42);
         // Terminal stats are authoritative; progress is ignored.
-        table.update_and_wake(7, |t| {
+        table.update(7, |t| {
             t.stats.state = TaskState::Finished;
             t.stats.bytes_moved = 100;
         });
@@ -290,68 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn wait_wakes_on_same_shard_completion() {
-        let table = Arc::new(ShardedTaskTable::new(4));
-        table.insert(3, entry(TaskState::Pending));
-        let t2 = Arc::clone(&table);
-        let waiter = std::thread::spawn(move || t2.wait(3, None).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        table.update_and_wake(3, |t| t.stats.state = TaskState::Finished);
-        assert_eq!(waiter.join().unwrap().state, TaskState::Finished);
-    }
-
-    #[test]
-    fn wait_timeout_returns_inflight_snapshot() {
-        let table = ShardedTaskTable::new(2);
-        table.insert(1, entry(TaskState::InProgress));
-        let deadline = Instant::now() + std::time::Duration::from_millis(10);
-        let stats = table.wait(1, Some(deadline)).unwrap();
-        assert_eq!(stats.state, TaskState::InProgress);
-        assert!(table.wait(999, Some(deadline)).is_none());
-    }
-
-    #[test]
-    fn wait_any_returns_first_completion_across_shards() {
-        let table = Arc::new(ShardedTaskTable::new(4));
-        // Ids 1..=4 land on four different shards.
-        for id in 1..=4 {
-            table.insert(id, entry(TaskState::Pending));
-        }
-        let t2 = Arc::clone(&table);
-        let waiter = std::thread::spawn(move || t2.wait_any(&[1, 2, 3, 4], None));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        table.update_and_wake(3, |t| t.stats.state = TaskState::Finished);
-        match waiter.join().unwrap() {
-            MultiWait::Done(3, stats) => assert_eq!(stats.state, TaskState::Finished),
-            other => panic!("expected Done(3), got {other:?}"),
-        }
-        assert_eq!(table.multi_waiters.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn wait_any_fast_path_prefers_earliest_listed_terminal() {
-        let table = ShardedTaskTable::new(4);
-        table.insert(1, entry(TaskState::InProgress));
-        table.insert(2, entry(TaskState::Finished));
-        table.insert(3, entry(TaskState::Cancelled));
-        match table.wait_any(&[1, 2, 3], None) {
-            MultiWait::Done(2, _) => {}
-            other => panic!("expected Done(2), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wait_any_times_out_and_reports_unknown_ids() {
-        let table = ShardedTaskTable::new(2);
-        table.insert(1, entry(TaskState::InProgress));
-        let deadline = Instant::now() + std::time::Duration::from_millis(10);
-        assert_eq!(table.wait_any(&[1], Some(deadline)), MultiWait::TimedOut);
-        assert_eq!(table.wait_any(&[1, 999], None), MultiWait::Gone(999));
-    }
-
-    #[test]
     fn retain_drops_terminal_entries() {
-        let table = ShardedTaskTable::new(4);
+        let table = ShardedTaskTable::new();
         table.insert(1, entry(TaskState::Finished));
         table.insert(2, entry(TaskState::Pending));
         table.retain(|t| !t.stats.state.is_terminal());

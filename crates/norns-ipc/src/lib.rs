@@ -14,26 +14,30 @@
 //! * [`engine::Engine`] — registries (dataspaces, jobs, peers),
 //!   validation, a bounded dispatch queue arbitrated through the
 //!   shared `norns-sched` policies, a joined worker pool, a sharded
-//!   task table with per-shard condvar `wait` plus an async wait
-//!   subscription registry, a chunked zero-copy local data plane and a
-//!   remote-staging backend, both with live progress and mid-stream
-//!   cancel.
+//!   task table, one wait-subscription registry behind both the
+//!   blocking `wait` and the reactor's callback waits, a chunked
+//!   zero-copy local data plane and a remote-staging backend, both
+//!   with live progress and mid-stream cancel.
 //! * [`daemon::UrdDaemon`] — socket + data-plane lifecycle and request
 //!   dispatch through a fixed pool of epoll reactor threads; shutdown
 //!   joins every reactor and data-plane thread.
-//! * [`client::CtlClient`] / [`client::UserClient`] — blocking client
-//!   libraries mirroring `nornsctl` / `norns`; and their wire-v7
-//!   pipelined counterparts [`client::PipelinedCtl`] /
-//!   [`client::PipelinedUser`], which keep many tagged requests
-//!   outstanding per connection.
+//! * [`client::CtlClient`] / [`client::UserClient`] — the client
+//!   libraries mirroring `nornsctl` / `norns`: `issue_*` keeps many
+//!   tagged requests outstanding per connection (wire v7), and each
+//!   blocking verb is the same call at depth 1.
 
 pub mod client;
 pub mod daemon;
 pub mod engine;
 
-pub use client::{ClientError, ClientResult, CtlClient, PipelinedCtl, PipelinedUser, UserClient};
+pub use client::{ClientError, ClientResult, CtlClient, UserClient};
 pub use daemon::{DaemonConfig, UrdDaemon, DEFAULT_REACTORS};
 pub use engine::{
     Engine, EngineConfig, IpcPolicy, PolicyKind, DEFAULT_CHUNK_SIZE, DEFAULT_QUEUE_CAPACITY,
     DEFAULT_REMOTE_WINDOW, DEFAULT_SHARDS, MAX_REMOTE_WINDOW, MIN_CHUNK_SIZE,
 };
+
+/// Names from when pipelining was a separate pair of client types;
+/// the out-of-workspace benchmark driver still imports them.
+pub type PipelinedCtl = CtlClient;
+pub type PipelinedUser = UserClient;

@@ -341,6 +341,54 @@ fn wait_with_timeout_returns_inflight_state() {
     }
 }
 
+/// A blocking verb is the pipelined call at depth 1, so it can run
+/// while a parked wait is outstanding on the same connection: it gets
+/// its own response, and the wait's response — whichever side of the
+/// blocking calls it arrives on — stays retrievable by tag.
+#[test]
+fn blocking_verbs_interleave_with_a_parked_wait() {
+    let root = temp_root("interleave");
+    let daemon = UrdDaemon::spawn({
+        let mut cfg = DaemonConfig::in_dir(root.join("sockets"));
+        cfg.workers = 1;
+        cfg
+    })
+    .unwrap();
+    let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
+    setup_dataspace(&mut ctl, &root);
+    let write = |path: &str, len: usize| {
+        TaskSpec::new(
+            TaskOp::Copy,
+            ResourceDesc::MemoryRegion {
+                addr: 0,
+                size: len as u64,
+            },
+            Some(ResourceDesc::PosixPath {
+                nsid: "tmp0".into(),
+                path: path.into(),
+            }),
+        )
+    };
+    // Occupy the single worker so the victim's wait parks.
+    let blocker = ctl
+        .submit(1, write("big", 8 << 20), Some(&vec![1u8; 8 << 20]))
+        .unwrap();
+    let victim = ctl.submit(1, write("small", 3), Some(b"abc")).unwrap();
+    let wait_tag = ctl.issue_wait(victim, 0).unwrap();
+    assert_eq!(ctl.in_flight(), 1);
+
+    ctl.ping().unwrap();
+    assert!(ctl.status().unwrap().accepting);
+    assert_eq!(ctl.query(victim).unwrap().bytes_total, 3);
+    assert_eq!(ctl.wait(blocker, 0).unwrap().state, TaskState::Finished);
+
+    let stats = norns_ipc::client::expect_stats(ctl.wait_for(wait_tag).unwrap()).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(ctl.in_flight(), 0);
+    // The tag is spent: asking again is an error, not a hang.
+    assert!(ctl.wait_for(wait_tag).is_err());
+}
+
 /// A high-priority stage-in submitted *after* a burst of low-priority
 /// transfers must complete first under the weighted-priority policy —
 /// the classic priority-inversion scenario the shared arbitration

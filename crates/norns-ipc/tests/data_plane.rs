@@ -160,7 +160,6 @@ fn concurrent_wait_and_cancel_storm_on_sharded_table() {
         EngineConfig {
             workers: 4,
             queue_capacity: 100_000,
-            shards: 8,
             ..EngineConfig::default()
         },
     );

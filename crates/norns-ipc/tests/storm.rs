@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use norns_ipc::{ClientError, CtlClient, DaemonConfig, PipelinedCtl, PipelinedUser, UrdDaemon};
+use norns_ipc::{ClientError, CtlClient, DaemonConfig, UrdDaemon, UserClient};
 use norns_proto::{
     BackendKind, CtlRequest, DataspaceDesc, Durability, ErrorCode, JobDesc, ResourceDesc, Response,
     TaskOp, TaskSpec,
@@ -113,19 +113,35 @@ fn copy_spec(src: String, dst: String) -> TaskSpec {
     )
 }
 
-/// One connection's slice of the storm: what it has in flight and
-/// which submissions were admitted.
+/// One connection's slice of the storm, with the tags of the
+/// submissions it has in flight.
 enum StormConn {
-    Ctl {
-        conn: PipelinedCtl,
-        submit_tags: Vec<u64>,
-        ids: Vec<u64>,
-    },
-    User {
-        conn: PipelinedUser,
-        submit_tags: Vec<u64>,
-        ids: Vec<u64>,
-    },
+    Ctl(CtlClient, [u64; 2]),
+    User(UserClient, [u64; 2]),
+}
+
+/// Collect a connection's submission answers into the admitted task
+/// ids. Admission pushback is legal: a Busy just drops that task.
+fn admitted(
+    tags: [u64; 2],
+    mut wait_for: impl FnMut(u64) -> Response,
+    accepted: &AtomicU64,
+) -> Vec<u64> {
+    let mut ids = Vec::new();
+    for tag in tags {
+        match wait_for(tag) {
+            Response::TaskSubmitted { task_id } => {
+                accepted.fetch_add(1, Ordering::SeqCst);
+                ids.push(task_id);
+            }
+            Response::Error {
+                code: ErrorCode::Busy,
+                ..
+            } => {}
+            other => panic!("submit answered {other:?}"),
+        }
+    }
+    ids
 }
 
 #[test]
@@ -221,70 +237,29 @@ fn thousand_client_storm() {
                 }
                 let ghost = copy_spec(format!("ghost-{d}-{c}.dat"), format!("bad/{d}/{c}.dat"));
                 if c % 8 == 7 {
-                    let mut conn = PipelinedUser::with_pid(&user_path, pid).unwrap();
+                    let mut conn = UserClient::with_pid(&user_path, pid).unwrap();
                     let t1 = conn.issue_submit(good, None).unwrap();
                     let t2 = conn.issue_submit(ghost, None).unwrap();
-                    conns.push(StormConn::User {
-                        conn,
-                        submit_tags: vec![t1, t2],
-                        ids: Vec::new(),
-                    });
+                    conns.push(StormConn::User(conn, [t1, t2]));
                 } else {
-                    let mut conn = PipelinedCtl::connect(&control_path).unwrap();
-                    let t1 = conn
-                        .issue(
-                            &CtlRequest::SubmitTask {
-                                job_id: job,
-                                spec: good,
-                            },
-                            None,
-                        )
-                        .unwrap();
-                    let t2 = conn
-                        .issue(
-                            &CtlRequest::SubmitTask {
-                                job_id: job,
-                                spec: ghost,
-                            },
-                            None,
-                        )
-                        .unwrap();
+                    let mut conn = CtlClient::connect(&control_path).unwrap();
+                    let t1 = conn.issue_submit(job, good, None).unwrap();
+                    let t2 = conn.issue_submit(job, ghost, None).unwrap();
                     let _ping = conn.issue_ping().unwrap();
-                    conns.push(StormConn::Ctl {
-                        conn,
-                        submit_tags: vec![t1, t2],
-                        ids: Vec::new(),
-                    });
+                    conns.push(StormConn::Ctl(conn, [t1, t2]));
                 }
             }
             at_peak.wait();
             measured.wait();
-            // Phase 2: collect the submission answers (admission
-            // pushback is legal — a Busy just drops that task), then
-            // park a forever WaitAny over each connection's ids while
-            // also querying and cancelling.
-            for sc in &mut conns {
+            // Phase 2: collect the submission answers, then park a
+            // forever WaitAny over each connection's ids while also
+            // querying and cancelling.
+            for sc in conns {
                 match sc {
-                    StormConn::Ctl {
-                        conn,
-                        submit_tags,
-                        ids,
-                    } => {
-                        for &tag in submit_tags.iter() {
-                            match conn.wait_for(tag).unwrap() {
-                                Response::TaskSubmitted { task_id } => {
-                                    accepted.fetch_add(1, Ordering::SeqCst);
-                                    ids.push(task_id);
-                                }
-                                Response::Error {
-                                    code: ErrorCode::Busy,
-                                    ..
-                                } => {}
-                                other => panic!("submit answered {other:?}"),
-                            }
-                        }
+                    StormConn::Ctl(mut conn, tags) => {
+                        let mut ids = admitted(tags, |t| conn.wait_for(t).unwrap(), &accepted);
                         if !ids.is_empty() {
-                            let wait_tag = conn.issue_wait_any(ids, 0).unwrap();
+                            let wait_tag = conn.issue_wait_any(&ids, 0).unwrap();
                             let query_tag = conn.issue_query(ids[0]).unwrap();
                             let cancel_tag = conn
                                 .issue(
@@ -315,29 +290,13 @@ fn thousand_client_storm() {
                         // Quiesce this connection: drain the remaining
                         // ids through blocking batch waits.
                         while !ids.is_empty() {
-                            let (id, stats) = conn.wait_any(ids, 0).unwrap();
+                            let (id, stats) = conn.wait_any(&ids, 0).unwrap();
                             assert!(stats.state.is_terminal());
                             ids.retain(|t| *t != id);
                         }
                     }
-                    StormConn::User {
-                        conn,
-                        submit_tags,
-                        ids,
-                    } => {
-                        for &tag in submit_tags.iter() {
-                            match conn.wait_for(tag).unwrap() {
-                                Response::TaskSubmitted { task_id } => {
-                                    accepted.fetch_add(1, Ordering::SeqCst);
-                                    ids.push(task_id);
-                                }
-                                Response::Error {
-                                    code: ErrorCode::Busy,
-                                    ..
-                                } => {}
-                                other => panic!("user submit answered {other:?}"),
-                            }
-                        }
+                    StormConn::User(mut conn, tags) => {
+                        let ids = admitted(tags, |t| conn.wait_for(t).unwrap(), &accepted);
                         if !ids.is_empty() {
                             let query_tag = conn.issue_query(ids[0]).unwrap();
                             let cancel_tag = conn.issue_cancel(*ids.last().unwrap()).unwrap();
@@ -350,7 +309,7 @@ fn thousand_client_storm() {
                                 other => panic!("user query answered {other:?}"),
                             }
                         }
-                        for &id in ids.iter() {
+                        for id in ids {
                             let stats = conn.wait(id, 0).unwrap();
                             assert!(stats.state.is_terminal());
                         }
