@@ -99,11 +99,11 @@ fn run(policy: PolicyKind) -> RunResult {
                 ids.push((id, small));
                 break;
             }
-            Err((norns_proto::ErrorCode::Busy, _)) => {
+            Err(e) if e.code == norns_proto::ErrorCode::Busy => {
                 busy_rejections += 1;
                 std::thread::yield_now();
             }
-            Err((code, msg)) => panic!("submit failed: {code:?} {msg}"),
+            Err(e) => panic!("submit failed: {e}"),
         }
     };
     for i in 0..big_n {

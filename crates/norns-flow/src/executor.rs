@@ -36,7 +36,9 @@
 //! single epoll set spanning every daemon's control socket. A wait is
 //! reissued only when the outstanding set gains an uncovered id, so
 //! the wire cost scales with completions, not with tasks × poll
-//! interval — and not with daemons × heartbeat either.
+//! interval. Job bodies run on threads of their own and wake the same
+//! epoll set when they finish, so the loop has no polling interval at
+//! all.
 //! [`WorkflowExecutor::wait_round_trips`] and
 //! [`WorkflowExecutor::query_round_trips`] expose the counters the
 //! examples assert on.
@@ -44,7 +46,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::os::unix::io::AsRawFd;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,7 +55,7 @@ use norns_proto::{
     Durability, ErrorCode, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec, TaskState, TaskStats,
     MAX_WAIT_SET,
 };
-use polling::{Event, Interest, Poller};
+use polling::{Event, Interest, Poller, Waker};
 
 use crate::script::{self, JobScript, Mapping, ScriptError, StageDirective, WorkflowPos};
 
@@ -81,12 +83,6 @@ pub struct FlowConfig {
     /// outstanding transfers are cancelled, already-staged destinations
     /// removed, the job and its workflow successors cancelled.
     pub stage_in_timeout: Duration,
-    /// Longest slice one `WaitAny` round-trip may block while several
-    /// event sources are live (more than one daemon with outstanding
-    /// staging work, or a job body running concurrently with staging);
-    /// with a single busy daemon and nothing else in flight the wait
-    /// parks for the whole remaining deadline instead.
-    pub heartbeat: Duration,
     /// How long cancelled-but-running staging tasks are drained before
     /// the executor gives up joining them.
     pub cancel_grace: Duration,
@@ -101,7 +97,6 @@ impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             stage_in_timeout: Duration::from_secs(30),
-            heartbeat: Duration::from_millis(50),
             cancel_grace: Duration::from_secs(5),
             durability: Durability::LocalOnly,
         }
@@ -291,12 +286,16 @@ enum Next {
         node: usize,
         error: String,
     },
-    /// A heartbeat slice or deadline wait expired; the loop re-checks
-    /// deadlines and admissions.
+    /// A body finished or a deadline wait expired; the loop re-checks
+    /// completions, deadlines and admissions.
     Tick,
 }
 
 type BodyResult = (usize, Result<(), String>);
+
+/// Poller key of the body-completion waker; node indices count up from
+/// zero and can never reach it.
+const KEY_BODY_DONE: u64 = u64::MAX;
 
 /// Drives parsed `#NORNS` scripts against live daemons. See the module
 /// docs for the lifecycle; workflow linkage is by job *name*, exactly
@@ -312,6 +311,9 @@ pub struct WorkflowExecutor {
     /// the event loop watches all daemons at once instead of
     /// round-robining bounded waits across them.
     poller: Poller,
+    /// Rung by a job body's thread once its result is in the run
+    /// loop's channel, which the poller cannot watch.
+    body_done: Arc<Waker>,
     /// Events decoded but not yet consumed by the run loop (one drain
     /// can surface several completions).
     ready: VecDeque<Next>,
@@ -321,6 +323,8 @@ pub struct WorkflowExecutor {
 
 impl WorkflowExecutor {
     pub fn new(config: FlowConfig) -> Self {
+        let poller = Poller::new().expect("epoll instance");
+        let body_done = Waker::new(&poller, KEY_BODY_DONE).expect("eventfd");
         WorkflowExecutor {
             config,
             nodes: Vec::new(),
@@ -328,7 +332,8 @@ impl WorkflowExecutor {
             next_node: 0,
             peers_linked: false,
             events: Vec::new(),
-            poller: Poller::new().expect("epoll instance"),
+            poller,
+            body_done: Arc::new(body_done),
             ready: VecDeque::new(),
             wait_round_trips: 0,
             query_round_trips: 0,
@@ -520,8 +525,7 @@ impl WorkflowExecutor {
 
     /// Wire-level `WaitAny` round-trips issued so far. The executor's
     /// whole event loop goes through batch waits, so this grows with
-    /// *completions* (plus heartbeat slices while several event
-    /// sources are live at once) — not with tasks × polling interval.
+    /// *completions* — not with tasks × polling interval.
     pub fn wait_round_trips(&self) -> u64 {
         self.wait_round_trips
     }
@@ -1142,6 +1146,7 @@ impl WorkflowExecutor {
         });
         let body = self.jobs[idx].body.take().expect("body taken once");
         let tx = tx.clone();
+        let body_done = Arc::clone(&self.body_done);
         threads.push(std::thread::spawn(move || {
             let result = match body {
                 JobBody::Sleep(d) => {
@@ -1158,6 +1163,7 @@ impl WorkflowExecutor {
                     }),
             };
             let _ = tx.send((idx, result));
+            body_done.wake();
         }));
         active.insert(
             idx,
@@ -1284,7 +1290,6 @@ impl WorkflowExecutor {
             .collect();
         busy.sort_unstable();
         busy.dedup();
-        let bodies_running = active.values().any(|a| matches!(a.phase, Phase::Running));
         let earliest_deadline: Option<Instant> = active
             .values()
             .filter_map(|a| match a.phase {
@@ -1295,7 +1300,10 @@ impl WorkflowExecutor {
         if busy.is_empty() {
             // Only job bodies are in flight: their completions are the
             // only possible next event, so park on the channel.
-            debug_assert!(bodies_running, "active jobs but nothing to wait on");
+            debug_assert!(
+                active.values().any(|a| matches!(a.phase, Phase::Running)),
+                "active jobs but nothing to wait on"
+            );
             let (idx, result) = rx.recv().expect("run() holds a sender");
             return Next::Body(idx, result);
         }
@@ -1343,28 +1351,22 @@ impl WorkflowExecutor {
         if let Some(next) = self.ready.pop_front() {
             return next;
         }
-        // Sleep on the epoll set. Body completions arrive over an mpsc
-        // channel the poller can't watch, so while bodies run the wait
-        // takes heartbeat slices; otherwise it parks until the nearest
-        // stage-in deadline (or forever during stage-out).
-        let slice = if bodies_running {
-            let hb = self.config.heartbeat;
-            Some(match earliest_deadline {
-                Some(d) => hb.min(d.saturating_duration_since(Instant::now())),
-                None => hb,
-            })
-        } else {
-            earliest_deadline.map(|d| d.saturating_duration_since(Instant::now()))
-        };
+        // Sleep on the epoll set — every daemon's socket plus the
+        // body-completion waker — until the nearest stage-in deadline
+        // (or forever during stage-out).
+        let until = earliest_deadline.map(|d| d.saturating_duration_since(Instant::now()));
         let mut events: Vec<Event> = Vec::new();
-        match self.poller.wait(&mut events, slice) {
+        match self.poller.wait(&mut events, until) {
             Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => return Next::Tick,
             Err(e) => panic!("epoll wait failed: {e}"),
         }
         for ev in &events {
             let node = ev.key as usize;
-            if node < self.nodes.len() {
+            if ev.key == KEY_BODY_DONE {
+                // The run loop collects the result from the channel.
+                self.body_done.drain();
+            } else if node < self.nodes.len() {
                 self.drain_node(node);
             }
         }

@@ -129,10 +129,7 @@ fn independent_jobs_execute_concurrently() {
     fs::write(mount_a.join("in.dat"), b"a input").unwrap();
     fs::write(mount_b.join("in.dat"), b"b input").unwrap();
 
-    let mut exec = WorkflowExecutor::new(FlowConfig {
-        heartbeat: Duration::from_millis(10),
-        ..FlowConfig::default()
-    });
+    let mut exec = WorkflowExecutor::new(FlowConfig::default());
     exec.add_node(node_spec(&daemon_a, "n0", &["dsa"])).unwrap();
     exec.add_node(node_spec(&daemon_b, "n1", &["dsb"])).unwrap();
     // `slow` (submitted first, lands on n0) computes for a while;

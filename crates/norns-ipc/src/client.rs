@@ -15,7 +15,7 @@
 //! client and batch.
 
 use std::collections::HashSet;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -122,9 +122,6 @@ pub fn demux(pending: &mut HashSet<u64>, frame: Bytes) -> ClientResult<(u64, Res
 struct Conn {
     stream: UnixStream,
     reader: FrameReader,
-    /// Socket read buffer, owned by the connection so a read costs no
-    /// per-call zeroing.
-    buf: Box<[u8]>,
     next_tag: u64,
     pending: HashSet<u64>,
     stash: Vec<(u64, Response)>,
@@ -135,7 +132,6 @@ impl Conn {
         Ok(Conn {
             stream: UnixStream::connect(path)?,
             reader: FrameReader::new(),
-            buf: vec![0u8; 64 * 1024].into_boxed_slice(),
             next_tag: 0,
             pending: HashSet::new(),
             stash: Vec::new(),
@@ -163,21 +159,20 @@ impl Conn {
     /// the stash. `Ok(false)` means the read would block or its
     /// timeout elapsed; EOF is an `UnexpectedEof` I/O error.
     fn fill(&mut self) -> ClientResult<bool> {
-        let n = loop {
-            match self.stream.read(&mut self.buf) {
+        loop {
+            match self.reader.read_from(&mut self.stream) {
                 Ok(0) => {
                     let closed = "daemon closed the connection";
                     return Err(std::io::Error::new(ErrorKind::UnexpectedEof, closed).into());
                 }
-                Ok(n) => break n,
+                Ok(_) => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(false)
                 }
                 Err(e) => return Err(e.into()),
             }
-        };
-        self.reader.extend(&self.buf[..n]);
+        }
         while let Some(frame) = self.reader.next_frame().map_err(protocol)? {
             self.stash.push(demux(&mut self.pending, frame)?);
         }

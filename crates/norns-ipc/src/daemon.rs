@@ -34,10 +34,11 @@
 //! the control socket is never observable with umask-default (possibly
 //! world-connectable) permissions, not even transiently.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::unix::fs::PermissionsExt;
+use std::os::unix::fs::{FileExt, PermissionsExt};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -53,10 +54,10 @@ use polling::{Event, Interest, Poller, Waker};
 
 use norns_proto::{
     encode_tagged, frame_header, CtlRequest, DaemonCommand, DataRequest, DataResponse, ErrorCode,
-    FrameReader, Response, UserRequest, Wire, MAX_DATA_RANGE,
+    FrameReader, Response, UserRequest, Wire, WireError, MAX_DATA_RANGE,
 };
 
-use crate::engine::{Engine, EngineConfig, PolicyKind, WaitCallback};
+use crate::engine::{Engine, EngineConfig, EngineError, PolicyKind, WaitCallback};
 
 /// Reactor threads a daemon runs by default. Two lets accept/decode
 /// overlap with callback dispatch even on small machines; storms scale
@@ -620,10 +621,19 @@ enum Action {
     Shutdown,
 }
 
+/// Deadlines of the bounded waits parked through one reactor, earliest
+/// first, as `(deadline, engine subscription id)`. An entry outlives a
+/// wait that completed or whose connection closed; expiring it is then
+/// a no-op inside the engine.
+type Deadlines = BinaryHeap<Reverse<(Instant, u64)>>;
+
 /// The reactor thread: multiplex owned connections (and, on reactor 0,
-/// the listeners) over one epoll instance until shutdown.
+/// the listeners) over one epoll instance until shutdown. The epoll
+/// timeout is the reactor's only clock: it runs to the nearest wait
+/// deadline or listener re-arm.
 fn reactor_loop(shared: Arc<Shared>, reactor: Arc<Reactor>, mut listeners: Option<ListenerSet>) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut deadlines = Deadlines::new();
     let mut events: Vec<Event> = Vec::new();
     if let Some(set) = &mut listeners {
         set.ctl.arm(&reactor.poller);
@@ -638,9 +648,13 @@ fn reactor_loop(shared: Arc<Shared>, reactor: Arc<Reactor>, mut listeners: Optio
     // flag (set before the wake) is left to say so.
     while !shared.shutdown.load(Ordering::SeqCst) {
         events.clear();
+        let next_deadline = deadlines.peek().map(|Reverse((at, _))| *at);
         let timeout = listeners
             .as_ref()
             .and_then(|s| s.next_rearm())
+            .into_iter()
+            .chain(next_deadline)
+            .min()
             .map(|at| at.saturating_duration_since(Instant::now()));
         let _ = reactor.poller.wait(&mut events, timeout);
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -663,15 +677,23 @@ fn reactor_loop(shared: Arc<Shared>, reactor: Arc<Reactor>, mut listeners: Optio
                 }
                 key => {
                     if conns.contains_key(&key) {
-                        service_event(&shared, &reactor, &mut conns, key);
+                        service_event(&shared, &reactor, &mut conns, &mut deadlines, key);
                     }
                 }
             }
         }
         drain_incoming(&shared, &reactor, &mut conns);
+        let now = Instant::now();
+        // Expired waits answer through the completion queue drained
+        // right below, like any other resolved wait.
+        while deadlines.peek().is_some_and(|Reverse((at, _))| *at <= now) {
+            if let Some(Reverse((_, sub_id))) = deadlines.pop() {
+                shared.engine.expire_wait(sub_id);
+            }
+        }
         drain_completions(&shared, &reactor, &mut conns);
         if let Some(set) = &mut listeners {
-            set.rearm_due(&reactor.poller, Instant::now());
+            set.rearm_due(&reactor.poller, now);
         }
     }
     // Shutdown: the engine has already failed every parked wait (the
@@ -747,15 +769,23 @@ fn accept_data_burst(shared: &Arc<Shared>, poller: &Poller, slot: &mut ListenerS
                     // shutdown flag or client hang-up).
                     Err(_) => false,
                 };
-                let worker = std::thread::spawn({
+                let spawned = std::thread::Builder::new().spawn({
                     let shared = Arc::clone(shared);
                     move || {
                         serve_data_connection(stream, &shared);
                         shared.deregister_conn(id);
                     }
                 });
-                if registered {
-                    shared.attach_handle(id, worker);
+                match spawned {
+                    Ok(worker) if registered => shared.attach_handle(id, worker),
+                    Ok(_) => {}
+                    // Out of threads mid-storm: refuse this one
+                    // connection (the closure, and the stream in it,
+                    // is already dropped) and keep the reactor alive.
+                    Err(_) => {
+                        shared.deregister_conn(id);
+                        shared.engine.note_accept_error();
+                    }
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -825,6 +855,7 @@ fn service_event(
     shared: &Arc<Shared>,
     reactor: &Arc<Reactor>,
     conns: &mut HashMap<u64, Conn>,
+    deadlines: &mut Deadlines,
     id: u64,
 ) {
     // A readiness event can race a close from the same epoll batch
@@ -832,7 +863,7 @@ fn service_event(
     let Some(conn) = conns.get_mut(&id) else {
         return;
     };
-    match service_conn(shared, reactor, conn, id) {
+    match service_conn(shared, reactor, conn, deadlines, id) {
         ConnFate::Keep => update_interest(reactor, conns, id),
         ConnFate::Closed => close_conn(shared, reactor, conns, id),
     }
@@ -884,9 +915,9 @@ fn service_conn(
     shared: &Arc<Shared>,
     reactor: &Arc<Reactor>,
     conn: &mut Conn,
+    deadlines: &mut Deadlines,
     id: u64,
 ) -> ConnFate {
-    let mut buf = [0u8; 64 * 1024];
     'outer: loop {
         // Decode phase: execute every complete frame already buffered,
         // unless the outbound queue is over the pause threshold.
@@ -897,39 +928,25 @@ fn service_conn(
                 break;
             }
             match conn.reader.next_frame() {
-                Ok(Some(frame)) => match handle_frame(shared, reactor, conn, id, frame) {
-                    Action::Continue => {}
-                    Action::Close => return ConnFate::Closed,
-                    Action::Shutdown => {
-                        // Deliver the Ok before the daemon tears down
-                        // this connection with everything else.
-                        flush_blocking(conn, Duration::from_secs(2));
-                        // Close the submission window on this thread,
-                        // not the join thread below: a client that saw
-                        // the Ok must never get work accepted, even if
-                        // the spawned teardown is still waiting to be
-                        // scheduled when its next frame arrives.
-                        shared.engine.begin_shutdown();
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        std::thread::spawn({
-                            let shared = Arc::clone(shared);
-                            move || shared.initiate_shutdown()
-                        });
-                        return ConnFate::Keep;
+                Ok(Some(frame)) => {
+                    match handle_frame(shared, reactor, conn, deadlines, id, frame) {
+                        Action::Continue => {}
+                        Action::Close => return ConnFate::Closed,
+                        Action::Shutdown => {
+                            wire_shutdown(shared, conn);
+                            return ConnFate::Keep;
+                        }
                     }
-                },
+                }
                 Ok(None) => break,
                 Err(_) => return ConnFate::Closed, // protocol violation: drop the client
             }
         }
         if !paused {
             // Read phase: pull whatever the kernel buffered.
-            match (&conn.stream).read(&mut buf) {
+            match conn.reader.read_from(&mut &conn.stream) {
                 Ok(0) => return ConnFate::Closed,
-                Ok(n) => {
-                    conn.reader.extend(&buf[..n]);
-                    continue 'outer;
-                }
+                Ok(_) => continue 'outer,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue 'outer,
                 Err(_) => return ConnFate::Closed,
@@ -946,6 +963,35 @@ fn service_conn(
             continue 'outer;
         }
         return ConnFate::Keep;
+    }
+}
+
+/// `DaemonCommand::Shutdown` arrived on `conn`: answer it, close the
+/// submission window, and hand the teardown to a helper thread (the
+/// joins in it must not run on a reactor).
+fn wire_shutdown(shared: &Arc<Shared>, conn: &mut Conn) {
+    // Deliver the Ok before the daemon tears down this connection with
+    // everything else.
+    flush_blocking(conn, Duration::from_secs(2));
+    // Close the submission window on this thread, not the helper: a
+    // client that saw the Ok must never get work accepted, even if the
+    // spawned teardown is still waiting to be scheduled when its next
+    // frame arrives.
+    shared.engine.begin_shutdown();
+    shared.shutdown.store(true, Ordering::SeqCst);
+    let helper = std::thread::Builder::new().spawn({
+        let shared = Arc::clone(shared);
+        move || shared.initiate_shutdown()
+    });
+    if helper.is_err() {
+        // Out of threads, and a reactor must not run the joins itself
+        // (a concurrent `UrdDaemon::shutdown` may be joining this very
+        // thread). Stop serving — every reactor sees the flag and
+        // drops its connections and listeners — and leave the joins to
+        // the owner's shutdown/drop.
+        for reactor in &shared.reactors {
+            reactor.waker.wake();
+        }
     }
 }
 
@@ -990,28 +1036,37 @@ fn push_tagged(out: &mut BytesMut, tag: u64, response: &Response) {
     out.extend_from_slice(&body);
 }
 
-/// Which response shape a parked wait produces on success.
-#[derive(Clone, Copy)]
-enum WaitShape {
-    Task,
-    Any,
+/// A decoded `WaitTask` / `WaitAny`, whichever socket it came in on.
+enum WaitReq {
+    Task(u64),
+    Any(Vec<u64>),
+}
+
+/// What one decoded request asks of the reactor.
+enum Request {
+    /// Answered on the spot.
+    Reply(Response),
+    /// Parks in the engine; `timeout_usec == 0` parks forever.
+    Wait {
+        wait: WaitReq,
+        timeout_usec: u64,
+        requester: Option<u64>,
+    },
+    /// `DaemonCommand::Shutdown`.
+    Shutdown,
 }
 
 /// The completion callback a parked wait hands the engine: shape the
-/// response, queue it on the owning reactor, wake it. Runs on whatever
-/// thread resolved the wait (worker, timer, or the reactor itself for
-/// already-terminal tasks).
-fn completion_callback(
-    reactor: Arc<Reactor>,
-    conn: u64,
-    tag: u64,
-    shape: WaitShape,
-) -> WaitCallback {
+/// response (`any` selects `WaitAny`'s), queue it on the owning
+/// reactor, wake it. Runs on whatever thread resolved the wait — a
+/// worker, or the reactor itself for expired deadlines and
+/// already-terminal tasks.
+fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64, any: bool) -> WaitCallback {
     Box::new(move |result| {
-        let response = match (shape, result) {
-            (WaitShape::Task, Ok((_, stats))) => Response::TaskStatus(stats),
-            (WaitShape::Any, Ok((task_id, stats))) => Response::TaskCompleted { task_id, stats },
-            (_, Err((code, message))) => Response::Error { code, message },
+        let response = match result {
+            Ok((task_id, stats)) if any => Response::TaskCompleted { task_id, stats },
+            Ok((_, stats)) => Response::TaskStatus(stats),
+            Err(e) => e.into(),
         };
         reactor.completions.lock().push(Completion {
             conn,
@@ -1023,70 +1078,48 @@ fn completion_callback(
 }
 
 /// Park a `WaitTask`/`WaitAny` in the engine. An inline resolution
-/// (already-terminal task, bad arguments, expired-at-zero timeout)
-/// has already queued its completion by the time this returns; a
-/// parked one records tag → subscription so close/duplicate handling
-/// can find it.
+/// (already-terminal task, bad arguments) has already queued its
+/// completion by the time this returns; a parked one records tag →
+/// subscription so close/duplicate handling can find it, and a bounded
+/// one joins the reactor's deadline heap.
 #[allow(clippy::too_many_arguments)]
 fn park_wait(
     shared: &Arc<Shared>,
     reactor: &Arc<Reactor>,
     conn: &mut Conn,
+    deadlines: &mut Deadlines,
     conn_id: u64,
     tag: u64,
-    shape: WaitShape,
-    task_ids: &[u64],
+    wait: WaitReq,
     timeout_usec: u64,
     requester: Option<u64>,
-) {
+) -> Result<(), EngineError> {
     if conn.parked.len() >= MAX_PARKED_WAITS {
-        push_tagged(
-            &mut conn.out,
-            tag,
-            &err_response(
-                ErrorCode::Busy,
-                format!("connection already has {MAX_PARKED_WAITS} waits in flight"),
-            ),
-        );
-        return;
+        return Err(EngineError::new(
+            ErrorCode::Busy,
+            format!("connection already has {MAX_PARKED_WAITS} waits in flight"),
+        ));
     }
     if conn.parked.contains_key(&tag) {
-        push_tagged(
-            &mut conn.out,
-            tag,
-            &err_response(
-                ErrorCode::BadArgs,
-                format!("tag {tag} already has a wait in flight"),
-            ),
-        );
-        return;
+        return Err(EngineError::new(
+            ErrorCode::BadArgs,
+            format!("tag {tag} already has a wait in flight"),
+        ));
     }
-    let task_id = match shape {
-        WaitShape::Task => match task_ids.first() {
-            Some(&id) => id,
-            None => {
-                push_tagged(
-                    &mut conn.out,
-                    tag,
-                    &err_response(ErrorCode::BadArgs, "WaitTask with no task id".to_string()),
-                );
-                return;
-            }
-        },
-        WaitShape::Any => 0,
-    };
-    let cb = completion_callback(Arc::clone(reactor), conn_id, tag, shape);
-    let sub = match shape {
-        WaitShape::Task => shared
-            .engine
-            .wait_task_async(task_id, timeout_usec, requester, cb),
-        WaitShape::Any => shared
-            .engine
-            .wait_any_async(task_ids, timeout_usec, requester, cb),
+    let any = matches!(wait, WaitReq::Any(_));
+    let cb = completion_callback(Arc::clone(reactor), conn_id, tag, any);
+    let sub = match wait {
+        WaitReq::Task(id) => shared.engine.wait_task_async(id, requester, cb),
+        WaitReq::Any(ids) => shared.engine.wait_any_async(&ids, requester, cb),
     };
     if let Some(sub_id) = sub {
         conn.parked.insert(tag, sub_id);
+        if timeout_usec > 0 {
+            let deadline = Instant::now() + Duration::from_micros(timeout_usec);
+            deadlines.push(Reverse((deadline, sub_id)));
+        }
     }
+    Ok(())
 }
 
 /// Decode and execute one tagged frame from a control/user connection.
@@ -1094,6 +1127,7 @@ fn handle_frame(
     shared: &Arc<Shared>,
     reactor: &Arc<Reactor>,
     conn: &mut Conn,
+    deadlines: &mut Deadlines,
     conn_id: u64,
     frame: Bytes,
 ) -> Action {
@@ -1101,258 +1135,189 @@ fn handle_frame(
     let Ok(tag) = norns_proto::wire::get_varint(&mut b) else {
         return Action::Close; // untagged garbage: not v7
     };
-    if conn.control {
-        let req = match CtlRequest::decode(&mut b) {
-            Ok(r) => r,
-            Err(e) => {
-                push_tagged(
-                    &mut conn.out,
-                    tag,
-                    &err_response(ErrorCode::BadArgs, e.to_string()),
-                );
-                return Action::Continue;
-            }
-        };
-        // Any bytes after the request are an inline memory payload.
-        let payload = if b.is_empty() { None } else { Some(b.to_vec()) };
-        match req {
-            CtlRequest::SendCommand(DaemonCommand::Shutdown) => {
-                push_tagged(&mut conn.out, tag, &Response::Ok);
-                Action::Shutdown
-            }
-            CtlRequest::WaitTask {
-                task_id,
-                timeout_usec,
-            } => {
-                park_wait(
-                    shared,
-                    reactor,
-                    conn,
-                    conn_id,
-                    tag,
-                    WaitShape::Task,
-                    &[task_id],
-                    timeout_usec,
-                    None,
-                );
-                Action::Continue
-            }
-            CtlRequest::WaitAny {
-                task_ids,
-                timeout_usec,
-            } => {
-                park_wait(
-                    shared,
-                    reactor,
-                    conn,
-                    conn_id,
-                    tag,
-                    WaitShape::Any,
-                    &task_ids,
-                    timeout_usec,
-                    None,
-                );
-                Action::Continue
-            }
-            req => {
-                let response = handle_ctl_sync(shared, req, payload);
-                push_tagged(&mut conn.out, tag, &response);
-                Action::Continue
-            }
-        }
+    let undecodable = |e: WireError| EngineError::new(ErrorCode::BadArgs, e.to_string());
+    // Any bytes after the request are an inline memory payload.
+    let payload = |b: Bytes| (!b.is_empty()).then(|| b.to_vec());
+    let engine = &shared.engine;
+    let request = if conn.control {
+        CtlRequest::decode(&mut b)
+            .map_err(undecodable)
+            .and_then(|req| handle_ctl(engine, req, payload(b)))
     } else {
-        let req = match UserRequest::decode(&mut b) {
-            Ok(r) => r,
-            Err(e) => {
-                push_tagged(
-                    &mut conn.out,
-                    tag,
-                    &err_response(ErrorCode::BadArgs, e.to_string()),
-                );
-                return Action::Continue;
-            }
-        };
-        let payload = if b.is_empty() { None } else { Some(b.to_vec()) };
-        match req {
-            UserRequest::WaitTask {
-                pid,
-                task_id,
-                timeout_usec,
-            } => {
-                park_wait(
-                    shared,
-                    reactor,
-                    conn,
-                    conn_id,
-                    tag,
-                    WaitShape::Task,
-                    &[task_id],
-                    timeout_usec,
-                    Some(USER_KEY_BIT | pid),
-                );
-                Action::Continue
-            }
-            UserRequest::WaitAny {
-                pid,
-                task_ids,
-                timeout_usec,
-            } => {
-                park_wait(
-                    shared,
-                    reactor,
-                    conn,
-                    conn_id,
-                    tag,
-                    WaitShape::Any,
-                    &task_ids,
-                    timeout_usec,
-                    Some(USER_KEY_BIT | pid),
-                );
-                Action::Continue
-            }
-            req => {
-                let response = handle_user_sync(&shared.engine, req, payload);
-                push_tagged(&mut conn.out, tag, &response);
-                Action::Continue
-            }
+        UserRequest::decode(&mut b)
+            .map_err(undecodable)
+            .and_then(|req| handle_user(engine, req, payload(b)))
+    };
+    let done = request.and_then(|request| match request {
+        Request::Reply(response) => {
+            push_tagged(&mut conn.out, tag, &response);
+            Ok(Action::Continue)
         }
-    }
+        Request::Wait {
+            wait,
+            timeout_usec,
+            requester,
+        } => park_wait(
+            shared,
+            reactor,
+            conn,
+            deadlines,
+            conn_id,
+            tag,
+            wait,
+            timeout_usec,
+            requester,
+        )
+        .map(|()| Action::Continue),
+        Request::Shutdown => {
+            push_tagged(&mut conn.out, tag, &Response::Ok);
+            Ok(Action::Shutdown)
+        }
+    });
+    done.unwrap_or_else(|refusal| {
+        push_tagged(&mut conn.out, tag, &refusal.into());
+        Action::Continue
+    })
 }
 
 /// Separates the user-socket (pid-keyed) and control-socket
 /// (job-keyed) id spaces inside the scheduler's fairness domain.
 const USER_KEY_BIT: u64 = 1 << 63;
 
-fn err_response(code: ErrorCode, message: impl Into<String>) -> Response {
-    Response::Error {
-        code,
-        message: message.into(),
-    }
-}
-
-fn from_engine(r: Result<(), (ErrorCode, String)>) -> Response {
-    match r {
-        Ok(()) => Response::Ok,
-        Err((code, message)) => Response::Error { code, message },
-    }
-}
-
-fn stats_response(r: Result<norns_proto::TaskStats, (ErrorCode, String)>) -> Response {
-    match r {
-        Ok(stats) => Response::TaskStatus(stats),
-        Err((code, message)) => Response::Error { code, message },
-    }
-}
-
-/// Control requests the reactor answers synchronously (everything but
-/// the parked waits and `Shutdown`, which [`handle_frame`] intercepts;
-/// their arms here are unreachable fallbacks).
-fn handle_ctl_sync(shared: &Arc<Shared>, req: CtlRequest, payload: Option<Vec<u8>>) -> Response {
-    let engine = &shared.engine;
+/// Execute one control request — or, for the three the reactor has to
+/// act on itself, say which. Arms that fall out of the `match` answer
+/// a bare `Ok`.
+fn handle_ctl(
+    engine: &Engine,
+    req: CtlRequest,
+    payload: Option<Vec<u8>>,
+) -> Result<Request, EngineError> {
+    let reply = |response| Ok(Request::Reply(response));
     match req {
         CtlRequest::SendCommand(cmd) => match cmd {
-            DaemonCommand::Ping => Response::Ok,
-            DaemonCommand::PauseAccepting => {
-                engine.set_accepting(false);
-                Response::Ok
-            }
-            DaemonCommand::ResumeAccepting => {
-                engine.set_accepting(true);
-                Response::Ok
-            }
-            DaemonCommand::ClearCompletions => {
-                engine.clear_completions();
-                Response::Ok
-            }
-            // Intercepted by handle_frame before dispatch.
-            DaemonCommand::Shutdown => Response::Ok,
+            DaemonCommand::Ping => {}
+            DaemonCommand::PauseAccepting => engine.set_accepting(false),
+            DaemonCommand::ResumeAccepting => engine.set_accepting(true),
+            DaemonCommand::ClearCompletions => engine.clear_completions(),
+            DaemonCommand::Shutdown => return Ok(Request::Shutdown),
         },
-        CtlRequest::Status => Response::Status(engine.status()),
-        CtlRequest::RegisterDataspace(d) => from_engine(engine.register_dataspace(d)),
-        CtlRequest::UpdateDataspace(d) => from_engine(engine.update_dataspace(d)),
-        CtlRequest::UnregisterDataspace { nsid } => from_engine(engine.unregister_dataspace(&nsid)),
-        CtlRequest::RegisterJob(j) => from_engine(engine.register_job(j)),
-        CtlRequest::UpdateJob(j) => from_engine(engine.update_job(j)),
-        CtlRequest::UnregisterJob { job_id } => from_engine(engine.unregister_job(job_id)),
-        CtlRequest::AddProcess { job_id, pid, .. } => from_engine(engine.add_process(job_id, pid)),
-        CtlRequest::RemoveProcess { job_id, pid } => {
-            from_engine(engine.remove_process(job_id, pid))
-        }
-        CtlRequest::RegisterPeer { host, data_addr } => {
-            engine.register_peer(host, data_addr);
-            Response::Ok
-        }
+        CtlRequest::Status => return reply(Response::Status(engine.status())),
+        CtlRequest::RegisterDataspace(d) => engine.register_dataspace(d)?,
+        CtlRequest::UpdateDataspace(d) => engine.update_dataspace(d)?,
+        CtlRequest::UnregisterDataspace { nsid } => engine.unregister_dataspace(&nsid)?,
+        CtlRequest::RegisterJob(j) => engine.register_job(j)?,
+        CtlRequest::UpdateJob(j) => engine.update_job(j)?,
+        CtlRequest::UnregisterJob { job_id } => engine.unregister_job(job_id)?,
+        CtlRequest::AddProcess { job_id, pid, .. } => engine.add_process(job_id, pid)?,
+        CtlRequest::RemoveProcess { job_id, pid } => engine.remove_process(job_id, pid)?,
+        CtlRequest::RegisterPeer { host, data_addr } => engine.register_peer(host, data_addr),
+        CtlRequest::CancelTask { task_id } => engine.cancel(task_id, None)?,
         CtlRequest::SubmitTask { job_id, spec } => {
             if job_id & USER_KEY_BIT != 0 {
                 // Bit 63 tags user-socket pid keys; a control job id
                 // carrying it would collide with a pid's fairness and
                 // cancel-ownership domain.
-                return err_response(
+                return Err(EngineError::new(
                     ErrorCode::BadArgs,
                     format!("job id {job_id:#x} uses the reserved user-key bit"),
-                );
+                ));
             }
-            match engine.submit(job_id, spec, payload) {
-                Ok(task_id) => Response::TaskSubmitted { task_id },
-                Err((code, message)) => Response::Error { code, message },
-            }
+            let task_id = engine.submit(job_id, spec, payload)?;
+            return reply(Response::TaskSubmitted { task_id });
         }
-        CtlRequest::QueryTask { task_id } => match engine.query(task_id) {
-            Some(stats) => Response::TaskStatus(stats),
-            None => err_response(ErrorCode::NotFound, format!("task {task_id}")),
-        },
-        CtlRequest::CancelTask { task_id } => from_engine(engine.cancel(task_id, None)),
-        CtlRequest::ListDir { nsid, path } => match engine.list_dir(&nsid, &path) {
-            Ok(entries) => Response::DirEntries { entries },
-            Err((code, message)) => Response::Error { code, message },
-        },
-        // Intercepted by handle_frame before dispatch.
-        CtlRequest::WaitTask { .. } | CtlRequest::WaitAny { .. } => {
-            err_response(ErrorCode::SystemError, "wait reached the sync path")
+        CtlRequest::QueryTask { task_id } => {
+            return reply(Response::TaskStatus(engine.query_scoped(task_id, None)?))
+        }
+        CtlRequest::ListDir { nsid, path } => {
+            let entries = engine.list_dir(&nsid, &path)?;
+            return reply(Response::DirEntries { entries });
+        }
+        CtlRequest::WaitTask {
+            task_id,
+            timeout_usec,
+        } => {
+            return Ok(Request::Wait {
+                wait: WaitReq::Task(task_id),
+                timeout_usec,
+                requester: None,
+            })
+        }
+        CtlRequest::WaitAny {
+            task_ids,
+            timeout_usec,
+        } => {
+            return Ok(Request::Wait {
+                wait: WaitReq::Any(task_ids),
+                timeout_usec,
+                requester: None,
+            })
         }
     }
+    reply(Response::Ok)
 }
 
-/// User requests the reactor answers synchronously (the parked waits
-/// are intercepted by [`handle_frame`]).
-fn handle_user_sync(engine: &Arc<Engine>, req: UserRequest, payload: Option<Vec<u8>>) -> Response {
-    match req {
+/// Execute one user request, or hand a wait back to the reactor.
+///
+/// User-socket tasks are keyed by the declared pid, with the high bit
+/// set so pid-keyed entries can never collide with control-socket job
+/// ids in the fairness domain — and wait, query and cancel through the
+/// world-connectable socket are scoped to that key's own submissions:
+/// one job can neither observe nor revoke another's transfers. As in
+/// the paper's C API, the pid is caller-declared (the scheduler
+/// registers job processes; SO_PEERCRED verification is future
+/// hardening), so this guards against accidental cross-job
+/// interference, not a malicious local process.
+fn handle_user(
+    engine: &Engine,
+    req: UserRequest,
+    payload: Option<Vec<u8>>,
+) -> Result<Request, EngineError> {
+    let key = |pid: u64| Some(USER_KEY_BIT | pid);
+    let response = match req {
         UserRequest::GetDataspaceInfo => Response::Dataspaces(engine.dataspaces()),
-        // User-socket tasks are keyed by the submitting process, with
-        // the high bit set so pid-keyed entries can never collide with
-        // control-socket job ids in the fairness domain.
         UserRequest::SubmitTask { pid, spec } => {
             // Only processes the scheduler registered via AddProcess
             // may submit, mirroring the simulated controller.
             if !engine.process_known(pid) {
-                return err_response(
+                return Err(EngineError::new(
                     ErrorCode::NotRegistered,
                     format!("process {pid} is not registered to any job"),
-                );
+                ));
             }
-            match engine.submit(USER_KEY_BIT | pid, spec, payload) {
-                Ok(task_id) => Response::TaskSubmitted { task_id },
-                Err((code, message)) => Response::Error { code, message },
-            }
+            let task_id = engine.submit(USER_KEY_BIT | pid, spec, payload)?;
+            Response::TaskSubmitted { task_id }
         }
-        // Query/cancel through the world-connectable user socket are
-        // scoped to the declared pid's own submissions — one job can
-        // neither observe nor revoke another's transfers. As in the
-        // paper's C API, the pid is caller-declared (the scheduler
-        // registers job processes; SO_PEERCRED verification is future
-        // hardening), so this guards against accidental cross-job
-        // interference, not a malicious local process.
         UserRequest::QueryTask { pid, task_id } => {
-            stats_response(engine.query_scoped(task_id, Some(USER_KEY_BIT | pid)))
+            Response::TaskStatus(engine.query_scoped(task_id, key(pid))?)
         }
         UserRequest::CancelTask { pid, task_id } => {
-            from_engine(engine.cancel(task_id, Some(USER_KEY_BIT | pid)))
+            engine.cancel(task_id, key(pid))?;
+            Response::Ok
         }
-        // Intercepted by handle_frame before dispatch.
-        UserRequest::WaitTask { .. } | UserRequest::WaitAny { .. } => {
-            err_response(ErrorCode::SystemError, "wait reached the sync path")
+        UserRequest::WaitTask {
+            pid,
+            task_id,
+            timeout_usec,
+        } => {
+            return Ok(Request::Wait {
+                wait: WaitReq::Task(task_id),
+                timeout_usec,
+                requester: key(pid),
+            })
         }
-    }
+        UserRequest::WaitAny {
+            pid,
+            task_ids,
+            timeout_usec,
+        } => {
+            return Ok(Request::Wait {
+                wait: WaitReq::Any(task_ids),
+                timeout_usec,
+                requester: key(pid),
+            })
+        }
+    };
+    Ok(Request::Reply(response))
 }
 
 /// Buffered responses past this size are flushed mid-batch: bounds the
@@ -1374,17 +1339,14 @@ fn serve_frames(
     mut handle: impl FnMut(Bytes, &mut BytesMut),
 ) {
     let mut reader = FrameReader::new();
-    let mut buf = [0u8; 64 * 1024];
     let mut out = BytesMut::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        reader.extend(&buf[..n]);
+        if !matches!(reader.read_from(stream), Ok(1..)) {
+            return;
+        }
         loop {
             match reader.next_frame() {
                 Ok(Some(frame)) => {
@@ -1416,7 +1378,8 @@ fn serve_data_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // range would make the allocator the bottleneck.
     let mut scratch: Vec<u8> = Vec::new();
     serve_frames(&mut stream, shared, move |frame, out| {
-        let (response, payload_len) = handle_data(&shared.engine, frame, &mut scratch);
+        let (response, payload_len) =
+            handle_data(&shared.engine, frame, &mut scratch).unwrap_or_else(|e| (e.into(), 0));
         let body = response.to_bytes();
         out.extend_from_slice(&frame_header(body.len() + payload_len));
         out.extend_from_slice(&body);
@@ -1424,53 +1387,37 @@ fn serve_data_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     });
 }
 
-fn data_err(code: ErrorCode, message: impl Into<String>) -> (DataResponse, usize) {
-    (
-        DataResponse::Error {
-            code,
-            message: message.into(),
-        },
-        0,
-    )
-}
-
-fn map_io_data(e: std::io::Error) -> (DataResponse, usize) {
-    let code = match e.kind() {
-        std::io::ErrorKind::NotFound => ErrorCode::NotFound,
-        std::io::ErrorKind::PermissionDenied => ErrorCode::PermissionDenied,
-        std::io::ErrorKind::StorageFull => ErrorCode::NoSpace,
-        _ => ErrorCode::SystemError,
-    };
-    data_err(code, e.to_string())
-}
-
 /// Serve one data-plane request from a peer daemon. Every path goes
 /// through the engine's dataspace containment checks — a remote peer
 /// gets no more filesystem reach than a local client. A `Fetch`
 /// payload is produced into `scratch` (grown but never shrunk, reused
 /// across a connection's requests); the returned count is how many of
-/// its leading bytes are the response payload.
-fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (DataResponse, usize) {
-    let mut b = frame;
-    let req = match DataRequest::decode(&mut b) {
-        Ok(r) => r,
-        Err(e) => return data_err(ErrorCode::BadArgs, e.to_string()),
+/// its leading bytes are the response payload. An `Err` goes back to
+/// the peer as an `Error` response; the connection stays open.
+fn handle_data(
+    engine: &Engine,
+    frame: Bytes,
+    scratch: &mut Vec<u8>,
+) -> Result<(DataResponse, usize), EngineError> {
+    let mut payload = frame;
+    let req = DataRequest::decode(&mut payload)
+        .map_err(|e| EngineError::new(ErrorCode::BadArgs, e.to_string()))?;
+    let over_cap = |what: &str, len: u64| {
+        EngineError::new(
+            ErrorCode::BadArgs,
+            format!("{what} of {len} bytes exceeds the {MAX_DATA_RANGE}-byte range cap"),
+        )
     };
-    let payload = b;
     match req {
         DataRequest::Stat { nsid, path } => {
-            let local = match engine.resolve_local(&nsid, &path) {
-                Ok(p) => p,
-                Err((code, message)) => return data_err(code, message),
-            };
-            match std::fs::metadata(&local) {
-                Ok(meta) if meta.is_dir() => data_err(
+            let meta = std::fs::metadata(engine.resolve_local(&nsid, &path)?)?;
+            if meta.is_dir() {
+                return Err(EngineError::new(
                     ErrorCode::BadArgs,
                     "directory trees cannot be staged remotely",
-                ),
-                Ok(meta) => (DataResponse::Stat { size: meta.len() }, 0),
-                Err(e) => map_io_data(e),
+                ));
             }
+            Ok((DataResponse::Stat { size: meta.len() }, 0))
         }
         DataRequest::Fetch {
             nsid,
@@ -1479,19 +1426,9 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
             len,
         } => {
             if len > MAX_DATA_RANGE {
-                return data_err(
-                    ErrorCode::BadArgs,
-                    format!("fetch of {len} bytes exceeds the {MAX_DATA_RANGE}-byte range cap"),
-                );
+                return Err(over_cap("fetch", len));
             }
-            let local = match engine.resolve_local(&nsid, &path) {
-                Ok(p) => p,
-                Err((code, message)) => return data_err(code, message),
-            };
-            let file = match std::fs::File::open(&local) {
-                Ok(f) => f,
-                Err(e) => return map_io_data(e),
-            };
+            let file = std::fs::File::open(engine.resolve_local(&nsid, &path)?)?;
             let want = len as usize;
             if scratch.len() < want {
                 // Grow-only: the zero-fill happens once per
@@ -1500,69 +1437,39 @@ fn handle_data(engine: &Arc<Engine>, frame: Bytes, scratch: &mut Vec<u8>) -> (Da
             }
             let mut filled = 0usize;
             while filled < want {
-                use std::os::unix::fs::FileExt;
                 match file.read_at(&mut scratch[filled..want], offset + filled as u64) {
                     Ok(0) => break, // EOF: short payload tells the peer
                     Ok(n) => filled += n,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return map_io_data(e),
+                    Err(e) => return Err(e.into()),
                 }
             }
-            (DataResponse::Data, filled)
+            Ok((DataResponse::Data, filled))
         }
         DataRequest::Prepare { nsid, path, size } => {
-            let local = match engine.resolve_local(&nsid, &path) {
-                Ok(p) => p,
-                Err((code, message)) => return data_err(code, message),
-            };
+            let local = engine.resolve_local(&nsid, &path)?;
             if let Some(parent) = local.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    return map_io_data(e);
-                }
+                std::fs::create_dir_all(parent)?;
             }
-            match std::fs::File::create(&local).and_then(|f| f.set_len(size)) {
-                Ok(()) => (DataResponse::Ok, 0),
-                Err(e) => map_io_data(e),
-            }
+            std::fs::File::create(&local)?.set_len(size)?;
+            Ok((DataResponse::Ok, 0))
         }
         DataRequest::Store { nsid, path, offset } => {
             if payload.len() as u64 > MAX_DATA_RANGE {
-                return data_err(
-                    ErrorCode::BadArgs,
-                    format!(
-                        "store of {} bytes exceeds the {MAX_DATA_RANGE}-byte range cap",
-                        payload.len()
-                    ),
-                );
+                return Err(over_cap("store", payload.len() as u64));
             }
-            let local = match engine.resolve_local(&nsid, &path) {
-                Ok(p) => p,
-                Err((code, message)) => return data_err(code, message),
-            };
-            let file = match std::fs::OpenOptions::new()
+            let file = std::fs::OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(false)
-                .open(&local)
-            {
-                Ok(f) => f,
-                Err(e) => return map_io_data(e),
-            };
-            use std::os::unix::fs::FileExt;
-            match file.write_all_at(&payload, offset) {
-                Ok(()) => (DataResponse::Ok, 0),
-                Err(e) => map_io_data(e),
-            }
+                .open(engine.resolve_local(&nsid, &path)?)?;
+            file.write_all_at(&payload, offset)?;
+            Ok((DataResponse::Ok, 0))
         }
         DataRequest::Discard { nsid, path } => {
-            let local = match engine.resolve_local(&nsid, &path) {
-                Ok(p) => p,
-                Err((code, message)) => return data_err(code, message),
-            };
-            match std::fs::remove_file(&local) {
-                Ok(()) => (DataResponse::Ok, 0),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => (DataResponse::Ok, 0),
-                Err(e) => map_io_data(e),
+            match std::fs::remove_file(engine.resolve_local(&nsid, &path)?) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+                _ => Ok((DataResponse::Ok, 0)),
             }
         }
     }

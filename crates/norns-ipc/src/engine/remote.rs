@@ -46,7 +46,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -61,7 +61,8 @@ use norns_proto::{
     MAX_DATA_RANGE,
 };
 
-use super::transfer::{map_io, ChunkGrid, PlanOutcome, TransferPlan};
+use super::error::EngineError;
+use super::transfer::{ChunkGrid, RangeMover};
 
 /// Bound on establishing a data-plane connection: an unreachable peer
 /// must fail the task, not hang a worker.
@@ -102,12 +103,12 @@ const DISCARD_RETRY_DELAY: Duration = Duration::from_millis(200);
 /// Map a data-plane I/O error onto a wire error code. Timeouts get
 /// their own code so callers can distinguish a dead peer mid-transfer
 /// from a local filesystem failure.
-fn map_net(e: io::Error) -> (ErrorCode, String) {
+fn map_net(e: io::Error) -> EngineError {
     match e.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-            (ErrorCode::Timeout, format!("data plane timeout: {e}"))
+            EngineError::new(ErrorCode::Timeout, format!("data plane timeout: {e}"))
         }
-        _ => (ErrorCode::SystemError, format!("data plane: {e}")),
+        _ => e.into(),
     }
 }
 
@@ -244,19 +245,15 @@ pub(crate) struct DataConn {
 }
 
 impl DataConn {
-    pub fn connect(addr: &str) -> Result<DataConn, (ErrorCode, String)> {
+    pub fn connect(addr: &str) -> Result<DataConn, EngineError> {
+        let bad_addr = |why: String| EngineError::new(ErrorCode::BadArgs, why);
         let sockaddr: SocketAddr = addr
             .to_socket_addrs()
-            .map_err(|e| (ErrorCode::BadArgs, format!("peer address {addr:?}: {e}")))?
+            .map_err(|e| bad_addr(format!("peer address {addr:?}: {e}")))?
             .next()
-            .ok_or_else(|| {
-                (
-                    ErrorCode::BadArgs,
-                    format!("peer address {addr:?} resolves to nothing"),
-                )
-            })?;
+            .ok_or_else(|| bad_addr(format!("peer address {addr:?} resolves to nothing")))?;
         let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)
-            .map_err(|e| (ErrorCode::SystemError, format!("peer {addr}: {e}")))?;
+            .map_err(|e| EngineError::new(ErrorCode::SystemError, format!("peer {addr}: {e}")))?;
         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         // Request/response exchanges: Nagle only adds latency.
@@ -270,7 +267,7 @@ impl DataConn {
     /// Send one request frame with no trailing payload (`Stat`,
     /// `Fetch`, `Prepare`, `Discard`): header + request in a single
     /// vectored write.
-    fn send_request(&mut self, req: &DataRequest) -> Result<(), (ErrorCode, String)> {
+    fn send_request(&mut self, req: &DataRequest) -> Result<(), EngineError> {
         let body = req.to_bytes();
         let header = frame_header(body.len());
         write_all_vectored(&mut self.stream, &[&header, &body]).map_err(map_net)
@@ -288,7 +285,7 @@ impl DataConn {
         file: &File,
         offset: u64,
         len: u64,
-    ) -> Result<(), (ErrorCode, String)> {
+    ) -> Result<(), EngineError> {
         let body = req.to_bytes();
         let header = frame_header(body.len() + len as usize);
         #[cfg(target_os = "linux")]
@@ -298,12 +295,7 @@ impl DataConn {
             while sent < len {
                 let want = (len - sent).min(1 << 30) as usize;
                 match sendfile_once(&self.stream, file, offset + sent, want) {
-                    Ok(0) => {
-                        return Err((
-                            ErrorCode::SystemError,
-                            format!("local source truncated at byte {}", offset + sent),
-                        ))
-                    }
+                    Ok(0) => return Err(truncated("local", offset + sent)),
                     Ok(n) => sent += n as u64,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) if sent == 0 && sendfile_wants_fallback(&e) => {
@@ -336,7 +328,7 @@ impl DataConn {
         mut offset: u64,
         len: u64,
         prefix: &[&[u8]],
-    ) -> Result<(), (ErrorCode, String)> {
+    ) -> Result<(), EngineError> {
         RANGE_BUF.with(|cell| {
             let mut buf = cell.borrow_mut();
             let want = (len.min(REMOTE_POOL_BUF as u64) as usize).max(1);
@@ -350,18 +342,10 @@ impl DataConn {
                 let mut filled = 0usize;
                 while filled < step {
                     match file.read_at(&mut buf[filled..step], offset + filled as u64) {
-                        Ok(0) => {
-                            return Err((
-                                ErrorCode::SystemError,
-                                format!(
-                                    "local source truncated at byte {}",
-                                    offset + filled as u64
-                                ),
-                            ))
-                        }
+                        Ok(0) => return Err(truncated("local", offset + filled as u64)),
                         Ok(n) => filled += n,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(map_io(e)),
+                        Err(e) => return Err(e.into()),
                     }
                 }
                 let parts: Vec<&[u8]> = if first {
@@ -381,27 +365,21 @@ impl DataConn {
     /// Read one response frame (blocking, bounded by the stream's
     /// read timeout). Returns the decoded response and whatever
     /// payload followed it.
-    fn recv_response(&mut self) -> Result<(DataResponse, Bytes), (ErrorCode, String)> {
-        let mut buf = [0u8; 64 * 1024];
+    fn recv_response(&mut self) -> Result<(DataResponse, Bytes), EngineError> {
+        let garbled = |what: String| EngineError::new(ErrorCode::SystemError, what);
         loop {
-            if let Some(frame) = self
+            if let Some(mut frame) = self
                 .reader
                 .next_frame()
-                .map_err(|e| (ErrorCode::SystemError, format!("data plane framing: {e}")))?
+                .map_err(|e| garbled(format!("data plane framing: {e}")))?
             {
-                let mut frame = frame;
                 let resp = DataResponse::decode(&mut frame)
-                    .map_err(|e| (ErrorCode::SystemError, format!("data plane decode: {e}")))?;
+                    .map_err(|e| garbled(format!("data plane decode: {e}")))?;
                 return Ok((resp, frame));
             }
-            let n = self.stream.read(&mut buf).map_err(map_net)?;
-            if n == 0 {
-                return Err((
-                    ErrorCode::SystemError,
-                    "peer closed the data connection".into(),
-                ));
+            if self.reader.read_from(&mut self.stream).map_err(map_net)? == 0 {
+                return Err(garbled("peer closed the data connection".into()));
             }
-            self.reader.extend(&buf[..n]);
         }
     }
 
@@ -411,7 +389,7 @@ impl DataConn {
         &mut self,
         req: &DataRequest,
         payload: Option<&[u8]>,
-    ) -> Result<(DataResponse, Bytes), (ErrorCode, String)> {
+    ) -> Result<(DataResponse, Bytes), EngineError> {
         let mut body = BytesMut::from(&req.to_bytes()[..]);
         if let Some(p) = payload {
             body.extend_from_slice(p);
@@ -482,7 +460,7 @@ fn round_trip(
     addr: &str,
     req: &DataRequest,
     payload: Option<&[u8]>,
-) -> Result<(DataResponse, Bytes), (ErrorCode, String)> {
+) -> Result<(DataResponse, Bytes), EngineError> {
     if let Some(mut conn) = take_conn(addr) {
         if let Ok(result) = conn.call(req, payload) {
             store_conn(addr, conn);
@@ -496,38 +474,45 @@ fn round_trip(
     Ok(result)
 }
 
+/// A peer's answer as a `Result`: its `Error` response is ours.
+fn reply(resp: DataResponse) -> Result<DataResponse, EngineError> {
+    match resp {
+        DataResponse::Error { code, message } => Err(EngineError::new(code, message)),
+        other => Ok(other),
+    }
+}
+
+fn unexpected(resp: &DataResponse) -> EngineError {
+    EngineError::new(
+        ErrorCode::SystemError,
+        format!("unexpected data response: {resp:?}"),
+    )
+}
+
+fn truncated(side: &str, at: u64) -> EngineError {
+    EngineError::new(
+        ErrorCode::SystemError,
+        format!("{side} source truncated at byte {at}"),
+    )
+}
+
 /// A round-trip whose only interesting success is `Ok`.
-fn expect_ok(
-    addr: &str,
-    req: &DataRequest,
-    payload: Option<&[u8]>,
-) -> Result<(), (ErrorCode, String)> {
-    match round_trip(addr, req, payload)? {
-        (DataResponse::Ok, _) => Ok(()),
-        (DataResponse::Error { code, message }, _) => Err((code, message)),
-        (other, _) => Err((
-            ErrorCode::SystemError,
-            format!("unexpected data response: {other:?}"),
-        )),
+fn expect_ok(addr: &str, req: &DataRequest, payload: Option<&[u8]>) -> Result<(), EngineError> {
+    match reply(round_trip(addr, req, payload)?.0)? {
+        DataResponse::Ok => Ok(()),
+        other => Err(unexpected(&other)),
     }
 }
 
 /// `Stat` round-trip: the remote file's size in bytes.
-fn stat(addr: &str, nsid: &str, path: &str) -> Result<u64, (ErrorCode, String)> {
-    match round_trip(
-        addr,
-        &DataRequest::Stat {
-            nsid: nsid.into(),
-            path: path.into(),
-        },
-        None,
-    )? {
-        (DataResponse::Stat { size }, _) => Ok(size),
-        (DataResponse::Error { code, message }, _) => Err((code, message)),
-        (other, _) => Err((
-            ErrorCode::SystemError,
-            format!("unexpected data response: {other:?}"),
-        )),
+fn stat(addr: &str, nsid: &str, path: &str) -> Result<u64, EngineError> {
+    let req = DataRequest::Stat {
+        nsid: nsid.into(),
+        path: path.into(),
+    };
+    match reply(round_trip(addr, &req, None)?.0)? {
+        DataResponse::Stat { size } => Ok(size),
+        other => Err(unexpected(&other)),
     }
 }
 
@@ -551,7 +536,6 @@ enum WindowEnd {
 
 /// A remote staging transfer decomposed into chunk sub-units.
 pub(crate) struct RemoteTransfer {
-    task_id: u64,
     direction: Direction,
     /// Peer data-plane address (resolved from the peer registry).
     addr: String,
@@ -563,16 +547,18 @@ pub(crate) struct RemoteTransfer {
     local_path: PathBuf,
     /// Requests kept in flight per connection (≥ 1; 1 = stop-and-wait).
     window: usize,
-    grid: ChunkGrid,
 }
 
 impl RemoteTransfer {
-    /// Plan a pull: probe the remote size, preallocate the local
-    /// destination, lay out the chunk grid. Returns the plan and the
-    /// now-known transfer size (the submit-time estimate was 0).
+    /// Plan a transfer and lay out its chunk grid. A pull probes the
+    /// remote size and preallocates the local destination; a push
+    /// opens the local source and asks the peer to create and
+    /// preallocate the destination. The grid's `size()` is the
+    /// now-known transfer size (a pull's submit-time estimate was 0).
     #[allow(clippy::too_many_arguments)]
-    pub fn plan_pull(
+    pub fn plan(
         task_id: u64,
+        direction: Direction,
         addr: &str,
         nsid: &str,
         rpath: &str,
@@ -581,77 +567,60 @@ impl RemoteTransfer {
         window: usize,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
-    ) -> Result<(Arc<RemoteTransfer>, u64), (ErrorCode, String)> {
-        let size = stat(addr, nsid, rpath)?;
-        if let Some(parent) = local_path.parent() {
-            fs::create_dir_all(parent).map_err(map_io)?;
-        }
-        let local = File::create(local_path).map_err(map_io)?;
-        // Preallocate (the fallocate analog), as the local chunked
-        // copy does: units then write disjoint interior ranges. A
-        // failed preallocation (ENOSPC) must not leave the truncated
-        // destination behind — its existence would fake a staged file.
-        if let Err(e) = local.set_len(size) {
-            let _ = fs::remove_file(local_path);
-            return Err(map_io(e));
-        }
-        let plan = Arc::new(RemoteTransfer {
-            task_id,
-            direction: Direction::Pull,
+    ) -> Result<Arc<ChunkGrid>, EngineError> {
+        let (local, size) = match direction {
+            Direction::Pull => {
+                let size = stat(addr, nsid, rpath)?;
+                if let Some(parent) = local_path.parent() {
+                    fs::create_dir_all(parent)?;
+                }
+                let local = File::create(local_path)?;
+                // Preallocate (the fallocate analog), as the local
+                // chunked copy does: units then write disjoint interior
+                // ranges. A failed preallocation (ENOSPC) must not
+                // leave the truncated destination behind — its
+                // existence would fake a staged file.
+                if let Err(e) = local.set_len(size) {
+                    let _ = fs::remove_file(local_path);
+                    return Err(e.into());
+                }
+                (local, size)
+            }
+            Direction::Push => {
+                let local = File::open(local_path)?;
+                let meta = local.metadata()?;
+                if meta.is_dir() {
+                    return Err(EngineError::new(
+                        ErrorCode::BadArgs,
+                        "directory trees cannot be staged to a remote node",
+                    ));
+                }
+                let prepare = DataRequest::Prepare {
+                    nsid: nsid.into(),
+                    path: rpath.into(),
+                    size: meta.len(),
+                };
+                expect_ok(addr, &prepare, None)?;
+                (local, meta.len())
+            }
+        };
+        let transfer = RemoteTransfer {
+            direction,
             addr: addr.to_string(),
             nsid: nsid.to_string(),
             rpath: rpath.to_string(),
             local,
             local_path: local_path.to_path_buf(),
             window: window.clamp(1, MAX_REMOTE_WINDOW),
-            grid: ChunkGrid::new(size, chunk_size, progress, abort),
-        });
-        Ok((plan, size))
-    }
-
-    /// Plan a push: open the local source, ask the peer to create and
-    /// preallocate the destination, lay out the chunk grid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_push(
-        task_id: u64,
-        addr: &str,
-        nsid: &str,
-        rpath: &str,
-        local_path: &Path,
-        chunk_size: u64,
-        window: usize,
-        progress: Arc<AtomicU64>,
-        abort: Arc<AtomicBool>,
-    ) -> Result<Arc<RemoteTransfer>, (ErrorCode, String)> {
-        let local = File::open(local_path).map_err(map_io)?;
-        let meta = local.metadata().map_err(map_io)?;
-        if meta.is_dir() {
-            return Err((
-                ErrorCode::BadArgs,
-                "directory trees cannot be staged to a remote node".into(),
-            ));
-        }
-        let size = meta.len();
-        expect_ok(
-            addr,
-            &DataRequest::Prepare {
-                nsid: nsid.into(),
-                path: rpath.into(),
-                size,
-            },
-            None,
-        )?;
-        Ok(Arc::new(RemoteTransfer {
+        };
+        Ok(ChunkGrid::new(
             task_id,
-            direction: Direction::Push,
-            addr: addr.to_string(),
-            nsid: nsid.to_string(),
-            rpath: rpath.to_string(),
-            local,
-            local_path: local_path.to_path_buf(),
-            window: window.clamp(1, MAX_REMOTE_WINDOW),
-            grid: ChunkGrid::new(size, chunk_size, progress, abort),
-        }))
+            size,
+            chunk_size,
+            progress,
+            abort,
+            Box::new(transfer),
+        ))
     }
 
     /// The per-request range step for a chunk of `len` bytes: aim for
@@ -670,12 +639,7 @@ impl RemoteTransfer {
 
     /// Send the request for the range at `off` of `len` bytes (no
     /// response handling — that's the drain half of the window loop).
-    fn send_range(
-        &self,
-        conn: &mut DataConn,
-        off: u64,
-        len: u64,
-    ) -> Result<(), (ErrorCode, String)> {
+    fn send_range(&self, conn: &mut DataConn, off: u64, len: u64) -> Result<(), EngineError> {
         match self.direction {
             Direction::Pull => conn.send_request(&DataRequest::Fetch {
                 nsid: self.nsid.clone(),
@@ -698,33 +662,18 @@ impl RemoteTransfer {
 
     /// Drain and apply the response for the range at `off` of `len`
     /// bytes (responses arrive in request order).
-    fn recv_range(
-        &self,
-        conn: &mut DataConn,
-        off: u64,
-        len: u64,
-    ) -> Result<(), (ErrorCode, String)> {
+    fn recv_range(&self, conn: &mut DataConn, off: u64, len: u64) -> Result<(), EngineError> {
         let (resp, payload) = conn.recv_response()?;
-        match (self.direction, resp) {
+        match (self.direction, reply(resp)?) {
             (Direction::Pull, DataResponse::Data) => {
                 if (payload.len() as u64) != len {
-                    return Err((
-                        ErrorCode::SystemError,
-                        format!(
-                            "remote source truncated at byte {}",
-                            off + payload.len() as u64
-                        ),
-                    ));
+                    return Err(truncated("remote", off + payload.len() as u64));
                 }
-                self.local.write_all_at(&payload, off).map_err(map_io)?;
+                self.local.write_all_at(&payload, off)?;
                 Ok(())
             }
             (Direction::Push, DataResponse::Ok) => Ok(()),
-            (_, DataResponse::Error { code, message }) => Err((code, message)),
-            (_, other) => Err((
-                ErrorCode::SystemError,
-                format!("unexpected data response: {other:?}"),
-            )),
+            (_, other) => Err(unexpected(&other)),
         }
     }
 
@@ -734,12 +683,13 @@ impl RemoteTransfer {
     /// connection failure resumes from the first unconfirmed byte.
     fn run_window(
         &self,
+        grid: &ChunkGrid,
         conn: &mut DataConn,
         offset: u64,
         len: u64,
         step: u64,
         acked: &mut u64,
-    ) -> Result<WindowEnd, (ErrorCode, String)> {
+    ) -> Result<WindowEnd, EngineError> {
         let end = offset + len;
         let mut next = offset;
         let mut inflight: VecDeque<(u64, u64)> = VecDeque::with_capacity(self.window);
@@ -747,7 +697,7 @@ impl RemoteTransfer {
             // Refill the window (the abort flag is observed here,
             // between refills, exactly as the stop-and-wait path
             // observed it between round-trips).
-            if !self.grid.abort_requested() {
+            if !grid.abort_requested() {
                 while inflight.len() < self.window && next < end {
                     let l = step.min(end - next);
                     self.send_range(conn, next, l)?;
@@ -755,7 +705,7 @@ impl RemoteTransfer {
                     next += l;
                 }
             }
-            if self.grid.abort_requested() {
+            if grid.abort_requested() {
                 // Stop issuing and drain what's in flight so the
                 // connection stays frame-aligned and reusable; a
                 // drain failure just poisons the connection.
@@ -766,9 +716,9 @@ impl RemoteTransfer {
                         break;
                     }
                     *acked += l;
-                    self.grid.progress().fetch_add(l, Ordering::Relaxed);
+                    grid.progress().fetch_add(l, Ordering::Relaxed);
                 }
-                self.grid.cancel();
+                grid.cancel();
                 return Ok(WindowEnd::Cancelled(clean));
             }
             let Some((off, l)) = inflight.pop_front() else {
@@ -776,45 +726,7 @@ impl RemoteTransfer {
             };
             self.recv_range(conn, off, l)?;
             *acked += l;
-            self.grid.progress().fetch_add(l, Ordering::Relaxed);
-        }
-    }
-
-    /// Move one claimed chunk over the wire with up to `window`
-    /// requests in flight, checking the abort flag between refills. A
-    /// failure on a cached connection replays the unconfirmed ranges
-    /// once on a fresh connection (absolute offsets are idempotent).
-    fn transfer_range(&self, offset: u64, len: u64) -> Result<(), (ErrorCode, String)> {
-        if self.grid.abort_requested() {
-            self.grid.cancel();
-            return Ok(());
-        }
-        if len == 0 {
-            return Ok(());
-        }
-        let step = Self::range_step(len, self.window);
-        let mut acked = 0u64;
-        let (mut conn, mut may_retry) = match take_conn(&self.addr) {
-            Some(conn) => (conn, true),
-            None => (DataConn::connect(&self.addr)?, false),
-        };
-        loop {
-            match self.run_window(&mut conn, offset + acked, len - acked, step, &mut acked) {
-                Ok(WindowEnd::Complete) | Ok(WindowEnd::Cancelled(true)) => {
-                    store_conn(&self.addr, conn);
-                    return Ok(());
-                }
-                Ok(WindowEnd::Cancelled(false)) => return Ok(()),
-                Err(e) => {
-                    if !may_retry {
-                        return Err(e);
-                    }
-                    // The cached connection went stale: replay the
-                    // remaining ranges on a fresh one.
-                    may_retry = false;
-                    conn = DataConn::connect(&self.addr)?;
-                }
-            }
+            grid.progress().fetch_add(l, Ordering::Relaxed);
         }
     }
 
@@ -852,49 +764,63 @@ impl RemoteTransfer {
     }
 }
 
-impl TransferPlan for RemoteTransfer {
-    fn task_id(&self) -> u64 {
-        self.task_id
-    }
-
-    fn extra_units(&self) -> u64 {
-        self.grid.extra_units()
-    }
-
-    fn run_unit(&self) -> bool {
-        if let Some((offset, len)) = self.grid.claim() {
-            let _guard = self.grid.enter();
-            if let Err(e) = self.transfer_range(offset, len) {
-                self.grid.fail(e);
+impl RangeMover for RemoteTransfer {
+    /// Move one claimed chunk over the wire with up to `window`
+    /// requests in flight, checking the abort flag between refills. A
+    /// failure on a cached connection replays the unconfirmed ranges
+    /// once on a fresh connection (absolute offsets are idempotent).
+    fn move_range(&self, grid: &ChunkGrid, offset: u64, len: u64) -> Result<(), EngineError> {
+        if grid.abort_requested() {
+            grid.cancel();
+            return Ok(());
+        }
+        if len == 0 {
+            return Ok(());
+        }
+        let step = Self::range_step(len, self.window);
+        let mut acked = 0u64;
+        let (mut conn, mut may_retry) = match take_conn(&self.addr) {
+            Some(conn) => (conn, true),
+            None => (DataConn::connect(&self.addr)?, false),
+        };
+        loop {
+            match self.run_window(
+                grid,
+                &mut conn,
+                offset + acked,
+                len - acked,
+                step,
+                &mut acked,
+            ) {
+                Ok(WindowEnd::Complete) | Ok(WindowEnd::Cancelled(true)) => {
+                    store_conn(&self.addr, conn);
+                    return Ok(());
+                }
+                Ok(WindowEnd::Cancelled(false)) => return Ok(()),
+                Err(e) => {
+                    if !may_retry {
+                        return Err(e);
+                    }
+                    // The cached connection went stale: replay the
+                    // remaining ranges on a fresh one.
+                    may_retry = false;
+                    conn = DataConn::connect(&self.addr)?;
+                }
             }
         }
-        self.grid.complete_unit()
     }
 
-    fn abort_unit(&self, reason: &str) -> bool {
-        self.grid.fail((ErrorCode::SystemError, reason.to_string()));
-        self.grid.complete_unit()
-    }
-
-    fn finalize(&self) -> PlanOutcome {
-        if let Some(outcome) = self.grid.take_failure_outcome() {
+    fn finish(&self, landed: bool) -> Result<(), EngineError> {
+        if !landed {
             self.cleanup();
-            return outcome;
         }
-        PlanOutcome::Done(self.grid.progress().load(Ordering::Relaxed))
-    }
-
-    fn elapsed_usec(&self) -> u64 {
-        self.grid.elapsed_usec()
-    }
-
-    fn peak_workers(&self) -> u64 {
-        self.grid.peak_workers()
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::transfer::PlanOutcome;
     use super::*;
     use std::net::TcpListener;
 
@@ -992,7 +918,6 @@ mod tests {
                     let discards = Arc::clone(&discards);
                     std::thread::spawn(move || {
                         let mut reader = FrameReader::new();
-                        let mut buf = [0u8; 64 * 1024];
                         loop {
                             let mut frame = loop {
                                 match reader.next_frame() {
@@ -1000,9 +925,8 @@ mod tests {
                                     Ok(None) => {}
                                     Err(_) => return,
                                 }
-                                match stream.read(&mut buf) {
-                                    Ok(0) | Err(_) => return,
-                                    Ok(n) => reader.extend(&buf[..n]),
+                                if !matches!(reader.read_from(&mut stream), Ok(1..)) {
+                                    return;
                                 }
                             };
                             let Ok(req) = DataRequest::decode(&mut frame) else {
@@ -1049,8 +973,9 @@ mod tests {
         let src = dir.join("src.dat");
         fs::write(&src, vec![3u8; 4096]).unwrap();
 
-        let plan = RemoteTransfer::plan_push(
+        let plan = RemoteTransfer::plan(
             9,
+            Direction::Push,
             &addr,
             "ds0",
             "dst.dat",

@@ -32,6 +32,8 @@ use parking_lot::Mutex;
 
 use norns_proto::{ErrorCode, TaskOp};
 
+use super::error::EngineError;
+
 /// Default data-plane chunk size (8 MiB): large enough that the
 /// per-chunk scheduler round-trip is noise, small enough that a pool
 /// of workers gets onto one file quickly.
@@ -43,17 +45,6 @@ pub const MIN_CHUNK_SIZE: u64 = 64 << 10;
 
 /// Pooled fallback-copy buffer size (per worker thread).
 const POOL_BUF: usize = 1 << 20;
-
-/// Map an I/O error to the wire error code plus its message.
-pub(crate) fn map_io(e: io::Error) -> (ErrorCode, String) {
-    let code = match e.kind() {
-        io::ErrorKind::NotFound => ErrorCode::NotFound,
-        io::ErrorKind::PermissionDenied => ErrorCode::PermissionDenied,
-        io::ErrorKind::StorageFull => ErrorCode::NoSpace,
-        _ => ErrorCode::SystemError,
-    };
-    (code, e.to_string())
-}
 
 /// One `copy_file_range(2)` round-trip with explicit offsets (the fd
 /// cursors are never touched, so chunk workers share the two `File`s).
@@ -233,47 +224,30 @@ pub(crate) fn copy_tree(src: &Path, dst: &Path, progress: &AtomicU64) -> io::Res
 pub(crate) enum PlanOutcome {
     /// Completed; bytes moved.
     Done(u64),
-    /// Failed with a wire error.
-    Failed(ErrorCode, String),
+    Failed(EngineError),
     /// Interrupted by a mid-stream cancel.
     Cancelled,
 }
 
-/// What stopped a chunk grid before all ranges were copied. The first
-/// stop reason wins: a cancel never masks a real error and vice versa.
-enum Failure {
-    Error(ErrorCode, String),
-    Cancelled,
+/// The two things that differ between decomposed transfers; the
+/// [`ChunkGrid`] does the rest.
+pub(crate) trait RangeMover: Send + Sync {
+    /// Move one claimed range.
+    fn move_range(&self, grid: &ChunkGrid, offset: u64, len: u64) -> Result<(), EngineError>;
+    /// Terminal side effects, run exactly once by the last unit:
+    /// commit a transfer whose every range `landed`, or remove what an
+    /// interrupted one left behind.
+    fn finish(&self, landed: bool) -> Result<(), EngineError>;
 }
 
 /// A transfer decomposed into scheduler sub-units (local chunked copy
-/// or remote staging). The engine drives every decomposed transfer
-/// through this interface: exactly `extra_units() + 1` units exist
-/// (the planning dispatch counts as one); whichever unit completes
-/// last finalizes the task.
-pub(crate) trait TransferPlan: Send + Sync {
-    /// The client-visible task this plan executes.
-    fn task_id(&self) -> u64;
-    /// Scheduler sub-units beyond the planning dispatch.
-    fn extra_units(&self) -> u64;
-    /// Execute one unit. Returns `true` when this was the final unit —
-    /// the caller must then [`TransferPlan::finalize`].
-    fn run_unit(&self) -> bool;
-    /// Account for a unit that will never run (daemon shutdown drained
-    /// it). Returns `true` when this was the final unit.
-    fn abort_unit(&self, reason: &str) -> bool;
-    /// Terminal bookkeeping, run exactly once by the last unit.
-    fn finalize(&self) -> PlanOutcome;
-    /// Wall-clock µs since the planning dispatch.
-    fn elapsed_usec(&self) -> u64;
-    /// High-water mark of workers simultaneously executing units.
-    fn peak_workers(&self) -> u64;
-}
-
-/// Chunk-grid bookkeeping shared by every decomposed transfer: claims
-/// disjoint ranges, tracks unit completion, records the first failure
-/// and observes the task's mid-stream abort flag.
+/// or remote staging): claims disjoint ranges, tracks unit completion,
+/// records the first stop reason and observes the task's mid-stream
+/// abort flag. Exactly `extra_units() + 1` units exist (the planning
+/// dispatch counts as one); whichever unit completes last finalizes
+/// the task.
 pub(crate) struct ChunkGrid {
+    task_id: u64,
     size: u64,
     chunk_size: u64,
     nchunks: u64,
@@ -291,17 +265,24 @@ pub(crate) struct ChunkGrid {
     /// Set by `Engine::cancel` on an in-progress task; units observe
     /// it between ranges (and remote transfers between round-trips).
     abort: Arc<AtomicBool>,
-    failed: Mutex<Option<Failure>>,
+    /// What stopped the grid before all ranges were moved. The first
+    /// stop reason wins: a cancel never masks a real error and vice
+    /// versa.
+    stopped: Mutex<Option<PlanOutcome>>,
+    mover: Box<dyn RangeMover>,
 }
 
 impl ChunkGrid {
     pub fn new(
+        task_id: u64,
         size: u64,
         chunk_size: u64,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
-    ) -> Self {
-        ChunkGrid {
+        mover: Box<dyn RangeMover>,
+    ) -> Arc<Self> {
+        Arc::new(ChunkGrid {
+            task_id,
             size,
             chunk_size,
             // Zero-byte transfers still need one unit so the task
@@ -314,22 +295,34 @@ impl ChunkGrid {
             started: Instant::now(),
             progress,
             abort,
-            failed: Mutex::new(None),
-        }
+            stopped: Mutex::new(None),
+            mover,
+        })
     }
 
+    /// The client-visible task this plan executes.
+    pub fn task_id(&self) -> u64 {
+        self.task_id
+    }
+
+    /// Bytes the whole transfer moves.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Scheduler sub-units beyond the planning dispatch.
     pub fn extra_units(&self) -> u64 {
         self.nchunks - 1
     }
 
-    pub fn progress(&self) -> &Arc<AtomicU64> {
+    pub fn progress(&self) -> &AtomicU64 {
         &self.progress
     }
 
     /// Claim the next chunk range, or `None` when the grid is spent,
     /// a unit already failed, or a cancel was requested (recorded as
     /// the stop reason so `finalize` reports `Cancelled`).
-    pub fn claim(&self) -> Option<(u64, u64)> {
+    fn claim(&self) -> Option<(u64, u64)> {
         let idx = self.next_chunk.fetch_add(1, Ordering::Relaxed);
         if idx >= self.nchunks {
             return None;
@@ -338,7 +331,7 @@ impl ChunkGrid {
             self.cancel();
             return None;
         }
-        if self.failed.lock().is_some() {
+        if self.stopped.lock().is_some() {
             return None;
         }
         let offset = idx * self.chunk_size;
@@ -352,57 +345,59 @@ impl ChunkGrid {
 
     /// Record a mid-stream cancel (first stop reason wins).
     pub fn cancel(&self) {
-        let mut failed = self.failed.lock();
-        if failed.is_none() {
-            *failed = Some(Failure::Cancelled);
-        }
+        self.stopped.lock().get_or_insert(PlanOutcome::Cancelled);
     }
 
-    pub fn fail(&self, error: (ErrorCode, String)) {
-        let mut failed = self.failed.lock();
-        if failed.is_none() {
-            *failed = Some(Failure::Error(error.0, error.1));
-        }
-    }
-
-    /// Track a unit entering execution; returns a guard that leaves on
-    /// drop and maintains the peak-concurrency high-water mark.
-    pub fn enter(&self) -> InflightGuard<'_> {
-        let inflight = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_inflight.fetch_max(inflight, Ordering::Relaxed);
-        InflightGuard { grid: self }
+    fn fail(&self, error: EngineError) {
+        self.stopped
+            .lock()
+            .get_or_insert(PlanOutcome::Failed(error));
     }
 
     /// Count one finished unit; `true` when it was the last.
-    pub fn complete_unit(&self) -> bool {
+    fn complete_unit(&self) -> bool {
         self.units_done.fetch_add(1, Ordering::AcqRel) + 1 == self.nchunks
     }
 
-    /// The stop reason as a terminal outcome, if any (consumed exactly
-    /// once, by `finalize`).
-    pub fn take_failure_outcome(&self) -> Option<PlanOutcome> {
-        self.failed.lock().take().map(|failure| match failure {
-            Failure::Error(code, message) => PlanOutcome::Failed(code, message),
-            Failure::Cancelled => PlanOutcome::Cancelled,
-        })
+    /// Execute one unit. Returns `true` when this was the final unit —
+    /// the caller must then [`ChunkGrid::finalize`].
+    pub fn run_unit(&self) -> bool {
+        if let Some((offset, len)) = self.claim() {
+            let inflight = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+            self.peak_inflight.fetch_max(inflight, Ordering::Relaxed);
+            if let Err(e) = self.mover.move_range(self, offset, len) {
+                self.fail(e);
+            }
+            self.inflight.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.complete_unit()
     }
 
+    /// Account for a unit that will never run (daemon shutdown drained
+    /// it). Returns `true` when this was the final unit.
+    pub fn abort_unit(&self, reason: &str) -> bool {
+        self.fail(EngineError::new(ErrorCode::SystemError, reason));
+        self.complete_unit()
+    }
+
+    /// Terminal bookkeeping, run exactly once by the last unit.
+    pub fn finalize(&self) -> PlanOutcome {
+        let stopped = self.stopped.lock().take();
+        match (self.mover.finish(stopped.is_none()), stopped) {
+            (_, Some(outcome)) => outcome,
+            (Err(e), None) => PlanOutcome::Failed(e),
+            (Ok(()), None) => PlanOutcome::Done(self.progress.load(Ordering::Relaxed)),
+        }
+    }
+
+    /// Wall-clock µs since the planning dispatch.
     pub fn elapsed_usec(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
     }
 
+    /// High-water mark of workers simultaneously executing units.
     pub fn peak_workers(&self) -> u64 {
         self.peak_inflight.load(Ordering::Relaxed)
-    }
-}
-
-pub(crate) struct InflightGuard<'a> {
-    grid: &'a ChunkGrid,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.grid.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -413,14 +408,12 @@ impl Drop for InflightGuard<'_> {
 /// claims the next unclaimed chunk index and copies that disjoint
 /// range.
 pub(crate) struct ChunkedCopy {
-    task_id: u64,
     op: TaskOp,
     src: File,
     dst: File,
     src_path: PathBuf,
     dst_path: PathBuf,
     src_permissions: Permissions,
-    grid: ChunkGrid,
 }
 
 impl ChunkedCopy {
@@ -436,7 +429,7 @@ impl ChunkedCopy {
         chunk_size: u64,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
-    ) -> io::Result<Arc<ChunkedCopy>> {
+    ) -> io::Result<Arc<ChunkGrid>> {
         let src = File::open(src_path)?;
         let src_permissions = src.metadata()?.permissions();
         let dst = File::create(dst_path)?;
@@ -444,71 +437,47 @@ impl ChunkedCopy {
         // workers then write disjoint interior ranges with no
         // tail-extension contention.
         dst.set_len(size)?;
-        Ok(Arc::new(ChunkedCopy {
-            task_id,
+        let copy = ChunkedCopy {
             op,
             src,
             dst,
             src_path: src_path.to_path_buf(),
             dst_path: dst_path.to_path_buf(),
             src_permissions,
-            grid: ChunkGrid::new(size, chunk_size, progress, abort),
-        }))
+        };
+        Ok(ChunkGrid::new(
+            task_id,
+            size,
+            chunk_size,
+            progress,
+            abort,
+            Box::new(copy),
+        ))
     }
 }
 
-impl TransferPlan for ChunkedCopy {
-    fn task_id(&self) -> u64 {
-        self.task_id
+impl RangeMover for ChunkedCopy {
+    fn move_range(&self, grid: &ChunkGrid, offset: u64, len: u64) -> Result<(), EngineError> {
+        copy_range(&self.src, &self.dst, offset, len, grid.progress())?;
+        Ok(())
     }
 
-    fn extra_units(&self) -> u64 {
-        self.grid.extra_units()
-    }
-
-    fn run_unit(&self) -> bool {
-        if let Some((offset, len)) = self.grid.claim() {
-            let _guard = self.grid.enter();
-            if let Err(e) = copy_range(&self.src, &self.dst, offset, len, self.grid.progress()) {
-                self.grid.fail(map_io(e));
-            }
-        }
-        self.grid.complete_unit()
-    }
-
-    fn abort_unit(&self, reason: &str) -> bool {
-        self.grid.fail((ErrorCode::SystemError, reason.to_string()));
-        self.grid.complete_unit()
-    }
-
-    /// Terminal bookkeeping, run exactly once by the last unit: on
-    /// success propagate permissions and (for `Move`) unlink the
+    /// On success propagate permissions and (for `Move`) unlink the
     /// source.
-    fn finalize(&self) -> PlanOutcome {
-        if let Some(outcome) = self.grid.take_failure_outcome() {
+    fn finish(&self, landed: bool) -> Result<(), EngineError> {
+        if !landed {
             // Don't leave the preallocated destination behind: it has
             // the full logical size, so a consumer checking existence
             // or length would mistake zero-filled holes for staged
             // data. (All units have completed — no concurrent writer.)
             let _ = fs::remove_file(&self.dst_path);
-            return outcome;
+            return Ok(());
         }
         let _ = self.dst.set_permissions(self.src_permissions.clone());
         if self.op == TaskOp::Move {
-            if let Err(e) = fs::remove_file(&self.src_path) {
-                let (code, message) = map_io(e);
-                return PlanOutcome::Failed(code, message);
-            }
+            fs::remove_file(&self.src_path)?;
         }
-        PlanOutcome::Done(self.grid.progress().load(Ordering::Relaxed))
-    }
-
-    fn elapsed_usec(&self) -> u64 {
-        self.grid.elapsed_usec()
-    }
-
-    fn peak_workers(&self) -> u64 {
-        self.grid.peak_workers()
+        Ok(())
     }
 }
 
@@ -591,9 +560,9 @@ mod tests {
         assert!(!plan.abort_unit("shutdown"));
         assert!(plan.run_unit(), "remaining unit completes the grid");
         match plan.finalize() {
-            PlanOutcome::Failed(code, msg) => {
-                assert_eq!(code, ErrorCode::SystemError);
-                assert!(msg.contains("shutdown"));
+            PlanOutcome::Failed(e) => {
+                assert_eq!(e.code, ErrorCode::SystemError);
+                assert!(e.message.contains("shutdown"));
             }
             _ => panic!("aborted copy must finalize Failed"),
         }

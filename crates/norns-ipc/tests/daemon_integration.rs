@@ -1,6 +1,7 @@
 //! Integration tests against a live daemon over real sockets.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, UserClient};
 use norns_proto::{
@@ -327,18 +328,182 @@ fn concurrent_clients_hammer_ping() {
     assert!(ctl.status().is_ok());
 }
 
-#[test]
-fn wait_with_timeout_returns_inflight_state() {
-    let (daemon, root) = start("timeout");
+/// A one-worker daemon whose worker is pinned for as long as the
+/// returned listener lives: the blocker task pulls from a peer that
+/// accepts (in the kernel's backlog) and never answers. Nothing
+/// submitted behind it runs, so bounded waits on it deterministically
+/// expire; dropping the listener resets the pull and frees the worker.
+fn pinned(tag: &str) -> (UrdDaemon, CtlClient, u64, std::net::TcpListener) {
+    let root = temp_root(tag);
+    let mut config = DaemonConfig::in_dir(root.join("sockets"));
+    config.workers = 1;
+    let daemon = UrdDaemon::spawn(config).unwrap();
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
-    // Query an unknown task: clean remote error.
-    match ctl.wait(4242, 1000) {
-        Err(norns_ipc::ClientError::Remote { code, .. }) => {
-            assert_eq!(code, ErrorCode::NotFound)
-        }
-        other => panic!("expected NotFound, got {other:?}"),
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    ctl.register_peer("silent", &silent.local_addr().unwrap().to_string())
+        .unwrap();
+    let pull = TaskSpec::new(
+        TaskOp::Copy,
+        ResourceDesc::RemotePath {
+            host: "silent".into(),
+            nsid: "tmp0".into(),
+            path: "never".into(),
+        },
+        Some(ResourceDesc::PosixPath {
+            nsid: "tmp0".into(),
+            path: "never".into(),
+        }),
+    );
+    let blocker = ctl.submit(1, pull, None).unwrap();
+    (daemon, ctl, blocker, silent)
+}
+
+fn remote_code<T: std::fmt::Debug>(r: norns_ipc::ClientResult<T>) -> ErrorCode {
+    match r {
+        Err(norns_ipc::ClientError::Remote { code, .. }) => code,
+        other => panic!("expected a remote error, got {other:?}"),
     }
+}
+
+/// The wire's deadline semantics, kept by the reactor's own epoll
+/// timeout: an expired `WaitTask` answers with the in-flight snapshot,
+/// an expired `WaitAny` with `Timeout`, neither earlier than asked.
+#[test]
+fn wait_with_timeout_returns_inflight_state() {
+    let (daemon, mut ctl, blocker, _silent) = pinned("timeout");
+    let bound = Duration::from_millis(40);
+    let start = Instant::now();
+    let stats = ctl.wait(blocker, bound.as_micros() as u64).unwrap();
+    assert!(!stats.state.is_terminal(), "in-flight snapshot: {stats:?}");
+    assert!(
+        start.elapsed() >= bound,
+        "fired after {:?}",
+        start.elapsed()
+    );
+    let start = Instant::now();
+    let expired = ctl.wait_any(&[blocker], bound.as_micros() as u64);
+    assert_eq!(remote_code(expired), ErrorCode::Timeout);
+    assert!(
+        start.elapsed() >= bound,
+        "fired after {:?}",
+        start.elapsed()
+    );
+    // An unknown task is a clean remote error, bounded or not.
+    assert_eq!(remote_code(ctl.wait(4242, 1000)), ErrorCode::NotFound);
+    assert_eq!(daemon.engine().parked_waits(), 0);
+}
+
+/// Each reactor keeps the deadlines of its own connections: waits
+/// issued latest-deadline-first over connections that alternate
+/// between the two reactors still fire in deadline order.
+#[test]
+fn staggered_deadlines_on_different_reactors_fire_in_order() {
+    let (daemon, _ctl, blocker, _silent) = pinned("stagger");
+    let mut conns: Vec<CtlClient> = (0..4)
+        .map(|_| CtlClient::connect(&daemon.control_path).unwrap())
+        .collect();
+    let bounds: Vec<Duration> = (0..4)
+        .map(|i| Duration::from_millis(50 * (4 - i)))
+        .collect();
+    let start = Instant::now();
+    for (conn, bound) in conns.iter_mut().zip(&bounds) {
+        conn.issue_wait(blocker, bound.as_micros() as u64).unwrap();
+    }
+    let mut fired = Vec::new();
+    while fired.len() < conns.len() {
+        for (i, conn) in conns.iter_mut().enumerate() {
+            for (_, response) in conn.try_drain().unwrap() {
+                let stats = norns_ipc::client::expect_stats(response).unwrap();
+                assert!(!stats.state.is_terminal());
+                assert!(start.elapsed() >= bounds[i], "wait {i} fired early");
+                fired.push(i);
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(fired, [3, 2, 1, 0]);
+}
+
+/// Completions racing deadlines: payload sizes and bounds are swept so
+/// the task finishes on either side of its wait's expiry. Whichever
+/// wins, every tag gets exactly one response (the client's demux
+/// rejects a second) and nothing stays parked.
+#[test]
+fn completion_racing_a_deadline_answers_each_tag_once() {
+    let (daemon, root) = start("deadline-race");
+    let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
+    setup_dataspace(&mut ctl, &root);
+    let (mut finished, mut expired) = (0, 0);
+    for i in 0..300u64 {
+        let payload = vec![i as u8; (i % 8) as usize * (256 << 10)];
+        let spec = TaskSpec::new(
+            TaskOp::Copy,
+            ResourceDesc::MemoryRegion {
+                addr: 0,
+                size: payload.len() as u64,
+            },
+            Some(ResourceDesc::PosixPath {
+                nsid: "tmp0".into(),
+                path: format!("race{}", i % 4),
+            }),
+        );
+        let task = ctl.submit(1, spec, Some(&payload)).unwrap();
+        let bound = 1 + (i % 3) * 1000;
+        let done = if i % 2 == 0 {
+            ctl.wait(task, bound).unwrap().state.is_terminal()
+        } else {
+            match ctl.wait_any(&[task], bound) {
+                Ok((id, stats)) => id == task && stats.state.is_terminal(),
+                expired => {
+                    assert_eq!(remote_code(expired), ErrorCode::Timeout);
+                    false
+                }
+            }
+        };
+        if done {
+            finished += 1;
+        } else {
+            expired += 1;
+        }
+        assert_eq!(ctl.wait(task, 0).unwrap().state, TaskState::Finished);
+    }
+    assert!(
+        ctl.try_drain().unwrap().is_empty(),
+        "a tag was answered twice"
+    );
+    assert_eq!(daemon.engine().parked_waits(), 0);
+    eprintln!("deadline race: {finished} finished first, {expired} expired first");
+}
+
+/// A connection that closes with deadlines armed takes its waits with
+/// it; when the deadlines later come due on the reactor they find
+/// nothing to expire, and the reactor keeps serving.
+#[test]
+fn closing_a_connection_disarms_its_deadlines() {
+    let (daemon, mut ctl, blocker, _silent) = pinned("disarm");
+    let engine = daemon.engine();
+    let bound = Duration::from_millis(300);
+    let mut doomed = CtlClient::connect(&daemon.control_path).unwrap();
+    let armed = Instant::now();
+    for _ in 0..3 {
+        doomed
+            .issue_wait(blocker, bound.as_micros() as u64)
+            .unwrap();
+    }
+    let settle = |want: usize| {
+        while engine.parked_waits() != want {
+            assert!(armed.elapsed() < bound, "parked_waits never reached {want}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    settle(3);
+    drop(doomed);
+    settle(0);
+    std::thread::sleep(bound);
+    ctl.ping().unwrap();
+    assert_eq!(engine.parked_waits(), 0);
+    assert_eq!(ctl.status().unwrap().open_connections, 1);
 }
 
 /// A blocking verb is the pipelined call at depth 1, so it can run

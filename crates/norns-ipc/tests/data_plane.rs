@@ -187,7 +187,7 @@ fn concurrent_wait_and_cancel_storm_on_sharded_table() {
                     if i % 3 == 0 {
                         match engine.cancel(id, Some(t as u64)) {
                             Ok(()) => cancelled += 1,
-                            Err((ErrorCode::TaskError, _)) => {} // already running/done
+                            Err(e) if e.code == ErrorCode::TaskError => {} // already running/done
                             Err(other) => panic!("unexpected cancel error: {other:?}"),
                         }
                     }
@@ -229,15 +229,10 @@ fn cross_submitter_cancel_rejected_under_stress() {
         )
     };
     let id = engine.submit(1, spec(), Some(vec![0u8; 1 << 20])).unwrap();
-    match engine.cancel(id, Some(2)) {
-        Err((ErrorCode::PermissionDenied, _)) => {}
-        Err((ErrorCode::TaskError, _)) => {
-            // Ownership is checked first; TaskError would mean the
-            // check was skipped.
-            panic!("ownership must be checked before the pending lookup")
-        }
-        other => panic!("unexpected: {other:?}"),
-    }
+    // Ownership is checked first; TaskError would mean the check was
+    // skipped in favour of the pending lookup.
+    let refused = engine.cancel(id, Some(2)).expect_err("not the owner");
+    assert_eq!(refused.code, ErrorCode::PermissionDenied, "{refused}");
     engine.wait(id, 0).unwrap();
     engine.shutdown();
 }

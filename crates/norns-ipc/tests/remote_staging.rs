@@ -4,12 +4,14 @@
 //! cancel, and proper failures for unknown/unreachable peers and
 //! escaping remote paths.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, MIN_CHUNK_SIZE};
 use norns_proto::{
-    BackendKind, DataspaceDesc, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
+    encode_frame, BackendKind, DataRequest, DataResponse, DataspaceDesc, ErrorCode, FrameReader,
+    ResourceDesc, TaskOp, TaskSpec, TaskState, Wire, MAX_DATA_RANGE,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -644,4 +646,89 @@ fn unsupported_remote_combinations_are_rejected() {
         ),
         "memory to remote",
     );
+}
+
+/// The data-plane server, spoken to in raw `DataRequest` frames the way
+/// a peer daemon would: every refusal is an `Error` *response* with a
+/// pinned code — the connection stays open behind each — and the two
+/// lenient cases (`Discard` of nothing, `Fetch` past EOF) stay lenient.
+#[test]
+fn data_plane_server_refusals_carry_pinned_codes() {
+    let root = temp_root("raw-server");
+    let config = DaemonConfig::in_dir(root.join("nodea/sockets"));
+    let (daemon, _ctl, mount) = start_node(&root, "nodea", config);
+    std::fs::create_dir_all(mount.join("dir")).unwrap();
+    std::fs::write(mount.join("file"), b"0123456789").unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.data_addr().unwrap()).unwrap();
+    let mut reader = FrameReader::new();
+    let mut call = |body: &[u8]| {
+        stream.write_all(&encode_frame(body)).unwrap();
+        loop {
+            if let Some(mut frame) = reader.next_frame().unwrap() {
+                return (DataResponse::decode(&mut frame).unwrap(), frame);
+            }
+            assert!(reader.read_from(&mut stream).unwrap() > 0, "server hung up");
+        }
+    };
+    let ds = || "nodea-ds".to_string();
+    let stat = |nsid: &str, path: &str| {
+        let (nsid, path) = (nsid.into(), path.into());
+        DataRequest::Stat { nsid, path }.to_bytes().to_vec()
+    };
+    let discard = |path: &str| {
+        let (nsid, path) = (ds(), path.into());
+        DataRequest::Discard { nsid, path }.to_bytes().to_vec()
+    };
+    let fetch = |offset, len| {
+        let (nsid, path) = (ds(), "file".into());
+        let fetch = DataRequest::Fetch {
+            nsid,
+            path,
+            offset,
+            len,
+        };
+        fetch.to_bytes().to_vec()
+    };
+    let (nsid, path) = (ds(), "big".into());
+    let offset = 0;
+    let mut store_over_cap = DataRequest::Store { nsid, path, offset }
+        .to_bytes()
+        .to_vec();
+    store_over_cap.resize(store_over_cap.len() + MAX_DATA_RANGE as usize + 1, 0);
+    for (what, body, want) in [
+        (
+            "fetch over cap",
+            fetch(0, MAX_DATA_RANGE + 1),
+            ErrorCode::BadArgs,
+        ),
+        ("store over cap", store_over_cap, ErrorCode::BadArgs),
+        (
+            "stat of a directory",
+            stat("nodea-ds", "dir"),
+            ErrorCode::BadArgs,
+        ),
+        (
+            "unknown dataspace",
+            stat("nowhere", "file"),
+            ErrorCode::NotFound,
+        ),
+        (
+            "path escape",
+            discard("../escape"),
+            ErrorCode::PermissionDenied,
+        ),
+        ("undecodable request", vec![0xff; 9], ErrorCode::BadArgs),
+    ] {
+        match call(&body).0 {
+            DataResponse::Error { code, .. } => assert_eq!(code, want, "{what}"),
+            other => panic!("{what}: expected a refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(call(&discard("ghost")).0, DataResponse::Ok);
+    for (offset, tail) in [(4, &b"456789"[..]), (64, &b""[..])] {
+        let (response, payload) = call(&fetch(offset, 100));
+        assert_eq!(response, DataResponse::Data);
+        assert_eq!(&payload[..], tail, "fetch at {offset} is cut short at EOF");
+    }
+    assert!(!mount.join("big").exists(), "a refused store wrote nothing");
 }

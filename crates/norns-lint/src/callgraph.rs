@@ -6,7 +6,9 @@
 //! off. While a body is open, the walker records call sites, direct
 //! blocking-denylist hits, lock acquisitions (receiver ends in a
 //! collected lock name), and panic sites (`unwrap`/`expect`,
-//! `panic!`-family macros, single-token slice indexes). Closures
+//! `panic!`-family macros, single-token slice indexes, and bare
+//! `thread::spawn`, which panics when the OS refuses a thread where
+//! `thread::Builder::spawn` returns the error). Closures
 //! passed to `spawn` run on another thread, so their bodies are
 //! excluded from the enclosing function's record.
 //!
@@ -148,7 +150,8 @@ pub struct FnDef {
     /// Direct lock acquisitions: (lock name, line).
     pub locks: Vec<(String, u32)>,
     /// Direct panic sites: (kind, line) with kind one of `unwrap`,
-    /// `expect`, `panic!`, `unreachable!`, …, `slice-index`.
+    /// `expect`, `panic!`, `unreachable!`, …, `slice-index`,
+    /// `thread::spawn`.
     pub panics: Vec<(String, u32)>,
 }
 
@@ -800,6 +803,9 @@ fn index_file(
                             }
                         }
                         let is_spawn = w == "spawn";
+                        if is_spawn && matches!(&recv, Recv::Path(q) if q == "thread") {
+                            fns[fi].panics.push(("thread::spawn".into(), line));
+                        }
                         fns[fi].calls.push(CallSite {
                             name: w.clone(),
                             line,

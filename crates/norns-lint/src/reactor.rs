@@ -10,10 +10,11 @@
 //!   the call it excuses) and carrying the shortest call chain from an
 //!   entry point.
 //! * **panic-path** — any `unwrap`/`expect`/`panic!`-family/
-//!   single-token slice index inside the configured panic scope
-//!   (norns-ipc sources) is a finding: a panic on a reactor thread
-//!   takes every connection on that reactor down with it. Refactor to
-//!   an error return, or waive with a reason.
+//!   single-token slice index/bare `thread::spawn` inside the
+//!   configured panic scope (norns-ipc sources) is a finding: a panic
+//!   on a reactor thread takes every connection on that reactor down
+//!   with it. Refactor to an error return (`thread::Builder::spawn`
+//!   for the last), or waive with a reason.
 //!
 //! Closures passed to `spawn` are excluded by construction (the
 //! indexer skips them), so work handed off to another thread does not

@@ -220,8 +220,8 @@ fn transitive_panic_path_is_flagged_with_chain() {
     );
     assert_eq!(
         rules(&report),
-        vec![Rule::PanicPath; 2],
-        "unwrap and slice-index must both fire: {:?}",
+        vec![Rule::PanicPath; 3],
+        "unwrap, slice-index and bare thread::spawn must all fire: {:?}",
         report.findings
     );
     for f in report.unsuppressed() {

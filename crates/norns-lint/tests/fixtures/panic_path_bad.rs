@@ -12,5 +12,8 @@ fn handle(frames: &[u64]) {
 fn parse(frames: &[u64]) -> u64 {
     let head = frames.first().copied().unwrap();
     let tail = frames[0];
+    // Panics when the OS is out of threads — exactly when a connection
+    // storm makes the reactor want one.
+    std::thread::spawn(move || drop(tail));
     head + tail
 }

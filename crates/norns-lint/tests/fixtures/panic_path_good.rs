@@ -14,7 +14,10 @@ fn handle(frames: &[u64]) -> Option<u64> {
 }
 
 fn parse(frames: &[u64]) -> Option<u64> {
-    frames.first().copied()
+    let head = frames.first().copied()?;
+    // A refused thread is an error value here, not a panic.
+    std::thread::Builder::new().spawn(move || drop(head)).ok()?;
+    Some(head)
 }
 
 fn off_reactor_helper(frames: &[u64]) -> u64 {

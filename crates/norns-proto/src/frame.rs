@@ -11,7 +11,8 @@
 //! `len` is little-endian and counts the version byte plus payload.
 //! [`FrameReader`] is an incremental decoder that accepts arbitrary
 //! chunk boundaries (short reads, coalesced frames) — required because
-//! the daemon's accept loop reads whatever the kernel buffered.
+//! every reader ([`FrameReader::read_from`]) takes whatever the kernel
+//! buffered.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -125,10 +126,16 @@ impl From<WireError> for FrameError {
     }
 }
 
+/// Bytes one [`FrameReader::read_from`] call asks the source for.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Incremental frame decoder.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: BytesMut,
+    /// Landing area for [`FrameReader::read_from`], allocated on first
+    /// use and kept: a socket read costs no per-call zeroing.
+    scratch: Vec<u8>,
 }
 
 impl FrameReader {
@@ -139,6 +146,16 @@ impl FrameReader {
     /// Feed freshly read bytes.
     pub fn extend(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
+    }
+
+    /// One `read` from `src`, appended to the buffered bytes. Returns
+    /// the count (`0` is end of stream); errors, `WouldBlock` and
+    /// `Interrupted` included, pass through untouched.
+    pub fn read_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        self.scratch.resize(READ_CHUNK, 0);
+        let n = src.read(&mut self.scratch)?;
+        self.buf.extend_from_slice(&self.scratch[..n]);
+        Ok(n)
     }
 
     /// Bytes currently buffered but not yet consumed.
@@ -222,6 +239,18 @@ mod tests {
         assert_eq!(&reader.next_frame().unwrap().unwrap()[..], b"three");
         assert_eq!(reader.next_frame().unwrap(), None);
         assert_eq!(reader.buffered(), 0);
+    }
+
+    #[test]
+    fn read_from_appends_what_the_source_gave() {
+        let framed = encode_frame(b"from a socket");
+        let (mut head, mut tail) = framed.split_at(3);
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.read_from(&mut head).unwrap(), 3);
+        assert_eq!(reader.next_frame().unwrap(), None);
+        assert_eq!(reader.read_from(&mut tail).unwrap(), framed.len() - 3);
+        assert_eq!(&reader.next_frame().unwrap().unwrap()[..], b"from a socket");
+        assert_eq!(reader.read_from(&mut tail).unwrap(), 0, "end of stream");
     }
 
     #[test]

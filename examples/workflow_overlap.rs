@@ -50,10 +50,7 @@ fn main() {
     fs::write(root.join("node0/ds/in.dat"), b"alpha input").unwrap();
     fs::write(root.join("node1/ds/in.dat"), b"beta input").unwrap();
 
-    let mut exec = WorkflowExecutor::new(FlowConfig {
-        heartbeat: Duration::from_millis(10),
-        ..FlowConfig::default()
-    });
+    let mut exec = WorkflowExecutor::new(FlowConfig::default());
     exec.add_node(NodeSpec {
         name: "node0".into(),
         control_path: daemon_a.control_path.clone(),
