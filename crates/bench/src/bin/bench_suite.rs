@@ -1,5 +1,6 @@
-//! The canonical perf suite: five scenarios, five `BENCH_*.json`
-//! files at the repo root.
+//! The canonical perf suite: the one binary in this crate that drives
+//! live daemons and engines, and the one writer of the five
+//! `BENCH_*.json` files at the repo root.
 //!
 //! ```text
 //! cargo run --release --bin bench_suite            # full run
@@ -7,20 +8,28 @@
 //! cargo run --release --bin bench_suite -- --check      # validate files only
 //! ```
 //!
-//! Scenarios (one output file each, schema in `norns_bench::json`):
+//! One output file per family (schema in `norns_bench::json`); a run
+//! writes every file whole:
 //!
 //! 1. **control** — control-plane ops/sec against a live urd daemon
 //!    over its AF_UNIX socket: single-client round-trips (ping and
-//!    status) plus a concurrent sweep of client counts × wire-v7
-//!    pipeline depths. Depth 1 *is* the pre-v7 one-outstanding
-//!    discipline, so every run carries its own baseline; the suite
-//!    fails unless pipelined depth ≥ 8 beats it at 64+ clients.
-//! 2. **local** — chunked same-daemon copy bandwidth (no network).
+//!    status), a concurrent sweep of client counts × wire-v7 pipeline
+//!    depths, and the paper's Fig. 4 submit hammer (1–32 processes).
+//!    Depth 1 *is* the pre-v7 one-outstanding discipline, so every run
+//!    carries its own baseline; the suite fails unless pipelined
+//!    depth ≥ 8 beats it at 64+ clients.
+//! 2. **local** — the no-network data plane: same-daemon copy
+//!    bandwidth; the chunk size × workers sweep against a monolithic
+//!    `fs::copy` (fails unless one large copy used > 1 worker and
+//!    `query()` saw partial `bytes_moved`); the four arbitration
+//!    policies on a skewed real-file mix.
 //! 3. **remote** — loopback push + pull bandwidth across data-plane
-//!    window sizes. Window 1 *is* the old stop-and-wait protocol, so
-//!    every run carries its own baseline; the suite fails if the
-//!    windowed (≥4) data plane is not strictly faster than that
-//!    same-run baseline in both directions.
+//!    window sizes and across chunk sizes. Window 1 *is* the old
+//!    stop-and-wait protocol, so every run carries its own baseline;
+//!    the suite fails if the windowed (≥4) data plane is not strictly
+//!    faster than it in both directions. The chunk sweep polls
+//!    `query()` and fails unless it saw live progress; every transfer
+//!    is compared byte for byte.
 //! 4. **flow** — end-to-end makespan of a two-job `#NORNS` workflow
 //!    (remote pull, compute, remote push, dependent local staging)
 //!    driven by the norns-flow executor against two live daemons.
@@ -31,9 +40,8 @@
 //!    unless it ACKs faster than `synchronous` in the same run.
 //!
 //! `--check` reloads the five files, validates their schema, and
-//! re-asserts the remote, control and replication regression gates
-//! from the recorded rows — CI runs the suite in quick mode and then
-//! this mode.
+//! re-asserts the gates from the recorded rows — CI runs the suite in
+//! quick mode and then this mode.
 
 use std::fs;
 use std::path::Path;
@@ -41,39 +49,72 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use norns_bench::json::{self, BenchDoc, Json};
-use norns_bench::{gibps, quick_mode, Report};
+use norns_bench::{gibps, quick_mode, Summary};
 use norns_flow::{FlowConfig, FlowJobState, JobBody, NodeSpec, WorkflowExecutor};
-use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon};
+use norns_ipc::{
+    ClientError, CtlClient, DaemonConfig, Engine, EngineConfig, IpcPolicy, PolicyKind, UrdDaemon,
+};
 use norns_proto::{
-    BackendKind, DataspaceDesc, Durability, ResourceDesc, TaskOp, TaskSpec, TaskState,
-    DEFAULT_PRIORITY,
+    BackendKind, DaemonCommand, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp,
+    TaskSpec, TaskState, TaskStats, DEFAULT_PRIORITY,
 };
 
 const MIB: u64 = 1 << 20;
+const GIB: f64 = (1u64 << 30) as f64;
 const SOURCE: &str = "bench_suite";
 
-/// Window sizes swept by the remote scenario; 1 is the stop-and-wait
-/// baseline, the rest exercise the pipelined data plane.
-fn windows() -> &'static [usize] {
-    if quick_mode() {
-        &[1, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 16]
+// --- fixtures shared by every scenario -------------------------------
+
+fn dataspace(nsid: &str, kind: BackendKind, mount: &Path) -> DataspaceDesc {
+    DataspaceDesc {
+        nsid: nsid.into(),
+        kind,
+        mount: mount.to_string_lossy().into_owned(),
+        quota: 0,
+        tracked: false,
     }
 }
 
+/// A live daemon under `root/<name>` with one POSIX dataspace
+/// `<name>-ds` mounted at `root/<name>/ds`.
 fn spawn_node(root: &Path, name: &str, config: DaemonConfig) -> (UrdDaemon, CtlClient) {
     let daemon = UrdDaemon::spawn(config).unwrap();
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
-    ctl.register_dataspace(DataspaceDesc {
-        nsid: format!("{name}-ds"),
-        kind: BackendKind::PosixFilesystem,
-        mount: root.join(name).join("ds").to_string_lossy().into_owned(),
-        quota: 0,
-        tracked: false,
-    })
+    ctl.register_dataspace(dataspace(
+        &format!("{name}-ds"),
+        BackendKind::PosixFilesystem,
+        &root.join(name).join("ds"),
+    ))
     .unwrap();
     (daemon, ctl)
+}
+
+/// `nodea` and `nodeb` under `root`, data planes on loopback, peer
+/// registries cross-wired. `tune` finishes each node's config.
+fn spawn_pair(
+    root: &Path,
+    tune: impl Fn(DaemonConfig) -> DaemonConfig,
+) -> [(UrdDaemon, CtlClient); 2] {
+    let mut nodes = ["nodea", "nodeb"].map(|name| {
+        let config = DaemonConfig::in_dir(root.join(name).join("sockets"));
+        spawn_node(root, name, tune(config.with_data_addr("127.0.0.1:0")))
+    });
+    let addr = |node: &(UrdDaemon, CtlClient)| node.0.data_addr().unwrap().to_string();
+    let (addr_a, addr_b) = (addr(&nodes[0]), addr(&nodes[1]));
+    nodes[0].1.register_peer("nodeb", &addr_b).unwrap();
+    nodes[1].1.register_peer("nodea", &addr_a).unwrap();
+    nodes
+}
+
+/// An in-process engine (no sockets) with dataspace `tmp0` at `mount`
+/// — for the scenarios that read engine-side counters the wire does
+/// not carry.
+fn engine_on(mount: &Path, config: EngineConfig, policy: IpcPolicy) -> Arc<Engine> {
+    let engine = Engine::with_config(config, policy);
+    engine
+        .register_dataspace(dataspace("tmp0", BackendKind::PosixFilesystem, mount))
+        .unwrap();
+    engine
 }
 
 fn copy_spec(input: ResourceDesc, output: ResourceDesc) -> TaskSpec {
@@ -101,6 +142,15 @@ fn remote(host: &str, nsid: &str, path: &str) -> ResourceDesc {
     }
 }
 
+fn patterned(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// Smallest of `reps` timings.
+fn best_of(reps: usize, mut run: impl FnMut() -> f64) -> f64 {
+    (0..reps).map(|_| run()).fold(f64::MAX, f64::min)
+}
+
 /// Submit one transfer and block in the wire's WaitTask until it
 /// finishes; returns elapsed seconds.
 fn timed_copy(ctl: &mut CtlClient, spec: TaskSpec, size: u64) -> f64 {
@@ -112,8 +162,31 @@ fn timed_copy(ctl: &mut CtlClient, spec: TaskSpec, size: u64) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn patterned(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i % 251) as u8).collect()
+/// Poll `query` until the task is terminal — live progress is part of
+/// the data plane's contract (the paper's `NORNS_EPENDING` polling).
+/// Asserts it finished with `size` bytes; returns whether a partial
+/// `bytes_moved` was seen on the way.
+fn poll_to_finish(size: u64, mut query: impl FnMut() -> TaskStats) -> bool {
+    let mut partial = false;
+    loop {
+        let stats = query();
+        if stats.state.is_terminal() {
+            assert_eq!(stats.state, TaskState::Finished, "transfer failed");
+            assert_eq!(stats.bytes_moved, size, "byte count");
+            return partial;
+        }
+        partial |= stats.bytes_moved > 0 && stats.bytes_moved < size;
+        std::thread::yield_now();
+    }
+}
+
+/// [`timed_copy`], polling instead of waiting: (seconds, saw partial
+/// progress).
+fn polled_copy(ctl: &mut CtlClient, spec: TaskSpec, size: u64) -> (f64, bool) {
+    let start = Instant::now();
+    let id = ctl.submit(1, spec, None).unwrap();
+    let partial = poll_to_finish(size, || ctl.query(id).unwrap());
+    (start.elapsed().as_secs_f64(), partial)
 }
 
 // --- scenario 1: control-plane ops/sec ------------------------------
@@ -219,6 +292,58 @@ fn measure_ops(ctl: &mut CtlClient, ops: u64, mut f: impl FnMut(&mut CtlClient))
     start.elapsed().as_secs_f64()
 }
 
+/// The paper's Fig. 4 load: `procs` client threads each submit
+/// `per_process` consecutive tasks over their own control connection.
+/// The timed span is what the paper measures — process the request,
+/// create a task descriptor, queue it, respond. Returns (requests/s,
+/// mean latency µs, worst per-thread p99 µs).
+fn submit_hammer(control_path: &Path, procs: usize, per_process: u64) -> (f64, f64, f64) {
+    // The task itself is a cheap removal of a missing path.
+    let spec = TaskSpec::new(TaskOp::Remove, posix("ctrl-ds", "nonexistent"), None);
+    let start = Instant::now();
+    let handles: Vec<_> = (0..procs)
+        .map(|_| {
+            let path = control_path.to_path_buf();
+            let spec = spec.clone();
+            std::thread::spawn(move || {
+                let mut client = CtlClient::connect(&path).expect("client connect");
+                let mut latencies = Vec::with_capacity(per_process as usize);
+                for _ in 0..per_process {
+                    let t0 = Instant::now();
+                    // The bounded queue may push back under this
+                    // hammering load: EAGAIN-style retry.
+                    loop {
+                        match client.submit(0, spec.clone(), None) {
+                            Ok(_) => break,
+                            Err(ClientError::Remote {
+                                code: ErrorCode::Busy,
+                                ..
+                            }) => std::thread::yield_now(),
+                            Err(e) => panic!("submit: {e}"),
+                        }
+                    }
+                    latencies.push(t0.elapsed().as_nanos() as u64);
+                }
+                latencies.sort_unstable();
+                let p99 = latencies[(latencies.len() as f64 * 0.99) as usize];
+                (latencies.iter().sum::<u64>(), p99)
+            })
+        })
+        .collect();
+    let (mut sum_ns, mut p99_ns) = (0u64, 0u64);
+    for h in handles {
+        let (sum, p99) = h.join().expect("client thread");
+        sum_ns += sum;
+        p99_ns = p99_ns.max(p99);
+    }
+    let total = per_process * procs as u64;
+    (
+        total as f64 / start.elapsed().as_secs_f64(),
+        sum_ns as f64 / total as f64 / 1e3,
+        p99_ns as f64 / 1e3,
+    )
+}
+
 fn bench_control(root: &Path) -> BenchDoc {
     let ops = if quick_mode() { 2_000u64 } else { 20_000 };
     let (daemon, mut ctl) = spawn_node(
@@ -229,11 +354,6 @@ fn bench_control(root: &Path) -> BenchDoc {
     let ctl_path = daemon.control_path.clone();
 
     let mut doc = BenchDoc::new("control");
-    let mut report = Report::new(
-        "bench_control",
-        "control-plane round-trips over AF_UNIX",
-        ["op", "ops_per_s", "mean_usec"],
-    );
     let timings = [
         ("ping", measure_ops(&mut ctl, ops, |c| c.ping().unwrap())),
         (
@@ -244,19 +364,13 @@ fn bench_control(root: &Path) -> BenchDoc {
         ),
     ];
     for (op, secs) in timings {
-        let rate = ops as f64 / secs;
-        report.row([
-            op.to_string(),
-            format!("{rate:.0}"),
-            format!("{:.1}", secs * 1e6 / ops as f64),
-        ]);
         doc.row(
             SOURCE,
             vec![
                 ("scenario", Json::str("control_roundtrip")),
                 ("op", Json::str(op)),
                 ("ops", Json::num(ops as f64)),
-                ("ops_per_s", Json::num(rate)),
+                ("ops_per_s", Json::num(ops as f64 / secs)),
                 ("mean_usec", Json::num(secs * 1e6 / ops as f64)),
             ],
         );
@@ -264,17 +378,11 @@ fn bench_control(root: &Path) -> BenchDoc {
     doc.note(format!(
         "{ops} sequential round-trips per op against one live daemon, single client"
     ));
-    report.print();
 
     // Concurrent storm: clients × pipeline depth over the same daemon.
     raise_nofile();
     let (client_counts, depths) = control_sweep();
     let total_target = if quick_mode() { 8_000usize } else { 40_000 };
-    let mut sweep_report = Report::new(
-        "bench_control_concurrent",
-        "concurrent clients x wire-v7 pipeline depth (ping ops/sec; depth 1 = baseline)",
-        ["clients", "depth", "ops", "ops_per_s"],
-    );
     // (clients, depth, ops/s)
     let mut sweep: Vec<(usize, usize, f64)> = Vec::new();
     for &clients in client_counts {
@@ -282,12 +390,6 @@ fn bench_control(root: &Path) -> BenchDoc {
             let per_client = (total_target / clients).clamp(depth * 2, 20_000);
             let (total, rate) = measure_concurrent(&ctl_path, clients, depth, per_client);
             sweep.push((clients, depth, rate));
-            sweep_report.row([
-                clients.to_string(),
-                depth.to_string(),
-                total.to_string(),
-                format!("{rate:.0}"),
-            ]);
             doc.row(
                 SOURCE,
                 vec![
@@ -321,16 +423,226 @@ fn bench_control(root: &Path) -> BenchDoc {
             best_deep > baseline,
             "at {clients} clients, pipelined depth>=8 ({best_deep:.0} ops/s) did not beat depth 1 ({baseline:.0} ops/s) — pipelining regression"
         );
-        sweep_report.note(format!(
-            "{clients} clients: pipelined best {best_deep:.0} ops/s vs depth-1 baseline {baseline:.0} ops/s"
-        ));
     }
-    doc.note("control_concurrent rows storm one daemon with N pipelined clients; the suite fails unless depth>=8 beats the same-run depth-1 baseline at 64+ clients".to_string());
-    sweep_report.print();
+    doc.note("control_concurrent rows storm one daemon with N pipelined clients (ping ops/sec); the suite fails unless depth>=8 beats the same-run depth-1 baseline at 64+ clients");
+
+    // Fig. 4: blocking submits from 1–32 concurrent processes.
+    let per_process: u64 = if quick_mode() { 5_000 } else { 50_000 };
+    for procs in [1usize, 2, 4, 8, 16, 32] {
+        // Keep the completion table small between sweeps.
+        ctl.send_command(DaemonCommand::ClearCompletions).unwrap();
+        let (rate, mean_us, p99_us) = submit_hammer(&ctl_path, procs, per_process);
+        doc.row(
+            SOURCE,
+            vec![
+                ("scenario", Json::str("fig4_submit")),
+                ("processes", Json::num(procs as f64)),
+                ("requests_per_process", Json::num(per_process as f64)),
+                ("req_per_s", Json::num(rate)),
+                ("mean_latency_us", Json::num(mean_us)),
+                ("p99_latency_us", Json::num(p99_us)),
+            ],
+        );
+    }
+    doc.note("fig4_submit rows are the paper's Fig. 4 load (consecutive blocking task submissions per process over AF_UNIX; the `fig4` binary prints them beside the paper's figures)");
     doc
 }
 
-// --- scenario 2: local chunked copy ---------------------------------
+// --- scenario 2: the local data plane --------------------------------
+
+/// Chunk size × workers sweep on one large file through an in-process
+/// engine, against the monolithic `fs::copy` baseline (one thread, one
+/// syscall loop, no progress — the data plane before chunking).
+/// Bandwidth is hardware-dependent and reported; the two behaviours
+/// the chunked design promises are asserted.
+fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
+    let size = if quick_mode() { 256 * MIB } else { 1024 * MIB };
+    let reps = if quick_mode() { 2 } else { 3 };
+    let mount = root.join("chunk");
+    fs::create_dir_all(&mount).unwrap();
+    fs::write(mount.join("src"), vec![0xc3u8; size as usize]).unwrap();
+
+    let baseline_secs = best_of(reps, || {
+        let _ = fs::remove_file(mount.join("dst"));
+        let start = Instant::now();
+        assert_eq!(
+            fs::copy(mount.join("src"), mount.join("dst")).unwrap(),
+            size
+        );
+        start.elapsed().as_secs_f64()
+    });
+    doc.row(
+        SOURCE,
+        vec![
+            ("scenario", Json::str("chunk_sweep_fs_copy")),
+            ("bytes", Json::num(size as f64)),
+            ("secs", Json::num(baseline_secs)),
+            ("gib_per_s", Json::num(size as f64 / baseline_secs / GIB)),
+        ],
+    );
+
+    let mut multiworker_peak = 0u64;
+    let mut any_partial = false;
+    for workers in [1usize, 2, 4] {
+        for chunk_mib in [1u64, 4, 8, 32] {
+            let (mut peak, mut partial) = (0u64, false);
+            let secs = best_of(reps, || {
+                let config = EngineConfig {
+                    workers,
+                    chunk_size: chunk_mib * MIB,
+                    ..EngineConfig::default()
+                };
+                let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
+                let _ = fs::remove_file(mount.join("dst"));
+                let start = Instant::now();
+                let spec = copy_spec(posix("tmp0", "src"), posix("tmp0", "dst"));
+                let id = engine.submit(1, spec, None).unwrap();
+                partial |= poll_to_finish(size, || engine.query(id).unwrap());
+                let secs = start.elapsed().as_secs_f64();
+                peak = peak.max(engine.peak_chunk_workers());
+                engine.shutdown();
+                secs
+            });
+            if workers > 1 {
+                multiworker_peak = multiworker_peak.max(peak);
+            }
+            any_partial |= partial;
+            doc.row(
+                SOURCE,
+                vec![
+                    ("scenario", Json::str("chunk_sweep")),
+                    ("chunk_mib", Json::num(chunk_mib as f64)),
+                    ("workers", Json::num(workers as f64)),
+                    ("bytes", Json::num(size as f64)),
+                    ("secs", Json::num(secs)),
+                    ("gib_per_s", Json::num(size as f64 / secs / GIB)),
+                    ("speedup_vs_fs_copy", Json::num(baseline_secs / secs)),
+                    ("peak_chunk_workers", Json::num(peak as f64)),
+                    ("partial_progress_seen", Json::Bool(partial)),
+                ],
+            );
+        }
+    }
+    assert!(
+        multiworker_peak > 1,
+        "a single large-file copy must utilize >1 worker (peak {multiworker_peak})"
+    );
+    assert!(
+        any_partial,
+        "query() must observe partial bytes_moved mid-transfer"
+    );
+    doc.note(format!(
+        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, best-of-{reps}, vs a monolithic fs::copy; the suite fails unless a multi-worker copy peaked at >1 chunk worker and query() saw partial bytes_moved",
+        size / MIB
+    ));
+    let _ = fs::remove_dir_all(&mount);
+}
+
+/// The four arbitration policies on a skewed real-file mix (the
+/// simulated twin is `ablation_sched`): job 1 submits a few huge
+/// stage-outs, job 2 floods small transfers behind them, and one
+/// *high-priority* small stage-in arrives last — the case
+/// weighted-priority exists for. Two workers; sojourn = queue wait +
+/// execution as the engine itself measures them.
+fn policy_mix(root: &Path, doc: &mut BenchDoc) {
+    let (big_mb, big_n, small_mb, small_n) = if quick_mode() {
+        (32, 3, 2, 12)
+    } else {
+        (96, 4, 4, 24)
+    };
+    let mount = root.join("policy");
+    fs::create_dir_all(&mount).unwrap();
+    // The engine estimates task size from metadata at submission,
+    // which is what SJF arbitrates on.
+    let fill = |name: String, byte: u8, mb: usize| {
+        fs::write(mount.join(name), vec![byte; mb * MIB as usize]).unwrap()
+    };
+    for i in 0..big_n {
+        fill(format!("big{i}"), 0xb1, big_mb);
+    }
+    for i in 0..small_n {
+        fill(format!("small{i}"), 0x51, small_mb);
+    }
+    fill("urgent".into(), 0x11, small_mb);
+
+    for policy in [
+        PolicyKind::Fcfs,
+        PolicyKind::ShortestFirst,
+        PolicyKind::JobFairShare,
+        PolicyKind::WeightedPriority,
+    ] {
+        let _ = fs::remove_dir_all(mount.join("out"));
+        // Capacity below the task count so the bounded queue genuinely
+        // pushes back and the Busy/retry column carries signal.
+        let config = EngineConfig {
+            workers: 2,
+            queue_capacity: 8,
+            ..EngineConfig::default()
+        };
+        let engine = engine_on(&mount, config, policy.to_policy());
+        let mut busy_rejections = 0u64;
+        let mut submit = |job: u64, name: &str, priority: u8| loop {
+            let spec = copy_spec(posix("tmp0", name), posix("tmp0", &format!("out/{name}")))
+                .with_priority(priority);
+            match engine.submit(job, spec, None) {
+                Ok(id) => break id,
+                Err(e) if e.code == ErrorCode::Busy => {
+                    busy_rejections += 1;
+                    std::thread::yield_now();
+                }
+                Err(e) => panic!("submit failed: {e}"),
+            }
+        };
+        // All submitted as fast as admission allows, so the backlog
+        // forms behind the two workers.
+        let big: Vec<u64> = (0..big_n)
+            .map(|i| submit(1, &format!("big{i}"), DEFAULT_PRIORITY))
+            .collect();
+        let small: Vec<u64> = (0..small_n)
+            .map(|i| submit(2, &format!("small{i}"), DEFAULT_PRIORITY))
+            .collect();
+        let urgent = submit(2, "urgent", 250);
+
+        let finished = |id: u64| {
+            let stats = engine.wait(id, 0).expect("task exists");
+            assert_eq!(stats.state, TaskState::Finished, "task {id}");
+            stats
+        };
+        let sojourn_ms = |s: &TaskStats| (s.wait_usec + s.elapsed_usec) as f64 / 1e3;
+        let mut all_sojourn = Summary::new();
+        let mut small_sojourn = Summary::new();
+        for id in big {
+            all_sojourn.record(sojourn_ms(&finished(id)));
+        }
+        for id in small {
+            let ms = sojourn_ms(&finished(id));
+            all_sojourn.record(ms);
+            small_sojourn.record(ms);
+        }
+        let high = finished(urgent);
+        all_sojourn.record(sojourn_ms(&high));
+        let high_wait_ms = high.wait_usec as f64 / 1e3;
+        engine.shutdown();
+
+        doc.row(
+            SOURCE,
+            vec![
+                ("scenario", Json::str("policy_mix")),
+                ("policy", Json::str(policy.name())),
+                ("mean_sojourn_ms", Json::num(all_sojourn.mean())),
+                ("p95_sojourn_ms", Json::num(all_sojourn.quantile(0.95))),
+                ("small_mean_ms", Json::num(small_sojourn.mean())),
+                ("small_p95_ms", Json::num(small_sojourn.quantile(0.95))),
+                ("high_prio_wait_ms", Json::num(high_wait_ms)),
+                ("busy_rejections", Json::num(busy_rejections as f64)),
+            ],
+        );
+    }
+    doc.note(format!(
+        "policy_mix: {big_n} x {big_mb} MiB (job 1), then {small_n} x {small_mb} MiB + one priority-250 latecomer (job 2) through an in-process engine, 2 workers, queue capacity 8; sjf shrinks the small-task mean, weighted-priority the urgent wait"
+    ));
+    let _ = fs::remove_dir_all(&mount);
+}
 
 fn bench_local(root: &Path) -> BenchDoc {
     let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
@@ -343,15 +655,14 @@ fn bench_local(root: &Path) -> BenchDoc {
     let payload = patterned(size as usize);
     fs::write(root.join("local/ds/src.dat"), &payload).unwrap();
 
-    let mut best = f64::MAX;
-    for _ in 0..reps {
+    let best = best_of(reps, || {
         let _ = fs::remove_file(root.join("local/ds/dst.dat"));
-        best = best.min(timed_copy(
+        timed_copy(
             &mut ctl,
             copy_spec(posix("local-ds", "src.dat"), posix("local-ds", "dst.dat")),
             size,
-        ));
-    }
+        )
+    });
     assert_eq!(
         fs::read(root.join("local/ds/dst.dat")).unwrap(),
         payload,
@@ -365,131 +676,104 @@ fn bench_local(root: &Path) -> BenchDoc {
             ("scenario", Json::str("local_copy")),
             ("bytes", Json::num(size as f64)),
             ("secs", Json::num(best)),
-            (
-                "gib_per_s",
-                Json::num(size as f64 / best / (1u64 << 30) as f64),
-            ),
+            ("gib_per_s", Json::num(size as f64 / best / GIB)),
         ],
     );
     doc.note(format!(
-        "same-daemon chunked copy of one {} MiB file, default chunk size, best-of-{reps}",
+        "local_copy: same-daemon chunked copy of one {} MiB file, default chunk size, best-of-{reps}",
         size / MIB
     ));
-    let mut report = Report::new(
-        "bench_local",
-        "same-daemon chunked copy (no network)",
-        ["bytes_mib", "gib_per_s"],
-    );
-    report.row([(size / MIB).to_string(), gibps(size as f64 / best)]);
-    report.print();
+    chunk_sweep(root, &mut doc);
+    policy_mix(root, &mut doc);
     doc
 }
 
-// --- scenario 3: remote push/pull across window sizes ----------------
+// --- scenario 3: remote push/pull across window and chunk sizes ------
+
+/// Window sizes swept by the remote scenario; 1 is the stop-and-wait
+/// baseline, the rest exercise the pipelined data plane.
+fn windows() -> &'static [usize] {
+    if quick_mode() {
+        &[1, 4, 8]
+    } else {
+        &[1, 2, 4, 8, 16]
+    }
+}
+
+fn push_spec() -> TaskSpec {
+    copy_spec(
+        posix("nodea-ds", "src.dat"),
+        remote("nodeb", "nodeb-ds", "pushed.dat"),
+    )
+}
+
+/// The no-network twin of [`push_spec`]: same file, same daemon.
+fn local_spec() -> TaskSpec {
+    copy_spec(posix("nodea-ds", "src.dat"), posix("nodea-ds", "local.dat"))
+}
+
+/// Pulls back the file [`push_spec`] landed on `nodeb`.
+fn pull_spec() -> TaskSpec {
+    copy_spec(
+        remote("nodeb", "nodeb-ds", "pushed.dat"),
+        posix("nodea-ds", "pulled.dat"),
+    )
+}
 
 fn bench_remote(root: &Path) -> BenchDoc {
     let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
     let reps = if quick_mode() { 2 } else { 3 };
     let payload = patterned(size as usize);
+    let pushed = root.join("nodeb/ds/pushed.dat");
+    let pulled = root.join("nodea/ds/pulled.dat");
+    let transfer_row = |scenario: String, knob: (&'static str, f64), secs: f64| {
+        vec![
+            ("scenario", Json::Str(scenario)),
+            (knob.0, Json::num(knob.1)),
+            ("bytes", Json::num(size as f64)),
+            ("secs", Json::num(secs)),
+            ("gib_per_s", Json::num(size as f64 / secs / GIB)),
+        ]
+    };
 
     let mut doc = BenchDoc::new("remote");
-    let mut report = Report::new(
-        "bench_remote",
-        "loopback push/pull vs data-plane window size (window 1 = stop-and-wait)",
-        ["window", "push_gib_per_s", "pull_gib_per_s"],
-    );
     // (window, push GiB/s, pull GiB/s)
     let mut results: Vec<(usize, f64, f64)> = Vec::new();
-
     for &window in windows() {
-        let node_root = root.join(format!("w{window}"));
-        let mk = |name: &str| {
-            DaemonConfig::in_dir(node_root.join(name).join("sockets"))
-                .with_data_addr("127.0.0.1:0")
-                .with_remote_window(window)
-        };
-        let (daemon_a, mut ctl_a) = spawn_node(&node_root, "nodea", mk("nodea"));
-        let (daemon_b, mut ctl_b) = spawn_node(&node_root, "nodeb", mk("nodeb"));
-        ctl_a
-            .register_peer("nodeb", &daemon_b.data_addr().unwrap().to_string())
-            .unwrap();
-        ctl_b
-            .register_peer("nodea", &daemon_a.data_addr().unwrap().to_string())
-            .unwrap();
-        fs::write(node_root.join("nodea/ds/src.dat"), &payload).unwrap();
+        let [(_daemon_a, mut ctl_a), _node_b] = spawn_pair(root, |c| c.with_remote_window(window));
+        fs::write(root.join("nodea/ds/src.dat"), &payload).unwrap();
 
-        let mut push_secs = f64::MAX;
-        for _ in 0..reps {
-            let _ = fs::remove_file(node_root.join("nodeb/ds/pushed.dat"));
-            push_secs = push_secs.min(timed_copy(
-                &mut ctl_a,
-                copy_spec(
-                    posix("nodea-ds", "src.dat"),
-                    remote("nodeb", "nodeb-ds", "pushed.dat"),
-                ),
-                size,
-            ));
-        }
-        assert_eq!(
-            fs::read(node_root.join("nodeb/ds/pushed.dat")).unwrap(),
-            payload,
-            "pushed bytes intact (window {window})"
+        let push_secs = best_of(reps, || {
+            let _ = fs::remove_file(&pushed);
+            timed_copy(&mut ctl_a, push_spec(), size)
+        });
+        assert!(
+            fs::read(&pushed).unwrap() == payload,
+            "pushed bytes differ (window {window})"
+        );
+        let pull_secs = best_of(reps, || {
+            let _ = fs::remove_file(&pulled);
+            timed_copy(&mut ctl_a, pull_spec(), size)
+        });
+        assert!(
+            fs::read(&pulled).unwrap() == payload,
+            "pulled bytes differ (window {window})"
         );
 
-        let mut pull_secs = f64::MAX;
-        for _ in 0..reps {
-            let _ = fs::remove_file(node_root.join("nodea/ds/pulled.dat"));
-            pull_secs = pull_secs.min(timed_copy(
-                &mut ctl_a,
-                copy_spec(
-                    remote("nodeb", "nodeb-ds", "pushed.dat"),
-                    posix("nodea-ds", "pulled.dat"),
-                ),
-                size,
-            ));
+        results.push((window, size as f64 / push_secs, size as f64 / pull_secs));
+        for (dir, secs) in [("push", push_secs), ("pull", pull_secs)] {
+            let knob = ("window", window as f64);
+            doc.row(SOURCE, transfer_row(format!("remote_{dir}"), knob, secs));
         }
-        assert_eq!(
-            fs::read(node_root.join("nodea/ds/pulled.dat")).unwrap(),
-            payload,
-            "pulled bytes intact (window {window})"
-        );
-
-        let push_rate = size as f64 / push_secs;
-        let pull_rate = size as f64 / pull_secs;
-        results.push((window, push_rate, pull_rate));
-        report.row([window.to_string(), gibps(push_rate), gibps(pull_rate)]);
-        for (dir, secs, rate) in [
-            ("push", push_secs, push_rate),
-            ("pull", pull_secs, pull_rate),
-        ] {
-            doc.row(
-                SOURCE,
-                vec![
-                    ("scenario", Json::str(format!("remote_{dir}"))),
-                    ("window", Json::num(window as f64)),
-                    ("bytes", Json::num(size as f64)),
-                    ("secs", Json::num(secs)),
-                    ("gib_per_s", Json::num(rate / (1u64 << 30) as f64)),
-                ],
-            );
-        }
-        let _ = fs::remove_dir_all(&node_root);
     }
 
     // Regression gate: the pipelined data plane (any window ≥ 4) must
     // beat the same-run stop-and-wait baseline in both directions.
     let (_, base_push, base_pull) = results[0];
     assert_eq!(results[0].0, 1, "window sweep must start at the baseline");
-    let best_push = results
-        .iter()
-        .filter(|(w, _, _)| *w >= 4)
-        .map(|(_, p, _)| *p)
-        .fold(0.0f64, f64::max);
-    let best_pull = results
-        .iter()
-        .filter(|(w, _, _)| *w >= 4)
-        .map(|(_, _, p)| *p)
-        .fold(0.0f64, f64::max);
+    let windowed = results.iter().filter(|(w, _, _)| *w >= 4);
+    let best_push = windowed.clone().map(|r| r.1).fold(0.0f64, f64::max);
+    let best_pull = windowed.map(|r| r.2).fold(0.0f64, f64::max);
     assert!(
         best_push > base_push,
         "windowed push ({}) did not beat stop-and-wait ({}) — pipelining regression",
@@ -502,20 +786,55 @@ fn bench_remote(root: &Path) -> BenchDoc {
         gibps(best_pull),
         gibps(base_pull)
     );
-
     doc.note(format!(
-        "one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, best-of-{reps}",
+        "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, best-of-{reps}",
         size / MIB
     ));
-    doc.note("window=1 is the stop-and-wait baseline; the suite fails unless some window>=4 beats it in both directions".to_string());
-    report.note(format!(
-        "windowed best: push {} vs baseline {}, pull {} vs baseline {}",
-        gibps(best_push),
-        gibps(base_push),
-        gibps(best_pull),
-        gibps(base_pull)
-    ));
-    report.print();
+    doc.note("window=1 is the stop-and-wait baseline; the suite fails unless some window>=4 beats it in both directions");
+
+    // Chunk-size sweep at the default window, polling `query()` while
+    // the wire is busy; `local` is the same-daemon, no-network copy of
+    // the same file.
+    let mut any_partial = false;
+    for chunk_mib in [1u64, 4, 8] {
+        let [(_daemon_a, mut ctl_a), _node_b] =
+            spawn_pair(root, |c| c.with_chunk_size(chunk_mib * MIB));
+        fs::write(root.join("nodea/ds/src.dat"), &payload).unwrap();
+        for (direction, spec, lands_at) in [
+            (
+                "local",
+                local_spec as fn() -> TaskSpec,
+                root.join("nodea/ds/local.dat"),
+            ),
+            ("push", push_spec, pushed.clone()),
+            ("pull", pull_spec, pulled.clone()),
+        ] {
+            let mut partial = false;
+            let secs = best_of(reps, || {
+                let _ = fs::remove_file(&lands_at);
+                let (secs, saw) = polled_copy(&mut ctl_a, spec(), size);
+                partial |= saw;
+                secs
+            });
+            assert!(
+                fs::read(&lands_at).unwrap() == payload,
+                "{direction} bytes differ (chunk {chunk_mib} MiB)"
+            );
+            any_partial |= partial && direction != "local";
+            let mut row = transfer_row(
+                format!("chunk_ablation_{direction}"),
+                ("chunk_mib", chunk_mib as f64),
+                secs,
+            );
+            row.push(("partial_progress_seen", Json::Bool(partial)));
+            doc.row(SOURCE, row);
+        }
+    }
+    assert!(
+        any_partial,
+        "query() must observe partial bytes_moved during a remote transfer"
+    );
+    doc.note("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(); local = same-daemon baseline; the suite fails unless every transfer is byte-exact and a remote one showed partial bytes_moved");
     doc
 }
 
@@ -543,18 +862,8 @@ fn bench_flow(root: &Path) -> BenchDoc {
             (&daemon_b, "nodeb", "pmdk0", BackendKind::NvmDax),
         ] {
             let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
-            ctl.register_dataspace(DataspaceDesc {
-                nsid: nsid.into(),
-                kind,
-                mount: run_root
-                    .join(name)
-                    .join("ds")
-                    .to_string_lossy()
-                    .into_owned(),
-                quota: 0,
-                tracked: false,
-            })
-            .unwrap();
+            ctl.register_dataspace(dataspace(nsid, kind, &run_root.join(name).join("ds")))
+                .unwrap();
         }
         let mount_a = run_root.join("nodea/ds");
         let mount_b = run_root.join("nodeb/ds");
@@ -646,17 +955,6 @@ fn bench_flow(root: &Path) -> BenchDoc {
         "two-job #NORNS workflow (remote pull, compute, remote push, dependent local staging), {} MiB mesh, best-of-{reps}",
         mesh_bytes / MIB
     ));
-    let mut report = Report::new(
-        "bench_flow",
-        "norns-flow two-job workflow makespan",
-        ["mesh_mib", "makespan_s", "wait_round_trips"],
-    );
-    report.row([
-        (mesh_bytes / MIB).to_string(),
-        format!("{best:.3}"),
-        wait_round_trips.to_string(),
-    ]);
-    report.print();
     doc
 }
 
@@ -693,19 +991,9 @@ fn bench_replication(root: &Path) -> BenchDoc {
         )
         .unwrap();
         let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
-        ctl.register_dataspace(DataspaceDesc {
-            nsid: "bb".into(),
-            kind: BackendKind::PosixFilesystem,
-            mount: root
-                .join("repl")
-                .join(name)
-                .join("ds")
-                .to_string_lossy()
-                .into_owned(),
-            quota: 0,
-            tracked: false,
-        })
-        .unwrap();
+        let mount = root.join("repl").join(name).join("ds");
+        ctl.register_dataspace(dataspace("bb", BackendKind::PosixFilesystem, &mount))
+            .unwrap();
         (daemon, ctl)
     };
     let (_origin, mut ctl) = spawn("origin");
@@ -716,11 +1004,6 @@ fn bench_replication(root: &Path) -> BenchDoc {
     fs::write(root.join("repl/origin/ds/src.dat"), &payload).unwrap();
 
     let mut doc = BenchDoc::new("replication");
-    let mut report = Report::new(
-        "bench_replication",
-        "stage-out ACK latency per durability mode + lag-drain time (one replica peer)",
-        ["mode", "ack_msec", "drain_msec"],
-    );
     // (mode, best ack secs)
     let mut acks: Vec<(&str, f64)> = Vec::new();
     for (mode_name, mode) in [
@@ -748,11 +1031,6 @@ fn bench_replication(root: &Path) -> BenchDoc {
             drain = drain.min(drain_lag(&mut ctl));
         }
         acks.push((mode_name, ack));
-        report.row([
-            mode_name.to_string(),
-            format!("{:.2}", ack * 1e3),
-            format!("{:.2}", drain * 1e3),
-        ]);
         doc.row(
             SOURCE,
             vec![
@@ -795,53 +1073,79 @@ fn bench_replication(root: &Path) -> BenchDoc {
         "the suite fails unless local_plus_one ACKs faster than synchronous in the same run"
             .to_string(),
     );
-    report.print();
     doc
 }
 
 // --- `--check`: validate the emitted files ---------------------------
 
+fn num(row: &Json, key: &str) -> Option<f64> {
+    row.get(key).and_then(Json::as_f64)
+}
+
+/// The suite's rows of one scenario; an empty set is an error.
+fn scenario_rows<'a>(doc: &'a Json, scenario: &str) -> Result<Vec<&'a Json>, String> {
+    let text = |row: &'a Json, key: &str| row.get(key).and_then(Json::as_str);
+    let rows: Vec<&Json> = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .filter(|r| text(r, "source") == Some(SOURCE) && text(r, "scenario") == Some(scenario))
+        .collect();
+    if rows.is_empty() {
+        let bench = doc.get("bench").and_then(Json::as_str).unwrap_or("?");
+        return Err(format!("BENCH_{bench}.json has no {scenario} rows"));
+    }
+    Ok(rows)
+}
+
+/// Largest `value` among `rows` whose `knob` satisfies `pick`; `what`
+/// names the selection in the error when nothing matches.
+fn best_where(
+    rows: &[&Json],
+    knob: &str,
+    pick: impl Fn(f64) -> bool,
+    value: &str,
+    what: &str,
+) -> Result<f64, String> {
+    rows.iter()
+        .filter(|r| num(r, knob).is_some_and(&pick))
+        .filter_map(|r| num(r, value))
+        .reduce(f64::max)
+        .ok_or(format!("no {what} rows"))
+}
+
 /// Reload all five documents, validate the schema, and re-assert the
-/// remote, control and replication regression gates from the recorded
-/// rows.
+/// run-time gates from the recorded rows.
 fn check() -> Result<(), String> {
-    for bench in ["control", "local", "remote", "flow", "replication"] {
+    let load = |bench: &str| -> Result<Json, String> {
         let doc = json::load(bench)?;
         let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
         if rows.is_empty() {
             return Err(format!("BENCH_{bench}.json has no rows"));
         }
         println!("BENCH_{bench}.json: ok ({} rows)", rows.len());
-    }
+        Ok(doc)
+    };
+    let (control, local, remote) = (load("control")?, load("local")?, load("remote")?);
+    let (_flow, replication) = (load("flow")?, load("replication")?);
 
     // The remote doc must show the pipelined data plane beating its
     // same-run stop-and-wait baseline in both directions.
-    let remote = json::load("remote")?;
-    let rows = remote.get("rows").and_then(Json::as_arr).unwrap();
     for dir in ["push", "pull"] {
         let scenario = format!("remote_{dir}");
-        let rate = |row: &Json| row.get("gib_per_s").and_then(Json::as_f64);
-        let suite_rows: Vec<&Json> = rows
-            .iter()
-            .filter(|r| {
-                r.get("source").and_then(Json::as_str) == Some(SOURCE)
-                    && r.get("scenario").and_then(Json::as_str) == Some(scenario.as_str())
-            })
-            .collect();
-        let window_of = |row: &Json| row.get("window").and_then(Json::as_f64);
-        let baseline = suite_rows
-            .iter()
-            .find(|r| window_of(r) == Some(1.0))
-            .and_then(|r| rate(r))
-            .ok_or(format!("no window=1 {scenario} baseline row"))?;
-        let best_windowed = suite_rows
-            .iter()
-            .filter(|r| window_of(r).map(|w| w >= 4.0).unwrap_or(false))
-            .filter_map(|r| rate(r))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if !best_windowed.is_finite() {
-            return Err(format!("no window>=4 {scenario} rows"));
-        }
+        let rows = scenario_rows(&remote, &scenario)?;
+        let rate = |pick: fn(f64) -> bool, what: &str| {
+            best_where(
+                &rows,
+                "window",
+                pick,
+                "gib_per_s",
+                &format!("{what} {scenario}"),
+            )
+        };
+        let baseline = rate(|w| w == 1.0, "window=1")?;
+        let best_windowed = rate(|w| w >= 4.0, "window>=4")?;
         if best_windowed <= baseline {
             return Err(format!(
                 "{scenario}: windowed {best_windowed:.3} GiB/s <= stop-and-wait {baseline:.3} GiB/s"
@@ -854,22 +1158,10 @@ fn check() -> Result<(), String> {
 
     // The control doc must show wire-v7 pipelining beating the
     // one-outstanding baseline under concurrency (64+ clients).
-    let control = json::load("control")?;
-    let rows = control.get("rows").and_then(Json::as_arr).unwrap();
-    let concurrent: Vec<&Json> = rows
-        .iter()
-        .filter(|r| {
-            r.get("source").and_then(Json::as_str) == Some(SOURCE)
-                && r.get("scenario").and_then(Json::as_str) == Some("control_concurrent")
-        })
-        .collect();
-    if concurrent.is_empty() {
-        return Err("BENCH_control.json has no control_concurrent rows".into());
-    }
-    let field = |row: &Json, key: &str| row.get(key).and_then(Json::as_f64);
+    let concurrent = scenario_rows(&control, "control_concurrent")?;
     let mut client_counts: Vec<u64> = concurrent
         .iter()
-        .filter_map(|r| field(r, "clients"))
+        .filter_map(|r| num(r, "clients"))
         .map(|c| c as u64)
         .filter(|c| *c >= 64)
         .collect();
@@ -879,22 +1171,17 @@ fn check() -> Result<(), String> {
         return Err("no control_concurrent rows with clients >= 64".into());
     }
     for clients in client_counts {
-        let at = |pred: &dyn Fn(f64) -> bool| {
-            concurrent
-                .iter()
-                .filter(|r| field(r, "clients") == Some(clients as f64))
-                .filter(|r| field(r, "depth").map(pred).unwrap_or(false))
-                .filter_map(|r| field(r, "ops_per_s"))
-                .fold(f64::NEG_INFINITY, f64::max)
+        let at_count: Vec<&Json> = concurrent
+            .iter()
+            .copied()
+            .filter(|r| num(r, "clients") == Some(clients as f64))
+            .collect();
+        let rate = |pick: fn(f64) -> bool, what: &str| {
+            let what = format!("{what} control_concurrent at {clients} clients");
+            best_where(&at_count, "depth", pick, "ops_per_s", &what)
         };
-        let baseline = at(&|d| d == 1.0);
-        let best_deep = at(&|d| d >= 8.0);
-        if !baseline.is_finite() {
-            return Err(format!("no depth=1 baseline row at {clients} clients"));
-        }
-        if !best_deep.is_finite() {
-            return Err(format!("no depth>=8 rows at {clients} clients"));
-        }
+        let baseline = rate(|d| d == 1.0, "depth=1")?;
+        let best_deep = rate(|d| d >= 8.0, "depth>=8")?;
         if best_deep <= baseline {
             return Err(format!(
                 "control_concurrent at {clients} clients: pipelined {best_deep:.0} ops/s <= depth-1 {baseline:.0} ops/s"
@@ -904,27 +1191,20 @@ fn check() -> Result<(), String> {
             "BENCH_control.json: {clients} clients pipelined {best_deep:.0} > depth-1 {baseline:.0} ops/s"
         );
     }
+    scenario_rows(&control, "fig4_submit")?;
 
     // The replication doc must carry an ACK row per durability mode
     // and show the early ACK beating the synchronous one.
-    let replication = json::load("replication")?;
-    let rows = replication.get("rows").and_then(Json::as_arr).unwrap();
+    let acks = scenario_rows(&replication, "replication_ack")?;
     let ack_of = |mode: &str| {
-        rows.iter()
-            .filter(|r| {
-                r.get("source").and_then(Json::as_str) == Some(SOURCE)
-                    && r.get("scenario").and_then(Json::as_str) == Some("replication_ack")
-                    && r.get("mode").and_then(Json::as_str) == Some(mode)
-            })
-            .filter_map(|r| r.get("ack_usec").and_then(Json::as_f64))
-            .fold(f64::INFINITY, f64::min)
+        acks.iter()
+            .filter(|r| r.get("mode").and_then(Json::as_str) == Some(mode))
+            .filter_map(|r| num(r, "ack_usec"))
+            .reduce(f64::min)
+            .ok_or(format!("no replication_ack row for mode {mode}"))
     };
-    for mode in ["local_only", "local_plus_one", "synchronous"] {
-        if !ack_of(mode).is_finite() {
-            return Err(format!("no replication_ack row for mode {mode}"));
-        }
-    }
-    let (plus_one, synchronous) = (ack_of("local_plus_one"), ack_of("synchronous"));
+    ack_of("local_only")?;
+    let (plus_one, synchronous) = (ack_of("local_plus_one")?, ack_of("synchronous")?);
     if plus_one >= synchronous {
         return Err(format!(
             "replication_ack: local_plus_one {plus_one:.0} usec >= synchronous {synchronous:.0} usec — early-ACK regression"
@@ -933,6 +1213,40 @@ fn check() -> Result<(), String> {
     println!(
         "BENCH_replication.json: local_plus_one ACK {plus_one:.0} < synchronous {synchronous:.0} usec"
     );
+
+    // The chunked data plane's two promises, local and remote.
+    let saw_partial = |rows: &[&Json]| {
+        rows.iter()
+            .any(|r| r.get("partial_progress_seen").and_then(Json::as_bool) == Some(true))
+    };
+    let sweep = scenario_rows(&local, "chunk_sweep")?;
+    let peak = best_where(
+        &sweep,
+        "workers",
+        |w| w > 1.0,
+        "peak_chunk_workers",
+        "multi-worker chunk_sweep",
+    )?;
+    if peak <= 1.0 {
+        return Err(format!(
+            "chunk_sweep: multi-worker copies peaked at {peak} chunk workers"
+        ));
+    }
+    if !saw_partial(&sweep) {
+        return Err("chunk_sweep: no row saw partial bytes_moved".into());
+    }
+    println!(
+        "BENCH_local.json: chunk_sweep peaked at {peak} workers on one file, live progress seen"
+    );
+    let mut staged = scenario_rows(&remote, "chunk_ablation_push")?;
+    staged.extend(scenario_rows(&remote, "chunk_ablation_pull")?);
+    if !saw_partial(&staged) {
+        return Err("chunk_ablation: no remote transfer saw partial bytes_moved".into());
+    }
+    let policies = scenario_rows(&local, "policy_mix")?.len();
+    if policies != 4 {
+        return Err(format!("policy_mix: {policies} policy rows, expected 4"));
+    }
     Ok(())
 }
 
@@ -948,23 +1262,20 @@ fn main() {
 
     let root = std::env::temp_dir().join(format!("norns-bench-suite-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    fs::create_dir_all(&root).unwrap();
-
-    for doc in [
-        bench_control(&root),
-        bench_local(&root),
-        bench_remote(&root),
-        bench_flow(&root),
-        bench_replication(&root),
+    for bench in [
+        bench_control,
+        bench_local,
+        bench_remote,
+        bench_flow,
+        bench_replication,
     ] {
-        // merge_into so rows from other binaries (ablation_remote in
-        // BENCH_remote.json) survive a suite refresh.
-        let path = doc.merge_into().unwrap();
-        println!("  json: {}", path.display());
+        // One scratch tree per family, gone before the next starts.
+        fs::create_dir_all(&root).unwrap();
+        let doc = bench(&root);
+        let _ = fs::remove_dir_all(&root);
+        doc.print();
+        println!("  json: {}\n", doc.write().unwrap().display());
     }
-    println!();
-
-    let _ = fs::remove_dir_all(&root);
 
     if let Err(e) = check() {
         eprintln!("bench check failed after run: {e}");

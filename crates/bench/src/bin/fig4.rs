@@ -1,43 +1,26 @@
 //! Fig. 4 — NORNS throughput and latency serving *local* requests.
 //!
-//! This experiment runs against the **real** urd daemon
-//! (`norns-ipc`): up to 32 concurrent client threads, each submitting
-//! 50×10³ consecutive requests over the local `AF_UNIX` socket. The
-//! measured latency covers exactly what the paper measures: "the time
-//! taken to process the request, create a task descriptor, add it to
-//! the task queue, and respond to the client". Paper: ≈700k req/s
-//! aggregate, ≤50 µs latency.
+//! The one figure of the paper set that needs the **real** urd daemon:
+//! up to 32 concurrent client processes, each submitting 50×10³
+//! consecutive requests over the local `AF_UNIX` socket; the latency
+//! covers "the time taken to process the request, create a task
+//! descriptor, add it to the task queue, and respond to the client".
+//! Paper: ≈700k req/s aggregate, ≤50 µs latency.
+//!
+//! `bench_suite` is the only binary that drives a live daemon, so the
+//! measurement is its `fig4_submit` scenario; this binary tabulates
+//! the rows it recorded in `BENCH_control.json` in the paper set's
+//! format (`results/fig4.csv`). Run `bench_suite` first to refresh
+//! them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-use norns_bench::{quick_mode, Report};
-use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon};
-use norns_proto::{
-    BackendKind, DaemonCommand, DataspaceDesc, Durability, ResourceDesc, TaskOp, TaskSpec,
-    DEFAULT_PRIORITY,
-};
+use norns_bench::json::{self, Json};
+use norns_bench::Report;
 
 fn main() {
-    let per_process: u64 = if quick_mode() { 5_000 } else { 50_000 };
-    let root = std::env::temp_dir().join(format!("norns-fig4-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    let daemon =
-        UrdDaemon::spawn(DaemonConfig::in_dir(root.join("sockets"))).expect("daemon spawn");
-    {
-        let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
-        ctl.register_dataspace(DataspaceDesc {
-            nsid: "tmp0".into(),
-            kind: BackendKind::Tmpfs,
-            mount: root.join("tmp0").to_string_lossy().into_owned(),
-            quota: 0,
-            tracked: false,
-        })
-        .unwrap();
-    }
-
+    let doc = json::load("control").unwrap_or_else(|e| {
+        eprintln!("{e}\nrun `cargo run --release --bin bench_suite` from the repo root first");
+        std::process::exit(1);
+    });
     let mut report = Report::new(
         "fig4",
         "Local request throughput/latency against the real urd daemon",
@@ -48,77 +31,26 @@ fn main() {
             "p99_latency_us",
         ],
     );
-
-    for &procs in &[1usize, 2, 4, 8, 16, 32] {
-        // Keep the completion table small between sweeps.
-        {
-            let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
-            ctl.send_command(DaemonCommand::ClearCompletions).unwrap();
-        }
-        let total_latency_ns = Arc::new(AtomicU64::new(0));
-        let ctl_path = daemon.control_path.clone();
-        let start = Instant::now();
-        let handles: Vec<_> = (0..procs)
-            .map(|_| {
-                let path = ctl_path.clone();
-                let total_latency_ns = Arc::clone(&total_latency_ns);
-                std::thread::spawn(move || {
-                    let mut client = CtlClient::connect(&path).expect("client connect");
-                    let mut latencies = Vec::with_capacity(per_process as usize);
-                    // Task submissions, as in the paper: each request
-                    // creates a descriptor and enqueues it. The task
-                    // itself is a cheap removal of a missing path.
-                    let spec = TaskSpec {
-                        op: TaskOp::Remove,
-                        priority: DEFAULT_PRIORITY,
-                        input: ResourceDesc::PosixPath {
-                            nsid: "tmp0".into(),
-                            path: "nonexistent".into(),
-                        },
-                        output: None,
-                        durability: Durability::LocalOnly,
-                    };
-                    for _ in 0..per_process {
-                        let t0 = Instant::now();
-                        // The bounded queue may push back under this
-                        // hammering load: EAGAIN-style retry.
-                        loop {
-                            match client.submit(0, spec.clone(), None) {
-                                Ok(_) => break,
-                                Err(norns_ipc::ClientError::Remote {
-                                    code: norns_proto::ErrorCode::Busy,
-                                    ..
-                                }) => std::thread::yield_now(),
-                                Err(e) => panic!("submit: {e}"),
-                            }
-                        }
-                        latencies.push(t0.elapsed().as_nanos() as u64);
-                    }
-                    let sum: u64 = latencies.iter().sum();
-                    total_latency_ns.fetch_add(sum, Ordering::Relaxed);
-                    latencies.sort_unstable();
-                    latencies[(latencies.len() as f64 * 0.99) as usize]
-                })
-            })
-            .collect();
-        let mut p99s = Vec::new();
-        for h in handles {
-            p99s.push(h.join().expect("client thread"));
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let total = per_process * procs as u64;
-        let throughput = total as f64 / elapsed;
-        let mean_us = total_latency_ns.load(Ordering::Relaxed) as f64 / total as f64 / 1e3;
-        let p99_us = *p99s.iter().max().unwrap() as f64 / 1e3;
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
+    let mut per_process = 0.0;
+    for row in rows
+        .iter()
+        .filter(|r| r.get("scenario").and_then(Json::as_str) == Some("fig4_submit"))
+    {
+        let num = |key: &str| row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        per_process = num("requests_per_process");
         report.row([
-            procs.to_string(),
-            format!("{throughput:.0}"),
-            format!("{mean_us:.1}"),
-            format!("{p99_us:.1}"),
+            format!("{:.0}", num("processes")),
+            format!("{:.0}", num("req_per_s")),
+            format!("{:.1}", num("mean_latency_us")),
+            format!("{:.1}", num("p99_latency_us")),
         ]);
     }
     report.note("paper: ≈700k req/s aggregate, ≤50 µs request latency (C++/epoll on");
     report.note("dual Xeon 8260M); absolute numbers depend on this machine");
-    report.note(format!("requests per process: {per_process}"));
+    report.note(format!(
+        "requests per process: {per_process:.0} (BENCH_control.json, quick = {})",
+        doc.get("quick").and_then(Json::as_bool).unwrap_or(false)
+    ));
     report.finish();
 }

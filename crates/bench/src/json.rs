@@ -16,11 +16,10 @@
 //! }
 //! ```
 //!
-//! `rows` is a flat list of measurement objects; each carries a
-//! `source` naming the binary that produced it, so different binaries
-//! can merge into one document ([`BenchDoc::merge_into`] replaces only
-//! its own source's rows) and the perf trajectory across PRs stays in
-//! one place per scenario family.
+//! `rows` is a flat list of measurement objects, each naming its
+//! `source` binary and its `scenario`. Every document has exactly one
+//! writer (`bench_suite`), and a run writes the whole document — rows,
+//! `quick` flag and notes all come from that run.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -28,16 +27,6 @@ use std::path::PathBuf;
 /// Schema version stamped into every document; bump on breaking
 /// changes to the shape above.
 pub const SCHEMA_VERSION: f64 = 1.0;
-
-/// Where the `BENCH_*.json` files land: the repo root by default
-/// (committed, unlike `results/`), overridable for tests via
-/// `NORNS_BENCH_DIR`.
-pub fn bench_dir() -> PathBuf {
-    let dir = std::env::var("NORNS_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = PathBuf::from(dir);
-    let _ = std::fs::create_dir_all(&path);
-    path
-}
 
 /// A JSON value. Numbers are `f64` (every value the suite emits fits).
 #[derive(Debug, Clone, PartialEq)]
@@ -377,9 +366,10 @@ impl BenchDoc {
         ])
     }
 
-    /// Path of this document: `<bench_dir>/BENCH_<name>.json`.
+    /// Path of this document: `BENCH_<name>.json` in the working
+    /// directory — the repo root for the committed files.
     pub fn path(bench: &str) -> PathBuf {
-        bench_dir().join(format!("BENCH_{bench}.json"))
+        PathBuf::from(format!("BENCH_{bench}.json"))
     }
 
     /// Write the document, replacing the file wholesale.
@@ -389,66 +379,50 @@ impl BenchDoc {
         Ok(path)
     }
 
-    /// Merge this document's rows into an existing `BENCH_*.json`:
-    /// rows from the same `source`s as ours are replaced, rows from
-    /// other sources are preserved (so `bench_suite` and
-    /// `ablation_remote` share `BENCH_remote.json` without clobbering
-    /// each other). Notes carry no source attribution, so ours are
-    /// appended with duplicates dropped. A missing or invalid existing
-    /// file degrades to a plain write.
-    pub fn merge_into(&self) -> std::io::Result<PathBuf> {
-        let path = Self::path(&self.bench);
-        let existing = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .filter(|doc| validate(doc).is_ok());
-        let Some(existing) = existing else {
-            return self.write();
-        };
-        let my_sources: Vec<&str> = self
-            .rows
-            .iter()
-            .filter_map(|r| r.get("source").and_then(Json::as_str))
-            .collect();
-        let mut rows: Vec<Json> = existing
-            .get("rows")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter(|r| {
-                r.get("source")
-                    .and_then(Json::as_str)
-                    .map(|s| !my_sources.contains(&s))
-                    .unwrap_or(false)
-            })
-            .cloned()
-            .collect();
-        rows.extend(self.rows.iter().cloned());
-        let mut notes: Vec<String> = existing
-            .get("notes")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|n| n.as_str().map(String::from))
-            .collect();
-        for note in &self.notes {
-            if !notes.contains(note) {
-                notes.push(note.clone());
+    /// Print the rows as one aligned table per scenario (columns are
+    /// the first row's fields), then the notes.
+    pub fn print(&self) {
+        println!("================================================================");
+        println!("BENCH_{}.json", self.bench);
+        println!("================================================================");
+        fn scenario_of(row: &Json) -> Option<&str> {
+            row.get("scenario").and_then(Json::as_str)
+        }
+        let mut scenarios: Vec<Option<&str>> = Vec::new();
+        for row in &self.rows {
+            if !scenarios.contains(&scenario_of(row)) {
+                scenarios.push(scenario_of(row));
             }
         }
-        let merged = BenchDoc {
-            bench: self.bench.clone(),
-            // A merged doc is "quick" only if every contribution was.
-            quick: self.quick
-                && existing
-                    .get("quick")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(true),
-            rows,
-            notes,
-        };
-        std::fs::write(&path, merged.to_json().to_pretty())?;
-        Ok(path)
+        for scenario in scenarios {
+            let group = self.rows.iter().filter(|r| scenario_of(r) == scenario);
+            let Some(Json::Obj(fields)) = group.clone().next() else {
+                continue;
+            };
+            let columns: Vec<&str> = fields
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .filter(|k| !matches!(*k, "source" | "scenario"))
+                .collect();
+            let mut table = vec![columns.iter().map(|c| c.to_string()).collect::<Vec<_>>()];
+            table.extend(group.map(|row| columns.iter().map(|c| cell(row.get(c))).collect()));
+            println!("{}:", scenario.unwrap_or("(no scenario)"));
+            crate::print_aligned(&table);
+        }
+        for note in &self.notes {
+            println!("  note: {note}");
+        }
+    }
+}
+
+/// One table cell: large numbers whole, small ones to three places.
+fn cell(value: Option<&Json>) -> String {
+    match value {
+        Some(Json::Num(v)) if v.fract() == 0.0 || v.abs() >= 1000.0 => format!("{v:.0}"),
+        Some(Json::Num(v)) => format!("{v:.3}"),
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Bool(b)) => b.to_string(),
+        _ => "-".to_string(),
     }
 }
 
@@ -566,38 +540,5 @@ mod tests {
         )
         .unwrap();
         assert!(validate(&good).is_ok());
-    }
-
-    #[test]
-    fn merge_replaces_own_source_and_keeps_others() {
-        let dir = std::env::temp_dir().join(format!("norns-json-merge-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("NORNS_BENCH_DIR", dir.to_str().unwrap());
-
-        let mut first = BenchDoc::new("mergetest");
-        first.row("tool_a", vec![("v", Json::num(1u32))]);
-        first.row("tool_b", vec![("v", Json::num(2u32))]);
-        first.write().unwrap();
-
-        let mut second = BenchDoc::new("mergetest");
-        second.row("tool_b", vec![("v", Json::num(99u32))]);
-        second.merge_into().unwrap();
-
-        let doc = load("mergetest").unwrap();
-        let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows.len(), 2);
-        let by_source = |s: &str| {
-            rows.iter()
-                .find(|r| r.get("source").and_then(Json::as_str) == Some(s))
-                .unwrap()
-                .get("v")
-                .and_then(Json::as_f64)
-                .unwrap()
-        };
-        assert_eq!(by_source("tool_a"), 1.0, "other sources preserved");
-        assert_eq!(by_source("tool_b"), 99.0, "own source replaced");
-
-        std::env::remove_var("NORNS_BENCH_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

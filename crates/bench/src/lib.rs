@@ -1,8 +1,12 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! Every binary regenerates one figure or table from the paper's
-//! evaluation: it prints the paper's reported values next to our
-//! measured values and writes a CSV under `results/`.
+//! Two sets, one output format each. The paper set (`fig*`, `table*`,
+//! `ablation_sched`, `ablation_affinity`) regenerates one figure or
+//! table of the paper's evaluation per binary: it prints the paper's
+//! reported values next to ours and writes a CSV under `results/`
+//! ([`Report`]). `bench_suite` is the one binary that drives live
+//! daemons and engines, and the one writer of the `BENCH_*.json`
+//! files at the repo root ([`json`]).
 
 use std::path::PathBuf;
 
@@ -67,7 +71,17 @@ impl Report {
 
     /// Print the report and write `results/<id>.csv`.
     pub fn finish(self) {
-        self.print();
+        println!("================================================================");
+        println!("{} — {}", self.id, self.title);
+        println!("================================================================");
+        // The tables we build never embed commas in cells, so a plain
+        // split recovers them for display.
+        let csv = self.table.to_csv();
+        let rows: Vec<Vec<&str>> = csv.lines().map(|l| l.split(',').collect()).collect();
+        print_aligned(&rows);
+        for note in &self.notes {
+            println!("  note: {note}");
+        }
         let path = results_dir().join(format!("{}.csv", self.id));
         match self.table.write_to(&path) {
             Ok(()) => println!("  csv: {}", path.display()),
@@ -75,55 +89,32 @@ impl Report {
         }
         println!();
     }
-
-    /// Print the banner, aligned table, and notes without writing a
-    /// CSV — for binaries whose canonical output is a `BENCH_*.json`.
-    pub fn print(&self) {
-        println!("================================================================");
-        println!("{} — {}", self.id, self.title);
-        println!("================================================================");
-        // Pretty-print the CSV as an aligned table.
-        let csv = self.table.to_csv();
-        let rows: Vec<Vec<&str>> = csv.lines().map(|l| split_csv(l)).collect();
-        if !rows.is_empty() {
-            let cols = rows[0].len();
-            let mut widths = vec![0usize; cols];
-            for row in &rows {
-                for (i, cell) in row.iter().enumerate() {
-                    widths[i] = widths[i].max(cell.chars().count());
-                }
-            }
-            for (ri, row) in rows.iter().enumerate() {
-                let line: Vec<String> = row
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| format!("{:w$}", c, w = widths[i]))
-                    .collect();
-                println!("  {}", line.join("  "));
-                if ri == 0 {
-                    println!(
-                        "  {}",
-                        widths
-                            .iter()
-                            .map(|w| "-".repeat(*w))
-                            .collect::<Vec<_>>()
-                            .join("  ")
-                    );
-                }
-            }
-        }
-        for note in &self.notes {
-            println!("  note: {note}");
-        }
-    }
 }
 
-/// Minimal CSV line splitter for pretty-printing (handles our own
-/// quoting only).
-fn split_csv(line: &str) -> Vec<&str> {
-    // The tables we build never embed commas in quoted cells except
-    // notes; a simple split is fine for display purposes.
-    line.split(',').collect()
+/// Print `rows` (the first one is the header) as an aligned,
+/// two-space-indented table with a rule under the header.
+pub fn print_aligned<S: AsRef<str>>(rows: &[Vec<S>]) {
+    let Some(header) = rows.first() else {
+        return;
+    };
+    let mut widths = vec![0usize; header.len()];
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            widths[i] = widths[i].max(cell.as_ref().chars().count());
+        }
+    }
+    for (ri, row) in rows.iter().enumerate() {
+        let line: Vec<String> = row
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{:w$}", c.as_ref(), w = widths[i]))
+            .collect();
+        println!("  {}", line.join("  "));
+        if ri == 0 {
+            let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+            println!("  {}", rule.join("  "));
+        }
+    }
 }
 
 /// Format bytes/s as MB/s (decimal, as IOR and the paper's figures do).

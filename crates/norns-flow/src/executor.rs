@@ -1609,7 +1609,6 @@ impl WorkflowExecutor {
     /// keyed per node because task ids are per-daemon counters and
     /// collide across daemons.
     fn cancel_and_drain(&mut self, tasks: &[StageTask]) -> (Vec<(usize, u64)>, Vec<String>) {
-        let mut finished: Vec<(usize, u64)> = Vec::new();
         let mut problems: Vec<String> = Vec::new();
         for t in tasks {
             match self.nodes[t.node].ctl.cancel(t.task_id) {
@@ -1617,14 +1616,31 @@ impl WorkflowExecutor {
                 Err(e) => problems.push(format!("cancel {}: {e}", t.label)),
             }
         }
+        let keys = tasks.iter().map(|t| (t.node, t.task_id)).collect();
+        let (finished, drain_problems) = self.drain_within_grace(keys, "drain");
+        problems.extend(drain_problems);
+        (finished, problems)
+    }
+
+    /// Join the `(node, task_id)` set, one node's `wait_any` at a time,
+    /// for at most `cancel_grace` in total; whatever is still running
+    /// at the deadline is left to the daemon. Returns the keys that
+    /// ended `Finished` and the transport problems met (`what` names
+    /// the caller in them).
+    fn drain_within_grace(
+        &mut self,
+        mut left: Vec<(usize, u64)>,
+        what: &str,
+    ) -> (Vec<(usize, u64)>, Vec<String>) {
+        let mut finished: Vec<(usize, u64)> = Vec::new();
+        let mut problems: Vec<String> = Vec::new();
         let grace = Instant::now() + self.config.cancel_grace;
-        let mut left: Vec<&StageTask> = tasks.iter().collect();
         while !left.is_empty() && Instant::now() < grace {
-            let node = left[0].node;
+            let node = left[0].0;
             let mut ids: Vec<u64> = left
                 .iter()
-                .filter(|t| t.node == node)
-                .map(|t| t.task_id)
+                .filter(|(n, _)| *n == node)
+                .map(|(_, id)| *id)
                 .collect();
             // Over-cap sets are waited in MAX_WAIT_SET windows: each
             // completion shrinks `left`, letting later ids in.
@@ -1639,7 +1655,7 @@ impl WorkflowExecutor {
                     if stats.state == TaskState::Finished {
                         finished.push((node, task_id));
                     }
-                    left.retain(|t| !(t.node == node && t.task_id == task_id));
+                    left.retain(|key| *key != (node, task_id));
                 }
                 Err(ClientError::Remote {
                     code: ErrorCode::Timeout,
@@ -1647,12 +1663,10 @@ impl WorkflowExecutor {
                 }) => {}
                 // The whole set may already be gone (cancelled tasks
                 // are terminal, completion GC may collect them).
-                Err(ClientError::Remote { .. }) => {
-                    left.retain(|t| t.node != node);
-                }
+                Err(ClientError::Remote { .. }) => left.retain(|(n, _)| *n != node),
                 Err(e) => {
-                    problems.push(format!("drain on {:?}: {e}", self.nodes[node].spec.name));
-                    left.retain(|t| t.node != node);
+                    problems.push(format!("{what} on {:?}: {e}", self.nodes[node].spec.name));
+                    left.retain(|(n, _)| *n != node);
                 }
             }
         }
@@ -1688,39 +1702,10 @@ impl WorkflowExecutor {
                 Err(e) => problems.push(format!("cleanup of {}: {e}", t.label)),
             }
         }
-        let grace = Instant::now() + self.config.cancel_grace;
-        while !removals.is_empty() {
-            let remaining = grace.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break; // removals keep running daemon-side; stop waiting
-            }
-            let node = removals[0].0;
-            let mut ids: Vec<u64> = removals
-                .iter()
-                .filter(|(n, _)| *n == node)
-                .map(|(_, id)| *id)
-                .collect();
-            ids.truncate(MAX_WAIT_SET);
-            self.wait_round_trips += 1;
-            match self.nodes[node]
-                .ctl
-                .wait_any(&ids, (remaining.as_micros() as u64).max(1))
-            {
-                Ok((task_id, _)) => removals.retain(|(n, id)| !(*n == node && *id == task_id)),
-                Err(ClientError::Remote {
-                    code: ErrorCode::Timeout,
-                    ..
-                }) => {}
-                Err(ClientError::Remote { .. }) => removals.retain(|(n, _)| *n != node),
-                Err(e) => {
-                    problems.push(format!(
-                        "cleanup wait on {:?}: {e}",
-                        self.nodes[node].spec.name
-                    ));
-                    removals.retain(|(n, _)| *n != node);
-                }
-            }
-        }
+        // Removals still running at the deadline keep running
+        // daemon-side; only the waiting stops.
+        let (_, wait_problems) = self.drain_within_grace(removals, "cleanup wait");
+        problems.extend(wait_problems);
         problems
     }
 }

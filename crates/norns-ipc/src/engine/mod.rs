@@ -247,7 +247,7 @@ pub struct Engine {
     completed: AtomicU64,
     cancelled: AtomicU64,
     /// High-water mark of workers simultaneously copying chunks of one
-    /// transfer — observability for the `ablation_chunk` bench.
+    /// transfer — observability for `bench_suite`'s chunk sweep.
     peak_chunk_workers: AtomicU64,
     chunk_size: u64,
     /// Requests kept in flight per data-plane connection (remote
@@ -628,16 +628,7 @@ impl Engine {
             }
         };
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
-        // Register the replication request before the task can become
-        // dispatchable: a fast worker must find it when the local leg
-        // reaches `complete_task`. Rejected admissions take it back.
-        if let Some(request) = replicate {
-            self.repl.lock().requests.insert(task_id, request);
-        }
-        self.admit(task_id, job, bytes_total, spec, payload, route)
-            .inspect_err(|_| {
-                self.repl.lock().requests.remove(&task_id);
-            })?;
+        self.admit(task_id, job, bytes_total, spec, payload, route, replicate)?;
         Ok(task_id)
     }
 
@@ -683,6 +674,9 @@ impl Engine {
     /// (`owner == REPLICA_OWNER`) go in past it on purpose — admission
     /// control pushes back on clients, and bouncing a replica would
     /// silently void an accepted task's durability guarantee.
+    /// `replicate` rides in the task's own record until its local leg
+    /// lands.
+    #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
         task_id: u64,
@@ -691,6 +685,7 @@ impl Engine {
         spec: TaskSpec,
         payload: Option<Vec<u8>>,
         route: Route,
+        replicate: Option<ReplRequest>,
     ) -> Result<(), EngineError> {
         let priority = spec.priority;
         let now_us = self.started_at.elapsed().as_micros() as u64;
@@ -737,6 +732,7 @@ impl Engine {
                     progress: Arc::new(AtomicU64::new(0)),
                     abort: Arc::new(AtomicBool::new(false)),
                     abortable: false,
+                    replicate,
                 },
             );
             self.pending_count.fetch_add(1, Ordering::SeqCst);
@@ -826,7 +822,7 @@ impl Engine {
     /// the notification: anyone it unblocks must already see them
     /// updated.
     fn mark_cancelled(&self, task_id: u64) {
-        let stats = self
+        let cancelled = self
             .tasks
             .update(task_id, |t| {
                 if t.stats.state == TaskState::Pending {
@@ -834,20 +830,18 @@ impl Engine {
                     t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
                     self.pending_count.fetch_sub(1, Ordering::SeqCst);
                     self.cancelled.fetch_add(1, Ordering::SeqCst);
-                    Some(t.stats.clone())
+                    Some((t.stats.clone(), t.owner))
                 } else {
                     None
                 }
             })
             .flatten();
-        if let Some(stats) = stats {
-            // A cancelled-before-running stage-out replicates nothing;
-            // a cancelled *replica* must drain the lag counters and
+        if let Some((stats, owner)) = cancelled {
+            // A cancelled *replica* must drain the lag counters and
             // resolve its parent (shutdown cancels pending replicas
             // through this path).
-            self.repl.lock().requests.remove(&task_id);
             self.notify_task_waiters(task_id, &stats);
-            self.note_replica_done(task_id, &stats);
+            self.note_replica_done(task_id, owner, &stats);
         }
     }
 
@@ -985,8 +979,8 @@ impl Engine {
     /// transition itself is deferred until they land, so the caller's
     /// ACK can never precede the durability guarantee.
     fn complete_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
-        let request = self.repl.lock().requests.remove(&task_id);
-        if let Some(req) = request {
+        let request = self.tasks.update(task_id, |t| t.replicate.take());
+        if let Some(req) = request.flatten() {
             if let PlanOutcome::Done(moved) = outcome {
                 if self.begin_replication(task_id, req, moved, elapsed_usec) {
                     return;
@@ -1001,7 +995,7 @@ impl Engine {
     /// Move a task to its terminal state, fix up counters and notify
     /// the task's waiters.
     fn finish_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
-        let stats = self.tasks.update(task_id, |t| {
+        let finished = self.tasks.update(task_id, |t| {
             let mut cancelled = false;
             match outcome {
                 PlanOutcome::Done(moved) => {
@@ -1038,11 +1032,11 @@ impl Engine {
                     self.completed.fetch_add(1, Ordering::SeqCst);
                 }
             }
-            t.stats.clone()
+            (t.stats.clone(), t.owner)
         });
-        if let Some(stats) = stats {
+        if let Some((stats, owner)) = finished {
             self.notify_task_waiters(task_id, &stats);
-            self.note_replica_done(task_id, &stats);
+            self.note_replica_done(task_id, owner, &stats);
         }
     }
 

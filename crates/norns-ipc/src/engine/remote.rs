@@ -114,23 +114,13 @@ fn map_net(e: io::Error) -> EngineError {
 
 /// Is `sendfile(2)` still worth attempting? Cleared the first time the
 /// syscall refuses a socket/file pair (old kernels, exotic
-/// filesystems) and overridable via `NORNS_NO_SENDFILE=1` for
-/// fallback-path benchmarking; every push then takes the pooled
-/// `pread` + vectored-write path.
+/// filesystems); every push then takes the pooled `pread` +
+/// vectored-write path.
 #[cfg(target_os = "linux")]
 static SENDFILE_RUNTIME_OFF: AtomicBool = AtomicBool::new(false);
 
 #[cfg(target_os = "linux")]
 fn sendfile_enabled() -> bool {
-    use std::sync::OnceLock;
-    static DISABLED_BY_ENV: OnceLock<bool> = OnceLock::new();
-    if *DISABLED_BY_ENV.get_or_init(|| {
-        std::env::var("NORNS_NO_SENDFILE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    }) {
-        return false;
-    }
     !SENDFILE_RUNTIME_OFF.load(Ordering::Relaxed)
 }
 
@@ -887,6 +877,68 @@ mod tests {
         assert!(!has_first, "oldest entry must be evicted");
         assert!(has_last, "newest entry must survive");
         let _ = server.join();
+    }
+
+    /// The buffered push fallback (what every `Store` takes once
+    /// `sendfile` has been refused) must put exactly the promised
+    /// range on the wire, in order: several pooled-buffer refills plus
+    /// a ragged tail, once carrying the frame header + request itself
+    /// and once taking over mid-frame (`prefix = &[]`, the hand-over
+    /// after a first-call refusal).
+    #[test]
+    fn buffered_push_fallback_sends_the_exact_range() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Receiver: every frame until the sender hangs up.
+        let receiver = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new();
+            let mut frames = Vec::new();
+            loop {
+                while let Some(frame) = reader.next_frame().unwrap() {
+                    frames.push(frame);
+                }
+                if reader.read_from(&mut stream).unwrap() == 0 {
+                    return frames;
+                }
+            }
+        });
+
+        let dir = std::env::temp_dir().join(format!("norns-buffered-push-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // The range starts off a buffer boundary inside a larger file,
+        // so a wrong offset or an over-read shows up too.
+        let offset = 4099u64;
+        let len = 3 * REMOTE_POOL_BUF as u64 + 12_345;
+        let data: Vec<u8> = (0..offset + len + 777).map(|i| (i % 251) as u8).collect();
+        fs::write(dir.join("src.dat"), &data).unwrap();
+        let file = File::open(dir.join("src.dat")).unwrap();
+
+        let req = DataRequest::Store {
+            nsid: "ds0".into(),
+            path: "dst.dat".into(),
+            offset,
+        };
+        let body = req.to_bytes();
+        let header = frame_header(body.len() + len as usize);
+        let mut conn = DataConn::connect(&addr).unwrap();
+        conn.write_payload_buffered(&file, offset, len, &[&header, &body])
+            .unwrap();
+        write_all_vectored(&mut conn.stream, &[&header, &body]).unwrap();
+        conn.write_payload_buffered(&file, offset, len, &[])
+            .unwrap();
+        drop(conn);
+
+        let frames = receiver.join().unwrap();
+        assert_eq!(frames.len(), 2, "one frame per call, nothing left over");
+        let want = &data[offset as usize..(offset + len) as usize];
+        for mut frame in frames {
+            assert_eq!(frame.len(), body.len() + len as usize, "frame length");
+            assert_eq!(DataRequest::decode(&mut frame).unwrap(), req);
+            assert!(&frame[..] == want, "payload differs from the source range");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Regression: a failed push's `cleanup` used to fire its

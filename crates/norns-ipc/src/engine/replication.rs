@@ -50,9 +50,6 @@ struct SyncParent {
 /// race a fast completion.
 #[derive(Default)]
 pub(super) struct ReplState {
-    /// Submitted-task id → replication request (consumed when the
-    /// local leg reaches `complete_task`).
-    pub(super) requests: HashMap<u64, ReplRequest>,
     /// Replica task id → accounting.
     replicas: HashMap<u64, ReplicaMeta>,
     /// Deferred `synchronous` parents awaiting their replicas.
@@ -143,15 +140,18 @@ impl Engine {
                 .fetch_add(bytes, Ordering::SeqCst);
         }
         let admitted = Self::route_of(&spec)
-            .and_then(|route| self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route));
+            .and_then(|route| self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route, None));
         if let Err(e) = admitted {
             self.replica_resolved(task_id, Some(e));
         }
     }
 
     /// A task reached a terminal state: if it was a replica, resolve
-    /// it in the ledger. No-op for ids that are not replicas.
-    pub(super) fn note_replica_done(&self, task_id: u64, stats: &TaskStats) {
+    /// it in the ledger. Client tasks never touch the ledger lock.
+    pub(super) fn note_replica_done(&self, task_id: u64, owner: u64, stats: &TaskStats) {
+        if owner != REPLICA_OWNER {
+            return;
+        }
         // Failure detail fetched before the ledger lock: the shard
         // lock must never nest inside `repl`.
         let failure = (stats.state != TaskState::Finished).then(|| {

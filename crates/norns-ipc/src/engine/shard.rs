@@ -21,6 +21,8 @@ use parking_lot::Mutex;
 
 use norns_proto::TaskStats;
 
+use super::replication::ReplRequest;
+
 /// Task-table shard count; a power of two, so an id maps to its shard
 /// with a mask.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -48,6 +50,9 @@ pub(crate) struct TaskEntry {
     /// without abort points (small inline copies) stay uncancellable
     /// once running, as before.
     pub abortable: bool,
+    /// Replication a qualifying stage-out asked for at submission,
+    /// taken when its local leg reaches `complete_task`.
+    pub replicate: Option<ReplRequest>,
 }
 
 impl TaskEntry {
@@ -124,6 +129,7 @@ mod tests {
             progress: Arc::new(AtomicU64::new(0)),
             abort: Arc::new(AtomicBool::new(false)),
             abortable: false,
+            replicate: None,
         }
     }
 

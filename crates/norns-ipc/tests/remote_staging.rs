@@ -297,8 +297,8 @@ fn window_one_reproduces_stop_and_wait() {
 fn wide_window_preserves_patterned_content_integrity() {
     // A 4 MiB chunk with a window of 16 subdivides into many in-flight
     // ranges per chunk; the position-dependent pattern catches any
-    // range that lands at the wrong offset (and NORNS_NO_SENDFILE=1 in
-    // CI exercises the buffered push fallback the same way).
+    // range that lands at the wrong offset. (The buffered push
+    // fallback has its own unit test in `engine/remote.rs`.)
     let chunk = 4 << 20;
     let cfg = |tag: &str| {
         DaemonConfig::in_dir(temp_root(tag).join("sockets"))

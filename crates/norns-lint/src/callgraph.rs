@@ -35,12 +35,21 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const AMBIGUITY_POLICY: &str = "self/receiver-type/path-qualifier/unique-name tiers; a call \
      still matching several candidates is counted as ambiguous and not traversed";
 
-/// Same denylist as [`crate::locks`]: calls that park the calling
-/// thread. `join` counts only in its zero-argument thread form.
+/// The blocking denylist, shared with [`crate::locks`]: calls that
+/// park the calling thread (or stream to a peer). `join` counts only
+/// in its zero-argument thread form — `path.join(x)` and
+/// `slice.join(sep)` take arguments. The positioned file calls
+/// (`read_at`, `write_at`, `write_all_at`) are what the data plane's
+/// `Fetch`/`Store` handlers sit in, up to `MAX_DATA_RANGE` per
+/// request against whatever tier backs the dataspace — listing them
+/// keeps those handlers off the reactor (README § Data-plane
+/// architecture).
 pub const BLOCKING: &[&str] = &[
     "write_all",
     "write_all_at",
+    "write_at",
     "write_vectored",
+    "read_at",
     "read_exact",
     "read_exact_at",
     "read_to_end",

@@ -33,36 +33,13 @@
 //! (`wait`, `wait_until`, `wait_timeout`) are not denied: they
 //! atomically release the guard they park on.
 
-use crate::callgraph::CallEffects;
+use crate::callgraph::{CallEffects, BLOCKING};
 use crate::lexer::Tok;
 use crate::{FileCtx, Finding, LockEdge, Report, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Transitive call-site effects, keyed by `(file, line, callee name)`.
 pub type EffectMap = BTreeMap<(String, u32, String), CallEffects>;
-
-/// Calls that park the calling thread (or stream to a peer). `join`
-/// only counts in its zero-argument thread form — `path.join(x)` and
-/// `slice.join(sep)` take arguments.
-const BLOCKING: &[&str] = &[
-    "write_all",
-    "write_all_at",
-    "write_vectored",
-    "read_exact",
-    "read_exact_at",
-    "read_to_end",
-    "read_to_string",
-    "flush",
-    "connect",
-    "accept",
-    "sleep",
-    "copy_file_range",
-    "sendfile",
-    "epoll_wait",
-    "recv",
-    "recv_timeout",
-    "join",
-];
 
 /// Methods that acquire a lock when called with no arguments on a
 /// receiver whose final path segment is a collected lock name.

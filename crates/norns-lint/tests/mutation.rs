@@ -1,8 +1,9 @@
 //! Mutation self-tests: the analyzer must notice when the workspace
 //! gets worse. A copy of the live tree is mutated one change at a
-//! time — deleting a single waiver, or inlining a blocking call into
-//! the reactor loop — and each mutant must produce at least one
-//! unsuppressed finding (what `--check` fails on).
+//! time — deleting a single waiver, inlining a blocking call into the
+//! reactor loop, or serving the data plane from it — and each mutant
+//! must produce at least one unsuppressed finding (what `--check`
+//! fails on).
 //!
 //! This guards the rules themselves: a refactor that silently stops
 //! the reactor rules from firing would keep the live tree "clean" and
@@ -131,14 +132,14 @@ fn deleting_any_single_waiver_fails_the_check() {
     }
 }
 
-#[test]
-fn inlining_a_blocking_call_into_the_reactor_fails_the_check() {
-    let tree = copy_workspace("inline");
+/// Insert `stmt` as the first line of `reactor_loop`'s body in a
+/// scratch copy of the workspace; returns the rules that then fire.
+fn rules_with_reactor_loop_starting(tag: &str, stmt: &str) -> Vec<Rule> {
+    let tree = copy_workspace(tag);
     let tmp = &tree.0;
     let daemon = tmp.join("crates/norns-ipc/src/daemon.rs");
     let original = fs::read_to_string(&daemon).unwrap();
 
-    // Plant a sleep on the first line of `reactor_loop`'s body.
     let mut lines: Vec<String> = original.lines().map(str::to_string).collect();
     let fn_line = lines
         .iter()
@@ -147,15 +148,36 @@ fn inlining_a_blocking_call_into_the_reactor_fails_the_check() {
     let body_open = (fn_line..lines.len())
         .find(|&i| lines[i].trim_end().ends_with('{'))
         .expect("reactor_loop has a body");
-    lines.insert(
-        body_open + 1,
-        "        std::thread::sleep(std::time::Duration::from_millis(1));".to_string(),
-    );
+    lines.insert(body_open + 1, format!("        {stmt}"));
     fs::write(&daemon, lines.join("\n")).unwrap();
 
-    let fired = unsuppressed_rules(tmp);
+    unsuppressed_rules(tmp)
+}
+
+#[test]
+fn inlining_a_blocking_call_into_the_reactor_fails_the_check() {
+    let fired = rules_with_reactor_loop_starting(
+        "inline",
+        "std::thread::sleep(std::time::Duration::from_millis(1));",
+    );
     assert!(
         fired.contains(&Rule::ReactorBlocking),
         "a sleep inside reactor_loop must fire reactor-blocking; got {fired:?}"
+    );
+}
+
+/// The data-plane I/O model decision (README § Data-plane
+/// architecture) is machine-checked: `handle_data` sits in positioned
+/// file reads and writes of up to `MAX_DATA_RANGE`, so serving it from
+/// a reactor instead of a blocking handler thread fails the check.
+#[test]
+fn hoisting_handle_data_under_the_reactor_fails_the_check() {
+    let fired = rules_with_reactor_loop_starting(
+        "hoist",
+        "let _ = handle_data(&shared.engine, Bytes::new(), &mut Vec::new());",
+    );
+    assert!(
+        fired.contains(&Rule::ReactorBlocking),
+        "handle_data under reactor_loop must fire reactor-blocking; got {fired:?}"
     );
 }

@@ -18,21 +18,20 @@ use crate::wire::{
 pub enum BackendKind {
     PosixFilesystem,
     Lustre,
-    NvmeSsd,
     NvmDax,
     Tmpfs,
-    BurstBuffer,
 }
 
 impl BackendKind {
+    // Discriminants 2 and 5 are retired (`NvmeSsd`, `BurstBuffer`: no
+    // caller ever registered one); they decode to `BadDiscriminant`
+    // and must not be reused.
     fn to_u64(self) -> u64 {
         match self {
             BackendKind::PosixFilesystem => 0,
             BackendKind::Lustre => 1,
-            BackendKind::NvmeSsd => 2,
             BackendKind::NvmDax => 3,
             BackendKind::Tmpfs => 4,
-            BackendKind::BurstBuffer => 5,
         }
     }
 
@@ -40,10 +39,8 @@ impl BackendKind {
         Ok(match v {
             0 => BackendKind::PosixFilesystem,
             1 => BackendKind::Lustre,
-            2 => BackendKind::NvmeSsd,
             3 => BackendKind::NvmDax,
             4 => BackendKind::Tmpfs,
-            5 => BackendKind::BurstBuffer,
             other => return Err(WireError::BadDiscriminant(other)),
         })
     }
@@ -1427,9 +1424,9 @@ mod tests {
                 pending_replica_bytes: 48 << 20,
             }),
             Response::Dataspaces(vec![DataspaceDesc {
-                nsid: "nvme0".into(),
-                kind: BackendKind::NvmeSsd,
-                mount: "/nvme".into(),
+                nsid: "pmdk0".into(),
+                kind: BackendKind::NvmDax,
+                mount: "/mnt/pmem0".into(),
                 quota: 7,
                 tracked: false,
             }]),

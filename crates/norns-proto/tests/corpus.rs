@@ -11,7 +11,7 @@ use norns_proto::{
     decode_tagged, encode_frame, encode_tagged, BackendKind, CtlRequest, DaemonCommand,
     DaemonStatus, DataRequest, DataResponse, DataspaceDesc, Durability, ErrorCode, FrameError,
     FrameReader, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec, TaskState, TaskStats,
-    UserRequest, Wire, MAX_DIR_ENTRIES, MAX_FRAME_LEN, MAX_WAIT_SET, PROTOCOL_VERSION,
+    UserRequest, Wire, WireError, MAX_DIR_ENTRIES, MAX_FRAME_LEN, MAX_WAIT_SET, PROTOCOL_VERSION,
 };
 
 fn sample_spec() -> TaskSpec {
@@ -73,25 +73,11 @@ fn ctl_corpus() -> Vec<CtlRequest> {
             tracked: true,
         }),
         CtlRequest::RegisterDataspace(DataspaceDesc {
-            nsid: "nvme0".into(),
-            kind: BackendKind::NvmeSsd,
-            mount: "/mnt/nvme0".into(),
-            quota: 1 << 38,
-            tracked: true,
-        }),
-        CtlRequest::RegisterDataspace(DataspaceDesc {
             nsid: "tmp0".into(),
             kind: BackendKind::Tmpfs,
             mount: "/tmp/norns".into(),
             quota: 1 << 28,
             tracked: false,
-        }),
-        CtlRequest::RegisterDataspace(DataspaceDesc {
-            nsid: "bb0".into(),
-            kind: BackendKind::BurstBuffer,
-            mount: "/bb/alloc42".into(),
-            quota: u64::MAX,
-            tracked: true,
         }),
         CtlRequest::RegisterJob(JobDesc {
             job_id: 42,
@@ -425,6 +411,31 @@ fn oversized_and_zero_length_prefixes_rejected() {
     payload.put_u8(0xff);
     payload.put_u8(0x7f);
     assert!(CtlRequest::from_bytes(payload.freeze()).is_err());
+}
+
+/// `BackendKind` discriminants 2 (`NvmeSsd`) and 5 (`BurstBuffer`) are
+/// retired: a peer that still sends one is refused, not reinterpreted.
+#[test]
+fn retired_backend_discriminants_rejected() {
+    let desc = DataspaceDesc {
+        nsid: "nvme0".into(),
+        kind: BackendKind::Tmpfs,
+        mount: "/mnt/nvme0".into(),
+        quota: 1 << 38,
+        tracked: true,
+    };
+    let bytes = desc.to_bytes();
+    // Layout: varint nsid length, nsid, then the one-byte kind.
+    let kind_at = 1 + desc.nsid.len();
+    assert_eq!(bytes[kind_at], 4, "Tmpfs keeps discriminant 4");
+    for retired in [2u8, 5] {
+        let mut patched = BytesMut::from(&bytes[..]);
+        patched[kind_at] = retired;
+        assert_eq!(
+            DataspaceDesc::from_bytes(patched.freeze()),
+            Err(WireError::BadDiscriminant(retired as u64))
+        );
+    }
 }
 
 #[test]
