@@ -12,24 +12,34 @@
 //!   stage_in/stage_out/persist), plus [`script::render`] for
 //!   normalized resubmission. `slurm-sim` re-exports this module, so a
 //!   script debugged in the simulator runs unchanged here.
+//! * [`plan`] — the single `#NORNS` mapping table shared by both
+//!   worlds: [`plan::plan`] expands one `stage_in`/`stage_out …
+//!   all|scatter|gather|node:k` directive over an allocation into the
+//!   ordered slots (which node moves which path), given only a
+//!   callback saying what each node holds. It is pure and is the only
+//!   code outside [`script`] that matches on [`Mapping`]; `slurm-sim`'s
+//!   `ctld` and the executor each convert a slot into their own task
+//!   type, so what still differs between them lives in that
+//!   conversion, not in a second table.
 //! * [`executor`] — [`executor::WorkflowExecutor`]: an event-driven
 //!   DAG engine that registers jobs and staging tasks with real
 //!   [`norns_ipc::UrdDaemon`]s over the wire protocol, admits every
 //!   dependency-ready job **concurrently** (bodies on worker threads,
-//!   all jobs' staging multiplexed through per-daemon v5 `WaitAny`
-//!   batch waits — one job's stage-in overlaps another's computation,
-//!   the paper's headline behavior), routes cross-node directives
-//!   through the peer registry as `RemotePath` legs, expands
-//!   `scatter`/`gather` by enumerating directories over the v6
-//!   `ListDir` op (children split round-robin across nodes, merged
-//!   back on stage-out — no replication), frees stage-out sources
-//!   (`Move` locally, push-then-`Remove` remotely), and applies the
-//!   simulator's failure semantics (stage-in timeout ⇒ cancel +
-//!   cleanup, cancel-on-failure for workflow successors, stage-out
-//!   failures reported as recoverable leftovers). It never polls per
-//!   task.
+//!   one job's stage-in overlapping another's computation — the
+//!   paper's headline behavior), and applies the simulator's failure
+//!   semantics. Four files by concern: `executor/mod.rs` holds the
+//!   public types, `submit` and the slot → wire-task conversion
+//!   (`PosixPath` vs `RemotePath` through the peer registry, `Move` vs
+//!   copy + release, durability; the planner's listing callback is the
+//!   v6 `ListDir` op); `executor/lifecycle.rs` is the per-job state
+//!   machine; `executor/wait.rs` is the one blocking point — a parked
+//!   v7 `WaitAny` per busy daemon under a single epoll set, never a
+//!   per-task poll; `executor/teardown.rs` is everything that undoes
+//!   work (stage-in timeout ⇒ cancel + cleanup, cancel-and-drain, a
+//!   lost daemon, stage-out failures kept as recoverable leftovers).
 
 pub mod executor;
+pub mod plan;
 pub mod script;
 
 pub use executor::{

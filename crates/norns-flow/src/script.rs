@@ -93,7 +93,7 @@ pub enum PersistOp {
 }
 
 impl PersistOp {
-    fn render(&self) -> &'static str {
+    pub(crate) fn render(&self) -> &'static str {
         match self {
             PersistOp::Store => "store",
             PersistOp::Delete => "delete",

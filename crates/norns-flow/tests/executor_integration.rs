@@ -684,3 +684,40 @@ fn durability_directive_replicates_stage_out_to_a_peer() {
     drop(daemon_b);
     let _ = fs::remove_dir_all(&root);
 }
+
+#[test]
+fn persist_store_is_a_documented_no_op_and_the_other_ops_are_refused() {
+    let root = temp_root("persist");
+    let daemon = spawn_node(&root, "n0", "tmp0", 1);
+    let mount = root.join("n0/ds");
+    fs::write(mount.join("input.dat"), b"keep me").unwrap();
+    let mut exec = WorkflowExecutor::new(FlowConfig::default());
+    exec.add_node(node_spec(&daemon, "n0", &["tmp0"])).unwrap();
+    // delete/share/unshare have no real-mode implementation: a plan
+    // error naming the directive, not a silently dropped instruction.
+    for op in ["delete", "share", "unshare"] {
+        let script = format!("#SBATCH --job-name={op}\n#NORNS persist {op} tmp0://work alice\n");
+        match exec.submit(&script, JobBody::Sleep(Duration::ZERO)) {
+            Err(FlowError::Plan(msg)) => assert!(
+                msg.contains(&format!("#NORNS persist {op} tmp0://work alice")),
+                "{msg}"
+            ),
+            other => panic!("persist {op} must be a plan error, got {other:?}"),
+        }
+    }
+    // store is accepted; real mode never removes staged-in data on
+    // success, so the data it names is still there after the job.
+    let job = exec
+        .submit(
+            "#SBATCH --job-name=keeper\n\
+             #NORNS stage_in tmp0://input.dat tmp0://work/in.dat\n\
+             #NORNS persist store tmp0://work alice\n",
+            JobBody::Sleep(Duration::ZERO),
+        )
+        .unwrap();
+    assert_eq!(job.0, 1, "refused scripts took no job id");
+    assert_eq!(exec.run().unwrap(), vec![(job, FlowJobState::Completed)]);
+    assert_eq!(fs::read(mount.join("work/in.dat")).unwrap(), b"keep me");
+    drop(daemon);
+    let _ = fs::remove_dir_all(&root);
+}

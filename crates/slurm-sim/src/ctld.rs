@@ -16,12 +16,13 @@ use std::collections::HashMap;
 
 use norns::sim::ops as nops;
 use norns::{ApiSource, JobId as NornsJobId, ResourceRef, TaskCompletion, TaskId, TaskSpec};
+use norns_flow::plan::{self, plan, Listing, Stage};
 use simcore::{EventId, Sim, SimDuration, SimTime};
 use simnet::NodeId;
-use simstore::Cred;
+use simstore::{Cred, NsError};
 
 use crate::job::{decode_stage_tag, stage_tag, Job, JobBody, JobState, SlurmJobId, StagePurpose};
-use crate::script::{JobScript, Mapping, PersistOp, WorkflowPos};
+use crate::script::{split_location, JobScript, PersistOp, WorkflowPos};
 use crate::workflow::{PersistedData, WorkflowId, WorkflowRegistry};
 
 /// Scheduler tunables (several are ablation knobs for the benches).
@@ -241,10 +242,10 @@ pub trait HasSlurm: norns::HasNorns {
     fn on_job_event(_sim: &mut Sim<Self>, _event: JobEvent) {}
 }
 
-fn split_loc(loc: &str) -> Result<(String, String), String> {
-    loc.split_once("://")
-        .map(|(n, p)| (n.to_string(), p.to_string()))
-        .ok_or_else(|| format!("malformed location: {loc}"))
+/// A directive location as a path on whichever node runs the task.
+fn local_ref(location: &str) -> ResourceRef {
+    let (nsid, path) = split_location(location).expect("directive locations are checked at submit");
+    ResourceRef::local(nsid, path)
 }
 
 fn emit<M: HasSlurm>(sim: &mut Sim<M>, event: JobEvent) {
@@ -267,6 +268,12 @@ pub fn submit<M: HasSlurm>(
             "job wants {} nodes but the cluster has {nodes_in_cluster}",
             script.nodes
         ));
+    }
+    // What the planner can refuse without an allocation (malformed
+    // locations, `node:k` beyond `--nodes`) is refused here, in both
+    // phases, exactly like the real-mode executor's `submit`.
+    for d in script.stage_in.iter().chain(&script.stage_out) {
+        plan::check(d, script.nodes)?;
     }
     let ctld = sim.model.ctld_mut();
     ctld.next_job += 1;
@@ -387,21 +394,17 @@ fn schedule_pass<M: HasSlurm>(sim: &mut Sim<M>) {
 /// Nodes holding persisted data this job's stage-ins reference.
 fn stage_in_affinity(ctld: &Slurmctld, id: SlurmJobId) -> Vec<NodeId> {
     let job = &ctld.jobs[&id.0];
-    let Some(wf) = job.workflow else {
-        return Vec::new();
-    };
-    let Some(w) = ctld.workflows.get(wf) else {
+    let Some(w) = job.workflow.and_then(|wf| ctld.workflows.get(wf)) else {
         return Vec::new();
     };
     let mut nodes = Vec::new();
     for d in &job.script.stage_in {
-        if let Ok((nsid, path)) = split_loc(&d.origin) {
-            if let Some(p) = w.persisted(&nsid, &path) {
-                for &h in &p.holders {
-                    if !nodes.contains(&h) {
-                        nodes.push(h);
-                    }
-                }
+        let persisted = split_location(&d.origin)
+            .ok()
+            .and_then(|(nsid, path)| w.persisted(nsid, path));
+        for &h in persisted.iter().flat_map(|p| &p.holders) {
+            if !nodes.contains(&h) {
+                nodes.push(h);
             }
         }
     }
@@ -494,7 +497,12 @@ fn begin_stage_in<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     sim.model.ctld_mut().job_mut(id).stage_timeout = ev;
 }
 
-/// Expand the job's stage-in directives into per-node NORNS tasks.
+/// Expand the job's stage-in directives into per-node NORNS tasks:
+/// the shared planner says which node takes which path, this world
+/// decides who serves it. A shared origin (PFS / burst buffer) is read
+/// in place; a node-local origin is data persisted by an earlier phase,
+/// pulled from its holders in rotation — unless the target is itself a
+/// holder, the data-affinity win the paper schedules for.
 fn plan_stage_in<M: HasSlurm>(
     sim: &mut Sim<M>,
     id: SlurmJobId,
@@ -511,143 +519,41 @@ fn plan_stage_in<M: HasSlurm>(
     };
     let mut out = Vec::new();
     for d in directives {
-        let (src_ns, src_path) = split_loc(&d.origin)?;
-        let (dst_ns, dst_path) = split_loc(&d.destination)?;
+        let (src_ns, src_path) = split_location(&d.origin).map_err(|e| e.to_string())?;
         let world = sim.model.norns_mut();
         let src_tier = world
             .storage
-            .resolve(&src_ns)
+            .resolve(src_ns)
             .ok_or_else(|| format!("unknown dataspace in origin: {src_ns}"))?;
-        let node_local_src = world.storage.kind(src_tier).is_node_local();
-
-        if node_local_src {
-            // Origin is data persisted by an earlier phase.
-            let holders = {
-                let ctld = sim.model.ctld_mut();
-                wf.and_then(|w| ctld.workflows.get(w))
-                    .and_then(|w| w.persisted(&src_ns, &src_path))
-                    .map(|p| p.holders.clone())
-                    .ok_or_else(|| {
-                        format!("stage_in origin {} not persisted by workflow", d.origin)
-                    })?
-            };
-            match d.mapping {
-                Mapping::All | Mapping::Gather => {
-                    for (i, &node) in nodes.iter().enumerate() {
-                        if holders.contains(&node) {
-                            continue; // data already local — the paper's key win
-                        }
-                        let holder = holders[i % holders.len()];
-                        out.push((
-                            node,
-                            TaskSpec::copy(
-                                ResourceRef::remote(holder, &src_ns, &src_path),
-                                ResourceRef::local(&dst_ns, &dst_path),
-                            ),
-                        ));
-                    }
-                }
-                Mapping::Scatter => {
-                    // Redistribute children of the persisted dir across
-                    // the new allocation (decompose → solver pattern).
-                    let children = {
-                        let world = sim.model.norns_mut();
-                        let holder = holders[0];
-                        let ns_node = if world.storage.kind(src_tier).is_node_local() {
-                            Some(holder)
-                        } else {
-                            None
-                        };
-                        world
-                            .storage
-                            .ns(src_tier, ns_node)
-                            .list(&src_path, &cred)
-                            .map_err(|e| format!("cannot list {}: {e}", d.origin))?
-                    };
-                    for (i, child) in children.iter().enumerate() {
-                        let node = nodes[i % nodes.len()];
-                        let holder = holders[i % holders.len()];
-                        if node == holder {
-                            continue;
-                        }
-                        out.push((
-                            node,
-                            TaskSpec::copy(
-                                ResourceRef::remote(holder, &src_ns, format!("{src_path}/{child}")),
-                                ResourceRef::local(&dst_ns, format!("{dst_path}/{child}")),
-                            ),
-                        ));
-                    }
-                }
-                Mapping::Node(k) => {
-                    let node = *nodes.get(k).ok_or("mapping node index out of range")?;
-                    if !holders.contains(&node) {
-                        out.push((
-                            node,
-                            TaskSpec::copy(
-                                ResourceRef::remote(holders[0], &src_ns, &src_path),
-                                ResourceRef::local(&dst_ns, &dst_path),
-                            ),
-                        ));
-                    }
-                }
-            }
+        let holders: Option<Vec<NodeId>> = if world.storage.kind(src_tier).is_node_local() {
+            let ctld = sim.model.ctld_mut();
+            let persisted = wf
+                .and_then(|w| ctld.workflows.get(w))
+                .and_then(|w| w.persisted(src_ns, src_path))
+                .ok_or_else(|| format!("stage_in origin {} not persisted by workflow", d.origin))?;
+            Some(persisted.holders.clone())
         } else {
-            // Shared origin (PFS / burst buffer).
-            match d.mapping {
-                Mapping::All | Mapping::Gather => {
-                    for &node in &nodes {
-                        out.push((
-                            node,
-                            TaskSpec::copy(
-                                ResourceRef::local(&src_ns, &src_path),
-                                ResourceRef::local(&dst_ns, &dst_path),
-                            ),
-                        ));
-                    }
-                }
-                Mapping::Scatter => {
-                    let children = {
-                        let world = sim.model.norns_mut();
-                        world
-                            .storage
-                            .ns(src_tier, None)
-                            .list(&src_path, &cred)
-                            .unwrap_or_default()
-                    };
-                    if children.is_empty() {
-                        // Single file: place on the first node.
-                        out.push((
-                            nodes[0],
-                            TaskSpec::copy(
-                                ResourceRef::local(&src_ns, &src_path),
-                                ResourceRef::local(&dst_ns, &dst_path),
-                            ),
-                        ));
-                    } else {
-                        for (i, child) in children.iter().enumerate() {
-                            let node = nodes[i % nodes.len()];
-                            out.push((
-                                node,
-                                TaskSpec::copy(
-                                    ResourceRef::local(&src_ns, format!("{src_path}/{child}")),
-                                    ResourceRef::local(&dst_ns, format!("{dst_path}/{child}")),
-                                ),
-                            ));
-                        }
-                    }
-                }
-                Mapping::Node(k) => {
-                    let node = *nodes.get(k).ok_or("mapping node index out of range")?;
-                    out.push((
-                        node,
-                        TaskSpec::copy(
-                            ResourceRef::local(&src_ns, &src_path),
-                            ResourceRef::local(&dst_ns, &dst_path),
-                        ),
-                    ));
-                }
+            None
+        };
+        let listed_on = holders.as_ref().map(|h| h[0]);
+        let origin = sim.model.norns_mut().storage.ns(src_tier, listed_on);
+        let slots = plan(Stage::In, &d, nodes.len(), |_| {
+            match origin.list(src_path, &cred) {
+                Ok(children) => Ok(Listing::Children(children)),
+                Err(NsError::NotADirectory(_)) => Ok(Listing::NotADirectory),
+                Err(NsError::NotFound(_)) => Ok(Listing::Missing),
+                Err(e) => Err(format!("cannot list {}: {e}", d.origin)),
             }
+        })?;
+        for slot in slots {
+            let node = nodes[slot.node_slot];
+            let (ns, path) = split_location(&slot.origin).map_err(|e| e.to_string())?;
+            let src = match &holders {
+                None => ResourceRef::local(ns, path),
+                Some(h) if h.contains(&node) => continue, // data already local
+                Some(h) => ResourceRef::remote(h[slot.index % h.len()], ns, path),
+            };
+            out.push((node, TaskSpec::copy(src, local_ref(&slot.destination))));
         }
     }
     Ok(out)
@@ -744,7 +650,7 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
         )
     };
     for p in directives {
-        let Ok((nsid, path)) = split_loc(&p.location) else {
+        let Ok((nsid, path)) = split_location(&p.location) else {
             continue;
         };
         match p.op {
@@ -752,7 +658,7 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                 // Record which nodes actually hold data at the path.
                 let holders: Vec<NodeId> = {
                     let world = sim.model.norns_mut();
-                    let Some(tier) = world.storage.resolve(&nsid) else {
+                    let Some(tier) = world.storage.resolve(nsid) else {
                         continue;
                     };
                     if !world.storage.kind(tier).is_node_local() {
@@ -761,7 +667,7 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                     nodes
                         .iter()
                         .copied()
-                        .filter(|&n| world.storage.ns(tier, Some(n)).exists(&path))
+                        .filter(|&n| world.storage.ns(tier, Some(n)).exists(path))
                         .collect()
                 };
                 if let Some(wf) = wf {
@@ -769,8 +675,8 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                         sim.model.ctld_mut().workflows.record_persist(
                             wf,
                             PersistedData {
-                                nsid: nsid.clone(),
-                                path: path.clone(),
+                                nsid: nsid.to_string(),
+                                path: path.to_string(),
                                 holders,
                                 owner: p.user.clone(),
                                 shared_with: Vec::new(),
@@ -785,13 +691,13 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                         let ctld = sim.model.ctld_mut();
                         ctld.workflows
                             .get(w)
-                            .and_then(|w| w.persisted(&nsid, &path))
+                            .and_then(|w| w.persisted(nsid, path))
                             .map(|pd| pd.holders.clone())
                     })
                     .unwrap_or_else(|| nodes.clone());
                 let tag = stage_tag(StagePurpose::Cleanup, id);
                 for node in holders {
-                    let spec = TaskSpec::remove(ResourceRef::local(&nsid, &path));
+                    let spec = TaskSpec::remove(ResourceRef::local(nsid, path));
                     let _ = nops::submit_task(
                         sim,
                         node,
@@ -805,7 +711,7 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                     sim.model
                         .ctld_mut()
                         .workflows
-                        .remove_persist(wf, &nsid, &path);
+                        .remove_persist(wf, nsid, path);
                 }
             }
             PersistOp::Share | PersistOp::Unshare => {
@@ -839,12 +745,12 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                         simstore::Mode(0o700)
                     };
                     let world = sim.model.norns_mut();
-                    if let Some(tier) = world.storage.resolve(&nsid) {
+                    if let Some(tier) = world.storage.resolve(nsid) {
                         for n in holders {
                             let _ = world
                                 .storage
                                 .ns_mut(tier, Some(n))
-                                .set_mode(&path, &cred, mode);
+                                .set_mode(path, &cred, mode);
                         }
                     }
                 }
@@ -873,54 +779,30 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     let mut submitted = 0;
     let tag = stage_tag(StagePurpose::StageOut, id);
     for d in directives {
-        let Ok((src_ns, src_path)) = split_loc(&d.origin) else {
-            fail_job(sim, id, format!("malformed stage_out origin {}", d.origin));
-            return;
+        let (src_ns, src_path) =
+            split_location(&d.origin).expect("directive locations are checked at submit");
+        let world = sim.model.norns_mut();
+        let Some(tier) = world.storage.resolve(src_ns) else {
+            continue;
         };
-        let Ok((dst_ns, dst_path)) = split_loc(&d.destination) else {
-            fail_job(
-                sim,
-                id,
-                format!("malformed stage_out destination {}", d.destination),
-            );
-            return;
-        };
-        // Which nodes contribute?
-        let contributors: Vec<NodeId> = {
-            let world = sim.model.norns_mut();
-            let Some(tier) = world.storage.resolve(&src_ns) else {
-                continue;
-            };
-            match d.mapping {
-                Mapping::Node(k) => nodes.get(k).copied().into_iter().collect(),
-                Mapping::All => {
-                    // Full replicas everywhere: move one, drop the rest.
-                    nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| world.storage.ns(tier, Some(n)).exists(&src_path))
-                        .take(1)
-                        .collect()
-                }
-                Mapping::Scatter | Mapping::Gather => nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| {
-                        world.storage.ns(tier, Some(n)).exists(&src_path)
-                            && !world
-                                .storage
-                                .ns(tier, Some(n))
-                                .is_empty_tree(&src_path, &cred)
-                                .unwrap_or(true)
-                    })
-                    .collect(),
-            }
-        };
-        for node in contributors {
-            let spec = TaskSpec::mv(
-                ResourceRef::local(&src_ns, &src_path),
-                ResourceRef::local(&dst_ns, &dst_path),
-            );
+        // A node contributes the tree it holds, moved by one task (the
+        // simulated `mv` merges directories, so the tree is never
+        // split per child); a tree with no bytes in it has no children
+        // worth a task.
+        let slots = plan(Stage::Out, &d, nodes.len(), |slot| {
+            let ns = world.storage.ns(tier, Some(nodes[slot]));
+            Ok(if !ns.exists(src_path) {
+                Listing::Missing
+            } else if ns.is_empty_tree(src_path, &cred).unwrap_or(true) {
+                Listing::Children(Vec::new())
+            } else {
+                Listing::NotADirectory
+            })
+        })
+        .expect("directives are checked at submit and the listing cannot fail");
+        for slot in slots {
+            let node = nodes[slot.node_slot];
+            let spec = TaskSpec::mv(local_ref(&slot.origin), local_ref(&slot.destination));
             match nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag) {
                 Ok(task) => {
                     sim.model
@@ -935,7 +817,7 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                     let ctld = sim.model.ctld_mut();
                     ctld.job_mut(id)
                         .leftover_stageout
-                        .push(format!("{src_ns}://{src_path} on node{node}: {e}"));
+                        .push(format!("{} on node{node}: {e}", slot.origin));
                 }
             }
         }
@@ -961,15 +843,14 @@ fn cleanup_after_success<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     };
     let tag = stage_tag(StagePurpose::Cleanup, id);
     for d in dirs {
-        let Ok((dst_ns, dst_path)) = split_loc(&d.destination) else {
-            continue;
-        };
+        let (dst_ns, dst_path) =
+            split_location(&d.destination).expect("directive locations are checked at submit");
         // Skip if this destination (or the directive origin) is
         // persisted for later phases.
         let persisted = {
             let ctld = sim.model.ctld_mut();
             wf.and_then(|w| ctld.workflows.get(w))
-                .map(|w| w.persisted(&dst_ns, &dst_path).is_some())
+                .map(|w| w.persisted(dst_ns, dst_path).is_some())
                 .unwrap_or(false)
         };
         if persisted {
@@ -980,15 +861,15 @@ fn cleanup_after_success<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                 let world = sim.model.norns_mut();
                 world
                     .storage
-                    .resolve(&dst_ns)
+                    .resolve(dst_ns)
                     .map(|t| {
                         world.storage.kind(t).is_node_local()
-                            && world.storage.ns(t, Some(node)).exists(&dst_path)
+                            && world.storage.ns(t, Some(node)).exists(dst_path)
                     })
                     .unwrap_or(false)
             };
             if exists {
-                let spec = TaskSpec::remove(ResourceRef::local(&dst_ns, &dst_path));
+                let spec = TaskSpec::remove(local_ref(&d.destination));
                 let _ =
                     nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag);
             }
@@ -1152,7 +1033,7 @@ pub fn handle_task_complete<M: HasSlurm>(sim: &mut Sim<M>, completion: &TaskComp
             true
         }
         StagePurpose::StageOut => {
-            let (remaining, failed) = {
+            let remaining = {
                 let ctld = sim.model.ctld_mut();
                 let Some(job) = ctld.jobs.get_mut(&id.0) else {
                     return true;
@@ -1173,12 +1054,8 @@ pub fn handle_task_complete<M: HasSlurm>(sim: &mut Sim<M>, completion: &TaskComp
                             .unwrap_or_else(|| "unknown".into())
                     ));
                 }
-                (
-                    job.outstanding_stage.len(),
-                    completion.state == norns::TaskState::FinishedWithError,
-                )
+                job.outstanding_stage.len()
             };
-            let _ = failed;
             if remaining == 0 {
                 finish_job(sim, id);
             }

@@ -574,3 +574,44 @@ fn events_are_logged_in_order() {
         vec!["submitted", "stage-in", "started", "stage-out", "completed"]
     );
 }
+
+#[test]
+fn out_of_range_node_mapping_is_refused_at_submit_in_both_phases() {
+    // The real-mode executor refuses these scripts at `submit`; the
+    // simulator used to accept them — failing the stage-in at run time
+    // and, worse, staging *nothing* for the stage-out while reporting
+    // the job Completed with no leftover.
+    let mut sim = testbed(2, SchedConfig::default());
+    for directive in [
+        "stage_in lustre://in.dat pmdk0://in.dat node:2",
+        "stage_out pmdk0://out.dat lustre://out.dat node:2",
+    ] {
+        let err = submit_script(
+            &mut sim,
+            &format!("#SBATCH --job-name=j\n#SBATCH --nodes=2\n#NORNS {directive}\n"),
+            cred(),
+            JobBody::Fixed(SimDuration::from_secs(10)),
+        )
+        .unwrap_err();
+        assert!(err.contains("node:2 out of range"), "{directive}: {err}");
+    }
+    assert_eq!(sim.model.ctld.queue_len(), 0, "nothing was queued");
+    // The last in-range slot still plans.
+    sim.model
+        .writes_on_start
+        .push(("ok".into(), GIB, "pmdk0".into(), "out.dat".into()));
+    let id = submit_script(
+        &mut sim,
+        "#SBATCH --job-name=ok\n#SBATCH --nodes=2\n\
+         #NORNS stage_out pmdk0://out.dat lustre://out.dat node:1\n",
+        cred(),
+        JobBody::Fixed(SimDuration::from_secs(10)),
+    )
+    .unwrap();
+    sim.run();
+    assert_eq!(state_of(&sim, id), JobState::Completed);
+    let t = sim.model.world.storage.resolve("lustre").unwrap();
+    assert!(sim.model.world.storage.ns(t, None).exists("out.dat"));
+    assert!(!nvm_has(&sim, 1, "out.dat"), "node 1's copy was moved");
+    assert!(nvm_has(&sim, 0, "out.dat"), "node 0 was not asked");
+}

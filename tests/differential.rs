@@ -223,9 +223,9 @@ mod scatter_gather {
         }
     }
 
-    /// Which children each node holds once the simulated job reaches
-    /// Running (stage-in complete), as `node → sorted child names`.
-    fn sim_placement() -> Vec<Vec<String>> {
+    /// The simulated cluster both halves run on: `NODES` nodes, each
+    /// with `pmdk0` and the shared `lustre` registered.
+    fn sim_cluster() -> Sim<Model> {
         let tb = cluster::nextgenio_quiet(NODES);
         let ctld = Slurmctld::new(NODES, SchedConfig::default());
         let mut sim = Sim::new(
@@ -239,6 +239,13 @@ mod scatter_gather {
             norns::sim::ops::register_dataspace(&mut sim, n, "pmdk0", "pmdk0", false).unwrap();
             norns::sim::ops::register_dataspace(&mut sim, n, "lustre", "lustre", false).unwrap();
         }
+        sim
+    }
+
+    /// Which children each node holds once the simulated job reaches
+    /// Running (stage-in complete), as `node → sorted child names`.
+    fn sim_placement() -> Vec<Vec<String>> {
+        let mut sim = sim_cluster();
         let cred = Cred::new(1000, 1000);
         {
             let t = sim.model.world.storage.resolve("lustre").unwrap();
@@ -299,54 +306,81 @@ mod scatter_gather {
         .unwrap();
     }
 
-    /// The same workload against two live daemons: node 0 hosts the
-    /// shared `lustre` tier plus its node-local `pmdk0`, node 1 its
-    /// own `pmdk0` (same nsid, own mount — the node-local pattern).
-    fn real_placement() -> Vec<Vec<String>> {
+    /// Two live daemons under an executor: node 0 hosts the shared
+    /// `lustre` tier plus its node-local `pmdk0`, node 1 its own
+    /// `pmdk0` (same nsid, own mount — the node-local pattern).
+    struct RealCluster {
+        root: PathBuf,
+        daemons: [UrdDaemon; 2],
+        exec: WorkflowExecutor,
+        lustre: PathBuf,
+        pmdk: [PathBuf; 2],
+    }
+
+    fn real_cluster(tag: &str) -> RealCluster {
         let root: PathBuf =
-            std::env::temp_dir().join(format!("norns-diff-scatter-{}", std::process::id()));
+            std::env::temp_dir().join(format!("norns-diff-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(&root).unwrap();
-        let daemon_a = spawn(&root, "n0");
-        let daemon_b = spawn(&root, "n1");
+        let daemons = [spawn(&root, "n0"), spawn(&root, "n1")];
         let lustre = root.join("n0/lustre");
         let pmdk = [root.join("n0/pmdk"), root.join("n1/pmdk")];
-        register(&daemon_a, "lustre", &lustre);
-        register(&daemon_a, "pmdk0", &pmdk[0]);
-        register(&daemon_b, "pmdk0", &pmdk[1]);
-        fs::create_dir_all(lustre.join("case")).unwrap();
-        for c in CHILDREN {
-            fs::write(lustre.join("case").join(c), vec![7u8; 1 << 10]).unwrap();
-        }
+        register(&daemons[0], "lustre", &lustre);
+        register(&daemons[0], "pmdk0", &pmdk[0]);
+        register(&daemons[1], "pmdk0", &pmdk[1]);
         let mut exec = WorkflowExecutor::new(FlowConfig::default());
-        exec.add_node(NodeSpec {
-            name: "n0".into(),
-            control_path: daemon_a.control_path.clone(),
-            dataspaces: vec!["lustre".into(), "pmdk0".into()],
-        })
-        .unwrap();
-        exec.add_node(NodeSpec {
-            name: "n1".into(),
-            control_path: daemon_b.control_path.clone(),
-            dataspaces: vec!["pmdk0".into()],
-        })
-        .unwrap();
-        let job = exec.submit(SCRIPT, JobBody::Sleep(Duration::ZERO)).unwrap();
-        exec.run().unwrap();
-        assert_eq!(exec.job_state(job), Some(FlowJobState::Completed));
-        let placement = pmdk
+        for (name, daemon, dataspaces) in [
+            ("n0", &daemons[0], vec!["lustre".into(), "pmdk0".into()]),
+            ("n1", &daemons[1], vec!["pmdk0".into()]),
+        ] {
+            exec.add_node(NodeSpec {
+                name: name.into(),
+                control_path: daemon.control_path.clone(),
+                dataspaces,
+            })
+            .unwrap();
+        }
+        RealCluster {
+            root,
+            daemons,
+            exec,
+            lustre,
+            pmdk,
+        }
+    }
+
+    impl RealCluster {
+        fn shutdown(self) {
+            drop(self.daemons);
+            let _ = fs::remove_dir_all(&self.root);
+        }
+    }
+
+    /// The scatter workload against the two live daemons.
+    fn real_placement() -> Vec<Vec<String>> {
+        let mut c = real_cluster("scatter");
+        fs::create_dir_all(c.lustre.join("case")).unwrap();
+        for child in CHILDREN {
+            fs::write(c.lustre.join("case").join(child), vec![7u8; 1 << 10]).unwrap();
+        }
+        let job = c
+            .exec
+            .submit(SCRIPT, JobBody::Sleep(Duration::ZERO))
+            .unwrap();
+        c.exec.run().unwrap();
+        assert_eq!(c.exec.job_state(job), Some(FlowJobState::Completed));
+        let placement = c
+            .pmdk
             .iter()
             .map(|mount| {
                 CHILDREN
                     .iter()
-                    .filter(|c| mount.join("case").join(c).exists())
-                    .map(|c| c.to_string())
+                    .filter(|child| mount.join("case").join(child).exists())
+                    .map(|child| child.to_string())
                     .collect()
             })
             .collect();
-        drop(daemon_a);
-        drop(daemon_b);
-        let _ = fs::remove_dir_all(&root);
+        c.shutdown();
         placement
     }
 
@@ -369,5 +403,124 @@ mod scatter_gather {
             "real-mode scatter must place every child on the same node as the simulator, \
              with no replication"
         );
+    }
+
+    const GATHER_SCRIPT: &str = "#SBATCH --job-name=gs\n\
+                                 #SBATCH --nodes=2\n\
+                                 #NORNS stage_out pmdk0://out lustre://final gather\n";
+
+    /// The file node `n`'s share of the application writes under
+    /// `pmdk0://out`.
+    fn output_of(n: usize) -> String {
+        format!("from-n{n}.dat")
+    }
+
+    /// Names under `lustre://final` once the simulated job completed,
+    /// plus whether any node still holds its output.
+    fn sim_gather() -> (Vec<String>, bool) {
+        let mut sim = sim_cluster();
+        let cred = Cred::new(1000, 1000);
+        let id = submit_script(
+            &mut sim,
+            GATHER_SCRIPT,
+            cred.clone(),
+            slurm_sim::JobBody::Fixed(SimDuration::from_secs(60)),
+        )
+        .unwrap();
+        while sim.model.ctld.job(id).unwrap().state != JobState::Running && sim.step() {}
+        // The application: each node writes its own file.
+        let pmdk = sim.model.world.storage.resolve("pmdk0").unwrap();
+        for n in 0..NODES {
+            sim.model
+                .world
+                .storage
+                .ns_mut(pmdk, Some(n))
+                .write_file(
+                    &format!("out/{}", output_of(n)),
+                    1 << 20,
+                    &cred,
+                    Mode(0o644),
+                )
+                .unwrap();
+        }
+        sim.run();
+        let job = sim.model.ctld.job(id).unwrap();
+        assert_eq!(job.state, JobState::Completed);
+        assert!(
+            job.leftover_stageout.is_empty(),
+            "{:?}",
+            job.leftover_stageout
+        );
+        let lustre = sim.model.world.storage.resolve("lustre").unwrap();
+        let merged = sim
+            .model
+            .world
+            .storage
+            .ns(lustre, None)
+            .list("final", &cred)
+            .unwrap();
+        let held = (0..NODES).any(|n| {
+            sim.model
+                .world
+                .storage
+                .ns(pmdk, Some(n))
+                .exists(&format!("out/{}", output_of(n)))
+        });
+        (merged, held)
+    }
+
+    /// The same job on the two live daemons: node 0 moves its child
+    /// locally, node 1 pushes its own and releases the source.
+    fn real_gather() -> (Vec<String>, bool) {
+        let mut c = real_cluster("gather");
+        let mounts = c.pmdk.clone();
+        let job = c
+            .exec
+            .submit(
+                GATHER_SCRIPT,
+                JobBody::Run(Box::new(move || {
+                    for (n, mount) in mounts.iter().enumerate() {
+                        fs::create_dir_all(mount.join("out")).map_err(|e| e.to_string())?;
+                        fs::write(mount.join("out").join(output_of(n)), vec![7u8; 1 << 10])
+                            .map_err(|e| e.to_string())?;
+                    }
+                    Ok(())
+                })),
+            )
+            .unwrap();
+        c.exec.run().unwrap();
+        assert_eq!(c.exec.job_state(job), Some(FlowJobState::Completed));
+        assert!(
+            c.exec.leftovers(job).is_empty(),
+            "{:?}",
+            c.exec.leftovers(job)
+        );
+        let mut merged: Vec<String> = fs::read_dir(c.lustre.join("final"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        merged.sort();
+        let held = (0..NODES).any(|n| c.pmdk[n].join("out").join(output_of(n)).exists());
+        c.shutdown();
+        (merged, held)
+    }
+
+    /// The stage-out half of the mapping differential: a two-node
+    /// `gather` merges each node's children under one destination, with
+    /// the same names, and frees the node-local sources, in both worlds
+    /// — although the simulator moves a node's tree with one task and
+    /// the executor moves it child by child.
+    #[test]
+    fn gather_merges_children_identically_in_sim_and_real() {
+        let (sim, sim_held) = sim_gather();
+        assert_eq!(
+            sim,
+            vec![output_of(0), output_of(1)],
+            "sim gather must merge both nodes' children under one destination"
+        );
+        assert!(!sim_held, "sim gather is a move");
+        let (real, real_held) = real_gather();
+        assert_eq!(real, sim, "real-mode gather must merge the same names");
+        assert!(!real_held, "real-mode gather frees its sources");
     }
 }
