@@ -30,11 +30,13 @@
 //!   and destination share a filesystem; and a per-task atomic
 //!   advances `bytes_moved` live, making `query()` a real progress
 //!   API.
-//! * [`remote`] — tasks whose input or output is a
-//!   [`ResourceDesc::RemotePath`] route through the peer registry
-//!   (`RemotePath.host` → data-plane TCP address) and stream file
-//!   ranges to or from the peer daemon, reusing the same chunk
-//!   sub-unit machinery, live progress atomic and mid-stream cancel.
+//! * [`remote`] — both halves of the TCP data plane. Tasks whose
+//!   input or output is a [`ResourceDesc::RemotePath`] route through
+//!   the peer registry (`RemotePath.host` → data-plane TCP address)
+//!   and stream file ranges to or from the peer daemon, reusing the
+//!   same chunk sub-unit machinery, live progress atomic and
+//!   mid-stream cancel; the peer answers them from its `DataServer`,
+//!   which the daemon hands every accepted data-plane connection.
 //! * [`replication`] — the v8 durability modes: replica pushes behind
 //!   a landed stage-out.
 //!
@@ -73,6 +75,8 @@ pub use remote::{DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW};
 pub use shard::DEFAULT_SHARDS;
 pub use transfer::{DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
 pub use waits::WaitCallback;
+
+pub(crate) use remote::DataServer;
 
 use registry::Registry;
 use remote::{Direction, RemoteTransfer};
@@ -299,19 +303,6 @@ impl Engine {
                 ..EngineConfig::default()
             },
             Box::new(Fcfs),
-        )
-    }
-
-    /// Create the engine with an explicit arbitration policy and
-    /// pending-queue capacity (remaining knobs at their defaults).
-    pub fn with_policy(workers: usize, capacity: usize, policy: IpcPolicy) -> Arc<Engine> {
-        Self::with_config(
-            EngineConfig {
-                workers,
-                queue_capacity: capacity,
-                ..EngineConfig::default()
-            },
-            policy,
         )
     }
 
@@ -1219,6 +1210,16 @@ mod tests {
             .unwrap();
     }
 
+    /// One worker, so queued tasks stay queued behind a running one.
+    fn one_worker(queue_capacity: usize, policy: IpcPolicy) -> Arc<Engine> {
+        let config = EngineConfig {
+            workers: 1,
+            queue_capacity,
+            ..EngineConfig::default()
+        };
+        Engine::with_config(config, policy)
+    }
+
     fn engine_with_ds(tag: &str) -> (Arc<Engine>, PathBuf) {
         let root = temp_root(tag);
         let engine = Engine::new(2);
@@ -1456,7 +1457,7 @@ mod tests {
     #[test]
     fn wait_timeout_returns_current_state() {
         let root = temp_root("timeout");
-        let engine = Engine::with_policy(1, 64, Box::new(Fcfs));
+        let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
         // Pin the single worker on a long copy so the victim behind it
         // is still queued when its bounded wait expires.
@@ -1591,7 +1592,7 @@ mod tests {
     fn bounded_queue_rejects_with_busy() {
         let root = temp_root("busy");
         // 1 worker, capacity 2: one running + two pending fills it.
-        let engine = Engine::with_policy(1, 2, Box::new(Fcfs));
+        let engine = one_worker(2, Box::new(Fcfs));
         register_tmp0(&engine, &root);
         // Pin the single worker on a long path→path copy so the flood
         // below deterministically backs up behind capacity 2 (memory
@@ -1641,7 +1642,7 @@ mod tests {
     #[test]
     fn cancel_pending_task() {
         let root = temp_root("cancel");
-        let engine = Engine::with_policy(1, 64, Box::new(Fcfs));
+        let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
         // Keep the worker busy with a large write, then queue a victim.
         let blocker = engine
@@ -1702,7 +1703,7 @@ mod tests {
     #[test]
     fn shutdown_joins_workers_and_cancels_backlog() {
         let root = temp_root("shutdown");
-        let engine = Engine::with_policy(1, 64, Box::new(Fcfs));
+        let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
         let mut ids = Vec::new();
         for i in 0..8 {
@@ -1830,7 +1831,7 @@ mod tests {
     #[test]
     fn wait_any_returns_first_completion_and_scopes_ownership() {
         let root = temp_root("waitany");
-        let engine = Engine::with_policy(1, 64, Box::new(Fcfs));
+        let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
         // Blocker pins the single worker so the two waited tasks are
         // still pending when wait_any parks.
@@ -1890,7 +1891,7 @@ mod tests {
     #[test]
     fn priority_orders_backlog_under_weighted_policy() {
         let root = temp_root("prio");
-        let engine = Engine::with_policy(1, 64, Box::new(WeightedPriority::default()));
+        let engine = one_worker(64, Box::new(WeightedPriority::default()));
         register_tmp0(&engine, &root);
         // Blocker occupies the single worker; then a low-priority
         // burst followed by one high-priority task.

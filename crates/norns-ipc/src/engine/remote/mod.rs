@@ -2,12 +2,16 @@
 //!
 //! NORNS' defining capability is asynchronous staging *between nodes*
 //! (paper Table II: `process memory ⇒ remote path`, `local path ⇒
-//! remote path`, …). This module is the client half of that data
-//! plane: a daemon executing a task whose input or output is a
+//! remote path`, …). Both halves of that data plane live in this
+//! directory. This file is the client's transfer logic: a daemon
+//! executing a task whose input or output is a
 //! [`norns_proto::ResourceDesc::RemotePath`] resolves the peer host
 //! through its peer registry and streams file ranges to or from the
 //! peer's data-plane listener using the framed
-//! [`DataRequest`]/[`DataResponse`] protocol (wire v4).
+//! [`DataRequest`]/[`DataResponse`] protocol (wire v4). [`conn`] is
+//! one client connection and the per-worker cache of them; [`server`]
+//! answers the protocol on the peer, one blocking handler thread per
+//! accepted connection.
 //!
 //! Remote transfers reuse the whole chunk machinery: a transfer larger
 //! than the configured chunk size decomposes into chunk sub-units fed
@@ -29,10 +33,10 @@
 //!
 //! **Syscall fast paths.** Push payloads travel disk→socket via
 //! `sendfile(2)` where the kernel allows it (frame header and request
-//! go out in one vectored write, the payload never crosses userspace);
-//! the fallback is a `pread` into a pooled per-worker buffer followed
-//! by a single vectored write of header + request + payload — never a
-//! fresh allocation per range, never two small writes per frame.
+//! go out in one write, the payload never crosses userspace); a file
+//! pair the kernel refuses degrades, for that range, to a `pread`
+//! through the worker's pooled buffer — never a fresh allocation per
+//! range.
 //!
 //! Failure model: unknown peers are rejected at submission
 //! (`NotFound`); unreachable peers fail the task with a bounded
@@ -43,34 +47,24 @@
 //! connection — safe because every range names an absolute offset
 //! (idempotent replay).
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+mod conn;
+mod server;
+
+use std::collections::VecDeque;
 use std::fs::{self, File};
-use std::io::{self, IoSlice, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
-
-use norns_proto::{
-    encode_frame, frame_header, DataRequest, DataResponse, ErrorCode, FrameReader, Wire,
-    MAX_DATA_RANGE,
-};
+use norns_proto::{DataRequest, DataResponse, ErrorCode, MAX_DATA_RANGE};
 
 use super::error::EngineError;
 use super::transfer::{ChunkGrid, RangeMover};
+use conn::{store_conn, take_conn, DataConn};
 
-/// Bound on establishing a data-plane connection: an unreachable peer
-/// must fail the task, not hang a worker.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Bound on any single data-plane read/write. Generous — one bounded
-/// range, not a whole file, travels per syscall.
-const IO_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) use server::DataServer;
 
 /// Default per-connection request window: enough in-flight ranges to
 /// hide a round-trip of latency without making cancel drains costly.
@@ -85,383 +79,30 @@ pub const MAX_REMOTE_WINDOW: usize = 256;
 /// shatter it into requests so small that per-frame overhead dominates.
 const RANGE_STEP_FLOOR: u64 = 256 << 10;
 
-/// Per-worker pooled buffer for the push fallback path (when
-/// `sendfile` is unavailable): payloads are `pread` into this and go
-/// out in one vectored write.
-const REMOTE_POOL_BUF: usize = 1 << 20;
-
-/// Bound on this worker's connection cache. Long-lived daemons see
-/// peers come and go; without a cap every peer ever spoken to would
-/// pin one socket per worker thread forever.
-const CONN_CACHE_CAP: usize = 16;
-
 /// Pause before the second (last-chance) `Discard` attempt in
 /// [`RemoteTransfer::cleanup`] — long enough for a peer daemon
 /// mid-restart to come back up and bind its data listener.
 const DISCARD_RETRY_DELAY: Duration = Duration::from_millis(200);
-
-/// Map a data-plane I/O error onto a wire error code. Timeouts get
-/// their own code so callers can distinguish a dead peer mid-transfer
-/// from a local filesystem failure.
-fn map_net(e: io::Error) -> EngineError {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-            EngineError::new(ErrorCode::Timeout, format!("data plane timeout: {e}"))
-        }
-        _ => e.into(),
-    }
-}
-
-/// Is `sendfile(2)` still worth attempting? Cleared the first time the
-/// syscall refuses a socket/file pair (old kernels, exotic
-/// filesystems); every push then takes the pooled `pread` +
-/// vectored-write path.
-#[cfg(target_os = "linux")]
-static SENDFILE_RUNTIME_OFF: AtomicBool = AtomicBool::new(false);
-
-#[cfg(target_os = "linux")]
-fn sendfile_enabled() -> bool {
-    !SENDFILE_RUNTIME_OFF.load(Ordering::Relaxed)
-}
-
-#[cfg(target_os = "linux")]
-fn disable_sendfile() {
-    SENDFILE_RUNTIME_OFF.store(true, Ordering::Relaxed);
-}
-
-/// One `sendfile(2)` round-trip with an explicit source offset (the
-/// file's cursor is never touched — chunk workers share the `File`).
-#[cfg(target_os = "linux")]
-fn sendfile_once(socket: &TcpStream, file: &File, offset: u64, len: usize) -> io::Result<usize> {
-    use std::os::unix::io::AsRawFd;
-    // Declared directly (glibc) — the workspace builds offline with no
-    // libc crate.
-    // SAFETY: signature transcribed from the glibc header for x86_64
-    // Linux (`sendfile64` is the default under _FILE_OFFSET_BITS=64).
-    extern "C" {
-        fn sendfile(
-            out_fd: std::ffi::c_int,
-            in_fd: std::ffi::c_int,
-            offset: *mut i64,
-            count: usize,
-        ) -> isize;
-    }
-    let mut off = offset as i64;
-    // SAFETY: both fds are live for the duration of the call (borrowed
-    // from `&TcpStream` / `&File`), and `off` is a live stack i64 the
-    // kernel updates in place.
-    let n = unsafe { sendfile(socket.as_raw_fd(), file.as_raw_fd(), &mut off, len) };
-    if n < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(n as usize)
-    }
-}
-
-/// Errors that mean "this pair can't use `sendfile`, take the buffered
-/// path" rather than "the transfer failed".
-#[cfg(target_os = "linux")]
-fn sendfile_wants_fallback(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::Unsupported | io::ErrorKind::InvalidInput
-    )
-}
-
-thread_local! {
-    /// Per-worker pooled payload buffer for the push fallback path.
-    static RANGE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Write every byte of up to three slices through `write_vectored`,
-/// coalescing frame header, request and payload into single syscalls.
-fn write_all_vectored(stream: &mut TcpStream, parts: &[&[u8]]) -> io::Result<()> {
-    let mut part = 0usize;
-    let mut off = 0usize;
-    // Skip leading empty parts.
-    while part < parts.len() && parts[part].is_empty() {
-        part += 1;
-    }
-    while part < parts.len() {
-        let mut slices = [IoSlice::new(&[]); 4];
-        let mut n_slices = 0;
-        for (i, p) in parts.iter().enumerate().skip(part) {
-            let s = if i == part { &p[off..] } else { &p[..] };
-            if !s.is_empty() {
-                slices[n_slices] = IoSlice::new(s);
-                n_slices += 1;
-            }
-        }
-        if n_slices == 0 {
-            break;
-        }
-        let mut n = match stream.write_vectored(&slices[..n_slices]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "data connection refused bytes",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while n > 0 && part < parts.len() {
-            let rem = parts[part].len() - off;
-            if n >= rem {
-                n -= rem;
-                part += 1;
-                off = 0;
-            } else {
-                off += n;
-                n = 0;
-            }
-        }
-        while part < parts.len() && off == parts[part].len() {
-            part += 1;
-            off = 0;
-        }
-    }
-    Ok(())
-}
-
-/// One framed connection to a peer's data plane. Supports both the
-/// single round-trip [`DataConn::call`] (control-ish ops: `Stat`,
-/// `Prepare`, `Discard`) and split send/receive halves so transfers
-/// can keep a window of range requests in flight.
-pub(crate) struct DataConn {
-    stream: TcpStream,
-    reader: FrameReader,
-}
-
-impl DataConn {
-    pub fn connect(addr: &str) -> Result<DataConn, EngineError> {
-        let bad_addr = |why: String| EngineError::new(ErrorCode::BadArgs, why);
-        let sockaddr: SocketAddr = addr
-            .to_socket_addrs()
-            .map_err(|e| bad_addr(format!("peer address {addr:?}: {e}")))?
-            .next()
-            .ok_or_else(|| bad_addr(format!("peer address {addr:?} resolves to nothing")))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)
-            .map_err(|e| EngineError::new(ErrorCode::SystemError, format!("peer {addr}: {e}")))?;
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        // Request/response exchanges: Nagle only adds latency.
-        let _ = stream.set_nodelay(true);
-        Ok(DataConn {
-            stream,
-            reader: FrameReader::new(),
-        })
-    }
-
-    /// Send one request frame with no trailing payload (`Stat`,
-    /// `Fetch`, `Prepare`, `Discard`): header + request in a single
-    /// vectored write.
-    fn send_request(&mut self, req: &DataRequest) -> Result<(), EngineError> {
-        let body = req.to_bytes();
-        let header = frame_header(body.len());
-        write_all_vectored(&mut self.stream, &[&header, &body]).map_err(map_net)
-    }
-
-    /// Send one `Store` frame whose payload is `len` bytes of `file`
-    /// at `offset`. The payload travels disk→socket via `sendfile(2)`
-    /// where available; otherwise it is `pread` into this worker's
-    /// pooled buffer and written together with header + request in one
-    /// vectored write. A source that comes up short (shrank under the
-    /// transfer) is an error: the frame length is already committed.
-    fn send_store(
-        &mut self,
-        req: &DataRequest,
-        file: &File,
-        offset: u64,
-        len: u64,
-    ) -> Result<(), EngineError> {
-        let body = req.to_bytes();
-        let header = frame_header(body.len() + len as usize);
-        #[cfg(target_os = "linux")]
-        if sendfile_enabled() {
-            write_all_vectored(&mut self.stream, &[&header, &body]).map_err(map_net)?;
-            let mut sent = 0u64;
-            while sent < len {
-                let want = (len - sent).min(1 << 30) as usize;
-                match sendfile_once(&self.stream, file, offset + sent, want) {
-                    Ok(0) => return Err(truncated("local", offset + sent)),
-                    Ok(n) => sent += n as u64,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if sent == 0 && sendfile_wants_fallback(&e) => {
-                        // First refusal on this box: remember and take
-                        // the buffered path for the rest of the frame
-                        // (header is committed, only payload remains).
-                        disable_sendfile();
-                        break;
-                    }
-                    Err(e) => return Err(map_net(e)),
-                }
-            }
-            if sent == len {
-                return Ok(());
-            }
-            // sendfile refused before moving anything: stream position
-            // is right after the request; fill the payload buffered.
-            return self.write_payload_buffered(file, offset + sent, len - sent, &[]);
-        }
-        self.write_payload_buffered(file, offset, len, &[&header, &body])
-    }
-
-    /// Buffered push path: `pread` the payload into the pooled
-    /// per-worker buffer and write `prefix` slices + payload in one
-    /// vectored write. A short read is an error — the frame header
-    /// already promised `len` payload bytes.
-    fn write_payload_buffered(
-        &mut self,
-        file: &File,
-        mut offset: u64,
-        len: u64,
-        prefix: &[&[u8]],
-    ) -> Result<(), EngineError> {
-        RANGE_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let want = (len.min(REMOTE_POOL_BUF as u64) as usize).max(1);
-            if buf.len() < want {
-                buf.resize(want, 0);
-            }
-            let mut remaining = len;
-            let mut first = true;
-            while remaining > 0 || first {
-                let step = remaining.min(REMOTE_POOL_BUF as u64) as usize;
-                let mut filled = 0usize;
-                while filled < step {
-                    match file.read_at(&mut buf[filled..step], offset + filled as u64) {
-                        Ok(0) => return Err(truncated("local", offset + filled as u64)),
-                        Ok(n) => filled += n,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                let parts: Vec<&[u8]> = if first {
-                    prefix.iter().copied().chain([&buf[..step]]).collect()
-                } else {
-                    vec![&buf[..step]]
-                };
-                write_all_vectored(&mut self.stream, &parts).map_err(map_net)?;
-                offset += step as u64;
-                remaining -= step as u64;
-                first = false;
-            }
-            Ok(())
-        })
-    }
-
-    /// Read one response frame (blocking, bounded by the stream's
-    /// read timeout). Returns the decoded response and whatever
-    /// payload followed it.
-    fn recv_response(&mut self) -> Result<(DataResponse, Bytes), EngineError> {
-        let garbled = |what: String| EngineError::new(ErrorCode::SystemError, what);
-        loop {
-            if let Some(mut frame) = self
-                .reader
-                .next_frame()
-                .map_err(|e| garbled(format!("data plane framing: {e}")))?
-            {
-                let resp = DataResponse::decode(&mut frame)
-                    .map_err(|e| garbled(format!("data plane decode: {e}")))?;
-                return Ok((resp, frame));
-            }
-            if self.reader.read_from(&mut self.stream).map_err(map_net)? == 0 {
-                return Err(garbled("peer closed the data connection".into()));
-            }
-        }
-    }
-
-    /// One round-trip: send `req` (+ optional trailing payload), read
-    /// one response frame.
-    pub fn call(
-        &mut self,
-        req: &DataRequest,
-        payload: Option<&[u8]>,
-    ) -> Result<(DataResponse, Bytes), EngineError> {
-        let mut body = BytesMut::from(&req.to_bytes()[..]);
-        if let Some(p) = payload {
-            body.extend_from_slice(p);
-        }
-        self.stream
-            .write_all(&encode_frame(&body))
-            .map_err(map_net)?;
-        self.recv_response()
-    }
-}
-
-/// A cached connection plus the logical timestamp of its last use
-/// (eviction order).
-struct CachedConn {
-    conn: DataConn,
-    last_used: u64,
-}
-
-thread_local! {
-    /// Per-worker connection cache, keyed by peer address, with a
-    /// monotonically increasing use counter. Each transfer borrows a
-    /// cached connection instead of paying a TCP handshake per chunk;
-    /// the cache is **bounded** at [`CONN_CACHE_CAP`] entries with
-    /// least-recently-used eviction, so a long-lived daemon talking to
-    /// a rotating peer set cannot leak one socket per former peer per
-    /// worker thread.
-    static CONN_CACHE: RefCell<(HashMap<String, CachedConn>, u64)> =
-        RefCell::new((HashMap::new(), 0));
-}
-
-/// Take this worker's cached connection to `addr`, if any.
-fn take_conn(addr: &str) -> Option<DataConn> {
-    CONN_CACHE.with(|c| c.borrow_mut().0.remove(addr).map(|e| e.conn))
-}
-
-/// Return a healthy connection to the cache, evicting the
-/// least-recently-used entry if the bound is hit.
-fn store_conn(addr: &str, conn: DataConn) {
-    CONN_CACHE.with(|c| {
-        let (map, tick) = &mut *c.borrow_mut();
-        *tick += 1;
-        if !map.contains_key(addr) && map.len() >= CONN_CACHE_CAP {
-            if let Some(oldest) = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                map.remove(&oldest);
-            }
-        }
-        map.insert(
-            addr.to_string(),
-            CachedConn {
-                conn,
-                last_used: *tick,
-            },
-        );
-    });
-}
 
 /// Run one request/response round-trip against `addr`, reusing this
 /// worker's cached connection. A failure on a *cached* connection may
 /// just mean it went stale (peer restarted, idle timeout), so the
 /// round-trip is retried once on a fresh connection — safe because
 /// every data request is idempotent (`Fetch`/`Store` name absolute
-/// ranges; `Stat`/`Prepare`/`Discard` are naturally re-runnable).
-fn round_trip(
-    addr: &str,
-    req: &DataRequest,
-    payload: Option<&[u8]>,
-) -> Result<(DataResponse, Bytes), EngineError> {
+/// ranges; `Stat`/`Prepare`/`Discard` are naturally re-runnable). The
+/// peer's `Error` response comes back as ours.
+fn round_trip(addr: &str, req: &DataRequest) -> Result<DataResponse, EngineError> {
     if let Some(mut conn) = take_conn(addr) {
-        if let Ok(result) = conn.call(req, payload) {
+        if let Ok(resp) = conn.call(req) {
             store_conn(addr, conn);
-            return Ok(result);
+            return reply(resp);
         }
         // Stale: drop it and fall through to a fresh connection.
     }
     let mut conn = DataConn::connect(addr)?;
-    let result = conn.call(req, payload)?;
+    let resp = conn.call(req)?;
     store_conn(addr, conn);
-    Ok(result)
+    reply(resp)
 }
 
 /// A peer's answer as a `Result`: its `Error` response is ours.
@@ -487,8 +128,8 @@ fn truncated(side: &str, at: u64) -> EngineError {
 }
 
 /// A round-trip whose only interesting success is `Ok`.
-fn expect_ok(addr: &str, req: &DataRequest, payload: Option<&[u8]>) -> Result<(), EngineError> {
-    match reply(round_trip(addr, req, payload)?.0)? {
+fn expect_ok(addr: &str, req: &DataRequest) -> Result<(), EngineError> {
+    match round_trip(addr, req)? {
         DataResponse::Ok => Ok(()),
         other => Err(unexpected(&other)),
     }
@@ -500,7 +141,7 @@ fn stat(addr: &str, nsid: &str, path: &str) -> Result<u64, EngineError> {
         nsid: nsid.into(),
         path: path.into(),
     };
-    match reply(round_trip(addr, &req, None)?.0)? {
+    match round_trip(addr, &req)? {
         DataResponse::Stat { size } => Ok(size),
         other => Err(unexpected(&other)),
     }
@@ -590,7 +231,7 @@ impl RemoteTransfer {
                     path: rpath.into(),
                     size: meta.len(),
                 };
-                expect_ok(addr, &prepare, None)?;
+                expect_ok(addr, &prepare)?;
                 (local, meta.len())
             }
         };
@@ -733,21 +374,16 @@ impl RemoteTransfer {
                     nsid: self.nsid.clone(),
                     path: self.rpath.clone(),
                 };
-                if expect_ok(&self.addr, &req, None).is_ok() {
-                    return;
-                }
-                // The first attempt rode this worker's cached
-                // connection (or caught the peer mid-restart and got
-                // a transient error / dead listener). Give the peer a
-                // beat and replay the Discard once on an explicitly
-                // fresh connection — mirroring `transfer_range`'s
-                // stale-connection replay — otherwise the `Prepare`d
-                // remote partial is stranded forever.
-                std::thread::sleep(DISCARD_RETRY_DELAY);
-                if let Ok(mut conn) = DataConn::connect(&self.addr) {
-                    if let Ok((DataResponse::Ok, _)) = conn.call(&req, None) {
-                        store_conn(&self.addr, conn);
-                    }
+                if expect_ok(&self.addr, &req).is_err() {
+                    // The attempt rode this worker's cached connection
+                    // or caught the peer mid-restart (a transient
+                    // error, a dead listener). Give the peer a beat
+                    // and replay the Discard once — `round_trip` drops
+                    // a connection that failed, so this one connects
+                    // afresh — otherwise the `Prepare`d remote partial
+                    // is stranded forever.
+                    std::thread::sleep(DISCARD_RETRY_DELAY);
+                    let _ = expect_ok(&self.addr, &req);
                 }
             }
         }
@@ -812,7 +448,10 @@ impl RangeMover for RemoteTransfer {
 mod tests {
     use super::super::transfer::PlanOutcome;
     use super::*;
+    use std::io::Write;
     use std::net::TcpListener;
+
+    use norns_proto::{encode_frame, FrameReader, Wire};
 
     #[test]
     fn range_step_window_one_is_stop_and_wait() {
@@ -838,107 +477,6 @@ mod tests {
         assert_eq!(RemoteTransfer::range_step(1 << 30, 4), MAX_DATA_RANGE);
         // Zero-length chunks never divide by zero.
         assert_eq!(RemoteTransfer::range_step(0, 8), 1);
-    }
-
-    /// The per-worker connection cache is bounded: inserting more
-    /// peers than the cap evicts the least-recently-stored entry
-    /// instead of growing without limit.
-    #[test]
-    fn conn_cache_is_bounded_with_lru_eviction() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // Keep the server end alive so connects succeed.
-        let server = std::thread::spawn(move || {
-            let mut held = Vec::new();
-            for stream in listener.incoming() {
-                match stream {
-                    Ok(s) => held.push(s),
-                    Err(_) => break,
-                }
-                if held.len() >= CONN_CACHE_CAP + 5 {
-                    break;
-                }
-            }
-            held
-        });
-        for i in 0..CONN_CACHE_CAP + 5 {
-            let conn = DataConn::connect(&addr.to_string()).unwrap();
-            store_conn(&format!("peer-{i}"), conn);
-        }
-        let (len, has_first, has_last) = CONN_CACHE.with(|c| {
-            let map = &c.borrow().0;
-            (
-                map.len(),
-                map.contains_key("peer-0"),
-                map.contains_key(&format!("peer-{}", CONN_CACHE_CAP + 4)),
-            )
-        });
-        assert_eq!(len, CONN_CACHE_CAP, "cache must stay at the cap");
-        assert!(!has_first, "oldest entry must be evicted");
-        assert!(has_last, "newest entry must survive");
-        let _ = server.join();
-    }
-
-    /// The buffered push fallback (what every `Store` takes once
-    /// `sendfile` has been refused) must put exactly the promised
-    /// range on the wire, in order: several pooled-buffer refills plus
-    /// a ragged tail, once carrying the frame header + request itself
-    /// and once taking over mid-frame (`prefix = &[]`, the hand-over
-    /// after a first-call refusal).
-    #[test]
-    fn buffered_push_fallback_sends_the_exact_range() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        // Receiver: every frame until the sender hangs up.
-        let receiver = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut reader = FrameReader::new();
-            let mut frames = Vec::new();
-            loop {
-                while let Some(frame) = reader.next_frame().unwrap() {
-                    frames.push(frame);
-                }
-                if reader.read_from(&mut stream).unwrap() == 0 {
-                    return frames;
-                }
-            }
-        });
-
-        let dir = std::env::temp_dir().join(format!("norns-buffered-push-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        // The range starts off a buffer boundary inside a larger file,
-        // so a wrong offset or an over-read shows up too.
-        let offset = 4099u64;
-        let len = 3 * REMOTE_POOL_BUF as u64 + 12_345;
-        let data: Vec<u8> = (0..offset + len + 777).map(|i| (i % 251) as u8).collect();
-        fs::write(dir.join("src.dat"), &data).unwrap();
-        let file = File::open(dir.join("src.dat")).unwrap();
-
-        let req = DataRequest::Store {
-            nsid: "ds0".into(),
-            path: "dst.dat".into(),
-            offset,
-        };
-        let body = req.to_bytes();
-        let header = frame_header(body.len() + len as usize);
-        let mut conn = DataConn::connect(&addr).unwrap();
-        conn.write_payload_buffered(&file, offset, len, &[&header, &body])
-            .unwrap();
-        write_all_vectored(&mut conn.stream, &[&header, &body]).unwrap();
-        conn.write_payload_buffered(&file, offset, len, &[])
-            .unwrap();
-        drop(conn);
-
-        let frames = receiver.join().unwrap();
-        assert_eq!(frames.len(), 2, "one frame per call, nothing left over");
-        let want = &data[offset as usize..(offset + len) as usize];
-        for mut frame in frames {
-            assert_eq!(frame.len(), body.len() + len as usize, "frame length");
-            assert_eq!(DataRequest::decode(&mut frame).unwrap(), req);
-            assert!(&frame[..] == want, "payload differs from the source range");
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Regression: a failed push's `cleanup` used to fire its

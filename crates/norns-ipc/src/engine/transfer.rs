@@ -43,8 +43,10 @@ pub const DEFAULT_CHUNK_SIZE: u64 = 8 << 20;
 /// dispatch overhead dominates and the sub-unit queue explodes.
 pub const MIN_CHUNK_SIZE: u64 = 64 << 10;
 
-/// Pooled fallback-copy buffer size (per worker thread).
-const POOL_BUF: usize = 1 << 20;
+/// Size cap of the per-thread pooled buffer behind both buffered
+/// fallbacks: the local `pread`/`pwrite` copy below and the remote
+/// push behind a refused `sendfile`.
+pub(crate) const POOL_BUF: usize = 1 << 20;
 
 /// One `copy_file_range(2)` round-trip with explicit offsets (the fd
 /// cursors are never touched, so chunk workers share the two `File`s).
@@ -107,8 +109,38 @@ fn wants_fallback(e: &io::Error) -> bool {
 }
 
 thread_local! {
-    /// Per-worker pooled buffer for the non-zero-copy path.
-    static COPY_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The one pooled buffer per worker thread. Its two users never
+    /// nest, so a `RefCell` borrow cannot collide.
+    static POOL: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` over this thread's pooled buffer, grown (never shrunk) to
+/// `len` bytes capped at [`POOL_BUF`] — no allocation per transfer.
+pub(crate) fn with_pool_buf<R>(len: u64, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    POOL.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let want = len.min(POOL_BUF as u64) as usize;
+        if buf.len() < want {
+            buf.resize(want, 0);
+        }
+        f(&mut buf[..want])
+    })
+}
+
+/// Fill `buf` from `file` at `offset`, retrying `EINTR` (a signal in
+/// the worker is not a transfer failure). Returns the bytes read:
+/// short only when the file ends first.
+pub(crate) fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        match file.read_at(&mut buf[filled..], offset + filled as u64) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 /// Buffered `pread`/`pwrite` loop over the thread's pooled buffer.
@@ -119,28 +151,18 @@ fn buffered_copy_range(
     len: u64,
     progress: &AtomicU64,
 ) -> io::Result<u64> {
-    COPY_BUF.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let want = (len.min(POOL_BUF as u64) as usize).max(1);
-        if buf.len() < want {
-            buf.resize(want, 0);
-        }
+    with_pool_buf(len, |buf| {
         let mut copied = 0u64;
         while copied < len {
-            let step = ((len - copied).min(POOL_BUF as u64)) as usize;
-            let n = match src.read_at(&mut buf[..step], offset) {
-                // A signal in the worker is not a transfer failure
-                // (std's write_all_at already retries EINTR itself).
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => other?,
-            };
-            if n == 0 {
-                break; // source shorter than planned (shrank under us)
-            }
+            let step = (len - copied).min(buf.len() as u64) as usize;
+            let n = read_full_at(src, &mut buf[..step], offset)?;
             dst.write_all_at(&buf[..n], offset)?;
             offset += n as u64;
             copied += n as u64;
             progress.fetch_add(n as u64, Ordering::Relaxed);
+            if n < step {
+                break; // source shorter than planned (shrank under us)
+            }
         }
         Ok(copied)
     })

@@ -17,12 +17,15 @@
 //!   worker pool (the only threads it spawns), a sharded task table,
 //!   one wait-subscription registry behind both the blocking `wait`
 //!   and the reactor's callback waits, a chunked zero-copy local data
-//!   plane and a remote-staging backend, both with live progress and
-//!   mid-stream cancel; every failure is an [`EngineError`].
-//! * [`daemon::UrdDaemon`] — socket + data-plane lifecycle and request
-//!   dispatch through the reactors, which also keep the deadlines of
-//!   bounded waits in their epoll timeout; shutdown joins every
-//!   reactor and data-plane thread.
+//!   plane and, in `engine/remote/`, both halves of the TCP one — the
+//!   windowed transfers (`mod.rs`, `conn.rs`) and the `DataServer`
+//!   that answers a peer on blocking handler threads (`server.rs`);
+//!   every failure is an [`EngineError`].
+//! * [`daemon::UrdDaemon`] — `daemon/mod.rs` is socket and data-plane
+//!   lifecycle (shutdown joins every reactor and handler thread),
+//!   `daemon/reactor.rs` the epoll reactors, which also keep the
+//!   deadlines of bounded waits in their epoll timeout, and
+//!   `daemon/dispatch.rs` what each control and user request does.
 //! * [`client::CtlClient`] / [`client::UserClient`] — the client
 //!   libraries mirroring `nornsctl` / `norns`: `issue_*` keeps many
 //!   tagged requests outstanding per connection (wire v7), and each

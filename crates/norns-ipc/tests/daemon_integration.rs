@@ -336,7 +336,7 @@ fn concurrent_clients_hammer_ping() {
 fn pinned(tag: &str) -> (UrdDaemon, CtlClient, u64, std::net::TcpListener) {
     let root = temp_root(tag);
     let mut config = DaemonConfig::in_dir(root.join("sockets"));
-    config.workers = 1;
+    config.engine.workers = 1;
     let daemon = UrdDaemon::spawn(config).unwrap();
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
@@ -515,7 +515,7 @@ fn blocking_verbs_interleave_with_a_parked_wait() {
     let root = temp_root("interleave");
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets"));
-        cfg.workers = 1;
+        cfg.engine.workers = 1;
         cfg
     })
     .unwrap();
@@ -566,7 +566,7 @@ fn priority_inversion_resolved_by_weighted_policy() {
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets"))
             .with_policy(norns_ipc::PolicyKind::WeightedPriority);
-        cfg.workers = 1;
+        cfg.engine.workers = 1;
         cfg
     })
     .unwrap();
@@ -656,7 +656,7 @@ fn cancel_task_over_sockets() {
     let root = temp_root("cancel-wire");
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets"));
-        cfg.workers = 1;
+        cfg.engine.workers = 1;
         cfg
     })
     .unwrap();
@@ -741,8 +741,8 @@ fn bounded_queue_reports_busy_over_sockets() {
     let root = temp_root("busy-wire");
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets"));
-        cfg.workers = 1;
-        cfg.queue_capacity = 2;
+        cfg.engine.workers = 1;
+        cfg.engine.queue_capacity = 2;
         cfg
     })
     .unwrap();
@@ -989,7 +989,7 @@ fn user_wait_and_query_require_ownership() {
     let root = temp_root("observe-owner");
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets"));
-        cfg.workers = 1;
+        cfg.engine.workers = 1;
         cfg
     })
     .unwrap();
@@ -1068,7 +1068,7 @@ fn user_cancel_requires_ownership() {
     let root = temp_root("cancel-owner");
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets"));
-        cfg.workers = 1;
+        cfg.engine.workers = 1;
         cfg
     })
     .unwrap();

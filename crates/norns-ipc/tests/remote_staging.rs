@@ -195,7 +195,7 @@ fn cancel_interrupts_a_remote_pull_mid_stream() {
     // of runway to land a cancel while the transfer is in progress.
     let mut cfg_a =
         DaemonConfig::in_dir(temp_root("cancel-a").join("sockets")).with_chunk_size(MIN_CHUNK_SIZE);
-    cfg_a.workers = 1;
+    cfg_a.engine.workers = 1;
     let cfg_b = DaemonConfig::in_dir(temp_root("cancel-b").join("sockets"));
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("cancel", cfg_a, cfg_b);
@@ -362,7 +362,7 @@ fn cancel_interrupts_a_pull_with_a_full_window_in_flight() {
     let mut cfg_a = DaemonConfig::in_dir(temp_root("wincancel-a").join("sockets"))
         .with_chunk_size(chunk)
         .with_remote_window(8);
-    cfg_a.workers = 1;
+    cfg_a.engine.workers = 1;
     let cfg_b = DaemonConfig::in_dir(temp_root("wincancel-b").join("sockets"));
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("wincancel", cfg_a, cfg_b);
@@ -420,7 +420,7 @@ fn peer_death_mid_window_fails_bounded() {
     let mut cfg_a = DaemonConfig::in_dir(temp_root("windeath-a").join("sockets"))
         .with_chunk_size(chunk)
         .with_remote_window(8);
-    cfg_a.workers = 1;
+    cfg_a.engine.workers = 1;
     let cfg_b = DaemonConfig::in_dir(temp_root("windeath-b").join("sockets"));
     let (_root, (_daemon_a, mut ctl_a, mount_a), (daemon_b, ctl_b, mount_b)) =
         two_nodes("windeath", cfg_a, cfg_b);

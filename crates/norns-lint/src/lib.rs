@@ -175,7 +175,8 @@ impl Config {
     /// The live-workspace configuration: unsafe hygiene everywhere,
     /// lock discipline over the concurrent crates (`norns-ipc`,
     /// `norns-flow`), wire exhaustiveness over `norns-proto` against
-    /// the corpus test and the daemon/remote dispatch sites.
+    /// the corpus test and the three dispatch sites (`daemon/dispatch.rs`
+    /// and the two data-plane halves under `engine/remote/`).
     pub fn workspace(root: &Path) -> io::Result<Config> {
         let mut safety_files = Vec::new();
         walk_rs(root, &mut safety_files)?;
@@ -191,14 +192,20 @@ impl Config {
                     enums: vec![
                         "CtlRequest".into(),
                         "UserRequest".into(),
-                        "DataRequest".into(),
                         "DaemonCommand".into(),
                     ],
-                    file: root.join("crates/norns-ipc/src/daemon.rs"),
+                    file: root.join("crates/norns-ipc/src/daemon/dispatch.rs"),
+                },
+                // Both halves of the data plane sit in one directory:
+                // the server answers every request, the client's
+                // transfer logic reads every response.
+                wire::DispatchTarget {
+                    enums: vec!["DataRequest".into()],
+                    file: root.join("crates/norns-ipc/src/engine/remote/server.rs"),
                 },
                 wire::DispatchTarget {
                     enums: vec!["DataResponse".into()],
-                    file: root.join("crates/norns-ipc/src/engine/remote.rs"),
+                    file: root.join("crates/norns-ipc/src/engine/remote/mod.rs"),
                 },
             ],
         };
@@ -209,14 +216,14 @@ impl Config {
                     // The epoll dispatch loop: everything it calls runs
                     // on a reactor thread.
                     (
-                        "crates/norns-ipc/src/daemon.rs".into(),
+                        "crates/norns-ipc/src/daemon/reactor.rs".into(),
                         "reactor_loop".into(),
                     ),
                     // The WaitCallback constructor: the closure it
                     // returns is invoked on completion paths and feeds
                     // reactors; it is indexed inline with its builder.
                     (
-                        "crates/norns-ipc/src/daemon.rs".into(),
+                        "crates/norns-ipc/src/daemon/reactor.rs".into(),
                         "completion_callback".into(),
                     ),
                 ],

@@ -137,19 +137,19 @@ fn deleting_any_single_waiver_fails_the_check() {
 fn rules_with_reactor_loop_starting(tag: &str, stmt: &str) -> Vec<Rule> {
     let tree = copy_workspace(tag);
     let tmp = &tree.0;
-    let daemon = tmp.join("crates/norns-ipc/src/daemon.rs");
-    let original = fs::read_to_string(&daemon).unwrap();
+    let reactor = tmp.join("crates/norns-ipc/src/daemon/reactor.rs");
+    let original = fs::read_to_string(&reactor).unwrap();
 
     let mut lines: Vec<String> = original.lines().map(str::to_string).collect();
     let fn_line = lines
         .iter()
         .position(|l| l.contains("fn reactor_loop"))
-        .expect("daemon.rs defines reactor_loop");
+        .expect("daemon/reactor.rs defines reactor_loop");
     let body_open = (fn_line..lines.len())
         .find(|&i| lines[i].trim_end().ends_with('{'))
         .expect("reactor_loop has a body");
     lines.insert(body_open + 1, format!("        {stmt}"));
-    fs::write(&daemon, lines.join("\n")).unwrap();
+    fs::write(&reactor, lines.join("\n")).unwrap();
 
     unsuppressed_rules(tmp)
 }

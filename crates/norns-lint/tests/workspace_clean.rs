@@ -12,12 +12,31 @@ fn live_workspace_has_no_unsuppressed_findings() {
         .canonicalize()
         .expect("workspace root");
     let cfg = Config::workspace(&root).expect("scan workspace");
-    // The scan sets recurse: the executor is a directory of its own
-    // and must stay under the lock and call-graph rules.
-    for file in ["mod.rs", "lifecycle.rs", "wait.rs", "teardown.rs"] {
-        let path = root.join("crates/norns-flow/src/executor").join(file);
-        assert!(cfg.lock_files.contains(&path), "{file} not lock-scanned");
-        assert!(cfg.safety_files.contains(&path), "{file} not indexed");
+    // The scan sets recurse: the executor, the daemon and the data
+    // plane are directories of their own and must stay under the lock
+    // and call-graph rules.
+    for (dir, files) in [
+        (
+            "crates/norns-flow/src/executor",
+            &["mod.rs", "lifecycle.rs", "wait.rs", "teardown.rs"][..],
+        ),
+        (
+            "crates/norns-ipc/src/daemon",
+            &["mod.rs", "reactor.rs", "dispatch.rs"][..],
+        ),
+        (
+            "crates/norns-ipc/src/engine/remote",
+            &["mod.rs", "conn.rs", "server.rs"][..],
+        ),
+    ] {
+        for file in files {
+            let path = root.join(dir).join(file);
+            assert!(
+                cfg.lock_files.contains(&path),
+                "{dir}/{file} not lock-scanned"
+            );
+            assert!(cfg.safety_files.contains(&path), "{dir}/{file} not indexed");
+        }
     }
     let report = norns_lint::run(&cfg).expect("lint workspace");
 

@@ -39,7 +39,7 @@ fn main() {
     let daemon = UrdDaemon::spawn({
         let mut cfg =
             DaemonConfig::in_dir(root.join("sockets")).with_policy(PolicyKind::WeightedPriority);
-        cfg.workers = 1;
+        cfg.engine.workers = 1;
         cfg
     })
     .expect("daemon spawn");
@@ -119,8 +119,8 @@ fn main() {
     drop(daemon);
     let daemon = UrdDaemon::spawn({
         let mut cfg = DaemonConfig::in_dir(root.join("sockets2"));
-        cfg.workers = 1;
-        cfg.queue_capacity = 2;
+        cfg.engine.workers = 1;
+        cfg.engine.queue_capacity = 2;
         cfg
     })
     .unwrap();
