@@ -575,3 +575,50 @@ fn v7_tagged_frames_survive_the_framing_layer() {
         assert_eq!(req, reqs[i]);
     }
 }
+
+/// Golden bytes: the encoding of every entry of the five corpora, and
+/// of one tagged framed request, pinned byte for byte in
+/// `golden_v8.hex`. Round trips cannot see a field reorder or a moved
+/// discriminant — both ends move together; this can. A deliberate
+/// wire change bumps `PROTOCOL_VERSION` and replaces the table: on a
+/// mismatch the table this build produces is left beside the test
+/// binary's scratch directory to diff against or copy over.
+#[test]
+fn golden_bytes_pin_every_layout() {
+    fn dump<T: Wire>(name: &str, corpus: Vec<T>, table: &mut String) {
+        for (i, msg) in corpus.iter().enumerate() {
+            let hex: String = msg.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+            table.push_str(&format!("{name}[{i}] {hex}\n"));
+        }
+    }
+    let mut table = String::new();
+    dump("ctl", ctl_corpus(), &mut table);
+    dump("user", user_corpus(), &mut table);
+    dump("data_request", data_request_corpus(), &mut table);
+    dump("data_response", data_response_corpus(), &mut table);
+    dump("response", response_corpus(), &mut table);
+    let submit = CtlRequest::SubmitTask {
+        job_id: 42,
+        spec: sample_spec(),
+    };
+    let framed = encode_frame(&encode_tagged(0x80, &submit));
+    let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
+    table.push_str(&format!("tagged_frame {hex}\n"));
+
+    let golden = include_str!("golden_v8.hex");
+    if table != golden {
+        let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_v8.hex");
+        std::fs::write(&actual, &table).expect("write this build's table");
+        let first = table
+            .lines()
+            .zip(golden.lines())
+            .find(|(built, pinned)| built != pinned)
+            .map_or("the entry count", |(built, _)| {
+                built.split(' ').next().unwrap_or(built)
+            });
+        panic!(
+            "wire layout differs from tests/golden_v8.hex at {first}; this build's table is in {}",
+            actual.display()
+        );
+    }
+}
