@@ -165,6 +165,16 @@ impl BytesMut {
         self.head = 0;
     }
 
+    /// Shorten to `len` unconsumed bytes; no effect if already shorter.
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(self.head + len);
+    }
+
+    /// Grow or shrink to `len` unconsumed bytes, filling with `value`.
+    pub fn resize(&mut self, len: usize, value: u8) {
+        self.data.resize(self.head + len, value);
+    }
+
     pub fn freeze(self) -> Bytes {
         let start = self.head;
         let end = self.data.len();
@@ -366,6 +376,18 @@ mod tests {
         let head = m.split_to(2);
         assert_eq!(&head[..], &[8, 7]);
         assert_eq!(&m[..], &[6]);
+    }
+
+    #[test]
+    fn truncate_and_resize_count_from_the_cursor() {
+        let mut m = BytesMut::from(&[9, 8, 7, 6][..]);
+        m.advance(1);
+        m.resize(5, 0);
+        assert_eq!(&m[..], &[8, 7, 6, 0, 0]);
+        m.truncate(2);
+        assert_eq!(&m[..], &[8, 7]);
+        m.truncate(10);
+        assert_eq!(&m[..], &[8, 7]);
     }
 
     #[test]

@@ -24,9 +24,8 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 
 use norns_proto::{
-    decode_tagged, encode_frame, wire::put_varint, CtlRequest, DaemonCommand, DaemonStatus,
-    DataspaceDesc, ErrorCode, FrameReader, JobDesc, Response, TaskSpec, TaskStats, UserRequest,
-    Wire,
+    decode_tagged, push_frame, CtlRequest, DaemonCommand, DaemonStatus, DataspaceDesc, ErrorCode,
+    FrameReader, JobDesc, Response, TaskSpec, TaskStats, UserRequest, Wire,
 };
 
 /// Client-side failures.
@@ -140,16 +139,14 @@ impl Conn {
 
     /// Write one v7 request — varint tag, request body, optional
     /// trailing inline memory payload — and return its tag.
-    fn issue(&mut self, request: Bytes, payload: Option<&[u8]>) -> ClientResult<u64> {
+    fn issue(&mut self, request: &impl Wire, payload: Option<&[u8]>) -> ClientResult<u64> {
         let tag = self.next_tag;
         self.next_tag = self.next_tag.wrapping_add(1);
-        let mut body = BytesMut::with_capacity(10 + request.len() + payload.map_or(0, <[u8]>::len));
-        put_varint(&mut body, tag);
-        body.extend_from_slice(&request);
-        if let Some(p) = payload {
-            body.extend_from_slice(p);
-        }
-        self.stream.write_all(&encode_frame(&body))?;
+        let mut frame = BytesMut::with_capacity(64 + payload.map_or(0, <[u8]>::len));
+        push_frame(&mut frame, Some(tag), request, 0, |frame| {
+            frame.extend_from_slice(payload.unwrap_or_default());
+        });
+        self.stream.write_all(&frame)?;
         self.pending.insert(tag);
         Ok(tag)
     }
@@ -245,7 +242,7 @@ impl CtlClient {
 
     /// Issue a request, returning its tag without waiting.
     pub fn issue(&mut self, req: &CtlRequest, payload: Option<&[u8]>) -> ClientResult<u64> {
-        self.0.issue(req.to_bytes(), payload)
+        self.0.issue(req, payload)
     }
 
     /// Collect already-arrived responses without blocking.
@@ -447,7 +444,7 @@ impl UserClient {
     }
 
     fn issue(&mut self, req: UserRequest, payload: Option<&[u8]>) -> ClientResult<u64> {
-        self.conn.issue(req.to_bytes(), payload)
+        self.conn.issue(&req, payload)
     }
 
     /// Collect already-arrived responses without blocking.

@@ -24,7 +24,7 @@ use bytes::{Buf, Bytes, BytesMut};
 use parking_lot::Mutex;
 use polling::{Event, Interest, Poller, Waker};
 
-use norns_proto::{encode_tagged, frame_header, ErrorCode, FrameReader, Response};
+use norns_proto::{push_frame, ErrorCode, FrameReader, Response};
 
 use super::dispatch::{dispatch, Request, WaitReq};
 use super::Shared;
@@ -543,9 +543,7 @@ fn flush_blocking(conn: &mut Conn, deadline: Duration) {
 
 /// Append one tagged framed response.
 fn push_tagged(out: &mut BytesMut, tag: u64, response: &Response) {
-    let body = encode_tagged(tag, response);
-    out.extend_from_slice(&frame_header(body.len()));
-    out.extend_from_slice(&body);
+    push_frame(out, Some(tag), response, 0, |_| ());
 }
 
 /// The completion callback a parked wait hands the engine: shape the

@@ -17,9 +17,9 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
-use norns_proto::{frame_header, DataRequest, DataResponse, ErrorCode, FrameReader, Wire};
+use norns_proto::{push_frame, DataRequest, DataResponse, ErrorCode, FrameReader, Wire};
 
 use super::super::error::EngineError;
 use super::super::transfer::{read_full_at, with_pool_buf};
@@ -120,11 +120,9 @@ impl DataConn {
     /// Put one request on the wire — frame header + request in a
     /// single write — promising `payload_len` payload bytes behind it.
     fn send_head(&mut self, req: &DataRequest, payload_len: usize) -> Result<(), EngineError> {
-        let body = req.to_bytes();
-        let header = frame_header(body.len() + payload_len);
-        self.stream
-            .write_all(&[&header[..], &body[..]].concat())
-            .map_err(map_net)
+        let mut head = BytesMut::new();
+        push_frame(&mut head, None, req, payload_len, |_| ());
+        self.stream.write_all(&head).map_err(map_net)
     }
 
     /// Send one request frame with no trailing payload (`Stat`,

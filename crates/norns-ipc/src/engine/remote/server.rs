@@ -22,11 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use norns_proto::{
-    frame_header, DataRequest, DataResponse, ErrorCode, FrameReader, Wire, MAX_DATA_RANGE,
+    push_frame, DataRequest, DataResponse, ErrorCode, FrameReader, Wire, MAX_DATA_RANGE,
 };
 
 use super::super::error::EngineError;
@@ -122,7 +122,7 @@ impl DataServer {
         let mut reader = FrameReader::new();
         // Responses not yet written; its allocation is reused across
         // batches, so a `Fetch` payload costs no allocation per range.
-        let mut out: Vec<u8> = Vec::new();
+        let mut out = BytesMut::new();
         while matches!(reader.read_from(&mut stream), Ok(1..)) {
             loop {
                 let batch_done = match reader.next_frame() {
@@ -155,10 +155,8 @@ impl DataServer {
 }
 
 /// Append one framed response with no payload.
-fn push_response(out: &mut Vec<u8>, response: &DataResponse) {
-    let body = response.to_bytes();
-    out.extend_from_slice(&frame_header(body.len()));
-    out.extend_from_slice(&body);
+fn push_response(out: &mut BytesMut, response: &DataResponse) {
+    push_frame(out, None, response, 0, |_| ());
 }
 
 /// Serve one data-plane request from a peer daemon, appending its one
@@ -166,7 +164,7 @@ fn push_response(out: &mut Vec<u8>, response: &DataResponse) {
 /// dataspace containment checks — a remote peer gets no more
 /// filesystem reach than a local client. On `Err` the caller discards
 /// whatever was appended and answers with the error instead.
-fn handle_data(engine: &Engine, frame: Bytes, out: &mut Vec<u8>) -> Result<(), EngineError> {
+fn handle_data(engine: &Engine, frame: Bytes, out: &mut BytesMut) -> Result<(), EngineError> {
     let mut payload = frame;
     let req = DataRequest::decode(&mut payload)
         .map_err(|e| EngineError::new(ErrorCode::BadArgs, e.to_string()))?;
@@ -201,16 +199,12 @@ fn handle_data(engine: &Engine, frame: Bytes, out: &mut Vec<u8>) -> Result<(), E
             // tail, behind a frame header patched once its length is
             // known: a read that hits EOF sends a short payload, which
             // is how the peer learns the file ended.
-            let body = DataResponse::Data.to_bytes();
-            let header_at = out.len();
-            out.extend_from_slice(&frame_header(body.len()));
-            out.extend_from_slice(&body);
-            let payload_at = out.len();
-            out.resize(payload_at + len as usize, 0);
-            let filled = read_full_at(&file, &mut out[payload_at..], offset)?;
-            out.truncate(payload_at + filled);
-            let header = frame_header(body.len() + filled);
-            out[header_at..][..header.len()].copy_from_slice(&header);
+            push_frame(out, None, &DataResponse::Data, 0, |out| {
+                let payload_at = out.len();
+                out.resize(payload_at + len as usize, 0);
+                read_full_at(&file, &mut out[payload_at..], offset)
+                    .map(|filled| out.truncate(payload_at + filled))
+            })?;
             return Ok(());
         }
         DataRequest::Prepare { nsid, path, size } => {
@@ -394,6 +388,30 @@ mod tests {
                 size: data.len() as u64
             }
         );
+        server.close_and_join();
+        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// A `Fetch` that crosses end-of-file is framed in place: its
+    /// header, reserved before the read, is patched to the bytes that
+    /// were there, and the zero-filled rest of the range is cut off.
+    #[test]
+    fn fetch_answered_short_at_eof_carries_the_patched_length() {
+        let (server, _conn, mount) = served("short");
+        let data = pattern(99);
+        fs::write(mount.join("tail.dat"), &data).unwrap();
+
+        let mut out = BytesMut::new();
+        push_response(&mut out, &DataResponse::Ok);
+        let fetch_at = out.len();
+        let request = fetch("tail.dat", 40, 1000).to_bytes();
+        handle_data(&server.engine, request, &mut out).unwrap();
+
+        let body = DataResponse::Data.to_bytes();
+        let header = norns_proto::frame_header(body.len() + 59);
+        assert_eq!(&out[fetch_at..][..header.len()], &header);
+        assert_eq!(&out[fetch_at + header.len()..][..body.len()], &body[..]);
+        assert_eq!(&out[fetch_at + header.len() + body.len()..], &data[40..]);
         server.close_and_join();
         let _ = fs::remove_dir_all(&mount);
     }

@@ -16,7 +16,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::wire::WireError;
+use crate::wire::{get_varint, put_varint, Wire, WireError};
 
 /// Protocol version carried in every frame. v2 added `priority` to
 /// `TaskSpec`, `wait_usec` to `TaskStats`, the `CancelTask` requests,
@@ -60,14 +60,42 @@ pub const PROTOCOL_VERSION: u8 = 8;
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// The 5-byte prefix (length + version) of a frame whose payload is
-/// `payload_len` bytes. Lets callers emit header and payload through
-/// one vectored write (or `sendfile` the payload straight from a
-/// file) instead of building a contiguous copy first.
+/// `payload_len` bytes. Senders do not call this: [`push_frame`] is
+/// the one place a header is laid down and sized.
 pub fn frame_header(payload_len: usize) -> [u8; 5] {
     let len = payload_len as u32 + 1;
     assert!(len <= MAX_FRAME_LEN, "frame too large");
     let l = len.to_le_bytes();
     [l[0], l[1], l[2], l[3], PROTOCOL_VERSION]
+}
+
+/// The one frame assembler: append one frame to `out`, in place.
+///
+/// Reserves the header, encodes the v7 `tag` (control and user planes;
+/// the data plane passes `None`) and `msg` behind it, lets `payload`
+/// append whatever trails the message, then patches the length. The
+/// length also counts `behind` bytes the caller promises to put on the
+/// stream right after the buffer — a `sendfile`d range never enters
+/// it. Returns what `payload` returned; a caller whose `payload`
+/// failed discards the frame by truncating `out` to where it stood.
+pub fn push_frame<T: Wire, R>(
+    out: &mut BytesMut,
+    tag: Option<u64>,
+    msg: &T,
+    behind: usize,
+    payload: impl FnOnce(&mut BytesMut) -> R,
+) -> R {
+    let header_at = out.len();
+    out.put_slice(&frame_header(0));
+    let body_at = out.len();
+    if let Some(tag) = tag {
+        put_varint(out, tag);
+    }
+    msg.encode(out);
+    let result = payload(out);
+    let header = frame_header(out.len() - body_at + behind);
+    out[header_at..body_at].copy_from_slice(&header);
+    result
 }
 
 /// Wrap a payload in a frame.
@@ -85,17 +113,17 @@ pub fn encode_frame(payload: &[u8]) -> Bytes {
 /// outstanding on one connection and demultiplex out-of-order
 /// completions. Frame header and [`FrameReader`] are unchanged — the
 /// tag lives inside the payload.
-pub fn encode_tagged<T: crate::wire::Wire>(tag: u64, msg: &T) -> Bytes {
+pub fn encode_tagged<T: Wire>(tag: u64, msg: &T) -> Bytes {
     let mut buf = BytesMut::new();
-    crate::wire::put_varint(&mut buf, tag);
+    put_varint(&mut buf, tag);
     msg.encode(&mut buf);
     buf.freeze()
 }
 
 /// Decode a v7 tagged payload into `(tag, message)`.
-pub fn decode_tagged<T: crate::wire::Wire>(payload: Bytes) -> Result<(u64, T), WireError> {
+pub fn decode_tagged<T: Wire>(payload: Bytes) -> Result<(u64, T), WireError> {
     let mut buf = payload;
-    let tag = crate::wire::get_varint(&mut buf)?;
+    let tag = get_varint(&mut buf)?;
     let msg = T::decode(&mut buf)?;
     Ok((tag, msg))
 }

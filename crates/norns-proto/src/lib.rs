@@ -4,12 +4,16 @@
 //! serialized with Google's Protocol Buffers through local `AF_UNIX`
 //! sockets" (§IV-B). This crate is the from-scratch equivalent:
 //!
-//! * [`wire`] — protobuf-inspired varint codec (LEB128, zigzag,
-//!   length-delimited strings) with hard allocation caps.
+//! * [`wire`] — protobuf-inspired varint codec (LEB128,
+//!   length-delimited strings) with hard allocation caps, and the
+//!   `wire_struct!`/`wire_enum!` listing macros that derive both
+//!   directions of a message from one declaration.
 //! * [`messages`] — the full request/response set for both the
-//!   `nornsctl` control API and the `norns` user API (Table I).
-//! * [`frame`] — length-prefixed, versioned stream framing with an
-//!   incremental reader tolerant of arbitrary chunk boundaries.
+//!   `nornsctl` control API and the `norns` user API (Table I), each
+//!   layout listed once.
+//! * [`frame`] — length-prefixed, versioned stream framing: the one
+//!   in-place frame assembler ([`push_frame`]) and an incremental
+//!   reader tolerant of arbitrary chunk boundaries.
 //!
 //! Used by `norns-ipc` (the real daemon over real sockets) and by the
 //! protocol-level benchmarks.
@@ -19,7 +23,7 @@ pub mod messages;
 pub mod wire;
 
 pub use frame::{
-    decode_tagged, encode_frame, encode_tagged, frame_header, FrameError, FrameReader,
+    decode_tagged, encode_frame, encode_tagged, frame_header, push_frame, FrameError, FrameReader,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use messages::{

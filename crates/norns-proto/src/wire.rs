@@ -3,10 +3,15 @@
 //! The paper serializes API messages with Google's Protocol Buffers
 //! before pushing them through `AF_UNIX` sockets. This module is a
 //! self-contained protobuf-inspired codec: LEB128 varints for
-//! integers, zigzag for signed values, length-delimited byte strings,
-//! and fixed field order per message (no tags — both ends are always
-//! the same version in this system, and the framing layer carries a
-//! protocol version byte for safety).
+//! integers, length-delimited byte strings, and fixed field order per
+//! message (no tags — both ends are always the same version in this
+//! system, and the framing layer carries a protocol version byte for
+//! safety).
+//!
+//! Like a `.proto` file, a message is declared once: [`Wire`] is
+//! implemented here for the primitives messages are made of, and
+//! `wire_struct!` / `wire_enum!` derive both directions of a struct or
+//! enum from its one listing in [`crate::messages`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -73,23 +78,6 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
     Err(WireError::VarintOverflow)
 }
 
-/// Zigzag encoding maps small-magnitude signed ints to small varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-pub fn put_i64(buf: &mut BytesMut, v: i64) {
-    put_varint(buf, zigzag(v));
-}
-
-pub fn get_i64(buf: &mut Bytes) -> Result<i64, WireError> {
-    Ok(unzigzag(get_varint(buf)?))
-}
-
 pub fn put_bool(buf: &mut BytesMut, v: bool) {
     buf.put_u8(v as u8);
 }
@@ -144,17 +132,95 @@ pub trait Wire: Sized {
     }
 }
 
-/// Encode a vector as count + elements.
-pub fn put_vec<T: Wire>(buf: &mut BytesMut, v: &[T]) {
-    put_varint(buf, v.len() as u64);
-    for item in v {
-        item.encode(buf);
+/// Every integer travels as the same varint; a value that does not
+/// fit a narrower field is refused, never truncated.
+macro_rules! wire_uint {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn encode(&self, buf: &mut BytesMut) {
+                put_varint(buf, u64::from(*self));
+            }
+
+            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+                let v = get_varint(buf)?;
+                <$t>::try_from(v).map_err(|_| WireError::BadLength(v))
+            }
+        }
+    )+};
+}
+wire_uint!(u64, u32, u8);
+
+impl Wire for bool {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_bool(buf, *self);
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        get_bool(buf)
     }
 }
 
-pub fn get_vec<T: Wire>(buf: &mut Bytes) -> Result<Vec<T>, WireError> {
+impl Wire for String {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        get_str(buf)
+    }
+}
+
+/// Presence byte, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.is_some().encode(buf);
+        if let Some(v) = self {
+            v.encode(buf);
+        }
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(if bool::decode(buf)? {
+            Some(T::decode(buf)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.0.encode(buf);
+        self.1.encode(buf);
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok((A::decode(buf)?, B::decode(buf)?))
+    }
+}
+
+/// Count, then elements. A list field without a cap of its own is
+/// bounded by the frame it arrived in ([`MAX_ELEMENT_LEN`] is above
+/// any frame).
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_varint(buf, self.len() as u64);
+        for item in self {
+            item.encode(buf);
+        }
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        get_seq(buf, MAX_ELEMENT_LEN as usize)
+    }
+}
+
+/// The one sequence decoder: a count of at most `cap`, then that many
+/// elements. The count is refused before anything is allocated, and
+/// the allocation does not trust it beyond a few elements either.
+pub(crate) fn get_seq<T: Wire>(buf: &mut Bytes, cap: usize) -> Result<Vec<T>, WireError> {
     let n = get_varint(buf)?;
-    if n > MAX_ELEMENT_LEN {
+    if n > cap as u64 {
         return Err(WireError::BadLength(n));
     }
     let mut out = Vec::with_capacity((n as usize).min(1024));
@@ -163,6 +229,97 @@ pub fn get_vec<T: Wire>(buf: &mut Bytes) -> Result<Vec<T>, WireError> {
     }
     Ok(out)
 }
+
+/// Declare a wire struct: the type exactly as listed plus its
+/// [`Wire`] impl. Fields cross the wire in listing order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty ),+
+        }
+
+        impl Wire for $name {
+            fn encode(&self, buf: &mut BytesMut) {
+                $( Wire::encode(&self.$field, buf); )+
+            }
+
+            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+                Ok($name { $( $field: Wire::decode(buf)? ),+ })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+/// Declare a wire enum as a `discriminant => Variant` list: the type
+/// exactly as listed (unit, one-field tuple and struct variants) plus
+/// its [`Wire`] impl — varint discriminant, then the variant's fields
+/// in listing order. A discriminant not listed decodes to
+/// [`WireError::BadDiscriminant`], so a retired code is retired by
+/// leaving its number out. A list field written
+/// `name: Vec<T> [..= CAP]` refuses a longer count with
+/// [`WireError::BadLength`] before allocating.
+macro_rules! wire_enum {
+    (@bind $inner:ident $t:ty) => { $inner };
+    (@get $buf:ident $t:ty) => { <$t as Wire>::decode($buf)? };
+    (@get $buf:ident $t:ty, $cap:expr) => { get_seq($buf, $cap)? };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $disc:literal => $variant:ident
+                $( ( $tuple:ty ) )?
+                $( {
+                    $( $(#[$fmeta:meta])* $field:ident : $fty:ty $( [..= $cap:expr] )? ),+ $(,)?
+                } )?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $( ( $tuple ) )? $( { $( $(#[$fmeta])* $field: $fty ),+ } )?
+            ),+
+        }
+
+        impl Wire for $name {
+            fn encode(&self, buf: &mut BytesMut) {
+                match self {
+                    $(
+                        $name::$variant
+                            $( ( wire_enum!(@bind inner $tuple) ) )?
+                            $( { $( $field ),+ } )?
+                        => {
+                            put_varint(buf, $disc);
+                            $( <$tuple as Wire>::encode(inner, buf); )?
+                            $( $( Wire::encode($field, buf); )+ )?
+                        }
+                    )+
+                }
+            }
+
+            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+                Ok(match get_varint(buf)? {
+                    $(
+                        $disc => $name::$variant
+                            $( ( <$tuple as Wire>::decode(buf)? ) )?
+                            $( { $( $field: wire_enum!(@get buf $fty $(, $cap)?) ),+ } )?,
+                    )+
+                    other => return Err(WireError::BadDiscriminant(other)),
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
 
 #[cfg(test)]
 mod tests {
@@ -200,16 +357,6 @@ mod tests {
     fn truncated_varint_errors() {
         let mut b = Bytes::from_static(&[0x80, 0x80]);
         assert_eq!(get_varint(&mut b), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn zigzag_pairs() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
-        assert_eq!(unzigzag(zigzag(i64::MIN)), i64::MIN);
-        assert_eq!(unzigzag(zigzag(i64::MAX)), i64::MAX);
     }
 
     #[test]
@@ -260,19 +407,6 @@ mod tests {
         #[test]
         fn prop_varint_roundtrip(v: u64) {
             prop_assert_eq!(roundtrip_u64(v), v);
-        }
-
-        #[test]
-        fn prop_zigzag_roundtrip(v: i64) {
-            prop_assert_eq!(unzigzag(zigzag(v)), v);
-        }
-
-        #[test]
-        fn prop_i64_roundtrip(v: i64) {
-            let mut buf = BytesMut::new();
-            put_i64(&mut buf, v);
-            let mut b = buf.freeze();
-            prop_assert_eq!(get_i64(&mut b).unwrap(), v);
         }
 
         #[test]

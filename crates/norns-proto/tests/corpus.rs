@@ -8,7 +8,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use norns_proto::{
-    decode_tagged, encode_frame, encode_tagged, BackendKind, CtlRequest, DaemonCommand,
+    decode_tagged, encode_frame, encode_tagged, push_frame, BackendKind, CtlRequest, DaemonCommand,
     DaemonStatus, DataRequest, DataResponse, DataspaceDesc, Durability, ErrorCode, FrameError,
     FrameReader, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec, TaskState, TaskStats,
     UserRequest, Wire, WireError, MAX_DIR_ENTRIES, MAX_FRAME_LEN, MAX_WAIT_SET, PROTOCOL_VERSION,
@@ -585,10 +585,12 @@ fn v7_tagged_frames_survive_the_framing_layer() {
 /// binary's scratch directory to diff against or copy over.
 #[test]
 fn golden_bytes_pin_every_layout() {
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
     fn dump<T: Wire>(name: &str, corpus: Vec<T>, table: &mut String) {
         for (i, msg) in corpus.iter().enumerate() {
-            let hex: String = msg.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
-            table.push_str(&format!("{name}[{i}] {hex}\n"));
+            table.push_str(&format!("{name}[{i}] {}\n", hex(&msg.to_bytes())));
         }
     }
     let mut table = String::new();
@@ -602,8 +604,7 @@ fn golden_bytes_pin_every_layout() {
         spec: sample_spec(),
     };
     let framed = encode_frame(&encode_tagged(0x80, &submit));
-    let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
-    table.push_str(&format!("tagged_frame {hex}\n"));
+    table.push_str(&format!("tagged_frame {}\n", hex(&framed)));
 
     let golden = include_str!("golden_v8.hex");
     if table != golden {
@@ -621,4 +622,38 @@ fn golden_bytes_pin_every_layout() {
             actual.display()
         );
     }
+}
+
+/// The in-place frame assembler against the reference it replaced at
+/// the five frame sites: for every corpus entry, with and without a
+/// tag and a trailing payload, behind bytes already queued in the
+/// buffer, `push_frame` appends exactly
+/// `encode_frame([tag] + message + payload)`.
+#[test]
+fn push_frame_matches_the_copying_reference_for_every_message() {
+    fn check<T: Wire>(corpus: Vec<T>) {
+        for msg in &corpus {
+            for payload in [&b""[..], b"trailing payload"] {
+                let untagged = encode_frame(&[&msg.to_bytes()[..], payload].concat());
+                let tagged = encode_frame(&[&encode_tagged(0x80, msg)[..], payload].concat());
+                let mut out = BytesMut::from(&b"queued"[..]);
+                push_frame(&mut out, None, msg, 0, |out| out.put_slice(payload));
+                push_frame(&mut out, Some(0x80), msg, 0, |out| out.put_slice(payload));
+                assert_eq!(
+                    &out[..],
+                    &[b"queued", &untagged[..], &tagged[..]].concat()[..]
+                );
+                // A payload promised behind the buffer (a `sendfile`d
+                // range) is counted in the header and nowhere else.
+                let mut head = BytesMut::new();
+                push_frame(&mut head, None, msg, payload.len(), |_| ());
+                assert_eq!(&head[..], &untagged[..untagged.len() - payload.len()]);
+            }
+        }
+    }
+    check(ctl_corpus());
+    check(user_corpus());
+    check(data_request_corpus());
+    check(data_response_corpus());
+    check(response_corpus());
 }
