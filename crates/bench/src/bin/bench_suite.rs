@@ -791,6 +791,8 @@ fn bench_remote(root: &Path) -> BenchDoc {
         size / MIB
     ));
     doc.note("window=1 is the stop-and-wait baseline; the suite fails unless some window>=4 beats it in both directions");
+    doc.note("window>=4 at or a little below window=1 is expected on loopback: both directions stream through sendfile, so a stop-and-wait range idles the wire for one request turnaround per 4 MiB, while a window's ranges are smaller (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte, about 8 % slower on 2 vCPUs with 4 workers when PR 19 measured it); a window pays off against a real round-trip time");
+    doc.note("the gate above is therefore a coin flip on loopback (windows 1-16 are within noise of each other: it passed 7 of 20 quick runs before PR 19, 4 and 3 of 20 in two sets after): rerun before suspecting a change; a stalled window (the 40 ms Nagle x delayed-ACK pause PR 19 removed) is caught deterministically by norns-ipc's a_window_of_pipelined_stores_is_acknowledged_without_a_stall");
 
     // Chunk-size sweep at the default window, polling `query()` while
     // the wire is busy; `local` is the same-daemon, no-network copy of
@@ -835,6 +837,7 @@ fn bench_remote(root: &Path) -> BenchDoc {
         "query() must observe partial bytes_moved during a remote transfer"
     );
     doc.note("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(); local = same-daemon baseline; the suite fails unless every transfer is byte-exact and a remote one showed partial bytes_moved");
+    doc.note("a remote row 0.1-0.3 s slower than its neighbours in an otherwise flat sweep is a residual data-plane stall that best-of-N did not hide: /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
     doc
 }
 

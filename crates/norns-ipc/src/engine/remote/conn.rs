@@ -1,25 +1,30 @@
-//! The client end of one data-plane connection, and the per-worker
-//! cache that keeps it open between transfers.
+//! The client end of one data-plane connection, the per-worker cache
+//! that keeps it open between transfers, and the three things both
+//! ends of a connection do the same way: tune the socket ([`tune`]),
+//! put a file range on it ([`send_file_range`]) and land a payload
+//! from it in a file ([`land_payload`]).
 //!
 //! A [`DataConn`] puts a request on the wire one way — frame header +
 //! request in a single write, then (for `Store`) the payload — and
 //! reads responses back in request order, so a transfer can keep a
-//! window of ranges in flight. A `Store` payload travels disk→socket
-//! via `sendfile(2)`; a file pair the kernel refuses before any byte
-//! moved degrades *for that range* to a `pread` into the worker's
-//! pooled buffer, the same rule `copy_range` follows for
-//! `copy_file_range`.
+//! window of ranges in flight. A payload travels disk→socket via
+//! `sendfile(2)` whichever end sends it; a file pair the kernel
+//! refuses before any byte moved degrades *for that range* to a
+//! `pread` into the thread's pooled buffer, the same rule `copy_range`
+//! follows for `copy_file_range`. The receiving end copies it twice:
+//! socket → pooled buffer → page cache.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::os::unix::fs::FileExt;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
-use norns_proto::{push_frame, DataRequest, DataResponse, ErrorCode, FrameReader, Wire};
+use norns_proto::{push_frame, DataRequest, DataResponse, ErrorCode, FrameReader};
 
 use super::super::error::EngineError;
 use super::super::transfer::{read_full_at, with_pool_buf};
@@ -30,7 +35,10 @@ use super::truncated;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Bound on any single data-plane read/write. Generous — one bounded
-/// range, not a whole file, travels per syscall.
+/// range, not a whole file, travels per syscall. On the serving end it
+/// is also how long a handler waits on an idle peer before closing the
+/// connection; the peer's next request then finds its cached
+/// connection stale and replays on a fresh one.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Bound on this worker's connection cache. Long-lived daemons see
@@ -48,6 +56,18 @@ fn map_net(e: io::Error) -> EngineError {
         }
         _ => e.into(),
     }
+}
+
+/// The one place a data-plane socket is tuned, for the connecting and
+/// the accepted end alike. Both ends answer small frames the other is
+/// blocked on — a `Fetch` or the `Ok` behind a `Store` — so Nagle only
+/// adds latency: left on at the accepting end, the last `Ok` of a
+/// window sat in the kernel until the peer's delayed ACK (40 ms) let
+/// it out. Best-effort: a socket that refuses an option still works.
+pub(super) fn tune(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
 }
 
 /// One `sendfile(2)` round-trip with an explicit source offset (the
@@ -89,6 +109,85 @@ fn sendfile_wants_fallback(e: &io::Error) -> bool {
     )
 }
 
+/// Put `len` bytes of `file` at `offset` on the stream, right behind a
+/// frame header that promised them: a `Store`'s payload on the pushing
+/// side, a `Data`'s on the serving one. They travel disk→socket via
+/// `sendfile(2)`; a pair the kernel refuses before any byte moved
+/// takes the buffered path for this range. A source that comes up
+/// short (shrank under the transfer) is an error: the frame length is
+/// already committed.
+pub(super) fn send_file_range(
+    stream: &mut TcpStream,
+    file: &File,
+    offset: u64,
+    len: u64,
+) -> Result<(), EngineError> {
+    let mut sent = 0u64;
+    #[cfg(target_os = "linux")]
+    while sent < len {
+        let want = (len - sent).min(1 << 30) as usize;
+        match sendfile_once(stream, file, offset + sent, want) {
+            Ok(0) => return Err(truncated("local", offset + sent)),
+            Ok(n) => sent += n as u64,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // Fall back only if nothing moved yet: a mid-range
+            // refusal is a real error, not an unsupported pair.
+            Err(e) if sent == 0 && sendfile_wants_fallback(&e) => break,
+            Err(e) => return Err(map_net(e)),
+        }
+    }
+    if sent < len {
+        write_payload_buffered(stream, file, offset + sent, len - sent)?;
+    }
+    Ok(())
+}
+
+/// Buffered path behind a refused `sendfile`: `pread` the payload
+/// through this thread's pooled buffer onto the stream. A short read
+/// is an error — the header already promised `len` payload bytes.
+fn write_payload_buffered(
+    stream: &mut TcpStream,
+    file: &File,
+    mut offset: u64,
+    len: u64,
+) -> Result<(), EngineError> {
+    with_pool_buf(len, |buf| {
+        let mut remaining = len;
+        while remaining > 0 {
+            let step = remaining.min(buf.len() as u64) as usize;
+            let filled = read_full_at(file, &mut buf[..step], offset)?;
+            if filled < step {
+                return Err(truncated("local", offset + filled as u64));
+            }
+            stream.write_all(&buf[..step]).map_err(map_net)?;
+            offset += step as u64;
+            remaining -= step as u64;
+        }
+        Ok(())
+    })
+}
+
+/// Land the `len` payload bytes behind the message `reader` last
+/// popped — a `Store`'s on the serving side, a `Data`'s on the pulling
+/// one — in `file` at `offset`: each piece goes from the socket into
+/// this thread's pooled buffer and from there into the page cache, and
+/// the kernel queues the next one meanwhile.
+pub(super) fn land_payload(
+    reader: &mut FrameReader,
+    stream: &mut TcpStream,
+    len: usize,
+    file: &File,
+    mut offset: u64,
+) -> io::Result<()> {
+    with_pool_buf(len as u64, |buf| {
+        reader.take_payload(stream, buf, |piece| {
+            file.write_all_at(piece, offset)?;
+            offset += piece.len() as u64;
+            Ok(())
+        })
+    })
+}
+
 /// One framed connection to a peer's data plane, with split send and
 /// receive halves so transfers can keep a window of range requests in
 /// flight; a single round-trip ([`DataConn::call`]) is one of each.
@@ -107,10 +206,7 @@ impl DataConn {
             .ok_or_else(|| bad_addr(format!("peer address {addr:?} resolves to nothing")))?;
         let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)
             .map_err(|e| EngineError::new(ErrorCode::SystemError, format!("peer {addr}: {e}")))?;
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        // Request/response exchanges: Nagle only adds latency.
-        let _ = stream.set_nodelay(true);
+        tune(&stream);
         Ok(DataConn {
             stream,
             reader: FrameReader::new(),
@@ -132,11 +228,7 @@ impl DataConn {
     }
 
     /// Send one `Store` frame whose payload is `len` bytes of `file`
-    /// at `offset`. The payload travels disk→socket via `sendfile(2)`;
-    /// a pair the kernel refuses before any byte moved takes the
-    /// buffered path for this range. A source that comes up short
-    /// (shrank under the transfer) is an error: the frame length is
-    /// already committed.
+    /// at `offset`.
     pub(super) fn send_store(
         &mut self,
         req: &DataRequest,
@@ -145,71 +237,39 @@ impl DataConn {
         len: u64,
     ) -> Result<(), EngineError> {
         self.send_head(req, len as usize)?;
-        let mut sent = 0u64;
-        #[cfg(target_os = "linux")]
-        while sent < len {
-            let want = (len - sent).min(1 << 30) as usize;
-            match sendfile_once(&self.stream, file, offset + sent, want) {
-                Ok(0) => return Err(truncated("local", offset + sent)),
-                Ok(n) => sent += n as u64,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Fall back only if nothing moved yet: a mid-range
-                // refusal is a real error, not an unsupported pair.
-                Err(e) if sent == 0 && sendfile_wants_fallback(&e) => break,
-                Err(e) => return Err(map_net(e)),
-            }
-        }
-        if sent < len {
-            self.write_payload_buffered(file, offset + sent, len - sent)?;
-        }
-        Ok(())
+        send_file_range(&mut self.stream, file, offset, len)
     }
 
-    /// Buffered push path: `pread` the payload through the worker's
-    /// pooled buffer onto the stream, which sits right behind a
-    /// committed frame header. A short read is an error — that header
-    /// already promised `len` payload bytes.
-    fn write_payload_buffered(
-        &mut self,
-        file: &File,
-        mut offset: u64,
-        len: u64,
-    ) -> Result<(), EngineError> {
-        with_pool_buf(len, |buf| {
-            let mut remaining = len;
-            while remaining > 0 {
-                let step = remaining.min(buf.len() as u64) as usize;
-                let filled = read_full_at(file, &mut buf[..step], offset)?;
-                if filled < step {
-                    return Err(truncated("local", offset + filled as u64));
-                }
-                self.stream.write_all(&buf[..step]).map_err(map_net)?;
-                offset += step as u64;
-                remaining -= step as u64;
-            }
-            Ok(())
-        })
-    }
-
-    /// Read one response frame (blocking, bounded by the stream's
-    /// read timeout). Returns the decoded response and whatever
-    /// payload followed it.
-    pub(super) fn recv_response(&mut self) -> Result<(DataResponse, Bytes), EngineError> {
+    /// Read one response (blocking, bounded by the stream's read
+    /// timeout). Returns it decoded, with the count of payload bytes
+    /// behind it: [`DataConn::recv_payload`] puts them in a file, and
+    /// a caller that leaves them has them skipped before the next
+    /// response, so the connection stays frame-aligned either way.
+    pub(super) fn recv_response(&mut self) -> Result<(DataResponse, usize), EngineError> {
         let garbled = |what: String| EngineError::new(ErrorCode::SystemError, what);
         loop {
-            if let Some(mut frame) = self
+            if let Some(response) = self
                 .reader
-                .next_frame()
+                .next_message()
                 .map_err(|e| garbled(format!("data plane framing: {e}")))?
             {
-                let resp = DataResponse::decode(&mut frame)
-                    .map_err(|e| garbled(format!("data plane decode: {e}")))?;
-                return Ok((resp, frame));
+                return Ok(response);
             }
             if self.reader.read_from(&mut self.stream).map_err(map_net)? == 0 {
                 return Err(garbled("peer closed the data connection".into()));
             }
         }
+    }
+
+    /// Land the `len` payload bytes behind the `Data` just received in
+    /// `file` at `offset`.
+    pub(super) fn recv_payload(
+        &mut self,
+        len: usize,
+        file: &File,
+        offset: u64,
+    ) -> Result<(), EngineError> {
+        land_payload(&mut self.reader, &mut self.stream, len, file, offset).map_err(map_net)
     }
 
     /// One round-trip (`Stat`, `Prepare`, `Discard`): send `req`, read
@@ -275,6 +335,8 @@ mod tests {
     use std::fs;
     use std::net::TcpListener;
 
+    use norns_proto::Wire;
+
     use crate::engine::transfer::POOL_BUF;
 
     /// The per-worker connection cache is bounded: inserting more
@@ -318,8 +380,8 @@ mod tests {
 
     /// The buffered push fallback (what a `Store` takes when
     /// `sendfile` refuses its file pair) must put exactly the promised
-    /// range on the wire, in order, behind the frame header
-    /// `send_store` has already committed: several pooled-buffer
+    /// range on the wire, in order, behind the frame header its caller
+    /// has already committed: several pooled-buffer
     /// refills plus a ragged tail, twice over so a byte left over or
     /// missing from the first frame garbles the second.
     #[test]
@@ -361,7 +423,7 @@ mod tests {
         let mut conn = DataConn::connect(&addr).unwrap();
         for _ in 0..2 {
             conn.send_head(&req, len as usize).unwrap();
-            conn.write_payload_buffered(&file, offset, len).unwrap();
+            write_payload_buffered(&mut conn.stream, &file, offset, len).unwrap();
         }
         drop(conn);
 
@@ -388,7 +450,7 @@ mod tests {
         fs::write(dir.join("src.dat"), vec![9u8; 1000]).unwrap();
         let file = File::open(dir.join("src.dat")).unwrap();
         let mut conn = DataConn::connect(&addr).unwrap();
-        let err = conn.write_payload_buffered(&file, 0, 1001).unwrap_err();
+        let err = write_payload_buffered(&mut conn.stream, &file, 0, 1001).unwrap_err();
         assert_eq!(err.code, ErrorCode::SystemError);
         assert!(err.message.contains("truncated at byte 1000"), "{err}");
         let _ = fs::remove_dir_all(&dir);

@@ -31,12 +31,15 @@
 //! `cancel()` interrupts one mid-stream (in-flight responses are
 //! drained so a cached connection never desynchronizes).
 //!
-//! **Syscall fast paths.** Push payloads travel disk→socket via
-//! `sendfile(2)` where the kernel allows it (frame header and request
-//! go out in one write, the payload never crosses userspace); a file
-//! pair the kernel refuses degrades, for that range, to a `pread`
-//! through the worker's pooled buffer — never a fresh allocation per
-//! range.
+//! **Syscall fast paths.** A payload leaves through one `sendfile(2)`
+//! loop whichever end sends it — a `Store`'s on the pushing side, a
+//! `Data`'s on the serving one — right behind a header that went out
+//! in one write, and never crosses userspace; a file pair the kernel
+//! refuses degrades, for that range, to a `pread` through the thread's
+//! pooled buffer. It is received through the same pooled buffer,
+//! straight off the socket and into the file: two copies per byte,
+//! never a fresh allocation per range. Both ends of a connection set
+//! `TCP_NODELAY` — each answers small frames the other is blocked on.
 //!
 //! Failure model: unknown peers are rejected at submission
 //! (`NotFound`); unreachable peers fail the task with a bounded
@@ -52,7 +55,6 @@ mod server;
 
 use std::collections::VecDeque;
 use std::fs::{self, File};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -296,13 +298,12 @@ impl RemoteTransfer {
     fn recv_range(&self, conn: &mut DataConn, off: u64, len: u64) -> Result<(), EngineError> {
         let (resp, payload) = conn.recv_response()?;
         match (self.direction, reply(resp)?) {
-            (Direction::Pull, DataResponse::Data) => {
-                if (payload.len() as u64) != len {
-                    return Err(truncated("remote", off + payload.len() as u64));
-                }
-                self.local.write_all_at(&payload, off)?;
-                Ok(())
+            // A payload of the wrong length is left where it is: the
+            // connection skips it before the next response.
+            (Direction::Pull, DataResponse::Data) if payload as u64 != len => {
+                Err(truncated("remote", off + payload as u64))
             }
+            (Direction::Pull, DataResponse::Data) => conn.recv_payload(payload, &self.local, off),
             (Direction::Push, DataResponse::Ok) => Ok(()),
             (_, other) => Err(unexpected(&other)),
         }

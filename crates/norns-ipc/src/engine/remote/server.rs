@@ -3,7 +3,7 @@
 //!
 //! Each accepted connection gets a dedicated **blocking** handler
 //! thread — on purpose (README § Data-plane architecture): `Fetch` and
-//! `Store` sit in positioned file reads and writes of up to
+//! `Store` sit in a `sendfile` or positioned writes of up to
 //! [`MAX_DATA_RANGE`] against whatever tier backs the dataspace, which
 //! `epoll` cannot make nonblocking, and peer connections are few,
 //! long-lived and answered strictly in order. The price is a shutdown
@@ -17,27 +17,20 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 use norns_proto::{
-    push_frame, DataRequest, DataResponse, ErrorCode, FrameReader, Wire, MAX_DATA_RANGE,
+    push_frame, DataRequest, DataResponse, ErrorCode, FrameError, FrameReader, MAX_DATA_RANGE,
 };
 
 use super::super::error::EngineError;
-use super::super::transfer::read_full_at;
 use super::super::Engine;
-
-/// Buffered responses past this size are flushed mid-batch: bounds the
-/// daemon's per-connection memory against a peer pipelining many large
-/// `Fetch` requests and gets bytes moving while the remaining frames
-/// decode.
-const RESPONSE_FLUSH_THRESHOLD: usize = 1 << 20;
+use super::conn::{land_payload, send_file_range, tune};
 
 /// One live connection: a clone of its stream (for `shutdown(2)`) and
 /// its blocking handler thread (for joining).
@@ -75,6 +68,7 @@ impl DataServer {
     /// handler) is refused and counted as an accept error.
     pub fn serve(self: &Arc<Self>, stream: TcpStream) {
         let _ = stream.set_nonblocking(false);
+        tune(&stream);
         let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let mut conns = self.conns.lock();
         let spawned = stream.try_clone().and_then(|clone| {
@@ -111,46 +105,73 @@ impl DataServer {
     }
 
     /// The framed request/response loop of one connection. Responses
-    /// to a batch of pipelined requests are written back in as few
-    /// syscalls as possible: one `write` per read batch in the common
-    /// case, with a mid-batch flush only past
-    /// [`RESPONSE_FLUSH_THRESHOLD`] — a peer keeping a window of
-    /// requests in flight is never stalled by per-response flushes.
+    /// to a batch of pipelined requests are queued and written back
+    /// once the batch is decoded — one `write` per read batch in the
+    /// common case, so a peer keeping a window of requests in flight
+    /// is never stalled by per-response flushes. Only a `Data` cuts
+    /// the queue short: its payload follows its header out at once.
     /// Returns when the peer hangs up, violates the protocol, or
     /// `close_and_join` shuts the stream down.
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let mut reader = FrameReader::new();
-        // Responses not yet written; its allocation is reused across
-        // batches, so a `Fetch` payload costs no allocation per range.
-        let mut out = BytesMut::new();
-        while matches!(reader.read_from(&mut stream), Ok(1..)) {
+    fn serve_connection(&self, stream: TcpStream) {
+        let mut conn = PeerConn {
+            stream,
+            reader: FrameReader::new(),
+            out: BytesMut::new(),
+        };
+        while matches!(conn.reader.read_from(&mut conn.stream), Ok(1..)) {
             loop {
-                let batch_done = match reader.next_frame() {
-                    Ok(Some(frame)) => {
-                        let start = out.len();
-                        if let Err(e) = handle_data(&self.engine, frame, &mut out) {
-                            // The peer gets an `Error` response in
-                            // this request's slot; the connection
-                            // stays open.
-                            out.truncate(start);
-                            push_response(&mut out, &e.into());
-                        }
-                        false
+                let served = match conn.reader.next_message() {
+                    Ok(Some((request, payload))) => {
+                        handle_data(&self.engine, &mut conn, request, payload)
                     }
-                    Ok(None) => true,
+                    Ok(None) => break,
+                    Err(FrameError::Wire(e)) => {
+                        Err(EngineError::new(ErrorCode::BadArgs, e.to_string()))
+                    }
                     Err(_) => return, // protocol violation: drop the client
                 };
-                if batch_done || out.len() >= RESPONSE_FLUSH_THRESHOLD {
-                    if stream.write_all(&out).is_err() {
-                        return;
+                match served {
+                    Ok(None) => {}
+                    // The queued `Data` header promised this range
+                    // behind it, so nothing can be answered in its
+                    // place any more: a range that does not go out
+                    // whole takes the connection with it.
+                    Ok(Some((file, offset, len))) => {
+                        let sent = conn.flush()
+                            && send_file_range(&mut conn.stream, &file, offset, len).is_ok();
+                        if !sent {
+                            return;
+                        }
                     }
-                    out.clear();
-                }
-                if batch_done {
-                    break;
+                    // The peer gets an `Error` response in this
+                    // request's slot and the connection stays open:
+                    // the reader skips whatever payload the refusal
+                    // left untaken.
+                    Err(e) => push_response(&mut conn.out, &e.into()),
                 }
             }
+            if !conn.flush() {
+                return;
+            }
         }
+    }
+}
+
+/// One peer connection as its handler thread holds it.
+struct PeerConn {
+    stream: TcpStream,
+    reader: FrameReader,
+    /// Responses not yet written; payloads never enter it, so it stays
+    /// a few bytes per request of the batch being answered.
+    out: BytesMut,
+}
+
+impl PeerConn {
+    /// Write the queued responses out; `false` once the peer is gone.
+    fn flush(&mut self) -> bool {
+        let written = self.stream.write_all(&self.out).is_ok();
+        self.out.clear();
+        written
     }
 }
 
@@ -159,22 +180,27 @@ fn push_response(out: &mut BytesMut, response: &DataResponse) {
     push_frame(out, None, response, 0, |_| ());
 }
 
-/// Serve one data-plane request from a peer daemon, appending its one
-/// framed response to `out`. Every path goes through the engine's
-/// dataspace containment checks — a remote peer gets no more
-/// filesystem reach than a local client. On `Err` the caller discards
-/// whatever was appended and answers with the error instead.
-fn handle_data(engine: &Engine, frame: Bytes, out: &mut BytesMut) -> Result<(), EngineError> {
-    let mut payload = frame;
-    let req = DataRequest::decode(&mut payload)
-        .map_err(|e| EngineError::new(ErrorCode::BadArgs, e.to_string()))?;
+/// Serve one data-plane request from a peer daemon, whose frame
+/// carries `payload` bytes behind it, appending its one framed
+/// response to `conn.out`. A `Data` response is only its header: the
+/// file range returned with it is the payload that header promises,
+/// for the caller to send right behind it. Every path goes through the
+/// engine's dataspace containment checks — a remote peer gets no more
+/// filesystem reach than a local client. On `Err` nothing was appended
+/// and the caller answers with the error instead.
+fn handle_data(
+    engine: &Engine,
+    conn: &mut PeerConn,
+    request: DataRequest,
+    payload: usize,
+) -> Result<Option<(File, u64, u64)>, EngineError> {
     let over_cap = |what: &str, len: u64| {
         EngineError::new(
             ErrorCode::BadArgs,
             format!("{what} of {len} bytes exceeds the {MAX_DATA_RANGE}-byte range cap"),
         )
     };
-    let response = match req {
+    let response = match request {
         DataRequest::Stat { nsid, path } => {
             let meta = fs::metadata(engine.resolve_local(&nsid, &path)?)?;
             if meta.is_dir() {
@@ -195,17 +221,26 @@ fn handle_data(engine: &Engine, frame: Bytes, out: &mut BytesMut) -> Result<(), 
                 return Err(over_cap("fetch", len));
             }
             let file = File::open(engine.resolve_local(&nsid, &path)?)?;
-            // The payload is read straight into the outbound buffer's
-            // tail, behind a frame header patched once its length is
-            // known: a read that hits EOF sends a short payload, which
+            let meta = file.metadata()?;
+            // A directory opens and has a length too, and would fail
+            // only once the header below had promised its bytes.
+            if !meta.is_file() {
+                return Err(EngineError::new(
+                    ErrorCode::SystemError,
+                    "only a regular file can be fetched",
+                ));
+            }
+            // A range that crosses end-of-file is answered short, which
             // is how the peer learns the file ended.
-            push_frame(out, None, &DataResponse::Data, 0, |out| {
-                let payload_at = out.len();
-                out.resize(payload_at + len as usize, 0);
-                read_full_at(&file, &mut out[payload_at..], offset)
-                    .map(|filled| out.truncate(payload_at + filled))
-            })?;
-            return Ok(());
+            let len = len.min(meta.len().saturating_sub(offset));
+            push_frame(
+                &mut conn.out,
+                None,
+                &DataResponse::Data,
+                len as usize,
+                |_| (),
+            );
+            return Ok(Some((file, offset, len)));
         }
         DataRequest::Prepare { nsid, path, size } => {
             let local = engine.resolve_local(&nsid, &path)?;
@@ -216,15 +251,15 @@ fn handle_data(engine: &Engine, frame: Bytes, out: &mut BytesMut) -> Result<(), 
             DataResponse::Ok
         }
         DataRequest::Store { nsid, path, offset } => {
-            if payload.len() as u64 > MAX_DATA_RANGE {
-                return Err(over_cap("store", payload.len() as u64));
+            if payload as u64 > MAX_DATA_RANGE {
+                return Err(over_cap("store", payload as u64));
             }
             let file = OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(false)
                 .open(engine.resolve_local(&nsid, &path)?)?;
-            file.write_all_at(&payload, offset)?;
+            land_payload(&mut conn.reader, &mut conn.stream, payload, &file, offset)?;
             DataResponse::Ok
         }
         DataRequest::Discard { nsid, path } => {
@@ -234,19 +269,20 @@ fn handle_data(engine: &Engine, frame: Bytes, out: &mut BytesMut) -> Result<(), 
             }
         }
     };
-    push_response(out, &response);
-    Ok(())
+    push_response(&mut conn.out, &response);
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::conn::DataConn;
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::time::{Duration, Instant};
 
-    use norns_proto::{BackendKind, DataspaceDesc};
+    use norns_proto::{BackendKind, DataspaceDesc, Wire};
 
     /// Position-dependent bytes so an offset or ordering bug corrupts
     /// the payload.
@@ -275,6 +311,24 @@ mod tests {
         let conn = DataConn::connect(&listener.local_addr().unwrap().to_string()).unwrap();
         server.serve(listener.accept().unwrap().0);
         (server, conn, mount)
+    }
+
+    /// The next response, with the payload behind it landed the way a
+    /// pull lands it.
+    fn recv(conn: &mut DataConn, mount: &Path) -> (DataResponse, Vec<u8>) {
+        let (response, len) = conn.recv_response().unwrap();
+        let landed = mount.join("landed.tmp");
+        conn.recv_payload(len, &File::create(&landed).unwrap(), 0)
+            .unwrap();
+        (response, fs::read(landed).unwrap())
+    }
+
+    fn store(path: &str, offset: u64) -> DataRequest {
+        DataRequest::Store {
+            nsid: "ds0".into(),
+            path: path.into(),
+            offset,
+        }
     }
 
     fn fetch(path: &str, offset: u64, len: u64) -> DataRequest {
@@ -309,12 +363,8 @@ mod tests {
             .map(|i| (i * step, step.min(size - i * step)))
             .collect();
         for &(offset, len) in &ranges {
-            let store = DataRequest::Store {
-                nsid: "ds0".into(),
-                path: "sub/dst.dat".into(),
-                offset,
-            };
-            conn.send_store(&store, &src, offset, len).unwrap();
+            conn.send_store(&store("sub/dst.dat", offset), &src, offset, len)
+                .unwrap();
         }
         for _ in &ranges {
             assert_eq!(conn.recv_response().unwrap().0, DataResponse::Ok);
@@ -327,7 +377,7 @@ mod tests {
                 .unwrap();
         }
         for _ in &ranges {
-            let (response, payload) = conn.recv_response().unwrap();
+            let (response, payload) = recv(&mut conn, &mount);
             assert_eq!(response, DataResponse::Data);
             back.extend_from_slice(&payload);
         }
@@ -336,18 +386,17 @@ mod tests {
         let _ = fs::remove_dir_all(&mount);
     }
 
-    /// One read batch whose responses add up to several times
-    /// `RESPONSE_FLUSH_THRESHOLD` is flushed mid-batch; every response
-    /// must still arrive whole and in request order — including an
-    /// `Error` in the middle, a payload cut short at EOF, and a small
-    /// reply behind them all.
+    /// One read batch of `Fetch`es: each `Data` payload leaves right
+    /// behind its header, cutting the queued responses short; every
+    /// response must still arrive whole and in request order —
+    /// including an `Error` in the middle, a payload cut short at EOF,
+    /// and a small reply behind them all.
     #[test]
-    fn a_batch_past_the_flush_threshold_arrives_complete_and_in_order() {
+    fn a_pipelined_fetch_batch_arrives_complete_and_in_order() {
         let (server, mut conn, mount) = served("batch");
         let len = 768u64 << 10;
         let data = pattern(6 * len as usize + 99);
         fs::write(mount.join("big.dat"), &data).unwrap();
-        assert!(data.len() > 4 * RESPONSE_FLUSH_THRESHOLD);
 
         // Ranges out of file order, so a reordered response shows.
         let offsets = [3 * len, 0, 5 * len, len, 6 * len, 2 * len, 4 * len];
@@ -377,7 +426,7 @@ mod tests {
                     other => panic!("expected the refusal in slot 3, got {other:?}"),
                 }
             }
-            let (response, payload) = conn.recv_response().unwrap();
+            let (response, payload) = recv(&mut conn, &mount);
             assert_eq!(response, DataResponse::Data);
             let want = &data[offset as usize..data.len().min((offset + len) as usize)];
             assert!(&payload[..] == want, "range at {offset} garbled");
@@ -392,26 +441,165 @@ mod tests {
         let _ = fs::remove_dir_all(&mount);
     }
 
-    /// A `Fetch` that crosses end-of-file is framed in place: its
-    /// header, reserved before the read, is patched to the bytes that
-    /// were there, and the zero-filled rest of the range is cut off.
+    /// A `Fetch` that crosses end-of-file is answered short: the
+    /// `Data` header counts the bytes the file had from there on, and
+    /// exactly those follow it — byte for byte what the peer sees,
+    /// behind the response queued ahead of it.
     #[test]
-    fn fetch_answered_short_at_eof_carries_the_patched_length() {
-        let (server, _conn, mount) = served("short");
+    fn fetch_answered_short_at_eof_carries_the_clamped_length() {
+        let (server, mut conn, mount) = served("short");
         let data = pattern(99);
         fs::write(mount.join("tail.dat"), &data).unwrap();
 
-        let mut out = BytesMut::new();
-        push_response(&mut out, &DataResponse::Ok);
-        let fetch_at = out.len();
-        let request = fetch("tail.dat", 40, 1000).to_bytes();
-        handle_data(&server.engine, request, &mut out).unwrap();
+        let stat = DataRequest::Stat {
+            nsid: "ds0".into(),
+            path: "tail.dat".into(),
+        };
+        let mut batch = norns_proto::encode_frame(&stat.to_bytes()).to_vec();
+        for offset in [40, 99, 1000] {
+            let request = fetch("tail.dat", offset, 1000).to_bytes();
+            batch.extend_from_slice(&norns_proto::encode_frame(&request));
+        }
+        conn.stream.write_all(&batch).unwrap();
 
+        let stat = DataResponse::Stat { size: 99 }.to_bytes();
         let body = DataResponse::Data.to_bytes();
-        let header = norns_proto::frame_header(body.len() + 59);
-        assert_eq!(&out[fetch_at..][..header.len()], &header);
-        assert_eq!(&out[fetch_at + header.len()..][..body.len()], &body[..]);
-        assert_eq!(&out[fetch_at + header.len() + body.len()..], &data[40..]);
+        let mut want = norns_proto::encode_frame(&stat).to_vec();
+        want.extend_from_slice(&norns_proto::frame_header(body.len() + 59));
+        want.extend_from_slice(&body);
+        want.extend_from_slice(&data[40..]);
+        // At and past end-of-file: a `Data` with nothing behind it.
+        want.extend_from_slice(&norns_proto::encode_frame(&body));
+        want.extend_from_slice(&norns_proto::encode_frame(&body));
+        let mut got = vec![0u8; want.len()];
+        conn.stream.read_exact(&mut got).unwrap();
+        assert_eq!(got, want);
+        server.close_and_join();
+        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// The client half against the real server: a source that shrank
+    /// after the pull was planned answers the range that reaches its
+    /// new end short, the pull fails `truncated` at exactly that byte,
+    /// and its preallocated destination is removed.
+    #[test]
+    fn a_pull_answered_short_fails_truncated_at_the_source_end() {
+        use super::super::super::transfer::PlanOutcome;
+        use super::super::{Direction, RemoteTransfer};
+        use std::sync::atomic::AtomicBool;
+
+        let (server, _conn, mount) = served("shrank");
+        let size = 3 * (256u64 << 10) + 4321;
+        fs::write(mount.join("src.dat"), pattern(size as usize)).unwrap();
+        // The transfer connects for itself (and again after a failure
+        // on a cached connection), so this server keeps accepting.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let acceptor = Arc::clone(&server);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                acceptor.serve(stream.unwrap());
+            }
+        });
+        let plan = |name: &str| {
+            RemoteTransfer::plan(
+                7,
+                Direction::Pull,
+                &addr,
+                "ds0",
+                "src.dat",
+                &mount.join(name),
+                8 << 20,
+                8,
+                Arc::new(AtomicU64::new(0)),
+                Arc::new(AtomicBool::new(false)),
+            )
+            .unwrap()
+        };
+
+        // Whole first: three full ranges and the ragged one behind.
+        let whole = plan("whole.dat");
+        while !whole.run_unit() {}
+        assert!(matches!(whole.finalize(), PlanOutcome::Done(n) if n == size));
+        assert!(fs::read(mount.join("whole.dat")).unwrap() == pattern(size as usize));
+
+        let shrank = plan("shrank.dat");
+        assert_eq!(fs::metadata(mount.join("shrank.dat")).unwrap().len(), size);
+        let source = OpenOptions::new()
+            .write(true)
+            .open(mount.join("src.dat"))
+            .unwrap();
+        source.set_len(size - 5000).unwrap();
+        while !shrank.run_unit() {}
+        match shrank.finalize() {
+            PlanOutcome::Failed(e) => {
+                let at = format!("remote source truncated at byte {}", size - 5000);
+                assert!(e.message.contains(&at), "{e}");
+            }
+            _ => panic!("a pull of a source that shrank must fail"),
+        }
+        assert!(!mount.join("shrank.dat").exists());
+        server.close_and_join();
+        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// The accepted end of a connection is tuned like the connecting
+    /// one. Without `TCP_NODELAY` there, the `Ok` behind the last
+    /// `Store` of a window waits in the kernel for the peer's delayed
+    /// ACK of the `Ok` before it: 40 ms per window.
+    #[test]
+    fn the_accepted_socket_is_tuned_like_the_connecting_one() {
+        let (server, conn, mount) = served("tuned");
+        assert!(conn.stream.nodelay().unwrap());
+        for entry in server.conns.lock().values() {
+            assert!(entry.stream.nodelay().unwrap());
+            assert!(entry.stream.read_timeout().unwrap().is_some());
+            assert!(entry.stream.write_timeout().unwrap().is_some());
+        }
+        assert_eq!(server.conns.lock().len(), 1);
+        server.close_and_join();
+        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// The stall itself: eight pipelined 256 KiB `Store`s — each
+    /// completes in a read batch of its own, so each `Ok` is its own
+    /// small write — must all be acknowledged without a delayed-ACK
+    /// pause between them. Checked to fail at the parent commit, where
+    /// the accepted socket still had Nagle on: every one of its five
+    /// rounds took 40 ms or more.
+    #[test]
+    fn a_window_of_pipelined_stores_is_acknowledged_without_a_stall() {
+        let (server, mut conn, mount) = served("stall");
+        let step = 256u64 << 10;
+        let data = pattern(8 * step as usize);
+        fs::write(mount.join("src.dat"), &data).unwrap();
+        let src = File::open(mount.join("src.dat")).unwrap();
+        let prepare = DataRequest::Prepare {
+            nsid: "ds0".into(),
+            path: "dst.dat".into(),
+            size: data.len() as u64,
+        };
+        assert_eq!(conn.call(&prepare).unwrap(), DataResponse::Ok);
+
+        let best = (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                for i in 0..8 {
+                    conn.send_store(&store("dst.dat", i * step), &src, i * step, step)
+                        .unwrap();
+                }
+                for _ in 0..8 {
+                    assert_eq!(conn.recv_response().unwrap().0, DataResponse::Ok);
+                }
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            best < Duration::from_millis(30),
+            "best of 5 windows took {best:?}"
+        );
+        assert!(fs::read(mount.join("dst.dat")).unwrap() == data);
         server.close_and_join();
         let _ = fs::remove_dir_all(&mount);
     }

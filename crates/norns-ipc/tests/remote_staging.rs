@@ -650,8 +650,11 @@ fn unsupported_remote_combinations_are_rejected() {
 
 /// The data-plane server, spoken to in raw `DataRequest` frames the way
 /// a peer daemon would: every refusal is an `Error` *response* with a
-/// pinned code — the connection stays open behind each — and the two
-/// lenient cases (`Discard` of nothing, `Fetch` past EOF) stay lenient.
+/// pinned code — the connection stays open and frame-aligned behind
+/// each, however much of a refused payload was still on the wire: a
+/// `Stat` pipelined behind every request is answered in order — and
+/// the two lenient cases (`Discard` of nothing, `Fetch` past EOF) stay
+/// lenient.
 #[test]
 fn data_plane_server_refusals_carry_pinned_codes() {
     let root = temp_root("raw-server");
@@ -661,26 +664,35 @@ fn data_plane_server_refusals_carry_pinned_codes() {
     std::fs::write(mount.join("file"), b"0123456789").unwrap();
     let mut stream = std::net::TcpStream::connect(daemon.data_addr().unwrap()).unwrap();
     let mut reader = FrameReader::new();
-    let mut call = |body: &[u8]| {
-        stream.write_all(&encode_frame(body)).unwrap();
-        loop {
-            if let Some(mut frame) = reader.next_frame().unwrap() {
-                return (DataResponse::decode(&mut frame).unwrap(), frame);
-            }
-            assert!(reader.read_from(&mut stream).unwrap() > 0, "server hung up");
-        }
-    };
     let ds = || "nodea-ds".to_string();
     let stat = |nsid: &str, path: &str| {
         let (nsid, path) = (nsid.into(), path.into());
         DataRequest::Stat { nsid, path }.to_bytes().to_vec()
     };
+    let mut call = |body: &[u8]| {
+        let mut both = encode_frame(body).to_vec();
+        both.extend_from_slice(&encode_frame(&stat("nodea-ds", "file")));
+        stream.write_all(&both).unwrap();
+        let mut next = || loop {
+            if let Some(mut frame) = reader.next_frame().unwrap() {
+                return (DataResponse::decode(&mut frame).unwrap(), frame);
+            }
+            assert!(reader.read_from(&mut stream).unwrap() > 0, "server hung up");
+        };
+        let answer = next();
+        assert_eq!(
+            next().0,
+            DataResponse::Stat { size: 10 },
+            "the request behind is answered in its own slot"
+        );
+        answer
+    };
     let discard = |path: &str| {
         let (nsid, path) = (ds(), path.into());
         DataRequest::Discard { nsid, path }.to_bytes().to_vec()
     };
-    let fetch = |offset, len| {
-        let (nsid, path) = (ds(), "file".into());
+    let fetch_of = |path: &str, offset, len| {
+        let (nsid, path) = (ds(), path.into());
         let fetch = DataRequest::Fetch {
             nsid,
             path,
@@ -689,19 +701,48 @@ fn data_plane_server_refusals_carry_pinned_codes() {
         };
         fetch.to_bytes().to_vec()
     };
-    let (nsid, path) = (ds(), "big".into());
-    let offset = 0;
-    let mut store_over_cap = DataRequest::Store { nsid, path, offset }
-        .to_bytes()
-        .to_vec();
-    store_over_cap.resize(store_over_cap.len() + MAX_DATA_RANGE as usize + 1, 0);
+    let fetch = |offset, len| fetch_of("file", offset, len);
+    // A `Store` with `payload` bytes behind it: past a read's worth,
+    // most of them are still on the wire when the refusal is decided.
+    let store = |nsid: &str, path: &str, payload: usize| {
+        let (nsid, path, offset) = (nsid.into(), path.into(), 0);
+        let mut body = DataRequest::Store { nsid, path, offset }
+            .to_bytes()
+            .to_vec();
+        body.resize(body.len() + payload, 7);
+        body
+    };
     for (what, body, want) in [
         (
             "fetch over cap",
             fetch(0, MAX_DATA_RANGE + 1),
             ErrorCode::BadArgs,
         ),
-        ("store over cap", store_over_cap, ErrorCode::BadArgs),
+        (
+            "store over cap",
+            store("nodea-ds", "big", MAX_DATA_RANGE as usize + 1),
+            ErrorCode::BadArgs,
+        ),
+        (
+            "store into an unknown dataspace",
+            store("nowhere", "big", 2 << 20),
+            ErrorCode::NotFound,
+        ),
+        (
+            "store escaping the dataspace",
+            store("nodea-ds", "../big", 300 << 10),
+            ErrorCode::PermissionDenied,
+        ),
+        (
+            "store onto a directory",
+            store("nodea-ds", "dir", (1 << 20) + 17),
+            ErrorCode::SystemError,
+        ),
+        (
+            "fetch of a directory",
+            fetch_of("dir", 0, 100),
+            ErrorCode::SystemError,
+        ),
         (
             "stat of a directory",
             stat("nodea-ds", "dir"),
@@ -718,6 +759,11 @@ fn data_plane_server_refusals_carry_pinned_codes() {
             ErrorCode::PermissionDenied,
         ),
         ("undecodable request", vec![0xff; 9], ErrorCode::BadArgs),
+        (
+            "undecodable request, a read's worth and more",
+            vec![0xff; 100_000],
+            ErrorCode::BadArgs,
+        ),
     ] {
         match call(&body).0 {
             DataResponse::Error { code, .. } => assert_eq!(code, want, "{what}"),
@@ -731,4 +777,89 @@ fn data_plane_server_refusals_carry_pinned_codes() {
         assert_eq!(&payload[..], tail, "fetch at {offset} is cut short at EOF");
     }
     assert!(!mount.join("big").exists(), "a refused store wrote nothing");
+    assert!(
+        !root.join("nodea/big").exists(),
+        "nor outside the dataspace"
+    );
+}
+
+/// A stand-in peer whose file shrank between a pull's `Stat` and its
+/// `Fetch`es: it answers `Stat` with `planned` and cuts every `Fetch`
+/// short at `actual`, the way the real server answers a range that
+/// crosses end-of-file.
+fn peer_whose_source_shrank(planned: u64, actual: u64) -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let serve = move |mut stream: std::net::TcpStream| {
+        let mut reader = FrameReader::new();
+        while reader.read_from(&mut stream).unwrap_or(0) > 0 {
+            while let Some(mut frame) = reader.next_frame().unwrap() {
+                let body = match DataRequest::decode(&mut frame).unwrap() {
+                    DataRequest::Stat { .. } => {
+                        DataResponse::Stat { size: planned }.to_bytes().to_vec()
+                    }
+                    DataRequest::Fetch { offset, len, .. } => {
+                        let mut body = DataResponse::Data.to_bytes().to_vec();
+                        let served = len.min(actual.saturating_sub(offset));
+                        body.resize(body.len() + served as usize, 7);
+                        body
+                    }
+                    other => panic!("a pull sends no {other:?}"),
+                };
+                if stream.write_all(&encode_frame(&body)).is_err() {
+                    return;
+                }
+            }
+        }
+    };
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            std::thread::spawn(move || serve(stream.unwrap()));
+        }
+    });
+    addr
+}
+
+/// A pull whose size is no multiple of the range step lands its ragged
+/// last range; a source that shrank on the peer after the pull was
+/// planned answers a range short, which fails the pull and removes its
+/// destination. (`server.rs` runs the same against the real server and
+/// pins the `truncated at byte N` message `TaskStats` does not carry.)
+#[test]
+fn pull_lands_a_ragged_tail_and_fails_on_a_source_that_shrank() {
+    let cfg_a = DaemonConfig::in_dir(temp_root("ragged-a").join("sockets"));
+    let cfg_b = DaemonConfig::in_dir(temp_root("ragged-b").join("sockets"));
+    let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
+        two_nodes("ragged", cfg_a, cfg_b);
+    let pull = |ctl: &mut CtlClient, peer: &str, name: &str| {
+        let spec = TaskSpec::new(
+            TaskOp::Copy,
+            remote(peer, "nodeb-ds", name),
+            Some(local("nodea-ds", &format!("staged/{name}"))),
+        );
+        ctl.submit(1, spec, None).unwrap()
+    };
+
+    // Default window 8: five 256 KiB ranges and 4 321 bytes behind.
+    let data = pattern(5 * (256 << 10) + 4321);
+    std::fs::write(mount_b.join("ragged.dat"), &data).unwrap();
+    let task = pull(&mut ctl_a, "nodeb", "ragged.dat");
+    let stats = ctl_a.wait(task, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(stats.bytes_moved, data.len() as u64);
+    assert!(std::fs::read(mount_a.join("staged/ragged.dat")).unwrap() == data);
+
+    // The same size on a peer that lost its last kilobyte since `Stat`.
+    let size = data.len() as u64;
+    let shrank = peer_whose_source_shrank(size, size - 1000);
+    ctl_a.register_peer("shrank", &shrank).unwrap();
+    let task = pull(&mut ctl_a, "shrank", "shrinks.dat");
+    let stats = ctl_a.wait(task, 0).unwrap();
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    assert_eq!(stats.error, ErrorCode::SystemError);
+    assert!(stats.bytes_moved < size);
+    assert!(
+        !mount_a.join("staged/shrinks.dat").exists(),
+        "a failed pull must not leave the preallocated destination"
+    );
 }

@@ -12,7 +12,12 @@
 //! [`FrameReader`] is an incremental decoder that accepts arbitrary
 //! chunk boundaries (short reads, coalesced frames) — required because
 //! every reader ([`FrameReader::read_from`]) takes whatever the kernel
-//! buffered.
+//! buffered. It pops a frame whole ([`FrameReader::next_frame`]), or
+//! its message alone with the payload behind it left on the stream for
+//! [`FrameReader::take_payload`] to move to where it belongs — what the
+//! data plane does with a megabyte `Store` or `Data`.
+
+use std::io::{self, Read};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -164,6 +169,12 @@ pub struct FrameReader {
     /// Landing area for [`FrameReader::read_from`], allocated on first
     /// use and kept: a socket read costs no per-call zeroing.
     scratch: Vec<u8>,
+    /// Payload bytes behind the message [`FrameReader::next_message`]
+    /// last returned that nobody took yet: the first of them sit at
+    /// the front of `buf`, the rest are still on the stream. What is
+    /// left of them when the next frame is asked for is skipped, so a
+    /// payload its receiver refuses cannot misalign the stream.
+    untaken: usize,
 }
 
 impl FrameReader {
@@ -179,7 +190,7 @@ impl FrameReader {
     /// One `read` from `src`, appended to the buffered bytes. Returns
     /// the count (`0` is end of stream); errors, `WouldBlock` and
     /// `Interrupted` included, pass through untouched.
-    pub fn read_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
         self.scratch.resize(READ_CHUNK, 0);
         let n = src.read(&mut self.scratch)?;
         self.buf.extend_from_slice(&self.scratch[..n]);
@@ -191,32 +202,135 @@ impl FrameReader {
         self.buf.len()
     }
 
-    /// Try to pop one complete frame payload. `Ok(None)` means "need
+    /// Skip what is buffered of an untaken payload, then read the
+    /// length prefix of the frame at the front. `Ok(None)` means "need
     /// more bytes".
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        if self.buf.len() < 4 {
+    fn frame_len(&mut self) -> Result<Option<usize>, FrameError> {
+        let skip = self.untaken.min(self.buf.len());
+        self.buf.advance(skip);
+        self.untaken -= skip;
+        if self.untaken > 0 || self.buf.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(FrameError::TooLarge(len));
         }
-        if self.buf.len() < 4 + len as usize {
+        Ok(Some(len as usize))
+    }
+
+    /// Try to pop one complete frame payload. `Ok(None)` means "need
+    /// more bytes".
+    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
+        let Some(len) = self.frame_len()? else {
+            return Ok(None);
+        };
+        if self.buf.len() < 4 + len {
             return Ok(None);
         }
         self.buf.advance(4);
-        let mut frame = self.buf.split_to(len as usize).freeze();
+        let mut frame = self.buf.split_to(len).freeze();
         let ver = frame.get_u8();
         if ver != PROTOCOL_VERSION {
             return Err(FrameError::BadVersion(ver));
         }
         Ok(Some(frame))
     }
+
+    /// The receive-side mirror of [`push_frame`]'s `behind`: pop the
+    /// message at the head of the next frame, and the count of payload
+    /// bytes that trail it, without waiting for those to be buffered —
+    /// [`FrameReader::take_payload`] moves them from the stream to
+    /// where they belong, and a caller that has no use for them just
+    /// asks for the next message. `Ok(None)` means "need more bytes".
+    ///
+    /// A frame shorter than one read is waited for whole, as
+    /// [`FrameReader::next_frame`] does. A longer one is decoded as
+    /// soon as its message is buffered, which a frame's first
+    /// [`READ_CHUNK`] bytes must hold. A message that does not decode
+    /// is an `Err` that leaves the stream aligned behind its frame.
+    pub fn next_message<T: Wire>(&mut self) -> Result<Option<(T, usize)>, FrameError> {
+        let Some(len) = self.frame_len()? else {
+            return Ok(None);
+        };
+        let buffered = (self.buf.len() - 4).min(len);
+        let head_len = len.min(READ_CHUNK);
+        if buffered == 0 || (len < READ_CHUNK && buffered < len) {
+            return Ok(None);
+        }
+        // `decode` wants a buffer of its own, so the message is decoded
+        // from a copy of the frame's first bytes — one sized to the
+        // message (a few dozen bytes), not to the up to `READ_CHUNK`
+        // of payload that arrived with it: the copy is widened only
+        // while the message runs off its end.
+        let avail = buffered.min(head_len);
+        let mut peek = avail.min(256);
+        let (msg, consumed) = loop {
+            let mut head = Bytes::from(self.buf[4..4 + peek].to_vec());
+            let ver = head.get_u8();
+            if ver != PROTOCOL_VERSION {
+                return Err(FrameError::BadVersion(ver));
+            }
+            match T::decode(&mut head) {
+                Err(WireError::Truncated | WireError::BadLength(_)) if peek < avail => {
+                    peek = (peek * 4).min(avail)
+                }
+                Err(WireError::Truncated | WireError::BadLength(_)) if avail < head_len => {
+                    return Ok(None)
+                }
+                Ok(msg) => break (Ok(msg), peek - head.len()),
+                Err(e) => break (Err(e), 1),
+            }
+        };
+        // From here on the frame is popped: the message's bytes are
+        // consumed (just the version byte if it did not decode) and
+        // everything behind them is payload for the taking.
+        self.buf.advance(4 + consumed);
+        self.untaken = len - consumed;
+        Ok(Some((msg?, self.untaken)))
+    }
+
+    /// Hand the payload behind the message [`FrameReader::next_message`]
+    /// last returned to `sink`, in order: first what was buffered with
+    /// the message, then the rest straight off `src` through `piece` —
+    /// one `read` per call of `sink`, so a large payload is copied out
+    /// of the socket once and its receiver works on one piece while the
+    /// kernel queues the next. `src` must block until bytes arrive.
+    /// Errors are `sink`'s own or `src`'s (a stream that ends inside
+    /// the payload is `UnexpectedEof`); whatever was not handed over
+    /// by then stays untaken.
+    pub fn take_payload(
+        &mut self,
+        src: &mut impl Read,
+        piece: &mut [u8],
+        mut sink: impl FnMut(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let buffered = self.untaken.min(self.buf.len());
+        if buffered > 0 {
+            self.untaken -= buffered;
+            let sunk = sink(&self.buf[..buffered]);
+            self.buf.advance(buffered);
+            sunk?;
+        }
+        while self.untaken > 0 {
+            let want = self.untaken.min(piece.len());
+            let n = match src.read(&mut piece[..want]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            self.untaken -= n;
+            sink(&piece[..n])?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DataRequest;
     use proptest::prelude::*;
 
     #[test]
@@ -319,6 +433,169 @@ mod tests {
         ));
     }
 
+    fn store(path: &str, offset: u64) -> DataRequest {
+        DataRequest::Store {
+            nsid: "ds0".into(),
+            path: path.into(),
+            offset,
+        }
+    }
+
+    /// One frame as `push_frame` lays it down with its payload behind.
+    fn framed(msg: &DataRequest, payload: &[u8]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        push_frame(&mut out, None, msg, payload.len(), |_| ());
+        out.extend_from_slice(payload);
+        out.to_vec()
+    }
+
+    /// Position-dependent bytes, cheap to make by the megabyte.
+    fn pattern(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 31 + salt) % 251) as u8).collect()
+    }
+
+    /// A stream handed over in reads of the given sizes, round and
+    /// round — what a socket does to frame boundaries.
+    struct Dribble<'a> {
+        left: &'a [u8],
+        sizes: &'a [usize],
+        turn: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.sizes[self.turn % self.sizes.len()];
+            self.turn += 1;
+            let (head, tail) = self.left.split_at(n.min(buf.len()).min(self.left.len()));
+            buf[..head.len()].copy_from_slice(head);
+            self.left = tail;
+            Ok(head.len())
+        }
+    }
+
+    /// Every message of `stream` through the receive path, with the
+    /// payload behind it — taken, unless `leave` says to walk past it.
+    fn received(
+        stream: &[u8],
+        sizes: &[usize],
+        piece: usize,
+        leave: impl Fn(usize) -> bool,
+    ) -> Vec<(DataRequest, Option<Vec<u8>>)> {
+        let mut src = Dribble {
+            left: stream,
+            sizes,
+            turn: 0,
+        };
+        let mut piece = vec![0u8; piece];
+        let mut reader = FrameReader::new();
+        let mut got = Vec::new();
+        loop {
+            match reader.next_message::<DataRequest>().unwrap() {
+                Some((msg, _)) if leave(got.len()) => got.push((msg, None)),
+                Some((msg, len)) => {
+                    let mut payload = Vec::with_capacity(len);
+                    reader
+                        .take_payload(&mut src, &mut piece, |bytes| {
+                            payload.extend_from_slice(bytes);
+                            Ok(())
+                        })
+                        .unwrap();
+                    assert_eq!(payload.len(), len);
+                    got.push((msg, Some(payload)));
+                }
+                None if reader.read_from(&mut src).unwrap() == 0 => break,
+                None => {}
+            }
+        }
+        assert_eq!(reader.buffered(), 0);
+        got
+    }
+
+    #[test]
+    fn a_large_payload_is_taken_off_the_stream_not_out_of_the_buffer() {
+        let payload = pattern((1 << 20) + 17, 3);
+        let stream = framed(&store("big", 4096), &payload);
+        let mut src = &stream[..];
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.next_message::<DataRequest>().unwrap(), None);
+        reader.read_from(&mut src).unwrap();
+        let (msg, len) = reader.next_message::<DataRequest>().unwrap().unwrap();
+        assert_eq!((msg, len), (store("big", 4096), payload.len()));
+        assert!(reader.buffered() < READ_CHUNK, "only the head was buffered");
+
+        let mut pieces = Vec::new();
+        let mut got = Vec::new();
+        reader
+            .take_payload(&mut src, &mut vec![0u8; 300_000], |bytes| {
+                pieces.push(bytes.len());
+                got.extend_from_slice(bytes);
+                Ok(())
+            })
+            .unwrap();
+        assert!(got == payload);
+        assert_eq!(pieces.len(), 5, "what was buffered, then four reads");
+        assert_eq!(reader.buffered(), 0);
+    }
+
+    /// Frame alignment on refusal: a payload nobody takes, one whose
+    /// sink gives up half way and a message that does not decode are
+    /// all walked past, and the frame behind each pops intact.
+    #[test]
+    fn an_untaken_payload_is_skipped_before_the_next_frame() {
+        let big = pattern((1 << 20) + 5, 9);
+        let mut stream = framed(&store("refused", 0), &big);
+        stream.extend_from_slice(&framed(&store("half", 0), &big));
+        stream.extend_from_slice(&encode_frame(&[0xff; 70_000]));
+        stream.extend_from_slice(&encode_frame(&[0xff; 9]));
+        stream.extend_from_slice(&framed(&store("kept", 7), b"tail"));
+        let mut src = Dribble {
+            left: &stream,
+            sizes: &[50_000, 3, 70_000],
+            turn: 0,
+        };
+        let mut reader = FrameReader::new();
+        let mut popped = Vec::new();
+        loop {
+            match reader.next_message::<DataRequest>() {
+                Ok(Some((msg, _))) if msg == store("half", 0) => {
+                    let mut calls = 0;
+                    let gave_up = reader.take_payload(&mut src, &mut [0u8; 4096], |_| {
+                        calls += 1;
+                        if calls == 3 {
+                            return Err(io::ErrorKind::StorageFull.into());
+                        }
+                        Ok(())
+                    });
+                    assert_eq!(gave_up.unwrap_err().kind(), io::ErrorKind::StorageFull);
+                    popped.push(Ok(msg));
+                }
+                Ok(Some((msg, _))) => popped.push(Ok(msg)),
+                Err(e) => popped.push(Err(e)),
+                Ok(None) if reader.read_from(&mut src).unwrap() == 0 => break,
+                Ok(None) => {}
+            }
+        }
+        let undecodable =
+            |popped: &Result<DataRequest, FrameError>| matches!(popped, Err(FrameError::Wire(_)));
+        assert_eq!(popped.len(), 5);
+        assert_eq!(popped[0], Ok(store("refused", 0)));
+        assert_eq!(popped[1], Ok(store("half", 0)));
+        assert!(undecodable(&popped[2]) && undecodable(&popped[3]));
+        assert_eq!(popped[4], Ok(store("kept", 7)));
+        assert_eq!(reader.buffered(), 0, "nothing is left over");
+    }
+
+    #[test]
+    fn a_stream_that_ends_inside_a_payload_is_unexpected_eof() {
+        let stream = framed(&store("cut", 0), &pattern(200_000, 1));
+        let mut src = &stream[..150_000];
+        let mut reader = FrameReader::new();
+        reader.read_from(&mut src).unwrap();
+        reader.next_message::<DataRequest>().unwrap().unwrap();
+        let cut = reader.take_payload(&mut src, &mut [0u8; 4096], |_| Ok(()));
+        assert_eq!(cut.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
     proptest! {
         #[test]
         fn prop_roundtrip_any_payload(payload: Vec<u8>) {
@@ -347,6 +624,55 @@ mod tests {
                 }
             }
             prop_assert_eq!(got, payloads);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The receive path against the reference: small frames and
+        /// frames past a megabyte, mixed, cut at arbitrary read
+        /// boundaries and taken through pieces of arbitrary size,
+        /// yield the messages and payloads `next_frame` yields on the
+        /// whole stream — and leaving any of the payloads untaken
+        /// changes nothing for the frames behind it.
+        #[test]
+        fn prop_receive_path_matches_next_frame(
+            frames in proptest::collection::vec(
+                (prop_oneof![0usize..300, (1usize << 20)..(1 << 20) + 70_000], 0usize..251),
+                1..5,
+            ),
+            sizes in proptest::collection::vec(prop_oneof![1usize..64, 1usize..200_000], 1..6),
+            piece in prop_oneof![1usize..4096, 4096usize..(2 << 20)],
+            left in 0usize..5,
+        ) {
+            let mut stream = Vec::new();
+            for (i, &(len, salt)) in frames.iter().enumerate() {
+                let msg = match len % 3 {
+                    0 => DataRequest::Stat { nsid: "ds0".into(), path: format!("f{i}") },
+                    // Up to 2 KB of path: a message longer than the
+                    // reader's first peek at it.
+                    _ => store(&format!("dir/{}f{i}", "p".repeat(salt * 8)), (len * salt) as u64),
+                };
+                stream.extend_from_slice(&framed(&msg, &pattern(len, salt)));
+            }
+            let mut reference = FrameReader::new();
+            reference.extend(&stream);
+            let mut want = Vec::new();
+            while let Some(mut frame) = reference.next_frame().unwrap() {
+                let msg = DataRequest::decode(&mut frame).unwrap();
+                want.push((msg, Some(frame.to_vec())));
+            }
+            prop_assert_eq!(want.len(), frames.len());
+
+            let got = received(&stream, &sizes, piece, |_| false);
+            prop_assert!(got == want);
+            let mut skipping = received(&stream, &sizes, piece, |i| i == left);
+            if let Some(skipped) = skipping.get_mut(left) {
+                prop_assert!(skipped.1.is_none());
+                skipped.1 = want[left].1.clone();
+            }
+            prop_assert!(skipping == want);
         }
     }
 }

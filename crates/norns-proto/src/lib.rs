@@ -13,7 +13,9 @@
 //!   layout listed once.
 //! * [`frame`] — length-prefixed, versioned stream framing: the one
 //!   in-place frame assembler ([`push_frame`]) and an incremental
-//!   reader tolerant of arbitrary chunk boundaries.
+//!   reader tolerant of arbitrary chunk boundaries, which pops whole
+//!   frames or — for the data plane's megabyte payloads — a frame's
+//!   message and then its payload straight off the stream.
 //!
 //! Used by `norns-ipc` (the real daemon over real sockets) and by the
 //! protocol-level benchmarks.
