@@ -18,11 +18,11 @@
 //!    Depth 1 *is* the pre-v7 one-outstanding discipline, so every run
 //!    carries its own baseline; the suite fails unless pipelined
 //!    depth ≥ 8 beats it at 64+ clients.
-//! 2. **local** — the no-network data plane: same-daemon copy
-//!    bandwidth; the chunk size × workers sweep against a monolithic
-//!    `fs::copy` (fails unless one large copy used > 1 worker and
-//!    `query()` saw partial `bytes_moved`); the four arbitration
-//!    policies on a skewed real-file mix.
+//! 2. **local** — the no-network data plane through a bare engine:
+//!    chunk size × workers on one file (fails if extra workers slow
+//!    it or `query()` saw no partial `bytes_moved`); 1, 2 and 4 files
+//!    at once (fails unless two move ≥ 1.3× one file's rate); the
+//!    four arbitration policies on a skewed real-file mix.
 //! 3. **remote** — loopback push + pull bandwidth across data-plane
 //!    window sizes and across chunk sizes. Window 1 *is* the old
 //!    stop-and-wait protocol, so every run carries its own baseline;
@@ -134,6 +134,11 @@ fn posix(nsid: &str, path: &str) -> ResourceDesc {
     }
 }
 
+/// A copy inside [`engine_on`]'s dataspace.
+fn tmp0_copy(from: &str, to: &str) -> TaskSpec {
+    copy_spec(posix("tmp0", from), posix("tmp0", to))
+}
+
 fn remote(host: &str, nsid: &str, path: &str) -> ResourceDesc {
     ResourceDesc::RemotePath {
         host: host.into(),
@@ -144,6 +149,20 @@ fn remote(host: &str, nsid: &str, path: &str) -> ResourceDesc {
 
 fn patterned(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// Write a source file and flush it: a gigabyte still in writeback
+/// throttles the first timed copies (0.64 GiB/s beside 2.7 after them).
+fn write_clean(path: &Path, bytes: Vec<u8>) {
+    fs::write(path, bytes).unwrap();
+    fs::File::open(path).unwrap().sync_all().unwrap();
+}
+
+/// Block until task `id` finishes; anything but `Finished` is fatal.
+fn finished(engine: &Engine, id: u64) -> TaskStats {
+    let stats = engine.wait(id, 0).expect("task exists");
+    assert_eq!(stats.state, TaskState::Finished, "task {id}");
+    stats
 }
 
 /// Smallest of `reps` timings.
@@ -451,62 +470,37 @@ fn bench_control(root: &Path) -> BenchDoc {
 // --- scenario 2: the local data plane --------------------------------
 
 /// Chunk size × workers sweep on one large file through an in-process
-/// engine, against the monolithic `fs::copy` baseline (one thread, one
-/// syscall loop, no progress — the data plane before chunking).
-/// Bandwidth is hardware-dependent and reported; the two behaviours
-/// the chunked design promises are asserted.
+/// engine; gated by [`check_local`]. The raw-syscall baseline is
+/// `benchmark/`'s `ceiling.copy_file_range_gib_per_s`, not a row here.
 fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
     let size = if quick_mode() { 256 * MIB } else { 1024 * MIB };
-    let reps = if quick_mode() { 2 } else { 3 };
+    let reps = 3;
     let mount = root.join("chunk");
     fs::create_dir_all(&mount).unwrap();
-    fs::write(mount.join("src"), vec![0xc3u8; size as usize]).unwrap();
+    write_clean(&mount.join("src"), vec![0xc3u8; size as usize]);
 
-    let baseline_secs = best_of(reps, || {
-        let _ = fs::remove_file(mount.join("dst"));
-        let start = Instant::now();
-        assert_eq!(
-            fs::copy(mount.join("src"), mount.join("dst")).unwrap(),
-            size
-        );
-        start.elapsed().as_secs_f64()
-    });
-    doc.row(
-        SOURCE,
-        vec![
-            ("scenario", Json::str("chunk_sweep_fs_copy")),
-            ("bytes", Json::num(size as f64)),
-            ("secs", Json::num(baseline_secs)),
-            ("gib_per_s", Json::num(size as f64 / baseline_secs / GIB)),
-        ],
-    );
-
-    let mut multiworker_peak = 0u64;
-    let mut any_partial = false;
-    for workers in [1usize, 2, 4] {
-        for chunk_mib in [1u64, 4, 8, 32] {
-            let (mut peak, mut partial) = (0u64, false);
-            let secs = best_of(reps, || {
+    for chunk_mib in [4u64, 8, 32] {
+        // Pool sizes take turns inside each repetition, so a slow second
+        // on the box costs every row the gate compares one repetition.
+        let mut best = [1usize, 2, 4].map(|workers| (workers, f64::MAX, false));
+        for _ in 0..reps {
+            for (workers, secs, partial) in &mut best {
                 let config = EngineConfig {
-                    workers,
+                    workers: *workers,
                     chunk_size: chunk_mib * MIB,
                     ..EngineConfig::default()
                 };
                 let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
                 let _ = fs::remove_file(mount.join("dst"));
                 let start = Instant::now();
-                let spec = copy_spec(posix("tmp0", "src"), posix("tmp0", "dst"));
-                let id = engine.submit(1, spec, None).unwrap();
-                partial |= poll_to_finish(size, || engine.query(id).unwrap());
-                let secs = start.elapsed().as_secs_f64();
-                peak = peak.max(engine.peak_chunk_workers());
+                let id = engine.submit(1, tmp0_copy("src", "dst"), None).unwrap();
+                *partial |= poll_to_finish(size, || engine.query(id).unwrap());
+                *secs = secs.min(start.elapsed().as_secs_f64());
                 engine.shutdown();
-                secs
-            });
-            if workers > 1 {
-                multiworker_peak = multiworker_peak.max(peak);
             }
-            any_partial |= partial;
+        }
+        let alone = best[0].1;
+        for (workers, secs, partial) in best {
             doc.row(
                 SOURCE,
                 vec![
@@ -516,24 +510,64 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
                     ("bytes", Json::num(size as f64)),
                     ("secs", Json::num(secs)),
                     ("gib_per_s", Json::num(size as f64 / secs / GIB)),
-                    ("speedup_vs_fs_copy", Json::num(baseline_secs / secs)),
-                    ("peak_chunk_workers", Json::num(peak as f64)),
+                    ("vs_one_worker", Json::num(alone / secs)),
                     ("partial_progress_seen", Json::Bool(partial)),
                 ],
             );
         }
     }
-    assert!(
-        multiworker_peak > 1,
-        "a single large-file copy must utilize >1 worker (peak {multiworker_peak})"
-    );
-    assert!(
-        any_partial,
-        "query() must observe partial bytes_moved mid-transfer"
-    );
     doc.note(format!(
-        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, best-of-{reps}, vs a monolithic fs::copy; the suite fails unless a multi-worker copy peaked at >1 chunk worker and query() saw partial bytes_moved",
+        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, best-of-{reps} with the worker counts taking turns; a local copy's chunks run one at a time (one destination inode takes one writer at a time), so the suite fails if a 2- or 4-worker row falls below 0.85x the 1-worker row at the same chunk size (vs_one_worker), or if query() never saw partial bytes_moved",
         size / MIB
+    ));
+    let _ = fs::remove_dir_all(&mount);
+}
+
+/// What the pool is for now that one file takes one worker: 1, 2 and 4
+/// distinct files submitted together to one default-config engine.
+fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
+    let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
+    let reps = if quick_mode() { 2 } else { 3 };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mount = root.join("concurrent");
+    fs::create_dir_all(&mount).unwrap();
+    for i in 0..4 {
+        write_clean(&mount.join(format!("src{i}")), vec![0x5au8; size as usize]);
+    }
+    let spec = |i| tmp0_copy(&format!("src{i}"), &format!("out/dst{i}"));
+    for files in [1usize, 2, 4] {
+        let secs = best_of(reps, || {
+            let config = EngineConfig::default();
+            let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
+            let _ = fs::remove_dir_all(mount.join("out"));
+            let start = Instant::now();
+            let ids: Vec<u64> = (0..files)
+                .map(|i| engine.submit(1, spec(i), None).unwrap())
+                .collect();
+            for id in ids {
+                finished(&engine, id);
+            }
+            let secs = start.elapsed().as_secs_f64();
+            engine.shutdown();
+            secs
+        });
+        let bytes = (files as u64 * size) as f64;
+        doc.row(
+            SOURCE,
+            vec![
+                ("scenario", Json::str("concurrent_copies")),
+                ("files", Json::num(files as f64)),
+                ("nproc", Json::num(nproc as f64)),
+                ("bytes", Json::num(bytes)),
+                ("secs", Json::num(secs)),
+                ("gib_per_s", Json::num(bytes / secs / GIB)),
+            ],
+        );
+    }
+    doc.note(format!(
+        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), best-of-{reps}, aggregate rate; each file is one chain of chunks on one worker, so the suite fails unless 2 files move at >= 1.3x the 1-file rate{}; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's chunk_ablation_local at 8 MiB)",
+        size / MIB,
+        if nproc < 2 { " (gate skipped: nproc < 2)" } else { "" }
     ));
     let _ = fs::remove_dir_all(&mount);
 }
@@ -582,8 +616,7 @@ fn policy_mix(root: &Path, doc: &mut BenchDoc) {
         let engine = engine_on(&mount, config, policy.to_policy());
         let mut busy_rejections = 0u64;
         let mut submit = |job: u64, name: &str, priority: u8| loop {
-            let spec = copy_spec(posix("tmp0", name), posix("tmp0", &format!("out/{name}")))
-                .with_priority(priority);
+            let spec = tmp0_copy(name, &format!("out/{name}")).with_priority(priority);
             match engine.submit(job, spec, None) {
                 Ok(id) => break id,
                 Err(e) if e.code == ErrorCode::Busy => {
@@ -603,23 +636,18 @@ fn policy_mix(root: &Path, doc: &mut BenchDoc) {
             .collect();
         let urgent = submit(2, "urgent", 250);
 
-        let finished = |id: u64| {
-            let stats = engine.wait(id, 0).expect("task exists");
-            assert_eq!(stats.state, TaskState::Finished, "task {id}");
-            stats
-        };
         let sojourn_ms = |s: &TaskStats| (s.wait_usec + s.elapsed_usec) as f64 / 1e3;
         let mut all_sojourn = Summary::new();
         let mut small_sojourn = Summary::new();
         for id in big {
-            all_sojourn.record(sojourn_ms(&finished(id)));
+            all_sojourn.record(sojourn_ms(&finished(&engine, id)));
         }
         for id in small {
-            let ms = sojourn_ms(&finished(id));
+            let ms = sojourn_ms(&finished(&engine, id));
             all_sojourn.record(ms);
             small_sojourn.record(ms);
         }
-        let high = finished(urgent);
+        let high = finished(&engine, urgent);
         all_sojourn.record(sojourn_ms(&high));
         let high_wait_ms = high.wait_usec as f64 / 1e3;
         engine.shutdown();
@@ -645,46 +673,11 @@ fn policy_mix(root: &Path, doc: &mut BenchDoc) {
 }
 
 fn bench_local(root: &Path) -> BenchDoc {
-    let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
-    let reps = if quick_mode() { 2 } else { 3 };
-    let (_daemon, mut ctl) = spawn_node(
-        root,
-        "local",
-        DaemonConfig::in_dir(root.join("local/sockets")),
-    );
-    let payload = patterned(size as usize);
-    fs::write(root.join("local/ds/src.dat"), &payload).unwrap();
-
-    let best = best_of(reps, || {
-        let _ = fs::remove_file(root.join("local/ds/dst.dat"));
-        timed_copy(
-            &mut ctl,
-            copy_spec(posix("local-ds", "src.dat"), posix("local-ds", "dst.dat")),
-            size,
-        )
-    });
-    assert_eq!(
-        fs::read(root.join("local/ds/dst.dat")).unwrap(),
-        payload,
-        "local copy intact"
-    );
-
     let mut doc = BenchDoc::new("local");
-    doc.row(
-        SOURCE,
-        vec![
-            ("scenario", Json::str("local_copy")),
-            ("bytes", Json::num(size as f64)),
-            ("secs", Json::num(best)),
-            ("gib_per_s", Json::num(size as f64 / best / GIB)),
-        ],
-    );
-    doc.note(format!(
-        "local_copy: same-daemon chunked copy of one {} MiB file, default chunk size, best-of-{reps}",
-        size / MIB
-    ));
     chunk_sweep(root, &mut doc);
+    concurrent_copies(root, &mut doc);
     policy_mix(root, &mut doc);
+    check_local(&doc.to_json()).unwrap_or_else(|e| panic!("{e}"));
     doc
 }
 
@@ -1118,6 +1111,38 @@ fn best_where(
         .ok_or(format!("no {what} rows"))
 }
 
+fn saw_partial_progress(row: &&Json) -> bool {
+    row.get("partial_progress_seen").and_then(Json::as_bool) == Some(true)
+}
+
+/// The local family's gates, on fresh rows (`bench_local`) and recorded
+/// ones (`check`): live progress, and what one lane per file promises.
+fn check_local(local: &Json) -> Result<(), String> {
+    let sweep = scenario_rows(local, "chunk_sweep")?;
+    if let Some(slow) = sweep.iter().find(|r| num(r, "vs_one_worker") < Some(0.85)) {
+        return Err(format!(
+            "chunk_sweep: below 0.85 x its 1-worker row: {slow:?}"
+        ));
+    }
+    if !sweep.iter().any(saw_partial_progress) {
+        return Err("chunk_sweep: no row saw partial bytes_moved".into());
+    }
+    let together = scenario_rows(local, "concurrent_copies")?;
+    let rate = |files: f64| best_where(&together, "files", |f| f == files, "gib_per_s", "files");
+    let (one, two) = (rate(1.0)?, rate(2.0)?);
+    if num(together[0], "nproc") >= Some(2.0) && two < 1.3 * one {
+        return Err(format!(
+            "concurrent_copies: 2 files {two:.3} < 1.3 x 1 file {one:.3} GiB/s"
+        ));
+    }
+    println!("BENCH_local.json: 2 files {two:.3} vs 1 file {one:.3} GiB/s, live progress seen");
+    let policies = scenario_rows(local, "policy_mix")?.len();
+    if policies != 4 {
+        return Err(format!("policy_mix: {policies} policy rows, expected 4"));
+    }
+    Ok(())
+}
+
 /// Reload all five documents, validate the schema, and re-assert the
 /// run-time gates from the recorded rows.
 fn check() -> Result<(), String> {
@@ -1217,38 +1242,11 @@ fn check() -> Result<(), String> {
         "BENCH_replication.json: local_plus_one ACK {plus_one:.0} < synchronous {synchronous:.0} usec"
     );
 
-    // The chunked data plane's two promises, local and remote.
-    let saw_partial = |rows: &[&Json]| {
-        rows.iter()
-            .any(|r| r.get("partial_progress_seen").and_then(Json::as_bool) == Some(true))
-    };
-    let sweep = scenario_rows(&local, "chunk_sweep")?;
-    let peak = best_where(
-        &sweep,
-        "workers",
-        |w| w > 1.0,
-        "peak_chunk_workers",
-        "multi-worker chunk_sweep",
-    )?;
-    if peak <= 1.0 {
-        return Err(format!(
-            "chunk_sweep: multi-worker copies peaked at {peak} chunk workers"
-        ));
-    }
-    if !saw_partial(&sweep) {
-        return Err("chunk_sweep: no row saw partial bytes_moved".into());
-    }
-    println!(
-        "BENCH_local.json: chunk_sweep peaked at {peak} workers on one file, live progress seen"
-    );
+    check_local(&local)?;
     let mut staged = scenario_rows(&remote, "chunk_ablation_push")?;
     staged.extend(scenario_rows(&remote, "chunk_ablation_pull")?);
-    if !saw_partial(&staged) {
+    if !staged.iter().any(saw_partial_progress) {
         return Err("chunk_ablation: no remote transfer saw partial bytes_moved".into());
-    }
-    let policies = scenario_rows(&local, "policy_mix")?.len();
-    if policies != 4 {
-        return Err(format!("policy_mix: {policies} policy rows, expected 4"));
     }
     Ok(())
 }

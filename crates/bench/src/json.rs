@@ -353,7 +353,7 @@ impl BenchDoc {
         self.notes.push(text.into());
     }
 
-    fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("bench".into(), Json::str(&self.bench)),
             ("schema".into(), Json::Num(SCHEMA_VERSION)),

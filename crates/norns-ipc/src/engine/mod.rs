@@ -23,18 +23,23 @@
 //!   owns no clock.
 //! * [`transfer`] — the local data plane: transfers larger than the
 //!   configured chunk size are decomposed into chunk *sub-units* fed
-//!   back through the scheduler, so several workers cooperate on one
-//!   file (and, under fair-share, a huge file cannot monopolize the
-//!   pool); byte ranges move zero-copy via `copy_file_range` with a
-//!   pooled-buffer fallback; `Move` degrades to `rename()` when source
-//!   and destination share a filesystem; and a per-task atomic
-//!   advances `bytes_moved` live, making `query()` a real progress
-//!   API.
+//!   back through the scheduler one at a time — the worker that
+//!   finishes a chunk issues the next — so the policy re-arbitrates
+//!   every `chunk_size` (under fair-share or SJF a huge file cannot
+//!   monopolize a worker), a cancel lands between chunks, and the
+//!   rest of the pool stays free for *other* tasks: one destination
+//!   inode takes one writer at a time, so the pool's parallelism is
+//!   across files, not inside one. Byte ranges move zero-copy via
+//!   `copy_file_range` with a pooled-buffer fallback; `Move` degrades
+//!   to `rename()` when source and destination share a filesystem;
+//!   and a per-task atomic advances `bytes_moved` live, making
+//!   `query()` a real progress API.
 //! * [`remote`] — both halves of the TCP data plane. Tasks whose
 //!   input or output is a [`ResourceDesc::RemotePath`] route through
 //!   the peer registry (`RemotePath.host` → data-plane TCP address)
 //!   and stream file ranges to or from the peer daemon, reusing the
-//!   same chunk sub-unit machinery, live progress atomic and
+//!   same chunk sub-unit machinery (with every unit issued at once:
+//!   each worker brings its own connection), live progress atomic and
 //!   mid-stream cancel; the peer answers them from its `DataServer`,
 //!   which the daemon hands every accepted data-plane connection.
 //! * [`replication`] — the v8 durability modes: replica pushes behind
@@ -82,7 +87,7 @@ use registry::Registry;
 use remote::{Direction, RemoteTransfer};
 use replication::{ReplRequest, ReplState};
 use shard::{ShardedTaskTable, TaskEntry};
-use transfer::{copy_tree, ChunkGrid, ChunkedCopy, PlanOutcome};
+use transfer::{copy_tree, ChunkGrid, ChunkedCopy, PlanOutcome, UnitEnd};
 use waits::WaitSubs;
 
 /// Default bound on the pending task set.
@@ -104,6 +109,9 @@ const REPLICA_OWNER: u64 = u64::MAX;
 /// daemon teardown, but an orderly shutdown should not strand
 /// `local_plus_one` copies that are seconds from landing.
 const REPLICATION_DRAIN: Duration = Duration::from_secs(2);
+
+/// Why a decomposed transfer that shutdown caught mid-file failed.
+const SHUTDOWN_MID_TRANSFER: &str = "daemon shutdown during transfer";
 
 /// Policy trait object over the real daemon's key types: job id, task
 /// id, and microseconds-since-start as the timestamp.
@@ -212,8 +220,8 @@ struct DispatchState {
 enum Outcome {
     /// Completed inline on this worker; bytes moved.
     Done(u64),
-    /// Decomposed into a chunked or remote transfer; sub-units must be
-    /// enqueued.
+    /// Decomposed into a chunked or remote transfer whose units go
+    /// through the scheduler.
     Chunked(Arc<ChunkGrid>),
 }
 
@@ -250,8 +258,9 @@ pub struct Engine {
     running_count: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
-    /// High-water mark of workers simultaneously copying chunks of one
-    /// transfer — observability for `bench_suite`'s chunk sweep.
+    /// High-water mark of workers simultaneously moving chunks of one
+    /// transfer: 1 for local copies (one lane), up to the pool size
+    /// for remote staging.
     peak_chunk_workers: AtomicU64,
     chunk_size: u64,
     /// Requests kept in flight per data-plane connection (remote
@@ -368,8 +377,10 @@ impl Engine {
 
     /// Stop the worker pool and join every worker thread. Pending
     /// tasks that never ran are marked [`TaskState::Cancelled`]; chunk
-    /// sub-units of half-finished transfers are aborted so their tasks
-    /// still reach a terminal state; waits still parked afterwards are
+    /// sub-units of half-finished transfers are aborted — the queued
+    /// ones here, the successor of one still on a worker by that
+    /// worker in [`Engine::finish_dispatch`] — so their tasks still
+    /// reach a terminal state; waits still parked afterwards are
     /// failed. Idempotent; called by `UrdDaemon` on drop.
     pub fn shutdown(&self) {
         self.begin_shutdown();
@@ -402,7 +413,7 @@ impl Engine {
             match work {
                 Work::Whole { .. } => self.mark_cancelled(id),
                 Work::Chunk(plan) => {
-                    if plan.abort_unit("daemon shutdown during transfer") {
+                    if plan.abort_units(1, SHUTDOWN_MID_TRANSFER) {
                         self.finalize_chunked(&plan);
                     }
                 }
@@ -462,7 +473,7 @@ impl Engine {
     }
 
     /// High-water mark of workers simultaneously executing chunks of a
-    /// single decomposed transfer.
+    /// single decomposed transfer (1 unless a remote transfer ran).
     pub fn peak_chunk_workers(&self) -> u64 {
         self.peak_chunk_workers.load(Ordering::Relaxed)
     }
@@ -859,31 +870,73 @@ impl Engine {
                     self.dispatch_cv.wait(&mut st);
                 }
             };
-            match work {
+            let successor = match work {
                 Work::Whole {
                     spec,
                     payload,
                     route,
                 } => self.execute_whole(&pending, &spec, payload.as_deref(), &route),
-                Work::Chunk(plan) => {
-                    if plan.run_unit() {
-                        self.finalize_chunked(&plan);
-                    }
-                }
-            }
-            self.dispatch.lock().sched.finish();
+                Work::Chunk(plan) => self.run_unit(plan),
+            };
+            self.finish_dispatch(&pending, successor);
         }
     }
 
+    /// Run one issued unit of `plan` on this worker. Hands the plan
+    /// back when the unit's lane goes to a successor, which
+    /// [`Engine::finish_dispatch`] then issues.
+    fn run_unit(&self, plan: Arc<ChunkGrid>) -> Option<Arc<ChunkGrid>> {
+        match plan.run_unit() {
+            UnitEnd::Last => {
+                self.finalize_chunked(&plan);
+                None
+            }
+            UnitEnd::IssueNext => Some(plan),
+            UnitEnd::Pending => None,
+        }
+    }
+
+    /// Close one dispatch: free the worker slot and, in the same
+    /// critical section, issue the `successor` unit the dispatch left
+    /// behind. The successor carries the dispatched entry's job /
+    /// priority / size / seq, so arbitration treats it exactly like
+    /// its parent: FCFS puts it back at the head of the line, SJF and
+    /// fair-share weigh it against whatever arrived meanwhile. No wake:
+    /// this worker is about to ask the scheduler for work itself.
+    fn finish_dispatch(
+        &self,
+        done: &PendingTask<u64, u64, u64>,
+        successor: Option<Arc<ChunkGrid>>,
+    ) {
+        let mut st = self.dispatch.lock();
+        st.sched.finish();
+        let Some(plan) = successor else { return };
+        if st.stop {
+            // Nobody will dispatch it: the chain ends here.
+            drop(st);
+            if plan.abort_units(1, SHUTDOWN_MID_TRANSFER) {
+                self.finalize_chunked(&plan);
+            }
+            return;
+        }
+        let unit_id = self.next_unit.fetch_add(1, Ordering::SeqCst);
+        st.work.insert(unit_id, Work::Chunk(plan));
+        st.sched.enqueue_unit(PendingTask {
+            task: unit_id,
+            ..*done
+        });
+    }
+
     /// Worker-thread execution of one whole task (which may decompose
-    /// into a chunked or remote transfer on the way).
+    /// into a chunked or remote transfer on the way; the return value
+    /// is [`Engine::run_unit`]'s).
     fn execute_whole(
         &self,
         pending: &PendingTask<u64, u64, u64>,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
         route: &Route,
-    ) {
+    ) -> Option<Arc<ChunkGrid>> {
         let task_id = pending.task;
         let start = Instant::now();
         let (progress, abort) = self
@@ -901,43 +954,38 @@ impl Engine {
                 // The plan honors the abort flag: from here on a cancel
                 // interrupts the transfer mid-stream.
                 self.tasks.update(task_id, |t| t.abortable = true);
-                // Feed the remaining chunks through the scheduler, then
-                // work one chunk ourselves; whichever worker finishes
-                // the last unit finalizes the task.
+                // Put the plan's other lanes in front of the scheduler,
+                // then work one unit ourselves; whichever worker
+                // finishes the last unit finalizes the task.
                 self.enqueue_chunk_units(pending, &plan);
-                if plan.run_unit() {
-                    self.finalize_chunked(&plan);
-                }
-                return;
+                return self.run_unit(plan);
             }
             Ok(Outcome::Done(moved)) => PlanOutcome::Done(moved),
             Err(e) => PlanOutcome::Failed(e),
         };
         self.complete_task(task_id, outcome, start.elapsed().as_micros() as u64);
+        None
     }
 
-    /// Enqueue one scheduler sub-unit per remaining chunk. Sub-units
-    /// inherit the parent's job / priority / size / seq, so arbitration
-    /// treats them exactly like the parent: FCFS keeps idle workers
-    /// converging on the oldest transfer, fair-share interleaves chunks
-    /// with other jobs' tasks.
+    /// Enqueue the units a fresh plan issues behind its planning
+    /// dispatch: every remaining chunk of a remote transfer, none of a
+    /// single-lane local copy (which returns before touching the
+    /// dispatch lock). Sub-units inherit the parent's job / priority /
+    /// size / seq (see [`Engine::finish_dispatch`]).
     fn enqueue_chunk_units(&self, parent: &PendingTask<u64, u64, u64>, plan: &Arc<ChunkGrid>) {
-        let extra = plan.extra_units();
+        let extra = plan.issue_initial();
         if extra == 0 {
             return;
         }
-        {
+        let wakes = {
             let mut st = self.dispatch.lock();
             if st.stop {
                 // Shutdown raced the planner: nobody will dispatch
                 // these units, so account them as aborted now —
                 // otherwise the task never reaches a terminal state.
                 drop(st);
-                for _ in 0..extra {
-                    if plan.abort_unit("daemon shutdown during transfer") {
-                        self.finalize_chunked(plan);
-                    }
-                }
+                let last = plan.abort_units(extra, SHUTDOWN_MID_TRANSFER);
+                debug_assert!(!last, "the planning unit has yet to run");
                 return;
             }
             // One batched splice: per-unit inserts would be quadratic
@@ -951,9 +999,13 @@ impl Engine {
                     ..*parent
                 }
             }));
+            // This worker runs the planning unit; each of the others
+            // can take one of the units just issued.
+            extra.min(sched.workers() as u64 - 1)
+        };
+        for _ in 0..wakes {
+            self.dispatch_cv.notify_one();
         }
-        // Several units just became dispatchable: wake the whole pool.
-        self.dispatch_cv.notify_all();
     }
 
     /// Terminal bookkeeping for a decomposed transfer, run by the last
@@ -1797,35 +1849,220 @@ mod tests {
         engine.shutdown();
     }
 
-    #[test]
-    fn shutdown_mid_chunked_transfer_reaches_terminal_state() {
-        let root = temp_root("chunk-shutdown");
+    /// `units` chunks of [`MIN_CHUNK_SIZE`] in `tmp0/<name>`.
+    fn write_chunks(root: &Path, name: &str, units: u64) {
+        fs::write(
+            root.join("tmp0").join(name),
+            vec![3u8; (MIN_CHUNK_SIZE * units) as usize],
+        )
+        .unwrap();
+    }
+
+    /// An FCFS engine cutting copies into [`MIN_CHUNK_SIZE`] chunks.
+    fn chunking_engine(tag: &str, workers: usize) -> (Arc<Engine>, PathBuf) {
+        let root = temp_root(tag);
         let engine = Engine::with_config(
             EngineConfig {
-                workers: 1,
+                workers,
                 chunk_size: MIN_CHUNK_SIZE,
                 ..EngineConfig::default()
             },
             Box::new(Fcfs),
         );
         register_tmp0(&engine, &root);
-        // Many chunks on one worker: shutdown lands mid-transfer.
-        fs::write(
-            root.join("tmp0/big"),
-            vec![3u8; (MIN_CHUNK_SIZE * 64) as usize],
-        )
-        .unwrap();
+        (engine, root)
+    }
+
+    /// Spin until `cond` holds (bounded: a stuck engine fails the test
+    /// instead of hanging it).
+    fn spin_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Submit a 1024-chunk copy and return once its chain is under
+    /// way: some chunks copied, most of the file still to go.
+    fn copy_mid_file(engine: &Engine, root: &Path) -> u64 {
+        write_chunks(root, "big", 1024);
         let id = engine.submit(1, copy_spec("big", "out"), None).unwrap();
-        // Give the planner a moment to decompose, then pull the plug.
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        spin_until("the first chunks", || {
+            engine.query(id).unwrap().bytes_moved >= 2 * MIN_CHUNK_SIZE
+        });
+        id
+    }
+
+    /// Nothing of a finished chain is left in the scheduler, and the
+    /// status counters account the one task exactly once.
+    fn assert_chain_gone(engine: &Engine, completed: u64, cancelled: u64) {
+        // (The waiter is woken from inside the last dispatch, so the
+        // worker slot may be a moment behind the terminal state.)
+        spin_until("the worker slot", || {
+            engine.dispatch.lock().sched.running() == 0
+        });
+        let st = engine.dispatch.lock();
+        assert!(st.work.is_empty(), "a unit outlived its transfer");
+        assert_eq!(st.sched.pending_len(), 0);
+        drop(st);
+        let status = engine.status();
+        assert_eq!(
+            (status.pending_tasks, status.running_tasks),
+            (0, 0),
+            "counters must balance"
+        );
+        assert_eq!(
+            (status.completed_tasks, status.cancelled_tasks),
+            (completed, cancelled)
+        );
+    }
+
+    #[test]
+    fn chain_shutdown_mid_file_fails_the_task_and_removes_the_destination() {
+        let (engine, root) = chunking_engine("chain-shutdown", 2);
+        let id = copy_mid_file(&engine, &root);
+        // The one issued unit is on a worker: that worker finds `stop`
+        // when it comes to issue the successor, and retires the rest.
         engine.shutdown();
         let stats = engine.query(id).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.error, ErrorCode::SystemError);
+        assert!(engine.error_message(id).unwrap().contains("shutdown"));
+        assert!(stats.bytes_moved < stats.bytes_total);
         assert!(
-            stats.state.is_terminal(),
-            "chunked task left in {:?}",
-            stats.state
+            !root.join("tmp0/out").exists(),
+            "the preallocated destination must not survive"
         );
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown(); // idempotent
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn chain_cancel_between_chunks_issues_no_further_unit() {
+        let (engine, root) = chunking_engine("chain-cancel", 2);
+        let id = copy_mid_file(&engine, &root);
+        engine.cancel(id, None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Cancelled);
+        assert!(stats.bytes_moved < stats.bytes_total);
+        assert!(!root.join("tmp0/out").exists());
+        // The worker that saw the cancel retired every unit not yet
+        // issued: far fewer than the 1023 successors went out, and
+        // none is queued now.
+        let issued = engine.next_unit.load(Ordering::SeqCst) - UNIT_ID_BASE;
+        assert!(issued < 1023, "{issued} units issued");
+        assert_chain_gone(&engine, 0, 1);
         engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn chain_failed_chunk_fails_the_task_once() {
+        let (engine, root) = chunking_engine("chain-fail", 2);
+        let id = copy_mid_file(&engine, &root);
+        // The source shrinks under the copy: the next chunk comes up
+        // short, and a short chunk is a failure, not a hole.
+        fs::File::options()
+            .write(true)
+            .open(root.join("tmp0/big"))
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.error, ErrorCode::SystemError);
+        let why = engine.error_message(id).unwrap();
+        assert!(why.contains("local source truncated at byte"), "{why}");
+        assert!(!root.join("tmp0/out").exists());
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// What one lane per file buys: the pool's other workers.
+    #[test]
+    fn chain_leaves_the_other_worker_to_other_tasks() {
+        let (engine, root) = chunking_engine("chain-overlap", 2);
+        write_chunks(&root, "a", 1024);
+        write_chunks(&root, "b", 1024);
+        let a = engine.submit(1, copy_spec("a", "a.out"), None).unwrap();
+        let b = engine.submit(1, copy_spec("b", "b.out"), None).unwrap();
+        // FCFS, two workers, two files: one chain each, side by side —
+        // not both workers on `a` with `b` queued behind its chunks.
+        let state = |id| engine.query(id).unwrap().state;
+        spin_until("both copies in progress at once", || {
+            assert!(!state(a).is_terminal(), "`a` finished before `b` started");
+            state(a) == TaskState::InProgress && state(b) == TaskState::InProgress
+        });
+        let (a, b) = (engine.wait(a, 0).unwrap(), engine.wait(b, 0).unwrap());
+        assert_eq!(a.state, TaskState::Finished);
+        assert_eq!(b.state, TaskState::Finished);
+        assert!(
+            b.wait_usec * 4 < a.elapsed_usec,
+            "`b` queued {} µs behind a copy of {} µs",
+            b.wait_usec,
+            a.elapsed_usec
+        );
+        assert_eq!(engine.peak_chunk_workers(), 1, "one writer per file");
+        assert_eq!(
+            fs::read(root.join("tmp0/b.out")).unwrap().len() as u64,
+            b.bytes_total
+        );
+
+        // A small task behind a large copy does not wait for it.
+        let big = engine.submit(1, copy_spec("a", "a2.out"), None).unwrap();
+        let small = engine
+            .submit(1, tiny_write("small"), Some(b"abcd".to_vec()))
+            .unwrap();
+        assert_eq!(engine.wait(small, 0).unwrap().state, TaskState::Finished);
+        assert_eq!(
+            state(big),
+            TaskState::InProgress,
+            "the small task must finish first"
+        );
+        assert_eq!(engine.wait(big, 0).unwrap().state, TaskState::Finished);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A copy onto another name of the source — a hard link, a symlink
+    /// — would truncate the source when it opened its destination.
+    #[test]
+    fn copy_onto_an_alias_of_the_source_is_refused_and_leaves_it_intact() {
+        let (engine, root) = chunking_engine("alias", 2);
+        let mount = root.join("tmp0");
+        // One size below the chunk size (`copy_file`), one above
+        // (`ChunkedCopy::plan`).
+        for (n, len) in [1_000usize, 100_000].into_iter().enumerate() {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let src = format!("src{n}");
+            fs::write(mount.join(&src), &data).unwrap();
+            let (hard, soft) = (format!("hard{n}"), format!("soft{n}"));
+            fs::hard_link(mount.join(&src), mount.join(&hard)).unwrap();
+            std::os::unix::fs::symlink(&src, mount.join(&soft)).unwrap();
+            for alias in [&hard, &soft] {
+                let id = engine.submit(1, copy_spec(&src, alias), None).unwrap();
+                let stats = engine.wait(id, 0).unwrap();
+                assert_eq!(stats.state, TaskState::FinishedWithError, "{alias}");
+                assert_eq!(stats.error, ErrorCode::BadArgs, "{alias}");
+                let why = engine.error_message(id).unwrap();
+                assert!(why.contains(&src) && why.contains(alias.as_str()), "{why}");
+                assert!(
+                    fs::read(mount.join(&src)).unwrap() == data,
+                    "copy {src} → {alias} damaged the source"
+                );
+            }
+            assert!(
+                fs::symlink_metadata(mount.join(&soft))
+                    .unwrap()
+                    .is_symlink(),
+                "a refused copy leaves the alias alone"
+            );
+        }
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! Remote transfers reuse the whole chunk machinery: a transfer larger
 //! than the configured chunk size decomposes into chunk sub-units fed
-//! back through `norns-sched`, each unit moving one disjoint range.
+//! back through `norns-sched`, each unit moving one disjoint range —
+//! all issued at once (unbounded lanes), unlike a local copy's chain.
 //!
 //! **Pipelining.** Within a unit, ranges no longer travel as strict
 //! stop-and-wait round-trips: the worker keeps up to `window`
@@ -63,7 +64,7 @@ use std::time::Duration;
 use norns_proto::{DataRequest, DataResponse, ErrorCode, MAX_DATA_RANGE};
 
 use super::error::EngineError;
-use super::transfer::{ChunkGrid, RangeMover};
+use super::transfer::{truncated, ChunkGrid, RangeMover};
 use conn::{store_conn, take_conn, DataConn};
 
 pub(crate) use server::DataServer;
@@ -119,13 +120,6 @@ fn unexpected(resp: &DataResponse) -> EngineError {
     EngineError::new(
         ErrorCode::SystemError,
         format!("unexpected data response: {resp:?}"),
-    )
-}
-
-fn truncated(side: &str, at: u64) -> EngineError {
-    EngineError::new(
-        ErrorCode::SystemError,
-        format!("{side} source truncated at byte {at}"),
     )
 }
 
@@ -250,6 +244,9 @@ impl RemoteTransfer {
             task_id,
             size,
             chunk_size,
+            // Every unit at once: each worker moves its ranges over a
+            // connection of its own, and receiving overlaps the write.
+            u64::MAX,
             progress,
             abort,
             Box::new(transfer),
@@ -447,7 +444,7 @@ impl RangeMover for RemoteTransfer {
 
 #[cfg(test)]
 mod tests {
-    use super::super::transfer::PlanOutcome;
+    use super::super::transfer::{PlanOutcome, UnitEnd};
     use super::*;
     use std::io::Write;
     use std::net::TcpListener;
@@ -578,7 +575,7 @@ mod tests {
         )
         .unwrap();
         assert!(partial.load(Ordering::SeqCst), "Prepare must have landed");
-        while !plan.run_unit() {}
+        while plan.run_unit() != UnitEnd::Last {}
         let outcome = plan.finalize();
         assert!(
             matches!(outcome, PlanOutcome::Failed(..)),

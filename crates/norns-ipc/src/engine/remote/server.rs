@@ -484,7 +484,7 @@ mod tests {
     /// and its preallocated destination is removed.
     #[test]
     fn a_pull_answered_short_fails_truncated_at_the_source_end() {
-        use super::super::super::transfer::PlanOutcome;
+        use super::super::super::transfer::{PlanOutcome, UnitEnd};
         use super::super::{Direction, RemoteTransfer};
         use std::sync::atomic::AtomicBool;
 
@@ -519,7 +519,7 @@ mod tests {
 
         // Whole first: three full ranges and the ragged one behind.
         let whole = plan("whole.dat");
-        while !whole.run_unit() {}
+        while whole.run_unit() != UnitEnd::Last {}
         assert!(matches!(whole.finalize(), PlanOutcome::Done(n) if n == size));
         assert!(fs::read(mount.join("whole.dat")).unwrap() == pattern(size as usize));
 
@@ -530,7 +530,7 @@ mod tests {
             .open(mount.join("src.dat"))
             .unwrap();
         source.set_len(size - 5000).unwrap();
-        while !shrank.run_unit() {}
+        while shrank.run_unit() != UnitEnd::Last {}
         match shrank.finalize() {
             PlanOutcome::Failed(e) => {
                 let at = format!("remote source truncated at byte {}", size - 5000);

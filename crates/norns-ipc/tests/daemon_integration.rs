@@ -248,16 +248,9 @@ fn status_reports_cancelled_tasks_and_chunk_size_over_wire() {
     let root = temp_root("statusv3");
     // One worker and a non-default chunk size: the status must echo the
     // configured knob, and a cancel behind a blocker must be counted.
-    // Capacity must clear the chunk sub-unit backlog: each 64 MiB
-    // blocker decomposes into 31 extra units that occupy the pending
-    // set, and a victim submit bouncing off a full queue (Busy) would
-    // make this test flaky.
-    let daemon = UrdDaemon::spawn(
-        DaemonConfig::in_dir(root.join("sockets"))
-            .with_chunk_size(2 << 20)
-            .with_queue_capacity(4096),
-    )
-    .unwrap();
+    let daemon =
+        UrdDaemon::spawn(DaemonConfig::in_dir(root.join("sockets")).with_chunk_size(2 << 20))
+            .unwrap();
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     assert_eq!(ctl.status().unwrap().chunk_size, 2 << 20);

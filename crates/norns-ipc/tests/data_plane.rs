@@ -140,8 +140,8 @@ fn chunked_copy_preserves_patterned_content_across_workers() {
             ..EngineConfig::default()
         },
     );
-    // 33 chunks (not a multiple of the worker count) with a final
-    // partial chunk, all workers racing on disjoint ranges.
+    // 33 chunks with a final partial chunk, issued one at a time to
+    // whichever of the four workers asks next.
     let size = (MIN_CHUNK_SIZE * 32) as usize + 4097;
     let data = pattern(size);
     write_file(&mount, "src", &data);

@@ -108,17 +108,14 @@ fn push_and_pull_a_multichunk_file_between_two_daemons() {
     std::fs::write(mount_a.join("input.dat"), &data).unwrap();
 
     // Push: A's dataspace → B's dataspace, submitted on A.
-    let push = ctl_a
-        .submit(
-            1,
-            TaskSpec::new(
-                TaskOp::Copy,
-                local("nodea-ds", "input.dat"),
-                Some(remote("nodeb", "nodeb-ds", "staged/input.dat")),
-            ),
-            None,
+    let push_spec = || {
+        TaskSpec::new(
+            TaskOp::Copy,
+            local("nodea-ds", "input.dat"),
+            Some(remote("nodeb", "nodeb-ds", "staged/input.dat")),
         )
-        .unwrap();
+    };
+    let push = ctl_a.submit(1, push_spec(), None).unwrap();
     // Live progress is monotone while the push runs.
     let mut samples = Vec::new();
     loop {
@@ -142,6 +139,17 @@ fn push_and_pull_a_multichunk_file_between_two_daemons() {
         data,
         "pushed bytes must arrive intact"
     );
+    // A remote transfer keeps every lane — its units go out together,
+    // one connection per worker — unlike a local copy's single one.
+    // 800 KiB can be gone before a second worker has woken up, so push
+    // again until one has (the peak is a high-water mark).
+    let mut pushes = 1;
+    while daemon_a.engine().peak_chunk_workers() < 2 {
+        assert!(pushes < 50, "{pushes} multi-chunk pushes, one worker");
+        let again = ctl_a.submit(1, push_spec(), None).unwrap();
+        assert_eq!(ctl_a.wait(again, 0).unwrap().state, TaskState::Finished);
+        pushes += 1;
+    }
 
     // Pull: B's dataspace → A's dataspace, submitted on A.
     let pull = ctl_a
