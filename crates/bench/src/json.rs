@@ -9,24 +9,33 @@
 //! ```json
 //! {
 //!   "bench": "remote",
-//!   "schema": 1,
+//!   "schema": 2,
 //!   "quick": false,
-//!   "rows": [ {"source": "bench_suite", "scenario": "...", ...}, ... ],
+//!   "git_rev": "09414a6",
+//!   "nproc": 2,
+//!   "kernel": "6.18.44",
+//!   "scratch_fs": "ext4",
+//!   "rows": [ {"scenario": "...", "n": 5, "secs": 0.16, "secs_min": 0.15, "secs_max": 0.21, ...}, ... ],
 //!   "notes": ["..."]
 //! }
 //! ```
 //!
 //! `rows` is a flat list of measurement objects, each naming its
-//! `source` binary and its `scenario`. Every document has exactly one
-//! writer (`bench_suite`), and a run writes the whole document — rows,
-//! `quick` flag and notes all come from that run.
+//! `scenario`. A timed row states a distribution: `n` samples, their
+//! median under the bare key (`secs`, `ack_usec`), the fastest and
+//! slowest under `_min` / `_max`, and rates derived from the median.
+//! Every document has exactly one writer (`bench_suite`), and a run
+//! writes the whole document — rows, `quick` flag, notes and the four
+//! facts that date it (`git_rev` of the source it was built from,
+//! `nproc`, `kernel`, the `scratch_fs` type under the temp root) all
+//! come from that run.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Schema version stamped into every document; bump on breaking
 /// changes to the shape above.
-pub const SCHEMA_VERSION: f64 = 1.0;
+pub const SCHEMA_VERSION: f64 = 2.0;
 
 /// A JSON value. Numbers are `f64` (every value the suite emits fits).
 #[derive(Debug, Clone, PartialEq)]
@@ -327,6 +336,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 pub struct BenchDoc {
     pub bench: String,
     pub quick: bool,
+    /// `git_rev`, `nproc`, `kernel`, `scratch_fs`: where and from what
+    /// the rows were taken, so a stale file shows.
+    pub environment: Vec<(String, Json)>,
     pub rows: Vec<Json>,
     pub notes: Vec<String>,
 }
@@ -336,17 +348,17 @@ impl BenchDoc {
         BenchDoc {
             bench: bench.to_string(),
             quick: crate::quick_mode(),
+            environment: environment(),
             rows: Vec::new(),
             notes: Vec::new(),
         }
     }
 
-    /// Append one measurement row. `source` names the producing binary;
-    /// the remaining fields are scenario-specific.
-    pub fn row(&mut self, source: &str, fields: Vec<(&str, Json)>) {
-        let mut obj = vec![("source".to_string(), Json::str(source))];
-        obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-        self.rows.push(Json::Obj(obj));
+    /// Append one measurement row: `scenario` first, the remaining
+    /// fields are scenario-specific.
+    pub fn row(&mut self, fields: impl IntoIterator<Item = (&'static str, Json)>) {
+        let obj = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        self.rows.push(Json::Obj(obj.collect()));
     }
 
     pub fn note(&mut self, text: impl Into<String>) {
@@ -354,16 +366,16 @@ impl BenchDoc {
     }
 
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut fields = vec![
             ("bench".into(), Json::str(&self.bench)),
             ("schema".into(), Json::Num(SCHEMA_VERSION)),
             ("quick".into(), Json::Bool(self.quick)),
-            ("rows".into(), Json::Arr(self.rows.clone())),
-            (
-                "notes".into(),
-                Json::Arr(self.notes.iter().map(Json::str).collect()),
-            ),
-        ])
+        ];
+        fields.extend(self.environment.iter().cloned());
+        fields.push(("rows".into(), Json::Arr(self.rows.clone())));
+        let notes = self.notes.iter().map(Json::str).collect();
+        fields.push(("notes".into(), Json::Arr(notes)));
+        Json::Obj(fields)
     }
 
     /// Path of this document: `BENCH_<name>.json` in the working
@@ -388,6 +400,9 @@ impl BenchDoc {
         fn scenario_of(row: &Json) -> Option<&str> {
             row.get("scenario").and_then(Json::as_str)
         }
+        for (key, value) in &self.environment {
+            println!("  {key}: {}", cell(Some(value)));
+        }
         let mut scenarios: Vec<Option<&str>> = Vec::new();
         for row in &self.rows {
             if !scenarios.contains(&scenario_of(row)) {
@@ -402,7 +417,7 @@ impl BenchDoc {
             let columns: Vec<&str> = fields
                 .iter()
                 .map(|(k, _)| k.as_str())
-                .filter(|k| !matches!(*k, "source" | "scenario"))
+                .filter(|k| *k != "scenario")
                 .collect();
             let mut table = vec![columns.iter().map(|c| c.to_string()).collect::<Vec<_>>()];
             table.extend(group.map(|row| columns.iter().map(|c| cell(row.get(c))).collect()));
@@ -426,23 +441,64 @@ fn cell(value: Option<&Json>) -> String {
     }
 }
 
+/// The four facts that date a document (module docs). Each falls back
+/// to `"unknown"` (0 for `nproc`) rather than failing the run.
+fn environment() -> Vec<(String, Json)> {
+    let source = env!("CARGO_MANIFEST_DIR");
+    let git_rev = std::process::Command::new("git")
+        .args(["-C", source, "rev-parse", "--short", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease");
+    let mounts = std::fs::read_to_string("/proc/mounts").unwrap_or_default();
+    let scratch_fs = fs_type_of(&mounts, &std::env::temp_dir());
+    let text = |value: Option<String>| Json::Str(value.unwrap_or_else(|| "unknown".into()));
+    vec![
+        ("git_rev".into(), text(git_rev)),
+        ("nproc".into(), Json::num(nproc as f64)),
+        ("kernel".into(), text(kernel.ok().map(|k| k.trim().into()))),
+        ("scratch_fs".into(), text(scratch_fs)),
+    ]
+}
+
+/// Filesystem type of the longest `/proc/mounts` mount point above `dir`.
+fn fs_type_of(mounts: &str, dir: &Path) -> Option<String> {
+    mounts
+        .lines()
+        .filter_map(|line| {
+            let mut fields = line.split(' ');
+            let (_device, at, kind) = (fields.next()?, fields.next()?, fields.next()?);
+            dir.starts_with(at).then_some((at.len(), kind))
+        })
+        .max_by_key(|(len, _)| *len)
+        .map(|(_, kind)| kind.to_string())
+}
+
 /// Validate the canonical document shape: `bench` (string), `schema`
-/// (number, current version), `quick` (bool), `rows` (array of objects
-/// each carrying a string `source`), `notes` (array of strings).
+/// (number, current version), `quick` (bool), `git_rev` / `kernel` /
+/// `scratch_fs` (strings), `nproc` (number), `rows` (array of objects
+/// each carrying a string `scenario`), `notes` (array of strings).
 pub fn validate(doc: &Json) -> Result<(), String> {
-    doc.get("bench")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'bench'")?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric field 'schema'")?;
-    if schema != SCHEMA_VERSION {
-        return Err(format!("schema {schema} != supported {SCHEMA_VERSION}"));
+    let schema = doc.get("schema").and_then(Json::as_f64);
+    if schema == Some(1.0) {
+        return Err("schema 1 (best-of-N rows, undated): rerun bench_suite to rewrite it".into());
     }
-    doc.get("quick")
-        .and_then(Json::as_bool)
-        .ok_or("missing bool field 'quick'")?;
+    if schema != Some(SCHEMA_VERSION) {
+        return Err(format!("schema {schema:?} != supported {SCHEMA_VERSION}"));
+    }
+    let need = |key: &str, kind: &str, is: fn(&Json) -> bool| {
+        let missing = format!("missing {kind} field '{key}'");
+        doc.get(key).is_some_and(is).then_some(()).ok_or(missing)
+    };
+    for key in ["bench", "git_rev", "kernel", "scratch_fs"] {
+        need(key, "string", |v| v.as_str().is_some())?;
+    }
+    need("nproc", "numeric", |v| v.as_f64().is_some())?;
+    need("quick", "bool", |v| v.as_bool().is_some())?;
     let rows = doc
         .get("rows")
         .and_then(Json::as_arr)
@@ -451,9 +507,9 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         if !matches!(row, Json::Obj(_)) {
             return Err(format!("rows[{i}] is not an object"));
         }
-        row.get("source")
+        row.get("scenario")
             .and_then(Json::as_str)
-            .ok_or(format!("rows[{i}] missing string field 'source'"))?;
+            .ok_or(format!("rows[{i}] missing string field 'scenario'"))?;
     }
     let notes = doc
         .get("notes")
@@ -479,33 +535,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_document() {
+    fn schema_2_document_round_trips() {
         let mut doc = BenchDoc::new("testbench");
         doc.quick = true;
-        doc.row(
-            "unit_test",
-            vec![
-                ("scenario", Json::str("x")),
-                ("gib_per_s", Json::num(1.25)),
-                ("bytes", Json::num(1u32 << 30)),
-                ("ok", Json::Bool(true)),
-            ],
-        );
+        doc.row([
+            ("scenario", Json::str("x")),
+            ("n", Json::num(3u32)),
+            ("gib_per_s", Json::num(1.25)),
+            ("bytes", Json::num(1u32 << 30)),
+            ("ok", Json::Bool(true)),
+        ]);
         doc.note("a \"quoted\" note\nwith a newline");
         let text = doc.to_json().to_pretty();
         let parsed = Json::parse(&text).unwrap();
         validate(&parsed).unwrap();
-        assert_eq!(
-            parsed.get("bench").and_then(Json::as_str),
-            Some("testbench")
-        );
+        assert_eq!(parsed, doc.to_json());
+        assert_eq!(parsed.get("schema").and_then(Json::as_f64), Some(2.0));
+        for key in ["git_rev", "kernel", "scratch_fs"] {
+            let fact = parsed.get(key).and_then(Json::as_str);
+            assert!(fact.is_some_and(|f| !f.is_empty()), "{key}: {fact:?}");
+        }
+        assert!(parsed.get("nproc").and_then(Json::as_f64) >= Some(1.0));
         let rows = parsed.get("rows").and_then(Json::as_arr).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("gib_per_s").and_then(Json::as_f64), Some(1.25));
-        assert_eq!(
-            rows[0].get("bytes").and_then(Json::as_f64),
-            Some((1u32 << 30) as f64)
-        );
         assert_eq!(
             parsed.get("notes").and_then(Json::as_arr).unwrap()[0].as_str(),
             Some("a \"quoted\" note\nwith a newline")
@@ -526,19 +579,42 @@ mod tests {
         assert!(Json::parse("nope").is_err());
     }
 
+    const GOOD: &str = r#"{"bench":"x","schema":2,"quick":false,"git_rev":"abc1234","nproc":2,
+        "kernel":"6.1","scratch_fs":"ext4","rows":[{"scenario":"s"}],"notes":["n"]}"#;
+
     #[test]
     fn validate_rejects_wrong_shapes() {
+        assert_eq!(validate(&Json::parse(GOOD).unwrap()), Ok(()));
         let missing = Json::parse(r#"{"bench": "x"}"#).unwrap();
         assert!(validate(&missing).is_err());
-        let bad_row = Json::parse(
-            r#"{"bench":"x","schema":1,"quick":false,"rows":[{"no_source":1}],"notes":[]}"#,
+        for (from, to) in [
+            (r#"{"scenario":"s"}"#, r#"{"no_scenario":1}"#),
+            (r#""git_rev":"abc1234","#, ""),
+            (r#""nproc":2,"#, r#""nproc":"two","#),
+            (r#"["n"]"#, "[1]"),
+        ] {
+            assert!(GOOD.contains(from));
+            let bad = Json::parse(&GOOD.replace(from, to)).unwrap();
+            assert!(validate(&bad).is_err(), "accepted without {from}");
+        }
+    }
+
+    #[test]
+    fn a_schema_1_document_is_refused_with_the_way_out() {
+        let old = Json::parse(
+            r#"{"bench":"x","schema":1,"quick":false,"rows":[{"source":"bench_suite"}],"notes":[]}"#,
         )
         .unwrap();
-        assert!(validate(&bad_row).is_err());
-        let good = Json::parse(
-            r#"{"bench":"x","schema":1,"quick":false,"rows":[{"source":"s"}],"notes":["n"]}"#,
-        )
-        .unwrap();
-        assert!(validate(&good).is_ok());
+        let refusal = validate(&old).unwrap_err();
+        assert!(refusal.contains("rerun bench_suite"), "{refusal}");
+    }
+
+    #[test]
+    fn scratch_fs_is_the_longest_mount_above_the_directory() {
+        let mounts = "/dev/vda / ext4 rw 0 0\ntmpfs /tmp tmpfs rw 0 0\nproc /proc proc rw 0 0\n";
+        let fs_of = |dir: &str| fs_type_of(mounts, Path::new(dir));
+        assert_eq!(fs_of("/tmp/norns-x").as_deref(), Some("tmpfs"));
+        assert_eq!(fs_of("/tmpfiles").as_deref(), Some("ext4"));
+        assert_eq!(fs_type_of("", Path::new("/tmp")), None);
     }
 }

@@ -6,7 +6,10 @@
 //! reported values next to ours and writes a CSV under `results/`
 //! ([`Report`]). `bench_suite` is the one binary that drives live
 //! daemons and engines, and the one writer of the `BENCH_*.json`
-//! files at the repo root ([`json`]).
+//! files at the repo root ([`json`]): every row there is the median
+//! of turns taken in rotation with the rows it is compared with (or a
+//! pooled latency distribution), stated with its `n`, and every gate
+//! is one `check_<family>` function over a document.
 
 use std::path::PathBuf;
 

@@ -27,75 +27,8 @@ pub type PendingTask = norns_sched::PendingTask<JobId, TaskId, SimTime>;
 pub type SimPolicy = Box<dyn ArbitrationPolicy<JobId, TaskId, SimTime>>;
 
 /// The pending queue plus worker-slot accounting for one simulated
-/// urd. Thin wrapper over [`norns_sched::Scheduler`] keeping the
-/// sim-facing API (enqueue with a [`SimTime`], default priority).
-#[derive(Debug)]
-pub struct TaskQueue {
-    inner: norns_sched::Scheduler<JobId, TaskId, SimTime>,
-}
-
-impl TaskQueue {
-    pub fn new(workers: usize, policy: SimPolicy) -> Self {
-        TaskQueue {
-            inner: norns_sched::Scheduler::new(workers, policy),
-        }
-    }
-
-    pub fn fcfs(workers: usize) -> Self {
-        Self::new(workers, Box::new(Fcfs))
-    }
-
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.policy_name()
-    }
-
-    pub fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    pub fn pending_len(&self) -> usize {
-        self.inner.pending_len()
-    }
-
-    pub fn running(&self) -> usize {
-        self.inner.running()
-    }
-
-    pub fn enqueued_total(&self) -> u64 {
-        self.inner.enqueued_total()
-    }
-
-    pub fn enqueue(&mut self, task: TaskId, job: JobId, bytes: u64, now: SimTime) {
-        self.enqueue_prio(task, job, bytes, DEFAULT_PRIORITY, now);
-    }
-
-    pub fn enqueue_prio(
-        &mut self,
-        task: TaskId,
-        job: JobId,
-        bytes: u64,
-        priority: u8,
-        now: SimTime,
-    ) {
-        self.inner.enqueue(task, job, bytes, priority, now);
-    }
-
-    /// Dispatch the next task if a worker is free. The caller must
-    /// later call [`TaskQueue::finish`] exactly once per dispatch.
-    pub fn dispatch(&mut self) -> Option<PendingTask> {
-        self.inner.dispatch()
-    }
-
-    /// Mark a previously dispatched task as finished, freeing a worker.
-    pub fn finish(&mut self) {
-        self.inner.finish();
-    }
-
-    /// Drop a pending task (e.g. job cancelled before it started).
-    pub fn cancel_pending(&mut self, task: TaskId) -> bool {
-        self.inner.cancel_pending(task)
-    }
-}
+/// urd: [`norns_sched::Scheduler`] over the sim key types.
+pub type TaskQueue = norns_sched::Scheduler<JobId, TaskId, SimTime>;
 
 #[cfg(test)]
 mod tests {
@@ -104,8 +37,8 @@ mod tests {
     #[test]
     fn fcfs_picks_in_submission_order() {
         let mut q = TaskQueue::fcfs(1);
-        q.enqueue(TaskId(1), JobId(1), 100, SimTime::ZERO);
-        q.enqueue(TaskId(2), JobId(1), 10, SimTime::ZERO);
+        q.enqueue(TaskId(1), JobId(1), 100, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(2), JobId(1), 10, DEFAULT_PRIORITY, SimTime::ZERO);
         let first = q.dispatch().unwrap();
         assert_eq!(first.task, TaskId(1));
         // Worker busy: no more dispatches.
@@ -118,10 +51,10 @@ mod tests {
     fn sim_policies_come_from_norns_sched() {
         let mut q = TaskQueue::new(4, Box::new(JobFairShare::default()));
         // Job 1 floods, job 2 submits one task late.
-        q.enqueue(TaskId(1), JobId(1), 1, SimTime::ZERO);
-        q.enqueue(TaskId(2), JobId(1), 1, SimTime::ZERO);
-        q.enqueue(TaskId(3), JobId(1), 1, SimTime::ZERO);
-        q.enqueue(TaskId(4), JobId(2), 1, SimTime::ZERO);
+        q.enqueue(TaskId(1), JobId(1), 1, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(2), JobId(1), 1, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(3), JobId(1), 1, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(4), JobId(2), 1, DEFAULT_PRIORITY, SimTime::ZERO);
         assert_eq!(q.dispatch().unwrap().task, TaskId(1));
         // Next pick must prefer job 2 even though job 1 queued earlier.
         assert_eq!(q.dispatch().unwrap().task, TaskId(4));
@@ -132,17 +65,17 @@ mod tests {
     #[test]
     fn sjf_over_sim_types() {
         let mut q = TaskQueue::new(1, Box::new(ShortestFirst));
-        q.enqueue(TaskId(1), JobId(1), 500, SimTime::ZERO);
-        q.enqueue(TaskId(2), JobId(1), 50, SimTime::ZERO);
-        q.enqueue(TaskId(3), JobId(1), 5000, SimTime::ZERO);
+        q.enqueue(TaskId(1), JobId(1), 500, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(2), JobId(1), 50, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(3), JobId(1), 5000, DEFAULT_PRIORITY, SimTime::ZERO);
         assert_eq!(q.dispatch().unwrap().task, TaskId(2));
     }
 
     #[test]
     fn priority_respected_by_weighted_policy() {
         let mut q = TaskQueue::new(1, Box::new(WeightedPriority::default()));
-        q.enqueue_prio(TaskId(1), JobId(1), 1, 10, SimTime::ZERO);
-        q.enqueue_prio(TaskId(2), JobId(1), 1, 200, SimTime::ZERO);
+        q.enqueue(TaskId(1), JobId(1), 1, 10, SimTime::ZERO);
+        q.enqueue(TaskId(2), JobId(1), 1, 200, SimTime::ZERO);
         assert_eq!(q.dispatch().unwrap().task, TaskId(2));
     }
 
@@ -150,7 +83,7 @@ mod tests {
     fn worker_limit_respected() {
         let mut q = TaskQueue::fcfs(2);
         for i in 0..5 {
-            q.enqueue(TaskId(i), JobId(0), 1, SimTime::ZERO);
+            q.enqueue(TaskId(i), JobId(0), 1, DEFAULT_PRIORITY, SimTime::ZERO);
         }
         assert!(q.dispatch().is_some());
         assert!(q.dispatch().is_some());
@@ -164,8 +97,8 @@ mod tests {
     #[test]
     fn cancel_pending_removes() {
         let mut q = TaskQueue::fcfs(1);
-        q.enqueue(TaskId(1), JobId(0), 1, SimTime::ZERO);
-        q.enqueue(TaskId(2), JobId(0), 1, SimTime::ZERO);
+        q.enqueue(TaskId(1), JobId(0), 1, DEFAULT_PRIORITY, SimTime::ZERO);
+        q.enqueue(TaskId(2), JobId(0), 1, DEFAULT_PRIORITY, SimTime::ZERO);
         assert!(q.cancel_pending(TaskId(2)));
         assert!(!q.cancel_pending(TaskId(2)));
         assert_eq!(q.dispatch().unwrap().task, TaskId(1));
@@ -183,7 +116,7 @@ mod tests {
     fn counters() {
         let mut q = TaskQueue::fcfs(8);
         for i in 0..3 {
-            q.enqueue(TaskId(i), JobId(0), 1, SimTime::ZERO);
+            q.enqueue(TaskId(i), JobId(0), 1, DEFAULT_PRIORITY, SimTime::ZERO);
         }
         assert_eq!(q.enqueued_total(), 3);
         assert_eq!(q.policy_name(), "fcfs");

@@ -200,7 +200,7 @@ pub fn submit_task<M: HasNorns>(
         .task(id)
         .map(|r| r.spec.priority)
         .expect("just inserted");
-    urd.queue.enqueue_prio(id, job, est, priority, now);
+    urd.queue.enqueue(id, job, est, priority, now);
     maybe_dispatch(sim, node);
     Ok(id)
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use norns::{JobId, TaskId, TaskQueue};
 use norns_ipc::{Engine, EngineConfig};
 use norns_proto::{BackendKind, DataspaceDesc, ResourceDesc, TaskOp, TaskSpec, TaskState};
-use norns_sched::{ArbitrationPolicy, Fcfs, JobFairShare, ShortestFirst};
+use norns_sched::{ArbitrationPolicy, Fcfs, JobFairShare, ShortestFirst, DEFAULT_PRIORITY};
 use simcore::SimTime;
 
 /// (job, bytes) submission order shared by both worlds. Sizes are
@@ -53,10 +53,22 @@ fn sim_order(policy: SimPolicy) -> Vec<usize> {
     let mut q = TaskQueue::new(1, policy);
     // Plug: enqueued and dispatched before the rest exists, exactly
     // like the real engine's idle worker grabs it.
-    q.enqueue(TaskId(999), JobId(PLUG_JOB), PLUG_BYTES, SimTime::ZERO);
+    q.enqueue(
+        TaskId(999),
+        JobId(PLUG_JOB),
+        PLUG_BYTES,
+        DEFAULT_PRIORITY,
+        SimTime::ZERO,
+    );
     assert_eq!(q.dispatch().unwrap().task, TaskId(999));
     for (i, (job, bytes)) in WORKLOAD.iter().enumerate() {
-        q.enqueue(TaskId(i as u64), JobId(*job), *bytes, SimTime::ZERO);
+        q.enqueue(
+            TaskId(i as u64),
+            JobId(*job),
+            *bytes,
+            DEFAULT_PRIORITY,
+            SimTime::ZERO,
+        );
     }
     q.finish(); // plug completes; arbitration begins over the full set
     let mut order = Vec::new();
