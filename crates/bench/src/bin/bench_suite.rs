@@ -443,8 +443,11 @@ fn bench_control(root: &Path) -> BenchDoc {
 /// engine; gated by [`check_local`]. The raw-syscall baseline is
 /// `benchmark/`'s `ceiling.copy_file_range_gib_per_s`, not a row here.
 fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
-    let size = if quick_mode() { 256 * MIB } else { 1024 * MIB };
-    let reps = 3;
+    // 256 MiB in both modes: on this box a buffered write of 512 MiB or
+    // more is bimodal whoever issues it (a bare copy_file_range loop:
+    // 0.33 or 0.7-2.7 s per GiB, about one copy in three), 256 MiB is not.
+    let size = 256 * MIB;
+    let reps = if quick_mode() { 3 } else { 7 };
     let mount = root.join("chunk");
     fs::create_dir_all(&mount).unwrap();
     write_clean(&mount.join("src"), &vec![0xc3u8; size as usize]);
@@ -484,7 +487,7 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
         }
     }
     doc.note(format!(
-        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, median of {reps} turns with the worker counts of one chunk size taking turns; a local copy's chunks run one at a time (one destination inode takes one writer at a time), so extra workers buy one file nothing; gate: no 2- or 4-worker row below 0.85x the 1-worker row at the same chunk size (vs_one_worker), and query() saw partial bytes_moved",
+        "chunk_sweep: one {} MiB file through an in-process engine per chunk size x workers, median of {reps} turns with the worker counts of one chunk size taking turns; a local copy's chunks run one at a time (one destination inode takes one writer at a time), so extra workers buy one file nothing; the file stays at 256 MiB in a full run because buffered writes of 512 MiB and up are bimodal on this box with or without the engine (a bare copy_file_range loop of 1 GiB took 0.33 or 0.7-2.7 s per GiB, about one copy in three slow; PR 20's best-of-3 rows at 1 GiB hid that, a median of 3 at 1 GiB read 0.43-5.9 in vs_one_worker); gate: no 2- or 4-worker row below 0.85x the 1-worker row at the same chunk size (vs_one_worker), and query() saw partial bytes_moved",
         size / MIB
     ));
     let _ = fs::remove_dir_all(&mount);
@@ -494,7 +497,7 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
 /// distinct files submitted together to one default-config engine.
 fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
     let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
-    let reps = 3;
+    let reps = if quick_mode() { 3 } else { 5 };
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mount = root.join("concurrent");
     fs::create_dir_all(&mount).unwrap();
@@ -975,7 +978,7 @@ fn bench_replication(root: &Path) -> BenchDoc {
         "local_only must not replicate"
     );
     doc.note(format!(
-        "replication_ack: {} MiB stage-outs against a live loopback replica peer, median of {reps} turns with the three modes taking turns; ack_usec is submit to the wait's return, drain_usec the ACK-to-zero-lag window after it; gate: local_plus_one (ACKs on the local leg) ACKs faster than synchronous (ACKs when the replica landed)",
+        "replication_ack: {} MiB stage-outs against a live loopback replica peer, median of {reps} turns with the three modes taking turns; ack_usec is submit to the wait's return, drain_usec the ACK-to-zero-lag window after it; gate: local_plus_one (ACKs on the local leg) ACKs faster than synchronous (ACKs when the replica landed); synchronous adds up from its legs: local_only's ACK plus bytes over remote_push's rate in BENCH_remote.json (PR 19 recorded 33-39 ms at 32 MiB before PR 20 shortened the local leg)",
         size / MIB
     ));
     doc
