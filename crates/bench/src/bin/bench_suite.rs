@@ -756,7 +756,7 @@ fn bench_remote(root: &Path) -> BenchDoc {
         }
     }
     doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; every sample is compared byte for byte; gate: a push or pull row saw partial bytes_moved"));
-    doc.note("a remote row whose secs_max sits 0.1-0.3 s above its median is a residual data-plane stall: /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
+    doc.note("a remote row whose median or secs_max sits 0.1-0.3 s above its secs_min is a residual data-plane stall landing on some of its turns: /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
     doc
 }
 
@@ -1155,7 +1155,9 @@ const FAMILIES: [(&str, Family, Gate); 5] = [
 fn check() -> Vec<String> {
     let failed = |(bench, _, gate): &(&str, Family, Gate)| {
         let verdict = json::load(bench).and_then(|doc| gate(&doc));
-        println!("BENCH_{bench}.json: {verdict:?}");
+        if verdict.is_ok() {
+            println!("BENCH_{bench}.json: ok");
+        }
         verdict.err()
     };
     FAMILIES.iter().filter_map(failed).collect()
