@@ -533,7 +533,7 @@ fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
         doc.row(knobs.into_iter().chain(turns(secs)).chain(rate));
     }
     doc.note(format!(
-        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), median of {reps} turns with the file counts taking turns, aggregate rate; each file is one chain of chunks on one worker; gate: 2 files move at >= 1.3x the 1-file rate{}; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's chunk_ablation_local at 8 MiB)",
+        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), median of {reps} turns with the file counts taking turns, aggregate rate; each file is one chain of chunks on one worker; gate: 2 files move at >= 1.3x the 1-file rate{}; a 2- or 4-file row that writes 512 MiB or more meets this box's slow buffered writes (chunk_sweep's note), which is what a secs_max of seconds beside a median of tenths is; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's chunk_ablation_local at 8 MiB)",
         size / MIB,
         if nproc < 2 { " (skipped: nproc < 2)" } else { "" }
     ));
