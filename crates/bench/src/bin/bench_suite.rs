@@ -755,8 +755,8 @@ fn bench_remote(root: &Path) -> BenchDoc {
             doc.row(transfer_row(format!("chunk_ablation_{direction}"), knob, secs).chain(saw));
         }
     }
-    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; every sample is compared byte for byte; gate: a push or pull row saw partial bytes_moved"));
-    doc.note("a remote row whose median or secs_max sits 0.1-0.3 s above its secs_min is a residual data-plane stall landing on some of its turns: /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
+    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; every sample is compared byte for byte; a push or pull row at 8 MiB differs from remote_push/remote_pull at window 8 only in the client polling instead of waiting, on the same two vCPUs, and sits under it; gate: a push or pull row saw partial bytes_moved"));
+    doc.note("a remote row whose median or secs_max sits tenths of a second above its secs_min had residual data-plane stalls land on some or most of its turns (secs_min is its clean time): /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
     doc
 }
 
