@@ -197,8 +197,10 @@ fn turns(secs: &Summary) -> impl Iterator<Item = (&'static str, Json)> {
     std::iter::once(n).chain(spread(["secs", "secs_min", "secs_max"], secs, 1.0))
 }
 
-/// One staged sample: `lands_at` is removed first and, once `copy`
-/// has returned (off the clock), compared byte for byte with `payload`.
+/// One staged sample: nothing at `lands_at` when `copy` starts, and
+/// once it has returned (off the clock) what landed is compared byte for
+/// byte with `payload` and removed — a landed file left dirty in the
+/// page cache is the next turn's slow buffered write (`chunk_sweep`).
 fn staged<T>(lands_at: &Path, payload: &[u8], copy: impl FnOnce() -> T) -> T {
     let _ = fs::remove_file(lands_at);
     let sample = copy();
@@ -207,6 +209,7 @@ fn staged<T>(lands_at: &Path, payload: &[u8], copy: impl FnOnce() -> T) -> T {
         "{} differs from its source",
         lands_at.display()
     );
+    fs::remove_file(lands_at).unwrap();
     sample
 }
 
@@ -447,7 +450,7 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
     // more is bimodal whoever issues it (a bare copy_file_range loop:
     // 0.33 or 0.7-2.7 s per GiB, about one copy in three), 256 MiB is not.
     let size = 256 * MIB;
-    let reps = if quick_mode() { 3 } else { 7 };
+    let reps = if quick_mode() { 5 } else { 7 };
     let mount = root.join("chunk");
     fs::create_dir_all(&mount).unwrap();
     write_clean(&mount.join("src"), &vec![0xc3u8; size as usize]);
@@ -497,7 +500,7 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
 /// distinct files submitted together to one default-config engine.
 fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
     let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
-    let reps = if quick_mode() { 3 } else { 5 };
+    let reps = 5;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mount = root.join("concurrent");
     fs::create_dir_all(&mount).unwrap();
@@ -670,10 +673,10 @@ fn local_spec() -> TaskSpec {
     copy_spec(posix("nodea-ds", "src.dat"), posix("nodea-ds", "local.dat"))
 }
 
-/// Pulls back the file [`push_spec`] landed on `nodeb`.
+/// [`push_spec`] the other way: `nodeb`'s own copy of the source file.
 fn pull_spec() -> TaskSpec {
     copy_spec(
-        remote("nodeb", "nodeb-ds", "pushed.dat"),
+        remote("nodeb", "nodeb-ds", "src.dat"),
         posix("nodea-ds", "pulled.dat"),
     )
 }
@@ -707,7 +710,9 @@ fn bench_remote(root: &Path) -> BenchDoc {
             (window, pair)
         })
         .collect();
-    write_clean(&root.join("nodea/ds/src.dat"), &payload);
+    for node in ["nodea", "nodeb"] {
+        write_clean(&root.join(node).join("ds/src.dat"), &payload);
+    }
     for (dir, spec, lands_at) in [
         ("push", push_spec as fn() -> TaskSpec, &pushed),
         ("pull", pull_spec, &pulled),
