@@ -733,7 +733,7 @@ fn bench_remote(root: &Path) -> BenchDoc {
         "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, median of {reps} turns with the windows taking turns (one daemon pair per window, all alive, same mounts); window=1 is stop-and-wait, vs_window_1 is a row's rate over the window-1 row's",
         size / MIB
     ));
-    doc.note(format!("gate: no window>={GATED_WINDOW} row below {WINDOW_FLOOR}x window 1 in either direction. Loopback gives a window no round-trip time to hide, and a window's ranges are smaller (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte), so window 8 sits around 0.9 of stop-and-wait here and the sweep does not rank windows; that a window beats stop-and-wait needs a link with a round-trip time (ROADMAP item 2). Where the floor comes from: 20 consecutive quick runs at PR 22 (64 MiB, 7 turns, 2 vCPUs) put the lowest window>=4 ratio of a run at 0.83-1.18 on push and 0.80-1.04 on pull; with PR 19's stall put back (no TCP_NODELAY on the accepted socket: window 1 is untouched, every larger window pays the 40 ms delayed ACK) 12 quick runs read 0.31-0.59 on push and failed this gate 12 of 12"));
+    doc.note(format!("gate: no window>={GATED_WINDOW} row below {WINDOW_FLOOR}x window 1 in either direction. Loopback gives a window no round-trip time to hide, and a window's ranges are smaller (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte), so window 8 sits around 0.9 of stop-and-wait here and the sweep does not rank windows; that a window beats stop-and-wait needs a link with a round-trip time (ROADMAP item 2). Where the floor comes from: 20 consecutive quick runs at PR 22 (64 MiB, 7 turns, 2 vCPUs) put the lowest window>=4 ratio of a run at 0.79-1.07 on push and 0.85-1.62 on pull; with PR 19's stall put back (no TCP_NODELAY on the accepted socket: window 1 is untouched, every larger window pays the 40 ms delayed ACK) 12 quick runs read 0.32-0.60 on push and failed this gate 12 of 12"));
 
     // Chunk-size sweep at the default window, polling `query()` while
     // the wire is busy; `local` is the same-daemon, no-network copy of
