@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn a_schema_1_document_is_refused_with_the_way_out() {
         let old = Json::parse(
-            r#"{"bench":"x","schema":1,"quick":false,"rows":[{"source":"bench_suite"}],"notes":[]}"#,
+            r#"{"bench":"x","schema":1,"quick":false,"rows":[{"scenario":"x"}],"notes":[]}"#,
         )
         .unwrap();
         let refusal = validate(&old).unwrap_err();
