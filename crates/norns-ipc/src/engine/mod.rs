@@ -259,8 +259,7 @@ pub struct Engine {
     completed: AtomicU64,
     cancelled: AtomicU64,
     /// High-water mark of workers simultaneously moving chunks of one
-    /// transfer: 1 for local copies (one lane), up to the pool size
-    /// for remote staging.
+    /// transfer: 1, local or remote — the measured width of a chain.
     peak_chunk_workers: AtomicU64,
     chunk_size: u64,
     /// Requests kept in flight per data-plane connection (remote
@@ -412,11 +411,7 @@ impl Engine {
         for (id, work) in orphaned {
             match work {
                 Work::Whole { .. } => self.mark_cancelled(id),
-                Work::Chunk(plan) => {
-                    if plan.abort_units(1, SHUTDOWN_MID_TRANSFER) {
-                        self.finalize_chunked(&plan);
-                    }
-                }
+                Work::Chunk(plan) => self.abort_chunked(&plan),
             }
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
@@ -473,7 +468,7 @@ impl Engine {
     }
 
     /// High-water mark of workers simultaneously executing chunks of a
-    /// single decomposed transfer (1 unless a remote transfer ran).
+    /// single decomposed transfer: 1, every transfer being a chain.
     pub fn peak_chunk_workers(&self) -> u64 {
         self.peak_chunk_workers.load(Ordering::Relaxed)
     }
@@ -875,7 +870,7 @@ impl Engine {
                     spec,
                     payload,
                     route,
-                } => self.execute_whole(&pending, &spec, payload.as_deref(), &route),
+                } => self.execute_whole(pending.task, &spec, payload.as_deref(), &route),
                 Work::Chunk(plan) => self.run_unit(plan),
             };
             self.finish_dispatch(&pending, successor);
@@ -892,7 +887,6 @@ impl Engine {
                 None
             }
             UnitEnd::IssueNext => Some(plan),
-            UnitEnd::Pending => None,
         }
     }
 
@@ -914,9 +908,7 @@ impl Engine {
         if st.stop {
             // Nobody will dispatch it: the chain ends here.
             drop(st);
-            if plan.abort_units(1, SHUTDOWN_MID_TRANSFER) {
-                self.finalize_chunked(&plan);
-            }
+            self.abort_chunked(&plan);
             return;
         }
         let unit_id = self.next_unit.fetch_add(1, Ordering::SeqCst);
@@ -932,12 +924,11 @@ impl Engine {
     /// is [`Engine::run_unit`]'s).
     fn execute_whole(
         &self,
-        pending: &PendingTask<u64, u64, u64>,
+        task_id: u64,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
         route: &Route,
     ) -> Option<Arc<ChunkGrid>> {
-        let task_id = pending.task;
         let start = Instant::now();
         let (progress, abort) = self
             .tasks
@@ -954,10 +945,8 @@ impl Engine {
                 // The plan honors the abort flag: from here on a cancel
                 // interrupts the transfer mid-stream.
                 self.tasks.update(task_id, |t| t.abortable = true);
-                // Put the plan's other lanes in front of the scheduler,
-                // then work one unit ourselves; whichever worker
-                // finishes the last unit finalizes the task.
-                self.enqueue_chunk_units(pending, &plan);
+                // Work the first unit ourselves; whichever worker runs
+                // the chain's last unit finalizes the task.
                 return self.run_unit(plan);
             }
             Ok(Outcome::Done(moved)) => PlanOutcome::Done(moved),
@@ -967,45 +956,11 @@ impl Engine {
         None
     }
 
-    /// Enqueue the units a fresh plan issues behind its planning
-    /// dispatch: every remaining chunk of a remote transfer, none of a
-    /// single-lane local copy (which returns before touching the
-    /// dispatch lock). Sub-units inherit the parent's job / priority /
-    /// size / seq (see [`Engine::finish_dispatch`]).
-    fn enqueue_chunk_units(&self, parent: &PendingTask<u64, u64, u64>, plan: &Arc<ChunkGrid>) {
-        let extra = plan.issue_initial();
-        if extra == 0 {
-            return;
-        }
-        let wakes = {
-            let mut st = self.dispatch.lock();
-            if st.stop {
-                // Shutdown raced the planner: nobody will dispatch
-                // these units, so account them as aborted now —
-                // otherwise the task never reaches a terminal state.
-                drop(st);
-                let last = plan.abort_units(extra, SHUTDOWN_MID_TRANSFER);
-                debug_assert!(!last, "the planning unit has yet to run");
-                return;
-            }
-            // One batched splice: per-unit inserts would be quadratic
-            // in the chunk count, all under the dispatch lock.
-            let first_id = self.next_unit.fetch_add(extra, Ordering::SeqCst);
-            let DispatchState { sched, work, .. } = &mut *st;
-            sched.enqueue_units((first_id..first_id + extra).map(|unit_id| {
-                work.insert(unit_id, Work::Chunk(Arc::clone(plan)));
-                PendingTask {
-                    task: unit_id,
-                    ..*parent
-                }
-            }));
-            // This worker runs the planning unit; each of the others
-            // can take one of the units just issued.
-            extra.min(sched.workers() as u64 - 1)
-        };
-        for _ in 0..wakes {
-            self.dispatch_cv.notify_one();
-        }
+    /// Shutdown found `plan`'s one issued unit where no worker will
+    /// dispatch it: the chain ends here, and its task with it.
+    fn abort_chunked(&self, plan: &ChunkGrid) {
+        plan.abort(SHUTDOWN_MID_TRANSFER);
+        self.finalize_chunked(plan);
     }
 
     /// Terminal bookkeeping for a decomposed transfer, run by the last
@@ -1242,7 +1197,7 @@ mod tests {
     use norns_proto::{DataspaceDesc, JobDesc};
     use std::path::Path;
 
-    fn temp_root(tag: &str) -> PathBuf {
+    pub(crate) fn temp_root(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("norns-ipc-engine-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1250,7 +1205,7 @@ mod tests {
         dir
     }
 
-    fn register_tmp0(engine: &Engine, root: &Path) {
+    pub(crate) fn register_tmp0(engine: &Engine, root: &Path) {
         engine
             .register_dataspace(DataspaceDesc {
                 nsid: "tmp0".into(),
@@ -1875,7 +1830,7 @@ mod tests {
 
     /// Spin until `cond` holds (bounded: a stuck engine fails the test
     /// instead of hanging it).
-    fn spin_until(what: &str, mut cond: impl FnMut() -> bool) {
+    pub(crate) fn spin_until(what: &str, mut cond: impl FnMut() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(20);
         while !cond() {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
@@ -1896,7 +1851,7 @@ mod tests {
 
     /// Nothing of a finished chain is left in the scheduler, and the
     /// status counters account the one task exactly once.
-    fn assert_chain_gone(engine: &Engine, completed: u64, cancelled: u64) {
+    pub(crate) fn assert_chain_gone(engine: &Engine, completed: u64, cancelled: u64) {
         // (The waiter is woken from inside the last dispatch, so the
         // worker slot may be a moment behind the terminal state.)
         spin_until("the worker slot", || {

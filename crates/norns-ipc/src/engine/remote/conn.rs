@@ -11,13 +11,15 @@
 //! `sendfile(2)` whichever end sends it; a file pair the kernel
 //! refuses before any byte moved degrades *for that range* to a
 //! `pread` into the thread's pooled buffer, the same rule `copy_range`
-//! follows for `copy_file_range`. The receiving end copies it twice:
-//! socket → pooled buffer → page cache.
+//! follows for `copy_file_range`. The receiving end copies it once:
+//! `splice(2)` moves it socket → this thread's pipe → page cache, and
+//! a pair the kernel refuses before any byte landed degrades the same
+//! way, to `read`s into the pooled buffer.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::fs::FileExt;
 use std::time::Duration;
@@ -27,7 +29,7 @@ use bytes::BytesMut;
 use norns_proto::{push_frame, DataRequest, DataResponse, ErrorCode, FrameReader};
 
 use super::super::error::EngineError;
-use super::super::transfer::{read_full_at, with_pool_buf};
+use super::super::transfer::{read_full_at, with_pool_buf, POOL_BUF};
 use super::truncated;
 
 /// Bound on establishing a data-plane connection: an unreachable peer
@@ -99,10 +101,10 @@ fn sendfile_once(socket: &TcpStream, file: &File, offset: u64, len: usize) -> io
     }
 }
 
-/// Errors that mean "this pair can't use `sendfile`, take the buffered
-/// path" rather than "the transfer failed".
+/// Errors that mean "this pair can't use `sendfile` / `splice`, take
+/// the buffered path" rather than "the transfer failed".
 #[cfg(target_os = "linux")]
-fn sendfile_wants_fallback(e: &io::Error) -> bool {
+fn wants_fallback(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Unsupported | io::ErrorKind::InvalidInput
@@ -132,7 +134,7 @@ pub(super) fn send_file_range(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             // Fall back only if nothing moved yet: a mid-range
             // refusal is a real error, not an unsupported pair.
-            Err(e) if sent == 0 && sendfile_wants_fallback(&e) => break,
+            Err(e) if sent == 0 && wants_fallback(&e) => break,
             Err(e) => return Err(map_net(e)),
         }
     }
@@ -167,24 +169,204 @@ fn write_payload_buffered(
     })
 }
 
-/// Land the `len` payload bytes behind the message `reader` last
-/// popped — a `Store`'s on the serving side, a `Data`'s on the pulling
-/// one — in `file` at `offset`: each piece goes from the socket into
-/// this thread's pooled buffer and from there into the page cache, and
-/// the kernel queues the next one meanwhile.
+/// This thread's pipe: the kernel-side buffer a payload crosses between
+/// the socket and its file. Both ends close when the thread exits.
+#[cfg(target_os = "linux")]
+struct Pipe {
+    rd: File,
+    wr: File,
+}
+
+#[cfg(target_os = "linux")]
+thread_local! {
+    /// Made by the first payload this thread splices; absent while a
+    /// range is crossing it, and from one that failed until the next.
+    static PIPE: RefCell<Option<Pipe>> = const { RefCell::new(None) };
+}
+
+#[cfg(target_os = "linux")]
+impl Pipe {
+    /// A fresh pipe, grown to [`POOL_BUF`] where the kernel allows it
+    /// (an unprivileged process may be held to less; the default 64 KiB
+    /// only means more `splice` calls per range).
+    fn new() -> io::Result<Pipe> {
+        use std::os::unix::io::{AsRawFd, FromRawFd};
+        const O_CLOEXEC: std::ffi::c_int = 0o2000000;
+        const F_SETPIPE_SZ: std::ffi::c_int = 1031;
+        // SAFETY: signatures transcribed from the glibc headers for
+        // Linux; `fcntl` is variadic there and `F_SETPIPE_SZ` takes
+        // one `int` argument.
+        extern "C" {
+            fn pipe2(fds: *mut std::ffi::c_int, flags: std::ffi::c_int) -> std::ffi::c_int;
+            fn fcntl(fd: std::ffi::c_int, cmd: std::ffi::c_int, ...) -> std::ffi::c_int;
+        }
+        let mut fds = [0 as std::ffi::c_int; 2];
+        // SAFETY: `fds` is a live array of the two ints `pipe2` fills.
+        if unsafe { pipe2(fds.as_mut_ptr(), O_CLOEXEC) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `pipe2` succeeded, so both are open fds nobody else
+        // owns; each `File` closes its own exactly once.
+        let pipe = unsafe {
+            Pipe {
+                rd: File::from_raw_fd(fds[0]),
+                wr: File::from_raw_fd(fds[1]),
+            }
+        };
+        // SAFETY: the fd is live (borrowed from `pipe.wr`) and the
+        // command takes an int. Best-effort: a refusal keeps the size.
+        let _ = unsafe {
+            fcntl(
+                pipe.wr.as_raw_fd(),
+                F_SETPIPE_SZ,
+                POOL_BUF as std::ffi::c_int,
+            )
+        };
+        Ok(pipe)
+    }
+}
+
+/// One `splice(2)`: up to `len` bytes from `from` to `to`, one of them
+/// a pipe. `to_offset` is where a regular file takes them (its cursor
+/// is never touched); `None` for a pipe or a socket.
+#[cfg(target_os = "linux")]
+fn splice_once(
+    from: &impl std::os::unix::io::AsRawFd,
+    to: &impl std::os::unix::io::AsRawFd,
+    to_offset: Option<u64>,
+    len: usize,
+) -> io::Result<usize> {
+    // Declared directly (glibc), like `sendfile` above.
+    // SAFETY: signature transcribed from the glibc header; `loff_t` is
+    // i64 on every Linux target this repo builds for.
+    extern "C" {
+        fn splice(
+            fd_in: std::ffi::c_int,
+            off_in: *mut i64,
+            fd_out: std::ffi::c_int,
+            off_out: *mut i64,
+            len: usize,
+            flags: std::ffi::c_uint,
+        ) -> isize;
+    }
+    let mut off = to_offset.map(|o| o as i64);
+    let off_out = off.as_mut().map_or(std::ptr::null_mut(), |o| o as *mut i64);
+    // SAFETY: both fds are live for the duration of the call (borrowed
+    // from their owners); `off_out` is null or points at `off`, a live
+    // stack i64 the kernel updates in place.
+    let n = unsafe {
+        splice(
+            from.as_raw_fd(),
+            std::ptr::null_mut(),
+            to.as_raw_fd(),
+            off_out,
+            len,
+            0,
+        )
+    };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
+    }
+}
+
+/// Move the payload bytes still on `stream` into `file` at `offset`
+/// through this thread's pipe: socket → pipe links the received pages,
+/// pipe → file is the one copy. Returns the bytes landed, and tells
+/// `reader` of every byte that left the socket, landed or not. Short
+/// of the payload without an error only when the kernel refused the
+/// pair (or there is no pipe to be had) before any byte landed — the
+/// bytes a refusing file left in the pipe are read out of it and
+/// written, the rest is the caller's to move.
+#[cfg(target_os = "linux")]
+fn splice_payload(
+    reader: &mut FrameReader,
+    stream: &TcpStream,
+    file: &File,
+    offset: u64,
+) -> io::Result<u64> {
+    let Some(pipe) = PIPE.take().or_else(|| Pipe::new().ok()) else {
+        return Ok(0);
+    };
+    let mut landed = 0u64;
+    'range: while reader.untaken() > 0 {
+        let filled = match splice_once(stream, &pipe.wr, None, reader.untaken().min(POOL_BUF)) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if landed == 0 && wants_fallback(&e) => break,
+            Err(e) => return Err(e),
+        };
+        reader.took_off_stream(filled);
+        let mut in_pipe = filled;
+        while in_pipe > 0 {
+            match splice_once(&pipe.rd, file, Some(offset + landed), in_pipe) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    in_pipe -= n;
+                    landed += n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if landed == 0 && wants_fallback(&e) => {
+                    with_pool_buf(in_pipe as u64, |buf| {
+                        (&pipe.rd).read_exact(buf)?;
+                        file.write_all_at(buf, offset)
+                    })?;
+                    landed += in_pipe as u64;
+                    break 'range;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    // Every early return above drops the pipe with whatever a failed
+    // write stranded in it; only an empty one is kept.
+    PIPE.set(Some(pipe));
+    Ok(landed)
+}
+
+/// Land the payload behind the message `reader` last popped — a
+/// `Store`'s on the serving side, a `Data`'s on the pulling one — in
+/// `file` at `offset`. The bytes that arrived with the message are
+/// written from the reader's buffer; the rest never enters userspace
+/// ([`splice_payload`]) unless the kernel refuses the pair, in which
+/// case this range is read through the thread's pooled buffer. Whatever
+/// the outcome, `reader` knows exactly what left the stream, so the
+/// rest of a payload that failed half way is skipped and the connection
+/// stays frame-aligned.
 pub(super) fn land_payload(
     reader: &mut FrameReader,
     stream: &mut TcpStream,
-    len: usize,
     file: &File,
     mut offset: u64,
 ) -> io::Result<()> {
-    with_pool_buf(len as u64, |buf| {
-        reader.take_payload(stream, buf, |piece| {
-            file.write_all_at(piece, offset)?;
-            offset += piece.len() as u64;
-            Ok(())
-        })
+    offset += reader.take_buffered(|prefix| {
+        file.write_all_at(prefix, offset)
+            .map(|()| prefix.len() as u64)
+    })?;
+    if reader.untaken() == 0 {
+        // A small frame, buffered whole: no pipe is made for it.
+        return Ok(());
+    }
+    #[cfg(target_os = "linux")]
+    {
+        offset += splice_payload(reader, stream, file, offset)?;
+    }
+    with_pool_buf(reader.untaken() as u64, |buf| {
+        while reader.untaken() > 0 {
+            let want = reader.untaken().min(buf.len());
+            let n = match stream.read(&mut buf[..want]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            reader.took_off_stream(n);
+            file.write_all_at(&buf[..n], offset)?;
+            offset += n as u64;
+        }
+        Ok(())
     })
 }
 
@@ -261,15 +443,10 @@ impl DataConn {
         }
     }
 
-    /// Land the `len` payload bytes behind the `Data` just received in
-    /// `file` at `offset`.
-    pub(super) fn recv_payload(
-        &mut self,
-        len: usize,
-        file: &File,
-        offset: u64,
-    ) -> Result<(), EngineError> {
-        land_payload(&mut self.reader, &mut self.stream, len, file, offset).map_err(map_net)
+    /// Land the payload behind the `Data` just received in `file` at
+    /// `offset`.
+    pub(super) fn recv_payload(&mut self, file: &File, offset: u64) -> Result<(), EngineError> {
+        land_payload(&mut self.reader, &mut self.stream, file, offset).map_err(map_net)
     }
 
     /// One round-trip (`Stat`, `Prepare`, `Discard`): send `req`, read
@@ -337,7 +514,7 @@ mod tests {
 
     use norns_proto::Wire;
 
-    use crate::engine::transfer::POOL_BUF;
+    use crate::engine::transfer::tests::pool_buf_len;
 
     /// The per-worker connection cache is bounded: inserting more
     /// peers than the cap evicts the least-recently-stored entry
@@ -454,5 +631,256 @@ mod tests {
         assert_eq!(err.code, ErrorCode::SystemError);
         assert!(err.message.contains("truncated at byte 1000"), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Position-dependent bytes, different per `salt`, so a stale, a
+    /// missing or a misplaced byte shows.
+    fn pattern(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 31 + salt) % 251) as u8).collect()
+    }
+
+    /// The receiving end of a loopback connection as a handler or a
+    /// pulling worker holds it — tuned stream, reader — and the bare
+    /// sending end. The test thread is the receiver, so the thread's
+    /// pipe and pooled buffer are its own to look at.
+    struct Landing {
+        rx: TcpStream,
+        reader: FrameReader,
+        dir: std::path::PathBuf,
+    }
+
+    fn landing(tag: &str) -> (Landing, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        tx.set_nodelay(true).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        tune(&rx);
+        let dir = std::env::temp_dir().join(format!("norns-landing-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let landing = Landing {
+            rx,
+            reader: FrameReader::new(),
+            dir,
+        };
+        (landing, tx)
+    }
+
+    fn store_at(offset: u64) -> DataRequest {
+        DataRequest::Store {
+            nsid: "ds0".into(),
+            path: "dst.dat".into(),
+            offset,
+        }
+    }
+
+    /// The header + message of a `Store` promising `len` payload bytes.
+    fn head(offset: u64, len: usize) -> BytesMut {
+        let mut head = BytesMut::new();
+        push_frame(&mut head, None, &store_at(offset), len, |_| ());
+        head
+    }
+
+    impl Landing {
+        /// Read until the next message pops; its payload length.
+        fn pop(&mut self) -> (DataRequest, usize) {
+            loop {
+                if let Some(popped) = self.reader.next_message().unwrap() {
+                    return popped;
+                }
+                assert!(
+                    self.reader.read_from(&mut self.rx).unwrap() > 0,
+                    "peer hung up"
+                );
+            }
+        }
+
+        /// One `Store` from `tx` into `file`: the header goes out with
+        /// the payload's first `with_head` bytes in one write and is
+        /// popped before the rest is sent — `with_head == 0` is a
+        /// payload wholly on the stream, anything else one with a
+        /// buffered prefix. Returns what `land_payload` said.
+        fn land(
+            &mut self,
+            tx: &mut TcpStream,
+            file: &File,
+            offset: u64,
+            payload: &[u8],
+            with_head: usize,
+        ) -> io::Result<()> {
+            let mut first = head(offset, payload.len());
+            first.extend_from_slice(&payload[..with_head]);
+            tx.write_all(&first).unwrap();
+            assert_eq!(self.pop(), (store_at(offset), payload.len()));
+            assert_eq!(self.reader.buffered() > 0, with_head > 0);
+            std::thread::scope(|scope| {
+                scope.spawn(|| tx.write_all(&payload[with_head..]).unwrap());
+                land_payload(&mut self.reader, &mut self.rx, file, offset)
+            })
+        }
+    }
+
+    fn pipe_is_kept() -> bool {
+        PIPE.with(|pipe| pipe.borrow().is_some())
+    }
+
+    /// The splice path lands exactly the promised range: larger than
+    /// the pipe, ragged tail, an offset off every page boundary, with
+    /// and without a prefix that arrived with the header — and leaves
+    /// the bytes around the range alone. None of it crosses userspace:
+    /// the thread's pooled buffer is never grown.
+    #[test]
+    fn a_spliced_payload_lands_byte_exact_without_entering_userspace() {
+        let (mut landing, mut tx) = landing("splice");
+        let path = landing.dir.join("dst.dat");
+        let size = 5 * POOL_BUF;
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .unwrap();
+        for (turn, (offset, len, with_head)) in [
+            (4099u64, 3 * POOL_BUF + 12_345, 0usize),
+            (0, 2 * POOL_BUF + 1, 10_000),
+            // A frame shorter than one read is popped whole.
+            (777, 4096, 4096),
+            (POOL_BUF as u64 + 13, 70_001, 70_001),
+            (5, 0, 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = vec![0xEEu8; size];
+            file.write_all_at(&before, 0).unwrap();
+            let payload = pattern(len, turn);
+            landing
+                .land(&mut tx, &file, offset, &payload, with_head)
+                .unwrap();
+            let mut want = before;
+            want[offset as usize..offset as usize + len].copy_from_slice(&payload);
+            assert!(fs::read(&path).unwrap() == want, "turn {turn} garbled");
+            assert_eq!(landing.reader.untaken(), 0);
+        }
+        assert_eq!(
+            pool_buf_len(),
+            0,
+            "a payload went through the pooled buffer"
+        );
+        assert!(pipe_is_kept(), "a clean range keeps the thread's pipe");
+        let _ = fs::remove_dir_all(&landing.dir);
+    }
+
+    /// A destination the kernel will not splice into — `O_APPEND`
+    /// refuses with `EINVAL` before any byte lands — takes the pooled
+    /// buffer for that range, the pipe's first fill included, and lands
+    /// the same bytes. (`pwrite` on an `O_APPEND` file appends whatever
+    /// the offset, so each range goes behind the last.)
+    #[test]
+    fn a_refused_splice_falls_back_to_the_pooled_buffer_for_that_range() {
+        let (mut landing, mut tx) = landing("fallback");
+        let path = landing.dir.join("dst.dat");
+        let file = File::options()
+            .append(true)
+            .create(true)
+            .open(&path)
+            .unwrap();
+        let mut want = Vec::new();
+        for (turn, (len, with_head)) in [(2 * POOL_BUF + 777, 0usize), (POOL_BUF + 3, 5_000)]
+            .into_iter()
+            .enumerate()
+        {
+            let payload = pattern(len, turn);
+            landing
+                .land(&mut tx, &file, want.len() as u64, &payload, with_head)
+                .unwrap();
+            want.extend_from_slice(&payload);
+            assert!(fs::read(&path).unwrap() == want, "turn {turn} garbled");
+        }
+        assert!(pool_buf_len() > 0, "the fallback reads through the pool");
+        assert!(
+            pipe_is_kept(),
+            "a refusal leaves the pipe empty: it is kept"
+        );
+        let _ = fs::remove_dir_all(&landing.dir);
+    }
+
+    /// A file write that fails once the socket's bytes are in the pipe
+    /// strands them there. The pipe is dropped with them, the reader
+    /// knows exactly what left the socket — the rest of the payload is
+    /// skipped — and the next range on the same connection and thread
+    /// lands byte-exact: no stale byte ahead of it, no misaligned frame.
+    #[test]
+    fn a_failed_file_write_costs_the_pipe_not_the_connection() {
+        let (mut landing, mut tx) = landing("hygiene");
+        let path = landing.dir.join("dst.dat");
+        fs::write(&path, b"").unwrap();
+        let len = 2 * POOL_BUF + 99;
+
+        // An fd that refuses the write: opened read-only.
+        let read_only = File::open(&path).unwrap();
+        let refused = landing.land(&mut tx, &read_only, 0, &pattern(len, 1), 0);
+        assert!(refused.is_err(), "a read-only fd took a payload");
+        assert!(!pipe_is_kept(), "the pipe holds stranded bytes");
+        let left = landing.reader.untaken();
+        assert!(left > 0 && left < len, "{left} of {len} untaken");
+
+        let file = File::options().write(true).open(&path).unwrap();
+        let payload = pattern(len, 2);
+        landing.land(&mut tx, &file, 0, &payload, 0).unwrap();
+        assert!(fs::read(&path).unwrap() == payload);
+        assert!(pipe_is_kept(), "a fresh pipe took its place");
+        let _ = fs::remove_dir_all(&landing.dir);
+    }
+
+    /// `splice` on a socket honours `SO_RCVTIMEO`: a peer that promises
+    /// a payload and stalls — before its first byte, or half way —
+    /// fails the range with `Timeout` at the stream's read timeout.
+    #[test]
+    fn a_peer_that_stalls_inside_a_payload_times_the_range_out() {
+        let (landing, mut tx) = landing("stall");
+        let Landing { rx, reader, dir } = landing;
+        let mut conn = DataConn { stream: rx, reader };
+        let timeout = Duration::from_millis(100);
+        conn.stream.set_read_timeout(Some(timeout)).unwrap();
+        let file = File::create(dir.join("dst.dat")).unwrap();
+        let len = POOL_BUF;
+        for sent in [0, len / 3] {
+            let mut frame = BytesMut::new();
+            push_frame(&mut frame, None, &DataResponse::Data, len, |_| ());
+            tx.write_all(&frame).unwrap();
+            assert_eq!(conn.recv_response().unwrap(), (DataResponse::Data, len));
+            tx.write_all(&pattern(sent, 3)).unwrap();
+            let started = std::time::Instant::now();
+            let err = conn.recv_payload(&file, 0).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Timeout, "{err}");
+            assert!(started.elapsed() >= timeout);
+            assert!(started.elapsed() < 20 * timeout, "{:?}", started.elapsed());
+            assert_eq!(conn.reader.untaken(), len - sent);
+            // The peer delivers after all: the rest is skipped and the
+            // next response pops aligned.
+            tx.write_all(&pattern(len - sent, 4)).unwrap();
+        }
+        let mut frame = BytesMut::new();
+        push_frame(&mut frame, None, &DataResponse::Ok, 0, |_| ());
+        tx.write_all(&frame).unwrap();
+        assert_eq!(conn.recv_response().unwrap(), (DataResponse::Ok, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A peer that hangs up inside a payload fails the range.
+    #[test]
+    fn a_peer_that_hangs_up_inside_a_payload_fails_the_range() {
+        let (mut landing, mut tx) = landing("eof");
+        let file = File::create(landing.dir.join("dst.dat")).unwrap();
+        tx.write_all(&head(0, 200_000)).unwrap();
+        tx.write_all(&pattern(150_000, 5)).unwrap();
+        drop(tx);
+        assert_eq!(landing.pop().1, 200_000);
+        let cut = land_payload(&mut landing.reader, &mut landing.rx, &file, 0);
+        assert_eq!(cut.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(landing.reader.untaken(), 50_000);
+        let _ = fs::remove_dir_all(&landing.dir);
     }
 }

@@ -15,8 +15,11 @@
 //!
 //! Remote transfers reuse the whole chunk machinery: a transfer larger
 //! than the configured chunk size decomposes into chunk sub-units fed
-//! back through `norns-sched`, each unit moving one disjoint range —
-//! all issued at once (unbounded lanes), unlike a local copy's chain.
+//! back through `norns-sched`, each unit moving one disjoint range — a
+//! chain like a local copy's, one unit in flight per destination file:
+//! the receiving end lands a payload with one copy, so a second
+//! connection into the same file only queued on its inode's write
+//! lock, and the workers and connections it held go to other transfers.
 //!
 //! **Pipelining.** Within a unit, ranges no longer travel as strict
 //! stop-and-wait round-trips: the worker keeps up to `window`
@@ -37,10 +40,14 @@
 //! `Data`'s on the serving one — right behind a header that went out
 //! in one write, and never crosses userspace; a file pair the kernel
 //! refuses degrades, for that range, to a `pread` through the thread's
-//! pooled buffer. It is received through the same pooled buffer,
-//! straight off the socket and into the file: two copies per byte,
-//! never a fresh allocation per range. Both ends of a connection set
-//! `TCP_NODELAY` — each answers small frames the other is blocked on.
+//! pooled buffer. It is received with one copy per byte, none of them
+//! in userspace: `splice(2)` links the received pages into the
+//! thread's pipe and copies them from there into the page cache
+//! ([`conn::land_payload`], the one landing site of both ends); a file
+//! the kernel will not splice into takes `read`s into the pooled
+//! buffer for that range, the same rule again. Both ends of a
+//! connection set `TCP_NODELAY` — each answers small frames the other
+//! is blocked on.
 //!
 //! Failure model: unknown peers are rejected at submission
 //! (`NotFound`); unreachable peers fail the task with a bounded
@@ -244,9 +251,6 @@ impl RemoteTransfer {
             task_id,
             size,
             chunk_size,
-            // Every unit at once: each worker moves its ranges over a
-            // connection of its own, and receiving overlaps the write.
-            u64::MAX,
             progress,
             abort,
             Box::new(transfer),
@@ -300,7 +304,7 @@ impl RemoteTransfer {
             (Direction::Pull, DataResponse::Data) if payload as u64 != len => {
                 Err(truncated("remote", off + payload as u64))
             }
-            (Direction::Pull, DataResponse::Data) => conn.recv_payload(payload, &self.local, off),
+            (Direction::Pull, DataResponse::Data) => conn.recv_payload(&self.local, off),
             (Direction::Push, DataResponse::Ok) => Ok(()),
             (_, other) => Err(unexpected(&other)),
         }
@@ -444,12 +448,19 @@ impl RangeMover for RemoteTransfer {
 
 #[cfg(test)]
 mod tests {
-    use super::super::transfer::{PlanOutcome, UnitEnd};
+    use super::super::tests::{assert_chain_gone, register_tmp0, spin_until, temp_root};
+    use super::super::transfer::{PlanOutcome, UnitEnd, MIN_CHUNK_SIZE};
+    use super::super::{Engine, EngineConfig};
     use super::*;
     use std::io::Write;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicUsize;
 
-    use norns_proto::{encode_frame, FrameReader, Wire};
+    use norns_proto::{
+        encode_frame, FrameReader, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats, Wire,
+    };
+    use norns_sched::Fcfs;
+    use parking_lot::Mutex;
 
     #[test]
     fn range_step_window_one_is_stop_and_wait() {
@@ -477,6 +488,113 @@ mod tests {
         assert_eq!(RemoteTransfer::range_step(0, 8), 1);
     }
 
+    /// What a scripted peer does with one request.
+    enum Scripted {
+        Answer(DataResponse),
+        /// A `Data` with these bytes behind it.
+        Data(Vec<u8>),
+        /// Answer, then hang up: a daemon caught mid-restart.
+        AnswerAndHangUp(DataResponse),
+    }
+
+    fn refuse(code: ErrorCode, message: &str) -> Scripted {
+        Scripted::Answer(DataResponse::Error {
+            code,
+            message: message.into(),
+        })
+    }
+
+    /// A data-plane peer that answers from a script and keeps a record:
+    /// the connections it accepted and every request, in arrival order.
+    struct ScriptedPeer {
+        addr: String,
+        accepted: Arc<AtomicUsize>,
+        log: Arc<Mutex<Vec<DataRequest>>>,
+    }
+
+    impl ScriptedPeer {
+        /// `script` sees each request and how many of its verb came
+        /// before it; `None` is `Ok`. It runs on the connection's
+        /// thread, so a script that blocks holds that answer back.
+        fn spawn(
+            script: impl Fn(&DataRequest, usize) -> Option<Scripted> + Send + Sync + 'static,
+        ) -> ScriptedPeer {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let peer = ScriptedPeer {
+                addr: listener.local_addr().unwrap().to_string(),
+                accepted: Arc::new(AtomicUsize::new(0)),
+                log: Arc::new(Mutex::new(Vec::new())),
+            };
+            let (accepted, log) = (Arc::clone(&peer.accepted), Arc::clone(&peer.log));
+            let script = Arc::new(script);
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(stream) = stream else { break };
+                    accepted.fetch_add(1, Ordering::SeqCst);
+                    let (log, script) = (Arc::clone(&log), Arc::clone(&script));
+                    std::thread::spawn(move || Self::serve(stream, &log, &*script));
+                }
+            });
+            peer
+        }
+
+        fn serve(
+            mut stream: TcpStream,
+            log: &Mutex<Vec<DataRequest>>,
+            script: &dyn Fn(&DataRequest, usize) -> Option<Scripted>,
+        ) {
+            let mut reader = FrameReader::new();
+            loop {
+                let mut frame = loop {
+                    match reader.next_frame() {
+                        Ok(Some(frame)) => break frame,
+                        Ok(None) => {}
+                        Err(_) => return,
+                    }
+                    if !matches!(reader.read_from(&mut stream), Ok(1..)) {
+                        return;
+                    }
+                };
+                let Ok(request) = DataRequest::decode(&mut frame) else {
+                    return;
+                };
+                let verb = std::mem::discriminant(&request);
+                let earlier = {
+                    let mut log = log.lock();
+                    log.push(request.clone());
+                    log.iter()
+                        .filter(|r| std::mem::discriminant(*r) == verb)
+                        .count()
+                        - 1
+                };
+                let scripted =
+                    script(&request, earlier).unwrap_or(Scripted::Answer(DataResponse::Ok));
+                let (response, payload, hang_up) = match scripted {
+                    Scripted::Answer(response) => (response, Vec::new(), false),
+                    Scripted::Data(payload) => (DataResponse::Data, payload, false),
+                    Scripted::AnswerAndHangUp(response) => (response, Vec::new(), true),
+                };
+                let mut body = response.to_bytes().to_vec();
+                body.extend_from_slice(&payload);
+                if stream.write_all(&encode_frame(&body)).is_err() || hang_up {
+                    return;
+                }
+            }
+        }
+
+        fn count(&self, verb: impl Fn(&DataRequest) -> bool) -> usize {
+            self.log.lock().iter().filter(|r| verb(r)).count()
+        }
+
+        fn stores(&self) -> usize {
+            self.count(|r| matches!(r, DataRequest::Store { .. }))
+        }
+
+        fn discards(&self) -> usize {
+            self.count(|r| matches!(r, DataRequest::Discard { .. }))
+        }
+    }
+
     /// Regression: a failed push's `cleanup` used to fire its
     /// `Discard` best-effort exactly once; a peer mid-restart that
     /// answers with a transient error (or hangs up) left the
@@ -485,86 +603,28 @@ mod tests {
     /// replays ranges.
     #[test]
     fn push_cleanup_retries_discard_against_restarting_peer() {
-        use std::sync::atomic::AtomicUsize;
+        // The peer fails every Store (so the push fails), then answers
+        // the *first* Discard with a transient error and hangs up, and
+        // honours any later one.
+        let peer = ScriptedPeer::spawn(|request, earlier| match request {
+            DataRequest::Store { .. } => Some(refuse(ErrorCode::NoSpace, "scripted store failure")),
+            DataRequest::Discard { .. } if earlier == 0 => {
+                Some(Scripted::AnswerAndHangUp(DataResponse::Error {
+                    code: ErrorCode::SystemError,
+                    message: "daemon restarting".into(),
+                }))
+            }
+            _ => None,
+        });
 
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        // `partial` models the peer-side `Prepare`d file; `discards`
-        // counts Discard attempts. The scripted peer fails every
-        // Store (so the push fails), then answers the *first* Discard
-        // with a transient error and hangs up — a daemon caught
-        // mid-restart — and honours any later one.
-        let partial = Arc::new(AtomicBool::new(false));
-        let discards = Arc::new(AtomicUsize::new(0));
-        {
-            let partial = Arc::clone(&partial);
-            let discards = Arc::clone(&discards);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(mut stream) = stream else { break };
-                    let partial = Arc::clone(&partial);
-                    let discards = Arc::clone(&discards);
-                    std::thread::spawn(move || {
-                        let mut reader = FrameReader::new();
-                        loop {
-                            let mut frame = loop {
-                                match reader.next_frame() {
-                                    Ok(Some(f)) => break f,
-                                    Ok(None) => {}
-                                    Err(_) => return,
-                                }
-                                if !matches!(reader.read_from(&mut stream), Ok(1..)) {
-                                    return;
-                                }
-                            };
-                            let Ok(req) = DataRequest::decode(&mut frame) else {
-                                return;
-                            };
-                            let resp = match req {
-                                DataRequest::Prepare { .. } => {
-                                    partial.store(true, Ordering::SeqCst);
-                                    DataResponse::Ok
-                                }
-                                DataRequest::Store { .. } => DataResponse::Error {
-                                    code: ErrorCode::NoSpace,
-                                    message: "scripted store failure".into(),
-                                },
-                                DataRequest::Discard { .. } => {
-                                    if discards.fetch_add(1, Ordering::SeqCst) == 0 {
-                                        let resp = DataResponse::Error {
-                                            code: ErrorCode::SystemError,
-                                            message: "daemon restarting".into(),
-                                        };
-                                        let _ = stream.write_all(&encode_frame(&resp.to_bytes()));
-                                        return; // hang up
-                                    }
-                                    partial.store(false, Ordering::SeqCst);
-                                    DataResponse::Ok
-                                }
-                                _ => DataResponse::Error {
-                                    code: ErrorCode::BadArgs,
-                                    message: "unexpected request".into(),
-                                },
-                            };
-                            if stream.write_all(&encode_frame(&resp.to_bytes())).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-
-        let dir = std::env::temp_dir().join(format!("norns-discard-retry-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_root("discard-retry");
         let src = dir.join("src.dat");
         fs::write(&src, vec![3u8; 4096]).unwrap();
 
         let plan = RemoteTransfer::plan(
             9,
             Direction::Push,
-            &addr,
+            &peer.addr,
             "ds0",
             "dst.dat",
             &src,
@@ -574,7 +634,10 @@ mod tests {
             Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
-        assert!(partial.load(Ordering::SeqCst), "Prepare must have landed");
+        assert!(
+            matches!(peer.log.lock()[..], [DataRequest::Prepare { .. }]),
+            "Prepare must have landed"
+        );
         while plan.run_unit() != UnitEnd::Last {}
         let outcome = plan.finalize();
         assert!(
@@ -582,13 +645,220 @@ mod tests {
             "scripted push must fail"
         );
         assert_eq!(
-            discards.load(Ordering::SeqCst),
+            peer.discards(),
             2,
             "cleanup must replay the Discard once on a fresh connection"
         );
         assert!(
-            !partial.load(Ordering::SeqCst),
-            "the Prepare'd remote partial must be gone after cleanup"
+            matches!(peer.log.lock().last(), Some(DataRequest::Discard { .. })),
+            "the honoured Discard is the peer's last word"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // --- the remote chain's edges (CI loops every `chain_` test) ------
+
+    const CHAIN_UNITS: u64 = 16;
+
+    /// An FCFS engine cutting transfers into [`MIN_CHUNK_SIZE`] chunks,
+    /// dataspace `tmp0` holding a `CHAIN_UNITS`-chunk `big`, and `peer`
+    /// registered as host `peer`.
+    fn chain_engine(tag: &str, workers: usize, peer: &ScriptedPeer) -> (Arc<Engine>, PathBuf) {
+        let root = temp_root(tag);
+        let engine = Engine::with_config(
+            EngineConfig {
+                workers,
+                chunk_size: MIN_CHUNK_SIZE,
+                ..EngineConfig::default()
+            },
+            Box::new(Fcfs),
+        );
+        register_tmp0(&engine, &root);
+        engine.register_peer("peer", &peer.addr);
+        let data: Vec<u8> = (0..CHAIN_UNITS * MIN_CHUNK_SIZE)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        fs::write(root.join("tmp0/big"), data).unwrap();
+        (engine, root)
+    }
+
+    fn tmp0(path: &str) -> ResourceDesc {
+        ResourceDesc::PosixPath {
+            nsid: "tmp0".into(),
+            path: path.into(),
+        }
+    }
+
+    fn on_peer(path: &str) -> ResourceDesc {
+        ResourceDesc::RemotePath {
+            host: "peer".into(),
+            nsid: "ds0".into(),
+            path: path.into(),
+        }
+    }
+
+    fn push(engine: &Engine) -> u64 {
+        let spec = TaskSpec::new(TaskOp::Copy, tmp0("big"), Some(on_peer("dst.dat")));
+        engine.submit(1, spec, None).unwrap()
+    }
+
+    /// A script that answers its third `Store` only once told to, and
+    /// the two flags the test holds: `held` goes up when that `Store`
+    /// has arrived, raising `release` lets its `Ok` out.
+    fn holding_the_third_store() -> (
+        impl Fn(&DataRequest, usize) -> Option<Scripted> + Send + Sync,
+        Arc<AtomicBool>,
+        Arc<AtomicBool>,
+    ) {
+        let held = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let (holds, released) = (Arc::clone(&held), Arc::clone(&release));
+        let script = move |request: &DataRequest, earlier: usize| {
+            if matches!(request, DataRequest::Store { .. }) && earlier == 2 {
+                holds.store(true, Ordering::SeqCst);
+                spin_until("the release", || released.load(Ordering::SeqCst));
+            }
+            None
+        };
+        (script, held, release)
+    }
+
+    /// The interrupted push's one terminal state, and what the peer
+    /// saw of it: three `Store`s, then the `Discard` of the partial.
+    fn assert_push_ended(peer: &ScriptedPeer, stats: &TaskStats, state: TaskState) {
+        assert_eq!(stats.state, state);
+        assert_eq!(stats.bytes_moved, 3 * MIN_CHUNK_SIZE);
+        assert_eq!(peer.stores(), 3, "a unit was issued behind the stop");
+        assert_eq!(peer.discards(), 1);
+        assert!(matches!(
+            peer.log.lock().last(),
+            Some(DataRequest::Discard { .. })
+        ));
+    }
+
+    /// The chain on the wire: every chunk of a push travels over the
+    /// one connection its worker keeps cached — `Prepare` included, no
+    /// handshake per chunk — and the `Store`s arrive in file order.
+    /// (One worker: with more, whichever is awake may take the next
+    /// unit, over a connection of its own.)
+    #[test]
+    fn chain_push_is_served_on_one_connection_in_file_order() {
+        let peer = ScriptedPeer::spawn(|_, _| None);
+        let (engine, root) = chain_engine("chain-push", 1, &peer);
+        let stats = engine.wait(push(&engine), 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
+        assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
+        let log = peer.log.lock();
+        assert!(matches!(log[0], DataRequest::Prepare { size, .. }
+            if size == CHAIN_UNITS * MIN_CHUNK_SIZE));
+        let offsets: Vec<u64> = log[1..]
+            .iter()
+            .map(|request| match request {
+                DataRequest::Store { offset, .. } => *offset,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let in_file_order: Vec<u64> = (0..CHAIN_UNITS).map(|i| i * MIN_CHUNK_SIZE).collect();
+        assert_eq!(offsets, in_file_order);
+        drop(log);
+        assert_eq!(engine.peak_chunk_workers(), 1);
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn chain_cancel_mid_push_discards_the_partial() {
+        let (script, held, release) = holding_the_third_store();
+        let peer = ScriptedPeer::spawn(script);
+        let (engine, root) = chain_engine("chain-push-cancel", 2, &peer);
+        let id = push(&engine);
+        spin_until("the third Store", || held.load(Ordering::SeqCst));
+        engine.cancel(id, None).unwrap();
+        release.store(true, Ordering::SeqCst);
+        let stats = engine.wait(id, 0).unwrap();
+        assert_push_ended(&peer, &stats, TaskState::Cancelled);
+        assert_chain_gone(&engine, 0, 1);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn chain_failing_store_mid_push_fails_the_task_once() {
+        // The disk fills behind the second chunk. (The refused `Store`
+        // came over the worker's cached connection, so it is replayed
+        // once on a fresh one before the failure stands.)
+        let peer = ScriptedPeer::spawn(|request, earlier| match request {
+            DataRequest::Store { .. } if earlier >= 2 => {
+                Some(refuse(ErrorCode::NoSpace, "scripted store failure"))
+            }
+            _ => None,
+        });
+        let (engine, root) = chain_engine("chain-push-fail", 2, &peer);
+        let id = push(&engine);
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.error, ErrorCode::NoSpace);
+        assert_eq!(stats.bytes_moved, 2 * MIN_CHUNK_SIZE);
+        assert_eq!((peer.stores(), peer.discards()), (4, 1));
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn chain_shutdown_mid_push_fails_the_task_and_discards_the_partial() {
+        let (script, held, release) = holding_the_third_store();
+        let peer = ScriptedPeer::spawn(script);
+        let (engine, root) = chain_engine("chain-push-shutdown", 2, &peer);
+        let id = push(&engine);
+        spin_until("the third Store", || held.load(Ordering::SeqCst));
+        // The unit is on a worker, parked on the held `Ok`. Let it out
+        // once shutdown has stopped the pool: that worker then finds
+        // `stop` where it would issue the successor, and ends the chain.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                spin_until("shutdown to stop the pool", || engine.dispatch.lock().stop);
+                release.store(true, Ordering::SeqCst);
+            });
+            engine.shutdown();
+        });
+        let stats = engine.query(id).unwrap();
+        assert_push_ended(&peer, &stats, TaskState::FinishedWithError);
+        assert_eq!(stats.error, ErrorCode::SystemError);
+        assert!(engine.error_message(id).unwrap().contains("shutdown"));
+        assert_chain_gone(&engine, 1, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The pull side of the same chain: a `Fetch` that fails mid-file
+    /// ends it once, and the preallocated local destination goes.
+    #[test]
+    fn chain_failing_fetch_mid_pull_removes_the_partial() {
+        let peer = ScriptedPeer::spawn(|request, earlier| match request {
+            DataRequest::Stat { .. } => Some(Scripted::Answer(DataResponse::Stat {
+                size: CHAIN_UNITS * MIN_CHUNK_SIZE,
+            })),
+            DataRequest::Fetch { .. } if earlier >= 2 => {
+                Some(refuse(ErrorCode::SystemError, "scripted fetch failure"))
+            }
+            DataRequest::Fetch { len, .. } => Some(Scripted::Data(vec![7u8; *len as usize])),
+            _ => None,
+        });
+        let (engine, root) = chain_engine("chain-pull-fail", 2, &peer);
+        let spec = TaskSpec::new(TaskOp::Copy, on_peer("src.dat"), Some(tmp0("pulled")));
+        let id = engine.submit(1, spec, None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.bytes_moved, 2 * MIN_CHUNK_SIZE);
+        let why = engine.error_message(id).unwrap();
+        assert!(why.contains("scripted fetch failure"), "{why}");
+        // Two landed, the third refused and replayed once.
+        assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 4);
+        assert!(!root.join("tmp0/pulled").exists());
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -247,7 +247,14 @@ fn handle_data(
             if let Some(parent) = local.parent() {
                 fs::create_dir_all(parent)?;
             }
-            File::create(&local)?.set_len(size)?;
+            // A failed preallocation must not leave the empty file
+            // behind: the pusher's plan fails on our `Error` before it
+            // has a grid, so no `Discard` follows, and the file's
+            // existence would fake a staged one.
+            if let Err(e) = File::create(&local)?.set_len(size) {
+                let _ = fs::remove_file(&local);
+                return Err(e.into());
+            }
             DataResponse::Ok
         }
         DataRequest::Store { nsid, path, offset } => {
@@ -259,7 +266,7 @@ fn handle_data(
                 .create(true)
                 .truncate(false)
                 .open(engine.resolve_local(&nsid, &path)?)?;
-            land_payload(&mut conn.reader, &mut conn.stream, payload, &file, offset)?;
+            land_payload(&mut conn.reader, &mut conn.stream, &file, offset)?;
             DataResponse::Ok
         }
         DataRequest::Discard { nsid, path } => {
@@ -316,9 +323,9 @@ mod tests {
     /// The next response, with the payload behind it landed the way a
     /// pull lands it.
     fn recv(conn: &mut DataConn, mount: &Path) -> (DataResponse, Vec<u8>) {
-        let (response, len) = conn.recv_response().unwrap();
+        let (response, _) = conn.recv_response().unwrap();
         let landed = mount.join("landed.tmp");
-        conn.recv_payload(len, &File::create(&landed).unwrap(), 0)
+        conn.recv_payload(&File::create(&landed).unwrap(), 0)
             .unwrap();
         (response, fs::read(landed).unwrap())
     }
@@ -539,6 +546,62 @@ mod tests {
             _ => panic!("a pull of a source that shrank must fail"),
         }
         assert!(!mount.join("shrank.dat").exists());
+        server.close_and_join();
+        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// Regression: a `Prepare` whose preallocation failed used to
+    /// leave the empty file it had just created, and nobody discards it
+    /// — the pusher's plan fails on the `Error` before it has anything
+    /// to clean up. No filesystem preallocates 2^64 - 1 bytes.
+    #[test]
+    fn a_prepare_that_cannot_preallocate_leaves_no_file() {
+        let (server, mut conn, mount) = served("efbig");
+        let prepare = DataRequest::Prepare {
+            nsid: "ds0".into(),
+            path: "sub/huge.dat".into(),
+            size: u64::MAX,
+        };
+        let refused = conn.call(&prepare).unwrap();
+        assert!(matches!(refused, DataResponse::Error { .. }), "{refused:?}");
+        assert!(!mount.join("sub/huge.dat").exists(), "a fake destination");
+        server.close_and_join();
+        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// A `Store` whose file write fails with its payload half way
+    /// between socket and file (`/dev/full`: `ENOSPC` on every write)
+    /// is answered with the usual `Error` in its slot, and the `Store`s
+    /// pipelined behind it on the same connection — the same handler
+    /// thread, the same pipe — land byte-exact.
+    #[test]
+    fn a_store_that_fails_mid_range_is_an_error_in_its_slot() {
+        let (server, mut conn, mount) = served("enospc");
+        std::os::unix::fs::symlink("/dev/full", mount.join("full.dat")).unwrap();
+        let step = 1u64 << 20;
+        let data = pattern(3 * step as usize);
+        fs::write(mount.join("src.dat"), &data).unwrap();
+        let src = File::open(mount.join("src.dat")).unwrap();
+
+        let slots = ["dst.dat", "full.dat", "dst.dat", "full.dat", "dst.dat"];
+        let mut good = 0;
+        for path in slots {
+            let offset = if path == "dst.dat" { good * step } else { 0 };
+            good += (path == "dst.dat") as u64;
+            conn.send_store(&store(path, offset), &src, offset, step)
+                .unwrap();
+        }
+        for path in slots {
+            match (path, conn.recv_response().unwrap().0) {
+                ("dst.dat", DataResponse::Ok) => {}
+                ("full.dat", DataResponse::Error { code, .. }) => {
+                    assert_eq!(code, ErrorCode::NoSpace)
+                }
+                (path, other) => panic!("{path} answered {other:?}"),
+            }
+        }
+        assert!(fs::read(mount.join("dst.dat")).unwrap() == data);
+        assert_eq!(server.conns.lock().len(), 1, "the connection survived");
         server.close_and_join();
         let _ = fs::remove_dir_all(&mount);
     }

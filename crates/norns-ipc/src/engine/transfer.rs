@@ -15,9 +15,9 @@
 //!   `fallocate` analog) and each chunk is one scheduler dispatch. A
 //!   chunk is a *scheduling quantum* (the policy re-arbitrates every
 //!   `chunk_size`), a cancel point and a progress step — not a unit of
-//!   parallelism: a local copy has **one lane**, i.e. at most one of
-//!   its chunks is queued or on a worker at a time, and the worker
-//!   that finishes a chunk issues the next. Buffered writers of one
+//!   parallelism: a transfer is a **chain**, i.e. at most one of its
+//!   chunks is queued or on a worker at a time, and the worker that
+//!   finishes a chunk issues the next. Buffered writers of one
 //!   inode serialise on its write lock (`i_rwsem`), so more workers
 //!   inside one destination file move bytes no faster and pay the lock
 //!   hand-offs; the pool's other workers are worth more on *other*
@@ -30,8 +30,10 @@
 //!   | 2–4 threads, same inode      | 22.6–27.0 ms | 2.3–2.8 GiB/s  |
 //!   | 2 threads, different inodes  | 23.4–24.2 ms | 5.2–5.35 GiB/s |
 //!
-//!   Remote transfers keep every lane: each is its own TCP connection,
-//!   and receiving does overlap the file write.
+//!   A remote transfer is a chain too: its destination is one inode on
+//!   the peer (a push) or here (a pull), and the receiving end lands a
+//!   payload with one copy, so a second connection only queued on that
+//!   same lock.
 //! * **Live progress** — every kernel round-trip advances a per-task
 //!   atomic, which `query()` overlays on `bytes_moved`; pollers see a
 //!   transfer advance instead of `0 → total` at completion (the
@@ -321,48 +323,35 @@ pub(crate) trait RangeMover: Send + Sync {
 /// What the worker that just ran a unit owes the grid next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UnitEnd {
-    /// Every unit is accounted for: the caller must
+    /// The chain ended — spent, failed or cancelled: the caller must
     /// [`ChunkGrid::finalize`].
     Last,
-    /// A lane came free with units still to issue: the caller must put
-    /// one more unit in front of the scheduler (or, if it cannot,
-    /// [`ChunkGrid::abort_units`] it).
+    /// Chunks remain: the caller must put the next unit in front of
+    /// the scheduler (or, if it cannot, [`ChunkGrid::abort`] and
+    /// finalize).
     IssueNext,
-    /// Other issued units are still out; nothing to do.
-    Pending,
 }
 
 /// A transfer decomposed into scheduler sub-units (local chunked copy
-/// or remote staging): claims disjoint ranges, tracks unit completion,
-/// records the first stop reason and observes the task's mid-stream
-/// abort flag.
+/// or remote staging): hands out its ranges in file order, records the
+/// first stop reason and observes the task's mid-stream abort flag.
 ///
-/// The grid has `nchunks` units and `lanes` of them may be *issued* —
-/// in the scheduler or on a worker — at once. The planning dispatch is
-/// the first; [`ChunkGrid::issue_initial`] says how many go out behind
-/// it, and from then on a unit that completes hands its lane to a
-/// successor ([`UnitEnd::IssueNext`]). A grid that stopped (failure,
-/// cancel, shutdown) issues nothing further: whoever observes the stop
-/// retires every unit not yet issued along with its own, so each unit
-/// is counted exactly once and whichever completion makes the count
-/// `nchunks` finalizes the task.
+/// The grid's `nchunks` units run as a **chain**: one unit is issued —
+/// in the scheduler or on a worker — at a time, the planning dispatch
+/// being the first, and the worker that ran a unit issues its successor
+/// ([`UnitEnd::IssueNext`]). Whoever holds that one unit therefore owns
+/// the grid: the unit that finds it spent or stopped (failure, cancel),
+/// or whoever aborts a unit that will never run (shutdown), finalizes
+/// the task, and nothing further is issued.
 pub(crate) struct ChunkGrid {
     task_id: u64,
     size: u64,
     chunk_size: u64,
     nchunks: u64,
-    /// Units that may be issued at once (≥ 1), decided by the mover.
-    lanes: u64,
-    /// Units issued so far, the planning dispatch included. SeqCst
-    /// read-modify-writes hand each unit to exactly one issuer.
-    issued: AtomicU64,
-    /// Next unclaimed chunk index.
+    /// Next chunk index; only the holder of the issued unit moves it.
     next_chunk: AtomicU64,
-    /// Units that finished (ran, were aborted or were retired
-    /// unissued); the completion that makes it `nchunks` finalizes.
-    units_done: AtomicU64,
     /// Chunk executions currently on a worker + the high-water mark:
-    /// how many lanes the transfer really used.
+    /// the measured width of the chain, 1 unless units overlapped.
     inflight: AtomicU64,
     peak_inflight: AtomicU64,
     started: Instant,
@@ -378,15 +367,10 @@ pub(crate) struct ChunkGrid {
 }
 
 impl ChunkGrid {
-    /// `lanes` is the mover's call, not configuration: 1 where units
-    /// would only queue on one lock (a local destination inode),
-    /// `u64::MAX` where each unit has a resource of its own (a remote
-    /// transfer's per-worker connection).
     pub fn new(
         task_id: u64,
         size: u64,
         chunk_size: u64,
-        lanes: u64,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
         mover: Box<dyn RangeMover>,
@@ -398,10 +382,7 @@ impl ChunkGrid {
             // Zero-byte transfers still need one unit so the task
             // reaches a terminal state through the normal path.
             nchunks: size.div_ceil(chunk_size).max(1),
-            lanes: lanes.max(1),
-            issued: AtomicU64::new(1),
             next_chunk: AtomicU64::new(0),
-            units_done: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             peak_inflight: AtomicU64::new(0),
             started: Instant::now(),
@@ -424,37 +405,6 @@ impl ChunkGrid {
 
     pub fn progress(&self) -> &AtomicU64 {
         &self.progress
-    }
-
-    /// Issue up to `want` more units; returns how many the caller now
-    /// owns (to enqueue, or to count as done).
-    fn take_units(&self, want: u64) -> u64 {
-        let mut taken = 0;
-        let _ = self
-            .issued
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |issued| {
-                taken = want.min(self.nchunks - issued);
-                Some(issued + taken)
-            });
-        taken
-    }
-
-    /// Units to enqueue behind the planning dispatch: the rest of the
-    /// lanes. Called once, by the planner.
-    pub fn issue_initial(&self) -> u64 {
-        self.take_units(self.lanes - 1)
-    }
-
-    /// Claim the next chunk range, or `None` when the grid is spent,
-    /// a unit already failed, or a cancel was requested (recorded as
-    /// the stop reason so `finalize` reports `Cancelled`).
-    fn claim(&self) -> Option<(u64, u64)> {
-        let idx = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-        if idx >= self.nchunks || self.is_stopped() {
-            return None;
-        }
-        let offset = idx * self.chunk_size;
-        Some((offset, self.chunk_size.min(self.size - offset)))
     }
 
     /// Has `Engine::cancel` asked this transfer to stop?
@@ -482,14 +432,16 @@ impl ChunkGrid {
         self.stopped.lock().is_some()
     }
 
-    /// Count `n` finished units; `true` when they were the last.
-    fn complete_units(&self, n: u64) -> bool {
-        self.units_done.fetch_add(n, Ordering::AcqRel) + n == self.nchunks
-    }
-
-    /// Execute one issued unit and say what its lane does next.
+    /// Execute the issued unit — the next chunk in file order, unless
+    /// a failure or a cancel stopped the grid (a pending cancel request
+    /// is recorded as the stop reason, so `finalize` reports
+    /// `Cancelled`) — and say what follows it.
     pub fn run_unit(&self) -> UnitEnd {
-        if let Some((offset, len)) = self.claim() {
+        let idx = self.next_chunk.fetch_add(1, Ordering::SeqCst);
+        assert!(idx < self.nchunks, "a unit ran past the end of its chain");
+        if !self.is_stopped() {
+            let offset = idx * self.chunk_size;
+            let len = self.chunk_size.min(self.size - offset);
             let inflight = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
             self.peak_inflight.fetch_max(inflight, Ordering::Relaxed);
             if let Err(e) = self.mover.move_range(self, offset, len) {
@@ -497,33 +449,18 @@ impl ChunkGrid {
             }
             self.inflight.fetch_sub(1, Ordering::Relaxed);
         }
-        if self.is_stopped() {
-            // Nothing further is issued: retire the rest with this unit.
-            let unissued = self.take_units(u64::MAX);
-            return if self.complete_units(1 + unissued) {
-                UnitEnd::Last
-            } else {
-                UnitEnd::Pending
-            };
-        }
-        // The successor is taken before this unit is counted, so a
-        // grid with units left to issue can never look complete.
-        let successor = self.take_units(1) == 1;
-        match (self.complete_units(1), successor) {
-            (true, _) => UnitEnd::Last,
-            (false, true) => UnitEnd::IssueNext,
-            (false, false) => UnitEnd::Pending,
+        if self.is_stopped() || idx + 1 == self.nchunks {
+            UnitEnd::Last
+        } else {
+            UnitEnd::IssueNext
         }
     }
 
-    /// Account for `n` issued units that will never run (shutdown
-    /// drained them, or found them before they could be enqueued) and,
-    /// with them, every unit not yet issued. Returns `true` when that
-    /// completed the grid — the caller must then
-    /// [`ChunkGrid::finalize`].
-    pub fn abort_units(&self, n: u64, reason: &str) -> bool {
+    /// The issued unit will never run (shutdown drained it, or found
+    /// it before it could be enqueued): record why. That unit was the
+    /// chain, so the caller must now [`ChunkGrid::finalize`].
+    pub fn abort(&self, reason: &str) {
         self.fail(EngineError::new(ErrorCode::SystemError, reason));
-        self.complete_units(n + self.take_units(u64::MAX))
     }
 
     /// Terminal bookkeeping, run exactly once by the last unit.
@@ -551,9 +488,9 @@ impl ChunkGrid {
 ///
 /// The planner opens both files once and preallocates the
 /// destination; each unit claims the next unclaimed chunk index and
-/// copies that disjoint range. One lane: the destination is one inode
-/// and takes one writer at a time (see the module docs), so the units
-/// run as a chain through the scheduler, one dispatch per chunk.
+/// copies that disjoint range. The destination is one inode and takes
+/// one writer at a time (see the module docs), so the units run as a
+/// chain through the scheduler, one dispatch per chunk.
 pub(crate) struct ChunkedCopy {
     op: TaskOp,
     src: File,
@@ -593,7 +530,6 @@ impl ChunkedCopy {
             task_id,
             size,
             chunk_size,
-            1,
             progress,
             abort,
             Box::new(copy),
@@ -633,8 +569,14 @@ impl RangeMover for ChunkedCopy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+
+    /// Bytes this thread's pooled buffer has grown to: 0 on a thread
+    /// whose payloads never crossed userspace.
+    pub(crate) fn pool_buf_len() -> usize {
+        POOL.with(|cell| cell.borrow().len())
+    }
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =
@@ -681,11 +623,7 @@ mod tests {
             Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
-        // Restated for one lane (was: two extra units up front, three
-        // bare `run_unit`s): nothing goes out behind the planning
-        // dispatch, and each unit that is not the last asks for its
-        // successor.
-        assert_eq!(plan.issue_initial(), 0);
+        // Each unit that is not the last asks for its successor.
         assert_eq!(plan.run_unit(), UnitEnd::IssueNext);
         assert_eq!(plan.run_unit(), UnitEnd::IssueNext);
         assert_eq!(plan.run_unit(), UnitEnd::Last, "third unit is last");
@@ -713,12 +651,10 @@ mod tests {
             Arc::new(AtomicBool::new(false)),
         )
         .unwrap();
-        // Restated for one lane (was: abort one of two units, run the
-        // other): the first unit runs, shutdown catches its successor,
-        // and aborting that one retires the never-issued third with it
-        // — so the abort is the completion that finalizes.
+        // The first unit runs, shutdown catches its successor: the
+        // abort ends the chain, the third chunk is never issued.
         assert_eq!(plan.run_unit(), UnitEnd::IssueNext);
-        assert!(plan.abort_units(1, "shutdown"), "nothing is left to issue");
+        plan.abort("shutdown");
         match plan.finalize() {
             PlanOutcome::Failed(e) => {
                 assert_eq!(e.code, ErrorCode::SystemError);
@@ -748,9 +684,8 @@ mod tests {
             Arc::clone(&abort),
         )
         .unwrap();
-        // Restated for one lane (was: three bare `run_unit`s): the
-        // unit that observes the cancel claims nothing and retires the
-        // never-issued third, so no unit is issued after a cancel.
+        // The unit that observes the cancel moves nothing and ends the
+        // chain, so no unit is issued after a cancel.
         assert_eq!(plan.run_unit(), UnitEnd::IssueNext, "first chunk copies");
         abort.store(true, Ordering::SeqCst);
         assert_eq!(plan.run_unit(), UnitEnd::Last, "cancel ends the chain");
@@ -782,10 +717,9 @@ mod tests {
         }
     }
 
-    /// Drive a 7-unit grid to completion the way the engine does —
-    /// issue what `issue_initial` and every `IssueNext` ask for, run
-    /// what was issued — and return (units run, `Last`s seen).
-    fn drive(lanes: u64, fail_at: u64) -> (u64, u64) {
+    /// Drive a 7-unit grid the way the engine does — run the issued
+    /// unit, issue the next when asked — and return the units run.
+    fn drive(fail_at: u64) -> u64 {
         let moved = Arc::new(AtomicU64::new(0));
         let mover = CountingMover {
             moved: Arc::clone(&moved),
@@ -795,44 +729,28 @@ mod tests {
             1,
             7 * MIN_CHUNK_SIZE,
             MIN_CHUNK_SIZE,
-            lanes,
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicBool::new(false)),
             Box::new(mover),
         );
-        let (mut queued, mut run, mut lasts) = (1 + grid.issue_initial(), 0, 0);
-        assert_eq!(queued, lanes.min(7), "lanes bound the first issue");
-        while queued > 0 {
-            queued -= 1;
+        let mut run = 1;
+        while grid.run_unit() == UnitEnd::IssueNext {
             run += 1;
-            match grid.run_unit() {
-                UnitEnd::Last => lasts += 1,
-                UnitEnd::IssueNext => queued += 1,
-                UnitEnd::Pending => {}
-            }
         }
+        assert_eq!(run, moved.load(Ordering::SeqCst), "one range per unit");
+        assert_eq!(grid.peak_workers(), 1);
         assert_eq!(
             matches!(grid.finalize(), PlanOutcome::Done(_)),
             fail_at == 0
         );
-        (run, lasts)
+        run
     }
 
     #[test]
-    fn every_unit_is_accounted_exactly_once_at_any_lane_count() {
-        for lanes in [1, 2, 7, u64::MAX] {
-            assert_eq!(drive(lanes, 0), (7, 1), "{lanes} lanes, clean");
-            // The third range fails: the units out on the other lanes
-            // still run (and claim nothing), the rest are retired
-            // unissued.
-            let (run, lasts) = drive(lanes, 3);
-            assert_eq!(lasts, 1, "{lanes} lanes, failure");
-            assert_eq!(
-                run,
-                lanes.saturating_add(2).min(7),
-                "{lanes} lanes, failure"
-            );
-        }
+    fn a_chain_runs_every_unit_once_and_a_failure_ends_it() {
+        assert_eq!(drive(0), 7);
+        // The third range fails: nothing is issued behind it.
+        assert_eq!(drive(3), 3);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Shutdown of the data-plane *server*: after a push A→B, A's workers
-//! keep their connections to B cached, and on each of them one of B's
-//! handler threads is parked in `read()`. `B.shutdown()` must unblock
-//! and join those handlers — within a bound, with the client ends
-//! still open — exactly like `daemon_integration`'s
+//! Shutdown of the data-plane *server*: after a push A→B, the worker
+//! of A that ran it keeps its connection to B cached, and on it one of
+//! B's handler threads is parked in `read()`; a second peer has sent B
+//! half a `Store` and gone quiet, so another handler is parked in
+//! `splice()`, inside the payload. `B.shutdown()` must unblock and join
+//! both — within a bound, with the client ends still open — exactly
+//! like `daemon_integration`'s
 //! `shutdown_joins_reader_threads_despite_idle_clients` demands of the
 //! unix sockets.
 //!
@@ -11,10 +13,15 @@
 //! second test running beside it would move the count.
 
 use std::fs;
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, MIN_CHUNK_SIZE};
-use norns_proto::{BackendKind, DataspaceDesc, ResourceDesc, TaskOp, TaskSpec, TaskState};
+use norns_proto::{
+    push_frame, BackendKind, DataRequest, DataspaceDesc, ResourceDesc, TaskOp, TaskSpec, TaskState,
+};
 
 fn proc_threads() -> usize {
     fs::read_to_string("/proc/self/status")
@@ -74,8 +81,8 @@ fn shutdown_joins_data_plane_handlers_parked_on_cached_peer_connections() {
         .register_peer("nodeb", &daemon_b.data_addr().unwrap().to_string())
         .unwrap();
 
-    // 32 chunk sub-units over A's four workers: several of them push,
-    // each over a connection of its own that it then keeps cached.
+    // 32 chunks, one at a time: whichever workers of A ran a unit keep
+    // the connection they pushed it over cached.
     let data: Vec<u8> = (0..32 * MIN_CHUNK_SIZE as usize)
         .map(|i| (i % 251) as u8)
         .collect();
@@ -108,6 +115,27 @@ fn shutdown_joins_data_plane_handlers_parked_on_cached_peer_connections() {
         "one handler per pushing worker of A, found {handlers}"
     );
 
+    // A second peer promises B a megabyte, sends the first 100 KB and
+    // goes quiet with the connection open: once those bytes have
+    // landed, its handler is parked inside the payload.
+    let mut stalled = TcpStream::connect(daemon_b.data_addr().unwrap()).unwrap();
+    let store = DataRequest::Store {
+        nsid: "nodeb-ds".into(),
+        path: "half.dat".into(),
+        offset: 0,
+    };
+    let mut half = BytesMut::new();
+    push_frame(&mut half, None, &store, 1 << 20, |_| ());
+    half.extend_from_slice(&data[..100_000]);
+    stalled.write_all(&half).unwrap();
+    let landed = root.join("nodeb/ds/half.dat");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while fs::metadata(&landed).map_or(0, |m| m.len()) < 100_000 {
+        assert!(Instant::now() < deadline, "the half payload never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(proc_threads(), baseline + 2 * pools + handlers + 1);
+
     let started = Instant::now();
     daemon_b.shutdown();
     let elapsed = started.elapsed();
@@ -123,6 +151,7 @@ fn shutdown_joins_data_plane_handlers_parked_on_cached_peer_connections() {
         baseline + pools,
         "B left threads behind ({handlers} handlers were parked)"
     );
+    drop(stalled);
     drop(ctl_b);
     drop(ctl_a);
     drop(daemon_a);

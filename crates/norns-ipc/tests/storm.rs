@@ -21,14 +21,18 @@
 //! reach exactly zero once the storm settles.
 
 use std::fs;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
 use norns_ipc::{ClientError, CtlClient, DaemonConfig, UrdDaemon, UserClient};
 use norns_proto::{
-    BackendKind, CtlRequest, DataspaceDesc, Durability, ErrorCode, JobDesc, ResourceDesc, Response,
-    TaskOp, TaskSpec,
+    push_frame, BackendKind, CtlRequest, DataRequest, DataResponse, DataspaceDesc, Durability,
+    ErrorCode, FrameReader, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec,
 };
 
 const DRIVERS: usize = 8;
@@ -392,6 +396,42 @@ fn thousand_client_storm() {
         replicated > 0,
         "with {accepted} accepted submissions the storm must land at least one replica"
     );
+    // Every data-plane handler that lands a payload makes itself a pipe
+    // (the `splice` landing's socket → pipe → file); its two fds must
+    // go with the handler thread. 32 connections to the peer's data
+    // plane each land a range and hang up: once their handlers have
+    // seen that, the process holds exactly the fds it held before.
+    let fds_idle = proc_fds();
+    for i in 0..32 {
+        let mut stream = TcpStream::connect(peer.data_addr().unwrap()).unwrap();
+        let store = DataRequest::Store {
+            nsid: "storm0".into(),
+            path: format!("landed-{}.dat", i % 4),
+            offset: 0,
+        };
+        let mut frame = BytesMut::new();
+        push_frame(&mut frame, None, &store, 256 << 10, |_| ());
+        stream.write_all(&frame).unwrap();
+        stream.write_all(&vec![i as u8; 256 << 10]).unwrap();
+        let mut reader = FrameReader::new();
+        let answer = loop {
+            if let Some(answer) = reader.next_message::<DataResponse>().unwrap() {
+                break answer;
+            }
+            assert!(reader.read_from(&mut stream).unwrap() > 0, "peer hung up");
+        };
+        assert_eq!(answer, (DataResponse::Ok, 0));
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while proc_fds() != fds_idle {
+        assert!(
+            Instant::now() < deadline,
+            "fd leak on the data plane: {fds_idle} before 32 landed ranges, {} after",
+            proc_fds()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     drop(ctl);
     drop(daemon);
     drop(peer);

@@ -14,8 +14,9 @@
 //! every reader ([`FrameReader::read_from`]) takes whatever the kernel
 //! buffered. It pops a frame whole ([`FrameReader::next_frame`]), or
 //! its message alone with the payload behind it left on the stream for
-//! [`FrameReader::take_payload`] to move to where it belongs — what the
-//! data plane does with a megabyte `Store` or `Data`.
+//! the caller to move to where it belongs ([`FrameReader::take_buffered`],
+//! [`FrameReader::took_off_stream`]) — what the data plane does with a
+//! megabyte `Store` or `Data`.
 
 use std::io::{self, Read};
 
@@ -240,9 +241,11 @@ impl FrameReader {
     /// The receive-side mirror of [`push_frame`]'s `behind`: pop the
     /// message at the head of the next frame, and the count of payload
     /// bytes that trail it, without waiting for those to be buffered —
-    /// [`FrameReader::take_payload`] moves them from the stream to
-    /// where they belong, and a caller that has no use for them just
-    /// asks for the next message. `Ok(None)` means "need more bytes".
+    /// the caller moves them from the stream to where they belong
+    /// ([`FrameReader::take_buffered`], then the stream itself and
+    /// [`FrameReader::took_off_stream`]), and one that has no use for
+    /// them just asks for the next message. `Ok(None)` means "need
+    /// more bytes".
     ///
     /// A frame shorter than one read is waited for whole, as
     /// [`FrameReader::next_frame`] does. A longer one is decoded as
@@ -290,40 +293,38 @@ impl FrameReader {
         Ok(Some((msg?, self.untaken)))
     }
 
-    /// Hand the payload behind the message [`FrameReader::next_message`]
-    /// last returned to `sink`, in order: first what was buffered with
-    /// the message, then the rest straight off `src` through `piece` —
-    /// one `read` per call of `sink`, so a large payload is copied out
-    /// of the socket once and its receiver works on one piece while the
-    /// kernel queues the next. `src` must block until bytes arrive.
-    /// Errors are `sink`'s own or `src`'s (a stream that ends inside
-    /// the payload is `UnexpectedEof`); whatever was not handed over
-    /// by then stays untaken.
-    pub fn take_payload(
-        &mut self,
-        src: &mut impl Read,
-        piece: &mut [u8],
-        mut sink: impl FnMut(&[u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
+    /// Hand `sink` what is already buffered of the payload behind the
+    /// message [`FrameReader::next_message`] last returned — the bytes
+    /// that arrived in the same reads as the message — and count them
+    /// taken whatever `sink` returns. What [`FrameReader::untaken`]
+    /// reports afterwards is still on the stream.
+    pub fn take_buffered<R>(&mut self, sink: impl FnOnce(&[u8]) -> R) -> R {
         let buffered = self.untaken.min(self.buf.len());
-        if buffered > 0 {
-            self.untaken -= buffered;
-            let sunk = sink(&self.buf[..buffered]);
-            self.buf.advance(buffered);
-            sunk?;
-        }
-        while self.untaken > 0 {
-            let want = self.untaken.min(piece.len());
-            let n = match src.read(&mut piece[..want]) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            self.untaken -= n;
-            sink(&piece[..n])?;
-        }
-        Ok(())
+        self.untaken -= buffered;
+        let sunk = sink(&self.buf[..buffered]);
+        self.buf.advance(buffered);
+        sunk
+    }
+
+    /// Payload bytes behind the last message that nobody took yet.
+    pub fn untaken(&self) -> usize {
+        self.untaken
+    }
+
+    /// The caller moved `n` payload bytes off the stream itself, past
+    /// this reader — to wherever they belong, or nowhere: what counts
+    /// is that they left the stream. Only valid once
+    /// [`FrameReader::take_buffered`] has emptied the buffer, so that
+    /// the next byte on the stream is the next untaken one. Whatever
+    /// is still untaken when the next frame is asked for is skipped.
+    pub fn took_off_stream(&mut self, n: usize) {
+        assert!(
+            self.buf.is_empty() && n <= self.untaken,
+            "{n} bytes taken past a reader holding {} with {} untaken",
+            self.buf.len(),
+            self.untaken
+        );
+        self.untaken -= n;
     }
 }
 
@@ -473,6 +474,31 @@ mod tests {
         }
     }
 
+    /// What a receiver does with the payload behind the last message:
+    /// the buffered prefix first, then reads of at most `piece` bytes
+    /// straight off `src`, each reported to the reader — until the
+    /// payload is whole or `pieces` of them were taken. Returns the
+    /// bytes and the size of each piece.
+    fn take(
+        reader: &mut FrameReader,
+        src: &mut impl Read,
+        piece: usize,
+        pieces: usize,
+    ) -> (Vec<u8>, Vec<usize>) {
+        let mut payload = reader.take_buffered(|prefix| prefix.to_vec());
+        let mut sizes = vec![payload.len()];
+        let mut piece = vec![0u8; piece];
+        while reader.untaken() > 0 && sizes.len() < pieces {
+            let want = reader.untaken().min(piece.len());
+            let n = src.read(&mut piece[..want]).unwrap();
+            assert!(n > 0, "stream ended inside a payload");
+            reader.took_off_stream(n);
+            payload.extend_from_slice(&piece[..n]);
+            sizes.push(n);
+        }
+        (payload, sizes)
+    }
+
     /// Every message of `stream` through the receive path, with the
     /// payload behind it — taken, unless `leave` says to walk past it.
     fn received(
@@ -486,21 +512,16 @@ mod tests {
             sizes,
             turn: 0,
         };
-        let mut piece = vec![0u8; piece];
         let mut reader = FrameReader::new();
         let mut got = Vec::new();
         loop {
             match reader.next_message::<DataRequest>().unwrap() {
                 Some((msg, _)) if leave(got.len()) => got.push((msg, None)),
                 Some((msg, len)) => {
-                    let mut payload = Vec::with_capacity(len);
-                    reader
-                        .take_payload(&mut src, &mut piece, |bytes| {
-                            payload.extend_from_slice(bytes);
-                            Ok(())
-                        })
-                        .unwrap();
+                    assert_eq!(reader.untaken(), len);
+                    let (payload, _) = take(&mut reader, &mut src, piece, usize::MAX);
                     assert_eq!(payload.len(), len);
+                    assert_eq!(reader.untaken(), 0);
                     got.push((msg, Some(payload)));
                 }
                 None if reader.read_from(&mut src).unwrap() == 0 => break,
@@ -523,23 +544,16 @@ mod tests {
         assert_eq!((msg, len), (store("big", 4096), payload.len()));
         assert!(reader.buffered() < READ_CHUNK, "only the head was buffered");
 
-        let mut pieces = Vec::new();
-        let mut got = Vec::new();
-        reader
-            .take_payload(&mut src, &mut vec![0u8; 300_000], |bytes| {
-                pieces.push(bytes.len());
-                got.extend_from_slice(bytes);
-                Ok(())
-            })
-            .unwrap();
+        let (got, pieces) = take(&mut reader, &mut src, 300_000, usize::MAX);
         assert!(got == payload);
         assert_eq!(pieces.len(), 5, "what was buffered, then four reads");
+        assert!(pieces[0] > 0 && pieces[0] < READ_CHUNK);
         assert_eq!(reader.buffered(), 0);
     }
 
     /// Frame alignment on refusal: a payload nobody takes, one whose
-    /// sink gives up half way and a message that does not decode are
-    /// all walked past, and the frame behind each pops intact.
+    /// receiver gives up half way and a message that does not decode
+    /// are all walked past, and the frame behind each pops intact.
     #[test]
     fn an_untaken_payload_is_skipped_before_the_next_frame() {
         let big = pattern((1 << 20) + 5, 9);
@@ -557,16 +571,9 @@ mod tests {
         let mut popped = Vec::new();
         loop {
             match reader.next_message::<DataRequest>() {
-                Ok(Some((msg, _))) if msg == store("half", 0) => {
-                    let mut calls = 0;
-                    let gave_up = reader.take_payload(&mut src, &mut [0u8; 4096], |_| {
-                        calls += 1;
-                        if calls == 3 {
-                            return Err(io::ErrorKind::StorageFull.into());
-                        }
-                        Ok(())
-                    });
-                    assert_eq!(gave_up.unwrap_err().kind(), io::ErrorKind::StorageFull);
+                Ok(Some((msg, len))) if msg == store("half", 0) => {
+                    let (got, _) = take(&mut reader, &mut src, 4096, 3);
+                    assert!(got.len() < len && reader.untaken() == len - got.len());
                     popped.push(Ok(msg));
                 }
                 Ok(Some((msg, _))) => popped.push(Ok(msg)),
@@ -583,17 +590,6 @@ mod tests {
         assert!(undecodable(&popped[2]) && undecodable(&popped[3]));
         assert_eq!(popped[4], Ok(store("kept", 7)));
         assert_eq!(reader.buffered(), 0, "nothing is left over");
-    }
-
-    #[test]
-    fn a_stream_that_ends_inside_a_payload_is_unexpected_eof() {
-        let stream = framed(&store("cut", 0), &pattern(200_000, 1));
-        let mut src = &stream[..150_000];
-        let mut reader = FrameReader::new();
-        reader.read_from(&mut src).unwrap();
-        reader.next_message::<DataRequest>().unwrap().unwrap();
-        let cut = reader.take_payload(&mut src, &mut [0u8; 4096], |_| Ok(()));
-        assert_eq!(cut.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
     proptest! {

@@ -348,12 +348,12 @@ impl<J: Copy, T: Copy + PartialEq, S> Scheduler<J, T, S> {
         });
     }
 
-    /// Admit an internal *sub-unit* of an already-dispatched task (a
-    /// chunk of a large transfer split across workers). Sub-units keep
+    /// Admit an internal *sub-unit* of an already-dispatched task (the
+    /// next chunk of a large transfer). Sub-units keep
     /// the parent's `seq`, `job`, `bytes` and `priority`, so every
     /// policy arbitrates them exactly as it arbitrated the parent:
-    /// FCFS keeps them at the head of the line (idle workers converge
-    /// on the oldest transfer), job-fair interleaves them with other
+    /// FCFS keeps them at the head of the line (the oldest transfer's
+    /// next chunk goes first), job-fair interleaves them with other
     /// jobs' tasks (a huge file cannot monopolize the pool), and SJF
     /// still sees the parent's total size. The capacity bound is *not*
     /// enforced — the parent was already admitted, and refusing a
@@ -362,28 +362,14 @@ impl<J: Copy, T: Copy + PartialEq, S> Scheduler<J, T, S> {
     /// the genuine backlog and admission pushes back on new work while
     /// a large decomposed transfer is queued.
     pub fn enqueue_unit(&mut self, unit: PendingTask<J, T, S>) {
-        self.enqueue_units(std::iter::once(unit));
-    }
-
-    /// Bulk [`Scheduler::enqueue_unit`]: all units of one parent share
-    /// a seq, so the insertion point is found once and the batch is
-    /// spliced in a single O(pending + units) pass — inserting a large
-    /// transfer's thousands of sub-units one by one would be quadratic
-    /// in the unit count (each insert re-scanning its already-inserted
-    /// equal-seq siblings), all under the caller's dispatch lock.
-    pub fn enqueue_units(&mut self, units: impl IntoIterator<Item = PendingTask<J, T, S>>) {
-        let mut units = units.into_iter().peekable();
-        let Some(first) = units.peek() else { return };
         // Insert in seq order (the queue invariant policies rely on),
         // after any existing entries with the same seq.
         let idx = self
             .pending
             .iter()
-            .position(|t| t.seq > first.seq)
+            .position(|t| t.seq > unit.seq)
             .unwrap_or(self.pending.len());
-        let mut tail = self.pending.split_off(idx);
-        self.pending.extend(units);
-        self.pending.append(&mut tail);
+        self.pending.insert(idx, unit);
     }
 
     /// Dispatch the next task if a worker is free. The caller must
@@ -608,27 +594,6 @@ mod tests {
             q.finish();
         }
         assert_eq!(order, vec![2, 10, 3, 11], "chunks interleave with job 2");
-    }
-
-    #[test]
-    fn bulk_units_splice_before_later_tasks() {
-        let mut q = sched(1);
-        q.enqueue(1, 1, 1, DEFAULT_PRIORITY, 0); // seq 0
-        q.enqueue(2, 1, 1, DEFAULT_PRIORITY, 0); // seq 1
-        let parent = q.dispatch().unwrap();
-        assert_eq!(parent.task, 1);
-        q.finish();
-        q.enqueue_units((10..13).map(|t| PendingTask { task: t, ..parent }));
-        let mut order = Vec::new();
-        while let Some(t) = q.dispatch() {
-            order.push(t.task);
-            q.finish();
-        }
-        assert_eq!(
-            order,
-            vec![10, 11, 12, 2],
-            "batch lands at the parent's seq"
-        );
     }
 
     #[test]
