@@ -37,9 +37,10 @@
 //! * [`remote`] — both halves of the TCP data plane. Tasks whose
 //!   input or output is a [`ResourceDesc::RemotePath`] route through
 //!   the peer registry (`RemotePath.host` → data-plane TCP address)
-//!   and stream file ranges to or from the peer daemon, reusing the
-//!   same chunk sub-unit machinery (with every unit issued at once:
-//!   each worker brings its own connection), live progress atomic and
+//!   and stream file ranges to or from the peer daemon as the same
+//!   chain of chunk sub-units — one at a time, over the one
+//!   connection the transfer holds from its plan to its end, whichever
+//!   workers run its units — with the same live progress atomic and
 //!   mid-stream cancel; the peer answers them from its `DataServer`,
 //!   which the daemon hands every accepted data-plane connection.
 //! * [`replication`] — the v8 durability modes: replica pushes behind
@@ -87,7 +88,7 @@ use registry::Registry;
 use remote::{Direction, RemoteTransfer};
 use replication::{ReplRequest, ReplState};
 use shard::{ShardedTaskTable, TaskEntry};
-use transfer::{copy_tree, ChunkGrid, ChunkedCopy, PlanOutcome, UnitEnd};
+use transfer::{copy_tree, Chain, ChunkedCopy, End, PlanOutcome, Step};
 use waits::WaitSubs;
 
 /// Default bound on the pending task set.
@@ -172,8 +173,8 @@ pub struct EngineConfig {
     /// Transfers larger than this are decomposed into chunk sub-units;
     /// clamped to at least [`MIN_CHUNK_SIZE`].
     pub chunk_size: u64,
-    /// Range requests each worker keeps in flight per data-plane
-    /// connection during remote staging; `1` is stop-and-wait, clamped
+    /// Range requests a remote transfer keeps in flight on its
+    /// data-plane connection; `1` is stop-and-wait, clamped
     /// to `1..=`[`MAX_REMOTE_WINDOW`](crate::MAX_REMOTE_WINDOW).
     pub remote_window: usize,
     /// Peers a [`Durability::Synchronous`] stage-out replicates to
@@ -203,9 +204,9 @@ enum Work {
         payload: Option<Vec<u8>>,
         route: Route,
     },
-    /// One sub-unit of a decomposed transfer (local chunked copy or
-    /// remote staging).
-    Chunk(Arc<ChunkGrid>),
+    /// The issued unit of a decomposed transfer (local chunked copy or
+    /// remote staging): the chain itself, owned by whoever holds it.
+    Chunk(Box<Chain>),
 }
 
 /// Pending work behind the dispatch mutex: the shared scheduler holds
@@ -222,7 +223,7 @@ enum Outcome {
     Done(u64),
     /// Decomposed into a chunked or remote transfer whose units go
     /// through the scheduler.
-    Chunked(Arc<ChunkGrid>),
+    Chunked(Box<Chain>),
 }
 
 /// The far end of a remote staging leg: a path in a peer's dataspace.
@@ -258,8 +259,7 @@ pub struct Engine {
     running_count: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
-    /// High-water mark of workers simultaneously moving chunks of one
-    /// transfer: 1, local or remote — the measured width of a chain.
+    /// 1 once a chain has ended (see [`Engine::peak_chunk_workers`]).
     peak_chunk_workers: AtomicU64,
     chunk_size: u64,
     /// Requests kept in flight per data-plane connection (remote
@@ -411,7 +411,7 @@ impl Engine {
         for (id, work) in orphaned {
             match work {
                 Work::Whole { .. } => self.mark_cancelled(id),
-                Work::Chunk(plan) => self.abort_chunked(&plan),
+                Work::Chunk(chain) => self.chain_ended(chain.abort(SHUTDOWN_MID_TRANSFER)),
             }
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
@@ -467,8 +467,10 @@ impl Engine {
         self.cancelled.load(Ordering::SeqCst)
     }
 
-    /// High-water mark of workers simultaneously executing chunks of a
-    /// single decomposed transfer: 1, every transfer being a chain.
+    /// Workers that ever moved chunks of one transfer at once. Kept for
+    /// `benchmark/`'s `engine.peak_chunk_workers` alone: a chain has one
+    /// owner, so it reads 1 once a chain has ended (0 before) and can
+    /// read nothing else.
     pub fn peak_chunk_workers(&self) -> u64 {
         self.peak_chunk_workers.load(Ordering::Relaxed)
     }
@@ -865,70 +867,70 @@ impl Engine {
                     self.dispatch_cv.wait(&mut st);
                 }
             };
-            let successor = match work {
+            let step = match work {
                 Work::Whole {
                     spec,
                     payload,
                     route,
                 } => self.execute_whole(pending.task, &spec, payload.as_deref(), &route),
-                Work::Chunk(plan) => self.run_unit(plan),
+                Work::Chunk(chain) => Some(chain.step()),
             };
-            self.finish_dispatch(&pending, successor);
+            self.finish_dispatch(&pending, step);
         }
     }
 
-    /// Run one issued unit of `plan` on this worker. Hands the plan
-    /// back when the unit's lane goes to a successor, which
-    /// [`Engine::finish_dispatch`] then issues.
-    fn run_unit(&self, plan: Arc<ChunkGrid>) -> Option<Arc<ChunkGrid>> {
-        match plan.run_unit() {
-            UnitEnd::Last => {
-                self.finalize_chunked(&plan);
+    /// Close one dispatch: settle the `step` of a chain it ran, if it
+    /// ran one, and free the worker slot. A chain that ended is its
+    /// task's terminal transition; one handed back is issued again in
+    /// the critical section that frees the slot. The successor carries
+    /// the dispatched entry's job / priority / size / seq, so
+    /// arbitration treats it exactly like its parent: FCFS puts it
+    /// back at the head of the line, SJF and fair-share weigh it
+    /// against whatever arrived meanwhile. No wake: this worker is
+    /// about to ask the scheduler for work itself.
+    fn finish_dispatch(&self, done: &PendingTask<u64, u64, u64>, step: Option<Step>) {
+        let successor = match step {
+            Some(Step::Next(chain)) => Some(chain),
+            Some(Step::End(end)) => {
+                self.chain_ended(end);
                 None
             }
-            UnitEnd::IssueNext => Some(plan),
-        }
-    }
-
-    /// Close one dispatch: free the worker slot and, in the same
-    /// critical section, issue the `successor` unit the dispatch left
-    /// behind. The successor carries the dispatched entry's job /
-    /// priority / size / seq, so arbitration treats it exactly like
-    /// its parent: FCFS puts it back at the head of the line, SJF and
-    /// fair-share weigh it against whatever arrived meanwhile. No wake:
-    /// this worker is about to ask the scheduler for work itself.
-    fn finish_dispatch(
-        &self,
-        done: &PendingTask<u64, u64, u64>,
-        successor: Option<Arc<ChunkGrid>>,
-    ) {
+            None => None,
+        };
         let mut st = self.dispatch.lock();
         st.sched.finish();
-        let Some(plan) = successor else { return };
+        let Some(chain) = successor else { return };
         if st.stop {
             // Nobody will dispatch it: the chain ends here.
             drop(st);
-            self.abort_chunked(&plan);
+            self.chain_ended(chain.abort(SHUTDOWN_MID_TRANSFER));
             return;
         }
         let unit_id = self.next_unit.fetch_add(1, Ordering::SeqCst);
-        st.work.insert(unit_id, Work::Chunk(plan));
+        st.work.insert(unit_id, Work::Chunk(chain));
         st.sched.enqueue_unit(PendingTask {
             task: unit_id,
             ..*done
         });
     }
 
-    /// Worker-thread execution of one whole task (which may decompose
-    /// into a chunked or remote transfer on the way; the return value
-    /// is [`Engine::run_unit`]'s).
+    /// A chain ended — on the worker that ran its last unit, or where
+    /// shutdown found its issued unit — and its task with it.
+    fn chain_ended(&self, end: End) {
+        self.peak_chunk_workers.store(1, Ordering::Relaxed);
+        self.complete_task(end.task_id, end.outcome, end.elapsed_usec);
+    }
+
+    /// Worker-thread execution of one whole task. One that decomposes
+    /// into a chunked or remote transfer on the way runs the chain's
+    /// first unit here and returns what that left.
     fn execute_whole(
         &self,
         task_id: u64,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
         route: &Route,
-    ) -> Option<Arc<ChunkGrid>> {
+    ) -> Option<Step> {
         let start = Instant::now();
         let (progress, abort) = self
             .tasks
@@ -941,34 +943,17 @@ impl Engine {
         self.pending_count.fetch_sub(1, Ordering::SeqCst);
         self.running_count.fetch_add(1, Ordering::SeqCst);
         let outcome = match self.run_transfer(task_id, spec, payload, route, &progress, &abort) {
-            Ok(Outcome::Chunked(plan)) => {
-                // The plan honors the abort flag: from here on a cancel
+            Ok(Outcome::Chunked(chain)) => {
+                // The chain honors the abort flag: from here on a cancel
                 // interrupts the transfer mid-stream.
                 self.tasks.update(task_id, |t| t.abortable = true);
-                // Work the first unit ourselves; whichever worker runs
-                // the chain's last unit finalizes the task.
-                return self.run_unit(plan);
+                return Some(chain.step());
             }
             Ok(Outcome::Done(moved)) => PlanOutcome::Done(moved),
             Err(e) => PlanOutcome::Failed(e),
         };
         self.complete_task(task_id, outcome, start.elapsed().as_micros() as u64);
         None
-    }
-
-    /// Shutdown found `plan`'s one issued unit where no worker will
-    /// dispatch it: the chain ends here, and its task with it.
-    fn abort_chunked(&self, plan: &ChunkGrid) {
-        plan.abort(SHUTDOWN_MID_TRANSFER);
-        self.finalize_chunked(plan);
-    }
-
-    /// Terminal bookkeeping for a decomposed transfer, run by the last
-    /// unit.
-    fn finalize_chunked(&self, plan: &ChunkGrid) {
-        self.peak_chunk_workers
-            .fetch_max(plan.peak_workers(), Ordering::Relaxed);
-        self.complete_task(plan.task_id(), plan.finalize(), plan.elapsed_usec());
     }
 
     /// Funnel for every worker-driven terminal transition. A landed
@@ -1450,7 +1435,7 @@ mod tests {
         engine.shutdown();
     }
 
-    fn tiny_write(path: &str) -> TaskSpec {
+    pub(crate) fn tiny_write(path: &str) -> TaskSpec {
         TaskSpec::new(
             TaskOp::Copy,
             ResourceDesc::MemoryRegion { addr: 0, size: 4 },
@@ -1960,7 +1945,6 @@ mod tests {
             b.wait_usec,
             a.elapsed_usec
         );
-        assert_eq!(engine.peak_chunk_workers(), 1, "one writer per file");
         assert_eq!(
             fs::read(root.join("tmp0/b.out")).unwrap().len() as u64,
             b.bytes_total

@@ -1,8 +1,10 @@
-//! The client end of one data-plane connection, the per-worker cache
-//! that keeps it open between transfers, and the three things both
-//! ends of a connection do the same way: tune the socket ([`tune`]),
-//! put a file range on it ([`send_file_range`]) and land a payload
-//! from it in a file ([`land_payload`]).
+//! The client end of one data-plane connection, the hold a transfer
+//! has on it from its plan to its end ([`HeldConn`], with the one rule
+//! for a connection that went stale), the per-worker cache that keeps
+//! it open between transfers, and the three things both ends of a
+//! connection do the same way: tune the socket ([`tune`]), put a file
+//! range on it ([`send_file_range`]) and land a payload from it in a
+//! file ([`land_payload`]).
 //!
 //! A [`DataConn`] puts a request on the wire one way — frame header +
 //! request in a single write, then (for `Store`) the payload — and
@@ -39,7 +41,7 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Bound on any single data-plane read/write. Generous — one bounded
 /// range, not a whole file, travels per syscall. On the serving end it
 /// is also how long a handler waits on an idle peer before closing the
-/// connection; the peer's next request then finds its cached
+/// connection; the peer's next transfer then finds its cached
 /// connection stale and replays on a fresh one.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -466,24 +468,25 @@ struct CachedConn {
 
 thread_local! {
     /// Per-worker connection cache, keyed by peer address, with a
-    /// monotonically increasing use counter. Each transfer borrows a
-    /// cached connection instead of paying a TCP handshake per chunk;
-    /// the cache is **bounded** at [`CONN_CACHE_CAP`] entries with
-    /// least-recently-used eviction, so a long-lived daemon talking to
-    /// a rotating peer set cannot leak one socket per former peer per
-    /// worker thread.
+    /// monotonically increasing use counter. A transfer takes the
+    /// connection of the worker that plans it, instead of paying a TCP
+    /// handshake per transfer, and leaves it with the worker that ends
+    /// it ([`HeldConn`]); the cache is **bounded** at
+    /// [`CONN_CACHE_CAP`] entries with least-recently-used eviction, so
+    /// a long-lived daemon talking to a rotating peer set cannot leak
+    /// one socket per former peer per worker thread.
     static CONN_CACHE: RefCell<(HashMap<String, CachedConn>, u64)> =
         RefCell::new((HashMap::new(), 0));
 }
 
 /// Take this worker's cached connection to `addr`, if any.
-pub(super) fn take_conn(addr: &str) -> Option<DataConn> {
+fn take_conn(addr: &str) -> Option<DataConn> {
     CONN_CACHE.with(|c| c.borrow_mut().0.remove(addr).map(|e| e.conn))
 }
 
 /// Return a healthy connection to the cache, evicting the
 /// least-recently-used entry if the bound is hit.
-pub(super) fn store_conn(addr: &str, conn: DataConn) {
+fn store_conn(addr: &str, conn: DataConn) {
     CONN_CACHE.with(|c| {
         let (map, tick) = &mut *c.borrow_mut();
         *tick += 1;
@@ -504,6 +507,70 @@ pub(super) fn store_conn(addr: &str, conn: DataConn) {
             },
         );
     });
+}
+
+/// The connection to `addr` one transfer holds from its plan to its
+/// end: the planning worker's cached one, or one opened by the first
+/// exchange that finds none. Every exchange of the transfer rides it —
+/// one connection, one handler thread on the peer, whichever workers
+/// run the transfer's units — and it goes to the cache of the thread
+/// that drops the transfer.
+pub(super) struct HeldConn {
+    addr: String,
+    conn: Option<DataConn>,
+}
+
+impl HeldConn {
+    pub fn acquire(addr: &str) -> HeldConn {
+        HeldConn {
+            addr: addr.to_string(),
+            conn: take_conn(addr),
+        }
+    }
+
+    /// Run `exchange` over the held connection. An `Err` from it means
+    /// the *connection* failed, as every `Err` of a [`DataConn`] call
+    /// does; whatever the peer answered, refusals included, is its
+    /// `Ok` value, beside whether the connection is still in step
+    /// (every response it owes has been read) and may be kept.
+    ///
+    /// The one retry rule of the data plane's client: a connection
+    /// this call did not open may just have gone stale (peer
+    /// restarted, idle timeout), so its failure reopens it, once, and
+    /// runs `exchange` again — which must replay only what it has not
+    /// seen acknowledged. Safe because every data request is
+    /// idempotent: `Fetch`/`Store` name absolute ranges,
+    /// `Stat`/`Prepare`/`Discard` are naturally re-runnable.
+    pub fn exchange<T>(
+        &mut self,
+        mut exchange: impl FnMut(&mut DataConn) -> Result<(T, bool), EngineError>,
+    ) -> Result<T, EngineError> {
+        let (mut conn, mut may_reopen) = match self.conn.take() {
+            Some(conn) => (conn, true),
+            None => (DataConn::connect(&self.addr)?, false),
+        };
+        loop {
+            match exchange(&mut conn) {
+                Ok((answer, in_step)) => {
+                    self.conn = in_step.then_some(conn);
+                    return Ok(answer);
+                }
+                Err(_) if may_reopen => {
+                    may_reopen = false;
+                    conn = DataConn::connect(&self.addr)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Drop for HeldConn {
+    fn drop(&mut self) {
+        if let Some(conn) = self.conn.take() {
+            store_conn(&self.addr, conn);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,31 +9,35 @@
 //! through its peer registry and streams file ranges to or from the
 //! peer's data-plane listener using the framed
 //! [`DataRequest`]/[`DataResponse`] protocol (wire v4). [`conn`] is
-//! one client connection and the per-worker cache of them; [`server`]
-//! answers the protocol on the peer, one blocking handler thread per
-//! accepted connection.
+//! one client connection, a transfer's hold on it and the per-worker
+//! cache it rests in between transfers; [`server`] answers the
+//! protocol on the peer, one blocking handler thread per accepted
+//! connection.
 //!
-//! Remote transfers reuse the whole chunk machinery: a transfer larger
+//! A remote transfer is a [`Chain`] like a local copy's: one larger
 //! than the configured chunk size decomposes into chunk sub-units fed
-//! back through `norns-sched`, each unit moving one disjoint range — a
-//! chain like a local copy's, one unit in flight per destination file:
-//! the receiving end lands a payload with one copy, so a second
-//! connection into the same file only queued on its inode's write
-//! lock, and the workers and connections it held go to other transfers.
+//! back through `norns-sched` one at a time, each moving one disjoint
+//! range — one unit in flight per destination file: the receiving end
+//! lands a payload with one copy, so a second connection into the same
+//! file only queued on its inode's write lock, and the workers and
+//! connections it held go to other transfers. The chain's mover *holds
+//! its connection* from `plan` to `finish`: the `Stat`/`Prepare`, every
+//! range of every unit and a `Discard` ride one connection and one
+//! handler thread on the peer, whichever workers lend the threads.
 //!
-//! **Pipelining.** Within a unit, ranges no longer travel as strict
+//! **Pipelining.** Within a unit, ranges do not travel as strict
 //! stop-and-wait round-trips: the worker keeps up to `window`
-//! [`MAX_DATA_RANGE`]-bounded requests in flight on one connection,
+//! [`MAX_DATA_RANGE`]-bounded requests in flight on the connection,
 //! writing a window of `Fetch`/`Store` frames before draining their
 //! responses in request order (the peer's data-plane loop services a
 //! connection's requests sequentially, so responses arrive in order).
 //! That keeps the wire full instead of paying a full client⇆server
-//! turnaround per range. `window == 1` reproduces the old
-//! stop-and-wait behavior exactly. Every drained response advances the
+//! turnaround per range. `window == 1` is stop-and-wait. The window is
+//! drained at each unit's end. Every drained response advances the
 //! task's live progress atomic, and the abort flag is observed between
 //! window refills, so `query()` shows a remote transfer advancing and
 //! `cancel()` interrupts one mid-stream (in-flight responses are
-//! drained so a cached connection never desynchronizes).
+//! drained so the connection never desynchronizes).
 //!
 //! **Syscall fast paths.** A payload leaves through one `sendfile(2)`
 //! loop whichever end sends it — a `Store`'s on the pushing side, a
@@ -53,10 +57,13 @@
 //! (`NotFound`); unreachable peers fail the task with a bounded
 //! connect timeout instead of hanging; a failed or cancelled pull
 //! removes the preallocated local destination, a failed or cancelled
-//! push asks the peer to discard the partial remote file. A failure on
-//! a *cached* connection retries the remaining ranges once on a fresh
-//! connection — safe because every range names an absolute offset
-//! (idempotent replay).
+//! push asks the peer to discard the partial remote file. A peer's
+//! `Error` is an answer — it ends the transfer with the peer's code,
+//! over a connection that stays good. A *connection* that fails, if it
+//! came out of the cache or has been held since an earlier exchange,
+//! is reopened once and the unacknowledged remainder replayed
+//! ([`HeldConn::exchange`], the one retry rule) — safe because every
+//! range names an absolute offset (idempotent replay).
 
 mod conn;
 mod server;
@@ -71,8 +78,8 @@ use std::time::Duration;
 use norns_proto::{DataRequest, DataResponse, ErrorCode, MAX_DATA_RANGE};
 
 use super::error::EngineError;
-use super::transfer::{truncated, ChunkGrid, RangeMover};
-use conn::{store_conn, take_conn, DataConn};
+use super::transfer::{truncated, Chain, RangeMover};
+use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
 
@@ -94,29 +101,10 @@ const RANGE_STEP_FLOOR: u64 = 256 << 10;
 /// mid-restart to come back up and bind its data listener.
 const DISCARD_RETRY_DELAY: Duration = Duration::from_millis(200);
 
-/// Run one request/response round-trip against `addr`, reusing this
-/// worker's cached connection. A failure on a *cached* connection may
-/// just mean it went stale (peer restarted, idle timeout), so the
-/// round-trip is retried once on a fresh connection — safe because
-/// every data request is idempotent (`Fetch`/`Store` name absolute
-/// ranges; `Stat`/`Prepare`/`Discard` are naturally re-runnable). The
-/// peer's `Error` response comes back as ours.
-fn round_trip(addr: &str, req: &DataRequest) -> Result<DataResponse, EngineError> {
-    if let Some(mut conn) = take_conn(addr) {
-        if let Ok(resp) = conn.call(req) {
-            store_conn(addr, conn);
-            return reply(resp);
-        }
-        // Stale: drop it and fall through to a fresh connection.
-    }
-    let mut conn = DataConn::connect(addr)?;
-    let resp = conn.call(req)?;
-    store_conn(addr, conn);
-    reply(resp)
-}
+/// What the peer said to one request: its `Error` response is ours.
+type Answer<T> = Result<T, EngineError>;
 
-/// A peer's answer as a `Result`: its `Error` response is ours.
-fn reply(resp: DataResponse) -> Result<DataResponse, EngineError> {
+fn answer(resp: DataResponse) -> Answer<DataResponse> {
     match resp {
         DataResponse::Error { code, message } => Err(EngineError::new(code, message)),
         other => Ok(other),
@@ -130,22 +118,15 @@ fn unexpected(resp: &DataResponse) -> EngineError {
     )
 }
 
-/// A round-trip whose only interesting success is `Ok`.
-fn expect_ok(addr: &str, req: &DataRequest) -> Result<(), EngineError> {
-    match round_trip(addr, req)? {
-        DataResponse::Ok => Ok(()),
-        other => Err(unexpected(&other)),
-    }
+/// One request/response round-trip over `conn`.
+fn round_trip(conn: &mut HeldConn, req: &DataRequest) -> Result<DataResponse, EngineError> {
+    answer(conn.exchange(|conn| Ok((conn.call(req)?, true)))?)
 }
 
-/// `Stat` round-trip: the remote file's size in bytes.
-fn stat(addr: &str, nsid: &str, path: &str) -> Result<u64, EngineError> {
-    let req = DataRequest::Stat {
-        nsid: nsid.into(),
-        path: path.into(),
-    };
-    match round_trip(addr, &req)? {
-        DataResponse::Stat { size } => Ok(size),
+/// A round-trip whose only interesting success is `Ok`.
+fn expect_ok(conn: &mut HeldConn, req: &DataRequest) -> Result<(), EngineError> {
+    match round_trip(conn, req)? {
+        DataResponse::Ok => Ok(()),
         other => Err(unexpected(&other)),
     }
 }
@@ -159,36 +140,36 @@ pub(crate) enum Direction {
     Push,
 }
 
-/// How one windowed exchange over a connection ended.
-enum WindowEnd {
-    /// Every planned range was acknowledged.
-    Complete,
-    /// The abort flag interrupted the exchange; `true` iff the
-    /// connection drained cleanly and may be reused.
-    Cancelled(bool),
+/// A remote staging transfer decomposed into chunk sub-units: its two
+/// ends, and the connection between them.
+pub(crate) struct RemoteTransfer {
+    ends: Ends,
+    conn: HeldConn,
 }
 
-/// A remote staging transfer decomposed into chunk sub-units.
-pub(crate) struct RemoteTransfer {
+/// What a remote transfer moves, and how its ranges travel.
+struct Ends {
     direction: Direction,
-    /// Peer data-plane address (resolved from the peer registry).
-    addr: String,
     /// Remote endpoint inside the peer's dataspace.
     nsid: String,
     rpath: String,
     /// Local endpoint: the pull destination or push source.
     local: File,
     local_path: PathBuf,
-    /// Requests kept in flight per connection (≥ 1; 1 = stop-and-wait).
+    /// Requests kept in flight on the connection (≥ 1; 1 =
+    /// stop-and-wait).
     window: usize,
+    progress: Arc<AtomicU64>,
+    abort: Arc<AtomicBool>,
 }
 
 impl RemoteTransfer {
-    /// Plan a transfer and lay out its chunk grid. A pull probes the
+    /// Plan a transfer and lay out its chain. A pull probes the
     /// remote size and preallocates the local destination; a push
     /// opens the local source and asks the peer to create and
-    /// preallocate the destination. The grid's `size()` is the
+    /// preallocate the destination. The chain's `size()` is the
     /// now-known transfer size (a pull's submit-time estimate was 0).
+    /// `window` is the engine's, already clamped.
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
         task_id: u64,
@@ -201,10 +182,18 @@ impl RemoteTransfer {
         window: usize,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
-    ) -> Result<Arc<ChunkGrid>, EngineError> {
+    ) -> Result<Box<Chain>, EngineError> {
+        let mut conn = HeldConn::acquire(addr);
         let (local, size) = match direction {
             Direction::Pull => {
-                let size = stat(addr, nsid, rpath)?;
+                let stat = DataRequest::Stat {
+                    nsid: nsid.into(),
+                    path: rpath.into(),
+                };
+                let size = match round_trip(&mut conn, &stat)? {
+                    DataResponse::Stat { size } => size,
+                    other => return Err(unexpected(&other)),
+                };
                 if let Some(parent) = local_path.parent() {
                     fs::create_dir_all(parent)?;
                 }
@@ -234,26 +223,27 @@ impl RemoteTransfer {
                     path: rpath.into(),
                     size: meta.len(),
                 };
-                expect_ok(addr, &prepare)?;
+                expect_ok(&mut conn, &prepare)?;
                 (local, meta.len())
             }
         };
-        let transfer = RemoteTransfer {
+        let ends = Ends {
             direction,
-            addr: addr.to_string(),
             nsid: nsid.to_string(),
             rpath: rpath.to_string(),
             local,
             local_path: local_path.to_path_buf(),
-            window: window.clamp(1, MAX_REMOTE_WINDOW),
+            window,
+            progress: Arc::clone(&progress),
+            abort: Arc::clone(&abort),
         };
-        Ok(ChunkGrid::new(
+        Ok(Chain::new(
             task_id,
             size,
             chunk_size,
             progress,
             abort,
-            Box::new(transfer),
+            Box::new(RemoteTransfer { ends, conn }),
         ))
     }
 
@@ -271,6 +261,34 @@ impl RemoteTransfer {
             .min(len)
     }
 
+    /// Remove whatever the interrupted transfer left behind: the
+    /// preallocated local destination of a pull, or (best-effort) the
+    /// partial remote destination of a push.
+    fn cleanup(&mut self) {
+        match self.ends.direction {
+            Direction::Pull => {
+                let _ = fs::remove_file(&self.ends.local_path);
+            }
+            Direction::Push => {
+                let req = DataRequest::Discard {
+                    nsid: self.ends.nsid.clone(),
+                    path: self.ends.rpath.clone(),
+                };
+                if expect_ok(&mut self.conn, &req).is_err() {
+                    // The peer was caught mid-restart (a transient
+                    // error, a dead listener). Give it a beat and
+                    // replay the Discard once — over a fresh
+                    // connection if that one failed — otherwise the
+                    // `Prepare`d remote partial is stranded forever.
+                    std::thread::sleep(DISCARD_RETRY_DELAY);
+                    let _ = expect_ok(&mut self.conn, &req);
+                }
+            }
+        }
+    }
+}
+
+impl Ends {
     /// Send the request for the range at `off` of `len` bytes (no
     /// response handling — that's the drain half of the window loop).
     fn send_range(&self, conn: &mut DataConn, off: u64, len: u64) -> Result<(), EngineError> {
@@ -294,151 +312,87 @@ impl RemoteTransfer {
         }
     }
 
-    /// Drain and apply the response for the range at `off` of `len`
-    /// bytes (responses arrive in request order).
-    fn recv_range(&self, conn: &mut DataConn, off: u64, len: u64) -> Result<(), EngineError> {
+    /// Read the response for the range at `off` of `len` bytes
+    /// (responses arrive in request order) and land its payload.
+    fn recv_range(
+        &self,
+        conn: &mut DataConn,
+        off: u64,
+        len: u64,
+    ) -> Result<Answer<()>, EngineError> {
         let (resp, payload) = conn.recv_response()?;
-        match (self.direction, reply(resp)?) {
+        Ok(match (self.direction, answer(resp)) {
+            (_, Err(refusal)) => Err(refusal),
             // A payload of the wrong length is left where it is: the
             // connection skips it before the next response.
-            (Direction::Pull, DataResponse::Data) if payload as u64 != len => {
+            (Direction::Pull, Ok(DataResponse::Data)) if payload as u64 != len => {
                 Err(truncated("remote", off + payload as u64))
             }
-            (Direction::Pull, DataResponse::Data) => conn.recv_payload(&self.local, off),
-            (Direction::Push, DataResponse::Ok) => Ok(()),
-            (_, other) => Err(unexpected(&other)),
-        }
+            (Direction::Pull, Ok(DataResponse::Data)) => {
+                conn.recv_payload(&self.local, off)?;
+                Ok(())
+            }
+            (Direction::Push, Ok(DataResponse::Ok)) => Ok(()),
+            (_, Ok(other)) => Err(unexpected(&other)),
+        })
     }
 
-    /// Run one windowed exchange: keep up to `self.window` range
-    /// requests in flight on `conn`, draining responses in order.
-    /// `acked` advances past each confirmed range so a retry after a
-    /// connection failure resumes from the first unconfirmed byte.
+    /// Run one windowed exchange ([`HeldConn::exchange`]'s contract):
+    /// keep up to `self.window` requests for `step`-byte ranges in
+    /// flight on `conn` from `*acked` to `end`, reading responses in
+    /// order; `acked` advances past each confirmed range, so a rerun
+    /// over a reopened connection resumes from the first unconfirmed
+    /// byte. The abort flag or a refusal stops the refills, and what
+    /// is in flight is drained so the connection stays frame-aligned;
+    /// a drain that fails just costs the connection.
     fn run_window(
         &self,
-        grid: &ChunkGrid,
         conn: &mut DataConn,
-        offset: u64,
-        len: u64,
-        step: u64,
         acked: &mut u64,
-    ) -> Result<WindowEnd, EngineError> {
-        let end = offset + len;
-        let mut next = offset;
+        end: u64,
+        step: u64,
+    ) -> Result<(Answer<()>, bool), EngineError> {
+        let mut next = *acked;
         let mut inflight: VecDeque<(u64, u64)> = VecDeque::with_capacity(self.window);
-        loop {
-            // Refill the window (the abort flag is observed here,
-            // between refills, exactly as the stop-and-wait path
-            // observed it between round-trips).
-            if !grid.abort_requested() {
-                while inflight.len() < self.window && next < end {
-                    let l = step.min(end - next);
-                    self.send_range(conn, next, l)?;
-                    inflight.push_back((next, l));
-                    next += l;
-                }
+        let mut refused = None;
+        let in_step = loop {
+            let stopping = refused.is_some() || self.abort.load(Ordering::SeqCst);
+            while !stopping && inflight.len() < self.window && next < end {
+                let len = step.min(end - next);
+                self.send_range(conn, next, len)?;
+                inflight.push_back((next, len));
+                next += len;
             }
-            if grid.abort_requested() {
-                // Stop issuing and drain what's in flight so the
-                // connection stays frame-aligned and reusable; a
-                // drain failure just poisons the connection.
-                let mut clean = true;
-                while let Some((off, l)) = inflight.pop_front() {
-                    if self.recv_range(conn, off, l).is_err() {
-                        clean = false;
-                        break;
-                    }
-                    *acked += l;
-                    grid.progress().fetch_add(l, Ordering::Relaxed);
-                }
-                grid.cancel();
-                return Ok(WindowEnd::Cancelled(clean));
-            }
-            let Some((off, l)) = inflight.pop_front() else {
-                return Ok(WindowEnd::Complete);
+            let Some((off, len)) = inflight.pop_front() else {
+                break true;
             };
-            self.recv_range(conn, off, l)?;
-            *acked += l;
-            grid.progress().fetch_add(l, Ordering::Relaxed);
-        }
-    }
-
-    /// Remove whatever the interrupted transfer left behind: the
-    /// preallocated local destination of a pull, or (best-effort) the
-    /// partial remote destination of a push.
-    fn cleanup(&self) {
-        match self.direction {
-            Direction::Pull => {
-                let _ = fs::remove_file(&self.local_path);
-            }
-            Direction::Push => {
-                let req = DataRequest::Discard {
-                    nsid: self.nsid.clone(),
-                    path: self.rpath.clone(),
-                };
-                if expect_ok(&self.addr, &req).is_err() {
-                    // The attempt rode this worker's cached connection
-                    // or caught the peer mid-restart (a transient
-                    // error, a dead listener). Give the peer a beat
-                    // and replay the Discard once — `round_trip` drops
-                    // a connection that failed, so this one connects
-                    // afresh — otherwise the `Prepare`d remote partial
-                    // is stranded forever.
-                    std::thread::sleep(DISCARD_RETRY_DELAY);
-                    let _ = expect_ok(&self.addr, &req);
+            match self.recv_range(conn, off, len) {
+                Ok(Ok(())) => {
+                    *acked += len;
+                    self.progress.fetch_add(len, Ordering::Relaxed);
                 }
+                Ok(Err(refusal)) => {
+                    refused.get_or_insert(refusal);
+                }
+                Err(_) if stopping => break false,
+                Err(e) => return Err(e),
             }
-        }
+        };
+        Ok((refused.map_or(Ok(()), Err), in_step))
     }
 }
 
 impl RangeMover for RemoteTransfer {
-    /// Move one claimed chunk over the wire with up to `window`
-    /// requests in flight, checking the abort flag between refills. A
-    /// failure on a cached connection replays the unconfirmed ranges
-    /// once on a fresh connection (absolute offsets are idempotent).
-    fn move_range(&self, grid: &ChunkGrid, offset: u64, len: u64) -> Result<(), EngineError> {
-        if grid.abort_requested() {
-            grid.cancel();
-            return Ok(());
-        }
-        if len == 0 {
-            return Ok(());
-        }
-        let step = Self::range_step(len, self.window);
-        let mut acked = 0u64;
-        let (mut conn, mut may_retry) = match take_conn(&self.addr) {
-            Some(conn) => (conn, true),
-            None => (DataConn::connect(&self.addr)?, false),
-        };
-        loop {
-            match self.run_window(
-                grid,
-                &mut conn,
-                offset + acked,
-                len - acked,
-                step,
-                &mut acked,
-            ) {
-                Ok(WindowEnd::Complete) | Ok(WindowEnd::Cancelled(true)) => {
-                    store_conn(&self.addr, conn);
-                    return Ok(());
-                }
-                Ok(WindowEnd::Cancelled(false)) => return Ok(()),
-                Err(e) => {
-                    if !may_retry {
-                        return Err(e);
-                    }
-                    // The cached connection went stale: replay the
-                    // remaining ranges on a fresh one.
-                    may_retry = false;
-                    conn = DataConn::connect(&self.addr)?;
-                }
-            }
-        }
+    /// Move one chunk over the transfer's connection with up to
+    /// `window` requests in flight.
+    fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
+        let step = Self::range_step(len, self.ends.window);
+        let (ends, mut acked) = (&self.ends, offset);
+        self.conn
+            .exchange(|conn| ends.run_window(conn, &mut acked, offset + len, step))?
     }
 
-    fn finish(&self, landed: bool) -> Result<(), EngineError> {
+    fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
         if !landed {
             self.cleanup();
         }
@@ -448,9 +402,11 @@ impl RangeMover for RemoteTransfer {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{assert_chain_gone, register_tmp0, spin_until, temp_root};
-    use super::super::transfer::{PlanOutcome, UnitEnd, MIN_CHUNK_SIZE};
-    use super::super::{Engine, EngineConfig};
+    use super::super::tests::{
+        assert_chain_gone, register_tmp0, spin_until, temp_root, tiny_write,
+    };
+    use super::super::transfer::{PlanOutcome, Step, MIN_CHUNK_SIZE};
+    use super::super::{Engine, EngineConfig, IpcPolicy};
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
@@ -459,7 +415,7 @@ mod tests {
     use norns_proto::{
         encode_frame, FrameReader, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats, Wire,
     };
-    use norns_sched::Fcfs;
+    use norns_sched::{Fcfs, JobFairShare};
     use parking_lot::Mutex;
 
     #[test]
@@ -599,8 +555,8 @@ mod tests {
     /// `Discard` best-effort exactly once; a peer mid-restart that
     /// answers with a transient error (or hangs up) left the
     /// `Prepare`d remote partial stranded forever. The Discard must be
-    /// replayed once on a fresh connection, like `transfer_range`
-    /// replays ranges.
+    /// replayed once, over a fresh connection: the one the transfer
+    /// held went with the peer.
     #[test]
     fn push_cleanup_retries_discard_against_restarting_peer() {
         // The peer fails every Store (so the push fails), then answers
@@ -638,12 +594,14 @@ mod tests {
             matches!(peer.log.lock()[..], [DataRequest::Prepare { .. }]),
             "Prepare must have landed"
         );
-        while plan.run_unit() != UnitEnd::Last {}
-        let outcome = plan.finalize();
+        let Step::End(end) = plan.step() else {
+            panic!("a refused Store ends the chain");
+        };
         assert!(
-            matches!(outcome, PlanOutcome::Failed(..)),
+            matches!(end.outcome, PlanOutcome::Failed(..)),
             "scripted push must fail"
         );
+        assert_eq!(peer.stores(), 1, "a refusal is not replayed");
         assert_eq!(
             peer.discards(),
             2,
@@ -664,6 +622,15 @@ mod tests {
     /// dataspace `tmp0` holding a `CHAIN_UNITS`-chunk `big`, and `peer`
     /// registered as host `peer`.
     fn chain_engine(tag: &str, workers: usize, peer: &ScriptedPeer) -> (Arc<Engine>, PathBuf) {
+        chain_engine_under(Box::new(Fcfs), tag, workers, peer)
+    }
+
+    fn chain_engine_under(
+        policy: IpcPolicy,
+        tag: &str,
+        workers: usize,
+        peer: &ScriptedPeer,
+    ) -> (Arc<Engine>, PathBuf) {
         let root = temp_root(tag);
         let engine = Engine::with_config(
             EngineConfig {
@@ -671,7 +638,7 @@ mod tests {
                 chunk_size: MIN_CHUNK_SIZE,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            policy,
         );
         register_tmp0(&engine, &root);
         engine.register_peer("peer", &peer.addr);
@@ -736,33 +703,80 @@ mod tests {
         ));
     }
 
-    /// The chain on the wire: every chunk of a push travels over the
-    /// one connection its worker keeps cached — `Prepare` included, no
-    /// handshake per chunk — and the `Store`s arrive in file order.
-    /// (One worker: with more, whichever is awake may take the next
-    /// unit, over a connection of its own.)
-    #[test]
-    fn chain_push_is_served_on_one_connection_in_file_order() {
-        let peer = ScriptedPeer::spawn(|_, _| None);
-        let (engine, root) = chain_engine("chain-push", 1, &peer);
-        let stats = engine.wait(push(&engine), 0).unwrap();
-        assert_eq!(stats.state, TaskState::Finished);
-        assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
-        assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
+    /// The `Store` offsets the peer saw behind the `Prepare` that must
+    /// come first.
+    fn store_offsets(peer: &ScriptedPeer) -> Vec<u64> {
         let log = peer.log.lock();
         assert!(matches!(log[0], DataRequest::Prepare { size, .. }
             if size == CHAIN_UNITS * MIN_CHUNK_SIZE));
-        let offsets: Vec<u64> = log[1..]
+        log[1..]
             .iter()
             .map(|request| match request {
                 DataRequest::Store { offset, .. } => *offset,
                 other => panic!("unexpected {other:?}"),
             })
-            .collect();
-        let in_file_order: Vec<u64> = (0..CHAIN_UNITS).map(|i| i * MIN_CHUNK_SIZE).collect();
-        assert_eq!(offsets, in_file_order);
-        drop(log);
-        assert_eq!(engine.peak_chunk_workers(), 1);
+            .collect()
+    }
+
+    fn in_file_order() -> Vec<u64> {
+        (0..CHAIN_UNITS).map(|i| i * MIN_CHUNK_SIZE).collect()
+    }
+
+    /// The chain on the wire: every exchange of a push travels over
+    /// the one connection the transfer holds — `Prepare` included, no
+    /// handshake per chunk — and the `Store`s arrive in file order,
+    /// whichever workers run its units. Four of them here, under
+    /// job-fair arbitration, with a second job's backlog of tiny
+    /// writes kept queued: the worker that issues a successor unit is
+    /// as often as not handed one of those, and another takes the unit.
+    #[test]
+    fn chain_push_is_served_on_one_connection_in_file_order() {
+        let peer = ScriptedPeer::spawn(|_, _| None);
+        let fair = Box::new(JobFairShare::default());
+        let (engine, root) = chain_engine_under(fair, "chain-push", 4, &peer);
+        let mut backlog = Vec::new();
+        let mut top_up = |tasks: usize| {
+            let tiny = || engine.submit(2, tiny_write("tiny"), Some(b"abcd".to_vec()));
+            backlog.extend((0..tasks).filter_map(|_| tiny().ok()));
+        };
+        top_up(64);
+        let id = push(&engine);
+        while !engine.query(id).unwrap().state.is_terminal() {
+            top_up(8);
+        }
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
+        assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
+        assert_eq!(store_offsets(&peer), in_file_order());
+        for tiny in &backlog {
+            assert_eq!(engine.wait(*tiny, 0).unwrap().state, TaskState::Finished);
+        }
+        assert_chain_gone(&engine, 1 + backlog.len() as u64, 0);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The stale case of the one retry rule: the peer closes the
+    /// connection between two units (a restart, an idle timeout). The
+    /// unit that finds it dead reopens it, once, and replays the range
+    /// nobody acknowledged — and nothing that was.
+    #[test]
+    fn chain_push_replays_a_range_over_a_connection_the_peer_closed() {
+        let peer = ScriptedPeer::spawn(|request, earlier| match request {
+            DataRequest::Store { .. } if earlier == 2 => {
+                Some(Scripted::AnswerAndHangUp(DataResponse::Ok))
+            }
+            _ => None,
+        });
+        let (engine, root) = chain_engine("chain-push-stale", 2, &peer);
+        let stats = engine.wait(push(&engine), 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
+        assert_eq!(peer.accepted.load(Ordering::SeqCst), 2, "one reconnect");
+        // The `Store` that met the closed socket was never read; its
+        // replay is the fourth the peer sees, and every range once.
+        assert_eq!(store_offsets(&peer), in_file_order());
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();
         let _ = fs::remove_dir_all(&root);
@@ -786,9 +800,9 @@ mod tests {
 
     #[test]
     fn chain_failing_store_mid_push_fails_the_task_once() {
-        // The disk fills behind the second chunk. (The refused `Store`
-        // came over the worker's cached connection, so it is replayed
-        // once on a fresh one before the failure stands.)
+        // The disk fills behind the second chunk. The refusal is the
+        // peer's answer, not a stale connection: nothing is replayed,
+        // and the `Discard` rides the connection that carried it.
         let peer = ScriptedPeer::spawn(|request, earlier| match request {
             DataRequest::Store { .. } if earlier >= 2 => {
                 Some(refuse(ErrorCode::NoSpace, "scripted store failure"))
@@ -801,7 +815,8 @@ mod tests {
         assert_eq!(stats.state, TaskState::FinishedWithError);
         assert_eq!(stats.error, ErrorCode::NoSpace);
         assert_eq!(stats.bytes_moved, 2 * MIN_CHUNK_SIZE);
-        assert_eq!((peer.stores(), peer.discards()), (4, 1));
+        assert_eq!((peer.stores(), peer.discards()), (3, 1));
+        assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();
         let _ = fs::remove_dir_all(&root);
@@ -854,8 +869,9 @@ mod tests {
         assert_eq!(stats.bytes_moved, 2 * MIN_CHUNK_SIZE);
         let why = engine.error_message(id).unwrap();
         assert!(why.contains("scripted fetch failure"), "{why}");
-        // Two landed, the third refused and replayed once.
-        assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 4);
+        // Two landed, the third refused: an answer, not replayed.
+        assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 3);
+        assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
         assert!(!root.join("tmp0/pulled").exists());
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();

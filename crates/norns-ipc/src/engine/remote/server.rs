@@ -249,7 +249,7 @@ fn handle_data(
             }
             // A failed preallocation must not leave the empty file
             // behind: the pusher's plan fails on our `Error` before it
-            // has a grid, so no `Discard` follows, and the file's
+            // has a chain, so no `Discard` follows, and the file's
             // existence would fake a staged one.
             if let Err(e) = File::create(&local)?.set_len(size) {
                 let _ = fs::remove_file(&local);
@@ -491,15 +491,15 @@ mod tests {
     /// and its preallocated destination is removed.
     #[test]
     fn a_pull_answered_short_fails_truncated_at_the_source_end() {
-        use super::super::super::transfer::{PlanOutcome, UnitEnd};
+        use super::super::super::transfer::{Chain, PlanOutcome, Step};
         use super::super::{Direction, RemoteTransfer};
         use std::sync::atomic::AtomicBool;
 
         let (server, _conn, mount) = served("shrank");
         let size = 3 * (256u64 << 10) + 4321;
         fs::write(mount.join("src.dat"), pattern(size as usize)).unwrap();
-        // The transfer connects for itself (and again after a failure
-        // on a cached connection), so this server keeps accepting.
+        // Each transfer connects for itself, so this server keeps
+        // accepting.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let acceptor = Arc::clone(&server);
@@ -524,10 +524,14 @@ mod tests {
             .unwrap()
         };
 
+        // One unit each: the file is smaller than the chunk.
+        let run = |chain: Box<Chain>| match chain.step() {
+            Step::End(end) => end.outcome,
+            Step::Next(_) => panic!("a second unit"),
+        };
+
         // Whole first: three full ranges and the ragged one behind.
-        let whole = plan("whole.dat");
-        while whole.run_unit() != UnitEnd::Last {}
-        assert!(matches!(whole.finalize(), PlanOutcome::Done(n) if n == size));
+        assert!(matches!(run(plan("whole.dat")), PlanOutcome::Done(n) if n == size));
         assert!(fs::read(mount.join("whole.dat")).unwrap() == pattern(size as usize));
 
         let shrank = plan("shrank.dat");
@@ -537,8 +541,7 @@ mod tests {
             .open(mount.join("src.dat"))
             .unwrap();
         source.set_len(size - 5000).unwrap();
-        while shrank.run_unit() != UnitEnd::Last {}
-        match shrank.finalize() {
+        match run(shrank) {
             PlanOutcome::Failed(e) => {
                 let at = format!("remote source truncated at byte {}", size - 5000);
                 assert!(e.message.contains(&at), "{e}");

@@ -48,8 +48,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use norns_proto::{ErrorCode, TaskOp};
 
 use super::error::EngineError;
@@ -310,63 +308,62 @@ pub(crate) enum PlanOutcome {
 }
 
 /// The two things that differ between decomposed transfers; the
-/// [`ChunkGrid`] does the rest.
-pub(crate) trait RangeMover: Send + Sync {
-    /// Move one claimed range.
-    fn move_range(&self, grid: &ChunkGrid, offset: u64, len: u64) -> Result<(), EngineError>;
-    /// Terminal side effects, run exactly once by the last unit:
-    /// commit a transfer whose every range `landed`, or remove what an
-    /// interrupted one left behind.
-    fn finish(&self, landed: bool) -> Result<(), EngineError>;
-}
-
-/// What the worker that just ran a unit owes the grid next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UnitEnd {
-    /// The chain ended — spent, failed or cancelled: the caller must
-    /// [`ChunkGrid::finalize`].
-    Last,
-    /// Chunks remain: the caller must put the next unit in front of
-    /// the scheduler (or, if it cannot, [`ChunkGrid::abort`] and
-    /// finalize).
-    IssueNext,
+/// [`Chain`] does the rest. A mover is owned by its chain and runs on
+/// one worker at a time, so it may keep state between its ranges.
+pub(crate) trait RangeMover: Send {
+    /// Move the issued unit's range. A mover that sees the task's
+    /// abort flag mid-range stops early and returns `Ok`: the chain
+    /// reads the flag itself.
+    fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError>;
+    /// Terminal side effects: commit a transfer whose every range
+    /// `landed`, or remove what an interrupted one left behind.
+    fn finish(&mut self, landed: bool) -> Result<(), EngineError>;
 }
 
 /// A transfer decomposed into scheduler sub-units (local chunked copy
-/// or remote staging): hands out its ranges in file order, records the
-/// first stop reason and observes the task's mid-stream abort flag.
+/// or remote staging), its ranges in file order.
 ///
-/// The grid's `nchunks` units run as a **chain**: one unit is issued —
-/// in the scheduler or on a worker — at a time, the planning dispatch
-/// being the first, and the worker that ran a unit issues its successor
-/// ([`UnitEnd::IssueNext`]). Whoever holds that one unit therefore owns
-/// the grid: the unit that finds it spent or stopped (failure, cancel),
-/// or whoever aborts a unit that will never run (shutdown), finalizes
-/// the task, and nothing further is issued.
-pub(crate) struct ChunkGrid {
+/// The units run as a **chain**: one unit is issued — in the scheduler
+/// or on a worker — at a time, the planning dispatch being the first,
+/// and the worker that ran a unit issues its successor. The chain is a
+/// value with one owner, whoever holds that one unit: [`Chain::step`]
+/// and [`Chain::abort`] consume it, and only `step` hands it back — so
+/// nothing runs behind a stop and the mover's `finish` runs once.
+pub(crate) struct Chain {
     task_id: u64,
     size: u64,
     chunk_size: u64,
-    nchunks: u64,
-    /// Next chunk index; only the holder of the issued unit moves it.
-    next_chunk: AtomicU64,
-    /// Chunk executions currently on a worker + the high-water mark:
-    /// the measured width of the chain, 1 unless units overlapped.
-    inflight: AtomicU64,
-    peak_inflight: AtomicU64,
+    /// Where the issued unit's range starts.
+    offset: u64,
     started: Instant,
     progress: Arc<AtomicU64>,
-    /// Set by `Engine::cancel` on an in-progress task; units observe
-    /// it between ranges (and remote transfers between round-trips).
+    /// Set by `Engine::cancel` on an in-progress task; observed around
+    /// every unit (and by remote movers between round-trips).
     abort: Arc<AtomicBool>,
-    /// What stopped the grid before all ranges were moved. The first
-    /// stop reason wins: a cancel never masks a real error and vice
-    /// versa.
-    stopped: Mutex<Option<PlanOutcome>>,
     mover: Box<dyn RangeMover>,
 }
 
-impl ChunkGrid {
+/// What running the issued unit left.
+pub(crate) enum Step {
+    /// Chunks remain: the chain, to be put in front of the scheduler
+    /// again (or [`Chain::abort`]ed if it cannot be).
+    Next(Box<Chain>),
+    End(End),
+}
+
+/// A chain's end — spent, failed or cancelled, its mover finished: the
+/// task's terminal transition.
+pub(crate) struct End {
+    pub task_id: u64,
+    pub outcome: PlanOutcome,
+    /// Wall-clock µs since the planning dispatch.
+    pub elapsed_usec: u64,
+}
+
+impl Chain {
+    /// A chain over `size` bytes whose movers report into `progress`
+    /// (zero bytes are still one unit, so the task reaches a terminal
+    /// state through the normal path).
     pub fn new(
         task_id: u64,
         size: u64,
@@ -374,28 +371,17 @@ impl ChunkGrid {
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
         mover: Box<dyn RangeMover>,
-    ) -> Arc<Self> {
-        Arc::new(ChunkGrid {
+    ) -> Box<Self> {
+        Box::new(Chain {
             task_id,
             size,
             chunk_size,
-            // Zero-byte transfers still need one unit so the task
-            // reaches a terminal state through the normal path.
-            nchunks: size.div_ceil(chunk_size).max(1),
-            next_chunk: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            peak_inflight: AtomicU64::new(0),
+            offset: 0,
             started: Instant::now(),
             progress,
             abort,
-            stopped: Mutex::new(None),
             mover,
         })
-    }
-
-    /// The client-visible task this plan executes.
-    pub fn task_id(&self) -> u64 {
-        self.task_id
     }
 
     /// Bytes the whole transfer moves.
@@ -403,94 +389,62 @@ impl ChunkGrid {
         self.size
     }
 
-    pub fn progress(&self) -> &AtomicU64 {
-        &self.progress
-    }
-
     /// Has `Engine::cancel` asked this transfer to stop?
-    pub fn abort_requested(&self) -> bool {
+    fn aborted(&self) -> bool {
         self.abort.load(Ordering::SeqCst)
     }
 
-    /// Record a mid-stream cancel (first stop reason wins).
-    pub fn cancel(&self) {
-        self.stopped.lock().get_or_insert(PlanOutcome::Cancelled);
-    }
-
-    fn fail(&self, error: EngineError) {
-        self.stopped
-            .lock()
-            .get_or_insert(PlanOutcome::Failed(error));
-    }
-
-    /// Did a unit fail or a cancel arrive? (A pending cancel request
-    /// is recorded as the stop reason on the way.)
-    fn is_stopped(&self) -> bool {
-        if self.abort_requested() {
-            self.cancel();
-        }
-        self.stopped.lock().is_some()
-    }
-
-    /// Execute the issued unit — the next chunk in file order, unless
-    /// a failure or a cancel stopped the grid (a pending cancel request
-    /// is recorded as the stop reason, so `finalize` reports
-    /// `Cancelled`) — and say what follows it.
-    pub fn run_unit(&self) -> UnitEnd {
-        let idx = self.next_chunk.fetch_add(1, Ordering::SeqCst);
-        assert!(idx < self.nchunks, "a unit ran past the end of its chain");
-        if !self.is_stopped() {
-            let offset = idx * self.chunk_size;
-            let len = self.chunk_size.min(self.size - offset);
-            let inflight = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-            self.peak_inflight.fetch_max(inflight, Ordering::Relaxed);
-            if let Err(e) = self.mover.move_range(self, offset, len) {
-                self.fail(e);
-            }
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-        if self.is_stopped() || idx + 1 == self.nchunks {
-            UnitEnd::Last
+    /// Run the issued unit — the next chunk in file order — and end
+    /// the chain if it was the last, failed, or met the abort flag
+    /// (read before the range, which then moves nothing, and again
+    /// after it). A failure beats a cancel seen in the same unit.
+    pub fn step(mut self: Box<Self>) -> Step {
+        let len = self.chunk_size.min(self.size - self.offset);
+        let stopped = if self.aborted() {
+            Some(PlanOutcome::Cancelled)
         } else {
-            UnitEnd::IssueNext
+            match self.mover.move_range(self.offset, len) {
+                Err(e) => Some(PlanOutcome::Failed(e)),
+                Ok(()) if self.aborted() => Some(PlanOutcome::Cancelled),
+                Ok(()) => None,
+            }
+        };
+        self.offset += len;
+        if stopped.is_none() && self.offset < self.size {
+            Step::Next(self)
+        } else {
+            Step::End(self.end(stopped))
         }
     }
 
     /// The issued unit will never run (shutdown drained it, or found
-    /// it before it could be enqueued): record why. That unit was the
-    /// chain, so the caller must now [`ChunkGrid::finalize`].
-    pub fn abort(&self, reason: &str) {
-        self.fail(EngineError::new(ErrorCode::SystemError, reason));
+    /// it before it could be enqueued): the chain ends failed, `why`.
+    pub fn abort(self, why: &str) -> End {
+        let error = EngineError::new(ErrorCode::SystemError, why);
+        self.end(Some(PlanOutcome::Failed(error)))
     }
 
-    /// Terminal bookkeeping, run exactly once by the last unit.
-    pub fn finalize(&self) -> PlanOutcome {
-        let stopped = self.stopped.lock().take();
-        match (self.mover.finish(stopped.is_none()), stopped) {
+    fn end(mut self, stopped: Option<PlanOutcome>) -> End {
+        let outcome = match (self.mover.finish(stopped.is_none()), stopped) {
             (_, Some(outcome)) => outcome,
             (Err(e), None) => PlanOutcome::Failed(e),
             (Ok(()), None) => PlanOutcome::Done(self.progress.load(Ordering::Relaxed)),
+        };
+        End {
+            task_id: self.task_id,
+            outcome,
+            elapsed_usec: self.started.elapsed().as_micros() as u64,
         }
-    }
-
-    /// Wall-clock µs since the planning dispatch.
-    pub fn elapsed_usec(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
-    /// High-water mark of workers simultaneously executing units.
-    pub fn peak_workers(&self) -> u64 {
-        self.peak_inflight.load(Ordering::Relaxed)
     }
 }
 
 /// A large single-file copy decomposed into fixed-size chunks.
 ///
 /// The planner opens both files once and preallocates the
-/// destination; each unit claims the next unclaimed chunk index and
-/// copies that disjoint range. The destination is one inode and takes
-/// one writer at a time (see the module docs), so the units run as a
-/// chain through the scheduler, one dispatch per chunk.
+/// destination; each unit copies the next disjoint range. The
+/// destination is one inode and takes one writer at a time (see the
+/// module docs), so the units run as a chain through the scheduler,
+/// one dispatch per chunk.
 pub(crate) struct ChunkedCopy {
     op: TaskOp,
     src: File,
@@ -498,11 +452,12 @@ pub(crate) struct ChunkedCopy {
     src_path: PathBuf,
     dst_path: PathBuf,
     src_permissions: Permissions,
+    progress: Arc<AtomicU64>,
 }
 
 impl ChunkedCopy {
     /// Open the file pair, preallocate the destination, and lay out
-    /// the chunk grid. `size` must exceed `chunk_size`.
+    /// the chain. `size` must exceed `chunk_size`.
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
         task_id: u64,
@@ -513,7 +468,7 @@ impl ChunkedCopy {
         chunk_size: u64,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
-    ) -> Result<Arc<ChunkGrid>, EngineError> {
+    ) -> Result<Box<Chain>, EngineError> {
         let (src, meta, dst) = open_pair(src_path, dst_path)?;
         // Preallocate the full output (the fallocate analog): every
         // unit then writes an interior range, never extending the file.
@@ -525,8 +480,9 @@ impl ChunkedCopy {
             src_path: src_path.to_path_buf(),
             dst_path: dst_path.to_path_buf(),
             src_permissions: meta.permissions(),
+            progress: Arc::clone(&progress),
         };
-        Ok(ChunkGrid::new(
+        Ok(Chain::new(
             task_id,
             size,
             chunk_size,
@@ -541,8 +497,8 @@ impl RangeMover for ChunkedCopy {
     /// A range that comes up short means the source shrank after the
     /// plan sized it: the preallocated destination would keep its
     /// planned length with a hole where the data should be.
-    fn move_range(&self, grid: &ChunkGrid, offset: u64, len: u64) -> Result<(), EngineError> {
-        let moved = copy_range(&self.src, &self.dst, offset, len, grid.progress())?;
+    fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
+        let moved = copy_range(&self.src, &self.dst, offset, len, &self.progress)?;
         if moved < len {
             return Err(truncated("local", offset + moved));
         }
@@ -551,12 +507,12 @@ impl RangeMover for ChunkedCopy {
 
     /// On success propagate permissions and (for `Move`) unlink the
     /// source.
-    fn finish(&self, landed: bool) -> Result<(), EngineError> {
+    fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
         if !landed {
             // Don't leave the preallocated destination behind: it has
             // the full logical size, so a consumer checking existence
             // or length would mistake zero-filled holes for staged
-            // data. (All units have completed — no concurrent writer.)
+            // data.
             let _ = fs::remove_file(&self.dst_path);
             return Ok(());
         }
@@ -571,6 +527,7 @@ impl RangeMover for ChunkedCopy {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     /// Bytes this thread's pooled buffer has grown to: 0 on a thread
     /// whose payloads never crossed userspace.
@@ -606,61 +563,82 @@ pub(super) mod tests {
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
-    #[test]
-    fn chunked_copy_single_runner_covers_all_chunks() {
-        let root = temp_root("plan");
-        let data = pattern((MIN_CHUNK_SIZE * 2 + 17) as usize);
-        fs::write(root.join("src"), &data).unwrap();
-        let progress = Arc::new(AtomicU64::new(0));
-        let plan = ChunkedCopy::plan(
+    /// A copy of `data` in `chunk`-sized units, under `root`.
+    fn plan_copy(root: &Path, data: &[u8], chunk: u64, abort: &Arc<AtomicBool>) -> Box<Chain> {
+        fs::write(root.join("src"), data).unwrap();
+        ChunkedCopy::plan(
             1,
             TaskOp::Copy,
             &root.join("src"),
             &root.join("dst"),
             data.len() as u64,
-            MIN_CHUNK_SIZE,
-            Arc::clone(&progress),
-            Arc::new(AtomicBool::new(false)),
+            chunk,
+            Arc::new(AtomicU64::new(0)),
+            Arc::clone(abort),
         )
-        .unwrap();
-        // Each unit that is not the last asks for its successor.
-        assert_eq!(plan.run_unit(), UnitEnd::IssueNext);
-        assert_eq!(plan.run_unit(), UnitEnd::IssueNext);
-        assert_eq!(plan.run_unit(), UnitEnd::Last, "third unit is last");
-        assert_eq!(plan.peak_workers(), 1);
-        match plan.finalize() {
-            PlanOutcome::Done(moved) => assert_eq!(moved, data.len() as u64),
-            _ => panic!("clean copy must finalize Done"),
+        .unwrap()
+    }
+
+    /// Drive `chain` the way the engine does — run the issued unit,
+    /// issue the next when handed it back — to its end; the units run.
+    fn drive(mut chain: Box<Chain>) -> (u64, PlanOutcome) {
+        let mut units = 1;
+        loop {
+            match chain.step() {
+                Step::Next(next) => chain = next,
+                Step::End(end) => return (units, end.outcome),
+            }
+            units += 1;
+        }
+    }
+
+    #[test]
+    fn chain_copy_single_runner_covers_all_chunks() {
+        let root = temp_root("plan");
+        let data = pattern((MIN_CHUNK_SIZE * 2 + 17) as usize);
+        let chain = plan_copy(&root, &data, MIN_CHUNK_SIZE, &Arc::default());
+        // Each unit that is not the last hands the chain back.
+        match drive(chain) {
+            (3, PlanOutcome::Done(moved)) => assert_eq!(moved, data.len() as u64),
+            (units, _) => panic!("a clean copy must end Done in 3 units, ran {units}"),
         }
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
+    /// No bytes are still one unit, and so is a file that fits in one
+    /// chunk: both reach `Done` through the normal path.
     #[test]
-    fn aborted_chunked_copy_reports_error() {
+    fn chain_of_an_empty_or_sub_chunk_file_is_one_unit() {
+        for len in [0, MIN_CHUNK_SIZE as usize - 1, MIN_CHUNK_SIZE as usize] {
+            let root = temp_root("one-unit");
+            let data = pattern(len);
+            for chunk in [MIN_CHUNK_SIZE, 4 * MIN_CHUNK_SIZE] {
+                let chain = plan_copy(&root, &data, chunk, &Arc::default());
+                assert!(
+                    matches!(drive(chain), (1, PlanOutcome::Done(moved)) if moved == len as u64),
+                    "{len} bytes in chunks of {chunk}"
+                );
+                assert_eq!(fs::read(root.join("dst")).unwrap(), data);
+            }
+        }
+    }
+
+    #[test]
+    fn chain_aborted_by_shutdown_reports_the_error() {
         let root = temp_root("abort");
         let data = pattern((MIN_CHUNK_SIZE * 3) as usize);
-        fs::write(root.join("src"), &data).unwrap();
-        let plan = ChunkedCopy::plan(
-            1,
-            TaskOp::Copy,
-            &root.join("src"),
-            &root.join("dst"),
-            data.len() as u64,
-            MIN_CHUNK_SIZE,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .unwrap();
+        let chain = plan_copy(&root, &data, MIN_CHUNK_SIZE, &Arc::default());
         // The first unit runs, shutdown catches its successor: the
         // abort ends the chain, the third chunk is never issued.
-        assert_eq!(plan.run_unit(), UnitEnd::IssueNext);
-        plan.abort("shutdown");
-        match plan.finalize() {
+        let Step::Next(chain) = chain.step() else {
+            panic!("two chunks remain");
+        };
+        match chain.abort("shutdown").outcome {
             PlanOutcome::Failed(e) => {
                 assert_eq!(e.code, ErrorCode::SystemError);
                 assert!(e.message.contains("shutdown"));
             }
-            _ => panic!("aborted copy must finalize Failed"),
+            _ => panic!("an aborted copy must end Failed"),
         }
         // The preallocated full-size destination must not survive a
         // failed transfer: its length would fake a complete stage-in.
@@ -668,89 +646,116 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn abort_flag_cancels_remaining_chunks() {
+    fn chain_abort_flag_cancels_remaining_chunks() {
         let root = temp_root("midcancel");
         let data = pattern((MIN_CHUNK_SIZE * 3) as usize);
-        fs::write(root.join("src"), &data).unwrap();
         let abort = Arc::new(AtomicBool::new(false));
-        let plan = ChunkedCopy::plan(
-            1,
-            TaskOp::Copy,
-            &root.join("src"),
-            &root.join("dst"),
-            data.len() as u64,
-            MIN_CHUNK_SIZE,
-            Arc::new(AtomicU64::new(0)),
-            Arc::clone(&abort),
-        )
-        .unwrap();
+        let chain = plan_copy(&root, &data, MIN_CHUNK_SIZE, &abort);
+        let progress = Arc::clone(&chain.progress);
+        let Step::Next(chain) = chain.step() else {
+            panic!("the first chunk copies and two remain");
+        };
         // The unit that observes the cancel moves nothing and ends the
         // chain, so no unit is issued after a cancel.
-        assert_eq!(plan.run_unit(), UnitEnd::IssueNext, "first chunk copies");
         abort.store(true, Ordering::SeqCst);
-        assert_eq!(plan.run_unit(), UnitEnd::Last, "cancel ends the chain");
-        assert_eq!(plan.progress().load(Ordering::Relaxed), MIN_CHUNK_SIZE);
         assert!(
-            matches!(plan.finalize(), PlanOutcome::Cancelled),
-            "mid-stream abort must finalize Cancelled"
+            matches!(drive(chain), (1, PlanOutcome::Cancelled)),
+            "mid-stream abort must end the chain Cancelled, at once"
         );
+        assert_eq!(progress.load(Ordering::Relaxed), MIN_CHUNK_SIZE);
         // A cancelled transfer leaves no half-written destination.
         assert!(!root.join("dst").exists());
     }
 
-    /// Counts ranges; optionally fails the `fail_at`-th.
+    /// Counts ranges and `finish` calls; fails the `fail_at`-th range
+    /// and raises the abort flag during the `cancel_at`-th.
+    #[derive(Default)]
     struct CountingMover {
         moved: Arc<AtomicU64>,
+        finished: Arc<Mutex<Vec<bool>>>,
         fail_at: u64,
+        cancel_at: u64,
+        abort: Arc<AtomicBool>,
     }
 
     impl RangeMover for CountingMover {
-        fn move_range(&self, _: &ChunkGrid, _: u64, _: u64) -> Result<(), EngineError> {
-            if self.moved.fetch_add(1, Ordering::SeqCst) + 1 == self.fail_at {
+        fn move_range(&mut self, _: u64, _: u64) -> Result<(), EngineError> {
+            let nth = self.moved.fetch_add(1, Ordering::SeqCst) + 1;
+            if nth == self.cancel_at {
+                self.abort.store(true, Ordering::SeqCst);
+            }
+            if nth == self.fail_at {
                 return Err(EngineError::bad_args("injected"));
             }
             Ok(())
         }
 
-        fn finish(&self, _landed: bool) -> Result<(), EngineError> {
+        fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
+            self.finished.lock().push(landed);
             Ok(())
         }
     }
 
-    /// Drive a 7-unit grid the way the engine does — run the issued
-    /// unit, issue the next when asked — and return the units run.
-    fn drive(fail_at: u64) -> u64 {
-        let moved = Arc::new(AtomicU64::new(0));
+    /// Drive a 7-unit chain over a [`CountingMover`]; the units run,
+    /// the outcome, and what `finish` was told (once, whatever ended
+    /// the chain).
+    fn drive_counting(fail_at: u64, cancel_at: u64, aborted: bool) -> (u64, PlanOutcome, bool) {
         let mover = CountingMover {
-            moved: Arc::clone(&moved),
             fail_at,
+            cancel_at,
+            abort: Arc::new(AtomicBool::new(aborted)),
+            ..CountingMover::default()
         };
-        let grid = ChunkGrid::new(
+        let (moved, finished) = (Arc::clone(&mover.moved), Arc::clone(&mover.finished));
+        let chain = Chain::new(
             1,
             7 * MIN_CHUNK_SIZE,
             MIN_CHUNK_SIZE,
             Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicBool::new(false)),
+            Arc::clone(&mover.abort),
             Box::new(mover),
         );
-        let mut run = 1;
-        while grid.run_unit() == UnitEnd::IssueNext {
-            run += 1;
-        }
-        assert_eq!(run, moved.load(Ordering::SeqCst), "one range per unit");
-        assert_eq!(grid.peak_workers(), 1);
-        assert_eq!(
-            matches!(grid.finalize(), PlanOutcome::Done(_)),
-            fail_at == 0
-        );
-        run
+        let (units, outcome) = drive(chain);
+        let ranges = moved.load(Ordering::SeqCst);
+        assert_eq!(units, ranges + u64::from(aborted), "one range per unit");
+        let finished = finished.lock().clone();
+        assert_eq!(finished.len(), 1, "finish ran {finished:?}");
+        (ranges, outcome, finished[0])
     }
 
     #[test]
-    fn a_chain_runs_every_unit_once_and_a_failure_ends_it() {
-        assert_eq!(drive(0), 7);
+    fn chain_runs_every_unit_once_and_a_failure_ends_it() {
+        assert!(matches!(
+            drive_counting(0, 0, false),
+            (7, PlanOutcome::Done(_), true)
+        ));
         // The third range fails: nothing is issued behind it.
-        assert_eq!(drive(3), 3);
+        assert!(matches!(
+            drive_counting(3, 0, false),
+            (3, PlanOutcome::Failed(_), false)
+        ));
+    }
+
+    /// The two stops one unit can meet together, in the order the
+    /// chain reads them.
+    #[test]
+    fn chain_failure_beats_a_cancel_seen_in_the_same_unit() {
+        // The cancel arrives while the third range is failing.
+        assert!(matches!(
+            drive_counting(3, 3, false),
+            (3, PlanOutcome::Failed(_), false)
+        ));
+        // Alone it ends the chain `Cancelled` behind that range …
+        assert!(matches!(
+            drive_counting(0, 3, false),
+            (3, PlanOutcome::Cancelled, false)
+        ));
+        // … and a flag already up when the first unit runs moves no
+        // byte at all.
+        assert!(matches!(
+            drive_counting(1, 0, true),
+            (0, PlanOutcome::Cancelled, false)
+        ));
     }
 
     #[test]
