@@ -124,6 +124,10 @@ struct Conn {
     next_tag: u64,
     pending: HashSet<u64>,
     stash: Vec<(u64, Response)>,
+    /// The stream's `SO_RCVTIMEO`: `poll`'s timeout, or `None` once a
+    /// blocking `wait_for` has cleared it. Set only when it changes, so
+    /// a run of polls costs one `setsockopt`.
+    read_timeout: Option<Duration>,
 }
 
 impl Conn {
@@ -134,6 +138,7 @@ impl Conn {
             next_tag: 0,
             pending: HashSet::new(),
             stash: Vec::new(),
+            read_timeout: None,
         })
     }
 
@@ -201,13 +206,19 @@ impl Conn {
     /// arrival. An empty vec means the timeout elapsed.
     fn poll(&mut self, timeout: Duration) -> ClientResult<Vec<(u64, Response)>> {
         if self.stash.is_empty() {
-            self.stream
-                .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-            let read = self.fill();
-            self.stream.set_read_timeout(None)?;
-            read?;
+            self.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+            self.fill()?;
         }
         Ok(std::mem::take(&mut self.stash))
+    }
+
+    /// Give the stream this `SO_RCVTIMEO` unless it already has it.
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> ClientResult<()> {
+        if self.read_timeout != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
     }
 
     /// Block until the response for `tag` arrives; responses for other
@@ -220,6 +231,7 @@ impl Conn {
             if !self.pending.contains(&tag) {
                 return Err(protocol(format!("tag {tag} has no outstanding request")));
             }
+            self.set_read_timeout(None)?;
             self.fill()?;
         }
     }

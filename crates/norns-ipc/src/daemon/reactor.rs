@@ -3,12 +3,17 @@
 //!
 //! Per connection, a [`FrameReader`] decodes as many frames as the
 //! kernel delivered, responses accumulate in an outbound buffer
-//! written back without blocking, and `WaitTask`/`WaitAny` park in the
-//! engine's subscription registry — [`completion_callback`] re-queues
-//! the tagged response on the owning reactor instead of pinning a
-//! thread for the duration of the wait. What a request *means* is
-//! [`super::dispatch`]'s business; a peer's data-plane connection is
-//! accepted here and handed straight to the engine's `DataServer`.
+//! written back without blocking, once per read. A `WaitTask`/`WaitAny`
+//! that is already settled is answered into that same buffer with the
+//! read's other replies; one that is not parks in the engine's
+//! subscription registry, and [`completion_callback`] re-queues the
+//! tagged response on the owning reactor instead of pinning a thread
+//! for the duration of the wait. The reactor's eventfd is for those
+//! cross-thread completions (and freshly accepted connections) only,
+//! written once per burst: by the completion that finds the queue
+//! empty. What a request *means* is [`super::dispatch`]'s business; a
+//! peer's data-plane connection is accepted here and handed straight
+//! to the engine's `DataServer`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -24,11 +29,11 @@ use bytes::{Buf, Bytes, BytesMut};
 use parking_lot::Mutex;
 use polling::{Event, Interest, Poller, Waker};
 
-use norns_proto::{push_frame, ErrorCode, FrameReader, Response};
+use norns_proto::{push_frame, ErrorCode, FrameReader, Response, TaskStats};
 
 use super::dispatch::{dispatch, Request, WaitReq};
 use super::Shared;
-use crate::engine::{EngineError, WaitCallback};
+use crate::engine::{EngineError, Subscribed, WaitCallback};
 
 /// Poller key of a reactor's waker. A listener's key counts down from
 /// just below it by the listener's fd and conn ids count up from zero,
@@ -351,21 +356,29 @@ fn drain_incoming(shared: &Arc<Shared>, reactor: &Arc<Reactor>, conns: &mut Hash
     }
 }
 
-/// Deliver finished parked waits: clear the parked slot, append the
-/// tagged response, flush opportunistically. Completions for a
+/// Deliver finished parked waits: clear each parked slot and append
+/// its tagged response, then flush every connection that got one —
+/// once, however many of its waits finished. Completions for a
 /// connection that already closed are dropped.
 fn drain_completions(shared: &Arc<Shared>, reactor: &Arc<Reactor>, conns: &mut HashMap<u64, Conn>) {
     let done: Vec<Completion> = std::mem::take(&mut *reactor.completions.lock());
+    let mut touched = Vec::with_capacity(done.len());
     for c in done {
         let Some(conn) = conns.get_mut(&c.conn) else {
             continue;
         };
         conn.parked.remove(&c.tag);
         push_tagged(&mut conn.out, c.tag, &c.response);
-        if flush_conn(conn).is_err() {
-            close_conn(shared, reactor, conns, c.conn);
+        touched.push(c.conn);
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    for id in touched {
+        let flushed = conns.get_mut(&id).map(flush_conn);
+        if matches!(flushed, Some(Err(_))) {
+            close_conn(shared, reactor, conns, id);
         } else {
-            update_interest(reactor, conns, c.conn);
+            update_interest(reactor, conns, id);
         }
     }
 }
@@ -546,32 +559,43 @@ fn push_tagged(out: &mut BytesMut, tag: u64, response: &Response) {
     push_frame(out, Some(tag), response, 0, |_| ());
 }
 
+/// The wire answer to a resolved wait (`any` selects `WaitAny`'s).
+fn wait_response(result: Result<(u64, TaskStats), EngineError>, any: bool) -> Response {
+    match result {
+        Ok((task_id, stats)) if any => Response::TaskCompleted { task_id, stats },
+        Ok((_, stats)) => Response::TaskStatus(stats),
+        Err(e) => e.into(),
+    }
+}
+
 /// The completion callback a parked wait hands the engine: shape the
-/// response (`any` selects `WaitAny`'s), queue it on the owning
-/// reactor, wake it. Runs on whatever thread resolved the wait — a
-/// worker, or the reactor itself for expired deadlines and
-/// already-terminal tasks.
+/// response, queue it on the owning reactor, and wake the reactor only
+/// if the queue was empty — a burst of completions costs one eventfd
+/// write, and a non-empty queue already has its wake on the way. Runs
+/// on whatever thread resolved the wait — a worker, or the reactor
+/// itself for expired deadlines.
 fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64, any: bool) -> WaitCallback {
     Box::new(move |result| {
-        let response = match result {
-            Ok((task_id, stats)) if any => Response::TaskCompleted { task_id, stats },
-            Ok((_, stats)) => Response::TaskStatus(stats),
-            Err(e) => e.into(),
+        let first = {
+            let mut queue = reactor.completions.lock();
+            queue.push(Completion {
+                conn,
+                tag,
+                response: wait_response(result, any),
+            });
+            queue.len() == 1
         };
-        reactor.completions.lock().push(Completion {
-            conn,
-            tag,
-            response,
-        });
-        reactor.waker.wake();
+        if first {
+            reactor.waker.wake();
+        }
     })
 }
 
-/// Park a `WaitTask`/`WaitAny` in the engine. An inline resolution
-/// (already-terminal task, bad arguments) has already queued its
-/// completion by the time this returns; a parked one records tag →
-/// subscription so close/duplicate handling can find it, and a bounded
-/// one joins the reactor's deadline heap.
+/// Subscribe a `WaitTask`/`WaitAny` in the engine. A settled one
+/// (terminal or unknown task, refused requester) is answered into
+/// `conn.out` with the read's other replies; a parked one records
+/// tag → subscription so close/duplicate handling can find it, and a
+/// bounded one joins the reactor's deadline heap.
 #[allow(clippy::too_many_arguments)]
 fn park_wait(
     shared: &Arc<Shared>,
@@ -602,11 +626,14 @@ fn park_wait(
         WaitReq::Task(id) => shared.engine.wait_task_async(id, requester, cb),
         WaitReq::Any(ids) => shared.engine.wait_any_async(&ids, requester, cb),
     };
-    if let Some(sub_id) = sub {
-        conn.parked.insert(tag, sub_id);
-        if timeout_usec > 0 {
-            let deadline = Instant::now() + Duration::from_micros(timeout_usec);
-            deadlines.push(Reverse((deadline, sub_id)));
+    match sub {
+        Subscribed::Now(result) => push_tagged(&mut conn.out, tag, &wait_response(result, any)),
+        Subscribed::Parked(sub_id) => {
+            conn.parked.insert(tag, sub_id);
+            if timeout_usec > 0 {
+                let deadline = Instant::now() + Duration::from_micros(timeout_usec);
+                deadlines.push(Reverse((deadline, sub_id)));
+            }
         }
     }
     Ok(())

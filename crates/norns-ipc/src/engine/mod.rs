@@ -49,7 +49,15 @@
 //! Task arbitration is shared with the simulated urd via
 //! [`norns_sched::Scheduler`] behind a mutex+condvar; the pending set
 //! is **bounded** (submissions past the capacity are rejected with
-//! [`ErrorCode::Busy`], EAGAIN-style).
+//! [`ErrorCode::Busy`], EAGAIN-style). Workers are woken by one rule
+//! (`Engine::wake_worker`): an admission wakes a parked worker only
+//! while fewer wakes are on their way than there are parked workers
+//! and queued entries for them; the worker that comes out of the wait
+//! checks the rule again once it took an entry; a chain's successor
+//! wakes nobody (the worker that issues it asks for work next). A
+//! burst therefore wakes at most one parked worker per entry, each
+//! from the admission that queued it, and a burst that finds every
+//! worker busy wakes none.
 
 mod error;
 mod registry;
@@ -61,13 +69,14 @@ mod waits;
 
 use std::collections::HashMap;
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use norns_proto::{
     DaemonStatus, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats,
@@ -80,7 +89,7 @@ pub use error::EngineError;
 pub use remote::{DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW};
 pub use shard::DEFAULT_SHARDS;
 pub use transfer::{DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
-pub use waits::WaitCallback;
+pub use waits::{Subscribed, WaitCallback};
 
 pub(crate) use remote::DataServer;
 
@@ -88,7 +97,7 @@ use registry::Registry;
 use remote::{Direction, RemoteTransfer};
 use replication::{ReplRequest, ReplState};
 use shard::{ShardedTaskTable, TaskEntry};
-use transfer::{copy_tree, Chain, ChunkedCopy, End, PlanOutcome, Step};
+use transfer::{copy_tree, with_parent, Chain, ChunkedCopy, End, PlanOutcome, Step};
 use waits::WaitSubs;
 
 /// Default bound on the pending task set.
@@ -210,11 +219,17 @@ enum Work {
 }
 
 /// Pending work behind the dispatch mutex: the shared scheduler holds
-/// the arbitration order, `work` the payloads it arbitrates over.
+/// the arbitration order, `work` the payloads it arbitrates over, and
+/// `idle`/`waking` what [`Engine::wake_worker`] decides on.
 struct DispatchState {
     sched: Scheduler<u64, u64, u64>,
     work: HashMap<u64, Work>,
     stop: bool,
+    /// Workers parked on `dispatch_cv`.
+    idle: usize,
+    /// Wakes on their way to them: each worker that comes out of the
+    /// wait takes one back.
+    waking: usize,
 }
 
 /// What one dispatched whole task turned into.
@@ -324,6 +339,8 @@ impl Engine {
                 sched: Scheduler::new(workers, policy).with_capacity(config.queue_capacity),
                 work: HashMap::new(),
                 stop: false,
+                idle: 0,
+                waking: 0,
             }),
             dispatch_cv: Condvar::new(),
             next_task: AtomicU64::new(1),
@@ -404,7 +421,14 @@ impl Engine {
                 Vec::new()
             } else {
                 st.stop = true;
-                st.work.drain().collect()
+                let orphaned: Vec<(u64, Work)> = st.work.drain().collect();
+                // Their scheduler entries go with them: a successor
+                // caught between its issue and its dispatch must not
+                // stay queued for a pool that will never dispatch it.
+                for (id, _) in &orphaned {
+                    st.sched.cancel_pending(*id);
+                }
+                orphaned
             }
         };
         self.dispatch_cv.notify_all();
@@ -735,9 +759,25 @@ impl Engine {
                 },
             );
             self.pending_count.fetch_add(1, Ordering::SeqCst);
+            self.wake_worker(st);
         }
-        self.dispatch_cv.notify_one();
         Ok(())
+    }
+
+    /// The one worker wake (the rule is in the module docs), called
+    /// with the dispatch lock held after an admission and by a woken
+    /// worker that took an entry. A parked worker is a free scheduler
+    /// slot, so `min(idle, pending)` is how many dispatches could start
+    /// now ([`Scheduler::can_dispatch`] only says whether one could).
+    /// Notifies after unlocking, so the woken worker does not block on
+    /// the mutex it was woken to take.
+    fn wake_worker(&self, mut st: MutexGuard<'_, DispatchState>) {
+        let wake = st.waking < st.idle.min(st.sched.pending_len());
+        st.waking += usize::from(wake);
+        drop(st);
+        if wake {
+            self.dispatch_cv.notify_one();
+        }
     }
 
     /// May `requester` observe or revoke this task? `None` (the
@@ -850,7 +890,8 @@ impl Engine {
         loop {
             let (pending, work) = {
                 let mut st = self.dispatch.lock();
-                loop {
+                let mut woken = false;
+                let taken = loop {
                     if st.stop {
                         return;
                     }
@@ -864,8 +905,18 @@ impl Engine {
                             .expect("dispatched task has work payload");
                         break (pending, work);
                     }
+                    st.idle += 1;
                     self.dispatch_cv.wait(&mut st);
+                    st.idle -= 1;
+                    // (Saturating: a spurious wake-up takes back a wake
+                    // that is still on its way.)
+                    st.waking = st.waking.saturating_sub(1);
+                    woken = true;
+                };
+                if woken {
+                    self.wake_worker(st);
                 }
+                taken
             };
             let step = match work {
                 Work::Whole {
@@ -1060,26 +1111,33 @@ impl Engine {
             (_, Some(out), Route::Local) => (&spec.input, out),
         };
         let dst = self.resolve(out)?;
-        if let Some(parent) = dst.parent() {
-            fs::create_dir_all(parent)?;
-        }
         if let ResourceDesc::MemoryRegion { .. } = input {
             // Table II: process memory ⇒ local path.
             let buf = payload.unwrap_or(&[]);
-            fs::write(&dst, buf)?;
+            with_parent(&dst, |dst| fs::write(dst, buf))?;
             progress.fetch_add(buf.len() as u64, Ordering::Relaxed);
             return Ok(Outcome::Done(buf.len() as u64));
         }
         // Table II: local path ⇒ local path.
         let src = self.resolve(input)?;
         let meta = fs::symlink_metadata(&src)?;
-        if spec.op == TaskOp::Move && fs::rename(&src, &dst).is_ok() {
-            // Same-filesystem move: a rename moves no bytes; report the
-            // file's size as the data made available (0 for trees —
-            // nothing was physically copied).
-            let moved = if meta.is_file() { meta.len() } else { 0 };
-            progress.fetch_add(moved, Ordering::Relaxed);
-            return Ok(Outcome::Done(moved));
+        if spec.op == TaskOp::Move {
+            match with_parent(&dst, |dst| fs::rename(&src, dst)) {
+                Ok(()) => {
+                    // Same-filesystem move: a rename moves no bytes;
+                    // report the file's size as the data made available
+                    // (0 for trees — nothing was physically copied).
+                    let moved = if meta.is_file() { meta.len() } else { 0 };
+                    progress.fetch_add(moved, Ordering::Relaxed);
+                    return Ok(Outcome::Done(moved));
+                }
+                // Across filesystems a move is a copy, then a delete.
+                Err(e) if e.kind() == io::ErrorKind::CrossesDevices => {}
+                // Anything else — a non-empty directory in the way
+                // above all — is the task's answer: copying over it
+                // would merge the two trees and then delete the source.
+                Err(e) => return Err(e.into()),
+            }
         }
         // Cross-filesystem move (EXDEV) or plain copy.
         if meta.is_file() && meta.len() > self.chunk_size {
@@ -1879,6 +1937,65 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// Regression: shutdown drained a queued successor's work but left
+    /// its scheduler entry behind. Pulls from peers that never answer
+    /// hold the one worker: the first until `big` and the second pull
+    /// are both queued, the second — job-fair, another job — from the
+    /// end of `big`'s first unit until shutdown has drained.
+    #[test]
+    fn chain_shutdown_drops_a_queued_successor_from_the_scheduler() {
+        let root = temp_root("chain-shutdown-queued");
+        let engine = Engine::with_config(
+            EngineConfig {
+                workers: 1,
+                chunk_size: MIN_CHUNK_SIZE,
+                ..EngineConfig::default()
+            },
+            Box::new(JobFairShare::default()),
+        );
+        register_tmp0(&engine, &root);
+        let pull = |peer: &str, job: u64| {
+            let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            engine.register_peer(peer, silent.local_addr().unwrap().to_string());
+            let spec = TaskSpec::new(
+                TaskOp::Copy,
+                ResourceDesc::RemotePath {
+                    host: peer.into(),
+                    nsid: "tmp0".into(),
+                    path: "never".into(),
+                },
+                Some(ResourceDesc::PosixPath {
+                    nsid: "tmp0".into(),
+                    path: peer.into(),
+                }),
+            );
+            let id = engine.submit(job, spec, None).unwrap();
+            (id, silent)
+        };
+        let on_worker = |id| engine.query(id).unwrap().state == TaskState::InProgress;
+        let (held, first) = pull("first", 3);
+        spin_until("the first pull on the worker", || on_worker(held));
+        write_chunks(&root, "big", 64);
+        let big = engine.submit(1, copy_spec("big", "big.out"), None).unwrap();
+        let (blocker, second) = pull("second", 2);
+        drop(first); // resets the first pull
+        spin_until("the second pull on the worker", || on_worker(blocker));
+        std::thread::scope(|scope| {
+            scope.spawn(|| engine.shutdown());
+            spin_until("the drain", || engine.dispatch.lock().stop);
+            drop(second);
+        });
+        for id in [held, big, blocker] {
+            assert_eq!(
+                engine.query(id).unwrap().state,
+                TaskState::FinishedWithError
+            );
+        }
+        assert!(engine.error_message(big).unwrap().contains("shutdown"));
+        assert_chain_gone(&engine, 3, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn chain_cancel_between_chunks_issues_no_further_unit() {
         let (engine, root) = chunking_engine("chain-cancel", 2);
@@ -2116,5 +2233,404 @@ mod tests {
             low_waits
         );
         engine.shutdown();
+    }
+
+    fn move_spec(path_in: &str, path_out: &str) -> TaskSpec {
+        TaskSpec {
+            op: TaskOp::Move,
+            ..copy_spec(path_in, path_out)
+        }
+    }
+
+    /// Regression: any failed `rename` used to fall back to
+    /// copy-then-delete, so a move onto a non-empty directory merged
+    /// the two trees (the source's `x` over the destination's) and
+    /// deleted the source.
+    #[test]
+    fn move_onto_a_non_empty_directory_fails_and_keeps_both() {
+        let (engine, root) = engine_with_ds("move-nonempty");
+        let mount = root.join("tmp0");
+        fs::create_dir_all(mount.join("a")).unwrap();
+        fs::create_dir_all(mount.join("b")).unwrap();
+        fs::write(mount.join("a/x"), b"a's x").unwrap();
+        fs::write(mount.join("b/x"), b"b's x").unwrap();
+        fs::write(mount.join("b/y"), b"b's y").unwrap();
+        let id = engine.submit(1, move_spec("a", "b"), None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.error, ErrorCode::SystemError, "ENOTEMPTY");
+        assert_eq!(fs::read(mount.join("a/x")).unwrap(), b"a's x");
+        assert_eq!(fs::read(mount.join("b/x")).unwrap(), b"b's x");
+        assert_eq!(fs::read(mount.join("b/y")).unwrap(), b"b's y");
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A callback a settled wait must never run.
+    fn never_called() -> WaitCallback {
+        Box::new(|result| panic!("a settled wait ran its callback: {result:?}"))
+    }
+
+    fn answered_now(sub: Subscribed) -> Result<(u64, TaskStats), EngineError> {
+        match sub {
+            Subscribed::Now(result) => result,
+            Subscribed::Parked(sub_id) => panic!("a settled wait parked as {sub_id}"),
+        }
+    }
+
+    #[test]
+    fn wake_settled_waits_are_answered_now_and_drop_the_callback() {
+        let (engine, root) = engine_with_ds("wake-now");
+        let id = engine
+            .submit(7, tiny_write("now"), Some(b"abcd".to_vec()))
+            .unwrap();
+        engine.wait(id, 0).unwrap();
+        let code = |sub| answered_now(sub).unwrap_err().code;
+        // Terminal: the stats, either call, with or without a scope.
+        let (done, stats) = answered_now(engine.wait_task_async(id, None, never_called())).unwrap();
+        assert_eq!((done, stats.state), (id, TaskState::Finished));
+        let (done, _) =
+            answered_now(engine.wait_any_async(&[id], Some(7), never_called())).unwrap();
+        assert_eq!(done, id);
+        // Unknown.
+        let unknown = engine.wait_task_async(999, None, never_called());
+        assert_eq!(code(unknown), ErrorCode::NotFound);
+        let unknown = engine.wait_any_async(&[id, 999], None, never_called());
+        assert_eq!(code(unknown), ErrorCode::NotFound);
+        // A foreign requester.
+        let foreign = engine.wait_task_async(id, Some(8), never_called());
+        assert_eq!(code(foreign), ErrorCode::PermissionDenied);
+        let foreign = engine.wait_any_async(&[id], Some(8), never_called());
+        assert_eq!(code(foreign), ErrorCode::PermissionDenied);
+        assert_eq!(engine.parked_waits(), 0);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn wake_pending_wait_parks_and_its_callback_fires_once() {
+        let root = temp_root("wake-parked");
+        let engine = one_worker(64, Box::new(Fcfs));
+        register_tmp0(&engine, &root);
+        // The blocker pins the single worker, so the victim is pending
+        // when its waits subscribe.
+        fs::write(root.join("tmp0/blocker-src"), vec![2u8; 32 << 20]).unwrap();
+        let blocker = engine
+            .submit(1, copy_spec("blocker-src", "blocker-dst"), None)
+            .unwrap();
+        let victim = engine
+            .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
+            .unwrap();
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let record = || -> WaitCallback {
+            let fired = Arc::clone(&fired);
+            Box::new(move |result| fired.lock().push(result.map(|(id, s)| (id, s.state))))
+        };
+        let single = engine.wait_task_async(victim, None, record());
+        let any = engine.wait_any_async(&[victim, blocker], None, record());
+        assert!(matches!(single, Subscribed::Parked(_)));
+        assert!(matches!(any, Subscribed::Parked(_)));
+        assert_eq!(engine.parked_waits(), 2);
+        engine.wait(victim, 0).unwrap();
+        spin_until("both callbacks", || fired.lock().len() == 2);
+        // FCFS: the blocker ends first and answers the `WaitAny`, the
+        // victim the single wait — each callback once.
+        let mut got = fired.lock().clone();
+        got.sort_by_key(|r| r.as_ref().map(|(id, _)| *id).ok());
+        assert_eq!(
+            got,
+            [
+                Ok((blocker, TaskState::Finished)),
+                Ok((victim, TaskState::Finished))
+            ]
+        );
+        assert_eq!(engine.parked_waits(), 0);
+        engine.shutdown();
+        assert_eq!(fired.lock().len(), 2, "shutdown fired a spent wait again");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Waits subscribed right behind their submission race the
+    /// completion in every order: whether the answer comes back `Now`
+    /// or through the callback, it comes exactly once.
+    #[test]
+    fn wake_racing_waits_are_each_answered_once() {
+        const THREADS: usize = 4;
+        const TASKS: usize = 2_000;
+        let root = temp_root("wake-race");
+        let engine = Engine::with_config(
+            EngineConfig {
+                workers: 4,
+                queue_capacity: THREADS * TASKS,
+                ..EngineConfig::default()
+            },
+            Box::new(Fcfs),
+        );
+        register_tmp0(&engine, &root);
+        let answers: Arc<Vec<AtomicU64>> =
+            Arc::new((0..THREADS * TASKS).map(|_| AtomicU64::new(0)).collect());
+        let parked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (engine, answers, parked) = (&engine, &answers, &parked);
+                scope.spawn(move || {
+                    let path = format!("race{t}");
+                    for slot in t * TASKS..(t + 1) * TASKS {
+                        let id = engine
+                            .submit(1, tiny_write(&path), Some(b"abcd".to_vec()))
+                            .unwrap();
+                        // A wrong answer counts 100, so it cannot pass
+                        // for the one right one.
+                        let tally =
+                            move |answers: &[AtomicU64], result: &Result<(u64, TaskStats), _>| {
+                                let right = matches!(result, Ok((done, stats))
+                                if *done == id && stats.state == TaskState::Finished);
+                                answers[slot]
+                                    .fetch_add(if right { 1 } else { 100 }, Ordering::SeqCst);
+                            };
+                        let mine = Arc::clone(answers);
+                        let callback: WaitCallback = Box::new(move |result| tally(&mine, &result));
+                        match engine.wait_task_async(id, None, callback) {
+                            Subscribed::Now(result) => tally(answers, &result),
+                            Subscribed::Parked(_) => {
+                                parked.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        spin_until("every wait answered", || {
+            answers.iter().all(|a| a.load(Ordering::SeqCst) > 0)
+        });
+        engine.shutdown();
+        let wrong: Vec<usize> = (0..answers.len())
+            .filter(|&slot| answers[slot].load(Ordering::SeqCst) != 1)
+            .collect();
+        assert!(
+            wrong.is_empty(),
+            "waits answered other than once: {wrong:?}"
+        );
+        assert_eq!(engine.parked_waits(), 0);
+        eprintln!(
+            "racing waits: {} of {} parked",
+            parked.load(Ordering::Relaxed),
+            THREADS * TASKS
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// After a burst, every worker is back on `dispatch_cv` and no wake
+    /// is left in flight — a wake counted in `waking` and never taken
+    /// back would silence later admissions.
+    #[test]
+    fn wake_burst_of_tiny_writes_leaves_every_worker_parked() {
+        let root = temp_root("wake-burst");
+        let engine = Engine::with_config(
+            EngineConfig {
+                workers: 4,
+                queue_capacity: 1_000,
+                ..EngineConfig::default()
+            },
+            Box::new(Fcfs),
+        );
+        register_tmp0(&engine, &root);
+        let ids: Vec<u64> = (0..1_000)
+            .map(|i| {
+                let path = format!("burst{}", i % 16);
+                engine
+                    .submit(1, tiny_write(&path), Some(b"abcd".to_vec()))
+                    .unwrap()
+            })
+            .collect();
+        for id in ids {
+            assert_eq!(engine.wait(id, 0).unwrap().state, TaskState::Finished);
+        }
+        spin_until("four parked workers and no wake in flight", || {
+            let st = engine.dispatch.lock();
+            st.idle == 4 && st.waking == 0
+        });
+        // And the next admission still finds one.
+        let id = engine
+            .submit(1, tiny_write("after"), Some(b"abcd".to_vec()))
+            .unwrap();
+        assert_eq!(engine.wait(id, 0).unwrap().state, TaskState::Finished);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// An admission wakes a parked worker even while another is busy:
+    /// a small write never queues behind a long copy with workers idle.
+    #[test]
+    fn wake_small_write_does_not_queue_behind_a_busy_worker() {
+        let root = temp_root("wake-busy");
+        let engine = Engine::with_config(
+            EngineConfig {
+                workers: 4,
+                chunk_size: 1 << 20,
+                ..EngineConfig::default()
+            },
+            Box::new(Fcfs),
+        );
+        register_tmp0(&engine, &root);
+        fs::write(root.join("tmp0/big"), vec![5u8; 64 << 20]).unwrap();
+        let copy = engine.submit(1, copy_spec("big", "big.out"), None).unwrap();
+        spin_until("the copy under way", || {
+            engine.query(copy).unwrap().bytes_moved > 0
+        });
+        let spec = TaskSpec::new(
+            TaskOp::Copy,
+            ResourceDesc::MemoryRegion {
+                addr: 0,
+                size: 4096,
+            },
+            Some(ResourceDesc::PosixPath {
+                nsid: "tmp0".into(),
+                path: "small".into(),
+            }),
+        );
+        let write = engine.submit(1, spec, Some(vec![1u8; 4096])).unwrap();
+        assert_eq!(engine.wait(write, 0).unwrap().state, TaskState::Finished);
+        assert_eq!(
+            engine.query(copy).unwrap().state,
+            TaskState::InProgress,
+            "the write waited for the copy"
+        );
+        assert_eq!(engine.wait(copy, 0).unwrap().state, TaskState::Finished);
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Every landing site makes a missing parent: a rename, a small and
+    /// a chunked copy, a memory write, a pull and a push (the peer's
+    /// `Prepare`).
+    #[test]
+    fn wake_outputs_land_in_a_missing_parent() {
+        use std::net::TcpListener;
+        let (engine, root) = chunking_engine("wake-parent", 2);
+        let mount = root.join("tmp0");
+        let peer_root = temp_root("wake-parent-peer");
+        let peer = Engine::new(1);
+        register_tmp0(&peer, &peer_root);
+        fs::write(peer_root.join("tmp0/remote.dat"), b"remote bytes").unwrap();
+        let server = DataServer::new(Arc::clone(&peer));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        engine.register_peer("peer", listener.local_addr().unwrap().to_string());
+        let acceptor = Arc::clone(&server);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                acceptor.serve(stream);
+            }
+        });
+        fs::write(mount.join("moved"), b"moved").unwrap();
+        fs::write(mount.join("small"), b"small").unwrap();
+        write_chunks(&root, "chunked", 4);
+        let remote = |path: &str| ResourceDesc::RemotePath {
+            host: "peer".into(),
+            nsid: "tmp0".into(),
+            path: path.into(),
+        };
+        let local = |path: &str| ResourceDesc::PosixPath {
+            nsid: "tmp0".into(),
+            path: path.into(),
+        };
+        let cases = [
+            (move_spec("moved", "new0/deep/moved"), None),
+            (copy_spec("small", "new1/deep/small"), None),
+            (copy_spec("chunked", "new2/deep/chunked"), None),
+            (tiny_write("new3/deep/written"), Some(b"abcd".to_vec())),
+            (
+                TaskSpec::new(
+                    TaskOp::Copy,
+                    remote("remote.dat"),
+                    Some(local("new4/deep/pulled")),
+                ),
+                None,
+            ),
+            (
+                TaskSpec::new(
+                    TaskOp::Copy,
+                    local("small"),
+                    Some(remote("new5/deep/pushed")),
+                ),
+                None,
+            ),
+        ];
+        for (spec, payload) in cases {
+            let id = engine.submit(1, spec.clone(), payload).unwrap();
+            let stats = engine.wait(id, 0).unwrap();
+            assert_eq!(stats.state, TaskState::Finished, "{spec:?}");
+        }
+        assert_eq!(fs::read(mount.join("new0/deep/moved")).unwrap(), b"moved");
+        assert_eq!(fs::read(mount.join("new1/deep/small")).unwrap(), b"small");
+        assert_eq!(
+            fs::read(mount.join("new2/deep/chunked")).unwrap(),
+            fs::read(mount.join("chunked")).unwrap()
+        );
+        assert_eq!(fs::read(mount.join("new3/deep/written")).unwrap(), b"abcd");
+        assert_eq!(
+            fs::read(mount.join("new4/deep/pulled")).unwrap(),
+            b"remote bytes"
+        );
+        assert_eq!(
+            fs::read(peer_root.join("tmp0/new5/deep/pushed")).unwrap(),
+            b"small"
+        );
+        engine.shutdown();
+        server.close_and_join();
+        peer.shutdown();
+        let _ = fs::remove_dir_all(&root);
+        let _ = fs::remove_dir_all(&peer_root);
+    }
+
+    /// The parent is made only once the operation needs it, and a copy
+    /// or move whose source is missing needs none.
+    #[test]
+    fn wake_missing_source_leaves_no_parent_behind() {
+        let (engine, root) = engine_with_ds("wake-nosrc");
+        for spec in [
+            copy_spec("ghost", "new/deep/out"),
+            move_spec("ghost", "new/deep/out"),
+        ] {
+            let id = engine.submit(1, spec, None).unwrap();
+            let stats = engine.wait(id, 0).unwrap();
+            assert_eq!(stats.state, TaskState::FinishedWithError);
+            assert_eq!(stats.error, ErrorCode::NotFound);
+        }
+        assert!(!root.join("tmp0/new").exists());
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Outputs bound for one missing directory race to make it: the
+    /// task that loses still lands.
+    #[test]
+    fn wake_outputs_racing_for_one_missing_parent_all_land() {
+        let root = temp_root("wake-parent-race");
+        let engine = Engine::with_config(
+            EngineConfig {
+                workers: 4,
+                ..EngineConfig::default()
+            },
+            Box::new(Fcfs),
+        );
+        register_tmp0(&engine, &root);
+        for round in 0..100 {
+            let ids: Vec<u64> = (0..4)
+                .map(|i| {
+                    let path = format!("race{round}/deep/out{i}");
+                    engine
+                        .submit(1, tiny_write(&path), Some(b"abcd".to_vec()))
+                        .unwrap()
+                })
+                .collect();
+            for id in ids {
+                let stats = engine.wait(id, 0).unwrap();
+                assert_eq!(stats.state, TaskState::Finished, "round {round}");
+            }
+        }
+        engine.shutdown();
+        let _ = fs::remove_dir_all(&root);
     }
 }

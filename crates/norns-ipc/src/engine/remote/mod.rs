@@ -78,7 +78,7 @@ use std::time::Duration;
 use norns_proto::{DataRequest, DataResponse, ErrorCode, MAX_DATA_RANGE};
 
 use super::error::EngineError;
-use super::transfer::{truncated, Chain, RangeMover};
+use super::transfer::{truncated, with_parent, Chain, RangeMover};
 use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
@@ -194,10 +194,7 @@ impl RemoteTransfer {
                     DataResponse::Stat { size } => size,
                     other => return Err(unexpected(&other)),
                 };
-                if let Some(parent) = local_path.parent() {
-                    fs::create_dir_all(parent)?;
-                }
-                let local = File::create(local_path)?;
+                let local = with_parent(local_path, |path| File::create(path))?;
                 // Preallocate (the fallocate analog), as the local
                 // chunked copy does: units then write disjoint interior
                 // ranges. A failed preallocation (ENOSPC) must not

@@ -29,6 +29,7 @@ use norns_proto::{
 };
 
 use super::super::error::EngineError;
+use super::super::transfer::with_parent;
 use super::super::Engine;
 use super::conn::{land_payload, send_file_range, tune};
 
@@ -244,14 +245,11 @@ fn handle_data(
         }
         DataRequest::Prepare { nsid, path, size } => {
             let local = engine.resolve_local(&nsid, &path)?;
-            if let Some(parent) = local.parent() {
-                fs::create_dir_all(parent)?;
-            }
             // A failed preallocation must not leave the empty file
             // behind: the pusher's plan fails on our `Error` before it
             // has a chain, so no `Discard` follows, and the file's
             // existence would fake a staged one.
-            if let Err(e) = File::create(&local)?.set_len(size) {
+            if let Err(e) = with_parent(&local, |path| File::create(path))?.set_len(size) {
                 let _ = fs::remove_file(&local);
                 return Err(e.into());
             }

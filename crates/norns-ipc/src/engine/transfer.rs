@@ -223,6 +223,29 @@ pub(crate) fn copy_range(
     Ok(copied)
 }
 
+/// Run `op` on `path`, creating `path`'s parent directory only when
+/// `op` fails `NotFound` — then once more. Every output lands through
+/// here: the parent almost always exists, and creating it up front
+/// cost every task a `mkdir(2)` failing `EEXIST` under the
+/// grandparent's lock plus a `stat(2)`. The parent is not checked
+/// first: tasks landing in the same missing directory race to make it,
+/// and one that lost the race must still try again.
+pub(crate) fn with_parent<T>(
+    path: &Path,
+    mut op: impl FnMut(&Path) -> io::Result<T>,
+) -> io::Result<T> {
+    match op(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => match path.parent() {
+            Some(parent) => {
+                fs::create_dir_all(parent)?;
+                op(path)
+            }
+            None => Err(e),
+        },
+        done => done,
+    }
+}
+
 /// Open `src` and create-or-empty `dst` for a copy: the one place a
 /// source is opened and its destination truncated. The destination is
 /// opened *without* `O_TRUNC` and compared with the source by
@@ -233,11 +256,13 @@ pub(crate) fn copy_range(
 fn open_pair(src: &Path, dst: &Path) -> Result<(File, Metadata, File), EngineError> {
     let from = File::open(src)?;
     let meta = from.metadata()?;
-    let to = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(dst)?;
+    let to = with_parent(dst, |dst| {
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(dst)
+    })?;
     let old = to.metadata()?;
     if (old.dev(), old.ino()) == (meta.dev(), meta.ino()) {
         return Err(EngineError::bad_args(format!(
@@ -273,7 +298,7 @@ pub(crate) fn copy_tree(src: &Path, dst: &Path, progress: &AtomicU64) -> Result<
         if fs::symlink_metadata(dst).is_ok() {
             fs::remove_file(dst)?;
         }
-        std::os::unix::fs::symlink(&target, dst)?;
+        with_parent(dst, |dst| std::os::unix::fs::symlink(&target, dst))?;
         Ok(0)
     } else if file_type.is_dir() {
         fs::create_dir_all(dst)?;

@@ -1,17 +1,22 @@
 //! Waits: one mechanism for every caller — a one-shot callback
 //! subscribed in the `wait_subs` registry. Every terminal transition
 //! funnels through `finish_task` or `mark_cancelled`, which notify the
-//! inverted `by_task` index.
+//! inverted `by_task` index. A wait that is already settled — a
+//! terminal or unknown task, a refused requester — never subscribes:
+//! it is answered on the spot as [`Subscribed::Now`], and its callback
+//! is dropped unrun.
 //!
-//! The engine owns no clock. The blocking calls subscribe a callback
-//! that sends into a channel and park the caller on it with their own
-//! `recv_timeout`; the reactor daemon, which must not pin a thread per
-//! parked `WaitTask` / `WaitAny`, subscribes callbacks that queue a
-//! response, keeps each deadline in its own epoll timeout and calls
-//! [`Engine::expire_wait`] when one passes. Semantics are the same
-//! either way: an expired `WaitTask` delivers the in-flight snapshot,
-//! an expired `WaitAny` delivers [`ErrorCode::Timeout`], and a zero
-//! timeout parks forever.
+//! The engine owns no clock. The blocking calls return a `Now` answer
+//! as it is, and otherwise subscribe a callback that sends into a
+//! channel and park the caller on it with their own `recv_timeout`;
+//! the reactor daemon, which must not pin a thread per parked
+//! `WaitTask` / `WaitAny`, answers a `Now` in the same batch as the
+//! read's other replies and, for a parked wait, subscribes a callback
+//! that queues a response, keeps each deadline in its own epoll
+//! timeout and calls [`Engine::expire_wait`] when one passes.
+//! Semantics are the same either way: an expired `WaitTask` delivers
+//! the in-flight snapshot, an expired `WaitAny` delivers
+//! [`ErrorCode::Timeout`], and a zero timeout parks forever.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -20,13 +25,31 @@ use norns_proto::{ErrorCode, TaskStats};
 
 use super::{Engine, EngineError};
 
+/// What a wait resolves to: the task that ended it and its stats, or
+/// why it could not be waited on.
+type WaitResult = Result<(u64, TaskStats), EngineError>;
+
 /// Callback behind a parked wait: invoked exactly once — from the
-/// worker thread that drives the terminal transition, from whichever
-/// thread expires the wait, or inline from the subscribing thread
-/// when the wait can resolve immediately. Callbacks must be quick and
-/// non-blocking (the reactor's pushes a completion into a queue and
-/// wakes an epoll loop; the blocking calls' sends into a channel).
-pub type WaitCallback = Box<dyn FnOnce(Result<(u64, TaskStats), EngineError>) + Send>;
+/// worker thread that drives the terminal transition, or from
+/// whichever thread expires the wait. A wait that settles while it
+/// subscribes is answered as [`Subscribed::Now`] instead and its
+/// callback never runs. Callbacks must be quick and non-blocking (the
+/// reactor's pushes a completion into a queue and wakes an epoll loop;
+/// the blocking calls' sends into a channel).
+pub type WaitCallback = Box<dyn FnOnce(WaitResult) + Send>;
+
+/// What subscribing a wait came to.
+pub enum Subscribed {
+    /// Already settled — a terminal or unknown task, or a requester the
+    /// set refuses: the answer itself. The callback was dropped unrun.
+    Now(Result<(u64, TaskStats), EngineError>),
+    /// Parked under this subscription id (cancel it with
+    /// [`Engine::unsubscribe_wait`] if the subscriber goes away, bound
+    /// it with [`Engine::expire_wait`]): the callback owns the answer
+    /// and runs exactly once — possibly already, from a completion that
+    /// raced the subscription.
+    Parked(u64),
+}
 
 /// Timeout semantics differ between the two wait ops: an expired
 /// `WaitTask` returns the in-flight snapshot, an expired `WaitAny` is
@@ -76,7 +99,7 @@ impl Engine {
     /// timeout returns the in-flight snapshot; `None` means the id is
     /// unknown.
     pub fn wait(&self, task_id: u64, timeout_usec: u64) -> Option<TaskStats> {
-        self.wait_parked(WaitKind::Single, vec![task_id], timeout_usec)
+        self.wait_parked(WaitKind::Single, &[task_id], timeout_usec)
             .ok()
             .map(|(_, stats)| stats)
     }
@@ -108,26 +131,27 @@ impl Engine {
         requester: Option<u64>,
     ) -> Result<(u64, TaskStats), EngineError> {
         self.check_wait_set(task_ids, requester)?;
-        self.wait_parked(WaitKind::Any, task_ids.to_vec(), timeout_usec)
+        self.wait_parked(WaitKind::Any, task_ids, timeout_usec)
     }
 
-    /// Subscribe a channel-sending callback and park the calling
-    /// thread on the channel.
-    fn wait_parked(
-        &self,
-        kind: WaitKind,
-        task_ids: Vec<u64>,
-        timeout_usec: u64,
-    ) -> Result<(u64, TaskStats), EngineError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let sub = self.subscribe_wait(
-            kind,
-            task_ids,
+    /// Answer a settled wait on the spot; otherwise subscribe a
+    /// channel-sending callback and park the calling thread on the
+    /// channel.
+    fn wait_parked(&self, kind: WaitKind, task_ids: &[u64], timeout_usec: u64) -> WaitResult {
+        let mut rx = None;
+        let sub = self.subscribe_wait(kind, task_ids, || {
+            let (tx, chan) = std::sync::mpsc::channel();
+            rx = Some(chan);
             Box::new(move |result| {
                 let _ = tx.send(result);
-            }),
-        );
-        if let Some(sub_id) = sub.filter(|_| timeout_usec > 0) {
+            })
+        });
+        let sub_id = match sub {
+            Subscribed::Now(result) => return result,
+            Subscribed::Parked(sub_id) => sub_id,
+        };
+        let rx = rx.expect("a parked wait built its callback");
+        if timeout_usec > 0 {
             match rx.recv_timeout(Duration::from_micros(timeout_usec)) {
                 Ok(result) => return result,
                 // `take_sub` inside decides a completion racing the
@@ -164,39 +188,35 @@ impl Engine {
     }
 
     /// Callback form of [`Engine::wait`] with the user-socket
-    /// ownership rule applied (see [`Engine::query_scoped`]). Returns
-    /// the subscription id when the wait parked (cancel it with
-    /// [`Engine::unsubscribe_wait`] if the connection dies first, bound
-    /// it with [`Engine::expire_wait`]), or `None` when the callback
-    /// already fired — inline for validation failures and
-    /// already-terminal tasks, or from a racing completion. Either way
-    /// the callback is invoked exactly once.
+    /// ownership rule applied (see [`Engine::query_scoped`]). A task
+    /// that is already terminal or unknown, and a requester the rule
+    /// refuses, come back as [`Subscribed::Now`] with `callback`
+    /// dropped unrun; otherwise the wait parks and `callback` is
+    /// invoked exactly once.
     pub fn wait_task_async(
         &self,
         task_id: u64,
         requester: Option<u64>,
         callback: WaitCallback,
-    ) -> Option<u64> {
+    ) -> Subscribed {
         if let Err(e) = self.check_owner(task_id, requester) {
-            callback(Err(e));
-            return None;
+            return Subscribed::Now(Err(e));
         }
-        self.subscribe_wait(WaitKind::Single, vec![task_id], callback)
+        self.subscribe_wait(WaitKind::Single, &[task_id], || callback)
     }
 
     /// Callback form of [`Engine::wait_any_scoped`] (see
-    /// [`Engine::wait_task_async`] for the callback contract).
+    /// [`Engine::wait_task_async`] for the contract).
     pub fn wait_any_async(
         &self,
         task_ids: &[u64],
         requester: Option<u64>,
         callback: WaitCallback,
-    ) -> Option<u64> {
+    ) -> Subscribed {
         if let Err(e) = self.check_wait_set(task_ids, requester) {
-            callback(Err(e));
-            return None;
+            return Subscribed::Now(Err(e));
         }
-        self.subscribe_wait(WaitKind::Any, task_ids.to_vec(), callback)
+        self.subscribe_wait(WaitKind::Any, task_ids, || callback)
     }
 
     /// Drop a parked wait whose subscriber went away (connection
@@ -211,55 +231,56 @@ impl Engine {
         self.wait_subs.lock().subs.len()
     }
 
-    /// Register a wait. Returns the subscription id when it parked,
-    /// `None` when the callback already fired.
+    /// The answer a wait over `task_ids` already has: the first task
+    /// in set order that is terminal (`wait_any`'s tie-break: the
+    /// earliest listed wins) or unknown.
+    fn settled(&self, task_ids: &[u64]) -> Option<WaitResult> {
+        task_ids.iter().find_map(|&t| match self.tasks.snapshot(t) {
+            Some(stats) if stats.state.is_terminal() => Some(Ok((t, stats))),
+            Some(_) => None,
+            None => Some(Err(EngineError::not_found(format!("task {t}")))),
+        })
+    }
+
+    /// Register a wait, unless it is already settled: then the answer
+    /// comes back as [`Subscribed::Now`] and `callback` is never even
+    /// built.
     fn subscribe_wait(
         &self,
         kind: WaitKind,
-        task_ids: Vec<u64>,
-        callback: WaitCallback,
-    ) -> Option<u64> {
+        task_ids: &[u64],
+        callback: impl FnOnce() -> WaitCallback,
+    ) -> Subscribed {
+        if let Some(result) = self.settled(task_ids) {
+            return Subscribed::Now(result);
+        }
         let sub_id = {
             let mut ws = self.wait_subs.lock();
             ws.next_id += 1;
             let sub_id = ws.next_id;
-            for &t in &task_ids {
+            for &t in task_ids {
                 ws.by_task.entry(t).or_default().push(sub_id);
             }
             ws.subs.insert(
                 sub_id,
                 WaitSub {
                     kind,
-                    task_ids: task_ids.clone(),
-                    callback,
+                    task_ids: task_ids.to_vec(),
+                    callback: callback(),
                 },
             );
             sub_id
         };
-        // Subscribe *then* scan: a completion racing this registration
-        // either sees the sub in `by_task` (and fires it) or we see
-        // the terminal state here — a lost wakeup is impossible, and
-        // remove-under-lock in `take_sub` picks the single firing
-        // side. Scanning in set order gives `wait_any` its tie-break
-        // (earliest listed terminal task wins).
-        for &t in &task_ids {
-            match self.tasks.snapshot(t) {
-                Some(stats) if stats.state.is_terminal() => {
-                    if let Some(sub) = self.take_sub(sub_id) {
-                        (sub.callback)(Ok((t, stats)));
-                    }
-                    return None;
-                }
-                Some(_) => {}
-                None => {
-                    if let Some(sub) = self.take_sub(sub_id) {
-                        (sub.callback)(Err(EngineError::not_found(format!("task {t}"))));
-                    }
-                    return None;
-                }
-            }
+        // Subscribe *then* scan again: a completion racing this
+        // registration either sees the sub in `by_task` (and fires it)
+        // or the scan sees the terminal state — a lost wakeup is
+        // impossible, and remove-under-lock in `take_sub` picks the
+        // single answering side. If the completion won, its callback
+        // owns the answer and the wait counts as parked.
+        match self.settled(task_ids) {
+            Some(result) if self.take_sub(sub_id).is_some() => Subscribed::Now(result),
+            _ => Subscribed::Parked(sub_id),
         }
-        Some(sub_id)
     }
 
     /// Remove a subscription; whoever gets the `WaitSub` back owns the

@@ -387,6 +387,26 @@ fn wait_with_timeout_returns_inflight_state() {
     assert_eq!(daemon.engine().parked_waits(), 0);
 }
 
+/// `poll` leaves its read timeout on the stream for the next poll
+/// rather than clearing it after every read; a later blocking wait that
+/// outlasts it many times over still returns the task's stats, not a
+/// timeout error.
+#[test]
+fn a_poll_timeout_left_on_the_stream_does_not_fail_a_long_blocking_wait() {
+    let (_daemon, mut ctl, blocker, silent) = pinned("poll-then-wait");
+    assert!(ctl.poll(Duration::from_millis(1)).unwrap().is_empty());
+    let hold = Duration::from_millis(60);
+    let release = std::thread::spawn(move || {
+        std::thread::sleep(hold);
+        drop(silent); // resets the pull: the blocker fails
+    });
+    let start = Instant::now();
+    let stats = ctl.wait(blocker, 0).unwrap();
+    assert!(start.elapsed() >= Duration::from_millis(50));
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    release.join().unwrap();
+}
+
 /// Each reactor keeps the deadlines of its own connections: waits
 /// issued latest-deadline-first over connections that alternate
 /// between the two reactors still fire in deadline order.
