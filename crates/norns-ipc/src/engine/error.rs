@@ -44,7 +44,7 @@ impl From<io::Error> for EngineError {
         let code = match e.kind() {
             io::ErrorKind::NotFound => ErrorCode::NotFound,
             io::ErrorKind::PermissionDenied => ErrorCode::PermissionDenied,
-            io::ErrorKind::StorageFull => ErrorCode::NoSpace,
+            io::ErrorKind::StorageFull | io::ErrorKind::QuotaExceeded => ErrorCode::NoSpace,
             _ => ErrorCode::SystemError,
         };
         EngineError::new(code, e.to_string())
@@ -79,6 +79,7 @@ mod tests {
             (io::ErrorKind::NotFound, ErrorCode::NotFound),
             (io::ErrorKind::PermissionDenied, ErrorCode::PermissionDenied),
             (io::ErrorKind::StorageFull, ErrorCode::NoSpace),
+            (io::ErrorKind::QuotaExceeded, ErrorCode::NoSpace),
             (io::ErrorKind::BrokenPipe, ErrorCode::SystemError),
         ] {
             let e = EngineError::from(io::Error::new(kind, "detail"));

@@ -1240,12 +1240,31 @@ mod tests {
     use norns_proto::{DataspaceDesc, JobDesc};
     use std::path::Path;
 
-    pub(crate) fn temp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("norns-ipc-engine-{tag}-{}", std::process::id()));
+    /// A test's scratch directory, emptied on creation and removed with
+    /// everything in it on drop — a test that panics unwinds through
+    /// the drop too, so no run leaves its files behind.
+    pub(crate) struct TempRoot(PathBuf);
+
+    impl std::ops::Deref for TempRoot {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempRoot {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh [`TempRoot`]; `tag` is unique across the crate's tests.
+    pub(crate) fn temp_root(tag: &str) -> TempRoot {
+        let dir = std::env::temp_dir().join(format!("norns-ipc-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TempRoot(dir)
     }
 
     pub(crate) fn register_tmp0(engine: &Engine, root: &Path) {
@@ -1270,7 +1289,7 @@ mod tests {
         Engine::with_config(config, policy)
     }
 
-    fn engine_with_ds(tag: &str) -> (Arc<Engine>, PathBuf) {
+    fn engine_with_ds(tag: &str) -> (Arc<Engine>, TempRoot) {
         let root = temp_root(tag);
         let engine = Engine::new(2);
         register_tmp0(&engine, &root);
@@ -1857,7 +1876,7 @@ mod tests {
     }
 
     /// An FCFS engine cutting copies into [`MIN_CHUNK_SIZE`] chunks.
-    fn chunking_engine(tag: &str, workers: usize) -> (Arc<Engine>, PathBuf) {
+    fn chunking_engine(tag: &str, workers: usize) -> (Arc<Engine>, TempRoot) {
         let root = temp_root(tag);
         let engine = Engine::with_config(
             EngineConfig {
@@ -1890,6 +1909,29 @@ mod tests {
             engine.query(id).unwrap().bytes_moved >= 2 * MIN_CHUNK_SIZE
         });
         id
+    }
+
+    /// Submit, as `job`, a pull from host `peer`: a listener nobody
+    /// accepts on, so the pull's `Stat` is never answered. It holds a
+    /// worker until the test drops the listener it gets back, which
+    /// resets the connection and fails the pull.
+    fn silent_pull(engine: &Engine, peer: &str, job: u64) -> (u64, std::net::TcpListener) {
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        engine.register_peer(peer, silent.local_addr().unwrap().to_string());
+        let spec = TaskSpec::new(
+            TaskOp::Copy,
+            ResourceDesc::RemotePath {
+                host: peer.into(),
+                nsid: "tmp0".into(),
+                path: "never".into(),
+            },
+            Some(ResourceDesc::PosixPath {
+                nsid: "tmp0".into(),
+                path: peer.into(),
+            }),
+        );
+        let id = engine.submit(job, spec, None).unwrap();
+        (id, silent)
     }
 
     /// Nothing of a finished chain is left in the scheduler, and the
@@ -1934,7 +1976,6 @@ mod tests {
         );
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown(); // idempotent
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// Regression: shutdown drained a queued successor's work but left
@@ -1954,30 +1995,12 @@ mod tests {
             Box::new(JobFairShare::default()),
         );
         register_tmp0(&engine, &root);
-        let pull = |peer: &str, job: u64| {
-            let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            engine.register_peer(peer, silent.local_addr().unwrap().to_string());
-            let spec = TaskSpec::new(
-                TaskOp::Copy,
-                ResourceDesc::RemotePath {
-                    host: peer.into(),
-                    nsid: "tmp0".into(),
-                    path: "never".into(),
-                },
-                Some(ResourceDesc::PosixPath {
-                    nsid: "tmp0".into(),
-                    path: peer.into(),
-                }),
-            );
-            let id = engine.submit(job, spec, None).unwrap();
-            (id, silent)
-        };
         let on_worker = |id| engine.query(id).unwrap().state == TaskState::InProgress;
-        let (held, first) = pull("first", 3);
+        let (held, first) = silent_pull(&engine, "first", 3);
         spin_until("the first pull on the worker", || on_worker(held));
         write_chunks(&root, "big", 64);
         let big = engine.submit(1, copy_spec("big", "big.out"), None).unwrap();
-        let (blocker, second) = pull("second", 2);
+        let (blocker, second) = silent_pull(&engine, "second", 2);
         drop(first); // resets the first pull
         spin_until("the second pull on the worker", || on_worker(blocker));
         std::thread::scope(|scope| {
@@ -1993,7 +2016,6 @@ mod tests {
         }
         assert!(engine.error_message(big).unwrap().contains("shutdown"));
         assert_chain_gone(&engine, 3, 0);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -2012,7 +2034,6 @@ mod tests {
         assert!(issued < 1023, "{issued} units issued");
         assert_chain_gone(&engine, 0, 1);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -2035,7 +2056,6 @@ mod tests {
         assert!(!root.join("tmp0/out").exists());
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// What one lane per file buys: the pool's other workers.
@@ -2080,7 +2100,6 @@ mod tests {
         );
         assert_eq!(engine.wait(big, 0).unwrap().state, TaskState::Finished);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// A copy onto another name of the source — a hard link, a symlink
@@ -2118,7 +2137,6 @@ mod tests {
             );
         }
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -2126,12 +2144,10 @@ mod tests {
         let root = temp_root("waitany");
         let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
-        // Blocker pins the single worker so the two waited tasks are
-        // still pending when wait_any parks.
-        fs::write(root.join("tmp0/blocker-src"), vec![2u8; 32 << 20]).unwrap();
-        let blocker = engine
-            .submit(7, copy_spec("blocker-src", "blocker-dst"), None)
-            .unwrap();
+        // The blocker pins the single worker until the test lets it go,
+        // so the two waited tasks are still pending when wait_any parks
+        // however fast the box is.
+        let (blocker, release) = silent_pull(&engine, "silent", 7);
         let a = engine
             .submit(7, tiny_write("a"), Some(b"aaaa".to_vec()))
             .unwrap();
@@ -2146,7 +2162,9 @@ mod tests {
                 ..
             })
         ));
-        // FCFS: `a` finishes first; the batch wait names it.
+        // Released, the blocker's pull fails; then FCFS: `a` finishes
+        // first, and the batch wait names it.
+        drop(release);
         let (done, stats) = engine.wait_any(&[a, b], 0).unwrap();
         assert_eq!(done, a);
         assert_eq!(stats.state, TaskState::Finished);
@@ -2263,7 +2281,6 @@ mod tests {
         assert_eq!(fs::read(mount.join("b/x")).unwrap(), b"b's x");
         assert_eq!(fs::read(mount.join("b/y")).unwrap(), b"b's y");
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// A callback a settled wait must never run.
@@ -2280,7 +2297,7 @@ mod tests {
 
     #[test]
     fn wake_settled_waits_are_answered_now_and_drop_the_callback() {
-        let (engine, root) = engine_with_ds("wake-now");
+        let (engine, _root) = engine_with_ds("wake-now");
         let id = engine
             .submit(7, tiny_write("now"), Some(b"abcd".to_vec()))
             .unwrap();
@@ -2304,7 +2321,6 @@ mod tests {
         assert_eq!(code(foreign), ErrorCode::PermissionDenied);
         assert_eq!(engine.parked_waits(), 0);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -2347,7 +2363,6 @@ mod tests {
         assert_eq!(engine.parked_waits(), 0);
         engine.shutdown();
         assert_eq!(fired.lock().len(), 2, "shutdown fired a spent wait again");
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// Waits subscribed right behind their submission race the
@@ -2417,7 +2432,6 @@ mod tests {
             parked.load(Ordering::Relaxed),
             THREADS * TASKS
         );
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// After a burst, every worker is back on `dispatch_cv` and no wake
@@ -2456,7 +2470,6 @@ mod tests {
             .unwrap();
         assert_eq!(engine.wait(id, 0).unwrap().state, TaskState::Finished);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// An admission wakes a parked worker even while another is busy:
@@ -2498,7 +2511,6 @@ mod tests {
         );
         assert_eq!(engine.wait(copy, 0).unwrap().state, TaskState::Finished);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// Every landing site makes a missing parent: a rename, a small and
@@ -2580,8 +2592,6 @@ mod tests {
         engine.shutdown();
         server.close_and_join();
         peer.shutdown();
-        let _ = fs::remove_dir_all(&root);
-        let _ = fs::remove_dir_all(&peer_root);
     }
 
     /// The parent is made only once the operation needs it, and a copy
@@ -2600,7 +2610,6 @@ mod tests {
         }
         assert!(!root.join("tmp0/new").exists());
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// Outputs bound for one missing directory race to make it: the
@@ -2631,6 +2640,5 @@ mod tests {
             }
         }
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -581,6 +581,7 @@ mod tests {
 
     use norns_proto::Wire;
 
+    use crate::engine::tests::{temp_root, TempRoot};
     use crate::engine::transfer::tests::pool_buf_len;
 
     /// The per-worker connection cache is bounded: inserting more
@@ -647,9 +648,7 @@ mod tests {
             }
         });
 
-        let dir = std::env::temp_dir().join(format!("norns-buffered-push-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_root("buffered-push");
         // The range starts off a buffer boundary inside a larger file,
         // so a wrong offset or an over-read shows up too.
         let offset = 4099u64;
@@ -679,7 +678,6 @@ mod tests {
             assert_eq!(DataRequest::decode(&mut frame).unwrap(), req);
             assert!(&frame[..] == want, "payload differs from the source range");
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A source that shrank under the transfer must fail the range,
@@ -688,16 +686,13 @@ mod tests {
     fn buffered_push_fallback_refuses_a_short_source() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let dir = std::env::temp_dir().join(format!("norns-short-push-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_root("short-push");
         fs::write(dir.join("src.dat"), vec![9u8; 1000]).unwrap();
         let file = File::open(dir.join("src.dat")).unwrap();
         let mut conn = DataConn::connect(&addr).unwrap();
         let err = write_payload_buffered(&mut conn.stream, &file, 0, 1001).unwrap_err();
         assert_eq!(err.code, ErrorCode::SystemError);
         assert!(err.message.contains("truncated at byte 1000"), "{err}");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Position-dependent bytes, different per `salt`, so a stale, a
@@ -713,7 +708,7 @@ mod tests {
     struct Landing {
         rx: TcpStream,
         reader: FrameReader,
-        dir: std::path::PathBuf,
+        dir: TempRoot,
     }
 
     fn landing(tag: &str) -> (Landing, TcpStream) {
@@ -722,9 +717,7 @@ mod tests {
         tx.set_nodelay(true).unwrap();
         let (rx, _) = listener.accept().unwrap();
         tune(&rx);
-        let dir = std::env::temp_dir().join(format!("norns-landing-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_root(&format!("landing-{tag}"));
         let landing = Landing {
             rx,
             reader: FrameReader::new(),
@@ -836,7 +829,6 @@ mod tests {
             "a payload went through the pooled buffer"
         );
         assert!(pipe_is_kept(), "a clean range keeps the thread's pipe");
-        let _ = fs::remove_dir_all(&landing.dir);
     }
 
     /// A destination the kernel will not splice into — `O_APPEND`
@@ -870,7 +862,6 @@ mod tests {
             pipe_is_kept(),
             "a refusal leaves the pipe empty: it is kept"
         );
-        let _ = fs::remove_dir_all(&landing.dir);
     }
 
     /// A file write that fails once the socket's bytes are in the pipe
@@ -898,7 +889,6 @@ mod tests {
         landing.land(&mut tx, &file, 0, &payload, 0).unwrap();
         assert!(fs::read(&path).unwrap() == payload);
         assert!(pipe_is_kept(), "a fresh pipe took its place");
-        let _ = fs::remove_dir_all(&landing.dir);
     }
 
     /// `splice` on a socket honours `SO_RCVTIMEO`: a peer that promises
@@ -933,7 +923,6 @@ mod tests {
         push_frame(&mut frame, None, &DataResponse::Ok, 0, |_| ());
         tx.write_all(&frame).unwrap();
         assert_eq!(conn.recv_response().unwrap(), (DataResponse::Ok, 0));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A peer that hangs up inside a payload fails the range.
@@ -948,6 +937,5 @@ mod tests {
         let cut = land_payload(&mut landing.reader, &mut landing.rx, &file, 0);
         assert_eq!(cut.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(landing.reader.untaken(), 50_000);
-        let _ = fs::remove_dir_all(&landing.dir);
     }
 }

@@ -26,16 +26,22 @@
 //! handler thread on the peer, whichever workers lend the threads.
 //!
 //! **Pipelining.** Within a unit, ranges do not travel as strict
-//! stop-and-wait round-trips: the worker keeps up to `window`
-//! [`MAX_DATA_RANGE`]-bounded requests in flight on the connection,
-//! writing a window of `Fetch`/`Store` frames before draining their
-//! responses in request order (the peer's data-plane loop services a
-//! connection's requests sequentially, so responses arrive in order).
-//! That keeps the wire full instead of paying a full client⇆server
-//! turnaround per range. `window == 1` is stop-and-wait. The window is
-//! drained at each unit's end. Every drained response advances the
-//! task's live progress atomic, and the abort flag is observed between
-//! window refills, so `query()` shows a remote transfer advancing and
+//! stop-and-wait round-trips: the worker keeps up to `window` requests
+//! in flight on the connection, writing a window of `Fetch`/`Store`
+//! frames before draining their responses in request order (the peer's
+//! data-plane loop services a connection's requests sequentially, so
+//! responses arrive in order). That keeps the wire full instead of
+//! paying a full client⇆server turnaround per range. `window == 1` is
+//! stop-and-wait. Every request is whole: [`MAX_DATA_RANGE`] (4 MiB),
+//! or what is left of the unit — a 16 MiB leg at the defaults (8 MiB
+//! chunks) is 4 frames, 4 answers and 4 wake-ups each way. Cutting a
+//! unit into smaller ranges so the window fills would multiply those
+//! and buy a link with a round-trip time nothing: the bytes in flight
+//! per unit are min(unit, window × 4 MiB) already, the most any cut
+//! allows. `window` counts requests, and the window is drained at
+//! each unit's end. Every drained response advances the task's live
+//! progress atomic, and the abort flag is observed between window
+//! refills, so `query()` shows a remote transfer advancing and
 //! `cancel()` interrupts one mid-stream (in-flight responses are
 //! drained so the connection never desynchronizes).
 //!
@@ -55,15 +61,18 @@
 //!
 //! Failure model: unknown peers are rejected at submission
 //! (`NotFound`); unreachable peers fail the task with a bounded
-//! connect timeout instead of hanging; a failed or cancelled pull
-//! removes the preallocated local destination, a failed or cancelled
-//! push asks the peer to discard the partial remote file. A peer's
-//! `Error` is an answer — it ends the transfer with the peer's code,
-//! over a connection that stays good. A *connection* that fails, if it
-//! came out of the cache or has been held since an earlier exchange,
-//! is reopened once and the unacknowledged remainder replayed
-//! ([`HeldConn::exchange`], the one retry rule) — safe because every
-//! range names an absolute offset (idempotent replay).
+//! connect timeout instead of hanging; a destination that cannot be
+//! allocated (`ENOSPC`, `EDQUOT`, `EFBIG`) fails the plan before any
+//! range moves, here for a pull, on the peer's `Prepare` for a push;
+//! a failed or cancelled pull removes the preallocated local
+//! destination, a failed or cancelled push asks the peer to discard
+//! the partial remote file. A peer's `Error` is an answer — it ends the
+//! transfer with the peer's code, over a connection that stays good. A
+//! *connection* that fails, if it came out of the cache or has been
+//! held since an earlier exchange, is reopened once and the
+//! unacknowledged remainder replayed ([`HeldConn::exchange`], the one
+//! retry rule) — safe because every range names an absolute offset
+//! (idempotent replay).
 
 mod conn;
 mod server;
@@ -78,7 +87,7 @@ use std::time::Duration;
 use norns_proto::{DataRequest, DataResponse, ErrorCode, MAX_DATA_RANGE};
 
 use super::error::EngineError;
-use super::transfer::{truncated, with_parent, Chain, RangeMover};
+use super::transfer::{preallocate, truncated, with_parent, Chain, RangeMover};
 use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
@@ -91,10 +100,6 @@ pub const DEFAULT_REMOTE_WINDOW: usize = 8;
 /// in-flight bytes stop buying latency hiding and only raise the cost
 /// of a mid-stream cancel (which drains the window).
 pub const MAX_REMOTE_WINDOW: usize = 256;
-
-/// Floor on the pipelined range step: windowing a small chunk must not
-/// shatter it into requests so small that per-frame overhead dominates.
-const RANGE_STEP_FLOOR: u64 = 256 << 10;
 
 /// Pause before the second (last-chance) `Discard` attempt in
 /// [`RemoteTransfer::cleanup`] — long enough for a peer daemon
@@ -194,16 +199,11 @@ impl RemoteTransfer {
                     DataResponse::Stat { size } => size,
                     other => return Err(unexpected(&other)),
                 };
+                // Allocated before the first `Fetch`, as the local
+                // chunked copy's destination is: units then land
+                // disjoint ranges in blocks that are already there.
                 let local = with_parent(local_path, |path| File::create(path))?;
-                // Preallocate (the fallocate analog), as the local
-                // chunked copy does: units then write disjoint interior
-                // ranges. A failed preallocation (ENOSPC) must not
-                // leave the truncated destination behind — its
-                // existence would fake a staged file.
-                if let Err(e) = local.set_len(size) {
-                    let _ = fs::remove_file(local_path);
-                    return Err(e.into());
-                }
+                preallocate(&local, local_path, size)?;
                 (local, size)
             }
             Direction::Push => {
@@ -242,20 +242,6 @@ impl RemoteTransfer {
             abort,
             Box::new(RemoteTransfer { ends, conn }),
         ))
-    }
-
-    /// The per-request range step for a chunk of `len` bytes: aim for
-    /// `window` requests per chunk so the window actually fills, but
-    /// never below [`RANGE_STEP_FLOOR`] (per-frame overhead) and never
-    /// above [`MAX_DATA_RANGE`] (the wire's range cap). With
-    /// `window == 1` this is exactly the old stop-and-wait step.
-    fn range_step(len: u64, window: usize) -> u64 {
-        if len == 0 {
-            return 1;
-        }
-        len.div_ceil(window as u64)
-            .clamp(RANGE_STEP_FLOOR, MAX_DATA_RANGE)
-            .min(len)
     }
 
     /// Remove whatever the interrupted transfer left behind: the
@@ -335,19 +321,19 @@ impl Ends {
     }
 
     /// Run one windowed exchange ([`HeldConn::exchange`]'s contract):
-    /// keep up to `self.window` requests for `step`-byte ranges in
-    /// flight on `conn` from `*acked` to `end`, reading responses in
-    /// order; `acked` advances past each confirmed range, so a rerun
-    /// over a reopened connection resumes from the first unconfirmed
-    /// byte. The abort flag or a refusal stops the refills, and what
-    /// is in flight is drained so the connection stays frame-aligned;
-    /// a drain that fails just costs the connection.
+    /// keep up to `self.window` requests in flight on `conn` from
+    /// `*acked` to `end` — each for [`MAX_DATA_RANGE`] bytes, or what
+    /// is left — reading responses in order; `acked` advances past each
+    /// confirmed range, so a rerun over a reopened connection resumes
+    /// from the first unconfirmed byte. The abort flag or a refusal
+    /// stops the refills, and what is in flight is drained so the
+    /// connection stays frame-aligned; a drain that fails just costs
+    /// the connection.
     fn run_window(
         &self,
         conn: &mut DataConn,
         acked: &mut u64,
         end: u64,
-        step: u64,
     ) -> Result<(Answer<()>, bool), EngineError> {
         let mut next = *acked;
         let mut inflight: VecDeque<(u64, u64)> = VecDeque::with_capacity(self.window);
@@ -355,7 +341,7 @@ impl Ends {
         let in_step = loop {
             let stopping = refused.is_some() || self.abort.load(Ordering::SeqCst);
             while !stopping && inflight.len() < self.window && next < end {
-                let len = step.min(end - next);
+                let len = MAX_DATA_RANGE.min(end - next);
                 self.send_range(conn, next, len)?;
                 inflight.push_back((next, len));
                 next += len;
@@ -383,10 +369,9 @@ impl RangeMover for RemoteTransfer {
     /// Move one chunk over the transfer's connection with up to
     /// `window` requests in flight.
     fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
-        let step = Self::range_step(len, self.ends.window);
         let (ends, mut acked) = (&self.ends, offset);
         self.conn
-            .exchange(|conn| ends.run_window(conn, &mut acked, offset + len, step))?
+            .exchange(|conn| ends.run_window(conn, &mut acked, offset + len))?
     }
 
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
@@ -400,9 +385,10 @@ impl RangeMover for RemoteTransfer {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{
-        assert_chain_gone, register_tmp0, spin_until, temp_root, tiny_write,
+        assert_chain_gone, register_tmp0, spin_until, temp_root, tiny_write, TempRoot,
     };
-    use super::super::transfer::{PlanOutcome, Step, MIN_CHUNK_SIZE};
+    use super::super::transfer::tests::{assert_allocated, drive};
+    use super::super::transfer::{PlanOutcome, Step, DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
     use super::super::{Engine, EngineConfig, IpcPolicy};
     use super::*;
     use std::io::Write;
@@ -414,32 +400,6 @@ mod tests {
     };
     use norns_sched::{Fcfs, JobFairShare};
     use parking_lot::Mutex;
-
-    #[test]
-    fn range_step_window_one_is_stop_and_wait() {
-        // window = 1 must reproduce the old per-round-trip step:
-        // MAX_DATA_RANGE-bounded, whole-range for small chunks.
-        assert_eq!(RemoteTransfer::range_step(64 << 10, 1), 64 << 10);
-        assert_eq!(RemoteTransfer::range_step(8 << 20, 1), MAX_DATA_RANGE);
-        assert_eq!(
-            RemoteTransfer::range_step(MAX_DATA_RANGE, 1),
-            MAX_DATA_RANGE
-        );
-    }
-
-    #[test]
-    fn range_step_fills_the_window() {
-        // An 8 MiB chunk with window 8 → 1 MiB steps (8 in flight).
-        assert_eq!(RemoteTransfer::range_step(8 << 20, 8), 1 << 20);
-        // Never below the floor …
-        assert_eq!(RemoteTransfer::range_step(512 << 10, 8), RANGE_STEP_FLOOR);
-        // … unless the chunk itself is smaller.
-        assert_eq!(RemoteTransfer::range_step(64 << 10, 8), 64 << 10);
-        // Never above the wire's range cap.
-        assert_eq!(RemoteTransfer::range_step(1 << 30, 4), MAX_DATA_RANGE);
-        // Zero-length chunks never divide by zero.
-        assert_eq!(RemoteTransfer::range_step(0, 8), 1);
-    }
 
     /// What a scripted peer does with one request.
     enum Scripted {
@@ -458,17 +418,29 @@ mod tests {
     }
 
     /// A data-plane peer that answers from a script and keeps a record:
-    /// the connections it accepted and every request, in arrival order.
+    /// the connections it accepted, every request in arrival order, and
+    /// every range it answered.
     struct ScriptedPeer {
         addr: String,
         accepted: Arc<AtomicUsize>,
         log: Arc<Mutex<Vec<DataRequest>>>,
+        ranges: Arc<Mutex<Vec<Range>>>,
+    }
+
+    /// One `Fetch` or `Store` as the peer answered it.
+    struct Range {
+        offset: u64,
+        len: u64,
+        /// Requests on its connection that had arrived and were not
+        /// answered yet when it was, itself included.
+        in_flight: usize,
     }
 
     impl ScriptedPeer {
         /// `script` sees each request and how many of its verb came
         /// before it; `None` is `Ok`. It runs on the connection's
-        /// thread, so a script that blocks holds that answer back.
+        /// answering thread, so a script that blocks holds that answer
+        /// back.
         fn spawn(
             script: impl Fn(&DataRequest, usize) -> Option<Scripted> + Send + Sync + 'static,
         ) -> ScriptedPeer {
@@ -476,40 +448,54 @@ mod tests {
             let peer = ScriptedPeer {
                 addr: listener.local_addr().unwrap().to_string(),
                 accepted: Arc::new(AtomicUsize::new(0)),
-                log: Arc::new(Mutex::new(Vec::new())),
+                log: Arc::default(),
+                ranges: Arc::default(),
             };
-            let (accepted, log) = (Arc::clone(&peer.accepted), Arc::clone(&peer.log));
+            let accepted = Arc::clone(&peer.accepted);
+            let (log, ranges) = (Arc::clone(&peer.log), Arc::clone(&peer.ranges));
             let script = Arc::new(script);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     let Ok(stream) = stream else { break };
                     accepted.fetch_add(1, Ordering::SeqCst);
-                    let (log, script) = (Arc::clone(&log), Arc::clone(&script));
-                    std::thread::spawn(move || Self::serve(stream, &log, &*script));
+                    let (log, ranges) = (Arc::clone(&log), Arc::clone(&ranges));
+                    let script = Arc::clone(&script);
+                    std::thread::spawn(move || Self::serve(stream, &log, &ranges, &*script));
                 }
             });
             peer
         }
 
+        /// Answer one connection's requests in order. A reader thread
+        /// takes each one off the socket as it arrives, so what is in
+        /// flight when an answer goes out is a count.
         fn serve(
             mut stream: TcpStream,
             log: &Mutex<Vec<DataRequest>>,
+            ranges: &Mutex<Vec<Range>>,
             script: &dyn Fn(&DataRequest, usize) -> Option<Scripted>,
         ) {
-            let mut reader = FrameReader::new();
-            loop {
-                let mut frame = loop {
+            let arrived = Arc::new(AtomicUsize::new(0));
+            let (frames, requests) = std::sync::mpsc::channel();
+            let (mut socket, counted) = (stream.try_clone().unwrap(), Arc::clone(&arrived));
+            std::thread::spawn(move || {
+                let mut reader = FrameReader::new();
+                loop {
                     match reader.next_frame() {
-                        Ok(Some(frame)) => break frame,
-                        Ok(None) => {}
-                        Err(_) => return,
+                        Ok(Some(frame)) => {
+                            counted.fetch_add(1, Ordering::SeqCst);
+                            if frames.send(frame).is_err() {
+                                return;
+                            }
+                        }
+                        Ok(None) if matches!(reader.read_from(&mut socket), Ok(1..)) => {}
+                        _ => return,
                     }
-                    if !matches!(reader.read_from(&mut stream), Ok(1..)) {
-                        return;
-                    }
-                };
+                }
+            });
+            for (answered, mut frame) in requests.into_iter().enumerate() {
                 let Ok(request) = DataRequest::decode(&mut frame) else {
-                    return;
+                    break;
                 };
                 let verb = std::mem::discriminant(&request);
                 let earlier = {
@@ -522,6 +508,19 @@ mod tests {
                 };
                 let scripted =
                     script(&request, earlier).unwrap_or(Scripted::Answer(DataResponse::Ok));
+                let range = match request {
+                    DataRequest::Fetch { offset, len, .. } => Some((offset, len)),
+                    DataRequest::Store { offset, .. } => Some((offset, frame.len() as u64)),
+                    _ => None,
+                };
+                if let Some((offset, len)) = range {
+                    let in_flight = arrived.load(Ordering::SeqCst) - answered;
+                    ranges.lock().push(Range {
+                        offset,
+                        len,
+                        in_flight,
+                    });
+                }
                 let (response, payload, hang_up) = match scripted {
                     Scripted::Answer(response) => (response, Vec::new(), false),
                     Scripted::Data(payload) => (DataResponse::Data, payload, false),
@@ -530,9 +529,11 @@ mod tests {
                 let mut body = response.to_bytes().to_vec();
                 body.extend_from_slice(&payload);
                 if stream.write_all(&encode_frame(&body)).is_err() || hang_up {
-                    return;
+                    break;
                 }
             }
+            // The reader's clone would keep the connection open.
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
 
         fn count(&self, verb: impl Fn(&DataRequest) -> bool) -> usize {
@@ -608,7 +609,62 @@ mod tests {
             matches!(peer.log.lock().last(), Some(DataRequest::Discard { .. })),
             "the honoured Discard is the peer's last word"
         );
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A peer that answers `Stat` with `size`, every `Fetch` with its
+    /// whole range and every `Store` with `Ok` — each range's answer a
+    /// millisecond late, so a request sent past the window would be on
+    /// the wire to count.
+    fn serving(size: u64) -> ScriptedPeer {
+        ScriptedPeer::spawn(move |request, _| match request {
+            DataRequest::Stat { .. } => Some(Scripted::Answer(DataResponse::Stat { size })),
+            DataRequest::Fetch { len, .. } => {
+                std::thread::sleep(Duration::from_millis(1));
+                Some(Scripted::Data(vec![7u8; *len as usize]))
+            }
+            DataRequest::Store { .. } => {
+                std::thread::sleep(Duration::from_millis(1));
+                None
+            }
+            _ => None,
+        })
+    }
+
+    /// Plan a transfer of `local` against `peer` in `chunk`-sized units.
+    fn plan(
+        direction: Direction,
+        peer: &ScriptedPeer,
+        local: &Path,
+        chunk: u64,
+        window: usize,
+    ) -> Box<Chain> {
+        let (progress, abort) = (Arc::default(), Arc::default());
+        RemoteTransfer::plan(
+            1,
+            direction,
+            &peer.addr,
+            "ds0",
+            "remote.dat",
+            local,
+            chunk,
+            window,
+            progress,
+            abort,
+        )
+        .unwrap()
+    }
+
+    /// A pull's destination has a block behind every byte of its length
+    /// as soon as the plan returns, before the first `Fetch`.
+    #[test]
+    fn prealloc_a_pull_allocates_its_destination_at_plan() {
+        let size = 3 * MAX_DATA_RANGE + 4321;
+        let peer = serving(size);
+        let root = temp_root("prealloc-pull");
+        let local = root.join("sub/pulled.dat");
+        let _chain = plan(Direction::Pull, &peer, &local, DEFAULT_CHUNK_SIZE, 1);
+        assert_allocated(&local, size);
+        assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 0);
     }
 
     // --- the remote chain's edges (CI loops every `chain_` test) ------
@@ -618,7 +674,7 @@ mod tests {
     /// An FCFS engine cutting transfers into [`MIN_CHUNK_SIZE`] chunks,
     /// dataspace `tmp0` holding a `CHAIN_UNITS`-chunk `big`, and `peer`
     /// registered as host `peer`.
-    fn chain_engine(tag: &str, workers: usize, peer: &ScriptedPeer) -> (Arc<Engine>, PathBuf) {
+    fn chain_engine(tag: &str, workers: usize, peer: &ScriptedPeer) -> (Arc<Engine>, TempRoot) {
         chain_engine_under(Box::new(Fcfs), tag, workers, peer)
     }
 
@@ -627,7 +683,7 @@ mod tests {
         tag: &str,
         workers: usize,
         peer: &ScriptedPeer,
-    ) -> (Arc<Engine>, PathBuf) {
+    ) -> (Arc<Engine>, TempRoot) {
         let root = temp_root(tag);
         let engine = Engine::with_config(
             EngineConfig {
@@ -730,7 +786,7 @@ mod tests {
     fn chain_push_is_served_on_one_connection_in_file_order() {
         let peer = ScriptedPeer::spawn(|_, _| None);
         let fair = Box::new(JobFairShare::default());
-        let (engine, root) = chain_engine_under(fair, "chain-push", 4, &peer);
+        let (engine, _root) = chain_engine_under(fair, "chain-push", 4, &peer);
         let mut backlog = Vec::new();
         let mut top_up = |tasks: usize| {
             let tiny = || engine.submit(2, tiny_write("tiny"), Some(b"abcd".to_vec()));
@@ -751,7 +807,6 @@ mod tests {
         }
         assert_chain_gone(&engine, 1 + backlog.len() as u64, 0);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// The stale case of the one retry rule: the peer closes the
@@ -766,7 +821,7 @@ mod tests {
             }
             _ => None,
         });
-        let (engine, root) = chain_engine("chain-push-stale", 2, &peer);
+        let (engine, _root) = chain_engine("chain-push-stale", 2, &peer);
         let stats = engine.wait(push(&engine), 0).unwrap();
         assert_eq!(stats.state, TaskState::Finished);
         assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
@@ -776,14 +831,13 @@ mod tests {
         assert_eq!(store_offsets(&peer), in_file_order());
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn chain_cancel_mid_push_discards_the_partial() {
         let (script, held, release) = holding_the_third_store();
         let peer = ScriptedPeer::spawn(script);
-        let (engine, root) = chain_engine("chain-push-cancel", 2, &peer);
+        let (engine, _root) = chain_engine("chain-push-cancel", 2, &peer);
         let id = push(&engine);
         spin_until("the third Store", || held.load(Ordering::SeqCst));
         engine.cancel(id, None).unwrap();
@@ -792,7 +846,6 @@ mod tests {
         assert_push_ended(&peer, &stats, TaskState::Cancelled);
         assert_chain_gone(&engine, 0, 1);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -806,7 +859,7 @@ mod tests {
             }
             _ => None,
         });
-        let (engine, root) = chain_engine("chain-push-fail", 2, &peer);
+        let (engine, _root) = chain_engine("chain-push-fail", 2, &peer);
         let id = push(&engine);
         let stats = engine.wait(id, 0).unwrap();
         assert_eq!(stats.state, TaskState::FinishedWithError);
@@ -816,14 +869,13 @@ mod tests {
         assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn chain_shutdown_mid_push_fails_the_task_and_discards_the_partial() {
         let (script, held, release) = holding_the_third_store();
         let peer = ScriptedPeer::spawn(script);
-        let (engine, root) = chain_engine("chain-push-shutdown", 2, &peer);
+        let (engine, _root) = chain_engine("chain-push-shutdown", 2, &peer);
         let id = push(&engine);
         spin_until("the third Store", || held.load(Ordering::SeqCst));
         // The unit is on a worker, parked on the held `Ok`. Let it out
@@ -841,7 +893,6 @@ mod tests {
         assert_eq!(stats.error, ErrorCode::SystemError);
         assert!(engine.error_message(id).unwrap().contains("shutdown"));
         assert_chain_gone(&engine, 1, 0);
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// The pull side of the same chain: a `Fetch` that fails mid-file
@@ -872,6 +923,75 @@ mod tests {
         assert!(!root.join("tmp0/pulled").exists());
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();
-        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Every range a transfer of `size` bytes puts on the wire, in
+    /// `chunk`-sized units through a window of `window`.
+    fn ranges_on_the_wire(
+        direction: Direction,
+        size: u64,
+        chunk: u64,
+        window: usize,
+    ) -> Vec<Range> {
+        let peer = serving(size);
+        let root = temp_root(&format!("chain-ranges-{direction:?}-{window}"));
+        let local = root.join("local.dat");
+        if direction == Direction::Push {
+            fs::write(&local, vec![7u8; size as usize]).unwrap();
+        }
+        let chain = plan(direction, &peer, &local, chunk, window);
+        assert!(matches!(drive(chain).1, PlanOutcome::Done(n) if n == size));
+        let ranges = std::mem::take(&mut *peer.ranges.lock());
+        ranges
+    }
+
+    /// The requests are whole: each `Store` or `Fetch` is
+    /// [`MAX_DATA_RANGE`] but a unit's last, and no more than `window`
+    /// of them are in flight at once.
+    #[test]
+    fn chain_ranges_are_whole_and_at_most_a_window_is_in_flight() {
+        const MIB: u64 = 1 << 20;
+        // At the defaults 16 MiB is two units of two 4 MiB ranges.
+        let pushed = ranges_on_the_wire(
+            Direction::Push,
+            16 * MIB,
+            DEFAULT_CHUNK_SIZE,
+            DEFAULT_REMOTE_WINDOW,
+        );
+        let stores: Vec<_> = pushed.iter().map(|r| (r.offset, r.len)).collect();
+        assert_eq!(
+            stores,
+            [
+                (0, 4 * MIB),
+                (4 * MIB, 4 * MIB),
+                (8 * MIB, 4 * MIB),
+                (12 * MIB, 4 * MIB)
+            ]
+        );
+        for (size, chunk, window) in [
+            (16 * MIB, DEFAULT_CHUNK_SIZE, DEFAULT_REMOTE_WINDOW),
+            // Three ranges a unit through a window of two, a ragged end.
+            (29 * MIB + 123, 12 * MIB, 2),
+            (9 * MIB, DEFAULT_CHUNK_SIZE, 1),
+        ] {
+            let whole: Vec<(u64, u64)> = (0..size)
+                .step_by(chunk as usize)
+                .flat_map(|unit| {
+                    let end = (unit + chunk).min(size);
+                    let ranges = (unit..end).step_by(MAX_DATA_RANGE as usize);
+                    ranges.map(move |at| (at, MAX_DATA_RANGE.min(end - at)))
+                })
+                .collect();
+            for direction in [Direction::Push, Direction::Pull] {
+                let ranges = ranges_on_the_wire(direction, size, chunk, window);
+                let on_wire: Vec<_> = ranges.iter().map(|r| (r.offset, r.len)).collect();
+                assert_eq!(on_wire, whole, "{direction:?} of {size} in {chunk}");
+                let most = ranges.iter().map(|r| r.in_flight).max().unwrap();
+                assert!(
+                    most <= window,
+                    "{direction:?}: {most} in flight, window {window}"
+                );
+            }
+        }
     }
 }

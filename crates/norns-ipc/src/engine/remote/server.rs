@@ -29,7 +29,7 @@ use norns_proto::{
 };
 
 use super::super::error::EngineError;
-use super::super::transfer::with_parent;
+use super::super::transfer::{preallocate, with_parent};
 use super::super::Engine;
 use super::conn::{land_payload, send_file_range, tune};
 
@@ -244,15 +244,12 @@ fn handle_data(
             return Ok(Some((file, offset, len)));
         }
         DataRequest::Prepare { nsid, path, size } => {
+            // The pusher's plan fails on our `Error` before it has a
+            // chain, so no `Discard` follows a file that could not be
+            // allocated: it goes here.
             let local = engine.resolve_local(&nsid, &path)?;
-            // A failed preallocation must not leave the empty file
-            // behind: the pusher's plan fails on our `Error` before it
-            // has a chain, so no `Discard` follows, and the file's
-            // existence would fake a staged one.
-            if let Err(e) = with_parent(&local, |path| File::create(path))?.set_len(size) {
-                let _ = fs::remove_file(&local);
-                return Err(e.into());
-            }
+            let file = with_parent(&local, |path| File::create(path))?;
+            preallocate(&file, &local, size)?;
             DataResponse::Ok
         }
         DataRequest::Store { nsid, path, offset } => {
@@ -280,11 +277,13 @@ fn handle_data(
 
 #[cfg(test)]
 mod tests {
+    use super::super::super::tests::{temp_root, TempRoot};
+    use super::super::super::transfer::tests::assert_allocated;
     use super::super::conn::DataConn;
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
-    use std::path::{Path, PathBuf};
+    use std::path::Path;
     use std::time::{Duration, Instant};
 
     use norns_proto::{BackendKind, DataspaceDesc, Wire};
@@ -297,10 +296,8 @@ mod tests {
 
     /// A server over one dataspace `ds0` and a client connection to
     /// it through a loopback socket — no daemon, no reactor.
-    fn served(tag: &str) -> (Arc<DataServer>, DataConn, PathBuf) {
-        let mount = std::env::temp_dir().join(format!("norns-server-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&mount);
-        fs::create_dir_all(&mount).unwrap();
+    fn served(tag: &str) -> (Arc<DataServer>, DataConn, TempRoot) {
+        let mount = temp_root(&format!("server-{tag}"));
         let engine = Engine::new(1);
         engine
             .register_dataspace(DataspaceDesc {
@@ -388,7 +385,6 @@ mod tests {
         }
         assert!(back == data, "fetched bytes differ from the stored ones");
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// One read batch of `Fetch`es: each `Data` payload leaves right
@@ -443,7 +439,6 @@ mod tests {
             }
         );
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// A `Fetch` that crosses end-of-file is answered short: the
@@ -480,7 +475,6 @@ mod tests {
         conn.stream.read_exact(&mut got).unwrap();
         assert_eq!(got, want);
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// The client half against the real server: a source that shrank
@@ -548,7 +542,6 @@ mod tests {
         }
         assert!(!mount.join("shrank.dat").exists());
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// Regression: a `Prepare` whose preallocation failed used to
@@ -567,7 +560,22 @@ mod tests {
         assert!(matches!(refused, DataResponse::Error { .. }), "{refused:?}");
         assert!(!mount.join("sub/huge.dat").exists(), "a fake destination");
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
+    }
+
+    /// A pushed file has a block behind every byte of its length once
+    /// its `Prepare` is answered, before the first `Store`.
+    #[test]
+    fn prealloc_a_prepare_allocates_the_destination() {
+        let (server, mut conn, mount) = served("prealloc");
+        let size = 5 * MAX_DATA_RANGE + 99;
+        let prepare = DataRequest::Prepare {
+            nsid: "ds0".into(),
+            path: "sub/dst.dat".into(),
+            size,
+        };
+        assert_eq!(conn.call(&prepare).unwrap(), DataResponse::Ok);
+        assert_allocated(&mount.join("sub/dst.dat"), size);
+        server.close_and_join();
     }
 
     /// A `Store` whose file write fails with its payload half way
@@ -604,7 +612,6 @@ mod tests {
         assert!(fs::read(mount.join("dst.dat")).unwrap() == data);
         assert_eq!(server.conns.lock().len(), 1, "the connection survived");
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// The accepted end of a connection is tuned like the connecting
@@ -613,7 +620,7 @@ mod tests {
     /// ACK of the `Ok` before it: 40 ms per window.
     #[test]
     fn the_accepted_socket_is_tuned_like_the_connecting_one() {
-        let (server, conn, mount) = served("tuned");
+        let (server, conn, _mount) = served("tuned");
         assert!(conn.stream.nodelay().unwrap());
         for entry in server.conns.lock().values() {
             assert!(entry.stream.nodelay().unwrap());
@@ -622,7 +629,6 @@ mod tests {
         }
         assert_eq!(server.conns.lock().len(), 1);
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// The stall itself: eight pipelined 256 KiB `Store`s — each
@@ -665,7 +671,6 @@ mod tests {
         );
         assert!(fs::read(mount.join("dst.dat")).unwrap() == data);
         server.close_and_join();
-        let _ = fs::remove_dir_all(&mount);
     }
 
     /// The registry holds exactly the live connections: a handler
@@ -673,7 +678,7 @@ mod tests {
     /// unblocks and joins one parked in `read()` on an idle peer.
     #[test]
     fn close_and_join_reaches_a_handler_parked_on_an_idle_peer() {
-        let (server, gone, mount) = served("close");
+        let (server, gone, _mount) = served("close");
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut idle = DataConn::connect(&listener.local_addr().unwrap().to_string()).unwrap();
         server.serve(listener.accept().unwrap().0);
@@ -699,6 +704,5 @@ mod tests {
             idle.call(&stat).is_err(),
             "the idle peer sees its end close"
         );
-        let _ = fs::remove_dir_all(&mount);
     }
 }

@@ -292,11 +292,11 @@ fn window_one_reproduces_stop_and_wait() {
 
 #[test]
 fn wide_window_preserves_patterned_content_integrity() {
-    // A 4 MiB chunk with a window of 16 subdivides into many in-flight
-    // ranges per chunk; the position-dependent pattern catches any
-    // range that lands at the wrong offset. (The buffered push
-    // fallback has its own unit test in `engine/remote.rs`.)
-    let chunk = 4 << 20;
+    // A 16 MiB chunk is four whole ranges, all in flight at once
+    // through a window of 16; the position-dependent pattern catches
+    // any range that lands at the wrong offset. (The buffered push
+    // fallback has its own unit test in `engine/remote/conn.rs`.)
+    let chunk = 4 * MAX_DATA_RANGE;
     let cfg = |tag: &str| {
         DaemonConfig::in_dir(temp_root(tag).join("sockets"))
             .with_chunk_size(chunk)
@@ -304,9 +304,9 @@ fn wide_window_preserves_patterned_content_integrity() {
     };
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("wide", cfg("wide-a"), cfg("wide-b"));
-    // 3 chunks plus a ragged tail, so full windows and partial final
-    // ranges both occur.
-    let data = pattern((chunk * 3) as usize + 70_001);
+    // Two full chunks and a ragged last one of a whole range and a
+    // partial one.
+    let data = pattern((chunk * 2 + MAX_DATA_RANGE) as usize + 70_001);
     std::fs::write(mount_a.join("src.dat"), &data).unwrap();
 
     let push = ctl_a

@@ -420,8 +420,11 @@ wire_enum! {
             offset: u64,
             len: u64,
         },
-        /// Create the destination (parents included) and preallocate it to
-        /// `size` bytes (push planning — the `fallocate` analog).
+        /// Create the destination (parents included) and allocate all
+        /// `size` bytes of it before the first `Store` (push planning:
+        /// `fallocate(2)`, or the length alone on a filesystem that
+        /// cannot allocate ahead). A full disk or quota is refused here,
+        /// before any range moves.
         2 => Prepare {
             nsid: String,
             path: String,

@@ -123,6 +123,14 @@ fn real_order(policy: IpcPolicy, tag: &str) -> Vec<usize> {
     let plug = engine
         .submit(PLUG_JOB, copy("plug.src", "plug.dst"), None)
         .unwrap();
+    // The plug must be on the worker before the set arrives: a worker
+    // that wakes late picks among everything pending by policy, and
+    // SJF then runs the smallest task ahead of the plug.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while engine.query(plug).unwrap().state == TaskState::Pending {
+        assert!(std::time::Instant::now() < deadline, "the plug never ran");
+        std::thread::yield_now();
+    }
     let mut ids = Vec::new();
     for (i, (job, _)) in WORKLOAD.iter().enumerate() {
         ids.push(
