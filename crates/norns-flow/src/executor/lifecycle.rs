@@ -183,7 +183,7 @@ impl WorkflowExecutor {
         let planned = self.expand(&nodes, &script, stage, true)?;
         let mut legs: Vec<Leg> = Vec::new();
         for (mut leg, spec) in planned {
-            match self.nodes[leg.node].ctl.submit(job_id, spec, None) {
+            match self.submit_task(leg.node, job_id, spec) {
                 Ok(task_id) => {
                     leg.task_id = task_id;
                     legs.push(leg);
@@ -274,9 +274,18 @@ impl WorkflowExecutor {
         }
     }
 
-    /// Route one staging completion to the job that owns it and
-    /// advance that job's state machine.
-    pub(super) fn staging_event(&mut self, node: usize, task_id: u64, stats: TaskStats) {
+    /// Route one task's wait answer to the job that owns it and advance
+    /// that job's state machine. A wait the daemon answers with an error
+    /// (`Busy` past its per-connection cap on parked waits, `SystemError`
+    /// while it shuts down) fails that leg with the daemon's code, like
+    /// a refused submission; the task itself may still be queued, so it
+    /// gets a best-effort cancel.
+    pub(super) fn staging_event(
+        &mut self,
+        node: usize,
+        task_id: u64,
+        outcome: Result<TaskStats, ClientError>,
+    ) {
         let owner = self.run.active.iter().find_map(|(idx, a)| {
             let pos = a
                 .outstanding
@@ -289,11 +298,18 @@ impl WorkflowExecutor {
         };
         let mut job = self.run.active.remove(&idx).expect("found above");
         let done = job.outstanding.swap_remove(pos);
-        if stats.state != TaskState::Finished {
-            let detail = format!(
+        let failure = match outcome {
+            Ok(stats) if stats.state == TaskState::Finished => None,
+            Ok(stats) => Some(format!(
                 "{} (task {task_id}) ended {:?} ({:?})",
                 done.label, stats.state, stats.error
-            );
+            )),
+            Err(e) => {
+                let _ = self.nodes[node].ctl.cancel(task_id);
+                Some(format!("{} (task {task_id}) wait failed: {e}", done.label))
+            }
+        };
+        if let Some(detail) = failure {
             match job.phase {
                 Phase::StagingIn { .. } => self.kill_staging_in(
                     idx,
@@ -320,7 +336,7 @@ impl WorkflowExecutor {
                     );
                     let job_id = self.jobs[idx].id.0;
                     let spec = remove_spec(nsid, path);
-                    match self.nodes[done.node].ctl.submit(job_id, spec, None) {
+                    match self.submit_task(done.node, job_id, spec) {
                         Ok(task_id) => job.outstanding.push(Leg {
                             node: done.node,
                             task_id,

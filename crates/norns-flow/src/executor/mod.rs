@@ -13,10 +13,11 @@
 //!
 //! [`WorkflowExecutor::run`] is an event-driven **DAG engine**: every
 //! dependency-ready job is admitted concurrently, job bodies run on
-//! worker threads, and all jobs' outstanding staging tasks are
-//! multiplexed through per-daemon parked v7 `WaitAny` waits — job B's
-//! stage-in proceeds while job A computes and stages out, which is the
-//! overlap the paper's asynchronous staging exists to deliver (§III).
+//! worker threads, and every staging task has one parked v7 `WaitTask`
+//! on its daemon's pipelined connection, all answered through one epoll
+//! pump — job B's stage-in proceeds while job A computes and stages
+//! out, which is the overlap the paper's asynchronous staging exists to
+//! deliver (§III).
 //!
 //! Which node moves which path is decided by [`crate::plan`], the
 //! mapping table shared with the simulator: `node:k` places data on
@@ -35,10 +36,11 @@
 //! The code is split by concern: this file holds the public types,
 //! submission and the per-slot conversion; [`lifecycle`] is the per-job
 //! state machine (admit → stage-in → body → stage-out → terminal);
-//! [`wait`] is the one blocking point, a parked `WaitAny` per busy
-//! daemon under a single epoll set; [`teardown`] is everything that
-//! undoes work — deadlines, cancel-and-drain, §III cleanup, a lost
-//! daemon.
+//! [`wait`] submits every task with its parked `WaitTask` and is the
+//! one blocking point, a single epoll set over every daemon that routes
+//! each answer to its task by tag; [`teardown`] is everything that
+//! undoes work — deadlines, cancel-and-drain through that same pump,
+//! §III cleanup, a lost daemon.
 //! [`WorkflowExecutor::wait_round_trips`] and
 //! [`WorkflowExecutor::query_round_trips`] expose the counters the
 //! examples assert on.
@@ -47,7 +49,7 @@ mod lifecycle;
 mod teardown;
 mod wait;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::os::unix::io::AsRawFd;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -195,15 +197,9 @@ struct Node {
     /// The node's advertised data-plane address (empty when remote
     /// staging is disabled on it).
     data_addr: String,
-    /// Tag of the multiplexed parked `WaitAny` (timeout 0: forever)
-    /// currently in flight on this daemon, if any.
-    wait_tag: Option<u64>,
-    /// Task ids that in-flight wait covers; a new outstanding id not
-    /// in here forces a re-issue.
-    covered: HashSet<u64>,
-    /// Task ids whose completion was already surfaced as an event —
-    /// superseded parked waits may announce the same task again.
-    delivered: HashSet<u64>,
+    /// The parked `WaitTask` (timeout 0: forever) of every task this
+    /// daemon still owes an answer for: request tag → task id.
+    waits: HashMap<u64, u64>,
 }
 
 /// A submitted job. Its id is its position in the job table plus one.
@@ -253,8 +249,8 @@ enum Phase {
     StagingOut,
 }
 
-/// An admitted, non-terminal job: its phase plus the staging legs the
-/// central `WaitAny` multiplexer is watching for it.
+/// An admitted, non-terminal job: its phase plus the staging legs whose
+/// parked waits the run loop's pump is watching for it.
 struct ActiveJob {
     phase: Phase,
     outstanding: Vec<Leg>,
@@ -276,10 +272,12 @@ impl ActiveJob {
 /// What the central event wait produced.
 enum Next {
     Body(usize, Result<(), String>),
+    /// A task's parked wait answered: its final stats, or the
+    /// daemon's refusal of the wait.
     Staging {
         node: usize,
         task_id: u64,
-        stats: TaskStats,
+        outcome: Result<TaskStats, ClientError>,
     },
     /// A daemon stopped answering its control socket at the transport
     /// level: every job with staging outstanding there degrades, the
@@ -372,9 +370,7 @@ impl WorkflowExecutor {
             spec,
             ctl,
             data_addr,
-            wait_tag: None,
-            covered: HashSet::new(),
-            delivered: HashSet::new(),
+            waits: HashMap::new(),
         });
         Ok(())
     }
@@ -466,8 +462,8 @@ impl WorkflowExecutor {
 
     /// Run every submitted job to a terminal state. All
     /// dependency-ready jobs execute **concurrently**: bodies on
-    /// worker threads, staging multiplexed through per-daemon batch
-    /// waits, each job gated only on its own workflow dependencies.
+    /// worker threads, staging multiplexed through one parked wait per
+    /// task, each job gated only on its own workflow dependencies.
     /// Returns the terminal state of each job in submission order.
     pub fn run(&mut self) -> Result<Vec<(FlowJobId, FlowJobState)>, FlowError> {
         self.link_peers()?;
@@ -494,8 +490,8 @@ impl WorkflowExecutor {
                 Next::Staging {
                     node,
                     task_id,
-                    stats,
-                } => self.staging_event(node, task_id, stats),
+                    outcome,
+                } => self.staging_event(node, task_id, outcome),
                 Next::DaemonLost { node, error } => self.daemon_lost(node, &error),
                 Next::Tick => {}
             }
@@ -531,9 +527,9 @@ impl WorkflowExecutor {
         self.job(id).map_or(&[], |j| &j.leftovers)
     }
 
-    /// Wire-level `WaitAny` round-trips issued so far. The executor's
-    /// whole event loop goes through batch waits, so this grows with
-    /// *completions* — not with tasks × polling interval.
+    /// Wire-level `WaitTask`s issued so far: exactly one per task the
+    /// executor submitted (stage legs, source releases, §III cleanup
+    /// removals) — never tasks × polling interval.
     pub fn wait_round_trips(&self) -> u64 {
         self.wait_round_trips
     }

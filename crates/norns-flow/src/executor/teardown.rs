@@ -1,16 +1,19 @@
 //! Everything that undoes work: stage-in deadlines, killing a job
 //! mid-stage-in, abandoning a failed stage-out, a daemon that stopped
 //! answering, and the cancel / drain / §III-cleanup primitives under
-//! them. All of it is **best-effort**: wire problems are returned for
-//! the caller to record on the one job, never propagated — tearing one
-//! job down must not strand the others.
+//! them. A drain makes no blocking wait call: it takes the answers of
+//! the parked waits its tasks already have off the run loop's pump,
+//! and leaves every other event queued for the run loop. All of it is
+//! **best-effort**: wire problems are returned for the caller to record
+//! on the one job, never propagated — tearing one job down must not
+//! strand the others.
 
 use std::time::Instant;
 
 use norns_ipc::ClientError;
-use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, MAX_WAIT_SET};
+use norns_proto::{ResourceDesc, TaskOp, TaskSpec, TaskState};
 
-use super::{ActiveJob, FlowJobState, Leg, Phase, WorkflowExecutor};
+use super::{ActiveJob, FlowJobState, Leg, Next, Phase, WorkflowExecutor};
 
 /// The `Remove` of a node-local path: how a copy-based stage-out leg
 /// releases its source and how §III cleanup deletes staged-in data.
@@ -155,11 +158,14 @@ impl WorkflowExecutor {
         (finished, problems)
     }
 
-    /// Join the `(node, task_id)` set, one node's `wait_any` at a time,
-    /// for at most `cancel_grace` in total; whatever is still running
-    /// at the deadline is left to the daemon. Returns the keys that
-    /// ended `Finished` and the transport problems met (`what` names
-    /// the caller in them).
+    /// Take the answers to the `(node, task_id)` set's parked waits off
+    /// the run loop's pump, for at most `cancel_grace` in total;
+    /// whatever is still running at the deadline is left to its daemon,
+    /// and its answer, when it comes, finds no owner. Every other event
+    /// the pump surfaces stays queued for the run loop — another job's
+    /// completion, and a lost daemon, whose legs in the set are given
+    /// up. Returns the keys that ended `Finished` and the lost daemons
+    /// met (`what` names the caller in them).
     fn drain_within_grace(
         &mut self,
         mut left: Vec<(usize, u64)>,
@@ -168,42 +174,33 @@ impl WorkflowExecutor {
         let mut finished: Vec<(usize, u64)> = Vec::new();
         let mut problems: Vec<String> = Vec::new();
         let grace = Instant::now() + self.config.cancel_grace;
-        while !left.is_empty() && Instant::now() < grace {
-            let node = left[0].0;
-            let mut ids: Vec<u64> = left
-                .iter()
-                .filter(|(n, _)| *n == node)
-                .map(|(_, id)| *id)
-                .collect();
-            // Over-cap sets are waited in MAX_WAIT_SET windows: each
-            // completion shrinks `left`, letting later ids in.
-            ids.truncate(MAX_WAIT_SET);
-            let remaining = grace.saturating_duration_since(Instant::now());
-            self.wait_round_trips += 1;
-            match self.nodes[node]
-                .ctl
-                .wait_any(&ids, (remaining.as_micros() as u64).max(1))
-            {
-                Ok((task_id, stats)) => {
-                    if stats.state == TaskState::Finished {
-                        finished.push((node, task_id));
+        loop {
+            let nodes = &self.nodes;
+            self.ready.retain(|next| match next {
+                Next::Staging {
+                    node,
+                    task_id,
+                    outcome,
+                } if left.contains(&(*node, *task_id)) => {
+                    left.retain(|key| *key != (*node, *task_id));
+                    if matches!(outcome, Ok(stats) if stats.state == TaskState::Finished) {
+                        finished.push((*node, *task_id));
                     }
-                    left.retain(|key| *key != (node, task_id));
+                    false
                 }
-                Err(ClientError::Remote {
-                    code: ErrorCode::Timeout,
-                    ..
-                }) => {}
-                // The whole set may already be gone (cancelled tasks
-                // are terminal, completion GC may collect them).
-                Err(ClientError::Remote { .. }) => left.retain(|(n, _)| *n != node),
-                Err(e) => {
-                    problems.push(format!("{what} on {:?}: {e}", self.nodes[node].spec.name));
-                    left.retain(|(n, _)| *n != node);
+                Next::DaemonLost { node, error } if left.iter().any(|(n, _)| n == node) => {
+                    let name = &nodes[*node].spec.name;
+                    problems.push(format!("{what} on {name:?}: {error}"));
+                    left.retain(|(n, _)| n != node);
+                    true
                 }
+                _ => true,
+            });
+            if left.is_empty() || Instant::now() >= grace {
+                return (finished, problems);
             }
+            self.pump(Some(grace));
         }
-        (finished, problems)
     }
 
     /// Remove the destinations of already-finished stage-in transfers
@@ -220,10 +217,7 @@ impl WorkflowExecutor {
             let Some((owner, nsid, path)) = &t.dst else {
                 continue;
             };
-            match self.nodes[*owner]
-                .ctl
-                .submit(0, remove_spec(nsid, path), None)
-            {
+            match self.submit_task(*owner, 0, remove_spec(nsid, path)) {
                 Ok(task_id) => removals.push((*owner, task_id)),
                 Err(ClientError::Remote { .. }) => {}
                 Err(e) => problems.push(format!("cleanup of {}: {e}", t.label)),

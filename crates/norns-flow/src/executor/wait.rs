@@ -1,48 +1,53 @@
-//! The run loop's one blocking point. The event loop never polls
-//! individual tasks: each daemon with outstanding staging work holds
-//! one **parked** wire-v7 `WaitAny` (issued through a
-//! [`norns_ipc::CtlClient`] connection) covering *all* of its
-//! outstanding task ids, and the executor sleeps on a single epoll set
-//! spanning every daemon's control socket. A wait is reissued only
-//! when the outstanding set gains an uncovered id, so the wire cost
-//! scales with completions, not with tasks × poll interval. Job bodies
-//! run on threads of their own and wake the same epoll set when they
-//! finish, so the loop has no polling interval at all.
+//! The run loop's one blocking point, and where every wait is born.
+//! The event loop never polls individual tasks: every task the
+//! executor submits has one **parked** wire-v7 `WaitTask` (timeout 0:
+//! forever) issued right behind its submission on the node's pipelined
+//! [`norns_ipc::CtlClient`], and the executor sleeps on a single epoll
+//! set spanning every daemon's control socket. An answer is routed back
+//! to its task by its tag, so the wire cost is one wait per task, sent
+//! once. Job bodies run on threads of their own and wake the same epoll
+//! set when they finish, so the loop has no polling interval at all.
+//! Teardown drains through the same pump ([`WorkflowExecutor::pump`]).
 
 use std::io;
+use std::os::unix::io::AsRawFd;
 use std::time::Instant;
 
+use norns_ipc::client::expect_stats;
 use norns_ipc::ClientError;
-use norns_proto::{ErrorCode, Response, MAX_WAIT_SET};
+use norns_proto::TaskSpec;
 use polling::Event;
 
 use super::{Next, Phase, WorkflowExecutor, KEY_BODY_DONE};
 
 impl WorkflowExecutor {
+    /// Submit one wire task on `node` and park its wait right behind
+    /// it, on the same connection; its answer reaches the run loop as a
+    /// [`Next::Staging`] through [`WorkflowExecutor::pump`]. Every task
+    /// the executor starts — a stage leg, a release, a §III cleanup
+    /// removal — comes through here, so each costs exactly one wait.
+    pub(super) fn submit_task(
+        &mut self,
+        node: usize,
+        job_id: u64,
+        spec: TaskSpec,
+    ) -> Result<u64, ClientError> {
+        let n = &mut self.nodes[node];
+        let task_id = n.ctl.submit(job_id, spec, None)?;
+        let tag = n.ctl.issue_wait(task_id, 0)?;
+        n.waits.insert(tag, task_id);
+        self.wait_round_trips += 1;
+        Ok(task_id)
+    }
+
     /// Block until the next event: a body completion or a staging
-    /// completion on some daemon. Each busy daemon holds one parked
-    /// forever-wait (wire v7 pipelining) covering all its outstanding
-    /// ids; the executor epolls every control socket at once and
-    /// drains whichever answers.
+    /// completion on some daemon.
     pub(super) fn await_event(&mut self) -> Next {
         if let Some(next) = self.ready.pop_front() {
             return next;
         }
         let active = &self.run.active;
-        let mut busy: Vec<usize> = active
-            .values()
-            .flat_map(|a| a.outstanding.iter().map(|t| t.node))
-            .collect();
-        busy.sort_unstable();
-        busy.dedup();
-        let earliest_deadline: Option<Instant> = active
-            .values()
-            .filter_map(|a| match a.phase {
-                Phase::StagingIn { deadline } => Some(deadline),
-                _ => None,
-            })
-            .min();
-        if busy.is_empty() {
+        if active.values().all(|a| a.outstanding.is_empty()) {
             // Only job bodies are in flight: their completions are the
             // only possible next event, so park on the channel.
             debug_assert!(
@@ -52,114 +57,79 @@ impl WorkflowExecutor {
             let (idx, result) = self.run.rx.recv().expect("the executor holds a sender");
             return Next::Body(idx, result);
         }
-        // Make sure every busy daemon has a parked wait covering all
-        // of its outstanding ids (across every job).
-        for &node in &busy {
-            let mut ids: Vec<u64> = active
-                .values()
-                .flat_map(|a| a.outstanding.iter())
-                .filter(|t| t.node == node)
-                .map(|t| t.task_id)
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids.truncate(MAX_WAIT_SET);
-            let n = &mut self.nodes[node];
-            if n.wait_tag.is_some() && ids.iter().all(|id| n.covered.contains(id)) {
-                continue;
-            }
-            // A superseded wait may still fire for a task the new
-            // one also covers; `delivered` dedupes those.
-            self.wait_round_trips += 1;
-            match n.ctl.issue_wait_any(&ids, 0) {
-                Ok(tag) => {
-                    n.wait_tag = Some(tag);
-                    n.covered = ids.into_iter().collect();
-                }
-                // The daemon can no longer take requests: degrade
-                // its jobs, keep driving the others.
-                Err(e) => {
-                    return Next::DaemonLost {
-                        node,
-                        error: e.to_string(),
-                    }
-                }
-            }
-        }
-        // Drain anything that already arrived before sleeping.
-        for &node in &busy {
-            self.drain_node(node);
-        }
-        if let Some(next) = self.ready.pop_front() {
-            return next;
-        }
-        // Sleep on the epoll set — every daemon's socket plus the
-        // body-completion waker — until the nearest stage-in deadline
-        // (or forever during stage-out).
-        let until = earliest_deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let mut events: Vec<Event> = Vec::new();
-        match self.poller.wait(&mut events, until) {
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Next::Tick,
-            Err(e) => panic!("epoll wait failed: {e}"),
-        }
-        for ev in &events {
-            let node = ev.key as usize;
-            if ev.key == KEY_BODY_DONE {
-                // The run loop collects the result from the channel.
-                self.body_done.drain();
-            } else if node < self.nodes.len() {
-                self.drain_node(node);
-            }
-        }
+        // Sleep until the nearest stage-in deadline (or forever during
+        // stage-out).
+        let earliest_deadline = active
+            .values()
+            .filter_map(|a| match a.phase {
+                Phase::StagingIn { deadline } => Some(deadline),
+                _ => None,
+            })
+            .min();
+        self.pump(earliest_deadline);
         self.ready.pop_front().unwrap_or(Next::Tick)
     }
 
-    /// Pull every decoded response off one daemon's pipelined
-    /// connection and queue the resulting events. Completions a
-    /// superseded wait already announced are dropped (task ids are
-    /// never reused by a daemon); stale bounded-wait timeouts are
-    /// ignored.
-    fn drain_node(&mut self, node: usize) {
-        let drained = match self.nodes[node].ctl.try_drain() {
-            Ok(d) => d,
-            Err(e) => {
-                self.ready.push_back(Next::DaemonLost {
-                    node,
-                    error: e.to_string(),
-                });
-                return;
+    /// Queue whatever the daemons have answered. Answers a blocking
+    /// call already read off a connection sit in its client, where
+    /// epoll cannot see them, so every node still owed a wait is
+    /// drained first; only if that found nothing does the pump sleep on
+    /// the epoll set — every node's connection plus the body waker —
+    /// until something arrives or `until` passes.
+    pub(super) fn pump(&mut self, until: Option<Instant>) {
+        let queued = self.ready.len();
+        for node in 0..self.nodes.len() {
+            if !self.nodes[node].waits.is_empty() {
+                self.drain_node(node, false);
             }
+        }
+        if self.ready.len() > queued {
+            return;
+        }
+        let timeout = until.map(|d| d.saturating_duration_since(Instant::now()));
+        let mut events: Vec<Event> = Vec::new();
+        match self.poller.wait(&mut events, timeout) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return,
+            Err(e) => panic!("epoll wait failed: {e}"),
+        }
+        for ev in &events {
+            if ev.key == KEY_BODY_DONE {
+                // The run loop collects the result from the channel.
+                self.body_done.drain();
+            } else if (ev.key as usize) < self.nodes.len() {
+                self.drain_node(ev.key as usize, ev.hangup);
+            }
+        }
+    }
+
+    /// Queue every wait answer that arrived on one node's connection,
+    /// each as the outcome of the task its tag was issued for. A daemon
+    /// that hung up or broke the protocol is lost for good: its
+    /// connection leaves the epoll set, the waits it still owed are
+    /// dropped, and a [`Next::DaemonLost`] tells the run loop, which
+    /// degrades the jobs those waits belonged to.
+    fn drain_node(&mut self, node: usize, hangup: bool) {
+        let n = &mut self.nodes[node];
+        let lost = match n.ctl.try_drain() {
+            Ok(answers) => {
+                for (tag, response) in answers {
+                    if let Some(task_id) = n.waits.remove(&tag) {
+                        self.ready.push_back(Next::Staging {
+                            node,
+                            task_id,
+                            outcome: expect_stats(response),
+                        });
+                    }
+                }
+                hangup.then(|| "daemon closed the connection".to_string())
+            }
+            Err(e) => Some(e.to_string()),
         };
-        for (tag, response) in drained {
-            let n = &mut self.nodes[node];
-            if n.wait_tag == Some(tag) {
-                n.wait_tag = None;
-                n.covered.clear();
-            }
-            match response {
-                Response::TaskCompleted { task_id, stats } if n.delivered.insert(task_id) => {
-                    self.ready.push_back(Next::Staging {
-                        node,
-                        task_id,
-                        stats,
-                    });
-                }
-                Response::Error {
-                    code: ErrorCode::Timeout,
-                    ..
-                } => {}
-                Response::Error { code, message } => {
-                    self.ready.push_back(Next::DaemonLost {
-                        node,
-                        error: ClientError::Remote { code, message }.to_string(),
-                    });
-                }
-                // A pipelined wait only answers with TaskCompleted or
-                // Error; anything else is a stashed leftover from a
-                // blocking call and carries no event.
-                _ => {}
-            }
+        if let Some(error) = lost {
+            let _ = self.poller.delete(n.ctl.as_raw_fd());
+            n.waits.clear();
+            self.ready.push_back(Next::DaemonLost { node, error });
         }
     }
 }

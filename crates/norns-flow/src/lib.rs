@@ -32,11 +32,13 @@
 //!   (`PosixPath` vs `RemotePath` through the peer registry, `Move` vs
 //!   copy + release, durability; the planner's listing callback is the
 //!   v6 `ListDir` op); `executor/lifecycle.rs` is the per-job state
-//!   machine; `executor/wait.rs` is the one blocking point — a parked
-//!   v7 `WaitAny` per busy daemon under a single epoll set, never a
-//!   per-task poll; `executor/teardown.rs` is everything that undoes
-//!   work (stage-in timeout ⇒ cancel + cleanup, cancel-and-drain, a
-//!   lost daemon, stage-out failures kept as recoverable leftovers).
+//!   machine; `executor/wait.rs` submits every task with a parked v7
+//!   `WaitTask` right behind it and is the one blocking point — a
+//!   single epoll set over every daemon, each answer routed to its
+//!   task by tag, never a per-task poll; `executor/teardown.rs` is
+//!   everything that undoes work (stage-in timeout ⇒ cancel + cleanup,
+//!   cancel-and-drain through the same pump, a lost daemon, stage-out
+//!   failures kept as recoverable leftovers).
 
 pub mod executor;
 pub mod plan;

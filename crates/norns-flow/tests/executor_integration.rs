@@ -112,9 +112,10 @@ fn single_node_workflow_stages_in_runs_and_stages_out() {
         !mount.join("work/out.dat").exists(),
         "stage-out must free its source"
     );
-    // The executor batch-waits; it never polls tasks one by one.
+    // One parked wait per wire task (the stage-in copy and the
+    // stage-out move); the executor never polls tasks one by one.
     assert_eq!(exec.query_round_trips(), 0);
-    assert!(exec.wait_round_trips() >= 2, "one per stage completion");
+    assert_eq!(exec.wait_round_trips(), 2, "one wait per wire task");
     drop(daemon);
     let _ = fs::remove_dir_all(&root);
 }
@@ -383,6 +384,19 @@ fn teardown_failures_do_not_strand_other_jobs() {
         fs::read(mount_b.join("results/out.dat")).unwrap(),
         b"survivor input"
     );
+    // Every wait the executor parked was answered (the shut-down
+    // daemon failed its own at shutdown), and the survivor's staged
+    // input moved out with its stage-out. The doomed job's staged input
+    // stays where it landed: its stage-out never ran, and §III keeps
+    // that data on the node for recovery.
+    for daemon in [&daemon_a, &daemon_b] {
+        assert_eq!(daemon.engine().parked_waits(), 0);
+    }
+    assert!(!mount_b.join("work/in.dat").exists());
+    assert_eq!(
+        fs::read(mount_a.join("work/in.dat")).unwrap(),
+        b"doomed input"
+    );
     drop(daemon_a);
     drop(daemon_b);
     let _ = fs::remove_dir_all(&root);
@@ -512,6 +526,10 @@ fn stage_in_timeout_cancels_job() {
     exec.run().unwrap();
     assert_eq!(exec.job_state(job), Some(FlowJobState::Cancelled));
     assert_eq!(exec.failure(job), Some("stage-in timeout"));
+    // The cancelled leg's wait was drained through the pump before
+    // run() returned, and nothing it could have staged survives.
+    assert_eq!(daemon.engine().parked_waits(), 0);
+    assert!(!mount.join("work/in.dat").exists());
     for b in blockers {
         ctl.wait(b, 0).unwrap();
     }

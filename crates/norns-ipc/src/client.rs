@@ -8,7 +8,9 @@
 //! arriving out of order are demultiplexed by tag (wire v7) through
 //! `wait_for` / `poll` / `try_drain`. A blocking verb is the same call
 //! at depth 1 — issue, then `wait_for` that tag — so it can be mixed
-//! freely with outstanding pipelined requests.
+//! freely with outstanding pipelined requests. Waiting on many tasks is
+//! one `issue_wait` per task on the one connection, each answered under
+//! its own tag as its task ends.
 //!
 //! Each client owns one connection; spawn one per thread to model
 //! concurrent processes (as the Fig. 4 benchmark does), or hold one
@@ -90,13 +92,6 @@ pub fn expect_task_id(r: Response) -> ClientResult<u64> {
 pub fn expect_stats(r: Response) -> ClientResult<TaskStats> {
     match r {
         Response::TaskStatus(stats) => Ok(stats),
-        other => unexpected(other),
-    }
-}
-
-pub fn expect_completion(r: Response) -> ClientResult<(u64, TaskStats)> {
-    match r {
-        Response::TaskCompleted { task_id, stats } => Ok((task_id, stats)),
         other => unexpected(other),
     }
 }
@@ -374,29 +369,6 @@ impl CtlClient {
         expect_stats(self.wait_for(tag)?)
     }
 
-    /// Wait until *any* task of the set is terminal (v5 batch wait):
-    /// one round-trip returns the first completion as `(task_id,
-    /// stats)` instead of N polling loops. `timeout_usec == 0` means
-    /// wait forever; an expired nonzero timeout surfaces as a
-    /// [`ClientError::Remote`] carrying [`ErrorCode::Timeout`].
-    pub fn issue_wait_any(&mut self, task_ids: &[u64], timeout_usec: u64) -> ClientResult<u64> {
-        let req = CtlRequest::WaitAny {
-            task_ids: task_ids.to_vec(),
-            timeout_usec,
-        };
-        self.issue(&req, None)
-    }
-
-    /// [`CtlClient::issue_wait_any`], then block for its response.
-    pub fn wait_any(
-        &mut self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> ClientResult<(u64, TaskStats)> {
-        let tag = self.issue_wait_any(task_ids, timeout_usec)?;
-        expect_completion(self.wait_for(tag)?)
-    }
-
     /// Issue a `QueryTask` without blocking on it.
     pub fn issue_query(&mut self, task_id: u64) -> ClientResult<u64> {
         self.issue(&CtlRequest::QueryTask { task_id }, None)
@@ -510,27 +482,6 @@ impl UserClient {
     pub fn wait(&mut self, task_id: u64, timeout_usec: u64) -> ClientResult<TaskStats> {
         let tag = self.issue_wait(task_id, timeout_usec)?;
         expect_stats(self.wait_for(tag)?)
-    }
-
-    /// Batch wait; every id must be one of this client's own
-    /// submissions. Timeout semantics as [`CtlClient::issue_wait_any`].
-    pub fn issue_wait_any(&mut self, task_ids: &[u64], timeout_usec: u64) -> ClientResult<u64> {
-        let req = UserRequest::WaitAny {
-            pid: self.pid,
-            task_ids: task_ids.to_vec(),
-            timeout_usec,
-        };
-        self.issue(req, None)
-    }
-
-    /// [`UserClient::issue_wait_any`], then block for its response.
-    pub fn wait_any(
-        &mut self,
-        task_ids: &[u64],
-        timeout_usec: u64,
-    ) -> ClientResult<(u64, TaskStats)> {
-        let tag = self.issue_wait_any(task_ids, timeout_usec)?;
-        expect_completion(self.wait_for(tag)?)
     }
 
     /// `norns_error` (status/stats query).

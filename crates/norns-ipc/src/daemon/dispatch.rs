@@ -10,19 +10,14 @@ use norns_proto::{CtlRequest, DaemonCommand, ErrorCode, Response, UserRequest, W
 
 use crate::engine::{Engine, EngineError};
 
-/// A decoded `WaitTask` / `WaitAny`, whichever socket it came in on.
-pub(super) enum WaitReq {
-    Task(u64),
-    Any(Vec<u64>),
-}
-
 /// What one decoded request asks of the reactor.
 pub(super) enum Request {
     /// Answered on the spot.
     Reply(Response),
-    /// Parks in the engine; `timeout_usec == 0` parks forever.
+    /// A `WaitTask`, from either socket: parks in the engine;
+    /// `timeout_usec == 0` parks forever.
     Wait {
-        wait: WaitReq,
+        task_id: u64,
         timeout_usec: u64,
         requester: Option<u64>,
     },
@@ -106,17 +101,7 @@ fn handle_ctl(
             timeout_usec,
         } => {
             return Ok(Request::Wait {
-                wait: WaitReq::Task(task_id),
-                timeout_usec,
-                requester: None,
-            })
-        }
-        CtlRequest::WaitAny {
-            task_ids,
-            timeout_usec,
-        } => {
-            return Ok(Request::Wait {
-                wait: WaitReq::Any(task_ids),
+                task_id,
                 timeout_usec,
                 requester: None,
             })
@@ -169,18 +154,7 @@ fn handle_user(
             timeout_usec,
         } => {
             return Ok(Request::Wait {
-                wait: WaitReq::Task(task_id),
-                timeout_usec,
-                requester: key(pid),
-            })
-        }
-        UserRequest::WaitAny {
-            pid,
-            task_ids,
-            timeout_usec,
-        } => {
-            return Ok(Request::Wait {
-                wait: WaitReq::Any(task_ids),
+                task_id,
                 timeout_usec,
                 requester: key(pid),
             })

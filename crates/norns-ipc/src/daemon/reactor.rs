@@ -3,8 +3,8 @@
 //!
 //! Per connection, a [`FrameReader`] decodes as many frames as the
 //! kernel delivered, responses accumulate in an outbound buffer
-//! written back without blocking, once per read. A `WaitTask`/`WaitAny`
-//! that is already settled is answered into that same buffer with the
+//! written back without blocking, once per read. A `WaitTask` that is
+//! already settled is answered into that same buffer with the
 //! read's other replies; one that is not parks in the engine's
 //! subscription registry, and [`completion_callback`] re-queues the
 //! tagged response on the owning reactor instead of pinning a thread
@@ -31,7 +31,7 @@ use polling::{Event, Interest, Poller, Waker};
 
 use norns_proto::{push_frame, ErrorCode, FrameReader, Response, TaskStats};
 
-use super::dispatch::{dispatch, Request, WaitReq};
+use super::dispatch::{dispatch, Request};
 use super::Shared;
 use crate::engine::{EngineError, Subscribed, WaitCallback};
 
@@ -46,8 +46,12 @@ const KEY_WAKER: u64 = u64::MAX;
 /// and never reads.
 const OUTBOUND_PAUSE_THRESHOLD: usize = 4 << 20;
 
-/// Parked `WaitTask`/`WaitAny` subscriptions one connection may hold;
-/// further waits get `ErrorCode::Busy` until completions drain.
+/// Parked `WaitTask` subscriptions one connection may hold; further
+/// waits get `ErrorCode::Busy` until completions drain. A workflow
+/// executor parks one per outstanding task on its node's connection,
+/// so this also bounds the staging legs one node can have outstanding
+/// — the envelope the default pending-queue bound (1024) already puts
+/// on a phase's submits.
 const MAX_PARKED_WAITS: usize = 1024;
 
 /// Accept-failure backoff: first retry after 10ms, doubling to 1s.
@@ -559,11 +563,10 @@ fn push_tagged(out: &mut BytesMut, tag: u64, response: &Response) {
     push_frame(out, Some(tag), response, 0, |_| ());
 }
 
-/// The wire answer to a resolved wait (`any` selects `WaitAny`'s).
-fn wait_response(result: Result<(u64, TaskStats), EngineError>, any: bool) -> Response {
+/// The wire answer to a resolved wait.
+fn wait_response(result: Result<TaskStats, EngineError>) -> Response {
     match result {
-        Ok((task_id, stats)) if any => Response::TaskCompleted { task_id, stats },
-        Ok((_, stats)) => Response::TaskStatus(stats),
+        Ok(stats) => Response::TaskStatus(stats),
         Err(e) => e.into(),
     }
 }
@@ -574,14 +577,14 @@ fn wait_response(result: Result<(u64, TaskStats), EngineError>, any: bool) -> Re
 /// write, and a non-empty queue already has its wake on the way. Runs
 /// on whatever thread resolved the wait — a worker, or the reactor
 /// itself for expired deadlines.
-fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64, any: bool) -> WaitCallback {
+fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64) -> WaitCallback {
     Box::new(move |result| {
         let first = {
             let mut queue = reactor.completions.lock();
             queue.push(Completion {
                 conn,
                 tag,
-                response: wait_response(result, any),
+                response: wait_response(result),
             });
             queue.len() == 1
         };
@@ -591,7 +594,7 @@ fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64, any: bool) ->
     })
 }
 
-/// Subscribe a `WaitTask`/`WaitAny` in the engine. A settled one
+/// Subscribe a `WaitTask` in the engine. A settled one
 /// (terminal or unknown task, refused requester) is answered into
 /// `conn.out` with the read's other replies; a parked one records
 /// tag → subscription so close/duplicate handling can find it, and a
@@ -604,7 +607,7 @@ fn park_wait(
     deadlines: &mut Deadlines,
     conn_id: u64,
     tag: u64,
-    wait: WaitReq,
+    task_id: u64,
     timeout_usec: u64,
     requester: Option<u64>,
 ) -> Result<(), EngineError> {
@@ -620,14 +623,9 @@ fn park_wait(
             format!("tag {tag} already has a wait in flight"),
         ));
     }
-    let any = matches!(wait, WaitReq::Any(_));
-    let cb = completion_callback(Arc::clone(reactor), conn_id, tag, any);
-    let sub = match wait {
-        WaitReq::Task(id) => shared.engine.wait_task_async(id, requester, cb),
-        WaitReq::Any(ids) => shared.engine.wait_any_async(&ids, requester, cb),
-    };
-    match sub {
-        Subscribed::Now(result) => push_tagged(&mut conn.out, tag, &wait_response(result, any)),
+    let cb = completion_callback(Arc::clone(reactor), conn_id, tag);
+    match shared.engine.wait_task_async(task_id, requester, cb) {
+        Subscribed::Now(result) => push_tagged(&mut conn.out, tag, &wait_response(result)),
         Subscribed::Parked(sub_id) => {
             conn.parked.insert(tag, sub_id);
             if timeout_usec > 0 {
@@ -659,7 +657,7 @@ fn handle_frame(
             Ok(Action::Continue)
         }
         Request::Wait {
-            wait,
+            task_id,
             timeout_usec,
             requester,
         } => park_wait(
@@ -669,7 +667,7 @@ fn handle_frame(
             deadlines,
             conn_id,
             tag,
-            wait,
+            task_id,
             timeout_usec,
             requester,
         )

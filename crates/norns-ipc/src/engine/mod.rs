@@ -1561,26 +1561,11 @@ mod tests {
             let id = engine
                 .submit(1, tiny_write("race"), Some(b"abcd".to_vec()))
                 .unwrap();
-            let timeout = 1 + i % 400;
-            if i % 2 == 0 {
-                let stats = engine.wait(id, timeout).expect("task exists");
-                if stats.state.is_terminal() {
-                    finished += 1;
-                } else {
-                    expired += 1;
-                }
+            let stats = engine.wait(id, 1 + i % 400).expect("task exists");
+            if stats.state.is_terminal() {
+                finished += 1;
             } else {
-                match engine.wait_any(&[id], timeout) {
-                    Ok((done, stats)) => {
-                        assert_eq!(done, id);
-                        assert!(stats.state.is_terminal());
-                        finished += 1;
-                    }
-                    Err(e) => {
-                        assert_eq!(e.code, ErrorCode::Timeout);
-                        expired += 1;
-                    }
-                }
+                expired += 1;
             }
             assert_eq!(engine.wait(id, 0).unwrap().state, TaskState::Finished);
         }
@@ -2140,66 +2125,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_returns_first_completion_and_scopes_ownership() {
-        let root = temp_root("waitany");
-        let engine = one_worker(64, Box::new(Fcfs));
-        register_tmp0(&engine, &root);
-        // The blocker pins the single worker until the test lets it go,
-        // so the two waited tasks are still pending when wait_any parks
-        // however fast the box is.
-        let (blocker, release) = silent_pull(&engine, "silent", 7);
-        let a = engine
-            .submit(7, tiny_write("a"), Some(b"aaaa".to_vec()))
-            .unwrap();
-        let b = engine
-            .submit(7, tiny_write("b"), Some(b"bbbb".to_vec()))
-            .unwrap();
-        // Nothing terminal yet: a short timeout expires.
-        assert!(matches!(
-            engine.wait_any(&[a, b], 5_000),
-            Err(EngineError {
-                code: ErrorCode::Timeout,
-                ..
-            })
-        ));
-        // Released, the blocker's pull fails; then FCFS: `a` finishes
-        // first, and the batch wait names it.
-        drop(release);
-        let (done, stats) = engine.wait_any(&[a, b], 0).unwrap();
-        assert_eq!(done, a);
-        assert_eq!(stats.state, TaskState::Finished);
-        engine.wait(b, 0).unwrap();
-        engine.wait(blocker, 0).unwrap();
-        // Degenerate and unauthorized sets.
-        assert!(matches!(
-            engine.wait_any(&[], 0),
-            Err(EngineError {
-                code: ErrorCode::BadArgs,
-                ..
-            })
-        ));
-        assert!(matches!(
-            engine.wait_any(&[a, 999], 0),
-            Err(EngineError {
-                code: ErrorCode::NotFound,
-                ..
-            })
-        ));
-        assert!(matches!(
-            engine.wait_any_scoped(&[a, b], 0, Some(8)),
-            Err(EngineError {
-                code: ErrorCode::PermissionDenied,
-                ..
-            })
-        ));
-        // Every id owned by the requester: the scoped wait succeeds.
-        let (done, _) = engine.wait_any_scoped(&[b, a], 0, Some(7)).unwrap();
-        assert_eq!(done, b, "earliest listed terminal wins");
-        assert_eq!(engine.parked_waits(), 0);
-        engine.shutdown();
-    }
-
-    #[test]
     fn priority_orders_backlog_under_weighted_policy() {
         let root = temp_root("prio");
         let engine = one_worker(64, Box::new(WeightedPriority::default()));
@@ -2288,7 +2213,7 @@ mod tests {
         Box::new(|result| panic!("a settled wait ran its callback: {result:?}"))
     }
 
-    fn answered_now(sub: Subscribed) -> Result<(u64, TaskStats), EngineError> {
+    fn answered_now(sub: Subscribed) -> Result<TaskStats, EngineError> {
         match sub {
             Subscribed::Now(result) => result,
             Subscribed::Parked(sub_id) => panic!("a settled wait parked as {sub_id}"),
@@ -2303,21 +2228,16 @@ mod tests {
             .unwrap();
         engine.wait(id, 0).unwrap();
         let code = |sub| answered_now(sub).unwrap_err().code;
-        // Terminal: the stats, either call, with or without a scope.
-        let (done, stats) = answered_now(engine.wait_task_async(id, None, never_called())).unwrap();
-        assert_eq!((done, stats.state), (id, TaskState::Finished));
-        let (done, _) =
-            answered_now(engine.wait_any_async(&[id], Some(7), never_called())).unwrap();
-        assert_eq!(done, id);
+        // Terminal: the stats, with or without a scope.
+        for requester in [None, Some(7)] {
+            let stats = answered_now(engine.wait_task_async(id, requester, never_called()));
+            assert_eq!(stats.unwrap().state, TaskState::Finished);
+        }
         // Unknown.
         let unknown = engine.wait_task_async(999, None, never_called());
         assert_eq!(code(unknown), ErrorCode::NotFound);
-        let unknown = engine.wait_any_async(&[id, 999], None, never_called());
-        assert_eq!(code(unknown), ErrorCode::NotFound);
         // A foreign requester.
         let foreign = engine.wait_task_async(id, Some(8), never_called());
-        assert_eq!(code(foreign), ErrorCode::PermissionDenied);
-        let foreign = engine.wait_any_async(&[id], Some(8), never_called());
         assert_eq!(code(foreign), ErrorCode::PermissionDenied);
         assert_eq!(engine.parked_waits(), 0);
         engine.shutdown();
@@ -2338,26 +2258,25 @@ mod tests {
             .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
             .unwrap();
         let fired = Arc::new(Mutex::new(Vec::new()));
-        let record = || -> WaitCallback {
+        let record = |id: u64| -> WaitCallback {
             let fired = Arc::clone(&fired);
-            Box::new(move |result| fired.lock().push(result.map(|(id, s)| (id, s.state))))
+            Box::new(move |result| fired.lock().push((id, result.map(|s| s.state))))
         };
-        let single = engine.wait_task_async(victim, None, record());
-        let any = engine.wait_any_async(&[victim, blocker], None, record());
-        assert!(matches!(single, Subscribed::Parked(_)));
-        assert!(matches!(any, Subscribed::Parked(_)));
+        let on_victim = engine.wait_task_async(victim, None, record(victim));
+        let on_blocker = engine.wait_task_async(blocker, None, record(blocker));
+        assert!(matches!(on_victim, Subscribed::Parked(_)));
+        assert!(matches!(on_blocker, Subscribed::Parked(_)));
         assert_eq!(engine.parked_waits(), 2);
         engine.wait(victim, 0).unwrap();
         spin_until("both callbacks", || fired.lock().len() == 2);
-        // FCFS: the blocker ends first and answers the `WaitAny`, the
-        // victim the single wait — each callback once.
-        let mut got = fired.lock().clone();
-        got.sort_by_key(|r| r.as_ref().map(|(id, _)| *id).ok());
+        // FCFS: the blocker ends first, then the victim — each
+        // callback once.
+        let got = fired.lock().clone();
         assert_eq!(
             got,
             [
-                Ok((blocker, TaskState::Finished)),
-                Ok((victim, TaskState::Finished))
+                (blocker, Ok(TaskState::Finished)),
+                (victim, Ok(TaskState::Finished))
             ]
         );
         assert_eq!(engine.parked_waits(), 0);
@@ -2396,13 +2315,11 @@ mod tests {
                             .unwrap();
                         // A wrong answer counts 100, so it cannot pass
                         // for the one right one.
-                        let tally =
-                            move |answers: &[AtomicU64], result: &Result<(u64, TaskStats), _>| {
-                                let right = matches!(result, Ok((done, stats))
-                                if *done == id && stats.state == TaskState::Finished);
-                                answers[slot]
-                                    .fetch_add(if right { 1 } else { 100 }, Ordering::SeqCst);
-                            };
+                        let tally = move |answers: &[AtomicU64], result: &Result<TaskStats, _>| {
+                            let right = matches!(result, Ok(stats)
+                                if stats.state == TaskState::Finished && stats.bytes_total == 4);
+                            answers[slot].fetch_add(if right { 1 } else { 100 }, Ordering::SeqCst);
+                        };
                         let mine = Arc::clone(answers);
                         let callback: WaitCallback = Box::new(move |result| tally(&mine, &result));
                         match engine.wait_task_async(id, None, callback) {

@@ -1,12 +1,16 @@
 //! Integration tests against a live daemon over real sockets.
 
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, UserClient};
 use norns_proto::{
-    BackendKind, DaemonCommand, DataspaceDesc, Durability, ErrorCode, JobDesc, ResourceDesc,
-    TaskOp, TaskSpec, TaskState, DEFAULT_PRIORITY,
+    decode_tagged, encode_frame, encode_tagged, BackendKind, CtlRequest, DaemonCommand,
+    DataspaceDesc, Durability, ErrorCode, FrameReader, JobDesc, ResourceDesc, Response, TaskOp,
+    TaskSpec, TaskState, DEFAULT_PRIORITY,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -361,7 +365,7 @@ fn remote_code<T: std::fmt::Debug>(r: norns_ipc::ClientResult<T>) -> ErrorCode {
 
 /// The wire's deadline semantics, kept by the reactor's own epoll
 /// timeout: an expired `WaitTask` answers with the in-flight snapshot,
-/// an expired `WaitAny` with `Timeout`, neither earlier than asked.
+/// never earlier than asked.
 #[test]
 fn wait_with_timeout_returns_inflight_state() {
     let (daemon, mut ctl, blocker, _silent) = pinned("timeout");
@@ -369,14 +373,6 @@ fn wait_with_timeout_returns_inflight_state() {
     let start = Instant::now();
     let stats = ctl.wait(blocker, bound.as_micros() as u64).unwrap();
     assert!(!stats.state.is_terminal(), "in-flight snapshot: {stats:?}");
-    assert!(
-        start.elapsed() >= bound,
-        "fired after {:?}",
-        start.elapsed()
-    );
-    let start = Instant::now();
-    let expired = ctl.wait_any(&[blocker], bound.as_micros() as u64);
-    assert_eq!(remote_code(expired), ErrorCode::Timeout);
     assert!(
         start.elapsed() >= bound,
         "fired after {:?}",
@@ -463,18 +459,7 @@ fn completion_racing_a_deadline_answers_each_tag_once() {
         );
         let task = ctl.submit(1, spec, Some(&payload)).unwrap();
         let bound = 1 + (i % 3) * 1000;
-        let done = if i % 2 == 0 {
-            ctl.wait(task, bound).unwrap().state.is_terminal()
-        } else {
-            match ctl.wait_any(&[task], bound) {
-                Ok((id, stats)) => id == task && stats.state.is_terminal(),
-                expired => {
-                    assert_eq!(remote_code(expired), ErrorCode::Timeout);
-                    false
-                }
-            }
-        };
-        if done {
+        if ctl.wait(task, bound).unwrap().state.is_terminal() {
             finished += 1;
         } else {
             expired += 1;
@@ -565,6 +550,61 @@ fn blocking_verbs_interleave_with_a_parked_wait() {
     assert_eq!(ctl.in_flight(), 0);
     // The tag is spent: asking again is an error, not a hang.
     assert!(ctl.wait_for(wait_tag).is_err());
+}
+
+/// v5's batch wait is retired on the wire: a raw v8 frame carrying a
+/// `WaitAny` (control discriminant 15) for a finished task is refused
+/// with `BadArgs` under its own tag, not answered as a completion, and
+/// the connection keeps serving the `Ping` pipelined behind it.
+#[test]
+fn a_retired_wait_any_frame_is_refused_and_the_connection_keeps_serving() {
+    let (daemon, root) = start("retired-wait-any");
+    let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
+    setup_dataspace(&mut ctl, &root);
+    let spec = TaskSpec::new(
+        TaskOp::Copy,
+        ResourceDesc::MemoryRegion { addr: 0, size: 3 },
+        Some(ResourceDesc::PosixPath {
+            nsid: "tmp0".into(),
+            path: "done".into(),
+        }),
+    );
+    let task = ctl.submit(1, spec, Some(b"abc")).unwrap();
+    assert_eq!(ctl.wait(task, 0).unwrap().state, TaskState::Finished);
+
+    // Tag 7, then the v5 layout — discriminant 15, a one-id set, a
+    // zero timeout — written by hand: no type encodes it any more.
+    let mut retired = BytesMut::new();
+    for v in [7, 15, 1, task, 0] {
+        norns_proto::wire::put_varint(&mut retired, v);
+    }
+    let ping = CtlRequest::SendCommand(DaemonCommand::Ping);
+    let mut burst = encode_frame(&retired).to_vec();
+    burst.extend_from_slice(&encode_frame(&encode_tagged(8, &ping)));
+    let mut stream = UnixStream::connect(&daemon.control_path).unwrap();
+    stream.write_all(&burst).unwrap();
+    let mut reader = FrameReader::new();
+    let mut answers = Vec::new();
+    while answers.len() < 2 {
+        match reader.next_frame().unwrap() {
+            Some(frame) => answers.push(decode_tagged::<Response>(frame).unwrap()),
+            None => assert!(reader.read_from(&mut stream).unwrap() > 0, "daemon hung up"),
+        }
+    }
+    assert!(
+        matches!(
+            answers[0],
+            (
+                7,
+                Response::Error {
+                    code: ErrorCode::BadArgs,
+                    ..
+                }
+            )
+        ),
+        "{answers:?}"
+    );
+    assert_eq!(answers[1], (8, Response::Ok));
 }
 
 /// A high-priority stage-in submitted *after* a burst of low-priority

@@ -4,8 +4,8 @@
 //! to the process fd limit — the daemon lives in-process, so each
 //! connection costs two descriptors here) are opened from a handful of
 //! driver threads and mix every verb at once: pipelined submissions
-//! (a quarter designed to fail), pings, parked forever `WaitAny`s,
-//! queries, cancels, and blocking drains. The daemon must absorb the
+//! (a quarter designed to fail), pings, a parked forever `WaitTask` per
+//! admitted task, queries, cancels, and blocking drains. The daemon must absorb the
 //! whole storm on its fixed reactor pool — the test measures the
 //! process thread count at peak concurrency to prove there is no
 //! thread-per-connection — and at quiesce its counters must balance
@@ -256,14 +256,17 @@ fn thousand_client_storm() {
             at_peak.wait();
             measured.wait();
             // Phase 2: collect the submission answers, then park a
-            // forever WaitAny over each connection's ids while also
-            // querying and cancelling.
+            // forever WaitTask per admitted task while also querying and
+            // cancelling behind them on the same connection.
             for sc in conns {
                 match sc {
                     StormConn::Ctl(mut conn, tags) => {
-                        let mut ids = admitted(tags, |t| conn.wait_for(t).unwrap(), &accepted);
+                        let ids = admitted(tags, |t| conn.wait_for(t).unwrap(), &accepted);
+                        let waits: Vec<u64> = ids
+                            .iter()
+                            .map(|&id| conn.issue_wait(id, 0).unwrap())
+                            .collect();
                         if !ids.is_empty() {
-                            let wait_tag = conn.issue_wait_any(&ids, 0).unwrap();
                             let query_tag = conn.issue_query(ids[0]).unwrap();
                             let cancel_tag = conn
                                 .issue(
@@ -283,20 +286,14 @@ fn thousand_client_storm() {
                                 Response::TaskStatus(_) | Response::Error { .. } => {}
                                 other => panic!("query answered {other:?}"),
                             }
-                            match conn.wait_for(wait_tag).unwrap() {
-                                Response::TaskCompleted { task_id, stats } => {
-                                    assert!(stats.state.is_terminal());
-                                    ids.retain(|t| *t != task_id);
-                                }
+                        }
+                        // Quiesce this connection: every parked wait
+                        // answers under its own tag once its task ends.
+                        for tag in waits {
+                            match conn.wait_for(tag).unwrap() {
+                                Response::TaskStatus(stats) => assert!(stats.state.is_terminal()),
                                 other => panic!("parked wait answered {other:?}"),
                             }
-                        }
-                        // Quiesce this connection: drain the remaining
-                        // ids through blocking batch waits.
-                        while !ids.is_empty() {
-                            let (id, stats) = conn.wait_any(&ids, 0).unwrap();
-                            assert!(stats.state.is_terminal());
-                            ids.retain(|t| *t != id);
                         }
                     }
                     StormConn::User(mut conn, tags) => {

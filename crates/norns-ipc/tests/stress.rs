@@ -1,15 +1,18 @@
 //! Stress: 8 concurrent client connections × 200 tasks each, mixing
-//! submissions (some designed to fail), queries, cancels, single
-//! waits and batch waits. At quiesce the daemon's counters must
+//! submissions (some designed to fail), queries, cancels, bounded
+//! waits and pipelined forever waits. At quiesce the daemon's counters must
 //! balance exactly: every accepted submission is accounted as
 //! completed (successfully or with error) or cancelled, and nothing
 //! is left pending or running.
 
+use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use norns_ipc::client::expect_stats;
 use norns_ipc::{ClientError, CtlClient, DaemonConfig, UrdDaemon};
 use norns_proto::{
     BackendKind, DataspaceDesc, ErrorCode, JobDesc, ResourceDesc, TaskOp, TaskSpec, TaskState,
@@ -112,41 +115,39 @@ fn counters_balance_after_mixed_storm() {
                         let id = outstanding[outstanding.len() - 8];
                         let _ = ctl.cancel(id);
                     }
-                    // Batch-wait on the whole outstanding window with
-                    // a tiny timeout: either something is terminal or
-                    // the timeout fires; both fine.
-                    2 if !outstanding.is_empty() => match ctl.wait_any(&outstanding, 500) {
-                        Ok((id, stats)) => {
-                            assert!(stats.state.is_terminal());
-                            outstanding.retain(|t| *t != id);
-                        }
-                        Err(ClientError::Remote {
-                            code: ErrorCode::Timeout,
-                            ..
-                        }) => {}
-                        Err(e) => panic!("wait_any failed: {e}"),
-                    },
+                    // A bounded wait on the oldest outstanding task with
+                    // a tiny timeout: a terminal answer retires it, the
+                    // in-flight snapshot leaves it; both fine.
+                    2 if !outstanding.is_empty()
+                        && ctl.wait(outstanding[0], 500).unwrap().state.is_terminal() =>
+                    {
+                        outstanding.remove(0);
+                    }
                     _ => {}
                 }
             }
-            // Quiesce: drain every remaining task through batch waits,
-            // then re-verify each via a single wait (terminal states
+            // Quiesce: a forever wait per remaining task, pipelined on
+            // the one connection, answered under its own tag as its
+            // task ends; each answer is re-verified by a blocking wait
+            // issued beside the others still parked (terminal states
             // are sticky).
-            while !outstanding.is_empty() {
-                let (id, stats) = ctl.wait_any(&outstanding, 0).unwrap();
-                assert!(stats.state.is_terminal());
-                match stats.state {
-                    TaskState::Finished => assert_eq!(stats.error, ErrorCode::Success),
-                    TaskState::FinishedWithError => {
-                        assert_eq!(stats.error, ErrorCode::NotFound, "only ghosts fail")
+            let mut waits: HashMap<u64, u64> = outstanding
+                .iter()
+                .map(|&id| (ctl.issue_wait(id, 0).unwrap(), id))
+                .collect();
+            while !waits.is_empty() {
+                for (tag, response) in ctl.poll(Duration::from_millis(100)).unwrap() {
+                    let id = waits.remove(&tag).expect("the answer to an issued wait");
+                    let stats = expect_stats(response).unwrap();
+                    match stats.state {
+                        TaskState::Finished => assert_eq!(stats.error, ErrorCode::Success),
+                        TaskState::FinishedWithError => {
+                            assert_eq!(stats.error, ErrorCode::NotFound, "only ghosts fail")
+                        }
+                        TaskState::Cancelled => {}
+                        other => panic!("a forever wait answered non-terminal {other:?}"),
                     }
-                    TaskState::Cancelled => {}
-                    other => panic!("non-terminal {other:?} from wait_any"),
-                }
-                outstanding.retain(|t| *t != id);
-                if let Some(&probe) = outstanding.first() {
-                    let again = ctl.wait(probe, 1).unwrap();
-                    let _ = again; // in-flight snapshot or terminal; just no error
+                    assert_eq!(ctl.wait(id, 1).unwrap().state, stats.state);
                 }
             }
         }));

@@ -81,17 +81,17 @@ fn live_workspace_has_no_unsuppressed_findings() {
         seen,
         [
             ("BackendKind", 4),
-            ("CtlRequest", 17),
+            ("CtlRequest", 16),
             ("DaemonCommand", 5),
             ("DataRequest", 5),
             ("DataResponse", 4),
             ("Durability", 3),
             ("ErrorCode", 10),
             ("ResourceDesc", 3),
-            ("Response", 8),
+            ("Response", 7),
             ("TaskOp", 3),
             ("TaskState", 5),
-            ("UserRequest", 6),
+            ("UserRequest", 5),
         ],
         "protocol enum parse drifted from the listings in messages.rs"
     );

@@ -35,10 +35,10 @@ use crate::wire::{get_varint, put_varint, Wire, WireError};
 /// `RegisterPeer` on the control API, and a `pid` on the user-socket
 /// `WaitTask`/`QueryTask` (observation is scoped to the submitter the
 /// same way cancellation is). v5 added the `WaitAny` batch-wait op on
-/// both sockets (one parked round-trip returns the first completion of
-/// a task set, capped at `MAX_WAIT_SET` ids) and its
-/// `Response::TaskCompleted` answer — the primitive real-mode workflow
-/// orchestrators block on instead of polling per task. v6 added the
+/// both sockets and its `Response::TaskCompleted` answer, since retired
+/// within v8: once v7 let one connection hold many parked waits, a
+/// `WaitTask` per task does the batch wait's work, and the three
+/// discriminants now decode to `BadDiscriminant`. v6 added the
 /// `ListDir` directory-enumeration op on the control API and its
 /// `Response::DirEntries` answer (capped at `MAX_DIR_ENTRIES` names) —
 /// what real-mode `scatter`/`gather` planning uses to split a

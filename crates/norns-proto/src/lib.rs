@@ -31,6 +31,6 @@ pub use frame::{
 pub use messages::{
     BackendKind, CtlRequest, DaemonCommand, DaemonStatus, DataRequest, DataResponse, DataspaceDesc,
     Durability, ErrorCode, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec, TaskState, TaskStats,
-    UserRequest, DEFAULT_PRIORITY, MAX_DATA_RANGE, MAX_DIR_ENTRIES, MAX_WAIT_SET,
+    UserRequest, DEFAULT_PRIORITY, MAX_DATA_RANGE, MAX_DIR_ENTRIES,
 };
 pub use wire::{Wire, WireError};

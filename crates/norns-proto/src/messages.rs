@@ -13,6 +13,11 @@
 //! is one listing line here, one entry in `tests/corpus.rs` (with its
 //! line in `tests/golden_v8.hex`) and, for a request, one dispatch
 //! arm; `norns-lint` refuses a variant that skips the last two.
+//! Retiring a message is deleting its line: its number then decodes to
+//! `BadDiscriminant` and is never reused (`BackendKind` 2 and 5, and
+//! v5's batch wait — `CtlRequest` 15, `UserRequest` 5, `Response` 6 —
+//! whose work a parked `WaitTask` per task on one pipelined v7
+//! connection does).
 
 use bytes::{Bytes, BytesMut};
 
@@ -230,6 +235,10 @@ wire_enum! {
 
 wire_enum! {
     /// Requests accepted on the *control* socket (Table I, top half).
+    ///
+    /// Discriminant 15 is retired (`WaitAny`, v5's batch wait: since v7
+    /// one pipelined connection holds a parked `WaitTask` per task
+    /// instead); it decodes to `BadDiscriminant` and must not be reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum CtlRequest {
         0 => SendCommand(DaemonCommand),
@@ -277,16 +286,6 @@ wire_enum! {
             host: String,
             data_addr: String,
         },
-        /// Block until *any* task in the set reaches a terminal state
-        /// (v5). Answered by [`Response::TaskCompleted`] naming the first
-        /// completion; `timeout_usec == 0` means wait forever, a nonzero
-        /// timeout that expires yields [`ErrorCode::Timeout`]. The set is
-        /// capped at [`MAX_WAIT_SET`] ids. This is the batch-wait primitive
-        /// workflow orchestrators use instead of polling each task.
-        15 => WaitAny {
-            task_ids: Vec<u64> [..= MAX_WAIT_SET],
-            timeout_usec: u64,
-        },
         /// Enumerate the children of a directory inside a dataspace (v6).
         /// Answered by [`Response::DirEntries`] with the child names
         /// sorted, capped at [`MAX_DIR_ENTRIES`]. This is what real-mode
@@ -301,20 +300,18 @@ wire_enum! {
     }
 }
 
-/// Largest task-id set one `WaitAny` request may carry (v5). A hostile
-/// length prefix must not trigger a huge allocation, and a daemon
-/// handler scanning the set on every completion wake must stay cheap.
-pub const MAX_WAIT_SET: usize = 4096;
-
-/// Largest entry list one [`Response::DirEntries`] may carry (v6).
-/// Like [`MAX_WAIT_SET`], a hostile length prefix must not trigger a
-/// huge allocation, and a scatter planner looping over the entries
-/// must stay bounded; daemons refuse to enumerate larger directories
-/// rather than silently truncating.
+/// Largest entry list one [`Response::DirEntries`] may carry (v6). A
+/// hostile length prefix must not trigger a huge allocation, and a
+/// scatter planner looping over the entries must stay bounded; daemons
+/// refuse to enumerate larger directories rather than silently
+/// truncating.
 pub const MAX_DIR_ENTRIES: usize = 4096;
 
 wire_enum! {
     /// Requests accepted on the *user* socket (Table I, bottom half).
+    ///
+    /// Discriminant 5 is retired (`WaitAny`, as on the control socket);
+    /// it decodes to `BadDiscriminant` and must not be reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum UserRequest {
         0 => GetDataspaceInfo,
@@ -343,14 +340,6 @@ wire_enum! {
         4 => CancelTask {
             pid: u64,
             task_id: u64,
-        },
-        /// Block until any task in the set is terminal (v5); every id must
-        /// belong to the declared pid (the same scoping as `WaitTask`).
-        /// `timeout_usec == 0` means wait forever.
-        5 => WaitAny {
-            pid: u64,
-            task_ids: Vec<u64> [..= MAX_WAIT_SET],
-            timeout_usec: u64,
         },
     }
 }
@@ -462,6 +451,10 @@ wire_enum! {
 
 wire_enum! {
     /// Responses shared by both sockets.
+    ///
+    /// Discriminant 6 is retired (`TaskCompleted`, the answer to the
+    /// retired `WaitAny`); it decodes to `BadDiscriminant` and must not
+    /// be reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Response {
         0 => Ok,
@@ -475,12 +468,6 @@ wire_enum! {
             task_id: u64,
         },
         5 => TaskStatus(TaskStats),
-        /// Answer to `WaitAny` (v5): which task of the waited set reached a
-        /// terminal state first, with its final stats.
-        6 => TaskCompleted {
-            task_id: u64,
-            stats: TaskStats,
-        },
         /// Answer to `ListDir` (v6): the directory's child names, sorted,
         /// at most [`MAX_DIR_ENTRIES`] of them.
         7 => DirEntries {
@@ -628,14 +615,6 @@ mod tests {
                 host: "node07".into(),
                 data_addr: "10.0.0.7:50051".into(),
             },
-            CtlRequest::WaitAny {
-                task_ids: vec![1, 7, 1 << 40],
-                timeout_usec: 500_000,
-            },
-            CtlRequest::WaitAny {
-                task_ids: vec![],
-                timeout_usec: 0,
-            },
             CtlRequest::ListDir {
                 nsid: "lustre".into(),
                 path: "case".into(),
@@ -679,11 +658,6 @@ mod tests {
             UserRequest::CancelTask {
                 pid: 99,
                 task_id: 3,
-            },
-            UserRequest::WaitAny {
-                pid: 99,
-                task_ids: vec![3, 4, 5],
-                timeout_usec: 0,
             },
         ];
         for r in reqs {
@@ -739,17 +713,6 @@ mod tests {
                 wait_usec: 0,
                 elapsed_usec: 0,
             }),
-            Response::TaskCompleted {
-                task_id: 9,
-                stats: TaskStats {
-                    state: TaskState::FinishedWithError,
-                    error: ErrorCode::NotFound,
-                    bytes_total: 10,
-                    bytes_moved: 3,
-                    wait_usec: 4,
-                    elapsed_usec: 5,
-                },
-            },
             Response::DirEntries { entries: vec![] },
             Response::DirEntries {
                 entries: vec!["processor0".into(), "processor1".into()],
@@ -835,24 +798,6 @@ mod tests {
             let _ = DataResponse::from_bytes(Bytes::from(garbage.clone()));
             let _ = Response::from_bytes(Bytes::from(garbage));
         }
-    }
-
-    #[test]
-    fn oversized_wait_set_rejected() {
-        // A hostile count must be rejected before any per-id decode
-        // loop allocates or spins.
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, 15); // CtlRequest::WaitAny
-        put_varint(&mut buf, MAX_WAIT_SET as u64 + 1);
-        assert!(matches!(
-            CtlRequest::from_bytes(buf.freeze()),
-            Err(WireError::BadLength(_))
-        ));
-        let ids: Vec<u64> = (0..MAX_WAIT_SET as u64).collect();
-        roundtrip(CtlRequest::WaitAny {
-            task_ids: ids,
-            timeout_usec: 1,
-        });
     }
 
     #[test]

@@ -11,7 +11,7 @@ use norns_proto::{
     decode_tagged, encode_frame, encode_tagged, push_frame, BackendKind, CtlRequest, DaemonCommand,
     DaemonStatus, DataRequest, DataResponse, DataspaceDesc, Durability, ErrorCode, FrameError,
     FrameReader, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec, TaskState, TaskStats,
-    UserRequest, Wire, WireError, MAX_DIR_ENTRIES, MAX_FRAME_LEN, MAX_WAIT_SET, PROTOCOL_VERSION,
+    UserRequest, Wire, WireError, MAX_DIR_ENTRIES, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 fn sample_spec() -> TaskSpec {
@@ -149,14 +149,6 @@ fn ctl_corpus() -> Vec<CtlRequest> {
             host: "node07".into(),
             data_addr: "10.0.0.7:50051".into(),
         },
-        CtlRequest::WaitAny {
-            task_ids: vec![],
-            timeout_usec: 0,
-        },
-        CtlRequest::WaitAny {
-            task_ids: (0..MAX_WAIT_SET as u64).collect(),
-            timeout_usec: u64::MAX,
-        },
         CtlRequest::ListDir {
             nsid: "lustre".into(),
             path: "case/run1".into(),
@@ -206,11 +198,6 @@ fn user_corpus() -> Vec<UserRequest> {
         UserRequest::CancelTask {
             pid: 99,
             task_id: 3,
-        },
-        UserRequest::WaitAny {
-            pid: 99,
-            task_ids: vec![1, 2, 3],
-            timeout_usec: 0,
         },
     ]
 }
@@ -313,10 +300,6 @@ fn response_corpus() -> Vec<Response> {
             state,
             ErrorCode::Success,
         )));
-        resps.push(Response::TaskCompleted {
-            task_id: 9,
-            stats: sample_stats(state, ErrorCode::TaskError),
-        });
     }
     resps
 }
@@ -438,16 +421,36 @@ fn retired_backend_discriminants_rejected() {
     }
 }
 
+/// v5's batch wait is retired: `CtlRequest` 15 and `UserRequest` 5
+/// (`WaitAny`) and `Response` 6 (`TaskCompleted`) are refused, not
+/// reinterpreted, however well-formed the body behind them.
 #[test]
-fn hostile_wait_set_count_rejected() {
-    let mut buf = BytesMut::new();
-    buf.put_u8(15); // CtlRequest::WaitAny
-                    // Count claims u64::MAX ids follow.
-    for _ in 0..9 {
-        buf.put_u8(0xff);
-    }
-    buf.put_u8(0x01);
-    assert!(CtlRequest::from_bytes(buf.freeze()).is_err());
+fn retired_wait_any_discriminants_rejected() {
+    let encode = |disc: u64, fields: &[u64], stats: Option<TaskStats>| {
+        let mut buf = BytesMut::new();
+        for v in std::iter::once(disc).chain(fields.iter().copied()) {
+            norns_proto::wire::put_varint(&mut buf, v);
+        }
+        if let Some(stats) = stats {
+            stats.encode(&mut buf);
+        }
+        buf.freeze()
+    };
+    // The bodies they carried: a one-id set and a timeout (behind a
+    // pid on the user socket); a task id and its stats.
+    assert_eq!(
+        CtlRequest::from_bytes(encode(15, &[1, 7, 0], None)),
+        Err(WireError::BadDiscriminant(15))
+    );
+    assert_eq!(
+        UserRequest::from_bytes(encode(5, &[99, 1, 7, 0], None)),
+        Err(WireError::BadDiscriminant(5))
+    );
+    let stats = sample_stats(TaskState::Finished, ErrorCode::Success);
+    assert_eq!(
+        Response::from_bytes(encode(6, &[7], Some(stats))),
+        Err(WireError::BadDiscriminant(6))
+    );
 }
 
 #[test]
@@ -583,13 +586,31 @@ fn v7_tagged_frames_survive_the_framing_layer() {
 /// wire change bumps `PROTOCOL_VERSION` and replaces the table: on a
 /// mismatch the table this build produces is left beside the test
 /// binary's scratch directory to diff against or copy over.
+///
+/// A retired variant's corpus entries leave the table with it, and
+/// their slot numbers are not handed out again, so every surviving
+/// line keeps the label it was pinned under.
 #[test]
 fn golden_bytes_pin_every_layout() {
+    /// Slots of the retired v5 batch wait: `CtlRequest::WaitAny` (2),
+    /// `UserRequest::WaitAny` and `Response::TaskCompleted` (one per
+    /// task state).
+    const RETIRED_SLOTS: [(&str, usize); 8] = [
+        ("ctl", 18),
+        ("ctl", 19),
+        ("user", 5),
+        ("response", 18),
+        ("response", 20),
+        ("response", 22),
+        ("response", 24),
+        ("response", 26),
+    ];
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
     fn dump<T: Wire>(name: &str, corpus: Vec<T>, table: &mut String) {
-        for (i, msg) in corpus.iter().enumerate() {
+        let slots = (0..).filter(|&i| !RETIRED_SLOTS.contains(&(name, i)));
+        for (i, msg) in slots.zip(&corpus) {
             table.push_str(&format!("{name}[{i}] {}\n", hex(&msg.to_bytes())));
         }
     }

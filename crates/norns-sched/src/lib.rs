@@ -302,22 +302,10 @@ impl<J: Copy, T: Copy + PartialEq, S> Scheduler<J, T, S> {
         priority: u8,
         submitted: S,
     ) -> Result<(), QueueFull> {
-        if let Some(cap) = self.capacity {
-            if self.pending.len() >= cap {
-                return Err(QueueFull { capacity: cap });
-            }
+        if let Some(capacity) = self.capacity.filter(|&cap| self.pending.len() >= cap) {
+            return Err(QueueFull { capacity });
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.enqueued_total += 1;
-        self.pending.push_back(PendingTask {
-            task,
-            job,
-            bytes,
-            priority,
-            submitted,
-            seq,
-        });
+        self.enqueue_internal(task, job, bytes, priority, submitted);
         Ok(())
     }
 
@@ -328,8 +316,9 @@ impl<J: Copy, T: Copy + PartialEq, S> Scheduler<J, T, S> {
             .expect("enqueue on a full bounded scheduler");
     }
 
-    /// Admit a daemon-internal task past the capacity bound — same
-    /// bookkeeping as [`Scheduler::try_enqueue`], no admission check.
+    /// Admit a daemon-internal task past the capacity bound — the
+    /// bookkeeping [`Scheduler::try_enqueue`] runs after its admission
+    /// check, and the only place `seq` and `enqueued_total` advance.
     /// The bound exists to push back on *clients*; internal work
     /// derived from an already-admitted task (background replication
     /// of a landed stage-out) must not be bounced by it, or a full

@@ -18,10 +18,10 @@
 //! * `post` depends on `prep` (`--workflow-prior-dependency`), stages
 //!   the result locally on `nodea`, and produces the final artifact.
 //!
-//! The executor's event loop *blocks* in the wire's v5 `WaitAny`
-//! batch-wait: the example asserts it issued zero per-task
-//! `QueryTask` polls and no more `WaitAny` round-trips than there
-//! were staging tasks.
+//! The executor's event loop *blocks* on parked `WaitTask`s, one per
+//! task, issued right behind each submission: the example asserts it
+//! issued zero per-task `QueryTask` polls and exactly one `WaitTask`
+//! per staging task.
 
 use std::fs;
 use std::path::Path;
@@ -180,22 +180,21 @@ fn main() {
         "local stage-out is a move"
     );
 
-    // 5. The batch-wait guarantee: 5 wire tasks (4 staging legs plus
+    // 5. The one-wait guarantee: 5 wire tasks (4 staging legs plus
     //    the Remove releasing prep's pushed source), zero per-task
-    //    polls and at most one parked WaitAny round-trip per task —
-    //    where a 2 ms poller would have issued hundreds of QueryTask
-    //    round-trips.
+    //    polls and exactly one parked WaitTask per task — where a 2 ms
+    //    poller would have issued hundreds of QueryTask round-trips.
     let wire_tasks = 5;
     println!(
-        "wire tasks: {wire_tasks}, WaitAny round-trips: {}, QueryTask round-trips: {}",
+        "wire tasks: {wire_tasks}, WaitTask round-trips: {}, QueryTask round-trips: {}",
         exec.wait_round_trips(),
         exec.query_round_trips()
     );
     assert_eq!(exec.query_round_trips(), 0, "no per-task polling");
-    assert!(
-        exec.wait_round_trips() <= wire_tasks,
-        "blocked in WaitAny: {} round-trips for {wire_tasks} tasks",
-        exec.wait_round_trips()
+    assert_eq!(
+        exec.wait_round_trips(),
+        wire_tasks,
+        "one WaitTask per wire task"
     );
 
     println!(
