@@ -20,11 +20,12 @@
 //! buffer exceeds `OUTBOUND_PAUSE_THRESHOLD` stops being *read*
 //! (requests queue in the kernel until the client drains responses),
 //! and a connection with `MAX_PARKED_WAITS` waits in flight gets
-//! `ErrorCode::Busy` for further waits instead of unbounded engine
-//! subscriptions.
+//! `ErrorCode::Busy` for further waits instead of unboundedly many
+//! parked in the engine.
 //!
 //! Shutdown is complete, not advisory: `initiate_shutdown` stops the
-//! engine (workers joined, backlog cancelled, parked waits failed),
+//! engine (workers joined, backlog cancelled, every task terminal and
+//! so every parked wait answered),
 //! wakes every reactor so it drops its connections and listeners, and
 //! joins reactors and data-plane threads — no thread outlives the
 //! daemon waiting for a client to hang up.
@@ -309,12 +310,12 @@ struct Shared {
 }
 
 impl Shared {
-    /// Flag shutdown, stop the worker pool (which also fails every
-    /// parked wait), wake each reactor so it drops its connections and
-    /// listeners, join the reactors, then unblock and join the
-    /// blocking data-plane threads. The engine stops *first* so
-    /// callbacks cannot fire into half-dead reactors with live
-    /// subscriptions outstanding.
+    /// Flag shutdown, stop the worker pool (which leaves every task
+    /// terminal, so every parked wait answered), wake each reactor so
+    /// it drops its connections and listeners, join the reactors, then
+    /// unblock and join the blocking data-plane threads. The engine
+    /// stops *first* so callbacks cannot fire into half-dead reactors
+    /// with live waits outstanding.
     fn initiate_shutdown(&self) {
         let mut done = self.shutdown_done.lock();
         if *done {

@@ -5,8 +5,9 @@
 //! kernel delivered, responses accumulate in an outbound buffer
 //! written back without blocking, once per read. A `WaitTask` that is
 //! already settled is answered into that same buffer with the
-//! read's other replies; one that is not parks in the engine's
-//! subscription registry, and [`completion_callback`] re-queues the
+//! read's other replies; one that is not parks, as `(task_id,
+//! sub_id)`, in the waited task's entry — only then is its
+//! [`completion_callback`] boxed — and the callback re-queues the
 //! tagged response on the owning reactor instead of pinning a thread
 //! for the duration of the wait. The reactor's eventfd is for those
 //! cross-thread completions (and freshly accepted connections) only,
@@ -33,7 +34,7 @@ use norns_proto::{push_frame, ErrorCode, FrameReader, Response, TaskStats};
 
 use super::dispatch::{dispatch, Request};
 use super::Shared;
-use crate::engine::{EngineError, Subscribed, WaitCallback};
+use crate::engine::{EngineError, Subscribed};
 
 /// Poller key of a reactor's waker. A listener's key counts down from
 /// just below it by the listener's fd and conn ids count up from zero,
@@ -106,9 +107,9 @@ struct Conn {
     reader: FrameReader,
     /// Framed responses not yet accepted by the kernel.
     out: BytesMut,
-    /// Parked waits: request tag → engine subscription id, so a close
+    /// Parked waits: request tag → `(task_id, sub_id)`, so a close
     /// can unsubscribe and a completion can clear its slot.
-    parked: HashMap<u64, u64>,
+    parked: HashMap<u64, (u64, u64)>,
     /// Interest currently registered with the poller.
     want_read: bool,
     want_write: bool,
@@ -207,10 +208,10 @@ enum Action {
 }
 
 /// Deadlines of the bounded waits parked through one reactor, earliest
-/// first, as `(deadline, engine subscription id)`. An entry outlives a
-/// wait that completed or whose connection closed; expiring it is then
-/// a no-op inside the engine.
-type Deadlines = BinaryHeap<Reverse<(Instant, u64)>>;
+/// first, as `(deadline, task_id, sub_id)`. An entry outlives a wait
+/// that completed or whose connection closed; expiring it is then a
+/// no-op inside the engine.
+type Deadlines = BinaryHeap<Reverse<(Instant, u64, u64)>>;
 
 /// The reactor thread: multiplex owned connections (and, on reactor 0,
 /// the listeners) over one epoll instance until shutdown. The epoll
@@ -238,7 +239,7 @@ pub(super) fn reactor_loop(
         let timeout = listeners
             .iter()
             .filter_map(|slot| slot.rearm_at)
-            .chain(deadlines.peek().map(|Reverse((at, _))| *at))
+            .chain(deadlines.peek().map(|Reverse((at, ..))| *at))
             .min()
             .map(|at| at.saturating_duration_since(Instant::now()));
         let _ = reactor.poller.wait(&mut events, timeout);
@@ -258,9 +259,9 @@ pub(super) fn reactor_loop(
         let now = Instant::now();
         // Expired waits answer through the completion queue drained
         // right below, like any other resolved wait.
-        while deadlines.peek().is_some_and(|Reverse((at, _))| *at <= now) {
-            if let Some(Reverse((_, sub_id))) = deadlines.pop() {
-                shared.engine.expire_wait(sub_id);
+        while deadlines.peek().is_some_and(|Reverse((at, ..))| *at <= now) {
+            if let Some(Reverse((_, task_id, sub_id))) = deadlines.pop() {
+                shared.engine.expire_wait(task_id, sub_id);
             }
         }
         drain_completions(&shared, &reactor, &mut conns);
@@ -270,7 +271,7 @@ pub(super) fn reactor_loop(
             }
         }
     }
-    // Shutdown: the engine has already failed every parked wait (the
+    // Shutdown: the engine has already answered every parked wait (the
     // leftover completions are dropped with the queues). Close every
     // connection — clients see EOF — and drop the listeners so further
     // connects are refused.
@@ -416,8 +417,8 @@ fn close_conn(
 ) {
     if let Some(conn) = conns.remove(&id) {
         let _ = reactor.poller.delete(conn.stream.as_raw_fd());
-        for (_, sub) in conn.parked {
-            shared.engine.unsubscribe_wait(sub);
+        for (task_id, sub_id) in conn.parked.into_values() {
+            shared.engine.unsubscribe_wait(task_id, sub_id);
         }
         shared.engine.conn_closed();
     }
@@ -577,8 +578,12 @@ fn wait_response(result: Result<TaskStats, EngineError>) -> Response {
 /// write, and a non-empty queue already has its wake on the way. Runs
 /// on whatever thread resolved the wait — a worker, or the reactor
 /// itself for expired deadlines.
-fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64) -> WaitCallback {
-    Box::new(move |result| {
+fn completion_callback(
+    reactor: Arc<Reactor>,
+    conn: u64,
+    tag: u64,
+) -> impl FnOnce(Result<TaskStats, EngineError>) + Send + 'static {
+    move |result| {
         let first = {
             let mut queue = reactor.completions.lock();
             queue.push(Completion {
@@ -591,13 +596,13 @@ fn completion_callback(reactor: Arc<Reactor>, conn: u64, tag: u64) -> WaitCallba
         if first {
             reactor.waker.wake();
         }
-    })
+    }
 }
 
-/// Subscribe a `WaitTask` in the engine. A settled one
-/// (terminal or unknown task, refused requester) is answered into
-/// `conn.out` with the read's other replies; a parked one records
-/// tag → subscription so close/duplicate handling can find it, and a
+/// Make a `WaitTask`'s wait in the engine. A settled one (terminal
+/// or unknown task, refused requester) is answered into `conn.out`
+/// with the read's other replies; a parked one records tag →
+/// `(task_id, sub_id)` so close/duplicate handling can find it, and a
 /// bounded one joins the reactor's deadline heap.
 #[allow(clippy::too_many_arguments)]
 fn park_wait(
@@ -627,10 +632,10 @@ fn park_wait(
     match shared.engine.wait_task_async(task_id, requester, cb) {
         Subscribed::Now(result) => push_tagged(&mut conn.out, tag, &wait_response(result)),
         Subscribed::Parked(sub_id) => {
-            conn.parked.insert(tag, sub_id);
+            conn.parked.insert(tag, (task_id, sub_id));
             if timeout_usec > 0 {
                 let deadline = Instant::now() + Duration::from_micros(timeout_usec);
-                deadlines.push(Reverse((deadline, sub_id)));
+                deadlines.push(Reverse((deadline, task_id, sub_id)));
             }
         }
     }

@@ -16,11 +16,13 @@
 //!   behind user-socket admission, remote-staging peers, and the
 //!   dataspace containment check.
 //! * [`shard`] — the task table, id-sharded so traffic on different
-//!   tasks stays off one lock.
-//! * [`waits`] — every wait, blocking or callback, is a subscription
-//!   in one registry keyed by task id, so a completion wakes exactly
-//!   its own waiters. Deadlines belong to whoever waits: the engine
-//!   owns no clock.
+//!   tasks stays off one lock. An entry is the task's whole record,
+//!   parked waits and replication role included, so every fact about
+//!   a task changes under that task's own shard lock.
+//! * [`waits`] — every wait, blocking or callback, is a callback
+//!   parked in the waited task's entry, so a completion wakes exactly
+//!   its own waiters and takes no lock but its own shard's. Deadlines
+//!   belong to whoever waits: the engine owns no clock.
 //! * [`transfer`] — the local data plane: transfers larger than the
 //!   configured chunk size are decomposed into chunk *sub-units* fed
 //!   back through the scheduler one at a time — the worker that
@@ -44,7 +46,7 @@
 //!   mid-stream cancel; the peer answers them from its `DataServer`,
 //!   which the daemon hands every accepted data-plane connection.
 //! * [`replication`] — the v8 durability modes: replica pushes behind
-//!   a landed stage-out.
+//!   a landed stage-out, each task's part kept in its own entry.
 //!
 //! Task arbitration is shared with the simulated urd via
 //! [`norns_sched::Scheduler`] behind a mutex+condvar; the pending set
@@ -71,7 +73,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,7 +89,6 @@ use norns_sched::{
 
 pub use error::EngineError;
 pub use remote::{DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW};
-pub use shard::DEFAULT_SHARDS;
 pub use transfer::{DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
 pub use waits::{Subscribed, WaitCallback};
 
@@ -95,10 +96,9 @@ pub(crate) use remote::DataServer;
 
 use registry::Registry;
 use remote::{Direction, RemoteTransfer};
-use replication::{ReplRequest, ReplState};
-use shard::{ShardedTaskTable, TaskEntry};
+use replication::{ReplRequest, ReplRole};
+use shard::{Settled, ShardedTaskTable, TaskEntry};
 use transfer::{copy_tree, with_parent, Chain, ChunkedCopy, End, PlanOutcome, Step};
-use waits::WaitSubs;
 
 /// Default bound on the pending task set.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -292,20 +292,19 @@ pub struct Engine {
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Zero of the scheduler's microsecond timestamps.
     started_at: Instant,
-    /// Parked waits, blocking and callback alike.
-    wait_subs: Mutex<WaitSubs>,
+    /// Wait subscription ids, never reused: a stale deadline cannot
+    /// expire a later wait.
+    next_sub: AtomicU64,
+    /// Waits parked in task entries (see [`Engine::parked_waits`]).
+    parked: AtomicUsize,
     /// Listener `accept(2)` failures — maintained by the daemon's
     /// reactor, reported in [`DaemonStatus`] (v7).
     accept_errors: AtomicU64,
     /// Open control/user connections — ditto.
     open_connections: AtomicU64,
-    /// Background replication ledger (v8 durability modes).
-    repl: Mutex<ReplState>,
-    /// Signalled whenever a replica resolves; `shutdown` waits on it
-    /// to drain the replication lag before stopping the workers.
-    repl_cv: Condvar,
     /// O(1) replication-lag counters for [`DaemonStatus`] (v8):
-    /// replica tasks still outstanding, and the bytes they move.
+    /// replica tasks still outstanding, and the bytes they move —
+    /// raised by `admit`, dropped by `take_replica`.
     pending_replicas: AtomicU64,
     pending_replica_bytes: AtomicU64,
     /// Copies a `synchronous` stage-out makes before ACKing.
@@ -314,6 +313,25 @@ pub struct Engine {
 
 fn unknown_peer(host: &str) -> EngineError {
     EngineError::not_found(format!("unknown peer {host:?}; register it first"))
+}
+
+fn unknown_task(task_id: u64) -> EngineError {
+    EngineError::not_found(format!("task {task_id}"))
+}
+
+/// May `requester` observe or revoke a task `owner` submitted? `None`
+/// (the administrative control API) may touch anything; user-socket
+/// callers are scoped to their own submissions — wait, query and
+/// cancel all enforce the same ownership rule, so one job cannot even
+/// watch another's transfers.
+fn owned_by(task_id: u64, owner: u64, requester: Option<u64>) -> Result<(), EngineError> {
+    if requester.is_some_and(|who| owner != who) {
+        return Err(EngineError::new(
+            ErrorCode::PermissionDenied,
+            format!("task {task_id} belongs to another submitter"),
+        ));
+    }
+    Ok(())
 }
 
 impl Engine {
@@ -357,11 +375,10 @@ impl Engine {
             shutting_down: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
             started_at: Instant::now(),
-            wait_subs: Mutex::new(WaitSubs::default()),
+            next_sub: AtomicU64::new(1),
+            parked: AtomicUsize::new(0),
             accept_errors: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
-            repl: Mutex::new(ReplState::default()),
-            repl_cv: Condvar::new(),
             pending_replicas: AtomicU64::new(0),
             pending_replica_bytes: AtomicU64::new(0),
             target_copies: config.target_copies.max(1),
@@ -395,9 +412,9 @@ impl Engine {
     /// tasks that never ran are marked [`TaskState::Cancelled`]; chunk
     /// sub-units of half-finished transfers are aborted — the queued
     /// ones here, the successor of one still on a worker by that
-    /// worker in [`Engine::finish_dispatch`] — so their tasks still
-    /// reach a terminal state; waits still parked afterwards are
-    /// failed. Idempotent; called by `UrdDaemon` on drop.
+    /// worker in [`Engine::finish_dispatch`] — so every task reaches
+    /// a terminal state, and that answers every wait parked on one.
+    /// Idempotent; called by `UrdDaemon` on drop.
     pub fn shutdown(&self) {
         self.begin_shutdown();
         // Give the background replication queue a bounded window to
@@ -405,15 +422,16 @@ impl Engine {
         // `local_plus_one` copies that are about to land, but a dead
         // peer must not wedge teardown — whatever is still pending
         // after the deadline is cancelled by the drain below, which
-        // also resolves any deferred `synchronous` parents.
-        {
-            let mut rp = self.repl.lock();
-            let deadline = Instant::now() + REPLICATION_DRAIN;
-            while self.pending_replicas.load(Ordering::SeqCst) > 0 {
-                if self.repl_cv.wait_until(&mut rp, deadline).timed_out() {
-                    break;
-                }
+        // also resolves any deferred `synchronous` parents. It waits on
+        // the replicas' own entries, looked up until none is left.
+        let deadline = Instant::now() + REPLICATION_DRAIN;
+        let replica = |t: &TaskEntry| matches!(t.replicate, Some(ReplRole::ReplicaOf { .. }));
+        while let Some(id) = self.tasks.find(replica) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
+            self.wait(id, left.as_micros().max(1) as u64);
         }
         let orphaned: Vec<(u64, Work)> = {
             let mut st = self.dispatch.lock();
@@ -442,7 +460,6 @@ impl Engine {
         for handle in handles {
             let _ = handle.join();
         }
-        self.fail_parked_waits();
     }
 
     pub fn set_accepting(&self, on: bool) {
@@ -582,12 +599,12 @@ impl Engine {
                 (Some(ResourceDesc::PosixPath { nsid, path }), durability)
                     if spec.op == TaskOp::Copy && matches!(route, Ok(Route::Local)) =>
                 {
-                    Some(ReplRequest {
+                    Some(ReplRole::Requested(ReplRequest {
                         synchronous: durability == Durability::Synchronous,
                         nsid: nsid.clone(),
                         path: path.clone(),
                         priority: spec.priority,
-                    })
+                    }))
                 }
                 _ => return Err(EngineError::bad_args(
                     "durability modes apply only to local copy tasks with a dataspace-path output",
@@ -697,8 +714,8 @@ impl Engine {
     /// (`owner == REPLICA_OWNER`) go in past it on purpose — admission
     /// control pushes back on clients, and bouncing a replica would
     /// silently void an accepted task's durability guarantee.
-    /// `replicate` rides in the task's own record until its local leg
-    /// lands.
+    /// `replicate` rides in the task's own record; a replica's bytes
+    /// enter the lag gauges here, before any worker can end it.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
@@ -708,7 +725,7 @@ impl Engine {
         spec: TaskSpec,
         payload: Option<Vec<u8>>,
         route: Route,
-        replicate: Option<ReplRequest>,
+        replicate: Option<ReplRole>,
     ) -> Result<(), EngineError> {
         let priority = spec.priority;
         let now_us = self.started_at.elapsed().as_micros() as u64;
@@ -738,6 +755,11 @@ impl Engine {
                 route,
             };
             st.work.insert(task_id, work);
+            if let Some(ReplRole::ReplicaOf { bytes, .. }) = replicate {
+                self.pending_replicas.fetch_add(1, Ordering::SeqCst);
+                self.pending_replica_bytes
+                    .fetch_add(bytes, Ordering::SeqCst);
+            }
             self.tasks.insert(
                 task_id,
                 TaskEntry {
@@ -756,6 +778,7 @@ impl Engine {
                     abort: Arc::new(AtomicBool::new(false)),
                     abortable: false,
                     replicate,
+                    waiters: Vec::new(),
                 },
             );
             self.pending_count.fetch_add(1, Ordering::SeqCst);
@@ -780,27 +803,6 @@ impl Engine {
         }
     }
 
-    /// May `requester` observe or revoke this task? `None` (the
-    /// administrative control API) may touch anything; user-socket
-    /// callers are scoped to their own submissions — wait, query and
-    /// cancel all enforce the same ownership rule, so one job cannot
-    /// even watch another's transfers.
-    ///
-    /// Checking the task table also shields the scheduler's internal
-    /// chunk sub-units (which carry their own scheduler keys but no
-    /// table entry): yanking one would leave its parent transfer a
-    /// chunk short of finalizing.
-    fn check_owner(&self, task_id: u64, requester: Option<u64>) -> Result<(), EngineError> {
-        match self.tasks.read(task_id, |t| t.owner) {
-            None => Err(EngineError::not_found(format!("task {task_id}"))),
-            Some(owner) if requester.is_some_and(|who| owner != who) => Err(EngineError::new(
-                ErrorCode::PermissionDenied,
-                format!("task {task_id} belongs to another submitter"),
-            )),
-            Some(_) => Ok(()),
-        }
-    }
-
     /// Cancel a task. Still-pending tasks are dropped before they run;
     /// in-progress *decomposed* transfers (chunked copies and remote
     /// staging) are interrupted mid-stream via their abort flag and
@@ -809,9 +811,12 @@ impl Engine {
     ///
     /// `requester`: `None` for the administrative control API; the
     /// submitter key for user-socket callers, who may only cancel
-    /// their own tasks.
+    /// their own tasks. The ownership check goes through the task
+    /// table, which also shields the scheduler's internal chunk
+    /// sub-units (their own scheduler keys, no table entry): yanking
+    /// one would leave its transfer a chunk short of finalizing.
     pub fn cancel(&self, task_id: u64, requester: Option<u64>) -> Result<(), EngineError> {
-        self.check_owner(task_id, requester)?;
+        self.query_scoped(task_id, requester)?;
         let removed = {
             let mut st = self.dispatch.lock();
             if st.sched.cancel_pending(task_id) {
@@ -856,31 +861,26 @@ impl Engine {
         ))
     }
 
-    /// Transition a pending task to `Cancelled` and notify its
+    /// Transition a pending task to `Cancelled` and answer its
     /// waiters. Counters move inside the shard-locked closure, before
-    /// the notification: anyone it unblocks must already see them
-    /// updated.
+    /// the answers: anyone they unblock must already see them updated.
+    /// Shutdown cancels pending replicas through here too.
     fn mark_cancelled(&self, task_id: u64) {
         let cancelled = self
             .tasks
             .update(task_id, |t| {
-                if t.stats.state == TaskState::Pending {
-                    t.stats.state = TaskState::Cancelled;
-                    t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
-                    self.pending_count.fetch_sub(1, Ordering::SeqCst);
-                    self.cancelled.fetch_add(1, Ordering::SeqCst);
-                    Some((t.stats.clone(), t.owner))
-                } else {
-                    None
+                if t.stats.state != TaskState::Pending {
+                    return None;
                 }
+                t.stats.state = TaskState::Cancelled;
+                t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
+                self.pending_count.fetch_sub(1, Ordering::SeqCst);
+                self.cancelled.fetch_add(1, Ordering::SeqCst);
+                Some(self.settle(t))
             })
             .flatten();
-        if let Some((stats, owner)) = cancelled {
-            // A cancelled *replica* must drain the lag counters and
-            // resolve its parent (shutdown cancels pending replicas
-            // through this path).
-            self.notify_task_waiters(task_id, &stats);
-            self.note_replica_done(task_id, owner, &stats);
+        if let Some(settled) = cancelled {
+            self.deliver(settled);
         }
     }
 
@@ -1013,8 +1013,11 @@ impl Engine {
     /// transition itself is deferred until they land, so the caller's
     /// ACK can never precede the durability guarantee.
     fn complete_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
-        let request = self.tasks.update(task_id, |t| t.replicate.take());
-        if let Some(req) = request.flatten() {
+        let request = self.tasks.update(task_id, |t| match t.replicate {
+            Some(ReplRole::Requested(_)) => t.replicate.take(),
+            _ => None,
+        });
+        if let Some(Some(ReplRole::Requested(req))) = request {
             if let PlanOutcome::Done(moved) = outcome {
                 if self.begin_replication(task_id, req, moved, elapsed_usec) {
                     return;
@@ -1026,52 +1029,57 @@ impl Engine {
         self.finish_task(task_id, outcome, elapsed_usec);
     }
 
-    /// Move a task to its terminal state, fix up counters and notify
+    /// Move a task to its terminal state, fix up counters and answer
     /// the task's waiters.
     fn finish_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
-        let finished = self.tasks.update(task_id, |t| {
-            let mut cancelled = false;
-            match outcome {
-                PlanOutcome::Done(moved) => {
-                    t.stats.state = TaskState::Finished;
-                    t.stats.bytes_moved = moved;
-                    t.stats.bytes_total = t.stats.bytes_total.max(moved);
-                }
-                PlanOutcome::Failed(e) => {
-                    t.stats.state = TaskState::FinishedWithError;
-                    t.stats.error = e.code;
-                    t.error_message = Some(e.message);
-                    // Keep whatever partial progress the data plane made.
-                    t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
-                }
-                PlanOutcome::Cancelled => {
-                    t.stats.state = TaskState::Cancelled;
-                    t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
-                    cancelled = true;
-                }
-            }
-            t.stats.elapsed_usec = elapsed_usec;
-            // Counters inside the shard-locked closure, before the
-            // notification: a waiter unblocked by this completion must
-            // already see them updated.
-            self.running_count.fetch_sub(1, Ordering::SeqCst);
-            // Internal replica tasks never count against the
-            // user-facing totals: `completed + cancelled` accounts
-            // each accepted submission exactly once, and replication
-            // progress is reported through the lag counters instead.
-            if t.owner != REPLICA_OWNER {
-                if cancelled {
-                    self.cancelled.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    self.completed.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            (t.stats.clone(), t.owner)
-        });
-        if let Some((stats, owner)) = finished {
-            self.notify_task_waiters(task_id, &stats);
-            self.note_replica_done(task_id, owner, &stats);
+        let finished = self
+            .tasks
+            .update(task_id, |t| self.finish_entry(t, outcome, elapsed_usec));
+        if let Some(settled) = finished {
+            self.deliver(settled);
         }
+    }
+
+    /// The terminal transition itself, inside the task's shard-locked
+    /// closure: what it owes comes back for [`Engine::deliver`].
+    fn finish_entry(&self, t: &mut TaskEntry, outcome: PlanOutcome, elapsed_usec: u64) -> Settled {
+        let mut cancelled = false;
+        match outcome {
+            PlanOutcome::Done(moved) => {
+                t.stats.state = TaskState::Finished;
+                t.stats.bytes_moved = moved;
+                t.stats.bytes_total = t.stats.bytes_total.max(moved);
+            }
+            PlanOutcome::Failed(e) => {
+                t.stats.state = TaskState::FinishedWithError;
+                t.stats.error = e.code;
+                t.error_message = Some(e.message);
+                // Keep whatever partial progress the data plane made.
+                t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
+            }
+            PlanOutcome::Cancelled => {
+                t.stats.state = TaskState::Cancelled;
+                t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
+                cancelled = true;
+            }
+        }
+        t.stats.elapsed_usec = elapsed_usec;
+        // Counters inside the shard-locked closure, before the
+        // answers: a waiter unblocked by this completion must already
+        // see them updated.
+        self.running_count.fetch_sub(1, Ordering::SeqCst);
+        // Internal replica tasks never count against the user-facing
+        // totals: `completed + cancelled` accounts each accepted
+        // submission exactly once, and replication progress is
+        // reported through the lag counters instead.
+        if t.owner != REPLICA_OWNER {
+            if cancelled {
+                self.cancelled.fetch_add(1, Ordering::SeqCst);
+            } else {
+                self.completed.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        self.settle(t)
     }
 
     /// Execute (or plan) one transfer. Large single-file copies and
@@ -1224,9 +1232,11 @@ impl Engine {
         task_id: u64,
         requester: Option<u64>,
     ) -> Result<TaskStats, EngineError> {
-        self.check_owner(task_id, requester)?;
-        self.query(task_id)
-            .ok_or_else(|| EngineError::not_found(format!("task {task_id}")))
+        self.tasks
+            .read(task_id, |t| {
+                owned_by(task_id, t.owner, requester).map(|()| t.snapshot())
+            })
+            .unwrap_or_else(|| Err(unknown_task(task_id)))
     }
 
     pub fn clear_completions(&self) {
@@ -2282,6 +2292,49 @@ mod tests {
         assert_eq!(engine.parked_waits(), 0);
         engine.shutdown();
         assert_eq!(fired.lock().len(), 2, "shutdown fired a spent wait again");
+    }
+
+    /// A callback runs once the shard lock its completion took is
+    /// released: one that calls back into the engine on its own task —
+    /// a query, a second wait — gets its answers instead of
+    /// deadlocking on that lock, and the second wait is answered `Now`.
+    #[test]
+    fn wake_a_callback_may_reenter_the_engine_on_its_own_task() {
+        let root = temp_root("wake-reenter");
+        let engine = one_worker(64, Box::new(Fcfs));
+        register_tmp0(&engine, &root);
+        // The blocker pins the single worker, so the victim is pending
+        // when its wait parks.
+        fs::write(root.join("tmp0/blocker-src"), vec![3u8; 32 << 20]).unwrap();
+        let blocker = engine
+            .submit(1, copy_spec("blocker-src", "blocker-dst"), None)
+            .unwrap();
+        let victim = engine
+            .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&engine);
+        let sub = engine.wait_task_async(victim, None, move |result| {
+            let queried = inner.query(victim).map(|s| s.state);
+            let again = match inner.wait_task_async(victim, None, never_called()) {
+                Subscribed::Now(again) => Some(again.map(|s| s.state)),
+                Subscribed::Parked(_) => None,
+            };
+            let _ = tx.send((result.map(|s| s.state), queried, again));
+        });
+        assert!(matches!(sub, Subscribed::Parked(_)));
+        let (outer, queried, again) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the callback never returned: a lock is held across it");
+        assert!(matches!(outer, Ok(TaskState::Finished)), "{outer:?}");
+        assert_eq!(queried, Some(TaskState::Finished));
+        assert!(
+            matches!(again, Some(Ok(TaskState::Finished))),
+            "the inner wait must be answered Now: {again:?}"
+        );
+        assert_eq!(engine.parked_waits(), 0);
+        engine.wait(blocker, 0).unwrap();
+        engine.shutdown();
     }
 
     /// Waits subscribed right behind their submission race the

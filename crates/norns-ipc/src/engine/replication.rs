@@ -3,12 +3,19 @@
 //! spawns replica pushes to registered peers — ordinary scheduler
 //! tasks owned by [`REPLICA_OWNER`] — and in `synchronous` mode its
 //! own terminal transition waits for them.
+//!
+//! A task's part in replication is its entry's [`ReplRole`], so it
+//! changes under that task's shard lock like the rest of the task's
+//! record. A replica's terminal transition takes its role under its
+//! own shard lock — the lag gauges drop there — and settles a
+//! `synchronous` parent in a critical section of the parent's own once
+//! that lock is released.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats};
+use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState};
 
+use super::shard::TaskEntry;
 use super::transfer::PlanOutcome;
 use super::{Engine, EngineError, REPLICA_OWNER};
 
@@ -25,17 +32,11 @@ pub(super) struct ReplRequest {
     pub(super) priority: u8,
 }
 
-/// Accounting for one in-flight replica push task.
-struct ReplicaMeta {
-    parent: u64,
-    bytes: u64,
-}
-
 /// A `synchronous`-mode parent whose local leg landed but whose
 /// terminal transition is deferred until every replica resolves. The
 /// parent stays `InProgress` (and keeps its running-count slot) so no
 /// observer can see an ACK before the durability guarantee holds.
-struct SyncParent {
+pub(super) struct SyncParent {
     remaining: usize,
     bytes_moved: u64,
     elapsed_usec: u64,
@@ -44,16 +45,17 @@ struct SyncParent {
     error: Option<EngineError>,
 }
 
-/// Ledger of the background replication queue. Entries are registered
-/// *before* a replica becomes dispatchable and removed at its terminal
-/// transition, so the lag counters and parent resolution can never
-/// race a fast completion.
-#[derive(Default)]
-pub(super) struct ReplState {
-    /// Replica task id → accounting.
-    replicas: HashMap<u64, ReplicaMeta>,
-    /// Deferred `synchronous` parents awaiting their replicas.
-    parents: HashMap<u64, SyncParent>,
+/// A task's part in replication, kept in its own table entry.
+pub(super) enum ReplRole {
+    /// A qualifying stage-out's request, taken when its local leg
+    /// reaches `complete_task`.
+    Requested(ReplRequest),
+    /// A `synchronous` parent waiting on its replicas.
+    Awaiting(SyncParent),
+    /// A replica push: the `synchronous` parent it settles (`None`
+    /// under `local_plus_one`, whose copy settles nothing) and the
+    /// bytes it holds in the lag gauges until it ends.
+    ReplicaOf { parent: Option<u64>, bytes: u64 },
 }
 
 impl Engine {
@@ -93,21 +95,21 @@ impl Engine {
                 self.finish_task(parent, outcome, elapsed_usec);
                 return true;
             }
-            // Parent record first: a replica finishing before its
+            // The parent's count first: a replica finishing before its
             // siblings are even submitted must find something to
             // decrement.
-            self.repl.lock().parents.insert(
-                parent,
-                SyncParent {
-                    remaining: peers.len(),
-                    bytes_moved: moved,
-                    elapsed_usec,
-                    error: None,
-                },
-            );
+            let record = SyncParent {
+                remaining: peers.len(),
+                bytes_moved: moved,
+                elapsed_usec,
+                error: None,
+            };
+            self.tasks
+                .update(parent, |t| t.replicate = Some(ReplRole::Awaiting(record)));
         }
+        let settles = req.synchronous.then_some(parent);
         for host in peers {
-            self.submit_replica(parent, host, &req, moved);
+            self.submit_replica(settles, host, &req, moved);
         }
         req.synchronous
     }
@@ -116,11 +118,11 @@ impl Engine {
     /// unit reusing the remote-staging push machinery. The landed
     /// `nsid://path` is pushed to the same-named dataspace and path on
     /// `host` (cluster-wide dataspace naming, the convention the peer
-    /// registry already assumes). Ledger entry and lag counters are
-    /// registered *before* the unit becomes dispatchable, so a fast
-    /// completion can never race the bookkeeping; a replica the pool
-    /// refuses (it is stopping) resolves as failed on the spot.
-    fn submit_replica(&self, parent: u64, host: String, req: &ReplRequest, bytes: u64) {
+    /// registry already assumes). Its role rides in its entry, which
+    /// `admit` counts in the lag gauges before the unit becomes
+    /// dispatchable; a replica the pool refuses (it is stopping) never
+    /// gets an entry and settles its parent as failed on the spot.
+    fn submit_replica(&self, parent: Option<u64>, host: String, req: &ReplRequest, bytes: u64) {
         let (nsid, path) = (req.nsid.clone(), req.path.clone());
         let spec = TaskSpec::new(
             TaskOp::Copy,
@@ -132,69 +134,59 @@ impl Engine {
         )
         .with_priority(req.priority);
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut rp = self.repl.lock();
-            rp.replicas.insert(task_id, ReplicaMeta { parent, bytes });
-            self.pending_replicas.fetch_add(1, Ordering::SeqCst);
-            self.pending_replica_bytes
-                .fetch_add(bytes, Ordering::SeqCst);
-        }
-        let admitted = Self::route_of(&spec)
-            .and_then(|route| self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route, None));
-        if let Err(e) = admitted {
-            self.replica_resolved(task_id, Some(e));
+        let role = ReplRole::ReplicaOf { parent, bytes };
+        let admitted = Self::route_of(&spec).and_then(|route| {
+            self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route, Some(role))
+        });
+        if let (Err(e), Some(parent)) = (admitted, parent) {
+            self.settle_parent(parent, Some(e));
         }
     }
 
-    /// A task reached a terminal state: if it was a replica, resolve
-    /// it in the ledger. Client tasks never touch the ledger lock.
-    pub(super) fn note_replica_done(&self, task_id: u64, owner: u64, stats: &TaskStats) {
-        if owner != REPLICA_OWNER {
-            return;
-        }
-        // Failure detail fetched before the ledger lock: the shard
-        // lock must never nest inside `repl`.
-        let failure = (stats.state != TaskState::Finished).then(|| {
-            let code = if stats.error == ErrorCode::Success {
+    /// Take a terminal entry's replica role, under its shard lock: its
+    /// bytes leave the lag gauges, and a replica of a `synchronous`
+    /// parent hands back that parent with its own failure, if any, for
+    /// [`Engine::settle_parent`] once the lock is released. Every other
+    /// role is spent by now and goes with it.
+    pub(super) fn take_replica(&self, t: &mut TaskEntry) -> Option<(u64, Option<EngineError>)> {
+        let Some(ReplRole::ReplicaOf { parent, bytes }) = t.replicate.take() else {
+            return None;
+        };
+        self.pending_replicas.fetch_sub(1, Ordering::SeqCst);
+        self.pending_replica_bytes
+            .fetch_sub(bytes, Ordering::SeqCst);
+        let parent = parent?;
+        let failure = (t.stats.state != TaskState::Finished).then(|| {
+            let code = if t.stats.error == ErrorCode::Success {
                 ErrorCode::SystemError
             } else {
-                stats.error
+                t.stats.error
             };
-            let msg = self
-                .error_message(task_id)
-                .unwrap_or_else(|| format!("replica ended {:?}", stats.state));
+            let msg = t
+                .error_message
+                .clone()
+                .unwrap_or_else(|| format!("replica ended {:?}", t.stats.state));
             EngineError::new(code, msg)
         });
-        self.replica_resolved(task_id, failure);
+        Some((parent, failure))
     }
 
-    /// Drain a resolved replica's lag counters and settle it against
-    /// its `synchronous` parent: the parent's outstanding count drops,
-    /// the first failure is recorded, and the last replica in delivers
-    /// the parent's deferred terminal transition — `Finished` only if
-    /// every replica landed. `local_plus_one` parents have no record
-    /// (fire-and-forget): nothing to settle.
-    fn replica_resolved(&self, task_id: u64, failure: Option<EngineError>) {
-        let settled = {
-            let mut rp = self.repl.lock();
-            let Some(meta) = rp.replicas.remove(&task_id) else {
-                return;
-            };
-            self.pending_replicas.fetch_sub(1, Ordering::SeqCst);
-            self.pending_replica_bytes
-                .fetch_sub(meta.bytes, Ordering::SeqCst);
-            self.repl_cv.notify_all();
-            let Some(record) = rp.parents.get_mut(&meta.parent) else {
-                return;
+    /// Settle one resolved replica against its `synchronous` parent:
+    /// the outstanding count drops, the first failure is kept, and the
+    /// last replica in delivers the parent's deferred terminal
+    /// transition in the same critical section — `Finished` only if
+    /// every replica landed.
+    pub(super) fn settle_parent(&self, parent: u64, failure: Option<EngineError>) {
+        let settled = self.tasks.update(parent, |t| {
+            let Some(ReplRole::Awaiting(mut record)) = t.replicate.take() else {
+                return None;
             };
             record.remaining -= 1;
-            record.error = record.error.take().or(failure);
+            record.error = record.error.or(failure);
             if record.remaining > 0 {
-                return;
+                t.replicate = Some(ReplRole::Awaiting(record));
+                return None;
             }
-            rp.parents.remove(&meta.parent).map(|r| (meta.parent, r))
-        };
-        if let Some((parent, record)) = settled {
             let outcome = match record.error {
                 None => PlanOutcome::Done(record.bytes_moved),
                 Some(e) => PlanOutcome::Failed(EngineError::new(
@@ -202,7 +194,10 @@ impl Engine {
                     format!("replication failed: {}", e.message),
                 )),
             };
-            self.finish_task(parent, outcome, record.elapsed_usec);
+            Some(self.finish_entry(t, outcome, record.elapsed_usec))
+        });
+        if let Some(settled) = settled.flatten() {
+            self.deliver(settled);
         }
     }
 }

@@ -1,16 +1,20 @@
-//! The sharded task table.
+//! The sharded task table: one record per task, holding every fact
+//! about it.
 //!
 //! The task table is the daemon's *control plane*: every `submit`,
-//! `query`, progress snapshot, cancel and completion touches it. It is
-//! split into [`DEFAULT_SHARDS`] id-keyed shards, each behind its own
+//! `query`, progress snapshot, wait, cancel and completion touches it.
+//! It is split into [`SHARDS`] id-keyed shards, each behind its own
 //! mutex, so traffic on different tasks does not serialize on one
 //! lock. Task ids are allocated sequentially, so consecutive tasks
 //! land on different shards and the lock traffic spreads evenly.
 //!
-//! The table only stores state. Waiting is not its business: a
-//! terminal transition is delivered to waiters by the engine's
-//! wait-subscription registry, which wakes exactly the subscribers of
-//! that task.
+//! An entry is the task's whole record, as the paper's urd keeps one
+//! for `norns_wait` / `norns_error`: stats and progress, the waits
+//! parked on it, its part in replication. Everything about a task
+//! changes under its own shard lock, so no side table has to be kept
+//! in step with this one. No code holds two shard locks at once: what
+//! a transition owes a waiter or another task ([`Settled`]) is paid
+//! after its closure returns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,12 +25,14 @@ use parking_lot::Mutex;
 
 use norns_proto::TaskStats;
 
-use super::replication::ReplRequest;
+use super::replication::ReplRole;
+use super::waits::WaitCallback;
+use super::EngineError;
 
 /// Task-table shard count; a power of two, so an id maps to its shard
 /// with a mask.
-pub const DEFAULT_SHARDS: usize = 16;
-const _: () = assert!(DEFAULT_SHARDS.is_power_of_two());
+const SHARDS: usize = 16;
+const _: () = assert!(SHARDS.is_power_of_two());
 
 /// One tracked task.
 pub(crate) struct TaskEntry {
@@ -50,13 +56,15 @@ pub(crate) struct TaskEntry {
     /// without abort points (small inline copies) stay uncancellable
     /// once running, as before.
     pub abortable: bool,
-    /// Replication a qualifying stage-out asked for at submission,
-    /// taken when its local leg reaches `complete_task`.
-    pub replicate: Option<ReplRequest>,
+    /// The task's part in replication, if it has one.
+    pub replicate: Option<ReplRole>,
+    /// Waits parked on the task, by subscription id; the terminal
+    /// transition takes them all.
+    pub waiters: Vec<(u64, WaitCallback)>,
 }
 
 impl TaskEntry {
-    fn snapshot(&self) -> TaskStats {
+    pub fn snapshot(&self) -> TaskStats {
         let mut stats = self.stats.clone();
         if !stats.state.is_terminal() {
             stats.bytes_moved = stats.bytes_moved.max(self.progress.load(Ordering::Relaxed));
@@ -65,9 +73,19 @@ impl TaskEntry {
     }
 }
 
+/// What a terminal transition owes once its shard lock is released
+/// (`Engine::settle` takes it, `Engine::deliver` pays it): stats for
+/// the parked waits, and a replica's `synchronous` parent with the
+/// replica's failure, if any.
+pub(crate) struct Settled {
+    pub stats: TaskStats,
+    pub waiters: Vec<(u64, WaitCallback)>,
+    pub parent: Option<(u64, Option<EngineError>)>,
+}
+
 /// The id-sharded task table.
 pub(crate) struct ShardedTaskTable {
-    shards: [Mutex<HashMap<u64, TaskEntry>>; DEFAULT_SHARDS],
+    shards: [Mutex<HashMap<u64, TaskEntry>>; SHARDS],
 }
 
 impl ShardedTaskTable {
@@ -78,7 +96,7 @@ impl ShardedTaskTable {
     }
 
     fn shard(&self, task_id: u64) -> &Mutex<HashMap<u64, TaskEntry>> {
-        &self.shards[task_id as usize & (DEFAULT_SHARDS - 1)]
+        &self.shards[task_id as usize & (SHARDS - 1)]
     }
 
     pub fn insert(&self, task_id: u64, entry: TaskEntry) {
@@ -98,6 +116,17 @@ impl ShardedTaskTable {
     /// Mutate one entry.
     pub fn update<R>(&self, task_id: u64, f: impl FnOnce(&mut TaskEntry) -> R) -> Option<R> {
         self.shard(task_id).lock().get_mut(&task_id).map(f)
+    }
+
+    /// The id of an entry the predicate picks, if any.
+    pub fn find(&self, mut pick: impl FnMut(&TaskEntry) -> bool) -> Option<u64> {
+        self.shards.iter().find_map(|shard| {
+            shard
+                .lock()
+                .iter()
+                .find(|(_, t)| pick(t))
+                .map(|(id, _)| *id)
+        })
     }
 
     /// Drop every entry the predicate rejects (completion-list GC).
@@ -130,6 +159,7 @@ mod tests {
             abort: Arc::new(AtomicBool::new(false)),
             abortable: false,
             replicate: None,
+            waiters: Vec::new(),
         }
     }
 

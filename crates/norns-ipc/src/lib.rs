@@ -14,9 +14,10 @@
 //! * [`engine::Engine`] — registries (dataspaces, jobs, peers),
 //!   validation, one admission path into a bounded dispatch queue
 //!   arbitrated through the shared `norns-sched` policies, a joined
-//!   worker pool (the only threads it spawns), a sharded task table,
-//!   one wait-subscription registry behind both the blocking `wait`
-//!   and the reactor's callback waits, a chunked zero-copy local data
+//!   worker pool (the only threads it spawns), a sharded task table
+//!   whose entry is a task's whole record — the waits parked on it,
+//!   blocking `wait` and the reactor's callback waits alike, and its
+//!   part in replication included — a chunked zero-copy local data
 //!   plane and, in `engine/remote/`, both halves of the TCP one — the
 //!   windowed transfers (`mod.rs`, `conn.rs`) and the `DataServer`
 //!   that answers a peer on blocking handler threads (`server.rs`);
@@ -39,8 +40,7 @@ pub use client::{ClientError, ClientResult, CtlClient, UserClient};
 pub use daemon::{DaemonConfig, UrdDaemon, DEFAULT_REACTORS};
 pub use engine::{
     Engine, EngineConfig, EngineError, IpcPolicy, PolicyKind, DEFAULT_CHUNK_SIZE,
-    DEFAULT_QUEUE_CAPACITY, DEFAULT_REMOTE_WINDOW, DEFAULT_SHARDS, MAX_REMOTE_WINDOW,
-    MIN_CHUNK_SIZE,
+    DEFAULT_QUEUE_CAPACITY, DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW, MIN_CHUNK_SIZE,
 };
 
 /// Names from when pipelining was a separate pair of client types;

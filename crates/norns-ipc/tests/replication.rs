@@ -140,6 +140,51 @@ fn synchronous_without_peers_fails_instead_of_false_acking() {
     assert!(mount.join("out/lone.dat").exists());
 }
 
+/// `synchronous` promises every copy: a peer nothing listens for fails
+/// the stage-out, with the replica's failure in the task's message,
+/// while the copy to the live peer still lands whole — the parent ends
+/// only once every replica has — and the lag gauges are back at zero.
+#[test]
+fn synchronous_fails_when_one_copy_cannot_land() {
+    let root = temp_root("sync-deadpeer");
+    let (origin, mut ctl, mount) = start_node(
+        &root,
+        "origin",
+        DaemonConfig::in_dir(root.join("origin/sockets")).with_target_copies(2),
+    );
+    let (_r1, _ctl_r1, mount_r1) =
+        start_node(&root, "r1", DaemonConfig::in_dir(root.join("r1/sockets")));
+    ctl.register_peer("r1", &_r1.data_addr().unwrap().to_string())
+        .unwrap();
+    // A port that was bound and released again: connecting is refused.
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    ctl.register_peer("r2", &closed.to_string()).unwrap();
+
+    let data = pattern(1 << 20);
+    std::fs::write(mount.join("src.dat"), &data).unwrap();
+    let task = ctl
+        .submit(1, stage_out("out/ckpt.dat", Durability::Synchronous), None)
+        .unwrap();
+    let stats = ctl.wait(task, 0).unwrap();
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    let message = origin.engine().error_message(task).expect("failure detail");
+    assert!(
+        message.starts_with("replication failed:"),
+        "message: {message}"
+    );
+    assert_eq!(
+        std::fs::read(mount_r1.join("out/ckpt.dat")).unwrap(),
+        data,
+        "the live peer's copy lands before the parent fails"
+    );
+    let status = ctl.status().unwrap();
+    assert_eq!(status.pending_replicas, 0);
+    assert_eq!(status.pending_replica_bytes, 0);
+}
+
 /// `local_plus_one` ACKs as soon as the local leg lands, then kills
 /// the origin while the background copy may still be in flight; the
 /// origin's shutdown drain finishes it, so a surviving replica holds

@@ -219,7 +219,7 @@ impl Config {
                         "crates/norns-ipc/src/daemon/reactor.rs".into(),
                         "reactor_loop".into(),
                     ),
-                    // The WaitCallback constructor: the closure it
+                    // The wait-callback constructor: the closure it
                     // returns is invoked on completion paths and feeds
                     // reactors; it is indexed inline with its builder.
                     (

@@ -64,10 +64,24 @@ fn live_workspace_has_no_unsuppressed_findings() {
             .all(|u| u.has_safety_comment || u.allowed),
         "every unsafe site carries a SAFETY comment or an explicit waiver"
     );
-    assert!(
-        report.lock_names.len() >= 10,
-        "lock-name collection shrank suspiciously: {:?}",
-        report.lock_names
+    // The lock set exactly: a lock that appears or disappears has to
+    // be named here in the same diff.
+    let mut lock_names: Vec<&str> = report.lock_names.iter().map(String::as_str).collect();
+    lock_names.sort_unstable();
+    assert_eq!(
+        lock_names,
+        [
+            "completions",
+            "conns",
+            "data_addr",
+            "dispatch",
+            "incoming",
+            "reactor_threads",
+            "registry",
+            "shutdown_done",
+            "workers",
+        ],
+        "the lock-name collection changed"
     );
     let wire = report.wire.as_ref().expect("wire summary present");
     // The protocol enums are declared inside `wire_enum!` listings;
