@@ -31,8 +31,9 @@
 //!    AF_UNIX socket, client counts × wire-v7 pipeline depths; the
 //!    paper's Fig. 4 submit hammer (1–32 processes).
 //! 2. **local** — the no-network data plane through a bare engine:
-//!    chunk size × workers on one file, 1, 2 and 4 files at once, the
-//!    four arbitration policies on a skewed real-file mix.
+//!    chunk size × workers on one file, 1, 2 and 4 files at once, one
+//!    file on tmpfs, the four arbitration policies on a skewed
+//!    real-file mix.
 //! 3. **remote** — loopback push + pull across data-plane window sizes
 //!    and across chunk sizes with `query()` polled mid-transfer; 1 and 2
 //!    files pushed together.
@@ -544,6 +545,54 @@ fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
     let _ = fs::remove_dir_all(&mount);
 }
 
+/// The side of the mover rule that keeps `copy_file_range`: one file
+/// copied on `/dev/shm` when that is tmpfs, to read beside
+/// `concurrent_copies`' files=1 row on the scratch filesystem (ext4
+/// here, where a chunked copy maps its units). No gate.
+fn tmpfs_copy(doc: &mut BenchDoc) {
+    let shm = Path::new("/dev/shm");
+    if json::fs_type(shm).as_deref() != Some("tmpfs") {
+        doc.note("tmpfs_copy: skipped, /dev/shm is not tmpfs here");
+        return;
+    }
+    let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
+    let reps = 5;
+    let mount = shm.join(format!("norns-bench-suite-{}", std::process::id()));
+    fs::create_dir_all(&mount).unwrap();
+    write_clean(&mount.join("src"), &vec![0x5au8; size as usize]);
+    let samples = sample_turns(reps, &mut [()], |_| {
+        let engine = engine_on(
+            &mount,
+            EngineConfig::default(),
+            PolicyKind::Fcfs.to_policy(),
+        );
+        let _ = fs::remove_file(mount.join("dst"));
+        let start = Instant::now();
+        finished(
+            &engine,
+            engine.submit(1, tmp0_copy("src", "dst"), None).unwrap(),
+        );
+        let secs = start.elapsed().as_secs_f64();
+        engine.shutdown();
+        secs
+    });
+    let knobs = [
+        ("scenario", Json::str("tmpfs_copy")),
+        ("files", Json::num(1.0)),
+        ("bytes", Json::num(size as f64)),
+    ];
+    let rate = [(
+        "gib_per_s",
+        Json::num(size as f64 / samples[0].median() / GIB),
+    )];
+    doc.row(knobs.into_iter().chain(turns(&samples[0])).chain(rate));
+    doc.note(format!(
+        "tmpfs_copy: one {} MiB file copied on /dev/shm (tmpfs) through an in-process engine at the defaults, median of {reps} turns; not ext4, so its units move with copy_file_range, where a chunked copy on the ext4 scratch filesystem (concurrent_copies files=1) maps each unit's source and lands it with one pwrite; no gate",
+        size / MIB
+    ));
+    let _ = fs::remove_dir_all(&mount);
+}
+
 /// The four arbitration policies on a skewed real-file mix (the
 /// simulated twin is `ablation_sched`): job 1 submits a few huge
 /// stage-outs, job 2 floods small transfers behind them, and one
@@ -646,6 +695,7 @@ fn bench_local(root: &Path) -> BenchDoc {
     let mut doc = BenchDoc::new("local");
     chunk_sweep(root, &mut doc);
     concurrent_copies(root, &mut doc);
+    tmpfs_copy(&mut doc);
     policy_mix(root, &mut doc);
     doc
 }

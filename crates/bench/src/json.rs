@@ -454,8 +454,7 @@ fn environment() -> Vec<(String, Json)> {
         .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease");
-    let mounts = std::fs::read_to_string("/proc/mounts").unwrap_or_default();
-    let scratch_fs = fs_type_of(&mounts, &std::env::temp_dir());
+    let scratch_fs = fs_type(&std::env::temp_dir());
     let text = |value: Option<String>| Json::Str(value.unwrap_or_else(|| "unknown".into()));
     vec![
         ("git_rev".into(), text(git_rev)),
@@ -463,6 +462,13 @@ fn environment() -> Vec<(String, Json)> {
         ("kernel".into(), text(kernel.ok().map(|k| k.trim().into()))),
         ("scratch_fs".into(), text(scratch_fs)),
     ]
+}
+
+/// Filesystem type `dir` is on (`"ext4"`, `"tmpfs"`, …), from
+/// `/proc/mounts`.
+pub fn fs_type(dir: &Path) -> Option<String> {
+    let mounts = std::fs::read_to_string("/proc/mounts").unwrap_or_default();
+    fs_type_of(&mounts, dir)
 }
 
 /// Filesystem type of the longest `/proc/mounts` mount point above `dir`.

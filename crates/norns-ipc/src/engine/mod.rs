@@ -31,8 +31,10 @@
 //!   monopolize a worker), a cancel lands between chunks, and the
 //!   rest of the pool stays free for *other* tasks: one destination
 //!   inode takes one writer at a time, so the pool's parallelism is
-//!   across files, not inside one. Byte ranges move zero-copy via
-//!   `copy_file_range` with a pooled-buffer fallback; `Move` degrades
+//!   across files, not inside one. A chunked copy with both files on
+//!   ext4 maps each unit's source and lands it with one `pwrite`;
+//!   other byte ranges move zero-copy via `copy_file_range` with a
+//!   pooled-buffer fallback; `Move` degrades
 //!   to `rename()` when source and destination share a filesystem;
 //!   and a per-task atomic advances `bytes_moved` live, making
 //!   `query()` a real progress API.
@@ -1271,7 +1273,12 @@ mod tests {
 
     /// A fresh [`TempRoot`]; `tag` is unique across the crate's tests.
     pub(crate) fn temp_root(tag: &str) -> TempRoot {
-        let dir = std::env::temp_dir().join(format!("norns-ipc-{tag}-{}", std::process::id()));
+        temp_root_in(&std::env::temp_dir(), tag)
+    }
+
+    /// A fresh [`TempRoot`] under `base`.
+    pub(crate) fn temp_root_in(base: &Path, tag: &str) -> TempRoot {
+        let dir = base.join(format!("norns-ipc-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         TempRoot(dir)

@@ -13,7 +13,9 @@
 //! `sendfile(2)` whichever end sends it; a file pair the kernel
 //! refuses before any byte moved degrades *for that range* to a
 //! `pread` into the thread's pooled buffer, the same rule `copy_range`
-//! follows for `copy_file_range`. The receiving end copies it once:
+//! follows for `copy_file_range` (a local chunked copy on ext4 maps its
+//! units instead, `transfer.rs::SourceMap`; a payload has no mapped
+//! path). The receiving end copies it once:
 //! `splice(2)` moves it socket → this thread's pipe → page cache, and
 //! a pair the kernel refuses before any byte landed degrades the same
 //! way, to `read`s into the pooled buffer.

@@ -4,12 +4,40 @@
 //! touches the data: `sendfile` and `fallocate`+`mmap` beat buffered
 //! read/write loops. This module is that idea on modern primitives:
 //!
-//! * **Zero-copy** — byte ranges move with `copy_file_range(2)`, which
-//!   stays entirely in the kernel (and server-side on filesystems that
-//!   support it). Where the syscall is unavailable or refuses the pair
-//!   of files (`EXDEV`, `EINVAL`, `ENOSYS`, …) the range degrades to a
-//!   pooled-buffer `pread`/`pwrite` loop — one reusable buffer per
-//!   worker thread, never an allocation per transfer.
+//! * **The mover rule** — a chunked copy whose two files are both on
+//!   ext4 (one `fstatfs(2)` each, at plan) takes the paper's
+//!   `fallocate`+`mmap` path: each unit maps its source range
+//!   read-only with `MAP_SHARED | MAP_POPULATE` and lands it with one
+//!   `pwrite(2)` from the mapping ([`SourceMap`]). Everything else
+//!   moves byte ranges with `copy_file_range(2)`, which stays in the
+//!   kernel: pairs not on ext4 (tmpfs, where the mapped write is
+//!   slower, and reflink or offload filesystems, where the call is a
+//!   clone), whole-file copies of at most one chunk and tree leaves
+//!   (the mapped write loses below about 1 MiB), and a unit whose
+//!   mapping the kernel refuses. ext4 cannot clone, so there
+//!   `copy_file_range` is `do_splice_direct` through a 16-slot kernel
+//!   pipe. Where the call is unavailable or refuses the pair (`EXDEV`,
+//!   `EINVAL`, `ENOSYS`, …) the range degrades to a pooled-buffer
+//!   `pread`/`pwrite` loop — one reusable buffer per worker thread,
+//!   never an allocation per transfer. Raw syscalls, 8 MiB units,
+//!   `fallocate`d destination, interleaved pairs on the 2-vCPU
+//!   reference box (Linux 6.18):
+//!
+//!   | copy                                    | `copy_file_range`  | mapped + `pwrite`  | mapped won      |
+//!   |-----------------------------------------|--------------------|--------------------|-----------------|
+//!   | ext4, 64 MiB (large-folio source)       | 16.0–22.3 ms       | 13.3–17.7 ms       | ≥ 92 %, 5 runs  |
+//!   | ext4, 16 MiB                            | 3.9–5.1 ms         | 2.6–3.8 ms         | ≥ 97 %, 4 runs  |
+//!   | ext4, 64 MiB, no `MAP_POPULATE`         | 16.0 ms            | 15.9 ms            | 27/40 (no gain) |
+//!   | ext4, 64 MiB, small-folio source¹       | 21.2 ms            | 21.1 ms            | 8/20 (neutral)  |
+//!   | tmpfs, 64 MiB                           | 16.2–20.2 ms       | 19.3–24.3 ms       | 0–2 (loses)     |
+//!   | ext4 whole file, 4 KiB / 64 KiB / 1 MiB | 4.7 / 14 / 245 µs  | 13.4 / 27 / 259 µs | loses²          |
+//!
+//!   ¹ written 4 KiB at a time. ² timed from Python, whose `mmap`
+//!   object inflates the small mapped sizes; the daemon maps every
+//!   unit of a chunked copy and nothing else. A source truncated under
+//!   a mapping raises no signal: the kernel reads the mapping inside
+//!   `pwrite`, which comes up short and then fails `EFAULT`, and the
+//!   unit fails as a short one does.
 //! * **Allocated before the first byte** — a destination that is
 //!   written in ranges (a chunked copy, a pull, a push's `Prepare` on
 //!   the peer) is given all its blocks up front by `fallocate(2)`
@@ -60,10 +88,13 @@
 //!   paper's `NORNS_EPENDING` polling semantics).
 
 use std::cell::RefCell;
+use std::ffi::{c_int, c_long, c_void};
 use std::fs::{self, File, Metadata, OpenOptions, Permissions};
 use std::io;
 use std::os::unix::fs::{FileExt, MetadataExt};
+use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
+use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,7 +129,6 @@ fn copy_file_range_once(
     dst_off: u64,
     len: usize,
 ) -> io::Result<usize> {
-    use std::os::unix::io::AsRawFd;
     // Declared directly (glibc ≥ 2.27) — the workspace builds offline
     // with no libc crate.
     // SAFETY: signature transcribed from the glibc header; `loff_t` is
@@ -146,7 +176,6 @@ const EFBIG: i32 = 27;
 /// `file` and extend its length to `len`.
 #[cfg(target_os = "linux")]
 fn fallocate_once(file: &File, len: i64) -> io::Result<()> {
-    use std::os::unix::io::AsRawFd;
     // Declared directly (glibc), like `copy_file_range` above.
     // SAFETY: signature transcribed from the glibc header; `off_t` is
     // i64 on every 64-bit Linux target this repo builds for.
@@ -195,6 +224,149 @@ pub(crate) fn preallocate(file: &File, path: &Path, len: u64) -> io::Result<()> 
     allocated.inspect_err(|_| {
         let _ = fs::remove_file(path);
     })
+}
+
+/// `statfs(2)`'s `f_type` of ext2/3/4 (`EXT4_SUPER_MAGIC`).
+const EXT4_SUPER_MAGIC: i64 = 0xEF53;
+
+/// `EFAULT`: the kernel could not read a buffer it was given.
+const EFAULT: i32 = 14;
+
+// The mapped mover's syscalls, declared directly (glibc) like
+// `copy_file_range` above. Linux-only, like the rest of the crate (its
+// reactor is `epoll`).
+// SAFETY: signatures transcribed from the glibc headers for 64-bit
+// Linux, where `off_t` and `long` are i64 and `struct statfs` is 120
+// bytes with its `long f_type` first.
+extern "C" {
+    fn fstatfs(fd: c_int, buf: *mut [i64; 16]) -> c_int;
+    fn sysconf(name: c_int) -> c_long;
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn pwrite(fd: c_int, buf: *const c_void, count: usize, offset: i64) -> isize;
+}
+
+/// Is `file` on ext4? One `fstatfs(2)`; a refused call says no.
+fn on_ext4(file: &File) -> bool {
+    // Room for glibc's 120-byte `struct statfs`; `f_type` is word 0.
+    let mut buf = [0i64; 16];
+    // SAFETY: the fd is live (borrowed from `&File`) and `buf` is a
+    // live, writable stack array larger than the struct the kernel
+    // fills.
+    let done = unsafe { fstatfs(file.as_raw_fd(), &mut buf) } == 0;
+    done && buf[0] == EXT4_SUPER_MAGIC
+}
+
+/// One unit's source range mapped read-only, shared and pre-faulted
+/// (`MAP_POPULATE`), from its offset aligned down to the page: the
+/// source side of a mapped unit (module docs). No Rust slice or
+/// reference is ever formed over it — a load from a page the source
+/// lost to a truncate raises `SIGBUS` — so its one reader is the
+/// kernel, in [`SourceMap::write_to`]'s `pwrite(2)`, which fails such
+/// a page with `EFAULT` instead. Unmapped on drop, on every path.
+struct SourceMap {
+    base: *mut c_void,
+    /// Bytes mapped from `base`.
+    len: usize,
+    /// The file offset `base` maps: the unit's, aligned down to the page.
+    at: i64,
+    /// How far past `base` the unit starts.
+    lead: usize,
+}
+
+impl SourceMap {
+    /// Map `len` bytes of `src` at `offset`; `None` if the kernel
+    /// refuses, before any byte moved (the unit takes `copy_range`).
+    fn new(src: &File, offset: u64, len: u64) -> Option<SourceMap> {
+        const PROT_READ: c_int = 0x1;
+        const MAP_SHARED: c_int = 0x01;
+        const MAP_POPULATE: c_int = 0x8000;
+        const SC_PAGESIZE: c_int = 30;
+        // Every file offset the unit's write names fits an `off_t`.
+        i64::try_from(offset.checked_add(len)?).ok()?;
+        // SAFETY: a query with an integer argument; nothing is shared.
+        let page = u64::try_from(unsafe { sysconf(SC_PAGESIZE) }).ok()?;
+        let lead = offset.checked_rem(page)?;
+        let mapped = usize::try_from(lead + len).ok()?;
+        let at = (offset - lead) as i64;
+        let flags = MAP_SHARED | MAP_POPULATE;
+        // SAFETY: a null hint makes the kernel place a new mapping where
+        // nothing is mapped, so no existing memory changes; the fd is
+        // live for the call and the mapping keeps its own file reference.
+        let base = unsafe {
+            mmap(
+                ptr::null_mut(),
+                mapped,
+                PROT_READ,
+                flags,
+                src.as_raw_fd(),
+                at,
+            )
+        };
+        // `MAP_FAILED` is `(void *) -1`.
+        (base as usize != usize::MAX).then_some(SourceMap {
+            base,
+            len: mapped,
+            at,
+            lead: lead as usize,
+        })
+    }
+
+    /// Write the mapped unit to `dst` at the offset it was mapped from,
+    /// one `pwrite(2)` on the raw mapping pointer (more only for a
+    /// write the kernel caps), advancing `progress`. Returns the bytes
+    /// written: short when the source was truncated under the mapping,
+    /// which the kernel reports as a short count and then `EFAULT`,
+    /// raising no signal.
+    fn write_to(&self, dst: &File, progress: &AtomicU64) -> io::Result<u64> {
+        let mut done = self.lead;
+        while done < self.len {
+            let from = self.base.cast::<u8>().wrapping_add(done);
+            // SAFETY: `from` and the `self.len - done` bytes after it lie
+            // inside the live mapping, read by the kernel alone (a page
+            // it cannot fault in fails the call `EFAULT`); the fd is live
+            // (borrowed from `&File`).
+            let n = unsafe {
+                pwrite(
+                    dst.as_raw_fd(),
+                    from.cast(),
+                    self.len - done,
+                    self.at + done as i64,
+                )
+            };
+            if n == 0 {
+                break;
+            }
+            if n > 0 {
+                done += n as usize;
+                progress.fetch_add(n as u64, Ordering::Relaxed);
+                continue;
+            }
+            let e = io::Error::last_os_error();
+            if e.raw_os_error() == Some(EFAULT) {
+                break;
+            }
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        }
+        Ok((done - self.lead) as u64)
+    }
+}
+
+impl Drop for SourceMap {
+    fn drop(&mut self) {
+        // SAFETY: `base` and `len` are the mapping `new` made, unmapped
+        // once, here; nothing points into it.
+        unsafe { munmap(self.base, self.len) };
+    }
 }
 
 /// Errors that mean "this file pair can't use `copy_file_range`, use
@@ -547,12 +719,13 @@ impl Chain {
 
 /// A large single-file copy decomposed into fixed-size chunks.
 ///
-/// The planner opens both files once and allocates the destination's
-/// blocks ([`preallocate`]); each unit copies the next disjoint range
-/// into blocks that are already there. The
-/// destination is one inode and takes one writer at a time (see the
-/// module docs), so the units run as a chain through the scheduler,
-/// one dispatch per chunk.
+/// The planner opens both files once, allocates the destination's
+/// blocks ([`preallocate`]) and picks the mover once: mapped units
+/// when both files are on ext4, `copy_range` otherwise (module docs).
+/// Each unit copies the next disjoint range into blocks that are
+/// already there. The destination is one inode and takes one writer at
+/// a time (see the module docs), so the units run as a chain through
+/// the scheduler, one dispatch per chunk.
 pub(crate) struct ChunkedCopy {
     op: TaskOp,
     src: File,
@@ -561,6 +734,8 @@ pub(crate) struct ChunkedCopy {
     dst_path: PathBuf,
     src_permissions: Permissions,
     progress: Arc<AtomicU64>,
+    /// Both files are on ext4: each unit maps its source range.
+    mapped: bool,
 }
 
 impl ChunkedCopy {
@@ -578,17 +753,7 @@ impl ChunkedCopy {
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> Result<Box<Chain>, EngineError> {
-        let (src, meta, dst) = open_pair(src_path, dst_path)?;
-        preallocate(&dst, dst_path, size)?;
-        let copy = ChunkedCopy {
-            op,
-            src,
-            dst,
-            src_path: src_path.to_path_buf(),
-            dst_path: dst_path.to_path_buf(),
-            src_permissions: meta.permissions(),
-            progress: Arc::clone(&progress),
-        };
+        let copy = ChunkedCopy::open(op, src_path, dst_path, size, Arc::clone(&progress))?;
         Ok(Chain::new(
             task_id,
             size,
@@ -598,18 +763,59 @@ impl ChunkedCopy {
             Box::new(copy),
         ))
     }
-}
 
-impl RangeMover for ChunkedCopy {
-    /// A range that comes up short means the source shrank after the
-    /// plan sized it: the preallocated destination would keep its
-    /// planned length with a hole where the data should be.
-    fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
-        let moved = copy_range(&self.src, &self.dst, offset, len, &self.progress)?;
+    /// The mover of [`ChunkedCopy::plan`]'s chain.
+    fn open(
+        op: TaskOp,
+        src_path: &Path,
+        dst_path: &Path,
+        size: u64,
+        progress: Arc<AtomicU64>,
+    ) -> Result<ChunkedCopy, EngineError> {
+        let (src, meta, dst) = open_pair(src_path, dst_path)?;
+        preallocate(&dst, dst_path, size)?;
+        Ok(ChunkedCopy {
+            op,
+            mapped: on_ext4(&src) && on_ext4(&dst),
+            src,
+            dst,
+            src_path: src_path.to_path_buf(),
+            dst_path: dst_path.to_path_buf(),
+            src_permissions: meta.permissions(),
+            progress,
+        })
+    }
+
+    /// Land the unit at `offset`: from `map`, its source range mapped,
+    /// or through [`copy_range`] without one. A range that comes up
+    /// short means the source shrank after the plan sized it: the
+    /// preallocated destination would keep its planned length with a
+    /// hole where the data should be.
+    fn land(&self, map: Option<SourceMap>, offset: u64, len: u64) -> Result<(), EngineError> {
+        let moved = match map {
+            // A cut inside the mapping's last page reads as zeros up to
+            // the page's end, not as a fault: the source's length says
+            // where its data stops.
+            Some(map) => map
+                .write_to(&self.dst, &self.progress)?
+                .min(self.src.metadata()?.len().saturating_sub(offset)),
+            None => copy_range(&self.src, &self.dst, offset, len, &self.progress)?,
+        };
         if moved < len {
             return Err(truncated("local", offset + moved));
         }
         Ok(())
+    }
+}
+
+impl RangeMover for ChunkedCopy {
+    fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
+        let map = if self.mapped {
+            SourceMap::new(&self.src, offset, len)
+        } else {
+            None
+        };
+        self.land(map, offset, len)
     }
 
     /// On success propagate permissions and (for `Move`) unlink the
@@ -633,7 +839,7 @@ impl RangeMover for ChunkedCopy {
 
 #[cfg(test)]
 pub(super) mod tests {
-    use super::super::tests::temp_root;
+    use super::super::tests::{temp_root, temp_root_in, TempRoot};
     use super::*;
     use parking_lot::Mutex;
 
@@ -919,6 +1125,119 @@ pub(super) mod tests {
             drive_counting(1, 0, true),
             (0, PlanOutcome::Cancelled, false)
         ));
+    }
+
+    /// A scratch root where chunked copies take the mapped path: `None`,
+    /// with a note, where the temp dir is not on ext4.
+    fn ext4_root(tag: &str) -> Option<TempRoot> {
+        let root = temp_root(tag);
+        if on_ext4(&File::open(&*root).unwrap()) {
+            return Some(root);
+        }
+        eprintln!("{}: not ext4, mapped path not tested", root.display());
+        None
+    }
+
+    /// The mover is picked by where both files live: mapped for two
+    /// files on ext4, `copy_range` when either is on tmpfs.
+    #[test]
+    fn mapped_only_when_both_files_are_on_ext4() {
+        let Some(root) = ext4_root("mapped-select") else {
+            return;
+        };
+        let mapped = |src: &Path, dst: &Path| {
+            fs::write(src, b"source").unwrap();
+            ChunkedCopy::open(TaskOp::Copy, src, dst, 6, Arc::default())
+                .unwrap()
+                .mapped
+        };
+        assert!(mapped(&root.join("src"), &root.join("dst")));
+        let shm = Path::new("/dev/shm");
+        if !File::open(shm).is_ok_and(|dir| !on_ext4(&dir)) {
+            eprintln!("{}: absent or ext4, tmpfs side not tested", shm.display());
+            return;
+        }
+        let shm = temp_root_in(shm, "mapped-select");
+        assert!(!mapped(&shm.join("src"), &root.join("dst")));
+        assert!(!mapped(&root.join("src"), &shm.join("dst")));
+    }
+
+    /// A chunk that is not a page multiple puts every unit after the
+    /// first off a page boundary: each still maps, and the bytes land
+    /// exactly.
+    #[test]
+    fn mapped_units_off_page_boundaries_move_exact_bytes() {
+        let Some(root) = ext4_root("mapped-offpage") else {
+            return;
+        };
+        let chunk = MIN_CHUNK_SIZE + 4097;
+        let data = pattern((3 * chunk + 1234) as usize);
+        let chain = plan_copy(&root, &data, chunk, &Arc::default());
+        let src = File::open(root.join("src")).unwrap();
+        for offset in (0..data.len() as u64).step_by(chunk as usize) {
+            let len = chunk.min(data.len() as u64 - offset);
+            let map = SourceMap::new(&src, offset, len).expect("an ext4 unit maps");
+            assert_eq!(map.at as u64 + map.lead as u64, offset);
+            assert_eq!((map.len - map.lead) as u64, len);
+        }
+        assert!(
+            matches!(drive(chain), (4, PlanOutcome::Done(moved)) if moved == data.len() as u64)
+        );
+        assert_eq!(fs::read(root.join("dst")).unwrap(), data);
+    }
+
+    /// A [`ChunkedCopy`] whose source is truncated to `cut` bytes
+    /// between mapping the unit that crosses `cut` and writing it.
+    struct CutUnderTheMap {
+        copy: ChunkedCopy,
+        cut: u64,
+    }
+
+    impl RangeMover for CutUnderTheMap {
+        fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
+            let map = SourceMap::new(&self.copy.src, offset, len).expect("an ext4 unit maps");
+            if offset + len > self.cut {
+                let src = OpenOptions::new().write(true).open(&self.copy.src_path);
+                src.unwrap().set_len(self.cut).unwrap();
+            }
+            self.copy.land(Some(map), offset, len)
+        }
+
+        fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
+            self.copy.finish(landed)
+        }
+    }
+
+    /// A source truncated under a live mapping: the write comes up
+    /// short (the kernel's `EFAULT`, no `SIGBUS` — this process goes on
+    /// to its asserts), and the chain fails at the byte where the
+    /// source now ends, its destination removed.
+    #[test]
+    fn mapped_unit_truncated_under_its_mapping_fails_the_chain() {
+        let Some(root) = ext4_root("mapped-truncate") else {
+            return;
+        };
+        let chunk = 2 << 20;
+        let data = pattern(3 * chunk as usize);
+        fs::write(root.join("src"), &data).unwrap();
+        let (src, dst) = (root.join("src"), root.join("dst"));
+        let progress = Arc::new(AtomicU64::new(0));
+        let size = data.len() as u64;
+        let copy = ChunkedCopy::open(TaskOp::Copy, &src, &dst, size, Arc::clone(&progress));
+        let cut = chunk + (1 << 20) + 100;
+        let mover = CutUnderTheMap {
+            copy: copy.unwrap(),
+            cut,
+        };
+        let chain = Chain::new(1, size, chunk, progress, Arc::default(), Box::new(mover));
+        match drive(chain) {
+            (2, PlanOutcome::Failed(e)) => {
+                assert_eq!(e.message, format!("local source truncated at byte {cut}"));
+            }
+            (units, _) => panic!("the cut unit must fail the chain, ran {units}"),
+        }
+        assert!(!dst.exists(), "a destination with a hole survived");
+        assert_eq!(fs::metadata(&src).unwrap().len(), cut);
     }
 
     #[test]

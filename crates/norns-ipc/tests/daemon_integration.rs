@@ -802,8 +802,10 @@ fn bounded_queue_reports_busy_over_sockets() {
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     // Pin the single worker on a long path→path copy so the flood
-    // deterministically backs up behind the 2-deep queue.
-    std::fs::write(root.join("tmp0/blocker-src"), vec![0x77u8; 64 << 20]).unwrap();
+    // backs up behind the 2-deep queue. The flood's first three
+    // submissions must land before the copy ends: at 64 MiB a mapped
+    // ext4 copy (~16 ms) often ended first.
+    std::fs::write(root.join("tmp0/blocker-src"), vec![0x77u8; 256 << 20]).unwrap();
     let blocker = ctl
         .submit(
             1,
@@ -862,6 +864,7 @@ fn bounded_queue_reports_busy_over_sockets() {
         let stats = ctl.wait(id, 0).unwrap();
         assert_eq!(stats.state, TaskState::Finished);
     }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The wire-level Shutdown command must actually stop the daemon:

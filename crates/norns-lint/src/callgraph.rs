@@ -43,7 +43,9 @@ pub const AMBIGUITY_POLICY: &str = "self/receiver-type/path-qualifier/unique-nam
 /// `Fetch`/`Store` handlers sit in, up to `MAX_DATA_RANGE` per
 /// request against whatever tier backs the dataspace — listing them
 /// keeps those handlers off the reactor (README § Data-plane
-/// architecture).
+/// architecture). So are the mapped local mover's two syscalls: `mmap`
+/// reads its whole source range in (`MAP_POPULATE`) and `pwrite` lands
+/// a unit of up to `chunk_size` from it.
 pub const BLOCKING: &[&str] = &[
     "write_all",
     "write_all_at",
@@ -59,6 +61,8 @@ pub const BLOCKING: &[&str] = &[
     "accept",
     "sleep",
     "copy_file_range",
+    "mmap",
+    "pwrite",
     "sendfile",
     "epoll_wait",
     "recv",

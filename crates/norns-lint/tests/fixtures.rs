@@ -277,6 +277,29 @@ fn guard_across_blocking_helper_is_flagged_interprocedurally() {
 }
 
 #[test]
+fn guard_across_the_mapped_write_is_flagged() {
+    let report = lint_locks_graph(&["locks_mapped_bad.rs"]);
+    assert_eq!(
+        rules(&report),
+        vec![Rule::LockAcrossBlocking; 2],
+        "findings: {:?}",
+        report.findings
+    );
+    let messages: Vec<&str> = report.unsuppressed().map(|f| f.message.as_str()).collect();
+    assert!(
+        messages[0].contains("mmap") && messages[0].contains("units"),
+        "the populating mmap must be named with the guard: {}",
+        messages[0]
+    );
+    let chains: Vec<&[String]> = report.unsuppressed().map(|f| &f.chain[..]).collect();
+    assert_eq!(
+        chains[1],
+        ["write_unit", "pwrite"],
+        "the mapped write must be reached through its wrapper"
+    );
+}
+
+#[test]
 fn snapshot_before_blocking_helper_is_clean() {
     let report = lint_locks_graph(&["locks_interproc_good.rs"]);
     assert_eq!(
