@@ -34,9 +34,9 @@
 //!    chunk size × workers on one file, 1, 2 and 4 files at once, one
 //!    file on tmpfs, the four arbitration policies on a skewed
 //!    real-file mix.
-//! 3. **remote** — loopback push + pull across data-plane window sizes
-//!    and across chunk sizes with `query()` polled mid-transfer; 1 and 2
-//!    files pushed together.
+//! 3. **remote** — loopback push + pull taking turns with the same
+//!    file's no-network copy, and across chunk sizes with `query()`
+//!    polled mid-transfer; 1 and 2 files pushed together.
 //! 4. **flow** — end-to-end makespan of a two-job `#NORNS` workflow
 //!    driven by the norns-flow executor against two live daemons.
 //! 5. **replication** — stage-out ACK latency under each wire-v8
@@ -53,6 +53,7 @@ use norns_bench::{quick_mode, Summary};
 use norns_flow::{FlowConfig, FlowJobState, JobBody, NodeSpec, WorkflowExecutor};
 use norns_ipc::{
     ClientError, CtlClient, DaemonConfig, Engine, EngineConfig, IpcPolicy, PolicyKind, UrdDaemon,
+    DEFAULT_CHUNK_SIZE,
 };
 use norns_proto::{
     BackendKind, DaemonCommand, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp,
@@ -700,17 +701,7 @@ fn bench_local(root: &Path) -> BenchDoc {
     doc
 }
 
-// --- scenario 3: remote push/pull across window and chunk sizes ------
-
-/// Window sizes swept by the remote scenario; 1 is the stop-and-wait
-/// baseline, the rest exercise the pipelined data plane.
-fn windows() -> &'static [usize] {
-    if quick_mode() {
-        &[1, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 16]
-    }
-}
+// --- scenario 3: remote push/pull, and across chunk sizes ------------
 
 fn push_spec() -> TaskSpec {
     copy_spec(
@@ -783,7 +774,7 @@ fn concurrent_pushes(root: &Path, doc: &mut BenchDoc) {
         doc.row(knobs.into_iter().chain(turns(secs)).chain(rate));
     }
     doc.note(format!(
-        "concurrent_pushes: 1 and 2 distinct {} MiB files pushed together between two live daemons at the defaults (4 workers, 8 MiB chunks, window 8), median of {reps} turns with the file counts taking turns, aggregate rate; one copy per received byte, one lane per file: each push is one chain of chunks on one worker of the sender and one handler of the receiver, so a second file finds idle workers and a connection of its own instead of queueing behind the first file's lanes; one push already keeps a sending and a receiving thread busy, which is all of this box's two vCPUs, so a second file adds little here (1.1-1.4x) and the gate only asks that it costs nothing; gate: 2 files move at >= {PUSHES_FLOOR}x the 1-file aggregate rate{}",
+        "concurrent_pushes: 1 and 2 distinct {} MiB files pushed together between two live daemons at the defaults (4 workers, 8 MiB chunks, a unit's two 4 MiB ranges in flight), median of {reps} turns with the file counts taking turns, aggregate rate; one copy per received byte, one lane per file: each push is one chain of chunks on one worker of the sender and one handler of the receiver, so a second file finds idle workers and a connection of its own instead of queueing behind the first file's lanes; one push already keeps a sending and a receiving thread busy, which is all of this box's two vCPUs, so a second file adds little here (1.1-1.4x) and the gate only asks that it costs nothing; gate: 2 files move at >= {PUSHES_FLOOR}x the 1-file aggregate rate{}",
         size / MIB,
         if nproc < 2 { " (skipped: nproc < 2)" } else { "" }
     ));
@@ -805,50 +796,41 @@ fn bench_remote(root: &Path) -> BenchDoc {
     };
     let mut doc = BenchDoc::new("remote");
 
-    // Window sweep: one daemon pair per window, all alive over the same
-    // two mounts, taking turns at the same source file. Seven turns:
-    // the gate divides two of these medians, and at three the quotient
-    // of two healthy rows strayed to 0.70.
+    // One daemon pair at the defaults: a push and a pull take turns
+    // with their no-network twin, the same file copied inside `nodea`.
+    // Seven turns: the gate divides two of these medians, and at three
+    // the quotient of two healthy rows strayed to 0.70.
     let reps = 7;
-    let mut pairs: Vec<(usize, [(UrdDaemon, CtlClient); 2])> = windows()
-        .iter()
-        .map(|&window| {
-            let sockets = format!("sockets-w{window}");
-            let pair = spawn_pair(root, &sockets, |c| c.with_remote_window(window));
-            (window, pair)
-        })
-        .collect();
-    for node in ["nodea", "nodeb"] {
-        write_clean(&root.join(node).join("ds/src.dat"), &payload);
-    }
-    for (dir, spec, lands_at) in [
-        ("push", push_spec as fn() -> TaskSpec, &pushed),
-        ("pull", pull_spec, &pulled),
-    ] {
-        let samples = sample_turns(reps, &mut pairs, |(_, [(_, ctl_a), _])| {
-            staged(lands_at, &payload, || timed_copy(ctl_a, spec(), size))
+    let local = root.join("nodea/ds/local.dat");
+    {
+        let [(_daemon_a, mut ctl_a), _node_b] = spawn_pair(root, "sockets-defaults", |c| c);
+        for node in ["nodea", "nodeb"] {
+            write_clean(&root.join(node).join("ds/src.dat"), &payload);
+        }
+        let mut legs = [
+            ("local", local_spec as fn() -> TaskSpec, &local),
+            ("push", push_spec, &pushed),
+            ("pull", pull_spec, &pulled),
+        ];
+        let samples = sample_turns(reps, &mut legs, |(_, spec, lands_at)| {
+            staged(lands_at, &payload, || timed_copy(&mut ctl_a, spec(), size))
         });
-        // `windows()` starts at 1.
-        let stop_and_wait = samples[0].median();
-        for ((window, _), secs) in pairs.iter().zip(&samples) {
-            let knob = ("window", *window as f64);
-            let vs = [("vs_window_1", Json::num(stop_and_wait / secs.median()))];
-            doc.row(transfer_row(format!("remote_{dir}"), knob, secs).chain(vs));
+        for ((direction, _, _), secs) in legs.iter().zip(&samples) {
+            let knob = ("chunk_mib", (DEFAULT_CHUNK_SIZE / MIB) as f64);
+            doc.row(transfer_row(format!("remote_{direction}"), knob, secs));
         }
     }
-    drop(pairs);
     doc.note(format!(
-        "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons, default chunk size, median of {reps} turns with the windows taking turns (one daemon pair per window, all alive, same mounts); one copy per received byte, one lane per file: the receiving end splices each payload socket -> pipe -> page cache, and a file's chunks travel one at a time over one connection; window=1 is stop-and-wait, vs_window_1 is a row's rate over the window-1 row's",
+        "remote_push/remote_pull: one {} MiB file staged over 127.0.0.1 between two live daemons at the defaults, median of {reps} turns taking turns with remote_local, the same file copied inside the sending daemon (no network: the twin the gate divides by); one copy per received byte, one lane per file: the receiving end splices each payload socket -> pipe -> page cache, and a file's chunks travel one at a time over one connection, each unit's ranges (two 4 MiB ones at the 8 MiB default chunk) all in flight at once",
         size / MIB
     ));
-    doc.note(format!("gate: no window>={GATED_WINDOW} row below {WINDOW_FLOOR}x window 1 in either direction. Every request is a whole 4 MiB range or the rest of its unit, so at the default 8 MiB chunk a unit is two requests and every window>=2 puts all of it on the wire at once: the rows above window 2 measure one mechanism, and on loopback, where a window has no round-trip time to hide, they sit around 1.0 of stop-and-wait; the sweep does not rank windows, and that a window beats stop-and-wait needs a link with a round-trip time (ROADMAP item 2). Where the floor comes from (64 MiB, 7 turns, 2 vCPUs, lowest window>=4 ratio of a run): 20 consecutive quick runs with whole ranges read 0.87-1.25 on push and 0.92-1.17 on pull; 20 when ranges were cut to fill the window (chunk/window, 1 MiB at the defaults: 4x the frames, ACKs and wake-ups per byte) read 0.79-1.07 and 0.85-1.62; with the stall of an accepted socket without TCP_NODELAY put back (window 1 is untouched, every larger window pays the 40 ms delayed ACK) 12 quick runs read 0.32-0.60 on push and failed this gate 12 of 12"));
+    doc.note(format!("gate: remote_push and remote_pull each at >= {TWIN_FLOOR}x remote_local's rate. Where the floor comes from (64 MiB, 7 turns, 2 vCPUs, ext4 scratch): 20 healthy quick runs read push 0.50-1.03 and pull 0.50-1.10 of the twin; with the stall of an accepted socket without TCP_NODELAY put back (the Ok behind a unit's last Store waits for the peer's 40 ms delayed ACK, in every unit that races it) 12 quick runs read push 0.06-0.10 in 10 and 0.56-0.61 in 2, where the stall landed on fewer than half the turns (their slowest turn still 14-19x the twin's median), and pull 0.59-0.82: this gate failed 10 of those 12, server.rs's a_window_of_pipelined_stores_is_acknowledged_without_a_stall catches the stall every time"));
 
     concurrent_pushes(root, &mut doc);
 
-    // Chunk-size sweep at the default window, polling `query()` while
-    // the wire is busy; `local` is the same-daemon, no-network copy of
-    // the same file. The three directions of one chunk size take turns.
-    let local = root.join("nodea/ds/local.dat");
+    // Chunk-size sweep, polling `query()` while the wire is busy;
+    // `local` is the same-daemon, no-network copy of the same file. The
+    // three directions of one chunk size take turns.
     let reps = if quick_mode() { 3 } else { 5 };
     for chunk_mib in [1u64, 4, 8] {
         let [(_daemon_a, mut ctl_a), _node_b] =
@@ -870,7 +852,7 @@ fn bench_remote(root: &Path) -> BenchDoc {
             doc.row(transfer_row(format!("chunk_ablation_{direction}"), knob, secs).chain(saw));
         }
     }
-    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size at the default window, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; push and pull move one copy per received byte, one lane per file: a transfer is two busy threads (a sender, a receiver) whatever the chunk size, and the client polling query() without a pause is two more (itself and the reactor answering it), so on this box's two vCPUs a polled push or pull gets about half of them and reads about 1.0 GiB/s at every chunk size (before PR 23 a transfer's four lanes out-numbered the poller and read 1.2-1.5; the same push waited for instead of polled went 42-46 -> 38-39 ms at 64 MiB, polled 45 -> 63); every sample is compared byte for byte; a push or pull row at 8 MiB differs from remote_push/remote_pull at window 8 only in the client polling instead of waiting, on the same two vCPUs, and sits under it; gate: a push or pull row saw partial bytes_moved"));
+    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; push and pull move one copy per received byte, one lane per file: a transfer is two busy threads (a sender, a receiver) whatever the chunk size, and the client polling query() without a pause is two more (itself and the reactor answering it), so on this box's two vCPUs a polled push or pull gets about half of them and reads about 1.0 GiB/s at every chunk size (when a transfer ran four lanes they out-numbered the poller and read 1.2-1.5; the same push waited for instead of polled went 42-46 -> 38-39 ms at 64 MiB, polled 45 -> 63); every sample is compared byte for byte; a push or pull row at 8 MiB differs from remote_push/remote_pull only in the client polling instead of waiting, on the same two vCPUs, and sits under it; gate: a push or pull row saw partial bytes_moved"));
     doc.note("a remote row whose median or secs_max sits tenths of a second above its secs_min had residual data-plane stalls land on some or most of its turns (secs_min is its clean time): /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
     doc
 }
@@ -1201,34 +1183,31 @@ fn check_local(local: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Windows the remote gate covers, and how far under the same turns'
-/// window 1 one may sit: between what healthy runs and a stalled window
-/// read (both in BENCH_remote.json's notes). Healthy windows sit around
-/// 1.0 of window 1 on loopback, their lowest quick-run reading 0.87.
-const GATED_WINDOW: usize = 4;
-const WINDOW_FLOOR: f64 = 0.7;
+/// How far under the same turns' no-network copy of the same file a
+/// push or a pull may sit: between what healthy runs and a stalled
+/// data plane read (both in BENCH_remote.json's notes). Healthy ones
+/// sit at 0.5-1.1 of the twin on loopback, a stalled push near 0.1.
+const TWIN_FLOOR: f64 = 0.3;
 
 /// How far under one push's rate two pushes together may sit: a second
 /// file must not cost the first its lane. (That it adds rate is not
 /// asked for: one push already occupies a sender and a receiver thread.)
 const PUSHES_FLOOR: f64 = 0.9;
 
-/// The window never costs much (a stalled one does), in either
-/// direction, a second pushed file does not slow the first, and a
-/// remote transfer shows live progress.
+/// The data plane does not stall in either direction (it keeps up
+/// with the same file's no-network copy), a second pushed file does
+/// not slow the first, and a remote transfer shows live progress.
 fn check_remote(remote: &Json) -> Result<(), String> {
-    for scenario in ["remote_push", "remote_pull"] {
+    let rate = |scenario: &str| {
         let rows = scenario_rows(remote, scenario)?;
-        let mut windowed = rows
-            .iter()
-            .filter(|r| num(r, "window") >= Some(GATED_WINDOW as f64))
-            .peekable();
-        if windowed.peek().is_none() {
-            return Err(format!("{scenario}: no rows with window >= {GATED_WINDOW}"));
-        }
-        if let Some(stalled) = windowed.find(|r| num(r, "vs_window_1") < Some(WINDOW_FLOOR)) {
+        num(rows[0], "gib_per_s").ok_or(format!("{scenario}: no gib_per_s"))
+    };
+    let twin = rate("remote_local")?;
+    for scenario in ["remote_push", "remote_pull"] {
+        let moved = rate(scenario)?;
+        if moved < TWIN_FLOOR * twin {
             return Err(format!(
-                "{scenario}: below {WINDOW_FLOOR} x its window-1 row: {stalled:?}"
+                "{scenario}: {moved:.3} GiB/s below {TWIN_FLOOR} x its no-network twin's {twin:.3}"
             ));
         }
     }
@@ -1368,14 +1347,14 @@ mod tests {
         assert_eq!(fields, expect.map(|(k, v)| (k, Json::Num(v))));
     }
 
-    fn remote_rows(push_ratios: [f64; 3], pull_ratios: [f64; 3]) -> Vec<String> {
-        let mut rows = Vec::new();
-        for (dir, ratios) in [("push", push_ratios), ("pull", pull_ratios)] {
-            for (window, ratio) in [1, 4, 8].into_iter().zip(ratios) {
-                rows.push(format!(
-                    r#"{{"scenario":"remote_{dir}","window":{window},"vs_window_1":{ratio}}}"#
-                ));
-            }
+    /// A remote document whose push and pull move at these GiB/s
+    /// beside a no-network twin at 2.0.
+    fn remote_rows(push: f64, pull: f64) -> Vec<String> {
+        let mut rows = vec![r#"{"scenario":"remote_local","gib_per_s":2.0}"#.to_string()];
+        for (dir, rate) in [("push", push), ("pull", pull)] {
+            rows.push(format!(
+                r#"{{"scenario":"remote_{dir}","gib_per_s":{rate}}}"#
+            ));
             rows.push(format!(
                 r#"{{"scenario":"chunk_ablation_{dir}","partial_progress_seen":true}}"#
             ));
@@ -1389,29 +1368,29 @@ mod tests {
     }
 
     #[test]
-    fn the_window_gate_passes_near_window_1_and_fails_on_a_stalled_window() {
-        let near = remote_rows([1.0, 0.9, 1.1], [1.0, 1.1, 0.9]);
-        assert_eq!(check_remote(&doc(&near)), Ok(()));
-        // PR 19's pre-fix push efficiency, in either direction.
-        for stalled in [
-            remote_rows([1.0, 0.14, 0.14], [1.0, 1.0, 1.0]),
-            remote_rows([1.0, 1.0, 1.0], [1.0, 1.0, 0.14]),
+    fn the_remote_gate_passes_a_healthy_document_and_fails_a_stalled_one() {
+        let healthy = remote_rows(1.5, 1.7);
+        assert_eq!(check_remote(&doc(&healthy)), Ok(()));
+        // A stall, in either direction: the unfixed push stall's rate.
+        for (stalled, names_it) in [
+            (remote_rows(0.3, 1.7), "remote_push"),
+            (remote_rows(1.5, 0.3), "remote_pull"),
         ] {
             let refusal = check_remote(&doc(&stalled)).unwrap_err();
-            assert!(refusal.contains("window-1"), "{refusal}");
+            assert!(refusal.contains(names_it), "{refusal}");
+            assert!(refusal.contains("twin"), "{refusal}");
         }
-        // Windows below the gated ones are not its business.
-        let only_small = broken(&near, r#""window":4"#, r#""window":2"#);
-        assert_eq!(check_remote(&doc(&only_small)), Ok(()));
-        let none_gated = broken(&only_small, r#""window":8"#, r#""window":3"#);
-        assert!(check_remote(&doc(&none_gated)).is_err());
-        let no_ratio = broken(&near, "vs_window_1", "vs_nothing");
-        assert!(check_remote(&doc(&no_ratio)).is_err());
-        let no_progress = broken(&near, "true", "false");
+        // Nothing to divide by is a failure, not a pass.
+        let no_twin = broken(&healthy, "remote_local", "remote_elsewhere");
+        let refusal = check_remote(&doc(&no_twin)).unwrap_err();
+        assert!(refusal.contains("remote_local"), "{refusal}");
+        let no_rate = broken(&healthy, r#""gib_per_s":2.0"#, r#""secs":2.0"#);
+        assert!(check_remote(&doc(&no_rate)).is_err());
+        let no_progress = broken(&healthy, "true", "false");
         assert!(check_remote(&doc(&no_progress)).is_err());
         // A second pushed file that costs the first its lane; one CPU
         // cannot show it either way.
-        let queued = broken(&near, "1.15", "0.9");
+        let queued = broken(&healthy, "1.15", "0.9");
         let refusal = check_remote(&doc(&queued)).unwrap_err();
         assert!(refusal.contains("concurrent_pushes"), "{refusal}");
         let one_cpu = broken(&queued, r#""nproc":2"#, r#""nproc":1"#);

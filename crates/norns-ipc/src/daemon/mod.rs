@@ -62,7 +62,8 @@ pub struct DaemonConfig {
     /// Directory for `urd.ctl.sock` and `urd.user.sock`.
     pub socket_dir: PathBuf,
     /// The engine's knobs: worker threads, pending-queue bound, chunk
-    /// size, remote-staging window, synchronous copy count.
+    /// size (also a remote transfer's bytes in flight), synchronous
+    /// copy count.
     pub engine: EngineConfig,
     /// Task arbitration policy the worker pool dispatches through.
     pub policy: PolicyKind,
@@ -118,13 +119,6 @@ impl DaemonConfig {
     /// Seed the peer registry with `host` → `data_addr`.
     pub fn with_peer(mut self, host: impl Into<String>, data_addr: impl Into<String>) -> Self {
         self.peers.push((host.into(), data_addr.into()));
-        self
-    }
-
-    /// Set the remote-staging request window (requests in flight per
-    /// data-plane connection; 1 reproduces stop-and-wait).
-    pub fn with_remote_window(mut self, window: usize) -> Self {
-        self.engine.remote_window = window;
         self
     }
 

@@ -90,7 +90,6 @@ use norns_sched::{
 };
 
 pub use error::EngineError;
-pub use remote::{DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW};
 pub use transfer::{DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
 pub use waits::{Subscribed, WaitCallback};
 
@@ -182,12 +181,10 @@ pub struct EngineConfig {
     /// Bound on the pending task set (admission control).
     pub queue_capacity: usize,
     /// Transfers larger than this are decomposed into chunk sub-units;
-    /// clamped to at least [`MIN_CHUNK_SIZE`].
+    /// clamped to at least [`MIN_CHUNK_SIZE`]. A remote unit goes out
+    /// whole, so this is also the bytes a remote transfer keeps in
+    /// flight.
     pub chunk_size: u64,
-    /// Range requests a remote transfer keeps in flight on its
-    /// data-plane connection; `1` is stop-and-wait, clamped
-    /// to `1..=`[`MAX_REMOTE_WINDOW`](crate::MAX_REMOTE_WINDOW).
-    pub remote_window: usize,
     /// Peers a [`Durability::Synchronous`] stage-out replicates to
     /// before it ACKs (clamped to at least 1; capped by the number of
     /// registered peers). `local_plus_one` always makes one copy.
@@ -200,7 +197,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            remote_window: DEFAULT_REMOTE_WINDOW,
             target_copies: 1,
         }
     }
@@ -279,9 +275,6 @@ pub struct Engine {
     /// 1 once a chain has ended (see [`Engine::peak_chunk_workers`]).
     peak_chunk_workers: AtomicU64,
     chunk_size: u64,
-    /// Requests kept in flight per data-plane connection (remote
-    /// staging); 1 = stop-and-wait.
-    remote_window: usize,
     /// Advertised data-plane address (set by the daemon once its TCP
     /// listener is bound; empty on engines without a data plane).
     data_addr: Mutex<String>,
@@ -371,7 +364,6 @@ impl Engine {
             cancelled: AtomicU64::new(0),
             peak_chunk_workers: AtomicU64::new(0),
             chunk_size: config.chunk_size.max(MIN_CHUNK_SIZE),
-            remote_window: config.remote_window.clamp(1, MAX_REMOTE_WINDOW),
             data_addr: Mutex::new(String::new()),
             accepting: AtomicBool::new(true),
             shutting_down: AtomicBool::new(false),
@@ -1198,7 +1190,6 @@ impl Engine {
             &remote.path,
             &self.resolve(local)?,
             self.chunk_size,
-            self.remote_window,
             Arc::clone(progress),
             Arc::clone(abort),
         )?;

@@ -8,8 +8,8 @@
 //!
 //! A [`DataConn`] puts a request on the wire one way — frame header +
 //! request in a single write, then (for `Store`) the payload — and
-//! reads responses back in request order, so a transfer can keep a
-//! window of ranges in flight. A payload travels disk→socket via
+//! reads responses back in request order, so a transfer can put a
+//! whole unit's ranges in flight. A payload travels disk→socket via
 //! `sendfile(2)` whichever end sends it; a file pair the kernel
 //! refuses before any byte moved degrades *for that range* to a
 //! `pread` into the thread's pooled buffer, the same rule `copy_range`
@@ -68,7 +68,7 @@ fn map_net(e: io::Error) -> EngineError {
 /// the accepted end alike. Both ends answer small frames the other is
 /// blocked on — a `Fetch` or the `Ok` behind a `Store` — so Nagle only
 /// adds latency: left on at the accepting end, the last `Ok` of a
-/// window sat in the kernel until the peer's delayed ACK (40 ms) let
+/// unit sat in the kernel until the peer's delayed ACK (40 ms) let
 /// it out. Best-effort: a socket that refuses an option still works.
 pub(super) fn tune(stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
@@ -375,7 +375,7 @@ pub(super) fn land_payload(
 }
 
 /// One framed connection to a peer's data plane, with split send and
-/// receive halves so transfers can keep a window of range requests in
+/// receive halves so a transfer can put a unit's range requests in
 /// flight; a single round-trip ([`DataConn::call`]) is one of each.
 pub(crate) struct DataConn {
     pub(super) stream: TcpStream,

@@ -25,25 +25,20 @@
 //! range of every unit and a `Discard` ride one connection and one
 //! handler thread on the peer, whichever workers lend the threads.
 //!
-//! **Pipelining.** Within a unit, ranges do not travel as strict
-//! stop-and-wait round-trips: the worker keeps up to `window` requests
-//! in flight on the connection, writing a window of `Fetch`/`Store`
-//! frames before draining their responses in request order (the peer's
-//! data-plane loop services a connection's requests sequentially, so
-//! responses arrive in order). That keeps the wire full instead of
-//! paying a full client⇆server turnaround per range. `window == 1` is
-//! stop-and-wait. Every request is whole: [`MAX_DATA_RANGE`] (4 MiB),
-//! or what is left of the unit — a 16 MiB leg at the defaults (8 MiB
-//! chunks) is 4 frames, 4 answers and 4 wake-ups each way. Cutting a
-//! unit into smaller ranges so the window fills would multiply those
-//! and buy a link with a round-trip time nothing: the bytes in flight
-//! per unit are min(unit, window × 4 MiB) already, the most any cut
-//! allows. `window` counts requests, and the window is drained at
-//! each unit's end. Every drained response advances the task's live
-//! progress atomic, and the abort flag is observed between window
-//! refills, so `query()` shows a remote transfer advancing and
-//! `cancel()` interrupts one mid-stream (in-flight responses are
-//! drained so the connection never desynchronizes).
+//! **Pipelining.** A unit is one burst: the worker writes every
+//! `Fetch`/`Store` of the unit on the connection, then reads their
+//! answers in request order (the peer's data-plane loop services a
+//! connection's requests sequentially, so answers arrive in order).
+//! That keeps the wire full instead of paying a full client⇆server
+//! turnaround per range. Every request is whole: [`MAX_DATA_RANGE`]
+//! (4 MiB), or what is left of the unit — a 16 MiB leg at the defaults
+//! (8 MiB chunks) is 4 frames, 4 answers and 4 wake-ups each way, two
+//! per unit. The bytes in flight are the unit, so the chunk size is the
+//! one knob that sizes them; the burst is drained at each unit's end.
+//! Every answer advances the task's live progress atomic, so `query()`
+//! shows a remote transfer advancing, and `cancel()` lands where a local
+//! copy's does: the [`Chain`] reads the abort flag around each unit,
+//! which always ends on a connection that is frame-aligned.
 //!
 //! **Syscall fast paths.** A payload leaves through one `sendfile(2)`
 //! loop whichever end sends it — a `Store`'s on the pushing side, a
@@ -77,7 +72,6 @@
 mod conn;
 mod server;
 
-use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -91,15 +85,6 @@ use super::transfer::{preallocate, truncated, with_parent, Chain, RangeMover};
 use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
-
-/// Default per-connection request window: enough in-flight ranges to
-/// hide a round-trip of latency without making cancel drains costly.
-pub const DEFAULT_REMOTE_WINDOW: usize = 8;
-
-/// Hard cap on the per-connection request window. Above this the
-/// in-flight bytes stop buying latency hiding and only raise the cost
-/// of a mid-stream cancel (which drains the window).
-pub const MAX_REMOTE_WINDOW: usize = 256;
 
 /// Pause before the second (last-chance) `Discard` attempt in
 /// [`RemoteTransfer::cleanup`] — long enough for a peer daemon
@@ -161,11 +146,7 @@ struct Ends {
     /// Local endpoint: the pull destination or push source.
     local: File,
     local_path: PathBuf,
-    /// Requests kept in flight on the connection (≥ 1; 1 =
-    /// stop-and-wait).
-    window: usize,
     progress: Arc<AtomicU64>,
-    abort: Arc<AtomicBool>,
 }
 
 impl RemoteTransfer {
@@ -174,7 +155,6 @@ impl RemoteTransfer {
     /// opens the local source and asks the peer to create and
     /// preallocate the destination. The chain's `size()` is the
     /// now-known transfer size (a pull's submit-time estimate was 0).
-    /// `window` is the engine's, already clamped.
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
         task_id: u64,
@@ -184,7 +164,6 @@ impl RemoteTransfer {
         rpath: &str,
         local_path: &Path,
         chunk_size: u64,
-        window: usize,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> Result<Box<Chain>, EngineError> {
@@ -230,9 +209,7 @@ impl RemoteTransfer {
             rpath: rpath.to_string(),
             local,
             local_path: local_path.to_path_buf(),
-            window,
             progress: Arc::clone(&progress),
-            abort: Arc::clone(&abort),
         };
         Ok(Chain::new(
             task_id,
@@ -273,7 +250,7 @@ impl RemoteTransfer {
 
 impl Ends {
     /// Send the request for the range at `off` of `len` bytes (no
-    /// response handling — that's the drain half of the window loop).
+    /// response handling — that's the drain half of the unit).
     fn send_range(&self, conn: &mut DataConn, off: u64, len: u64) -> Result<(), EngineError> {
         match self.direction {
             Direction::Pull => conn.send_request(&DataRequest::Fetch {
@@ -320,35 +297,28 @@ impl Ends {
         })
     }
 
-    /// Run one windowed exchange ([`HeldConn::exchange`]'s contract):
-    /// keep up to `self.window` requests in flight on `conn` from
-    /// `*acked` to `end` — each for [`MAX_DATA_RANGE`] bytes, or what
-    /// is left — reading responses in order; `acked` advances past each
-    /// confirmed range, so a rerun over a reopened connection resumes
-    /// from the first unconfirmed byte. The abort flag or a refusal
-    /// stops the refills, and what is in flight is drained so the
-    /// connection stays frame-aligned; a drain that fails just costs
-    /// the connection.
-    fn run_window(
+    /// Run one unit's exchange ([`HeldConn::exchange`]'s contract):
+    /// write a request for every range from `*acked` to `end` — each
+    /// [`MAX_DATA_RANGE`] bytes, or what is left — then read the answers
+    /// in order; `acked` advances past each confirmed range, so a rerun
+    /// over a reopened connection resumes from the first unconfirmed
+    /// byte. A refusal ends the unit: the answers behind it are drained
+    /// so the connection stays frame-aligned, and a drain that fails
+    /// just costs the connection.
+    fn run_unit(
         &self,
         conn: &mut DataConn,
         acked: &mut u64,
         end: u64,
     ) -> Result<(Answer<()>, bool), EngineError> {
-        let mut next = *acked;
-        let mut inflight: VecDeque<(u64, u64)> = VecDeque::with_capacity(self.window);
-        let mut refused = None;
-        let in_step = loop {
-            let stopping = refused.is_some() || self.abort.load(Ordering::SeqCst);
-            while !stopping && inflight.len() < self.window && next < end {
-                let len = MAX_DATA_RANGE.min(end - next);
-                self.send_range(conn, next, len)?;
-                inflight.push_back((next, len));
-                next += len;
-            }
-            let Some((off, len)) = inflight.pop_front() else {
-                break true;
-            };
+        let ranges = (*acked..end)
+            .step_by(MAX_DATA_RANGE as usize)
+            .map(move |off| (off, MAX_DATA_RANGE.min(end - off)));
+        for (off, len) in ranges.clone() {
+            self.send_range(conn, off, len)?;
+        }
+        let (mut refused, mut in_step) = (None, true);
+        for (off, len) in ranges {
             match self.recv_range(conn, off, len) {
                 Ok(Ok(())) => {
                     *acked += len;
@@ -357,21 +327,24 @@ impl Ends {
                 Ok(Err(refusal)) => {
                     refused.get_or_insert(refusal);
                 }
-                Err(_) if stopping => break false,
+                Err(_) if refused.is_some() => {
+                    in_step = false;
+                    break;
+                }
                 Err(e) => return Err(e),
             }
-        };
+        }
         Ok((refused.map_or(Ok(()), Err), in_step))
     }
 }
 
 impl RangeMover for RemoteTransfer {
-    /// Move one chunk over the transfer's connection with up to
-    /// `window` requests in flight.
+    /// Move one chunk over the transfer's connection, all of its
+    /// ranges in flight at once.
     fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
         let (ends, mut acked) = (&self.ends, offset);
         self.conn
-            .exchange(|conn| ends.run_window(conn, &mut acked, offset + len))?
+            .exchange(|conn| ends.run_unit(conn, &mut acked, offset + len))?
     }
 
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
@@ -444,6 +417,16 @@ mod tests {
         fn spawn(
             script: impl Fn(&DataRequest, usize) -> Option<Scripted> + Send + Sync + 'static,
         ) -> ScriptedPeer {
+            Self::spawn_counting(Arc::default(), script)
+        }
+
+        /// [`ScriptedPeer::spawn`], counting every request that arrives,
+        /// on any connection, into `arrived` as it comes off the socket —
+        /// before its answer, which a script may be holding back.
+        fn spawn_counting(
+            arrived: Arc<AtomicUsize>,
+            script: impl Fn(&DataRequest, usize) -> Option<Scripted> + Send + Sync + 'static,
+        ) -> ScriptedPeer {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let peer = ScriptedPeer {
                 addr: listener.local_addr().unwrap().to_string(),
@@ -459,8 +442,10 @@ mod tests {
                     let Ok(stream) = stream else { break };
                     accepted.fetch_add(1, Ordering::SeqCst);
                     let (log, ranges) = (Arc::clone(&log), Arc::clone(&ranges));
-                    let script = Arc::clone(&script);
-                    std::thread::spawn(move || Self::serve(stream, &log, &ranges, &*script));
+                    let (script, arrived) = (Arc::clone(&script), Arc::clone(&arrived));
+                    std::thread::spawn(move || {
+                        Self::serve(stream, &log, &ranges, &arrived, &*script)
+                    });
                 }
             });
             peer
@@ -473,17 +458,20 @@ mod tests {
             mut stream: TcpStream,
             log: &Mutex<Vec<DataRequest>>,
             ranges: &Mutex<Vec<Range>>,
+            on_peer: &Arc<AtomicUsize>,
             script: &dyn Fn(&DataRequest, usize) -> Option<Scripted>,
         ) {
             let arrived = Arc::new(AtomicUsize::new(0));
             let (frames, requests) = std::sync::mpsc::channel();
             let (mut socket, counted) = (stream.try_clone().unwrap(), Arc::clone(&arrived));
+            let on_peer = Arc::clone(on_peer);
             std::thread::spawn(move || {
                 let mut reader = FrameReader::new();
                 loop {
                     match reader.next_frame() {
                         Ok(Some(frame)) => {
                             counted.fetch_add(1, Ordering::SeqCst);
+                            on_peer.fetch_add(1, Ordering::SeqCst);
                             if frames.send(frame).is_err() {
                                 return;
                             }
@@ -583,7 +571,6 @@ mod tests {
             "dst.dat",
             &src,
             1 << 20,
-            1,
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicBool::new(false)),
         )
@@ -613,7 +600,7 @@ mod tests {
 
     /// A peer that answers `Stat` with `size`, every `Fetch` with its
     /// whole range and every `Store` with `Ok` — each range's answer a
-    /// millisecond late, so a request sent past the window would be on
+    /// millisecond late, so a request sent past its unit would be on
     /// the wire to count.
     fn serving(size: u64) -> ScriptedPeer {
         ScriptedPeer::spawn(move |request, _| match request {
@@ -631,13 +618,7 @@ mod tests {
     }
 
     /// Plan a transfer of `local` against `peer` in `chunk`-sized units.
-    fn plan(
-        direction: Direction,
-        peer: &ScriptedPeer,
-        local: &Path,
-        chunk: u64,
-        window: usize,
-    ) -> Box<Chain> {
+    fn plan(direction: Direction, peer: &ScriptedPeer, local: &Path, chunk: u64) -> Box<Chain> {
         let (progress, abort) = (Arc::default(), Arc::default());
         RemoteTransfer::plan(
             1,
@@ -647,7 +628,6 @@ mod tests {
             "remote.dat",
             local,
             chunk,
-            window,
             progress,
             abort,
         )
@@ -662,7 +642,7 @@ mod tests {
         let peer = serving(size);
         let root = temp_root("prealloc-pull");
         let local = root.join("sub/pulled.dat");
-        let _chain = plan(Direction::Pull, &peer, &local, DEFAULT_CHUNK_SIZE, 1);
+        let _chain = plan(Direction::Pull, &peer, &local, DEFAULT_CHUNK_SIZE);
         assert_allocated(&local, size);
         assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 0);
     }
@@ -925,72 +905,119 @@ mod tests {
         engine.shutdown();
     }
 
+    const MIB: u64 = 1 << 20;
+
     /// Every range a transfer of `size` bytes puts on the wire, in
-    /// `chunk`-sized units through a window of `window`.
-    fn ranges_on_the_wire(
-        direction: Direction,
-        size: u64,
-        chunk: u64,
-        window: usize,
-    ) -> Vec<Range> {
+    /// `chunk`-sized units.
+    fn ranges_on_the_wire(direction: Direction, size: u64, chunk: u64) -> Vec<Range> {
         let peer = serving(size);
-        let root = temp_root(&format!("chain-ranges-{direction:?}-{window}"));
+        let root = temp_root(&format!("chain-ranges-{direction:?}-{chunk}"));
         let local = root.join("local.dat");
         if direction == Direction::Push {
             fs::write(&local, vec![7u8; size as usize]).unwrap();
         }
-        let chain = plan(direction, &peer, &local, chunk, window);
+        let chain = plan(direction, &peer, &local, chunk);
         assert!(matches!(drive(chain).1, PlanOutcome::Done(n) if n == size));
         let ranges = std::mem::take(&mut *peer.ranges.lock());
         ranges
     }
 
-    /// The requests are whole: each `Store` or `Fetch` is
-    /// [`MAX_DATA_RANGE`] but a unit's last, and no more than `window`
-    /// of them are in flight at once.
+    /// `size` bytes in `chunk`-sized units put exactly `whole` on the
+    /// wire, pushed and pulled, and no range ever has more in flight
+    /// than what is left of its unit, itself included — so never a
+    /// range of the next unit before this one's last answer.
+    fn assert_units_go_out_whole(size: u64, chunk: u64, whole: &[(u64, u64)]) {
+        for direction in [Direction::Push, Direction::Pull] {
+            let ranges = ranges_on_the_wire(direction, size, chunk);
+            let on_wire: Vec<_> = ranges.iter().map(|r| (r.offset, r.len)).collect();
+            assert_eq!(on_wire, whole, "{direction:?} of {size} in {chunk}");
+            for range in &ranges {
+                let unit_end = (range.offset - range.offset % chunk + chunk).min(size);
+                let left = (unit_end - range.offset).div_ceil(MAX_DATA_RANGE) as usize;
+                assert!(
+                    range.in_flight <= left,
+                    "{direction:?} of {size} in {chunk}: {} in flight at {}, {left} left of its unit",
+                    range.in_flight,
+                    range.offset
+                );
+            }
+        }
+    }
+
+    /// A unit goes out whole: its `Store`s or `Fetch`es are
+    /// [`MAX_DATA_RANGE`] but its last, and they are all of what is in
+    /// flight. At the defaults a 16 MiB transfer is two units of two
+    /// 4 MiB ranges; at a 12 MiB chunk 29 MiB + 123 is three ranges a
+    /// unit and a ragged tail.
     #[test]
-    fn chain_ranges_are_whole_and_at_most_a_window_is_in_flight() {
-        const MIB: u64 = 1 << 20;
-        // At the defaults 16 MiB is two units of two 4 MiB ranges.
-        let pushed = ranges_on_the_wire(
-            Direction::Push,
+    fn chain_units_go_out_whole_and_one_at_a_time() {
+        let four = |at: u64| (at * MIB, 4 * MIB);
+        assert_units_go_out_whole(
             16 * MIB,
             DEFAULT_CHUNK_SIZE,
-            DEFAULT_REMOTE_WINDOW,
+            &[four(0), four(4), four(8), four(12)],
         );
-        let stores: Vec<_> = pushed.iter().map(|r| (r.offset, r.len)).collect();
-        assert_eq!(
-            stores,
-            [
-                (0, 4 * MIB),
-                (4 * MIB, 4 * MIB),
-                (8 * MIB, 4 * MIB),
-                (12 * MIB, 4 * MIB)
-            ]
+        assert_units_go_out_whole(
+            29 * MIB + 123,
+            12 * MIB,
+            &[
+                four(0),
+                four(4),
+                four(8),
+                four(12),
+                four(16),
+                four(20),
+                four(24),
+                (28 * MIB, MIB + 123),
+            ],
         );
-        for (size, chunk, window) in [
-            (16 * MIB, DEFAULT_CHUNK_SIZE, DEFAULT_REMOTE_WINDOW),
-            // Three ranges a unit through a window of two, a ragged end.
-            (29 * MIB + 123, 12 * MIB, 2),
-            (9 * MIB, DEFAULT_CHUNK_SIZE, 1),
-        ] {
-            let whole: Vec<(u64, u64)> = (0..size)
-                .step_by(chunk as usize)
-                .flat_map(|unit| {
-                    let end = (unit + chunk).min(size);
-                    let ranges = (unit..end).step_by(MAX_DATA_RANGE as usize);
-                    ranges.map(move |at| (at, MAX_DATA_RANGE.min(end - at)))
-                })
-                .collect();
-            for direction in [Direction::Push, Direction::Pull] {
-                let ranges = ranges_on_the_wire(direction, size, chunk, window);
-                let on_wire: Vec<_> = ranges.iter().map(|r| (r.offset, r.len)).collect();
-                assert_eq!(on_wire, whole, "{direction:?} of {size} in {chunk}");
-                let most = ranges.iter().map(|r| r.in_flight).max().unwrap();
-                assert!(
-                    most <= window,
-                    "{direction:?}: {most} in flight, window {window}"
-                );
+    }
+
+    /// The peer answers nothing of a unit until the unit's last range
+    /// has arrived: a mover that waited for an answer before sending
+    /// the next range would never finish. The peer gives up after a
+    /// bound and refuses, so that shows as a failed transfer, not a
+    /// hung test.
+    #[test]
+    fn chain_unit_is_on_the_wire_before_its_first_answer() {
+        let (size, chunk) = (29 * MIB + 123, 12 * MIB);
+        for direction in [Direction::Push, Direction::Pull] {
+            let arrived = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&arrived);
+            let peer = ScriptedPeer::spawn_counting(arrived, move |request, earlier| {
+                let (offset, len) = match request {
+                    DataRequest::Stat { .. } => {
+                        return Some(Scripted::Answer(DataResponse::Stat { size }))
+                    }
+                    DataRequest::Fetch { offset, len, .. } => (*offset, Some(*len)),
+                    DataRequest::Store { offset, .. } => (*offset, None),
+                    _ => return None,
+                };
+                if offset % chunk == 0 {
+                    // The unit's last request, counting the `Stat` or
+                    // `Prepare` in front of every range.
+                    let unit = chunk.min(size - offset);
+                    let last = 1 + earlier + unit.div_ceil(MAX_DATA_RANGE) as usize;
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while seen.load(Ordering::SeqCst) < last {
+                        if std::time::Instant::now() > deadline {
+                            return Some(refuse(ErrorCode::Timeout, "unit not sent whole"));
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                len.map(|len| Scripted::Data(vec![7u8; len as usize]))
+            });
+            let root = temp_root(&format!("chain-whole-{direction:?}"));
+            let local = root.join("local.dat");
+            if direction == Direction::Push {
+                fs::write(&local, vec![7u8; size as usize]).unwrap();
+            }
+            let (units, outcome) = drive(plan(direction, &peer, &local, chunk));
+            match outcome {
+                PlanOutcome::Done(n) => assert_eq!((units, n), (3, size), "{direction:?}"),
+                PlanOutcome::Failed(e) => panic!("{direction:?}: {e:?}"),
+                PlanOutcome::Cancelled => panic!("{direction:?}: cancelled"),
             }
         }
     }

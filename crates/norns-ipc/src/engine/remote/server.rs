@@ -108,7 +108,7 @@ impl DataServer {
     /// The framed request/response loop of one connection. Responses
     /// to a batch of pipelined requests are queued and written back
     /// once the batch is decoded — one `write` per read batch in the
-    /// common case, so a peer keeping a window of requests in flight
+    /// common case, so a peer with a unit of requests in flight
     /// is never stalled by per-response flushes. Only a `Data` cuts
     /// the queue short: its payload follows its header out at once.
     /// Returns when the peer hangs up, violates the protocol, or
@@ -509,7 +509,6 @@ mod tests {
                 "src.dat",
                 &mount.join(name),
                 8 << 20,
-                8,
                 Arc::new(AtomicU64::new(0)),
                 Arc::new(AtomicBool::new(false)),
             )
@@ -522,7 +521,7 @@ mod tests {
             Step::Next(_) => panic!("a second unit"),
         };
 
-        // Whole first: three full ranges and the ragged one behind.
+        // Whole first: one range, 4 321 bytes past a 256 KiB boundary.
         assert!(matches!(run(plan("whole.dat")), PlanOutcome::Done(n) if n == size));
         assert!(fs::read(mount.join("whole.dat")).unwrap() == pattern(size as usize));
 

@@ -590,9 +590,9 @@ pub(crate) enum PlanOutcome {
 /// [`Chain`] does the rest. A mover is owned by its chain and runs on
 /// one worker at a time, so it may keep state between its ranges.
 pub(crate) trait RangeMover: Send {
-    /// Move the issued unit's range. A mover that sees the task's
-    /// abort flag mid-range stops early and returns `Ok`: the chain
-    /// reads the flag itself.
+    /// Move the issued unit's range, all of it. No mover reads the
+    /// task's abort flag: the chain reads it around each unit, so a
+    /// cancel lands between units, local or remote alike.
     fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError>;
     /// Terminal side effects: commit a transfer whose every range
     /// `landed`, or remove what an interrupted one left behind.
@@ -617,7 +617,7 @@ pub(crate) struct Chain {
     started: Instant,
     progress: Arc<AtomicU64>,
     /// Set by `Engine::cancel` on an in-progress task; observed around
-    /// every unit (and by remote movers between round-trips).
+    /// every unit, and nowhere else.
     abort: Arc<AtomicBool>,
     mover: Box<dyn RangeMover>,
 }

@@ -19,7 +19,7 @@
 //!   blocking `wait` and the reactor's callback waits alike, and its
 //!   part in replication included — a chunked zero-copy local data
 //!   plane and, in `engine/remote/`, both halves of the TCP one — the
-//!   windowed transfers (`mod.rs`, `conn.rs`) and the `DataServer`
+//!   pipelined transfers (`mod.rs`, `conn.rs`) and the `DataServer`
 //!   that answers a peer on blocking handler threads (`server.rs`);
 //!   every failure is an [`EngineError`].
 //! * [`daemon::UrdDaemon`] — `daemon/mod.rs` is socket and data-plane
@@ -40,7 +40,7 @@ pub use client::{ClientError, ClientResult, CtlClient, UserClient};
 pub use daemon::{DaemonConfig, UrdDaemon, DEFAULT_REACTORS};
 pub use engine::{
     Engine, EngineConfig, EngineError, IpcPolicy, PolicyKind, DEFAULT_CHUNK_SIZE,
-    DEFAULT_QUEUE_CAPACITY, DEFAULT_REMOTE_WINDOW, MAX_REMOTE_WINDOW, MIN_CHUNK_SIZE,
+    DEFAULT_QUEUE_CAPACITY, MIN_CHUNK_SIZE,
 };
 
 /// Names from when pipelining was a separate pair of client types;

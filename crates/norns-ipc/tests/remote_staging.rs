@@ -243,14 +243,12 @@ fn cancel_interrupts_a_remote_pull_mid_stream() {
 }
 
 #[test]
-fn window_one_reproduces_stop_and_wait() {
-    // The pipelined path with a window of 1 must behave exactly like
-    // the old stop-and-wait loop: one range in flight, same stepping,
-    // same results.
+fn smallest_units_with_a_ragged_tail_round_trip_byte_exact() {
+    // The smallest chunk size, seven full units and a ragged last one:
+    // every unit is one range below `MAX_DATA_RANGE`, and a push then a
+    // pull of the same bytes must land each at its absolute offset.
     let cfg = |tag: &str| {
-        DaemonConfig::in_dir(temp_root(tag).join("sockets"))
-            .with_chunk_size(MIN_CHUNK_SIZE)
-            .with_remote_window(1)
+        DaemonConfig::in_dir(temp_root(tag).join("sockets")).with_chunk_size(MIN_CHUNK_SIZE)
     };
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("win1", cfg("win1-a"), cfg("win1-b"));
@@ -291,17 +289,14 @@ fn window_one_reproduces_stop_and_wait() {
 }
 
 #[test]
-fn wide_window_preserves_patterned_content_integrity() {
-    // A 16 MiB chunk is four whole ranges, all in flight at once
-    // through a window of 16; the position-dependent pattern catches
-    // any range that lands at the wrong offset. (The buffered push
-    // fallback has its own unit test in `engine/remote/conn.rs`.)
+fn a_unit_of_four_ranges_preserves_patterned_content_integrity() {
+    // A 16 MiB chunk is four whole ranges, all in flight at once; the
+    // position-dependent pattern catches any range that lands at the
+    // wrong offset. (The buffered push fallback has its own unit test
+    // in `engine/remote/conn.rs`.)
     let chunk = 4 * MAX_DATA_RANGE;
-    let cfg = |tag: &str| {
-        DaemonConfig::in_dir(temp_root(tag).join("sockets"))
-            .with_chunk_size(chunk)
-            .with_remote_window(16)
-    };
+    let cfg =
+        |tag: &str| DaemonConfig::in_dir(temp_root(tag).join("sockets")).with_chunk_size(chunk);
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("wide", cfg("wide-a"), cfg("wide-b"));
     // Two full chunks and a ragged last one of a whole range and a
@@ -326,7 +321,7 @@ fn wide_window_preserves_patterned_content_integrity() {
     assert_eq!(
         std::fs::read(mount_b.join("dst.dat")).unwrap(),
         data,
-        "windowed push must place every range at its absolute offset"
+        "a push must place every range at its absolute offset"
     );
 
     let pull = ctl_a
@@ -345,20 +340,19 @@ fn wide_window_preserves_patterned_content_integrity() {
     assert_eq!(
         std::fs::read(mount_a.join("back.dat")).unwrap(),
         data,
-        "windowed pull must place every range at its absolute offset"
+        "a pull must place every range at its absolute offset"
     );
 }
 
 #[test]
-fn cancel_interrupts_a_pull_with_a_full_window_in_flight() {
-    // 4 MiB chunks with a window of 8 keep eight 512 KiB ranges in
-    // flight per chunk; one worker and a 128 MiB transfer leave ample
-    // runway to land a cancel while a window is outstanding. The
-    // cancel must drain cleanly: task Cancelled, destination removed.
+fn cancel_interrupts_a_pull_between_units() {
+    // 4 MiB chunks are one whole range a unit; one worker and a
+    // 128 MiB transfer leave ample runway to land a cancel between two
+    // of the 32 units. The cancel must end cleanly: task Cancelled,
+    // destination removed.
     let chunk: u64 = 4 << 20;
-    let mut cfg_a = DaemonConfig::in_dir(temp_root("wincancel-a").join("sockets"))
-        .with_chunk_size(chunk)
-        .with_remote_window(8);
+    let mut cfg_a =
+        DaemonConfig::in_dir(temp_root("wincancel-a").join("sockets")).with_chunk_size(chunk);
     cfg_a.engine.workers = 1;
     let cfg_b = DaemonConfig::in_dir(temp_root("wincancel-b").join("sockets"));
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
@@ -393,7 +387,7 @@ fn cancel_interrupts_a_pull_with_a_full_window_in_flight() {
     }
     ctl_a
         .cancel(pull)
-        .expect("mid-window cancel must be accepted");
+        .expect("mid-transfer cancel must be accepted");
     let stats = ctl_a.wait(pull, 0).unwrap();
     assert_eq!(stats.state, TaskState::Cancelled);
     assert!(
@@ -408,15 +402,14 @@ fn cancel_interrupts_a_pull_with_a_full_window_in_flight() {
 }
 
 #[test]
-fn peer_death_mid_window_fails_bounded() {
-    // Killing the serving daemon while a window of requests is in
-    // flight must fail the task promptly — the drained connection
-    // errors, the fresh-connection retry is refused, and the worker
-    // moves on. No hang, no partial output left behind.
+fn peer_death_mid_transfer_fails_bounded() {
+    // Killing the serving daemon while a unit's request is in flight
+    // must fail the task promptly — the connection errors, the
+    // fresh-connection retry is refused, and the worker moves on. No
+    // hang, no partial output left behind.
     let chunk: u64 = 4 << 20;
-    let mut cfg_a = DaemonConfig::in_dir(temp_root("windeath-a").join("sockets"))
-        .with_chunk_size(chunk)
-        .with_remote_window(8);
+    let mut cfg_a =
+        DaemonConfig::in_dir(temp_root("windeath-a").join("sockets")).with_chunk_size(chunk);
     cfg_a.engine.workers = 1;
     let cfg_b = DaemonConfig::in_dir(temp_root("windeath-b").join("sockets"));
     let (_root, (_daemon_a, mut ctl_a, mount_a), (daemon_b, ctl_b, mount_b)) =
@@ -457,7 +450,7 @@ fn peer_death_mid_window_fails_bounded() {
     assert_eq!(stats.error, ErrorCode::SystemError);
     assert!(
         killed_at.elapsed() < Duration::from_secs(60),
-        "peer death must fail the task promptly, not hang a window"
+        "peer death must fail the task promptly, not hang a unit"
     );
     assert!(
         !mount_a.join("staged/big.dat").exists(),
@@ -837,7 +830,8 @@ fn pull_lands_a_ragged_tail_and_fails_on_a_source_that_shrank() {
         ctl.submit(1, spec, None).unwrap()
     };
 
-    // Default window 8: five 256 KiB ranges and 4 321 bytes behind.
+    // One unit of one range at the defaults, 4 321 bytes past a
+    // 256 KiB boundary.
     let data = pattern(5 * (256 << 10) + 4321);
     std::fs::write(mount_b.join("ragged.dat"), &data).unwrap();
     let task = pull(&mut ctl_a, "nodeb", "ragged.dat");
