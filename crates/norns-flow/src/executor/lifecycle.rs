@@ -10,7 +10,6 @@ use std::time::Instant;
 use norns_ipc::ClientError;
 use norns_proto::{JobDesc, TaskState, TaskStats};
 
-use super::teardown::remove_spec;
 use super::{ActiveJob, FlowEvent, FlowJobState, JobBody, Leg, Phase, WorkflowExecutor};
 use crate::plan::Stage;
 
@@ -322,39 +321,13 @@ impl WorkflowExecutor {
             }
             return;
         }
-        match job.phase {
-            Phase::StagingIn { .. } => job.staged.push(done),
-            Phase::StagingOut => {
-                // Release the local source of a successful copy-based
-                // leg — its analog of `Move` freeing staged capacity.
-                // The Remove joins the outstanding set so completion
-                // still gates on it.
-                if let Some((nsid, path)) = &done.release {
-                    let label = format!(
-                        "release {nsid}://{path} on {:?}",
-                        self.nodes[done.node].spec.name
-                    );
-                    let job_id = self.jobs[idx].id.0;
-                    let spec = remove_spec(nsid, path);
-                    match self.submit_task(done.node, job_id, spec) {
-                        Ok(task_id) => job.outstanding.push(Leg {
-                            node: done.node,
-                            task_id,
-                            dst: None,
-                            release: None,
-                            label,
-                        }),
-                        Err(e) => self.jobs[idx]
-                            .leftovers
-                            .push(format!("{label} not submitted: {e}")),
-                    }
-                }
-            }
-            Phase::Running => unreachable!("Running jobs have no outstanding staging"),
+        let staging_in = matches!(job.phase, Phase::StagingIn { .. });
+        if staging_in {
+            job.staged.push(done);
         }
         if !job.outstanding.is_empty() {
             self.run.active.insert(idx, job);
-        } else if matches!(job.phase, Phase::StagingIn { .. }) {
+        } else if staging_in {
             self.begin_body(idx);
         } else {
             self.finish_job(idx, FlowJobState::Completed, "");

@@ -28,10 +28,10 @@
 //! across the assigned nodes (scatter) or merged per child into one
 //! destination (gather), never replicated. This module only turns each
 //! planned slot into a wire task: local dataspaces become `PosixPath`,
-//! dataspaces hosted elsewhere `RemotePath`, and stage-out frees the
-//! staged source — local legs are `Move` tasks (the engine degrades
-//! them to `rename(2)` on the same filesystem) and remote pushes are
-//! followed by a `Remove` of the source once the push succeeds.
+//! dataspaces hosted elsewhere `RemotePath`, a stage-in slot is a
+//! `Copy` and a stage-out slot one `Move`, which frees the staged
+//! source once every byte has landed, on whichever node it is (the
+//! engine degrades a same-filesystem one to `rename(2)`).
 //!
 //! The code is split by concern: this file holds the public types,
 //! submission and the per-slot conversion; [`lifecycle`] is the per-job
@@ -90,9 +90,10 @@ pub struct FlowConfig {
     /// the executor gives up joining them.
     pub cancel_grace: Duration,
     /// Durability applied to stage-out legs of jobs whose script has
-    /// no `#NORNS durability` directive (wire v8). Durable modes plan
-    /// local stage-outs as copy+release instead of a move, so the
-    /// daemon's replication queue can still read the landed output.
+    /// no `#NORNS durability` directive (wire v8). It rides a
+    /// stage-out `Move` whose two ends are local — the daemon's
+    /// replication queue pushes the landed output; a leg that crosses
+    /// nodes lands its only copy off-node and carries none.
     pub durability: Durability,
 }
 
@@ -226,19 +227,13 @@ struct JobRec {
 /// One staging leg, planned and then submitted: which daemon runs it,
 /// its destination for post-timeout/failure cleanup (keyed by the node
 /// the destination is *local* to — the task's own node for plain
-/// paths, the owning peer for pushed `RemotePath` outputs), the source
-/// to release after a successful push, and a human-readable label for
-/// leftover reports.
+/// paths, the owning peer for pushed `RemotePath` outputs), and a
+/// human-readable label for leftover reports.
 struct Leg {
     node: usize,
     /// The daemon's task id; 0 until the leg is submitted.
     task_id: u64,
     dst: Option<(usize, String, String)>,
-    /// `(nsid, path)` of a local stage-out source to `Remove` once the
-    /// copy succeeds — the copy-based leg's analog of `Move`'s
-    /// source-freeing (the paper's stage-out releases burst-buffer
-    /// capacity).
-    release: Option<(String, String)>,
     label: String,
 }
 
@@ -528,8 +523,8 @@ impl WorkflowExecutor {
     }
 
     /// Wire-level `WaitTask`s issued so far: exactly one per task the
-    /// executor submitted (stage legs, source releases, §III cleanup
-    /// removals) — never tasks × polling interval.
+    /// executor submitted (stage legs and §III cleanup removals) —
+    /// never tasks × polling interval.
     pub fn wait_round_trips(&self) -> u64 {
         self.wait_round_trips
     }
@@ -577,17 +572,13 @@ impl WorkflowExecutor {
     }
 
     /// Turn one planned slot into the task `node` submits for it.
-    /// Stage-in legs are plain copies (with the destination recorded
-    /// for §III cleanup). Stage-out legs *free their source*: local
-    /// legs are `Move` tasks, remote pushes are copies whose source is
-    /// released by a follow-up `Remove` once the push succeeds. A
-    /// durable mode (`durability != local_only`) turns local stage-out
-    /// legs into copy+release carrying the durability policy — the
-    /// daemon's replication queue reads the *landed output*, so the
-    /// source can still be freed, but only after the copy, never as a
-    /// move that would leave nothing for the local leg to replicate.
-    /// Remote pushes already land their only copy off-node and carry
-    /// no durability field.
+    /// Stage-in legs are copies, their destination recorded for §III
+    /// cleanup. A stage-out leg is one `Move`, which frees its source
+    /// on whichever node holds it (the paper's stage-out hands
+    /// node-local capacity back); it carries the durability policy
+    /// when both its ends are local, since replication pushes the
+    /// landed output — a leg that crosses nodes lands its only copy
+    /// off-node.
     fn plan_leg(
         &self,
         node: usize,
@@ -598,56 +589,43 @@ impl WorkflowExecutor {
         let (origin, destination) = (&slot.origin, &slot.destination);
         let input = self.resolve_endpoint(node, origin)?;
         let output = self.resolve_endpoint(node, destination)?;
-        if matches!(input, ResourceDesc::RemotePath { .. })
-            && matches!(output, ResourceDesc::RemotePath { .. })
-        {
+        let remote = |r: &ResourceDesc| matches!(r, ResourceDesc::RemotePath { .. });
+        if remote(&input) && remote(&output) {
             return Err(format!(
                 "stage {origin} → {destination} touches node {:?} on neither end; assign the \
                  job to a node hosting one of the dataspaces",
                 self.nodes[node].spec.name
             ));
         }
-        // The `(nsid, path)` a follow-up `Remove` on this node can free.
-        let local = |r: &ResourceDesc| match r {
-            ResourceDesc::PosixPath { nsid, path } => Some((nsid.clone(), path.clone())),
+        // Remember stage-in destinations for timeout/failure cleanup —
+        // keyed by the node they are local to, so a pushed RemotePath
+        // output is removed on its *owning* peer, not the node that
+        // ran the push.
+        let dst = match (stage, &output) {
+            (Stage::In, ResourceDesc::RemotePath { nsid, path, .. }) => self
+                .owner_of(nsid)
+                .map(|owner| (owner, nsid.clone(), path.clone())),
+            (Stage::In, ResourceDesc::PosixPath { nsid, path }) => {
+                Some((node, nsid.clone(), path.clone()))
+            }
             _ => None,
         };
-        let (op, dst, release, applied) = match (stage, local(&input), local(&output)) {
-            // Remember stage-in destinations for timeout/failure
-            // cleanup — keyed by the node they are local to, so a
-            // pushed RemotePath output is removed on its *owning*
-            // peer, not the node that ran the push.
-            (Stage::In, _, local_out) => {
-                let dst = match &output {
-                    ResourceDesc::RemotePath { nsid, path, .. } => self
-                        .owner_of(nsid)
-                        .map(|owner| (owner, nsid.clone(), path.clone())),
-                    _ => local_out.map(|(nsid, path)| (node, nsid, path)),
-                };
-                (TaskOp::Copy, dst, None, Durability::LocalOnly)
+        let (op, durability) = match stage {
+            Stage::In => (TaskOp::Copy, Durability::LocalOnly),
+            Stage::Out if remote(&input) || remote(&output) => {
+                (TaskOp::Move, Durability::LocalOnly)
             }
-            (Stage::Out, Some(_), Some(_)) if durability == Durability::LocalOnly => {
-                (TaskOp::Move, None, None, durability)
-            }
-            (Stage::Out, Some(src), Some(_)) => (TaskOp::Copy, None, Some(src), durability),
-            // Cross-node staging is copy-only on the data plane: a
-            // pushed source is released separately after the push, a
-            // remote origin leaves nothing local to free.
-            (Stage::Out, src, _) => (TaskOp::Copy, None, src, Durability::LocalOnly),
+            Stage::Out => (TaskOp::Move, durability),
         };
         let label = format!(
             "{origin} → {destination} on {:?}",
             self.nodes[node].spec.name
         );
-        let mut spec = TaskSpec::new(op, input, Some(output));
-        if applied != Durability::LocalOnly {
-            spec = spec.with_durability(applied);
-        }
+        let spec = TaskSpec::new(op, input, Some(output)).with_durability(durability);
         let leg = Leg {
             node,
             task_id: 0,
             dst,
-            release,
             label,
         };
         Ok((leg, spec))

@@ -15,9 +15,9 @@ use norns_proto::{ResourceDesc, TaskOp, TaskSpec, TaskState};
 
 use super::{ActiveJob, FlowJobState, Leg, Next, Phase, WorkflowExecutor};
 
-/// The `Remove` of a node-local path: how a copy-based stage-out leg
-/// releases its source and how §III cleanup deletes staged-in data.
-pub(super) fn remove_spec(nsid: &str, path: &str) -> TaskSpec {
+/// The `Remove` of a node-local path: how §III cleanup deletes
+/// staged-in data.
+fn remove_spec(nsid: &str, path: &str) -> TaskSpec {
     let target = ResourceDesc::PosixPath {
         nsid: nsid.into(),
         path: path.into(),

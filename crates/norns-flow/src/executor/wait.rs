@@ -24,8 +24,8 @@ impl WorkflowExecutor {
     /// Submit one wire task on `node` and park its wait right behind
     /// it, on the same connection; its answer reaches the run loop as a
     /// [`Next::Staging`] through [`WorkflowExecutor::pump`]. Every task
-    /// the executor starts — a stage leg, a release, a §III cleanup
-    /// removal — comes through here, so each costs exactly one wait.
+    /// the executor starts — a stage leg or a §III cleanup removal —
+    /// comes through here, so each costs exactly one wait.
     pub(super) fn submit_task(
         &mut self,
         node: usize,

@@ -29,16 +29,17 @@
 //!   paper's headline behavior), and applies the simulator's failure
 //!   semantics. Four files by concern: `executor/mod.rs` holds the
 //!   public types, `submit` and the slot → wire-task conversion
-//!   (`PosixPath` vs `RemotePath` through the peer registry, `Move` vs
-//!   copy + release, durability; the planner's listing callback is the
-//!   v6 `ListDir` op); `executor/lifecycle.rs` is the per-job state
-//!   machine; `executor/wait.rs` submits every task with a parked v7
-//!   `WaitTask` right behind it and is the one blocking point — a
-//!   single epoll set over every daemon, each answer routed to its
-//!   task by tag, never a per-task poll; `executor/teardown.rs` is
-//!   everything that undoes work (stage-in timeout ⇒ cancel + cleanup,
-//!   cancel-and-drain through the same pump, a lost daemon, stage-out
-//!   failures kept as recoverable leftovers).
+//!   (`PosixPath` vs `RemotePath` through the peer registry, a `Copy`
+//!   per stage-in slot and one `Move` per stage-out slot, durability;
+//!   the planner's listing callback is the v6 `ListDir` op);
+//!   `executor/lifecycle.rs` is the per-job state machine;
+//!   `executor/wait.rs` submits every task with a parked v7 `WaitTask`
+//!   right behind it and is the one blocking point — a single epoll
+//!   set over every daemon, each answer routed to its task by tag,
+//!   never a per-task poll; `executor/teardown.rs` is everything that
+//!   undoes work (stage-in timeout ⇒ cancel + cleanup, cancel-and-drain
+//!   through the same pump, a lost daemon, stage-out failures kept as
+//!   recoverable leftovers).
 
 pub mod executor;
 pub mod plan;

@@ -19,9 +19,8 @@
 //!
 //! Each world turns a slot into its own task type; whatever still
 //! differs between them (which tier serves a stage-in, whether the
-//! target already holds the data, `Move` vs copy + release) lives in
-//! that per-slot conversion or in the listing callback, never in a
-//! second copy of this table.
+//! target already holds the data) lives in that per-slot conversion or
+//! in the listing callback, never in a second copy of this table.
 
 use crate::script::{split_location, Mapping, StageDirective};
 

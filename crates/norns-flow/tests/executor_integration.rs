@@ -312,8 +312,8 @@ fn scatter_splits_children_and_gather_merges_them_back() {
         );
     }
     // Gather: both nodes' children merged into one destination, and
-    // the node-local sources freed (Move on n0 whose lustre is local,
-    // push + release on n1).
+    // the node-local sources freed (a local Move on n0, whose lustre is
+    // local, and a pushed Move on n1).
     assert_eq!(fs::read(lustre.join("final/from-n0.dat")).unwrap(), b"n0");
     assert_eq!(fs::read(lustre.join("final/from-n1.dat")).unwrap(), b"n1");
     assert!(
@@ -637,6 +637,49 @@ fn remote_leg_routes_through_peer_registry() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// A stage-out whose origin lives outside the job's allocation is
+/// pulled by the job's first node as one `Move`, which frees the
+/// origin on the node that holds it.
+#[test]
+fn off_allocation_stage_out_frees_its_remote_origin() {
+    let root = temp_root("off-alloc");
+    let daemon_a = spawn_node(&root, "nodea", "lustre0", 2);
+    let daemon_b = spawn_node(&root, "nodeb", "pmdk0", 2);
+    let mount_a = root.join("nodea/ds");
+    let mount_b = root.join("nodeb/ds");
+    fs::create_dir_all(mount_b.join("left")).unwrap();
+    fs::write(mount_b.join("left/out.dat"), b"left behind").unwrap();
+
+    let mut exec = WorkflowExecutor::new(FlowConfig::default());
+    exec.add_node(node_spec(&daemon_a, "nodea", &["lustre0"]))
+        .unwrap();
+    exec.add_node(node_spec(&daemon_b, "nodeb", &["pmdk0"]))
+        .unwrap();
+    // One node, assigned round-robin: nodea, which does not host pmdk0.
+    let job = exec
+        .submit(
+            "#SBATCH --job-name=off
+             #NORNS stage_out pmdk0://left/out.dat lustre0://results/out.dat
+",
+            JobBody::Sleep(Duration::ZERO),
+        )
+        .unwrap();
+    assert_eq!(exec.run().unwrap(), vec![(job, FlowJobState::Completed)]);
+    assert!(exec.leftovers(job).is_empty(), "{:?}", exec.leftovers(job));
+    assert_eq!(
+        fs::read(mount_a.join("results/out.dat")).unwrap(),
+        b"left behind"
+    );
+    assert!(
+        !mount_b.join("left/out.dat").exists(),
+        "the off-allocation origin is freed"
+    );
+    assert_eq!(exec.wait_round_trips(), 1, "one Move, no release");
+    drop(daemon_a);
+    drop(daemon_b);
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn durability_directive_replicates_stage_out_to_a_peer() {
     let root = temp_root("durable");
@@ -666,8 +709,8 @@ fn durability_directive_replicates_stage_out_to_a_peer() {
     assert_eq!(exec.run().unwrap(), vec![(job, FlowJobState::Completed)]);
     assert!(exec.leftovers(job).is_empty());
 
-    // The durable leg still behaves like a stage-out locally: the
-    // destination holds the bytes and the source was released.
+    // The durable leg is a stage-out `Move` like any other: the
+    // destination holds the bytes and the source is gone.
     assert_eq!(
         fs::read(mount_a.join("results/out.dat")).unwrap(),
         b"checkpoint bytes"

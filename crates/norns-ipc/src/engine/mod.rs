@@ -38,6 +38,13 @@
 //!   to `rename()` when source and destination share a filesystem;
 //!   and a per-task atomic advances `bytes_moved` live, making
 //!   `query()` a real progress API.
+//!
+//!   A `Move` has one rule on every route: its source is freed only
+//!   after every byte has landed, and a Move that fails or is
+//!   cancelled keeps its source. Locally that is the rename, or the
+//!   copy and then the unlink; across nodes the mover's `finish`
+//!   frees it — a push unlinks its local source once the last `Store`
+//!   is acknowledged, a pull `Discard`s the peer's.
 //! * [`remote`] — both halves of the TCP data plane. Tasks whose
 //!   input or output is a [`ResourceDesc::RemotePath`] route through
 //!   the peer registry (`RemotePath.host` → data-plane TCP address)
@@ -584,14 +591,15 @@ impl Engine {
             return Err(EngineError::new(ErrorCode::NotRegistered, "daemon paused"));
         }
         let route = Self::route_of(&spec);
-        // Durability modes (v8) only make sense for a local stage-out:
-        // the landed output file is what the background queue pushes.
-        // Everything else must say `local_only` explicitly.
+        // Durability modes (v8) only make sense for a local stage-out,
+        // a copy or a move alike: the landed output file is what the
+        // background queue pushes. Everything else must say
+        // `local_only` explicitly (a `Remove` has no output).
         let replicate =
             match (&spec.output, spec.durability) {
                 (_, Durability::LocalOnly) => None,
                 (Some(ResourceDesc::PosixPath { nsid, path }), durability)
-                    if spec.op == TaskOp::Copy && matches!(route, Ok(Route::Local)) =>
+                    if matches!(route, Ok(Route::Local)) =>
                 {
                     Some(ReplRole::Requested(ReplRequest {
                         synchronous: durability == Durability::Synchronous,
@@ -601,7 +609,7 @@ impl Engine {
                     }))
                 }
                 _ => return Err(EngineError::bad_args(
-                    "durability modes apply only to local copy tasks with a dataspace-path output",
+                    "durability modes apply only to local stage-outs with a dataspace-path output",
                 )),
             };
         // Shape validation mirrors the simulated controller.
@@ -627,15 +635,6 @@ impl Engine {
                 let bytes_total = match &route {
                     Route::Local => self.validate_local(&spec.input, out, payload.as_deref())?,
                     Route::Pull(end) | Route::Push(end) => {
-                        // Remote staging is copy-only: a cross-node
-                        // `Move` would need a remote unlink the data
-                        // plane does not speak.
-                        if spec.op != TaskOp::Copy {
-                            return Err(EngineError::bad_args(
-                                "only copy tasks may cross nodes; stage a copy and remove the \
-                                 source separately",
-                            ));
-                        }
                         // Unknown peers are a submission error, not a
                         // task failure: fail fast with NotFound.
                         self.peer_addr(&end.host)
@@ -1104,11 +1103,12 @@ impl Engine {
             // Planning does network round-trips — a size probe for
             // pulls, a preallocating `Prepare` for pushes — which is
             // why it runs here on a worker and not in `submit`.
-            (_, Some(out), Route::Pull(from)) => {
-                return self.plan_remote(task_id, Direction::Pull, from, out, progress, abort)
+            (op, Some(out), Route::Pull(from)) => {
+                return self.plan_remote(task_id, op, Direction::Pull, from, out, progress, abort)
             }
-            (_, Some(_), Route::Push(to)) => {
-                return self.plan_remote(task_id, Direction::Push, to, &spec.input, progress, abort)
+            (op, Some(_), Route::Push(to)) => {
+                let input = &spec.input;
+                return self.plan_remote(task_id, op, Direction::Push, to, input, progress, abort);
             }
             (_, Some(out), Route::Local) => (&spec.input, out),
         };
@@ -1168,9 +1168,11 @@ impl Engine {
 
     /// Plan a remote staging transfer between `local` on this node and
     /// `remote` on a peer.
+    #[allow(clippy::too_many_arguments)]
     fn plan_remote(
         &self,
         task_id: u64,
+        op: TaskOp,
         direction: Direction,
         remote: &RemoteEnd,
         local: &ResourceDesc,
@@ -1184,6 +1186,7 @@ impl Engine {
             .ok_or_else(|| unknown_peer(&remote.host))?;
         let plan = RemoteTransfer::plan(
             task_id,
+            op,
             direction,
             &addr,
             &remote.nsid,

@@ -61,7 +61,12 @@
 //! range moves, here for a pull, on the peer's `Prepare` for a push;
 //! a failed or cancelled pull removes the preallocated local
 //! destination, a failed or cancelled push asks the peer to discard
-//! the partial remote file. A peer's `Error` is an answer — it ends the
+//! the partial remote file. A `Move` frees its source in the same
+//! place, once every range has landed: a push unlinks its local
+//! source, a pull asks the peer to `Discard` its own — the one remote
+//! removal, [`RemoteTransfer::discard`], both ends' cleanups share;
+//! a Move that fails or is cancelled keeps its source whole. A peer's
+//! `Error` is an answer — it ends the
 //! transfer with the peer's code, over a connection that stays good. A
 //! *connection* that fails, if it came out of the cache or has been
 //! held since an earlier exchange, is reopened once and the
@@ -78,7 +83,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use norns_proto::{DataRequest, DataResponse, ErrorCode, MAX_DATA_RANGE};
+use norns_proto::{DataRequest, DataResponse, ErrorCode, TaskOp, MAX_DATA_RANGE};
 
 use super::error::EngineError;
 use super::transfer::{preallocate, truncated, with_parent, Chain, RangeMover};
@@ -87,7 +92,7 @@ use conn::{DataConn, HeldConn};
 pub(crate) use server::DataServer;
 
 /// Pause before the second (last-chance) `Discard` attempt in
-/// [`RemoteTransfer::cleanup`] — long enough for a peer daemon
+/// [`RemoteTransfer::discard`] — long enough for a peer daemon
 /// mid-restart to come back up and bind its data listener.
 const DISCARD_RETRY_DELAY: Duration = Duration::from_millis(200);
 
@@ -133,6 +138,8 @@ pub(crate) enum Direction {
 /// A remote staging transfer decomposed into chunk sub-units: its two
 /// ends, and the connection between them.
 pub(crate) struct RemoteTransfer {
+    /// `Copy` or `Move`: a Move frees its source in `finish`.
+    op: TaskOp,
     ends: Ends,
     conn: HeldConn,
 }
@@ -158,6 +165,7 @@ impl RemoteTransfer {
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
         task_id: u64,
+        op: TaskOp,
         direction: Direction,
         addr: &str,
         nsid: &str,
@@ -217,34 +225,25 @@ impl RemoteTransfer {
             chunk_size,
             progress,
             abort,
-            Box::new(RemoteTransfer { ends, conn }),
+            Box::new(RemoteTransfer { op, ends, conn }),
         ))
     }
 
-    /// Remove whatever the interrupted transfer left behind: the
-    /// preallocated local destination of a pull, or (best-effort) the
-    /// partial remote destination of a push.
-    fn cleanup(&mut self) {
-        match self.ends.direction {
-            Direction::Pull => {
-                let _ = fs::remove_file(&self.ends.local_path);
-            }
-            Direction::Push => {
-                let req = DataRequest::Discard {
-                    nsid: self.ends.nsid.clone(),
-                    path: self.ends.rpath.clone(),
-                };
-                if expect_ok(&mut self.conn, &req).is_err() {
-                    // The peer was caught mid-restart (a transient
-                    // error, a dead listener). Give it a beat and
-                    // replay the Discard once — over a fresh
-                    // connection if that one failed — otherwise the
-                    // `Prepare`d remote partial is stranded forever.
-                    std::thread::sleep(DISCARD_RETRY_DELAY);
-                    let _ = expect_ok(&mut self.conn, &req);
-                }
-            }
-        }
+    /// Ask the peer to remove the remote end: a push's partial
+    /// destination, or a pulled `Move`'s source.
+    fn discard(&mut self) -> Result<(), EngineError> {
+        let req = DataRequest::Discard {
+            nsid: self.ends.nsid.clone(),
+            path: self.ends.rpath.clone(),
+        };
+        expect_ok(&mut self.conn, &req).or_else(|_| {
+            // The peer was caught mid-restart (a transient error, a
+            // dead listener). Give it a beat and replay the Discard
+            // once — over a fresh connection if that one failed —
+            // otherwise the remote file is stranded forever.
+            std::thread::sleep(DISCARD_RETRY_DELAY);
+            expect_ok(&mut self.conn, &req)
+        })
     }
 }
 
@@ -347,9 +346,20 @@ impl RangeMover for RemoteTransfer {
             .exchange(|conn| ends.run_unit(conn, &mut acked, offset + len))?
     }
 
+    /// Remove what an interrupted transfer left behind — the pull's
+    /// preallocated local destination, or (best-effort) the push's
+    /// partial remote one — or free a landed `Move`'s source.
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
-        if !landed {
-            self.cleanup();
+        match (landed, self.ends.direction) {
+            (false, Direction::Pull) => {
+                let _ = fs::remove_file(&self.ends.local_path);
+            }
+            (false, Direction::Push) => {
+                let _ = self.discard();
+            }
+            (true, _) if self.op != TaskOp::Move => {}
+            (true, Direction::Push) => fs::remove_file(&self.ends.local_path)?,
+            (true, Direction::Pull) => self.discard()?,
         }
         Ok(())
     }
@@ -369,7 +379,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     use norns_proto::{
-        encode_frame, FrameReader, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats, Wire,
+        encode_frame, FrameReader, ResourceDesc, TaskSpec, TaskState, TaskStats, Wire,
     };
     use norns_sched::{Fcfs, JobFairShare};
     use parking_lot::Mutex;
@@ -565,6 +575,7 @@ mod tests {
 
         let plan = RemoteTransfer::plan(
             9,
+            TaskOp::Copy,
             Direction::Push,
             &peer.addr,
             "ds0",
@@ -622,6 +633,7 @@ mod tests {
         let (progress, abort) = (Arc::default(), Arc::default());
         RemoteTransfer::plan(
             1,
+            TaskOp::Copy,
             direction,
             &peer.addr,
             "ds0",
@@ -675,11 +687,15 @@ mod tests {
         );
         register_tmp0(&engine, &root);
         engine.register_peer("peer", &peer.addr);
-        let data: Vec<u8> = (0..CHAIN_UNITS * MIN_CHUNK_SIZE)
-            .map(|i| (i % 251) as u8)
-            .collect();
-        fs::write(root.join("tmp0/big"), data).unwrap();
+        fs::write(root.join("tmp0/big"), big()).unwrap();
         (engine, root)
+    }
+
+    /// What `tmp0/big` holds.
+    fn big() -> Vec<u8> {
+        (0..CHAIN_UNITS * MIN_CHUNK_SIZE)
+            .map(|i| (i % 251) as u8)
+            .collect()
     }
 
     fn tmp0(path: &str) -> ResourceDesc {
@@ -698,14 +714,21 @@ mod tests {
     }
 
     fn push(engine: &Engine) -> u64 {
-        let spec = TaskSpec::new(TaskOp::Copy, tmp0("big"), Some(on_peer("dst.dat")));
+        push_as(engine, TaskOp::Copy)
+    }
+
+    /// `tmp0/big` pushed to the peer's `dst.dat` as an `op` task.
+    fn push_as(engine: &Engine, op: TaskOp) -> u64 {
+        let spec = TaskSpec::new(op, tmp0("big"), Some(on_peer("dst.dat")));
         engine.submit(1, spec, None).unwrap()
     }
 
-    /// A script that answers its third `Store` only once told to, and
-    /// the two flags the test holds: `held` goes up when that `Store`
-    /// has arrived, raising `release` lets its `Ok` out.
-    fn holding_the_third_store() -> (
+    /// A script that answers the `Store` with `nth` before it only once
+    /// told to, and the two flags the test holds: `held` goes up when
+    /// that `Store` has arrived, raising `release` lets its `Ok` out.
+    fn holding_store(
+        nth: usize,
+    ) -> (
         impl Fn(&DataRequest, usize) -> Option<Scripted> + Send + Sync,
         Arc<AtomicBool>,
         Arc<AtomicBool>,
@@ -714,7 +737,7 @@ mod tests {
         let release = Arc::new(AtomicBool::new(false));
         let (holds, released) = (Arc::clone(&held), Arc::clone(&release));
         let script = move |request: &DataRequest, earlier: usize| {
-            if matches!(request, DataRequest::Store { .. }) && earlier == 2 {
+            if matches!(request, DataRequest::Store { .. }) && earlier == nth {
                 holds.store(true, Ordering::SeqCst);
                 spin_until("the release", || released.load(Ordering::SeqCst));
             }
@@ -815,7 +838,7 @@ mod tests {
 
     #[test]
     fn chain_cancel_mid_push_discards_the_partial() {
-        let (script, held, release) = holding_the_third_store();
+        let (script, held, release) = holding_store(2);
         let peer = ScriptedPeer::spawn(script);
         let (engine, _root) = chain_engine("chain-push-cancel", 2, &peer);
         let id = push(&engine);
@@ -853,7 +876,7 @@ mod tests {
 
     #[test]
     fn chain_shutdown_mid_push_fails_the_task_and_discards_the_partial() {
-        let (script, held, release) = holding_the_third_store();
+        let (script, held, release) = holding_store(2);
         let peer = ScriptedPeer::spawn(script);
         let (engine, _root) = chain_engine("chain-push-shutdown", 2, &peer);
         let id = push(&engine);
@@ -900,6 +923,143 @@ mod tests {
         // Two landed, the third refused: an answer, not replayed.
         assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 3);
         assert_eq!(peer.accepted.load(Ordering::SeqCst), 1);
+        assert!(!root.join("tmp0/pulled").exists());
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+    }
+
+    // --- a Move across nodes frees its source last, or never ---------
+
+    /// A push `Move` frees its local source only once every byte is on
+    /// the peer: while the last `Store`'s answer is held the source is
+    /// still there, and it is gone when the task is `Finished`.
+    #[test]
+    fn chain_move_push_frees_its_source_after_the_last_store() {
+        let last = CHAIN_UNITS as usize - 1;
+        let (script, held, release) = holding_store(last);
+        let peer = ScriptedPeer::spawn(script);
+        let (engine, root) = chain_engine("chain-move-push", 2, &peer);
+        let id = push_as(&engine, TaskOp::Move);
+        spin_until("the last Store", || held.load(Ordering::SeqCst));
+        assert_eq!(fs::read(root.join("tmp0/big")).unwrap(), big());
+        release.store(true, Ordering::SeqCst);
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
+        assert!(
+            !root.join("tmp0/big").exists(),
+            "a landed Move frees its source"
+        );
+        assert_eq!((peer.stores(), peer.discards()), (CHAIN_UNITS as usize, 0));
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+    }
+
+    /// A push `Move` the peer refuses mid-file, and one cancelled
+    /// mid-file, each `Discard` the partial and keep their source
+    /// byte for byte.
+    #[test]
+    fn chain_move_refused_or_cancelled_push_keeps_its_source() {
+        let peer = ScriptedPeer::spawn(|request, earlier| match request {
+            DataRequest::Store { .. } if earlier >= 2 => {
+                Some(refuse(ErrorCode::NoSpace, "scripted store failure"))
+            }
+            _ => None,
+        });
+        let (engine, root) = chain_engine("chain-move-push-refused", 2, &peer);
+        let stats = engine.wait(push_as(&engine, TaskOp::Move), 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!((peer.stores(), peer.discards()), (3, 1));
+        assert!(matches!(
+            peer.log.lock().last(),
+            Some(DataRequest::Discard { path, .. }) if path == "dst.dat"
+        ));
+        assert_eq!(fs::read(root.join("tmp0/big")).unwrap(), big());
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+
+        let (script, held, release) = holding_store(2);
+        let peer = ScriptedPeer::spawn(script);
+        let (engine, root) = chain_engine("chain-move-push-cancel", 2, &peer);
+        let id = push_as(&engine, TaskOp::Move);
+        spin_until("the third Store", || held.load(Ordering::SeqCst));
+        engine.cancel(id, None).unwrap();
+        release.store(true, Ordering::SeqCst);
+        let stats = engine.wait(id, 0).unwrap();
+        assert_push_ended(&peer, &stats, TaskState::Cancelled);
+        assert_eq!(fs::read(root.join("tmp0/big")).unwrap(), big());
+        assert_chain_gone(&engine, 0, 1);
+        engine.shutdown();
+    }
+
+    /// A peer holding `src.dat` of `CHAIN_UNITS` chunks that serves
+    /// every `Fetch` whole, refusing from the one with `refuse_from`
+    /// before it on, and answers its first `Discard` the way a daemon
+    /// caught mid-restart does.
+    fn pull_source(refuse_from: usize) -> ScriptedPeer {
+        ScriptedPeer::spawn(move |request, earlier| match request {
+            DataRequest::Stat { .. } => Some(Scripted::Answer(DataResponse::Stat {
+                size: CHAIN_UNITS * MIN_CHUNK_SIZE,
+            })),
+            DataRequest::Fetch { .. } if earlier >= refuse_from => {
+                Some(refuse(ErrorCode::SystemError, "scripted fetch failure"))
+            }
+            DataRequest::Fetch { len, .. } => Some(Scripted::Data(vec![7u8; *len as usize])),
+            DataRequest::Discard { .. } if earlier == 0 => {
+                Some(Scripted::AnswerAndHangUp(DataResponse::Error {
+                    code: ErrorCode::SystemError,
+                    message: "daemon restarting".into(),
+                }))
+            }
+            _ => None,
+        })
+    }
+
+    fn pull_move(engine: &Engine) -> u64 {
+        let spec = TaskSpec::new(TaskOp::Move, on_peer("src.dat"), Some(tmp0("pulled")));
+        engine.submit(1, spec, None).unwrap()
+    }
+
+    /// A pull `Move` frees the peer's source with a `Discard` once the
+    /// last `Fetch` has landed: it is the last request the peer sees,
+    /// and it takes the same one retry a push's cleanup does.
+    #[test]
+    fn chain_move_pull_discards_its_source_last() {
+        let peer = pull_source(usize::MAX);
+        let (engine, root) = chain_engine("chain-move-pull", 2, &peer);
+        let stats = engine.wait(pull_move(&engine), 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(stats.bytes_moved, CHAIN_UNITS * MIN_CHUNK_SIZE);
+        let pulled = fs::read(root.join("tmp0/pulled")).unwrap();
+        assert_eq!(pulled, vec![7u8; (CHAIN_UNITS * MIN_CHUNK_SIZE) as usize]);
+        let log = peer.log.lock();
+        let fetches = log
+            .iter()
+            .filter(|r| matches!(r, DataRequest::Fetch { .. }))
+            .count();
+        assert_eq!(fetches, CHAIN_UNITS as usize);
+        assert!(
+            matches!(&log[log.len() - 2..], [
+                DataRequest::Discard { path: first, .. },
+                DataRequest::Discard { path: again, .. },
+            ] if first == "src.dat" && again == "src.dat"),
+            "the source's Discard, replayed once, ends the transfer"
+        );
+        drop(log);
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+    }
+
+    /// A pull `Move` that fails mid-file removes its partial and sends
+    /// no `Discard`: the peer keeps its source.
+    #[test]
+    fn chain_move_failed_pull_sends_no_discard() {
+        let peer = pull_source(2);
+        let (engine, root) = chain_engine("chain-move-pull-fail", 2, &peer);
+        let stats = engine.wait(pull_move(&engine), 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.bytes_moved, 2 * MIN_CHUNK_SIZE);
+        assert_eq!(peer.discards(), 0, "a failed Move keeps its source");
         assert!(!root.join("tmp0/pulled").exists());
         assert_chain_gone(&engine, 1, 0);
         engine.shutdown();

@@ -286,7 +286,7 @@ mod tests {
     use std::path::Path;
     use std::time::{Duration, Instant};
 
-    use norns_proto::{BackendKind, DataspaceDesc, Wire};
+    use norns_proto::{BackendKind, DataspaceDesc, TaskOp, Wire};
 
     /// Position-dependent bytes so an offset or ordering bug corrupts
     /// the payload.
@@ -503,6 +503,7 @@ mod tests {
         let plan = |name: &str| {
             RemoteTransfer::plan(
                 7,
+                TaskOp::Copy,
                 Direction::Pull,
                 &addr,
                 "ds0",

@@ -185,6 +185,59 @@ fn push_and_pull_a_multichunk_file_between_two_daemons() {
     assert_eq!(std::fs::read(mount_b.join("empty.dat")).unwrap(), b"");
 }
 
+/// A `Move` crosses nodes in both directions and frees its source
+/// only once the bytes have landed: pushed from A, the file leaves A;
+/// pulled back, it leaves B. A push `Move` the peer refuses keeps its
+/// source.
+#[test]
+fn push_and_pull_moves_free_their_sources_between_two_daemons() {
+    let cfg = |tag: &str| {
+        DaemonConfig::in_dir(temp_root(tag).join("sockets")).with_chunk_size(MIN_CHUNK_SIZE)
+    };
+    let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
+        two_nodes("moves", cfg("moves-a"), cfg("moves-b"));
+    let data = pattern((MIN_CHUNK_SIZE * 5) as usize + 777);
+    std::fs::write(mount_a.join("move.dat"), &data).unwrap();
+    let mut run = |from: ResourceDesc, to: ResourceDesc| {
+        let id = ctl_a
+            .submit(1, TaskSpec::new(TaskOp::Move, from, Some(to)), None)
+            .unwrap();
+        ctl_a.wait(id, 0).unwrap()
+    };
+
+    let stats = run(
+        local("nodea-ds", "move.dat"),
+        remote("nodeb", "nodeb-ds", "moved/move.dat"),
+    );
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(stats.bytes_moved, data.len() as u64);
+    assert_eq!(std::fs::read(mount_b.join("moved/move.dat")).unwrap(), data);
+    assert!(
+        !mount_a.join("move.dat").exists(),
+        "a pushed Move frees its source"
+    );
+
+    let stats = run(
+        remote("nodeb", "nodeb-ds", "moved/move.dat"),
+        local("nodea-ds", "back/move.dat"),
+    );
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(std::fs::read(mount_a.join("back/move.dat")).unwrap(), data);
+    assert!(
+        !mount_b.join("moved/move.dat").exists(),
+        "a pulled Move frees the peer's source"
+    );
+
+    // The peer refuses a destination outside its dataspace: the Move
+    // fails and its source stays whole.
+    let stats = run(
+        local("nodea-ds", "back/move.dat"),
+        remote("nodeb", "nodeb-ds", "../escape.dat"),
+    );
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    assert_eq!(std::fs::read(mount_a.join("back/move.dat")).unwrap(), data);
+}
+
 #[test]
 fn cancel_interrupts_a_remote_pull_mid_stream() {
     // One worker and 64 KiB chunks: a 32 MiB pull is 512 sequential
@@ -600,19 +653,6 @@ fn unsupported_remote_combinations_are_rejected() {
             None,
         ),
         "remote-to-remote",
-    );
-    // Cross-node move.
-    expect_badargs(
-        ctl_a.submit(
-            1,
-            TaskSpec::new(
-                TaskOp::Move,
-                local("nodea-ds", "src.dat"),
-                Some(remote("nodeb", "nodeb-ds", "moved")),
-            ),
-            None,
-        ),
-        "remote move",
     );
     // Remote remove.
     expect_badargs(

@@ -57,8 +57,13 @@ fn start_node(
 }
 
 fn stage_out(path: &str, durability: Durability) -> TaskSpec {
+    stage_out_as(TaskOp::Copy, path, durability)
+}
+
+/// `ds0://src.dat` to `ds0://<path>` as an `op` task under `durability`.
+fn stage_out_as(op: TaskOp, path: &str, durability: Durability) -> TaskSpec {
     TaskSpec::new(
-        TaskOp::Copy,
+        op,
         ResourceDesc::PosixPath {
             nsid: "ds0".into(),
             path: "src.dat".into(),
@@ -100,6 +105,20 @@ fn synchronous_acks_only_after_all_copies_land() {
     let stats = ctl.wait(task, 0).unwrap();
     assert_eq!(stats.state, TaskState::Finished);
     assert_eq!(stats.bytes_moved, data.len() as u64);
+    // A durable `Move` — a rename here — replicates its landed output
+    // the same way, and frees its source.
+    let moved = ctl
+        .submit(
+            1,
+            stage_out_as(TaskOp::Move, "out/moved.dat", Durability::Synchronous),
+            None,
+        )
+        .unwrap();
+    let stats = ctl.wait(moved, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(stats.bytes_moved, data.len() as u64);
+    assert!(!mount.join("src.dat").exists(), "a Move frees its source");
+    assert_eq!(std::fs::read(mount.join("out/moved.dat")).unwrap(), data);
     // The ACK *is* the guarantee: no settling time allowed. Kill the
     // origin first, then check the copies it can no longer influence.
     let status = ctl.status().unwrap();
@@ -108,11 +127,13 @@ fn synchronous_acks_only_after_all_copies_land() {
     drop(ctl);
     drop(origin);
     for (mount_r, ctl_r) in [(mount_r1, &mut ctl_r1), (mount_r2, &mut ctl_r2)] {
-        assert_eq!(
-            std::fs::read(mount_r.join("out/ckpt.dat")).unwrap(),
-            data,
-            "synchronous copy must already be on every peer when the ACK arrives"
-        );
+        for landed in ["out/ckpt.dat", "out/moved.dat"] {
+            assert_eq!(
+                std::fs::read(mount_r.join(landed)).unwrap(),
+                data,
+                "synchronous {landed} must already be on every peer when the ACK arrives"
+            );
+        }
         // The peers wrote through their own data plane; they carry no
         // replication lag of their own.
         assert_eq!(ctl_r.status().unwrap().pending_replicas, 0);

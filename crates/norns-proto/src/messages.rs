@@ -119,8 +119,9 @@ wire_struct! {
         /// Absent for `Remove`.
         pub output: Option<ResourceDesc>,
         /// Replication policy for the task's output (v8). Only meaningful
-        /// for local stage-outs (`Copy` to a `PosixPath`); everything else
-        /// must use [`Durability::LocalOnly`].
+        /// for local stage-outs (a `Copy` or `Move` to a `PosixPath` on
+        /// the same node); everything else must use
+        /// [`Durability::LocalOnly`].
         pub durability: Durability,
     }
 }
@@ -425,8 +426,9 @@ wire_enum! {
             path: String,
             offset: u64,
         },
-        /// Remove a partially staged destination after a failed or
-        /// cancelled push. Missing files are not an error.
+        /// Remove a file: a partially staged destination after a failed
+        /// or cancelled push, or a pulled `Move`'s source once it has
+        /// landed. Missing files are not an error.
         4 => Discard { nsid: String, path: String },
     }
 }

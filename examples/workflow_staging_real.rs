@@ -13,8 +13,8 @@
 //!
 //! * `prep` stages its input from `lustre0` into `nodeb`'s `pmdk0` —
 //!   a **remote pull** through the TCP data plane — runs its body
-//!   only after stage-in completes, then pushes its result back
-//!   (remote push).
+//!   only after stage-in completes, then moves its result back
+//!   (remote push `Move`, which frees the source once it landed).
 //! * `post` depends on `prep` (`--workflow-prior-dependency`), stages
 //!   the result locally on `nodea`, and produces the final artifact.
 //!
@@ -168,23 +168,24 @@ fn main() {
         "double reversal restored the mesh"
     );
 
-    // Stage-out *freed* the staged data: prep's local out.dat was
-    // released after its push (copy + Remove), post's final.dat moved
-    // (rename) — the paper's stage-out returns burst-buffer capacity.
+    // Stage-out *freed* the staged data: every stage-out is one Move —
+    // prep's pushed out.dat left nodeb once the last byte landed on
+    // nodea, post's final.dat was renamed — the paper's stage-out
+    // returns burst-buffer capacity.
     assert!(
         !mount_b.join("job/out.dat").exists(),
-        "pushed stage-out source released"
+        "pushed stage-out source freed"
     );
     assert!(
         !mount_a.join("post/final.dat").exists(),
         "local stage-out is a move"
     );
 
-    // 5. The one-wait guarantee: 5 wire tasks (4 staging legs plus
-    //    the Remove releasing prep's pushed source), zero per-task
-    //    polls and exactly one parked WaitTask per task — where a 2 ms
-    //    poller would have issued hundreds of QueryTask round-trips.
-    let wire_tasks = 5;
+    // 5. The one-wait guarantee: 4 wire tasks (one per staging leg),
+    //    zero per-task polls and exactly one parked WaitTask per task —
+    //    where a 2 ms poller would have issued hundreds of QueryTask
+    //    round-trips.
+    let wire_tasks = 4;
     println!(
         "wire tasks: {wire_tasks}, WaitTask round-trips: {}, QueryTask round-trips: {}",
         exec.wait_round_trips(),

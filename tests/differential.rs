@@ -490,7 +490,7 @@ mod scatter_gather {
     }
 
     /// The same job on the two live daemons: node 0 moves its child
-    /// locally, node 1 pushes its own and releases the source.
+    /// locally, node 1 pushes its own; both are one `Move`.
     fn real_gather() -> (Vec<String>, bool) {
         let mut c = real_cluster("gather");
         let mounts = c.pmdk.clone();
