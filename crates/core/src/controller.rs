@@ -11,12 +11,16 @@
 //! 1. account the usage registered processes make of their dataspaces,
 //! 2. reject task submissions from unregistered processes,
 //! 3. reject submissions naming dataspaces a job may not touch.
+//!
+//! A submission's *shape* is not the controller's rule: `validate` asks
+//! the admission table the real daemon asks too (`norns_sched::shape`).
 
 use std::collections::HashMap;
 
 use simstore::{Cred, TierRef};
 
 use crate::error::{NornsError, Result};
+use crate::plugins::PluginKind;
 use crate::resource::ResourceRef;
 use crate::task::{JobId, TaskSpec};
 
@@ -198,8 +202,13 @@ impl Controller {
     // ---- validation (the worker-thread checks from §IV-B) ----
 
     /// Validate a submission and return the credentials the task will
-    /// run with.
-    pub fn validate(&self, job: JobId, source: ApiSource, spec: &TaskSpec) -> Result<Cred> {
+    /// run with and the plugin that serves it.
+    pub fn validate(
+        &self,
+        job: JobId,
+        source: ApiSource,
+        spec: &TaskSpec,
+    ) -> Result<(Cred, PluginKind)> {
         let entry = self.jobs.get(&job.0).ok_or(NornsError::NoSuchJob(job.0))?;
         let cred = match source {
             ApiSource::Control => entry.spec.cred.clone(),
@@ -229,27 +238,10 @@ impl Controller {
         if let Some(out) = &spec.output {
             check_res(out)?;
         }
-        match spec.op {
-            crate::task::TaskOp::Remove => {
-                if spec.output.is_some() {
-                    return Err(NornsError::BadArgs("remove takes no output".into()));
-                }
-                if spec.input.is_memory() {
-                    return Err(NornsError::BadArgs("cannot remove a memory region".into()));
-                }
-            }
-            _ => {
-                if spec.output.is_none() {
-                    return Err(NornsError::BadArgs("copy/move require an output".into()));
-                }
-                if spec.output.as_ref().is_some_and(|o| o.is_memory()) && spec.input.is_memory() {
-                    return Err(NornsError::BadArgs(
-                        "memory-to-memory transfers are not supported".into(),
-                    ));
-                }
-            }
-        }
-        Ok(cred)
+        Ok((
+            cred,
+            norns_sched::shape::admit(crate::plugins::shape(spec))?,
+        ))
     }
 
     /// Charge `bytes` of dataspace usage to a job, enforcing its quota.
@@ -378,10 +370,11 @@ mod tests {
     #[test]
     fn control_submissions_validate() {
         let c = controller_with_job();
-        let cred = c
+        let (cred, plugin) = c
             .validate(JobId(1), ApiSource::Control, &copy_spec())
             .unwrap();
         assert_eq!(cred.uid, 1000);
+        assert_eq!(plugin, PluginKind::LocalToLocal);
     }
 
     #[test]

@@ -45,6 +45,13 @@ pub enum NornsError {
     AlreadyRegistered(String),
 }
 
+/// A refusal of the shared admission table is `NORNS_EBADARGS`.
+impl From<norns_sched::shape::Refusal> for NornsError {
+    fn from(refusal: norns_sched::shape::Refusal) -> Self {
+        NornsError::BadArgs(refusal.message().into())
+    }
+}
+
 pub type Result<T> = std::result::Result<T, NornsError>;
 
 impl std::fmt::Display for NornsError {

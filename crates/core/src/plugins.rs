@@ -1,120 +1,33 @@
-//! Transfer plugin selection (paper Table II).
-//!
-//! "NORNS supports defining specific plugins to transfer data between a
-//! pair of resource types, which allows developers to write high
-//! performance data transfers based on the internals of each data
-//! resource." The registry resolves a (source kind, sink kind) pair to
-//! one of the six built-in plugins; each plugin describes the *shape*
-//! of the transfer — the sequence of legs the simulation (or the real
-//! daemon) must execute.
+//! Transfer plugin selection (paper Table II): which plugin serves a
+//! task, or why none does, is the admission table both worlds share
+//! (`norns_sched::shape`); this module maps a simulated task to the
+//! shape that table reads. `sim::plan` turns a plugin into legs.
 
-use crate::error::{NornsError, Result};
+pub use norns_sched::shape::Plugin as PluginKind;
+use norns_sched::shape::{names_root, Kind, Shape};
+
 use crate::resource::ResourceRef;
-use crate::task::{TaskOp, TaskSpec};
+use crate::task::TaskSpec;
 
-/// The six transfer plugins from Table II, plus local removal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PluginKind {
-    /// `process memory ⇒ local path`: `fallocate`+`mmap`, then
-    /// `process_vm_readv` into the mapping.
-    MemoryToLocal,
-    /// `memory buffer ⇒ remote path`: stage to a local tmp mapping,
-    /// send descriptor, target performs `RDMA_PULL`.
-    MemoryToRemote,
-    /// `memory buffer ⇐ remote path`: query target, `RDMA_PULL` into a
-    /// local mapping, `process_vm_writev` into the caller.
-    RemoteToMemory,
-    /// `local path ⇒ local path`: `sendfile` between descriptors.
-    LocalToLocal,
-    /// `local path ⇒ remote path`: `mmap` source, send descriptor,
-    /// target performs `RDMA_PULL`.
-    LocalToRemote,
-    /// `local path ⇐ remote path`: query target, `fallocate`+`mmap`,
-    /// `RDMA_PULL` into the destination file.
-    RemoteToLocal,
-    /// `remove` of a local or remote path (not in Table II; task type).
-    Removal,
-}
-
-impl PluginKind {
-    /// Human-readable name matching the paper's table rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            PluginKind::MemoryToLocal => "process memory => local path",
-            PluginKind::MemoryToRemote => "memory buffer => remote path",
-            PluginKind::RemoteToMemory => "memory buffer <= remote path",
-            PluginKind::LocalToLocal => "local path => local path",
-            PluginKind::LocalToRemote => "local path => remote path",
-            PluginKind::RemoteToLocal => "local path <= remote path",
-            PluginKind::Removal => "removal",
-        }
-    }
-
-    /// Does this plugin move data across the fabric?
-    pub fn crosses_network(self) -> bool {
-        matches!(
-            self,
-            PluginKind::MemoryToRemote
-                | PluginKind::RemoteToMemory
-                | PluginKind::LocalToRemote
-                | PluginKind::RemoteToLocal
-        )
-    }
-
-    /// Number of data-movement legs (the memory⇒remote plugin stages
-    /// through a temporary local mapping first — two legs).
-    pub fn legs(self) -> usize {
-        match self {
-            PluginKind::MemoryToRemote => 2,
-            PluginKind::Removal => 0,
-            _ => 1,
-        }
-    }
-}
-
-/// Resolve the plugin for a validated task spec.
-///
-/// Resolution errors mean the combination is unsupported (e.g.
-/// remote⇒remote third-party transfers, which the paper's NORNS does
-/// not implement either — the initiator must hold one side).
-pub fn resolve(spec: &TaskSpec) -> Result<PluginKind> {
-    if spec.op == TaskOp::Remove {
-        return Ok(PluginKind::Removal);
-    }
-    let out = spec
-        .output
-        .as_ref()
-        .ok_or_else(|| NornsError::BadArgs("transfer without output".into()))?;
-    use ResourceRef::*;
-    let kind = match (&spec.input, out) {
-        (Memory { .. }, Local { .. }) => PluginKind::MemoryToLocal,
-        (Memory { .. }, Remote { .. }) => PluginKind::MemoryToRemote,
-        (Remote { .. }, Memory { .. }) => PluginKind::RemoteToMemory,
-        (Local { .. }, Local { .. }) => PluginKind::LocalToLocal,
-        (Local { .. }, Remote { .. }) => PluginKind::LocalToRemote,
-        (Remote { .. }, Local { .. }) => PluginKind::RemoteToLocal,
-        (Local { .. }, Memory { .. }) => {
-            // Not a Table II plugin: applications read local files into
-            // memory with plain mmap/read, no staging task needed.
-            return Err(NornsError::BadArgs(
-                "local-path-to-memory transfers are served by mmap, not NORNS".into(),
-            ));
-        }
-        (Memory { .. }, Memory { .. }) => {
-            return Err(NornsError::BadArgs("memory-to-memory unsupported".into()))
-        }
-        (Remote { .. }, Remote { .. }) => {
-            return Err(NornsError::BadArgs(
-                "third-party remote-to-remote transfers unsupported".into(),
-            ))
-        }
+/// The shape of a simulated task, as the admission table reads it.
+pub fn shape(spec: &TaskSpec) -> Shape {
+    let kind = |r: &ResourceRef| match r {
+        ResourceRef::Memory { .. } => Kind::Memory,
+        ResourceRef::Local { .. } => Kind::Local,
+        ResourceRef::Remote { .. } => Kind::Remote,
     };
-    Ok(kind)
+    Shape {
+        op: spec.op,
+        input: kind(&spec.input),
+        output: spec.output.as_ref().map(kind),
+        input_names_root: spec.input.path().is_some_and(names_root),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use norns_sched::shape::{admit, Refusal};
 
     fn mem() -> ResourceRef {
         ResourceRef::memory(1 << 20)
@@ -126,6 +39,10 @@ mod tests {
 
     fn remote() -> ResourceRef {
         ResourceRef::remote(3, "pmdk0", "f")
+    }
+
+    fn resolve(spec: &TaskSpec) -> Result<PluginKind, Refusal> {
+        admit(shape(spec))
     }
 
     #[test]
@@ -156,39 +73,15 @@ mod tests {
             resolve(&TaskSpec::remove(local())).unwrap(),
             PluginKind::Removal
         );
-        assert_eq!(
-            resolve(&TaskSpec::remove(remote())).unwrap(),
-            PluginKind::Removal
-        );
     }
 
     #[test]
-    fn network_crossing_classification() {
-        assert!(!PluginKind::MemoryToLocal.crosses_network());
-        assert!(!PluginKind::LocalToLocal.crosses_network());
-        assert!(PluginKind::MemoryToRemote.crosses_network());
-        assert!(PluginKind::RemoteToMemory.crosses_network());
-        assert!(PluginKind::LocalToRemote.crosses_network());
-        assert!(PluginKind::RemoteToLocal.crosses_network());
-    }
-
-    #[test]
-    fn leg_counts() {
-        assert_eq!(
-            PluginKind::MemoryToRemote.legs(),
-            2,
-            "staged through tmp mapping"
-        );
-        assert_eq!(PluginKind::LocalToRemote.legs(), 1);
-        assert_eq!(PluginKind::Removal.legs(), 0);
-    }
-
-    #[test]
-    fn names_are_table_rows() {
-        assert_eq!(PluginKind::LocalToLocal.name(), "local path => local path");
-        assert_eq!(
-            PluginKind::RemoteToLocal.name(),
-            "local path <= remote path"
-        );
+    fn a_dataspace_root_is_its_empty_or_dot_path() {
+        for path in ["", ".", "./"] {
+            let root = ResourceRef::local("pmdk0", path);
+            assert!(shape(&TaskSpec::remove(root)).input_names_root);
+        }
+        assert!(!shape(&TaskSpec::remove(local())).input_names_root);
+        assert!(!shape(&TaskSpec::copy(mem(), local())).input_names_root);
     }
 }

@@ -28,7 +28,6 @@ use simstore::{Cred, IoDir, TierRef};
 
 use crate::controller::{ApiSource, DataspaceSpec, JobSpec};
 use crate::error::{NornsError, Result};
-use crate::plugins;
 use crate::sim::urd::{PlannedLeg, UrdStatus};
 use crate::sim::{app_tag, task_tag, HasNorns, RpcOutcome, RpcReply, RpcRequest, TaskCompletion};
 use crate::task::{JobId, TaskId, TaskSpec, TaskState, TaskStats};
@@ -161,8 +160,7 @@ pub fn submit_task<M: HasNorns>(
     if !urd.accepting() {
         return Err(NornsError::NotAccepting);
     }
-    let cred = urd.controller.validate(job, source, &spec)?;
-    let plugin = plugins::resolve(&spec)?;
+    let (cred, plugin) = urd.controller.validate(job, source, &spec)?;
     let id = urd.alloc_task_id();
     // Size estimate for size-aware arbitration policies: memory sizes
     // are declared; path sizes come from a best-effort stat (the real
@@ -171,11 +169,12 @@ pub fn submit_task<M: HasNorns>(
         crate::resource::ResourceRef::Memory { size } => *size,
         input => super::plan::resolve_side(world, node, input)
             .ok()
-            .and_then(|side| super::plan::side_bytes(world, &side, &cred).ok())
+            .and_then(|side| super::plan::side_bytes(world, &side, &cred, plugin).ok())
             .map(|(bytes, _)| bytes)
             .unwrap_or(0),
     };
     let urd = &mut world.urds[node];
+    urd.queue.enqueue(id, job, est, spec.priority, now);
     urd.tasks.insert(
         id,
         super::urd::TaskRecord {
@@ -196,11 +195,6 @@ pub fn submit_task<M: HasNorns>(
             exec: Default::default(),
         },
     );
-    let priority = urd
-        .task(id)
-        .map(|r| r.spec.priority)
-        .expect("just inserted");
-    urd.queue.enqueue(id, job, est, priority, now);
     maybe_dispatch(sim, node);
     Ok(id)
 }

@@ -36,30 +36,21 @@ pub(crate) fn resolve_side(
     handling_node: NodeId,
     r: &ResourceRef,
 ) -> Result<Side> {
-    match r {
-        ResourceRef::Memory { .. } => Err(NornsError::BadArgs("memory has no tier".into())),
-        ResourceRef::Local { nsid, path } => {
-            let ds = world.urds[handling_node].controller.dataspace(nsid)?;
-            Ok(Side {
-                tier: ds.tier,
-                node: handling_node,
-                nsid: nsid.clone(),
-                path: path.clone(),
-            })
+    let (node, nsid, path) = match r {
+        ResourceRef::Memory { .. } => return Err(NornsError::BadArgs("memory has no tier".into())),
+        ResourceRef::Local { nsid, path } => (handling_node, nsid, path),
+        ResourceRef::Remote { node, .. } if *node >= world.nodes() => {
+            return Err(NornsError::BadArgs(format!("no such node: {node}")))
         }
-        ResourceRef::Remote { node, nsid, path } => {
-            if *node >= world.nodes() {
-                return Err(NornsError::BadArgs(format!("no such node: {node}")));
-            }
-            let ds = world.urds[*node].controller.dataspace(nsid)?;
-            Ok(Side {
-                tier: ds.tier,
-                node: *node,
-                nsid: nsid.clone(),
-                path: path.clone(),
-            })
-        }
-    }
+        ResourceRef::Remote { node, nsid, path } => (*node, nsid, path),
+    };
+    let tier = world.urds[node].controller.dataspace(nsid)?.tier;
+    Ok(Side {
+        tier,
+        node,
+        nsid: nsid.clone(),
+        path: path.clone(),
+    })
 }
 
 /// The namespace node argument for a tier (`Some(node)` iff the tier
@@ -72,12 +63,22 @@ pub(crate) fn ns_node(world: &NornsWorld, tier: TierRef, node: NodeId) -> Option
     }
 }
 
-/// Total bytes + file count under a path side.
-pub(crate) fn side_bytes(world: &NornsWorld, side: &Side, cred: &Cred) -> Result<(u64, u64)> {
+/// Total bytes + file count under a task's input side, where the
+/// simulator learns whether it is a directory `plugin` must carry.
+pub(crate) fn side_bytes(
+    world: &NornsWorld,
+    side: &Side,
+    cred: &Cred,
+    plugin: PluginKind,
+) -> Result<(u64, u64)> {
     let ns = world
         .storage
         .ns(side.tier, ns_node(world, side.tier, side.node));
     let files = ns.walk_files(&side.path, cred)?;
+    // A file walks to one entry with an empty relative path.
+    if !matches!(files.as_slice(), [(rel, _)] if rel.is_empty()) {
+        plugin.carries_directory()?;
+    }
     let bytes = files.iter().map(|(_, s)| *s).sum();
     Ok((bytes, files.len() as u64))
 }
@@ -157,13 +158,9 @@ pub(crate) fn build<M: HasNorns>(
     match plugin {
         PluginKind::Removal => {
             let side = resolve_side(world, node, &spec.input)?;
-            let (_, files) = side_bytes(world, &side, &cred)?;
+            let (_, files) = side_bytes(world, &side, &cred, plugin)?;
+            // The table admits a remove only of a path on this node.
             let latency = world.storage.setup_cost(side.tier, files.max(1));
-            let latency = if spec.input.is_remote() {
-                latency + rpc_rt
-            } else {
-                latency
-            };
             Ok(BuiltPlan {
                 legs: VecDeque::from([PlannedLeg {
                     label: "remove",
@@ -175,12 +172,10 @@ pub(crate) fn build<M: HasNorns>(
             })
         }
         PluginKind::MemoryToLocal => {
-            let bytes = match spec.input {
-                ResourceRef::Memory { size } => size,
-                _ => unreachable!("plugin resolution guarantees memory input"),
+            let ResourceRef::Memory { size: bytes } = spec.input else {
+                unreachable!("the table names this plugin for a memory input")
             };
-            let out = spec.output.as_ref().expect("validated");
-            let dst = resolve_side(world, node, out)?;
+            let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
             let charged = charge_dst(world, job, &dst, bytes)?;
             let setup = world.storage.setup_cost(dst.tier, 1);
             let dst_shards = world
@@ -197,86 +192,39 @@ pub(crate) fn build<M: HasNorns>(
                 charged,
             })
         }
-        PluginKind::LocalToLocal => {
+        PluginKind::LocalToLocal | PluginKind::LocalToRemote | PluginKind::RemoteToLocal => {
             let src = resolve_side(world, node, &spec.input)?;
             let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
-            let (bytes, files) = side_bytes(world, &src, &cred)?;
-            check_dst_access(world, &dst, &cred)?;
+            let (bytes, files) = side_bytes(world, &src, &cred, plugin)?;
             let charged = charge_dst(world, job, &dst, bytes)?;
             let latency = world.storage.setup_cost(src.tier, files)
                 + world.storage.setup_cost(dst.tier, files);
             let src_shards = world
                 .storage
-                .plan_io(src.tier, node, IoDir::Read, bytes, None);
-            let src_shards = with_ram(world, node, src_shards);
-            let dst_shards = world
-                .storage
-                .plan_io(dst.tier, node, IoDir::Write, bytes, None);
-            Ok(BuiltPlan {
-                legs: VecDeque::from([PlannedLeg {
-                    label: "sendfile",
-                    latency,
-                    shards: compose(&src_shards, &[], &dst_shards),
-                }]),
-                total_bytes: bytes,
-                charged,
-            })
-        }
-        PluginKind::LocalToRemote => {
-            let src = resolve_side(world, node, &spec.input)?;
-            let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
-            let (bytes, files) = side_bytes(world, &src, &cred)?;
-            check_dst_access(world, &dst, &cred)?;
-            let charged = charge_dst(world, job, &dst, bytes)?;
-            let latency = rpc_rt
-                + world.storage.setup_cost(src.tier, files)
-                + world.storage.setup_cost(dst.tier, files);
-            let src_shards = world
-                .storage
                 .plan_io(src.tier, src.node, IoDir::Read, bytes, None);
             let src_shards = with_ram(world, src.node, src_shards);
             let dst_shards = world
                 .storage
                 .plan_io(dst.tier, dst.node, IoDir::Write, bytes, None);
-            let dst_shards = with_ram(world, dst.node, dst_shards);
-            let fabric = {
-                let NornsWorld { fabric, fluid, .. } = world;
-                fabric.transfer_path(&mut fluid.net, src.node, dst.node, node, Direction::Push)
+            let (label, direction) = match plugin {
+                PluginKind::LocalToLocal => ("sendfile", None),
+                PluginKind::LocalToRemote => ("mmap+rdma-pull-by-target", Some(Direction::Push)),
+                _ => ("query+rdma-pull", Some(Direction::Pull)),
+            };
+            // Across the fabric: one RPC, and the far node's DRAM too.
+            let (latency, dst_shards, fabric) = match direction {
+                None => (latency, dst_shards, Vec::new()),
+                Some(direction) => {
+                    let dst_shards = with_ram(world, dst.node, dst_shards);
+                    let NornsWorld { fabric, fluid, .. } = world;
+                    let (from, to) = (src.node, dst.node);
+                    let path = fabric.transfer_path(&mut fluid.net, from, to, node, direction);
+                    (rpc_rt + latency, dst_shards, path)
+                }
             };
             Ok(BuiltPlan {
                 legs: VecDeque::from([PlannedLeg {
-                    label: "mmap+rdma-pull-by-target",
-                    latency,
-                    shards: compose(&src_shards, &fabric, &dst_shards),
-                }]),
-                total_bytes: bytes,
-                charged,
-            })
-        }
-        PluginKind::RemoteToLocal => {
-            let src = resolve_side(world, node, &spec.input)?;
-            let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
-            let (bytes, files) = side_bytes(world, &src, &cred)?;
-            check_dst_access(world, &dst, &cred)?;
-            let charged = charge_dst(world, job, &dst, bytes)?;
-            let latency = rpc_rt
-                + world.storage.setup_cost(src.tier, files)
-                + world.storage.setup_cost(dst.tier, files);
-            let src_shards = world
-                .storage
-                .plan_io(src.tier, src.node, IoDir::Read, bytes, None);
-            let src_shards = with_ram(world, src.node, src_shards);
-            let dst_shards = world
-                .storage
-                .plan_io(dst.tier, dst.node, IoDir::Write, bytes, None);
-            let dst_shards = with_ram(world, dst.node, dst_shards);
-            let fabric = {
-                let NornsWorld { fabric, fluid, .. } = world;
-                fabric.transfer_path(&mut fluid.net, src.node, dst.node, node, Direction::Pull)
-            };
-            Ok(BuiltPlan {
-                legs: VecDeque::from([PlannedLeg {
-                    label: "query+rdma-pull",
+                    label,
                     latency,
                     shards: compose(&src_shards, &fabric, &dst_shards),
                 }]),
@@ -285,12 +233,10 @@ pub(crate) fn build<M: HasNorns>(
             })
         }
         PluginKind::MemoryToRemote => {
-            let bytes = match spec.input {
-                ResourceRef::Memory { size } => size,
-                _ => unreachable!("plugin resolution guarantees memory input"),
+            let ResourceRef::Memory { size: bytes } = spec.input else {
+                unreachable!("the table names this plugin for a memory input")
             };
             let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
-            check_dst_access(world, &dst, &cred)?;
             let charged = charge_dst(world, job, &dst, bytes)?;
             let dst_setup = world.storage.setup_cost(dst.tier, 1);
             let dst_shards = world
@@ -322,7 +268,7 @@ pub(crate) fn build<M: HasNorns>(
         }
         PluginKind::RemoteToMemory => {
             let src = resolve_side(world, node, &spec.input)?;
-            let (bytes, files) = side_bytes(world, &src, &cred)?;
+            let (bytes, files) = side_bytes(world, &src, &cred, plugin)?;
             let latency = rpc_rt + world.storage.setup_cost(src.tier, files);
             let src_shards = world
                 .storage
@@ -344,19 +290,6 @@ pub(crate) fn build<M: HasNorns>(
             })
         }
     }
-}
-
-/// Verify the destination tier has room and that the namespace will
-/// accept the write (capacity check; permissions are enforced again at
-/// effect time).
-fn check_dst_access(world: &NornsWorld, dst: &Side, _cred: &Cred) -> Result<()> {
-    let ns = world
-        .storage
-        .ns(dst.tier, ns_node(world, dst.tier, dst.node));
-    // A later overwrite may need less space; this is the conservative
-    // check urd performs before launching the transfer.
-    let _ = ns;
-    Ok(())
 }
 
 /// Charge the destination quota for the job at plan time.
@@ -390,57 +323,42 @@ pub(crate) fn apply_effects(
     spec: &crate::task::TaskSpec,
     cred: &Cred,
 ) -> Result<()> {
-    match spec.op {
-        TaskOp::Copy | TaskOp::Move => {
-            let out = spec.output.as_ref().expect("validated");
-            if !out.is_memory() {
-                let dst = resolve_side(world, node, out)?;
-                // Collect the source layout.
-                let listing: Vec<(String, u64)> = match &spec.input {
-                    ResourceRef::Memory { size } => vec![(String::new(), *size)],
-                    input => {
-                        let src = resolve_side(world, node, input)?;
-                        let ns = world
-                            .storage
-                            .ns(src.tier, ns_node(world, src.tier, src.node));
-                        ns.walk_files(&src.path, cred)?
-                    }
-                };
-                let dst_node = ns_node(world, dst.tier, dst.node);
-                let ns = world.storage.ns_mut(dst.tier, dst_node);
-                for (rel, size) in &listing {
-                    let target = if rel.is_empty() {
-                        dst.path.clone()
-                    } else {
-                        format!("{}/{}", dst.path.trim_end_matches('/'), rel)
-                    };
-                    ns.write_file(&target, *size, cred, simstore::Mode(0o644))?;
-                }
-            }
-            if spec.op == TaskOp::Move {
-                let src = resolve_side(world, node, &spec.input)?;
-                let src_node = ns_node(world, src.tier, src.node);
-                let freed = world
+    if let Some(out) = spec.output.as_ref().filter(|out| !out.is_memory()) {
+        let dst = resolve_side(world, node, out)?;
+        // Collect the source layout.
+        let listing: Vec<(String, u64)> = match &spec.input {
+            ResourceRef::Memory { size } => vec![(String::new(), *size)],
+            input => {
+                let src = resolve_side(world, node, input)?;
+                let ns = world
                     .storage
-                    .ns_mut(src.tier, src_node)
-                    .remove(&src.path, cred, true)?;
-                world.urds[src.node]
-                    .controller
-                    .release(job, &src.nsid, freed);
+                    .ns(src.tier, ns_node(world, src.tier, src.node));
+                ns.walk_files(&src.path, cred)?
             }
-            Ok(())
-        }
-        TaskOp::Remove => {
-            let side = resolve_side(world, node, &spec.input)?;
-            let side_node = ns_node(world, side.tier, side.node);
-            let freed = world
-                .storage
-                .ns_mut(side.tier, side_node)
-                .remove(&side.path, cred, true)?;
-            world.urds[side.node]
-                .controller
-                .release(job, &side.nsid, freed);
-            Ok(())
+        };
+        let dst_node = ns_node(world, dst.tier, dst.node);
+        let ns = world.storage.ns_mut(dst.tier, dst_node);
+        for (rel, size) in &listing {
+            let target = if rel.is_empty() {
+                dst.path.clone()
+            } else {
+                format!("{}/{}", dst.path.trim_end_matches('/'), rel)
+            };
+            ns.write_file(&target, *size, cred, simstore::Mode(0o644))?;
         }
     }
+    // A `Move` or `Remove` frees its input; a moved memory region stays
+    // the caller's.
+    if spec.op != TaskOp::Copy && !spec.input.is_memory() {
+        let src = resolve_side(world, node, &spec.input)?;
+        let src_node = ns_node(world, src.tier, src.node);
+        let freed = world
+            .storage
+            .ns_mut(src.tier, src_node)
+            .remove(&src.path, cred, true)?;
+        world.urds[src.node]
+            .controller
+            .release(job, &src.nsid, freed);
+    }
+    Ok(())
 }

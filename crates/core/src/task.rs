@@ -12,16 +12,8 @@ pub struct TaskId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-/// Operations supported by `iotask_init` (paper Table I / Listing 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskOp {
-    /// Copy input to output, leaving input in place.
-    Copy,
-    /// Copy then delete the input (stage-out semantics).
-    Move,
-    /// Delete the input resource.
-    Remove,
-}
+/// `iotask_init`'s operations (paper Table I), shared with the admission table.
+pub use norns_sched::shape::TaskOp;
 
 /// Lifecycle of a task inside urd: pending queue → worker → completion
 /// list (paper Fig. 3).

@@ -27,7 +27,7 @@ use bytes::{Bytes, BytesMut};
 
 use norns_proto::{
     decode_tagged, push_frame, CtlRequest, DaemonCommand, DaemonStatus, DataspaceDesc, ErrorCode,
-    FrameReader, JobDesc, Response, TaskSpec, TaskStats, UserRequest, Wire,
+    FrameReader, JobDesc, Response, TaskSpec, TaskStats, UserRequest, Wire, MAX_FRAME_LEN,
 };
 
 /// Client-side failures.
@@ -138,14 +138,23 @@ impl Conn {
     }
 
     /// Write one v7 request — varint tag, request body, optional
-    /// trailing inline memory payload — and return its tag.
+    /// trailing inline memory payload — and return its tag. A request
+    /// that would not fit one frame is `InvalidInput`, before anything
+    /// is written or a tag is spent.
     fn issue(&mut self, request: &impl Wire, payload: Option<&[u8]>) -> ClientResult<u64> {
-        let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        let mut frame = BytesMut::with_capacity(64 + payload.map_or(0, <[u8]>::len));
-        push_frame(&mut frame, Some(tag), request, 0, |frame| {
-            frame.extend_from_slice(payload.unwrap_or_default());
+        let (tag, payload) = (self.next_tag, payload.unwrap_or_default());
+        let mut frame = BytesMut::with_capacity(64 + payload.len());
+        // The length prefix (4 bytes) counts everything behind it.
+        let fits = push_frame(&mut frame, Some(tag), request, 0, |frame| {
+            let fits = frame.len() - 4 + payload.len() <= MAX_FRAME_LEN as usize;
+            frame.extend_from_slice(if fits { payload } else { &[] });
+            fits
         });
+        if !fits {
+            let why = "request frame larger than MAX_FRAME_LEN";
+            return Err(std::io::Error::new(ErrorKind::InvalidInput, why).into());
+        }
+        self.next_tag = tag.wrapping_add(1);
         self.stream.write_all(&frame)?;
         self.pending.insert(tag);
         Ok(tag)

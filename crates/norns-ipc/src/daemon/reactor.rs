@@ -508,14 +508,14 @@ fn service_conn(
 /// submission window, and hand the teardown to a helper thread (the
 /// joins in it must not run on a reactor).
 fn wire_shutdown(shared: &Arc<Shared>, conn: &mut Conn) {
+    // Close the submission window on this thread, not the helper, and
+    // before the Ok leaves: a client that saw the Ok must never get
+    // work accepted — another reactor may serve its next frame while
+    // this one flushes, or before the spawned teardown is scheduled.
+    shared.engine.begin_shutdown();
     // Deliver the Ok before the daemon tears down this connection with
     // everything else.
     flush_blocking(conn, Duration::from_secs(2));
-    // Close the submission window on this thread, not the helper: a
-    // client that saw the Ok must never get work accepted, even if the
-    // spawned teardown is still waiting to be scheduled when its next
-    // frame arrives.
-    shared.engine.begin_shutdown();
     shared.shutdown.store(true, Ordering::SeqCst);
     let helper = std::thread::Builder::new().spawn({
         let shared = Arc::clone(shared);

@@ -5,6 +5,7 @@ use std::fmt;
 use std::io;
 
 use norns_proto::{DataResponse, ErrorCode, Response};
+use norns_sched::shape::Refusal;
 
 /// Why an engine call — or a task, or a data-plane request — failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +38,13 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// A refusal of the admission table both worlds share is `BadArgs`.
+impl From<Refusal> for EngineError {
+    fn from(refusal: Refusal) -> Self {
+        Self::bad_args(refusal.message())
+    }
+}
 
 /// The only errno → wire-code table in the daemon.
 impl From<io::Error> for EngineError {

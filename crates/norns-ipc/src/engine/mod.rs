@@ -92,6 +92,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use norns_proto::{
     DaemonStatus, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats,
 };
+use norns_sched::shape::{self, names_root, Kind, Plugin, Refusal, Shape};
 use norns_sched::{
     ArbitrationPolicy, Fcfs, JobFairShare, PendingTask, Scheduler, ShortestFirst, WeightedPriority,
 };
@@ -246,23 +247,26 @@ enum Outcome {
     Chunked(Box<Chain>),
 }
 
-/// The far end of a remote staging leg: a path in a peer's dataspace.
-struct RemoteEnd {
-    host: String,
-    nsid: String,
-    path: String,
+/// How an admitted task's plugin routes: on this node, or to or from a peer.
+#[derive(Clone, Copy)]
+enum Route {
+    Local,
+    Remote(Direction),
 }
 
-/// How a task's endpoints route through the data plane, decided once
-/// at admission. (The far end is boxed so the local tasks that
-/// dominate the pending set do not carry its three empty strings.)
-enum Route {
-    /// Both endpoints on this node (and every `Remove`).
-    Local,
-    /// `RemotePath` input → local output: fetch from the peer.
-    Pull(Box<RemoteEnd>),
-    /// Local input → `RemotePath` output: send to the peer.
-    Push(Box<RemoteEnd>),
+impl Route {
+    /// The far end of `spec` on this route: peer host, dataspace, path.
+    fn far_end(self, spec: &TaskSpec) -> Option<(&str, &str, &str)> {
+        let end = match self {
+            Route::Local => None,
+            Route::Remote(Direction::Pull) => Some(&spec.input),
+            Route::Remote(Direction::Push) => spec.output.as_ref(),
+        };
+        match end? {
+            ResourceDesc::RemotePath { host, nsid, path } => Some((host, nsid, path)),
+            _ => None,
+        }
+    }
 }
 
 /// Shared daemon state.
@@ -319,6 +323,37 @@ fn unknown_peer(host: &str) -> EngineError {
 
 fn unknown_task(task_id: u64) -> EngineError {
     EngineError::not_found(format!("task {task_id}"))
+}
+
+/// A task's shape, as the admission table reads it.
+fn shape_of(spec: &TaskSpec) -> Shape {
+    let end = |r: &ResourceDesc| match r {
+        ResourceDesc::MemoryRegion { .. } => (Kind::Memory, false),
+        ResourceDesc::PosixPath { path, .. } => (Kind::Local, names_root(path)),
+        ResourceDesc::RemotePath { path, .. } => (Kind::Remote, names_root(path)),
+    };
+    let (input, input_names_root) = end(&spec.input);
+    let op = match spec.op {
+        TaskOp::Copy => shape::TaskOp::Copy,
+        TaskOp::Move => shape::TaskOp::Move,
+        TaskOp::Remove => shape::TaskOp::Remove,
+    };
+    Shape {
+        op,
+        input,
+        output: spec.output.as_ref().map(|r| end(r).0),
+        input_names_root,
+    }
+}
+
+/// Asked wherever this daemon learns that an input is a directory: the
+/// table's verdict, then the gap of a data plane that moves no tree yet.
+pub(crate) fn carries_directory(plugin: Plugin) -> Result<(), Refusal> {
+    plugin.carries_directory()?;
+    if plugin.crosses_network() {
+        return Err(Refusal::TreeAcrossNodes);
+    }
+    Ok(())
 }
 
 /// May `requester` observe or revoke a task `owner` submitted? `None`
@@ -526,44 +561,11 @@ impl Engine {
 
     // ---- task lifecycle ----
 
+    /// Where a dataspace path lives on this host.
     fn resolve(&self, r: &ResourceDesc) -> Result<PathBuf, EngineError> {
         match r {
             ResourceDesc::PosixPath { nsid, path } => self.resolve_local(nsid, path),
-            ResourceDesc::RemotePath { .. } => Err(EngineError::bad_args(
-                "remote endpoint has no local path (routing bug)",
-            )),
-            ResourceDesc::MemoryRegion { .. } => {
-                Err(EngineError::bad_args("memory region has no path"))
-            }
-        }
-    }
-
-    /// Classify a task's endpoints. Rejects the remote combinations
-    /// the data plane does not speak.
-    fn route_of(spec: &TaskSpec) -> Result<Route, EngineError> {
-        let remote_end = |r: &ResourceDesc| match r {
-            ResourceDesc::RemotePath { host, nsid, path } => Some(Box::new(RemoteEnd {
-                host: host.clone(),
-                nsid: nsid.clone(),
-                path: path.clone(),
-            })),
-            _ => None,
-        };
-        match (
-            remote_end(&spec.input),
-            spec.output.as_ref().and_then(remote_end),
-        ) {
-            (Some(_), Some(_)) => Err(EngineError::bad_args(
-                "remote-to-remote relay is not supported; stage through a local dataspace",
-            )),
-            (Some(from), None) => Ok(Route::Pull(from)),
-            (None, Some(_)) if matches!(spec.input, ResourceDesc::MemoryRegion { .. }) => {
-                Err(EngineError::bad_args(
-                    "memory → remote staging is not supported; stage to a local dataspace first",
-                ))
-            }
-            (None, Some(to)) => Ok(Route::Push(to)),
-            (None, None) => Ok(Route::Local),
+            other => Err(EngineError::bad_args(format!("no local path: {other:?}"))),
         }
     }
 
@@ -571,6 +573,9 @@ impl Engine {
     /// `payload` carries the caller's buffer for memory-to-path
     /// transfers (the wire protocol ships the bytes; the real C API
     /// uses `process_vm_readv`).
+    ///
+    /// The task's shape is judged by the admission table the simulator
+    /// asks too (`norns_sched::shape`); its plugin maps to a route here.
     ///
     /// Admission control: rejects with [`ErrorCode::NotRegistered`]
     /// while paused, and with [`ErrorCode::Busy`] when the bounded
@@ -590,7 +595,16 @@ impl Engine {
         if !self.accepting.load(Ordering::SeqCst) {
             return Err(EngineError::new(ErrorCode::NotRegistered, "daemon paused"));
         }
-        let route = Self::route_of(&spec);
+        let plugin = shape::admit(shape_of(&spec))?;
+        let route = match plugin {
+            Plugin::Removal | Plugin::MemoryToLocal | Plugin::LocalToLocal => Route::Local,
+            Plugin::RemoteToLocal => Route::Remote(Direction::Pull),
+            Plugin::LocalToRemote => Route::Remote(Direction::Push),
+            // Not executed here yet (ROADMAP item 11).
+            Plugin::MemoryToRemote | Plugin::RemoteToMemory => {
+                return Err(Refusal::MemoryAcrossNodes.into())
+            }
+        };
         // Durability modes (v8) only make sense for a local stage-out,
         // a copy or a move alike: the landed output file is what the
         // background queue pushes. Everything else must say
@@ -599,7 +613,7 @@ impl Engine {
             match (&spec.output, spec.durability) {
                 (_, Durability::LocalOnly) => None,
                 (Some(ResourceDesc::PosixPath { nsid, path }), durability)
-                    if matches!(route, Ok(Route::Local)) =>
+                    if matches!(route, Route::Local) =>
                 {
                     Some(ReplRole::Requested(ReplRequest {
                         synchronous: durability == Durability::Synchronous,
@@ -612,52 +626,28 @@ impl Engine {
                     "durability modes apply only to local stage-outs with a dataspace-path output",
                 )),
             };
-        // Shape validation mirrors the simulated controller.
-        let (route, bytes_total) = match spec.op {
-            TaskOp::Remove => {
-                if spec.output.is_some() {
-                    return Err(EngineError::bad_args("remove takes no output"));
-                }
-                if matches!(spec.input, ResourceDesc::RemotePath { .. }) {
-                    return Err(EngineError::bad_args(
-                        "remote remove is not supported; submit it on the owning daemon",
-                    ));
-                }
-                self.resolve(&spec.input)?;
-                (Route::Local, 0)
+        if let Some((host, ..)) = route.far_end(&spec) {
+            // Unknown peers are a submission error, not a task
+            // failure: fail fast with NotFound.
+            self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
+        }
+        let bytes_total = match (route, &spec.output) {
+            (Route::Local, Some(out)) => {
+                self.validate_local(&spec.input, out, payload.as_deref())?
             }
-            TaskOp::Copy | TaskOp::Move => {
-                let out = spec
-                    .output
-                    .as_ref()
-                    .ok_or_else(|| EngineError::bad_args("copy/move require an output"))?;
-                let route = route?;
-                let bytes_total = match &route {
-                    Route::Local => self.validate_local(&spec.input, out, payload.as_deref())?,
-                    Route::Pull(end) | Route::Push(end) => {
-                        // Unknown peers are a submission error, not a
-                        // task failure: fail fast with NotFound.
-                        self.peer_addr(&end.host)
-                            .ok_or_else(|| unknown_peer(&end.host))?;
-                        if matches!(route, Route::Pull(_)) {
-                            // Local destination must resolve; the
-                            // remote size is only known once a worker
-                            // probes the peer, so the estimate stays 0
-                            // ("unknown" to SJF).
-                            self.resolve(out)?;
-                            0
-                        } else {
-                            let meta = fs::metadata(self.resolve(&spec.input)?)?;
-                            if meta.is_dir() {
-                                return Err(EngineError::bad_args(
-                                    "directory trees cannot be staged to a remote node",
-                                ));
-                            }
-                            meta.len()
-                        }
-                    }
-                };
-                (route, bytes_total)
+            (Route::Remote(Direction::Push), _) => {
+                let meta = fs::metadata(self.resolve(&spec.input)?)?;
+                if meta.is_dir() {
+                    carries_directory(plugin)?;
+                }
+                meta.len()
+            }
+            // A `Removal`'s input or a pull's destination must resolve;
+            // a pull's remote size is only known once a worker probes
+            // the peer, so its estimate stays 0 ("unknown" to SJF).
+            (_, out) => {
+                self.resolve(out.as_ref().unwrap_or(&spec.input))?;
+                0
             }
         };
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
@@ -916,7 +906,7 @@ impl Engine {
                     spec,
                     payload,
                     route,
-                } => self.execute_whole(pending.task, &spec, payload.as_deref(), &route),
+                } => self.execute_whole(pending.task, &spec, payload.as_deref(), route),
                 Work::Chunk(chain) => Some(chain.step()),
             };
             self.finish_dispatch(&pending, step);
@@ -973,7 +963,7 @@ impl Engine {
         task_id: u64,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
-        route: &Route,
+        route: Route,
     ) -> Option<Step> {
         let start = Instant::now();
         let (progress, abort) = self
@@ -1083,12 +1073,13 @@ impl Engine {
         task_id: u64,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
-        route: &Route,
+        route: Route,
         progress: &Arc<AtomicU64>,
         abort: &Arc<AtomicBool>,
     ) -> Result<Outcome, EngineError> {
-        let (input, out) = match (spec.op, &spec.output, route) {
-            (TaskOp::Remove, ..) => {
+        let (input, out) = match (&spec.output, route) {
+            // A `Removal`, the one plugin without an output.
+            (None, _) => {
                 let path = self.resolve(&spec.input)?;
                 // symlink_metadata: removing a symlink removes the
                 // link, never its target's tree.
@@ -1099,18 +1090,18 @@ impl Engine {
                 }
                 return Ok(Outcome::Done(0));
             }
-            (_, None, _) => return Err(EngineError::bad_args("copy/move require an output")),
             // Planning does network round-trips — a size probe for
             // pulls, a preallocating `Prepare` for pushes — which is
             // why it runs here on a worker and not in `submit`.
-            (op, Some(out), Route::Pull(from)) => {
-                return self.plan_remote(task_id, op, Direction::Pull, from, out, progress, abort)
+            (Some(out), Route::Remote(direction)) => {
+                let local = if direction == Direction::Pull {
+                    out
+                } else {
+                    &spec.input
+                };
+                return self.plan_remote(task_id, spec, direction, local, progress, abort);
             }
-            (op, Some(_), Route::Push(to)) => {
-                let input = &spec.input;
-                return self.plan_remote(task_id, op, Direction::Push, to, input, progress, abort);
-            }
-            (_, Some(out), Route::Local) => (&spec.input, out),
+            (Some(out), Route::Local) => (&spec.input, out),
         };
         let dst = self.resolve(out)?;
         if let ResourceDesc::MemoryRegion { .. } = input {
@@ -1167,30 +1158,28 @@ impl Engine {
     }
 
     /// Plan a remote staging transfer between `local` on this node and
-    /// `remote` on a peer.
-    #[allow(clippy::too_many_arguments)]
+    /// the far end of `spec` on a peer.
     fn plan_remote(
         &self,
         task_id: u64,
-        op: TaskOp,
+        spec: &TaskSpec,
         direction: Direction,
-        remote: &RemoteEnd,
         local: &ResourceDesc,
         progress: &Arc<AtomicU64>,
         abort: &Arc<AtomicBool>,
     ) -> Result<Outcome, EngineError> {
+        let far_end = Route::Remote(direction).far_end(spec);
+        let (host, nsid, path) = far_end.ok_or_else(|| EngineError::bad_args("no remote end"))?;
         // Re-resolved at execution: the registry may have changed since
         // submission.
-        let addr = self
-            .peer_addr(&remote.host)
-            .ok_or_else(|| unknown_peer(&remote.host))?;
+        let addr = self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
         let plan = RemoteTransfer::plan(
             task_id,
-            op,
+            spec.op,
             direction,
             &addr,
-            &remote.nsid,
-            &remote.path,
+            nsid,
+            path,
             &self.resolve(local)?,
             self.chunk_size,
             Arc::clone(progress),
@@ -2194,6 +2183,32 @@ mod tests {
             op: TaskOp::Move,
             ..copy_spec(path_in, path_out)
         }
+    }
+
+    /// A `Remove` of a dataspace root used to delete the mount and
+    /// everything in it: the table refuses every spelling of the root,
+    /// for a `Move` too, and listing the root still works.
+    #[test]
+    fn a_dataspace_root_is_never_removed_or_moved() {
+        let (engine, root) = engine_with_ds("root-remove");
+        fs::write(root.join("tmp0/keep"), b"kept").unwrap();
+        let tmp0 = |path: &str| ResourceDesc::PosixPath {
+            nsid: "tmp0".into(),
+            path: path.into(),
+        };
+        for path in ["", ".", "./", "./."] {
+            for (op, out) in [(TaskOp::Remove, None), (TaskOp::Move, Some(tmp0("x")))] {
+                let refused = engine.submit(1, TaskSpec::new(op, tmp0(path), out), None);
+                assert_eq!(
+                    refused,
+                    Err(Refusal::DataspaceRoot.into()),
+                    "{op:?} {path:?}"
+                );
+            }
+        }
+        assert_eq!(fs::read(root.join("tmp0/keep")).unwrap(), b"kept");
+        assert_eq!(engine.list_dir("tmp0", "").unwrap(), ["keep"]);
+        engine.shutdown();
     }
 
     /// Regression: any failed `rename` used to fall back to

@@ -84,7 +84,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use norns_proto::{DataRequest, DataResponse, ErrorCode, TaskOp, MAX_DATA_RANGE};
+use norns_sched::shape::Plugin;
 
+use super::carries_directory;
 use super::error::EngineError;
 use super::transfer::{preallocate, truncated, with_parent, Chain, RangeMover};
 use conn::{DataConn, HeldConn};
@@ -197,10 +199,7 @@ impl RemoteTransfer {
                 let local = File::open(local_path)?;
                 let meta = local.metadata()?;
                 if meta.is_dir() {
-                    return Err(EngineError::new(
-                        ErrorCode::BadArgs,
-                        "directory trees cannot be staged to a remote node",
-                    ));
+                    carries_directory(Plugin::LocalToRemote)?;
                 }
                 let prepare = DataRequest::Prepare {
                     nsid: nsid.into(),

@@ -27,7 +27,9 @@ use parking_lot::Mutex;
 use norns_proto::{
     push_frame, DataRequest, DataResponse, ErrorCode, FrameError, FrameReader, MAX_DATA_RANGE,
 };
+use norns_sched::shape::Plugin;
 
+use super::super::carries_directory;
 use super::super::error::EngineError;
 use super::super::transfer::{preallocate, with_parent};
 use super::super::Engine;
@@ -204,11 +206,10 @@ fn handle_data(
     let response = match request {
         DataRequest::Stat { nsid, path } => {
             let meta = fs::metadata(engine.resolve_local(&nsid, &path)?)?;
+            // Only the peer sees what a pull names: its directory
+            // verdict is the pulling task's terminal error.
             if meta.is_dir() {
-                return Err(EngineError::new(
-                    ErrorCode::BadArgs,
-                    "directory trees cannot be staged remotely",
-                ));
+                carries_directory(Plugin::RemoteToLocal)?;
             }
             DataResponse::Stat { size: meta.len() }
         }

@@ -15,9 +15,10 @@ use std::sync::atomic::Ordering;
 
 use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState};
 
+use super::remote::Direction;
 use super::shard::TaskEntry;
 use super::transfer::PlanOutcome;
-use super::{Engine, EngineError, REPLICA_OWNER};
+use super::{Engine, EngineError, Route, REPLICA_OWNER};
 
 /// Replication a qualifying stage-out asked for at submission,
 /// held until its local leg lands (v8 durability modes).
@@ -135,9 +136,8 @@ impl Engine {
         .with_priority(req.priority);
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
         let role = ReplRole::ReplicaOf { parent, bytes };
-        let admitted = Self::route_of(&spec).and_then(|route| {
-            self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route, Some(role))
-        });
+        let route = Route::Remote(Direction::Push);
+        let admitted = self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route, Some(role));
         if let (Err(e), Some(parent)) = (admitted, parent) {
             self.settle_parent(parent, Some(e));
         }

@@ -10,7 +10,7 @@ use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon, UserClient};
 use norns_proto::{
     decode_tagged, encode_frame, encode_tagged, BackendKind, CtlRequest, DaemonCommand,
     DataspaceDesc, Durability, ErrorCode, FrameReader, JobDesc, ResourceDesc, Response, TaskOp,
-    TaskSpec, TaskState, DEFAULT_PRIORITY,
+    TaskSpec, TaskState, DEFAULT_PRIORITY, MAX_FRAME_LEN,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -77,6 +77,43 @@ fn listing2_flow_over_real_sockets() {
     assert_eq!(stats.bytes_moved, buffer.len() as u64);
     let written = std::fs::read(root.join("tmp0/path/to/output")).unwrap();
     assert_eq!(written, buffer);
+}
+
+/// A payload too large for one frame is the caller's `InvalidInput`,
+/// returned before a byte is written or a tag is spent: both clients'
+/// connections go on answering behind it.
+#[test]
+fn an_oversized_payload_is_refused_before_anything_is_sent() {
+    let (daemon, root) = start("oversized");
+    let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
+    setup_dataspace(&mut ctl, &root);
+    let buffer = vec![0u8; MAX_FRAME_LEN as usize];
+    let spec = TaskSpec::new(
+        TaskOp::Copy,
+        ResourceDesc::MemoryRegion {
+            addr: 0,
+            size: buffer.len() as u64,
+        },
+        Some(ResourceDesc::PosixPath {
+            nsid: "tmp0".into(),
+            path: "big".into(),
+        }),
+    );
+    let invalid_input = |r: norns_ipc::ClientResult<u64>| match r {
+        Err(norns_ipc::ClientError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput)
+        }
+        other => panic!("expected InvalidInput, got {other:?}"),
+    };
+    invalid_input(ctl.submit(1, spec.clone(), Some(&buffer)));
+    assert_eq!(ctl.in_flight(), 0);
+    ctl.ping().unwrap();
+    let mut user = UserClient::with_pid(&daemon.user_path, 777).unwrap();
+    invalid_input(user.submit(spec, Some(&buffer)));
+    assert_eq!(user.in_flight(), 0);
+    assert_eq!(user.dataspaces().unwrap().len(), 1);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

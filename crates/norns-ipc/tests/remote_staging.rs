@@ -13,6 +13,7 @@ use norns_proto::{
     encode_frame, BackendKind, DataRequest, DataResponse, DataspaceDesc, ErrorCode, FrameReader,
     ResourceDesc, TaskOp, TaskSpec, TaskState, Wire, MAX_DATA_RANGE,
 };
+use norns_sched::shape::Refusal;
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("norns-remote-{tag}-{}", std::process::id()));
@@ -635,11 +636,14 @@ fn unsupported_remote_combinations_are_rejected() {
         DaemonConfig::in_dir(temp_root("combo-b").join("sockets")),
     );
     std::fs::write(mount_a.join("src.dat"), b"payload").unwrap();
-    let expect_badargs = |r: Result<u64, norns_ipc::ClientError>, what: &str| match r {
-        Err(norns_ipc::ClientError::Remote { code, .. }) => {
-            assert_eq!(code, ErrorCode::BadArgs, "{what}")
+    let expect_badargs = |r: Result<u64, norns_ipc::ClientError>, refusal: Refusal| match r {
+        Err(norns_ipc::ClientError::Remote { code, message }) => {
+            assert_eq!(
+                (code, message.as_str()),
+                (ErrorCode::BadArgs, refusal.message())
+            )
         }
-        other => panic!("{what}: expected BadArgs, got {other:?}"),
+        other => panic!("{refusal:?}: expected BadArgs, got {other:?}"),
     };
     // Remote → remote relay.
     expect_badargs(
@@ -652,7 +656,7 @@ fn unsupported_remote_combinations_are_rejected() {
             ),
             None,
         ),
-        "remote-to-remote",
+        Refusal::RemoteToRemote,
     );
     // Remote remove.
     expect_badargs(
@@ -661,7 +665,7 @@ fn unsupported_remote_combinations_are_rejected() {
             TaskSpec::new(TaskOp::Remove, remote("nodeb", "nodeb-ds", "x"), None),
             None,
         ),
-        "remote remove",
+        Refusal::RemoteRemove,
     );
     // Memory region → remote.
     expect_badargs(
@@ -674,7 +678,7 @@ fn unsupported_remote_combinations_are_rejected() {
             ),
             Some(b"abc"),
         ),
-        "memory to remote",
+        Refusal::MemoryAcrossNodes,
     );
 }
 

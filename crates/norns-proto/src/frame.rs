@@ -69,8 +69,9 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// `payload_len` bytes. Senders do not call this: [`push_frame`] is
 /// the one place a header is laid down and sized.
 pub fn frame_header(payload_len: usize) -> [u8; 5] {
+    // In `usize`: a `u32` sum would wrap above 4 GiB.
+    assert!(payload_len < MAX_FRAME_LEN as usize, "frame too large");
     let len = payload_len as u32 + 1;
-    assert!(len <= MAX_FRAME_LEN, "frame too large");
     let l = len.to_le_bytes();
     [l[0], l[1], l[2], l[3], PROTOCOL_VERSION]
 }

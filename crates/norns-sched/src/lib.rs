@@ -16,7 +16,9 @@
 //! the submission timestamp `S` (simulated time on the sim path,
 //! microseconds-since-start on the real path); policies only inspect
 //! sizes, priorities, job keys and submission order, so one policy
-//! implementation serves both worlds.
+//! serves both worlds — as one admission table ([`shape`]) does.
+
+pub mod shape;
 
 use std::collections::VecDeque;
 use std::fmt;

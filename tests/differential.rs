@@ -544,3 +544,356 @@ mod scatter_gather {
         assert!(!real_held, "real-mode gather frees its sources");
     }
 }
+
+/// The admission differential: every task shape — 3 ops × {memory,
+/// local, remote} input × {none, memory, local, remote} output × a
+/// file, directory or dataspace-root input — submitted to a simulated
+/// two-node cluster and to two live daemons. The simulator must give
+/// the one admission table's verdict (`norns_sched::shape`) on every
+/// row; the daemon must too, except on the rows it lists as not
+/// executed yet, which it refuses with that gap's message. A memory
+/// region is never a directory or a root, so its rows come once.
+///
+/// A verdict is `Ok` for a task that finished, or the `BadArgs`
+/// message it was refused with — at submission, or as the task's
+/// terminal error where only execution learns the input is a
+/// directory (a pull: only the peer sees what it names).
+mod admission {
+    use std::fs;
+    use std::path::{Path, PathBuf};
+
+    use norns::sim::ops;
+    use norns::{
+        ApiSource, HasNorns, JobId, JobSpec, NornsError, NornsWorld, ResourceRef, TaskCompletion,
+    };
+    use norns_ipc::{DaemonConfig, UrdDaemon};
+    use norns_proto::{BackendKind, DataspaceDesc, ErrorCode, ResourceDesc, TaskSpec, TaskState};
+    use norns_sched::shape::{admit, Kind, Plugin, Refusal, Shape, TaskOp};
+    use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim};
+    use simstore::{Cred, Mode};
+
+    /// Bytes in every input file and memory region.
+    const SIZE: u64 = 4096;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Form {
+        File,
+        Directory,
+        Root,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Row {
+        op: TaskOp,
+        input: Kind,
+        output: Option<Kind>,
+        form: Form,
+    }
+
+    /// Every shape, each row with its own index (its input and output
+    /// names).
+    fn rows() -> Vec<Row> {
+        let mut rows = Vec::new();
+        for op in [TaskOp::Copy, TaskOp::Move, TaskOp::Remove] {
+            for input in [Kind::Memory, Kind::Local, Kind::Remote] {
+                for output in [
+                    None,
+                    Some(Kind::Memory),
+                    Some(Kind::Local),
+                    Some(Kind::Remote),
+                ] {
+                    let forms: &[Form] = match input {
+                        Kind::Memory => &[Form::File],
+                        _ => &[Form::File, Form::Directory, Form::Root],
+                    };
+                    for &form in forms {
+                        rows.push(Row {
+                            op,
+                            input,
+                            output,
+                            form,
+                        });
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    type Verdict = Result<(), String>;
+
+    fn shape(row: Row) -> Shape {
+        Shape {
+            op: row.op,
+            input: row.input,
+            output: row.output,
+            input_names_root: row.form == Form::Root,
+        }
+    }
+
+    /// The table's verdict: the shape, then — for a directory or a
+    /// root — whether its plugin carries a directory.
+    fn table(row: Row) -> Result<Plugin, Refusal> {
+        let plugin = admit(shape(row))?;
+        if row.form != Form::File {
+            plugin.carries_directory()?;
+        }
+        Ok(plugin)
+    }
+
+    /// The rows the table admits that the daemon does not execute yet:
+    /// memory to or from another node (whatever the input turns out to
+    /// be: the daemon never looks), and a tree across nodes.
+    fn daemon_gap(row: Row) -> Option<Refusal> {
+        match admit(shape(row)) {
+            Ok(Plugin::MemoryToRemote | Plugin::RemoteToMemory) => Some(Refusal::MemoryAcrossNodes),
+            Ok(Plugin::LocalToRemote | Plugin::RemoteToLocal) if row.form != Form::File => {
+                Some(Refusal::TreeAcrossNodes)
+            }
+            _ => None,
+        }
+    }
+
+    fn message(refusal: Refusal) -> String {
+        refusal.message().to_string()
+    }
+
+    /// The input path of row `i` (created by each world's `seed`).
+    fn input_path(i: usize, form: Form) -> String {
+        match form {
+            Form::File => format!("f{i}"),
+            Form::Directory => format!("d{i}"),
+            Form::Root => String::new(),
+        }
+    }
+
+    // ---- the simulated cluster: `lustre` on node 0 (input), `pmdk0`
+    // on both nodes (node 0's is the local output, node 1's the
+    // remote end) ----
+
+    struct Model {
+        world: NornsWorld,
+    }
+
+    impl FluidModel for Model {
+        fn fluid_mut(&mut self) -> &mut FluidSystem {
+            &mut self.world.fluid
+        }
+        fn on_flow_complete(sim: &mut Sim<Self>, done: CompletedFlow) {
+            norns::handle_flow_complete(sim, done);
+        }
+    }
+
+    impl HasNorns for Model {
+        fn norns_mut(&mut self) -> &mut NornsWorld {
+            &mut self.world
+        }
+        fn on_task_complete(_sim: &mut Sim<Self>, _completion: TaskCompletion) {}
+    }
+
+    fn sim_cluster() -> Sim<Model> {
+        let world = cluster::nextgenio_quiet(2).world;
+        let mut sim = Sim::new(Model { world }, 11);
+        for node in 0..2 {
+            ops::register_dataspace(&mut sim, node, "lustre", "lustre", false).unwrap();
+            ops::register_dataspace(&mut sim, node, "pmdk0", "pmdk0", false).unwrap();
+        }
+        let job = JobSpec {
+            id: JobId(1),
+            hosts: vec![0, 1],
+            limits: vec![("lustre".into(), 0), ("pmdk0".into(), 0)],
+            cred: Cred::new(1000, 1000),
+        };
+        ops::register_job(&mut sim, job).unwrap();
+        sim
+    }
+
+    fn sim_spec(sim: &mut Sim<Model>, i: usize, row: Row) -> norns::TaskSpec {
+        let path = input_path(i, row.form);
+        let (tier, node) = match row.input {
+            Kind::Remote => ("pmdk0", Some(1)),
+            _ => ("lustre", None),
+        };
+        let files = match row.form {
+            Form::File => vec![path.clone()],
+            Form::Directory => vec![format!("{path}/a"), format!("{path}/b")],
+            Form::Root => vec![],
+        };
+        let world = &mut sim.model.world;
+        let tier = world.storage.resolve(tier).unwrap();
+        for file in &files {
+            let cred = Cred::new(1000, 1000);
+            let ns = world.storage.ns_mut(tier, node);
+            ns.write_file(file, SIZE, &cred, Mode(0o644)).unwrap();
+        }
+        // A local input is on `lustre`, a local output on `pmdk0`.
+        let end = |kind: Kind, local: &str, path: String| match kind {
+            Kind::Memory => ResourceRef::memory(SIZE),
+            Kind::Local => ResourceRef::local(local, path),
+            Kind::Remote => ResourceRef::remote(1, "pmdk0", path),
+        };
+        norns::TaskSpec {
+            op: row.op,
+            priority: norns_sched::DEFAULT_PRIORITY,
+            input: end(row.input, "lustre", path),
+            output: row.output.map(|kind| end(kind, "pmdk0", format!("o{i}"))),
+        }
+    }
+
+    fn sim_verdict(sim: &mut Sim<Model>, spec: norns::TaskSpec) -> Verdict {
+        let source = ApiSource::Control;
+        let id = match ops::submit_task(sim, 0, JobId(1), source, spec, 0) {
+            Ok(id) => id,
+            Err(NornsError::BadArgs(why)) => return Err(why),
+            Err(e) => panic!("sim refused with {e:?}"),
+        };
+        loop {
+            let task = sim.model.world.urds[0].task(id).unwrap();
+            if task.state.is_terminal() {
+                return match &task.error {
+                    None => Ok(()),
+                    Some(NornsError::BadArgs(why)) => Err(why.clone()),
+                    Some(e) => panic!("sim task failed with {e:?}"),
+                };
+            }
+            assert!(sim.step(), "the sim ran dry before the task ended");
+        }
+    }
+
+    // ---- the live cluster: node A holds `lustre` (input) and `pmdk0`
+    // (local output), node B its own `pmdk0` (the remote end) ----
+
+    struct Live {
+        root: PathBuf,
+        a: UrdDaemon,
+        _b: UrdDaemon,
+    }
+
+    fn daemon(root: &Path, name: &str, dataspaces: &[&str]) -> UrdDaemon {
+        let config = DaemonConfig::in_dir(root.join(name).join("sockets"));
+        let daemon = UrdDaemon::spawn(config.with_data_addr("127.0.0.1:0")).unwrap();
+        for nsid in dataspaces {
+            let mount = root.join(name).join(nsid);
+            fs::create_dir_all(&mount).unwrap();
+            let desc = DataspaceDesc {
+                nsid: nsid.to_string(),
+                kind: BackendKind::PosixFilesystem,
+                mount: mount.to_string_lossy().into_owned(),
+                quota: 0,
+                tracked: false,
+            };
+            daemon.engine().register_dataspace(desc).unwrap();
+        }
+        daemon
+    }
+
+    fn live_cluster() -> Live {
+        let root =
+            std::env::temp_dir().join(format!("norns-diff-admission-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let a = daemon(&root, "a", &["lustre", "pmdk0"]);
+        let b = daemon(&root, "b", &["pmdk0"]);
+        let b_addr = b.data_addr().unwrap().to_string();
+        a.engine().register_peer("nodeb", b_addr);
+        Live { root, a, _b: b }
+    }
+
+    fn live_spec(live: &Live, i: usize, row: Row) -> (TaskSpec, Option<Vec<u8>>) {
+        let path = input_path(i, row.form);
+        let mount = match row.input {
+            Kind::Remote => live.root.join("b/pmdk0"),
+            _ => live.root.join("a/lustre"),
+        };
+        match row.form {
+            Form::File => fs::write(mount.join(&path), [7u8; SIZE as usize]).unwrap(),
+            Form::Directory => {
+                fs::create_dir_all(mount.join(&path)).unwrap();
+                for leaf in ["a", "b"] {
+                    fs::write(mount.join(&path).join(leaf), [7u8; SIZE as usize]).unwrap();
+                }
+            }
+            Form::Root => {}
+        }
+        let end = |kind: Kind, local: &str, path: String| match kind {
+            Kind::Memory => ResourceDesc::MemoryRegion {
+                addr: 0,
+                size: SIZE,
+            },
+            Kind::Local => ResourceDesc::PosixPath {
+                nsid: local.into(),
+                path,
+            },
+            Kind::Remote => ResourceDesc::RemotePath {
+                host: "nodeb".into(),
+                nsid: "pmdk0".into(),
+                path,
+            },
+        };
+        let op = match row.op {
+            TaskOp::Copy => norns_proto::TaskOp::Copy,
+            TaskOp::Move => norns_proto::TaskOp::Move,
+            TaskOp::Remove => norns_proto::TaskOp::Remove,
+        };
+        let output = row.output.map(|kind| end(kind, "pmdk0", format!("o{i}")));
+        let payload = (row.input == Kind::Memory).then(|| vec![7u8; SIZE as usize]);
+        (
+            TaskSpec::new(op, end(row.input, "lustre", path), output),
+            payload,
+        )
+    }
+
+    fn live_verdict(live: &Live, spec: TaskSpec, payload: Option<Vec<u8>>) -> Verdict {
+        let engine = live.a.engine();
+        let id = match engine.submit(1, spec, payload) {
+            Ok(id) => id,
+            Err(e) if e.code == ErrorCode::BadArgs => return Err(e.message),
+            Err(e) => panic!("daemon refused with {e}"),
+        };
+        let stats = engine.wait(id, 0).unwrap();
+        match (stats.state, stats.error) {
+            (TaskState::Finished, _) => Ok(()),
+            (TaskState::FinishedWithError, ErrorCode::BadArgs) => {
+                Err(engine.error_message(id).unwrap())
+            }
+            other => panic!(
+                "daemon task ended {other:?}: {:?}",
+                engine.error_message(id)
+            ),
+        }
+    }
+
+    #[test]
+    fn every_shape_gets_the_tables_verdict_in_both_worlds() {
+        let rows = rows();
+        assert_eq!(rows.len(), 3 * 4 * (1 + 2 * 3), "every shape, once");
+        let mut sim = sim_cluster();
+        let live = live_cluster();
+        let (mut wrong, mut admitted) = (Vec::new(), (0, 0));
+        for (i, &row) in rows.iter().enumerate() {
+            let verdict = table(row);
+            let want_sim: Verdict = verdict.map(drop).map_err(message);
+            let want_live = daemon_gap(row).map_or(want_sim.clone(), |gap| Err(message(gap)));
+            let spec = sim_spec(&mut sim, i, row);
+            let got_sim = sim_verdict(&mut sim, spec);
+            let (spec, payload) = live_spec(&live, i, row);
+            let got_live = live_verdict(&live, spec, payload);
+            admitted.0 += usize::from(got_sim.is_ok());
+            admitted.1 += usize::from(got_live.is_ok());
+            if got_sim != want_sim || got_live != want_live {
+                wrong.push(format!(
+                    "{row:?}: table {verdict:?}; sim {got_sim:?}; daemon {got_live:?}"
+                ));
+            }
+        }
+        drop(live.a);
+        let _ = fs::remove_dir_all(&live.root);
+        assert!(wrong.is_empty(), "verdicts differ:\n{}", wrong.join("\n"));
+        // Both worlds follow the table, so a flipped row would pass the
+        // comparison above; the counts pin the table itself.
+        assert_eq!(
+            admitted,
+            (23, 13),
+            "shapes run by the simulator and by the daemon"
+        );
+    }
+}
