@@ -23,21 +23,20 @@
 //!   parked in the waited task's entry, so a completion wakes exactly
 //!   its own waiters and takes no lock but its own shard's. Deadlines
 //!   belong to whoever waits: the engine owns no clock.
-//! * [`transfer`] — the local data plane: transfers larger than the
-//!   configured chunk size are decomposed into chunk *sub-units* fed
-//!   back through the scheduler one at a time — the worker that
-//!   finishes a chunk issues the next — so the policy re-arbitrates
-//!   every `chunk_size` (under fair-share or SJF a huge file cannot
-//!   monopolize a worker), a cancel lands between chunks, and the
-//!   rest of the pool stays free for *other* tasks: one destination
-//!   inode takes one writer at a time, so the pool's parallelism is
-//!   across files, not inside one. A chunked copy with both files on
-//!   ext4 maps each unit's source and lands it with one `pwrite`;
-//!   other byte ranges move zero-copy via `copy_file_range` with a
-//!   pooled-buffer fallback; `Move` degrades
-//!   to `rename()` when source and destination share a filesystem;
-//!   and a per-task atomic advances `bytes_moved` live, making
-//!   `query()` a real progress API.
+//! * [`transfer`] — the local data plane: every local copy, one file
+//!   of any size or a whole tree, is planned once into a chain of
+//!   units of up to `chunk_size` bytes, fed back through the scheduler
+//!   one at a time — the worker that finishes a unit issues the next —
+//!   so the policy re-arbitrates every `chunk_size` (a huge file or
+//!   tree cannot monopolize a worker), a cancel lands between units,
+//!   `bytes_total` is exact from the plan, and the rest of the pool
+//!   stays free for *other* tasks: one destination inode takes one
+//!   writer at a time, so the pool's parallelism is across transfers.
+//!   A file longer than a chunk with both ends on ext4 maps each
+//!   unit's source and lands it with one `pwrite`; other ranges move
+//!   zero-copy via `copy_file_range` with a pooled-buffer fallback; a
+//!   `Move` is a `rename()` when both ends share a filesystem; and a
+//!   per-task atomic advances `bytes_moved` live.
 //!
 //!   A `Move` has one rule on every route: its source is freed only
 //!   after every byte has landed, and a Move that fails or is
@@ -107,7 +106,7 @@ use registry::Registry;
 use remote::{Direction, RemoteTransfer};
 use replication::{ReplRequest, ReplRole};
 use shard::{Settled, ShardedTaskTable, TaskEntry};
-use transfer::{copy_tree, with_parent, Chain, ChunkedCopy, End, PlanOutcome, Step};
+use transfer::{with_parent, Chain, End, LocalCopy, PlanOutcome, Step};
 
 /// Default bound on the pending task set.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -219,8 +218,8 @@ enum Work {
         payload: Option<Vec<u8>>,
         route: Route,
     },
-    /// The issued unit of a decomposed transfer (local chunked copy or
-    /// remote staging): the chain itself, owned by whoever holds it.
+    /// The issued unit of a decomposed transfer (a local copy or remote
+    /// staging): the chain itself, owned by whoever holds it.
     Chunk(Box<Chain>),
 }
 
@@ -978,9 +977,13 @@ impl Engine {
         self.running_count.fetch_add(1, Ordering::SeqCst);
         let outcome = match self.run_transfer(task_id, spec, payload, route, &progress, &abort) {
             Ok(Outcome::Chunked(chain)) => {
-                // The chain honors the abort flag: from here on a cancel
-                // interrupts the transfer mid-stream.
-                self.tasks.update(task_id, |t| t.abortable = true);
+                // From here a cancel interrupts the transfer between
+                // units, and `bytes_total` is the plan's, not an estimate.
+                let size = chain.size();
+                self.tasks.update(task_id, |t| {
+                    t.abortable = true;
+                    t.stats.bytes_total = size;
+                });
                 return Some(chain.step());
             }
             Ok(Outcome::Done(moved)) => PlanOutcome::Done(moved),
@@ -1065,9 +1068,10 @@ impl Engine {
         self.settle(t)
     }
 
-    /// Execute (or plan) one transfer. Large single-file copies and
-    /// every remote transfer return [`Outcome::Chunked`] instead of
-    /// blocking this worker for the whole file.
+    /// Execute (or plan) one transfer. Every copy that moves file
+    /// bytes — local, a file or a tree, or remote — returns
+    /// [`Outcome::Chunked`] instead of blocking this worker for the
+    /// whole transfer; a removal, a memory write and a rename end here.
     fn run_transfer(
         &self,
         task_id: u64,
@@ -1113,8 +1117,8 @@ impl Engine {
         }
         // Table II: local path ⇒ local path.
         let src = self.resolve(input)?;
-        let meta = fs::symlink_metadata(&src)?;
         if spec.op == TaskOp::Move {
+            let meta = fs::symlink_metadata(&src)?;
             match with_parent(&dst, |dst| fs::rename(&src, dst)) {
                 Ok(()) => {
                     // Same-filesystem move: a rename moves no bytes;
@@ -1132,29 +1136,9 @@ impl Engine {
                 Err(e) => return Err(e.into()),
             }
         }
-        // Cross-filesystem move (EXDEV) or plain copy.
-        if meta.is_file() && meta.len() > self.chunk_size {
-            let plan = ChunkedCopy::plan(
-                task_id,
-                spec.op,
-                &src,
-                &dst,
-                meta.len(),
-                self.chunk_size,
-                Arc::clone(progress),
-                Arc::clone(abort),
-            )?;
-            return Ok(Outcome::Chunked(plan));
-        }
-        let moved = copy_tree(&src, &dst, progress)?;
-        if spec.op == TaskOp::Move {
-            if meta.is_dir() {
-                fs::remove_dir_all(&src)?;
-            } else {
-                fs::remove_file(&src)?;
-            }
-        }
-        Ok(Outcome::Done(moved))
+        // Cross-filesystem move (EXDEV) or plain copy: a file or a tree.
+        let plan = LocalCopy::plan(spec.op, &src, &dst, self.chunk_size, Arc::clone(progress))?;
+        Ok(Outcome::Chunked(plan.chain(task_id, Arc::clone(abort))))
     }
 
     /// Plan a remote staging transfer between `local` on this node and
@@ -1185,10 +1169,6 @@ impl Engine {
             Arc::clone(progress),
             Arc::clone(abort),
         )?;
-        // A pull's submit-time estimate was 0 (remote size unknown);
-        // the plan makes `query()` report a real total.
-        self.tasks
-            .update(task_id, |t| t.stats.bytes_total = plan.size());
         Ok(Outcome::Chunked(plan))
     }
 
@@ -1371,7 +1351,7 @@ mod tests {
         use std::os::unix::fs::MetadataExt;
         let root = temp_root("rename");
         // Larger than the chunk size: without the rename fast path this
-        // would be a chunked copy producing a *new* inode.
+        // would be a copy in chunks producing a *new* inode.
         let engine = Engine::with_config(
             EngineConfig {
                 workers: 2,
@@ -2093,8 +2073,8 @@ mod tests {
     fn copy_onto_an_alias_of_the_source_is_refused_and_leaves_it_intact() {
         let (engine, root) = chunking_engine("alias", 2);
         let mount = root.join("tmp0");
-        // One size below the chunk size (`copy_file`), one above
-        // (`ChunkedCopy::plan`).
+        // One size below the chunk size (`copy_range`), one above
+        // (allocated, and mapped on ext4).
         for (n, len) in [1_000usize, 100_000].into_iter().enumerate() {
             let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let src = format!("src{n}");
@@ -2120,6 +2100,196 @@ mod tests {
                     .is_symlink(),
                 "a refused copy leaves the alias alone"
             );
+        }
+        engine.shutdown();
+    }
+
+    /// Lay out a tree at `dir`: nested directories, one of them empty,
+    /// empty files, `files` files of `len` bytes, a few small ones and
+    /// two symlinks. Returns the bytes its files hold.
+    fn write_tree(dir: &Path, files: usize, len: usize) -> u64 {
+        fs::create_dir_all(dir.join("a/b/c")).unwrap();
+        fs::create_dir_all(dir.join("empty")).unwrap();
+        fs::write(dir.join("zero"), b"").unwrap();
+        fs::write(dir.join("a/b/c/zero"), b"").unwrap();
+        let mut total = 0;
+        let sizes = (0..files).map(|_| len).chain([1, 1_000, 4_097]);
+        for (i, size) in sizes.enumerate() {
+            let data: Vec<u8> = (0..size).map(|j| ((i * 7 + j * 31) % 251) as u8).collect();
+            fs::write(dir.join(format!("a/b/f{i:03}")), data).unwrap();
+            total += size as u64;
+        }
+        std::os::unix::fs::symlink("loop", dir.join("a/loop")).unwrap();
+        std::os::unix::fs::symlink("b/f000", dir.join("a/alias")).unwrap();
+        total
+    }
+
+    /// Submit a copy of a 64 × 1 MiB tree in [`MIN_CHUNK_SIZE`] units
+    /// and return once its chain is under way, checking that `query()`
+    /// reports the whole tree's size while it runs.
+    fn tree_mid_copy(engine: &Engine, root: &Path) -> (u64, u64) {
+        let total = write_tree(&root.join("tmp0/tree"), 64, 1 << 20);
+        let id = engine.submit(1, copy_spec("tree", "out"), None).unwrap();
+        spin_until("the first chunks", || {
+            engine.query(id).unwrap().bytes_moved >= 2 * MIN_CHUNK_SIZE
+        });
+        let stats = engine.query(id).unwrap();
+        assert_eq!(stats.state, TaskState::InProgress);
+        assert_eq!(stats.bytes_total, total, "a running tree copy's size");
+        (id, total)
+    }
+
+    /// Every file under `dir`, at any depth (symlinks count as files).
+    fn files_under(dir: &Path) -> Vec<PathBuf> {
+        let mut files = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            match fs::symlink_metadata(&path).unwrap().is_dir() {
+                true => files.extend(files_under(&path)),
+                false => files.push(path),
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn tree_copy_is_sized_at_plan_and_lands_byte_exact() {
+        let (engine, root) = chunking_engine("tree-copy", 2);
+        let (id, total) = tree_mid_copy(&engine, &root);
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!((stats.bytes_moved, stats.bytes_total), (total, total));
+        transfer::tests::assert_same_tree(&root.join("tmp0/tree"), &root.join("tmp0/out"));
+        assert_chain_gone(&engine, 1, 0);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn tree_copy_cancelled_mid_stream_leaves_no_file() {
+        let (engine, root) = chunking_engine("tree-cancel", 2);
+        let (id, total) = tree_mid_copy(&engine, &root);
+        engine.cancel(id, None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Cancelled);
+        assert!(stats.bytes_moved < total);
+        let left = files_under(&root.join("tmp0/out"));
+        assert!(left.is_empty(), "a cancelled tree copy left {left:?}");
+        assert_chain_gone(&engine, 0, 1);
+        engine.shutdown();
+    }
+
+    /// Across filesystems a tree `Move` is the copy's chain, and its
+    /// source goes only once every file landed.
+    #[test]
+    fn tree_move_across_filesystems_lands_and_frees_its_source() {
+        let (engine, root) = chunking_engine("tree-move", 2);
+        let shm = temp_root_in(Path::new("/dev/shm"), "tree-move");
+        let dev = |dir: &Path| std::os::unix::fs::MetadataExt::dev(&fs::metadata(dir).unwrap());
+        fs::create_dir_all(root.join("tmp0")).unwrap();
+        if dev(&shm) == dev(&root.join("tmp0")) {
+            eprintln!(
+                "{}: same filesystem as the temp dir, not tested",
+                shm.display()
+            );
+            return;
+        }
+        engine
+            .register_dataspace(DataspaceDesc {
+                nsid: "shm0".into(),
+                kind: norns_proto::BackendKind::Tmpfs,
+                mount: shm.to_string_lossy().into_owned(),
+                quota: 0,
+                tracked: false,
+            })
+            .unwrap();
+        // The same tree twice: one to move, one to compare with.
+        let total = write_tree(&root.join("tmp0/tree"), 3, MIN_CHUNK_SIZE as usize * 5 / 2);
+        write_tree(
+            &root.join("tmp0/expected"),
+            3,
+            MIN_CHUNK_SIZE as usize * 5 / 2,
+        );
+        let mut spec = move_spec("tree", "moved");
+        spec.output = Some(ResourceDesc::PosixPath {
+            nsid: "shm0".into(),
+            path: "moved".into(),
+        });
+        let id = engine.submit(1, spec, None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(
+            stats.state,
+            TaskState::Finished,
+            "{:?}",
+            engine.error_message(id)
+        );
+        assert_eq!((stats.bytes_moved, stats.bytes_total), (total, total));
+        transfer::tests::assert_same_tree(&root.join("tmp0/expected"), &shm.join("moved"));
+        assert!(
+            !root.join("tmp0/tree").exists(),
+            "a landed Move keeps its source"
+        );
+        engine.shutdown();
+    }
+
+    /// A copy of at most one chunk whose destination refuses its bytes
+    /// (`/dev/full`: `ENOSPC` on every write) fails, and leaves no file
+    /// under the destination's name.
+    #[test]
+    fn a_small_copy_that_fails_part_way_leaves_no_destination() {
+        let (engine, root) = chunking_engine("small-enospc", 2);
+        let mount = root.join("tmp0");
+        fs::create_dir_all(&mount).unwrap();
+        fs::write(mount.join("src"), vec![5u8; 1000]).unwrap();
+        std::os::unix::fs::symlink("/dev/full", mount.join("full")).unwrap();
+        let id = engine.submit(1, copy_spec("src", "full"), None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::FinishedWithError);
+        assert_eq!(stats.error, ErrorCode::NoSpace);
+        assert!(
+            fs::symlink_metadata(mount.join("full")).is_err(),
+            "a failed copy left its destination"
+        );
+        engine.shutdown();
+    }
+
+    /// A FIFO source — alone, inside a tree, or pushed to a peer — ends
+    /// its task with an attributed error within a bound, instead of
+    /// holding a worker in `open(2)` until a writer shows up.
+    #[test]
+    fn a_fifo_source_fails_its_task_instead_of_pinning_a_worker() {
+        let (engine, root) = chunking_engine("fifo", 2);
+        let mount = root.join("tmp0");
+        fs::create_dir_all(mount.join("tree")).unwrap();
+        fs::write(mount.join("tree/a"), b"a").unwrap();
+        transfer::tests::mkfifo(&mount.join("fifo"));
+        transfer::tests::mkfifo(&mount.join("tree/fifo"));
+        // The peer never answers: a push that got past its source would
+        // hang on the peer instead.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        engine.register_peer("silent", silent.local_addr().unwrap().to_string());
+        let push = TaskSpec::new(
+            TaskOp::Copy,
+            ResourceDesc::PosixPath {
+                nsid: "tmp0".into(),
+                path: "fifo".into(),
+            },
+            Some(ResourceDesc::RemotePath {
+                host: "silent".into(),
+                nsid: "tmp0".into(),
+                path: "fifo".into(),
+            }),
+        );
+        for spec in [
+            copy_spec("fifo", "out"),
+            copy_spec("tree", "tree-out"),
+            push,
+        ] {
+            let id = engine.submit(1, spec, None).unwrap();
+            let stats = engine.wait(id, 5_000_000).unwrap();
+            assert_eq!(stats.state, TaskState::FinishedWithError, "task {id}");
+            assert_eq!(stats.error, ErrorCode::BadArgs);
+            let why = engine.error_message(id).unwrap();
+            assert!(why.ends_with("fifo is not a regular file"), "{why}");
         }
         engine.shutdown();
     }
@@ -2274,12 +2444,9 @@ mod tests {
         let root = temp_root("wake-parked");
         let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
-        // The blocker pins the single worker, so the victim is pending
-        // when its waits subscribe.
-        fs::write(root.join("tmp0/blocker-src"), vec![2u8; 32 << 20]).unwrap();
-        let blocker = engine
-            .submit(1, copy_spec("blocker-src", "blocker-dst"), None)
-            .unwrap();
+        // The blocker pins the single worker until the test lets it
+        // go, so the victim is pending when its waits subscribe.
+        let (blocker, silent) = silent_pull(&engine, "blocker", 1);
         let victim = engine
             .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
             .unwrap();
@@ -2293,6 +2460,9 @@ mod tests {
         assert!(matches!(on_victim, Subscribed::Parked(_)));
         assert!(matches!(on_blocker, Subscribed::Parked(_)));
         assert_eq!(engine.parked_waits(), 2);
+        assert!(fired.lock().is_empty());
+        // Dropping the listener resets the pull, which fails.
+        drop(silent);
         engine.wait(victim, 0).unwrap();
         spin_until("both callbacks", || fired.lock().len() == 2);
         // FCFS: the blocker ends first, then the victim — each
@@ -2301,7 +2471,7 @@ mod tests {
         assert_eq!(
             got,
             [
-                (blocker, Ok(TaskState::Finished)),
+                (blocker, Ok(TaskState::FinishedWithError)),
                 (victim, Ok(TaskState::Finished))
             ]
         );

@@ -84,11 +84,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use norns_proto::{DataRequest, DataResponse, ErrorCode, TaskOp, MAX_DATA_RANGE};
-use norns_sched::shape::Plugin;
 
-use super::carries_directory;
 use super::error::EngineError;
-use super::transfer::{preallocate, truncated, with_parent, Chain, RangeMover};
+use super::transfer::{open_source, preallocate, truncated, with_parent, Chain, RangeMover};
 use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
@@ -188,19 +186,17 @@ impl RemoteTransfer {
                     DataResponse::Stat { size } => size,
                     other => return Err(unexpected(&other)),
                 };
-                // Allocated before the first `Fetch`, as the local
-                // chunked copy's destination is: units then land
+                // Allocated before the first `Fetch`, as a long local
+                // file's destination is: units then land
                 // disjoint ranges in blocks that are already there.
                 let local = with_parent(local_path, |path| File::create(path))?;
                 preallocate(&local, local_path, size)?;
                 (local, size)
             }
             Direction::Push => {
-                let local = File::open(local_path)?;
-                let meta = local.metadata()?;
-                if meta.is_dir() {
-                    carries_directory(Plugin::LocalToRemote)?;
-                }
+                // A directory that appeared since submit is refused
+                // here, with anything else that is not a regular file.
+                let (local, meta) = open_source(local_path)?;
                 let prepare = DataRequest::Prepare {
                     nsid: nsid.into(),
                     path: rpath.into(),

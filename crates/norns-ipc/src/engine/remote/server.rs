@@ -31,7 +31,7 @@ use norns_sched::shape::Plugin;
 
 use super::super::carries_directory;
 use super::super::error::EngineError;
-use super::super::transfer::{preallocate, with_parent};
+use super::super::transfer::{open_source, preallocate, with_parent};
 use super::super::Engine;
 use super::conn::{land_payload, send_file_range, tune};
 
@@ -222,16 +222,9 @@ fn handle_data(
             if len > MAX_DATA_RANGE {
                 return Err(over_cap("fetch", len));
             }
-            let file = File::open(engine.resolve_local(&nsid, &path)?)?;
-            let meta = file.metadata()?;
             // A directory opens and has a length too, and would fail
             // only once the header below had promised its bytes.
-            if !meta.is_file() {
-                return Err(EngineError::new(
-                    ErrorCode::SystemError,
-                    "only a regular file can be fetched",
-                ));
-            }
+            let (file, meta) = open_source(&engine.resolve_local(&nsid, &path)?)?;
             // A range that crosses end-of-file is answered short, which
             // is how the peer learns the file ended.
             let len = len.min(meta.len().saturating_sub(offset));

@@ -52,9 +52,9 @@ pub(crate) struct TaskEntry {
     /// between chunk ranges (and remote ones between round-trips).
     pub abort: Arc<AtomicBool>,
     /// Whether the running transfer honors `abort` — true once a
-    /// worker decomposed it into a chunked or remote plan. Tasks
-    /// without abort points (small inline copies) stay uncancellable
-    /// once running, as before.
+    /// worker planned it into a chain: every copy, local or remote, of
+    /// any size or shape. A removal, a memory write and a rename have
+    /// no abort point and stay uncancellable once running.
     pub abortable: bool,
     /// The task's part in replication, if it has one.
     pub replicate: Option<ReplRole>,

@@ -2,86 +2,50 @@
 //!
 //! Table II of the paper ranks transfer plugins by how little the CPU
 //! touches the data: `sendfile` and `fallocate`+`mmap` beat buffered
-//! read/write loops. This module is that idea on modern primitives:
+//! read/write loops. This module is that idea on modern primitives.
+//! README § Data-plane architecture holds the raw-syscall measurements
+//! behind each rule (2-vCPU reference box, Linux 6.18):
 //!
-//! * **The mover rule** — a chunked copy whose two files are both on
-//!   ext4 (one `fstatfs(2)` each, at plan) takes the paper's
-//!   `fallocate`+`mmap` path: each unit maps its source range
+//! * **One plan per copy** — every local copy, one file of any size or
+//!   a whole tree, is one [`LocalCopy`]: the input is walked once and
+//!   its files' bytes laid end to end, so small files share a unit and
+//!   a large one spans many. A unit of up to `chunk_size` bytes is one
+//!   scheduler dispatch: a *scheduling quantum* (the policy
+//!   re-arbitrates every `chunk_size`), a cancel point and a progress
+//!   step — not a unit of parallelism. A transfer is a **chain**: at
+//!   most one of its units is queued or on a worker at a time, and the
+//!   worker that finishes one issues the next. Buffered writers of one
+//!   inode serialise on its write lock (`i_rwsem`), so more workers
+//!   inside one destination file move bytes no faster and pay the lock
+//!   hand-offs; the pool's other workers are worth more on *other*
+//!   files. A remote transfer is a chain too: the receiving end lands a
+//!   payload with one copy, so a second connection only queued on that
+//!   same lock.
+//! * **The mover rule** — a file longer than one chunk whose two ends
+//!   are both on ext4 (one `fstatfs(2)` each, when it opens) takes the
+//!   paper's `fallocate`+`mmap` path: each unit maps its source range
 //!   read-only with `MAP_SHARED | MAP_POPULATE` and lands it with one
 //!   `pwrite(2)` from the mapping ([`SourceMap`]). Everything else
 //!   moves byte ranges with `copy_file_range(2)`, which stays in the
 //!   kernel: pairs not on ext4 (tmpfs, where the mapped write is
 //!   slower, and reflink or offload filesystems, where the call is a
-//!   clone), whole-file copies of at most one chunk and tree leaves
-//!   (the mapped write loses below about 1 MiB), and a unit whose
-//!   mapping the kernel refuses. ext4 cannot clone, so there
-//!   `copy_file_range` is `do_splice_direct` through a 16-slot kernel
-//!   pipe. Where the call is unavailable or refuses the pair (`EXDEV`,
-//!   `EINVAL`, `ENOSYS`, …) the range degrades to a pooled-buffer
-//!   `pread`/`pwrite` loop — one reusable buffer per worker thread,
-//!   never an allocation per transfer. Raw syscalls, 8 MiB units,
-//!   `fallocate`d destination, interleaved pairs on the 2-vCPU
-//!   reference box (Linux 6.18):
-//!
-//!   | copy                                    | `copy_file_range`  | mapped + `pwrite`  | mapped won      |
-//!   |-----------------------------------------|--------------------|--------------------|-----------------|
-//!   | ext4, 64 MiB (large-folio source)       | 16.0–22.3 ms       | 13.3–17.7 ms       | ≥ 92 %, 5 runs  |
-//!   | ext4, 16 MiB                            | 3.9–5.1 ms         | 2.6–3.8 ms         | ≥ 97 %, 4 runs  |
-//!   | ext4, 64 MiB, no `MAP_POPULATE`         | 16.0 ms            | 15.9 ms            | 27/40 (no gain) |
-//!   | ext4, 64 MiB, small-folio source¹       | 21.2 ms            | 21.1 ms            | 8/20 (neutral)  |
-//!   | tmpfs, 64 MiB                           | 16.2–20.2 ms       | 19.3–24.3 ms       | 0–2 (loses)     |
-//!   | ext4 whole file, 4 KiB / 64 KiB / 1 MiB | 4.7 / 14 / 245 µs  | 13.4 / 27 / 259 µs | loses²          |
-//!
-//!   ¹ written 4 KiB at a time. ² timed from Python, whose `mmap`
-//!   object inflates the small mapped sizes; the daemon maps every
-//!   unit of a chunked copy and nothing else. A source truncated under
-//!   a mapping raises no signal: the kernel reads the mapping inside
-//!   `pwrite`, which comes up short and then fails `EFAULT`, and the
-//!   unit fails as a short one does.
-//! * **Allocated before the first byte** — a destination that is
-//!   written in ranges (a chunked copy, a pull, a push's `Prepare` on
-//!   the peer) is given all its blocks up front by `fallocate(2)`
-//!   ([`preallocate`]), as the paper's plugins do. A `set_len` would
-//!   only give it a length: a sparse file on ext4, every page of which
-//!   pays for delayed allocation when it is written, and a disk that
-//!   cannot hold it fails mid-copy or at writeback, after the task
-//!   reported `Finished`. Allocated, a full disk or quota fails the
-//!   plan before any byte moves. Raw syscalls on the 2-vCPU reference
-//!   box, median of 30–80 alternating repetitions:
-//!
-//!   | operation (ext4 unless marked)              | `set_len` dst | `fallocate`d dst | change       |
-//!   |---------------------------------------------|---------------|------------------|--------------|
-//!   | `copy_file_range`, 64 MiB in 8 MiB chunks   | 18.3–22.0 ms  | 16.4–19.5 ms     | −10 to −11 % |
-//!   | `copy_file_range`, 16 MiB                   | 3.72 ms       | 3.09 ms          | −17 %        |
-//!   | 16 MiB over loopback: `sendfile` → `splice` | 5.07–5.14 ms  | 4.57–4.70 ms     | −9 to −10 %  |
-//!   | tmpfs, 64 MiB                               | 22.4 ms       | 21.6 ms          | neutral      |
-//!   | tmpfs, 16 MiB                               | 3.49 ms       | 3.57 ms          | neutral      |
-//!
-//!   (The loopback row lands its payload socket → pipe → file.)
-//! * **Chunked** — a large file is split into fixed-size chunks
-//!   ([`ChunkedCopy`]); the destination is allocated once and each
-//!   chunk is one scheduler dispatch. A chunk is a *scheduling
-//!   quantum* (the policy re-arbitrates every `chunk_size`), a cancel
-//!   point and a progress step — not a unit of parallelism: a transfer
-//!   is a **chain**, i.e. at most one of its chunks is queued or on a
-//!   worker at a time, and the worker that finishes a chunk issues the
-//!   next. Buffered writers of one
-//!   inode serialise on its write lock (`i_rwsem`), so more workers
-//!   inside one destination file move bytes no faster and pay the lock
-//!   hand-offs; the pool's other workers are worth more on *other*
-//!   files. Raw `copy_file_range`, 64 MiB in 8 MiB chunks, p50 of 15
-//!   on the 2-vCPU reference box (ext4):
-//!
-//!   | writers                      | time         | aggregate      |
-//!   |------------------------------|--------------|----------------|
-//!   | 1 thread                     | 22.4–22.7 ms | 2.75–2.8 GiB/s |
-//!   | 2–4 threads, same inode      | 22.6–27.0 ms | 2.3–2.8 GiB/s  |
-//!   | 2 threads, different inodes  | 23.4–24.2 ms | 5.2–5.35 GiB/s |
-//!
-//!   A remote transfer is a chain too: its destination is one inode on
-//!   the peer (a push) or here (a pull), and the receiving end lands a
-//!   payload with one copy, so a second connection only queued on that
-//!   same lock.
+//!   clone), files of at most one chunk (the mapped write loses below
+//!   about 1 MiB), and a unit whose mapping the kernel refuses. Where
+//!   the call refuses the pair (`EXDEV`, `EINVAL`, `ENOSYS`, …) the
+//!   range degrades to a pooled-buffer `pread`/`pwrite` loop — one
+//!   reusable buffer per worker thread, never an allocation per
+//!   transfer. A source truncated under a mapping raises no signal: the
+//!   kernel reads the mapping inside `pwrite`, which comes up short and
+//!   then fails `EFAULT`, and the unit fails as a short one does.
+//! * **Allocated before the first byte** — a destination written in
+//!   ranges (a file longer than a chunk, a pull, a push's `Prepare` on
+//!   the peer) is given all its blocks by `fallocate(2)`
+//!   ([`preallocate`]) before its first range, as the paper's plugins
+//!   do. A `set_len` would only give it a length: a sparse file on
+//!   ext4, every page of which pays for delayed allocation when it is
+//!   written, and a disk that cannot hold it fails mid-copy or at
+//!   writeback, after the task reported `Finished`. Allocated, a full
+//!   disk or quota fails before any of the file's bytes move.
 //! * **Live progress** — every kernel round-trip advances a per-task
 //!   atomic, which `query()` overlays on `bytes_moved`; pollers see a
 //!   transfer advance instead of `0 → total` at completion (the
@@ -91,7 +55,7 @@ use std::cell::RefCell;
 use std::ffi::{c_int, c_long, c_void};
 use std::fs::{self, File, Metadata, OpenOptions, Permissions};
 use std::io;
-use std::os::unix::fs::{FileExt, MetadataExt};
+use std::os::unix::fs::{FileExt, MetadataExt, OpenOptionsExt};
 use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::ptr;
@@ -500,16 +464,37 @@ pub(crate) fn with_parent<T>(
     }
 }
 
+/// Open `path` as a transfer's source — a local leaf, a push, a peer's
+/// `Fetch`. `O_NONBLOCK` keeps a FIFO from holding the worker in
+/// `open(2)` until a writer shows up (a regular file ignores the flag),
+/// and anything but a regular file is refused: it has no length to
+/// plan by.
+pub(crate) fn open_source(path: &Path) -> Result<(File, Metadata), EngineError> {
+    const O_NONBLOCK: i32 = 0o4000;
+    let file = OpenOptions::new()
+        .read(true)
+        .custom_flags(O_NONBLOCK)
+        .open(path)?;
+    let meta = file.metadata()?;
+    if !meta.is_file() {
+        return Err(not_a_file(path));
+    }
+    Ok((file, meta))
+}
+
+/// The refusal of a source that is not a regular file.
+fn not_a_file(path: &Path) -> EngineError {
+    EngineError::bad_args(format!("{} is not a regular file", path.display()))
+}
+
 /// Open `src` and create-or-empty `dst` for a copy: the one place a
-/// source is opened and its destination truncated. The destination is
-/// opened *without* `O_TRUNC` and compared with the source by
-/// `(st_dev, st_ino)` first — a hard link or symlink to the source (or
-/// the same file reached through two overlapping dataspaces) is a
-/// different path but the same inode, and truncating it would destroy
-/// the data being copied.
-fn open_pair(src: &Path, dst: &Path) -> Result<(File, Metadata, File), EngineError> {
-    let from = File::open(src)?;
-    let meta = from.metadata()?;
+/// destination is truncated. The destination is opened *without*
+/// `O_TRUNC` and compared with the source by `(st_dev, st_ino)` first —
+/// a hard link or symlink to the source (or the same file reached
+/// through two overlapping dataspaces) is a different path but the same
+/// inode, and truncating it would destroy the data being copied.
+fn open_pair(src: &Path, dst: &Path) -> Result<(File, File), EngineError> {
+    let (from, meta) = open_source(src)?;
     let to = with_parent(dst, |dst| {
         OpenOptions::new()
             .write(true)
@@ -528,44 +513,7 @@ fn open_pair(src: &Path, dst: &Path) -> Result<(File, Metadata, File), EngineErr
     if old.len() > 0 {
         to.set_len(0)?;
     }
-    Ok((from, meta, to))
-}
-
-/// Whole-file copy (small files and tree leaves — chunk decomposition
-/// only applies to top-level single-file transfers).
-pub(crate) fn copy_file(src: &Path, dst: &Path, progress: &AtomicU64) -> Result<u64, EngineError> {
-    let (from, meta, to) = open_pair(src, dst)?;
-    let moved = copy_range(&from, &to, 0, meta.len(), progress)?;
-    let _ = to.set_permissions(meta.permissions());
-    Ok(moved)
-}
-
-/// Recursive copy returning bytes moved (file contents only).
-///
-/// Symlinks are *recreated as symlinks* — `symlink_metadata` instead of
-/// `fs::metadata`, so a self-referential link cannot loop the worker
-/// forever and link targets are not deep-copied.
-pub(crate) fn copy_tree(src: &Path, dst: &Path, progress: &AtomicU64) -> Result<u64, EngineError> {
-    let file_type = fs::symlink_metadata(src)?.file_type();
-    if file_type.is_symlink() {
-        let target = fs::read_link(src)?;
-        if fs::symlink_metadata(dst).is_ok() {
-            fs::remove_file(dst)?;
-        }
-        with_parent(dst, |dst| std::os::unix::fs::symlink(&target, dst))?;
-        Ok(0)
-    } else if file_type.is_dir() {
-        fs::create_dir_all(dst)?;
-        let mut total = 0;
-        let mut entries: Vec<_> = fs::read_dir(src)?.collect::<io::Result<_>>()?;
-        entries.sort_by_key(|e| e.file_name());
-        for entry in entries {
-            total += copy_tree(&entry.path(), &dst.join(entry.file_name()), progress)?;
-        }
-        Ok(total)
-    } else {
-        copy_file(src, dst, progress)
-    }
+    Ok((from, to))
 }
 
 /// A source that ended before the byte a planned range needed: the
@@ -599,8 +547,8 @@ pub(crate) trait RangeMover: Send {
     fn finish(&mut self, landed: bool) -> Result<(), EngineError>;
 }
 
-/// A transfer decomposed into scheduler sub-units (local chunked copy
-/// or remote staging), its ranges in file order.
+/// A transfer decomposed into scheduler sub-units (a local copy or
+/// remote staging), its ranges in order.
 ///
 /// The units run as a **chain**: one unit is issued — in the scheduler
 /// or on a worker — at a time, the planning dispatch being the first,
@@ -717,89 +665,139 @@ impl Chain {
     }
 }
 
-/// A large single-file copy decomposed into fixed-size chunks.
-///
-/// The planner opens both files once, allocates the destination's
-/// blocks ([`preallocate`]) and picks the mover once: mapped units
-/// when both files are on ext4, `copy_range` otherwise (module docs).
-/// Each unit copies the next disjoint range into blocks that are
-/// already there. The destination is one inode and takes one writer at
-/// a time (see the module docs), so the units run as a chain through
-/// the scheduler, one dispatch per chunk.
-pub(crate) struct ChunkedCopy {
-    op: TaskOp,
+/// A local copy or cross-filesystem move — one file of any size or a
+/// whole tree — planned once: a unit is up to `chunk_size` bytes of
+/// `(leaf, range)` pieces, the leaves' bytes laid end to end in walk
+/// order. A leaf opens when the first unit reaches it and closes behind
+/// its last byte: one destination inode, one writer (module docs).
+#[derive(Default)]
+pub(crate) struct LocalCopy {
+    /// A `Move`'s source, freed once every leaf landed.
+    frees: Option<PathBuf>,
+    /// The input is a directory.
+    tree: bool,
+    leaves: Vec<Leaf>,
+    /// `(destination, target)`, made once every leaf landed.
+    links: Vec<(PathBuf, PathBuf)>,
+    /// The leaf the next unit starts in, and its files once open.
+    next: usize,
+    open: Option<Pair>,
+    size: u64,
+    chunk_size: u64,
+    progress: Arc<AtomicU64>,
+}
+
+/// One regular file of a [`LocalCopy`], at `start` in the chain's bytes.
+struct Leaf {
+    src: PathBuf,
+    dst: PathBuf,
+    start: u64,
+    len: u64,
+    permissions: Permissions,
+}
+
+/// A leaf's open files; `mapped` if each unit maps its source range.
+struct Pair {
     src: File,
     dst: File,
-    src_path: PathBuf,
-    dst_path: PathBuf,
-    src_permissions: Permissions,
-    progress: Arc<AtomicU64>,
-    /// Both files are on ext4: each unit maps its source range.
     mapped: bool,
 }
 
-impl ChunkedCopy {
-    /// Open the file pair, allocate the destination, and lay out the
-    /// chain. `size` must exceed `chunk_size`. A destination that
-    /// cannot be allocated fails the plan and is removed.
-    #[allow(clippy::too_many_arguments)]
+impl LocalCopy {
+    /// Walk `src` into the plan of its copy to `dst`. A source that is
+    /// not a file, a directory or a symlink fails it before any byte
+    /// moves.
     pub fn plan(
-        task_id: u64,
         op: TaskOp,
-        src_path: &Path,
-        dst_path: &Path,
-        size: u64,
+        src: &Path,
+        dst: &Path,
         chunk_size: u64,
         progress: Arc<AtomicU64>,
-        abort: Arc<AtomicBool>,
-    ) -> Result<Box<Chain>, EngineError> {
-        let copy = ChunkedCopy::open(op, src_path, dst_path, size, Arc::clone(&progress))?;
-        Ok(Chain::new(
-            task_id,
-            size,
+    ) -> Result<LocalCopy, EngineError> {
+        let mut copy = LocalCopy {
+            frees: (op == TaskOp::Move).then(|| src.to_path_buf()),
             chunk_size,
             progress,
-            abort,
-            Box::new(copy),
-        ))
+            ..LocalCopy::default()
+        };
+        copy.walk(src.to_path_buf(), dst.to_path_buf())?;
+        Ok(copy)
     }
 
-    /// The mover of [`ChunkedCopy::plan`]'s chain.
-    fn open(
-        op: TaskOp,
-        src_path: &Path,
-        dst_path: &Path,
-        size: u64,
-        progress: Arc<AtomicU64>,
-    ) -> Result<ChunkedCopy, EngineError> {
-        let (src, meta, dst) = open_pair(src_path, dst_path)?;
-        preallocate(&dst, dst_path, size)?;
-        Ok(ChunkedCopy {
-            op,
-            mapped: on_ext4(&src) && on_ext4(&dst),
-            src,
-            dst,
-            src_path: src_path.to_path_buf(),
-            dst_path: dst_path.to_path_buf(),
-            src_permissions: meta.permissions(),
-            progress,
-        })
+    /// The plan as task `task_id`'s chain.
+    pub fn chain(self, task_id: u64, abort: Arc<AtomicBool>) -> Box<Chain> {
+        let (size, chunk, progress) = (self.size, self.chunk_size, Arc::clone(&self.progress));
+        Chain::new(task_id, size, chunk, progress, abort, Box::new(self))
     }
 
-    /// Land the unit at `offset`: from `map`, its source range mapped,
-    /// or through [`copy_range`] without one. A range that comes up
-    /// short means the source shrank after the plan sized it: the
-    /// preallocated destination would keep its planned length with a
+    /// Plan `src` → `dst`, in name order. `symlink_metadata`, not
+    /// `metadata`: a symlink is recreated as one, so a self-referential
+    /// link cannot loop the walk and a link's target is not copied.
+    fn walk(&mut self, src: PathBuf, dst: PathBuf) -> Result<(), EngineError> {
+        let meta = fs::symlink_metadata(&src)?;
+        let kind = meta.file_type();
+        if kind.is_symlink() {
+            self.links.push((dst, fs::read_link(&src)?));
+        } else if kind.is_dir() {
+            self.tree = true;
+            fs::create_dir_all(&dst)?;
+            let mut entries: Vec<_> = fs::read_dir(&src)?.collect::<io::Result<_>>()?;
+            entries.sort_by_key(|e| e.file_name());
+            for entry in entries {
+                self.walk(entry.path(), dst.join(entry.file_name()))?;
+            }
+        } else if kind.is_file() {
+            let (start, len, permissions) = (self.size, meta.len(), meta.permissions());
+            self.leaves.push(Leaf {
+                src,
+                dst,
+                start,
+                len,
+                permissions,
+            });
+            self.size += len;
+        } else {
+            return Err(not_a_file(&src));
+        }
+        Ok(())
+    }
+}
+
+impl Leaf {
+    /// Open the leaf's files through [`open_pair`]; one longer than
+    /// `chunk_size` is allocated first.
+    fn open(&self, chunk_size: u64) -> Result<Pair, EngineError> {
+        let (src, dst) = open_pair(&self.src, &self.dst)?;
+        let long = self.len > chunk_size;
+        if long {
+            preallocate(&dst, &self.dst, self.len)?;
+        }
+        let mapped = long && on_ext4(&src) && on_ext4(&dst);
+        Ok(Pair { src, dst, mapped })
+    }
+}
+
+impl Pair {
+    /// Land `len` bytes at the leaf's `offset`: from `map`, its source
+    /// range mapped, or through [`copy_range`] without one. A range that
+    /// comes up short means the source shrank after the plan sized it:
+    /// a preallocated destination would keep its planned length with a
     /// hole where the data should be.
-    fn land(&self, map: Option<SourceMap>, offset: u64, len: u64) -> Result<(), EngineError> {
+    fn land(
+        &self,
+        map: Option<SourceMap>,
+        offset: u64,
+        len: u64,
+        progress: &AtomicU64,
+    ) -> Result<(), EngineError> {
         let moved = match map {
             // A cut inside the mapping's last page reads as zeros up to
             // the page's end, not as a fault: the source's length says
             // where its data stops.
             Some(map) => map
-                .write_to(&self.dst, &self.progress)?
+                .write_to(&self.dst, progress)?
                 .min(self.src.metadata()?.len().saturating_sub(offset)),
-            None => copy_range(&self.src, &self.dst, offset, len, &self.progress)?,
+            None => copy_range(&self.src, &self.dst, offset, len, progress)?,
         };
         if moved < len {
             return Err(truncated("local", offset + moved));
@@ -808,30 +806,61 @@ impl ChunkedCopy {
     }
 }
 
-impl RangeMover for ChunkedCopy {
+impl RangeMover for LocalCopy {
+    /// Land the unit's pieces, leaf by leaf. The last unit takes every
+    /// leaf left, so empty files at the end land too.
     fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
-        let map = if self.mapped {
-            SourceMap::new(&self.src, offset, len)
-        } else {
-            None
-        };
-        self.land(map, offset, len)
+        let end = offset + len;
+        while let Some(leaf) = self.leaves.get(self.next) {
+            if leaf.start >= end && end < self.size {
+                break;
+            }
+            let pair = match &self.open {
+                Some(pair) => pair,
+                None => self.open.insert(leaf.open(self.chunk_size)?),
+            };
+            let (from, to) = (
+                offset.max(leaf.start) - leaf.start,
+                end.min(leaf.start + leaf.len) - leaf.start,
+            );
+            let map = pair
+                .mapped
+                .then(|| SourceMap::new(&pair.src, from, to - from));
+            pair.land(map.flatten(), from, to - from, &self.progress)?;
+            if to < leaf.len {
+                break;
+            }
+            self.open = None;
+            self.next += 1;
+        }
+        Ok(())
     }
 
-    /// On success propagate permissions and (for `Move`) unlink the
-    /// source.
+    /// Landed: give each leaf its source's permissions, make the links
+    /// and free a `Move`'s source, file or tree. Interrupted: remove
+    /// every file the copy created or emptied — a preallocated or
+    /// half-written one would pass for staged data.
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
+        let written = self.next + usize::from(self.open.take().is_some());
         if !landed {
-            // Don't leave the preallocated destination behind: it has
-            // the full logical size, so a consumer checking existence
-            // or length would mistake zero-filled holes for staged
-            // data.
-            let _ = fs::remove_file(&self.dst_path);
+            for leaf in &self.leaves[..written] {
+                let _ = fs::remove_file(&leaf.dst);
+            }
             return Ok(());
         }
-        let _ = self.dst.set_permissions(self.src_permissions.clone());
-        if self.op == TaskOp::Move {
-            fs::remove_file(&self.src_path)?;
+        for leaf in &self.leaves {
+            let _ = fs::set_permissions(&leaf.dst, leaf.permissions.clone());
+        }
+        for (dst, target) in &self.links {
+            if fs::symlink_metadata(dst).is_ok() {
+                fs::remove_file(dst)?;
+            }
+            with_parent(dst, |dst| std::os::unix::fs::symlink(target, dst))?;
+        }
+        match &self.frees {
+            Some(src) if self.tree => fs::remove_dir_all(src)?,
+            Some(src) => fs::remove_file(src)?,
+            None => {}
         }
         Ok(())
     }
@@ -894,17 +923,25 @@ pub(super) mod tests {
     /// A copy of `data` in `chunk`-sized units, under `root`.
     fn plan_copy(root: &Path, data: &[u8], chunk: u64, abort: &Arc<AtomicBool>) -> Box<Chain> {
         fs::write(root.join("src"), data).unwrap();
-        ChunkedCopy::plan(
-            1,
+        plan_local(
             TaskOp::Copy,
             &root.join("src"),
             &root.join("dst"),
-            data.len() as u64,
             chunk,
-            Arc::new(AtomicU64::new(0)),
-            Arc::clone(abort),
+            abort,
         )
-        .unwrap()
+    }
+
+    /// `src` → `dst` as one [`LocalCopy`] chain in `chunk`-sized units.
+    fn plan_local(
+        op: TaskOp,
+        src: &Path,
+        dst: &Path,
+        chunk: u64,
+        abort: &Arc<AtomicBool>,
+    ) -> Box<Chain> {
+        let copy = LocalCopy::plan(op, src, dst, chunk, Arc::default()).unwrap();
+        copy.chain(1, Arc::clone(abort))
     }
 
     /// Drive `chain` the way the engine does — run the issued unit,
@@ -933,38 +970,51 @@ pub(super) mod tests {
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
-    /// A chunked copy's destination has a block behind every byte of
-    /// its length as soon as the plan returns, before the first chunk.
+    /// A file longer than a chunk has a block behind every byte of its
+    /// destination's length once its first unit ran, before its second.
     #[test]
-    fn prealloc_a_chunked_copy_allocates_its_destination_at_plan() {
+    fn prealloc_a_long_file_is_allocated_by_its_first_unit() {
         let root = temp_root("transfer-prealloc");
         let data = pattern((MIN_CHUNK_SIZE * 5 + 17) as usize);
         let chain = plan_copy(&root, &data, MIN_CHUNK_SIZE, &Arc::default());
+        let Step::Next(chain) = chain.step() else {
+            panic!("five chunks remain");
+        };
         assert_allocated(&root.join("dst"), data.len() as u64);
-        assert!(matches!(drive(chain), (6, PlanOutcome::Done(_))));
+        assert!(matches!(drive(chain), (5, PlanOutcome::Done(_))));
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
-    /// A destination that cannot be allocated fails the plan, and the
-    /// file `open_pair` created or emptied goes with it. No file can be
-    /// longer than `i64::MAX` bytes.
+    /// A destination that cannot be allocated fails the copy before any
+    /// of its bytes move, and the file `open_pair` created or emptied
+    /// goes with it. No file can be longer than `i64::MAX` bytes.
     #[test]
-    fn prealloc_a_chunked_copy_that_cannot_allocate_leaves_no_destination() {
+    fn prealloc_a_copy_that_cannot_allocate_leaves_no_destination() {
         let root = temp_root("transfer-efbig");
         fs::write(root.join("src"), b"source").unwrap();
         fs::write(root.join("dst"), b"an older copy").unwrap();
-        let planned = ChunkedCopy::plan(
-            1,
+        let (src, dst) = (root.join("src"), root.join("dst"));
+        let progress = Arc::new(AtomicU64::new(0));
+        let mut copy = LocalCopy::plan(
             TaskOp::Copy,
-            &root.join("src"),
-            &root.join("dst"),
-            i64::MAX as u64 + 1,
+            &src,
+            &dst,
             MIN_CHUNK_SIZE,
+            Arc::clone(&progress),
+        )
+        .unwrap();
+        copy.leaves[0].len = i64::MAX as u64 + 1;
+        copy.size = copy.leaves[0].len;
+        let chain = Chain::new(
+            1,
+            copy.size,
+            MIN_CHUNK_SIZE,
+            progress,
             Arc::default(),
-            Arc::default(),
+            Box::new(copy),
         );
-        let Err(e) = planned else {
-            panic!("planned a copy no file can hold");
+        let (1, PlanOutcome::Failed(e)) = drive(chain) else {
+            panic!("copied a file no file can hold");
         };
         assert_eq!(io::Error::from_raw_os_error(EFBIG).to_string(), e.message);
         assert!(
@@ -1138,28 +1188,54 @@ pub(super) mod tests {
         None
     }
 
+    /// A leaf of `src` → `dst`, `len` bytes of `chunk`-sized units,
+    /// opened: is it mapped?
+    fn mapped(src: &Path, dst: &Path, len: usize, chunk: u64) -> bool {
+        fs::write(src, pattern(len)).unwrap();
+        let copy = LocalCopy::plan(TaskOp::Copy, src, dst, chunk, Arc::default()).unwrap();
+        copy.leaves[0].open(chunk).unwrap().mapped
+    }
+
     /// The mover is picked by where both files live: mapped for two
-    /// files on ext4, `copy_range` when either is on tmpfs.
+    /// files on ext4, `copy_range` when either is on tmpfs — and for a
+    /// file of at most one chunk wherever it lives.
     #[test]
     fn mapped_only_when_both_files_are_on_ext4() {
         let Some(root) = ext4_root("mapped-select") else {
             return;
         };
-        let mapped = |src: &Path, dst: &Path| {
-            fs::write(src, b"source").unwrap();
-            ChunkedCopy::open(TaskOp::Copy, src, dst, 6, Arc::default())
-                .unwrap()
-                .mapped
-        };
-        assert!(mapped(&root.join("src"), &root.join("dst")));
+        let long = MIN_CHUNK_SIZE as usize + 1;
+        assert!(mapped(
+            &root.join("src"),
+            &root.join("dst"),
+            long,
+            MIN_CHUNK_SIZE
+        ));
+        let short = MIN_CHUNK_SIZE as usize;
+        assert!(!mapped(
+            &root.join("src"),
+            &root.join("dst"),
+            short,
+            MIN_CHUNK_SIZE
+        ));
         let shm = Path::new("/dev/shm");
         if !File::open(shm).is_ok_and(|dir| !on_ext4(&dir)) {
             eprintln!("{}: absent or ext4, tmpfs side not tested", shm.display());
             return;
         }
         let shm = temp_root_in(shm, "mapped-select");
-        assert!(!mapped(&shm.join("src"), &root.join("dst")));
-        assert!(!mapped(&root.join("src"), &shm.join("dst")));
+        assert!(!mapped(
+            &shm.join("src"),
+            &root.join("dst"),
+            long,
+            MIN_CHUNK_SIZE
+        ));
+        assert!(!mapped(
+            &root.join("src"),
+            &shm.join("dst"),
+            long,
+            MIN_CHUNK_SIZE
+        ));
     }
 
     /// A chunk that is not a page multiple puts every unit after the
@@ -1186,21 +1262,29 @@ pub(super) mod tests {
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
-    /// A [`ChunkedCopy`] whose source is truncated to `cut` bytes
-    /// between mapping the unit that crosses `cut` and writing it.
+    /// A one-file [`LocalCopy`] whose source is truncated to `cut`
+    /// bytes between mapping the unit that crosses `cut` and writing it.
     struct CutUnderTheMap {
-        copy: ChunkedCopy,
+        copy: LocalCopy,
         cut: u64,
     }
 
     impl RangeMover for CutUnderTheMap {
         fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
-            let map = SourceMap::new(&self.copy.src, offset, len).expect("an ext4 unit maps");
-            if offset + len > self.cut {
-                let src = OpenOptions::new().write(true).open(&self.copy.src_path);
-                src.unwrap().set_len(self.cut).unwrap();
+            if offset + len <= self.cut {
+                return self.copy.move_range(offset, len);
             }
-            self.copy.land(Some(map), offset, len)
+            let pair = self
+                .copy
+                .open
+                .as_ref()
+                .expect("an earlier unit opened the file");
+            let map = SourceMap::new(&pair.src, offset, len).expect("an ext4 unit maps");
+            let src = OpenOptions::new()
+                .write(true)
+                .open(&self.copy.leaves[0].src);
+            src.unwrap().set_len(self.cut).unwrap();
+            pair.land(Some(map), offset, len, &self.copy.progress)
         }
 
         fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
@@ -1223,7 +1307,7 @@ pub(super) mod tests {
         let (src, dst) = (root.join("src"), root.join("dst"));
         let progress = Arc::new(AtomicU64::new(0));
         let size = data.len() as u64;
-        let copy = ChunkedCopy::open(TaskOp::Copy, &src, &dst, size, Arc::clone(&progress));
+        let copy = LocalCopy::plan(TaskOp::Copy, &src, &dst, chunk, Arc::clone(&progress));
         let cut = chunk + (1 << 20) + 100;
         let mover = CutUnderTheMap {
             copy: copy.unwrap(),
@@ -1240,8 +1324,37 @@ pub(super) mod tests {
         assert_eq!(fs::metadata(&src).unwrap().len(), cut);
     }
 
+    /// A copy of the tree at `src` into `dst` is byte-exact: the same
+    /// names, the same file bytes, the same link targets.
+    pub(crate) fn assert_same_tree(src: &Path, dst: &Path) {
+        let names = |dir: &Path| {
+            let mut names: Vec<_> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(src), names(dst), "{}", dst.display());
+        for name in names(src) {
+            let (src, dst) = (src.join(&name), dst.join(&name));
+            let kind = fs::symlink_metadata(&src).unwrap().file_type();
+            if kind.is_symlink() {
+                assert_eq!(fs::read_link(&src).unwrap(), fs::read_link(&dst).unwrap());
+            } else if kind.is_dir() {
+                assert_same_tree(&src, &dst);
+            } else {
+                assert!(
+                    fs::read(&src).unwrap() == fs::read(&dst).unwrap(),
+                    "{}",
+                    dst.display()
+                );
+            }
+        }
+    }
+
     #[test]
-    fn copy_tree_recreates_symlinks() {
+    fn tree_copy_recreates_symlinks() {
         let root = temp_root("transfer-links");
         fs::create_dir_all(root.join("src/sub")).unwrap();
         fs::write(root.join("src/sub/file"), b"payload").unwrap();
@@ -1249,9 +1362,10 @@ pub(super) mod tests {
         // a link to a sibling file (would be deep-copied if followed).
         std::os::unix::fs::symlink("loop", root.join("src/loop")).unwrap();
         std::os::unix::fs::symlink("sub/file", root.join("src/alias")).unwrap();
-        let progress = AtomicU64::new(0);
-        let moved = copy_tree(&root.join("src"), &root.join("dst"), &progress).unwrap();
-        assert_eq!(moved, 7, "only real file contents count");
+        let (src, dst) = (root.join("src"), root.join("dst"));
+        let chain = plan_local(TaskOp::Copy, &src, &dst, MIN_CHUNK_SIZE, &Arc::default());
+        assert_eq!(chain.size(), 7, "only real file contents count");
+        assert!(matches!(drive(chain), (1, PlanOutcome::Done(7))));
         assert_eq!(
             fs::read_link(root.join("dst/loop")).unwrap(),
             PathBuf::from("loop")
@@ -1261,5 +1375,42 @@ pub(super) mod tests {
             PathBuf::from("sub/file")
         );
         assert_eq!(fs::read(root.join("dst/sub/file")).unwrap(), b"payload");
+    }
+
+    /// 1 024 files of 4 KiB at 64 KiB chunks: the files share units, so
+    /// the copy costs ⌈total/chunk⌉ = 64 dispatches, not 1 024, and an
+    /// empty file at either end of the walk lands too.
+    #[test]
+    fn tree_of_small_files_runs_in_total_over_chunk_units() {
+        let root = temp_root("transfer-small-files");
+        for dir in 0..4 {
+            let dir = root.join(format!("src/d{dir}"));
+            fs::create_dir_all(&dir).unwrap();
+            for file in 0..256 {
+                fs::write(
+                    dir.join(format!("f{file:03}")),
+                    &pattern(4096 + file)[file..],
+                )
+                .unwrap();
+            }
+        }
+        fs::write(root.join("src/0-empty"), b"").unwrap();
+        fs::write(root.join("src/z-empty"), b"").unwrap();
+        let (src, dst) = (root.join("src"), root.join("dst"));
+        let chain = plan_local(TaskOp::Copy, &src, &dst, MIN_CHUNK_SIZE, &Arc::default());
+        let total = 1024 * 4096;
+        assert_eq!(chain.size(), total);
+        let units = total.div_ceil(MIN_CHUNK_SIZE);
+        assert_eq!(units, 64);
+        assert!(
+            matches!(drive(chain), (n, PlanOutcome::Done(moved)) if n == units && moved == total)
+        );
+        assert_same_tree(&src, &dst);
+    }
+
+    /// Make a FIFO at `path`.
+    pub(crate) fn mkfifo(path: &Path) {
+        let made = std::process::Command::new("mkfifo").arg(path).status();
+        assert!(made.unwrap().success(), "mkfifo {}", path.display());
     }
 }

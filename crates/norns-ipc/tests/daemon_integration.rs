@@ -541,6 +541,43 @@ fn closing_a_connection_disarms_its_deadlines() {
     assert_eq!(ctl.status().unwrap().open_connections, 1);
 }
 
+/// Fresh connections that pipeline the moment `connect` returns — no
+/// ping, no pause — have every request acted on: each of them parks
+/// its waits on a pinned blocker inside the bound. This is the path a
+/// `CtlClient::issue` caller and the workflow executor take.
+#[test]
+fn fresh_connections_pipelining_at_once_have_every_wait_parked() {
+    const CONNECTIONS: usize = 8;
+    const WAITS: usize = 3;
+    let (daemon, _ctl, blocker, _silent) = pinned("fresh-pipelined");
+    let engine = daemon.engine();
+    let bound = Duration::from_millis(300);
+    let armed = Instant::now();
+    let fresh: Vec<CtlClient> = (0..CONNECTIONS)
+        .map(|_| {
+            let mut conn = CtlClient::connect(&daemon.control_path).unwrap();
+            for _ in 0..WAITS {
+                conn.issue_wait(blocker, 0).unwrap();
+            }
+            conn
+        })
+        .collect();
+    let want = CONNECTIONS * WAITS;
+    while engine.parked_waits() != want {
+        let parked = engine.parked_waits();
+        assert!(armed.elapsed() < bound, "{parked} of {want} waits parked");
+        std::thread::yield_now();
+    }
+    drop(fresh);
+    while engine.parked_waits() != 0 {
+        assert!(
+            armed.elapsed() < 2 * bound,
+            "closed connections kept their waits"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// A blocking verb is the pipelined call at depth 1, so it can run
 /// while a parked wait is outstanding on the same connection: it gets
 /// its own response, and the wait's response — whichever side of the

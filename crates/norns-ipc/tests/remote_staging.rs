@@ -772,10 +772,12 @@ fn data_plane_server_refusals_carry_pinned_codes() {
             store("nodea-ds", "dir", (1 << 20) + 17),
             ErrorCode::SystemError,
         ),
+        // A `Fetch` opens its source as every data-plane source is
+        // opened: anything but a regular file is the caller's mistake.
         (
             "fetch of a directory",
             fetch_of("dir", 0, 100),
-            ErrorCode::SystemError,
+            ErrorCode::BadArgs,
         ),
         (
             "stat of a directory",

@@ -37,7 +37,6 @@
 //! justification, next to the call-graph stats and per-function
 //! summaries the interprocedural rules derived.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod locks;
@@ -109,15 +108,6 @@ pub struct Finding {
     /// point (or the blocking/locking witness) to the sink. Empty for
     /// lexical findings.
     pub chain: Vec<String>,
-}
-
-impl Finding {
-    /// Stable identity for baseline comparison. Line numbers are
-    /// deliberately excluded so unrelated edits above a known finding
-    /// do not churn the baseline.
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}", self.rule.name(), self.file, self.message)
-    }
 }
 
 /// A parsed `// norns-lint: allow(rule): reason` marker. `target_line`

@@ -6,11 +6,6 @@
 //!   first `Cargo.toml` containing `[workspace]`)
 //! * `--json <file>`  where to write the machine-readable inventory
 //!   (default `<root>/results/lint.json`)
-//! * `--baseline <file>`  with `--check`, fail only on findings not
-//!   recorded in the baseline (a missing file is an empty baseline);
-//!   baselined findings still appear in the report and the JSON
-//! * `--write-baseline <file>`  snapshot the current unsuppressed
-//!   findings as the new baseline and exit successfully
 //! * `--quiet`        suppress the text report on success
 
 use std::path::{Path, PathBuf};
@@ -38,8 +33,6 @@ fn main() -> ExitCode {
     let mut quiet = false;
     let mut root: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -47,8 +40,6 @@ fn main() -> ExitCode {
             "--quiet" => quiet = true,
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json_path = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
             other => {
                 eprintln!("norns-lint: unknown argument `{other}`");
                 return ExitCode::from(2);
@@ -86,55 +77,14 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if let Some(path) = write_baseline {
-        let keys: std::collections::BTreeSet<String> =
-            report.unsuppressed().map(|f| f.key()).collect();
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(&path, norns_lint::baseline::render(&keys)) {
-            eprintln!("norns-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "norns-lint: wrote {} baseline key(s) to {}",
-            keys.len(),
-            display_rel(&path, &root)
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match &baseline_path {
-        Some(path) => match norns_lint::baseline::load(path) {
-            Ok(keys) => Some(keys),
-            Err(e) => {
-                eprintln!("norns-lint: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     let failures = report.unsuppressed_count();
-    let new_failures = match &baseline {
-        Some(keys) => report
-            .unsuppressed()
-            .filter(|f| !keys.contains(&f.key()))
-            .count(),
-        None => failures,
-    };
     if !quiet || failures > 0 {
         print!("{}", report.render_text());
         println!("inventory: {}", display_rel(&json_path, &root));
     }
     if failures > 0 {
-        match &baseline {
-            Some(_) => {
-                println!("norns-lint: {failures} finding(s), {new_failures} new vs baseline")
-            }
-            None => println!("norns-lint: {failures} finding(s)"),
-        }
-        if check && new_failures > 0 {
+        println!("norns-lint: {failures} finding(s)");
+        if check {
             return ExitCode::from(1);
         }
     } else if !quiet {
