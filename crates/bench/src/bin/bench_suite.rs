@@ -32,8 +32,8 @@
 //!    paper's Fig. 4 submit hammer (1–32 processes).
 //! 2. **local** — the no-network data plane through a bare engine:
 //!    chunk size × workers on one file, 1, 2 and 4 files at once, one
-//!    file on tmpfs, the four arbitration policies on a skewed
-//!    real-file mix.
+//!    file per size either side of the landing floor, the four
+//!    arbitration policies on a skewed real-file mix.
 //! 3. **remote** — loopback push + pull taking turns with the same
 //!    file's no-network copy, and across chunk sizes with `query()`
 //!    polled mid-transfer; 1 and 2 files pushed together.
@@ -539,59 +539,61 @@ fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
         doc.row(knobs.into_iter().chain(turns(secs)).chain(rate));
     }
     doc.note(format!(
-        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), median of {reps} turns with the file counts taking turns, aggregate rate; each file is one chain of chunks on one worker; gate: 2 files move at >= 1.3x the 1-file rate{}; a 2- or 4-file row that writes 512 MiB or more meets this box's slow buffered writes (chunk_sweep's note), which is what a secs_max of seconds beside a median of tenths is; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's chunk_ablation_local at 8 MiB)",
+        "concurrent_copies: 1, 2 and 4 distinct {} MiB files submitted together to one in-process engine at the defaults (4 workers, 8 MiB chunks, fcfs), median of {reps} turns with the file counts taking turns, aggregate rate; each file is one chain of chunks on one worker; gate: 2 files move at >= 1.3x the 1-file rate{}; a 2- or 4-file row that writes 512 MiB or more meets this box's slow buffered writes (chunk_sweep's note), which is what a secs_max of seconds beside a median of tenths is; the files=1 row stands in for the old single-size local_copy row (through a daemon: BENCH_remote.json's remote_local)",
         size / MIB,
         if nproc < 2 { " (skipped: nproc < 2)" } else { "" }
     ));
     let _ = fs::remove_dir_all(&mount);
 }
 
-/// The side of the mover rule that keeps `copy_file_range`: one file
-/// copied on `/dev/shm` when that is tmpfs, to read beside
-/// `concurrent_copies`' files=1 row on the scratch filesystem (ext4
-/// here, where a chunked copy maps its units). No gate.
-fn tmpfs_copy(doc: &mut BenchDoc) {
-    let shm = Path::new("/dev/shm");
-    if json::fs_type(shm).as_deref() != Some("tmpfs") {
-        doc.note("tmpfs_copy: skipped, /dev/shm is not tmpfs here");
-        return;
+/// One file of each of `sizes` bytes copied inside `mount` through one
+/// in-process engine at the defaults, the sizes taking turns, each copy
+/// checked byte for byte off the clock; one [`Summary`] per size.
+fn single_copies(mount: &Path, sizes: &[u64], reps: usize) -> Vec<Summary> {
+    fs::create_dir_all(mount).unwrap();
+    let mut files: Vec<_> = sizes.iter().map(|&n| (n, patterned(n as usize))).collect();
+    for (size, payload) in &files {
+        write_clean(&mount.join(format!("src{size}")), payload);
     }
-    let size = if quick_mode() { 64 * MIB } else { 256 * MIB };
-    let reps = 5;
-    let mount = shm.join(format!("norns-bench-suite-{}", std::process::id()));
-    fs::create_dir_all(&mount).unwrap();
-    write_clean(&mount.join("src"), &vec![0x5au8; size as usize]);
-    let samples = sample_turns(reps, &mut [()], |_| {
-        let engine = engine_on(
-            &mount,
-            EngineConfig::default(),
-            PolicyKind::Fcfs.to_policy(),
-        );
-        let _ = fs::remove_file(mount.join("dst"));
-        let start = Instant::now();
-        finished(
-            &engine,
-            engine.submit(1, tmp0_copy("src", "dst"), None).unwrap(),
-        );
-        let secs = start.elapsed().as_secs_f64();
-        engine.shutdown();
-        secs
+    let engine = engine_on(mount, EngineConfig::default(), PolicyKind::Fcfs.to_policy());
+    let samples = sample_turns(reps, &mut files, |(size, payload)| {
+        let dst = format!("dst{size}");
+        staged(&mount.join(&dst), payload, || {
+            let start = Instant::now();
+            let id = engine.submit(1, tmp0_copy(&format!("src{size}"), &dst), None);
+            finished(&engine, id.unwrap());
+            start.elapsed().as_secs_f64()
+        })
     });
-    let knobs = [
-        ("scenario", Json::str("tmpfs_copy")),
-        ("files", Json::num(1.0)),
-        ("bytes", Json::num(size as f64)),
-    ];
-    let rate = [(
-        "gib_per_s",
-        Json::num(size as f64 / samples[0].median() / GIB),
-    )];
-    doc.row(knobs.into_iter().chain(turns(&samples[0])).chain(rate));
-    doc.note(format!(
-        "tmpfs_copy: one {} MiB file copied on /dev/shm (tmpfs) through an in-process engine at the defaults, median of {reps} turns; not ext4, so its units move with copy_file_range, where a chunked copy on the ext4 scratch filesystem (concurrent_copies files=1) maps each unit's source and lands it with one pwrite; no gate",
-        size / MIB
-    ));
-    let _ = fs::remove_dir_all(&mount);
+    engine.shutdown();
+    let _ = fs::remove_dir_all(mount);
+    samples
+}
+
+/// Both sides of the landing floor (768 KiB, `engine/transfer.rs`):
+/// single files from 64 KiB to 8 MiB on the scratch filesystem, and
+/// one 4 MiB file on `/dev/shm` when that is tmpfs, the side of the
+/// mover rule that keeps `copy_file_range` at any length. No gate.
+fn landing_floor(root: &Path, doc: &mut BenchDoc) {
+    let reps = if quick_mode() { 11 } else { 41 };
+    let sizes = [64 << 10, 256 << 10, MIB, 2 * MIB, 4 * MIB, 8 * MIB];
+    let mut mounts = vec![(root.join("landing"), &sizes[..])];
+    let shm = Path::new("/dev/shm").join(format!("norns-landing-{}", std::process::id()));
+    if json::fs_type(&shm).as_deref() == Some("tmpfs") {
+        mounts.push((shm, &sizes[4..5]));
+    }
+    for (mount, sizes) in mounts {
+        let fs = json::fs_type(&mount).unwrap_or_default();
+        for (size, secs) in sizes.iter().zip(&single_copies(&mount, sizes, reps)) {
+            let knobs = [
+                ("scenario", Json::str("landing_floor")),
+                ("fs", Json::Str(fs.clone())),
+                ("bytes", Json::num(*size as f64)),
+            ];
+            doc.row(knobs.into_iter().chain(turns(secs)));
+        }
+    }
+    doc.note(format!("landing_floor: one file per size copied through an in-process engine at the defaults (8 MiB chunks, so each file is one unit), median of {reps} turns with the sizes of one filesystem taking turns; on ext4 a file longer than the landing floor (768 KiB) is allocated before its first byte and lands mapped with one pwrite, one at or below it lands unallocated with copy_file_range; on tmpfs the 4 MiB file is allocated and moves with copy_file_range (read it beside the ext4 4 MiB row: the two movers on one length); the chunk size decides none of it; no gate"));
 }
 
 /// The four arbitration policies on a skewed real-file mix (the
@@ -696,7 +698,7 @@ fn bench_local(root: &Path) -> BenchDoc {
     let mut doc = BenchDoc::new("local");
     chunk_sweep(root, &mut doc);
     concurrent_copies(root, &mut doc);
-    tmpfs_copy(&mut doc);
+    landing_floor(root, &mut doc);
     policy_mix(root, &mut doc);
     doc
 }
@@ -828,17 +830,15 @@ fn bench_remote(root: &Path) -> BenchDoc {
 
     concurrent_pushes(root, &mut doc);
 
-    // Chunk-size sweep, polling `query()` while the wire is busy;
-    // `local` is the same-daemon, no-network copy of the same file. The
-    // three directions of one chunk size take turns.
+    // Chunk-size sweep, polling `query()` while the wire is busy. The
+    // two directions of one chunk size take turns.
     let reps = if quick_mode() { 3 } else { 5 };
     for chunk_mib in [1u64, 4, 8] {
         let [(_daemon_a, mut ctl_a), _node_b] =
             spawn_pair(root, "sockets", |c| c.with_chunk_size(chunk_mib * MIB));
         // (direction, spec, lands at, saw partial progress)
         let mut legs = [
-            ("local", local_spec as fn() -> TaskSpec, &local, false),
-            ("push", push_spec, &pushed, false),
+            ("push", push_spec as fn() -> TaskSpec, &pushed, false),
             ("pull", pull_spec, &pulled, false),
         ];
         let samples = sample_turns(reps, &mut legs, |(_, spec, lands_at, partial)| {
@@ -852,7 +852,7 @@ fn bench_remote(root: &Path) -> BenchDoc {
             doc.row(transfer_row(format!("chunk_ablation_{direction}"), knob, secs).chain(saw));
         }
     }
-    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size, polling query(), median of {reps} turns with local, push and pull taking turns; local = same-daemon baseline; push and pull move one copy per received byte, one lane per file: a transfer is two busy threads (a sender, a receiver) whatever the chunk size, and the client polling query() without a pause is two more (itself and the reactor answering it), so on this box's two vCPUs a polled push or pull gets about half of them and reads about 1.0 GiB/s at every chunk size (when a transfer ran four lanes they out-numbered the poller and read 1.2-1.5; the same push waited for instead of polled went 42-46 -> 38-39 ms at 64 MiB, polled 45 -> 63); every sample is compared byte for byte; a push or pull row at 8 MiB differs from remote_push/remote_pull only in the client polling instead of waiting, on the same two vCPUs, and sits under it; gate: a push or pull row saw partial bytes_moved"));
+    doc.note(format!("chunk_ablation_*: the same file staged both ways per chunk size, polling query(), median of {reps} turns with push and pull taking turns (the no-network twin is remote_local; local chunk sizes are BENCH_local.json's chunk_sweep); push and pull move one copy per received byte, one lane per file: a transfer is two busy threads (a sender, a receiver) whatever the chunk size, and the client polling query() without a pause is two more (itself and the reactor answering it), so on this box's two vCPUs a polled push or pull gets about half of them (the same push waited for instead of polled went 42-46 -> 38-39 ms at 64 MiB, polled 45 -> 63); every sample is compared byte for byte; a push or pull row at 8 MiB differs from remote_push/remote_pull only in the client polling instead of waiting, on the same two vCPUs, and sits under it; gate: a push or pull row saw partial bytes_moved"));
     doc.note("a remote row whose median or secs_max sits tenths of a second above its secs_min had residual data-plane stalls land on some or most of its turns (secs_min is its clean time): /proc/net/netstat still counts fast retransmits, out-of-order queueing and loss probes on loopback during a transfer (ROADMAP item 2, not attributed further)");
     doc
 }

@@ -72,10 +72,6 @@ pub struct DaemonConfig {
     /// remote staging. The data plane is unauthenticated — bind it to
     /// loopback or a trusted interconnect only.
     pub data_addr: Option<String>,
-    /// Static peer registry seeded at spawn: `RemotePath.host` →
-    /// peer data-plane address. Peers can also be added at runtime via
-    /// `CtlRequest::RegisterPeer`.
-    pub peers: Vec<(String, String)>,
     /// Reactor threads multiplexing the control/user planes (clamped
     /// to `1..=16`). Connection count does not add threads.
     pub reactors: usize,
@@ -88,7 +84,6 @@ impl DaemonConfig {
             engine: EngineConfig::default(),
             policy: PolicyKind::Fcfs,
             data_addr: None,
-            peers: Vec::new(),
             reactors: DEFAULT_REACTORS,
         }
     }
@@ -113,12 +108,6 @@ impl DaemonConfig {
     /// [`UrdDaemon::data_addr`]).
     pub fn with_data_addr(mut self, addr: impl Into<String>) -> Self {
         self.data_addr = Some(addr.into());
-        self
-    }
-
-    /// Seed the peer registry with `host` → `data_addr`.
-    pub fn with_peer(mut self, host: impl Into<String>, data_addr: impl Into<String>) -> Self {
-        self.peers.push((host.into(), data_addr.into()));
         self
     }
 
@@ -155,9 +144,6 @@ impl UrdDaemon {
         let _ = std::fs::remove_file(&user_path);
 
         let engine = Engine::with_config(config.engine, config.policy.to_policy());
-        for (host, addr) in config.peers {
-            engine.register_peer(host, addr);
-        }
 
         // "two separate 'control' and 'user' sockets are created with
         // differing file system permissions" — owner-only for control,

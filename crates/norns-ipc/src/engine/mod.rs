@@ -32,11 +32,13 @@
 //!   `bytes_total` is exact from the plan, and the rest of the pool
 //!   stays free for *other* tasks: one destination inode takes one
 //!   writer at a time, so the pool's parallelism is across transfers.
-//!   A file longer than a chunk with both ends on ext4 maps each
-//!   unit's source and lands it with one `pwrite`; other ranges move
-//!   zero-copy via `copy_file_range` with a pooled-buffer fallback; a
-//!   `Move` is a `rename()` when both ends share a filesystem; and a
-//!   per-task atomic advances `bytes_moved` live.
+//!   Every destination is made by one helper, and one longer than a
+//!   fixed floor is allocated first; a local file above that floor
+//!   with both ends on ext4 maps each unit's source and lands it with
+//!   one `pwrite`; other ranges move zero-copy via `copy_file_range`
+//!   with a pooled-buffer fallback; a `Move` is a `rename()` when both
+//!   ends share a filesystem; and a per-task atomic advances
+//!   `bytes_moved` live.
 //!
 //!   A `Move` has one rule on every route: its source is freed only
 //!   after every byte has landed, and a Move that fails or is
@@ -79,7 +81,7 @@ mod waits;
 
 use std::collections::HashMap;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -106,7 +108,7 @@ use registry::Registry;
 use remote::{Direction, RemoteTransfer};
 use replication::{ReplRequest, ReplRole};
 use shard::{Settled, ShardedTaskTable, TaskEntry};
-use transfer::{with_parent, Chain, End, LocalCopy, PlanOutcome, Step};
+use transfer::{open_landing, with_parent, Chain, End, LocalCopy, PlanOutcome, Step};
 
 /// Default bound on the pending task set.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -1095,7 +1097,7 @@ impl Engine {
                 return Ok(Outcome::Done(0));
             }
             // Planning does network round-trips — a size probe for
-            // pulls, a preallocating `Prepare` for pushes — which is
+            // pulls, a landing `Prepare` for pushes — which is
             // why it runs here on a worker and not in `submit`.
             (Some(out), Route::Remote(direction)) => {
                 let local = if direction == Direction::Pull {
@@ -1111,7 +1113,7 @@ impl Engine {
         if let ResourceDesc::MemoryRegion { .. } = input {
             // Table II: process memory ⇒ local path.
             let buf = payload.unwrap_or(&[]);
-            with_parent(&dst, |dst| fs::write(dst, buf))?;
+            open_landing(&dst, buf.len() as u64, None)?.write_all(buf)?;
             progress.fetch_add(buf.len() as u64, Ordering::Relaxed);
             return Ok(Outcome::Done(buf.len() as u64));
         }
@@ -1137,8 +1139,9 @@ impl Engine {
             }
         }
         // Cross-filesystem move (EXDEV) or plain copy: a file or a tree.
-        let plan = LocalCopy::plan(spec.op, &src, &dst, self.chunk_size, Arc::clone(progress))?;
-        Ok(Outcome::Chunked(plan.chain(task_id, Arc::clone(abort))))
+        let plan = LocalCopy::plan(spec.op, &src, &dst, Arc::clone(progress))?;
+        let chain = plan.chain(task_id, self.chunk_size, Arc::clone(abort));
+        Ok(Outcome::Chunked(chain))
     }
 
     /// Plan a remote staging transfer between `local` on this node and
@@ -2073,8 +2076,8 @@ mod tests {
     fn copy_onto_an_alias_of_the_source_is_refused_and_leaves_it_intact() {
         let (engine, root) = chunking_engine("alias", 2);
         let mount = root.join("tmp0");
-        // One size below the chunk size (`copy_range`), one above
-        // (allocated, and mapped on ext4).
+        // One size below the chunk size, one above: the refusal comes
+        // before the landing rule reads either length.
         for (n, len) in [1_000usize, 100_000].into_iter().enumerate() {
             let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let src = format!("src{n}");

@@ -59,8 +59,8 @@
 //! connect timeout instead of hanging; a destination that cannot be
 //! allocated (`ENOSPC`, `EDQUOT`, `EFBIG`) fails the plan before any
 //! range moves, here for a pull, on the peer's `Prepare` for a push;
-//! a failed or cancelled pull removes the preallocated local
-//! destination, a failed or cancelled push asks the peer to discard
+//! a failed or cancelled pull removes the local destination it
+//! created, a failed or cancelled push asks the peer to discard
 //! the partial remote file. A `Move` frees its source in the same
 //! place, once every range has landed: a push unlinks its local
 //! source, a pull asks the peer to `Discard` its own — the one remote
@@ -86,7 +86,7 @@ use std::time::Duration;
 use norns_proto::{DataRequest, DataResponse, ErrorCode, TaskOp, MAX_DATA_RANGE};
 
 use super::error::EngineError;
-use super::transfer::{open_source, preallocate, truncated, with_parent, Chain, RangeMover};
+use super::transfer::{open_landing, open_source, truncated, Chain, RangeMover};
 use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
@@ -158,9 +158,9 @@ struct Ends {
 
 impl RemoteTransfer {
     /// Plan a transfer and lay out its chain. A pull probes the
-    /// remote size and preallocates the local destination; a push
-    /// opens the local source and asks the peer to create and
-    /// preallocate the destination. The chain's `size()` is the
+    /// remote size and lands the local destination (`open_landing`); a
+    /// push opens the local source and asks the peer to land the
+    /// destination (`Prepare`). The chain's `size()` is the
     /// now-known transfer size (a pull's submit-time estimate was 0).
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
@@ -186,12 +186,10 @@ impl RemoteTransfer {
                     DataResponse::Stat { size } => size,
                     other => return Err(unexpected(&other)),
                 };
-                // Allocated before the first `Fetch`, as a long local
-                // file's destination is: units then land
-                // disjoint ranges in blocks that are already there.
-                let local = with_parent(local_path, |path| File::create(path))?;
-                preallocate(&local, local_path, size)?;
-                (local, size)
+                // Landed before the first `Fetch` by the rule every
+                // destination follows: units then land disjoint ranges
+                // in blocks that are already there.
+                (open_landing(local_path, size, None)?, size)
             }
             Direction::Push => {
                 // A directory that appeared since submit is refused
@@ -342,7 +340,7 @@ impl RangeMover for RemoteTransfer {
     }
 
     /// Remove what an interrupted transfer left behind — the pull's
-    /// preallocated local destination, or (best-effort) the push's
+    /// local destination, or (best-effort) the push's
     /// partial remote one — or free a landed `Move`'s source.
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
         match (landed, self.ends.direction) {

@@ -31,7 +31,7 @@ use norns_sched::shape::Plugin;
 
 use super::super::carries_directory;
 use super::super::error::EngineError;
-use super::super::transfer::{open_source, preallocate, with_parent};
+use super::super::transfer::{open_landing, open_source};
 use super::super::Engine;
 use super::conn::{land_payload, send_file_range, tune};
 
@@ -241,9 +241,7 @@ fn handle_data(
             // The pusher's plan fails on our `Error` before it has a
             // chain, so no `Discard` follows a file that could not be
             // allocated: it goes here.
-            let local = engine.resolve_local(&nsid, &path)?;
-            let file = with_parent(&local, |path| File::create(path))?;
-            preallocate(&file, &local, size)?;
+            open_landing(&engine.resolve_local(&nsid, &path)?, size, None)?;
             DataResponse::Ok
         }
         DataRequest::Store { nsid, path, offset } => {
@@ -477,12 +475,13 @@ mod tests {
     /// and its preallocated destination is removed.
     #[test]
     fn a_pull_answered_short_fails_truncated_at_the_source_end() {
-        use super::super::super::transfer::{Chain, PlanOutcome, Step};
+        use super::super::super::transfer::{Chain, PlanOutcome, Step, LANDING_FLOOR};
         use super::super::{Direction, RemoteTransfer};
         use std::sync::atomic::AtomicBool;
 
         let (server, _conn, mount) = served("shrank");
-        let size = 3 * (256u64 << 10) + 4321;
+        // Above the landing floor, so the plan preallocates it.
+        let size = LANDING_FLOOR + 3 * (256u64 << 10) + 4321;
         fs::write(mount.join("src.dat"), pattern(size as usize)).unwrap();
         // Each transfer connects for itself, so this server keeps
         // accepting.

@@ -21,31 +21,32 @@
 //!   files. A remote transfer is a chain too: the receiving end lands a
 //!   payload with one copy, so a second connection only queued on that
 //!   same lock.
-//! * **The mover rule** — a file longer than one chunk whose two ends
-//!   are both on ext4 (one `fstatfs(2)` each, when it opens) takes the
-//!   paper's `fallocate`+`mmap` path: each unit maps its source range
-//!   read-only with `MAP_SHARED | MAP_POPULATE` and lands it with one
-//!   `pwrite(2)` from the mapping ([`SourceMap`]). Everything else
-//!   moves byte ranges with `copy_file_range(2)`, which stays in the
-//!   kernel: pairs not on ext4 (tmpfs, where the mapped write is
-//!   slower, and reflink or offload filesystems, where the call is a
-//!   clone), files of at most one chunk (the mapped write loses below
-//!   about 1 MiB), and a unit whose mapping the kernel refuses. Where
-//!   the call refuses the pair (`EXDEV`, `EINVAL`, `ENOSYS`, …) the
-//!   range degrades to a pooled-buffer `pread`/`pwrite` loop — one
-//!   reusable buffer per worker thread, never an allocation per
-//!   transfer. A source truncated under a mapping raises no signal: the
-//!   kernel reads the mapping inside `pwrite`, which comes up short and
-//!   then fails `EFAULT`, and the unit fails as a short one does.
-//! * **Allocated before the first byte** — a destination written in
-//!   ranges (a file longer than a chunk, a pull, a push's `Prepare` on
-//!   the peer) is given all its blocks by `fallocate(2)`
-//!   ([`preallocate`]) before its first range, as the paper's plugins
+//! * **One landing rule** — every destination (a local leaf, a pull, a
+//!   peer's `Prepare`, a memory task) is created or emptied by
+//!   [`open_landing`], and one longer than [`LANDING_FLOOR`] — a length,
+//!   never `chunk_size` — gets all its blocks from `fallocate(2)`
+//!   ([`preallocate`]) before its first byte, as the paper's plugins
 //!   do. A `set_len` would only give it a length: a sparse file on
 //!   ext4, every page of which pays for delayed allocation when it is
 //!   written, and a disk that cannot hold it fails mid-copy or at
 //!   writeback, after the task reported `Finished`. Allocated, a full
 //!   disk or quota fails before any of the file's bytes move.
+//! * **The mover rule** — a local file longer than the same floor whose
+//!   two ends are both on ext4 (one `fstatfs(2)` each, when it opens)
+//!   takes the paper's `fallocate`+`mmap` path: each unit maps its
+//!   source range read-only with `MAP_SHARED | MAP_POPULATE` and lands
+//!   it with one `pwrite(2)` from the mapping ([`SourceMap`]).
+//!   Everything else moves byte ranges with `copy_file_range(2)`, which
+//!   stays in the kernel: pairs not on ext4 (tmpfs, where the mapped
+//!   write is slower, and reflink or offload filesystems, where the
+//!   call is a clone), files at or below the floor (where the mapping
+//!   costs more than it saves), and a unit whose mapping the kernel
+//!   refuses. Where the call refuses the pair (`EXDEV`, `EINVAL`,
+//!   `ENOSYS`, …) the range degrades to a pooled-buffer `pread`/`pwrite`
+//!   loop — one reusable buffer per worker thread, never an allocation
+//!   per transfer. A source truncated under a mapping raises no signal:
+//!   the kernel reads the mapping inside `pwrite`, which comes up short
+//!   and then fails `EFAULT`, and the unit fails as a short one does.
 //! * **Live progress** — every kernel round-trip advances a per-task
 //!   atomic, which `query()` overlays on `bytes_moved`; pollers see a
 //!   transfer advance instead of `0 → total` at completion (the
@@ -71,12 +72,18 @@ use super::error::EngineError;
 /// per-chunk scheduler round-trip is noise (a local copy pays one per
 /// chunk, on the worker that just finished the previous one), small
 /// enough that the arbitration policy, a cancel and `query()` progress
-/// get a say every few milliseconds of a large transfer.
+/// get a say every few milliseconds of a large transfer; a remote unit's
+/// bytes in flight too, and nothing else ([`LANDING_FLOOR`] lands files).
 pub const DEFAULT_CHUNK_SIZE: u64 = 8 << 20;
 
 /// Floor on the configurable chunk size: below this the per-chunk
 /// dispatch overhead dominates.
 pub const MIN_CHUNK_SIZE: u64 = 64 << 10;
+
+/// The landing rule's one threshold (module docs): where an allocated,
+/// mapped copy stops losing to an unallocated `copy_file_range` one,
+/// timed whole through the engine on ext4 (README § Zero-copy path).
+pub(crate) const LANDING_FLOOR: u64 = 768 << 10;
 
 /// Size cap of the per-thread pooled buffer behind both buffered
 /// fallbacks: the local `pread`/`pwrite` copy below and the remote
@@ -172,7 +179,7 @@ fn fallocate_once(file: &File, len: i64) -> io::Result<()> {
 /// returned, and the file removed: under its final name, a file that
 /// could never hold the data would fake a staged one, and a failed
 /// plan has no chain whose end removes it.
-pub(crate) fn preallocate(file: &File, path: &Path, len: u64) -> io::Result<()> {
+fn preallocate(file: &File, path: &Path, len: u64) -> io::Result<()> {
     let allocated = match i64::try_from(len) {
         Err(_) => Err(io::Error::from_raw_os_error(EFBIG)),
         // `fallocate` refuses a zero length; an empty file is done.
@@ -487,33 +494,42 @@ fn not_a_file(path: &Path) -> EngineError {
     EngineError::bad_args(format!("{} is not a regular file", path.display()))
 }
 
-/// Open `src` and create-or-empty `dst` for a copy: the one place a
-/// destination is truncated. The destination is opened *without*
-/// `O_TRUNC` and compared with the source by `(st_dev, st_ino)` first —
-/// a hard link or symlink to the source (or the same file reached
-/// through two overlapping dataspaces) is a different path but the same
-/// inode, and truncating it would destroy the data being copied.
-fn open_pair(src: &Path, dst: &Path) -> Result<(File, File), EngineError> {
-    let (from, meta) = open_source(src)?;
-    let to = with_parent(dst, |dst| {
+/// Create or empty `path`, the destination of a `len`-byte transfer,
+/// and allocate it if it is longer than [`LANDING_FLOOR`]: the one
+/// place a destination is made (module docs). It is opened *without*
+/// `O_TRUNC` and compared with a local `source` by `(st_dev, st_ino)`
+/// first — a hard link or symlink to the source (or the same file seen
+/// through two overlapping dataspaces) is another path to the same
+/// inode, and emptying it would destroy the data being copied.
+pub(crate) fn open_landing(
+    path: &Path,
+    len: u64,
+    source: Option<(&Path, &Metadata)>,
+) -> Result<File, EngineError> {
+    let file = with_parent(path, |path| {
         OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(false)
-            .open(dst)
+            .open(path)
     })?;
-    let old = to.metadata()?;
-    if (old.dev(), old.ino()) == (meta.dev(), meta.ino()) {
-        return Err(EngineError::bad_args(format!(
-            "source {} and destination {} are the same file",
-            src.display(),
-            dst.display()
-        )));
+    let old = file.metadata()?;
+    if let Some((src, meta)) = source {
+        if (old.dev(), old.ino()) == (meta.dev(), meta.ino()) {
+            return Err(EngineError::bad_args(format!(
+                "source {} and destination {} are the same file",
+                src.display(),
+                path.display()
+            )));
+        }
     }
     if old.len() > 0 {
-        to.set_len(0)?;
+        file.set_len(0)?;
     }
-    Ok((from, to))
+    if len > LANDING_FLOOR {
+        preallocate(&file, path, len)?;
+    }
+    Ok(file)
 }
 
 /// A source that ended before the byte a planned range needed: the
@@ -683,7 +699,6 @@ pub(crate) struct LocalCopy {
     next: usize,
     open: Option<Pair>,
     size: u64,
-    chunk_size: u64,
     progress: Arc<AtomicU64>,
 }
 
@@ -711,12 +726,10 @@ impl LocalCopy {
         op: TaskOp,
         src: &Path,
         dst: &Path,
-        chunk_size: u64,
         progress: Arc<AtomicU64>,
     ) -> Result<LocalCopy, EngineError> {
         let mut copy = LocalCopy {
             frees: (op == TaskOp::Move).then(|| src.to_path_buf()),
-            chunk_size,
             progress,
             ..LocalCopy::default()
         };
@@ -724,10 +737,10 @@ impl LocalCopy {
         Ok(copy)
     }
 
-    /// The plan as task `task_id`'s chain.
-    pub fn chain(self, task_id: u64, abort: Arc<AtomicBool>) -> Box<Chain> {
-        let (size, chunk, progress) = (self.size, self.chunk_size, Arc::clone(&self.progress));
-        Chain::new(task_id, size, chunk, progress, abort, Box::new(self))
+    /// The plan as task `task_id`'s chain of `chunk_size`-byte units.
+    pub fn chain(self, task_id: u64, chunk_size: u64, abort: Arc<AtomicBool>) -> Box<Chain> {
+        let (size, progress) = (self.size, Arc::clone(&self.progress));
+        Chain::new(task_id, size, chunk_size, progress, abort, Box::new(self))
     }
 
     /// Plan `src` → `dst`, in name order. `symlink_metadata`, not
@@ -764,15 +777,13 @@ impl LocalCopy {
 }
 
 impl Leaf {
-    /// Open the leaf's files through [`open_pair`]; one longer than
-    /// `chunk_size` is allocated first.
-    fn open(&self, chunk_size: u64) -> Result<Pair, EngineError> {
-        let (src, dst) = open_pair(&self.src, &self.dst)?;
-        let long = self.len > chunk_size;
-        if long {
-            preallocate(&dst, &self.dst, self.len)?;
-        }
-        let mapped = long && on_ext4(&src) && on_ext4(&dst);
+    /// Open the leaf's source and land its destination through
+    /// [`open_landing`]; one longer than [`LANDING_FLOOR`] with both
+    /// ends on ext4 is mapped.
+    fn open(&self) -> Result<Pair, EngineError> {
+        let (src, meta) = open_source(&self.src)?;
+        let dst = open_landing(&self.dst, self.len, Some((&self.src, &meta)))?;
+        let mapped = self.len > LANDING_FLOOR && on_ext4(&src) && on_ext4(&dst);
         Ok(Pair { src, dst, mapped })
     }
 }
@@ -817,7 +828,7 @@ impl RangeMover for LocalCopy {
             }
             let pair = match &self.open {
                 Some(pair) => pair,
-                None => self.open.insert(leaf.open(self.chunk_size)?),
+                None => self.open.insert(leaf.open()?),
             };
             let (from, to) = (
                 offset.max(leaf.start) - leaf.start,
@@ -940,8 +951,8 @@ pub(super) mod tests {
         chunk: u64,
         abort: &Arc<AtomicBool>,
     ) -> Box<Chain> {
-        let copy = LocalCopy::plan(op, src, dst, chunk, Arc::default()).unwrap();
-        copy.chain(1, Arc::clone(abort))
+        let copy = LocalCopy::plan(op, src, dst, Arc::default()).unwrap();
+        copy.chain(1, chunk, Arc::clone(abort))
     }
 
     /// Drive `chain` the way the engine does — run the issued unit,
@@ -970,23 +981,25 @@ pub(super) mod tests {
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
-    /// A file longer than a chunk has a block behind every byte of its
-    /// destination's length once its first unit ran, before its second.
+    /// A file longer than the landing floor has a block behind every
+    /// byte of its destination's length once its first unit ran, before
+    /// its second.
     #[test]
     fn prealloc_a_long_file_is_allocated_by_its_first_unit() {
         let root = temp_root("transfer-prealloc");
-        let data = pattern((MIN_CHUNK_SIZE * 5 + 17) as usize);
+        let data = pattern((LANDING_FLOOR + MIN_CHUNK_SIZE * 5 + 17) as usize);
+        let rest = (data.len() as u64).div_ceil(MIN_CHUNK_SIZE) - 1;
         let chain = plan_copy(&root, &data, MIN_CHUNK_SIZE, &Arc::default());
         let Step::Next(chain) = chain.step() else {
-            panic!("five chunks remain");
+            panic!("{rest} chunks remain");
         };
         assert_allocated(&root.join("dst"), data.len() as u64);
-        assert!(matches!(drive(chain), (5, PlanOutcome::Done(_))));
+        assert!(matches!(drive(chain), (n, PlanOutcome::Done(_)) if n == rest));
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
 
     /// A destination that cannot be allocated fails the copy before any
-    /// of its bytes move, and the file `open_pair` created or emptied
+    /// of its bytes move, and the file `open_landing` created or emptied
     /// goes with it. No file can be longer than `i64::MAX` bytes.
     #[test]
     fn prealloc_a_copy_that_cannot_allocate_leaves_no_destination() {
@@ -995,14 +1008,7 @@ pub(super) mod tests {
         fs::write(root.join("dst"), b"an older copy").unwrap();
         let (src, dst) = (root.join("src"), root.join("dst"));
         let progress = Arc::new(AtomicU64::new(0));
-        let mut copy = LocalCopy::plan(
-            TaskOp::Copy,
-            &src,
-            &dst,
-            MIN_CHUNK_SIZE,
-            Arc::clone(&progress),
-        )
-        .unwrap();
+        let mut copy = LocalCopy::plan(TaskOp::Copy, &src, &dst, Arc::clone(&progress)).unwrap();
         copy.leaves[0].len = i64::MAX as u64 + 1;
         copy.size = copy.leaves[0].len;
         let chain = Chain::new(
@@ -1059,8 +1065,8 @@ pub(super) mod tests {
             }
             _ => panic!("an aborted copy must end Failed"),
         }
-        // The preallocated full-size destination must not survive a
-        // failed transfer: its length would fake a complete stage-in.
+        // The destination the first unit wrote must not survive a
+        // failed transfer: it would fake a staged file.
         assert!(!root.join("dst").exists());
     }
 
@@ -1188,54 +1194,95 @@ pub(super) mod tests {
         None
     }
 
-    /// A leaf of `src` → `dst`, `len` bytes of `chunk`-sized units,
-    /// opened: is it mapped?
-    fn mapped(src: &Path, dst: &Path, len: usize, chunk: u64) -> bool {
+    /// A leaf of `src` → `dst`, `len` bytes, opened: is it mapped?
+    fn mapped(src: &Path, dst: &Path, len: usize) -> bool {
         fs::write(src, pattern(len)).unwrap();
-        let copy = LocalCopy::plan(TaskOp::Copy, src, dst, chunk, Arc::default()).unwrap();
-        copy.leaves[0].open(chunk).unwrap().mapped
+        let copy = LocalCopy::plan(TaskOp::Copy, src, dst, Arc::default()).unwrap();
+        copy.leaves[0].open().unwrap().mapped
     }
 
     /// The mover is picked by where both files live: mapped for two
     /// files on ext4, `copy_range` when either is on tmpfs — and for a
-    /// file of at most one chunk wherever it lives.
+    /// file at or below the landing floor wherever it lives.
     #[test]
     fn mapped_only_when_both_files_are_on_ext4() {
         let Some(root) = ext4_root("mapped-select") else {
             return;
         };
-        let long = MIN_CHUNK_SIZE as usize + 1;
-        assert!(mapped(
-            &root.join("src"),
-            &root.join("dst"),
-            long,
-            MIN_CHUNK_SIZE
-        ));
-        let short = MIN_CHUNK_SIZE as usize;
-        assert!(!mapped(
-            &root.join("src"),
-            &root.join("dst"),
-            short,
-            MIN_CHUNK_SIZE
-        ));
+        let long = LANDING_FLOOR as usize + 1;
+        assert!(mapped(&root.join("src"), &root.join("dst"), long));
+        let short = LANDING_FLOOR as usize;
+        assert!(!mapped(&root.join("src"), &root.join("dst"), short));
         let shm = Path::new("/dev/shm");
         if !File::open(shm).is_ok_and(|dir| !on_ext4(&dir)) {
             eprintln!("{}: absent or ext4, tmpfs side not tested", shm.display());
             return;
         }
         let shm = temp_root_in(shm, "mapped-select");
-        assert!(!mapped(
-            &shm.join("src"),
-            &root.join("dst"),
-            long,
-            MIN_CHUNK_SIZE
-        ));
-        assert!(!mapped(
-            &root.join("src"),
-            &shm.join("dst"),
-            long,
-            MIN_CHUNK_SIZE
-        ));
+        assert!(!mapped(&shm.join("src"), &root.join("dst"), long));
+        assert!(!mapped(&root.join("src"), &shm.join("dst"), long));
+    }
+
+    /// A one-file [`LocalCopy`] whose leaf is opened the way its first
+    /// unit opens it, and watched: whether its destination had a block
+    /// behind every byte before the first byte landed, and whether the
+    /// leaf was mapped.
+    struct Watched {
+        copy: LocalCopy,
+        seen: Arc<Mutex<Option<(bool, bool)>>>,
+    }
+
+    impl RangeMover for Watched {
+        fn move_range(&mut self, offset: u64, len: u64) -> Result<(), EngineError> {
+            if self.copy.open.is_none() && self.copy.next == 0 {
+                let leaf = &self.copy.leaves[0];
+                let pair = leaf.open()?;
+                let blocks = fs::metadata(&leaf.dst)?.blocks();
+                *self.seen.lock() = Some((blocks * 512 >= leaf.len, pair.mapped));
+                self.copy.open = Some(pair);
+            }
+            self.copy.move_range(offset, len)
+        }
+
+        fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
+            self.copy.finish(landed)
+        }
+    }
+
+    /// How a file lands is read from its length alone: a 4 MiB ext4 file
+    /// is allocated before its first byte and mapped whether its units
+    /// are the smallest chunk or one unit of 1 GiB, and a file at the
+    /// floor is neither, at either chunk size.
+    #[test]
+    fn landing_ignores_the_chunk_size() {
+        let Some(root) = ext4_root("landing-chunk") else {
+            return;
+        };
+        let (src, dst) = (root.join("src"), root.join("dst"));
+        for (len, above) in [(4 << 20, true), (LANDING_FLOOR, false)] {
+            let data = pattern(len as usize);
+            fs::write(&src, &data).unwrap();
+            for chunk in [MIN_CHUNK_SIZE, 1 << 30] {
+                let progress = Arc::new(AtomicU64::new(0));
+                let copy = LocalCopy::plan(TaskOp::Copy, &src, &dst, Arc::clone(&progress));
+                let seen = Arc::default();
+                let watched = Watched {
+                    copy: copy.unwrap(),
+                    seen: Arc::clone(&seen),
+                };
+                let chain = Chain::new(1, len, chunk, progress, Arc::default(), Box::new(watched));
+                let (_, PlanOutcome::Done(moved)) = drive(chain) else {
+                    panic!("{len} bytes in chunks of {chunk} did not land");
+                };
+                assert_eq!(moved, len);
+                assert_eq!(
+                    *seen.lock(),
+                    Some((above, above)),
+                    "{len} bytes in chunks of {chunk}: (allocated, mapped)"
+                );
+                assert!(fs::read(&dst).unwrap() == data);
+            }
+        }
     }
 
     /// A chunk that is not a page multiple puts every unit after the
@@ -1247,7 +1294,8 @@ pub(super) mod tests {
             return;
         };
         let chunk = MIN_CHUNK_SIZE + 4097;
-        let data = pattern((3 * chunk + 1234) as usize);
+        let data = pattern((LANDING_FLOOR + 3 * chunk + 1234) as usize);
+        let units = (data.len() as u64).div_ceil(chunk);
         let chain = plan_copy(&root, &data, chunk, &Arc::default());
         let src = File::open(root.join("src")).unwrap();
         for offset in (0..data.len() as u64).step_by(chunk as usize) {
@@ -1257,7 +1305,7 @@ pub(super) mod tests {
             assert_eq!((map.len - map.lead) as u64, len);
         }
         assert!(
-            matches!(drive(chain), (4, PlanOutcome::Done(moved)) if moved == data.len() as u64)
+            matches!(drive(chain), (n, PlanOutcome::Done(moved)) if n == units && moved == data.len() as u64)
         );
         assert_eq!(fs::read(root.join("dst")).unwrap(), data);
     }
@@ -1307,7 +1355,7 @@ pub(super) mod tests {
         let (src, dst) = (root.join("src"), root.join("dst"));
         let progress = Arc::new(AtomicU64::new(0));
         let size = data.len() as u64;
-        let copy = LocalCopy::plan(TaskOp::Copy, &src, &dst, chunk, Arc::clone(&progress));
+        let copy = LocalCopy::plan(TaskOp::Copy, &src, &dst, Arc::clone(&progress));
         let cut = chunk + (1 << 20) + 100;
         let mover = CutUnderTheMap {
             copy: copy.unwrap(),
