@@ -200,10 +200,6 @@ impl NornsWorld {
         &self.urds[node]
     }
 
-    pub fn urd_mut(&mut self, node: NodeId) -> &mut SimUrd {
-        &mut self.urds[node]
-    }
-
     pub(crate) fn ram_resource(&self, node: NodeId) -> ResourceId {
         self.ram[node]
     }

@@ -191,16 +191,6 @@ impl SimUrd {
         }
         latest
     }
-
-    /// Names of tracked dataspaces (paper §IV-A) — the caller checks
-    /// their namespaces for residual data at node release.
-    pub fn tracked_nsids(&self) -> Vec<String> {
-        self.controller
-            .tracked_dataspaces()
-            .iter()
-            .map(|d| d.nsid.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]

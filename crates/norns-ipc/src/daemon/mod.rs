@@ -51,10 +51,11 @@ use parking_lot::Mutex;
 use crate::engine::{DataServer, Engine, EngineConfig, PolicyKind};
 use reactor::{reactor_loop, Listener, ListenerSlot, Reactor};
 
-/// Reactor threads a daemon runs by default. Two lets accept/decode
-/// overlap with callback dispatch even on small machines; storms scale
-/// by adding connections per reactor, not threads.
-pub const DEFAULT_REACTORS: usize = 2;
+/// Reactor threads a daemon runs. Two lets accept/decode overlap with
+/// callback dispatch even on small machines (one measured slower on a
+/// pipelined submit storm); storms scale by adding connections per
+/// reactor, not threads.
+const REACTORS: usize = 2;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -72,9 +73,6 @@ pub struct DaemonConfig {
     /// remote staging. The data plane is unauthenticated — bind it to
     /// loopback or a trusted interconnect only.
     pub data_addr: Option<String>,
-    /// Reactor threads multiplexing the control/user planes (clamped
-    /// to `1..=16`). Connection count does not add threads.
-    pub reactors: usize,
 }
 
 impl DaemonConfig {
@@ -84,7 +82,6 @@ impl DaemonConfig {
             engine: EngineConfig::default(),
             policy: PolicyKind::Fcfs,
             data_addr: None,
-            reactors: DEFAULT_REACTORS,
         }
     }
 
@@ -108,12 +105,6 @@ impl DaemonConfig {
     /// [`UrdDaemon::data_addr`]).
     pub fn with_data_addr(mut self, addr: impl Into<String>) -> Self {
         self.data_addr = Some(addr.into());
-        self
-    }
-
-    /// Set the reactor thread count (clamped to `1..=16`).
-    pub fn with_reactors(mut self, reactors: usize) -> Self {
-        self.reactors = reactors;
         self
     }
 
@@ -190,9 +181,8 @@ impl UrdDaemon {
             listeners.push(ListenerSlot::new(Listener::Data(listener)));
         }
 
-        let n_reactors = config.reactors.clamp(1, 16);
-        let mut reactors = Vec::with_capacity(n_reactors);
-        for _ in 0..n_reactors {
+        let mut reactors = Vec::with_capacity(REACTORS);
+        for _ in 0..REACTORS {
             reactors.push(Arc::new(Reactor::new()?));
         }
 

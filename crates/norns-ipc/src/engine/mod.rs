@@ -17,12 +17,13 @@
 //!   dataspace containment check.
 //! * [`shard`] — the task table, id-sharded so traffic on different
 //!   tasks stays off one lock. An entry is the task's whole record,
-//!   parked waits and replication role included, so every fact about
-//!   a task changes under that task's own shard lock.
+//!   its clock, parked waits and replication role included, so every
+//!   fact about a task changes under that task's own shard lock, and
+//!   every task ends in one transition (`Engine::finish_entry`).
 //! * [`waits`] — every wait, blocking or callback, is a callback
 //!   parked in the waited task's entry, so a completion wakes exactly
 //!   its own waiters and takes no lock but its own shard's. Deadlines
-//!   belong to whoever waits: the engine owns no clock.
+//!   belong to whoever waits.
 //! * [`transfer`] — the local data plane: every local copy, one file
 //!   of any size or a whole tree, is planned once into a chain of
 //!   units of up to `chunk_size` bytes, fed back through the scheduler
@@ -165,20 +166,6 @@ impl PolicyKind {
             PolicyKind::JobFairShare => "job-fair",
             PolicyKind::WeightedPriority => "weighted-priority",
         }
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "fcfs" => PolicyKind::Fcfs,
-            "sjf" | "shortest-first" => PolicyKind::ShortestFirst,
-            "job-fair" | "fair" => PolicyKind::JobFairShare,
-            "weighted-priority" | "priority" => PolicyKind::WeightedPriority,
-            other => return Err(format!("unknown policy {other:?}")),
-        })
     }
 }
 
@@ -489,7 +476,7 @@ impl Engine {
         self.dispatch_cv.notify_all();
         for (id, work) in orphaned {
             match work {
-                Work::Whole { .. } => self.mark_cancelled(id),
+                Work::Whole { .. } => self.finish_task(id, PlanOutcome::Cancelled),
                 Work::Chunk(chain) => self.chain_ended(chain.abort(SHUTDOWN_MID_TRANSFER)),
             }
         }
@@ -540,7 +527,7 @@ impl Engine {
         self.open_connections.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Tasks cancelled before they ran.
+    /// Client tasks that ended `Cancelled`; a replica never counts.
     pub fn cancelled_tasks(&self) -> u64 {
         self.cancelled.load(Ordering::SeqCst)
     }
@@ -756,6 +743,7 @@ impl Engine {
                         elapsed_usec: 0,
                     },
                     submitted_at: Instant::now(),
+                    started_at: None,
                     owner,
                     error_message: None,
                     progress: Arc::new(AtomicU64::new(0)),
@@ -811,7 +799,7 @@ impl Engine {
             }
         };
         if removed {
-            self.mark_cancelled(task_id);
+            self.finish_task(task_id, PlanOutcome::Cancelled);
             return Ok(());
         }
         // Not pending: an in-progress decomposed transfer can still be
@@ -843,29 +831,6 @@ impl Engine {
             ErrorCode::TaskError,
             format!("task {task_id} {why}"),
         ))
-    }
-
-    /// Transition a pending task to `Cancelled` and answer its
-    /// waiters. Counters move inside the shard-locked closure, before
-    /// the answers: anyone they unblock must already see them updated.
-    /// Shutdown cancels pending replicas through here too.
-    fn mark_cancelled(&self, task_id: u64) {
-        let cancelled = self
-            .tasks
-            .update(task_id, |t| {
-                if t.stats.state != TaskState::Pending {
-                    return None;
-                }
-                t.stats.state = TaskState::Cancelled;
-                t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
-                self.pending_count.fetch_sub(1, Ordering::SeqCst);
-                self.cancelled.fetch_add(1, Ordering::SeqCst);
-                Some(self.settle(t))
-            })
-            .flatten();
-        if let Some(settled) = cancelled {
-            self.deliver(settled);
-        }
     }
 
     /// Worker thread: pull dispatchable entries (whole tasks and chunk
@@ -953,7 +918,7 @@ impl Engine {
     /// shutdown found its issued unit — and its task with it.
     fn chain_ended(&self, end: End) {
         self.peak_chunk_workers.store(1, Ordering::Relaxed);
-        self.complete_task(end.task_id, end.outcome, end.elapsed_usec);
+        self.complete_task(end.task_id, end.outcome);
     }
 
     /// Worker-thread execution of one whole task. One that decomposes
@@ -966,12 +931,13 @@ impl Engine {
         payload: Option<&[u8]>,
         route: Route,
     ) -> Option<Step> {
-        let start = Instant::now();
         let (progress, abort) = self
             .tasks
             .update(task_id, |t| {
+                let now = Instant::now();
                 t.stats.state = TaskState::InProgress;
-                t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
+                t.stats.wait_usec = (now - t.submitted_at).as_micros() as u64;
+                t.started_at = Some(now);
                 (Arc::clone(&t.progress), Arc::clone(&t.abort))
             })
             .unwrap_or_default();
@@ -991,7 +957,7 @@ impl Engine {
             Ok(Outcome::Done(moved)) => PlanOutcome::Done(moved),
             Err(e) => PlanOutcome::Failed(e),
         };
-        self.complete_task(task_id, outcome, start.elapsed().as_micros() as u64);
+        self.complete_task(task_id, outcome);
         None
     }
 
@@ -1000,37 +966,42 @@ impl Engine {
     /// replicas here — and in `synchronous` mode the terminal
     /// transition itself is deferred until they land, so the caller's
     /// ACK can never precede the durability guarantee.
-    fn complete_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
+    fn complete_task(&self, task_id: u64, outcome: PlanOutcome) {
         let request = self.tasks.update(task_id, |t| match t.replicate {
             Some(ReplRole::Requested(_)) => t.replicate.take(),
             _ => None,
         });
         if let Some(Some(ReplRole::Requested(req))) = request {
             if let PlanOutcome::Done(moved) = outcome {
-                if self.begin_replication(task_id, req, moved, elapsed_usec) {
+                if self.begin_replication(task_id, req, moved) {
                     return;
                 }
             }
             // Failed or cancelled local leg: nothing landed to
             // replicate — the task resolves on its own outcome.
         }
-        self.finish_task(task_id, outcome, elapsed_usec);
+        self.finish_task(task_id, outcome);
     }
 
     /// Move a task to its terminal state, fix up counters and answer
-    /// the task's waiters.
-    fn finish_task(&self, task_id: u64, outcome: PlanOutcome, elapsed_usec: u64) {
+    /// the task's waiters. A cancel and shutdown end a pending task
+    /// through here too.
+    fn finish_task(&self, task_id: u64, outcome: PlanOutcome) {
         let finished = self
             .tasks
-            .update(task_id, |t| self.finish_entry(t, outcome, elapsed_usec));
+            .update(task_id, |t| self.finish_entry(t, outcome));
         if let Some(settled) = finished {
             self.deliver(settled);
         }
     }
 
-    /// The terminal transition itself, inside the task's shard-locked
-    /// closure: what it owes comes back for [`Engine::deliver`].
-    fn finish_entry(&self, t: &mut TaskEntry, outcome: PlanOutcome, elapsed_usec: u64) -> Settled {
+    /// The one terminal transition, for a pending task and a started
+    /// one alike, inside the task's shard-locked closure: what it owes
+    /// comes back for [`Engine::deliver`]. The task's durations come
+    /// from its entry's stamps, so `wait_usec + elapsed_usec` is its
+    /// submit → terminal span — planning, and a `synchronous` parent's
+    /// replicas, included.
+    fn finish_entry(&self, t: &mut TaskEntry, outcome: PlanOutcome) -> Settled {
         let mut cancelled = false;
         match outcome {
             PlanOutcome::Done(moved) => {
@@ -1051,11 +1022,19 @@ impl Engine {
                 cancelled = true;
             }
         }
-        t.stats.elapsed_usec = elapsed_usec;
         // Counters inside the shard-locked closure, before the
         // answers: a waiter unblocked by this completion must already
         // see them updated.
-        self.running_count.fetch_sub(1, Ordering::SeqCst);
+        match t.started_at {
+            Some(started) => {
+                t.stats.elapsed_usec = started.elapsed().as_micros() as u64;
+                self.running_count.fetch_sub(1, Ordering::SeqCst);
+            }
+            None => {
+                t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
+                self.pending_count.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
         // Internal replica tasks never count against the user-facing
         // totals: `completed + cancelled` accounts each accepted
         // submission exactly once, and replication progress is
@@ -1676,57 +1655,32 @@ mod tests {
         engine.shutdown();
     }
 
+    /// A task cancelled while pending never started: it spent its
+    /// whole span waiting, and none of it running.
     #[test]
     fn cancel_pending_task() {
         let root = temp_root("cancel");
         let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
-        // Keep the worker busy with a large write, then queue a victim.
-        let blocker = engine
-            .submit(
-                1,
-                TaskSpec::new(
-                    TaskOp::Copy,
-                    ResourceDesc::MemoryRegion {
-                        addr: 0,
-                        size: 8 << 20,
-                    },
-                    Some(ResourceDesc::PosixPath {
-                        nsid: "tmp0".into(),
-                        path: "big".into(),
-                    }),
-                ),
-                Some(vec![1u8; 8 << 20]),
-            )
-            .unwrap();
+        // The blocker pins the single worker until the test lets it
+        // go, so the victim is pending when it is cancelled.
+        let (blocker, silent) = silent_pull(&engine, "blocker", 1);
         let victim = engine
-            .submit(
-                1,
-                TaskSpec::new(
-                    TaskOp::Copy,
-                    ResourceDesc::MemoryRegion { addr: 0, size: 3 },
-                    Some(ResourceDesc::PosixPath {
-                        nsid: "tmp0".into(),
-                        path: "small".into(),
-                    }),
-                ),
-                Some(b"abc".to_vec()),
-            )
+            .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
             .unwrap();
-        match engine.cancel(victim, None) {
-            Ok(()) => {
-                let stats = engine.wait(victim, 0).unwrap();
-                assert_eq!(stats.state, TaskState::Cancelled);
-                assert_eq!(engine.cancelled_tasks(), 1);
-                assert_eq!(engine.status().cancelled_tasks, 1);
-                // Cancelling again reports the terminal state.
-                assert!(engine.cancel(victim, None).is_err());
-            }
-            // The worker may already have grabbed it; then cancel
-            // correctly refuses.
-            Err(e) => assert_eq!(e.code, ErrorCode::TaskError),
-        }
+        std::thread::sleep(Duration::from_millis(5));
+        engine.cancel(victim, None).unwrap();
+        let stats = engine.wait(victim, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Cancelled);
+        assert_eq!(stats.elapsed_usec, 0);
+        assert!(stats.wait_usec >= 5_000, "waited {} µs", stats.wait_usec);
+        assert_eq!(engine.cancelled_tasks(), 1);
+        assert_eq!(engine.status().cancelled_tasks, 1);
+        // Cancelling again reports the terminal state.
+        assert!(engine.cancel(victim, None).is_err());
+        drop(silent);
         engine.wait(blocker, 0).unwrap();
+        assert_chain_gone(&engine, 1, 1);
         assert!(matches!(
             engine.cancel(999, None),
             Err(EngineError {
@@ -1735,6 +1689,49 @@ mod tests {
             })
         ));
         engine.shutdown();
+    }
+
+    /// A replica the shutdown drain gives up on is cancelled, but it is
+    /// the daemon's own task: no client cancelled anything. One worker:
+    /// the blocker holds it until the durable copy and a second pull
+    /// are queued, and the second pull holds it from the copy's landing
+    /// — which queues the replica behind it — until the drain is over.
+    #[test]
+    fn clock_a_replica_cancelled_by_shutdown_is_no_client_cancel() {
+        let root = temp_root("clock-replica-drain");
+        let engine = one_worker(64, Box::new(Fcfs));
+        register_tmp0(&engine, &root);
+        fs::write(root.join("tmp0/src"), b"durable").unwrap();
+        let on_worker = |id| engine.query(id).unwrap().state == TaskState::InProgress;
+        let (blocker, first) = silent_pull(&engine, "first", 1);
+        spin_until("the blocker on the worker", || on_worker(blocker));
+        let spec = copy_spec("src", "dst").with_durability(Durability::LocalPlusOne);
+        let copy = engine.submit(1, spec, None).unwrap();
+        let (held, second) = silent_pull(&engine, "second", 1);
+        drop(first);
+        spin_until("the second pull on the worker", || on_worker(held));
+        assert_eq!(engine.query(copy).unwrap().state, TaskState::Finished);
+        assert_eq!(engine.status().pending_replicas, 1);
+        std::thread::scope(|scope| {
+            scope.spawn(|| engine.shutdown());
+            spin_until("the drain", || engine.dispatch.lock().stop);
+            drop(second);
+        });
+        assert_eq!(engine.cancelled_tasks(), 0);
+        let status = engine.status();
+        assert_eq!(
+            (status.completed_tasks, status.cancelled_tasks),
+            (3, 0),
+            "the blocker, the copy and the second pull; no client cancel"
+        );
+        assert_eq!(
+            (
+                status.pending_tasks,
+                status.running_tasks,
+                status.pending_replicas
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -2492,12 +2489,9 @@ mod tests {
         let root = temp_root("wake-reenter");
         let engine = one_worker(64, Box::new(Fcfs));
         register_tmp0(&engine, &root);
-        // The blocker pins the single worker, so the victim is pending
-        // when its wait parks.
-        fs::write(root.join("tmp0/blocker-src"), vec![3u8; 32 << 20]).unwrap();
-        let blocker = engine
-            .submit(1, copy_spec("blocker-src", "blocker-dst"), None)
-            .unwrap();
+        // The blocker pins the single worker until the test lets it
+        // go, so the victim is pending when its wait parks.
+        let (blocker, silent) = silent_pull(&engine, "blocker", 1);
         let victim = engine
             .submit(1, tiny_write("victim"), Some(b"abcd".to_vec()))
             .unwrap();
@@ -2512,6 +2506,8 @@ mod tests {
             let _ = tx.send((result.map(|s| s.state), queried, again));
         });
         assert!(matches!(sub, Subscribed::Parked(_)));
+        // Dropping the listener resets the pull, which fails.
+        drop(silent);
         let (outer, queried, again) = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("the callback never returned: a lock is held across it");

@@ -1126,6 +1126,63 @@ mod tests {
         );
     }
 
+    /// How late the clock tests' peer answers its first request.
+    const LATE: Duration = Duration::from_millis(200);
+
+    /// A task's clock starts at its first worker touch, before its
+    /// plan: a pull whose peer answers `Stat` late counts the delay in
+    /// its span, and the span is no longer than the caller waited.
+    #[test]
+    fn clock_a_pull_counts_its_plan() {
+        let peer = ScriptedPeer::spawn(|request, _| match request {
+            DataRequest::Stat { .. } => {
+                std::thread::sleep(LATE);
+                Some(Scripted::Answer(DataResponse::Stat { size: 4096 }))
+            }
+            DataRequest::Fetch { len, .. } => Some(Scripted::Data(vec![7u8; *len as usize])),
+            _ => None,
+        });
+        let (engine, _root) = chain_engine("clock-pull", 1, &peer);
+        let began = std::time::Instant::now();
+        let spec = TaskSpec::new(TaskOp::Copy, on_peer("src.dat"), Some(tmp0("pulled")));
+        let id = engine.submit(1, spec, None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        let wall = began.elapsed();
+        assert_eq!(stats.state, TaskState::Finished);
+        let span = Duration::from_micros(stats.wait_usec + stats.elapsed_usec);
+        assert!(
+            span >= LATE && span <= wall,
+            "span {span:?}: a {LATE:?} Stat, {wall:?} waited"
+        );
+        engine.shutdown();
+    }
+
+    /// A `synchronous` stage-out ACKs once its replica landed, and its
+    /// clock runs until then: a peer that answers the replica's
+    /// `Prepare` late shows in the parent's `elapsed_usec`.
+    #[test]
+    fn clock_a_synchronous_parent_counts_its_replicas() {
+        let peer = ScriptedPeer::spawn(|request, _| {
+            if matches!(request, DataRequest::Prepare { .. }) {
+                std::thread::sleep(LATE);
+            }
+            None
+        });
+        let (engine, _root) = chain_engine("clock-sync", 1, &peer);
+        let spec = TaskSpec::new(TaskOp::Copy, tmp0("big"), Some(tmp0("landed")))
+            .with_durability(norns_proto::Durability::Synchronous);
+        let id = engine.submit(1, spec, None).unwrap();
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Finished);
+        assert_eq!(peer.count(|r| matches!(r, DataRequest::Prepare { .. })), 1);
+        assert!(
+            Duration::from_micros(stats.elapsed_usec) >= LATE,
+            "elapsed {} µs behind a {LATE:?} Prepare",
+            stats.elapsed_usec
+        );
+        engine.shutdown();
+    }
+
     /// The peer answers nothing of a unit until the unit's last range
     /// has arrived: a mover that waited for an answer before sending
     /// the next range would never finish. The peer gives up after a

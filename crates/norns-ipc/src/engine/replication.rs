@@ -36,11 +36,11 @@ pub(super) struct ReplRequest {
 /// A `synchronous`-mode parent whose local leg landed but whose
 /// terminal transition is deferred until every replica resolves. The
 /// parent stays `InProgress` (and keeps its running-count slot) so no
-/// observer can see an ACK before the durability guarantee holds.
+/// observer can see an ACK before the durability guarantee holds, and
+/// its clock runs on until the last replica resolves.
 pub(super) struct SyncParent {
     remaining: usize,
     bytes_moved: u64,
-    elapsed_usec: u64,
     /// First replica failure, if any — a single failed copy fails the
     /// parent (`synchronous` promises *all* copies).
     error: Option<EngineError>,
@@ -67,13 +67,7 @@ impl Engine {
     /// the copies ride behind in the background, best-effort by
     /// contract — with no registered peers or a stopping pool the mode
     /// degrades to local-only durability and the early ACK stands).
-    pub(super) fn begin_replication(
-        &self,
-        parent: u64,
-        req: ReplRequest,
-        moved: u64,
-        elapsed_usec: u64,
-    ) -> bool {
+    pub(super) fn begin_replication(&self, parent: u64, req: ReplRequest, moved: u64) -> bool {
         let want = if req.synchronous {
             self.target_copies
         } else {
@@ -93,7 +87,7 @@ impl Engine {
                 let none =
                     "synchronous durability requires at least one registered replication peer";
                 let outcome = PlanOutcome::Failed(EngineError::not_found(none));
-                self.finish_task(parent, outcome, elapsed_usec);
+                self.finish_task(parent, outcome);
                 return true;
             }
             // The parent's count first: a replica finishing before its
@@ -102,7 +96,6 @@ impl Engine {
             let record = SyncParent {
                 remaining: peers.len(),
                 bytes_moved: moved,
-                elapsed_usec,
                 error: None,
             };
             self.tasks
@@ -194,7 +187,7 @@ impl Engine {
                     format!("replication failed: {}", e.message),
                 )),
             };
-            Some(self.finish_entry(t, outcome, record.elapsed_usec))
+            Some(self.finish_entry(t, outcome))
         });
         if let Some(settled) = settled.flatten() {
             self.deliver(settled);

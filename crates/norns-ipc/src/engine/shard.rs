@@ -9,12 +9,12 @@
 //! land on different shards and the lock traffic spreads evenly.
 //!
 //! An entry is the task's whole record, as the paper's urd keeps one
-//! for `norns_wait` / `norns_error`: stats and progress, the waits
-//! parked on it, its part in replication. Everything about a task
-//! changes under its own shard lock, so no side table has to be kept
-//! in step with this one. No code holds two shard locks at once: what
-//! a transition owes a waiter or another task ([`Settled`]) is paid
-//! after its closure returns.
+//! for `norns_wait` / `norns_error`: stats and progress, the stamps its
+//! durations come from, the waits parked on it, its part in
+//! replication. Everything about a task changes under its own shard
+//! lock, so no side table has to be kept in step with this one. No
+//! code holds two shard locks at once: what a transition owes a waiter
+//! or another task ([`Settled`]) is paid after its closure returns.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,7 +37,13 @@ const _: () = assert!(SHARDS.is_power_of_two());
 /// One tracked task.
 pub(crate) struct TaskEntry {
     pub stats: TaskStats,
+    /// The task's clock, two stamps: admitted, and first touched by a
+    /// worker (`None` while pending). `stats.wait_usec` runs from the
+    /// first to the second, `stats.elapsed_usec` from the second to
+    /// the terminal transition, so their sum is the task's submit →
+    /// terminal span.
     pub submitted_at: Instant,
+    pub started_at: Option<Instant>,
     /// Scheduler key of the submitter (job id on the control path,
     /// tagged pid on the user path); authorizes user-socket cancels.
     pub owner: u64,
@@ -153,6 +159,7 @@ mod tests {
                 elapsed_usec: 0,
             },
             submitted_at: Instant::now(),
+            started_at: None,
             owner: 1,
             error_message: None,
             progress: Arc::new(AtomicU64::new(0)),

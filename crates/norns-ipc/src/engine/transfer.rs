@@ -62,7 +62,6 @@ use std::path::{Path, PathBuf};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use norns_proto::{ErrorCode, TaskOp};
 
@@ -578,7 +577,6 @@ pub(crate) struct Chain {
     chunk_size: u64,
     /// Where the issued unit's range starts.
     offset: u64,
-    started: Instant,
     progress: Arc<AtomicU64>,
     /// Set by `Engine::cancel` on an in-progress task; observed around
     /// every unit, and nowhere else.
@@ -599,8 +597,6 @@ pub(crate) enum Step {
 pub(crate) struct End {
     pub task_id: u64,
     pub outcome: PlanOutcome,
-    /// Wall-clock µs since the planning dispatch.
-    pub elapsed_usec: u64,
 }
 
 impl Chain {
@@ -620,7 +616,6 @@ impl Chain {
             size,
             chunk_size,
             offset: 0,
-            started: Instant::now(),
             progress,
             abort,
             mover,
@@ -676,7 +671,6 @@ impl Chain {
         End {
             task_id: self.task_id,
             outcome,
-            elapsed_usec: self.started.elapsed().as_micros() as u64,
         }
     }
 }

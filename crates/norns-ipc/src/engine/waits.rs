@@ -1,16 +1,16 @@
 //! Waits: one mechanism for every caller — a one-shot callback parked
 //! in the waited task's own table entry. A wait checks the task and
 //! parks in one critical section under that task's shard lock, and
-//! every terminal transition (`finish_entry`, `mark_cancelled`) takes
-//! the entry's parked waits in the critical section that sets the
-//! state, then runs them once the lock is released — a completion
+//! the one terminal transition (`finish_entry`) takes the entry's
+//! parked waits in the critical section that sets the state, then
+//! runs them once the lock is released — a completion
 //! cannot slip between the look and the park, and nothing about a
 //! wait lives outside the task it watches. A wait that is already
 //! settled — a terminal or unknown task, a refused requester — never
 //! parks: it is answered on the spot as [`Subscribed::Now`], and its
 //! callback is never even boxed.
 //!
-//! The engine owns no clock. The blocking [`Engine::wait`] returns a
+//! The engine keeps no deadline. The blocking [`Engine::wait`] returns a
 //! `Now` answer as it is, and otherwise parks a callback that sends
 //! into a channel and blocks the caller on it with its own
 //! `recv_timeout`; the reactor daemon, which must not pin a thread per

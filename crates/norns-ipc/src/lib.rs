@@ -37,13 +37,12 @@ pub mod daemon;
 pub mod engine;
 
 pub use client::{ClientError, ClientResult, CtlClient, UserClient};
-pub use daemon::{DaemonConfig, UrdDaemon, DEFAULT_REACTORS};
+pub use daemon::{DaemonConfig, UrdDaemon};
 pub use engine::{
     Engine, EngineConfig, EngineError, IpcPolicy, PolicyKind, DEFAULT_CHUNK_SIZE,
     DEFAULT_QUEUE_CAPACITY, MIN_CHUNK_SIZE,
 };
 
-/// Names from when pipelining was a separate pair of client types;
-/// the out-of-workspace benchmark driver still imports them.
+/// A name from when pipelining was a separate pair of client types;
+/// the out-of-workspace benchmark driver still imports it.
 pub type PipelinedCtl = CtlClient;
-pub type PipelinedUser = UserClient;

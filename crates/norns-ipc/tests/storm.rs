@@ -163,9 +163,7 @@ fn thousand_client_storm() {
     let threads_before = proc_threads();
 
     let daemon = UrdDaemon::spawn(
-        DaemonConfig::in_dir(root.join("sockets"))
-            .with_queue_capacity(clients * 2 + 64)
-            .with_reactors(4),
+        DaemonConfig::in_dir(root.join("sockets")).with_queue_capacity(clients * 2 + 64),
     )
     .unwrap();
     // A replica peer sharing the cluster-wide `storm0` dataspace name:
@@ -327,8 +325,8 @@ fn thousand_client_storm() {
     }
 
     // The daemons' thread count must be bounded by their fixed pools
-    // (reactors + engine workers: 4 + 4 here, 2 + 4 on the peer, whose
-    // data plane adds at most one handler per pushing worker — 18 in
+    // (reactors + engine workers: 2 + 4 on each daemon, and the peer's
+    // data plane adds at most one handler per pushing worker — 16 in
     // all), not by the number of connections: with
     // thread-per-connection the peak would exceed the baseline by at
     // least `clients`.

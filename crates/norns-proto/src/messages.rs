@@ -205,8 +205,15 @@ wire_struct! {
         pub error: ErrorCode,
         pub bytes_total: u64,
         pub bytes_moved: u64,
-        /// Queue wait: submission → first worker touch (µs).
+        /// Queue wait: submission → first worker touch (µs); for a task
+        /// that never started (cancelled while pending, or by
+        /// shutdown), submission → its terminal transition.
         pub wait_usec: u64,
+        /// First worker touch → terminal transition (µs): a remote
+        /// transfer's plan and a `synchronous` stage-out's replicas
+        /// included; 0 for a task that never started. So
+        /// `wait_usec + elapsed_usec` is the task's submit → terminal
+        /// span.
         pub elapsed_usec: u64,
     }
 }

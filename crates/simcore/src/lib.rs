@@ -49,11 +49,6 @@ pub mod units {
         x * GIB as f64
     }
 
-    /// Mebibytes/second as bytes/second.
-    pub fn mib_per_s(x: f64) -> f64 {
-        x * MIB as f64
-    }
-
     /// Gigabits/second as bytes/second (network link ratings).
     pub fn gbit_per_s(x: f64) -> f64 {
         x * 1e9 / 8.0

@@ -36,12 +36,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.uniform()
-    }
-
     pub fn gen_u64(&mut self) -> u64 {
         self.inner.gen()
     }

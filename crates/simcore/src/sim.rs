@@ -93,10 +93,6 @@ impl<M> Sim<M> {
         self.executed
     }
 
-    pub fn pending_events(&self) -> usize {
-        self.heap.len() - self.cancelled.len().min(self.heap.len())
-    }
-
     /// Schedule `action` to run at absolute time `at`. Scheduling in
     /// the past is a bug in the model and panics.
     pub fn schedule_at(

@@ -69,16 +69,6 @@ impl BurstBufferModel {
         vec![self.ingress, s]
     }
 
-    /// Path to a specific server (for reading back an object that was
-    /// placed earlier).
-    pub fn server_path(&self, server: usize) -> Vec<ResourceId> {
-        vec![self.ingress, self.servers[server]]
-    }
-
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     pub fn aggregate_bps(&self) -> f64 {
         (self.params.server_bps * self.servers.len() as f64).min(self.params.ingress_bps)
     }

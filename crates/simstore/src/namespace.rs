@@ -23,10 +23,6 @@ pub type Gid = u32;
 pub struct Mode(pub u16);
 
 impl Mode {
-    pub const RWX_ALL: Mode = Mode(0o777);
-    pub const PRIVATE: Mode = Mode(0o700);
-    pub const SHARED_READ: Mode = Mode(0o755);
-
     fn bits_for(self, who: Who) -> u16 {
         match who {
             Who::Owner => (self.0 >> 6) & 0o7,

@@ -156,10 +156,6 @@ impl PfsModel {
         }
     }
 
-    pub fn ost_count(&self) -> usize {
-        self.osts.len()
-    }
-
     /// Split `bytes` across `stripe` OSTs starting from the rotating
     /// allocation cursor, as Lustre's round-robin allocator does.
     /// Returns `(ost_index, bytes)` shards.
