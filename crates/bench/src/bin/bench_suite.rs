@@ -52,7 +52,7 @@ use norns_bench::json::{self, BenchDoc, Json};
 use norns_bench::{quick_mode, Summary};
 use norns_flow::{FlowConfig, FlowJobState, JobBody, NodeSpec, WorkflowExecutor};
 use norns_ipc::{
-    ClientError, CtlClient, DaemonConfig, Engine, EngineConfig, IpcPolicy, PolicyKind, UrdDaemon,
+    ClientError, CtlClient, DaemonConfig, Engine, EngineConfig, PolicyKind, UrdDaemon,
     DEFAULT_CHUNK_SIZE,
 };
 use norns_proto::{
@@ -111,7 +111,7 @@ fn spawn_pair(
 /// An in-process engine (no sockets) with dataspace `tmp0` at `mount`
 /// — for the scenarios that read engine-side counters the wire does
 /// not carry.
-fn engine_on(mount: &Path, config: EngineConfig, policy: IpcPolicy) -> Arc<Engine> {
+fn engine_on(mount: &Path, config: EngineConfig, policy: PolicyKind) -> Arc<Engine> {
     let engine = Engine::with_config(config, policy);
     engine
         .register_dataspace(dataspace("tmp0", BackendKind::PosixFilesystem, mount))
@@ -467,7 +467,7 @@ fn chunk_sweep(root: &Path, doc: &mut BenchDoc) {
                 chunk_size: chunk_mib * MIB,
                 ..EngineConfig::default()
             };
-            let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
+            let engine = engine_on(&mount, config, PolicyKind::Fcfs);
             let _ = fs::remove_file(mount.join("dst"));
             let start = Instant::now();
             let id = engine.submit(1, tmp0_copy("src", "dst"), None).unwrap();
@@ -514,7 +514,7 @@ fn concurrent_copies(root: &Path, doc: &mut BenchDoc) {
     let mut file_counts = [1usize, 2, 4];
     let samples = sample_turns(reps, &mut file_counts, |&mut files| {
         let config = EngineConfig::default();
-        let engine = engine_on(&mount, config, PolicyKind::Fcfs.to_policy());
+        let engine = engine_on(&mount, config, PolicyKind::Fcfs);
         let _ = fs::remove_dir_all(mount.join("out"));
         let start = Instant::now();
         let ids: Vec<u64> = (0..files)
@@ -555,7 +555,7 @@ fn single_copies(mount: &Path, sizes: &[u64], reps: usize) -> Vec<Summary> {
     for (size, payload) in &files {
         write_clean(&mount.join(format!("src{size}")), payload);
     }
-    let engine = engine_on(mount, EngineConfig::default(), PolicyKind::Fcfs.to_policy());
+    let engine = engine_on(mount, EngineConfig::default(), PolicyKind::Fcfs);
     let samples = sample_turns(reps, &mut files, |(size, payload)| {
         let dst = format!("dst{size}");
         staged(&mount.join(&dst), payload, || {
@@ -637,7 +637,7 @@ fn policy_mix(root: &Path, doc: &mut BenchDoc) {
             queue_capacity: 8,
             ..EngineConfig::default()
         };
-        let engine = engine_on(&mount, config, policy.to_policy());
+        let engine = engine_on(&mount, config, policy);
         let mut busy_rejections = 0u64;
         let mut submit = |job: u64, name: &str, priority: u8| loop {
             let spec = tmp0_copy(name, &format!("out/{name}")).with_priority(priority);

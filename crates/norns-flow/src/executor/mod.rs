@@ -266,7 +266,6 @@ impl ActiveJob {
 
 /// What the central event wait produced.
 enum Next {
-    Body(usize, Result<(), String>),
     /// A task's parked wait answered: its final stats, or the
     /// daemon's refusal of the wait.
     Staging {
@@ -277,10 +276,7 @@ enum Next {
     /// A daemon stopped answering its control socket at the transport
     /// level: every job with staging outstanding there degrades, the
     /// rest of the workflow continues.
-    DaemonLost {
-        node: usize,
-        error: String,
-    },
+    DaemonLost { node: usize, error: String },
     /// A body finished or a deadline wait expired; the loop re-checks
     /// completions, deadlines and admissions.
     Tick,
@@ -481,7 +477,6 @@ impl WorkflowExecutor {
                 break;
             }
             match self.await_event() {
-                Next::Body(idx, result) => self.body_finished(idx, result),
                 Next::Staging {
                     node,
                     task_id,

@@ -40,26 +40,19 @@ impl WorkflowExecutor {
         Ok(task_id)
     }
 
-    /// Block until the next event: a body completion or a staging
-    /// completion on some daemon.
+    /// Block until the next event: a staging completion on some
+    /// daemon, a lost daemon, or — as a [`Next::Tick`] — a body
+    /// completion (its result waits in the run loop's channel, which
+    /// the loop drains) or a passed stage-in deadline.
     pub(super) fn await_event(&mut self) -> Next {
         if let Some(next) = self.ready.pop_front() {
             return next;
         }
-        let active = &self.run.active;
-        if active.values().all(|a| a.outstanding.is_empty()) {
-            // Only job bodies are in flight: their completions are the
-            // only possible next event, so park on the channel.
-            debug_assert!(
-                active.values().any(|a| matches!(a.phase, Phase::Running)),
-                "active jobs but nothing to wait on"
-            );
-            let (idx, result) = self.run.rx.recv().expect("the executor holds a sender");
-            return Next::Body(idx, result);
-        }
         // Sleep until the nearest stage-in deadline (or forever during
-        // stage-out).
-        let earliest_deadline = active
+        // stage-out and while only bodies run).
+        let earliest_deadline = self
+            .run
+            .active
             .values()
             .filter_map(|a| match a.phase {
                 Phase::StagingIn { deadline } => Some(deadline),

@@ -134,7 +134,7 @@ impl UrdDaemon {
         let _ = std::fs::remove_file(&control_path);
         let _ = std::fs::remove_file(&user_path);
 
-        let engine = Engine::with_config(config.engine, config.policy.to_policy());
+        let engine = Engine::with_config(config.engine, config.policy);
 
         // "two separate 'control' and 'user' sockets are created with
         // differing file system permissions" — owner-only for control,

@@ -62,7 +62,13 @@
 //! Task arbitration is shared with the simulated urd via
 //! [`norns_sched::Scheduler`] behind a mutex+condvar; the pending set
 //! is **bounded** (submissions past the capacity are rejected with
-//! [`ErrorCode::Busy`], EAGAIN-style). Workers are woken by one rule
+//! [`ErrorCode::Busy`], EAGAIN-style). The queue holds the work it
+//! orders — a task's first dispatch with the Table II plugin
+//! `shape::admit` chose, or a chain's next unit — and every dispatch
+//! ends in one `Step` that `Engine::finish_dispatch` closes: the one
+//! place a worker ends a task, and the one per-dispatch site for
+//! queue-wait and per-unit timing. A chain's abort point is in its
+//! task's entry from its plan to its end. Workers are woken by one rule
 //! (`Engine::wake_worker`): an admission wakes a parked worker only
 //! while fewer wakes are on their way than there are parked workers
 //! and queued entries for them; the worker that comes out of the wait
@@ -80,7 +86,7 @@ mod shard;
 mod transfer;
 mod waits;
 
-use std::collections::HashMap;
+use std::fmt::Debug;
 use std::fs;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -106,18 +112,13 @@ pub use waits::{Subscribed, WaitCallback};
 pub(crate) use remote::DataServer;
 
 use registry::Registry;
-use remote::{Direction, RemoteTransfer};
+use remote::RemoteTransfer;
 use replication::{ReplRequest, ReplRole};
 use shard::{Settled, ShardedTaskTable, TaskEntry};
 use transfer::{open_landing, with_parent, Chain, End, LocalCopy, PlanOutcome, Step};
 
 /// Default bound on the pending task set.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Id space for internal chunk sub-units: disjoint from task ids (which
-/// are allocated densely from 1), so a sub-unit key can never collide
-/// with — or be mistaken for — a client-visible task.
-const UNIT_ID_BASE: u64 = 1 << 62;
 
 /// Owner / scheduler-job key for daemon-internal replica push tasks
 /// (v8 durability modes). No client scheduler key can ever equal it
@@ -134,12 +135,9 @@ const REPLICATION_DRAIN: Duration = Duration::from_secs(2);
 /// Why a decomposed transfer that shutdown caught mid-file failed.
 const SHUTDOWN_MID_TRANSFER: &str = "daemon shutdown during transfer";
 
-/// Policy trait object over the real daemon's key types: job id, task
-/// id, and microseconds-since-start as the timestamp.
-pub type IpcPolicy = Box<dyn ArbitrationPolicy<u64, u64, u64>>;
-
-/// Named arbitration policies selectable in a [`crate::DaemonConfig`]
-/// (the trait objects themselves are not `Clone`).
+/// The arbitration policy an engine's queue runs, by name — the one
+/// way to choose one ([`crate::DaemonConfig::policy`],
+/// [`Engine::with_config`]); the trait objects are not `Clone`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     #[default]
@@ -150,7 +148,14 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    pub fn to_policy(self) -> IpcPolicy {
+    /// The policy over any queue: the engine's, whose entries are its
+    /// work, or the simulator's, keyed by task id.
+    pub fn to_policy<J, T, S>(self) -> Box<dyn ArbitrationPolicy<J, T, S>>
+    where
+        J: Copy + PartialEq + Debug + Send + 'static,
+        T: 'static,
+        S: 'static,
+    {
         match self {
             PolicyKind::Fcfs => Box::new(Fcfs),
             PolicyKind::ShortestFirst => Box::new(ShortestFirst),
@@ -198,26 +203,27 @@ impl Default for EngineConfig {
     }
 }
 
-/// Payload behind one dispatchable scheduler entry.
+/// One scheduler entry: the work itself, so the queue is its only home.
 enum Work {
-    /// An undecomposed task: the validated spec, how its endpoints
-    /// route, and the caller's buffer for memory-region transfers.
+    /// A task's first dispatch: the Table II plugin `shape::admit`
+    /// chose for it, the validated spec, and the caller's buffer for a
+    /// memory-region transfer.
     Whole {
+        task_id: u64,
+        plugin: Plugin,
         spec: TaskSpec,
         payload: Option<Vec<u8>>,
-        route: Route,
     },
-    /// The issued unit of a decomposed transfer (a local copy or remote
-    /// staging): the chain itself, owned by whoever holds it.
+    /// The issued unit of a chain (a local copy or remote staging),
+    /// which knows its task.
     Chunk(Box<Chain>),
 }
 
-/// Pending work behind the dispatch mutex: the shared scheduler holds
-/// the arbitration order, `work` the payloads it arbitrates over, and
-/// `idle`/`waking` what [`Engine::wake_worker`] decides on.
+/// The dispatch queue behind its mutex: the shared scheduler orders
+/// and holds the pending work, and `idle`/`waking` are what
+/// [`Engine::wake_worker`] decides on.
 struct DispatchState {
-    sched: Scheduler<u64, u64, u64>,
-    work: HashMap<u64, Work>,
+    sched: Scheduler<u64, Work, u64>,
     stop: bool,
     /// Workers parked on `dispatch_cv`.
     idle: usize,
@@ -226,34 +232,16 @@ struct DispatchState {
     waking: usize,
 }
 
-/// What one dispatched whole task turned into.
-enum Outcome {
-    /// Completed inline on this worker; bytes moved.
-    Done(u64),
-    /// Decomposed into a chunked or remote transfer whose units go
-    /// through the scheduler.
-    Chunked(Box<Chain>),
-}
-
-/// How an admitted task's plugin routes: on this node, or to or from a peer.
-#[derive(Clone, Copy)]
-enum Route {
-    Local,
-    Remote(Direction),
-}
-
-impl Route {
-    /// The far end of `spec` on this route: peer host, dataspace, path.
-    fn far_end(self, spec: &TaskSpec) -> Option<(&str, &str, &str)> {
-        let end = match self {
-            Route::Local => None,
-            Route::Remote(Direction::Pull) => Some(&spec.input),
-            Route::Remote(Direction::Push) => spec.output.as_ref(),
-        };
-        match end? {
-            ResourceDesc::RemotePath { host, nsid, path } => Some((host, nsid, path)),
-            _ => None,
-        }
+/// The far end of `spec` under `plugin`: peer host, dataspace, path.
+fn far_end(plugin: Plugin, spec: &TaskSpec) -> Option<(&str, &str, &str)> {
+    let end = match plugin {
+        Plugin::RemoteToLocal | Plugin::RemoteToMemory => &spec.input,
+        Plugin::LocalToRemote | Plugin::MemoryToRemote => spec.output.as_ref()?,
+        Plugin::MemoryToLocal | Plugin::LocalToLocal | Plugin::Removal => return None,
+    };
+    match end {
+        ResourceDesc::RemotePath { host, nsid, path } => Some((host, nsid, path)),
+        _ => None,
     }
 }
 
@@ -264,7 +252,6 @@ pub struct Engine {
     dispatch: Mutex<DispatchState>,
     dispatch_cv: Condvar,
     next_task: AtomicU64,
-    next_unit: AtomicU64,
     /// O(1) status counters, updated at every task state transition
     /// (`status()` must not scan the whole task table — it is polled).
     pending_count: AtomicU64,
@@ -368,26 +355,25 @@ impl Engine {
                 workers,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         )
     }
 
-    /// Create the engine with the full set of knobs.
-    pub fn with_config(config: EngineConfig, policy: IpcPolicy) -> Arc<Engine> {
+    /// Create the engine with the full set of knobs and its policy.
+    pub fn with_config(config: EngineConfig, policy: PolicyKind) -> Arc<Engine> {
         let workers = config.workers.max(1);
         let engine = Arc::new(Engine {
             registry: Mutex::new(Registry::default()),
             tasks: ShardedTaskTable::new(),
             dispatch: Mutex::new(DispatchState {
-                sched: Scheduler::new(workers, policy).with_capacity(config.queue_capacity),
-                work: HashMap::new(),
+                sched: Scheduler::new(workers, policy.to_policy())
+                    .with_capacity(config.queue_capacity),
                 stop: false,
                 idle: 0,
                 waking: 0,
             }),
             dispatch_cv: Condvar::new(),
             next_task: AtomicU64::new(1),
-            next_unit: AtomicU64::new(UNIT_ID_BASE),
             pending_count: AtomicU64::new(0),
             running_count: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -457,27 +443,20 @@ impl Engine {
             }
             self.wait(id, left.as_micros().max(1) as u64);
         }
-        let orphaned: Vec<(u64, Work)> = {
+        let orphaned = {
             let mut st = self.dispatch.lock();
             if st.stop {
                 Vec::new()
             } else {
                 st.stop = true;
-                let orphaned: Vec<(u64, Work)> = st.work.drain().collect();
-                // Their scheduler entries go with them: a successor
-                // caught between its issue and its dispatch must not
-                // stay queued for a pool that will never dispatch it.
-                for (id, _) in &orphaned {
-                    st.sched.cancel_pending(*id);
-                }
-                orphaned
+                st.sched.drain_pending()
             }
         };
         self.dispatch_cv.notify_all();
-        for (id, work) in orphaned {
-            match work {
-                Work::Whole { .. } => self.finish_task(id, PlanOutcome::Cancelled),
-                Work::Chunk(chain) => self.chain_ended(chain.abort(SHUTDOWN_MID_TRANSFER)),
+        for orphan in orphaned {
+            match orphan.task {
+                Work::Whole { task_id, .. } => self.finish_task(task_id, PlanOutcome::Cancelled),
+                Work::Chunk(chain) => self.end_task(chain.abort(SHUTDOWN_MID_TRANSFER)),
             }
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
@@ -563,7 +542,8 @@ impl Engine {
     /// uses `process_vm_readv`).
     ///
     /// The task's shape is judged by the admission table the simulator
-    /// asks too (`norns_sched::shape`); its plugin maps to a route here.
+    /// asks too (`norns_sched::shape`); the plugin it returns is how a
+    /// worker runs the task.
     ///
     /// Admission control: rejects with [`ErrorCode::NotRegistered`]
     /// while paused, and with [`ErrorCode::Busy`] when the bounded
@@ -584,15 +564,10 @@ impl Engine {
             return Err(EngineError::new(ErrorCode::NotRegistered, "daemon paused"));
         }
         let plugin = shape::admit(shape_of(&spec))?;
-        let route = match plugin {
-            Plugin::Removal | Plugin::MemoryToLocal | Plugin::LocalToLocal => Route::Local,
-            Plugin::RemoteToLocal => Route::Remote(Direction::Pull),
-            Plugin::LocalToRemote => Route::Remote(Direction::Push),
+        if let Plugin::MemoryToRemote | Plugin::RemoteToMemory = plugin {
             // Not executed here yet (ROADMAP item 11).
-            Plugin::MemoryToRemote | Plugin::RemoteToMemory => {
-                return Err(Refusal::MemoryAcrossNodes.into())
-            }
-        };
+            return Err(Refusal::MemoryAcrossNodes.into());
+        }
         // Durability modes (v8) only make sense for a local stage-out,
         // a copy or a move alike: the landed output file is what the
         // background queue pushes. Everything else must say
@@ -601,7 +576,7 @@ impl Engine {
             match (&spec.output, spec.durability) {
                 (_, Durability::LocalOnly) => None,
                 (Some(ResourceDesc::PosixPath { nsid, path }), durability)
-                    if matches!(route, Route::Local) =>
+                    if !plugin.crosses_network() =>
                 {
                     Some(ReplRole::Requested(ReplRequest {
                         synchronous: durability == Durability::Synchronous,
@@ -614,16 +589,16 @@ impl Engine {
                     "durability modes apply only to local stage-outs with a dataspace-path output",
                 )),
             };
-        if let Some((host, ..)) = route.far_end(&spec) {
+        if let Some((host, ..)) = far_end(plugin, &spec) {
             // Unknown peers are a submission error, not a task
             // failure: fail fast with NotFound.
             self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
         }
-        let bytes_total = match (route, &spec.output) {
-            (Route::Local, Some(out)) => {
+        let bytes_total = match (plugin, &spec.output) {
+            (Plugin::MemoryToLocal | Plugin::LocalToLocal, Some(out)) => {
                 self.validate_local(&spec.input, out, payload.as_deref())?
             }
-            (Route::Remote(Direction::Push), _) => {
+            (Plugin::LocalToRemote, _) => {
                 let meta = fs::metadata(self.resolve(&spec.input)?)?;
                 if meta.is_dir() {
                     carries_directory(plugin)?;
@@ -639,7 +614,7 @@ impl Engine {
             }
         };
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
-        self.admit(task_id, job, bytes_total, spec, payload, route, replicate)?;
+        self.admit(task_id, job, bytes_total, plugin, spec, payload, replicate)?;
         Ok(task_id)
     }
 
@@ -693,12 +668,18 @@ impl Engine {
         task_id: u64,
         owner: u64,
         bytes_total: u64,
+        plugin: Plugin,
         spec: TaskSpec,
         payload: Option<Vec<u8>>,
-        route: Route,
         replicate: Option<ReplRole>,
     ) -> Result<(), EngineError> {
         let priority = spec.priority;
+        let work = Work::Whole {
+            task_id,
+            plugin,
+            spec,
+            payload,
+        };
         let now_us = self.started_at.elapsed().as_micros() as u64;
         {
             // Admission before the task becomes visible: a rejection
@@ -712,20 +693,14 @@ impl Engine {
             }
             if owner == REPLICA_OWNER {
                 st.sched
-                    .enqueue_internal(task_id, owner, bytes_total, priority, now_us);
+                    .enqueue_internal(work, owner, bytes_total, priority, now_us);
             } else {
                 st.sched
-                    .try_enqueue(task_id, owner, bytes_total, priority, now_us)
+                    .try_enqueue(work, owner, bytes_total, priority, now_us)
                     .map_err(|full| {
                         EngineError::new(ErrorCode::Busy, format!("{full}; retry later (EAGAIN)"))
                     })?;
             }
-            let work = Work::Whole {
-                spec,
-                payload,
-                route,
-            };
-            st.work.insert(task_id, work);
             if let Some(ReplRole::ReplicaOf { bytes, .. }) = replicate {
                 self.pending_replicas.fetch_add(1, Ordering::SeqCst);
                 self.pending_replica_bytes
@@ -747,8 +722,7 @@ impl Engine {
                     owner,
                     error_message: None,
                     progress: Arc::new(AtomicU64::new(0)),
-                    abort: Arc::new(AtomicBool::new(false)),
-                    abortable: false,
+                    abort: None,
                     replicate,
                     waiters: Vec::new(),
                 },
@@ -775,45 +749,40 @@ impl Engine {
         }
     }
 
-    /// Cancel a task. Still-pending tasks are dropped before they run;
-    /// in-progress *decomposed* transfers (chunked copies and remote
-    /// staging) are interrupted mid-stream via their abort flag and
-    /// finish `Cancelled` with partial progress cleaned up. Running
-    /// tasks without abort points and finished tasks are refused.
+    /// Cancel a task. A pending task is taken out of the queue before
+    /// it runs; a running chain (a local copy or remote staging) is
+    /// interrupted between units through its abort point and finishes
+    /// `Cancelled` with partial progress cleaned up. A running task
+    /// without an abort point — a removal, a memory write, a rename, a
+    /// `synchronous` stage-out waiting on its replicas — and a finished
+    /// one are refused.
     ///
     /// `requester`: `None` for the administrative control API; the
     /// submitter key for user-socket callers, who may only cancel
-    /// their own tasks. The ownership check goes through the task
-    /// table, which also shields the scheduler's internal chunk
-    /// sub-units (their own scheduler keys, no table entry): yanking
-    /// one would leave its transfer a chunk short of finalizing.
+    /// their own tasks. Only a task's first dispatch is taken out of
+    /// the queue: a queued unit of a running chain stays, and its task
+    /// cancels through its abort point — yanking the unit would leave
+    /// the transfer a chunk short of finalizing.
     pub fn cancel(&self, task_id: u64, requester: Option<u64>) -> Result<(), EngineError> {
         self.query_scoped(task_id, requester)?;
-        let removed = {
-            let mut st = self.dispatch.lock();
-            if st.sched.cancel_pending(task_id) {
-                st.work.remove(&task_id);
-                true
-            } else {
-                false
-            }
-        };
+        let removed = self
+            .dispatch
+            .lock()
+            .sched
+            .remove_pending(|w| matches!(w, Work::Whole { task_id: id, .. } if *id == task_id))
+            .is_some();
         if removed {
             self.finish_task(task_id, PlanOutcome::Cancelled);
             return Ok(());
         }
-        // Not pending: an in-progress decomposed transfer can still be
-        // interrupted — its units observe the abort flag between chunk
-        // ranges / wire round-trips.
         let aborted = self
             .tasks
-            .read(task_id, |t| {
-                if t.stats.state == TaskState::InProgress && t.abortable {
-                    t.abort.store(true, Ordering::SeqCst);
+            .read(task_id, |t| match &t.abort {
+                Some(abort) if t.stats.state == TaskState::InProgress => {
+                    abort.store(true, Ordering::SeqCst);
                     true
-                } else {
-                    false
                 }
+                _ => false,
             })
             .unwrap_or(false);
         if aborted {
@@ -833,26 +802,20 @@ impl Engine {
         ))
     }
 
-    /// Worker thread: pull dispatchable entries (whole tasks and chunk
-    /// sub-units) through the shared scheduler until shutdown.
+    /// Worker thread: take queued work — a task's first dispatch or a
+    /// chain's next unit — until shutdown, and end each dispatch in
+    /// [`Engine::finish_dispatch`].
     fn worker_loop(&self) {
         loop {
-            let (pending, work) = {
+            let taken = {
                 let mut st = self.dispatch.lock();
                 let mut woken = false;
                 let taken = loop {
                     if st.stop {
                         return;
                     }
-                    if let Some(pending) = st.sched.dispatch() {
-                        // cancel() and shutdown() remove scheduler and
-                        // work entries under this same mutex, so a
-                        // dispatched entry always has its payload.
-                        let work = st
-                            .work
-                            .remove(&pending.task)
-                            .expect("dispatched task has work payload");
-                        break (pending, work);
+                    if let Some(taken) = st.sched.dispatch() {
+                        break taken;
                     }
                     st.idle += 1;
                     self.dispatch_cv.wait(&mut st);
@@ -867,111 +830,104 @@ impl Engine {
                 }
                 taken
             };
-            let step = match work {
+            let step = match taken.task {
                 Work::Whole {
+                    task_id,
+                    plugin,
                     spec,
                     payload,
-                    route,
-                } => self.execute_whole(pending.task, &spec, payload.as_deref(), route),
-                Work::Chunk(chain) => Some(chain.step()),
+                } => self.start(task_id, plugin, &spec, payload.as_deref()),
+                Work::Chunk(chain) => chain.step(),
             };
-            self.finish_dispatch(&pending, step);
+            // A successor is the dispatched entry again, its work the
+            // chain's next unit.
+            self.finish_dispatch(step, |chain| PendingTask {
+                task: Work::Chunk(chain),
+                ..taken
+            });
         }
     }
 
-    /// Close one dispatch: settle the `step` of a chain it ran, if it
-    /// ran one, and free the worker slot. A chain that ended is its
-    /// task's terminal transition; one handed back is issued again in
-    /// the critical section that frees the slot. The successor carries
-    /// the dispatched entry's job / priority / size / seq, so
-    /// arbitration treats it exactly like its parent: FCFS puts it
-    /// back at the head of the line, SJF and fair-share weigh it
-    /// against whatever arrived meanwhile. No wake: this worker is
+    /// Close one dispatch — the one place a worker ends a task. An
+    /// `End` is the task's terminal transition, its answers given
+    /// before the worker slot is freed; a chain handed back is issued
+    /// again in the critical section that frees the slot, as the
+    /// `successor` entry: the dispatched entry's job / priority / size /
+    /// seq, so arbitration treats it exactly like its parent (FCFS puts
+    /// it back at the head of the line, SJF and fair-share weigh it
+    /// against whatever arrived meanwhile). No wake: this worker is
     /// about to ask the scheduler for work itself.
-    fn finish_dispatch(&self, done: &PendingTask<u64, u64, u64>, step: Option<Step>) {
-        let successor = match step {
-            Some(Step::Next(chain)) => Some(chain),
-            Some(Step::End(end)) => {
-                self.chain_ended(end);
-                None
+    fn finish_dispatch(
+        &self,
+        step: Step,
+        successor: impl FnOnce(Box<Chain>) -> PendingTask<u64, Work, u64>,
+    ) {
+        let chain = match step {
+            Step::Next(chain) => chain,
+            Step::End(end) => {
+                self.end_task(end);
+                self.dispatch.lock().sched.finish();
+                return;
             }
-            None => None,
         };
         let mut st = self.dispatch.lock();
         st.sched.finish();
-        let Some(chain) = successor else { return };
         if st.stop {
             // Nobody will dispatch it: the chain ends here.
             drop(st);
-            self.chain_ended(chain.abort(SHUTDOWN_MID_TRANSFER));
+            self.end_task(chain.abort(SHUTDOWN_MID_TRANSFER));
             return;
         }
-        let unit_id = self.next_unit.fetch_add(1, Ordering::SeqCst);
-        st.work.insert(unit_id, Work::Chunk(chain));
-        st.sched.enqueue_unit(PendingTask {
-            task: unit_id,
-            ..*done
-        });
+        st.sched.enqueue_unit(successor(chain));
     }
 
-    /// A chain ended — on the worker that ran its last unit, or where
-    /// shutdown found its issued unit — and its task with it.
-    fn chain_ended(&self, end: End) {
-        self.peak_chunk_workers.store(1, Ordering::Relaxed);
-        self.complete_task(end.task_id, end.outcome);
-    }
-
-    /// Worker-thread execution of one whole task. One that decomposes
-    /// into a chunked or remote transfer on the way runs the chain's
-    /// first unit here and returns what that left.
-    fn execute_whole(
-        &self,
-        task_id: u64,
-        spec: &TaskSpec,
-        payload: Option<&[u8]>,
-        route: Route,
-    ) -> Option<Step> {
-        let (progress, abort) = self
+    /// A task's first dispatch: it turns InProgress and runs by its
+    /// plugin. A removal, a memory write, a rename and a failed plan
+    /// end here; a chain's first unit runs here.
+    fn start(&self, task_id: u64, plugin: Plugin, spec: &TaskSpec, payload: Option<&[u8]>) -> Step {
+        let progress = self
             .tasks
             .update(task_id, |t| {
                 let now = Instant::now();
                 t.stats.state = TaskState::InProgress;
                 t.stats.wait_usec = (now - t.submitted_at).as_micros() as u64;
                 t.started_at = Some(now);
-                (Arc::clone(&t.progress), Arc::clone(&t.abort))
+                Arc::clone(&t.progress)
             })
             .unwrap_or_default();
         self.pending_count.fetch_sub(1, Ordering::SeqCst);
         self.running_count.fetch_add(1, Ordering::SeqCst);
-        let outcome = match self.run_transfer(task_id, spec, payload, route, &progress, &abort) {
-            Ok(Outcome::Chunked(chain)) => {
-                // From here a cancel interrupts the transfer between
-                // units, and `bytes_total` is the plan's, not an estimate.
-                let size = chain.size();
-                self.tasks.update(task_id, |t| {
-                    t.abortable = true;
-                    t.stats.bytes_total = size;
-                });
-                return Some(chain.step());
-            }
-            Ok(Outcome::Done(moved)) => PlanOutcome::Done(moved),
-            Err(e) => PlanOutcome::Failed(e),
-        };
-        self.complete_task(task_id, outcome);
-        None
+        self.run_transfer(task_id, plugin, spec, payload, &progress)
+            .unwrap_or_else(|e| {
+                let outcome = PlanOutcome::Failed(e);
+                Step::End(End { task_id, outcome })
+            })
     }
 
-    /// Funnel for every worker-driven terminal transition. A landed
-    /// stage-out with a replication request spawns its background
-    /// replicas here — and in `synchronous` mode the terminal
-    /// transition itself is deferred until they land, so the caller's
-    /// ACK can never precede the durability guarantee.
-    fn complete_task(&self, task_id: u64, outcome: PlanOutcome) {
-        let request = self.tasks.update(task_id, |t| match t.replicate {
-            Some(ReplRole::Requested(_)) => t.replicate.take(),
-            _ => None,
-        });
-        if let Some(Some(ReplRole::Requested(req))) = request {
+    /// The terminal transition of a task a worker ran — its dispatch
+    /// ended, or shutdown found its chain's unit queued. A chain's
+    /// abort point goes with it, so a `synchronous` parent waiting on
+    /// its replicas refuses a cancel it could no longer honour. A
+    /// landed stage-out with a replication request spawns its
+    /// background replicas here — and in `synchronous` mode the
+    /// terminal transition itself is deferred until they land, so the
+    /// caller's ACK can never precede the durability guarantee.
+    fn end_task(&self, end: End) {
+        let End { task_id, outcome } = end;
+        let (chained, request) = self
+            .tasks
+            .update(task_id, |t| {
+                let request = match t.replicate {
+                    Some(ReplRole::Requested(_)) => t.replicate.take(),
+                    _ => None,
+                };
+                (t.abort.take().is_some(), request)
+            })
+            .unwrap_or((false, None));
+        if chained {
+            self.peak_chunk_workers.store(1, Ordering::Relaxed);
+        }
+        if let Some(ReplRole::Requested(req)) = request {
             if let PlanOutcome::Done(moved) = outcome {
                 if self.begin_replication(task_id, req, moved) {
                     return;
@@ -1049,22 +1005,31 @@ impl Engine {
         self.settle(t)
     }
 
-    /// Execute (or plan) one transfer. Every copy that moves file
-    /// bytes — local, a file or a tree, or remote — returns
-    /// [`Outcome::Chunked`] instead of blocking this worker for the
-    /// whole transfer; a removal, a memory write and a rename end here.
+    /// Run one task by its Table II plugin. A removal, a memory write
+    /// and a rename end here with the bytes they made available; every
+    /// copy that moves file bytes — local, a file or a tree, or remote
+    /// — is planned into a chain instead of blocking this worker for
+    /// the whole transfer, and runs its first unit here.
     fn run_transfer(
         &self,
         task_id: u64,
+        plugin: Plugin,
         spec: &TaskSpec,
         payload: Option<&[u8]>,
-        route: Route,
         progress: &Arc<AtomicU64>,
-        abort: &Arc<AtomicBool>,
-    ) -> Result<Outcome, EngineError> {
-        let (input, out) = match (&spec.output, route) {
-            // A `Removal`, the one plugin without an output.
-            (None, _) => {
+    ) -> Result<Step, EngineError> {
+        let done = |moved| {
+            let outcome = PlanOutcome::Done(moved);
+            Ok(Step::End(End { task_id, outcome }))
+        };
+        let output = || {
+            spec.output
+                .as_ref()
+                .ok_or_else(|| EngineError::bad_args("no output"))
+        };
+        let abort = Arc::new(AtomicBool::new(false));
+        let chain = match plugin {
+            Plugin::Removal => {
                 let path = self.resolve(&spec.input)?;
                 // symlink_metadata: removing a symlink removes the
                 // link, never its target's tree.
@@ -1073,85 +1038,80 @@ impl Engine {
                 } else {
                     fs::remove_file(&path)?;
                 }
-                return Ok(Outcome::Done(0));
+                return done(0);
             }
-            // Planning does network round-trips — a size probe for
-            // pulls, a landing `Prepare` for pushes — which is
-            // why it runs here on a worker and not in `submit`.
-            (Some(out), Route::Remote(direction)) => {
-                let local = if direction == Direction::Pull {
-                    out
-                } else {
-                    &spec.input
-                };
-                return self.plan_remote(task_id, spec, direction, local, progress, abort);
+            Plugin::MemoryToLocal => {
+                let buf = payload.unwrap_or(&[]);
+                let len = buf.len() as u64;
+                open_landing(&self.resolve(output()?)?, len, None)?.write_all(buf)?;
+                progress.fetch_add(len, Ordering::Relaxed);
+                return done(len);
             }
-            (Some(out), Route::Local) => (&spec.input, out),
-        };
-        let dst = self.resolve(out)?;
-        if let ResourceDesc::MemoryRegion { .. } = input {
-            // Table II: process memory ⇒ local path.
-            let buf = payload.unwrap_or(&[]);
-            open_landing(&dst, buf.len() as u64, None)?.write_all(buf)?;
-            progress.fetch_add(buf.len() as u64, Ordering::Relaxed);
-            return Ok(Outcome::Done(buf.len() as u64));
-        }
-        // Table II: local path ⇒ local path.
-        let src = self.resolve(input)?;
-        if spec.op == TaskOp::Move {
-            let meta = fs::symlink_metadata(&src)?;
-            match with_parent(&dst, |dst| fs::rename(&src, dst)) {
-                Ok(()) => {
-                    // Same-filesystem move: a rename moves no bytes;
-                    // report the file's size as the data made available
-                    // (0 for trees — nothing was physically copied).
-                    let moved = if meta.is_file() { meta.len() } else { 0 };
-                    progress.fetch_add(moved, Ordering::Relaxed);
-                    return Ok(Outcome::Done(moved));
+            Plugin::LocalToLocal => {
+                let (src, dst) = (self.resolve(&spec.input)?, self.resolve(output()?)?);
+                if spec.op == TaskOp::Move {
+                    let meta = fs::symlink_metadata(&src)?;
+                    match with_parent(&dst, |dst| fs::rename(&src, dst)) {
+                        // Same-filesystem move: a rename moves no bytes;
+                        // report the file's size as the data made
+                        // available (0 for trees — nothing was
+                        // physically copied).
+                        Ok(()) => {
+                            let moved = if meta.is_file() { meta.len() } else { 0 };
+                            progress.fetch_add(moved, Ordering::Relaxed);
+                            return done(moved);
+                        }
+                        // Across filesystems a move is a copy, then a delete.
+                        Err(e) if e.kind() == io::ErrorKind::CrossesDevices => {}
+                        // Anything else — a non-empty directory in the way
+                        // above all — is the task's answer: copying over it
+                        // would merge the two trees and then delete the source.
+                        Err(e) => return Err(e.into()),
+                    }
                 }
-                // Across filesystems a move is a copy, then a delete.
-                Err(e) if e.kind() == io::ErrorKind::CrossesDevices => {}
-                // Anything else — a non-empty directory in the way
-                // above all — is the task's answer: copying over it
-                // would merge the two trees and then delete the source.
-                Err(e) => return Err(e.into()),
+                // Cross-filesystem move (EXDEV) or plain copy: a file or a tree.
+                let plan = LocalCopy::plan(spec.op, &src, &dst, Arc::clone(progress))?;
+                plan.chain(task_id, self.chunk_size, Arc::clone(&abort))
             }
-        }
-        // Cross-filesystem move (EXDEV) or plain copy: a file or a tree.
-        let plan = LocalCopy::plan(spec.op, &src, &dst, Arc::clone(progress))?;
-        let chain = plan.chain(task_id, self.chunk_size, Arc::clone(abort));
-        Ok(Outcome::Chunked(chain))
-    }
-
-    /// Plan a remote staging transfer between `local` on this node and
-    /// the far end of `spec` on a peer.
-    fn plan_remote(
-        &self,
-        task_id: u64,
-        spec: &TaskSpec,
-        direction: Direction,
-        local: &ResourceDesc,
-        progress: &Arc<AtomicU64>,
-        abort: &Arc<AtomicBool>,
-    ) -> Result<Outcome, EngineError> {
-        let far_end = Route::Remote(direction).far_end(spec);
-        let (host, nsid, path) = far_end.ok_or_else(|| EngineError::bad_args("no remote end"))?;
-        // Re-resolved at execution: the registry may have changed since
-        // submission.
-        let addr = self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
-        let plan = RemoteTransfer::plan(
-            task_id,
-            spec.op,
-            direction,
-            &addr,
-            nsid,
-            path,
-            &self.resolve(local)?,
-            self.chunk_size,
-            Arc::clone(progress),
-            Arc::clone(abort),
-        )?;
-        Ok(Outcome::Chunked(plan))
+            // Planning does network round-trips — a size probe for a
+            // pull, a landing `Prepare` for a push — which is why it
+            // runs here on a worker and not in `submit`.
+            Plugin::RemoteToLocal | Plugin::LocalToRemote => {
+                let (host, nsid, path) =
+                    far_end(plugin, spec).ok_or_else(|| EngineError::bad_args("no remote end"))?;
+                let local = match plugin {
+                    Plugin::RemoteToLocal => output()?,
+                    _ => &spec.input,
+                };
+                // Re-resolved at execution: the registry may have
+                // changed since submission.
+                let addr = self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
+                RemoteTransfer::plan(
+                    task_id,
+                    spec.op,
+                    plugin,
+                    &addr,
+                    nsid,
+                    path,
+                    &self.resolve(local)?,
+                    self.chunk_size,
+                    Arc::clone(progress),
+                    Arc::clone(&abort),
+                )?
+            }
+            // Refused at submission (ROADMAP item 11): never dispatched.
+            Plugin::MemoryToRemote | Plugin::RemoteToMemory => {
+                return Err(Refusal::MemoryAcrossNodes.into())
+            }
+        };
+        // The chain is the task's abort point from here to its end, and
+        // `bytes_total` is the plan's, not an estimate.
+        let size = chain.size();
+        self.tasks.update(task_id, |t| {
+            t.abort = Some(abort);
+            t.stats.bytes_total = size;
+        });
+        Ok(chain.step())
     }
 
     /// Current stats with live `bytes_moved` progress overlaid — the
@@ -1242,7 +1202,7 @@ mod tests {
     }
 
     /// One worker, so queued tasks stay queued behind a running one.
-    fn one_worker(queue_capacity: usize, policy: IpcPolicy) -> Arc<Engine> {
+    fn one_worker(queue_capacity: usize, policy: PolicyKind) -> Arc<Engine> {
         let config = EngineConfig {
             workers: 1,
             queue_capacity,
@@ -1340,7 +1300,7 @@ mod tests {
                 chunk_size: MIN_CHUNK_SIZE,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         );
         register_tmp0(&engine, &root);
         let mount = root.join("tmp0");
@@ -1488,7 +1448,7 @@ mod tests {
     #[test]
     fn wait_timeout_returns_current_state() {
         let root = temp_root("timeout");
-        let engine = one_worker(64, Box::new(Fcfs));
+        let engine = one_worker(64, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         // Pin the single worker on a long copy so the victim behind it
         // is still queued when its bounded wait expires.
@@ -1608,7 +1568,7 @@ mod tests {
     fn bounded_queue_rejects_with_busy() {
         let root = temp_root("busy");
         // 1 worker, capacity 2: one running + two pending fills it.
-        let engine = one_worker(2, Box::new(Fcfs));
+        let engine = one_worker(2, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         // Pin the single worker on a long path→path copy so the flood
         // below deterministically backs up behind capacity 2 (memory
@@ -1660,7 +1620,7 @@ mod tests {
     #[test]
     fn cancel_pending_task() {
         let root = temp_root("cancel");
-        let engine = one_worker(64, Box::new(Fcfs));
+        let engine = one_worker(64, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         // The blocker pins the single worker until the test lets it
         // go, so the victim is pending when it is cancelled.
@@ -1699,7 +1659,7 @@ mod tests {
     #[test]
     fn clock_a_replica_cancelled_by_shutdown_is_no_client_cancel() {
         let root = temp_root("clock-replica-drain");
-        let engine = one_worker(64, Box::new(Fcfs));
+        let engine = one_worker(64, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         fs::write(root.join("tmp0/src"), b"durable").unwrap();
         let on_worker = |id| engine.query(id).unwrap().state == TaskState::InProgress;
@@ -1737,7 +1697,7 @@ mod tests {
     #[test]
     fn shutdown_joins_workers_and_cancels_backlog() {
         let root = temp_root("shutdown");
-        let engine = one_worker(64, Box::new(Fcfs));
+        let engine = one_worker(64, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         let mut ids = Vec::new();
         for i in 0..8 {
@@ -1795,39 +1755,46 @@ mod tests {
         ));
     }
 
+    /// A cancel never takes a queued unit of a running chain out of
+    /// the queue — the transfer would end a chunk short: the task
+    /// cancels through its abort point, which the unit reads when it
+    /// runs. Job-fair, one worker: `big`'s first unit runs between two
+    /// pulls from peers that never answer, and its second is queued
+    /// behind the second pull when the cancel comes.
     #[test]
     fn cancel_cannot_touch_internal_chunk_units() {
         let root = temp_root("unit-cancel");
         let engine = Engine::with_config(
             EngineConfig {
-                workers: 2,
+                workers: 1,
                 chunk_size: MIN_CHUNK_SIZE,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::JobFairShare,
         );
         register_tmp0(&engine, &root);
-        fs::write(
-            root.join("tmp0/big"),
-            vec![8u8; (MIN_CHUNK_SIZE * 256) as usize],
-        )
-        .unwrap();
-        let id = engine.submit(1, copy_spec("big", "out"), None).unwrap();
-        // Unit ids are allocated from UNIT_ID_BASE; cancelling one must
-        // be NotFound (units carry no task entry), never Ok — removing
-        // a pending sub-unit would wedge the parent mid-transfer.
-        for probe in 0..8 {
-            assert!(matches!(
-                engine.cancel(UNIT_ID_BASE + probe, None),
-                Err(EngineError {
-                    code: ErrorCode::NotFound,
-                    ..
-                })
-            ));
+        let on_worker = |id| engine.query(id).unwrap().state == TaskState::InProgress;
+        let (held, first) = silent_pull(&engine, "first", 3);
+        spin_until("the first pull on the worker", || on_worker(held));
+        write_chunks(&root, "big", 64);
+        let big = engine.submit(1, copy_spec("big", "big.out"), None).unwrap();
+        let (blocker, second) = silent_pull(&engine, "second", 2);
+        drop(first);
+        spin_until("the second pull on the worker", || on_worker(blocker));
+        let queued = || engine.dispatch.lock().sched.pending_len();
+        assert_eq!(queued(), 1, "big's second unit waits behind the pull");
+        engine.cancel(big, None).unwrap();
+        assert_eq!(queued(), 1, "the unit stays queued");
+        drop(second);
+        let stats = engine.wait(big, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Cancelled);
+        assert_eq!(stats.bytes_moved, MIN_CHUNK_SIZE, "one unit ran");
+        assert!(!root.join("tmp0/big.out").exists());
+        for id in [held, blocker] {
+            let state = engine.wait(id, 0).unwrap().state;
+            assert_eq!(state, TaskState::FinishedWithError);
         }
-        let stats = engine.wait(id, 0).unwrap();
-        assert_eq!(stats.state, TaskState::Finished);
-        assert_eq!(stats.bytes_moved, MIN_CHUNK_SIZE * 256);
+        assert_chain_gone(&engine, 2, 1);
         engine.shutdown();
     }
 
@@ -1849,7 +1816,7 @@ mod tests {
                 chunk_size: MIN_CHUNK_SIZE,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         );
         register_tmp0(&engine, &root);
         (engine, root)
@@ -1907,10 +1874,11 @@ mod tests {
         spin_until("the worker slot", || {
             engine.dispatch.lock().sched.running() == 0
         });
-        let st = engine.dispatch.lock();
-        assert!(st.work.is_empty(), "a unit outlived its transfer");
-        assert_eq!(st.sched.pending_len(), 0);
-        drop(st);
+        assert_eq!(
+            engine.dispatch.lock().sched.pending_len(),
+            0,
+            "a unit outlived its transfer"
+        );
         let status = engine.status();
         assert_eq!(
             (status.pending_tasks, status.running_tasks),
@@ -1957,7 +1925,7 @@ mod tests {
                 chunk_size: MIN_CHUNK_SIZE,
                 ..EngineConfig::default()
             },
-            Box::new(JobFairShare::default()),
+            PolicyKind::JobFairShare,
         );
         register_tmp0(&engine, &root);
         let on_worker = |id| engine.query(id).unwrap().state == TaskState::InProgress;
@@ -1993,9 +1961,9 @@ mod tests {
         assert!(stats.bytes_moved < stats.bytes_total);
         assert!(!root.join("tmp0/out").exists());
         // The worker that saw the cancel retired every unit not yet
-        // issued: far fewer than the 1023 successors went out, and
-        // none is queued now.
-        let issued = engine.next_unit.load(Ordering::SeqCst) - UNIT_ID_BASE;
+        // issued: each unit before it moved one chunk, so far fewer
+        // than the 1023 successors went out, and none is queued now.
+        let issued = stats.bytes_moved / MIN_CHUNK_SIZE;
         assert!(issued < 1023, "{issued} units issued");
         assert_chain_gone(&engine, 0, 1);
         engine.shutdown();
@@ -2297,7 +2265,7 @@ mod tests {
     #[test]
     fn priority_orders_backlog_under_weighted_policy() {
         let root = temp_root("prio");
-        let engine = one_worker(64, Box::new(WeightedPriority::default()));
+        let engine = one_worker(64, PolicyKind::WeightedPriority);
         register_tmp0(&engine, &root);
         // Blocker occupies the single worker; then a low-priority
         // burst followed by one high-priority task.
@@ -2442,7 +2410,7 @@ mod tests {
     #[test]
     fn wake_pending_wait_parks_and_its_callback_fires_once() {
         let root = temp_root("wake-parked");
-        let engine = one_worker(64, Box::new(Fcfs));
+        let engine = one_worker(64, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         // The blocker pins the single worker until the test lets it
         // go, so the victim is pending when its waits subscribe.
@@ -2487,7 +2455,7 @@ mod tests {
     #[test]
     fn wake_a_callback_may_reenter_the_engine_on_its_own_task() {
         let root = temp_root("wake-reenter");
-        let engine = one_worker(64, Box::new(Fcfs));
+        let engine = one_worker(64, PolicyKind::Fcfs);
         register_tmp0(&engine, &root);
         // The blocker pins the single worker until the test lets it
         // go, so the victim is pending when its wait parks.
@@ -2536,7 +2504,7 @@ mod tests {
                 queue_capacity: THREADS * TASKS,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         );
         register_tmp0(&engine, &root);
         let answers: Arc<Vec<AtomicU64>> =
@@ -2601,7 +2569,7 @@ mod tests {
                 queue_capacity: 1_000,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         );
         register_tmp0(&engine, &root);
         let ids: Vec<u64> = (0..1_000)
@@ -2638,7 +2606,7 @@ mod tests {
                 chunk_size: 1 << 20,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         );
         register_tmp0(&engine, &root);
         fs::write(root.join("tmp0/big"), vec![5u8; 64 << 20]).unwrap();
@@ -2777,7 +2745,7 @@ mod tests {
                 workers: 4,
                 ..EngineConfig::default()
             },
-            Box::new(Fcfs),
+            PolicyKind::Fcfs,
         );
         register_tmp0(&engine, &root);
         for round in 0..100 {

@@ -1,7 +1,7 @@
-//! The engine's registries — dataspaces and their mounts, jobs, the
-//! `pid → job` index behind user-socket admission, and remote-staging
-//! peers — plus the dataspace containment check every path resolution
-//! goes through.
+//! The engine's registries — dataspaces (each desc names its mount),
+//! jobs, the `pid → jobs` index behind user-socket admission, and
+//! remote-staging peers, one map per fact — plus the dataspace
+//! containment check every path resolution goes through.
 
 use std::collections::HashMap;
 use std::fs;
@@ -13,13 +13,10 @@ use super::{Engine, EngineError};
 
 #[derive(Default)]
 pub(super) struct Registry {
+    /// nsid → its desc, whose `mount` is the backing directory.
     pub(super) dataspaces: HashMap<String, DataspaceDesc>,
-    /// nsid → backing directory.
-    pub(super) mounts: HashMap<String, PathBuf>,
     pub(super) jobs: HashMap<u64, JobDesc>,
-    /// (job, pid) pairs registered via `add_process`.
-    pub(super) processes: HashMap<u64, Vec<u64>>,
-    /// Reverse index pid → jobs, mirroring `processes`: user-socket
+    /// pid → the jobs it was registered to via `add_process`: user-socket
     /// admission (`process_known`) is a hash lookup, not a scan over
     /// every registered job.
     pub(super) pid_jobs: HashMap<u64, Vec<u64>>,
@@ -36,11 +33,9 @@ impl Engine {
                 desc.nsid
             )));
         }
-        let mount = PathBuf::from(&desc.mount);
-        fs::create_dir_all(&mount).map_err(|e| {
+        fs::create_dir_all(&desc.mount).map_err(|e| {
             EngineError::new(ErrorCode::SystemError, format!("mount {}: {e}", desc.mount))
         })?;
-        reg.mounts.insert(desc.nsid.clone(), mount);
         reg.dataspaces.insert(desc.nsid.clone(), desc);
         Ok(())
     }
@@ -50,15 +45,12 @@ impl Engine {
         if !reg.dataspaces.contains_key(&desc.nsid) {
             return Err(EngineError::not_found(format!("dataspace {}", desc.nsid)));
         }
-        reg.mounts
-            .insert(desc.nsid.clone(), PathBuf::from(&desc.mount));
         reg.dataspaces.insert(desc.nsid.clone(), desc);
         Ok(())
     }
 
     pub fn unregister_dataspace(&self, nsid: &str) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        reg.mounts.remove(nsid);
         reg.dataspaces
             .remove(nsid)
             .map(|_| ())
@@ -97,18 +89,10 @@ impl Engine {
 
     pub fn unregister_job(&self, job_id: u64) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        if let Some(pids) = reg.processes.remove(&job_id) {
-            for pid in pids {
-                if let Some(jobs) = reg.pid_jobs.get_mut(&pid) {
-                    if let Some(i) = jobs.iter().position(|j| *j == job_id) {
-                        jobs.swap_remove(i);
-                    }
-                    if jobs.is_empty() {
-                        reg.pid_jobs.remove(&pid);
-                    }
-                }
-            }
-        }
+        reg.pid_jobs.retain(|_, jobs| {
+            jobs.retain(|j| *j != job_id);
+            !jobs.is_empty()
+        });
         reg.jobs
             .remove(&job_id)
             .map(|_| ())
@@ -120,27 +104,22 @@ impl Engine {
         if !reg.jobs.contains_key(&job_id) {
             return Err(EngineError::not_found(format!("job {job_id}")));
         }
-        reg.processes.entry(job_id).or_default().push(pid);
         reg.pid_jobs.entry(pid).or_default().push(job_id);
         Ok(())
     }
 
     pub fn remove_process(&self, job_id: u64, pid: u64) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        let procs = reg
-            .processes
-            .get_mut(&job_id)
-            .ok_or_else(|| EngineError::not_found(format!("job {job_id}")))?;
-        let before = procs.len();
-        procs.retain(|p| *p != pid);
-        if procs.len() == before {
-            return Err(EngineError::not_found(format!("process {pid}")));
+        if !reg.jobs.contains_key(&job_id) {
+            return Err(EngineError::not_found(format!("job {job_id}")));
         }
-        if let Some(jobs) = reg.pid_jobs.get_mut(&pid) {
-            jobs.retain(|j| *j != job_id);
-            if jobs.is_empty() {
-                reg.pid_jobs.remove(&pid);
-            }
+        let jobs = match reg.pid_jobs.get_mut(&pid) {
+            Some(jobs) if jobs.contains(&job_id) => jobs,
+            _ => return Err(EngineError::not_found(format!("process {pid}"))),
+        };
+        jobs.retain(|j| *j != job_id);
+        if jobs.is_empty() {
+            reg.pid_jobs.remove(&pid);
         }
         Ok(())
     }
@@ -190,8 +169,9 @@ impl Engine {
     pub(crate) fn resolve_local(&self, nsid: &str, path: &str) -> Result<PathBuf, EngineError> {
         let reg = self.registry.lock();
         let mount = reg
-            .mounts
+            .dataspaces
             .get(nsid)
+            .map(|ds| Path::new(&ds.mount))
             .ok_or_else(|| EngineError::not_found(format!("dataspace {nsid}")))?;
         let rel = Path::new(path);
         if rel.components().any(|c| {

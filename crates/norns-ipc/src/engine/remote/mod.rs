@@ -84,6 +84,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use norns_proto::{DataRequest, DataResponse, ErrorCode, TaskOp, MAX_DATA_RANGE};
+use norns_sched::shape::Plugin;
 
 use super::error::EngineError;
 use super::transfer::{open_landing, open_source, truncated, Chain, RangeMover};
@@ -157,16 +158,18 @@ struct Ends {
 }
 
 impl RemoteTransfer {
-    /// Plan a transfer and lay out its chain. A pull probes the
-    /// remote size and lands the local destination (`open_landing`); a
-    /// push opens the local source and asks the peer to land the
-    /// destination (`Prepare`). The chain's `size()` is the
-    /// now-known transfer size (a pull's submit-time estimate was 0).
+    /// Plan a transfer and lay out its chain: `plugin` is
+    /// `RemoteToLocal` (a pull) or `LocalToRemote` (a push). A pull
+    /// probes the remote size and lands the local destination
+    /// (`open_landing`); a push opens the local source and asks the
+    /// peer to land the destination (`Prepare`). The chain's `size()`
+    /// is the now-known transfer size (a pull's submit-time estimate
+    /// was 0).
     #[allow(clippy::too_many_arguments)]
     pub fn plan(
         task_id: u64,
         op: TaskOp,
-        direction: Direction,
+        plugin: Plugin,
         addr: &str,
         nsid: &str,
         rpath: &str,
@@ -175,6 +178,10 @@ impl RemoteTransfer {
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
     ) -> Result<Box<Chain>, EngineError> {
+        let direction = match plugin {
+            Plugin::RemoteToLocal => Direction::Pull,
+            _ => Direction::Push,
+        };
         let mut conn = HeldConn::acquire(addr);
         let (local, size) = match direction {
             Direction::Pull => {
@@ -365,7 +372,7 @@ mod tests {
     };
     use super::super::transfer::tests::{assert_allocated, drive};
     use super::super::transfer::{PlanOutcome, Step, DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
-    use super::super::{Engine, EngineConfig, IpcPolicy};
+    use super::super::{Engine, EngineConfig, PolicyKind};
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
@@ -374,7 +381,6 @@ mod tests {
     use norns_proto::{
         encode_frame, FrameReader, ResourceDesc, TaskSpec, TaskState, TaskStats, Wire,
     };
-    use norns_sched::{Fcfs, JobFairShare};
     use parking_lot::Mutex;
 
     /// What a scripted peer does with one request.
@@ -569,7 +575,7 @@ mod tests {
         let plan = RemoteTransfer::plan(
             9,
             TaskOp::Copy,
-            Direction::Push,
+            Plugin::LocalToRemote,
             &peer.addr,
             "ds0",
             "dst.dat",
@@ -621,13 +627,21 @@ mod tests {
         })
     }
 
+    /// The plugin that moves bytes `direction`.
+    fn plugin(direction: Direction) -> Plugin {
+        match direction {
+            Direction::Pull => Plugin::RemoteToLocal,
+            Direction::Push => Plugin::LocalToRemote,
+        }
+    }
+
     /// Plan a transfer of `local` against `peer` in `chunk`-sized units.
     fn plan(direction: Direction, peer: &ScriptedPeer, local: &Path, chunk: u64) -> Box<Chain> {
         let (progress, abort) = (Arc::default(), Arc::default());
         RemoteTransfer::plan(
             1,
             TaskOp::Copy,
-            direction,
+            plugin(direction),
             &peer.addr,
             "ds0",
             "remote.dat",
@@ -660,11 +674,11 @@ mod tests {
     /// dataspace `tmp0` holding a `CHAIN_UNITS`-chunk `big`, and `peer`
     /// registered as host `peer`.
     fn chain_engine(tag: &str, workers: usize, peer: &ScriptedPeer) -> (Arc<Engine>, TempRoot) {
-        chain_engine_under(Box::new(Fcfs), tag, workers, peer)
+        chain_engine_under(PolicyKind::Fcfs, tag, workers, peer)
     }
 
     fn chain_engine_under(
-        policy: IpcPolicy,
+        policy: PolicyKind,
         tag: &str,
         workers: usize,
         peer: &ScriptedPeer,
@@ -781,7 +795,7 @@ mod tests {
     #[test]
     fn chain_push_is_served_on_one_connection_in_file_order() {
         let peer = ScriptedPeer::spawn(|_, _| None);
-        let fair = Box::new(JobFairShare::default());
+        let fair = PolicyKind::JobFairShare;
         let (engine, _root) = chain_engine_under(fair, "chain-push", 4, &peer);
         let mut backlog = Vec::new();
         let mut top_up = |tasks: usize| {
@@ -1180,6 +1194,49 @@ mod tests {
             "elapsed {} µs behind a {LATE:?} Prepare",
             stats.elapsed_usec
         );
+        engine.shutdown();
+    }
+
+    /// A `synchronous` stage-out whose local leg landed waits on its
+    /// replicas with no abort point: a cancel while the replica's
+    /// `Prepare` is held is refused, and the task ends `Finished`. A
+    /// cancel answered `Ok` would have to end it `Cancelled`.
+    #[test]
+    fn cancel_of_a_synchronous_parent_awaiting_its_replicas_is_refused() {
+        let (arrived, release) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (seen, held) = (Arc::clone(&arrived), Arc::clone(&release));
+        let peer = ScriptedPeer::spawn(move |request, _| {
+            if matches!(request, DataRequest::Prepare { .. }) {
+                seen.store(true, Ordering::SeqCst);
+                while !held.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            None
+        });
+        let (engine, _root) = chain_engine("cancel-sync", 1, &peer);
+        let spec = TaskSpec::new(TaskOp::Copy, tmp0("big"), Some(tmp0("landed")))
+            .with_durability(norns_proto::Durability::Synchronous);
+        let id = engine.submit(1, spec, None).unwrap();
+        spin_until("the replica's Prepare", || arrived.load(Ordering::SeqCst));
+        let cancelled = engine.cancel(id, None);
+        release.store(true, Ordering::SeqCst);
+        let stats = engine.wait(id, 0).unwrap();
+        if cancelled.is_ok() {
+            assert_eq!(
+                stats.state,
+                TaskState::Cancelled,
+                "a cancel answered Ok must end the task Cancelled"
+            );
+        }
+        assert!(
+            matches!(&cancelled, Err(e) if e.code == ErrorCode::TaskError),
+            "{cancelled:?}"
+        );
+        assert_eq!(stats.state, TaskState::Finished);
         engine.shutdown();
     }
 

@@ -476,7 +476,8 @@ mod tests {
     #[test]
     fn a_pull_answered_short_fails_truncated_at_the_source_end() {
         use super::super::super::transfer::{Chain, PlanOutcome, Step, LANDING_FLOOR};
-        use super::super::{Direction, RemoteTransfer};
+        use super::super::RemoteTransfer;
+        use norns_sched::shape::Plugin;
         use std::sync::atomic::AtomicBool;
 
         let (server, _conn, mount) = served("shrank");
@@ -497,7 +498,7 @@ mod tests {
             RemoteTransfer::plan(
                 7,
                 TaskOp::Copy,
-                Direction::Pull,
+                Plugin::RemoteToLocal,
                 &addr,
                 "ds0",
                 "src.dat",

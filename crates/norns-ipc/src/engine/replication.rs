@@ -14,11 +14,11 @@
 use std::sync::atomic::Ordering;
 
 use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState};
+use norns_sched::shape::Plugin;
 
-use super::remote::Direction;
 use super::shard::TaskEntry;
 use super::transfer::PlanOutcome;
-use super::{Engine, EngineError, Route, REPLICA_OWNER};
+use super::{Engine, EngineError, REPLICA_OWNER};
 
 /// Replication a qualifying stage-out asked for at submission,
 /// held until its local leg lands (v8 durability modes).
@@ -49,7 +49,7 @@ pub(super) struct SyncParent {
 /// A task's part in replication, kept in its own table entry.
 pub(super) enum ReplRole {
     /// A qualifying stage-out's request, taken when its local leg
-    /// reaches `complete_task`.
+    /// reaches `end_task`.
     Requested(ReplRequest),
     /// A `synchronous` parent waiting on its replicas.
     Awaiting(SyncParent),
@@ -129,8 +129,8 @@ impl Engine {
         .with_priority(req.priority);
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
         let role = ReplRole::ReplicaOf { parent, bytes };
-        let route = Route::Remote(Direction::Push);
-        let admitted = self.admit(task_id, REPLICA_OWNER, bytes, spec, None, route, Some(role));
+        let push = Plugin::LocalToRemote;
+        let admitted = self.admit(task_id, REPLICA_OWNER, bytes, push, spec, None, Some(role));
         if let (Err(e), Some(parent)) = (admitted, parent) {
             self.settle_parent(parent, Some(e));
         }

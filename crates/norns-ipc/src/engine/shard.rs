@@ -54,14 +54,13 @@ pub(crate) struct TaskEntry {
     /// Human-readable failure detail (the wire's `TaskStats` only
     /// carries the error code); surfaced via `Engine::error_message`.
     pub error_message: Option<String>,
-    /// Mid-stream cancel request; decomposed transfers observe it
-    /// between chunk ranges (and remote ones between round-trips).
-    pub abort: Arc<AtomicBool>,
-    /// Whether the running transfer honors `abort` — true once a
-    /// worker planned it into a chain: every copy, local or remote, of
-    /// any size or shape. A removal, a memory write and a rename have
-    /// no abort point and stay uncancellable once running.
-    pub abortable: bool,
+    /// The running chain's abort point: set when a worker plans the
+    /// task into a chain (every copy, local or remote, of any size or
+    /// shape), read by the chain between units, and taken where the
+    /// chain ends. While it is `None` a running task — a removal, a
+    /// memory write, a rename, a `synchronous` parent waiting on its
+    /// replicas — cannot be cancelled.
+    pub abort: Option<Arc<AtomicBool>>,
     /// The task's part in replication, if it has one.
     pub replicate: Option<ReplRole>,
     /// Waits parked on the task, by subscription id; the terminal
@@ -163,8 +162,7 @@ mod tests {
             owner: 1,
             error_message: None,
             progress: Arc::new(AtomicU64::new(0)),
-            abort: Arc::new(AtomicBool::new(false)),
-            abortable: false,
+            abort: None,
             replicate: None,
             waiters: Vec::new(),
         }

@@ -13,7 +13,10 @@
 //!
 //! * [`engine::Engine`] — registries (dataspaces, jobs, peers),
 //!   validation, one admission path into a bounded dispatch queue
-//!   arbitrated through the shared `norns-sched` policies, a joined
+//!   that holds the work it orders, arbitrated through the shared
+//!   `norns-sched` policies (named by [`PolicyKind`]), one dispatch
+//!   path — a task runs by its Table II plugin and every dispatch
+//!   ends in one step — a joined
 //!   worker pool (the only threads it spawns), a sharded task table
 //!   whose entry is a task's whole record — the waits parked on it,
 //!   blocking `wait` and the reactor's callback waits alike, and its
@@ -39,8 +42,8 @@ pub mod engine;
 pub use client::{ClientError, ClientResult, CtlClient, UserClient};
 pub use daemon::{DaemonConfig, UrdDaemon};
 pub use engine::{
-    Engine, EngineConfig, EngineError, IpcPolicy, PolicyKind, DEFAULT_CHUNK_SIZE,
-    DEFAULT_QUEUE_CAPACITY, MIN_CHUNK_SIZE,
+    Engine, EngineConfig, EngineError, PolicyKind, DEFAULT_CHUNK_SIZE, DEFAULT_QUEUE_CAPACITY,
+    MIN_CHUNK_SIZE,
 };
 
 /// A name from when pipelining was a separate pair of client types;

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use norns_ipc::{Engine, EngineConfig, MIN_CHUNK_SIZE};
+use norns_ipc::{Engine, EngineConfig, PolicyKind, MIN_CHUNK_SIZE};
 use norns_proto::{
     BackendKind, DataspaceDesc, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
 };
@@ -22,7 +22,7 @@ fn temp_root(tag: &str) -> PathBuf {
 
 fn engine(tag: &str, config: EngineConfig) -> (Arc<Engine>, PathBuf) {
     let root = temp_root(tag);
-    let engine = Engine::with_config(config, Box::new(norns_sched::Fcfs));
+    let engine = Engine::with_config(config, PolicyKind::Fcfs);
     engine
         .register_dataspace(DataspaceDesc {
             nsid: "tmp0".into(),

@@ -9,10 +9,12 @@
 //! * the simulated urd (`norns::queue::TaskQueue`) wraps a
 //!   [`Scheduler<JobId, TaskId, SimTime>`], and
 //! * the real-I/O daemon (`norns_ipc::Engine`) drives its worker pool
-//!   from a bounded [`Scheduler<u64, u64, u64>`] behind a
-//!   mutex+condvar instead of an unbounded FIFO channel.
+//!   from a bounded `Scheduler<u64, Work, u64>` behind a
+//!   mutex+condvar: its queue entries are the work itself, so no side
+//!   table keyed by task id has to be kept in step with the queue.
 //!
-//! The scheduler is generic over the job key `J`, the task key `T` and
+//! The scheduler is generic over the job key `J`, the task `T` (a key,
+//! or the work itself: only [`Scheduler::cancel_pending`] compares it) and
 //! the submission timestamp `S` (simulated time on the sim path,
 //! microseconds-since-start on the real path); policies only inspect
 //! sizes, priorities, job keys and submission order, so one policy
@@ -241,7 +243,7 @@ pub struct Scheduler<J, T, S = u64> {
     capacity: Option<usize>,
 }
 
-impl<J: Copy, T: Copy + PartialEq, S> Scheduler<J, T, S> {
+impl<J, T, S> Scheduler<J, T, S> {
     pub fn new(workers: usize, policy: Box<dyn ArbitrationPolicy<J, T, S>>) -> Self {
         assert!(workers > 0);
         Scheduler {
@@ -389,14 +391,27 @@ impl<J: Copy, T: Copy + PartialEq, S> Scheduler<J, T, S> {
         self.running -= 1;
     }
 
+    /// Take out the first pending task `pick` matches, if any; the
+    /// rest keep their seq order.
+    pub fn remove_pending(
+        &mut self,
+        mut pick: impl FnMut(&T) -> bool,
+    ) -> Option<PendingTask<J, T, S>> {
+        let idx = self.pending.iter().position(|t| pick(&t.task))?;
+        self.pending.remove(idx)
+    }
+
+    /// Take out every pending task, in seq order (a stopping pool's
+    /// leftovers). Running slots are untouched.
+    pub fn drain_pending(&mut self) -> Vec<PendingTask<J, T, S>> {
+        self.pending.drain(..).collect()
+    }
+}
+
+impl<J, T: PartialEq, S> Scheduler<J, T, S> {
     /// Drop a pending task (e.g. job cancelled before it started).
     pub fn cancel_pending(&mut self, task: T) -> bool {
-        if let Some(idx) = self.pending.iter().position(|t| t.task == task) {
-            self.pending.remove(idx);
-            true
-        } else {
-            false
-        }
+        self.remove_pending(|t| *t == task).is_some()
     }
 }
 
@@ -546,6 +561,66 @@ mod tests {
         assert!(!q.cancel_pending(2));
         assert_eq!(q.dispatch().unwrap().task, 1);
         assert!(q.dispatch().is_none());
+    }
+
+    #[test]
+    fn remove_pending_takes_only_the_match_and_keeps_seq_order() {
+        let mut q = sched(1).with_capacity(4);
+        for task in 1..=4 {
+            q.try_enqueue(task, task % 2, 1, DEFAULT_PRIORITY, 0)
+                .unwrap();
+        }
+        assert!(q.is_full());
+        let taken = q.remove_pending(|t| *t == 2).unwrap();
+        assert_eq!((taken.task, taken.job, taken.seq), (2, 0, 1));
+        assert!(q.remove_pending(|t| *t == 2).is_none(), "taken once");
+        assert!(q.remove_pending(|t| *t > 9).is_none());
+        // Its slot is free again, and nothing else moved.
+        assert_eq!(q.pending_len(), 3);
+        assert!(!q.is_full());
+        assert_eq!(q.enqueued_total(), 4);
+        q.try_enqueue(5, 0, 1, DEFAULT_PRIORITY, 0).unwrap();
+        let mut order = Vec::new();
+        while let Some(t) = q.dispatch() {
+            order.push((t.task, t.seq));
+            q.finish();
+        }
+        assert_eq!(order, vec![(1, 0), (3, 2), (4, 3), (5, 4)]);
+    }
+
+    #[test]
+    fn drain_pending_returns_every_entry_in_seq_order() {
+        let mut q = sched(1).with_capacity(3);
+        for task in 1..=3 {
+            q.try_enqueue(task, 0, 1, DEFAULT_PRIORITY, 0).unwrap();
+        }
+        let running = q.dispatch().unwrap();
+        q.enqueue_unit(PendingTask {
+            task: 10,
+            ..running
+        });
+        let drained: Vec<(u64, u64)> = q.drain_pending().iter().map(|t| (t.task, t.seq)).collect();
+        assert_eq!(drained, vec![(10, 0), (2, 1), (3, 2)]);
+        assert_eq!(q.pending_len(), 0);
+        assert!(q.dispatch().is_none());
+        // The dispatched task still holds its slot; the bound is whole again.
+        assert_eq!((q.running(), q.enqueued_total()), (1, 3));
+        for task in 4..=6 {
+            q.try_enqueue(task, 0, 1, DEFAULT_PRIORITY, 0).unwrap();
+        }
+        assert!(q.is_full());
+        q.finish();
+        assert_eq!(q.dispatch().unwrap().task, 4);
+    }
+
+    #[test]
+    fn a_task_that_is_its_work_needs_no_copy() {
+        // The daemon queues its work itself: no `Copy`, no key.
+        let mut q: Scheduler<u64, Vec<u8>, u64> = Scheduler::fcfs(1);
+        q.enqueue(vec![1], 0, 1, DEFAULT_PRIORITY, 0);
+        q.enqueue(vec![2, 2], 0, 2, DEFAULT_PRIORITY, 0);
+        assert_eq!(q.remove_pending(|w| w.len() == 2).unwrap().task, vec![2, 2]);
+        assert_eq!(q.dispatch().unwrap().task, vec![1]);
     }
 
     #[test]

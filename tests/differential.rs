@@ -19,9 +19,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use norns::{JobId, TaskId, TaskQueue};
-use norns_ipc::{Engine, EngineConfig};
+use norns_ipc::{Engine, EngineConfig, PolicyKind};
 use norns_proto::{BackendKind, DataspaceDesc, ResourceDesc, TaskOp, TaskSpec, TaskState};
-use norns_sched::{ArbitrationPolicy, Fcfs, JobFairShare, ShortestFirst, DEFAULT_PRIORITY};
+use norns_sched::DEFAULT_PRIORITY;
 use simcore::SimTime;
 
 /// (job, bytes) submission order shared by both worlds. Sizes are
@@ -44,13 +44,10 @@ const WORKLOAD: [(u64, u64); 8] = [
 const PLUG_JOB: u64 = 0;
 const PLUG_BYTES: u64 = 96 << 20;
 
-type SimPolicy = Box<dyn ArbitrationPolicy<JobId, TaskId, SimTime>>;
-type IpcPolicy = Box<dyn ArbitrationPolicy<u64, u64, u64>>;
-
 /// Dispatch order of the workload on the simulated queue (task index
 /// per WORKLOAD position).
-fn sim_order(policy: SimPolicy) -> Vec<usize> {
-    let mut q = TaskQueue::new(1, policy);
+fn sim_order(policy: PolicyKind) -> Vec<usize> {
+    let mut q = TaskQueue::new(1, policy.to_policy());
     // Plug: enqueued and dispatched before the rest exists, exactly
     // like the real engine's idle worker grabs it.
     q.enqueue(
@@ -80,7 +77,7 @@ fn sim_order(policy: SimPolicy) -> Vec<usize> {
 }
 
 /// Dispatch order of the same workload on the real engine.
-fn real_order(policy: IpcPolicy, tag: &str) -> Vec<usize> {
+fn real_order(policy: PolicyKind, tag: &str) -> Vec<usize> {
     let root: PathBuf =
         std::env::temp_dir().join(format!("norns-differential-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
@@ -159,21 +156,21 @@ fn real_order(policy: IpcPolicy, tag: &str) -> Vec<usize> {
 
 #[test]
 fn fcfs_orders_identically_in_sim_and_real() {
-    let sim = sim_order(Box::new(Fcfs));
+    let sim = sim_order(PolicyKind::Fcfs);
     assert_eq!(sim, vec![0, 1, 2, 3, 4, 5, 6, 7], "FCFS = submission order");
-    assert_eq!(real_order(Box::new(Fcfs), "fcfs"), sim);
+    assert_eq!(real_order(PolicyKind::Fcfs, "fcfs"), sim);
 }
 
 #[test]
 fn fair_share_orders_identically_in_sim_and_real() {
-    let sim = sim_order(Box::new(JobFairShare::default()));
+    let sim = sim_order(PolicyKind::JobFairShare);
     assert_ne!(
         sim,
         vec![0, 1, 2, 3, 4, 5, 6, 7],
         "the workload must discriminate fair-share from FCFS"
     );
     assert_eq!(
-        real_order(Box::new(JobFairShare::default()), "fair"),
+        real_order(PolicyKind::JobFairShare, "fair"),
         sim,
         "fair-share service history must evolve identically in both worlds"
     );
@@ -181,12 +178,12 @@ fn fair_share_orders_identically_in_sim_and_real() {
 
 #[test]
 fn sjf_orders_identically_in_sim_and_real() {
-    let sim = sim_order(Box::new(ShortestFirst));
+    let sim = sim_order(PolicyKind::ShortestFirst);
     // Distinct sizes: SJF order is the size-sorted permutation.
     let mut by_size: Vec<usize> = (0..WORKLOAD.len()).collect();
     by_size.sort_by_key(|&i| WORKLOAD[i].1);
     assert_eq!(sim, by_size);
-    assert_eq!(real_order(Box::new(ShortestFirst), "sjf"), sim);
+    assert_eq!(real_order(PolicyKind::ShortestFirst, "sjf"), sim);
 }
 
 /// Sim-vs-real differential for the *mapping* semantics: a `scatter`
