@@ -30,7 +30,8 @@ use crate::controller::{ApiSource, DataspaceSpec, JobSpec};
 use crate::error::{NornsError, Result};
 use crate::sim::urd::{PlannedLeg, UrdStatus};
 use crate::sim::{app_tag, task_tag, HasNorns, RpcOutcome, RpcReply, RpcRequest, TaskCompletion};
-use crate::task::{JobId, TaskId, TaskSpec, TaskState, TaskStats};
+use crate::task::{JobId, TaskId, TaskSpec, TaskStats};
+use norns_sched::lifecycle::{self, Event, Outcome, Role};
 
 // ---------------------------------------------------------------- //
 // Registration (control API)
@@ -183,7 +184,7 @@ pub fn submit_task<M: HasNorns>(
             spec,
             cred,
             tag,
-            state: TaskState::Pending,
+            life: lifecycle::admit(Role::Client).task,
             plugin,
             total_bytes: est,
             moved_bytes: 0,
@@ -252,14 +253,15 @@ pub(crate) fn maybe_dispatch<M: HasNorns>(sim: &mut Sim<M>, node: NodeId) {
         let picked = sim.model.norns_mut().urds[node].queue.dispatch();
         let Some(pending) = picked else { return };
         let task = pending.task;
-        match super::plan::build(sim, node, task) {
+        let built = super::plan::build(sim, node, task);
+        let now = sim.now();
+        let rec = sim.model.norns_mut().urds[node]
+            .task_mut(task)
+            .expect("dispatched task exists");
+        rec.life = lifecycle::step(rec.life, Event::Dispatch).task;
+        rec.started = Some(now);
+        match built {
             Ok(built) => {
-                let now = sim.now();
-                let rec = sim.model.norns_mut().urds[node]
-                    .task_mut(task)
-                    .expect("dispatched task exists");
-                rec.state = TaskState::InProgress;
-                rec.started = Some(now);
                 rec.total_bytes = built.total_bytes;
                 rec.exec.legs = built.legs;
                 if let Some((cnode, nsid, bytes)) = built.charged {
@@ -267,15 +269,7 @@ pub(crate) fn maybe_dispatch<M: HasNorns>(sim: &mut Sim<M>, node: NodeId) {
                 }
                 start_next_leg(sim, node, task);
             }
-            Err(e) => {
-                let now = sim.now();
-                let rec = sim.model.norns_mut().urds[node]
-                    .task_mut(task)
-                    .expect("dispatched task exists");
-                rec.state = TaskState::InProgress;
-                rec.started = Some(now);
-                complete_task(sim, node, task, Some(e));
-            }
+            Err(e) => complete_task(sim, node, task, Some(e)),
         }
     }
 }
@@ -381,16 +375,17 @@ fn complete_task<M: HasNorns>(
 
     let completion = {
         let urd = &mut sim.model.norns_mut().urds[node];
-        let elapsed = {
+        let (elapsed, counts) = {
             let rec = urd.task_mut(task).expect("completing task");
             rec.finished = Some(now);
-            rec.state = if error.is_some() {
-                TaskState::FinishedWithError
-            } else {
-                TaskState::Finished
+            let outcome = match error {
+                Some(_) => Outcome::Failed,
+                None => Outcome::Done { awaiting: 0 },
             };
+            let next = lifecycle::step(rec.life, Event::End(outcome));
+            rec.life = next.task;
             rec.error = error.clone();
-            rec.started.map(|s| now - s)
+            (rec.started.map(|s| now - s), next.counts)
         };
         if error.is_none() {
             if let Some(elapsed) = elapsed {
@@ -399,14 +394,14 @@ fn complete_task<M: HasNorns>(
             }
         }
         urd.queue.finish();
-        urd.record_completion();
+        urd.count(counts);
         let rec = urd.task(task).expect("completing task");
         TaskCompletion {
             node,
             task,
             job,
             tag: rec.tag,
-            state: rec.state,
+            state: rec.life.state,
             stats: rec.stats(),
             error,
         }

@@ -16,7 +16,8 @@ use crate::error::NornsError;
 use crate::eta::EtaEstimator;
 use crate::plugins::PluginKind;
 use crate::queue::TaskQueue;
-use crate::task::{JobId, TaskId, TaskSpec, TaskState, TaskStats};
+use crate::task::{JobId, TaskId, TaskSpec, TaskStats};
+use norns_sched::lifecycle::{Counts, Task};
 
 /// One leg of a planned transfer (built by `sim::plan`).
 #[derive(Debug, Clone)]
@@ -48,7 +49,8 @@ pub struct TaskRecord {
     /// Caller correlation tag (the scheduler uses it to map staging
     /// operations back to workflow steps).
     pub tag: u64,
-    pub state: TaskState,
+    /// Its lifecycle record, stepped by the table both worlds run.
+    pub life: Task,
     pub plugin: PluginKind,
     pub total_bytes: u64,
     pub moved_bytes: u64,
@@ -65,7 +67,7 @@ pub struct TaskRecord {
 impl TaskRecord {
     pub fn stats(&self) -> TaskStats {
         TaskStats {
-            state: self.state,
+            state: self.life.state,
             bytes_total: self.total_bytes,
             bytes_moved: self.moved_bytes,
             submitted: self.submitted,
@@ -146,8 +148,12 @@ impl SimUrd {
         self.tasks.get_mut(&id)
     }
 
-    pub(crate) fn record_completion(&mut self) {
-        self.completed += 1;
+    /// Move the status counters by a lifecycle row's deltas: the
+    /// queue keeps pending and running, so only `completed` is here.
+    pub(crate) fn count(&mut self, counts: Counts) {
+        self.completed = self
+            .completed
+            .saturating_add_signed(i64::from(counts.completed));
     }
 
     pub fn status(&self) -> UrdStatus {
@@ -166,16 +172,16 @@ impl SimUrd {
     /// progress; queued tasks use the route estimate.
     pub fn task_eta(&self, id: TaskId, now: SimTime) -> Option<SimTime> {
         let rec = self.tasks.get(&id)?;
-        match rec.state {
-            TaskState::Finished | TaskState::FinishedWithError => rec.finished,
-            _ => Some(self.eta.eta(
-                rec.plugin,
-                rec.total_bytes,
-                rec.moved_bytes,
-                rec.started.unwrap_or(now),
-                now,
-            )),
+        if rec.life.state.is_terminal() {
+            return rec.finished;
         }
+        Some(self.eta.eta(
+            rec.plugin,
+            rec.total_bytes,
+            rec.moved_bytes,
+            rec.started.unwrap_or(now),
+            now,
+        ))
     }
 
     /// The instant at which all current staging work on this node is
@@ -183,7 +189,7 @@ impl SimUrd {
     pub fn drain_eta(&self, now: SimTime) -> SimTime {
         let mut latest = now;
         for rec in self.tasks.values() {
-            if !rec.state.is_terminal() {
+            if !rec.life.state.is_terminal() {
                 if let Some(eta) = self.task_eta(rec.id, now) {
                     latest = latest.max(eta);
                 }

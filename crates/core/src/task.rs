@@ -16,20 +16,8 @@ pub struct JobId(pub u64);
 pub use norns_sched::shape::TaskOp;
 
 /// Lifecycle of a task inside urd: pending queue → worker → completion
-/// list (paper Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskState {
-    Pending,
-    InProgress,
-    Finished,
-    FinishedWithError,
-}
-
-impl TaskState {
-    pub fn is_terminal(self) -> bool {
-        matches!(self, TaskState::Finished | TaskState::FinishedWithError)
-    }
-}
+/// list (paper Fig. 3), decided by the one table both worlds run.
+pub use norns_sched::lifecycle::TaskState;
 
 /// What a task should do, as validated at submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,14 +111,6 @@ mod tests {
         let r = TaskSpec::remove(a);
         assert_eq!(r.op, TaskOp::Remove);
         assert!(r.output.is_none());
-    }
-
-    #[test]
-    fn terminal_states() {
-        assert!(!TaskState::Pending.is_terminal());
-        assert!(!TaskState::InProgress.is_terminal());
-        assert!(TaskState::Finished.is_terminal());
-        assert!(TaskState::FinishedWithError.is_terminal());
     }
 
     #[test]

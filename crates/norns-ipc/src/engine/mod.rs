@@ -7,19 +7,21 @@
 //! path` writes an actual buffer, `local ⇒ local` moves real bytes.
 //! Like the paper's urd it is one task queue, one worker pool and one
 //! error code space ([`EngineError`]); it spawns worker threads and
-//! nothing else. This file is the task lifecycle — one admission
-//! function ([`Engine::submit`] and the replica path both end in it),
-//! dispatch, execution and one completion funnel — behind the
-//! [`Engine`] facade; the rest is split by concern:
+//! nothing else. This file is a task's way through it — one admission
+//! ([`Engine::submit`] and the replica path both end in it), dispatch
+//! and execution — behind the [`Engine`] facade. Every lifecycle
+//! decision on the way (a state, a cancel's answer, whether a wait
+//! parks, a counter move) is a row of the pure table the simulated urd
+//! runs too, `norns_sched::lifecycle`, applied at one site
+//! (`Engine::step`). The rest is split by concern:
 //!
 //! * [`registry`] — dataspaces, jobs, the O(1) `pid → job` index
 //!   behind user-socket admission, remote-staging peers, and the
 //!   dataspace containment check.
 //! * [`shard`] — the task table, id-sharded so traffic on different
 //!   tasks stays off one lock. An entry is the task's whole record,
-//!   its clock, parked waits and replication role included, so every
-//!   fact about a task changes under that task's own shard lock, and
-//!   every task ends in one transition (`Engine::finish_entry`).
+//!   its lifecycle, clock, parked waits and replication role included,
+//!   so every fact about a task changes under its own shard lock.
 //! * [`waits`] — every wait, blocking or callback, is a callback
 //!   parked in the waited task's entry, so a completion wakes exactly
 //!   its own waiters and takes no lock but its own shard's. Deadlines
@@ -67,8 +69,7 @@
 //! `shape::admit` chose, or a chain's next unit — and every dispatch
 //! ends in one `Step` that `Engine::finish_dispatch` closes: the one
 //! place a worker ends a task, and the one per-dispatch site for
-//! queue-wait and per-unit timing. A chain's abort point is in its
-//! task's entry from its plan to its end. Workers are woken by one rule
+//! queue-wait and per-unit timing. Workers are woken by one rule
 //! (`Engine::wake_worker`): an admission wakes a parked worker only
 //! while fewer wakes are on their way than there are parked workers
 //! and queued entries for them; the worker that comes out of the wait
@@ -100,6 +101,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use norns_proto::{
     DaemonStatus, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats,
 };
+use norns_sched::lifecycle::{self, Abort, Answer, Counts, Event, Next, Outcome, Role};
 use norns_sched::shape::{self, names_root, Kind, Plugin, Refusal, Shape};
 use norns_sched::{
     ArbitrationPolicy, Fcfs, JobFairShare, PendingTask, Scheduler, ShortestFirst, WeightedPriority,
@@ -114,7 +116,7 @@ pub(crate) use remote::DataServer;
 use registry::Registry;
 use remote::RemoteTransfer;
 use replication::{ReplRequest, ReplRole};
-use shard::{Settled, ShardedTaskTable, TaskEntry};
+use shard::{ShardedTaskTable, TaskEntry};
 use transfer::{open_landing, with_parent, Chain, End, LocalCopy, PlanOutcome, Step};
 
 /// Default bound on the pending task set.
@@ -252,13 +254,13 @@ pub struct Engine {
     dispatch: Mutex<DispatchState>,
     dispatch_cv: Condvar,
     next_task: AtomicU64,
-    /// O(1) status counters, updated at every task state transition
+    /// O(1) status counters, moved by the lifecycle's rows alone
     /// (`status()` must not scan the whole task table — it is polled).
     pending_count: AtomicU64,
     running_count: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
-    /// 1 once a chain has ended (see [`Engine::peak_chunk_workers`]).
+    /// 1 once a chain has landed (see [`Engine::peak_chunk_workers`]).
     peak_chunk_workers: AtomicU64,
     chunk_size: u64,
     /// Advertised data-plane address (set by the daemon once its TCP
@@ -318,6 +320,17 @@ fn shape_of(spec: &TaskSpec) -> Shape {
         input,
         output: spec.output.as_ref().map(|r| end(r).0),
         input_names_root,
+    }
+}
+
+/// A task's state, as `norns_sched::lifecycle` decides it, on the wire.
+fn wire_state(state: lifecycle::TaskState) -> TaskState {
+    match state {
+        lifecycle::TaskState::Pending => TaskState::Pending,
+        lifecycle::TaskState::InProgress => TaskState::InProgress,
+        lifecycle::TaskState::Finished => TaskState::Finished,
+        lifecycle::TaskState::FinishedWithError => TaskState::FinishedWithError,
+        lifecycle::TaskState::Cancelled => TaskState::Cancelled,
     }
 }
 
@@ -455,7 +468,9 @@ impl Engine {
         self.dispatch_cv.notify_all();
         for orphan in orphaned {
             match orphan.task {
-                Work::Whole { task_id, .. } => self.finish_task(task_id, PlanOutcome::Cancelled),
+                Work::Whole { task_id, .. } => {
+                    self.transition(task_id, Event::Shutdown, None);
+                }
                 Work::Chunk(chain) => self.end_task(chain.abort(SHUTDOWN_MID_TRANSFER)),
             }
         }
@@ -513,7 +528,7 @@ impl Engine {
 
     /// Workers that ever moved chunks of one transfer at once. Kept for
     /// `benchmark/`'s `engine.peak_chunk_workers` alone: a chain has one
-    /// owner, so it reads 1 once a chain has ended (0 before) and can
+    /// owner, so it reads 1 once a chain has landed (0 before) and can
     /// read nothing else.
     pub fn peak_chunk_workers(&self) -> u64 {
         self.peak_chunk_workers.load(Ordering::Relaxed)
@@ -691,26 +706,31 @@ impl Engine {
                     "worker pool stopped",
                 ));
             }
-            if owner == REPLICA_OWNER {
+            let role = if owner == REPLICA_OWNER {
                 st.sched
                     .enqueue_internal(work, owner, bytes_total, priority, now_us);
+                Role::Replica
             } else {
                 st.sched
                     .try_enqueue(work, owner, bytes_total, priority, now_us)
                     .map_err(|full| {
                         EngineError::new(ErrorCode::Busy, format!("{full}; retry later (EAGAIN)"))
                     })?;
-            }
+                Role::Client
+            };
             if let Some(ReplRole::ReplicaOf { bytes, .. }) = replicate {
                 self.pending_replicas.fetch_add(1, Ordering::SeqCst);
                 self.pending_replica_bytes
                     .fetch_add(bytes, Ordering::SeqCst);
             }
+            let admitted = lifecycle::admit(role);
+            self.count(admitted.counts);
             self.tasks.insert(
                 task_id,
                 TaskEntry {
+                    life: admitted.task,
                     stats: TaskStats {
-                        state: TaskState::Pending,
+                        state: wire_state(admitted.task.state),
                         error: ErrorCode::Success,
                         bytes_total,
                         bytes_moved: 0,
@@ -722,12 +742,11 @@ impl Engine {
                     owner,
                     error_message: None,
                     progress: Arc::new(AtomicU64::new(0)),
-                    abort: None,
+                    abort: Arc::default(),
                     replicate,
                     waiters: Vec::new(),
                 },
             );
-            self.pending_count.fetch_add(1, Ordering::SeqCst);
             self.wake_worker(st);
         }
         Ok(())
@@ -749,57 +768,32 @@ impl Engine {
         }
     }
 
-    /// Cancel a task. A pending task is taken out of the queue before
-    /// it runs; a running chain (a local copy or remote staging) is
-    /// interrupted between units through its abort point and finishes
-    /// `Cancelled` with partial progress cleaned up. A running task
-    /// without an abort point — a removal, a memory write, a rename, a
-    /// `synchronous` stage-out waiting on its replicas — and a finished
-    /// one are refused.
-    ///
-    /// `requester`: `None` for the administrative control API; the
-    /// submitter key for user-socket callers, who may only cancel
-    /// their own tasks. Only a task's first dispatch is taken out of
-    /// the queue: a queued unit of a running chain stays, and its task
-    /// cancels through its abort point — yanking the unit would leave
-    /// the transfer a chunk short of finalizing.
+    /// Cancel a task, as the lifecycle table answers: a pending task
+    /// ends `Cancelled` at once and its first dispatch leaves the queue
+    /// (a worker that took it finds it ended); a running chain, from
+    /// its plan on, has its abort point raised and ends `Cancelled`
+    /// between units, its partial output removed — a queued unit stays,
+    /// or the transfer would end a chunk short. Anything else is
+    /// refused (see the table). `requester`: `None` for the control
+    /// API; a user-socket caller may only cancel its own tasks.
     pub fn cancel(&self, task_id: u64, requester: Option<u64>) -> Result<(), EngineError> {
         self.query_scoped(task_id, requester)?;
-        let removed = self
-            .dispatch
-            .lock()
-            .sched
-            .remove_pending(|w| matches!(w, Work::Whole { task_id: id, .. } if *id == task_id))
-            .is_some();
-        if removed {
-            self.finish_task(task_id, PlanOutcome::Cancelled);
-            return Ok(());
+        let next = self
+            .transition(task_id, Event::Cancel, None)
+            .ok_or_else(|| unknown_task(task_id))?;
+        if next.settles {
+            self.dispatch
+                .lock()
+                .sched
+                .remove_pending(|w| matches!(w, Work::Whole { task_id: id, .. } if *id == task_id));
         }
-        let aborted = self
-            .tasks
-            .read(task_id, |t| match &t.abort {
-                Some(abort) if t.stats.state == TaskState::InProgress => {
-                    abort.store(true, Ordering::SeqCst);
-                    true
-                }
-                _ => false,
-            })
-            .unwrap_or(false);
-        if aborted {
-            return Ok(());
+        match next.answer {
+            Answer::Refused(why) => Err(EngineError::new(
+                ErrorCode::TaskError,
+                format!("task {task_id} {why}"),
+            )),
+            _ => Ok(()),
         }
-        let stats = self.query_scoped(task_id, None)?;
-        let why = match stats.state {
-            TaskState::InProgress => "already running",
-            // A worker can hold the task between dispatch and the
-            // InProgress transition; the table still says Pending.
-            TaskState::Pending => "is being dispatched",
-            _ => "already finished",
-        };
-        Err(EngineError::new(
-            ErrorCode::TaskError,
-            format!("task {task_id} {why}"),
-        ))
     }
 
     /// Worker thread: take queued work — a task's first dispatch or a
@@ -850,8 +844,9 @@ impl Engine {
 
     /// Close one dispatch — the one place a worker ends a task. An
     /// `End` is the task's terminal transition, its answers given
-    /// before the worker slot is freed; a chain handed back is issued
-    /// again in the critical section that frees the slot, as the
+    /// before the worker slot is freed; a landed chain commits only if
+    /// the lifecycle says no cancel came first. A chain handed back is
+    /// issued again in the critical section that frees the slot, as the
     /// `successor` entry: the dispatched entry's job / priority / size /
     /// seq, so arbitration treats it exactly like its parent (FCFS puts
     /// it back at the head of the line, SJF and fair-share weigh it
@@ -862,154 +857,150 @@ impl Engine {
         step: Step,
         successor: impl FnOnce(Box<Chain>) -> PendingTask<u64, Work, u64>,
     ) {
-        let chain = match step {
-            Step::Next(chain) => chain,
-            Step::End(end) => {
-                self.end_task(end);
-                self.dispatch.lock().sched.finish();
-                return;
+        let end = match step {
+            Step::Next(chain) => {
+                let mut st = self.dispatch.lock();
+                if !st.stop {
+                    st.sched.finish();
+                    st.sched.enqueue_unit(successor(chain));
+                    return;
+                }
+                // Nobody will dispatch it: the chain ends here.
+                drop(st);
+                chain.abort(SHUTDOWN_MID_TRANSFER)
             }
+            Step::Landed(chain) => {
+                let granted = self
+                    .transition(chain.task_id, Event::Commit, None)
+                    .is_some_and(|next| next.answer == Answer::Ok);
+                self.peak_chunk_workers.store(1, Ordering::Relaxed);
+                chain.commit(granted)
+            }
+            Step::End(end) => end,
         };
-        let mut st = self.dispatch.lock();
-        st.sched.finish();
-        if st.stop {
-            // Nobody will dispatch it: the chain ends here.
-            drop(st);
-            self.end_task(chain.abort(SHUTDOWN_MID_TRANSFER));
-            return;
-        }
-        st.sched.enqueue_unit(successor(chain));
+        self.end_task(end);
+        self.dispatch.lock().sched.finish();
     }
 
     /// A task's first dispatch: it turns InProgress and runs by its
-    /// plugin. A removal, a memory write, a rename and a failed plan
-    /// end here; a chain's first unit runs here.
+    /// plugin — unless a cancel ended it first. A removal, a memory
+    /// write, a rename and a failed plan end here; a chain's first unit
+    /// runs here.
     fn start(&self, task_id: u64, plugin: Plugin, spec: &TaskSpec, payload: Option<&[u8]>) -> Step {
-        let progress = self
-            .tasks
-            .update(task_id, |t| {
-                let now = Instant::now();
-                t.stats.state = TaskState::InProgress;
-                t.stats.wait_usec = (now - t.submitted_at).as_micros() as u64;
-                t.started_at = Some(now);
-                Arc::clone(&t.progress)
-            })
-            .unwrap_or_default();
-        self.pending_count.fetch_sub(1, Ordering::SeqCst);
-        self.running_count.fetch_add(1, Ordering::SeqCst);
-        self.run_transfer(task_id, plugin, spec, payload, &progress)
+        let runs = self.tasks.update(task_id, |t| {
+            let runs = self.step(t, Event::Dispatch).answer == Answer::Ok;
+            runs.then(|| (Arc::clone(&t.progress), Arc::clone(&t.abort)))
+        });
+        let Some((progress, abort)) = runs.flatten() else {
+            let outcome = PlanOutcome::Cancelled;
+            return Step::End(End { task_id, outcome });
+        };
+        self.run_transfer(task_id, plugin, spec, payload, &progress, &abort)
             .unwrap_or_else(|e| {
                 let outcome = PlanOutcome::Failed(e);
                 Step::End(End { task_id, outcome })
             })
     }
 
-    /// The terminal transition of a task a worker ran — its dispatch
-    /// ended, or shutdown found its chain's unit queued. A chain's
-    /// abort point goes with it, so a `synchronous` parent waiting on
-    /// its replicas refuses a cancel it could no longer honour. A
-    /// landed stage-out with a replication request spawns its
-    /// background replicas here — and in `synchronous` mode the
-    /// terminal transition itself is deferred until they land, so the
-    /// caller's ACK can never precede the durability guarantee.
+    /// The end of a task a worker ran — its dispatch ended, or shutdown
+    /// found its chain's unit queued. A landed stage-out with a
+    /// replication request spawns its background replicas here — and
+    /// in `synchronous` mode it awaits them, so the caller's ACK can
+    /// never precede the durability guarantee.
     fn end_task(&self, end: End) {
         let End { task_id, outcome } = end;
-        let (chained, request) = self
-            .tasks
-            .update(task_id, |t| {
-                let request = match t.replicate {
-                    Some(ReplRole::Requested(_)) => t.replicate.take(),
-                    _ => None,
-                };
-                (t.abort.take().is_some(), request)
-            })
-            .unwrap_or((false, None));
-        if chained {
-            self.peak_chunk_workers.store(1, Ordering::Relaxed);
-        }
-        if let Some(ReplRole::Requested(req)) = request {
-            if let PlanOutcome::Done(moved) = outcome {
-                if self.begin_replication(task_id, req, moved) {
-                    return;
-                }
+        let request = self.tasks.update(task_id, |t| match t.replicate {
+            Some(ReplRole::Requested(_)) => t.replicate.take(),
+            _ => None,
+        });
+        match (request.flatten(), outcome) {
+            (Some(ReplRole::Requested(req)), PlanOutcome::Done(moved)) => {
+                self.begin_replication(task_id, req, moved)
             }
             // Failed or cancelled local leg: nothing landed to
             // replicate — the task resolves on its own outcome.
+            (_, outcome) => self.finish_task(task_id, outcome, 0),
         }
-        self.finish_task(task_id, outcome);
     }
 
-    /// Move a task to its terminal state, fix up counters and answer
-    /// the task's waiters. A cancel and shutdown end a pending task
-    /// through here too.
-    fn finish_task(&self, task_id: u64, outcome: PlanOutcome) {
-        let finished = self
-            .tasks
-            .update(task_id, |t| self.finish_entry(t, outcome));
-        if let Some(settled) = finished {
+    /// End a task's run with `outcome` — a landed `synchronous`
+    /// stage-out awaiting `awaiting` replicas — as the lifecycle says.
+    fn finish_task(&self, task_id: u64, outcome: PlanOutcome, awaiting: u8) {
+        let (end, failure) = match outcome {
+            PlanOutcome::Done(_) => (Outcome::Done { awaiting }, None),
+            PlanOutcome::Failed(e) => (Outcome::Failed, Some(e)),
+            PlanOutcome::Cancelled => (Outcome::Cancelled, None),
+        };
+        self.transition(task_id, Event::End(end), failure);
+    }
+
+    /// `event` on task `task_id` ([`Engine::step`]), and what its
+    /// terminal transition owes paid once the shard lock is released;
+    /// `None` for an unknown task.
+    fn transition(&self, task_id: u64, event: Event, failure: Option<EngineError>) -> Option<Next> {
+        let (next, settled) = self.tasks.update(task_id, |t| {
+            let next = self.step(t, event);
+            (next, next.settles.then(|| self.settle(t, &next, failure)))
+        })?;
+        if let Some(settled) = settled {
             self.deliver(settled);
         }
+        Some(next)
     }
 
-    /// The one terminal transition, for a pending task and a started
-    /// one alike, inside the task's shard-locked closure: what it owes
-    /// comes back for [`Engine::deliver`]. The task's durations come
-    /// from its entry's stamps, so `wait_usec + elapsed_usec` is its
-    /// submit → terminal span — planning, and a `synchronous` parent's
-    /// replicas, included.
-    fn finish_entry(&self, t: &mut TaskEntry, outcome: PlanOutcome) -> Settled {
-        let mut cancelled = false;
-        match outcome {
-            PlanOutcome::Done(moved) => {
-                t.stats.state = TaskState::Finished;
-                t.stats.bytes_moved = moved;
-                t.stats.bytes_total = t.stats.bytes_total.max(moved);
-            }
-            PlanOutcome::Failed(e) => {
-                t.stats.state = TaskState::FinishedWithError;
-                t.stats.error = e.code;
-                t.error_message = Some(e.message);
-                // Keep whatever partial progress the data plane made.
-                t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
-            }
-            PlanOutcome::Cancelled => {
-                t.stats.state = TaskState::Cancelled;
-                t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
-                cancelled = true;
-            }
+    /// The one apply site: `event` through the lifecycle table on the
+    /// task's entry, under its shard lock. The state, the facts and the
+    /// status counters change here alone, before any answer goes out;
+    /// an accepted cancel raises the chain's abort flag; the clock
+    /// stamps the first worker touch and the terminal transition, which
+    /// keeps the bytes the data plane made. `wait_usec + elapsed_usec`
+    /// is the submit → terminal span.
+    fn step(&self, t: &mut TaskEntry, event: Event) -> Next {
+        let next = lifecycle::step(t.life, event);
+        let since = |at: Instant| at.elapsed().as_micros() as u64;
+        if next.task.facts.started && t.started_at.is_none() {
+            t.stats.wait_usec = since(t.submitted_at);
+            t.started_at = Some(Instant::now());
         }
-        // Counters inside the shard-locked closure, before the
-        // answers: a waiter unblocked by this completion must already
-        // see them updated.
-        match t.started_at {
-            Some(started) => {
-                t.stats.elapsed_usec = started.elapsed().as_micros() as u64;
-                self.running_count.fetch_sub(1, Ordering::SeqCst);
+        if next.settles {
+            match t.started_at {
+                Some(started) => t.stats.elapsed_usec = since(started),
+                None => t.stats.wait_usec = since(t.submitted_at),
             }
-            None => {
-                t.stats.wait_usec = t.submitted_at.elapsed().as_micros() as u64;
-                self.pending_count.fetch_sub(1, Ordering::SeqCst);
-            }
+            t.stats.bytes_moved = t.progress.load(Ordering::Relaxed);
+            t.stats.bytes_total = t.stats.bytes_total.max(t.stats.bytes_moved);
         }
-        // Internal replica tasks never count against the user-facing
-        // totals: `completed + cancelled` accounts each accepted
-        // submission exactly once, and replication progress is
-        // reported through the lag counters instead.
-        if t.owner != REPLICA_OWNER {
-            if cancelled {
-                self.cancelled.fetch_add(1, Ordering::SeqCst);
-            } else {
-                self.completed.fetch_add(1, Ordering::SeqCst);
-            }
+        if next.task.facts.abort == Abort::Raised {
+            t.abort.store(true, Ordering::SeqCst);
         }
-        self.settle(t)
+        t.life = next.task;
+        t.stats.state = wire_state(next.task.state);
+        self.count(next.counts);
+        next
+    }
+
+    /// Move the status counters by a lifecycle row's deltas.
+    fn count(&self, counts: Counts) {
+        let moves = [
+            (&self.pending_count, counts.pending),
+            (&self.running_count, counts.running),
+            (&self.completed, counts.completed),
+            (&self.cancelled, counts.cancelled),
+        ];
+        for (counter, by) in moves.into_iter().filter(|(_, by)| *by != 0) {
+            // `fetch_add` wraps: a negative delta, sign-extended, subtracts.
+            counter.fetch_add(i64::from(by) as u64, Ordering::SeqCst);
+        }
     }
 
     /// Run one task by its Table II plugin. A removal, a memory write
     /// and a rename end here with the bytes they made available; every
     /// copy that moves file bytes — local, a file or a tree, or remote
     /// — is planned into a chain instead of blocking this worker for
-    /// the whole transfer, and runs its first unit here.
+    /// the whole transfer, and runs its first unit here. A chain holds
+    /// its abort point from before its plan, so a cancel that comes
+    /// while it plans is accepted and the chain reads the flag before
+    /// its first range.
     fn run_transfer(
         &self,
         task_id: u64,
@@ -1017,6 +1008,7 @@ impl Engine {
         spec: &TaskSpec,
         payload: Option<&[u8]>,
         progress: &Arc<AtomicU64>,
+        abort: &Arc<AtomicBool>,
     ) -> Result<Step, EngineError> {
         let done = |moved| {
             let outcome = PlanOutcome::Done(moved);
@@ -1027,7 +1019,6 @@ impl Engine {
                 .as_ref()
                 .ok_or_else(|| EngineError::bad_args("no output"))
         };
-        let abort = Arc::new(AtomicBool::new(false));
         let chain = match plugin {
             Plugin::Removal => {
                 let path = self.resolve(&spec.input)?;
@@ -1069,13 +1060,16 @@ impl Engine {
                         Err(e) => return Err(e.into()),
                     }
                 }
-                // Cross-filesystem move (EXDEV) or plain copy: a file or a tree.
+                // Cross-filesystem move (EXDEV) or plain copy: a file or
+                // a tree, a chain from before its walk.
+                self.transition(task_id, Event::Plan, None);
                 let plan = LocalCopy::plan(spec.op, &src, &dst, Arc::clone(progress))?;
-                plan.chain(task_id, self.chunk_size, Arc::clone(&abort))
+                plan.chain(task_id, self.chunk_size, Arc::clone(abort))
             }
             // Planning does network round-trips — a size probe for a
             // pull, a landing `Prepare` for a push — which is why it
-            // runs here on a worker and not in `submit`.
+            // runs here on a worker and not in `submit`, and a chain
+            // from before it.
             Plugin::RemoteToLocal | Plugin::LocalToRemote => {
                 let (host, nsid, path) =
                     far_end(plugin, spec).ok_or_else(|| EngineError::bad_args("no remote end"))?;
@@ -1086,6 +1080,7 @@ impl Engine {
                 // Re-resolved at execution: the registry may have
                 // changed since submission.
                 let addr = self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
+                self.transition(task_id, Event::Plan, None);
                 RemoteTransfer::plan(
                     task_id,
                     spec.op,
@@ -1096,7 +1091,7 @@ impl Engine {
                     &self.resolve(local)?,
                     self.chunk_size,
                     Arc::clone(progress),
-                    Arc::clone(&abort),
+                    Arc::clone(abort),
                 )?
             }
             // Refused at submission (ROADMAP item 11): never dispatched.
@@ -1104,13 +1099,9 @@ impl Engine {
                 return Err(Refusal::MemoryAcrossNodes.into())
             }
         };
-        // The chain is the task's abort point from here to its end, and
         // `bytes_total` is the plan's, not an estimate.
         let size = chain.size();
-        self.tasks.update(task_id, |t| {
-            t.abort = Some(abort);
-            t.stats.bytes_total = size;
-        });
+        self.tasks.update(task_id, |t| t.stats.bytes_total = size);
         Ok(chain.step())
     }
 
@@ -1847,7 +1838,11 @@ mod tests {
     /// accepts on, so the pull's `Stat` is never answered. It holds a
     /// worker until the test drops the listener it gets back, which
     /// resets the connection and fails the pull.
-    fn silent_pull(engine: &Engine, peer: &str, job: u64) -> (u64, std::net::TcpListener) {
+    pub(crate) fn silent_pull(
+        engine: &Engine,
+        peer: &str,
+        job: u64,
+    ) -> (u64, std::net::TcpListener) {
         let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         engine.register_peer(peer, silent.local_addr().unwrap().to_string());
         let spec = TaskSpec::new(

@@ -368,7 +368,7 @@ impl RangeMover for RemoteTransfer {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{
-        assert_chain_gone, register_tmp0, spin_until, temp_root, tiny_write, TempRoot,
+        assert_chain_gone, register_tmp0, silent_pull, spin_until, temp_root, tiny_write, TempRoot,
     };
     use super::super::transfer::tests::{assert_allocated, drive};
     use super::super::transfer::{PlanOutcome, Step, DEFAULT_CHUNK_SIZE, MIN_CHUNK_SIZE};
@@ -1286,6 +1286,450 @@ mod tests {
                 PlanOutcome::Failed(e) => panic!("{direction:?}: {e:?}"),
                 PlanOutcome::Cancelled => panic!("{direction:?}: cancelled"),
             }
+        }
+    }
+
+    use super::super::Subscribed;
+    use norns_proto::Durability;
+    use norns_sched::lifecycle::{self, Answer, Counts, Event, Next, Outcome, Role, Task};
+
+    /// A pull holds its abort point before its plan: a cancel while the
+    /// peer is still answering its `Stat` is accepted, and the pull
+    /// ends `Cancelled` — no `Fetch` sent, the destination the plan
+    /// allocated removed.
+    #[test]
+    fn lifecycle_a_cancel_while_a_pull_plans_ends_it_cancelled() {
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let peer = ScriptedPeer::spawn_counting(Arc::clone(&arrived), |request, _| match request {
+            DataRequest::Stat { .. } => {
+                std::thread::sleep(LATE);
+                Some(Scripted::Answer(DataResponse::Stat { size: 3 * MIB }))
+            }
+            DataRequest::Fetch { len, .. } => Some(Scripted::Data(vec![7u8; *len as usize])),
+            _ => None,
+        });
+        let (engine, root) = chain_engine("cancel-plan", 1, &peer);
+        let spec = TaskSpec::new(TaskOp::Copy, on_peer("src.dat"), Some(tmp0("pulled")));
+        let id = engine.submit(1, spec, None).unwrap();
+        spin_until("the pull's Stat", || arrived.load(Ordering::SeqCst) == 1);
+        engine
+            .cancel(id, None)
+            .expect("a cancel while the pull plans is accepted");
+        let stats = engine.wait(id, 0).unwrap();
+        assert_eq!(stats.state, TaskState::Cancelled);
+        assert_eq!(peer.count(|r| matches!(r, DataRequest::Fetch { .. })), 0);
+        assert!(!root.join("tmp0/pulled").exists());
+        assert_chain_gone(&engine, 0, 1);
+        engine.shutdown();
+    }
+
+    /// A replica is the daemon's own task, and only the control socket
+    /// may cancel it. A cancel while its `Prepare` is held is accepted:
+    /// a `local_plus_one` copy is dropped without a word (its parent
+    /// had ACKed), and a `synchronous` parent fails with the cancelled
+    /// replica as its reason. No client cancelled anything.
+    #[test]
+    fn lifecycle_the_control_socket_cancels_a_replica() {
+        for durability in [Durability::LocalPlusOne, Durability::Synchronous] {
+            let (arrived, release) = (
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            let (seen, held) = (Arc::clone(&arrived), Arc::clone(&release));
+            let peer = ScriptedPeer::spawn(move |request, _| {
+                if matches!(request, DataRequest::Prepare { .. }) {
+                    seen.store(true, Ordering::SeqCst);
+                    while !held.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                None
+            });
+            let tag = format!("cancel-replica-{durability:?}");
+            let (engine, _root) = chain_engine(&tag, 1, &peer);
+            let spec = TaskSpec::new(TaskOp::Copy, tmp0("big"), Some(tmp0("landed")))
+                .with_durability(durability);
+            let id = engine.submit(1, spec, None).unwrap();
+            spin_until("the replica's Prepare", || arrived.load(Ordering::SeqCst));
+            // The replica is the next task the engine admitted.
+            let replica = id + 1;
+            let refused = engine.cancel(replica, Some(1)).unwrap_err();
+            assert_eq!(refused.code, ErrorCode::PermissionDenied);
+            engine.cancel(replica, None).unwrap();
+            release.store(true, Ordering::SeqCst);
+            let stats = engine.wait(id, 0).unwrap();
+            assert_eq!(engine.wait(replica, 0).unwrap().state, TaskState::Cancelled);
+            if durability == Durability::LocalPlusOne {
+                assert_eq!(stats.state, TaskState::Finished);
+            } else {
+                assert_eq!(stats.state, TaskState::FinishedWithError);
+                assert_eq!(stats.error, ErrorCode::SystemError);
+                let why = engine.error_message(id).unwrap();
+                assert_eq!(why, "replication failed: replica ended Cancelled");
+            }
+            let status = engine.status();
+            assert_eq!((status.completed_tasks, status.cancelled_tasks), (1, 0));
+            assert_eq!((status.pending_replicas, status.running_tasks), (0, 0));
+            engine.shutdown();
+        }
+    }
+
+    /// What a sequence task is, and so the events the single worker
+    /// runs it through once it reaches it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        /// A memory write: runs whole, with no abort point.
+        Write,
+        /// A local copy: a chain that plans, lands and commits at once.
+        Copy,
+        /// A `synchronous` local copy: lands at once, then awaits the
+        /// replica it queues behind everything already queued.
+        Durable,
+        /// The daemon's replica push behind a `Durable` copy: lands at
+        /// once when the worker reaches it.
+        Replica,
+        /// A pull whose `Stat` the peer holds until the sequence lets
+        /// it go: a chain pinned in its plan, then landed.
+        Held,
+        /// A pull from a listener nobody answers (`silent_pull`): a
+        /// chain pinned in its plan until the listener goes, then failed.
+        Silent,
+    }
+
+    impl Kind {
+        /// The events from the worker's first touch to where the task
+        /// ends, awaits its replica or stays pinned.
+        fn runs(self) -> &'static [Event] {
+            const LANDS: [Event; 4] = [
+                Event::Dispatch,
+                Event::Plan,
+                Event::Commit,
+                Event::End(Outcome::Done { awaiting: 0 }),
+            ];
+            const AWAITS: [Event; 4] = [
+                Event::Dispatch,
+                Event::Plan,
+                Event::Commit,
+                Event::End(Outcome::Done { awaiting: 1 }),
+            ];
+            match self {
+                Kind::Write => &[Event::Dispatch, Event::End(Outcome::Done { awaiting: 0 })],
+                Kind::Copy | Kind::Replica => &LANDS,
+                Kind::Durable => &AWAITS,
+                Kind::Held | Kind::Silent => &[Event::Dispatch, Event::Plan],
+            }
+        }
+
+        /// The events once a pinned task is let go.
+        fn released(self) -> &'static [Event] {
+            match self {
+                Kind::Held => &[Event::Commit, Event::End(Outcome::Done { awaiting: 0 })],
+                _ => &[Event::End(Outcome::Failed)],
+            }
+        }
+
+        fn pins(self) -> bool {
+            matches!(self, Kind::Held | Kind::Silent)
+        }
+    }
+
+    /// One task of a sequence, as the table models it.
+    struct Live {
+        id: u64,
+        kind: Kind,
+        task: Task,
+        /// A replica's `synchronous` parent, by index.
+        parent: Option<usize>,
+        /// The held pull's remote path: the key its `Stat` is held by.
+        path: String,
+        /// The silent pull's listener, and the connection its plan made.
+        silent: Option<(TcpListener, Option<TcpStream>)>,
+        /// Waits the table parked, and the callbacks that ran.
+        parked: usize,
+        answered: Arc<AtomicUsize>,
+    }
+
+    impl Live {
+        fn new(id: u64, kind: Kind, role: Role, counts: &mut Counts) -> Live {
+            let admitted = lifecycle::admit(role);
+            counts.pending += admitted.counts.pending;
+            Live {
+                id,
+                kind,
+                task: admitted.task,
+                parent: None,
+                path: String::new(),
+                silent: None,
+                parked: 0,
+                answered: Arc::default(),
+            }
+        }
+
+        /// On a worker: pinned in its plan, or awaiting its replica.
+        fn running(&self) -> bool {
+            self.task.state == lifecycle::TaskState::InProgress
+        }
+    }
+
+    /// The `Stat`s of held pulls, by remote path: in once it arrived
+    /// at the peer, `true` once the sequence let it go.
+    type Holds = Arc<Mutex<std::collections::HashMap<String, bool>>>;
+
+    /// A seeded splitmix64: every choice a sequence makes.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Rounds a sequence chooses before it lets every task end.
+    const ROUNDS: usize = 20;
+
+    /// One step of the table on sequence task `i`, its counter moves
+    /// summed into `counts`, and what a replica's end tells its parent
+    /// stepped on the parent too.
+    fn apply(live: &mut [Live], i: usize, counts: &mut Counts, event: Event) -> Next {
+        let next = lifecycle::step(live[i].task, event);
+        live[i].task = next.task;
+        counts.pending += next.counts.pending;
+        counts.running += next.counts.running;
+        counts.completed += next.counts.completed;
+        counts.cancelled += next.counts.cancelled;
+        if let (Some(told), Some(parent)) = (next.to_parent, live[i].parent) {
+            apply(live, parent, counts, told);
+        }
+        next
+    }
+
+    /// One seeded sequence against a live one-worker engine: tasks of
+    /// every [`Kind`] submitted, cancelled, waited on and let go in an
+    /// order the seed picks. The engine's every cancel answer, parked
+    /// or settled wait, `QueryTask` state and status counter must be
+    /// the table's.
+    fn live_sequence(seed: u64, peer: &ScriptedPeer, holds: &Holds) {
+        let mut rng = Rng(seed);
+        let root = temp_root(&format!("lifecycle-live-{seed}"));
+        let config = EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config(config, PolicyKind::Fcfs);
+        register_tmp0(&engine, &root);
+        engine.register_peer("peer", &peer.addr);
+        fs::write(root.join("tmp0/src"), vec![5u8; 1000]).unwrap();
+        let (mut live, mut counts, mut log) = (Vec::<Live>::new(), Counts::default(), Vec::new());
+        // Twenty rounds the seed picks, then as many releases as it
+        // takes to end every task.
+        for round in 0.. {
+            if round >= ROUNDS && live.iter().all(|t| t.task.state.is_terminal()) {
+                break;
+            }
+            // Mostly a task that has not ended: those answer differently.
+            let open: Vec<usize> = (0..live.len())
+                .filter(|&i| !live[i].task.state.is_terminal())
+                .collect();
+            let pick = match rng.below(4) {
+                1.. if !open.is_empty() => open[rng.below(open.len())],
+                _ => rng.below(live.len().max(1)),
+            };
+            let op = if round < ROUNDS { rng.below(5) } else { 4 };
+            match op {
+                0 | 1 if live.len() < 8 => {
+                    let i = live.len();
+                    let kinds = [
+                        Kind::Write,
+                        Kind::Copy,
+                        Kind::Durable,
+                        Kind::Held,
+                        Kind::Silent,
+                    ];
+                    let kind = kinds[rng.below(kinds.len())];
+                    let path = format!("s{seed}-{i}");
+                    let mut silent = None;
+                    let id = match kind {
+                        Kind::Write => {
+                            let spec = tiny_write(&format!("write{i}"));
+                            engine.submit(1, spec, Some(b"abcd".to_vec())).unwrap()
+                        }
+                        Kind::Copy | Kind::Durable => {
+                            let out = tmp0(&format!("copy{i}"));
+                            let spec = TaskSpec::new(TaskOp::Copy, tmp0("src"), Some(out));
+                            let spec = match kind {
+                                Kind::Durable => spec.with_durability(Durability::Synchronous),
+                                _ => spec,
+                            };
+                            engine.submit(1, spec, None).unwrap()
+                        }
+                        Kind::Held => {
+                            let remote = ResourceDesc::RemotePath {
+                                host: "peer".into(),
+                                nsid: "ds0".into(),
+                                path: path.clone(),
+                            };
+                            let spec = TaskSpec::new(TaskOp::Copy, remote, Some(tmp0(&path)));
+                            engine.submit(1, spec, None).unwrap()
+                        }
+                        Kind::Silent | Kind::Replica => {
+                            let (id, listener) = silent_pull(&engine, &format!("silent{i}"), 1);
+                            listener.set_nonblocking(true).unwrap();
+                            silent = Some((listener, None));
+                            id
+                        }
+                    };
+                    live.push(Live {
+                        path,
+                        silent,
+                        ..Live::new(id, kind, Role::Client, &mut counts)
+                    });
+                    log.push(format!("submit {kind:?} as {id}"));
+                }
+                2 if !live.is_empty() => {
+                    let answer = engine.cancel(live[pick].id, None);
+                    let next = apply(&mut live, pick, &mut counts, Event::Cancel);
+                    log.push(format!("cancel {}: {answer:?}", live[pick].id));
+                    match (next.answer, &answer) {
+                        (Answer::Ok, Ok(())) => {}
+                        (Answer::Refused(why), Err(e))
+                            if e.code == ErrorCode::TaskError && e.message.ends_with(why) => {}
+                        (table, _) => {
+                            panic!("seed {seed}: table {table:?}, engine {answer:?}; {log:?}")
+                        }
+                    }
+                }
+                3 if !live.is_empty() => {
+                    let answered = Arc::clone(&live[pick].answered);
+                    let sub = engine.wait_task_async(live[pick].id, None, move |_| {
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    });
+                    let table = apply(&mut live, pick, &mut counts, Event::Wait).answer;
+                    let parked = matches!(sub, Subscribed::Parked(_));
+                    log.push(format!("wait {}: parked {parked}", live[pick].id));
+                    match (table, sub) {
+                        (Answer::Park, Subscribed::Parked(_)) => live[pick].parked += 1,
+                        (Answer::Now, Subscribed::Now(Ok(_))) => {}
+                        (table, _) => panic!("seed {seed}: table {table:?} for a wait; {log:?}"),
+                    }
+                }
+                _ => {
+                    if let Some(i) = live.iter().position(|t| t.running() && t.kind.pins()) {
+                        log.push(format!("release {}", live[i].id));
+                        holds.lock().insert(live[i].path.clone(), true);
+                        live[i].silent = None;
+                        for &event in live[i].kind.released() {
+                            apply(&mut live, i, &mut counts, event);
+                        }
+                        engine.wait(live[i].id, 0).unwrap();
+                    }
+                }
+            }
+            // The worker runs on to the next task that pins it, or to
+            // an empty queue: queued tasks run in admission order, a
+            // replica behind every task admitted before it.
+            while !live.iter().any(|t| t.running() && t.kind.pins()) {
+                let Some(i) = live
+                    .iter()
+                    .position(|t| t.task.state == lifecycle::TaskState::Pending)
+                else {
+                    break;
+                };
+                for &event in live[i].kind.runs() {
+                    apply(&mut live, i, &mut counts, event);
+                }
+                match live[i].kind {
+                    Kind::Held => {
+                        let path = &live[i].path;
+                        spin_until("a held Stat", || holds.lock().contains_key(path))
+                    }
+                    Kind::Silent => {
+                        let (listener, accepted) = live[i].silent.as_mut().unwrap();
+                        spin_until("a silent plan", || {
+                            *accepted = listener.accept().ok().map(|(s, _)| s);
+                            accepted.is_some()
+                        })
+                    }
+                    Kind::Durable => {
+                        // Its replica is the next task the engine admits.
+                        let id = live.iter().map(|t| t.id).max().unwrap() + 1;
+                        spin_until("the replica", || engine.query(id).is_some());
+                        let replica = Live {
+                            parent: Some(i),
+                            ..Live::new(id, Kind::Replica, Role::Replica, &mut counts)
+                        };
+                        live.push(replica);
+                        log.push(format!("replica {id} of {}", live[i].id));
+                    }
+                    Kind::Replica => {
+                        engine.wait(live[i].id, 0).unwrap();
+                        let parent = live[i].parent.unwrap();
+                        engine.wait(live[parent].id, 0).unwrap();
+                    }
+                    Kind::Write | Kind::Copy => {
+                        engine.wait(live[i].id, 0).unwrap();
+                    }
+                }
+            }
+            let status = engine.status();
+            for t in &live {
+                let state = engine.query(t.id).unwrap().state;
+                let answered = t.answered.load(Ordering::SeqCst);
+                let owed = if t.task.state.is_terminal() {
+                    t.parked
+                } else {
+                    0
+                };
+                assert_eq!(
+                    (state, answered),
+                    (super::super::wire_state(t.task.state), owed),
+                    "seed {seed} round {round}, task {}: {log:?}",
+                    t.id
+                );
+            }
+            let table = [
+                counts.pending,
+                counts.running,
+                counts.completed,
+                counts.cancelled,
+            ];
+            let engine_counts = [
+                status.pending_tasks,
+                status.running_tasks,
+                status.completed_tasks,
+                status.cancelled_tasks,
+            ];
+            assert_eq!(
+                engine_counts.map(|n| n as i64),
+                table.map(i64::from),
+                "seed {seed} round {round}: {log:?}"
+            );
+        }
+        engine.shutdown();
+    }
+
+    /// The table, live: ≥ 200 seeded sequences each run, fixed here.
+    #[test]
+    fn lifecycle_live_sequences_answer_as_the_table() {
+        let holds = Holds::default();
+        let shared = Arc::clone(&holds);
+        let peer = ScriptedPeer::spawn(move |request, _| match request {
+            DataRequest::Stat { path, .. } => {
+                shared.lock().insert(path.clone(), false);
+                let released = || shared.lock()[path];
+                while !released() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Some(Scripted::Answer(DataResponse::Stat { size: 4096 }))
+            }
+            DataRequest::Fetch { len, .. } => Some(Scripted::Data(vec![7u8; *len as usize])),
+            _ => None,
+        });
+        for seed in 0..200 {
+            live_sequence(seed, &peer, &holds);
         }
     }
 }

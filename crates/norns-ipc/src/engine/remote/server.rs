@@ -512,6 +512,7 @@ mod tests {
 
         // One unit each: the file is smaller than the chunk.
         let run = |chain: Box<Chain>| match chain.step() {
+            Step::Landed(chain) => chain.commit(true).outcome,
             Step::End(end) => end.outcome,
             Step::Next(_) => panic!("a second unit"),
         };

@@ -13,7 +13,8 @@
 
 use std::sync::atomic::Ordering;
 
-use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState};
+use norns_proto::{ErrorCode, ResourceDesc, TaskOp, TaskSpec};
+use norns_sched::lifecycle::Event;
 use norns_sched::shape::Plugin;
 
 use super::shard::TaskEntry;
@@ -33,26 +34,15 @@ pub(super) struct ReplRequest {
     pub(super) priority: u8,
 }
 
-/// A `synchronous`-mode parent whose local leg landed but whose
-/// terminal transition is deferred until every replica resolves. The
-/// parent stays `InProgress` (and keeps its running-count slot) so no
-/// observer can see an ACK before the durability guarantee holds, and
-/// its clock runs on until the last replica resolves.
-pub(super) struct SyncParent {
-    remaining: usize,
-    bytes_moved: u64,
-    /// First replica failure, if any — a single failed copy fails the
-    /// parent (`synchronous` promises *all* copies).
-    error: Option<EngineError>,
-}
-
 /// A task's part in replication, kept in its own table entry.
 pub(super) enum ReplRole {
     /// A qualifying stage-out's request, taken when its local leg
     /// reaches `end_task`.
     Requested(ReplRequest),
-    /// A `synchronous` parent waiting on its replicas.
-    Awaiting(SyncParent),
+    /// A `synchronous` parent awaiting its replicas, which the
+    /// lifecycle counts off while it stays `InProgress`; `error` is the
+    /// first replica failure, if any — one fails the parent.
+    Awaiting { error: Option<EngineError> },
     /// A replica push: the `synchronous` parent it settles (`None`
     /// under `local_plus_one`, whose copy settles nothing) and the
     /// bytes it holds in the lag gauges until it ends.
@@ -60,16 +50,14 @@ pub(super) enum ReplRole {
 }
 
 impl Engine {
-    /// Kick off replication for a landed stage-out. Returns `true`
-    /// when the parent's terminal transition is deferred (or already
-    /// driven) by the replication machinery — `synchronous` mode —
-    /// and `false` when the caller should ACK now (`local_plus_one`:
-    /// the copies ride behind in the background, best-effort by
-    /// contract — with no registered peers or a stopping pool the mode
-    /// degrades to local-only durability and the early ACK stands).
-    pub(super) fn begin_replication(&self, parent: u64, req: ReplRequest, moved: u64) -> bool {
+    /// Kick off replication for a landed stage-out, and end its local
+    /// leg: `synchronous` mode awaits its replicas, `local_plus_one`
+    /// ACKs now — the copy rides behind in the background, best-effort
+    /// by contract: with no registered peers or a stopping pool the
+    /// mode degrades to local-only durability and the early ACK stands.
+    pub(super) fn begin_replication(&self, parent: u64, req: ReplRequest, moved: u64) {
         let want = if req.synchronous {
-            self.target_copies
+            self.target_copies.min(usize::from(u8::MAX))
         } else {
             1
         };
@@ -79,33 +67,28 @@ impl Engine {
             .map(|(host, _)| host)
             .take(want)
             .collect();
-        if req.synchronous {
-            if peers.is_empty() {
-                // Never false-ACK: a synchronous stage-out with
-                // nowhere to replicate is a failure, not a silent
-                // downgrade.
-                let none =
-                    "synchronous durability requires at least one registered replication peer";
-                let outcome = PlanOutcome::Failed(EngineError::not_found(none));
-                self.finish_task(parent, outcome);
-                return true;
+        if !req.synchronous {
+            for host in peers {
+                self.submit_replica(None, host, &req, moved);
             }
-            // The parent's count first: a replica finishing before its
-            // siblings are even submitted must find something to
-            // decrement.
-            let record = SyncParent {
-                remaining: peers.len(),
-                bytes_moved: moved,
-                error: None,
-            };
-            self.tasks
-                .update(parent, |t| t.replicate = Some(ReplRole::Awaiting(record)));
+            return self.finish_task(parent, PlanOutcome::Done(moved), 0);
         }
-        let settles = req.synchronous.then_some(parent);
+        if peers.is_empty() {
+            // Never false-ACK: a synchronous stage-out with nowhere to
+            // replicate is a failure, not a silent downgrade.
+            let none = "synchronous durability requires at least one registered replication peer";
+            let outcome = PlanOutcome::Failed(EngineError::not_found(none));
+            return self.finish_task(parent, outcome, 0);
+        }
+        // The parent awaits its count first: a replica finishing before
+        // its siblings are even submitted must find something to
+        // decrement.
+        let awaiting = ReplRole::Awaiting { error: None };
+        self.tasks.update(parent, |t| t.replicate = Some(awaiting));
+        self.finish_task(parent, PlanOutcome::Done(moved), peers.len() as u8);
         for host in peers {
-            self.submit_replica(settles, host, &req, moved);
+            self.submit_replica(Some(parent), host, &req, moved);
         }
-        req.synchronous
     }
 
     /// Enqueue one background replica push — an ordinary scheduler
@@ -138,18 +121,25 @@ impl Engine {
 
     /// Take a terminal entry's replica role, under its shard lock: its
     /// bytes leave the lag gauges, and a replica of a `synchronous`
-    /// parent hands back that parent with its own failure, if any, for
-    /// [`Engine::settle_parent`] once the lock is released. Every other
-    /// role is spent by now and goes with it.
-    pub(super) fn take_replica(&self, t: &mut TaskEntry) -> Option<(u64, Option<EngineError>)> {
+    /// parent hands back that parent with its own failure, if the
+    /// lifecycle's word to the parent (`told`) is that it did not land,
+    /// for [`Engine::settle_parent`] once the lock is released. Every
+    /// other role is spent by now and goes with it.
+    pub(super) fn take_replica(
+        &self,
+        t: &mut TaskEntry,
+        told: Option<Event>,
+    ) -> Option<(u64, Option<EngineError>)> {
         let Some(ReplRole::ReplicaOf { parent, bytes }) = t.replicate.take() else {
             return None;
         };
         self.pending_replicas.fetch_sub(1, Ordering::SeqCst);
         self.pending_replica_bytes
             .fetch_sub(bytes, Ordering::SeqCst);
-        let parent = parent?;
-        let failure = (t.stats.state != TaskState::Finished).then(|| {
+        let (parent, Some(Event::Replica { landed })) = (parent?, told) else {
+            return None;
+        };
+        let failure = (!landed).then(|| {
             let code = if t.stats.error == ErrorCode::Success {
                 ErrorCode::SystemError
             } else {
@@ -165,29 +155,27 @@ impl Engine {
     }
 
     /// Settle one resolved replica against its `synchronous` parent:
-    /// the outstanding count drops, the first failure is kept, and the
-    /// last replica in delivers the parent's deferred terminal
-    /// transition in the same critical section — `Finished` only if
-    /// every replica landed.
+    /// the first failure is kept, and the lifecycle counts the replica
+    /// off — the last one in is the parent's terminal transition, in
+    /// the same critical section: `Finished` only if every replica
+    /// landed.
     pub(super) fn settle_parent(&self, parent: u64, failure: Option<EngineError>) {
+        let landed = failure.is_none();
         let settled = self.tasks.update(parent, |t| {
-            let Some(ReplRole::Awaiting(mut record)) = t.replicate.take() else {
-                return None;
-            };
-            record.remaining -= 1;
-            record.error = record.error.or(failure);
-            if record.remaining > 0 {
-                t.replicate = Some(ReplRole::Awaiting(record));
-                return None;
+            if let Some(ReplRole::Awaiting { error }) = &mut t.replicate {
+                *error = error.take().or(failure);
             }
-            let outcome = match record.error {
-                None => PlanOutcome::Done(record.bytes_moved),
-                Some(e) => PlanOutcome::Failed(EngineError::new(
-                    e.code,
-                    format!("replication failed: {}", e.message),
-                )),
-            };
-            Some(self.finish_entry(t, outcome))
+            let next = self.step(t, Event::Replica { landed });
+            next.settles.then(|| {
+                let error = match t.replicate.take() {
+                    Some(ReplRole::Awaiting { error }) => error,
+                    _ => None,
+                };
+                let failure = error.map(|e| {
+                    EngineError::new(e.code, format!("replication failed: {}", e.message))
+                });
+                self.settle(t, &next, failure)
+            })
         });
         if let Some(settled) = settled.flatten() {
             self.deliver(settled);

@@ -24,6 +24,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use norns_proto::TaskStats;
+use norns_sched::lifecycle::Task;
 
 use super::replication::ReplRole;
 use super::waits::WaitCallback;
@@ -36,6 +37,9 @@ const _: () = assert!(SHARDS.is_power_of_two());
 
 /// One tracked task.
 pub(crate) struct TaskEntry {
+    /// The state and facts `norns_sched::lifecycle` decides on; only
+    /// `Engine::step` changes them, and `stats.state` with them.
+    pub life: Task,
     pub stats: TaskStats,
     /// The task's clock, two stamps: admitted, and first touched by a
     /// worker (`None` while pending). `stats.wait_usec` runs from the
@@ -54,13 +58,9 @@ pub(crate) struct TaskEntry {
     /// Human-readable failure detail (the wire's `TaskStats` only
     /// carries the error code); surfaced via `Engine::error_message`.
     pub error_message: Option<String>,
-    /// The running chain's abort point: set when a worker plans the
-    /// task into a chain (every copy, local or remote, of any size or
-    /// shape), read by the chain between units, and taken where the
-    /// chain ends. While it is `None` a running task — a removal, a
-    /// memory write, a rename, a `synchronous` parent waiting on its
-    /// replicas — cannot be cancelled.
-    pub abort: Option<Arc<AtomicBool>>,
+    /// The flag behind a chain's abort point (`life.facts.abort`):
+    /// read by the chain between units, raised by an accepted cancel.
+    pub abort: Arc<AtomicBool>,
     /// The task's part in replication, if it has one.
     pub replicate: Option<ReplRole>,
     /// Waits parked on the task, by subscription id; the terminal
@@ -146,9 +146,11 @@ impl ShardedTaskTable {
 mod tests {
     use super::*;
     use norns_proto::{ErrorCode, TaskState};
+    use norns_sched::lifecycle::{admit, Role};
 
     fn entry(state: TaskState) -> TaskEntry {
         TaskEntry {
+            life: admit(Role::Client).task,
             stats: TaskStats {
                 state,
                 error: ErrorCode::Success,
@@ -162,7 +164,7 @@ mod tests {
             owner: 1,
             error_message: None,
             progress: Arc::new(AtomicU64::new(0)),
-            abort: None,
+            abort: Arc::default(),
             replicate: None,
             waiters: Vec::new(),
         }

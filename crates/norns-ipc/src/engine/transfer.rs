@@ -568,11 +568,11 @@ pub(crate) trait RangeMover: Send {
 /// The units run as a **chain**: one unit is issued — in the scheduler
 /// or on a worker — at a time, the planning dispatch being the first,
 /// and the worker that ran a unit issues its successor. The chain is a
-/// value with one owner, whoever holds that one unit: [`Chain::step`]
-/// and [`Chain::abort`] consume it, and only `step` hands it back — so
-/// nothing runs behind a stop and the mover's `finish` runs once.
+/// value with one owner, whoever holds that one unit: it is consumed
+/// by every call, and only `step` hands it back — so nothing runs
+/// behind a stop and the mover's `finish` runs once.
 pub(crate) struct Chain {
-    task_id: u64,
+    pub task_id: u64,
     size: u64,
     chunk_size: u64,
     /// Where the issued unit's range starts.
@@ -589,6 +589,8 @@ pub(crate) enum Step {
     /// Chunks remain: the chain, to be put in front of the scheduler
     /// again (or [`Chain::abort`]ed if it cannot be).
     Next(Box<Chain>),
+    /// Every range landed: the chain, to [`Chain::commit`].
+    Landed(Box<Chain>),
     End(End),
 }
 
@@ -633,9 +635,9 @@ impl Chain {
     }
 
     /// Run the issued unit — the next chunk in file order — and end
-    /// the chain if it was the last, failed, or met the abort flag
-    /// (read before the range, which then moves nothing, and again
-    /// after it). A failure beats a cancel seen in the same unit.
+    /// the chain if it failed or met the abort flag (read before the
+    /// range, which then moves nothing, and again after it). A failure
+    /// beats a cancel seen in the same unit.
     pub fn step(mut self: Box<Self>) -> Step {
         let len = self.chunk_size.min(self.size - self.offset);
         let stopped = if self.aborted() {
@@ -648,11 +650,17 @@ impl Chain {
             }
         };
         self.offset += len;
-        if stopped.is_none() && self.offset < self.size {
-            Step::Next(self)
-        } else {
-            Step::End(self.end(stopped))
+        match stopped {
+            None if self.offset < self.size => Step::Next(self),
+            None => Step::Landed(self),
+            Some(_) => Step::End(self.end(stopped)),
         }
+    }
+
+    /// End a landed chain: the mover commits if the task's lifecycle
+    /// `granted` it, or removes what it wrote — a cancel came first.
+    pub fn commit(self, granted: bool) -> End {
+        self.end((!granted).then_some(PlanOutcome::Cancelled))
     }
 
     /// The issued unit will never run (shutdown drained it, or found
@@ -956,6 +964,7 @@ pub(super) mod tests {
         loop {
             match chain.step() {
                 Step::Next(next) => chain = next,
+                Step::Landed(chain) => return (units, chain.commit(true).outcome),
                 Step::End(end) => return (units, end.outcome),
             }
             units += 1;

@@ -1,30 +1,26 @@
 //! Waits: one mechanism for every caller — a one-shot callback parked
-//! in the waited task's own table entry. A wait checks the task and
-//! parks in one critical section under that task's shard lock, and
-//! the one terminal transition (`finish_entry`) takes the entry's
-//! parked waits in the critical section that sets the state, then
-//! runs them once the lock is released — a completion
-//! cannot slip between the look and the park, and nothing about a
-//! wait lives outside the task it watches. A wait that is already
-//! settled — a terminal or unknown task, a refused requester — never
-//! parks: it is answered on the spot as [`Subscribed::Now`], and its
-//! callback is never even boxed.
+//! in the waited task's own table entry. Whether a wait parks is the
+//! lifecycle's answer, given under that task's shard lock; the terminal
+//! transition takes the entry's parked waits in the critical section
+//! that sets the state and runs them once the lock is released, so a
+//! completion cannot slip between the look and the park. A wait that
+//! is already settled — a terminal or unknown task, a refused
+//! requester — is answered on the spot as [`Subscribed::Now`], its
+//! callback never boxed.
 //!
-//! The engine keeps no deadline. The blocking [`Engine::wait`] returns a
-//! `Now` answer as it is, and otherwise parks a callback that sends
-//! into a channel and blocks the caller on it with its own
-//! `recv_timeout`; the reactor daemon, which must not pin a thread per
-//! parked `WaitTask`, answers a `Now` in the same batch as the read's
-//! other replies and, for a parked wait, parks a callback that queues
-//! a response, keeps each deadline in its own epoll timeout and calls
-//! [`Engine::expire_wait`] when one passes. Semantics are the same
-//! either way: an expired wait delivers the in-flight snapshot, and a
-//! zero timeout parks forever.
+//! The engine keeps no deadline. [`Engine::wait`] blocks on a channel
+//! its parked callback sends into, with its own `recv_timeout`; the
+//! reactor daemon answers a `Now` in the same batch as the read's other
+//! replies, and for a parked wait queues the response from its
+//! callback, keeps the deadline in its own epoll timeout and calls
+//! [`Engine::expire_wait`] when it passes. Either way an expired wait
+//! delivers the in-flight snapshot, and a zero timeout parks forever.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use norns_proto::TaskStats;
+use norns_sched::lifecycle::{Answer, Event, Next, TaskState};
 
 use super::shard::{Settled, TaskEntry};
 use super::{owned_by, unknown_task, Engine, EngineError};
@@ -141,7 +137,7 @@ impl Engine {
                 if let Err(e) = owned_by(task_id, t.owner, requester) {
                     return Subscribed::Now(Err(e));
                 }
-                if t.stats.state.is_terminal() {
+                if self.step(t, Event::Wait).answer == Answer::Now {
                     return Subscribed::Now(Ok(t.stats.clone()));
                 }
                 let sub_id = self.next_sub.fetch_add(1, Ordering::Relaxed);
@@ -165,15 +161,26 @@ impl Engine {
             .flatten()
     }
 
-    /// The end of a terminal transition's critical section: take the
-    /// entry's parked waits — the gauge drops before any of them is
-    /// answered — and a replica's role.
-    pub(super) fn settle(&self, t: &mut TaskEntry) -> Settled {
+    /// The end of a terminal transition's critical section (`next`):
+    /// record `failure` as the answer of a task that ended
+    /// `FinishedWithError` (a cancel accepted before it ends the task
+    /// `Cancelled` instead), take the entry's parked waits — the gauge
+    /// drops before any of them is answered — and a replica's role.
+    pub(super) fn settle(
+        &self,
+        t: &mut TaskEntry,
+        next: &Next,
+        failure: Option<EngineError>,
+    ) -> Settled {
+        if let (Some(e), TaskState::FinishedWithError) = (failure, next.task.state) {
+            t.stats.error = e.code;
+            t.error_message = Some(e.message);
+        }
         let waiters = std::mem::take(&mut t.waiters);
         self.parked.fetch_sub(waiters.len(), Ordering::Relaxed);
         Settled {
             stats: t.stats.clone(),
-            parent: self.take_replica(t),
+            parent: self.take_replica(t, next.to_parent),
             waiters,
         }
     }

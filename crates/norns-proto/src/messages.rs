@@ -155,7 +155,10 @@ impl TaskSpec {
 
 wire_enum! {
     /// Task lifecycle states (paper: pending queue → workers → completion
-    /// list).
+    /// list), as the wire carries them. Which state a task is in is
+    /// decided by one table, `norns_sched::lifecycle`, that the
+    /// simulator and the daemon both run; the daemon converts its answer
+    /// to this type at its boundary.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum TaskState {
         0 => Pending,

@@ -18,8 +18,10 @@
 //! the submission timestamp `S` (simulated time on the sim path,
 //! microseconds-since-start on the real path); policies only inspect
 //! sizes, priorities, job keys and submission order, so one policy
-//! serves both worlds — as one admission table ([`shape`]) does.
+//! serves both worlds — as one admission table ([`shape`]) and one
+//! task lifecycle ([`lifecycle`]) do.
 
+pub mod lifecycle;
 pub mod shape;
 
 use std::collections::VecDeque;

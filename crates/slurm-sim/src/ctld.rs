@@ -993,7 +993,7 @@ pub fn handle_task_complete<M: HasSlurm>(sim: &mut Sim<M>, completion: &TaskComp
                 (
                     job.state,
                     job.outstanding_stage.len(),
-                    completion.state == norns::TaskState::FinishedWithError,
+                    completion.state != norns::TaskState::Finished,
                     dst,
                 )
             };
@@ -1040,7 +1040,7 @@ pub fn handle_task_complete<M: HasSlurm>(sim: &mut Sim<M>, completion: &TaskComp
                 };
                 job.outstanding_stage
                     .retain(|(n, t)| !(*n == completion.node && *t == completion.task));
-                if completion.state == norns::TaskState::FinishedWithError {
+                if completion.state != norns::TaskState::Finished {
                     // "leave the data on the node local resources for
                     // future stage_out operations to try and recover"
                     job.leftover_stageout.push(format!(

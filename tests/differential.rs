@@ -746,7 +746,7 @@ mod admission {
         };
         loop {
             let task = sim.model.world.urds[0].task(id).unwrap();
-            if task.state.is_terminal() {
+            if task.life.state.is_terminal() {
                 return match &task.error {
                     None => Ok(()),
                     Some(NornsError::BadArgs(why)) => Err(why.clone()),
