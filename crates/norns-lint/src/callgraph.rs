@@ -154,10 +154,13 @@ pub struct FnDef {
     pub self_type: Option<String>,
     pub file: String,
     pub line: u32,
-    /// Defined in a `mod tests` or under a `tests/` dir — excluded as
-    /// a resolution candidate for calls from other files.
+    /// Defined in test code ([`FileCtx::in_test`]) — a resolution
+    /// candidate only for test code in its own file.
     pub is_test: bool,
     pub calls: Vec<CallSite>,
+    /// Call sites in a closure handed to `spawn`: another thread's, so
+    /// no edge or summary, but this function's calls for `sites` rows.
+    pub spawned: Vec<CallSite>,
     /// Direct blocking-denylist hits: (callee name, line).
     pub blocking: Vec<(String, u32)>,
     /// Direct lock acquisitions: (lock name, line).
@@ -557,7 +560,7 @@ fn resolve(
     let cands: Vec<usize> = all
         .iter()
         .copied()
-        .filter(|&i| !fns[i].is_test || fns[i].file == caller.file)
+        .filter(|&i| !fns[i].is_test || (caller.is_test && fns[i].file == caller.file))
         .collect();
     if cands.is_empty() {
         return Resolution::Unresolved;
@@ -679,7 +682,6 @@ fn index_file(
     let toks = &ctx.lexed.tokens;
     let file_mods = module_path(&ctx.rel);
     let in_lock_scope = lock_scope.contains(&ctx.rel);
-    let path_is_test = ctx.rel.split('/').any(|c| c == "tests");
 
     let mut brace: u32 = 0;
     let mut mods: Vec<(String, u32)> = Vec::new();
@@ -701,6 +703,36 @@ fn index_file(
         matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Punct(p)) if *p == c)
     };
 
+    // How the call whose callee name sits at token `i` names it.
+    let recv_at = |i: usize| -> Recv {
+        if i > 0 && punct_at(i - 1, '.') {
+            // `x.lock().retain(..)`: the receiver is the guard
+            // temporary, not a workspace type.
+            let guard_chain = i >= 4
+                && punct_at(i - 2, ')')
+                && punct_at(i - 3, '(')
+                && ident_at(i - 4).is_some_and(|a| ACQUIRE.contains(&a));
+            if guard_chain {
+                Recv::Method(Some(GUARD_RECV.to_string()))
+            } else {
+                Recv::Method(i.checked_sub(2).and_then(ident_at).and_then(|r| {
+                    if is_keyword(r) && r != "self" {
+                        None
+                    } else {
+                        Some(r.to_string())
+                    }
+                }))
+            }
+        } else if i >= 2 && punct_at(i - 1, ':') && punct_at(i - 2, ':') {
+            match i.checked_sub(3).and_then(ident_at) {
+                Some(q) => Recv::Path(q.to_string()),
+                None => Recv::Free,
+            }
+        } else {
+            Recv::Free
+        }
+    };
+
     let mut i = 0usize;
     while i < toks.len() {
         let line = toks[i].line;
@@ -714,15 +746,15 @@ fn index_file(
                         qname.push(t.clone());
                     }
                     qname.push(name.clone());
-                    let is_test = path_is_test || mods.iter().any(|(m, _)| m == "tests");
                     fns.push(FnDef {
                         qname: qname.join("::"),
                         name,
                         self_type,
                         file: ctx.rel.clone(),
                         line: fn_line,
-                        is_test,
+                        is_test: ctx.in_test(i),
                         calls: Vec::new(),
+                        spawned: Vec::new(),
                         blocking: Vec::new(),
                         locks: Vec::new(),
                         panics: Vec::new(),
@@ -777,34 +809,7 @@ fn index_file(
                     if is_method && PANIC_METHODS.contains(&w.as_str()) {
                         fns[fi].panics.push((w.clone(), line));
                     } else {
-                        let recv = if is_method {
-                            // `x.lock().retain(..)`: the receiver is the
-                            // guard temporary, not a workspace type.
-                            let guard_chain = i >= 4
-                                && punct_at(i - 2, ')')
-                                && punct_at(i - 3, '(')
-                                && i.checked_sub(4)
-                                    .and_then(ident_at)
-                                    .is_some_and(|a| ACQUIRE.contains(&a));
-                            if guard_chain {
-                                Recv::Method(Some(GUARD_RECV.to_string()))
-                            } else {
-                                Recv::Method(i.checked_sub(2).and_then(ident_at).and_then(|r| {
-                                    if is_keyword(r) && r != "self" {
-                                        None
-                                    } else {
-                                        Some(r.to_string())
-                                    }
-                                }))
-                            }
-                        } else if i >= 2 && punct_at(i - 1, ':') && punct_at(i - 2, ':') {
-                            match i.checked_sub(3).and_then(ident_at) {
-                                Some(q) => Recv::Path(q.to_string()),
-                                None => Recv::Free,
-                            }
-                        } else {
-                            Recv::Free
-                        };
+                        let recv = recv_at(i);
                         if BLOCKING.contains(&w.as_str()) && (w != "join" || zero_arg) {
                             fns[fi].blocking.push((w.clone(), line));
                         }
@@ -826,8 +831,17 @@ fn index_file(
                         });
                         if is_spawn {
                             // A closure handed to spawn runs on another
-                            // thread: skip its body.
-                            i = skip_parens(toks, i + 1);
+                            // thread: skip its body, keeping only its
+                            // call sites aside.
+                            let end = skip_parens(toks, i + 1);
+                            for j in (i + 2..end).filter(|&j| punct_at(j + 1, '(')) {
+                                if let Some(w) = ident_at(j).filter(|w| !is_keyword(w)) {
+                                    let (name, line, recv) =
+                                        (w.to_string(), toks[j].line, recv_at(j));
+                                    fns[fi].spawned.push(CallSite { name, line, recv });
+                                }
+                            }
+                            i = end;
                             continue;
                         }
                     }
@@ -1039,6 +1053,7 @@ mod tests {
             rel: rel.to_string(),
             lexed: lexer::lex(src),
             allows: Vec::new(),
+            tests: Vec::new(),
         }
     }
 

@@ -56,6 +56,57 @@ impl Lexed {
     }
 }
 
+/// Does `pattern` match the tokens from `i` on? `…` in a pattern stands
+/// for any tokens inside the enclosing bracket, and a string literal
+/// matches every literal containing it.
+pub fn matches_at(toks: &[Token], mut i: usize, pattern: &[Token]) -> bool {
+    for (k, want) in pattern.iter().enumerate() {
+        if want.kind == Tok::Punct('…') {
+            // Try the rest at every token up to the enclosing closer.
+            let mut depth = 0u32;
+            while let Some(t) = toks.get(i) {
+                if matches_at(toks, i, &pattern[k + 1..]) {
+                    return true;
+                }
+                match t.kind {
+                    Tok::Punct('>') if toks[i - 1].kind == Tok::Punct('-') => {}
+                    Tok::Punct('(' | '[' | '{' | '<') => depth += 1,
+                    Tok::Punct(')' | ']' | '}' | '>') if depth > 0 => depth -= 1,
+                    Tok::Punct(')' | ']' | '}' | '>' | ';') => return false,
+                    _ => {}
+                }
+                i += 1;
+            }
+            return false;
+        }
+        let hit = match (toks.get(i).map(|t| &t.kind), &want.kind) {
+            (Some(Tok::Str(have)), Tok::Str(text)) => have.contains(text.as_str()),
+            (have, want) => have == Some(want),
+        };
+        if !hit {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// The index of the token ending the item that starts at `from`: its
+/// first top-level `;`, or the `}` closing its first `{`.
+pub fn item_end(toks: &[Token], from: usize) -> usize {
+    let mut depth = 0;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match t.kind {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct('}') if depth == 1 => return j,
+            Tok::Punct(')' | ']' | '}') => depth -= 1,
+            Tok::Punct(';') if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
 }

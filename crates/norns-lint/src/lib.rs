@@ -1,7 +1,7 @@
 //! `norns-lint`: a self-contained, offline static-analysis pass for
 //! this workspace. No crates.io dependencies — a hand-rolled lexer
 //! ([`lexer`]) feeds an interprocedural call graph ([`callgraph`]) and
-//! five analyses:
+//! six analyses:
 //!
 //! * [`safety`] — `unsafe-safety-comment`: every `unsafe` block /
 //!   `unsafe fn` / `unsafe impl` and every `extern "C"` declaration
@@ -23,8 +23,11 @@
 //!   and every request variant in the daemon dispatch, so a future
 //!   protocol bump cannot ship a silently untested or unhandled
 //!   variant.
+//! * [`sites`] — `sites`: one table of rows naming where each of the
+//!   workspace's one-of-a-kind mechanisms may be called (read off the
+//!   call graph) or which retired names must not come back.
 //!
-//! Any finding can be waived **with a reason** via an inline marker on
+//! A finding can be waived **with a reason** via an inline marker on
 //! (or directly above) the offending line:
 //!
 //! ```text
@@ -32,7 +35,8 @@
 //! ```
 //!
 //! A marker without a reason is itself a finding
-//! (`bad-allow-marker`). Suppressed findings stay in the machine
+//! (`bad-allow-marker`), and so is one naming `sites`: a row is edited,
+//! not waived. Suppressed findings stay in the machine
 //! -readable report (`results/lint.json`, schema v2) with their
 //! justification, next to the call-graph stats and per-function
 //! summaries the interprocedural rules derived.
@@ -42,15 +46,18 @@ pub mod lexer;
 pub mod locks;
 pub mod reactor;
 pub mod safety;
+pub mod sites;
 pub mod wire;
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// The rules this tool knows. `BadAllowMarker` is not waivable.
+/// The rules this tool knows. `BadAllowMarker` and `Sites` are not
+/// waivable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     UnsafeSafetyComment,
@@ -60,31 +67,32 @@ pub enum Rule {
     PanicPath,
     WireExhaustiveness,
     BadAllowMarker,
+    Sites,
 }
 
 impl Rule {
+    /// Every rule and its name, in declaration order: the one list the
+    /// names, the marker parser and the report counts read.
+    pub const ALL: [(Rule, &'static str); 8] = [
+        (Rule::UnsafeSafetyComment, "unsafe-safety-comment"),
+        (Rule::LockAcrossBlocking, "lock-across-blocking"),
+        (Rule::LockOrderCycle, "lock-order-cycle"),
+        (Rule::ReactorBlocking, "reactor-blocking"),
+        (Rule::PanicPath, "panic-path"),
+        (Rule::WireExhaustiveness, "wire-exhaustiveness"),
+        (Rule::BadAllowMarker, "bad-allow-marker"),
+        (Rule::Sites, "sites"),
+    ];
+
     pub fn name(self) -> &'static str {
-        match self {
-            Rule::UnsafeSafetyComment => "unsafe-safety-comment",
-            Rule::LockAcrossBlocking => "lock-across-blocking",
-            Rule::LockOrderCycle => "lock-order-cycle",
-            Rule::ReactorBlocking => "reactor-blocking",
-            Rule::PanicPath => "panic-path",
-            Rule::WireExhaustiveness => "wire-exhaustiveness",
-            Rule::BadAllowMarker => "bad-allow-marker",
-        }
+        Self::ALL[self as usize].1
     }
 
-    fn from_name(s: &str) -> Option<Rule> {
-        Some(match s {
-            "unsafe-safety-comment" => Rule::UnsafeSafetyComment,
-            "lock-across-blocking" => Rule::LockAcrossBlocking,
-            "lock-order-cycle" => Rule::LockOrderCycle,
-            "reactor-blocking" => Rule::ReactorBlocking,
-            "panic-path" => Rule::PanicPath,
-            "wire-exhaustiveness" => Rule::WireExhaustiveness,
-            _ => return None,
-        })
+    /// The rule a marker names, if a marker may waive it: not a bad
+    /// marker, and not `sites`, whose exceptions are edits to its rows.
+    fn waivable(name: &str) -> Option<Rule> {
+        let (rule, _) = Self::ALL.iter().find(|(_, n)| *n == name)?;
+        Some(*rule).filter(|r| !matches!(r, Rule::BadAllowMarker | Rule::Sites))
     }
 }
 
@@ -120,16 +128,23 @@ pub struct Allow {
     pub target_line: u32,
 }
 
-/// A lexed source file plus its allow markers, keyed by
-/// workspace-relative path.
+/// A lexed source file plus its allow markers and test regions, keyed
+/// by workspace-relative path.
 pub struct FileCtx {
     pub path: PathBuf,
     pub rel: String,
     pub lexed: lexer::Lexed,
     pub allows: Vec<Allow>,
+    /// Token ranges of test code ([`test_spans`]).
+    pub tests: Vec<Range<usize>>,
 }
 
 impl FileCtx {
+    /// Is token `tok` test code? A file under `tests/` is, throughout.
+    pub fn in_test(&self, tok: usize) -> bool {
+        self.rel.split('/').any(|c| c == "tests") || self.tests.iter().any(|r| r.contains(&tok))
+    }
+
     /// The waiver reason for `rule` at `line`, if any marker targets it.
     pub fn allow_for(&self, rule: Rule, line: u32) -> Option<&str> {
         self.allows
@@ -230,10 +245,10 @@ impl Config {
     }
 }
 
-/// Recursively collect `.rs` files, skipping build output, VCS
-/// internals, and this tool's own lint fixtures (which are bad on
-/// purpose).
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Recursively collect `.rs` files in name order, skipping build
+/// output, VCS internals, and this tool's own lint fixtures (which are
+/// bad on purpose).
+pub fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.exists() {
         return Ok(());
     }
@@ -342,16 +357,8 @@ impl Report {
 
     fn counts(&self) -> BTreeMap<&'static str, (usize, usize)> {
         let mut counts: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-        for rule in [
-            Rule::UnsafeSafetyComment,
-            Rule::LockAcrossBlocking,
-            Rule::LockOrderCycle,
-            Rule::ReactorBlocking,
-            Rule::PanicPath,
-            Rule::WireExhaustiveness,
-            Rule::BadAllowMarker,
-        ] {
-            counts.insert(rule.name(), (0, 0));
+        for (_, name) in Rule::ALL {
+            counts.insert(name, (0, 0));
         }
         for f in &self.findings {
             let slot = counts.entry(f.rule.name()).or_default();
@@ -652,12 +659,12 @@ pub fn load_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) -> io::R
                 });
                 continue;
             };
-            let Some(rule) = Rule::from_name(&rule_name) else {
+            let Some(rule) = Rule::waivable(&rule_name) else {
                 findings.push(Finding {
                     rule: Rule::BadAllowMarker,
                     file: rel.clone(),
                     line: marker_line,
-                    message: format!("unknown rule `{rule_name}` in allow marker"),
+                    message: format!("no waivable rule `{rule_name}` in allow marker"),
                     allowed: None,
                     chain: Vec::new(),
                 });
@@ -695,12 +702,35 @@ pub fn load_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) -> io::R
             });
         }
     }
+    let tests = test_spans(&lexed.tokens);
     Ok(FileCtx {
         path: path.to_path_buf(),
         rel,
         lexed,
         allows,
+        tests,
     })
+}
+
+/// The token ranges of test code: each item under `#[cfg(test)]` (a
+/// `mod` of any name, a `fn`, an `impl`, a `use`) from its attribute to
+/// its closing `}` or `;`, and each `mod tests`.
+pub fn test_spans(toks: &[lexer::Token]) -> Vec<Range<usize>> {
+    let starts = [
+        lexer::lex("#[cfg(test)]").tokens,
+        lexer::lex("mod tests").tokens,
+    ];
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if starts.iter().any(|p| lexer::matches_at(toks, i, p)) {
+            let end = lexer::item_end(toks, i);
+            spans.push(i..end + 1);
+            i = end;
+        }
+        i += 1;
+    }
+    spans
 }
 
 /// Run every configured analysis and assemble the report.
@@ -769,6 +799,12 @@ pub fn run(cfg: &Config) -> io::Result<Report> {
     } else if let Some(g) = &graph {
         let reach = g.reach(&[]);
         report.graph = Some(graph_report(g, &reach));
+    }
+
+    if let Some(g) = &graph {
+        let ctxs: Vec<&FileCtx> = cache.values().collect();
+        let found = sites::check(sites::ROWS, &cfg.root, &ctxs, g);
+        report.findings.extend(found);
     }
 
     if let Some(wire_cfg) = &cfg.wire {

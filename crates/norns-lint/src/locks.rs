@@ -5,10 +5,10 @@
 //!
 //! * **Lock identity** is the declared field/binding name: pass A
 //!   collects every `name: Mutex<...>` / `name: RwLock<...>` /
-//!   `name: Mutex::new(...)` / `let name = Mutex::new(...)` over the
-//!   scan set, and only `.lock()` / `.read()` / `.write()` calls whose
-//!   receiver ends in a collected name count as acquisitions (so
-//!   `stream.write(...)` or `file.read(...)` never do).
+//!   `name: Mutex::new(...)` / `let name = Mutex::new(...)`, bare or
+//!   under an `Arc`, over the scan set, and only `.lock()` / `.read()` /
+//!   `.write()` calls whose receiver ends in a collected name count as
+//!   acquisitions (so `stream.write(...)` or `file.read(...)` never do).
 //! * **Named guards** (`let g = self.x.lock();`) live until their
 //!   scope closes or `drop(g)`. **Temporary guards**
 //!   (`self.x.lock().push(..)`, `match self.x.lock() {..}`,
@@ -34,7 +34,7 @@
 //! atomically release the guard they park on.
 
 use crate::callgraph::{CallEffects, BLOCKING};
-use crate::lexer::Tok;
+use crate::lexer::{lex, matches_at, Tok, Token};
 use crate::{FileCtx, Finding, LockEdge, Report, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -171,9 +171,22 @@ fn dfs<'a>(
 
 /// Pass A: find names declared with a `Mutex`/`RwLock` type or
 /// initializer. Handles `name: Mutex<..>`, `name: pkg::Mutex<..>`,
-/// `name: Mutex::new(..)`, and `let name = Mutex::new(..)`.
+/// `name: Mutex::new(..)`, and `let name = Mutex::new(..)`, each bare or
+/// under an `Arc` (`Arc<Mutex<..>>`, `Arc::new(Mutex::new(..))`).
 fn collect_lock_names(ctx: &FileCtx, out: &mut BTreeSet<String>) {
     let toks = &ctx.lexed.tokens;
+    // Step back over a leading `path::` chain.
+    let strip_path = |mut j: usize| {
+        while j >= 3
+            && matches!(toks[j - 1].kind, Tok::Punct(':'))
+            && matches!(toks[j - 2].kind, Tok::Punct(':'))
+            && matches!(toks[j - 3].kind, Tok::Ident(_))
+        {
+            j -= 3;
+        }
+        j
+    };
+    let arcs = [lex("Arc<").tokens, lex("Arc::new(").tokens];
     for i in 0..toks.len() {
         let Tok::Ident(word) = &toks[i].kind else {
             continue;
@@ -189,14 +202,11 @@ fn collect_lock_names(ctx: &FileCtx, out: &mut BTreeSet<String>) {
         if !is_use {
             continue;
         }
-        // Strip a leading `path::` chain.
-        let mut j = i;
-        while j >= 3
-            && matches!(toks[j - 1].kind, Tok::Punct(':'))
-            && matches!(toks[j - 2].kind, Tok::Punct(':'))
-            && matches!(toks[j - 3].kind, Tok::Ident(_))
-        {
-            j -= 3;
+        // An `Arc<` or `Arc::new(` wrapper is looked through.
+        let mut j = strip_path(i);
+        let wrapped = |a: &&Vec<Token>| j >= a.len() && matches_at(toks, j - a.len(), a);
+        if let Some(arc) = arcs.iter().find(wrapped) {
+            j = strip_path(j - arc.len());
         }
         // `name : Mutex` — a field declaration or struct-literal
         // initializer. Require a *single* colon.

@@ -4,8 +4,10 @@
 //! purpose) and are never compiled — they only pass through the lexer.
 
 use norns_lint::reactor::ReactorConfig;
+use norns_lint::sites::{self, Check, Row};
 use norns_lint::wire::{DispatchTarget, WireConfig};
-use norns_lint::{run, Config, GraphConfig, Report, Rule};
+use norns_lint::{callgraph, load_file, run, Config, GraphConfig, Report, Rule};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn fixture_dir() -> PathBuf {
@@ -131,6 +133,30 @@ fn released_guards_do_not_fire() {
         "scope end, drop(), and same-statement temporaries all release: {:?}",
         report.findings
     );
+}
+
+#[test]
+fn guards_on_arc_held_locks_are_tracked() {
+    let report = lint_locks(&["locks_arc_bad.rs"]);
+    assert_eq!(
+        rules(&report),
+        vec![Rule::LockAcrossBlocking; 2],
+        "a field `Arc<Mutex<..>>` and a `let` `Arc::new(Mutex::new(..))` must both fire: {:?}",
+        report.findings
+    );
+    assert_eq!(report.lock_names, ["fired", "seen"]);
+}
+
+#[test]
+fn arc_held_guards_dropped_before_blocking_are_clean() {
+    let report = lint_locks(&["locks_arc_good.rs"]);
+    assert_eq!(
+        report.unsuppressed_count(),
+        0,
+        "findings: {:?}",
+        report.findings
+    );
+    assert_eq!(report.lock_names, ["fired", "seen"]);
 }
 
 #[test]
@@ -315,9 +341,22 @@ fn malformed_markers_are_findings_themselves() {
     let report = lint_safety(&["allow_bad.rs"]);
     assert_eq!(
         rules(&report),
-        vec![Rule::BadAllowMarker; 3],
-        "missing reason, unknown rule, and non-allow verb must each fire"
+        vec![Rule::BadAllowMarker; 4],
+        "missing reason, unknown rule, non-allow verb and a `sites` waiver must each fire"
     );
+    assert!(report
+        .findings
+        .iter()
+        .any(|f| f.message.contains("no waivable rule `sites`")));
+}
+
+#[test]
+fn rule_all_lists_every_rule_in_declaration_order() {
+    for (i, (rule, name)) in Rule::ALL.iter().enumerate() {
+        assert_eq!(*rule as usize, i, "`Rule::name` indexes `ALL`");
+        assert_eq!(rule.name(), *name);
+    }
+    assert_eq!(Rule::ALL.last().map(|r| r.0), Some(Rule::Sites));
 }
 
 #[test]
@@ -368,4 +407,59 @@ fn uncovered_wire_variants_are_flagged() {
     );
     assert_eq!(wire.dispatch_missing.len(), 1);
     assert!(wire.dispatch_missing[0].starts_with("Color::Green"));
+}
+
+/// The `sites` rule over one fixture, with rows of its own.
+fn lint_sites(name: &str, rows: &[Row]) -> Report {
+    let root = fixture_dir();
+    let mut report = Report::default();
+    let ctx = load_file(&root, &root.join(name), &mut report.findings).expect("fixture");
+    let graph = callgraph::build(&[&ctx], &BTreeSet::new(), &BTreeSet::new());
+    report.findings = sites::check(rows, &root, &[&ctx], &graph);
+    report
+}
+
+/// One caller named, one forbidden name, test code skipped.
+fn fixture_rows(paths: &'static [&'static str]) -> [Row; 2] {
+    [
+        Row {
+            id: "one-caller",
+            paths,
+            check: Check::Calls(&["fallocate"], &["guarded"]),
+            reason: "fixture",
+        },
+        Row {
+            id: "forbidden",
+            paths,
+            check: Check::Forbidden(&["RemoteWindow"]),
+            reason: "fixture",
+        },
+    ]
+}
+
+#[test]
+fn a_second_caller_and_a_forbidden_name_are_sites_findings() {
+    let report = lint_sites("sites_bad.rs", &fixture_rows(&["sites_bad.rs"]));
+    let found: Vec<(&str, u32)> = report
+        .unsuppressed()
+        .map(|f| (f.message.split(':').next().unwrap(), f.line))
+        .collect();
+    assert_eq!(
+        found,
+        [("one-caller", 9), ("forbidden", 13)],
+        "findings: {:?}",
+        report.findings
+    );
+    assert!(report.findings.iter().all(|f| f.rule == Rule::Sites));
+}
+
+#[test]
+fn a_cfg_test_module_of_any_name_is_test_code() {
+    let report = lint_sites("sites_good.rs", &fixture_rows(&["sites_good.rs"]));
+    assert_eq!(
+        report.unsuppressed_count(),
+        0,
+        "a `#[cfg(test)] mod other_name` is test code: {:?}",
+        report.findings
+    );
 }

@@ -8,3 +8,6 @@ fn unknown_rule() {}
 
 // norns-lint: deny(whatever)
 fn malformed() {}
+
+// norns-lint: allow(sites): a row is edited, not waived
+fn unwaivable() {}

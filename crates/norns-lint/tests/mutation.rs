@@ -1,15 +1,15 @@
 //! Mutation self-tests: the analyzer must notice when the workspace
 //! gets worse. A copy of the live tree is mutated one change at a
-//! time — deleting a single waiver, inlining a blocking call into the
-//! reactor loop, or serving the data plane from it — and each mutant
-//! must produce at least one unsuppressed finding (what `--check`
-//! fails on).
+//! time — deleting a single waiver, bringing back a mechanism a `sites`
+//! row guards, inlining a blocking call into the reactor loop, or
+//! serving the data plane from it — and each mutant must produce at
+//! least one unsuppressed finding (what `--check` fails on).
 //!
 //! This guards the rules themselves: a refactor that silently stops
 //! the reactor rules from firing would keep the live tree "clean" and
 //! nothing else would catch it.
 
-use norns_lint::{run, Config, Rule};
+use norns_lint::{run, sites, walk_rs, Config, Rule};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -21,27 +21,14 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let mut entries: Vec<_> = fs::read_dir(dir)
-        .unwrap()
-        .collect::<Result<Vec<_>, _>>()
-        .unwrap();
-    entries.sort_by_key(|e| e.file_name());
-    for e in entries {
-        let p = e.path();
-        let name = e.file_name().to_string_lossy().into_owned();
-        if p.is_dir() {
-            if name == "target" || name == ".git" || name == "fixtures" {
-                continue;
-            }
-            collect_rs(&p, out);
-        } else if name.ends_with(".rs") {
-            out.push(p);
-        }
-    }
+fn collect_rs(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    walk_rs(dir, &mut files).expect("walk the workspace");
+    files
 }
 
-/// A scratch copy of every workspace `.rs` file, removed on drop.
+/// A scratch copy of every workspace `.rs` file under `crates/`, and of
+/// `README.md`, removed on drop.
 struct TempTree(PathBuf);
 
 impl Drop for TempTree {
@@ -55,10 +42,9 @@ fn copy_workspace(tag: &str) -> TempTree {
     let tmp =
         std::env::temp_dir().join(format!("norns-lint-mutation-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&tmp);
-    let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files);
+    let files = collect_rs(&root.join("crates"));
     assert!(files.len() > 20, "workspace copy looks implausibly small");
-    for f in &files {
+    for f in files.iter().chain([&root.join("README.md")]) {
         let rel = f.strip_prefix(&root).unwrap();
         let dst = tmp.join(rel);
         fs::create_dir_all(dst.parent().unwrap()).unwrap();
@@ -67,19 +53,27 @@ fn copy_workspace(tag: &str) -> TempTree {
     TempTree(tmp)
 }
 
-fn unsuppressed_rules(root: &Path) -> Vec<Rule> {
+fn unsuppressed(root: &Path) -> Vec<(Rule, String)> {
     let cfg = Config::workspace(root).expect("scan mutated tree");
     let report = run(&cfg).expect("lint mutated tree");
-    report.unsuppressed().map(|f| f.rule).collect()
+    report
+        .unsuppressed()
+        .map(|f| (f.rule, f.message.clone()))
+        .collect()
+}
+
+fn unsuppressed_rules(root: &Path) -> Vec<Rule> {
+    unsuppressed(root)
+        .into_iter()
+        .map(|(rule, _)| rule)
+        .collect()
 }
 
 /// Standalone waiver-marker lines in the copied tree, as
 /// (file, line index, rule name).
 fn waiver_lines(tmp: &Path) -> Vec<(PathBuf, usize, String)> {
-    let mut files = Vec::new();
-    collect_rs(&tmp.join("crates"), &mut files);
     let mut out = Vec::new();
-    for f in files {
+    for f in collect_rs(&tmp.join("crates")) {
         let text = fs::read_to_string(&f).unwrap();
         for (i, line) in text.lines().enumerate() {
             let t = line.trim_start();
@@ -180,4 +174,120 @@ fn hoisting_handle_data_under_the_reactor_fails_the_check() {
         fired.contains(&Rule::ReactorBlocking),
         "handle_data under reactor_loop must fire reactor-blocking; got {fired:?}"
     );
+}
+
+/// For each `sites` row, an edit that brings back what it guards: the
+/// row's id, a file, and text appended to it (at the end of a file, a
+/// function is production code; under `#[cfg(test)]`, test code).
+#[rustfmt::skip]
+const REINTRODUCED: &[(&str, &str, &str)] = &[
+    ("mapping-table", "crates/norns-flow/src/executor/mod.rs",
+     "const M: Mapping = Mapping::All;"),
+    ("frame-assembler", "crates/norns-ipc/src/client.rs",
+     "fn f(b: &mut Vec<u8>) { frame_header(b, 0); }"),
+    ("wire-discriminants", "crates/norns-proto/src/messages.rs",
+     "#[cfg(test)] mod m { fn to_u64() {} }"),
+    ("admission-route", "crates/norns-ipc/src/engine/mod.rs",
+     "#[cfg(test)] mod m { fn route_of() {} }"),
+    ("admission-texts", "crates/norns-ipc/src/daemon/dispatch.rs",
+     "fn f() -> &'static str { \"copy/move require an output\" }"),
+    ("wait-verb", "crates/norns-ipc/src/client.rs",
+     "#[cfg(test)] mod m { fn f(c: &Client) { c.wait_any(); } }"),
+    ("wait-issuer", "crates/norns-flow/src/executor/mod.rs",
+     "fn f(c: &mut UserClient) { c.issue_wait(1); }"),
+    ("stage-out-move", "crates/norns-flow/src/executor/lifecycle.rs",
+     "fn f() -> TaskOp { TaskOp::Remove }"),
+    ("cross-node-move", "crates/norns-ipc/src/engine/mod.rs",
+     "#[cfg(test)] mod m { const M: &str = \"only copy tasks may cross nodes\"; }"),
+    ("socket-tuning", "crates/norns-ipc/src/engine/remote/server.rs",
+     "fn f(s: &TcpStream) { s.set_nodelay(true); }"),
+    ("sendfile", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "fn f() { std::thread::spawn(|| sendfile(0, 0)); }"),
+    ("splice", "crates/norns-ipc/src/engine/remote/server.rs",
+     "fn f() { libc::splice(0, 0); }"),
+    ("landing-pipe", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "fn f() { pipe2(0, 0); }"),
+    ("held-connection", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "fn run_unit(&mut self) { self.take_conn(); }"),
+    ("request-window", "README.md",
+     "The request window (`remote_window`) is back."),
+    ("request-window", "crates/norns-ipc/src/engine/mod.rs",
+     "#[cfg(test)] mod m { const REMOTE_WINDOW: usize = 8; }"),
+    ("mover-abort", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "fn f(&self) { self.abort.load(Relaxed); }"),
+    ("shared-chain", "crates/norns-ipc/src/engine/mod.rs",
+     "#[cfg(test)] mod m { type S = Arc<Chain>; }"),
+    ("wake-rule", "crates/norns-ipc/src/engine/mod.rs",
+     "fn f(&self) { self.dispatch_cv.notify_one(); }"),
+    ("wake-everyone", "crates/norns-ipc/src/engine/mod.rs",
+     "fn f(&self) { self.dispatch_cv.notify_all(); }"),
+    ("task-state-tables", "crates/norns-ipc/src/engine/waits.rs",
+     "#[cfg(test)] mod m { struct WaitSubs; }"),
+    ("stored-callback", "crates/norns-ipc/src/engine/mod.rs",
+     "struct S { parked: Mutex<Vec<(u64, WaitCallback)>> }"),
+    ("terminal-transition", "crates/norns-ipc/src/engine/mod.rs",
+     "#[cfg(test)] mod m { fn mark_cancelled() {} }"),
+    ("task-clock", "crates/norns-ipc/src/engine/replication.rs",
+     "fn f(elapsed_usec: u64) {}"),
+    ("dispatch-queue", "crates/norns-ipc/src/engine/mod.rs",
+     "const UNIT_ID_BASE: u64 = 1 << 62;"),
+    ("parent-helper", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn f() { std::fs::create_dir_all(\"x\"); }"),
+    ("landing-create", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "fn f() { File::create(\"x\"); }"),
+    ("landing-pair", "crates/norns-ipc/src/engine/transfer.rs",
+     "#[cfg(test)] mod m { fn open_pair() {} }"),
+    ("landing-floor", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn f(len: u64, chunk_size: u64) -> bool { len > chunk_size }"),
+    ("local-copy", "crates/norns-ipc/src/engine/transfer.rs",
+     "#[cfg(test)] mod m { struct ChunkedCopy; }"),
+    ("fallocate", "crates/norns-ipc/src/engine/remote/server.rs",
+     "fn f() { libc::fallocate(0, 0, 0, 0); }"),
+    ("set-len", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "fn f(file: &File) { file.set_len(0); }"),
+    ("range-step", "crates/norns-ipc/src/engine/remote/mod.rs",
+     "#[cfg(test)] mod m { const RANGE_STEP_FLOOR: u64 = 1; }"),
+    ("mmap", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn f() { mmap(0, 0); }"),
+    ("munmap", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn f() { munmap(0, 0); }"),
+    ("fstatfs", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn f() { fstatfs(0, 0); }"),
+    ("pwrite", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn f() { pwrite(0, 0); }"),
+];
+
+#[test]
+fn bringing_back_what_any_sites_row_guards_fails_the_check() {
+    for row in sites::ROWS {
+        assert!(
+            REINTRODUCED.iter().any(|(id, _, _)| *id == row.id),
+            "sites row `{}` has no mutation here",
+            row.id
+        );
+    }
+    let tree = copy_workspace("sites");
+    let tmp = &tree.0;
+    let clean = unsuppressed(tmp);
+    assert!(
+        clean.is_empty(),
+        "the unmutated copy must be clean: {clean:?}"
+    );
+
+    for (id, rel, text) in REINTRODUCED {
+        let file = tmp.join(rel);
+        let original = fs::read_to_string(&file).unwrap();
+        fs::write(&file, format!("{original}\n{text}\n")).unwrap();
+
+        let fired = unsuppressed(tmp);
+        assert!(
+            fired
+                .iter()
+                .any(|(rule, message)| *rule == Rule::Sites
+                    && message.starts_with(&format!("{id}:"))),
+            "appending `{text}` to {rel} must fail row `{id}`; got {fired:?}"
+        );
+
+        fs::write(&file, original).unwrap();
+    }
 }

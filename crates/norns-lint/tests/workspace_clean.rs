@@ -75,14 +75,30 @@ fn live_workspace_has_no_unsuppressed_findings() {
             "conns",
             "data_addr",
             "dispatch",
+            "finished",
+            "fired",
             "incoming",
+            "log",
+            "ranges",
             "reactor_threads",
             "registry",
+            "seen",
             "shutdown_done",
             "workers",
         ],
         "the lock-name collection changed"
     );
+    // A `sites` row whose paths name no scanned file reads nothing.
+    for row in norns_lint::sites::ROWS {
+        assert!(
+            cfg.safety_files.iter().any(|p| {
+                let rel = p.strip_prefix(&root).unwrap().to_string_lossy();
+                norns_lint::sites::in_scope(row.paths, &rel)
+            }),
+            "sites row `{}` reads no file",
+            row.id
+        );
+    }
     let wire = report.wire.as_ref().expect("wire summary present");
     // The protocol enums are declared inside `wire_enum!` listings;
     // the rule must still see every one of them, variant for variant.
