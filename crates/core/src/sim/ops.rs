@@ -13,6 +13,7 @@
 //! | `nornsctl_add_process`              | [`add_process`]              |
 //! | `nornsctl_remove_process`           | [`remove_process`]           |
 //! | `nornsctl_submit` / `norns_submit`  | [`submit_task`]              |
+//! | `nornsctl_cancel`                   | [`cancel_task`]              |
 //! | `nornsctl_status`                   | [`daemon_status`]            |
 //! | `norns_get_dataspace_info`          | [`dataspace_info`]           |
 //! | `norns_error` / `norns_wait` result | [`task_stats`], completions  |
@@ -29,9 +30,9 @@ use simstore::{Cred, IoDir, TierRef};
 use crate::controller::{ApiSource, DataspaceSpec, JobSpec};
 use crate::error::{NornsError, Result};
 use crate::sim::urd::{PlannedLeg, UrdStatus};
-use crate::sim::{app_tag, task_tag, HasNorns, RpcOutcome, RpcReply, RpcRequest, TaskCompletion};
-use crate::task::{JobId, TaskId, TaskSpec, TaskStats};
-use norns_sched::lifecycle::{self, Event, Outcome, Role};
+use crate::sim::{app_tag, task_tag, HasNorns, RpcOutcome, RpcReply, RpcRequest};
+use crate::task::{JobId, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};
+use norns_sched::lifecycle::{self, Answer, Event, Outcome, Role};
 
 // ---------------------------------------------------------------- //
 // Registration (control API)
@@ -200,6 +201,46 @@ pub fn submit_task<M: HasNorns>(
     Ok(id)
 }
 
+/// Cancel a task (the daemon's `CancelTask`), answered by the one
+/// lifecycle table: a queued task leaves the queue, a running copy or
+/// move — a chain, holding its abort point — stops where it is, its
+/// flows cut and nothing landed at its destination, and any other
+/// running or ended task refuses. A cancelled task completes
+/// `Cancelled` through [`HasNorns::on_task_complete`].
+pub fn cancel_task<M: HasNorns>(sim: &mut Sim<M>, node: NodeId, task: TaskId) -> Result<()> {
+    let now = sim.now();
+    let urd = &mut sim.model.norns_mut().urds[node];
+    let rec = urd.task_mut(task).ok_or(NornsError::NoSuchTask(task.0))?;
+    let next = lifecycle::step(rec.life, Event::Cancel);
+    if let Answer::Refused(why) = next.answer {
+        return Err(NornsError::TaskError(why.into()));
+    }
+    let pending = rec.life.state == TaskState::Pending;
+    rec.life = next.task;
+    if pending {
+        rec.finished = Some(now);
+        urd.queue.cancel_pending(task);
+        urd.count(next.counts);
+        let completion = urd
+            .task(task)
+            .expect("cancelled task")
+            .completion(node, None);
+        M::on_task_complete(sim, completion);
+        return Ok(());
+    }
+    rec.exec.legs.clear();
+    for flow in std::mem::take(&mut rec.exec.flows) {
+        simcore::cancel_flow(sim, flow);
+    }
+    complete_task(
+        sim,
+        node,
+        task,
+        Some(NornsError::TaskError("cancelled".into())),
+    );
+    Ok(())
+}
+
 /// Latest stats snapshot for a task.
 pub fn task_stats<M: HasNorns>(sim: &mut Sim<M>, node: NodeId, task: TaskId) -> Result<TaskStats> {
     sim.model.norns_mut().urds[node]
@@ -259,6 +300,9 @@ pub(crate) fn maybe_dispatch<M: HasNorns>(sim: &mut Sim<M>, node: NodeId) {
             .task_mut(task)
             .expect("dispatched task exists");
         rec.life = lifecycle::step(rec.life, Event::Dispatch).task;
+        if matches!(rec.spec.op, TaskOp::Copy | TaskOp::Move) {
+            rec.life = lifecycle::step(rec.life, Event::Plan).task;
+        }
         rec.started = Some(now);
         match built {
             Ok(built) => {
@@ -301,20 +345,24 @@ fn launch_shards<M: HasNorns>(
     task: TaskId,
     shards: Vec<(Vec<simcore::ResourceId>, u64)>,
 ) {
+    let rec = sim.model.norns_mut().urds[node]
+        .task_mut(task)
+        .expect("running task");
+    if rec.life.state != TaskState::InProgress {
+        return; // cancelled while its leg's latency ran
+    }
     if shards.is_empty() {
         // Metadata-only leg (removal).
         start_next_leg(sim, node, task);
         return;
     }
-    {
-        let rec = sim.model.norns_mut().urds[node]
-            .task_mut(task)
-            .expect("running task");
-        rec.exec.outstanding = shards.len();
-    }
+    rec.exec.outstanding = shards.len();
     let tag = task_tag(node, task);
     for (path, bytes) in shards {
-        simcore::start_flow(sim, FlowSpec::new(bytes as f64, path).with_tag(tag));
+        let flow = simcore::start_flow(sim, FlowSpec::new(bytes as f64, path).with_tag(tag));
+        if let Some(rec) = sim.model.norns_mut().urds[node].task_mut(task) {
+            rec.exec.flows.push(flow);
+        }
     }
 }
 
@@ -331,6 +379,7 @@ pub(crate) fn task_flow_finished<M: HasNorns>(
         };
         rec.moved_bytes += done.bytes as u64;
         rec.exec.outstanding -= 1;
+        rec.exec.flows.retain(|f| *f != done.flow);
         rec.exec.outstanding == 0
     };
     if leg_done {
@@ -395,16 +444,9 @@ fn complete_task<M: HasNorns>(
         }
         urd.queue.finish();
         urd.count(counts);
-        let rec = urd.task(task).expect("completing task");
-        TaskCompletion {
-            node,
-            task,
-            job,
-            tag: rec.tag,
-            state: rec.life.state,
-            stats: rec.stats(),
-            error,
-        }
+        urd.task(task)
+            .expect("completing task")
+            .completion(node, error)
     };
     M::on_task_complete(sim, completion);
     // Flatten recursion: dispatch follow-up work on a fresh event.

@@ -16,6 +16,7 @@ use crate::error::NornsError;
 use crate::eta::EtaEstimator;
 use crate::plugins::PluginKind;
 use crate::queue::TaskQueue;
+use crate::sim::TaskCompletion;
 use crate::task::{JobId, TaskId, TaskSpec, TaskStats};
 use norns_sched::lifecycle::{Counts, Task};
 
@@ -37,6 +38,8 @@ pub(crate) struct ExecState {
     pub legs: std::collections::VecDeque<PlannedLeg>,
     /// Outstanding flows in the currently running leg.
     pub outstanding: usize,
+    /// The flows it started, for a cancel to cut.
+    pub flows: Vec<simcore::FlowId>,
 }
 
 /// Everything urd knows about one task.
@@ -73,6 +76,19 @@ impl TaskRecord {
             submitted: self.submitted,
             started: self.started,
             finished: self.finished,
+        }
+    }
+
+    /// What its completion callback is told.
+    pub(crate) fn completion(&self, node: NodeId, error: Option<NornsError>) -> TaskCompletion {
+        TaskCompletion {
+            node,
+            task: self.id,
+            job: self.job,
+            tag: self.tag,
+            state: self.life.state,
+            stats: self.stats(),
+            error,
         }
     }
 }

@@ -1,8 +1,10 @@
-//! The per-job state machine: admission, registration, stage-in, the
-//! body, stage-out and the terminal transition. Every function here
-//! advances exactly one job in reaction to one event; nothing blocks
-//! (waiting is [`super::wait`]'s job) and nothing is undone (that is
-//! [`super::teardown`]'s).
+//! The apply site of the one job lifecycle, [`crate::job`]: every event
+//! a job meets — its dependencies settled, its registration, a phase
+//! submitted, a leg ended, its deadline, its body — goes through the
+//! table in [`WorkflowExecutor::step`], which carries out the actions
+//! it returns against the live daemons. Nothing here blocks (waiting is
+//! [`super::wait`]'s job), and what undoes work is
+//! [`super::teardown`]'s.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -10,62 +12,67 @@ use std::time::Instant;
 use norns_ipc::ClientError;
 use norns_proto::{JobDesc, TaskState, TaskStats};
 
-use super::{ActiveJob, FlowEvent, FlowJobState, JobBody, Leg, Phase, WorkflowExecutor};
+use super::{FlowEvent, JobBody, WorkflowExecutor};
+use crate::job::{self, Action, Event, JobState};
 use crate::plan::Stage;
 
 impl WorkflowExecutor {
-    /// Terminal bookkeeping: best-effort unregistration from every
-    /// daemon the job touched (teardown problems are recorded, never
-    /// propagated — one job's sick daemon must not strand the others),
-    /// then the state transition and its event.
-    pub(super) fn finish_job(&mut self, idx: usize, state: FlowJobState, reason: &str) {
-        let id = self.jobs[idx].id;
+    /// Step job `idx` through the table on `event` and carry out the
+    /// actions it returns, in order. `notes` is what the event reports:
+    /// the detail of a terminal reason, or the leftovers it records.
+    /// Wire problems met on the way are recorded on the job, never
+    /// propagated — one job's sick daemon must not strand the others.
+    pub(super) fn step(&mut self, idx: usize, event: Event, notes: Vec<String>) {
+        let next = job::step(self.jobs[idx].life, event);
+        self.jobs[idx].life = next.job;
         let mut problems = Vec::new();
-        if self.jobs[idx].registered {
-            self.jobs[idx].registered = false;
-            for n in self.jobs[idx].nodes.clone() {
-                match self.nodes[n].ctl.unregister_job(id.0) {
-                    // Remote errors mean "already gone" (e.g. the
-                    // daemon was shut down) — not worth recording.
-                    Ok(()) | Err(ClientError::Remote { .. }) => {}
-                    Err(e) => {
-                        problems.push(format!("unregister on {:?}: {e}", self.nodes[n].spec.name))
+        for action in next.actions {
+            match action {
+                Action::Register => self.register(idx),
+                Action::SubmitStageIn => self.submit_phase(idx, Stage::In),
+                Action::StartBody => self.begin_body(idx),
+                Action::SubmitStageOut => self.submit_phase(idx, Stage::Out),
+                Action::CancelOutstanding => problems.extend(self.cancel_legs(idx)),
+                Action::RemoveLanded => problems.extend(self.remove_landed(idx)),
+                Action::RecordLeftover => self.jobs[idx].leftovers.extend(notes.iter().cloned()),
+                Action::Unregister => problems.extend(self.unregister(idx)),
+                Action::Emit(why) => self.emit_end(idx, why, &notes),
+                Action::CancelDependents => {
+                    for j in 0..self.jobs.len() {
+                        if self.jobs[j].deps.contains(&idx) {
+                            self.settle_deps(j);
+                        }
                     }
                 }
             }
         }
-        self.jobs[idx].state = state;
-        if !reason.is_empty() {
-            // Append: earlier best-effort-teardown detail (recorded by
-            // note_problems on e.g. the submission-failure path) must
-            // survive the terminal reason.
-            let failure = &mut self.jobs[idx].failure;
-            *failure = Some(match failure.take() {
-                Some(existing) => format!("{reason}; {existing}"),
-                None => reason.to_string(),
-            });
-        }
-        let leftovers = self.jobs[idx].leftovers.len();
-        match state {
-            FlowJobState::Completed => self
-                .events
-                .push(FlowEvent::Completed { job: id, leftovers }),
-            FlowJobState::Failed => self.events.push(FlowEvent::Failed {
-                job: id,
-                reason: reason.to_string(),
-            }),
-            FlowJobState::Cancelled => self.events.push(FlowEvent::Cancelled {
-                job: id,
-                reason: reason.to_string(),
-            }),
-            other => unreachable!("finish_job with non-terminal state {other:?}"),
-        }
         self.note_problems(idx, problems);
+    }
+
+    /// The terminal event, and for a job that did not complete its
+    /// reason: the class's text, then the event's detail.
+    fn emit_end(&mut self, idx: usize, why: Option<&'static str>, notes: &[String]) {
+        let id = self.jobs[idx].id;
+        let Some(why) = why else {
+            let leftovers = self.jobs[idx].leftovers.len();
+            return self
+                .events
+                .push(FlowEvent::Completed { job: id, leftovers });
+        };
+        let mut reason = why.to_string();
+        if !notes.is_empty() {
+            reason = format!("{reason}: {}", notes.join("; "));
+        }
+        self.jobs[idx].failure = Some(reason.clone());
+        self.events.push(match self.jobs[idx].life.state {
+            JobState::Cancelled => FlowEvent::Cancelled { job: id, reason },
+            _ => FlowEvent::Failed { job: id, reason },
+        });
     }
 
     /// Append best-effort-teardown details to the job's failure
     /// string (diagnostics only; they change no state).
-    pub(super) fn note_problems(&mut self, idx: usize, problems: Vec<String>) {
+    fn note_problems(&mut self, idx: usize, problems: Vec<String>) {
         if problems.is_empty() {
             return;
         }
@@ -77,137 +84,115 @@ impl WorkflowExecutor {
         });
     }
 
-    /// Admission fixpoint: start every Pending job whose dependencies
-    /// all completed; cancel every Pending job with a failed or
-    /// cancelled dependency (cascading through chains in one pass).
+    /// Admission: every Pending job whose dependencies settled.
     pub(super) fn admit_ready(&mut self) {
-        loop {
-            let mut changed = false;
-            for idx in 0..self.jobs.len() {
-                if self.jobs[idx].state != FlowJobState::Pending {
-                    continue;
-                }
-                let mut ready = true;
-                let mut doomed = false;
-                for &dep in &self.jobs[idx].deps {
-                    match self.jobs[dep].state {
-                        FlowJobState::Completed => {}
-                        s if s.is_terminal() => doomed = true,
-                        _ => ready = false,
-                    }
-                }
-                if doomed {
-                    self.finish_job(idx, FlowJobState::Cancelled, "upstream workflow job failed");
-                    changed = true;
-                } else if ready {
-                    self.start_job(idx);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return;
-            }
+        for idx in 0..self.jobs.len() {
+            self.settle_deps(idx);
         }
     }
 
-    /// Register the job with its daemons (rolling back on partial
-    /// failure — nodes `0..k` must not stay registered forever when
-    /// node `k` refuses), then plan and submit its stage-in tasks.
-    fn start_job(&mut self, idx: usize) {
-        let id = self.jobs[idx].id;
+    /// A Pending job's dependencies settled once one of them ended
+    /// without completing ("if a workflow job fails; then all
+    /// subsequent jobs are cancelled") or all of them completed.
+    fn settle_deps(&mut self, idx: usize) {
+        if self.jobs[idx].life.state != JobState::Pending {
+            return;
+        }
+        let states: Vec<JobState> = self.jobs[idx]
+            .deps
+            .iter()
+            .map(|&d| self.jobs[d].life.state)
+            .collect();
+        let done = |s: &JobState| *s == JobState::Completed;
+        if states.iter().any(|s| s.is_terminal() && !done(s)) {
+            self.step(idx, Event::Deps { doomed: true }, Vec::new());
+        } else if states.iter().all(done) {
+            self.step(idx, Event::Deps { doomed: false }, Vec::new());
+        }
+    }
+
+    /// Register the job with every daemon it touches (quota-less; the
+    /// embedding owns the grants, as Slurm does in the paper), rolling
+    /// back on a partial failure — nodes `0..k` must not stay
+    /// registered forever when node `k` refuses.
+    fn register(&mut self, idx: usize) {
+        let id = self.jobs[idx].id.0;
         let job_nodes = self.jobs[idx].nodes.clone();
         let hosts: Vec<String> = job_nodes
             .iter()
             .map(|&n| self.nodes[n].spec.name.clone())
             .collect();
-        // Register the job with every daemon it touches (quota-less;
-        // the embedding owns the grants, as Slurm does in the paper).
-        let mut registered: Vec<usize> = Vec::new();
-        for &n in &job_nodes {
-            match self.nodes[n].ctl.register_job(JobDesc {
-                job_id: id.0,
+        for (k, &n) in job_nodes.iter().enumerate() {
+            let desc = JobDesc {
+                job_id: id,
                 hosts: hosts.clone(),
                 limits: vec![],
-            }) {
-                Ok(()) => registered.push(n),
-                Err(e) => {
-                    // Roll back what was already registered before
-                    // failing the job; a `?`-style early return here
-                    // would leak registrations on nodes 0..k.
-                    for &r in &registered {
-                        let _ = self.nodes[r].ctl.unregister_job(id.0);
-                    }
-                    self.finish_job(
-                        idx,
-                        FlowJobState::Failed,
-                        &format!(
-                            "job registration on {:?} failed: {e}",
-                            self.nodes[n].spec.name
-                        ),
-                    );
-                    return;
+            };
+            if let Err(e) = self.nodes[n].ctl.register_job(desc) {
+                for &r in &job_nodes[..k] {
+                    let _ = self.nodes[r].ctl.unregister_job(id);
                 }
+                let note = format!("on {:?}: {e}", self.nodes[n].spec.name);
+                return self.step(idx, Event::Registered { ok: false }, vec![note]);
             }
         }
-        self.jobs[idx].registered = true;
-        self.jobs[idx].state = FlowJobState::StagingIn;
-        match self.submit_phase(idx, Stage::In) {
-            Ok(legs) => {
-                self.events.push(FlowEvent::StageInStarted {
-                    job: id,
-                    tasks: legs.len(),
-                });
-                if legs.is_empty() {
-                    self.begin_body(idx);
-                } else {
-                    let deadline = Instant::now() + self.config.stage_in_timeout;
-                    self.run
-                        .active
-                        .insert(idx, ActiveJob::new(Phase::StagingIn { deadline }, legs));
-                }
-            }
-            Err(reason) => self.finish_job(idx, FlowJobState::Failed, &reason),
-        }
+        self.step(idx, Event::Registered { ok: true }, Vec::new());
     }
 
     /// Plan one phase against the live daemons and submit its legs. A
-    /// planning error submits nothing. A daemon-side rejection
-    /// cancels what was already submitted (cleaning any stage-in data
-    /// that finished meanwhile) and fails the phase as a unit;
-    /// transport errors are treated the same way — per-job failures,
-    /// never run-level aborts.
-    fn submit_phase(&mut self, idx: usize, stage: Stage) -> Result<Vec<Leg>, String> {
+    /// planning error submits nothing; a refused leg — a daemon-side
+    /// rejection or a transport error — is reported to the table with
+    /// the legs that went out, and a stage-in stops there (one refusal
+    /// kills it) while a stage-out submits the rest.
+    fn submit_phase(&mut self, idx: usize, stage: Stage) {
         let job_id = self.jobs[idx].id.0;
         let (nodes, script) = (self.jobs[idx].nodes.clone(), self.jobs[idx].script.clone());
-        let planned = self.expand(&nodes, &script, stage, true)?;
-        let mut legs: Vec<Leg> = Vec::new();
-        for (mut leg, spec) in planned {
-            match self.submit_task(leg.node, job_id, spec) {
-                Ok(task_id) => {
-                    leg.task_id = task_id;
-                    legs.push(leg);
-                }
-                Err(e) => {
-                    let reason = format!("stage task {} rejected: {e}", leg.label);
-                    let (finished, mut problems) = self.cancel_and_drain(&legs);
-                    if stage == Stage::In {
-                        legs.retain(|t| finished.contains(&(t.node, t.task_id)));
-                        problems.extend(self.cleanup_staged(&legs));
+        let mut refused = Vec::new();
+        let mut legs = Vec::new();
+        match self.expand(&nodes, &script, stage, true) {
+            Err(e) => refused.push(e),
+            Ok(planned) => {
+                for (mut leg, spec) in planned {
+                    match self.submit_task(leg.node, job_id, spec) {
+                        Ok(task_id) => {
+                            leg.task_id = task_id;
+                            legs.push(leg);
+                        }
+                        Err(e) => {
+                            refused.push(format!("stage task {} rejected: {e}", leg.label));
+                            if stage == Stage::In {
+                                break;
+                            }
+                        }
                     }
-                    self.note_problems(idx, problems);
-                    return Err(reason);
                 }
             }
         }
-        Ok(legs)
+        let (job, tasks) = (self.jobs[idx].id, legs.len());
+        let started = match stage {
+            Stage::In => refused
+                .is_empty()
+                .then_some(FlowEvent::StageInStarted { job, tasks }),
+            Stage::Out => (tasks > 0).then_some(FlowEvent::StageOutStarted { job, tasks }),
+        };
+        self.events.extend(started);
+        self.jobs[idx].legs.extend(legs);
+        let event = Event::Submitted {
+            legs: tasks,
+            refused: refused.len(),
+        };
+        self.step(idx, event, refused);
+        if self.jobs[idx].life.state == JobState::StagingIn {
+            self.jobs[idx].deadline = Some(Instant::now() + self.config.stage_in_timeout);
+        }
     }
 
-    /// Move the job into its Running phase: the body executes on a
-    /// worker thread (panics caught and mapped to failures) and
-    /// reports through the run loop's channel, so other jobs' staging
-    /// and bodies proceed meanwhile.
+    /// The job's body executes on a worker thread (panics caught and
+    /// mapped to failures) and reports through the run loop's channel,
+    /// so other jobs' staging and bodies proceed meanwhile. What its
+    /// stage-in landed is its input from here on.
     fn begin_body(&mut self, idx: usize) {
-        self.jobs[idx].state = FlowJobState::Running;
+        self.jobs[idx].landed.clear();
         self.events.push(FlowEvent::Started {
             job: self.jobs[idx].id,
         });
@@ -232,105 +217,58 @@ impl WorkflowExecutor {
             let _ = tx.send((idx, result));
             body_done.wake();
         }));
-        self.run
-            .active
-            .insert(idx, ActiveJob::new(Phase::Running, Vec::new()));
     }
 
-    /// A job body returned: fail the job, or plan and submit its
-    /// stage-out.
+    /// A job body returned. A failed one leaves the staged data in
+    /// place: a failed application's inputs and partial outputs are
+    /// what the operator debugs with.
     pub(super) fn body_finished(&mut self, idx: usize, result: Result<(), String>) {
-        self.run.active.remove(&idx);
-        if let Err(reason) = result {
-            // Staged data is deliberately left in place: a failed
-            // application's inputs and partial outputs are what the
-            // operator debugs with.
-            self.finish_job(
-                idx,
-                FlowJobState::Failed,
-                &format!("job body failed: {reason}"),
-            );
-            return;
-        }
-        self.jobs[idx].state = FlowJobState::StagingOut;
-        match self.submit_phase(idx, Stage::Out) {
-            Ok(legs) if legs.is_empty() => self.finish_job(idx, FlowJobState::Completed, ""),
-            Ok(legs) => {
-                self.events.push(FlowEvent::StageOutStarted {
-                    job: self.jobs[idx].id,
-                    tasks: legs.len(),
-                });
-                self.run
-                    .active
-                    .insert(idx, ActiveJob::new(Phase::StagingOut, legs));
-            }
-            Err(reason) => {
-                // Stage-out planning/submission failure leaves the
-                // data on the nodes for recovery; the job completed.
-                self.jobs[idx].leftovers.push(reason);
-                self.finish_job(idx, FlowJobState::Completed, "");
-            }
-        }
+        let ok = result.is_ok();
+        self.step(
+            idx,
+            Event::BodyEnded { ok },
+            result.err().into_iter().collect(),
+        );
     }
 
-    /// Route one task's wait answer to the job that owns it and advance
-    /// that job's state machine. A wait the daemon answers with an error
-    /// (`Busy` past its per-connection cap on parked waits, `SystemError`
-    /// while it shuts down) fails that leg with the daemon's code, like
-    /// a refused submission; the task itself may still be queued, so it
-    /// gets a best-effort cancel.
-    pub(super) fn staging_event(
+    /// Route one task's wait answer to the job whose leg it is, as that
+    /// leg's end. A wait the daemon answers with an error (`Busy` past
+    /// its per-connection cap on parked waits, `SystemError` while it
+    /// shuts down) fails the leg with the daemon's code, like a refused
+    /// submission; the task itself may still be queued, so it gets a
+    /// best-effort cancel. An answer no leg owns is a §III removal's.
+    pub(super) fn leg_ended(
         &mut self,
         node: usize,
         task_id: u64,
         outcome: Result<TaskStats, ClientError>,
     ) {
-        let owner = self.run.active.iter().find_map(|(idx, a)| {
-            let pos = a
-                .outstanding
+        let owner = self.jobs.iter().enumerate().find_map(|(idx, j)| {
+            let pos = j
+                .legs
                 .iter()
                 .position(|t| t.node == node && t.task_id == task_id)?;
-            Some((*idx, pos))
+            Some((idx, pos))
         });
         let Some((idx, pos)) = owner else {
-            return; // stale completion of an already-drained task
+            return;
         };
-        let mut job = self.run.active.remove(&idx).expect("found above");
-        let done = job.outstanding.swap_remove(pos);
+        let leg = self.jobs[idx].legs.swap_remove(pos);
         let failure = match outcome {
             Ok(stats) if stats.state == TaskState::Finished => None,
             Ok(stats) => Some(format!(
                 "{} (task {task_id}) ended {:?} ({:?})",
-                done.label, stats.state, stats.error
+                leg.label, stats.state, stats.error
             )),
             Err(e) => {
                 let _ = self.nodes[node].ctl.cancel(task_id);
-                Some(format!("{} (task {task_id}) wait failed: {e}", done.label))
+                Some(format!("{} (task {task_id}) wait failed: {e}", leg.label))
             }
         };
-        if let Some(detail) = failure {
-            match job.phase {
-                Phase::StagingIn { .. } => self.kill_staging_in(
-                    idx,
-                    job,
-                    FlowJobState::Failed,
-                    &format!("stage-in failed: {detail}"),
-                ),
-                Phase::StagingOut => self.abandon_stage_out(idx, job, detail),
-                Phase::Running => unreachable!("Running jobs have no outstanding staging"),
-            }
-            return;
+        let ok = failure.is_none();
+        if ok && leg.dst.is_some() {
+            self.jobs[idx].landed.push(leg);
         }
-        let staging_in = matches!(job.phase, Phase::StagingIn { .. });
-        if staging_in {
-            job.staged.push(done);
-        }
-        if !job.outstanding.is_empty() {
-            self.run.active.insert(idx, job);
-        } else if staging_in {
-            self.begin_body(idx);
-        } else {
-            self.finish_job(idx, FlowJobState::Completed, "");
-        }
+        self.step(idx, Event::LegEnded { ok }, failure.into_iter().collect());
     }
 }

@@ -5,11 +5,16 @@
 //! against **live** [`norns_ipc::UrdDaemon`]s: register the job with
 //! every daemon it touches, submit its `#NORNS stage_in` tasks
 //! (including `RemotePath` legs routed through the peer registry),
-//! hold the job body until stage-in completes, run it, then stage out
-//! — with the simulator's failure semantics (stage-in timeout ⇒
-//! cancel plus staged-data cleanup, stage-in failure ⇒ job failed,
-//! workflow cancel-on-failure for downstream jobs, stage-out failure
-//! ⇒ data left in place and reported as leftovers).
+//! hold the job body until stage-in completes, run it, then stage out.
+//! Every decision about a job — its state, what a failed leg, a refused
+//! submission, the stage-in timeout or a failed body does to it, when
+//! its dependents are cancelled — is a row of one pure table,
+//! [`crate::job::step`], which the simulated `slurmctld` runs too; this
+//! executor applies it at one site, `WorkflowExecutor::step`, and keeps
+//! only its own side effects: registration rollback, body threads, the
+//! epoll pump and daemon-loss detection (a lost daemon's legs end as
+//! failed legs). One gap stays: the simulator removes a completed job's
+//! non-persisted stage-in data, this executor keeps it.
 //!
 //! [`WorkflowExecutor::run`] is an event-driven **DAG engine**: every
 //! dependency-ready job is admitted concurrently, job bodies run on
@@ -34,13 +39,13 @@
 //! engine degrades a same-filesystem one to `rename(2)`).
 //!
 //! The code is split by concern: this file holds the public types,
-//! submission and the per-slot conversion; [`lifecycle`] is the per-job
-//! state machine (admit → stage-in → body → stage-out → terminal);
-//! [`wait`] submits every task with its parked `WaitTask` and is the
-//! one blocking point, a single epoll set over every daemon that routes
-//! each answer to its task by tag; [`teardown`] is everything that
-//! undoes work — deadlines, cancel-and-drain through that same pump,
-//! §III cleanup, a lost daemon.
+//! submission and the per-slot conversion; [`lifecycle`] is the table's
+//! apply site and the actions that move a job on (admission,
+//! registration, submitting a phase, the body); [`wait`] submits every
+//! task with its parked `WaitTask` and is the one blocking point, a
+//! single epoll set over every daemon that routes each answer to its
+//! task by tag; [`teardown`] is everything that undoes work — the
+//! deadline, cancels, §III removals, a lost daemon.
 //! [`WorkflowExecutor::wait_round_trips`] and
 //! [`WorkflowExecutor::query_round_trips`] expose the counters the
 //! examples assert on.
@@ -59,6 +64,7 @@ use norns_ipc::{ClientError, CtlClient};
 use norns_proto::{Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskStats};
 use polling::{Interest, Poller, Waker};
 
+use crate::job::{self, JobState};
 use crate::plan::{plan, Listing, Slot, Stage};
 use crate::script::{self, JobScript, PersistOp, ScriptError, WorkflowPos};
 
@@ -86,9 +92,6 @@ pub struct FlowConfig {
     /// outstanding transfers are cancelled, already-staged destinations
     /// removed, the job and its workflow successors cancelled.
     pub stage_in_timeout: Duration,
-    /// How long cancelled-but-running staging tasks are drained before
-    /// the executor gives up joining them.
-    pub cancel_grace: Duration,
     /// Durability applied to stage-out legs of jobs whose script has
     /// no `#NORNS durability` directive (wire v8). It rides a
     /// stage-out `Move` whose two ends are local — the daemon's
@@ -101,36 +104,19 @@ impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             stage_in_timeout: Duration::from_secs(30),
-            cancel_grace: Duration::from_secs(5),
             durability: Durability::LocalOnly,
         }
     }
 }
 
+/// How long, once every job has ended, the answers still owed for its
+/// teardown — cancelled legs, §III removals — are waited for before
+/// they are left to their daemons.
+const CANCEL_GRACE: Duration = Duration::from_secs(5);
+
 /// Executor-assigned job id (distinct from the daemons' task ids).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowJobId(pub u64);
-
-/// Real-mode job lifecycle, mirroring the simulator's states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowJobState {
-    Pending,
-    StagingIn,
-    Running,
-    StagingOut,
-    Completed,
-    Failed,
-    Cancelled,
-}
-
-impl FlowJobState {
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            FlowJobState::Completed | FlowJobState::Failed | FlowJobState::Cancelled
-        )
-    }
-}
 
 /// Lifecycle notifications, appended to [`WorkflowExecutor::events`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,16 +198,19 @@ struct JobRec {
     nodes: Vec<usize>,
     /// Dependencies, as indices of earlier jobs in the job table.
     deps: Vec<usize>,
-    state: FlowJobState,
-    /// Whether the job is currently registered with its daemons (set
-    /// on successful registration of *every* node, cleared at
-    /// teardown; a partial registration is rolled back immediately and
-    /// never observable here).
-    registered: bool,
+    /// Its record in the one job lifecycle table.
+    life: job::Job,
     failure: Option<String>,
     /// Stage-out legs that failed; data stays on the nodes "for future
     /// stage_out operations to try and recover" (§III).
     leftovers: Vec<String>,
+    /// Its staging legs whose parked waits are still owed.
+    legs: Vec<Leg>,
+    /// Its stage-in legs that landed while it stages in: what a kill
+    /// removes.
+    landed: Vec<Leg>,
+    /// When its stage-in times out.
+    deadline: Option<Instant>,
 }
 
 /// One staging leg, planned and then submitted: which daemon runs it,
@@ -235,33 +224,6 @@ struct Leg {
     task_id: u64,
     dst: Option<(usize, String, String)>,
     label: String,
-}
-
-/// Per-job phase inside the DAG engine's run loop.
-enum Phase {
-    StagingIn { deadline: Instant },
-    Running,
-    StagingOut,
-}
-
-/// An admitted, non-terminal job: its phase plus the staging legs whose
-/// parked waits the run loop's pump is watching for it.
-struct ActiveJob {
-    phase: Phase,
-    outstanding: Vec<Leg>,
-    /// Stage-in legs that already finished (their destinations are
-    /// what a timeout/failure must clean up).
-    staged: Vec<Leg>,
-}
-
-impl ActiveJob {
-    fn new(phase: Phase, outstanding: Vec<Leg>) -> Self {
-        ActiveJob {
-            phase,
-            outstanding,
-            staged: Vec::new(),
-        }
-    }
 }
 
 /// What the central event wait produced.
@@ -284,11 +246,8 @@ enum Next {
 
 type BodyResult = (usize, Result<(), String>);
 
-/// What the run loop carries from one event to the next: the admitted
-/// jobs and the body threads with the channel they report through.
+/// The body threads and the channel they report through.
 struct RunState {
-    /// Admitted, non-terminal jobs by index into the job table.
-    active: HashMap<usize, ActiveJob>,
     tx: mpsc::Sender<BodyResult>,
     rx: mpsc::Receiver<BodyResult>,
     threads: Vec<JoinHandle<()>>,
@@ -335,7 +294,6 @@ impl WorkflowExecutor {
             peers_linked: false,
             events: Vec::new(),
             run: RunState {
-                active: HashMap::new(),
                 tx,
                 rx,
                 threads: Vec::new(),
@@ -376,9 +334,11 @@ impl WorkflowExecutor {
     /// produce.)
     ///
     /// `#NORNS persist store` is accepted and changes nothing: real
-    /// mode never removes staged-in data on success, so it is already
-    /// stored. `delete`/`share`/`unshare` have no real-mode
-    /// implementation and are refused rather than silently dropped.
+    /// mode never removes a completed job's staged-in data (the
+    /// lifecycle's one gap with the simulator, which removes what no
+    /// `persist store` names), so it is already stored.
+    /// `delete`/`share`/`unshare` have no real-mode implementation and
+    /// are refused rather than silently dropped.
     pub fn submit(&mut self, script_text: &str, body: JobBody) -> Result<FlowJobId, FlowError> {
         let script = script::parse(script_text)?;
         if script.nodes == 0 {
@@ -442,10 +402,12 @@ impl WorkflowExecutor {
             body: Some(body),
             nodes,
             deps,
-            state: FlowJobState::Pending,
-            registered: false,
+            life: job::Job::default(),
             failure: None,
             leftovers: Vec::new(),
+            legs: Vec::new(),
+            landed: Vec::new(),
+            deadline: None,
         });
         self.events.push(FlowEvent::Submitted { job: id });
         Ok(id)
@@ -456,12 +418,10 @@ impl WorkflowExecutor {
     /// worker threads, staging multiplexed through one parked wait per
     /// task, each job gated only on its own workflow dependencies.
     /// Returns the terminal state of each job in submission order.
-    pub fn run(&mut self) -> Result<Vec<(FlowJobId, FlowJobState)>, FlowError> {
+    pub fn run(&mut self) -> Result<Vec<(FlowJobId, JobState)>, FlowError> {
         self.link_peers()?;
+        let mut grace = None;
         loop {
-            // Admit every dependency-ready job; cancel those whose
-            // upstream failed ("if a workflow job fails; then all
-            // subsequent jobs are cancelled").
             self.admit_ready();
             // Deliver any body completions that already arrived; they
             // may have unblocked admissions.
@@ -473,26 +433,30 @@ impl WorkflowExecutor {
             if progressed || self.expire_deadlines() {
                 continue;
             }
-            if self.run.active.is_empty() {
-                break;
+            if self.jobs.iter().all(|j| j.life.state.is_terminal()) {
+                // Owed: an answer queued by the pump, or a parked wait.
+                let owed = !self.ready.is_empty() || self.nodes.iter().any(|n| !n.waits.is_empty());
+                let until = *grace.get_or_insert_with(|| Instant::now() + CANCEL_GRACE);
+                if !owed || Instant::now() >= until {
+                    break;
+                }
             }
-            match self.await_event() {
+            match self.await_event(grace) {
                 Next::Staging {
                     node,
                     task_id,
                     outcome,
-                } => self.staging_event(node, task_id, outcome),
+                } => self.leg_ended(node, task_id, outcome),
                 Next::DaemonLost { node, error } => self.daemon_lost(node, &error),
                 Next::Tick => {}
             }
         }
-        debug_assert!(self.jobs.iter().all(|j| j.state.is_terminal()));
         // Bodies are finite; join them so no thread outlives the call
         // (their completions were all consumed by the loop).
         for handle in self.run.threads.drain(..) {
             let _ = handle.join();
         }
-        Ok(self.jobs.iter().map(|j| (j.id, j.state)).collect())
+        Ok(self.jobs.iter().map(|j| (j.id, j.life.state)).collect())
     }
 
     // ---- observability ----
@@ -505,8 +469,8 @@ impl WorkflowExecutor {
         self.jobs.get((id.0 as usize).checked_sub(1)?)
     }
 
-    pub fn job_state(&self, id: FlowJobId) -> Option<FlowJobState> {
-        self.job(id).map(|j| j.state)
+    pub fn job_state(&self, id: FlowJobId) -> Option<JobState> {
+        self.job(id).map(|j| j.life.state)
     }
 
     pub fn failure(&self, id: FlowJobId) -> Option<&str> {

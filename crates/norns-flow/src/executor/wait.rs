@@ -7,7 +7,7 @@
 //! to its task by its tag, so the wire cost is one wait per task, sent
 //! once. Job bodies run on threads of their own and wake the same epoll
 //! set when they finish, so the loop has no polling interval at all.
-//! Teardown drains through the same pump ([`WorkflowExecutor::pump`]).
+//! A cancelled leg's answer and a §III removal's come back the same way.
 
 use std::io;
 use std::os::unix::io::AsRawFd;
@@ -18,7 +18,8 @@ use norns_ipc::ClientError;
 use norns_proto::TaskSpec;
 use polling::Event;
 
-use super::{Next, Phase, WorkflowExecutor, KEY_BODY_DONE};
+use super::{Next, WorkflowExecutor, KEY_BODY_DONE};
+use crate::job::JobState;
 
 impl WorkflowExecutor {
     /// Submit one wire task on `node` and park its wait right behind
@@ -43,21 +44,19 @@ impl WorkflowExecutor {
     /// Block until the next event: a staging completion on some
     /// daemon, a lost daemon, or — as a [`Next::Tick`] — a body
     /// completion (its result waits in the run loop's channel, which
-    /// the loop drains) or a passed stage-in deadline.
-    pub(super) fn await_event(&mut self) -> Next {
+    /// the loop drains), a passed stage-in deadline or `grace`.
+    pub(super) fn await_event(&mut self, grace: Option<Instant>) -> Next {
         if let Some(next) = self.ready.pop_front() {
             return next;
         }
         // Sleep until the nearest stage-in deadline (or forever during
         // stage-out and while only bodies run).
         let earliest_deadline = self
-            .run
-            .active
-            .values()
-            .filter_map(|a| match a.phase {
-                Phase::StagingIn { deadline } => Some(deadline),
-                _ => None,
-            })
+            .jobs
+            .iter()
+            .filter(|j| j.life.state == JobState::StagingIn)
+            .filter_map(|j| j.deadline)
+            .chain(grace)
             .min();
         self.pump(earliest_deadline);
         self.ready.pop_front().unwrap_or(Next::Tick)
@@ -69,7 +68,7 @@ impl WorkflowExecutor {
     /// drained first; only if that found nothing does the pump sleep on
     /// the epoll set — every node's connection plus the body waker —
     /// until something arrives or `until` passes.
-    pub(super) fn pump(&mut self, until: Option<Instant>) {
+    fn pump(&mut self, until: Option<Instant>) {
         let queued = self.ready.len();
         for node in 0..self.nodes.len() {
             if !self.nodes[node].waits.is_empty() {

@@ -172,9 +172,23 @@ fn dfs<'a>(
 /// Pass A: find names declared with a `Mutex`/`RwLock` type or
 /// initializer. Handles `name: Mutex<..>`, `name: pkg::Mutex<..>`,
 /// `name: Mutex::new(..)`, and `let name = Mutex::new(..)`, each bare or
-/// under an `Arc` (`Arc<Mutex<..>>`, `Arc::new(Mutex::new(..))`).
+/// under an `Arc` (`Arc<Mutex<..>>`, `Arc::new(Mutex::new(..))`) or a
+/// `&`; a type alias of one (`type X = Arc<Mutex<..>>`) in the file
+/// counts as a lock type, and `let name = Arc::clone(&lock)` as a lock.
 fn collect_lock_names(ctx: &FileCtx, out: &mut BTreeSet<String>) {
     let toks = &ctx.lexed.tokens;
+    // `type X = [Arc<]Mutex<..>` or `RwLock<..>`: `X` is a lock type.
+    let aliases: Vec<&str> = (0..toks.len())
+        .filter(|&i| matches!(&toks[i].kind, Tok::Ident(w) if w == "type"))
+        .filter_map(|i| {
+            let Some(Tok::Ident(alias)) = toks.get(i + 1).map(|t| &t.kind) else {
+                return None;
+            };
+            let locks = ["= Mutex<", "= RwLock<", "= Arc<Mutex<", "= Arc<RwLock<"];
+            let lock = |l: &&str| matches_at(toks, i + 2, &lex(l).tokens);
+            locks.iter().any(lock).then_some(alias.as_str())
+        })
+        .collect();
     // Step back over a leading `path::` chain.
     let strip_path = |mut j: usize| {
         while j >= 3
@@ -191,22 +205,29 @@ fn collect_lock_names(ctx: &FileCtx, out: &mut BTreeSet<String>) {
         let Tok::Ident(word) = &toks[i].kind else {
             continue;
         };
-        if word != "Mutex" && word != "RwLock" {
-            continue;
-        }
-        // Only type position (`Mutex<`) or constructor (`Mutex::new`).
+        // Only type position (`Mutex<`), a constructor (`Mutex::new`),
+        // or an alias anywhere but its own `type` item.
         let next = toks.get(i + 1).map(|t| &t.kind);
         let next2 = toks.get(i + 2).map(|t| &t.kind);
-        let is_use = matches!(next, Some(Tok::Punct('<')))
-            || (matches!(next, Some(Tok::Punct(':'))) && matches!(next2, Some(Tok::Punct(':'))));
+        let is_use = if aliases.contains(&word.as_str()) {
+            !matches!(&toks[i.saturating_sub(1)].kind, Tok::Ident(w) if w == "type")
+        } else {
+            (word == "Mutex" || word == "RwLock")
+                && (matches!(next, Some(Tok::Punct('<')))
+                    || (matches!(next, Some(Tok::Punct(':')))
+                        && matches!(next2, Some(Tok::Punct(':')))))
+        };
         if !is_use {
             continue;
         }
-        // An `Arc<` or `Arc::new(` wrapper is looked through.
+        // An `Arc<` or `Arc::new(` wrapper, or a `&`, is looked through.
         let mut j = strip_path(i);
         let wrapped = |a: &&Vec<Token>| j >= a.len() && matches_at(toks, j - a.len(), a);
         if let Some(arc) = arcs.iter().find(wrapped) {
             j = strip_path(j - arc.len());
+        }
+        if j >= 1 && matches!(toks[j - 1].kind, Tok::Punct('&')) {
+            j -= 1;
         }
         // `name : Mutex` — a field declaration or struct-literal
         // initializer. Require a *single* colon.
@@ -241,6 +262,19 @@ fn collect_lock_names(ctx: &FileCtx, out: &mut BTreeSet<String>) {
                         }
                     }
                 }
+            }
+        }
+    }
+    // `let name = Arc::clone(&lock)`: another handle on a lock.
+    let clone = lex("= Arc::clone(&").tokens;
+    for i in 1..toks.len() {
+        let held = match toks.get(i + clone.len()).map(|t| &t.kind) {
+            Some(Tok::Ident(lock)) => out.contains(lock),
+            _ => false,
+        };
+        if held && matches_at(toks, i, &clone) {
+            if let Tok::Ident(name) = &toks[i - 1].kind {
+                out.insert(name.clone());
             }
         }
     }

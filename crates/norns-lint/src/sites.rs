@@ -42,6 +42,8 @@ use Check::*;
 const IPC: &str = "crates/norns-ipc/src";
 const ENGINE: &str = "crates/norns-ipc/src/engine";
 const REMOTE: &str = "crates/norns-ipc/src/engine/remote";
+const FLOW: &str = "crates/norns-flow/src";
+const SLURM: &str = "crates/slurm-sim/src";
 
 #[rustfmt::skip]
 pub const ROWS: &[Row] = &[
@@ -67,6 +69,14 @@ pub const ROWS: &[Row] = &[
           reason: "a stage-out is one `Move`; only the §III cleanup removes staged-in data" },
     Row { id: "cross-node-move", paths: &[IPC], check: Retired(&["\"only copy tasks may cross nodes\""]),
           reason: "the engine runs a `Move` on every route, freeing its source after the last byte" },
+
+    // The job lifecycle: one table both worlds run.
+    Row { id: "job-apply", paths: &[FLOW, SLURM], check: Calls(&["job::step"], &["ctld::apply", "WorkflowExecutor::step"]),
+          reason: "a job's state changes only where a world applies `norns_flow::job::step`" },
+    Row { id: "job-state", paths: &[FLOW, SLURM], check: Forbidden(&["state = JobState::"]),
+          reason: "a job's state is what the lifecycle table returns, never set by hand" },
+    Row { id: "job-copies", paths: &[FLOW, SLURM], check: Retired(&["fn abandon_stage_out", "fn cancel_downstream", "enum FlowJobState"]),
+          reason: "the simulator and the executor ran hand-written copies of the job lifecycle; both run the one table" },
 
     // The data plane.
     Row { id: "socket-tuning", paths: &[REMOTE], check: Calls(&["set_nodelay", "set_read_timeout", "set_write_timeout"], &["conn::tune"]),

@@ -160,6 +160,30 @@ fn arc_held_guards_dropped_before_blocking_are_clean() {
 }
 
 #[test]
+fn aliased_lock_guards_across_blocking_calls_fire() {
+    let report = lint_locks(&["locks_alias_bad.rs"]);
+    assert_eq!(
+        rules(&report),
+        vec![Rule::LockAcrossBlocking; 2],
+        "a lock through `type Seen = Arc<Mutex<..>>` and its `Arc::clone` must both fire: {:?}",
+        report.findings
+    );
+    assert_eq!(report.lock_names, ["fired", "seen", "shared"]);
+}
+
+#[test]
+fn aliased_lock_guards_dropped_before_blocking_are_clean() {
+    let report = lint_locks(&["locks_alias_good.rs"]);
+    assert_eq!(
+        report.unsuppressed_count(),
+        0,
+        "findings: {:?}",
+        report.findings
+    );
+    assert_eq!(report.lock_names, ["fired", "seen", "shared"]);
+}
+
+#[test]
 fn opposite_nesting_orders_are_a_cycle() {
     let report = lint_locks(&["locks_cycle_bad.rs"]);
     let rs = rules(&report);

@@ -199,6 +199,12 @@ const REINTRODUCED: &[(&str, &str, &str)] = &[
      "fn f() -> TaskOp { TaskOp::Remove }"),
     ("cross-node-move", "crates/norns-ipc/src/engine/mod.rs",
      "#[cfg(test)] mod m { const M: &str = \"only copy tasks may cross nodes\"; }"),
+    ("job-apply", "crates/slurm-sim/src/ctld.rs",
+     "fn f(j: Job) -> Next { job::step(j, Event::StageInTimeout) }"),
+    ("job-state", "crates/norns-flow/src/executor/teardown.rs",
+     "fn f(j: &mut JobRec) { j.life.state = JobState::Failed; }"),
+    ("job-copies", "crates/slurm-sim/src/ctld.rs",
+     "#[cfg(test)] mod m { fn cancel_downstream() {} }"),
     ("socket-tuning", "crates/norns-ipc/src/engine/remote/server.rs",
      "fn f(s: &TcpStream) { s.set_nodelay(true); }"),
     ("sendfile", "crates/norns-ipc/src/engine/remote/mod.rs",

@@ -77,12 +77,14 @@ fn live_workspace_has_no_unsuppressed_findings() {
             "dispatch",
             "finished",
             "fired",
+            "holds",
             "incoming",
             "log",
             "ranges",
             "reactor_threads",
             "registry",
             "seen",
+            "shared",
             "shutdown_done",
             "workers",
         ],

@@ -11,21 +11,33 @@
 //! * stage-in timeout → job termination + cleanup of staged data,
 //! * stage-out failure → data left in place for later recovery,
 //! * tracked-dataspace checks at node release.
+//!
+//! Every decision about a job — its state, what a failed leg, a refused
+//! submission, the stage-in timeout or a failed body does to it, when
+//! its dependents are cancelled — is a row of one pure table,
+//! [`norns_flow::job::step`], which the real-mode executor runs too.
+//! This module applies it at one site, `apply`, and keeps only its own
+//! side effects: allocation, priority, `persist` directives and stage
+//! tags. One gap stays: a completed job's non-persisted stage-in data is
+//! removed here (`cleanup_after_success`), and real mode keeps it.
 
 use std::collections::HashMap;
 
 use norns::sim::ops as nops;
-use norns::{ApiSource, JobId as NornsJobId, ResourceRef, TaskCompletion, TaskId, TaskSpec};
+use norns::{ApiSource, JobId as NornsJobId, ResourceRef, TaskCompletion, TaskSpec};
+use norns_flow::job::{self, Action, Event};
 use norns_flow::plan::{self, plan, Listing, Stage};
 use simcore::{EventId, Sim, SimDuration, SimTime};
 use simnet::NodeId;
 use simstore::{Cred, NsError};
 
-use crate::job::{decode_stage_tag, stage_tag, Job, JobBody, JobState, SlurmJobId, StagePurpose};
+use crate::job::{
+    decode_stage_tag, stage_tag, Job, JobBody, JobState, Legs, SlurmJobId, StagePurpose,
+};
 use crate::script::{split_location, JobScript, PersistOp, WorkflowPos};
 use crate::workflow::{PersistedData, WorkflowId, WorkflowRegistry};
 
-/// Scheduler tunables (several are ablation knobs for the benches).
+/// Scheduler tunables (ablation knobs for the benches).
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
     /// Kill a job whose stage-in has not finished by this deadline
@@ -36,15 +48,6 @@ pub struct SchedConfig {
     pub backfill: bool,
     /// Prefer nodes already holding the job's persisted input data.
     pub data_affinity: bool,
-    /// Remove stage-in destinations after the job completes (unless
-    /// persisted).
-    pub cleanup_stage_in: bool,
-    /// Queue priority: weight of queue age (per second).
-    pub age_weight: f64,
-    /// Queue priority boost for jobs whose workflow already has
-    /// completed phases ("each intermediate job gets updated
-    /// priorities … as the different phases progress").
-    pub workflow_boost: f64,
 }
 
 impl Default for SchedConfig {
@@ -53,12 +56,17 @@ impl Default for SchedConfig {
             stage_in_timeout: SimDuration::from_secs(1800),
             backfill: true,
             data_affinity: true,
-            cleanup_stage_in: true,
-            age_weight: 1.0,
-            workflow_boost: 10_000.0,
         }
     }
 }
+
+/// Queue priority: weight of queue age (per second).
+const AGE_WEIGHT: f64 = 1.0;
+
+/// Queue priority boost for jobs whose workflow already has completed
+/// phases ("each intermediate job gets updated priorities … as the
+/// different phases progress").
+const WORKFLOW_BOOST: f64 = 10_000.0;
 
 /// Scheduler-visible job/lifecycle events, delivered to the embedding
 /// model (workload drivers) and appended to the log.
@@ -78,9 +86,13 @@ pub enum JobEvent {
     StageOutStarted {
         job: SlurmJobId,
     },
+    /// `leftovers` stage-out legs left their data behind; `tracked`
+    /// is, per node, the tracked dataspaces still holding data when the
+    /// job unregistered.
     Completed {
         job: SlurmJobId,
-        leftovers: Vec<(NodeId, Vec<String>)>,
+        leftovers: usize,
+        tracked: Vec<(NodeId, Vec<String>)>,
     },
     Failed {
         job: SlurmJobId,
@@ -115,9 +127,10 @@ pub struct Slurmctld {
     node_owner: Vec<Option<SlurmJobId>>,
     next_job: u64,
     pass_pending: bool,
-    /// Destination of each staging task, for cleanup on cancel:
-    /// (node, task) → (job, dst nsid, dst path).
-    stage_dst: HashMap<(NodeId, TaskId), (SlurmJobId, String, String)>,
+    /// The job whose phase is being submitted, and the completions its
+    /// legs delivered meanwhile (a task whose plan fails, or a zero-byte
+    /// flow, ends inside its submission), applied after it.
+    held: Option<(SlurmJobId, Vec<TaskCompletion>)>,
     pub log: Vec<(SimTime, JobEvent)>,
 }
 
@@ -131,7 +144,7 @@ impl Slurmctld {
             node_owner: vec![None; nodes],
             next_job: 0,
             pass_pending: false,
-            stage_dst: HashMap::new(),
+            held: None,
             log: Vec::new(),
         }
     }
@@ -161,14 +174,14 @@ impl Slurmctld {
             .iter()
             .map(|id| {
                 let job = &self.jobs[&id.0];
-                (*id, job.script.name.clone(), job.state)
+                (*id, job.script.name.clone(), job.life.state)
             })
             .collect()
     }
 
     fn priority(&self, id: SlurmJobId, now: SimTime) -> f64 {
         let job = &self.jobs[&id.0];
-        let age = (now - job.submitted).as_secs_f64() * self.config.age_weight;
+        let age = (now - job.submitted).as_secs_f64() * AGE_WEIGHT;
         let boost = match job.workflow {
             Some(wf) => {
                 let progressed = self
@@ -177,11 +190,11 @@ impl Slurmctld {
                     .map(|w| {
                         w.jobs
                             .iter()
-                            .any(|j| self.jobs[&j.0].state == JobState::Completed)
+                            .any(|j| self.jobs[&j.0].life.state == JobState::Completed)
                     })
                     .unwrap_or(false);
                 if progressed {
-                    self.config.workflow_boost
+                    WORKFLOW_BOOST
                 } else {
                     0.0
                 }
@@ -199,7 +212,7 @@ impl Slurmctld {
         };
         w.dependencies(id)
             .iter()
-            .all(|d| self.jobs[&d.0].state == JobState::Completed)
+            .all(|d| self.jobs[&d.0].life.state == JobState::Completed)
     }
 
     /// Pick nodes for a job, preferring affinity nodes.
@@ -312,12 +325,16 @@ pub fn submit_script<M: HasSlurm>(
     submit(sim, script, cred, body)
 }
 
-/// External job bodies call this when the application is done.
-pub fn app_finished<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    let state = sim.model.ctld_mut().job(id).map(|j| j.state);
-    if state == Some(JobState::Running) {
-        compute_done(sim, id);
-    }
+/// External job bodies call this when the application is done; an
+/// `Err` fails the job and leaves its staged data in place.
+pub fn app_finished<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId, result: Result<(), String>) {
+    let ok = result.is_ok();
+    apply(
+        sim,
+        id,
+        Event::BodyEnded { ok },
+        result.err().into_iter().collect(),
+    );
 }
 
 /// Schedule a pass soon (coalesced).
@@ -379,7 +396,7 @@ fn schedule_pass<M: HasSlurm>(sim: &mut Sim<M>) {
                     let job = ctld.job_mut(id);
                     job.nodes = nodes;
                 }
-                begin_stage_in(sim, id);
+                apply(sim, id, Event::Deps { doomed: false }, Vec::new());
             }
             None => {
                 let backfill = sim.model.ctld_mut().config.backfill;
@@ -415,18 +432,48 @@ fn stage_in_affinity(ctld: &Slurmctld, id: SlurmJobId) -> Vec<NodeId> {
 // Stage-in
 // ------------------------------------------------------------------ //
 
-fn begin_stage_in<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
+/// The one site a job's state changes: step it through the lifecycle
+/// table on `event` and carry out the actions it returns, in order.
+/// `notes` is what the event reports: the detail of a terminal reason,
+/// or the leftovers it records.
+fn apply<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId, event: Event, notes: Vec<String>) {
+    let job = sim.model.ctld_mut().job_mut(id);
+    let next = job::step(job.life, event);
+    job.life = next.job;
+    let mut tracked = Vec::new();
+    for action in next.actions {
+        match action {
+            Action::Register => register(sim, id),
+            Action::SubmitStageIn => begin_stage_in(sim, id),
+            Action::StartBody => begin_compute(sim, id),
+            Action::SubmitStageOut => begin_stage_out(sim, id),
+            Action::CancelOutstanding => {
+                let legs = sim.model.ctld_mut().job_mut(id).outstanding_stage.clone();
+                for (node, task, _) in legs {
+                    let _ = nops::cancel_task(sim, node, task);
+                }
+            }
+            Action::RemoveLanded => remove_landed(sim, id),
+            Action::RecordLeftover => {
+                let job = sim.model.ctld_mut().job_mut(id);
+                job.leftover_stageout.extend(notes.iter().cloned());
+            }
+            Action::Unregister => tracked = unregister(sim, id),
+            Action::Emit(why) => terminate(sim, id, why, &notes, std::mem::take(&mut tracked)),
+            Action::CancelDependents => cancel_dependents(sim, id),
+        }
+    }
+}
+
+/// Register the job with the urds on its nodes, granting every
+/// dataspace registered there (quota-less; Slurm owns the grants).
+fn register<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     let now = sim.now();
     let (nodes, cred) = {
-        let ctld = sim.model.ctld_mut();
-        let job = ctld.job_mut(id);
-        job.state = JobState::StagingIn;
+        let job = sim.model.ctld_mut().job_mut(id);
         job.stage_in_started = Some(now);
         (job.nodes.clone(), job.cred.clone())
     };
-
-    // Register the job with the urds on its nodes, granting every
-    // dataspace registered there (quota-less; Slurm owns the grants).
     let limits: Vec<(String, u64)> = {
         let world = sim.model.norns_mut();
         let mut names: Vec<String> = world.urds[nodes[0]]
@@ -437,64 +484,77 @@ fn begin_stage_in<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
         names.sort();
         names.into_iter().map(|n| (n, 0)).collect()
     };
-    let reg = nops::register_job(
-        sim,
-        norns::JobSpec {
-            id: NornsJobId(id.0),
-            hosts: nodes.clone(),
-            limits,
-            cred,
-        },
-    );
-    if let Err(e) = reg {
-        fail_job(sim, id, format!("NORNS job registration failed: {e}"));
-        return;
-    }
-
-    emit(
-        sim,
-        JobEvent::StageInStarted {
-            job: id,
-            nodes: nodes.clone(),
-        },
-    );
-
-    // Plan and submit the staging tasks.
-    let plans = match plan_stage_in(sim, id) {
-        Ok(p) => p,
-        Err(e) => {
-            fail_job(sim, id, e);
-            return;
-        }
+    let spec = norns::JobSpec {
+        id: NornsJobId(id.0),
+        hosts: nodes,
+        limits,
+        cred,
     };
-    if plans.is_empty() {
-        begin_compute(sim, id);
-        return;
-    }
-    let tag = stage_tag(StagePurpose::StageIn, id);
-    for (node, spec) in plans {
-        let dst = spec.output.as_ref().and_then(|o| {
-            o.nsid()
-                .map(|n| (n.to_string(), o.path().unwrap_or("").to_string()))
-        });
-        match nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag) {
-            Ok(task) => {
-                let ctld = sim.model.ctld_mut();
-                ctld.job_mut(id).outstanding_stage.push((node, task));
-                if let Some((nsid, path)) = dst {
-                    ctld.stage_dst.insert((node, task), (id, nsid, path));
+    let registered = nops::register_job(sim, spec).map_err(|e| e.to_string());
+    let ok = registered.is_ok();
+    apply(
+        sim,
+        id,
+        Event::Registered { ok },
+        registered.err().into_iter().collect(),
+    );
+}
+
+/// Plan and submit the stage-in legs; one refused submission kills the
+/// stage-in, so the rest is not submitted.
+fn begin_stage_in<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
+    let nodes = sim.model.ctld_mut().job_mut(id).nodes.clone();
+    emit(sim, JobEvent::StageInStarted { job: id, nodes });
+    let (mut legs, mut refused) = (Vec::new(), Vec::new());
+    sim.model.ctld_mut().held = Some((id, Vec::new()));
+    match plan_stage_in(sim, id) {
+        Err(e) => refused.push(e),
+        Ok(plans) => {
+            for (node, spec) in plans {
+                let dst = spec.output.as_ref().and_then(|o| {
+                    o.nsid()
+                        .map(|n| (n.to_string(), o.path().unwrap_or("").to_string()))
+                });
+                let tag = stage_tag(StagePurpose::StageIn, id);
+                match nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag)
+                {
+                    Ok(task) => legs.push((node, task, dst)),
+                    Err(e) => {
+                        refused.push(format!("submission refused: {e}"));
+                        break;
+                    }
                 }
             }
-            Err(e) => {
-                fail_job(sim, id, format!("stage-in submission failed: {e}"));
-                return;
-            }
         }
     }
-    // Arm the stage-in timeout.
-    let timeout = sim.model.ctld_mut().config.stage_in_timeout;
-    let ev = sim.schedule_in(timeout, move |sim| stage_in_timed_out(sim, id));
-    sim.model.ctld_mut().job_mut(id).stage_timeout = ev;
+    submitted(sim, id, legs, refused);
+}
+
+/// Apply a phase's submission — `legs` submitted, `refused` not — arm a
+/// stage-in's timeout, then apply the completions its legs delivered
+/// while they were being submitted.
+fn submitted<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId, legs: Legs, refused: Vec<String>) {
+    let held = sim.model.ctld_mut().held.take().map(|(_, h)| h);
+    let event = Event::Submitted {
+        legs: legs.len(),
+        refused: refused.len(),
+    };
+    sim.model
+        .ctld_mut()
+        .job_mut(id)
+        .outstanding_stage
+        .extend(legs);
+    apply(sim, id, event, refused);
+    if sim.model.ctld_mut().job_mut(id).life.state == JobState::StagingIn {
+        let timeout = sim.model.ctld_mut().config.stage_in_timeout;
+        let ev = sim.schedule_in(timeout, move |sim| {
+            apply(sim, id, Event::StageInTimeout, Vec::new())
+        });
+        sim.model.ctld_mut().job_mut(id).stage_timeout = ev;
+    }
+    for completion in held.into_iter().flatten() {
+        handle_task_complete(sim, &completion);
+    }
 }
 
 /// Expand the job's stage-in directives into per-node NORNS tasks:
@@ -559,41 +619,18 @@ fn plan_stage_in<M: HasSlurm>(
     Ok(out)
 }
 
-fn stage_in_timed_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    let state = sim.model.ctld_mut().job(id).map(|j| j.state);
-    if state != Some(JobState::StagingIn) {
-        return;
-    }
-    // "the scheduler will terminate the job and clean up all data
-    // already staged to nodes" (§III).
-    cleanup_staged_destinations(sim, id);
-    terminate_job(sim, id, JobState::Cancelled, "stage-in timeout".to_string());
-}
-
-/// Remove everything the (now doomed) job already staged to node-local
-/// storage. In-flight transfers are cleaned when they complete (see
-/// [`handle_task_complete`]).
-fn cleanup_staged_destinations<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    let completed_dsts: Vec<(NodeId, String, String)> = {
-        let ctld = sim.model.ctld_mut();
-        let job = &ctld.jobs[&id.0];
-        let done: Vec<(NodeId, TaskId)> = ctld
-            .stage_dst
-            .iter()
-            .filter(|(key, (job_id, _, _))| *job_id == id && !job.outstanding_stage.contains(key))
-            .map(|(key, _)| *key)
-            .collect();
-        done.into_iter()
-            .map(|key| {
-                let (_, nsid, path) = ctld.stage_dst.remove(&key).unwrap();
-                (key.0, nsid, path)
-            })
-            .collect()
-    };
+/// Remove everything the (now doomed) job staged to node-local
+/// storage: through its urd while the job is registered, epilog-style
+/// once it is not (a leg whose cancel lost the race landed after the
+/// job ended).
+fn remove_landed<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
+    let landed = std::mem::take(&mut sim.model.ctld_mut().job_mut(id).landed);
     let tag = stage_tag(StagePurpose::Cleanup, id);
-    for (node, nsid, path) in completed_dsts {
+    for (node, nsid, path) in landed {
         let spec = TaskSpec::remove(ResourceRef::local(&nsid, &path));
-        let _ = nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag);
+        if nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag).is_err() {
+            force_remove(sim, node, &nsid, &path);
+        }
     }
 }
 
@@ -607,31 +644,15 @@ fn begin_compute<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
         let ctld = sim.model.ctld_mut();
         let job = ctld.job_mut(id);
         let ev = std::mem::replace(&mut job.stage_timeout, EventId::NONE);
-        job.state = JobState::Running;
         job.started = Some(now);
+        job.landed.clear();
         (ev, job.nodes.clone(), job.body)
     };
     sim.cancel(timeout_ev);
     emit(sim, JobEvent::Started { job: id, nodes });
     if let JobBody::Fixed(dur) = body {
-        sim.schedule_in(dur, move |sim| {
-            let state = sim.model.ctld_mut().job(id).map(|j| j.state);
-            if state == Some(JobState::Running) {
-                compute_done(sim, id);
-            }
-        });
+        sim.schedule_in(dur, move |sim| app_finished(sim, id, Ok(())));
     }
-}
-
-fn compute_done<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    let now = sim.now();
-    {
-        let ctld = sim.model.ctld_mut();
-        let job = ctld.job_mut(id);
-        job.compute_finished = Some(now);
-    }
-    apply_persist_directives(sim, id);
-    begin_stage_out(sim, id);
 }
 
 // ------------------------------------------------------------------ //
@@ -763,12 +784,16 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
 // Stage-out and completion
 // ------------------------------------------------------------------ //
 
+/// The body succeeded: apply its `persist` directives, then submit the
+/// stage-out legs; a refused one leaves its data for later recovery,
+/// as §III prescribes, and the rest are submitted.
 fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     let now = sim.now();
+    sim.model.ctld_mut().job_mut(id).compute_finished = Some(now);
+    apply_persist_directives(sim, id);
     let (directives, nodes, cred) = {
         let ctld = sim.model.ctld_mut();
         let job = ctld.job_mut(id);
-        job.state = JobState::StagingOut;
         job.stage_out_started = Some(now);
         (
             job.script.stage_out.clone(),
@@ -776,8 +801,8 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
             job.cred.clone(),
         )
     };
-    let mut submitted = 0;
-    let tag = stage_tag(StagePurpose::StageOut, id);
+    let (mut legs, mut refused) = (Vec::new(), Vec::new());
+    sim.model.ctld_mut().held = Some((id, Vec::new()));
     for d in directives {
         let (src_ns, src_path) =
             split_location(&d.origin).expect("directive locations are checked at submit");
@@ -803,39 +828,22 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
         for slot in slots {
             let node = nodes[slot.node_slot];
             let spec = TaskSpec::mv(local_ref(&slot.origin), local_ref(&slot.destination));
+            let tag = stage_tag(StagePurpose::StageOut, id);
             match nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag) {
-                Ok(task) => {
-                    sim.model
-                        .ctld_mut()
-                        .job_mut(id)
-                        .outstanding_stage
-                        .push((node, task));
-                    submitted += 1;
-                }
-                Err(e) => {
-                    // Leave data for later recovery, as §III prescribes.
-                    let ctld = sim.model.ctld_mut();
-                    ctld.job_mut(id)
-                        .leftover_stageout
-                        .push(format!("{} on node{node}: {e}", slot.origin));
-                }
+                Ok(task) => legs.push((node, task, None)),
+                Err(e) => refused.push(format!("{} on node{node}: {e}", slot.origin)),
             }
         }
     }
-    if submitted > 0 {
+    if !legs.is_empty() {
         emit(sim, JobEvent::StageOutStarted { job: id });
-    } else {
-        finish_job(sim, id);
     }
+    submitted(sim, id, legs, refused);
 }
 
 /// Cleanup of staged-in data on successful completion (skips persisted
 /// locations).
 fn cleanup_after_success<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    let do_cleanup = sim.model.ctld_mut().config.cleanup_stage_in;
-    if !do_cleanup {
-        return;
-    }
     let (dirs, nodes, wf) = {
         let ctld = sim.model.ctld_mut();
         let job = &ctld.jobs[&id.0];
@@ -877,95 +885,73 @@ fn cleanup_after_success<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     }
 }
 
-fn finish_job<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    cleanup_after_success(sim, id);
-    terminate_job(sim, id, JobState::Completed, String::new());
+/// Unregister from NORNS, returning the non-empty tracked dataspaces; a
+/// completed job first removes its stage-in data (the gap real mode
+/// does not share).
+fn unregister<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) -> Vec<(NodeId, Vec<String>)> {
+    let job = sim.model.ctld_mut().job_mut(id);
+    let (nodes, completed) = (job.nodes.clone(), job.life.state == JobState::Completed);
+    if completed {
+        cleanup_after_success(sim, id);
+    }
+    nops::unregister_job(sim, NornsJobId(id.0), &nodes).unwrap_or_default()
 }
 
-/// Common termination: release nodes, unregister from NORNS (tracked
-/// dataspace checks), log, and wake the scheduler + workflow
-/// successors.
-fn terminate_job<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId, state: JobState, reason: String) {
+/// The terminal event: release the nodes, log the end, and wake the
+/// scheduler.
+fn terminate<M: HasSlurm>(
+    sim: &mut Sim<M>,
+    id: SlurmJobId,
+    why: Option<&'static str>,
+    notes: &[String],
+    tracked: Vec<(NodeId, Vec<String>)>,
+) {
     let now = sim.now();
-    let nodes = {
-        let ctld = sim.model.ctld_mut();
-        let job = ctld.job_mut(id);
-        job.state = state;
-        job.finished = Some(now);
-        if !reason.is_empty() {
-            job.failure_reason = Some(reason.clone());
+    let reason = why.map(|why| match notes {
+        [] => why.to_string(),
+        _ => format!("{why}: {}", notes.join("; ")),
+    });
+    let ctld = sim.model.ctld_mut();
+    let job = ctld.job_mut(id);
+    job.finished = Some(now);
+    job.failure_reason = reason.clone();
+    let (state, leftovers, nodes) = (
+        job.life.state,
+        job.leftover_stageout.len(),
+        job.nodes.clone(),
+    );
+    for n in nodes {
+        if ctld.node_owner[n] == Some(id) {
+            ctld.node_owner[n] = None;
         }
-        let nodes = job.nodes.clone();
-        for &n in &nodes {
-            if ctld.node_owner[n] == Some(id) {
-                ctld.node_owner[n] = None;
-            }
-        }
-        ctld.queue.retain(|j| *j != id);
-        nodes
+    }
+    ctld.queue.retain(|j| *j != id);
+    let reason = reason.unwrap_or_default();
+    let event = match state {
+        JobState::Completed => JobEvent::Completed {
+            job: id,
+            leftovers,
+            tracked,
+        },
+        JobState::Failed => JobEvent::Failed { job: id, reason },
+        _ => JobEvent::Cancelled { job: id, reason },
     };
-    // Unregister from NORNS; surfaces non-empty tracked dataspaces.
-    let leftovers = nops::unregister_job(sim, NornsJobId(id.0), &nodes).unwrap_or_default();
-
-    match state {
-        JobState::Completed => emit(sim, JobEvent::Completed { job: id, leftovers }),
-        JobState::Failed => emit(sim, JobEvent::Failed { job: id, reason }),
-        JobState::Cancelled => emit(sim, JobEvent::Cancelled { job: id, reason }),
-        _ => unreachable!("terminate_job with non-terminal state"),
-    }
-
-    // Workflow bookkeeping.
-    if state != JobState::Completed {
-        cancel_downstream(sim, id);
-    }
+    emit(sim, event);
     kick(sim);
 }
 
-fn fail_job<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId, reason: String) {
-    cleanup_staged_destinations(sim, id);
-    terminate_job(sim, id, JobState::Failed, reason);
-}
-
 /// "If a workflow job fails; then all subsequent jobs are cancelled."
-fn cancel_downstream<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
-    let to_cancel: Vec<SlurmJobId> = {
-        let ctld = sim.model.ctld_mut();
-        let Some(wf) = ctld.jobs[&id.0].workflow else {
-            return;
-        };
-        if let Some(w) = ctld.workflows.get_mut(wf) {
-            w.failed = true;
-        }
-        let downstream = ctld
-            .workflows
-            .get(wf)
-            .map(|w| w.downstream_of(id))
-            .unwrap_or_default();
-        downstream
-            .into_iter()
-            .filter(|j| !ctld.jobs[&j.0].state.is_terminal())
-            .collect()
+fn cancel_dependents<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
+    let ctld = sim.model.ctld_mut();
+    let Some(w) = ctld.jobs[&id.0]
+        .workflow
+        .and_then(|wf| ctld.workflows.get_mut(wf))
+    else {
+        return;
     };
-    for j in to_cancel {
-        let now = sim.now();
-        let pending = {
-            let ctld = sim.model.ctld_mut();
-            let job = ctld.job_mut(j);
-            let was_pending = job.state == JobState::Pending;
-            job.state = JobState::Cancelled;
-            job.finished = Some(now);
-            was_pending
-        };
-        if pending {
-            sim.model.ctld_mut().queue.retain(|q| *q != j);
-        }
-        emit(
-            sim,
-            JobEvent::Cancelled {
-                job: j,
-                reason: "upstream workflow job failed".into(),
-            },
-        );
+    w.failed = true;
+    for j in w.downstream_of(id) {
+        apply(sim, j, Event::Deps { doomed: true }, Vec::new());
     }
 }
 
@@ -974,94 +960,50 @@ fn cancel_downstream<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
 // ------------------------------------------------------------------ //
 
 /// The embedding model's `on_task_complete` must call this; returns
-/// true when the completion belonged to a scheduler staging task.
+/// true when the completion belonged to a scheduler staging task. A
+/// staging leg's end is applied to its job.
 pub fn handle_task_complete<M: HasSlurm>(sim: &mut Sim<M>, completion: &TaskCompletion) -> bool {
     let Some((purpose, id)) = decode_stage_tag(completion.tag) else {
         return false;
     };
-    match purpose {
-        StagePurpose::Cleanup => true, // fire-and-forget
-        StagePurpose::StageIn => {
-            let (state, remaining, failed, dst) = {
-                let ctld = sim.model.ctld_mut();
-                let dst = ctld.stage_dst.remove(&(completion.node, completion.task));
-                let Some(job) = ctld.jobs.get_mut(&id.0) else {
-                    return true;
-                };
-                job.outstanding_stage
-                    .retain(|(n, t)| !(*n == completion.node && *t == completion.task));
-                (
-                    job.state,
-                    job.outstanding_stage.len(),
-                    completion.state != norns::TaskState::Finished,
-                    dst,
-                )
-            };
-            match state {
-                JobState::StagingIn => {
-                    if failed {
-                        let reason = format!(
-                            "stage-in failed: {}",
-                            completion
-                                .error
-                                .as_ref()
-                                .map(|e| e.to_string())
-                                .unwrap_or_else(|| "unknown".into())
-                        );
-                        fail_job(sim, id, reason);
-                    } else if remaining == 0 {
-                        let ev = {
-                            let ctld = sim.model.ctld_mut();
-                            std::mem::replace(&mut ctld.job_mut(id).stage_timeout, EventId::NONE)
-                        };
-                        sim.cancel(ev);
-                        begin_compute(sim, id);
-                    }
-                }
-                JobState::Cancelled | JobState::Failed
-                    // The job was killed while this transfer was in
-                    // flight. Its NORNS registration is already gone,
-                    // so clean up epilog-style: direct removal by the
-                    // node daemon with root credentials.
-                    if !failed => {
-                        if let Some((_, nsid, path)) = dst {
-                            force_remove(sim, completion.node, &nsid, &path);
-                        }
-                    }
-                _ => {}
-            }
-            true
+    let ctld = sim.model.ctld_mut();
+    match &mut ctld.held {
+        _ if purpose == StagePurpose::Cleanup => return true, // fire-and-forget
+        Some((held, completions)) if *held == id => {
+            completions.push(completion.clone());
+            return true;
         }
-        StagePurpose::StageOut => {
-            let remaining = {
-                let ctld = sim.model.ctld_mut();
-                let Some(job) = ctld.jobs.get_mut(&id.0) else {
-                    return true;
-                };
-                job.outstanding_stage
-                    .retain(|(n, t)| !(*n == completion.node && *t == completion.task));
-                if completion.state != norns::TaskState::Finished {
-                    // "leave the data on the node local resources for
-                    // future stage_out operations to try and recover"
-                    job.leftover_stageout.push(format!(
-                        "task {} on node{}: {}",
-                        completion.task.0,
-                        completion.node,
-                        completion
-                            .error
-                            .as_ref()
-                            .map(|e| e.to_string())
-                            .unwrap_or_else(|| "unknown".into())
-                    ));
-                }
-                job.outstanding_stage.len()
-            };
-            if remaining == 0 {
-                finish_job(sim, id);
-            }
-            true
-        }
+        _ => {}
     }
+    let Some(job) = ctld.jobs.get_mut(&id.0) else {
+        return true;
+    };
+    let key = (completion.node, completion.task);
+    let Some(pos) = job
+        .outstanding_stage
+        .iter()
+        .position(|(n, t, _)| (*n, *t) == key)
+    else {
+        return true;
+    };
+    let (node, task, dst) = job.outstanding_stage.remove(pos);
+    let ok = completion.state == norns::TaskState::Finished;
+    if let (true, Some((nsid, path))) = (ok, dst) {
+        job.landed.push((node, nsid, path));
+    }
+    let error = completion
+        .error
+        .as_ref()
+        .map_or_else(|| "unknown".into(), |e| e.to_string());
+    let note = match purpose {
+        // "leave the data on the node local resources for future
+        // stage_out operations to try and recover"
+        StagePurpose::StageOut => format!("task {} on node{node}: {error}", task.0),
+        _ => error,
+    };
+    let notes = if ok { Vec::new() } else { vec![note] };
+    apply(sim, id, Event::LegEnded { ok }, notes);
+    true
 }
 
 /// Epilog-style direct removal (slurmd cleaning a node with root

@@ -12,32 +12,9 @@ use crate::workflow::WorkflowId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlurmJobId(pub u64);
 
-/// Job lifecycle, extended with the staging phases of §III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Waiting in the queue (possibly on workflow dependencies).
-    Pending,
-    /// Nodes allocated, stage-in transfers running.
-    StagingIn,
-    /// Compute phase.
-    Running,
-    /// Compute done, stage-out transfers running.
-    StagingOut,
-    Completed,
-    Failed,
-    /// Cancelled because an upstream workflow job failed, or by the
-    /// stage-in timeout.
-    Cancelled,
-}
-
-impl JobState {
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Completed | JobState::Failed | JobState::Cancelled
-        )
-    }
-}
+/// Job lifecycle, extended with the staging phases of §III: the one
+/// table both worlds run, [`norns_flow::job`].
+pub use norns_flow::job::JobState;
 
 /// What the job's compute phase does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +22,8 @@ pub enum JobBody {
     /// The scheduler ends the compute phase after this wall time.
     Fixed(SimDuration),
     /// The embedding model drives the application (workload models);
-    /// it must call [`crate::ctld::app_finished`] when done.
+    /// it must call [`crate::ctld::app_finished`] when done, with the
+    /// application's result.
     External,
 }
 
@@ -81,6 +59,10 @@ pub fn decode_stage_tag(tag: u64) -> Option<(StagePurpose, SlurmJobId)> {
     Some((purpose, SlurmJobId(tag & ((1 << PURPOSE_SHIFT) - 1))))
 }
 
+/// Outstanding staging tasks: (node, task id, a stage-in leg's
+/// destination dataspace and path).
+pub type Legs = Vec<(NodeId, TaskId, Option<(String, String)>)>;
+
 /// One batch job as tracked by `slurmctld`.
 #[derive(Debug)]
 pub struct Job {
@@ -88,7 +70,8 @@ pub struct Job {
     pub script: JobScript,
     pub body: JobBody,
     pub cred: Cred,
-    pub state: JobState,
+    /// Its record in the one job lifecycle table.
+    pub life: norns_flow::job::Job,
     pub workflow: Option<WorkflowId>,
     pub submitted: SimTime,
     /// Nodes allocated (empty while pending).
@@ -99,8 +82,10 @@ pub struct Job {
     pub compute_finished: Option<SimTime>,
     pub stage_out_started: Option<SimTime>,
     pub finished: Option<SimTime>,
-    /// Outstanding staging tasks: (node, task id).
-    pub outstanding_stage: Vec<(NodeId, TaskId)>,
+    pub outstanding_stage: Legs,
+    /// Destinations its stage-in landed while it stages in: what a kill
+    /// removes.
+    pub landed: Vec<(NodeId, String, String)>,
     /// Stage-in timeout event (cancelled when staging completes).
     pub stage_timeout: EventId,
     /// Stage-out failures left data behind ("for future stage_out
@@ -122,7 +107,7 @@ impl Job {
             script,
             body,
             cred,
-            state: JobState::Pending,
+            life: norns_flow::job::Job::default(),
             workflow: None,
             submitted,
             nodes: Vec::new(),
@@ -132,6 +117,7 @@ impl Job {
             stage_out_started: None,
             finished: None,
             outstanding_stage: Vec::new(),
+            landed: Vec::new(),
             stage_timeout: EventId::NONE,
             leftover_stageout: Vec::new(),
             failure_reason: None,
@@ -208,14 +194,5 @@ mod tests {
         assert_eq!(job.compute_time(), Some(SimDuration::from_secs(10)));
         assert_eq!(job.stage_out_time(), Some(SimDuration::from_secs(3)));
         assert_eq!(job.turnaround(), Some(SimDuration::from_secs(21)));
-    }
-
-    #[test]
-    fn terminal_states() {
-        assert!(JobState::Completed.is_terminal());
-        assert!(JobState::Failed.is_terminal());
-        assert!(JobState::Cancelled.is_terminal());
-        assert!(!JobState::Running.is_terminal());
-        assert!(!JobState::StagingOut.is_terminal());
     }
 }

@@ -92,7 +92,7 @@ fn cred() -> Cred {
 }
 
 fn state_of(sim: &Sim<Model>, id: SlurmJobId) -> JobState {
-    sim.model.ctld.job(id).unwrap().state
+    sim.model.ctld.job(id).unwrap().life.state
 }
 
 fn put_pfs(sim: &mut Sim<Model>, path: &str, bytes: u64) {
@@ -156,7 +156,7 @@ fn stage_in_runs_before_compute_and_cleans_after() {
     );
     sim.run();
     assert_eq!(state_of(&sim, id), JobState::Completed);
-    // cleanup_stage_in removed the staged copies.
+    // The success cleanup (`cleanup_after_success`) removed the staged copies.
     assert!(!nvm_has(&sim, 0, "work/mesh.dat"));
     assert!(!nvm_has(&sim, 1, "work/mesh.dat"));
 }
@@ -342,7 +342,13 @@ fn stage_in_timeout_cancels_and_cleans() {
     assert_eq!(state_of(&sim, id), JobState::Cancelled);
     let job = sim.model.ctld.job(id).unwrap();
     assert_eq!(job.failure_reason.as_deref(), Some("stage-in timeout"));
-    // In-flight transfer finished eventually, then cleanup removed it.
+    // The in-flight pull was cancelled at the timeout, not left to run
+    // its 100 GiB, and it left nothing behind.
+    assert!(
+        sim.now() < SimTime::from_secs(1),
+        "the pull kept flowing until {}",
+        sim.now()
+    );
     assert!(!nvm_has(&sim, 0, "big"), "staged data must be cleaned up");
     assert_eq!(sim.model.ctld.free_nodes(), 1, "node returned to the pool");
 }

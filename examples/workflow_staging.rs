@@ -54,8 +54,10 @@ impl HasSlurm for Model {
             }
             JobEvent::Started { nodes, .. } => format!("{name}: compute on nodes {nodes:?}"),
             JobEvent::StageOutStarted { .. } => format!("{name}: stage-out"),
-            JobEvent::Completed { leftovers, .. } => {
-                format!("{name}: completed (leftover tracked data: {leftovers:?})")
+            JobEvent::Completed {
+                leftovers, tracked, ..
+            } => {
+                format!("{name}: completed ({leftovers} stage-out leftovers, tracked data: {tracked:?})")
             }
             JobEvent::Failed { reason, .. } => format!("{name}: FAILED ({reason})"),
             JobEvent::Cancelled { reason, .. } => format!("{name}: cancelled ({reason})"),

@@ -282,8 +282,11 @@ mod scatter_gather {
             slurm_sim::JobBody::Fixed(SimDuration::from_secs(60)),
         )
         .unwrap();
-        while sim.model.ctld.job(id).unwrap().state != JobState::Running && sim.step() {}
-        assert_eq!(sim.model.ctld.job(id).unwrap().state, JobState::Running);
+        while sim.model.ctld.job(id).unwrap().life.state != JobState::Running && sim.step() {}
+        assert_eq!(
+            sim.model.ctld.job(id).unwrap().life.state,
+            JobState::Running
+        );
         let t = sim.model.world.storage.resolve("pmdk0").unwrap();
         (0..NODES)
             .map(|n| {
@@ -326,15 +329,15 @@ mod scatter_gather {
     /// Two live daemons under an executor: node 0 hosts the shared
     /// `lustre` tier plus its node-local `pmdk0`, node 1 its own
     /// `pmdk0` (same nsid, own mount — the node-local pattern).
-    struct RealCluster {
+    pub(super) struct RealCluster {
         root: PathBuf,
         daemons: [UrdDaemon; 2],
-        exec: WorkflowExecutor,
-        lustre: PathBuf,
-        pmdk: [PathBuf; 2],
+        pub(super) exec: WorkflowExecutor,
+        pub(super) lustre: PathBuf,
+        pub(super) pmdk: [PathBuf; 2],
     }
 
-    fn real_cluster(tag: &str) -> RealCluster {
+    pub(super) fn real_cluster(tag: &str, config: FlowConfig) -> RealCluster {
         let root: PathBuf =
             std::env::temp_dir().join(format!("norns-diff-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -345,7 +348,7 @@ mod scatter_gather {
         register(&daemons[0], "lustre", &lustre);
         register(&daemons[0], "pmdk0", &pmdk[0]);
         register(&daemons[1], "pmdk0", &pmdk[1]);
-        let mut exec = WorkflowExecutor::new(FlowConfig::default());
+        let mut exec = WorkflowExecutor::new(config);
         for (name, daemon, dataspaces) in [
             ("n0", &daemons[0], vec!["lustre".into(), "pmdk0".into()]),
             ("n1", &daemons[1], vec!["pmdk0".into()]),
@@ -367,7 +370,7 @@ mod scatter_gather {
     }
 
     impl RealCluster {
-        fn shutdown(self) {
+        pub(super) fn shutdown(self) {
             drop(self.daemons);
             let _ = fs::remove_dir_all(&self.root);
         }
@@ -375,7 +378,7 @@ mod scatter_gather {
 
     /// The scatter workload against the two live daemons.
     fn real_placement() -> Vec<Vec<String>> {
-        let mut c = real_cluster("scatter");
+        let mut c = real_cluster("scatter", FlowConfig::default());
         fs::create_dir_all(c.lustre.join("case")).unwrap();
         for child in CHILDREN {
             fs::write(c.lustre.join("case").join(child), vec![7u8; 1 << 10]).unwrap();
@@ -444,7 +447,7 @@ mod scatter_gather {
             slurm_sim::JobBody::Fixed(SimDuration::from_secs(60)),
         )
         .unwrap();
-        while sim.model.ctld.job(id).unwrap().state != JobState::Running && sim.step() {}
+        while sim.model.ctld.job(id).unwrap().life.state != JobState::Running && sim.step() {}
         // The application: each node writes its own file.
         let pmdk = sim.model.world.storage.resolve("pmdk0").unwrap();
         for n in 0..NODES {
@@ -462,7 +465,7 @@ mod scatter_gather {
         }
         sim.run();
         let job = sim.model.ctld.job(id).unwrap();
-        assert_eq!(job.state, JobState::Completed);
+        assert_eq!(job.life.state, JobState::Completed);
         assert!(
             job.leftover_stageout.is_empty(),
             "{:?}",
@@ -489,7 +492,7 @@ mod scatter_gather {
     /// The same job on the two live daemons: node 0 moves its child
     /// locally, node 1 pushes its own; both are one `Move`.
     fn real_gather() -> (Vec<String>, bool) {
-        let mut c = real_cluster("gather");
+        let mut c = real_cluster("gather", FlowConfig::default());
         let mounts = c.pmdk.clone();
         let job = c
             .exec
@@ -539,6 +542,409 @@ mod scatter_gather {
         let (real, real_held) = real_gather();
         assert_eq!(real, sim, "real-mode gather must merge the same names");
         assert!(!real_held, "real-mode gather frees its sources");
+    }
+}
+
+/// The job-lifecycle differential: the same `#NORNS` scripts run on a
+/// simulated two-node cluster and on two live daemons under the
+/// executor, one row per §III rule. Both worlds step their jobs through
+/// the one table, `norns_flow::job::step`; for every job they must agree
+/// on the terminal state, the class of its reason, how many stage-out
+/// legs it left behind, and which of the row's locations remain. One
+/// row is the named gap: the simulator removes a completed job's
+/// non-persisted stage-in data, real mode keeps it.
+mod job_lifecycle {
+    use std::fs;
+    use std::time::Duration;
+
+    use norns::{HasNorns, NornsWorld, TaskCompletion};
+    use norns_flow::job::WHY;
+    use norns_flow::{FlowConfig, JobBody};
+    use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim, SimDuration};
+    use simstore::{Cred, Mode};
+    use slurm_sim::{submit_script, HasSlurm, JobEvent, JobState, SchedConfig, Slurmctld};
+
+    use super::scatter_gather::real_cluster;
+
+    /// What a job's body does: write these `pmdk0` paths on its node,
+    /// then succeed or fail.
+    struct Body {
+        writes: &'static [&'static str],
+        ok: bool,
+    }
+
+    const RUNS: Body = Body {
+        writes: &[],
+        ok: true,
+    };
+
+    /// One row: its scripts in submission order (one node each), what
+    /// each body does, the locations probed at the end, and whether the
+    /// stage-in must time out.
+    struct Row {
+        name: &'static str,
+        jobs: &'static [(&'static str, Body)],
+        probes: &'static [&'static str],
+        timeout: bool,
+    }
+
+    /// A job's verdict: its terminal state, the class of its reason,
+    /// and its stage-out leftovers.
+    type Verdict = (JobState, Option<&'static str>, usize);
+
+    fn class(reason: Option<&str>) -> Option<&'static str> {
+        let reason = reason?;
+        let class = WHY.iter().find(|w| reason.starts_with(**w));
+        Some(*class.unwrap_or_else(|| panic!("reason {reason:?} is in no class")))
+    }
+
+    const ROWS: &[Row] = &[
+        Row {
+            name: "happy 3-job chain",
+            jobs: &[
+                (
+                    "#SBATCH --job-name=a\n#SBATCH --workflow-start\n\
+                     #NORNS stage_in lustre://in.dat pmdk0://a/in.dat\n\
+                     #NORNS stage_out pmdk0://a/out.dat lustre://a.out\n",
+                    Body {
+                        writes: &["a/out.dat"],
+                        ok: true,
+                    },
+                ),
+                (
+                    "#SBATCH --job-name=b\n#SBATCH --workflow-prior-dependency=a\n\
+                     #NORNS stage_in lustre://a.out pmdk0://b/in.dat\n\
+                     #NORNS stage_out pmdk0://b/out.dat lustre://b.out\n",
+                    Body {
+                        writes: &["b/out.dat"],
+                        ok: true,
+                    },
+                ),
+                (
+                    "#SBATCH --job-name=c\n#SBATCH --workflow-end\n\
+                     #SBATCH --workflow-prior-dependency=b\n\
+                     #NORNS stage_in lustre://b.out pmdk0://c/in.dat\n\
+                     #NORNS stage_out pmdk0://c/out.dat lustre://c.out\n",
+                    Body {
+                        writes: &["c/out.dat"],
+                        ok: true,
+                    },
+                ),
+            ],
+            probes: &[
+                "lustre://a.out",
+                "lustre://b.out",
+                "lustre://c.out",
+                "pmdk0://c/out.dat",
+            ],
+            timeout: false,
+        },
+        Row {
+            name: "stage-in origin missing",
+            jobs: &[(
+                "#SBATCH --job-name=m\n\
+                 #NORNS stage_in lustre://in.dat pmdk0://m/in.dat\n\
+                 #NORNS stage_in lustre://ghost.dat pmdk0://m/ghost.dat\n",
+                RUNS,
+            )],
+            probes: &["pmdk0://m/in.dat", "pmdk0://m/ghost.dat"],
+            timeout: false,
+        },
+        Row {
+            name: "stage-in timeout",
+            jobs: &[(
+                "#SBATCH --job-name=t\n#NORNS stage_in lustre://big.dat pmdk0://t/big.dat\n",
+                RUNS,
+            )],
+            probes: &["pmdk0://t/big.dat"],
+            timeout: true,
+        },
+        Row {
+            name: "body failure",
+            jobs: &[(
+                "#SBATCH --job-name=f\n\
+                 #NORNS stage_in lustre://in.dat pmdk0://f/in.dat\n\
+                 #NORNS stage_out pmdk0://f/out.dat lustre://f.out\n",
+                Body {
+                    writes: &["f/out.dat"],
+                    ok: false,
+                },
+            )],
+            probes: &["pmdk0://f/in.dat", "pmdk0://f/out.dat", "lustre://f.out"],
+            timeout: false,
+        },
+        Row {
+            name: "stage-out with one failing leg and one good leg",
+            jobs: &[(
+                "#SBATCH --job-name=o\n\
+                 #NORNS stage_out pmdk0://o/good.dat lustre://o/good.dat\n\
+                 #NORNS stage_out pmdk0://o/bad.dat lustre://blocker/bad.dat\n",
+                Body {
+                    writes: &["o/good.dat", "o/bad.dat"],
+                    ok: true,
+                },
+            )],
+            probes: &[
+                "lustre://o/good.dat",
+                "pmdk0://o/good.dat",
+                "pmdk0://o/bad.dat",
+            ],
+            timeout: false,
+        },
+        Row {
+            name: "upstream failure cascading through a chain",
+            jobs: &[
+                (
+                    "#SBATCH --job-name=u1\n#SBATCH --workflow-start\n\
+                     #NORNS stage_in lustre://ghost.dat pmdk0://u/ghost.dat\n",
+                    RUNS,
+                ),
+                (
+                    "#SBATCH --job-name=u2\n#SBATCH --workflow-prior-dependency=u1\n",
+                    RUNS,
+                ),
+                (
+                    "#SBATCH --job-name=u3\n#SBATCH --workflow-end\n\
+                     #SBATCH --workflow-prior-dependency=u2\n",
+                    RUNS,
+                ),
+            ],
+            probes: &["pmdk0://u/ghost.dat"],
+            timeout: false,
+        },
+        Row {
+            name: "success-cleanup gap",
+            jobs: &[(
+                "#SBATCH --job-name=g\n#NORNS stage_in lustre://in.dat pmdk0://g/in.dat\n",
+                RUNS,
+            )],
+            probes: &["pmdk0://g/in.dat"],
+            timeout: false,
+        },
+    ];
+
+    /// The gap row's one probe: present in real mode only.
+    const GAP: &str = "success-cleanup gap";
+
+    struct Model {
+        world: NornsWorld,
+        ctld: Slurmctld,
+        bodies: Vec<(String, &'static Body)>,
+    }
+
+    impl FluidModel for Model {
+        fn fluid_mut(&mut self) -> &mut FluidSystem {
+            &mut self.world.fluid
+        }
+        fn on_flow_complete(sim: &mut Sim<Self>, done: CompletedFlow) {
+            norns::handle_flow_complete(sim, done);
+        }
+    }
+
+    impl HasNorns for Model {
+        fn norns_mut(&mut self) -> &mut NornsWorld {
+            &mut self.world
+        }
+        fn on_task_complete(sim: &mut Sim<Self>, completion: TaskCompletion) {
+            slurm_sim::handle_task_complete(sim, &completion);
+        }
+    }
+
+    impl HasSlurm for Model {
+        fn ctld_mut(&mut self) -> &mut Slurmctld {
+            &mut self.ctld
+        }
+        /// A started job's body writes its outputs on its node, and
+        /// ends a second later as the row says.
+        fn on_job_event(sim: &mut Sim<Self>, event: JobEvent) {
+            let JobEvent::Started { job, nodes } = event else {
+                return;
+            };
+            let name = &sim.model.ctld.job(job).unwrap().script.name;
+            let body = sim.model.bodies.iter().find(|(n, _)| n == name).unwrap().1;
+            let pmdk = sim.model.world.storage.resolve("pmdk0").unwrap();
+            for path in body.writes {
+                let ns = sim.model.world.storage.ns_mut(pmdk, Some(nodes[0]));
+                ns.write_file(path, 1 << 20, &Cred::new(1000, 1000), Mode(0o644))
+                    .unwrap();
+            }
+            let result = if body.ok {
+                Ok(())
+            } else {
+                Err("exit 1".into())
+            };
+            sim.schedule_in(SimDuration::from_secs(1), move |sim| {
+                slurm_sim::app_finished(sim, job, result)
+            });
+        }
+    }
+
+    fn sim_row(row: &'static Row) -> (Vec<Verdict>, Vec<bool>) {
+        let tb = cluster::nextgenio_quiet(2);
+        let stage_in_timeout = match row.timeout {
+            true => SimDuration::from_millis(1),
+            false => SchedConfig::default().stage_in_timeout,
+        };
+        let config = SchedConfig {
+            stage_in_timeout,
+            ..SchedConfig::default()
+        };
+        let ctld = Slurmctld::new(2, config);
+        let bodies = Vec::new();
+        let mut sim = Sim::new(
+            Model {
+                world: tb.world,
+                ctld,
+                bodies,
+            },
+            11,
+        );
+        let cred = Cred::new(1000, 1000);
+        for n in 0..2 {
+            norns::sim::ops::register_dataspace(&mut sim, n, "pmdk0", "pmdk0", false).unwrap();
+            norns::sim::ops::register_dataspace(&mut sim, n, "lustre", "lustre", false).unwrap();
+        }
+        let lustre = sim.model.world.storage.resolve("lustre").unwrap();
+        let shared = sim.model.world.storage.ns_mut(lustre, None);
+        shared
+            .write_file("in.dat", 1 << 20, &cred, Mode(0o644))
+            .unwrap();
+        shared
+            .write_file("big.dat", 1 << 30, &cred, Mode(0o644))
+            .unwrap();
+        shared.write_file("blocker", 1, &cred, Mode(0o644)).unwrap();
+        let ids: Vec<_> = row
+            .jobs
+            .iter()
+            .map(|(script, body)| {
+                let parsed = norns_flow::parse(script).unwrap();
+                sim.model.bodies.push((parsed.name, body));
+                submit_script(&mut sim, script, cred.clone(), slurm_sim::JobBody::External).unwrap()
+            })
+            .collect();
+        sim.run();
+        let verdicts = ids
+            .iter()
+            .map(|&id| {
+                let job = sim.model.ctld.job(id).unwrap();
+                let why = class(job.failure_reason.as_deref());
+                (job.life.state, why, job.leftover_stageout.len())
+            })
+            .collect();
+        let pmdk = sim.model.world.storage.resolve("pmdk0").unwrap();
+        let storage = &sim.model.world.storage;
+        let probes = row
+            .probes
+            .iter()
+            .map(|probe| match probe.split_once("://").unwrap() {
+                ("lustre", path) => storage.ns(lustre, None).exists(path),
+                (_, path) => (0..2).any(|n| storage.ns(pmdk, Some(n)).exists(path)),
+            })
+            .collect();
+        (verdicts, probes)
+    }
+
+    fn real_row(row: &'static Row) -> (Vec<Verdict>, Vec<bool>) {
+        let stage_in_timeout = match row.timeout {
+            true => Duration::ZERO,
+            false => FlowConfig::default().stage_in_timeout,
+        };
+        let config = FlowConfig {
+            stage_in_timeout,
+            ..FlowConfig::default()
+        };
+        let tag = format!("job-{}", row.name.split(' ').next().unwrap());
+        let mut c = real_cluster(&tag, config);
+        fs::write(c.lustre.join("in.dat"), vec![7u8; 1 << 10]).unwrap();
+        fs::write(c.lustre.join("big.dat"), vec![7u8; 1 << 10]).unwrap();
+        fs::write(c.lustre.join("blocker"), b"a file, not a directory").unwrap();
+        let ids: Vec<_> = row
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (script, body))| {
+                // The executor deals one-node jobs round-robin.
+                let mount = c.pmdk[i % 2].clone();
+                let (writes, ok) = (body.writes, body.ok);
+                let run = move || {
+                    for path in writes {
+                        let file = mount.join(path);
+                        fs::create_dir_all(file.parent().unwrap()).map_err(|e| e.to_string())?;
+                        fs::write(file, vec![7u8; 1 << 10]).map_err(|e| e.to_string())?;
+                    }
+                    if ok {
+                        Ok(())
+                    } else {
+                        Err("exit 1".into())
+                    }
+                };
+                c.exec.submit(script, JobBody::Run(Box::new(run))).unwrap()
+            })
+            .collect();
+        c.exec.run().unwrap();
+        let verdicts = ids
+            .iter()
+            .map(|&id| {
+                let state = c.exec.job_state(id).unwrap();
+                (state, class(c.exec.failure(id)), c.exec.leftovers(id).len())
+            })
+            .collect();
+        let probes = row
+            .probes
+            .iter()
+            .map(|probe| match probe.split_once("://").unwrap() {
+                ("lustre", path) => c.lustre.join(path).exists(),
+                (_, path) => c.pmdk.iter().any(|m| m.join(path).exists()),
+            })
+            .collect();
+        c.shutdown();
+        (verdicts, probes)
+    }
+
+    /// What each row must come to, in both worlds.
+    fn expected(row: &Row) -> (Vec<Verdict>, Vec<bool>) {
+        use JobState::{Cancelled, Completed, Failed};
+        let [upstream, _, stage_in, timeout, body] = WHY.map(Some);
+        match row.name {
+            "happy 3-job chain" => (vec![(Completed, None, 0); 3], vec![true, true, true, false]),
+            "stage-in origin missing" => (vec![(Failed, stage_in, 0)], vec![false, false]),
+            "stage-in timeout" => (vec![(Cancelled, timeout, 0)], vec![false]),
+            "body failure" => (vec![(Failed, body, 0)], vec![true, true, false]),
+            "stage-out with one failing leg and one good leg" => {
+                (vec![(Completed, None, 1)], vec![true, false, true])
+            }
+            "upstream failure cascading through a chain" => (
+                vec![
+                    (Failed, stage_in, 0),
+                    (Cancelled, upstream, 0),
+                    (Cancelled, upstream, 0),
+                ],
+                vec![false],
+            ),
+            GAP => (vec![(Completed, None, 0)], vec![false]),
+            other => panic!("no expectation for row {other:?}"),
+        }
+    }
+
+    #[test]
+    fn job_lifecycle_gives_every_row_the_same_verdict_in_both_worlds() {
+        for row in ROWS {
+            let (verdicts, probes) = expected(row);
+            let sim = sim_row(row);
+            assert_eq!(
+                sim,
+                (verdicts.clone(), probes.clone()),
+                "sim, row {:?}",
+                row.name
+            );
+            let real = real_row(row);
+            // The gap: real mode keeps a completed job's stage-in data.
+            let probes = match row.name {
+                GAP => vec![true],
+                _ => probes,
+            };
+            assert_eq!(real, (verdicts, probes), "real, row {:?}", row.name);
+        }
     }
 }
 

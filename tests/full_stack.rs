@@ -99,8 +99,8 @@ fn script_to_bytes_roundtrip() {
     sim.run();
     let p = sim.model.ctld.job(producer).unwrap();
     let c = sim.model.ctld.job(consumer).unwrap();
-    assert_eq!(p.state, JobState::Completed);
-    assert_eq!(c.state, JobState::Completed);
+    assert_eq!(p.life.state, JobState::Completed);
+    assert_eq!(c.life.state, JobState::Completed);
     // The consumer includes the producer's node (affinity) and pulled
     // a copy to its second node.
     assert!(c.nodes.contains(&p.nodes[0]));
@@ -160,13 +160,25 @@ fn node_local_aggregate_scales_but_pfs_does_not() {
     assert!(nvm_8 > pfs_8 * 5.0, "order-of-magnitude gap at scale");
 }
 
+/// A scratch directory, removed on drop: a run that panics cleans up
+/// too. Declared before the daemon it holds, so it drops after it.
+struct TempRoot(std::path::PathBuf);
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn wire_protocol_matches_real_daemon_behaviour() {
     // The same TaskSpec shape accepted by the simulated controller is
     // accepted by the real daemon over the wire.
-    let root = std::env::temp_dir().join(format!("norns-fullstack-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
+    let scratch =
+        TempRoot(std::env::temp_dir().join(format!("norns-fullstack-{}", std::process::id())));
+    let root = &scratch.0;
+    let _ = std::fs::remove_dir_all(root);
+    std::fs::create_dir_all(root).unwrap();
     let daemon =
         norns_ipc::UrdDaemon::spawn(norns_ipc::DaemonConfig::in_dir(root.join("s"))).unwrap();
     let mut ctl = norns_ipc::CtlClient::connect(&daemon.control_path).unwrap();
