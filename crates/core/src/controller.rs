@@ -446,6 +446,7 @@ mod tests {
             priority: norns_sched::DEFAULT_PRIORITY,
             input: ResourceRef::local("pmdk0", "x"),
             output: None,
+            durability: crate::task::Durability::LocalOnly,
         };
         assert!(matches!(
             c.validate(JobId(1), ApiSource::Control, &bad),
@@ -457,6 +458,7 @@ mod tests {
             priority: norns_sched::DEFAULT_PRIORITY,
             input: ResourceRef::local("pmdk0", "x"),
             output: Some(ResourceRef::local("pmdk0", "y")),
+            durability: crate::task::Durability::LocalOnly,
         };
         assert!(matches!(
             c.validate(JobId(1), ApiSource::Control, &bad),
@@ -468,6 +470,7 @@ mod tests {
             priority: norns_sched::DEFAULT_PRIORITY,
             input: ResourceRef::memory(10),
             output: None,
+            durability: crate::task::Durability::LocalOnly,
         };
         assert!(matches!(
             c.validate(JobId(1), ApiSource::Control, &bad),

@@ -59,4 +59,4 @@ pub use sim::{
     handle_flow_complete, HasNorns, NornsWorld, RpcOutcome, RpcReply, RpcRequest, TaskCompletion,
     WorldConfig,
 };
-pub use task::{JobId, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};
+pub use task::{Durability, JobId, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};

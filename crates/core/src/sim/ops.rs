@@ -29,9 +29,12 @@ use simstore::{Cred, IoDir, TierRef};
 
 use crate::controller::{ApiSource, DataspaceSpec, JobSpec};
 use crate::error::{NornsError, Result};
-use crate::sim::urd::{PlannedLeg, UrdStatus};
+use crate::plugins::PluginKind;
+use crate::resource::ResourceRef;
+use crate::sim::urd::{PlannedLeg, UrdStatus, REPLICA_JOB};
 use crate::sim::{app_tag, task_tag, HasNorns, RpcOutcome, RpcReply, RpcRequest};
-use crate::task::{JobId, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};
+use crate::task::{Durability, JobId, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};
+use norns_sched::durability::{self, Action, Op, Phase, Record, Route, Why};
 use norns_sched::lifecycle::{self, Answer, Event, Outcome, Role};
 
 // ---------------------------------------------------------------- //
@@ -163,6 +166,17 @@ pub fn submit_task<M: HasNorns>(
         return Err(NornsError::NotAccepting);
     }
     let (cred, plugin) = urd.controller.validate(job, source, &spec)?;
+    // Durability modes apply to a local stage-out alone, as the live
+    // daemon rules: the landed local output is what a replica pushes.
+    let local_out = matches!(spec.output, Some(ResourceRef::Local { .. }));
+    if spec.durability != Durability::LocalOnly && (!local_out || plugin.crosses_network()) {
+        return Err(NornsError::BadArgs(
+            "durability modes apply only to local stage-outs with a dataspace-path output".into(),
+        ));
+    }
+    // A `synchronous` stage-out makes one copy, the live daemon's
+    // default `target_copies`.
+    let durable = Record::new(spec.durability, Op::Copy, Route::LocalCopy, 1, 0);
     let id = urd.alloc_task_id();
     // Size estimate for size-aware arbitration policies: memory sizes
     // are declared; path sizes come from a best-effort stat (the real
@@ -186,6 +200,8 @@ pub fn submit_task<M: HasNorns>(
             cred,
             tag,
             life: lifecycle::admit(Role::Client).task,
+            durable,
+            parent: None,
             plugin,
             total_bytes: est,
             moved_bytes: 0,
@@ -387,70 +403,228 @@ pub(crate) fn task_flow_finished<M: HasNorns>(
     }
 }
 
+/// The end of a task's run: a run that landed writes its output
+/// (a removal removes its input) and goes through the durability
+/// table; one that failed, was cancelled or cannot land ends as it is.
 fn complete_task<M: HasNorns>(
     sim: &mut Sim<M>,
     node: NodeId,
     task: TaskId,
     error: Option<NornsError>,
 ) {
-    let now = sim.now();
-    // Apply namespace effects on success.
-    let (spec, cred, job, plugin, charged) = {
-        let rec = sim.model.norns_mut().urds[node]
-            .task(task)
-            .expect("completing task");
-        (
-            rec.spec.clone(),
-            rec.cred.clone(),
-            rec.job,
-            rec.plugin,
-            rec.charged.clone(),
-        )
-    };
-    let error = match error {
-        Some(e) => Some(e),
-        None => {
-            let world = sim.model.norns_mut();
-            super::plan::apply_effects(world, node, job, &spec, &cred).err()
-        }
-    };
-    // On failure, release any quota charged at plan time.
-    if error.is_some() {
-        if let Some((cnode, nsid, bytes)) = &charged {
-            let world = sim.model.norns_mut();
-            world.urds[*cnode].controller.release(job, nsid, *bytes);
+    let error = error.or_else(|| {
+        let world = sim.model.norns_mut();
+        let rec = world.urds[node].task(task).expect("completing task");
+        let (spec, cred, job) = (rec.spec.clone(), rec.cred.clone(), rec.job);
+        super::plan::land(world, node, job, &spec, &cred).err()
+    });
+    match error {
+        None => durable(sim, node, task, durability::Event::Landed, None),
+        Some(e) => end_task(sim, node, task, Event::End(Outcome::Failed), Some(e)),
+    }
+}
+
+/// The one durability apply site of the simulated urd: `event` through
+/// `norns_sched::durability::step` on the task's record — a landing
+/// first takes its op, route and peers — and the table's actions
+/// carried out in order: the source freed from its namespace, replicas
+/// spawned as internal push tasks, the ACK or the failure as the
+/// lifecycle's end. A source that cannot be freed fails the task in
+/// place of what the table said next.
+fn durable<M: HasNorns>(
+    sim: &mut Sim<M>,
+    node: NodeId,
+    task: TaskId,
+    event: durability::Event,
+    failure: Option<NornsError>,
+) {
+    let landed = event == durability::Event::Landed;
+    let world = sim.model.norns_mut();
+    let rec = world.urds[node].task(task).expect("durable task");
+    let (spec, cred, job) = (rec.spec.clone(), rec.cred.clone(), rec.job);
+    let landing = landed.then(|| super::plan::landing(world, node, &spec, rec.plugin));
+    let urd = &mut world.urds[node];
+    let peers = urd.peers.clone();
+    let rec = urd.task_mut(task).expect("durable task");
+    if let Some(landing) = landing {
+        (rec.durable.op, rec.durable.route) = landing;
+        if rec.durable.mode != Durability::LocalOnly {
+            rec.durable.peers = peers.len().min(usize::from(u8::MAX)) as u8;
         }
     }
+    // The first replica failure, kept until the verdict.
+    rec.error = rec.error.take().or(failure);
+    let next = durability::step(rec.durable, event);
+    rec.durable = next.record;
+    let awaiting = matches!(next.record.phase, Phase::Awaiting { .. });
+    if landed && awaiting {
+        // Off its worker, awaiting its replicas: they report to it.
+        rec.life = lifecycle::step(rec.life, Event::End(Outcome::Done { awaiting: true })).task;
+        urd.queue.finish();
+        sim.schedule_now(move |sim| maybe_dispatch(sim, node));
+    }
+    let mut verdict = None;
+    for action in next.actions.iter() {
+        match action {
+            Action::FreeSource => {
+                let world = sim.model.norns_mut();
+                if let Err(e) = super::plan::free_source(world, node, job, &spec, &cred) {
+                    verdict = Some(Err(e));
+                    break;
+                }
+            }
+            Action::Spawn(n) => {
+                for &peer in peers.iter().take(usize::from(n)) {
+                    spawn_replica(sim, node, task, peer, awaiting);
+                }
+            }
+            Action::Ack => verdict = Some(Ok(())),
+            Action::Fail(why @ Why::NoPeer) => {
+                verdict = Some(Err(NornsError::NotFound(why.message().into())));
+            }
+            Action::Fail(why @ Why::ReplicaFailed) => {
+                let rec = sim.model.norns_mut().urds[node].task_mut(task);
+                let first = rec.and_then(|r| r.error.take());
+                let detail =
+                    first.map_or_else(|| "replica ended unlanded".into(), |e| e.to_string());
+                let message = format!("{}: {detail}", why.message());
+                verdict = Some(Err(NornsError::TaskError(message)));
+            }
+        }
+    }
+    let Some(verdict) = verdict else { return };
+    let event = match (landed, &verdict) {
+        (true, Ok(())) => Event::End(Outcome::Done { awaiting: false }),
+        (true, Err(_)) => Event::End(Outcome::Failed),
+        (false, verdict) => Event::Durable {
+            ok: verdict.is_ok(),
+        },
+    };
+    end_task(sim, node, task, event, verdict.err());
+}
 
-    let completion = {
+/// Enqueue one replica of a landed stage-out: an internal push task
+/// owned by [`REPLICA_JOB`], from the landed `nsid://path` to the
+/// peer's same-named dataspace — a `simcore` flow like any other push
+/// — reporting its end to `parent` if it `reports` (a `synchronous`
+/// stage-out awaits it). It runs when the urd next dispatches.
+fn spawn_replica<M: HasNorns>(
+    sim: &mut Sim<M>,
+    node: NodeId,
+    parent: TaskId,
+    peer: NodeId,
+    reports: bool,
+) {
+    let now = sim.now();
+    let urd = &mut sim.model.norns_mut().urds[node];
+    let rec = urd.task(parent).expect("replicated task");
+    let Some(ResourceRef::Local { nsid, path }) = rec.spec.output.clone() else {
+        unreachable!("a durable stage-out lands on a local path")
+    };
+    let spec = TaskSpec::copy(
+        ResourceRef::local(&nsid, &path),
+        ResourceRef::remote(peer, nsid, path),
+    )
+    .with_priority(rec.spec.priority);
+    let (cred, bytes) = (rec.cred.clone(), rec.moved_bytes);
+    let id = urd.alloc_task_id();
+    urd.queue
+        .enqueue(id, REPLICA_JOB, bytes, spec.priority, now);
+    urd.pending_replicas += 1;
+    urd.tasks.insert(
+        id,
+        super::urd::TaskRecord {
+            id,
+            job: REPLICA_JOB,
+            spec,
+            cred,
+            tag: 0,
+            life: lifecycle::admit(Role::Replica).task,
+            durable: Record::new(Durability::LocalOnly, Op::Copy, Route::Push, 0, 0),
+            parent: reports.then_some(parent),
+            plugin: PluginKind::LocalToRemote,
+            total_bytes: bytes,
+            moved_bytes: 0,
+            submitted: now,
+            started: None,
+            finished: None,
+            error: None,
+            charged: None,
+            exec: Default::default(),
+        },
+    );
+}
+
+/// A task's terminal transition (`event`, `error` its failure): the
+/// lifecycle's end, its quota released on failure, its worker slot
+/// freed if it still held one, and its completion told — to the model
+/// for a client's task, to the stage-out a replica reports to.
+fn end_task<M: HasNorns>(
+    sim: &mut Sim<M>,
+    node: NodeId,
+    task: TaskId,
+    event: Event,
+    error: Option<NornsError>,
+) {
+    let now = sim.now();
+    // On failure, release any quota charged at plan time.
+    if error.is_some() {
+        let world = sim.model.norns_mut();
+        let rec = world.urds[node].task(task).expect("completing task");
+        if let (job, Some((cnode, nsid, bytes))) = (rec.job, rec.charged.clone()) {
+            world.urds[cnode].controller.release(job, &nsid, bytes);
+        }
+    }
+    let ran = matches!(event, Event::End(_));
+    let (completion, report) = {
         let urd = &mut sim.model.norns_mut().urds[node];
-        let (elapsed, counts) = {
+        let (elapsed, next, plugin) = {
             let rec = urd.task_mut(task).expect("completing task");
             rec.finished = Some(now);
-            let outcome = match error {
-                Some(_) => Outcome::Failed,
-                None => Outcome::Done { awaiting: 0 },
-            };
-            let next = lifecycle::step(rec.life, Event::End(outcome));
+            let next = lifecycle::step(rec.life, event);
             rec.life = next.task;
             rec.error = error.clone();
-            (rec.started.map(|s| now - s), next.counts)
+            (rec.started.map(|s| now - s), next, rec.plugin)
         };
-        if error.is_none() {
+        if error.is_none() && ran {
             if let Some(elapsed) = elapsed {
                 let bytes = urd.task(task).map(|r| r.moved_bytes).unwrap_or(0);
                 urd.eta.observe(plugin, bytes, elapsed);
             }
         }
-        urd.queue.finish();
-        urd.count(counts);
-        urd.task(task)
-            .expect("completing task")
-            .completion(node, error)
+        if ran {
+            urd.queue.finish();
+        }
+        urd.count(next.counts);
+        if next.to_parent.is_some() {
+            urd.pending_replicas -= 1;
+        }
+        let rec = urd.task(task).expect("completing task");
+        let report = next.to_parent.map(|landed| (rec.parent, landed));
+        (rec.completion(node, error), report)
     };
-    M::on_task_complete(sim, completion);
-    // Flatten recursion: dispatch follow-up work on a fresh event.
-    sim.schedule_now(move |sim| maybe_dispatch(sim, node));
+    match report {
+        None => M::on_task_complete(sim, completion),
+        Some((Some(parent), landed)) => {
+            let event = durability::Event::ReplicaEnded { ok: landed };
+            durable(sim, node, parent, event, completion.error);
+        }
+        Some((None, _)) => {}
+    }
+    if ran {
+        // Flatten recursion: dispatch follow-up work on a fresh event.
+        sim.schedule_now(move |sim| maybe_dispatch(sim, node));
+    }
+}
+
+/// Register `peer` as a replication target of the urd on `node` (the
+/// daemon's `RegisterPeer`): a durable stage-out there replicates to
+/// its same-named dataspace on `peer`.
+pub fn register_peer<M: HasNorns>(sim: &mut Sim<M>, node: NodeId, peer: NodeId) {
+    let peers = &mut sim.model.norns_mut().urds[node].peers;
+    if !peers.contains(&peer) {
+        peers.push(peer);
+    }
 }
 
 // ---------------------------------------------------------------- //

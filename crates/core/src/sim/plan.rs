@@ -16,9 +16,10 @@ use simstore::{Cred, IoDir, IoShard, TierRef};
 use crate::error::{NornsError, Result};
 use crate::plugins::PluginKind;
 use crate::resource::ResourceRef;
-use crate::sim::urd::PlannedLeg;
+use crate::sim::urd::{PlannedLeg, REPLICA_JOB};
 use crate::sim::{HasNorns, NornsWorld};
-use crate::task::{JobId, TaskId, TaskOp};
+use crate::task::{JobId, TaskId, TaskOp, TaskSpec};
+use norns_sched::durability::{Op, Route};
 
 /// A resolved path-based task side.
 #[derive(Debug, Clone)]
@@ -292,7 +293,8 @@ pub(crate) fn build<M: HasNorns>(
     }
 }
 
-/// Charge the destination quota for the job at plan time.
+/// Charge the destination quota for the job at plan time; the
+/// daemon's own replicas are charged to nobody.
 fn charge_dst(
     world: &mut NornsWorld,
     job: JobId,
@@ -309,14 +311,47 @@ fn charge_dst(
             available: ns.available(),
         });
     }
+    if job == REPLICA_JOB {
+        return Ok(None);
+    }
     world.urds[dst.node]
         .controller
         .charge(job, &dst.nsid, bytes)?;
     Ok(Some((dst.node, dst.nsid.clone(), bytes)))
 }
 
-/// Apply the namespace effects of a successfully transferred task.
-pub(crate) fn apply_effects(
+/// The op and route of a landed task, as the durability table reads
+/// them: a `Move` between two dataspaces on one namespace is a rename.
+pub(crate) fn landing(
+    world: &NornsWorld,
+    node: NodeId,
+    spec: &TaskSpec,
+    plugin: PluginKind,
+) -> (Op, Route) {
+    let op = match spec.op {
+        TaskOp::Move => Op::Move,
+        _ => Op::Copy,
+    };
+    let route = match plugin {
+        PluginKind::LocalToRemote | PluginKind::MemoryToRemote => Route::Push,
+        PluginKind::RemoteToLocal | PluginKind::RemoteToMemory => Route::Pull,
+        PluginKind::LocalToLocal if op == Op::Move => {
+            let side = |r: Option<&ResourceRef>| r.and_then(|r| resolve_side(world, node, r).ok());
+            match (side(Some(&spec.input)), side(spec.output.as_ref())) {
+                (Some(src), Some(dst)) if src.tier == dst.tier && src.node == dst.node => {
+                    Route::Rename
+                }
+                _ => Route::LocalCopy,
+            }
+        }
+        _ => Route::LocalCopy,
+    };
+    (op, route)
+}
+
+/// Land a successfully transferred task's bytes: write its output, or
+/// — a removal — remove its input.
+pub(crate) fn land(
     world: &mut NornsWorld,
     node: NodeId,
     job: JobId,
@@ -347,9 +382,23 @@ pub(crate) fn apply_effects(
             ns.write_file(&target, *size, cred, simstore::Mode(0o644))?;
         }
     }
-    // A `Move` or `Remove` frees its input; a moved memory region stays
-    // the caller's.
-    if spec.op != TaskOp::Copy && !spec.input.is_memory() {
+    match spec.op {
+        TaskOp::Remove => free_source(world, node, job, spec, cred),
+        _ => Ok(()),
+    }
+}
+
+/// Free a task's input — a removal's whole effect, and a landed
+/// `Move`'s source when the durability table says `FreeSource`; a
+/// moved memory region stays the caller's.
+pub(crate) fn free_source(
+    world: &mut NornsWorld,
+    node: NodeId,
+    job: JobId,
+    spec: &crate::task::TaskSpec,
+    cred: &Cred,
+) -> Result<()> {
+    if !spec.input.is_memory() {
         let src = resolve_side(world, node, &spec.input)?;
         let src_node = ns_node(world, src.tier, src.node);
         let freed = world

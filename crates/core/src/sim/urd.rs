@@ -18,7 +18,12 @@ use crate::plugins::PluginKind;
 use crate::queue::TaskQueue;
 use crate::sim::TaskCompletion;
 use crate::task::{JobId, TaskId, TaskSpec, TaskStats};
+use norns_sched::durability::Record;
 use norns_sched::lifecycle::{Counts, Task};
+
+/// The job key of the daemon's own replica pushes, as the live engine's
+/// `REPLICA_OWNER`: no client job can have it.
+pub const REPLICA_JOB: JobId = JobId(u64::MAX);
 
 /// One leg of a planned transfer (built by `sim::plan`).
 #[derive(Debug, Clone)]
@@ -54,6 +59,11 @@ pub struct TaskRecord {
     pub tag: u64,
     /// Its lifecycle record, stepped by the table both worlds run.
     pub life: Task,
+    /// Its durability record, stepped by the durability table both
+    /// worlds run once it lands.
+    pub durable: Record,
+    /// A replica's `synchronous` stage-out, which its end reports to.
+    pub parent: Option<TaskId>,
     pub plugin: PluginKind,
     pub total_bytes: u64,
     pub moved_bytes: u64,
@@ -122,6 +132,12 @@ pub struct SimUrd {
     /// Mean request-processing time of the accept thread (deserialize,
     /// validate, create descriptor, enqueue, respond).
     pub request_service_mean: SimDuration,
+    /// Replication peers, in registration order (the live daemon's
+    /// peer registry).
+    pub(crate) peers: Vec<NodeId>,
+    /// Replica pushes spawned and not yet ended (the live daemon's
+    /// `pending_replicas`).
+    pub pending_replicas: u64,
 }
 
 impl SimUrd {
@@ -139,6 +155,8 @@ impl SimUrd {
             rpc_pending_svc: Vec::new(),
             rpc_tick: EventId::NONE,
             request_service_mean: SimDuration::from_micros(22),
+            peers: Vec::new(),
+            pending_replicas: 0,
         }
     }
 

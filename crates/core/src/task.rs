@@ -15,6 +15,10 @@ pub struct JobId(pub u64);
 /// `iotask_init`'s operations (paper Table I), shared with the admission table.
 pub use norns_sched::shape::TaskOp;
 
+/// When a stage-out ACKs and frees its source, decided by the one
+/// durability table both worlds run (the v8 wire's modes).
+pub use norns_sched::durability::Mode as Durability;
+
 /// Lifecycle of a task inside urd: pending queue → worker → completion
 /// list (paper Fig. 3), decided by the one table both worlds run.
 pub use norns_sched::lifecycle::TaskState;
@@ -28,6 +32,9 @@ pub struct TaskSpec {
     pub priority: u8,
     pub input: ResourceRef,
     pub output: Option<ResourceRef>,
+    /// A local stage-out's durability mode; anything else is
+    /// `LocalOnly`.
+    pub durability: Durability,
 }
 
 impl TaskSpec {
@@ -37,6 +44,7 @@ impl TaskSpec {
             priority: norns_sched::DEFAULT_PRIORITY,
             input,
             output: Some(output),
+            durability: Durability::LocalOnly,
         }
     }
 
@@ -46,6 +54,7 @@ impl TaskSpec {
             priority: norns_sched::DEFAULT_PRIORITY,
             input,
             output: Some(output),
+            durability: Durability::LocalOnly,
         }
     }
 
@@ -55,11 +64,17 @@ impl TaskSpec {
             priority: norns_sched::DEFAULT_PRIORITY,
             input,
             output: None,
+            durability: Durability::LocalOnly,
         }
     }
 
     pub fn with_priority(mut self, priority: u8) -> Self {
         self.priority = priority;
+        self
+    }
+
+    pub fn with_durability(mut self, durability: Durability) -> Self {
+        self.durability = durability;
         self
     }
 }

@@ -43,12 +43,10 @@
 //!   ends share a filesystem; and a per-task atomic advances
 //!   `bytes_moved` live.
 //!
-//!   A `Move` has one rule on every route: its source is freed only
-//!   after every byte has landed, and a Move that fails or is
-//!   cancelled keeps its source. Locally that is the rename, or the
-//!   copy and then the unlink; across nodes the mover's `finish`
-//!   frees it — a push unlinks its local source once the last `Store`
-//!   is acknowledged, a pull `Discard`s the peer's.
+//!   A `Move` frees its source when the durability table says, never
+//!   before every byte has landed, and one that fails or is cancelled
+//!   keeps it: a rename frees it by landing; after a copy the spent
+//!   mover unlinks it, or `Discard`s a pulled one on the peer.
 //! * [`remote`] — both halves of the TCP data plane. Tasks whose
 //!   input or output is a [`ResourceDesc::RemotePath`] route through
 //!   the peer registry (`RemotePath.host` → data-plane TCP address)
@@ -58,8 +56,9 @@
 //!   workers run its units — with the same live progress atomic and
 //!   mid-stream cancel; the peer answers them from its `DataServer`,
 //!   which the daemon hands every accepted data-plane connection.
-//! * [`replication`] — the v8 durability modes: replica pushes behind
-//!   a landed stage-out, each task's part kept in its own entry.
+//! * [`replication`] — the v8 durability modes: the one durability
+//!   table applied where a task lands, replica pushes behind it, each
+//!   task's part kept in its own entry.
 //!
 //! Task arbitration is shared with the simulated urd via
 //! [`norns_sched::Scheduler`] behind a mutex+condvar; the pending set
@@ -101,6 +100,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use norns_proto::{
     DaemonStatus, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats,
 };
+use norns_sched::durability;
 use norns_sched::lifecycle::{self, Abort, Answer, Counts, Event, Next, Outcome, Role};
 use norns_sched::shape::{self, names_root, Kind, Plugin, Refusal, Shape};
 use norns_sched::{
@@ -115,9 +115,9 @@ pub(crate) use remote::DataServer;
 
 use registry::Registry;
 use remote::RemoteTransfer;
-use replication::{ReplRequest, ReplRole};
+use replication::ReplRole;
 use shard::{ShardedTaskTable, TaskEntry};
-use transfer::{open_landing, with_parent, Chain, End, LocalCopy, PlanOutcome, Step};
+use transfer::{open_landing, with_parent, Chain, End, LocalCopy, PlanOutcome, Spent, Step};
 
 /// Default bound on the pending task set.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -590,15 +590,8 @@ impl Engine {
         let replicate =
             match (&spec.output, spec.durability) {
                 (_, Durability::LocalOnly) => None,
-                (Some(ResourceDesc::PosixPath { nsid, path }), durability)
-                    if !plugin.crosses_network() =>
-                {
-                    Some(ReplRole::Requested(ReplRequest {
-                        synchronous: durability == Durability::Synchronous,
-                        nsid: nsid.clone(),
-                        path: path.clone(),
-                        priority: spec.priority,
-                    }))
+                (Some(ResourceDesc::PosixPath { nsid, path }), _) if !plugin.crosses_network() => {
+                    Some(ReplRole::stage(&spec, nsid, path, self.target_copies))
                 }
                 _ => return Err(EngineError::bad_args(
                     "durability modes apply only to local stage-outs with a dataspace-path output",
@@ -891,43 +884,36 @@ impl Engine {
             let runs = self.step(t, Event::Dispatch).answer == Answer::Ok;
             runs.then(|| (Arc::clone(&t.progress), Arc::clone(&t.abort)))
         });
+        let ended = |outcome| {
+            let spent = Spent::Nothing;
+            Step::End(End {
+                task_id,
+                outcome,
+                spent,
+            })
+        };
         let Some((progress, abort)) = runs.flatten() else {
-            let outcome = PlanOutcome::Cancelled;
-            return Step::End(End { task_id, outcome });
+            return ended(PlanOutcome::Cancelled);
         };
         self.run_transfer(task_id, plugin, spec, payload, &progress, &abort)
-            .unwrap_or_else(|e| {
-                let outcome = PlanOutcome::Failed(e);
-                Step::End(End { task_id, outcome })
-            })
+            .unwrap_or_else(|e| ended(PlanOutcome::Failed(e)))
     }
 
     /// The end of a task a worker ran — its dispatch ended, or shutdown
-    /// found its chain's unit queued. A landed stage-out with a
-    /// replication request spawns its background replicas here — and
-    /// in `synchronous` mode it awaits them, so the caller's ACK can
-    /// never precede the durability guarantee.
+    /// found its chain's unit queued. A landing goes through the
+    /// durability table (`Engine::durable`), so the caller's ACK can
+    /// never precede the durability guarantee; a failed or cancelled
+    /// run landed nothing, and ends as it is.
     fn end_task(&self, end: End) {
-        let End { task_id, outcome } = end;
-        let request = self.tasks.update(task_id, |t| match t.replicate {
-            Some(ReplRole::Requested(_)) => t.replicate.take(),
-            _ => None,
-        });
-        match (request.flatten(), outcome) {
-            (Some(ReplRole::Requested(req)), PlanOutcome::Done(moved)) => {
-                self.begin_replication(task_id, req, moved)
-            }
-            // Failed or cancelled local leg: nothing landed to
-            // replicate — the task resolves on its own outcome.
-            (_, outcome) => self.finish_task(task_id, outcome, 0),
-        }
-    }
-
-    /// End a task's run with `outcome` — a landed `synchronous`
-    /// stage-out awaiting `awaiting` replicas — as the lifecycle says.
-    fn finish_task(&self, task_id: u64, outcome: PlanOutcome, awaiting: u8) {
+        let End {
+            task_id,
+            outcome,
+            spent,
+        } = end;
         let (end, failure) = match outcome {
-            PlanOutcome::Done(_) => (Outcome::Done { awaiting }, None),
+            PlanOutcome::Done(moved) => {
+                return self.durable(task_id, durability::Event::Landed, spent, moved, None)
+            }
             PlanOutcome::Failed(e) => (Outcome::Failed, Some(e)),
             PlanOutcome::Cancelled => (Outcome::Cancelled, None),
         };
@@ -1010,9 +996,13 @@ impl Engine {
         progress: &Arc<AtomicU64>,
         abort: &Arc<AtomicBool>,
     ) -> Result<Step, EngineError> {
-        let done = |moved| {
+        let done = |moved, spent| {
             let outcome = PlanOutcome::Done(moved);
-            Ok(Step::End(End { task_id, outcome }))
+            Ok(Step::End(End {
+                task_id,
+                outcome,
+                spent,
+            }))
         };
         let output = || {
             spec.output
@@ -1029,14 +1019,14 @@ impl Engine {
                 } else {
                     fs::remove_file(&path)?;
                 }
-                return done(0);
+                return done(0, Spent::Nothing);
             }
             Plugin::MemoryToLocal => {
                 let buf = payload.unwrap_or(&[]);
                 let len = buf.len() as u64;
                 open_landing(&self.resolve(output()?)?, len, None)?.write_all(buf)?;
                 progress.fetch_add(len, Ordering::Relaxed);
-                return done(len);
+                return done(len, Spent::Nothing);
             }
             Plugin::LocalToLocal => {
                 let (src, dst) = (self.resolve(&spec.input)?, self.resolve(output()?)?);
@@ -1050,7 +1040,7 @@ impl Engine {
                         Ok(()) => {
                             let moved = if meta.is_file() { meta.len() } else { 0 };
                             progress.fetch_add(moved, Ordering::Relaxed);
-                            return done(moved);
+                            return done(moved, Spent::Renamed);
                         }
                         // Across filesystems a move is a copy, then a delete.
                         Err(e) if e.kind() == io::ErrorKind::CrossesDevices => {}

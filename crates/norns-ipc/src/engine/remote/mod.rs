@@ -61,11 +61,12 @@
 //! range moves, here for a pull, on the peer's `Prepare` for a push;
 //! a failed or cancelled pull removes the local destination it
 //! created, a failed or cancelled push asks the peer to discard
-//! the partial remote file. A `Move` frees its source in the same
-//! place, once every range has landed: a push unlinks its local
-//! source, a pull asks the peer to `Discard` its own — the one remote
-//! removal, [`RemoteTransfer::discard`], both ends' cleanups share;
-//! a Move that fails or is cancelled keeps its source whole. A peer's
+//! the partial remote file. A landed `Move` frees its source when the
+//! durability table says (`RangeMover::free_source`, at once on these
+//! routes): a push unlinks its local source, a pull asks the peer to
+//! `Discard` its own — the one remote removal,
+//! [`RemoteTransfer::discard`], both ends' cleanups share; a Move that
+//! fails or is cancelled keeps its source whole. A peer's
 //! `Error` is an answer — it ends the
 //! transfer with the peer's code, over a connection that stays good. A
 //! *connection* that fails, if it came out of the cache or has been
@@ -84,6 +85,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use norns_proto::{DataRequest, DataResponse, ErrorCode, TaskOp, MAX_DATA_RANGE};
+use norns_sched::durability::{Op, Route};
 use norns_sched::shape::Plugin;
 
 use super::error::EngineError;
@@ -139,7 +141,7 @@ pub(crate) enum Direction {
 /// A remote staging transfer decomposed into chunk sub-units: its two
 /// ends, and the connection between them.
 pub(crate) struct RemoteTransfer {
-    /// `Copy` or `Move`: a Move frees its source in `finish`.
+    /// `Copy` or `Move`: a Move's source is freed by `free_source`.
     op: TaskOp,
     ends: Ends,
     conn: HeldConn,
@@ -348,20 +350,40 @@ impl RangeMover for RemoteTransfer {
 
     /// Remove what an interrupted transfer left behind — the pull's
     /// local destination, or (best-effort) the push's
-    /// partial remote one — or free a landed `Move`'s source.
+    /// partial remote one.
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
         match (landed, self.ends.direction) {
+            (true, _) => {}
             (false, Direction::Pull) => {
                 let _ = fs::remove_file(&self.ends.local_path);
             }
             (false, Direction::Push) => {
                 let _ = self.discard();
             }
-            (true, _) if self.op != TaskOp::Move => {}
-            (true, Direction::Push) => fs::remove_file(&self.ends.local_path)?,
-            (true, Direction::Pull) => self.discard()?,
         }
         Ok(())
+    }
+
+    fn landing(&self) -> (Op, Route) {
+        let op = if self.op == TaskOp::Move {
+            Op::Move
+        } else {
+            Op::Copy
+        };
+        match self.ends.direction {
+            Direction::Push => (op, Route::Push),
+            Direction::Pull => (op, Route::Pull),
+        }
+    }
+
+    /// A pushed `Move` unlinks its local source; a pulled one
+    /// `Discard`s the peer's, over the transfer's own connection.
+    fn free_source(&mut self) -> Result<(), EngineError> {
+        match (self.op, self.ends.direction) {
+            (TaskOp::Move, Direction::Push) => Ok(fs::remove_file(&self.ends.local_path)?),
+            (TaskOp::Move, Direction::Pull) => self.discard(),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -1404,16 +1426,19 @@ mod tests {
                 Event::Dispatch,
                 Event::Plan,
                 Event::Commit,
-                Event::End(Outcome::Done { awaiting: 0 }),
+                Event::End(Outcome::Done { awaiting: false }),
             ];
             const AWAITS: [Event; 4] = [
                 Event::Dispatch,
                 Event::Plan,
                 Event::Commit,
-                Event::End(Outcome::Done { awaiting: 1 }),
+                Event::End(Outcome::Done { awaiting: true }),
             ];
             match self {
-                Kind::Write => &[Event::Dispatch, Event::End(Outcome::Done { awaiting: 0 })],
+                Kind::Write => &[
+                    Event::Dispatch,
+                    Event::End(Outcome::Done { awaiting: false }),
+                ],
                 Kind::Copy | Kind::Replica => &LANDS,
                 Kind::Durable => &AWAITS,
                 Kind::Held | Kind::Silent => &[Event::Dispatch, Event::Plan],
@@ -1423,7 +1448,7 @@ mod tests {
         /// The events once a pinned task is let go.
         fn released(self) -> &'static [Event] {
             match self {
-                Kind::Held => &[Event::Commit, Event::End(Outcome::Done { awaiting: 0 })],
+                Kind::Held => &[Event::Commit, Event::End(Outcome::Done { awaiting: false })],
                 _ => &[Event::End(Outcome::Failed)],
             }
         }
@@ -1501,8 +1526,9 @@ mod tests {
         counts.running += next.counts.running;
         counts.completed += next.counts.completed;
         counts.cancelled += next.counts.cancelled;
-        if let (Some(told), Some(parent)) = (next.to_parent, live[i].parent) {
-            apply(live, parent, counts, told);
+        // A parent's one replica: its end is the durability verdict.
+        if let (Some(landed), Some(parent)) = (next.to_parent, live[i].parent) {
+            apply(live, parent, counts, Event::Durable { ok: landed });
         }
         next
     }

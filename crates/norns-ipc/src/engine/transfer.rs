@@ -64,6 +64,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use norns_proto::{ErrorCode, TaskOp};
+use norns_sched::durability::{Op, Route};
 
 use super::error::EngineError;
 
@@ -560,6 +561,14 @@ pub(crate) trait RangeMover: Send {
     /// Terminal side effects: commit a transfer whose every range
     /// `landed`, or remove what an interrupted one left behind.
     fn finish(&mut self, landed: bool) -> Result<(), EngineError>;
+    /// A landing's op and route, as the durability table reads them.
+    fn landing(&self) -> (Op, Route) {
+        (Op::Copy, Route::LocalCopy)
+    }
+    /// Free a landed `Move`'s source, on the table's `FreeSource`.
+    fn free_source(&mut self) -> Result<(), EngineError> {
+        Ok(())
+    }
 }
 
 /// A transfer decomposed into scheduler sub-units (a local copy or
@@ -594,11 +603,31 @@ pub(crate) enum Step {
     End(End),
 }
 
-/// A chain's end — spent, failed or cancelled, its mover finished: the
-/// task's terminal transition.
+/// A run's end — a chain spent, failed or cancelled, its mover
+/// finished, or a task that ran whole — and what it landed with.
 pub(crate) struct End {
     pub task_id: u64,
     pub outcome: PlanOutcome,
+    pub spent: Spent,
+}
+
+/// What a landing leaves for the durability table: nothing (a removal,
+/// a memory write, a run that did not land), a rename (its source went
+/// with it), or a chain's spent mover, which frees a `Move`'s source.
+pub(crate) enum Spent {
+    Nothing,
+    Renamed,
+    Mover(Box<dyn RangeMover>),
+}
+
+impl Spent {
+    pub fn landing(&self) -> (Op, Route) {
+        match self {
+            Spent::Nothing => (Op::Copy, Route::LocalCopy),
+            Spent::Renamed => (Op::Move, Route::Rename),
+            Spent::Mover(mover) => mover.landing(),
+        }
+    }
 }
 
 impl Chain {
@@ -676,9 +705,14 @@ impl Chain {
             (Err(e), None) => PlanOutcome::Failed(e),
             (Ok(()), None) => PlanOutcome::Done(self.progress.load(Ordering::Relaxed)),
         };
+        let spent = match outcome {
+            PlanOutcome::Done(_) => Spent::Mover(self.mover),
+            _ => Spent::Nothing,
+        };
         End {
             task_id: self.task_id,
             outcome,
+            spent,
         }
     }
 }
@@ -690,7 +724,7 @@ impl Chain {
 /// its last byte: one destination inode, one writer (module docs).
 #[derive(Default)]
 pub(crate) struct LocalCopy {
-    /// A `Move`'s source, freed once every leaf landed.
+    /// A `Move`'s source, freed when the durability table says.
     frees: Option<PathBuf>,
     /// The input is a directory.
     tree: bool,
@@ -849,10 +883,10 @@ impl RangeMover for LocalCopy {
         Ok(())
     }
 
-    /// Landed: give each leaf its source's permissions, make the links
-    /// and free a `Move`'s source, file or tree. Interrupted: remove
-    /// every file the copy created or emptied — a preallocated or
-    /// half-written one would pass for staged data.
+    /// Landed: give each leaf its source's permissions and make the
+    /// links. Interrupted: remove every file the copy created or
+    /// emptied — a preallocated or half-written one would pass for
+    /// staged data.
     fn finish(&mut self, landed: bool) -> Result<(), EngineError> {
         let written = self.next + usize::from(self.open.take().is_some());
         if !landed {
@@ -870,6 +904,19 @@ impl RangeMover for LocalCopy {
             }
             with_parent(dst, |dst| std::os::unix::fs::symlink(target, dst))?;
         }
+        Ok(())
+    }
+
+    fn landing(&self) -> (Op, Route) {
+        let op = if self.frees.is_some() {
+            Op::Move
+        } else {
+            Op::Copy
+        };
+        (op, Route::LocalCopy)
+    }
+
+    fn free_source(&mut self) -> Result<(), EngineError> {
         match &self.frees {
             Some(src) if self.tree => fs::remove_dir_all(src)?,
             Some(src) => fs::remove_file(src)?,

@@ -386,3 +386,164 @@ fn durability_on_non_stage_out_is_rejected() {
         other => panic!("remove durability = {other:?}"),
     }
 }
+
+/// A TCP relay to `upstream` that holds every byte sent towards it
+/// until `open` is called; `arrived` yields once per connection it
+/// accepted.
+struct Gate {
+    addr: std::net::SocketAddr,
+    arrived: std::sync::mpsc::Receiver<()>,
+    open: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+}
+
+impl Gate {
+    fn new(upstream: std::net::SocketAddr) -> Gate {
+        use std::net::{TcpListener, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tell, arrived) = std::sync::mpsc::channel();
+        let open = std::sync::Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let gate = std::sync::Arc::clone(&open);
+        std::thread::spawn(move || {
+            for client in listener.incoming() {
+                let Ok(client) = client else { return };
+                let server = TcpStream::connect(upstream).unwrap();
+                let (mut down_from, mut down_to) =
+                    (server.try_clone().unwrap(), client.try_clone().unwrap());
+                std::thread::spawn(move || std::io::copy(&mut down_from, &mut down_to));
+                let (mut up_from, mut up_to) = (client, server);
+                let gate = std::sync::Arc::clone(&gate);
+                let _ = tell.send(());
+                std::thread::spawn(move || {
+                    let (lock, cv) = &*gate;
+                    let _open = cv.wait_while(lock.lock().unwrap(), |open| !*open).unwrap();
+                    let _ = std::io::copy(&mut up_from, &mut up_to);
+                    let _ = up_to.shutdown(std::net::Shutdown::Write);
+                });
+            }
+        });
+        Gate {
+            addr,
+            arrived,
+            open,
+        }
+    }
+
+    fn open(&self) {
+        let (lock, cv) = &*self.open;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+}
+
+/// A directory removed with everything in it on drop.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A `synchronous` Move across filesystems — its source on tmpfs
+/// (`/dev/shm`), its destination on the scratch filesystem — is a copy,
+/// and frees its source only once its replica has landed: the source is
+/// still there while the replica is held on its way to the peer, gone
+/// once it lands, and kept for good when the peer refuses the replica,
+/// which fails the task.
+#[test]
+fn synchronous_cross_filesystem_move_frees_its_source_after_its_replica() {
+    use std::os::unix::fs::MetadataExt;
+    let shm = std::path::Path::new("/dev/shm");
+    if !shm.is_dir() {
+        eprintln!("note: no /dev/shm here; the cross-filesystem Move is not checked");
+        return;
+    }
+    let root = Scratch(temp_root("xfs-move"));
+    let fast = Scratch(shm.join(format!("norns-repl-xfs-move-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&fast.0);
+    std::fs::create_dir_all(&fast.0).unwrap();
+    let dev = |p: &std::path::Path| std::fs::metadata(p).unwrap().dev();
+    if dev(&fast.0) == dev(&root.0) {
+        eprintln!("note: /dev/shm and the scratch directory share a filesystem; not checked");
+        return;
+    }
+    let register_src = |ctl: &mut CtlClient, name: &str| {
+        let mount = fast.0.join(name);
+        ctl.register_dataspace(DataspaceDesc {
+            nsid: "src".into(),
+            kind: BackendKind::Tmpfs,
+            mount: mount.to_string_lossy().into_owned(),
+            quota: 0,
+            tracked: false,
+        })
+        .unwrap();
+        mount
+    };
+    let move_out = |path: &str| {
+        TaskSpec::new(
+            TaskOp::Move,
+            ResourceDesc::PosixPath {
+                nsid: "src".into(),
+                path: "out.dat".into(),
+            },
+            Some(ResourceDesc::PosixPath {
+                nsid: "ds0".into(),
+                path: path.into(),
+            }),
+        )
+        .with_durability(Durability::Synchronous)
+    };
+    let data = pattern(2 << 20);
+
+    // A peer behind a gate: the replica is held until the gate opens.
+    let config = |name: &str| DaemonConfig::in_dir(root.0.join(name).join("sockets"));
+    let (_origin, mut ctl, mount) = start_node(&root.0, "origin", config("origin"));
+    let (peer, _ctl_peer, peer_mount) = start_node(&root.0, "peer", config("peer"));
+    let gate = Gate::new(peer.data_addr().unwrap());
+    ctl.register_peer("peer", &gate.addr.to_string()).unwrap();
+    let src = register_src(&mut ctl, "origin");
+    std::fs::write(src.join("out.dat"), &data).unwrap();
+    let task = ctl.submit(1, move_out("out/moved.dat"), None).unwrap();
+    gate.arrived
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the replica reaches the peer");
+    assert_eq!(ctl.query(task).unwrap().state, TaskState::InProgress);
+    assert_eq!(std::fs::read(mount.join("out/moved.dat")).unwrap(), data);
+    assert!(
+        src.join("out.dat").exists(),
+        "the source must stay while its only other copy is unconfirmed"
+    );
+    gate.open();
+    let stats = ctl.wait(task, 0).unwrap();
+    assert_eq!(stats.state, TaskState::Finished);
+    assert_eq!(
+        std::fs::read(peer_mount.join("out/moved.dat")).unwrap(),
+        data
+    );
+    assert!(
+        !src.join("out.dat").exists(),
+        "the replica landed: the source is freed"
+    );
+
+    // A peer that refuses the replica: it has no `ds0`.
+    let (_lone, mut ctl_lone, lone_mount) = start_node(&root.0, "lone", config("lone"));
+    let refuser = UrdDaemon::spawn(config("refuser").with_data_addr("127.0.0.1:0")).unwrap();
+    ctl_lone
+        .register_peer("refuser", &refuser.data_addr().unwrap().to_string())
+        .unwrap();
+    let src = register_src(&mut ctl_lone, "lone");
+    std::fs::write(src.join("out.dat"), &data).unwrap();
+    let task = ctl_lone.submit(1, move_out("out/kept.dat"), None).unwrap();
+    let stats = ctl_lone.wait(task, 0).unwrap();
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    assert_eq!(
+        std::fs::read(src.join("out.dat")).unwrap(),
+        data,
+        "a failed replica keeps the source"
+    );
+    assert!(
+        lone_mount.join("out/kept.dat").exists(),
+        "the local leg still landed"
+    );
+}

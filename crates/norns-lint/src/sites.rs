@@ -44,6 +44,7 @@ const ENGINE: &str = "crates/norns-ipc/src/engine";
 const REMOTE: &str = "crates/norns-ipc/src/engine/remote";
 const FLOW: &str = "crates/norns-flow/src";
 const SLURM: &str = "crates/slurm-sim/src";
+const CORE: &str = "crates/core/src";
 
 #[rustfmt::skip]
 pub const ROWS: &[Row] = &[
@@ -77,6 +78,15 @@ pub const ROWS: &[Row] = &[
           reason: "a job's state is what the lifecycle table returns, never set by hand" },
     Row { id: "job-copies", paths: &[FLOW, SLURM], check: Retired(&["fn abandon_stage_out", "fn cancel_downstream", "enum FlowJobState"]),
           reason: "the simulator and the executor ran hand-written copies of the job lifecycle; both run the one table" },
+
+    // Durability: one table both worlds run.
+    Row { id: "durability-apply", paths: &[IPC, CORE], check: Calls(&["durability::step"], &["Engine::durable", "ops::durable"]),
+          reason: "when a stage-out ACKs, replicates and frees its source is decided where a world applies `norns_sched::durability::step`" },
+    Row { id: "source-free", paths: &[IPC, CORE], check: Calls(&["free_source"], &["Engine::durable", "ops::durable", "plan::land"]),
+          reason: "a `Move`'s source is freed on the durability table's `FreeSource`, never inside a mover's `finish`" },
+    Row { id: "durability-copies", paths: &[IPC, "crates/norns-sched/src"],
+          check: Retired(&["fn begin_replication", "ReplRequest", "fn finish_task", "replica_failed", "Event::Replica"]),
+          reason: "the engine and the lifecycle kept hand-written copies of the durability rule; both worlds run the one table" },
 
     // The data plane.
     Row { id: "socket-tuning", paths: &[REMOTE], check: Calls(&["set_nodelay", "set_read_timeout", "set_write_timeout"], &["conn::tune"]),

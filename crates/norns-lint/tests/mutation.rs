@@ -205,6 +205,12 @@ const REINTRODUCED: &[(&str, &str, &str)] = &[
      "fn f(j: &mut JobRec) { j.life.state = JobState::Failed; }"),
     ("job-copies", "crates/slurm-sim/src/ctld.rs",
      "#[cfg(test)] mod m { fn cancel_downstream() {} }"),
+    ("durability-apply", "crates/core/src/sim/ops.rs",
+     "fn f(r: Record) -> Next { durability::step(r, Event::Landed) }"),
+    ("source-free", "crates/norns-ipc/src/engine/transfer.rs",
+     "fn finish(&mut self, landed: bool) { self.free_source(); }"),
+    ("durability-copies", "crates/norns-ipc/src/engine/replication.rs",
+     "#[cfg(test)] mod m { fn begin_replication() {} }"),
     ("socket-tuning", "crates/norns-ipc/src/engine/remote/server.rs",
      "fn f(s: &TcpStream) { s.set_nodelay(true); }"),
     ("sendfile", "crates/norns-ipc/src/engine/remote/mod.rs",

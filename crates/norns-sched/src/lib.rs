@@ -18,9 +18,11 @@
 //! the submission timestamp `S` (simulated time on the sim path,
 //! microseconds-since-start on the real path); policies only inspect
 //! sizes, priorities, job keys and submission order, so one policy
-//! serves both worlds — as one admission table ([`shape`]) and one
-//! task lifecycle ([`lifecycle`]) do.
+//! serves both worlds — as one admission table ([`shape`]), one task
+//! lifecycle ([`lifecycle`]) and one durability rule ([`durability`])
+//! do.
 
+pub mod durability;
 pub mod lifecycle;
 pub mod shape;
 

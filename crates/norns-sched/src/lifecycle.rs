@@ -14,13 +14,13 @@
 //!   at once, a running chain at its end, which can then no longer
 //!   commit — and a refused cancel changes nothing. A running task
 //!   without an abort point (a removal, a memory write, a rename, a
-//!   chain that has given its point back to commit, a `synchronous`
-//!   parent awaiting its replicas) refuses it;
+//!   chain that has given its point back to commit, a landed task
+//!   awaiting its durability verdict) refuses it;
 //! * `pending`/`running` count every task, `completed`/`cancelled`
 //!   only a client's: a replica never moves a client counter.
 
-/// Where a task is: queued, on a worker (or a `synchronous` parent
-/// awaiting its replicas), or one of the three ends.
+/// Where a task is: queued, on a worker (or landed and awaiting its
+/// durability verdict), or one of the three ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskState {
     Pending,
@@ -69,10 +69,10 @@ pub struct Facts {
     /// A worker has touched the task.
     pub started: bool,
     pub abort: Abort,
-    /// Replicas a `synchronous` parent still awaits (0: not awaiting),
-    /// and whether one of those it had failed.
-    pub awaiting: u8,
-    pub replica_failed: bool,
+    /// Landed, and awaiting the durability table's verdict
+    /// (`norns_sched::durability`): a `synchronous` stage-out whose
+    /// replicas are out. The table keeps their count.
+    pub awaiting: bool,
 }
 
 /// A task's lifecycle record.
@@ -85,10 +85,10 @@ pub struct Task {
 /// How a task's run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
-    /// Every byte landed; a `synchronous` stage-out now awaits this
-    /// many replicas (0: none, it is done).
+    /// Every byte landed; `awaiting`: the durability table has not
+    /// given its verdict yet.
     Done {
-        awaiting: u8,
+        awaiting: bool,
     },
     Failed,
     Cancelled,
@@ -106,9 +106,10 @@ pub enum Event {
     Commit,
     /// The task's run ended: a chain's end, or a task that ran whole.
     End(Outcome),
-    /// One of a `synchronous` parent's replicas ended.
-    Replica {
-        landed: bool,
+    /// The durability table's verdict on a task awaiting it: ACKed
+    /// (`ok`) or failed.
+    Durable {
+        ok: bool,
     },
     Cancel,
     /// The pool stopped with the task still queued.
@@ -148,9 +149,9 @@ pub struct Next {
     pub counts: Counts,
     /// This is the terminal transition: answer every parked wait.
     pub settles: bool,
-    /// What a replica's terminal transition tells a `synchronous`
-    /// parent awaiting it.
-    pub to_parent: Option<Event>,
+    /// What a replica's terminal transition tells the stage-out it
+    /// replicates: whether it landed.
+    pub to_parent: Option<bool>,
 }
 
 /// An admitted task: pending, counted as such.
@@ -188,24 +189,24 @@ pub fn step(task: Task, event: Event) -> Next {
         },
         (Pending, Event::Cancel) => task.ends(Cancelled, Answer::Ok),
         (Pending, Event::Shutdown) => task.ends(Cancelled, Answer::None),
-        (InProgress, Event::Plan) if facts.abort == Abort::None && facts.awaiting == 0 => {
+        (InProgress, Event::Plan) if facts.abort == Abort::None && !facts.awaiting => {
             task.runs(|f| f.abort = Abort::Held).stays(Answer::None)
         }
         (InProgress, Event::Commit) if facts.abort == Abort::Raised => {
             task.stays(Answer::Refused("cancelled"))
         }
         (InProgress, Event::Commit) => task.runs(|f| f.abort = Abort::None).stays(Answer::Ok),
-        // A parent awaiting its replicas ends by their events alone.
-        (InProgress, Event::End(_)) if facts.awaiting > 0 => task.stays(Answer::None),
+        // A task awaiting its durability verdict ends by it alone.
+        (InProgress, Event::End(_)) if facts.awaiting => task.stays(Answer::None),
         (InProgress, Event::End(_)) if facts.abort == Abort::Raised => {
             task.ends(Cancelled, Answer::None)
         }
-        (InProgress, Event::End(Outcome::Done { awaiting })) if awaiting > 0 => {
+        (InProgress, Event::End(Outcome::Done { awaiting: true })) => {
             let role = facts.role;
             let facts = Facts {
                 role,
                 started: true,
-                awaiting,
+                awaiting: true,
                 ..Facts::default()
             };
             Task { state, facts }.stays(Answer::None)
@@ -213,16 +214,11 @@ pub fn step(task: Task, event: Event) -> Next {
         (InProgress, Event::End(Outcome::Done { .. })) => task.ends(Finished, Answer::None),
         (InProgress, Event::End(Outcome::Failed)) => task.ends(FinishedWithError, Answer::None),
         (InProgress, Event::End(Outcome::Cancelled)) => task.ends(Cancelled, Answer::None),
-        (InProgress, Event::Replica { landed }) if facts.awaiting > 0 => {
-            let left = task.runs(|f| {
-                f.awaiting -= 1;
-                f.replica_failed |= !landed;
-            });
-            match (left.facts.awaiting, left.facts.replica_failed) {
-                (1.., _) => left.stays(Answer::None),
-                (0, false) => left.ends(Finished, Answer::None),
-                (0, true) => left.ends(FinishedWithError, Answer::None),
-            }
+        (InProgress, Event::Durable { ok: true }) if facts.awaiting => {
+            task.ends(Finished, Answer::None)
+        }
+        (InProgress, Event::Durable { ok: false }) if facts.awaiting => {
+            task.ends(FinishedWithError, Answer::None)
         }
         (InProgress, Event::Cancel) => match facts.abort {
             Abort::Held => task.runs(|f| f.abort = Abort::Raised).stays(Answer::Ok),
@@ -280,7 +276,7 @@ impl Task {
                 cancelled: client * i8::from(cancelled),
             },
             settles: true,
-            to_parent: (role == Role::Replica).then_some(Event::Replica { landed }),
+            to_parent: (role == Role::Replica).then_some(landed),
         }
     }
 }
@@ -292,17 +288,16 @@ mod tests {
 
     /// Every event the check drives, outcomes and replica counts
     /// included.
-    const EVENTS: [Event; 13] = [
+    const EVENTS: [Event; 12] = [
         Event::Dispatch,
         Event::Plan,
         Event::Commit,
-        Event::End(Outcome::Done { awaiting: 0 }),
-        Event::End(Outcome::Done { awaiting: 1 }),
-        Event::End(Outcome::Done { awaiting: 2 }),
+        Event::End(Outcome::Done { awaiting: false }),
+        Event::End(Outcome::Done { awaiting: true }),
         Event::End(Outcome::Failed),
         Event::End(Outcome::Cancelled),
-        Event::Replica { landed: true },
-        Event::Replica { landed: false },
+        Event::Durable { ok: true },
+        Event::Durable { ok: false },
         Event::Cancel,
         Event::Shutdown,
         Event::Wait,
@@ -384,7 +379,7 @@ mod tests {
             return Err(why("a replica moved a client counter"));
         }
         let landed = next.task.state == TaskState::Finished;
-        let told = (replica && next.settles).then_some(Event::Replica { landed });
+        let told = (replica && next.settles).then_some(landed);
         if next.to_parent != told {
             return Err(why("a parent told other than once, at its replica's end"));
         }
@@ -475,11 +470,11 @@ mod tests {
         next
     }
 
-    /// Mutation fixture: a `synchronous` parent awaiting its replicas
-    /// accepts a cancel, and then ends as its replicas say.
+    /// Mutation fixture: a task awaiting its durability verdict accepts
+    /// a cancel, and then ends as the verdict says.
     fn awaiting_parent_accepts_a_cancel(task: Task, event: Event) -> Next {
         match event {
-            Event::Cancel if task.facts.awaiting > 0 => task.stays(Answer::Ok),
+            Event::Cancel if task.facts.awaiting => task.stays(Answer::Ok),
             _ => step(task, event),
         }
     }
@@ -532,9 +527,10 @@ mod tests {
         assert_eq!(answers[3], Answer::Refused("cancelled"));
     }
 
-    /// A replica cancelled from the control socket fails its
-    /// `synchronous` parent; a `local_plus_one` copy's cancel tells
-    /// nobody (its replica has no parent to settle).
+    /// A replica cancelled from the control socket tells its stage-out
+    /// it did not land — the durability table then fails a
+    /// `synchronous` one — and a task awaiting its verdict refuses a
+    /// cancel.
     #[test]
     fn a_cancelled_replica_fails_its_synchronous_parent() {
         use Event::*;
@@ -543,17 +539,22 @@ mod tests {
         let ended = step(replica, End(Outcome::Cancelled));
         assert_eq!(ended.task.state, TaskState::Cancelled);
         assert_eq!(ended.counts.cancelled, 0, "no client cancelled anything");
-        let told = ended.to_parent.unwrap();
-        assert_eq!(told, Replica { landed: false });
+        assert_eq!(ended.to_parent, Some(false));
         let (parent, _) = run(
             Role::Client,
-            &[Dispatch, Plan, Commit, End(Outcome::Done { awaiting: 1 })],
+            &[
+                Dispatch,
+                Plan,
+                Commit,
+                End(Outcome::Done { awaiting: true }),
+            ],
         );
         assert_eq!(parent.state, TaskState::InProgress);
         assert_eq!(
             step(parent, Cancel).answer,
             Answer::Refused("already running")
         );
-        assert_eq!(step(parent, told).task.state, TaskState::FinishedWithError);
+        let failed = step(parent, Durable { ok: false });
+        assert_eq!(failed.task.state, TaskState::FinishedWithError);
     }
 }

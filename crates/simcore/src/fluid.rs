@@ -256,46 +256,41 @@ impl FluidNetwork {
         if self.flows.is_empty() {
             return;
         }
-        // Working state, indexed by slab key.
+        // Working state, indexed by slab slot (`Key::index`): the
+        // unfrozen flows in key order, and how many cross each resource.
         let flow_keys: Vec<FlowId> = self.flows.iter().map(|(k, _)| k).collect();
-        let mut frozen: std::collections::HashMap<FlowId, bool> =
-            flow_keys.iter().map(|k| (*k, false)).collect();
-        let mut rate: std::collections::HashMap<FlowId, f64> =
-            flow_keys.iter().map(|k| (*k, 0.0)).collect();
-
-        let res_keys: Vec<ResourceId> = self.resources.iter().map(|(k, _)| k).collect();
-        let mut remaining_cap: std::collections::HashMap<ResourceId, f64> = res_keys
+        let flow_slots = flow_keys.iter().map(|k| k.index() + 1).max().unwrap_or(0);
+        let mut rate = vec![0.0f64; flow_slots];
+        let res_slots = self
+            .resources
             .iter()
-            .map(|k| (*k, self.resources[*k].capacity))
-            .collect();
-
-        let mut unfrozen = flow_keys.len();
-        // Each iteration freezes at least one flow, so this terminates.
-        while unfrozen > 0 {
-            // Count unfrozen flows per resource.
-            let mut unfrozen_on: std::collections::HashMap<ResourceId, usize> =
-                std::collections::HashMap::new();
-            for k in &flow_keys {
-                if frozen[k] {
-                    continue;
-                }
-                for rid in &self.flows[*k].path {
-                    *unfrozen_on.entry(*rid).or_insert(0) += 1;
-                }
+            .map(|(k, _)| k.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut remaining_cap = vec![0.0f64; res_slots];
+        for (k, r) in self.resources.iter() {
+            remaining_cap[k.index()] = r.capacity;
+        }
+        let mut unfrozen_on = vec![0usize; res_slots];
+        for k in &flow_keys {
+            for rid in &self.flows[*k].path {
+                unfrozen_on[rid.index()] += 1;
             }
+        }
+        let mut unfrozen = flow_keys.clone();
+
+        // Each iteration freezes at least one flow, so this terminates.
+        while !unfrozen.is_empty() {
             // The binding increment: smallest per-flow headroom across
             // saturating resources and flow caps.
             let mut inc = f64::INFINITY;
-            for (rid, n) in &unfrozen_on {
+            for (r, n) in unfrozen_on.iter().enumerate() {
                 if *n > 0 {
-                    inc = inc.min(remaining_cap[rid].max(0.0) / *n as f64);
+                    inc = inc.min(remaining_cap[r].max(0.0) / *n as f64);
                 }
             }
-            for k in &flow_keys {
-                if !frozen[k] {
-                    let f = &self.flows[*k];
-                    inc = inc.min(f.rate_cap - rate[k]);
-                }
+            for k in &unfrozen {
+                inc = inc.min(self.flows[*k].rate_cap - rate[k.index()]);
             }
             if !inc.is_finite() {
                 // All unfrozen flows are uncapped and cross no finite
@@ -307,50 +302,39 @@ impl FluidNetwork {
             let inc = inc.max(0.0);
 
             // Apply the increment.
-            for k in &flow_keys {
-                if !frozen[k] {
-                    *rate.get_mut(k).unwrap() += inc;
-                }
+            for k in &unfrozen {
+                rate[k.index()] += inc;
             }
-            for (rid, n) in &unfrozen_on {
-                *remaining_cap.get_mut(rid).unwrap() -= inc * *n as f64;
+            for (r, n) in unfrozen_on.iter().enumerate() {
+                if *n > 0 {
+                    remaining_cap[r] -= inc * *n as f64;
+                }
             }
 
             // Freeze flows at their cap and flows crossing saturated
-            // resources.
-            let mut newly_frozen: Vec<FlowId> = Vec::new();
-            for k in &flow_keys {
-                if frozen[k] {
-                    continue;
-                }
+            // resources; if none is, a numerical stall, freeze them all.
+            let frozen = |k: &FlowId| {
                 let f = &self.flows[*k];
-                let at_cap = rate[k] >= f.rate_cap - 1e-9;
-                let saturated = f
-                    .path
-                    .iter()
-                    .any(|rid| remaining_cap[rid] <= self.resources[*rid].capacity * 1e-12 + 1e-9);
-                if at_cap || saturated {
-                    newly_frozen.push(*k);
-                }
-            }
-            if newly_frozen.is_empty() {
-                // Numerical stall: freeze everything to terminate.
-                for k in &flow_keys {
-                    if !frozen[k] {
-                        newly_frozen.push(*k);
+                let at_cap = rate[k.index()] >= f.rate_cap - 1e-9;
+                let saturated = f.path.iter().any(|rid| {
+                    remaining_cap[rid.index()] <= self.resources[*rid].capacity * 1e-12 + 1e-9
+                });
+                at_cap || saturated
+            };
+            let stalled = !unfrozen.iter().any(frozen);
+            unfrozen.retain(|k| {
+                let keep = !stalled && !frozen(k);
+                if !keep {
+                    for rid in &self.flows[*k].path {
+                        unfrozen_on[rid.index()] -= 1;
                     }
                 }
-            }
-            for k in newly_frozen {
-                if !frozen[&k] {
-                    frozen.insert(k, true);
-                    unfrozen -= 1;
-                }
-            }
+                keep
+            });
         }
 
         for k in flow_keys {
-            self.flows[k].rate = rate[&k];
+            self.flows[k].rate = rate[k.index()];
         }
     }
 

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use norns::sim::ops as nops;
-use norns::{ApiSource, JobId as NornsJobId, ResourceRef, TaskCompletion, TaskSpec};
+use norns::{ApiSource, Durability, JobId as NornsJobId, ResourceRef, TaskCompletion, TaskSpec};
 use norns_flow::job::{self, Action, Event};
 use norns_flow::plan::{self, plan, Listing, Stage};
 use simcore::{EventId, Sim, SimDuration, SimTime};
@@ -256,6 +256,17 @@ pub trait HasSlurm: norns::HasNorns {
 }
 
 /// A directive location as a path on whichever node runs the task.
+/// A script's `#NORNS durability` for its stage-outs, `local_only`
+/// unless it says otherwise (both ends of a simulated stage-out are
+/// local, so every mode applies).
+fn durability(mode: Option<norns_proto::Durability>) -> Durability {
+    match mode {
+        None | Some(norns_proto::Durability::LocalOnly) => Durability::LocalOnly,
+        Some(norns_proto::Durability::LocalPlusOne) => Durability::LocalPlusOne,
+        Some(norns_proto::Durability::Synchronous) => Durability::Synchronous,
+    }
+}
+
 fn local_ref(location: &str) -> ResourceRef {
     let (nsid, path) = split_location(location).expect("directive locations are checked at submit");
     ResourceRef::local(nsid, path)
@@ -791,7 +802,7 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     let now = sim.now();
     sim.model.ctld_mut().job_mut(id).compute_finished = Some(now);
     apply_persist_directives(sim, id);
-    let (directives, nodes, cred) = {
+    let (directives, nodes, cred, durability) = {
         let ctld = sim.model.ctld_mut();
         let job = ctld.job_mut(id);
         job.stage_out_started = Some(now);
@@ -799,6 +810,7 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
             job.script.stage_out.clone(),
             job.nodes.clone(),
             job.cred.clone(),
+            durability(job.script.durability),
         )
     };
     let (mut legs, mut refused) = (Vec::new(), Vec::new());
@@ -827,7 +839,8 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
         .expect("directives are checked at submit and the listing cannot fail");
         for slot in slots {
             let node = nodes[slot.node_slot];
-            let spec = TaskSpec::mv(local_ref(&slot.origin), local_ref(&slot.destination));
+            let spec = TaskSpec::mv(local_ref(&slot.origin), local_ref(&slot.destination))
+                .with_durability(durability);
             let tag = stage_tag(StagePurpose::StageOut, id);
             match nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag) {
                 Ok(task) => legs.push((node, task, None)),

@@ -1140,6 +1140,7 @@ mod admission {
             priority: norns_sched::DEFAULT_PRIORITY,
             input: end(row.input, "lustre", path),
             output: row.output.map(|kind| end(kind, "pmdk0", format!("o{i}"))),
+            durability: norns::Durability::LocalOnly,
         }
     }
 
@@ -1298,5 +1299,385 @@ mod admission {
             (23, 13),
             "shapes run by the simulator and by the daemon"
         );
+    }
+}
+
+/// The durability differential: one stage-out under each durability
+/// mode × {a peer, no peer, a peer that refuses the replica}, plus a
+/// cross-filesystem `Move` under each mode (and a refused `synchronous`
+/// one), run by a simulated urd and by a live daemon. Both apply the
+/// one durability table (`norns_sched::durability`) where a task's run
+/// ends, and must agree on whether the verdict came while a replica was
+/// still out, on the verdict and the class of its failure, on which
+/// copies exist, and on whether the source was freed. The live peer
+/// sits behind a relay that holds the replica until the verdict has had
+/// 200 ms to come, so an early ACK shows the same way every run. The
+/// `Move`'s source lives on tmpfs (`/dev/shm`) in the live world and on
+/// the shared tier in the simulator, so in both its landing is a copy;
+/// where `/dev/shm` shares the scratch filesystem the `Move` rows say
+/// so and are left out.
+mod durability {
+    use std::fs;
+    use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+    use std::path::{Path, PathBuf};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
+
+    use norns::sim::ops;
+    use norns::{
+        ApiSource, Durability, HasNorns, JobId, JobSpec, NornsError, NornsWorld, ResourceRef,
+        TaskCompletion, TaskState,
+    };
+    use norns_ipc::{DaemonConfig, UrdDaemon};
+    use norns_proto::{BackendKind, DataspaceDesc, ResourceDesc, TaskSpec};
+    use norns_sched::durability::Why;
+    use norns_sched::shape::TaskOp;
+    use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim};
+    use simstore::{Cred, Mode};
+
+    const SIZE: u64 = 1 << 20;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Peer {
+        Ready,
+        Absent,
+        Refusing,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Row {
+        mode: Durability,
+        op: TaskOp,
+        peer: Peer,
+    }
+
+    /// What a row comes to in one world.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Seen {
+        /// A replica was still out when the task's verdict came.
+        verdict_before_replica: bool,
+        state: TaskState,
+        class: Option<Why>,
+        /// The landed output at the origin, and its replica at the peer.
+        copies: (bool, bool),
+        source_freed: bool,
+    }
+
+    const MODES: [Durability; 3] = [
+        Durability::LocalOnly,
+        Durability::LocalPlusOne,
+        Durability::Synchronous,
+    ];
+
+    fn rows() -> Vec<Row> {
+        let mut rows = Vec::new();
+        for mode in MODES {
+            for peer in [Peer::Ready, Peer::Absent, Peer::Refusing] {
+                rows.push(Row {
+                    mode,
+                    op: TaskOp::Copy,
+                    peer,
+                });
+            }
+        }
+        for mode in MODES {
+            let op = TaskOp::Move;
+            rows.push(Row {
+                mode,
+                op,
+                peer: Peer::Ready,
+            });
+        }
+        rows.push(Row {
+            mode: Durability::Synchronous,
+            op: TaskOp::Move,
+            peer: Peer::Refusing,
+        });
+        rows
+    }
+
+    /// The failure class a verdict's message names.
+    fn class(message: &str) -> Why {
+        let why = [Why::NoPeer, Why::ReplicaFailed];
+        let found = why.into_iter().find(|w| message.starts_with(w.message()));
+        found.unwrap_or_else(|| panic!("{message:?} is in no durability class"))
+    }
+
+    /// What every row must come to, in both worlds.
+    fn expected(row: Row) -> Seen {
+        use Durability::*;
+        let replicated = row.peer == Peer::Ready && row.mode != LocalOnly;
+        let (state, class) = match (row.mode, row.peer) {
+            (Synchronous, Peer::Absent) => (TaskState::FinishedWithError, Some(Why::NoPeer)),
+            (Synchronous, Peer::Refusing) => {
+                (TaskState::FinishedWithError, Some(Why::ReplicaFailed))
+            }
+            _ => (TaskState::Finished, None),
+        };
+        Seen {
+            verdict_before_replica: row.mode == LocalPlusOne && row.peer != Peer::Absent,
+            state,
+            class,
+            copies: (true, replicated),
+            source_freed: row.op == TaskOp::Move && state == TaskState::Finished,
+        }
+    }
+
+    // ---- the simulated cluster: node 0 the origin (`src` on the
+    // shared tier, `ds0` on its node-local tier), node 1 a peer with
+    // its own `ds0`, node 2 a peer without one ----
+
+    struct Model {
+        world: NornsWorld,
+        /// The client task's verdict, with the replicas still out then.
+        verdict: Option<(TaskCompletion, u64)>,
+    }
+
+    impl FluidModel for Model {
+        fn fluid_mut(&mut self) -> &mut FluidSystem {
+            &mut self.world.fluid
+        }
+        fn on_flow_complete(sim: &mut Sim<Self>, done: CompletedFlow) {
+            norns::handle_flow_complete(sim, done);
+        }
+    }
+
+    impl HasNorns for Model {
+        fn norns_mut(&mut self) -> &mut NornsWorld {
+            &mut self.world
+        }
+        fn on_task_complete(sim: &mut Sim<Self>, completion: TaskCompletion) {
+            let out = sim.model.world.urd(0).pending_replicas;
+            sim.model.verdict = Some((completion, out));
+        }
+    }
+
+    fn sim_row(row: Row) -> Seen {
+        let world = cluster::nextgenio_quiet(3).world;
+        let mut sim = Sim::new(
+            Model {
+                world,
+                verdict: None,
+            },
+            13,
+        );
+        ops::register_dataspace(&mut sim, 0, "src", "lustre", false).unwrap();
+        ops::register_dataspace(&mut sim, 0, "ds0", "pmdk0", false).unwrap();
+        ops::register_dataspace(&mut sim, 1, "ds0", "pmdk0", false).unwrap();
+        ops::register_dataspace(&mut sim, 2, "src", "lustre", false).unwrap();
+        let peer = match row.peer {
+            Peer::Ready => Some(1),
+            Peer::Absent => None,
+            Peer::Refusing => Some(2),
+        };
+        if let Some(peer) = peer {
+            ops::register_peer(&mut sim, 0, peer);
+        }
+        let cred = Cred::new(1000, 1000);
+        let job = JobSpec {
+            id: JobId(1),
+            hosts: vec![0],
+            limits: vec![("src".into(), 0), ("ds0".into(), 0)],
+            cred: cred.clone(),
+        };
+        ops::register_job(&mut sim, job).unwrap();
+        let (lustre, pmdk) = {
+            let storage = &sim.model.world.storage;
+            (
+                storage.resolve("lustre").unwrap(),
+                storage.resolve("pmdk0").unwrap(),
+            )
+        };
+        let shared = sim.model.world.storage.ns_mut(lustre, None);
+        shared
+            .write_file("in.dat", SIZE, &cred, Mode(0o644))
+            .unwrap();
+        let spec = norns::TaskSpec {
+            op: row.op,
+            priority: norns_sched::DEFAULT_PRIORITY,
+            input: ResourceRef::local("src", "in.dat"),
+            output: Some(ResourceRef::local("ds0", "out.dat")),
+            durability: row.mode,
+        };
+        ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
+        sim.run();
+        let (completion, out) = sim.model.verdict.take().expect("the task ended");
+        let message = |e: &NornsError| match e {
+            NornsError::NotFound(m) | NornsError::TaskError(m) => m.clone(),
+            other => panic!("sim failed with {other:?}"),
+        };
+        let storage = &sim.model.world.storage;
+        Seen {
+            verdict_before_replica: out > 0,
+            state: completion.state,
+            class: completion.error.as_ref().map(|e| class(&message(e))),
+            copies: (
+                storage.ns(pmdk, Some(0)).exists("out.dat"),
+                peer.is_some_and(|p| storage.ns(pmdk, Some(p)).exists("out.dat")),
+            ),
+            source_freed: !storage.ns(lustre, None).exists("in.dat"),
+        }
+    }
+
+    // ---- the live cluster: the same three nodes as daemons ----
+
+    /// A relay to `upstream` that holds every byte sent towards it until
+    /// it is opened.
+    struct Gate {
+        addr: SocketAddr,
+        open: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl Gate {
+        fn new(upstream: SocketAddr) -> Gate {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let open = Arc::new((Mutex::new(false), Condvar::new()));
+            let gate = Arc::clone(&open);
+            std::thread::spawn(move || {
+                for client in listener.incoming() {
+                    let Ok(mut up_from) = client else { return };
+                    let mut up_to = TcpStream::connect(upstream).unwrap();
+                    let (mut down_from, mut down_to) =
+                        (up_to.try_clone().unwrap(), up_from.try_clone().unwrap());
+                    std::thread::spawn(move || std::io::copy(&mut down_from, &mut down_to));
+                    let gate = Arc::clone(&gate);
+                    std::thread::spawn(move || {
+                        let (lock, cv) = &*gate;
+                        drop(cv.wait_while(lock.lock().unwrap(), |open| !*open).unwrap());
+                        let _ = std::io::copy(&mut up_from, &mut up_to);
+                        let _ = up_to.shutdown(Shutdown::Write);
+                    });
+                }
+            });
+            Gate { addr, open }
+        }
+
+        fn open(&self) {
+            let (lock, cv) = &*self.open;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+        }
+    }
+
+    fn daemon(dataspaces: &[(&str, &Path)]) -> UrdDaemon {
+        let (_, first) = dataspaces[0];
+        let config = DaemonConfig::in_dir(first.parent().unwrap().join("sockets"));
+        let daemon = UrdDaemon::spawn(config.with_data_addr("127.0.0.1:0")).unwrap();
+        for (nsid, mount) in dataspaces {
+            fs::create_dir_all(mount).unwrap();
+            let desc = DataspaceDesc {
+                nsid: nsid.to_string(),
+                kind: BackendKind::PosixFilesystem,
+                mount: mount.to_string_lossy().into_owned(),
+                quota: 0,
+                tracked: false,
+            };
+            daemon.engine().register_dataspace(desc).unwrap();
+        }
+        daemon
+    }
+
+    /// Where the live `src` dataspace can sit on another filesystem
+    /// than `ds0`: `/dev/shm` beside the scratch directory.
+    fn fast_dir() -> Option<PathBuf> {
+        use std::os::unix::fs::MetadataExt;
+        let shm = Path::new("/dev/shm");
+        let dev = |p: &Path| fs::metadata(p).map(|m| m.dev()).ok();
+        let apart = shm.is_dir() && dev(shm) != dev(&std::env::temp_dir());
+        apart.then(|| shm.join(format!("norns-diff-durability-{}", std::process::id())))
+    }
+
+    fn live_row(i: usize, row: Row, fast: &Path) -> Seen {
+        let root =
+            std::env::temp_dir().join(format!("norns-diff-durability-{}-{i}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let src = fast.join(format!("{i}"));
+        let origin = daemon(&[("ds0", &root.join("a/ds0")), ("src", &src)]);
+        let ready = daemon(&[("ds0", &root.join("b/ds0"))]);
+        let refusing = daemon(&[("src", &root.join("c/src"))]);
+        let engine = origin.engine();
+        let peer = match row.peer {
+            Peer::Ready => Some((&ready, root.join("b/ds0/out.dat"))),
+            Peer::Absent => None,
+            Peer::Refusing => Some((&refusing, root.join("c/ds0/out.dat"))),
+        };
+        let gate = peer
+            .as_ref()
+            .map(|(d, _)| Gate::new(d.data_addr().unwrap()));
+        if let Some(gate) = &gate {
+            engine.register_peer("peer", gate.addr.to_string());
+        }
+        fs::write(src.join("in.dat"), vec![7u8; SIZE as usize]).unwrap();
+        let op = match row.op {
+            TaskOp::Move => norns_proto::TaskOp::Move,
+            _ => norns_proto::TaskOp::Copy,
+        };
+        let mode = match row.mode {
+            Durability::LocalOnly => norns_proto::Durability::LocalOnly,
+            Durability::LocalPlusOne => norns_proto::Durability::LocalPlusOne,
+            Durability::Synchronous => norns_proto::Durability::Synchronous,
+        };
+        let path = |nsid: &str, path: &str| ResourceDesc::PosixPath {
+            nsid: nsid.into(),
+            path: path.into(),
+        };
+        let spec = TaskSpec::new(op, path("src", "in.dat"), Some(path("ds0", "out.dat")))
+            .with_durability(mode);
+        let id = engine.submit(1, spec, None).unwrap();
+        let early = engine.wait(id, 200_000).unwrap();
+        let out = engine.status().pending_replicas;
+        if let Some(gate) = &gate {
+            gate.open();
+        }
+        let stats = engine.wait(id, 0).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while engine.status().pending_replicas > 0 {
+            assert!(Instant::now() < deadline, "replicas never drained");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let failure = engine.error_message(id);
+        let seen = Seen {
+            verdict_before_replica: early.state.is_terminal() && out > 0,
+            state: match stats.state {
+                norns_proto::TaskState::Finished => TaskState::Finished,
+                norns_proto::TaskState::FinishedWithError => TaskState::FinishedWithError,
+                other => panic!("the task ended {other:?}"),
+            },
+            class: failure.as_deref().map(class),
+            copies: (
+                root.join("a/ds0/out.dat").exists(),
+                peer.as_ref().is_some_and(|(_, landed)| landed.exists()),
+            ),
+            source_freed: !src.join("in.dat").exists(),
+        };
+        drop((origin, ready, refusing));
+        let _ = fs::remove_dir_all(&root);
+        seen
+    }
+
+    #[test]
+    fn every_durability_row_gets_the_same_result_in_both_worlds() {
+        let fast = fast_dir();
+        let scratch = fast.clone().unwrap_or_else(|| {
+            eprintln!("note: /dev/shm shares the scratch filesystem; the Move rows are left out");
+            std::env::temp_dir().join(format!("norns-diff-durability-src-{}", std::process::id()))
+        });
+        let mut wrong = Vec::new();
+        for (i, row) in rows().into_iter().enumerate() {
+            if fast.is_none() && row.op == TaskOp::Move {
+                continue;
+            }
+            let want = expected(row);
+            let sim = sim_row(row);
+            let live = live_row(i, row, &scratch);
+            if sim != want || live != want {
+                wrong.push(format!(
+                    "{row:?}:\n  want {want:?}\n  sim  {sim:?}\n  live {live:?}"
+                ));
+            }
+        }
+        let _ = fs::remove_dir_all(&scratch);
+        assert!(wrong.is_empty(), "rows differ:\n{}", wrong.join("\n"));
     }
 }
