@@ -1,22 +1,15 @@
-//! The job & dataspace controller.
-//!
-//! Per the paper (§IV-B), worker threads "rely on the information
-//! registered in the job & dataspace controller to validate the
-//! request, which implies checking that the calling process has access
-//! to the requested dataspaces and also that it has the appropriate
-//! file system permissions to access the requested resources". The
-//! controller is the authoritative registry the control API populates,
-//! and the enforcement point that lets urd:
-//!
-//! 1. account the usage registered processes make of their dataspaces,
-//! 2. reject task submissions from unregistered processes,
-//! 3. reject submissions naming dataspaces a job may not touch.
-//!
-//! A submission's *shape* is not the controller's rule: `validate` asks
-//! the admission table the real daemon asks too (`norns_sched::shape`).
+//! The job & dataspace controller (§IV-B) the simulated urd checks
+//! every request against. Its registrations live in the table the real
+//! daemon holds too (`norns_sched::registry`), which decides each
+//! verb's verdict (a duplicate job id before its limits; an update's
+//! limits checked as a registration's) and wording; a refusal becomes
+//! the `NornsError` variant it names. The simulator's own side, which
+//! the daemon lacks (ROADMAP item 12), stays here: tiers, credentials,
+//! the grant check in `validate`, and quota charging.
 
 use std::collections::HashMap;
 
+use norns_sched::registry::{Job, Registry};
 use simstore::{Cred, TierRef};
 
 use crate::error::{NornsError, Result};
@@ -46,13 +39,6 @@ pub struct JobSpec {
     pub cred: Cred,
 }
 
-#[derive(Debug)]
-struct JobEntry {
-    spec: JobSpec,
-    processes: HashMap<u64, Cred>,
-    usage: HashMap<String, u64>,
-}
-
 /// Who is submitting a request, which determines the checks applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApiSource {
@@ -65,8 +51,10 @@ pub enum ApiSource {
 /// Controller state for one urd instance.
 #[derive(Debug, Default)]
 pub struct Controller {
-    dataspaces: HashMap<String, DataspaceSpec>,
-    jobs: HashMap<u64, JobEntry>,
+    /// A job keeps its credentials, a process its own.
+    table: Registry<DataspaceSpec, Cred, Cred>,
+    /// Bytes charged per (job, dataspace); a job's go with it.
+    usage: HashMap<(u64, String), u64>,
 }
 
 impl Controller {
@@ -74,132 +62,69 @@ impl Controller {
         Self::default()
     }
 
-    // ---- dataspace management (nornsctl_register_dataspace etc.) ----
-
     pub fn register_dataspace(&mut self, spec: DataspaceSpec) -> Result<()> {
-        if self.dataspaces.contains_key(&spec.nsid) {
-            return Err(NornsError::AlreadyRegistered(spec.nsid));
-        }
-        self.dataspaces.insert(spec.nsid.clone(), spec);
-        Ok(())
+        Ok(self.table.register_dataspace(spec.nsid.clone(), spec)?)
     }
 
     pub fn update_dataspace(&mut self, spec: DataspaceSpec) -> Result<()> {
-        match self.dataspaces.get_mut(&spec.nsid) {
-            Some(e) => {
-                *e = spec;
-                Ok(())
-            }
-            None => Err(NornsError::NoSuchDataspace(spec.nsid)),
-        }
+        Ok(self.table.update_dataspace(spec.nsid.clone(), spec)?)
     }
 
-    pub fn unregister_dataspace(&mut self, nsid: &str) -> Result<DataspaceSpec> {
-        self.dataspaces
-            .remove(nsid)
-            .ok_or_else(|| NornsError::NoSuchDataspace(nsid.to_string()))
+    pub fn unregister_dataspace(&mut self, nsid: &str) -> Result<()> {
+        Ok(self.table.unregister_dataspace(nsid)?)
     }
 
     pub fn dataspace(&self, nsid: &str) -> Result<&DataspaceSpec> {
-        self.dataspaces
-            .get(nsid)
-            .ok_or_else(|| NornsError::NoSuchDataspace(nsid.to_string()))
+        Ok(self.table.dataspace(nsid)?)
     }
 
     pub fn dataspaces(&self) -> impl Iterator<Item = &DataspaceSpec> {
-        self.dataspaces.values()
+        self.table.dataspaces()
     }
 
     pub fn dataspace_count(&self) -> usize {
-        self.dataspaces.len()
+        self.table.dataspace_count()
     }
 
     /// Dataspaces flagged for emptiness tracking.
     pub fn tracked_dataspaces(&self) -> Vec<&DataspaceSpec> {
-        let mut v: Vec<_> = self.dataspaces.values().filter(|d| d.tracked).collect();
-        v.sort_by(|a, b| a.nsid.cmp(&b.nsid));
-        v
+        self.dataspaces().filter(|d| d.tracked).collect()
     }
 
-    // ---- job management (nornsctl_register_job etc.) ----
-
     pub fn register_job(&mut self, spec: JobSpec) -> Result<()> {
-        if self.jobs.contains_key(&spec.id.0) {
-            return Err(NornsError::AlreadyRegistered(format!("job {}", spec.id.0)));
-        }
-        for (nsid, _) in &spec.limits {
-            if !self.dataspaces.contains_key(nsid) {
-                return Err(NornsError::NoSuchDataspace(nsid.clone()));
-            }
-        }
-        self.jobs.insert(
-            spec.id.0,
-            JobEntry {
-                spec,
-                processes: HashMap::new(),
-                usage: HashMap::new(),
-            },
-        );
-        Ok(())
+        Ok(self.table.register_job(spec.id.0, spec.limits, spec.cred)?)
     }
 
     pub fn update_job(&mut self, spec: JobSpec) -> Result<()> {
-        for (nsid, _) in &spec.limits {
-            if !self.dataspaces.contains_key(nsid) {
-                return Err(NornsError::NoSuchDataspace(nsid.clone()));
-            }
-        }
-        match self.jobs.get_mut(&spec.id.0) {
-            Some(e) => {
-                e.spec = spec;
-                Ok(())
-            }
-            None => Err(NornsError::NoSuchJob(spec.id.0)),
-        }
+        Ok(self.table.update_job(spec.id.0, spec.limits, spec.cred)?)
     }
 
-    pub fn unregister_job(&mut self, job: JobId) -> Result<JobSpec> {
-        self.jobs
-            .remove(&job.0)
-            .map(|e| e.spec)
-            .ok_or(NornsError::NoSuchJob(job.0))
-    }
-
-    pub fn job(&self, job: JobId) -> Result<&JobSpec> {
-        self.jobs
-            .get(&job.0)
-            .map(|e| &e.spec)
-            .ok_or(NornsError::NoSuchJob(job.0))
-    }
-
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    // ---- process management ----
-
-    pub fn add_process(&mut self, job: JobId, pid: u64, cred: Cred) -> Result<()> {
-        let entry = self
-            .jobs
-            .get_mut(&job.0)
-            .ok_or(NornsError::NoSuchJob(job.0))?;
-        entry.processes.insert(pid, cred);
+    pub fn unregister_job(&mut self, job: JobId) -> Result<()> {
+        self.table.unregister_job(job.0)?;
+        self.usage.retain(|(id, _), _| *id != job.0);
         Ok(())
     }
 
-    pub fn remove_process(&mut self, job: JobId, pid: u64) -> Result<()> {
-        let entry = self
-            .jobs
-            .get_mut(&job.0)
-            .ok_or(NornsError::NoSuchJob(job.0))?;
-        entry
-            .processes
-            .remove(&pid)
-            .map(|_| ())
-            .ok_or(NornsError::NoSuchProcess { job: job.0, pid })
+    pub fn job(&self, job: JobId) -> Result<&Job<Cred, Cred>> {
+        Ok(self.table.job(job.0)?)
     }
 
-    // ---- validation (the worker-thread checks from §IV-B) ----
+    pub fn job_count(&self) -> usize {
+        self.table.job_count()
+    }
+
+    pub fn add_process(&mut self, job: JobId, pid: u64, cred: Cred) -> Result<()> {
+        Ok(self.table.add_process(job.0, pid, cred)?)
+    }
+
+    pub fn remove_process(&mut self, job: JobId, pid: u64) -> Result<()> {
+        Ok(self.table.remove_process(job.0, pid)?)
+    }
+
+    /// Is `pid` added to any job on this node?
+    pub fn process_known(&self, pid: u64) -> bool {
+        self.table.process_known(pid)
+    }
 
     /// Validate a submission and return the credentials the task will
     /// run with and the plugin that serves it.
@@ -209,62 +134,38 @@ impl Controller {
         source: ApiSource,
         spec: &TaskSpec,
     ) -> Result<(Cred, PluginKind)> {
-        let entry = self.jobs.get(&job.0).ok_or(NornsError::NoSuchJob(job.0))?;
+        let entry = self.table.job(job.0)?;
         let cred = match source {
-            ApiSource::Control => entry.spec.cred.clone(),
-            ApiSource::User { pid } => entry
-                .processes
-                .get(&pid)
-                .cloned()
-                .ok_or(NornsError::NoSuchProcess { job: job.0, pid })?,
+            ApiSource::Control => &entry.info,
+            ApiSource::User { pid } => self.table.process(job.0, pid)?,
         };
-        let check_res = |r: &ResourceRef| -> Result<()> {
-            if let Some(nsid) = r.nsid() {
-                // Local resources must name a dataspace registered on
-                // this node; all resources must be in the job's grant.
-                if !r.is_remote() && !self.dataspaces.contains_key(nsid) {
-                    return Err(NornsError::NoSuchDataspace(nsid.to_string()));
-                }
-                if !entry.spec.limits.iter().any(|(n, _)| n == nsid) {
-                    return Err(NornsError::DataspaceNotAllowed {
-                        job: job.0,
-                        nsid: nsid.to_string(),
-                    });
-                }
+        for end in std::iter::once::<&ResourceRef>(&spec.input).chain(&spec.output) {
+            let Some(nsid) = end.nsid() else { continue };
+            // A local end must be registered here; every end, granted.
+            if !end.is_remote() {
+                self.table.dataspace(nsid)?;
             }
-            Ok(())
-        };
-        check_res(&spec.input)?;
-        if let Some(out) = &spec.output {
-            check_res(out)?;
+            if !entry.limits.iter().any(|(n, _)| n == nsid) {
+                let (job, nsid) = (job.0, nsid.to_string());
+                return Err(NornsError::DataspaceNotAllowed { job, nsid });
+            }
         }
-        Ok((
-            cred,
-            norns_sched::shape::admit(crate::plugins::shape(spec))?,
-        ))
+        let plugin = norns_sched::shape::admit(crate::plugins::shape(spec))?;
+        Ok((cred.clone(), plugin))
     }
 
     /// Charge `bytes` of dataspace usage to a job, enforcing its quota.
     pub fn charge(&mut self, job: JobId, nsid: &str, bytes: u64) -> Result<()> {
-        let entry = self
-            .jobs
-            .get_mut(&job.0)
-            .ok_or(NornsError::NoSuchJob(job.0))?;
-        let quota = entry
-            .spec
-            .limits
-            .iter()
-            .find(|(n, _)| n == nsid)
-            .map(|(_, q)| *q)
-            .ok_or_else(|| NornsError::DataspaceNotAllowed {
-                job: job.0,
-                nsid: nsid.into(),
-            })?;
-        let used = entry.usage.entry(nsid.to_string()).or_insert(0);
+        let (job, nsid) = (job.0, nsid.to_string());
+        let limits = &self.table.job(job)?.limits;
+        let Some(&(_, quota)) = limits.iter().find(|(n, _)| *n == nsid) else {
+            return Err(NornsError::DataspaceNotAllowed { job, nsid });
+        };
+        let used = self.usage.entry((job, nsid.clone())).or_insert(0);
         if quota > 0 && *used + bytes > quota {
             return Err(NornsError::QuotaExceeded {
-                job: job.0,
-                nsid: nsid.into(),
+                job,
+                nsid,
                 requested: bytes,
                 quota,
             });
@@ -275,19 +176,14 @@ impl Controller {
 
     /// Release previously charged usage (file removed / staged out).
     pub fn release(&mut self, job: JobId, nsid: &str, bytes: u64) {
-        if let Some(entry) = self.jobs.get_mut(&job.0) {
-            if let Some(used) = entry.usage.get_mut(nsid) {
-                *used = used.saturating_sub(bytes);
-            }
+        if let Some(used) = self.usage.get_mut(&(job.0, nsid.to_string())) {
+            *used = used.saturating_sub(bytes);
         }
     }
 
     pub fn usage(&self, job: JobId, nsid: &str) -> u64 {
-        self.jobs
-            .get(&job.0)
-            .and_then(|e| e.usage.get(nsid))
-            .copied()
-            .unwrap_or(0)
+        let used = self.usage.get(&(job.0, nsid.to_string()));
+        used.copied().unwrap_or(0)
     }
 }
 

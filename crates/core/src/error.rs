@@ -3,6 +3,7 @@
 //! Mirrors the C API's `NORNS_E*` family (the paper's Listing 2 checks
 //! `stats.st_status == NORNS_ETASKERROR`).
 
+use norns_sched::registry::{self, Refusal};
 use simstore::NsError;
 
 /// Errors surfaced by the NORNS APIs.
@@ -41,8 +42,22 @@ pub enum NornsError {
     NotAccepting,
     /// `NORNS_ECONNFAILED`-ish transport failure (simulated RPC).
     Transport(String),
-    /// Namespace already registered / conflicting registration.
+    /// A dataspace or job id already registered: the registry's
+    /// refusal, in its own words.
     AlreadyRegistered(String),
+}
+
+/// A refusal of the job & dataspace table both worlds share is the
+/// variant that names it.
+impl From<registry::Refusal> for NornsError {
+    fn from(refusal: registry::Refusal) -> Self {
+        match refusal {
+            Refusal::NoDataspace(nsid) => NornsError::NoSuchDataspace(nsid),
+            Refusal::NoJob(id) => NornsError::NoSuchJob(id),
+            Refusal::NoProcess { job, pid } => NornsError::NoSuchProcess { job, pid },
+            exists => NornsError::AlreadyRegistered(exists.message()),
+        }
+    }
 }
 
 /// A refusal of the shared admission table is `NORNS_EBADARGS`.
@@ -57,11 +72,17 @@ pub type Result<T> = std::result::Result<T, NornsError>;
 impl std::fmt::Display for NornsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NornsError::NoSuchJob(id) => write!(f, "no such job: {id}"),
-            NornsError::NoSuchProcess { job, pid } => {
-                write!(f, "process {pid} not registered with job {job}")
+            NornsError::NoSuchJob(id) => f.write_str(&Refusal::NoJob(*id).message()),
+            NornsError::NoSuchProcess { job, pid } => f.write_str(
+                &Refusal::NoProcess {
+                    job: *job,
+                    pid: *pid,
+                }
+                .message(),
+            ),
+            NornsError::NoSuchDataspace(ns) => {
+                f.write_str(&Refusal::NoDataspace(ns.clone()).message())
             }
-            NornsError::NoSuchDataspace(ns) => write!(f, "no such dataspace: {ns}"),
             NornsError::DataspaceNotAllowed { job, nsid } => {
                 write!(f, "job {job} may not access dataspace {nsid}")
             }
@@ -88,7 +109,7 @@ impl std::fmt::Display for NornsError {
             NornsError::TaskError(m) => write!(f, "task error: {m}"),
             NornsError::NotAccepting => write!(f, "daemon not accepting requests"),
             NornsError::Transport(m) => write!(f, "transport error: {m}"),
-            NornsError::AlreadyRegistered(m) => write!(f, "already registered: {m}"),
+            NornsError::AlreadyRegistered(m) => f.write_str(m),
         }
     }
 }

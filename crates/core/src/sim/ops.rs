@@ -68,7 +68,6 @@ pub fn unregister_dataspace<M: HasNorns>(sim: &mut Sim<M>, node: NodeId, nsid: &
     sim.model.norns_mut().urds[node]
         .controller
         .unregister_dataspace(nsid)
-        .map(|_| ())
 }
 
 /// Register a job on every one of its hosts.

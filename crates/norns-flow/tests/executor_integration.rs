@@ -17,11 +17,35 @@ use norns_flow::{
 use norns_ipc::{CtlClient, DaemonConfig, UrdDaemon};
 use norns_proto::{BackendKind, DataspaceDesc, ResourceDesc, TaskOp, TaskSpec};
 
-fn temp_root(tag: &str) -> PathBuf {
+/// `$TMPDIR/norns-flow-<tag>-<pid>`, created empty and removed, with
+/// everything in it, when the guard drops — on a panic too.
+struct TempRoot(PathBuf);
+
+impl std::ops::Deref for TempRoot {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempRoot {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_root(tag: &str) -> TempRoot {
     let dir = std::env::temp_dir().join(format!("norns-flow-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    dir
+    TempRoot(dir)
 }
 
 /// Spawn a daemon named `name` hosting one dataspace `nsid` backed by

@@ -307,6 +307,10 @@ impl CtlClient {
         expect_ok(self.call(&CtlRequest::RegisterDataspace(desc))?)
     }
 
+    pub fn update_dataspace(&mut self, desc: DataspaceDesc) -> ClientResult<()> {
+        expect_ok(self.call(&CtlRequest::UpdateDataspace(desc))?)
+    }
+
     pub fn unregister_dataspace(&mut self, nsid: &str) -> ClientResult<()> {
         let nsid = nsid.to_string();
         expect_ok(self.call(&CtlRequest::UnregisterDataspace { nsid })?)
@@ -314,6 +318,10 @@ impl CtlClient {
 
     pub fn register_job(&mut self, job: JobDesc) -> ClientResult<()> {
         expect_ok(self.call(&CtlRequest::RegisterJob(job))?)
+    }
+
+    pub fn update_job(&mut self, job: JobDesc) -> ClientResult<()> {
+        expect_ok(self.call(&CtlRequest::UpdateJob(job))?)
     }
 
     pub fn unregister_job(&mut self, job_id: u64) -> ClientResult<()> {
@@ -327,6 +335,10 @@ impl CtlClient {
             uid,
             gid,
         })?)
+    }
+
+    pub fn remove_process(&mut self, job_id: u64, pid: u64) -> ClientResult<()> {
+        expect_ok(self.call(&CtlRequest::RemoveProcess { job_id, pid })?)
     }
 
     /// Map a `RemotePath.host` to a peer daemon's data-plane address

@@ -5,6 +5,7 @@ use std::fmt;
 use std::io;
 
 use norns_proto::{DataResponse, ErrorCode, Response};
+use norns_sched::registry;
 use norns_sched::shape::Refusal;
 
 /// Why an engine call — or a task, or a data-plane request — failed.
@@ -43,6 +44,20 @@ impl std::error::Error for EngineError {}
 impl From<Refusal> for EngineError {
     fn from(refusal: Refusal) -> Self {
         Self::bad_args(refusal.message())
+    }
+}
+
+/// A refusal of the job & dataspace table both worlds share is
+/// `BadArgs` when it names something already registered, `NotFound`
+/// when it names something missing.
+impl From<registry::Refusal> for EngineError {
+    fn from(refusal: registry::Refusal) -> Self {
+        use registry::Refusal::*;
+        let code = match refusal {
+            DataspaceExists(_) | JobExists(_) => ErrorCode::BadArgs,
+            NoDataspace(_) | NoJob(_) | NoProcess { .. } => ErrorCode::NotFound,
+        };
+        Self::new(code, refusal.message())
     }
 }
 

@@ -15,9 +15,10 @@
 //! runs too, `norns_sched::lifecycle`, applied at one site
 //! (`Engine::step`). The rest is split by concern:
 //!
-//! * [`registry`] — dataspaces, jobs, the O(1) `pid → job` index
-//!   behind user-socket admission, remote-staging peers, and the
-//!   dataspace containment check.
+//! * [`registry`] — the verbs on the job & dataspace table both worlds
+//!   hold (`norns_sched::registry`: dataspaces, jobs, the O(1)
+//!   `pid → job` index behind user-socket admission), remote-staging
+//!   peers, and the dataspace containment check.
 //! * [`shard`] — the task table, id-sharded so traffic on different
 //!   tasks stays off one lock. An entry is the task's whole record,
 //!   its lifecycle, clock, parked waits and replication role included,
@@ -86,6 +87,7 @@ mod shard;
 mod transfer;
 mod waits;
 
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs;
 use std::io::{self, Write};
@@ -98,10 +100,12 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use norns_proto::{
-    DaemonStatus, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState, TaskStats,
+    DaemonStatus, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
+    TaskStats,
 };
 use norns_sched::durability;
 use norns_sched::lifecycle::{self, Abort, Answer, Counts, Event, Next, Outcome, Role};
+use norns_sched::registry::Registry;
 use norns_sched::shape::{self, names_root, Kind, Plugin, Refusal, Shape};
 use norns_sched::{
     ArbitrationPolicy, Fcfs, JobFairShare, PendingTask, Scheduler, ShortestFirst, WeightedPriority,
@@ -113,7 +117,6 @@ pub use waits::{Subscribed, WaitCallback};
 
 pub(crate) use remote::DataServer;
 
-use registry::Registry;
 use remote::RemoteTransfer;
 use replication::ReplRole;
 use shard::{ShardedTaskTable, TaskEntry};
@@ -249,7 +252,11 @@ fn far_end(plugin: Plugin, spec: &TaskSpec) -> Option<(&str, &str, &str)> {
 
 /// Shared daemon state.
 pub struct Engine {
-    registry: Mutex<Registry>,
+    /// The job & dataspace table: nsid → its desc, whose `mount` is the
+    /// backing directory; job id → its hosts and limits; pid → its jobs.
+    registry: Mutex<Registry<DataspaceDesc, Vec<String>, ()>>,
+    /// Peer registry: `RemotePath.host` → data-plane TCP address.
+    peers: Mutex<HashMap<String, String>>,
     tasks: ShardedTaskTable,
     dispatch: Mutex<DispatchState>,
     dispatch_cv: Condvar,
@@ -376,7 +383,8 @@ impl Engine {
     pub fn with_config(config: EngineConfig, policy: PolicyKind) -> Arc<Engine> {
         let workers = config.workers.max(1);
         let engine = Arc::new(Engine {
-            registry: Mutex::new(Registry::default()),
+            registry: Mutex::default(),
+            peers: Mutex::default(),
             tasks: ShardedTaskTable::new(),
             dispatch: Mutex::new(DispatchState {
                 sched: Scheduler::new(workers, policy.to_policy())
@@ -452,6 +460,13 @@ impl Engine {
         while let Some(id) = self.tasks.find(replica) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
+                // Cut the replicas still running off their peers, so a
+                // worker waiting on one that never answers returns now.
+                self.tasks.each(|t| {
+                    if let Some(ReplRole::ReplicaOf { cut, .. }) = &t.replicate {
+                        cut.cut();
+                    }
+                });
                 break;
             }
             self.wait(id, left.as_micros().max(1) as u64);
@@ -494,8 +509,8 @@ impl Engine {
             running_tasks: self.running_count.load(Ordering::SeqCst),
             completed_tasks: self.completed.load(Ordering::SeqCst),
             cancelled_tasks: self.cancelled.load(Ordering::SeqCst),
-            registered_jobs: registry.jobs.len() as u64,
-            registered_dataspaces: registry.dataspaces.len() as u64,
+            registered_jobs: registry.job_count() as u64,
+            registered_dataspaces: registry.dataspace_count() as u64,
             chunk_size: self.chunk_size,
             data_addr: self.data_addr.lock().clone(),
             accept_errors: self.accept_errors.load(Ordering::SeqCst),
@@ -1070,6 +1085,11 @@ impl Engine {
                 // Re-resolved at execution: the registry may have
                 // changed since submission.
                 let addr = self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
+                // A replica's connection is held where shutdown can cut it.
+                let cut = self.tasks.read(task_id, |t| match &t.replicate {
+                    Some(ReplRole::ReplicaOf { cut, .. }) => Some(Arc::clone(cut)),
+                    _ => None,
+                });
                 self.transition(task_id, Event::Plan, None);
                 RemoteTransfer::plan(
                     task_id,
@@ -1082,6 +1102,7 @@ impl Engine {
                     self.chunk_size,
                     Arc::clone(progress),
                     Arc::clone(abort),
+                    cut.flatten(),
                 )?
             }
             // Refused at submission (ROADMAP item 11): never dispatched.

@@ -1,136 +1,68 @@
-//! The engine's registries — dataspaces (each desc names its mount),
-//! jobs, the `pid → jobs` index behind user-socket admission, and
-//! remote-staging peers, one map per fact — plus the dataspace
-//! containment check every path resolution goes through.
+//! The engine's registries: the verbs on the job & dataspace table
+//! both worlds hold (`norns_sched::registry`, which decides every
+//! verdict and its wording: a duplicate job id before its limits, an
+//! update's limits checked as a registration's), the remote-staging
+//! peers, and the containment check every path resolution goes
+//! through. The daemon's own side is the mount it makes for a
+//! dataspace. Gaps that stay (ROADMAP item 12): the daemon enforces no
+//! grant, limit or quota, takes no credentials and drops `tracked`.
 
-use std::collections::HashMap;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 use norns_proto::{DataspaceDesc, ErrorCode, JobDesc};
 
 use super::{Engine, EngineError};
 
-#[derive(Default)]
-pub(super) struct Registry {
-    /// nsid → its desc, whose `mount` is the backing directory.
-    pub(super) dataspaces: HashMap<String, DataspaceDesc>,
-    pub(super) jobs: HashMap<u64, JobDesc>,
-    /// pid → the jobs it was registered to via `add_process`: user-socket
-    /// admission (`process_known`) is a hash lookup, not a scan over
-    /// every registered job.
-    pub(super) pid_jobs: HashMap<u64, Vec<u64>>,
-    /// Peer registry: `RemotePath.host` → data-plane TCP address.
-    pub(super) peers: HashMap<String, String>,
-}
-
 impl Engine {
     pub fn register_dataspace(&self, desc: DataspaceDesc) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        if reg.dataspaces.contains_key(&desc.nsid) {
-            return Err(EngineError::bad_args(format!(
-                "dataspace {} exists",
-                desc.nsid
-            )));
-        }
+        reg.register_dataspace(desc.nsid.clone(), desc.clone())?;
         fs::create_dir_all(&desc.mount).map_err(|e| {
+            let _ = reg.unregister_dataspace(&desc.nsid);
             EngineError::new(ErrorCode::SystemError, format!("mount {}: {e}", desc.mount))
-        })?;
-        reg.dataspaces.insert(desc.nsid.clone(), desc);
-        Ok(())
+        })
     }
 
     pub fn update_dataspace(&self, desc: DataspaceDesc) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        if !reg.dataspaces.contains_key(&desc.nsid) {
-            return Err(EngineError::not_found(format!("dataspace {}", desc.nsid)));
-        }
-        reg.dataspaces.insert(desc.nsid.clone(), desc);
-        Ok(())
+        Ok(reg.update_dataspace(desc.nsid.clone(), desc)?)
     }
 
     pub fn unregister_dataspace(&self, nsid: &str) -> Result<(), EngineError> {
-        let mut reg = self.registry.lock();
-        reg.dataspaces
-            .remove(nsid)
-            .map(|_| ())
-            .ok_or_else(|| EngineError::not_found(format!("dataspace {nsid}")))
+        Ok(self.registry.lock().unregister_dataspace(nsid)?)
     }
 
     pub fn dataspaces(&self) -> Vec<DataspaceDesc> {
-        let reg = self.registry.lock();
-        let mut v: Vec<_> = reg.dataspaces.values().cloned().collect();
-        v.sort_by(|a, b| a.nsid.cmp(&b.nsid));
-        v
+        self.registry.lock().dataspaces().cloned().collect()
     }
 
     pub fn register_job(&self, job: JobDesc) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        for (nsid, _) in &job.limits {
-            if !reg.dataspaces.contains_key(nsid) {
-                return Err(EngineError::not_found(format!("dataspace {nsid}")));
-            }
-        }
-        if reg.jobs.contains_key(&job.job_id) {
-            return Err(EngineError::bad_args(format!("job {} exists", job.job_id)));
-        }
-        reg.jobs.insert(job.job_id, job);
-        Ok(())
+        Ok(reg.register_job(job.job_id, job.limits, job.hosts)?)
     }
 
     pub fn update_job(&self, job: JobDesc) -> Result<(), EngineError> {
         let mut reg = self.registry.lock();
-        if !reg.jobs.contains_key(&job.job_id) {
-            return Err(EngineError::not_found(format!("job {}", job.job_id)));
-        }
-        reg.jobs.insert(job.job_id, job);
-        Ok(())
+        Ok(reg.update_job(job.job_id, job.limits, job.hosts)?)
     }
 
     pub fn unregister_job(&self, job_id: u64) -> Result<(), EngineError> {
-        let mut reg = self.registry.lock();
-        reg.pid_jobs.retain(|_, jobs| {
-            jobs.retain(|j| *j != job_id);
-            !jobs.is_empty()
-        });
-        reg.jobs
-            .remove(&job_id)
-            .map(|_| ())
-            .ok_or_else(|| EngineError::not_found(format!("job {job_id}")))
+        Ok(self.registry.lock().unregister_job(job_id)?)
     }
 
     pub fn add_process(&self, job_id: u64, pid: u64) -> Result<(), EngineError> {
-        let mut reg = self.registry.lock();
-        if !reg.jobs.contains_key(&job_id) {
-            return Err(EngineError::not_found(format!("job {job_id}")));
-        }
-        reg.pid_jobs.entry(pid).or_default().push(job_id);
-        Ok(())
+        Ok(self.registry.lock().add_process(job_id, pid, ())?)
     }
 
     pub fn remove_process(&self, job_id: u64, pid: u64) -> Result<(), EngineError> {
-        let mut reg = self.registry.lock();
-        if !reg.jobs.contains_key(&job_id) {
-            return Err(EngineError::not_found(format!("job {job_id}")));
-        }
-        let jobs = match reg.pid_jobs.get_mut(&pid) {
-            Some(jobs) if jobs.contains(&job_id) => jobs,
-            _ => return Err(EngineError::not_found(format!("process {pid}"))),
-        };
-        jobs.retain(|j| *j != job_id);
-        if jobs.is_empty() {
-            reg.pid_jobs.remove(&pid);
-        }
-        Ok(())
+        Ok(self.registry.lock().remove_process(job_id, pid)?)
     }
 
-    /// Is `pid` registered to *any* job? The user socket only accepts
-    /// submissions from processes the scheduler registered via
-    /// `AddProcess` (paper §IV-B). O(1) via the reverse index — this
-    /// runs on every user-socket submission, so it must not scan jobs.
+    /// Is `pid` registered to *any* job? The user socket admits only
+    /// those (paper §IV-B): one lookup, on every user submission.
     pub fn process_known(&self, pid: u64) -> bool {
-        let reg = self.registry.lock();
-        reg.pid_jobs.contains_key(&pid)
+        self.registry.lock().process_known(pid)
     }
 
     // ---- peer registry (remote staging) ----
@@ -138,24 +70,16 @@ impl Engine {
     /// Map `host` (as it appears in `RemotePath.host`) to a peer
     /// daemon's data-plane TCP address. Re-registering updates.
     pub fn register_peer(&self, host: impl Into<String>, data_addr: impl Into<String>) {
-        self.registry
-            .lock()
-            .peers
-            .insert(host.into(), data_addr.into());
+        self.peers.lock().insert(host.into(), data_addr.into());
     }
 
     /// Data-plane address of a registered peer.
     pub fn peer_addr(&self, host: &str) -> Option<String> {
-        self.registry.lock().peers.get(host).cloned()
+        self.peers.lock().get(host).cloned()
     }
 
     pub fn peers(&self) -> Vec<(String, String)> {
-        let reg = self.registry.lock();
-        let mut v: Vec<_> = reg
-            .peers
-            .iter()
-            .map(|(h, a)| (h.clone(), a.clone()))
-            .collect();
+        let mut v: Vec<_> = self.peers.lock().clone().into_iter().collect();
         v.sort();
         v
     }
@@ -168,20 +92,11 @@ impl Engine {
     /// validation and the remote data-plane server.
     pub(crate) fn resolve_local(&self, nsid: &str, path: &str) -> Result<PathBuf, EngineError> {
         let reg = self.registry.lock();
-        let mount = reg
-            .dataspaces
-            .get(nsid)
-            .map(|ds| Path::new(&ds.mount))
-            .ok_or_else(|| EngineError::not_found(format!("dataspace {nsid}")))?;
+        let mount = Path::new(&reg.dataspace(nsid)?.mount);
         let rel = Path::new(path);
-        if rel.components().any(|c| {
-            matches!(
-                c,
-                std::path::Component::ParentDir
-                    | std::path::Component::RootDir
-                    | std::path::Component::Prefix(_)
-            )
-        }) {
+        // `..`, a root or a prefix would name something outside.
+        let outside = |c: Component| !matches!(c, Component::Normal(_) | Component::CurDir);
+        if rel.components().any(outside) {
             return Err(EngineError::new(
                 ErrorCode::PermissionDenied,
                 format!("path escape: {path}"),

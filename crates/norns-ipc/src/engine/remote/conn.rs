@@ -24,11 +24,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::unix::fs::FileExt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::BytesMut;
+use parking_lot::Mutex;
 
 use norns_proto::{push_frame, DataRequest, DataResponse, ErrorCode, FrameReader};
 
@@ -511,23 +513,73 @@ fn store_conn(addr: &str, conn: DataConn) {
     });
 }
 
+/// A replica's grip on the socket its transfer runs over, kept in its
+/// replication role beside its abort point: [`Cut::cut`] shuts the
+/// socket down, so a read waiting on a peer that never answers returns
+/// at once, and refuses every connection the transfer opens after it.
+/// `Engine::shutdown` cuts the replicas still running when the drain's
+/// window closes.
+#[derive(Default)]
+pub(crate) struct Cut {
+    /// A clone of the held socket, and whether the transfer was cut.
+    held: Mutex<(Option<TcpStream>, bool)>,
+}
+
+impl Cut {
+    /// Keep a clone of `conn`'s socket, unless the transfer was cut.
+    fn hold(&self, conn: &DataConn) -> Result<(), EngineError> {
+        let mut held = self.held.lock();
+        if held.1 {
+            return Err(EngineError::new(ErrorCode::SystemError, "cut by shutdown"));
+        }
+        held.0 = conn.stream.try_clone().ok();
+        Ok(())
+    }
+
+    pub fn cut(&self) {
+        let mut held = self.held.lock();
+        held.1 = true;
+        if let Some(stream) = held.0.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 /// The connection to `addr` one transfer holds from its plan to its
 /// end: the planning worker's cached one, or one opened by the first
 /// exchange that finds none. Every exchange of the transfer rides it —
 /// one connection, one handler thread on the peer, whichever workers
 /// run the transfer's units — and it goes to the cache of the thread
-/// that drops the transfer.
+/// that drops the transfer. A replica's [`Cut`] holds each connection
+/// it gets.
 pub(super) struct HeldConn {
     addr: String,
     conn: Option<DataConn>,
+    cut: Option<Arc<Cut>>,
 }
 
 impl HeldConn {
-    pub fn acquire(addr: &str) -> HeldConn {
-        HeldConn {
-            addr: addr.to_string(),
-            conn: take_conn(addr),
-        }
+    pub fn acquire(addr: &str, cut: Option<Arc<Cut>>) -> HeldConn {
+        let addr = addr.to_string();
+        let mut held = HeldConn {
+            addr,
+            conn: None,
+            cut,
+        };
+        held.conn = take_conn(&held.addr).filter(|conn| held.hold(conn).is_ok());
+        held
+    }
+
+    /// Let the transfer's cut, if it has one, hold `conn`.
+    fn hold(&self, conn: &DataConn) -> Result<(), EngineError> {
+        self.cut.as_ref().map_or(Ok(()), |cut| cut.hold(conn))
+    }
+
+    /// A fresh connection to the peer, held by the transfer's cut.
+    fn connect(&self) -> Result<DataConn, EngineError> {
+        let conn = DataConn::connect(&self.addr)?;
+        self.hold(&conn)?;
+        Ok(conn)
     }
 
     /// Run `exchange` over the held connection. An `Err` from it means
@@ -549,7 +601,7 @@ impl HeldConn {
     ) -> Result<T, EngineError> {
         let (mut conn, mut may_reopen) = match self.conn.take() {
             Some(conn) => (conn, true),
-            None => (DataConn::connect(&self.addr)?, false),
+            None => (self.connect()?, false),
         };
         loop {
             match exchange(&mut conn) {
@@ -559,7 +611,7 @@ impl HeldConn {
                 }
                 Err(_) if may_reopen => {
                     may_reopen = false;
-                    conn = DataConn::connect(&self.addr)?;
+                    conn = self.connect()?;
                 }
                 Err(e) => return Err(e),
             }
@@ -569,6 +621,9 @@ impl HeldConn {
 
 impl Drop for HeldConn {
     fn drop(&mut self) {
+        if let Some(cut) = &self.cut {
+            cut.held.lock().0 = None;
+        }
         if let Some(conn) = self.conn.take() {
             store_conn(&self.addr, conn);
         }

@@ -90,6 +90,7 @@ use norns_sched::shape::Plugin;
 
 use super::error::EngineError;
 use super::transfer::{open_landing, open_source, truncated, Chain, RangeMover};
+pub(crate) use conn::Cut;
 use conn::{DataConn, HeldConn};
 
 pub(crate) use server::DataServer;
@@ -179,12 +180,13 @@ impl RemoteTransfer {
         chunk_size: u64,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
+        cut: Option<Arc<Cut>>,
     ) -> Result<Box<Chain>, EngineError> {
         let direction = match plugin {
             Plugin::RemoteToLocal => Direction::Pull,
             _ => Direction::Push,
         };
-        let mut conn = HeldConn::acquire(addr);
+        let mut conn = HeldConn::acquire(addr, cut);
         let (local, size) = match direction {
             Direction::Pull => {
                 let stat = DataRequest::Stat {
@@ -605,6 +607,7 @@ mod tests {
             1 << 20,
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicBool::new(false)),
+            None,
         )
         .unwrap();
         assert!(
@@ -671,6 +674,7 @@ mod tests {
             chunk,
             progress,
             abort,
+            None,
         )
         .unwrap()
     }

@@ -14,12 +14,14 @@
 //! parent once that lock is released.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use norns_proto::{Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec};
 use norns_sched::durability::{self, Action, Mode, Phase, Record};
 use norns_sched::lifecycle::{Event, Outcome};
 use norns_sched::shape::Plugin;
 
+use super::remote::Cut;
 use super::shard::TaskEntry;
 use super::transfer::{RangeMover, Spent};
 use super::{Engine, EngineError, REPLICA_OWNER};
@@ -43,11 +45,13 @@ pub(super) struct Stage {
 pub(super) enum ReplRole {
     Stage(Stage),
     /// A replica push: the `synchronous` parent it reports to (`None`
-    /// under `local_plus_one`, whose copy settles nothing) and the
-    /// bytes it holds in the lag gauges until it ends.
+    /// under `local_plus_one`, whose copy settles nothing), the bytes
+    /// it holds in the lag gauges until it ends, and the grip on its
+    /// connection that shutdown cuts.
     ReplicaOf {
         parent: Option<u64>,
         bytes: u64,
+        cut: Arc<Cut>,
     },
 }
 
@@ -191,7 +195,8 @@ impl Engine {
         )
         .with_priority(stage.priority);
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
-        let role = ReplRole::ReplicaOf { parent, bytes };
+        let cut = Arc::default();
+        let role = ReplRole::ReplicaOf { parent, bytes, cut };
         let push = Plugin::LocalToRemote;
         let admitted = self.admit(task_id, REPLICA_OWNER, bytes, push, spec, None, Some(role));
         if let (Err(e), Some(parent)) = (admitted, parent) {
@@ -210,7 +215,7 @@ impl Engine {
         t: &mut TaskEntry,
         landed: Option<bool>,
     ) -> Option<(u64, Option<EngineError>)> {
-        let Some(ReplRole::ReplicaOf { parent, bytes }) = t.replicate.take() else {
+        let Some(ReplRole::ReplicaOf { parent, bytes, .. }) = t.replicate.take() else {
             return None;
         };
         self.pending_replicas.fetch_sub(1, Ordering::SeqCst);

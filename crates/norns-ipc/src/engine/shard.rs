@@ -134,6 +134,13 @@ impl ShardedTaskTable {
         })
     }
 
+    /// Visit every entry.
+    pub fn each(&self, mut visit: impl FnMut(&TaskEntry)) {
+        for shard in &self.shards {
+            shard.lock().values().for_each(&mut visit);
+        }
+    }
+
     /// Drop every entry the predicate rejects (completion-list GC).
     pub fn retain(&self, mut keep: impl FnMut(&TaskEntry) -> bool) {
         for shard in &self.shards {

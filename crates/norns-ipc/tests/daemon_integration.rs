@@ -2,7 +2,7 @@
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -13,17 +13,19 @@ use norns_proto::{
     TaskSpec, TaskState, DEFAULT_PRIORITY, MAX_FRAME_LEN,
 };
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("norns-ipcd-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+mod common;
+use common::TempRoot;
+
+fn temp_root(tag: &str) -> TempRoot {
+    TempRoot::new(&format!("ipcd-{tag}"))
 }
 
-fn start(tag: &str) -> (UrdDaemon, PathBuf) {
+/// A daemon under a scratch root, which comes first so it is the last
+/// binding dropped.
+fn start(tag: &str) -> (TempRoot, UrdDaemon) {
     let root = temp_root(tag);
     let daemon = UrdDaemon::spawn(DaemonConfig::in_dir(root.join("sockets"))).unwrap();
-    (daemon, root)
+    (root, daemon)
 }
 
 fn setup_dataspace(ctl: &mut CtlClient, root: &Path) {
@@ -39,7 +41,7 @@ fn setup_dataspace(ctl: &mut CtlClient, root: &Path) {
 
 #[test]
 fn listing2_flow_over_real_sockets() {
-    let (daemon, root) = start("listing2");
+    let (root, daemon) = start("listing2");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     ctl.register_job(JobDesc {
@@ -84,7 +86,7 @@ fn listing2_flow_over_real_sockets() {
 /// connections go on answering behind it.
 #[test]
 fn an_oversized_payload_is_refused_before_anything_is_sent() {
-    let (daemon, root) = start("oversized");
+    let (root, daemon) = start("oversized");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     let buffer = vec![0u8; MAX_FRAME_LEN as usize];
@@ -118,7 +120,7 @@ fn an_oversized_payload_is_refused_before_anything_is_sent() {
 
 #[test]
 fn list_dir_enumerates_sorted_contained_and_typed() {
-    let (daemon, root) = start("listdir");
+    let (root, daemon) = start("listdir");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     let mount = root.join("tmp0");
@@ -167,7 +169,7 @@ fn list_dir_enumerates_sorted_contained_and_typed() {
 
 #[test]
 fn user_socket_reports_dataspaces() {
-    let (daemon, root) = start("dsinfo");
+    let (root, daemon) = start("dsinfo");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     let mut user = UserClient::connect(&daemon.user_path).unwrap();
@@ -178,7 +180,7 @@ fn user_socket_reports_dataspaces() {
 
 #[test]
 fn copy_between_paths_via_control_api() {
-    let (daemon, root) = start("copy");
+    let (root, daemon) = start("copy");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     std::fs::write(root.join("tmp0/input.dat"), vec![3u8; 4096]).unwrap();
@@ -209,7 +211,7 @@ fn copy_between_paths_via_control_api() {
 
 #[test]
 fn errors_propagate_to_clients() {
-    let (daemon, root) = start("errors");
+    let (root, daemon) = start("errors");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     // Unknown dataspace.
@@ -260,7 +262,7 @@ fn errors_propagate_to_clients() {
 
 #[test]
 fn pause_and_resume_via_commands() {
-    let (daemon, root) = start("pause");
+    let (root, daemon) = start("pause");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     ctl.send_command(DaemonCommand::PauseAccepting).unwrap();
@@ -342,7 +344,7 @@ fn status_reports_cancelled_tasks_and_chunk_size_over_wire() {
 #[test]
 fn concurrent_clients_hammer_ping() {
     // A miniature of the Fig. 4 benchmark: 8 threads × 500 pings.
-    let (daemon, _root) = start("hammer");
+    let (_root, daemon) = start("hammer");
     let ctl_path = daemon.control_path.clone();
     let threads: Vec<_> = (0..8)
         .map(|_| {
@@ -367,7 +369,8 @@ fn concurrent_clients_hammer_ping() {
 /// accepts (in the kernel's backlog) and never answers. Nothing
 /// submitted behind it runs, so bounded waits on it deterministically
 /// expire; dropping the listener resets the pull and frees the worker.
-fn pinned(tag: &str) -> (UrdDaemon, CtlClient, u64, std::net::TcpListener) {
+/// The scratch root comes first, so it is the last binding dropped.
+fn pinned(tag: &str) -> (TempRoot, UrdDaemon, CtlClient, u64, std::net::TcpListener) {
     let root = temp_root(tag);
     let mut config = DaemonConfig::in_dir(root.join("sockets"));
     config.engine.workers = 1;
@@ -390,7 +393,7 @@ fn pinned(tag: &str) -> (UrdDaemon, CtlClient, u64, std::net::TcpListener) {
         }),
     );
     let blocker = ctl.submit(1, pull, None).unwrap();
-    (daemon, ctl, blocker, silent)
+    (root, daemon, ctl, blocker, silent)
 }
 
 fn remote_code<T: std::fmt::Debug>(r: norns_ipc::ClientResult<T>) -> ErrorCode {
@@ -405,7 +408,7 @@ fn remote_code<T: std::fmt::Debug>(r: norns_ipc::ClientResult<T>) -> ErrorCode {
 /// never earlier than asked.
 #[test]
 fn wait_with_timeout_returns_inflight_state() {
-    let (daemon, mut ctl, blocker, _silent) = pinned("timeout");
+    let (_root, daemon, mut ctl, blocker, _silent) = pinned("timeout");
     let bound = Duration::from_millis(40);
     let start = Instant::now();
     let stats = ctl.wait(blocker, bound.as_micros() as u64).unwrap();
@@ -426,7 +429,7 @@ fn wait_with_timeout_returns_inflight_state() {
 /// timeout error.
 #[test]
 fn a_poll_timeout_left_on_the_stream_does_not_fail_a_long_blocking_wait() {
-    let (_daemon, mut ctl, blocker, silent) = pinned("poll-then-wait");
+    let (_root, _daemon, mut ctl, blocker, silent) = pinned("poll-then-wait");
     assert!(ctl.poll(Duration::from_millis(1)).unwrap().is_empty());
     let hold = Duration::from_millis(60);
     let release = std::thread::spawn(move || {
@@ -445,7 +448,7 @@ fn a_poll_timeout_left_on_the_stream_does_not_fail_a_long_blocking_wait() {
 /// between the two reactors still fire in deadline order.
 #[test]
 fn staggered_deadlines_on_different_reactors_fire_in_order() {
-    let (daemon, _ctl, blocker, _silent) = pinned("stagger");
+    let (_root, daemon, _ctl, blocker, _silent) = pinned("stagger");
     let mut conns: Vec<CtlClient> = (0..4)
         .map(|_| CtlClient::connect(&daemon.control_path).unwrap())
         .collect();
@@ -477,7 +480,7 @@ fn staggered_deadlines_on_different_reactors_fire_in_order() {
 /// rejects a second) and nothing stays parked.
 #[test]
 fn completion_racing_a_deadline_answers_each_tag_once() {
-    let (daemon, root) = start("deadline-race");
+    let (root, daemon) = start("deadline-race");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     let (mut finished, mut expired) = (0, 0);
@@ -516,7 +519,7 @@ fn completion_racing_a_deadline_answers_each_tag_once() {
 /// nothing to expire, and the reactor keeps serving.
 #[test]
 fn closing_a_connection_disarms_its_deadlines() {
-    let (daemon, mut ctl, blocker, _silent) = pinned("disarm");
+    let (_root, daemon, mut ctl, blocker, _silent) = pinned("disarm");
     let engine = daemon.engine();
     let bound = Duration::from_millis(300);
     let mut doomed = CtlClient::connect(&daemon.control_path).unwrap();
@@ -549,7 +552,7 @@ fn closing_a_connection_disarms_its_deadlines() {
 fn fresh_connections_pipelining_at_once_have_every_wait_parked() {
     const CONNECTIONS: usize = 8;
     const WAITS: usize = 3;
-    let (daemon, _ctl, blocker, _silent) = pinned("fresh-pipelined");
+    let (_root, daemon, _ctl, blocker, _silent) = pinned("fresh-pipelined");
     let engine = daemon.engine();
     let bound = Duration::from_millis(300);
     let armed = Instant::now();
@@ -632,7 +635,7 @@ fn blocking_verbs_interleave_with_a_parked_wait() {
 /// the connection keeps serving the `Ping` pipelined behind it.
 #[test]
 fn a_retired_wait_any_frame_is_refused_and_the_connection_keeps_serving() {
-    let (daemon, root) = start("retired-wait-any");
+    let (root, daemon) = start("retired-wait-any");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     let spec = TaskSpec::new(
@@ -945,7 +948,7 @@ fn bounded_queue_reports_busy_over_sockets() {
 /// workers joined, backlog cancelled, later submissions refused.
 #[test]
 fn wire_shutdown_stops_the_daemon() {
-    let (daemon, root) = start("wire-shutdown");
+    let (root, daemon) = start("wire-shutdown");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     ctl.send_command(DaemonCommand::Shutdown).unwrap();
@@ -987,7 +990,7 @@ fn wire_shutdown_stops_the_daemon() {
 /// check any client could read or write any file the daemon can.
 #[test]
 fn absolute_paths_cannot_escape_the_dataspace() {
-    let (daemon, root) = start("abs-escape");
+    let (root, daemon) = start("abs-escape");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     // A secret outside the mount that must stay unreadable, and a
@@ -1091,7 +1094,7 @@ fn absolute_paths_cannot_escape_the_dataspace() {
 /// hangs up.
 #[test]
 fn shutdown_joins_reader_threads_despite_idle_clients() {
-    let (daemon, root) = start("idle-shutdown");
+    let (root, daemon) = start("idle-shutdown");
     let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
     setup_dataspace(&mut ctl, &root);
     // Idle connections whose reader threads are parked in read():
@@ -1178,7 +1181,7 @@ fn user_wait_and_query_require_ownership() {
 #[test]
 fn socket_files_carry_split_permissions() {
     use std::os::unix::fs::PermissionsExt;
-    let (daemon, _root) = start("sock-perms");
+    let (_root, daemon) = start("sock-perms");
     let mode = |p: &Path| std::fs::metadata(p).unwrap().permissions().mode() & 0o777;
     assert_eq!(mode(&daemon.control_path), 0o600, "control socket");
     assert_eq!(mode(&daemon.user_path), 0o666, "user socket");

@@ -12,15 +12,16 @@ use norns_proto::{
     BackendKind, DataspaceDesc, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
 };
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("norns-ipc-dataplane-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+mod common;
+use common::TempRoot;
+
+fn temp_root(tag: &str) -> TempRoot {
+    TempRoot::new(&format!("ipc-dataplane-{tag}"))
 }
 
-fn engine(tag: &str, config: EngineConfig) -> (Arc<Engine>, PathBuf) {
+/// An engine with one dataspace, `tmp0`, and its mount, under a
+/// scratch root that comes first so it is the last binding dropped.
+fn engine(tag: &str, config: EngineConfig) -> (TempRoot, Arc<Engine>, PathBuf) {
     let root = temp_root(tag);
     let engine = Engine::with_config(config, PolicyKind::Fcfs);
     engine
@@ -32,7 +33,8 @@ fn engine(tag: &str, config: EngineConfig) -> (Arc<Engine>, PathBuf) {
             tracked: false,
         })
         .unwrap();
-    (engine, root.join("tmp0"))
+    let mount = root.join("tmp0");
+    (root, engine, mount)
 }
 
 fn copy_spec(path_in: &str, path_out: &str) -> TaskSpec {
@@ -60,7 +62,7 @@ fn write_file(mount: &Path, name: &str, data: &[u8]) {
 
 #[test]
 fn query_observes_monotonic_live_progress() {
-    let (engine, mount) = engine(
+    let (_root, engine, mount) = engine(
         "progress",
         EngineConfig {
             workers: 2,
@@ -102,7 +104,7 @@ fn query_observes_monotonic_live_progress() {
 
 #[test]
 fn chunk_boundary_sizes_copy_byte_exact() {
-    let (engine, mount) = engine(
+    let (_root, engine, mount) = engine(
         "boundary",
         EngineConfig {
             workers: 3,
@@ -132,7 +134,7 @@ fn chunk_boundary_sizes_copy_byte_exact() {
 
 #[test]
 fn chunked_copy_preserves_patterned_content_across_workers() {
-    let (engine, mount) = engine(
+    let (_root, engine, mount) = engine(
         "content",
         EngineConfig {
             workers: 4,
@@ -155,7 +157,7 @@ fn chunked_copy_preserves_patterned_content_across_workers() {
 
 #[test]
 fn concurrent_wait_and_cancel_storm_on_sharded_table() {
-    let (engine, _mount) = engine(
+    let (_root, engine, _mount) = engine(
         "storm",
         EngineConfig {
             workers: 4,
@@ -214,7 +216,7 @@ fn concurrent_wait_and_cancel_storm_on_sharded_table() {
 
 #[test]
 fn cross_submitter_cancel_rejected_under_stress() {
-    let (engine, _mount) = engine("owner", EngineConfig::default());
+    let (_root, engine, _mount) = engine("owner", EngineConfig::default());
     let spec = || {
         TaskSpec::new(
             TaskOp::Copy,

@@ -23,6 +23,9 @@ use norns_proto::{
     push_frame, BackendKind, DataRequest, DataspaceDesc, ResourceDesc, TaskOp, TaskSpec, TaskState,
 };
 
+mod common;
+use common::TempRoot;
+
 fn proc_threads() -> usize {
     fs::read_to_string("/proc/self/status")
         .unwrap()
@@ -67,8 +70,7 @@ fn start_node(root: &std::path::Path, name: &str) -> (UrdDaemon, CtlClient) {
 
 #[test]
 fn shutdown_joins_data_plane_handlers_parked_on_cached_peer_connections() {
-    let root = std::env::temp_dir().join(format!("norns-data-shutdown-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&root);
+    let root = TempRoot::new("data-shutdown");
     fs::create_dir_all(root.join("nodea/ds")).unwrap();
     let baseline = proc_threads();
 
@@ -155,5 +157,4 @@ fn shutdown_joins_data_plane_handlers_parked_on_cached_peer_connections() {
     drop(ctl_b);
     drop(ctl_a);
     drop(daemon_a);
-    let _ = fs::remove_dir_all(&root);
 }

@@ -15,11 +15,11 @@ use norns_proto::{
 };
 use norns_sched::shape::Refusal;
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("norns-remote-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+mod common;
+use common::TempRoot;
+
+fn temp_root(tag: &str) -> TempRoot {
+    TempRoot::new(&format!("remote-{tag}"))
 }
 
 /// Position-dependent payload: any chunk-offset bug corrupts it.
@@ -48,18 +48,27 @@ fn start_node(
     (daemon, ctl, mount)
 }
 
-/// Two daemons that know each other as peers `nodea` / `nodeb`.
+/// Settings for one of [`two_nodes`]'s daemons, which puts its socket
+/// directory under the testbed's scratch root.
+fn node_config() -> DaemonConfig {
+    DaemonConfig::in_dir(PathBuf::new())
+}
+
+/// Two daemons that know each other as peers `nodea` / `nodeb`, their
+/// socket directories and mounts under one scratch root.
 #[allow(clippy::type_complexity)]
 fn two_nodes(
     tag: &str,
-    config_a: DaemonConfig,
-    config_b: DaemonConfig,
+    mut config_a: DaemonConfig,
+    mut config_b: DaemonConfig,
 ) -> (
-    PathBuf,
+    TempRoot,
     (UrdDaemon, CtlClient, PathBuf),
     (UrdDaemon, CtlClient, PathBuf),
 ) {
     let root = temp_root(tag);
+    config_a.socket_dir = root.join("nodea/sockets");
+    config_b.socket_dir = root.join("nodeb/sockets");
     let mut a = start_node(&root, "nodea", config_a);
     let mut b = start_node(&root, "nodeb", config_b);
     let addr_a = a.0.data_addr().unwrap().to_string();
@@ -192,11 +201,9 @@ fn push_and_pull_a_multichunk_file_between_two_daemons() {
 /// source.
 #[test]
 fn push_and_pull_moves_free_their_sources_between_two_daemons() {
-    let cfg = |tag: &str| {
-        DaemonConfig::in_dir(temp_root(tag).join("sockets")).with_chunk_size(MIN_CHUNK_SIZE)
-    };
+    let cfg = || node_config().with_chunk_size(MIN_CHUNK_SIZE);
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
-        two_nodes("moves", cfg("moves-a"), cfg("moves-b"));
+        two_nodes("moves", cfg(), cfg());
     let data = pattern((MIN_CHUNK_SIZE * 5) as usize + 777);
     std::fs::write(mount_a.join("move.dat"), &data).unwrap();
     let mut run = |from: ResourceDesc, to: ResourceDesc| {
@@ -244,10 +251,9 @@ fn cancel_interrupts_a_remote_pull_mid_stream() {
     // One worker and 64 KiB chunks: a 32 MiB pull is 512 sequential
     // units, each a scheduler dispatch + framed round-trip — plenty
     // of runway to land a cancel while the transfer is in progress.
-    let mut cfg_a =
-        DaemonConfig::in_dir(temp_root("cancel-a").join("sockets")).with_chunk_size(MIN_CHUNK_SIZE);
+    let mut cfg_a = node_config().with_chunk_size(MIN_CHUNK_SIZE);
     cfg_a.engine.workers = 1;
-    let cfg_b = DaemonConfig::in_dir(temp_root("cancel-b").join("sockets"));
+    let cfg_b = node_config();
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("cancel", cfg_a, cfg_b);
     let size = (MIN_CHUNK_SIZE * 512) as usize;
@@ -301,11 +307,9 @@ fn smallest_units_with_a_ragged_tail_round_trip_byte_exact() {
     // The smallest chunk size, seven full units and a ragged last one:
     // every unit is one range below `MAX_DATA_RANGE`, and a push then a
     // pull of the same bytes must land each at its absolute offset.
-    let cfg = |tag: &str| {
-        DaemonConfig::in_dir(temp_root(tag).join("sockets")).with_chunk_size(MIN_CHUNK_SIZE)
-    };
+    let cfg = || node_config().with_chunk_size(MIN_CHUNK_SIZE);
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
-        two_nodes("win1", cfg("win1-a"), cfg("win1-b"));
+        two_nodes("win1", cfg(), cfg());
     let data = pattern((MIN_CHUNK_SIZE * 7) as usize + 333);
     std::fs::write(mount_a.join("src.dat"), &data).unwrap();
 
@@ -349,10 +353,9 @@ fn a_unit_of_four_ranges_preserves_patterned_content_integrity() {
     // wrong offset. (The buffered push fallback has its own unit test
     // in `engine/remote/conn.rs`.)
     let chunk = 4 * MAX_DATA_RANGE;
-    let cfg =
-        |tag: &str| DaemonConfig::in_dir(temp_root(tag).join("sockets")).with_chunk_size(chunk);
+    let cfg = || node_config().with_chunk_size(chunk);
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
-        two_nodes("wide", cfg("wide-a"), cfg("wide-b"));
+        two_nodes("wide", cfg(), cfg());
     // Two full chunks and a ragged last one of a whole range and a
     // partial one.
     let data = pattern((chunk * 2 + MAX_DATA_RANGE) as usize + 70_001);
@@ -405,10 +408,9 @@ fn cancel_interrupts_a_pull_between_units() {
     // of the 32 units. The cancel must end cleanly: task Cancelled,
     // destination removed.
     let chunk: u64 = 4 << 20;
-    let mut cfg_a =
-        DaemonConfig::in_dir(temp_root("wincancel-a").join("sockets")).with_chunk_size(chunk);
+    let mut cfg_a = node_config().with_chunk_size(chunk);
     cfg_a.engine.workers = 1;
-    let cfg_b = DaemonConfig::in_dir(temp_root("wincancel-b").join("sockets"));
+    let cfg_b = node_config();
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("wincancel", cfg_a, cfg_b);
     let size = (chunk * 32) as usize;
@@ -462,10 +464,9 @@ fn peer_death_mid_transfer_fails_bounded() {
     // fresh-connection retry is refused, and the worker moves on. No
     // hang, no partial output left behind.
     let chunk: u64 = 4 << 20;
-    let mut cfg_a =
-        DaemonConfig::in_dir(temp_root("windeath-a").join("sockets")).with_chunk_size(chunk);
+    let mut cfg_a = node_config().with_chunk_size(chunk);
     cfg_a.engine.workers = 1;
-    let cfg_b = DaemonConfig::in_dir(temp_root("windeath-b").join("sockets"));
+    let cfg_b = node_config();
     let (_root, (_daemon_a, mut ctl_a, mount_a), (daemon_b, ctl_b, mount_b)) =
         two_nodes("windeath", cfg_a, cfg_b);
     let size = (chunk * 32) as usize;
@@ -582,11 +583,8 @@ fn unreachable_peer_fails_the_task_instead_of_hanging() {
 
 #[test]
 fn serving_daemon_rejects_escaping_remote_paths() {
-    let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) = two_nodes(
-        "remote-escape",
-        DaemonConfig::in_dir(temp_root("resc-a").join("sockets")),
-        DaemonConfig::in_dir(temp_root("resc-b").join("sockets")),
-    );
+    let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
+        two_nodes("remote-escape", node_config(), node_config());
     std::fs::write(mount_a.join("src.dat"), b"payload").unwrap();
     for escape in ["../outside.dat", "/etc/hostname"] {
         // Push to an escaping remote path: the *serving* daemon's
@@ -630,11 +628,8 @@ fn serving_daemon_rejects_escaping_remote_paths() {
 
 #[test]
 fn unsupported_remote_combinations_are_rejected() {
-    let (_root, (_daemon_a, mut ctl_a, mount_a), _b) = two_nodes(
-        "remote-combos",
-        DaemonConfig::in_dir(temp_root("combo-a").join("sockets")),
-        DaemonConfig::in_dir(temp_root("combo-b").join("sockets")),
-    );
+    let (_root, (_daemon_a, mut ctl_a, mount_a), _b) =
+        two_nodes("remote-combos", node_config(), node_config());
     std::fs::write(mount_a.join("src.dat"), b"payload").unwrap();
     let expect_badargs = |r: Result<u64, norns_ipc::ClientError>, refusal: Refusal| match r {
         Err(norns_ipc::ClientError::Remote { code, message }) => {
@@ -863,8 +858,8 @@ fn peer_whose_source_shrank(planned: u64, actual: u64) -> String {
 /// pins the `truncated at byte N` message `TaskStats` does not carry.)
 #[test]
 fn pull_lands_a_ragged_tail_and_fails_on_a_source_that_shrank() {
-    let cfg_a = DaemonConfig::in_dir(temp_root("ragged-a").join("sockets"));
-    let cfg_b = DaemonConfig::in_dir(temp_root("ragged-b").join("sockets"));
+    let cfg_a = node_config();
+    let cfg_b = node_config();
     let (_root, (_daemon_a, mut ctl_a, mount_a), (_daemon_b, _ctl_b, mount_b)) =
         two_nodes("ragged", cfg_a, cfg_b);
     let pull = |ctl: &mut CtlClient, peer: &str, name: &str| {

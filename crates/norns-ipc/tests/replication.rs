@@ -22,11 +22,11 @@ use norns_proto::{
     BackendKind, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
 };
 
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("norns-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+mod common;
+use common::TempRoot;
+
+fn temp_root(tag: &str) -> TempRoot {
+    TempRoot::new(&format!("repl-{tag}"))
 }
 
 /// Position-dependent payload: any chunk-offset bug corrupts it.
@@ -436,13 +436,49 @@ impl Gate {
     }
 }
 
-/// A directory removed with everything in it on drop.
-struct Scratch(PathBuf);
+/// A peer that accepts a replica's connection and never answers holds
+/// no daemon's teardown past the replication drain (2 s): when the
+/// drain's window closes, the replica still waiting on the peer is cut
+/// off it and ends, so teardown returns within a second of the window
+/// instead of sitting out the data plane's 30 s read timeout.
+#[test]
+fn teardown_is_bounded_when_a_replica_peer_never_answers() {
+    let root = temp_root("silent");
+    let config = DaemonConfig::in_dir(root.join("origin/sockets"));
+    let (origin, mut ctl, mount) = start_node(&root, "origin", config);
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = silent.local_addr().unwrap().to_string();
+    ctl.register_peer("silent", &addr).unwrap();
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        if let Ok((stream, _)) = silent.accept() {
+            let _ = held_tx.send(stream);
+        }
+    });
 
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    std::fs::write(mount.join("src.dat"), pattern(64 << 10)).unwrap();
+    let task = ctl
+        .submit(
+            1,
+            stage_out("out/silent.dat", Durability::LocalPlusOne),
+            None,
+        )
+        .unwrap();
+    assert_eq!(ctl.wait(task, 0).unwrap().state, TaskState::Finished);
+    let held = held_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the replica connects to the silent peer");
+    assert_eq!(ctl.status().unwrap().pending_replicas, 1);
+
+    drop(ctl);
+    let started = Instant::now();
+    origin.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "teardown took {took:?}");
+    let status = origin.engine().status();
+    assert_eq!(status.pending_replicas, 0, "the cut replica ended");
+    assert_eq!(status.running_tasks, 0);
+    drop((held, origin));
 }
 
 /// A `synchronous` Move across filesystems — its source on tmpfs
@@ -459,17 +495,15 @@ fn synchronous_cross_filesystem_move_frees_its_source_after_its_replica() {
         eprintln!("note: no /dev/shm here; the cross-filesystem Move is not checked");
         return;
     }
-    let root = Scratch(temp_root("xfs-move"));
-    let fast = Scratch(shm.join(format!("norns-repl-xfs-move-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&fast.0);
-    std::fs::create_dir_all(&fast.0).unwrap();
+    let root = temp_root("xfs-move");
+    let fast = TempRoot::under(shm, "repl-xfs-move");
     let dev = |p: &std::path::Path| std::fs::metadata(p).unwrap().dev();
-    if dev(&fast.0) == dev(&root.0) {
+    if dev(&fast) == dev(&root) {
         eprintln!("note: /dev/shm and the scratch directory share a filesystem; not checked");
         return;
     }
     let register_src = |ctl: &mut CtlClient, name: &str| {
-        let mount = fast.0.join(name);
+        let mount = fast.join(name);
         ctl.register_dataspace(DataspaceDesc {
             nsid: "src".into(),
             kind: BackendKind::Tmpfs,
@@ -497,9 +531,9 @@ fn synchronous_cross_filesystem_move_frees_its_source_after_its_replica() {
     let data = pattern(2 << 20);
 
     // A peer behind a gate: the replica is held until the gate opens.
-    let config = |name: &str| DaemonConfig::in_dir(root.0.join(name).join("sockets"));
-    let (_origin, mut ctl, mount) = start_node(&root.0, "origin", config("origin"));
-    let (peer, _ctl_peer, peer_mount) = start_node(&root.0, "peer", config("peer"));
+    let config = |name: &str| DaemonConfig::in_dir(root.join(name).join("sockets"));
+    let (_origin, mut ctl, mount) = start_node(&root, "origin", config("origin"));
+    let (peer, _ctl_peer, peer_mount) = start_node(&root, "peer", config("peer"));
     let gate = Gate::new(peer.data_addr().unwrap());
     ctl.register_peer("peer", &gate.addr.to_string()).unwrap();
     let src = register_src(&mut ctl, "origin");
@@ -527,7 +561,7 @@ fn synchronous_cross_filesystem_move_frees_its_source_after_its_replica() {
     );
 
     // A peer that refuses the replica: it has no `ds0`.
-    let (_lone, mut ctl_lone, lone_mount) = start_node(&root.0, "lone", config("lone"));
+    let (_lone, mut ctl_lone, lone_mount) = start_node(&root, "lone", config("lone"));
     let refuser = UrdDaemon::spawn(config("refuser").with_data_addr("127.0.0.1:0")).unwrap();
     ctl_lone
         .register_peer("refuser", &refuser.data_addr().unwrap().to_string())

@@ -23,7 +23,6 @@
 use std::fs;
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -35,13 +34,13 @@ use norns_proto::{
     ErrorCode, FrameReader, JobDesc, ResourceDesc, Response, TaskOp, TaskSpec,
 };
 
+mod common;
+use common::TempRoot;
+
 const DRIVERS: usize = 8;
 
-fn temp_root() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("norns-ipc-storm-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_root() -> TempRoot {
+    TempRoot::new("ipc-storm")
 }
 
 #[repr(C)]

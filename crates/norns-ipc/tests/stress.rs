@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,14 +17,14 @@ use norns_proto::{
     BackendKind, DataspaceDesc, ErrorCode, JobDesc, ResourceDesc, TaskOp, TaskSpec, TaskState,
 };
 
+mod common;
+use common::TempRoot;
+
 const CLIENTS: usize = 8;
 const TASKS_PER_CLIENT: usize = 200;
 
-fn temp_root() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("norns-ipc-stress-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_root() -> TempRoot {
+    TempRoot::new("ipc-stress")
 }
 
 #[test]

@@ -88,6 +88,15 @@ pub const ROWS: &[Row] = &[
           check: Retired(&["fn begin_replication", "ReplRequest", "fn finish_task", "replica_failed", "Event::Replica"]),
           reason: "the engine and the lifecycle kept hand-written copies of the durability rule; both worlds run the one table" },
 
+    // The job & dataspace table: one table both worlds hold.
+    Row { id: "registry-texts", paths: &["crates/*/src", "src", "!crates/norns-sched/src/registry.rs"],
+          check: TextsOf("crates/norns-sched/src/registry.rs", "message"),
+          reason: "a registration refusal is spelled once, by `Refusal::message` in the job & dataspace table" },
+    Row { id: "registry-copies", paths: &["crates", "src", "tests", "examples", "!crates/norns-sched/src"],
+          check: Retired(&["pid_jobs", "struct JobEntry", "HashMap<…DataspaceDesc", "HashMap<…JobDesc",
+                           "HashMap<…DataspaceSpec", "HashMap<…JobSpec"]),
+          reason: "the simulator and the daemon kept hand-matched copies of the job & dataspace table; both hold `norns_sched::registry`" },
+
     // The data plane.
     Row { id: "socket-tuning", paths: &[REMOTE], check: Calls(&["set_nodelay", "set_read_timeout", "set_write_timeout"], &["conn::tune"]),
           reason: "both ends of a peer connection are tuned in one helper (a missed `TCP_NODELAY` cost every push 40 ms)" },

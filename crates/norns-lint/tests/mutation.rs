@@ -211,6 +211,10 @@ const REINTRODUCED: &[(&str, &str, &str)] = &[
      "fn finish(&mut self, landed: bool) { self.free_source(); }"),
     ("durability-copies", "crates/norns-ipc/src/engine/replication.rs",
      "#[cfg(test)] mod m { fn begin_replication() {} }"),
+    ("registry-texts", "crates/norns-ipc/src/engine/registry.rs",
+     "fn f(id: u64) -> String { format!(\"no such job: {id}\") }"),
+    ("registry-copies", "crates/core/src/controller.rs",
+     "#[cfg(test)] mod m { struct S { pid_jobs: u8 } }"),
     ("socket-tuning", "crates/norns-ipc/src/engine/remote/server.rs",
      "fn f(s: &TcpStream) { s.set_nodelay(true); }"),
     ("sendfile", "crates/norns-ipc/src/engine/remote/mod.rs",

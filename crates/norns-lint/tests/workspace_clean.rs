@@ -77,9 +77,11 @@ fn live_workspace_has_no_unsuppressed_findings() {
             "dispatch",
             "finished",
             "fired",
+            "held",
             "holds",
             "incoming",
             "log",
+            "peers",
             "ranges",
             "reactor_threads",
             "registry",

@@ -19,11 +19,12 @@
 //! microseconds-since-start on the real path); policies only inspect
 //! sizes, priorities, job keys and submission order, so one policy
 //! serves both worlds — as one admission table ([`shape`]), one task
-//! lifecycle ([`lifecycle`]) and one durability rule ([`durability`])
-//! do.
+//! lifecycle ([`lifecycle`]), one durability rule ([`durability`]) and
+//! one job & dataspace table ([`registry`]) do.
 
 pub mod durability;
 pub mod lifecycle;
+pub mod registry;
 pub mod shape;
 
 use std::collections::VecDeque;

@@ -1681,3 +1681,255 @@ mod durability {
         assert!(wrong.is_empty(), "rows differ:\n{}", wrong.join("\n"));
     }
 }
+
+/// The registry differential: seeded sequences of the eight
+/// registration verbs (a dataspace registered, updated, unregistered; a
+/// job registered or updated with limits naming nothing, either
+/// dataspace or one never registered, or unregistered; a process added
+/// or removed), run by a simulated urd and by a live daemon over its
+/// control socket. Both hold the one job & dataspace table
+/// (`norns_sched::registry`), so per verb they must give the table's
+/// answer, `Ok` or the same refusal text (on the wire as `BadArgs` for
+/// what exists, `NotFound` for what is missing), and agree on the
+/// registered job and dataspace counts and on which pids are known.
+mod registry {
+    use std::fs;
+    use std::path::Path;
+
+    use norns::sim::ops;
+    use norns::{DataspaceSpec, HasNorns, JobId, JobSpec, NornsWorld, TaskCompletion};
+    use norns_ipc::{ClientError, CtlClient, DaemonConfig, UrdDaemon};
+    use norns_proto::{BackendKind, DataspaceDesc, ErrorCode, JobDesc};
+    use norns_sched::registry::{Refusal, Registry};
+    use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim};
+    use simstore::Cred;
+
+    /// Both simulator tiers; each world backs a dataspace by its own.
+    const NSIDS: [&str; 2] = ["lustre", "pmdk0"];
+    const JOBS: [u64; 2] = [1, 2];
+    const PIDS: [u64; 2] = [100, 200];
+    const LIMITS: [Option<&str>; 4] = [None, Some("lustre"), Some("pmdk0"), Some("ghost")];
+    const SEEDS: u64 = 16;
+    const STEPS: usize = 48;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Verb {
+        RegisterDataspace(&'static str),
+        UpdateDataspace(&'static str),
+        UnregisterDataspace(&'static str),
+        RegisterJob(u64, Option<&'static str>),
+        UpdateJob(u64, Option<&'static str>),
+        UnregisterJob(u64),
+        AddProcess(u64, u64),
+        RemoveProcess(u64, u64),
+    }
+
+    /// The next verb of a sequence, drawn by xorshift from `state`.
+    fn draw(state: &mut u64) -> Verb {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        let r = (*state >> 8) as usize;
+        let (ns, job, pid, limit) = (
+            NSIDS[r % 2],
+            JOBS[(r >> 1) % 2],
+            PIDS[(r >> 2) % 2],
+            LIMITS[(r >> 3) % 4],
+        );
+        match (r >> 5) % 8 {
+            0 => Verb::RegisterDataspace(ns),
+            1 => Verb::UpdateDataspace(ns),
+            2 => Verb::UnregisterDataspace(ns),
+            3 => Verb::RegisterJob(job, limit),
+            4 => Verb::UpdateJob(job, limit),
+            5 => Verb::UnregisterJob(job),
+            6 => Verb::AddProcess(job, pid),
+            _ => Verb::RemoveProcess(job, pid),
+        }
+    }
+
+    fn limits(limit: Option<&str>) -> Vec<(String, u64)> {
+        limit
+            .into_iter()
+            .map(|nsid| (nsid.to_string(), 0))
+            .collect()
+    }
+
+    /// What one world shows after a verb: its answer (`None` for `Ok`,
+    /// else the refusal's text), its job and dataspace counts, and
+    /// whether each pid is known.
+    type Seen = (Option<String>, (u64, u64), Vec<bool>);
+
+    /// The table's own answer, on a bare table.
+    fn table(t: &mut Registry<(), (), ()>, verb: Verb) -> Option<Refusal> {
+        let answer = match verb {
+            Verb::RegisterDataspace(nsid) => t.register_dataspace(nsid.into(), ()),
+            Verb::UpdateDataspace(nsid) => t.update_dataspace(nsid.into(), ()),
+            Verb::UnregisterDataspace(nsid) => t.unregister_dataspace(nsid),
+            Verb::RegisterJob(id, l) => t.register_job(id, limits(l), ()),
+            Verb::UpdateJob(id, l) => t.update_job(id, limits(l), ()),
+            Verb::UnregisterJob(id) => t.unregister_job(id),
+            Verb::AddProcess(job, pid) => t.add_process(job, pid, ()),
+            Verb::RemoveProcess(job, pid) => t.remove_process(job, pid),
+        };
+        answer.err()
+    }
+
+    // ---- the simulated urd: node 0 of a quiet testbed ----
+
+    struct Model {
+        world: NornsWorld,
+    }
+
+    impl FluidModel for Model {
+        fn fluid_mut(&mut self) -> &mut FluidSystem {
+            &mut self.world.fluid
+        }
+        fn on_flow_complete(sim: &mut Sim<Self>, done: CompletedFlow) {
+            norns::handle_flow_complete(sim, done);
+        }
+    }
+
+    impl HasNorns for Model {
+        fn norns_mut(&mut self) -> &mut NornsWorld {
+            &mut self.world
+        }
+        fn on_task_complete(_sim: &mut Sim<Self>, _completion: TaskCompletion) {}
+    }
+
+    fn sim_verb(sim: &mut Sim<Model>, verb: Verb) -> Seen {
+        let cred = || Cred::new(1000, 1000);
+        let job = |id, l| JobSpec {
+            id: JobId(id),
+            hosts: vec![0],
+            limits: limits(l),
+            cred: cred(),
+        };
+        let answer = match verb {
+            Verb::RegisterDataspace(nsid) => ops::register_dataspace(sim, 0, nsid, nsid, false),
+            Verb::UpdateDataspace(nsid) => {
+                let world = &mut sim.model.world;
+                let tier = world.storage.resolve(nsid).unwrap();
+                let nsid = nsid.to_string();
+                let spec = DataspaceSpec {
+                    nsid,
+                    tier,
+                    tracked: false,
+                };
+                world.urds[0].controller.update_dataspace(spec)
+            }
+            Verb::UnregisterDataspace(nsid) => ops::unregister_dataspace(sim, 0, nsid),
+            Verb::RegisterJob(id, l) => ops::register_job(sim, job(id, l)),
+            Verb::UpdateJob(id, l) => ops::update_job(sim, job(id, l)),
+            Verb::UnregisterJob(id) => ops::unregister_job(sim, JobId(id), &[0]).map(drop),
+            Verb::AddProcess(id, pid) => ops::add_process(sim, 0, JobId(id), pid, cred()),
+            Verb::RemoveProcess(id, pid) => ops::remove_process(sim, 0, JobId(id), pid),
+        };
+        let status = ops::daemon_status(sim, 0);
+        let counts = (
+            status.registered_jobs as u64,
+            status.registered_dataspaces as u64,
+        );
+        let controller = &sim.model.world.urds[0].controller;
+        let known = PIDS.map(|pid| controller.process_known(pid)).to_vec();
+        (answer.err().map(|e| e.to_string()), counts, known)
+    }
+
+    // ---- the live daemon, driven over its control socket ----
+
+    /// What the daemon shows after `verb`, and the wire code of its
+    /// refusal, if any.
+    fn live_verb(
+        daemon: &UrdDaemon,
+        ctl: &mut CtlClient,
+        root: &Path,
+        verb: Verb,
+    ) -> (Seen, Option<ErrorCode>) {
+        let ds = |nsid: &str| DataspaceDesc {
+            nsid: nsid.into(),
+            kind: BackendKind::PosixFilesystem,
+            mount: root.join(nsid).to_string_lossy().into_owned(),
+            quota: 0,
+            tracked: false,
+        };
+        let job = |job_id, l| JobDesc {
+            job_id,
+            hosts: vec!["node0".into()],
+            limits: limits(l),
+        };
+        let answer = match verb {
+            Verb::RegisterDataspace(nsid) => ctl.register_dataspace(ds(nsid)),
+            Verb::UpdateDataspace(nsid) => ctl.update_dataspace(ds(nsid)),
+            Verb::UnregisterDataspace(nsid) => ctl.unregister_dataspace(nsid),
+            Verb::RegisterJob(id, l) => ctl.register_job(job(id, l)),
+            Verb::UpdateJob(id, l) => ctl.update_job(job(id, l)),
+            Verb::UnregisterJob(id) => ctl.unregister_job(id),
+            Verb::AddProcess(id, pid) => ctl.add_process(id, pid, 1000, 1000),
+            Verb::RemoveProcess(id, pid) => ctl.remove_process(id, pid),
+        };
+        let answer = match answer {
+            Ok(()) => None,
+            Err(ClientError::Remote { code, message }) => Some((code, message)),
+            Err(e) => panic!("{verb:?}: the daemon failed: {e}"),
+        };
+        let status = ctl.status().unwrap();
+        let counts = (status.registered_jobs, status.registered_dataspaces);
+        let known = PIDS.map(|pid| daemon.engine().process_known(pid)).to_vec();
+        let code = answer.as_ref().map(|(code, _)| *code);
+        ((answer.map(|(_, message)| message), counts, known), code)
+    }
+
+    #[test]
+    fn every_registration_verb_gets_the_tables_answer_in_both_worlds() {
+        let root = std::env::temp_dir().join(format!("norns-diff-registry-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let (mut wrong, mut refusals) = (Vec::new(), Vec::new());
+        for seed in 1..=SEEDS {
+            let mut sim = Sim::new(
+                Model {
+                    world: cluster::nextgenio_quiet(1).world,
+                },
+                seed,
+            );
+            let mount = root.join(seed.to_string());
+            let config = DaemonConfig::in_dir(mount.join("sockets"));
+            let daemon = UrdDaemon::spawn(config).unwrap();
+            let mut ctl = CtlClient::connect(&daemon.control_path).unwrap();
+            let mut bare = Registry::default();
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for step in 0..STEPS {
+                let verb = draw(&mut state);
+                let want = table(&mut bare, verb);
+                let sim_seen = sim_verb(&mut sim, verb);
+                let (live_seen, code) = live_verb(&daemon, &mut ctl, &mount, verb);
+                let want_code = want.as_ref().map(|refusal| match refusal {
+                    Refusal::DataspaceExists(_) | Refusal::JobExists(_) => ErrorCode::BadArgs,
+                    _ => ErrorCode::NotFound,
+                });
+                if sim_seen != live_seen
+                    || sim_seen.0 != want.as_ref().map(Refusal::message)
+                    || code != want_code
+                {
+                    wrong.push(format!(
+                        "seed {seed} step {step} {verb:?}: table {want:?}\n  sim  {sim_seen:?}\n  live {live_seen:?} {code:?}"
+                    ));
+                }
+                refusals.extend(want.map(|refusal| (verb, refusal)));
+            }
+            drop(ctl);
+            drop(daemon);
+        }
+        let _ = fs::remove_dir_all(&root);
+        assert!(wrong.is_empty(), "the worlds differ:\n{}", wrong.join("\n"));
+        // The two decided rows were exercised: a duplicate job id whose
+        // limits name an unknown dataspace, and an update naming one.
+        let duplicate = refusals.iter().any(|(verb, refusal)| {
+            matches!(verb, Verb::RegisterJob(_, Some("ghost")))
+                && matches!(refusal, Refusal::JobExists(_))
+        });
+        let update = refusals.iter().any(|(verb, refusal)| {
+            matches!(verb, Verb::UpdateJob(..)) && matches!(refusal, Refusal::NoDataspace(_))
+        });
+        assert!(duplicate && update, "the sequences missed a decided row");
+    }
+}
