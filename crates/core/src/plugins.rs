@@ -7,7 +7,7 @@ pub use norns_sched::shape::Plugin as PluginKind;
 use norns_sched::shape::{names_root, Kind, Shape};
 
 use crate::resource::ResourceRef;
-use crate::task::TaskSpec;
+use crate::task::{Durability, TaskSpec};
 
 /// The shape of a simulated task, as the admission table reads it.
 pub fn shape(spec: &TaskSpec) -> Shape {
@@ -21,6 +21,7 @@ pub fn shape(spec: &TaskSpec) -> Shape {
         input: kind(&spec.input),
         output: spec.output.as_ref().map(kind),
         input_names_root: spec.input.path().is_some_and(names_root),
+        durable: spec.durability != Durability::LocalOnly,
     }
 }
 

@@ -110,6 +110,7 @@ pub struct UrdStatus {
     pub pending_tasks: usize,
     pub running_tasks: usize,
     pub completed_tasks: u64,
+    pub cancelled_tasks: u64,
     pub registered_jobs: usize,
     pub registered_dataspaces: usize,
 }
@@ -123,7 +124,11 @@ pub struct SimUrd {
     pub(crate) tasks: HashMap<TaskId, TaskRecord>,
     next_task: u64,
     accepting: bool,
-    completed: u64,
+    /// The status counters, moved by the lifecycle table's rows alone
+    /// (`ops::admit` and `ops::step`): a stage-out awaiting its
+    /// replicas counts as running. The queue keeps only ordering and
+    /// worker slots.
+    counts: [u64; 4],
     /// Models the single epoll accept thread from Fig. 3 for the
     /// request-rate experiments.
     pub(crate) rpc_server: FifoServer,
@@ -150,7 +155,7 @@ impl SimUrd {
             tasks: HashMap::new(),
             next_task: 1,
             accepting: true,
-            completed: 0,
+            counts: [0; 4],
             rpc_server: FifoServer::new(1),
             rpc_pending_svc: Vec::new(),
             rpc_tick: EventId::NONE,
@@ -182,20 +187,22 @@ impl SimUrd {
         self.tasks.get_mut(&id)
     }
 
-    /// Move the status counters by a lifecycle row's deltas: the
-    /// queue keeps pending and running, so only `completed` is here.
-    pub(crate) fn count(&mut self, counts: Counts) {
-        self.completed = self
-            .completed
-            .saturating_add_signed(i64::from(counts.completed));
+    /// Move the status counters by a lifecycle row's deltas.
+    pub(crate) fn count(&mut self, by: Counts) {
+        let by = [by.pending, by.running, by.completed, by.cancelled];
+        for (counter, by) in self.counts.iter_mut().zip(by) {
+            *counter = counter.saturating_add_signed(i64::from(by));
+        }
     }
 
     pub fn status(&self) -> UrdStatus {
+        let [pending, running, completed, cancelled] = self.counts;
         UrdStatus {
             accepting: self.accepting,
-            pending_tasks: self.queue.pending_len(),
-            running_tasks: self.queue.running(),
-            completed_tasks: self.completed,
+            pending_tasks: pending as usize,
+            running_tasks: running as usize,
+            completed_tasks: completed,
+            cancelled_tasks: cancelled,
             registered_jobs: self.controller.job_count(),
             registered_dataspaces: self.controller.dataspace_count(),
         }

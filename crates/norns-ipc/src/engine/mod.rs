@@ -327,6 +327,7 @@ fn shape_of(spec: &TaskSpec) -> Shape {
         input,
         output: spec.output.as_ref().map(|r| end(r).0),
         input_names_root,
+        durable: spec.durability != Durability::LocalOnly,
     }
 }
 
@@ -598,20 +599,17 @@ impl Engine {
             // Not executed here yet (ROADMAP item 11).
             return Err(Refusal::MemoryAcrossNodes.into());
         }
-        // Durability modes (v8) only make sense for a local stage-out,
-        // a copy or a move alike: the landed output file is what the
-        // background queue pushes. Everything else must say
-        // `local_only` explicitly (a `Remove` has no output).
-        let replicate =
-            match (&spec.output, spec.durability) {
-                (_, Durability::LocalOnly) => None,
-                (Some(ResourceDesc::PosixPath { nsid, path }), _) if !plugin.crosses_network() => {
-                    Some(ReplRole::stage(&spec, nsid, path, self.target_copies))
-                }
-                _ => return Err(EngineError::bad_args(
-                    "durability modes apply only to local stage-outs with a dataspace-path output",
-                )),
-            };
+        // A durability mode (v8) rides in the task's own record. The
+        // table admits one only for a local stage-out: its landed
+        // output file is what the background queue pushes.
+        let replicate = match (&spec.output, spec.durability) {
+            (Some(ResourceDesc::PosixPath { nsid, path }), mode)
+                if mode != Durability::LocalOnly =>
+            {
+                Some(ReplRole::stage(&spec, nsid, path, self.target_copies))
+            }
+            _ => None,
+        };
         if let Some((host, ..)) = far_end(plugin, &spec) {
             // Unknown peers are a submission error, not a task
             // failure: fail fast with NotFound.

@@ -79,6 +79,14 @@ pub const ROWS: &[Row] = &[
     Row { id: "job-copies", paths: &[FLOW, SLURM], check: Retired(&["fn abandon_stage_out", "fn cancel_downstream", "enum FlowJobState"]),
           reason: "the simulator and the executor ran hand-written copies of the job lifecycle; both run the one table" },
 
+    // The task lifecycle: one table each world applies at one site.
+    Row { id: "task-apply", paths: &[IPC, CORE], check: Calls(&["lifecycle::step"], &["Engine::step", "ops::step"]),
+          reason: "a task's state and status counters change only where a world applies `norns_sched::lifecycle::step`" },
+    Row { id: "task-apply", paths: &[IPC, CORE], check: Calls(&["lifecycle::admit"], &["Engine::admit", "ops::admit"]),
+          reason: "a task is made, queued and counted in one admission per world" },
+    Row { id: "worker-slot", paths: &[CORE], check: Calls(&["queue.finish", "queue.cancel_pending"], &["ops::step"]),
+          reason: "the simulated urd frees a worker slot or drops a queued task only on the lifecycle row that ends it" },
+
     // Durability: one table both worlds run.
     Row { id: "durability-apply", paths: &[IPC, CORE], check: Calls(&["durability::step"], &["Engine::durable", "ops::durable"]),
           reason: "when a stage-out ACKs, replicates and frees its source is decided where a world applies `norns_sched::durability::step`" },

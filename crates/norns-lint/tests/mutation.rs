@@ -205,6 +205,12 @@ const REINTRODUCED: &[(&str, &str, &str)] = &[
      "fn f(j: &mut JobRec) { j.life.state = JobState::Failed; }"),
     ("job-copies", "crates/slurm-sim/src/ctld.rs",
      "#[cfg(test)] mod m { fn cancel_downstream() {} }"),
+    ("task-apply", "crates/core/src/sim/plan.rs",
+     "fn f(t: Task) -> Next { lifecycle::step(t, Event::Dispatch) }"),
+    ("task-apply", "crates/norns-ipc/src/engine/registry.rs",
+     "fn f() -> Next { lifecycle::admit(Role::Client) }"),
+    ("worker-slot", "crates/core/src/sim/plan.rs",
+     "fn f(urd: &mut SimUrd) { urd.queue.finish(); }"),
     ("durability-apply", "crates/core/src/sim/ops.rs",
      "fn f(r: Record) -> Next { durability::step(r, Event::Landed) }"),
     ("source-free", "crates/norns-ipc/src/engine/transfer.rs",

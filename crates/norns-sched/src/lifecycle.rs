@@ -1,11 +1,13 @@
 //! The one task lifecycle: the paper's pending queue → worker →
-//! completion list (Fig. 3) as one pure function both worlds run —
-//! `norns_ipc::Engine` under each task's shard lock, the simulated urd
-//! in its event loop. [`step`] takes a task's [`Task`] record (its
-//! [`TaskState`] and the [`Facts`] a decision reads) and one [`Event`],
-//! and returns the record after it, the caller's [`Answer`] and the
-//! status [`Counts`] it moves. Nothing else picks a state, a cancel
-//! answer, whether a wait parks, or a counter move.
+//! completion list (Fig. 3) as one pure function both worlds run, each
+//! at one apply site — `norns_ipc::Engine::step` under each task's
+//! shard lock, `norns::sim::ops::step` in the simulated urd's event
+//! loop — after one admission each (`Engine::admit`, `ops::admit`).
+//! [`step`] takes a task's [`Task`] record (its [`TaskState`] and the
+//! [`Facts`] a decision reads) and one [`Event`], and returns the
+//! record after it, the caller's [`Answer`] and the status [`Counts`]
+//! it moves. Nothing else picks a state, a cancel answer, whether a
+//! wait parks, or a counter move.
 //!
 //! The rules, in one place:
 //! * a task makes exactly one terminal transition; every parked wait
@@ -15,9 +17,16 @@
 //!   commit — and a refused cancel changes nothing. A running task
 //!   without an abort point (a removal, a memory write, a rename, a
 //!   chain that has given its point back to commit, a landed task
-//!   awaiting its durability verdict) refuses it;
+//!   awaiting its durability verdict) refuses it. Both worlds [`Plan`]
+//!   only a copy that moves file bytes — local to local other than a
+//!   rename, a push, a pull — so a memory write, a rename and the
+//!   memory-across-nodes plugins refuse it in both;
 //! * `pending`/`running` count every task, `completed`/`cancelled`
-//!   only a client's: a replica never moves a client counter.
+//!   only a client's: a replica never moves a client counter. Both
+//!   worlds' status counters are these sums, so a stage-out awaiting
+//!   its replicas counts as running beside them.
+//!
+//! [`Plan`]: Event::Plan
 
 /// Where a task is: queued, on a worker (or landed and awaiting its
 /// durability verdict), or one of the three ends.

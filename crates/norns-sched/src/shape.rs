@@ -34,6 +34,8 @@ pub struct Shape {
     pub output: Option<Kind>,
     /// The input path names its dataspace's root ([`names_root`]).
     pub input_names_root: bool,
+    /// It asks for a durability mode other than `local_only`.
+    pub durable: bool,
 }
 
 /// The six transfer plugins from Table II, plus local removal.
@@ -70,6 +72,7 @@ pub enum Refusal {
     DirectoryToMemory,
     MemoryAcrossNodes,
     TreeAcrossNodes,
+    DurableNotStageOut,
 }
 
 impl Refusal {
@@ -90,6 +93,9 @@ impl Refusal {
             DirectoryToMemory => "a directory cannot land in a memory buffer",
             MemoryAcrossNodes => "memory is not staged to or from another node yet",
             TreeAcrossNodes => "directory trees are not staged across nodes yet",
+            DurableNotStageOut => {
+                "durability modes apply only to local stage-outs with a dataspace-path output"
+            }
         }
     }
 }
@@ -124,6 +130,11 @@ pub fn admit(shape: Shape) -> Result<Plugin, Refusal> {
     // Removing or moving a root would delete the dataspace's mount.
     if shape.input_names_root && shape.op != TaskOp::Copy {
         return Err(Refusal::DataspaceRoot);
+    }
+    // A replica pushes the landed local output: only a stage-out that
+    // lands on this node's paths has one to push.
+    if shape.durable && !matches!(plugin, Plugin::MemoryToLocal | Plugin::LocalToLocal) {
+        return Err(Refusal::DurableNotStageOut);
     }
     Ok(plugin)
 }
@@ -175,7 +186,7 @@ impl Plugin {
 mod tests {
     use super::*;
 
-    const REFUSALS: [Refusal; 11] = [
+    const REFUSALS: [Refusal; 12] = [
         Refusal::RemoveWithOutput,
         Refusal::RemoveOfMemory,
         Refusal::RemoteRemove,
@@ -187,6 +198,7 @@ mod tests {
         Refusal::DirectoryToMemory,
         Refusal::MemoryAcrossNodes,
         Refusal::TreeAcrossNodes,
+        Refusal::DurableNotStageOut,
     ];
 
     fn shape(op: TaskOp, input: Kind, output: Option<Kind>) -> Shape {
@@ -195,6 +207,7 @@ mod tests {
             input,
             output,
             input_names_root: false,
+            durable: false,
         }
     }
 
@@ -278,6 +291,27 @@ mod tests {
         ];
         for (op, input, output, refusal) in rows {
             assert_eq!(admit(shape(op, input, output)), Err(refusal));
+        }
+    }
+
+    #[test]
+    fn only_a_stage_out_to_local_paths_takes_a_durability_mode() {
+        use Kind::*;
+        for op in [TaskOp::Copy, TaskOp::Move, TaskOp::Remove] {
+            for input in [Memory, Local, Remote] {
+                for output in [None, Some(Memory), Some(Local), Some(Remote)] {
+                    let plain = admit(shape(op, input, output));
+                    let durable = Shape {
+                        durable: true,
+                        ..shape(op, input, output)
+                    };
+                    let want = match plain {
+                        Ok(Plugin::MemoryToLocal | Plugin::LocalToLocal) | Err(_) => plain,
+                        Ok(_) => Err(Refusal::DurableNotStageOut),
+                    };
+                    assert_eq!(admit(durable), want, "{op:?} {input:?} {output:?}");
+                }
+            }
         }
     }
 

@@ -970,7 +970,9 @@ mod admission {
         ApiSource, HasNorns, JobId, JobSpec, NornsError, NornsWorld, ResourceRef, TaskCompletion,
     };
     use norns_ipc::{DaemonConfig, UrdDaemon};
-    use norns_proto::{BackendKind, DataspaceDesc, ErrorCode, ResourceDesc, TaskSpec, TaskState};
+    use norns_proto::{
+        BackendKind, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskSpec, TaskState,
+    };
     use norns_sched::shape::{admit, Kind, Plugin, Refusal, Shape, TaskOp};
     use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim};
     use simstore::{Cred, Mode};
@@ -991,13 +993,18 @@ mod admission {
         input: Kind,
         output: Option<Kind>,
         form: Form,
+        /// Submitted `synchronous`: only its submit verdict is judged.
+        durable: bool,
     }
 
-    /// Every shape, each row with its own index (its input and output
-    /// names).
+    /// Every shape, plain and `synchronous`, each row with its own
+    /// index (its input and output names).
     fn rows() -> Vec<Row> {
         let mut rows = Vec::new();
-        for op in [TaskOp::Copy, TaskOp::Move, TaskOp::Remove] {
+        for (durable, op) in [false, true]
+            .into_iter()
+            .flat_map(|d| [TaskOp::Copy, TaskOp::Move, TaskOp::Remove].map(|op| (d, op)))
+        {
             for input in [Kind::Memory, Kind::Local, Kind::Remote] {
                 for output in [
                     None,
@@ -1015,6 +1022,7 @@ mod admission {
                             input,
                             output,
                             form,
+                            durable,
                         });
                     }
                 }
@@ -1031,6 +1039,7 @@ mod admission {
             input: row.input,
             output: row.output,
             input_names_root: row.form == Form::Root,
+            durable: row.durable,
         }
     }
 
@@ -1140,12 +1149,18 @@ mod admission {
             priority: norns_sched::DEFAULT_PRIORITY,
             input: end(row.input, "lustre", path),
             output: row.output.map(|kind| end(kind, "pmdk0", format!("o{i}"))),
-            durability: norns::Durability::LocalOnly,
+            durability: match row.durable {
+                true => norns::Durability::Synchronous,
+                false => norns::Durability::LocalOnly,
+            },
         }
     }
 
+    /// The verdict on `spec`: its submit's, then its run's — a durable
+    /// task's run is run out, not judged.
     fn sim_verdict(sim: &mut Sim<Model>, spec: norns::TaskSpec) -> Verdict {
         let source = ApiSource::Control;
+        let durable = spec.durability != norns::Durability::LocalOnly;
         let id = match ops::submit_task(sim, 0, JobId(1), source, spec, 0) {
             Ok(id) => id,
             Err(NornsError::BadArgs(why)) => return Err(why),
@@ -1155,6 +1170,7 @@ mod admission {
             let task = sim.model.world.urds[0].task(id).unwrap();
             if task.life.state.is_terminal() {
                 return match &task.error {
+                    _ if durable => Ok(()),
                     None => Ok(()),
                     Some(NornsError::BadArgs(why)) => Err(why.clone()),
                     Some(e) => panic!("sim task failed with {e:?}"),
@@ -1240,14 +1256,16 @@ mod admission {
         };
         let output = row.output.map(|kind| end(kind, "pmdk0", format!("o{i}")));
         let payload = (row.input == Kind::Memory).then(|| vec![7u8; SIZE as usize]);
-        (
-            TaskSpec::new(op, end(row.input, "lustre", path), output),
-            payload,
-        )
+        let spec = TaskSpec::new(op, end(row.input, "lustre", path), output);
+        match row.durable {
+            true => (spec.with_durability(Durability::Synchronous), payload),
+            false => (spec, payload),
+        }
     }
 
     fn live_verdict(live: &Live, spec: TaskSpec, payload: Option<Vec<u8>>) -> Verdict {
         let engine = live.a.engine();
+        let durable = spec.durability != Durability::LocalOnly;
         let id = match engine.submit(1, spec, payload) {
             Ok(id) => id,
             Err(e) if e.code == ErrorCode::BadArgs => return Err(e.message),
@@ -1255,6 +1273,7 @@ mod admission {
         };
         let stats = engine.wait(id, 0).unwrap();
         match (stats.state, stats.error) {
+            _ if durable => Ok(()),
             (TaskState::Finished, _) => Ok(()),
             (TaskState::FinishedWithError, ErrorCode::BadArgs) => {
                 Err(engine.error_message(id).unwrap())
@@ -1269,10 +1288,10 @@ mod admission {
     #[test]
     fn every_shape_gets_the_tables_verdict_in_both_worlds() {
         let rows = rows();
-        assert_eq!(rows.len(), 3 * 4 * (1 + 2 * 3), "every shape, once");
+        assert_eq!(rows.len(), 2 * 3 * 4 * (1 + 2 * 3), "every shape, twice");
         let mut sim = sim_cluster();
         let live = live_cluster();
-        let (mut wrong, mut admitted) = (Vec::new(), (0, 0));
+        let (mut wrong, mut admitted) = (Vec::new(), [(0, 0); 2]);
         for (i, &row) in rows.iter().enumerate() {
             let verdict = table(row);
             let want_sim: Verdict = verdict.map(drop).map_err(message);
@@ -1281,8 +1300,9 @@ mod admission {
             let got_sim = sim_verdict(&mut sim, spec);
             let (spec, payload) = live_spec(&live, i, row);
             let got_live = live_verdict(&live, spec, payload);
-            admitted.0 += usize::from(got_sim.is_ok());
-            admitted.1 += usize::from(got_live.is_ok());
+            let counted = &mut admitted[usize::from(row.durable)];
+            counted.0 += usize::from(got_sim.is_ok());
+            counted.1 += usize::from(got_live.is_ok());
             if got_sim != want_sim || got_live != want_live {
                 wrong.push(format!(
                     "{row:?}: table {verdict:?}; sim {got_sim:?}; daemon {got_live:?}"
@@ -1293,11 +1313,13 @@ mod admission {
         let _ = fs::remove_dir_all(&live.root);
         assert!(wrong.is_empty(), "verdicts differ:\n{}", wrong.join("\n"));
         // Both worlds follow the table, so a flipped row would pass the
-        // comparison above; the counts pin the table itself.
+        // comparison above; the counts pin the table itself. A
+        // `synchronous` task is admitted only to a local stage-out: a
+        // memory write or a local copy, 7 shapes in each world.
         assert_eq!(
             admitted,
-            (23, 13),
-            "shapes run by the simulator and by the daemon"
+            [(23, 13), (7, 7)],
+            "shapes run by the simulator and by the daemon, plain and synchronous"
         );
     }
 }
