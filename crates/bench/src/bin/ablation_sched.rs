@@ -7,7 +7,7 @@
 
 use norns::sim::ops;
 use norns::{
-    ApiSource, JobFairShare, JobId, JobSpec, ResourceRef, ShortestFirst, TaskQueue, TaskSpec,
+    ApiSource, JobFairShare, JobId, JobSpec, ResourceDesc, ShortestFirst, TaskQueue, TaskSpec,
 };
 use norns_bench::Report;
 use simcore::metrics::Summary;
@@ -63,15 +63,15 @@ fn run(policy: &str) -> (f64, f64) {
     }
     for i in 0..4 {
         let spec = TaskSpec::copy(
-            ResourceRef::local("pmdk0", format!("big{i}")),
-            ResourceRef::local("lustre", format!("big{i}")),
+            ResourceDesc::posix("pmdk0", format!("big{i}")),
+            ResourceDesc::posix("lustre", format!("big{i}")),
         );
         ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 1).unwrap();
     }
     for i in 0..24 {
         let spec = TaskSpec::copy(
-            ResourceRef::local("pmdk0", format!("small{i}")),
-            ResourceRef::local("lustre", format!("small{i}")),
+            ResourceDesc::posix("pmdk0", format!("small{i}")),
+            ResourceDesc::posix("lustre", format!("small{i}")),
         );
         ops::submit_task(&mut sim, 0, JobId(2), ApiSource::Control, spec, 2).unwrap();
     }

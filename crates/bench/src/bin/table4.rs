@@ -14,7 +14,7 @@
 //! | HPCG no activity| 122 s   |
 
 use norns::sim::ops;
-use norns::{ApiSource, JobId, JobSpec, ResourceRef, TaskSpec};
+use norns::{ApiSource, JobId, JobSpec, ResourceDesc, TaskSpec};
 use norns_bench::Report;
 use simcore::Sim;
 use simstore::Cred;
@@ -99,8 +99,8 @@ fn main() {
 
     // HPCG while the producer's output is staged out to Lustre.
     let stage_out = TaskSpec::mv(
-        ResourceRef::local("pmdk0", "out"),
-        ResourceRef::local("lustre", "archive/out"),
+        ResourceDesc::posix("pmdk0", "out"),
+        ResourceDesc::posix("lustre", "archive/out"),
     );
     let hpcg_out = hpcg_with_staging(Some(stage_out), 0);
     report.row([
@@ -111,8 +111,8 @@ fn main() {
 
     // HPCG while the consumer's input is staged in from Lustre.
     let stage_in = TaskSpec::copy(
-        ResourceRef::local("lustre", "staged"),
-        ResourceRef::local("pmdk0", "in"),
+        ResourceDesc::posix("lustre", "staged"),
+        ResourceDesc::posix("pmdk0", "in"),
     );
     let hpcg_in = hpcg_with_staging(Some(stage_in), 0);
     report.row([

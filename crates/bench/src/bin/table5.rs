@@ -11,7 +11,7 @@
 //! | solver        |  123 s |  66 s |
 
 use norns::sim::ops;
-use norns::{ApiSource, JobId, JobSpec, ResourceRef, TaskSpec};
+use norns::{ApiSource, JobId, JobSpec, ResourceDesc, TaskSpec};
 use norns_bench::Report;
 use simcore::{Sim, SimDuration, SimTime};
 use simstore::Cred;
@@ -72,8 +72,12 @@ fn main() {
             continue; // already local to the decompose node
         }
         let spec = TaskSpec::copy(
-            ResourceRef::local("pmdk0", format!("case/processor{r}")),
-            ResourceRef::remote(target, "pmdk0", format!("case/processor{r}")),
+            ResourceDesc::posix("pmdk0", format!("case/processor{r}")),
+            ResourceDesc::remote(
+                sim.model.world.host(target),
+                "pmdk0",
+                format!("case/processor{r}"),
+            ),
         );
         ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, r as u64).unwrap();
         outstanding += 1;

@@ -133,7 +133,7 @@ pub fn gibps(bytes_per_sec: f64) -> String {
 /// Drivers shared by the Fig. 5/6/7 experiment binaries.
 pub mod drivers {
     use norns::sim::ops;
-    use norns::{ApiSource, JobId, JobSpec, ResourceRef, RpcRequest, TaskSpec};
+    use norns::{ApiSource, JobId, JobSpec, ResourceDesc, RpcRequest, TaskSpec};
     use simcore::{Sim, SimTime};
     use simstore::{Cred, Mode};
     use workloads::{register_tiers, BenchWorld};
@@ -248,15 +248,16 @@ pub mod drivers {
                 }
             }
         }
+        let server = sim.model.world.host(0).to_string();
         let spec_for = |client: usize, slot: usize| -> TaskSpec {
             match dir {
                 XferDir::Read => TaskSpec::copy(
-                    ResourceRef::remote(0, "pmdk0", "buf"),
-                    ResourceRef::local("pmdk0", format!("in/slot{slot}")),
+                    ResourceDesc::remote(&server, "pmdk0", "buf"),
+                    ResourceDesc::posix("pmdk0", format!("in/slot{slot}")),
                 ),
                 XferDir::Write => TaskSpec::copy(
-                    ResourceRef::local("pmdk0", "buf"),
-                    ResourceRef::remote(0, "pmdk0", format!("out/c{client}_s{slot}")),
+                    ResourceDesc::posix("pmdk0", "buf"),
+                    ResourceDesc::remote(&server, "pmdk0", format!("out/c{client}_s{slot}")),
                 ),
             }
         };

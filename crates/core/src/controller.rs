@@ -13,9 +13,7 @@ use norns_sched::registry::{Job, Registry};
 use simstore::{Cred, TierRef};
 
 use crate::error::{NornsError, Result};
-use crate::plugins::PluginKind;
-use crate::resource::ResourceRef;
-use crate::task::{JobId, TaskSpec};
+use crate::task::{JobId, ResourceDesc, TaskSpec};
 
 /// A dataspace registered on this node (`register_dataspace`).
 #[derive(Debug, Clone)]
@@ -126,23 +124,18 @@ impl Controller {
         self.table.process_known(pid)
     }
 
-    /// Validate a submission and return the credentials the task will
-    /// run with and the plugin that serves it.
-    pub fn validate(
-        &self,
-        job: JobId,
-        source: ApiSource,
-        spec: &TaskSpec,
-    ) -> Result<(Cred, PluginKind)> {
+    /// Check a submission's job, process and dataspace grants, and
+    /// return the credentials the task will run with.
+    pub fn validate(&self, job: JobId, source: ApiSource, spec: &TaskSpec) -> Result<Cred> {
         let entry = self.table.job(job.0)?;
         let cred = match source {
             ApiSource::Control => &entry.info,
             ApiSource::User { pid } => self.table.process(job.0, pid)?,
         };
-        for end in std::iter::once::<&ResourceRef>(&spec.input).chain(&spec.output) {
+        for end in std::iter::once(&spec.input).chain(&spec.output) {
             let Some(nsid) = end.nsid() else { continue };
             // A local end must be registered here; every end, granted.
-            if !end.is_remote() {
+            if !matches!(end, ResourceDesc::RemotePath { .. }) {
                 self.table.dataspace(nsid)?;
             }
             if !entry.limits.iter().any(|(n, _)| n == nsid) {
@@ -150,8 +143,7 @@ impl Controller {
                 return Err(NornsError::DataspaceNotAllowed { job, nsid });
             }
         }
-        let plugin = norns_sched::shape::admit(crate::plugins::shape(spec))?;
-        Ok((cred.clone(), plugin))
+        Ok(cred.clone())
     }
 
     /// Charge `bytes` of dataspace usage to a job, enforcing its quota.
@@ -190,7 +182,6 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskOp;
 
     fn tier() -> TierRef {
         TierRef::Local(0)
@@ -222,8 +213,8 @@ mod tests {
 
     fn copy_spec() -> TaskSpec {
         TaskSpec::copy(
-            ResourceRef::local("lustre", "in.dat"),
-            ResourceRef::local("pmdk0", "in.dat"),
+            ResourceDesc::posix("lustre", "in.dat"),
+            ResourceDesc::posix("pmdk0", "in.dat"),
         )
     }
 
@@ -266,11 +257,10 @@ mod tests {
     #[test]
     fn control_submissions_validate() {
         let c = controller_with_job();
-        let (cred, plugin) = c
+        let cred = c
             .validate(JobId(1), ApiSource::Control, &copy_spec())
             .unwrap();
         assert_eq!(cred.uid, 1000);
-        assert_eq!(plugin, PluginKind::LocalToLocal);
     }
 
     #[test]
@@ -311,8 +301,8 @@ mod tests {
         .unwrap();
         // nvme1 registered on the node but NOT granted to job 1.
         let spec = TaskSpec::copy(
-            ResourceRef::local("nvme1", "x"),
-            ResourceRef::local("pmdk0", "x"),
+            ResourceDesc::posix("nvme1", "x"),
+            ResourceDesc::posix("pmdk0", "x"),
         );
         assert!(matches!(
             c.validate(JobId(1), ApiSource::Control, &spec),
@@ -324,53 +314,12 @@ mod tests {
     fn unregistered_local_dataspace_rejected() {
         let c = controller_with_job();
         let spec = TaskSpec::copy(
-            ResourceRef::local("ghost", "x"),
-            ResourceRef::local("pmdk0", "x"),
+            ResourceDesc::posix("ghost", "x"),
+            ResourceDesc::posix("pmdk0", "x"),
         );
         assert!(matches!(
             c.validate(JobId(1), ApiSource::Control, &spec),
             Err(NornsError::NoSuchDataspace(_))
-        ));
-    }
-
-    #[test]
-    fn shape_validation() {
-        let c = controller_with_job();
-        // Copy without output.
-        let bad = TaskSpec {
-            op: TaskOp::Copy,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input: ResourceRef::local("pmdk0", "x"),
-            output: None,
-            durability: crate::task::Durability::LocalOnly,
-        };
-        assert!(matches!(
-            c.validate(JobId(1), ApiSource::Control, &bad),
-            Err(NornsError::BadArgs(_))
-        ));
-        // Remove with output.
-        let bad = TaskSpec {
-            op: TaskOp::Remove,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input: ResourceRef::local("pmdk0", "x"),
-            output: Some(ResourceRef::local("pmdk0", "y")),
-            durability: crate::task::Durability::LocalOnly,
-        };
-        assert!(matches!(
-            c.validate(JobId(1), ApiSource::Control, &bad),
-            Err(NornsError::BadArgs(_))
-        ));
-        // Remove of memory.
-        let bad = TaskSpec {
-            op: TaskOp::Remove,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input: ResourceRef::memory(10),
-            output: None,
-            durability: crate::task::Durability::LocalOnly,
-        };
-        assert!(matches!(
-            c.validate(JobId(1), ApiSource::Control, &bad),
-            Err(NornsError::BadArgs(_))
         ));
     }
 

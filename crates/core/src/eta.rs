@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use simcore::{SimDuration, SimTime};
 
-use crate::plugins::PluginKind;
+use crate::PluginKind;
 
 /// Observed-rate record for one route class.
 #[derive(Debug, Clone, Copy)]

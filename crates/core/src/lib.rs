@@ -14,14 +14,18 @@
 //!
 //! ## Crate layout
 //!
-//! * [`resource`] / [`task`] — data resources and I/O task model
-//!   (`NORNS_MEMORY_REGION`, `NORNS_POSIX_PATH`, copy/move/remove).
+//! * [`task`] — the I/O task model: the wire's one task description
+//!   (`norns_proto::TaskSpec` over `NORNS_MEMORY_REGION` /
+//!   `NORNS_POSIX_PATH` resources, copy/move/remove), which the
+//!   simulated urd submits as the live daemon does; a `RemotePath`
+//!   names node *i* `node<i>` ([`NornsWorld::host`]).
 //! * [`queue`] — the pending-task queue with pluggable arbitration
 //!   (FCFS default, plus SJF and per-job fair share).
 //! * [`controller`] — the job & dataspace controller: registrations,
 //!   grants, quotas, process credentials.
-//! * [`plugins`] — the six Table II transfer plugins and their
-//!   resolution from (source kind, sink kind).
+//! * [`PluginKind`] — the six Table II transfer plugins, resolved from
+//!   a task's shape by the admission table both worlds share
+//!   (`norns_sched::shape`).
 //! * [`eta`] — E.T.A. estimation from observed transfer rates.
 //! * [`sim`] — the simulation driver: [`sim::NornsWorld`] holds one
 //!   simulated urd per node on top of `simcore`/`simnet`/`simstore`;
@@ -40,23 +44,20 @@
 pub mod controller;
 pub mod error;
 pub mod eta;
-pub mod plugins;
 pub mod queue;
-pub mod resource;
 pub mod sim;
 pub mod task;
 
 pub use controller::{ApiSource, Controller, DataspaceSpec, JobSpec};
 pub use error::{NornsError, Result};
 pub use eta::EtaEstimator;
-pub use plugins::PluginKind;
+pub use norns_sched::shape::Plugin as PluginKind;
 pub use queue::{
     ArbitrationPolicy, Fcfs, JobFairShare, PendingTask, ShortestFirst, TaskQueue, WeightedPriority,
 };
-pub use resource::ResourceRef;
 pub use sim::urd::{SimUrd, UrdStatus};
 pub use sim::{
     handle_flow_complete, HasNorns, NornsWorld, RpcOutcome, RpcReply, RpcRequest, TaskCompletion,
     WorldConfig,
 };
-pub use task::{Durability, JobId, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};
+pub use task::{Durability, JobId, ResourceDesc, TaskId, TaskOp, TaskSpec, TaskState, TaskStats};

@@ -8,6 +8,12 @@
 //! generic free functions in [`ops`] so the same daemon logic serves
 //! both.
 //!
+//! Tasks are the wire's `TaskSpec`, as the live daemon takes them: a
+//! `RemotePath` names its node by host, and node *i* is `node<i>` in
+//! the world's one host table ([`NornsWorld::host`],
+//! [`NornsWorld::node_of`]). A `MemoryRegion`'s `addr` is carried and
+//! ignored.
+//!
 //! Flow completions are routed by tag: task flows encode
 //! `(node, task)`; application flows (raw I/O issued by workload
 //! models, outside NORNS) carry an app token.
@@ -22,7 +28,7 @@ use simcore::{CompletedFlow, FluidModel, FluidSystem, ResourceId, Sim, SimDurati
 use simnet::{Fabric, FabricParams, NodeId, RpcTiming};
 use simstore::StorageSystem;
 
-use crate::error::NornsError;
+use crate::error::{NornsError, Result};
 use crate::task::{JobId, TaskId, TaskSpec, TaskState, TaskStats};
 use urd::{SimUrd, UrdStatus};
 
@@ -152,6 +158,8 @@ pub struct NornsWorld {
     pub fabric: Fabric,
     pub storage: StorageSystem,
     pub urds: Vec<SimUrd>,
+    /// The host table: node *i*'s name, `node<i>`.
+    hosts: Vec<String>,
     pub config: WorldConfig,
     pub rpc_timing: RpcTiming,
     /// Per-node RAM bandwidth resource for memory-plugin legs.
@@ -182,6 +190,7 @@ impl NornsWorld {
             fabric,
             storage: StorageSystem::new(),
             urds,
+            hosts: (0..nodes).map(|n| format!("node{n}")).collect(),
             rpc_timing: RpcTiming::new(protocol),
             config,
             ram,
@@ -198,6 +207,18 @@ impl NornsWorld {
 
     pub fn urd(&self, node: NodeId) -> &SimUrd {
         &self.urds[node]
+    }
+
+    /// The host a `RemotePath` names `node` by.
+    pub fn host(&self, node: NodeId) -> &str {
+        &self.hosts[node]
+    }
+
+    /// The node a `RemotePath`'s `host` names; a host no node has is
+    /// refused `BadArgs`.
+    pub fn node_of(&self, host: &str) -> Result<NodeId> {
+        let known = self.hosts.iter().position(|h| h == host);
+        known.ok_or_else(|| NornsError::BadArgs(format!("no such node: {host}")))
     }
 
     pub(crate) fn ram_resource(&self, node: NodeId) -> ResourceId {

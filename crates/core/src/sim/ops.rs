@@ -39,11 +39,10 @@ use simstore::{Cred, IoDir, IoShard, TierRef};
 
 use crate::controller::{ApiSource, DataspaceSpec, JobSpec};
 use crate::error::{NornsError, Result};
-use crate::plugins::PluginKind;
-use crate::resource::ResourceRef;
 use crate::sim::urd::{PlannedLeg, TaskRecord, UrdStatus, REPLICA_JOB};
 use crate::sim::{app_tag, task_tag, HasNorns, RpcOutcome, RpcReply, RpcRequest};
-use crate::task::{Durability, JobId, TaskId, TaskSpec, TaskState, TaskStats};
+use crate::task::{Durability, JobId, ResourceDesc, TaskId, TaskSpec, TaskState, TaskStats};
+use crate::PluginKind;
 use norns_sched::durability::{self, Action, Op, Phase, Record, Route, Why};
 use norns_sched::lifecycle::{self, Abort, Answer, Event, Next, Outcome, Role};
 
@@ -155,9 +154,10 @@ pub fn remove_process<M: HasNorns>(
 // ---------------------------------------------------------------- //
 
 /// Submit an I/O task to the urd on `node`. Validation (job, process,
-/// dataspace grants, request shape) happens synchronously, as in the
-/// real daemon; the transfer itself runs asynchronously. Returns the
-/// task id to monitor.
+/// dataspace grants, then the task's shape through the admission
+/// table, as `Engine::submit` judges it) happens synchronously, as in
+/// the real daemon; the transfer itself runs asynchronously. Returns
+/// the task id to monitor.
 pub fn submit_task<M: HasNorns>(
     sim: &mut Sim<M>,
     node: NodeId,
@@ -171,12 +171,13 @@ pub fn submit_task<M: HasNorns>(
     if !urd.accepting() {
         return Err(NornsError::NotAccepting);
     }
-    let (cred, plugin) = urd.controller.validate(job, source, &spec)?;
+    let cred = urd.controller.validate(job, source, &spec)?;
+    let plugin = norns_sched::shape::admit(spec.shape())?;
     // Size estimate for size-aware arbitration policies: memory sizes
     // are declared; path sizes come from a best-effort stat (the real
     // daemon stats sources at submission too).
     let est = match &spec.input {
-        crate::resource::ResourceRef::Memory { size } => *size,
+        ResourceDesc::MemoryRegion { size, .. } => *size,
         input => super::plan::resolve_side(world, node, input)
             .ok()
             .and_then(|side| super::plan::side_bytes(world, &side, &cred, plugin).ok())
@@ -534,15 +535,14 @@ fn spawn_replica<M: HasNorns>(
     peer: NodeId,
     reports: bool,
 ) {
-    let rec = sim.model.norns_mut().urds[node]
-        .task(parent)
-        .expect("replicated task");
-    let Some(ResourceRef::Local { nsid, path }) = rec.spec.output.clone() else {
+    let world = sim.model.norns_mut();
+    let rec = world.urds[node].task(parent).expect("replicated task");
+    let Some(ResourceDesc::PosixPath { nsid, path }) = rec.spec.output.clone() else {
         unreachable!("a durable stage-out lands on a local path")
     };
     let spec = TaskSpec::copy(
-        ResourceRef::local(&nsid, &path),
-        ResourceRef::remote(peer, nsid, path),
+        ResourceDesc::posix(&nsid, &path),
+        ResourceDesc::remote(world.host(peer), nsid, path),
     )
     .with_priority(rec.spec.priority);
     let (cred, bytes, push) = (rec.cred.clone(), rec.moved_bytes, PluginKind::LocalToRemote);
@@ -884,7 +884,9 @@ mod tests {
     use crate::sim::{
         handle_flow_complete, ops, HasNorns, NornsWorld, TaskCompletion, WorldConfig,
     };
-    use crate::{ApiSource, Durability, JobId, JobSpec, NornsError, ResourceRef, TaskId, TaskSpec};
+    use crate::{
+        ApiSource, Durability, JobId, JobSpec, NornsError, ResourceDesc, TaskId, TaskSpec,
+    };
 
     /// Rounds a sequence chooses before it steps every task to its end.
     const ROUNDS: usize = 20;
@@ -1119,11 +1121,17 @@ mod tests {
             ns.write_file(&input, bytes, &cred(), Mode(0o644)).unwrap();
         }
         let (input, output) = (
-            ResourceRef::local("pmdk0", input),
-            ResourceRef::local("pmdk0", format!("out{i}")),
+            ResourceDesc::posix("pmdk0", input),
+            ResourceDesc::posix("pmdk0", format!("out{i}")),
         );
         match kind {
-            Kind::Write => TaskSpec::copy(ResourceRef::memory(SMALL), output),
+            Kind::Write => TaskSpec::copy(
+                ResourceDesc::MemoryRegion {
+                    addr: 0,
+                    size: SMALL,
+                },
+                output,
+            ),
             Kind::Rename => TaskSpec::mv(input, output),
             Kind::Durable => TaskSpec::copy(input, output).with_durability(Durability::Synchronous),
             _ => TaskSpec::copy(input, output),

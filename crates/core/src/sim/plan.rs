@@ -14,11 +14,10 @@ use simnet::{Direction, NodeId};
 use simstore::{Cred, IoDir, IoShard, TierRef};
 
 use crate::error::{NornsError, Result};
-use crate::plugins::PluginKind;
-use crate::resource::ResourceRef;
 use crate::sim::urd::{PlannedLeg, REPLICA_JOB};
 use crate::sim::{HasNorns, NornsWorld};
-use crate::task::{JobId, TaskId, TaskOp, TaskSpec};
+use crate::task::{JobId, ResourceDesc, TaskId, TaskOp, TaskSpec};
+use crate::PluginKind;
 use norns_sched::durability::{Op, Route};
 
 /// A resolved path-based task side.
@@ -30,20 +29,20 @@ pub(crate) struct Side {
     pub path: String,
 }
 
-/// Resolve a path resource to its tier + data node, validating that
-/// the dataspace is registered on the node that holds the data.
+/// Resolve a path resource to its tier + data node — a remote host
+/// through the world's host table — validating that the dataspace is
+/// registered on the node that holds the data.
 pub(crate) fn resolve_side(
     world: &NornsWorld,
     handling_node: NodeId,
-    r: &ResourceRef,
+    r: &ResourceDesc,
 ) -> Result<Side> {
     let (node, nsid, path) = match r {
-        ResourceRef::Memory { .. } => return Err(NornsError::BadArgs("memory has no tier".into())),
-        ResourceRef::Local { nsid, path } => (handling_node, nsid, path),
-        ResourceRef::Remote { node, .. } if *node >= world.nodes() => {
-            return Err(NornsError::BadArgs(format!("no such node: {node}")))
+        ResourceDesc::MemoryRegion { .. } => {
+            return Err(NornsError::BadArgs("memory has no tier".into()))
         }
-        ResourceRef::Remote { node, nsid, path } => (*node, nsid, path),
+        ResourceDesc::PosixPath { nsid, path } => (handling_node, nsid, path),
+        ResourceDesc::RemotePath { host, nsid, path } => (world.node_of(host)?, nsid, path),
     };
     let tier = world.urds[node].controller.dataspace(nsid)?.tier;
     Ok(Side {
@@ -173,7 +172,7 @@ pub(crate) fn build<M: HasNorns>(
             })
         }
         PluginKind::MemoryToLocal => {
-            let ResourceRef::Memory { size: bytes } = spec.input else {
+            let ResourceDesc::MemoryRegion { size: bytes, .. } = spec.input else {
                 unreachable!("the table names this plugin for a memory input")
             };
             let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
@@ -234,7 +233,7 @@ pub(crate) fn build<M: HasNorns>(
             })
         }
         PluginKind::MemoryToRemote => {
-            let ResourceRef::Memory { size: bytes } = spec.input else {
+            let ResourceDesc::MemoryRegion { size: bytes, .. } = spec.input else {
                 unreachable!("the table names this plugin for a memory input")
             };
             let dst = resolve_side(world, node, spec.output.as_ref().expect("validated"))?;
@@ -336,7 +335,7 @@ pub(crate) fn landing(
         PluginKind::LocalToRemote | PluginKind::MemoryToRemote => Route::Push,
         PluginKind::RemoteToLocal | PluginKind::RemoteToMemory => Route::Pull,
         PluginKind::LocalToLocal if op == Op::Move => {
-            let side = |r: Option<&ResourceRef>| r.and_then(|r| resolve_side(world, node, r).ok());
+            let side = |r: Option<&ResourceDesc>| r.and_then(|r| resolve_side(world, node, r).ok());
             match (side(Some(&spec.input)), side(spec.output.as_ref())) {
                 (Some(src), Some(dst)) if src.tier == dst.tier && src.node == dst.node => {
                     Route::Rename
@@ -355,14 +354,14 @@ pub(crate) fn land(
     world: &mut NornsWorld,
     node: NodeId,
     job: JobId,
-    spec: &crate::task::TaskSpec,
+    spec: &TaskSpec,
     cred: &Cred,
 ) -> Result<()> {
-    if let Some(out) = spec.output.as_ref().filter(|out| !out.is_memory()) {
+    if let Some(out) = spec.output.as_ref().filter(|out| out.nsid().is_some()) {
         let dst = resolve_side(world, node, out)?;
         // Collect the source layout.
         let listing: Vec<(String, u64)> = match &spec.input {
-            ResourceRef::Memory { size } => vec![(String::new(), *size)],
+            ResourceDesc::MemoryRegion { size, .. } => vec![(String::new(), *size)],
             input => {
                 let src = resolve_side(world, node, input)?;
                 let ns = world
@@ -395,10 +394,10 @@ pub(crate) fn free_source(
     world: &mut NornsWorld,
     node: NodeId,
     job: JobId,
-    spec: &crate::task::TaskSpec,
+    spec: &TaskSpec,
     cred: &Cred,
 ) -> Result<()> {
-    if !spec.input.is_memory() {
+    if spec.input.nsid().is_some() {
         let src = resolve_side(world, node, &spec.input)?;
         let src_node = ns_node(world, src.tier, src.node);
         let freed = world

@@ -14,10 +14,10 @@ use simstore::Cred;
 use crate::controller::Controller;
 use crate::error::NornsError;
 use crate::eta::EtaEstimator;
-use crate::plugins::PluginKind;
 use crate::queue::TaskQueue;
 use crate::sim::TaskCompletion;
 use crate::task::{JobId, TaskId, TaskSpec, TaskStats};
+use crate::PluginKind;
 use norns_sched::durability::Record;
 use norns_sched::lifecycle::{Counts, Task};
 

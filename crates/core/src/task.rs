@@ -2,8 +2,6 @@
 
 use simcore::{SimDuration, SimTime};
 
-use crate::resource::ResourceRef;
-
 /// Task identifier, unique per urd instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
@@ -12,72 +10,11 @@ pub struct TaskId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-/// `iotask_init`'s operations (paper Table I), shared with the admission table.
-pub use norns_sched::shape::TaskOp;
-
-/// When a stage-out ACKs and frees its source, decided by the one
-/// durability table both worlds run (the v8 wire's modes).
-pub use norns_sched::durability::Mode as Durability;
-
-/// Lifecycle of a task inside urd: pending queue → worker → completion
-/// list (paper Fig. 3), decided by the one table both worlds run.
-pub use norns_sched::lifecycle::TaskState;
-
-/// What a task should do, as validated at submission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskSpec {
-    pub op: TaskOp,
-    /// Submitter-assigned urgency for priority-aware arbitration
-    /// (mirrors the real daemon's `TaskSpec.priority`).
-    pub priority: u8,
-    pub input: ResourceRef,
-    pub output: Option<ResourceRef>,
-    /// A local stage-out's durability mode; anything else is
-    /// `LocalOnly`.
-    pub durability: Durability,
-}
-
-impl TaskSpec {
-    pub fn copy(input: ResourceRef, output: ResourceRef) -> Self {
-        TaskSpec {
-            op: TaskOp::Copy,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input,
-            output: Some(output),
-            durability: Durability::LocalOnly,
-        }
-    }
-
-    pub fn mv(input: ResourceRef, output: ResourceRef) -> Self {
-        TaskSpec {
-            op: TaskOp::Move,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input,
-            output: Some(output),
-            durability: Durability::LocalOnly,
-        }
-    }
-
-    pub fn remove(input: ResourceRef) -> Self {
-        TaskSpec {
-            op: TaskOp::Remove,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input,
-            output: None,
-            durability: Durability::LocalOnly,
-        }
-    }
-
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    pub fn with_durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
-        self
-    }
-}
+/// What a task should do — `iotask_init(type, input, output)` over a
+/// memory region or dataspace path (paper Table I) — is the wire's one
+/// task description, which the live daemon takes too: its operation,
+/// durability mode and lifecycle state are the tables' own enums.
+pub use norns_proto::{Durability, ResourceDesc, TaskOp, TaskSpec, TaskState};
 
 /// Completion statistics (`norns_error(&tsk, &stats)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,22 +49,6 @@ impl TaskStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::ResourceRef;
-
-    #[test]
-    fn spec_constructors() {
-        let a = ResourceRef::local("pmdk0", "in");
-        let b = ResourceRef::local("lustre", "out");
-        let c = TaskSpec::copy(a.clone(), b.clone());
-        assert_eq!(c.op, TaskOp::Copy);
-        assert!(c.output.is_some());
-        let m = TaskSpec::mv(a.clone(), b);
-        assert_eq!(m.op, TaskOp::Move);
-        let r = TaskSpec::remove(a);
-        assert_eq!(r.op, TaskOp::Remove);
-        assert!(r.output.is_none());
-    }
-
     #[test]
     fn stats_math() {
         let stats = TaskStats {

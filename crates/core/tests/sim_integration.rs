@@ -6,7 +6,7 @@
 use norns::sim::ops;
 use norns::sim::{handle_flow_complete, HasNorns, NornsWorld, RpcReply, RpcRequest, WorldConfig};
 use norns::{
-    ApiSource, JobId, JobSpec, NornsError, ResourceRef, TaskCompletion, TaskSpec, TaskState,
+    ApiSource, JobId, JobSpec, NornsError, ResourceDesc, TaskCompletion, TaskSpec, TaskState,
 };
 use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim, SimTime};
 use simnet::FabricParams;
@@ -117,12 +117,89 @@ fn file_exists(sim: &mut Sim<TestModel>, tier: &str, node: Option<usize>, path: 
     sim.model.world.storage.ns(t, node).exists(path)
 }
 
+/// `nsid://path` on `node`, named by the world's host table.
+fn remote(sim: &Sim<TestModel>, node: usize, nsid: &str, path: &str) -> ResourceDesc {
+    ResourceDesc::remote(sim.model.world.host(node), nsid, path)
+}
+
+#[test]
+fn every_world_gives_its_nodes_distinct_names() {
+    for nodes in [1, 2, 4, 16] {
+        let world = NornsWorld::new(
+            nodes,
+            FabricParams::omni_path_tcp(nodes),
+            WorldConfig::default(),
+        );
+        let names: Vec<&str> = (0..nodes).map(|n| world.host(n)).collect();
+        for (n, name) in names.iter().enumerate() {
+            assert_eq!(*name, format!("node{n}"));
+            assert_eq!(world.node_of(name).unwrap(), n);
+            assert!(!names[..n].contains(name), "{name} named twice");
+        }
+    }
+}
+
+#[test]
+fn a_remote_path_naming_node_i_resolves_to_node_i() {
+    let mut sim = testbed();
+    for node in 1..4 {
+        // The file exists on `node` alone: only it can serve the pull.
+        let path = format!("only/on{node}.bin");
+        put_file(&mut sim, "pmdk0", Some(node), &path, 1 << 20);
+        let spec = TaskSpec::copy(
+            remote(&sim, node, "pmdk0", &path),
+            ResourceDesc::posix("pmdk0", format!("pulled{node}.bin")),
+        );
+        ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
+    }
+    sim.run();
+    assert_eq!(sim.model.completions.len(), 3);
+    for c in &sim.model.completions {
+        assert_eq!(c.state, TaskState::Finished, "err: {:?}", c.error);
+    }
+    for node in 1..4 {
+        assert!(file_exists(
+            &mut sim,
+            "pmdk0",
+            Some(0),
+            &format!("pulled{node}.bin")
+        ));
+    }
+}
+
+#[test]
+fn a_host_past_the_last_node_is_refused() {
+    let mut sim = testbed();
+    assert!(matches!(
+        sim.model.world.node_of("node4"),
+        Err(NornsError::BadArgs(_))
+    ));
+    put_file(&mut sim, "pmdk0", Some(0), "out.bin", 1 << 20);
+    for host in ["node4", "nodeb"] {
+        let spec = TaskSpec::copy(
+            ResourceDesc::posix("pmdk0", "out.bin"),
+            ResourceDesc::remote(host, "pmdk0", "out.bin"),
+        );
+        ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
+    }
+    sim.run();
+    assert_eq!(sim.model.completions.len(), 2);
+    for c in &sim.model.completions {
+        assert_eq!(c.state, TaskState::FinishedWithError);
+        assert!(
+            matches!(&c.error, Some(NornsError::BadArgs(why)) if why.starts_with("no such node")),
+            "{:?}",
+            c.error
+        );
+    }
+}
+
 #[test]
 fn memory_to_local_completes_and_creates_file() {
     let mut sim = testbed();
     let spec = TaskSpec::copy(
-        ResourceRef::memory(GIB),
-        ResourceRef::local("pmdk0", "ckpt/buf0"),
+        ResourceDesc::MemoryRegion { addr: 0, size: GIB },
+        ResourceDesc::posix("pmdk0", "ckpt/buf0"),
     );
     let id = ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 7).unwrap();
     sim.run();
@@ -143,8 +220,8 @@ fn stage_in_from_lustre_to_nvm_is_client_limited() {
     let mut sim = testbed();
     put_file(&mut sim, "lustre", None, "input/mesh.dat", 2 * GIB);
     let spec = TaskSpec::copy(
-        ResourceRef::local("lustre", "input/mesh.dat"),
-        ResourceRef::local("pmdk0", "input/mesh.dat"),
+        ResourceDesc::posix("lustre", "input/mesh.dat"),
+        ResourceDesc::posix("pmdk0", "input/mesh.dat"),
     );
     ops::submit_task(&mut sim, 2, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -161,8 +238,8 @@ fn local_to_remote_is_session_capped() {
     let mut sim = testbed();
     put_file(&mut sim, "pmdk0", Some(0), "out/result.dat", 2 * GIB);
     let spec = TaskSpec::copy(
-        ResourceRef::local("pmdk0", "out/result.dat"),
-        ResourceRef::remote(3, "pmdk0", "in/result.dat"),
+        ResourceDesc::posix("pmdk0", "out/result.dat"),
+        remote(&sim, 3, "pmdk0", "in/result.dat"),
     );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -179,8 +256,8 @@ fn remote_to_local_pull_works() {
     let mut sim = testbed();
     put_file(&mut sim, "pmdk0", Some(1), "data/a.bin", GIB);
     let spec = TaskSpec::copy(
-        ResourceRef::remote(1, "pmdk0", "data/a.bin"),
-        ResourceRef::local("pmdk0", "data/a.bin"),
+        remote(&sim, 1, "pmdk0", "data/a.bin"),
+        ResourceDesc::posix("pmdk0", "data/a.bin"),
     );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -196,8 +273,8 @@ fn remote_to_local_pull_works() {
 fn memory_to_remote_stages_through_tmp() {
     let mut sim = testbed();
     let spec = TaskSpec::copy(
-        ResourceRef::memory(GIB),
-        ResourceRef::remote(2, "pmdk0", "ckpt/remote0"),
+        ResourceDesc::MemoryRegion { addr: 0, size: GIB },
+        remote(&sim, 2, "pmdk0", "ckpt/remote0"),
     );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -217,8 +294,11 @@ fn remote_to_memory_pull() {
     let mut sim = testbed();
     put_file(&mut sim, "pmdk0", Some(3), "shared/table.bin", GIB / 2);
     let spec = TaskSpec::copy(
-        ResourceRef::remote(3, "pmdk0", "shared/table.bin"),
-        ResourceRef::memory(GIB / 2),
+        remote(&sim, 3, "pmdk0", "shared/table.bin"),
+        ResourceDesc::MemoryRegion {
+            addr: 0,
+            size: GIB / 2,
+        },
     );
     ops::submit_task(&mut sim, 1, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -232,8 +312,8 @@ fn move_deletes_the_source() {
     let mut sim = testbed();
     put_file(&mut sim, "pmdk0", Some(0), "out/final.h5", GIB);
     let spec = TaskSpec::mv(
-        ResourceRef::local("pmdk0", "out/final.h5"),
-        ResourceRef::local("lustre", "results/final.h5"),
+        ResourceDesc::posix("pmdk0", "out/final.h5"),
+        ResourceDesc::posix("lustre", "results/final.h5"),
     );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -247,7 +327,7 @@ fn remove_task_deletes_tree() {
     let mut sim = testbed();
     put_file(&mut sim, "pmdk0", Some(0), "scratch/a", 100);
     put_file(&mut sim, "pmdk0", Some(0), "scratch/b", 200);
-    let spec = TaskSpec::remove(ResourceRef::local("pmdk0", "scratch"));
+    let spec = TaskSpec::remove(ResourceDesc::posix("pmdk0", "scratch"));
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
     assert_eq!(sim.model.completions[0].state, TaskState::Finished);
@@ -260,8 +340,8 @@ fn directory_copy_mirrors_tree() {
     put_file(&mut sim, "pmdk0", Some(0), "case/processor0/U", GIB / 4);
     put_file(&mut sim, "pmdk0", Some(0), "case/processor1/U", GIB / 4);
     let spec = TaskSpec::copy(
-        ResourceRef::local("pmdk0", "case"),
-        ResourceRef::local("lustre", "archive/case"),
+        ResourceDesc::posix("pmdk0", "case"),
+        ResourceDesc::posix("lustre", "archive/case"),
     );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
     sim.run();
@@ -284,8 +364,8 @@ fn directory_copy_mirrors_tree() {
 fn missing_source_fails_task_not_submission() {
     let mut sim = testbed();
     let spec = TaskSpec::copy(
-        ResourceRef::local("pmdk0", "ghost.dat"),
-        ResourceRef::local("lustre", "x"),
+        ResourceDesc::posix("pmdk0", "ghost.dat"),
+        ResourceDesc::posix("lustre", "x"),
     );
     let id = ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0);
     assert!(
@@ -301,7 +381,10 @@ fn missing_source_fails_task_not_submission() {
 #[test]
 fn unregistered_job_is_rejected_at_submission() {
     let mut sim = testbed();
-    let spec = TaskSpec::copy(ResourceRef::memory(10), ResourceRef::local("pmdk0", "x"));
+    let spec = TaskSpec::copy(
+        ResourceDesc::MemoryRegion { addr: 0, size: 10 },
+        ResourceDesc::posix("pmdk0", "x"),
+    );
     let err = ops::submit_task(&mut sim, 0, JobId(99), ApiSource::Control, spec, 0);
     assert!(matches!(err, Err(NornsError::NoSuchJob(99))));
 }
@@ -309,7 +392,10 @@ fn unregistered_job_is_rejected_at_submission() {
 #[test]
 fn user_api_requires_registered_process() {
     let mut sim = testbed();
-    let spec = TaskSpec::copy(ResourceRef::memory(10), ResourceRef::local("pmdk0", "x"));
+    let spec = TaskSpec::copy(
+        ResourceDesc::MemoryRegion { addr: 0, size: 10 },
+        ResourceDesc::posix("pmdk0", "x"),
+    );
     let err = ops::submit_task(
         &mut sim,
         0,
@@ -347,14 +433,20 @@ fn quota_enforced_at_plan_time() {
     )
     .unwrap();
     let ok = TaskSpec::copy(
-        ResourceRef::memory(GIB / 2),
-        ResourceRef::local("pmdk0", "a"),
+        ResourceDesc::MemoryRegion {
+            addr: 0,
+            size: GIB / 2,
+        },
+        ResourceDesc::posix("pmdk0", "a"),
     );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, ok, 0).unwrap();
     sim.run();
     assert_eq!(sim.model.completions[0].state, TaskState::Finished);
     // Second transfer exceeds the quota.
-    let too_big = TaskSpec::copy(ResourceRef::memory(GIB), ResourceRef::local("pmdk0", "b"));
+    let too_big = TaskSpec::copy(
+        ResourceDesc::MemoryRegion { addr: 0, size: GIB },
+        ResourceDesc::posix("pmdk0", "b"),
+    );
     ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, too_big, 0).unwrap();
     sim.run();
     let c = sim.model.completions[1].clone();
@@ -382,8 +474,8 @@ fn fcfs_serializes_beyond_worker_count() {
     // the last two queue behind the first four.
     for i in 0..6 {
         let spec = TaskSpec::copy(
-            ResourceRef::memory(GIB),
-            ResourceRef::local("pmdk0", format!("f{i}")),
+            ResourceDesc::MemoryRegion { addr: 0, size: GIB },
+            ResourceDesc::posix("pmdk0", format!("f{i}")),
         );
         ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, i).unwrap();
     }
@@ -404,7 +496,10 @@ fn fcfs_serializes_beyond_worker_count() {
 fn daemon_pause_rejects_submissions() {
     let mut sim = testbed();
     ops::set_accepting(&mut sim, 0, false);
-    let spec = TaskSpec::copy(ResourceRef::memory(10), ResourceRef::local("pmdk0", "x"));
+    let spec = TaskSpec::copy(
+        ResourceDesc::MemoryRegion { addr: 0, size: 10 },
+        ResourceDesc::posix("pmdk0", "x"),
+    );
     assert!(matches!(
         ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec.clone(), 0),
         Err(NornsError::NotAccepting)
@@ -433,8 +528,8 @@ fn rpc_submit_runs_task_on_remote_node() {
     let mut sim = testbed();
     put_file(&mut sim, "pmdk0", Some(2), "data.bin", GIB / 4);
     let spec = TaskSpec::copy(
-        ResourceRef::local("pmdk0", "data.bin"),
-        ResourceRef::local("lustre", "data.bin"),
+        ResourceDesc::posix("pmdk0", "data.bin"),
+        ResourceDesc::posix("lustre", "data.bin"),
     );
     ops::rpc_call(
         &mut sim,
@@ -475,8 +570,8 @@ fn eta_tracking_learns_rates() {
     let mut sim = testbed();
     for i in 0..3 {
         let spec = TaskSpec::copy(
-            ResourceRef::memory(GIB),
-            ResourceRef::local("pmdk0", format!("w{i}")),
+            ResourceDesc::MemoryRegion { addr: 0, size: GIB },
+            ResourceDesc::posix("pmdk0", format!("w{i}")),
         );
         ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
         sim.run();
@@ -504,8 +599,8 @@ fn concurrent_stage_ins_contend_on_the_pfs() {
     }
     for node in 0..4 {
         let spec = TaskSpec::copy(
-            ResourceRef::local("lustre", format!("in/f{node}")),
-            ResourceRef::local("pmdk0", "staged.dat"),
+            ResourceDesc::posix("lustre", format!("in/f{node}")),
+            ResourceDesc::posix("pmdk0", "staged.dat"),
         );
         ops::submit_task(
             &mut sim,

@@ -100,13 +100,12 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use norns_proto::{
-    DaemonStatus, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskState,
-    TaskStats,
+    DaemonStatus, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec, TaskStats,
 };
 use norns_sched::durability;
 use norns_sched::lifecycle::{self, Abort, Answer, Counts, Event, Next, Outcome, Role};
 use norns_sched::registry::Registry;
-use norns_sched::shape::{self, names_root, Kind, Plugin, Refusal, Shape};
+use norns_sched::shape::{self, Plugin, Refusal};
 use norns_sched::{
     ArbitrationPolicy, Fcfs, JobFairShare, PendingTask, Scheduler, ShortestFirst, WeightedPriority,
 };
@@ -309,39 +308,6 @@ fn unknown_task(task_id: u64) -> EngineError {
     EngineError::not_found(format!("task {task_id}"))
 }
 
-/// A task's shape, as the admission table reads it.
-fn shape_of(spec: &TaskSpec) -> Shape {
-    let end = |r: &ResourceDesc| match r {
-        ResourceDesc::MemoryRegion { .. } => (Kind::Memory, false),
-        ResourceDesc::PosixPath { path, .. } => (Kind::Local, names_root(path)),
-        ResourceDesc::RemotePath { path, .. } => (Kind::Remote, names_root(path)),
-    };
-    let (input, input_names_root) = end(&spec.input);
-    let op = match spec.op {
-        TaskOp::Copy => shape::TaskOp::Copy,
-        TaskOp::Move => shape::TaskOp::Move,
-        TaskOp::Remove => shape::TaskOp::Remove,
-    };
-    Shape {
-        op,
-        input,
-        output: spec.output.as_ref().map(|r| end(r).0),
-        input_names_root,
-        durable: spec.durability != Durability::LocalOnly,
-    }
-}
-
-/// A task's state, as `norns_sched::lifecycle` decides it, on the wire.
-fn wire_state(state: lifecycle::TaskState) -> TaskState {
-    match state {
-        lifecycle::TaskState::Pending => TaskState::Pending,
-        lifecycle::TaskState::InProgress => TaskState::InProgress,
-        lifecycle::TaskState::Finished => TaskState::Finished,
-        lifecycle::TaskState::FinishedWithError => TaskState::FinishedWithError,
-        lifecycle::TaskState::Cancelled => TaskState::Cancelled,
-    }
-}
-
 /// Asked wherever this daemon learns that an input is a directory: the
 /// table's verdict, then the gap of a data plane that moves no tree yet.
 pub(crate) fn carries_directory(plugin: Plugin) -> Result<(), Refusal> {
@@ -441,11 +407,12 @@ impl Engine {
     }
 
     /// Stop the worker pool and join every worker thread. Pending
-    /// tasks that never ran are marked [`TaskState::Cancelled`]; chunk
+    /// tasks that never ran are marked `Cancelled`; chunk
     /// sub-units of half-finished transfers are aborted — the queued
     /// ones here, the successor of one still on a worker by that
     /// worker in [`Engine::finish_dispatch`] — so every task reaches
     /// a terminal state, and that answers every wait parked on one.
+    /// Bounded by [`REPLICATION_DRAIN`] even when a peer never answers.
     /// Idempotent; called by `UrdDaemon` on drop.
     pub fn shutdown(&self) {
         self.begin_shutdown();
@@ -461,13 +428,6 @@ impl Engine {
         while let Some(id) = self.tasks.find(replica) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                // Cut the replicas still running off their peers, so a
-                // worker waiting on one that never answers returns now.
-                self.tasks.each(|t| {
-                    if let Some(ReplRole::ReplicaOf { cut, .. }) = &t.replicate {
-                        cut.cut();
-                    }
-                });
                 break;
             }
             self.wait(id, left.as_micros().max(1) as u64);
@@ -489,6 +449,17 @@ impl Engine {
                 }
                 Work::Chunk(chain) => self.end_task(chain.abort(SHUTDOWN_MID_TRANSFER)),
             }
+        }
+        // The dispatches still running get the rest of the window: a
+        // healthy one ends at its unit boundary, its cleanup reaching
+        // the peer. Then every connection still held is cut, so a
+        // worker waiting on a peer that never answers returns now.
+        let running = || self.dispatch.lock().sched.running() > 0;
+        while running() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if running() {
+            self.tasks.each(|t| t.cut.cut());
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
         for handle in handles {
@@ -594,7 +565,7 @@ impl Engine {
         if !self.accepting.load(Ordering::SeqCst) {
             return Err(EngineError::new(ErrorCode::NotRegistered, "daemon paused"));
         }
-        let plugin = shape::admit(shape_of(&spec))?;
+        let plugin = shape::admit(spec.shape())?;
         if let Plugin::MemoryToRemote | Plugin::RemoteToMemory = plugin {
             // Not executed here yet (ROADMAP item 11).
             return Err(Refusal::MemoryAcrossNodes.into());
@@ -736,7 +707,7 @@ impl Engine {
                 TaskEntry {
                     life: admitted.task,
                     stats: TaskStats {
-                        state: wire_state(admitted.task.state),
+                        state: admitted.task.state,
                         error: ErrorCode::Success,
                         bytes_total,
                         bytes_moved: 0,
@@ -749,6 +720,7 @@ impl Engine {
                     error_message: None,
                     progress: Arc::new(AtomicU64::new(0)),
                     abort: Arc::default(),
+                    cut: Arc::default(),
                     replicate,
                     waiters: Vec::new(),
                 },
@@ -973,7 +945,7 @@ impl Engine {
             t.abort.store(true, Ordering::SeqCst);
         }
         t.life = next.task;
-        t.stats.state = wire_state(next.task.state);
+        t.stats.state = next.task.state;
         self.count(next.counts);
         next
     }
@@ -1083,11 +1055,8 @@ impl Engine {
                 // Re-resolved at execution: the registry may have
                 // changed since submission.
                 let addr = self.peer_addr(host).ok_or_else(|| unknown_peer(host))?;
-                // A replica's connection is held where shutdown can cut it.
-                let cut = self.tasks.read(task_id, |t| match &t.replicate {
-                    Some(ReplRole::ReplicaOf { cut, .. }) => Some(Arc::clone(cut)),
-                    _ => None,
-                });
+                // Its connection is held where shutdown can cut it.
+                let cut = self.tasks.read(task_id, |t| Arc::clone(&t.cut));
                 self.transition(task_id, Event::Plan, None);
                 RemoteTransfer::plan(
                     task_id,
@@ -1100,7 +1069,7 @@ impl Engine {
                     self.chunk_size,
                     Arc::clone(progress),
                     Arc::clone(abort),
-                    cut.flatten(),
+                    cut.unwrap_or_default(),
                 )?
             }
             // Refused at submission (ROADMAP item 11): never dispatched.
@@ -1154,7 +1123,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use norns_proto::{DataspaceDesc, JobDesc};
+    use norns_proto::{DataspaceDesc, JobDesc, TaskState};
     use std::path::Path;
 
     /// A test's scratch directory, emptied on creation and removed with

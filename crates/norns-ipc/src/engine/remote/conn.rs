@@ -513,11 +513,11 @@ fn store_conn(addr: &str, conn: DataConn) {
     });
 }
 
-/// A replica's grip on the socket its transfer runs over, kept in its
-/// replication role beside its abort point: [`Cut::cut`] shuts the
-/// socket down, so a read waiting on a peer that never answers returns
-/// at once, and refuses every connection the transfer opens after it.
-/// `Engine::shutdown` cuts the replicas still running when the drain's
+/// A task's grip on the socket its remote transfer runs over, kept in
+/// its entry beside its abort point: [`Cut::cut`] shuts the socket
+/// down, so a read waiting on a peer that never answers returns at
+/// once, and refuses every connection the transfer opens after it.
+/// `Engine::shutdown` cuts the transfers still running when its drain
 /// window closes.
 #[derive(Default)]
 pub(crate) struct Cut {
@@ -550,35 +550,30 @@ impl Cut {
 /// exchange that finds none. Every exchange of the transfer rides it —
 /// one connection, one handler thread on the peer, whichever workers
 /// run the transfer's units — and it goes to the cache of the thread
-/// that drops the transfer. A replica's [`Cut`] holds each connection
+/// that drops the transfer. The task's [`Cut`] holds each connection
 /// it gets.
 pub(super) struct HeldConn {
     addr: String,
     conn: Option<DataConn>,
-    cut: Option<Arc<Cut>>,
+    cut: Arc<Cut>,
 }
 
 impl HeldConn {
-    pub fn acquire(addr: &str, cut: Option<Arc<Cut>>) -> HeldConn {
+    pub fn acquire(addr: &str, cut: Arc<Cut>) -> HeldConn {
         let addr = addr.to_string();
         let mut held = HeldConn {
             addr,
             conn: None,
             cut,
         };
-        held.conn = take_conn(&held.addr).filter(|conn| held.hold(conn).is_ok());
+        held.conn = take_conn(&held.addr).filter(|conn| held.cut.hold(conn).is_ok());
         held
-    }
-
-    /// Let the transfer's cut, if it has one, hold `conn`.
-    fn hold(&self, conn: &DataConn) -> Result<(), EngineError> {
-        self.cut.as_ref().map_or(Ok(()), |cut| cut.hold(conn))
     }
 
     /// A fresh connection to the peer, held by the transfer's cut.
     fn connect(&self) -> Result<DataConn, EngineError> {
         let conn = DataConn::connect(&self.addr)?;
-        self.hold(&conn)?;
+        self.cut.hold(&conn)?;
         Ok(conn)
     }
 
@@ -621,9 +616,7 @@ impl HeldConn {
 
 impl Drop for HeldConn {
     fn drop(&mut self) {
-        if let Some(cut) = &self.cut {
-            cut.held.lock().0 = None;
-        }
+        self.cut.held.lock().0 = None;
         if let Some(conn) = self.conn.take() {
             store_conn(&self.addr, conn);
         }

@@ -180,7 +180,7 @@ impl RemoteTransfer {
         chunk_size: u64,
         progress: Arc<AtomicU64>,
         abort: Arc<AtomicBool>,
-        cut: Option<Arc<Cut>>,
+        cut: Arc<Cut>,
     ) -> Result<Box<Chain>, EngineError> {
         let direction = match plugin {
             Plugin::RemoteToLocal => Direction::Pull,
@@ -607,7 +607,7 @@ mod tests {
             1 << 20,
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicBool::new(false)),
-            None,
+            Arc::default(),
         )
         .unwrap();
         assert!(
@@ -674,7 +674,7 @@ mod tests {
             chunk,
             progress,
             abort,
-            None,
+            Arc::default(),
         )
         .unwrap()
     }
@@ -1715,7 +1715,7 @@ mod tests {
                 };
                 assert_eq!(
                     (state, answered),
-                    (super::super::wire_state(t.task.state), owed),
+                    (t.task.state, owed),
                     "seed {seed} round {round}, task {}: {log:?}",
                     t.id
                 );

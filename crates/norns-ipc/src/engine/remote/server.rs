@@ -506,7 +506,7 @@ mod tests {
                 8 << 20,
                 Arc::new(AtomicU64::new(0)),
                 Arc::new(AtomicBool::new(false)),
-                None,
+                Arc::default(),
             )
             .unwrap()
         };

@@ -14,14 +14,12 @@
 //! parent once that lock is released.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use norns_proto::{Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec};
-use norns_sched::durability::{self, Action, Mode, Phase, Record};
+use norns_proto::{Durability, ErrorCode, ResourceDesc, TaskSpec};
+use norns_sched::durability::{self, Action, Phase, Record};
 use norns_sched::lifecycle::{Event, Outcome};
 use norns_sched::shape::Plugin;
 
-use super::remote::Cut;
 use super::shard::TaskEntry;
 use super::transfer::{RangeMover, Spent};
 use super::{Engine, EngineError, REPLICA_OWNER};
@@ -45,28 +43,21 @@ pub(super) struct Stage {
 pub(super) enum ReplRole {
     Stage(Stage),
     /// A replica push: the `synchronous` parent it reports to (`None`
-    /// under `local_plus_one`, whose copy settles nothing), the bytes
-    /// it holds in the lag gauges until it ends, and the grip on its
-    /// connection that shutdown cuts.
+    /// under `local_plus_one`, whose copy settles nothing), and the
+    /// bytes it holds in the lag gauges until it ends.
     ReplicaOf {
         parent: Option<u64>,
         bytes: u64,
-        cut: Arc<Cut>,
     },
 }
 
 impl ReplRole {
     /// A durable stage-out's role, taken at admission.
     pub(super) fn stage(spec: &TaskSpec, nsid: &str, path: &str, copies: usize) -> ReplRole {
-        let mode = match spec.durability {
-            Durability::LocalOnly => Mode::LocalOnly,
-            Durability::LocalPlusOne => Mode::LocalPlusOne,
-            Durability::Synchronous => Mode::Synchronous,
-        };
         let copies = copies.min(usize::from(u8::MAX)) as u8;
         ReplRole::Stage(Stage {
             record: Record {
-                mode,
+                mode: spec.durability,
                 copies,
                 ..Record::default()
             },
@@ -107,7 +98,7 @@ impl Engine {
             let mut peers = Vec::new();
             if landed {
                 (stage.record.op, stage.record.route) = spent.landing();
-                if stage.record.mode != Mode::LocalOnly {
+                if stage.record.mode != Durability::LocalOnly {
                     peers = self.peers();
                     stage.record.peers = peers.len().min(usize::from(u8::MAX)) as u8;
                 }
@@ -185,18 +176,13 @@ impl Engine {
     /// refuses (it is stopping) reports to its parent as failed at once.
     fn submit_replica(&self, parent: Option<u64>, host: String, stage: &Stage, bytes: u64) {
         let (nsid, path) = (stage.nsid.clone(), stage.path.clone());
-        let spec = TaskSpec::new(
-            TaskOp::Copy,
-            ResourceDesc::PosixPath {
-                nsid: nsid.clone(),
-                path: path.clone(),
-            },
-            Some(ResourceDesc::RemotePath { host, nsid, path }),
+        let spec = TaskSpec::copy(
+            ResourceDesc::posix(&nsid, &path),
+            ResourceDesc::remote(host, nsid, path),
         )
         .with_priority(stage.priority);
         let task_id = self.next_task.fetch_add(1, Ordering::SeqCst);
-        let cut = Arc::default();
-        let role = ReplRole::ReplicaOf { parent, bytes, cut };
+        let role = ReplRole::ReplicaOf { parent, bytes };
         let push = Plugin::LocalToRemote;
         let admitted = self.admit(task_id, REPLICA_OWNER, bytes, push, spec, None, Some(role));
         if let (Err(e), Some(parent)) = (admitted, parent) {

@@ -26,6 +26,7 @@ use parking_lot::Mutex;
 use norns_proto::TaskStats;
 use norns_sched::lifecycle::Task;
 
+use super::remote::Cut;
 use super::replication::ReplRole;
 use super::waits::WaitCallback;
 use super::EngineError;
@@ -61,6 +62,9 @@ pub(crate) struct TaskEntry {
     /// The flag behind a chain's abort point (`life.facts.abort`):
     /// read by the chain between units, raised by an accepted cancel.
     pub abort: Arc<AtomicBool>,
+    /// The grip on the peer socket a remote transfer holds, which
+    /// `Engine::shutdown` cuts once its drain window closes.
+    pub cut: Arc<Cut>,
     /// The task's part in replication, if it has one.
     pub replicate: Option<ReplRole>,
     /// Waits parked on the task, by subscription id; the terminal
@@ -172,6 +176,7 @@ mod tests {
             error_message: None,
             progress: Arc::new(AtomicU64::new(0)),
             abort: Arc::default(),
+            cut: Arc::default(),
             replicate: None,
             waiters: Vec::new(),
         }

@@ -481,6 +481,90 @@ fn teardown_is_bounded_when_a_replica_peer_never_answers() {
     drop((held, origin));
 }
 
+/// The same bound for a client's own push: a peer that accepts the
+/// connection and never answers holds the push in its `Prepare` read,
+/// and shutdown gives the running dispatch the drain window, then cuts
+/// it off the peer, so the push ends `FinishedWithError` and teardown
+/// returns within a second of the window.
+#[test]
+fn teardown_is_bounded_when_a_push_peer_never_answers() {
+    let root = temp_root("silent-push");
+    let config = DaemonConfig::in_dir(root.join("origin/sockets"));
+    let (origin, mut ctl, mount) = start_node(&root, "origin", config);
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = silent.local_addr().unwrap().to_string();
+    ctl.register_peer("silent", &addr).unwrap();
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        if let Ok((stream, _)) = silent.accept() {
+            let _ = held_tx.send(stream);
+        }
+    });
+
+    std::fs::write(mount.join("src.dat"), pattern(64 << 10)).unwrap();
+    let push = TaskSpec::copy(
+        ResourceDesc::posix("ds0", "src.dat"),
+        ResourceDesc::remote("silent", "ds0", "out/pushed.dat"),
+    );
+    let task = ctl.submit(1, push, None).unwrap();
+    let held = held_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the push connects to the silent peer");
+    assert_eq!(ctl.query(task).unwrap().state, TaskState::InProgress);
+
+    drop(ctl);
+    let started = Instant::now();
+    origin.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "teardown took {took:?}");
+    let stats = origin.engine().query(task).unwrap();
+    assert_eq!(stats.state, TaskState::FinishedWithError);
+    assert_eq!(origin.engine().status().running_tasks, 0);
+    drop((held, origin));
+}
+
+/// The bound costs a healthy push nothing: one in flight at shutdown
+/// ends at its unit boundary, and its cleanup still reaches the peer,
+/// so the peer holds either the whole file or none of it.
+#[test]
+fn a_healthy_push_in_flight_at_shutdown_leaves_no_partial_file() {
+    const SIZE: usize = 64 << 20;
+    let root = temp_root("shutdown-push");
+    let chunk = norns_ipc::MIN_CHUNK_SIZE;
+    let config = DaemonConfig::in_dir(root.join("origin/sockets")).with_chunk_size(chunk);
+    let (origin, mut ctl, mount) = start_node(&root, "origin", config);
+    let config = DaemonConfig::in_dir(root.join("peer/sockets"));
+    let (peer, _peer_ctl, peer_mount) = start_node(&root, "peer", config);
+    let peer_addr = peer.data_addr().unwrap().to_string();
+    ctl.register_peer("peer", &peer_addr).unwrap();
+
+    let bytes = pattern(SIZE);
+    std::fs::write(mount.join("src.dat"), &bytes).unwrap();
+    let push = TaskSpec::copy(
+        ResourceDesc::posix("ds0", "src.dat"),
+        ResourceDesc::remote("peer", "ds0", "pushed.dat"),
+    );
+    let task = ctl.submit(1, push, None).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ctl.query(task).unwrap().bytes_moved == 0 {
+        assert!(Instant::now() < deadline, "the push never started moving");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+
+    drop(ctl);
+    origin.shutdown();
+    let state = origin.engine().query(task).unwrap().state;
+    let landed = std::fs::read(peer_mount.join("pushed.dat")).ok();
+    match state {
+        TaskState::Finished => assert!(landed.as_deref() == Some(&bytes[..]), "a torn copy"),
+        TaskState::FinishedWithError => {
+            assert_eq!(landed.map(|l| l.len()), None, "a partial file on the peer")
+        }
+        other => panic!("the push ended {other:?}"),
+    }
+    drop((origin, peer));
+}
+
 /// A `synchronous` Move across filesystems — its source on tmpfs
 /// (`/dev/shm`), its destination on the scratch filesystem — is a copy,
 /// and frees its source only once its replica has landed: the source is

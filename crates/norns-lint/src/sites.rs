@@ -71,6 +71,16 @@ pub const ROWS: &[Row] = &[
     Row { id: "cross-node-move", paths: &[IPC], check: Retired(&["\"only copy tasks may cross nodes\""]),
           reason: "the engine runs a `Move` on every route, freeing its source after the last byte" },
 
+    // The task description: one for both worlds, each task enum once.
+    Row { id: "task-description", paths: &["crates", "src", "tests", "examples", "!crates/norns-proto/src/messages.rs"],
+          check: Retired(&["ResourceRef", "struct TaskSpec", "fn wire_state", "fn shape_of", "fn durability"]),
+          reason: "both worlds submit the wire's one `TaskSpec`, whose task enums are `norns_sched`'s own" },
+    Row { id: "task-enums", paths: &["crates", "src", "tests", "examples", "!crates/norns-sched/src"],
+          check: Retired(&["enum TaskOp", "enum Durability", "enum TaskState"]),
+          reason: "each task enum is defined once, in the `norns_sched` table that decides on it; the wire lists its codes" },
+    Row { id: "shape-builder", paths: &["crates/*/src", "src"], check: Calls(&["shape"], &["Engine::submit", "ops::submit_task"]),
+          reason: "a task's shape is built by `TaskSpec::shape`, where each world admits a submission" },
+
     // The job lifecycle: one table both worlds run.
     Row { id: "job-apply", paths: &[FLOW, SLURM], check: Calls(&["job::step"], &["ctld::apply", "WorkflowExecutor::step"]),
           reason: "a job's state changes only where a world applies `norns_flow::job::step`" },

@@ -124,24 +124,39 @@ fn variant_refs(toks: &[crate::lexer::Token]) -> BTreeSet<(String, String)> {
     out
 }
 
-/// Parse `enum` definitions: name plus each top-level variant ident
-/// with its line. Attributes on variants are skipped; variant payloads
-/// (`{..}`, `(..)`, `= disc`) are consumed without recursion errors.
+/// The enum an enum listing at `i` names: `enum Name`, or the
+/// `wire_enum!` form for a type defined elsewhere, `impl Wire for
+/// Name`; and the index after the name.
+fn listing_at(toks: &[crate::lexer::Token], i: usize) -> Option<(String, usize)> {
+    let word =
+        |k: usize, w: &str| matches!(toks.get(k).map(|t| &t.kind), Some(Tok::Ident(x)) if x == w);
+    let name_at = if word(i, "enum") {
+        i + 1
+    } else if word(i, "impl") && word(i + 1, "Wire") && word(i + 2, "for") {
+        i + 3
+    } else {
+        return None;
+    };
+    match toks.get(name_at).map(|t| &t.kind) {
+        Some(Tok::Ident(name)) => Some((name.clone(), name_at + 1)),
+        _ => None,
+    }
+}
+
+/// Parse enum listings ([`listing_at`]): name plus each top-level
+/// variant ident with its line. Attributes on variants are skipped;
+/// variant payloads (`{..}`, `(..)`, `= disc`) and a listing's
+/// `code =>` are consumed without recursion errors.
 fn parse_enums(toks: &[crate::lexer::Token]) -> Vec<EnumDef> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
-        if !matches!(&toks[i].kind, Tok::Ident(w) if w == "enum") {
-            i += 1;
-            continue;
-        }
-        let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.kind) else {
+        let Some((name, after)) = listing_at(toks, i) else {
             i += 1;
             continue;
         };
-        let name = name.clone();
         // Find the opening brace (skipping generics, none expected).
-        let mut j = i + 2;
+        let mut j = after;
         while j < toks.len() && !matches!(toks[j].kind, Tok::Punct('{')) {
             j += 1;
         }

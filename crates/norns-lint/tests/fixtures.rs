@@ -418,15 +418,16 @@ fn uncovered_wire_variants_are_flagged() {
     let report = run(&cfg).expect("fixture lint run");
     assert_eq!(
         rules(&report),
-        vec![Rule::WireExhaustiveness; 2],
+        vec![Rule::WireExhaustiveness; 3],
         "findings: {:?}",
         report.findings
     );
     let wire = report.wire.as_ref().unwrap();
     assert_eq!(wire.enums["Color"], vec!["Red", "Green", "Blue"]);
+    assert_eq!(wire.enums["Shade"], vec!["Light", "Dark"]);
     assert_eq!(
         wire.corpus_missing,
-        vec!["Color::Blue".to_string()],
+        vec!["Color::Blue".to_string(), "Shade::Dark".to_string()],
         "comment/string mentions of Color::Blue must not count as coverage"
     );
     assert_eq!(wire.dispatch_missing.len(), 1);

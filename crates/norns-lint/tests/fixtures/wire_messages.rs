@@ -6,3 +6,11 @@ pub enum Color {
     Green,
     Blue,
 }
+
+// The codes of a type defined elsewhere: its variants count too.
+wire_enum! {
+    impl Wire for Shade {
+        0 => Light,
+        1 => Dark,
+    }
+}

@@ -199,6 +199,22 @@ const REINTRODUCED: &[(&str, &str, &str)] = &[
      "fn f() -> TaskOp { TaskOp::Remove }"),
     ("cross-node-move", "crates/norns-ipc/src/engine/mod.rs",
      "#[cfg(test)] mod m { const M: &str = \"only copy tasks may cross nodes\"; }"),
+    ("task-description", "crates/core/src/sim/plan.rs",
+     "#[cfg(test)] mod m { enum ResourceRef { Memory } }"),
+    ("task-description", "crates/core/src/task.rs",
+     "pub struct TaskSpec { pub op: TaskOp }"),
+    ("task-description", "crates/norns-ipc/src/engine/mod.rs",
+     "fn wire_state(s: TaskState) -> TaskState { s }"),
+    ("task-description", "crates/norns-ipc/src/engine/mod.rs",
+     "fn shape_of(spec: &TaskSpec) -> Shape { spec.shape() }"),
+    ("task-description", "crates/slurm-sim/src/ctld.rs",
+     "fn durability(mode: Option<Durability>) -> Durability { mode.unwrap_or_default() }"),
+    ("task-enums", "crates/norns-proto/src/messages.rs",
+     "#[cfg(test)] mod m { enum TaskState { Pending } }"),
+    ("task-enums", "crates/core/src/task.rs",
+     "pub enum Durability { LocalOnly }"),
+    ("shape-builder", "crates/core/src/sim/plan.rs",
+     "fn f(spec: &TaskSpec) -> Shape { spec.shape() }"),
     ("job-apply", "crates/slurm-sim/src/ctld.rs",
      "fn f(j: Job) -> Next { job::step(j, Event::StageInTimeout) }"),
     ("job-state", "crates/norns-flow/src/executor/teardown.rs",
@@ -311,5 +327,32 @@ fn bringing_back_what_any_sites_row_guards_fails_the_check() {
         );
 
         fs::write(&file, original).unwrap();
+    }
+}
+
+/// `wire-exhaustiveness` reads the `impl Wire for` listings of the
+/// three task enums `norns_sched` defines as it reads a declared enum:
+/// a corpus that stops naming one of their variants fails the check.
+#[test]
+fn a_task_enum_variant_missing_from_the_corpus_fails_the_check() {
+    let tree = copy_workspace("corpus");
+    let corpus = tree.0.join("crates/norns-proto/tests/corpus.rs");
+    let original = fs::read_to_string(&corpus).unwrap();
+    for (variant, stand_in) in [
+        ("TaskOp::Remove", "TaskOp::Copy"),
+        ("Durability::Synchronous", "Durability::LocalOnly"),
+        ("TaskState::Cancelled", "TaskState::Pending"),
+    ] {
+        assert!(original.contains(variant), "the corpus names {variant}");
+        fs::write(&corpus, original.replace(variant, stand_in)).unwrap();
+        let fired = unsuppressed(&tree.0);
+        assert!(
+            fired
+                .iter()
+                .any(|(rule, message)| *rule == Rule::WireExhaustiveness
+                    && message.contains(&format!("`{variant}`"))),
+            "a corpus without {variant} must fail wire-exhaustiveness; got {fired:?}"
+        );
+        fs::write(&corpus, &original).unwrap();
     }
 }

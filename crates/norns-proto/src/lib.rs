@@ -10,7 +10,10 @@
 //!   directions of a message from one declaration.
 //! * [`messages`] — the full request/response set for both the
 //!   `nornsctl` control API and the `norns` user API (Table I), each
-//!   layout listed once.
+//!   layout listed once. [`TaskSpec`] is the one task description: the
+//!   live daemon and the simulated urd both submit it, and its task
+//!   enums are `norns-sched`'s own (this crate's one dependency besides
+//!   `bytes`).
 //! * [`frame`] — length-prefixed, versioned stream framing: the one
 //!   in-place frame assembler ([`push_frame`]) and an incremental
 //!   reader tolerant of arbitrary chunk boundaries, which pops whole

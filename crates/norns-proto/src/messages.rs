@@ -12,7 +12,10 @@
 //! written plus both directions of its [`Wire`] impl. Adding a message
 //! is one listing line here, one entry in `tests/corpus.rs` (with its
 //! line in `tests/golden_v8.hex`) and, for a request, one dispatch
-//! arm; `norns-lint` refuses a variant that skips the last two.
+//! arm; `norns-lint` refuses a variant that skips the last two. The
+//! task enums — [`TaskOp`], [`Durability`], [`TaskState`] — are
+//! `norns_sched`'s own, the types its tables decide on in both worlds;
+//! only their codes are listed here.
 //! Retiring a message is deleting its line: its number then decodes to
 //! `BadDiscriminant` and is never reused (`BackendKind` 2 and 5, and
 //! v5's batch wait — `CtlRequest` 15, `UserRequest` 5, `Response` 6 —
@@ -21,7 +24,14 @@
 
 use bytes::{Bytes, BytesMut};
 
+use norns_sched::shape::{names_root, Kind, Shape};
+
 use crate::wire::{get_seq, get_varint, put_varint, wire_enum, wire_struct, Wire, WireError};
+
+pub use norns_sched::durability::Mode as Durability;
+pub use norns_sched::lifecycle::TaskState;
+pub use norns_sched::shape::TaskOp;
+pub use norns_sched::DEFAULT_PRIORITY;
 
 wire_enum! {
     /// Storage backend kinds a dataspace can be backed by (paper §IV-A:
@@ -74,10 +84,52 @@ wire_enum! {
     }
 }
 
+impl ResourceDesc {
+    /// A path inside a dataspace on this node.
+    pub fn posix(nsid: impl Into<String>, path: impl Into<String>) -> Self {
+        ResourceDesc::PosixPath {
+            nsid: nsid.into(),
+            path: path.into(),
+        }
+    }
+
+    /// A path inside a dataspace on the node named `host`.
+    pub fn remote(
+        host: impl Into<String>,
+        nsid: impl Into<String>,
+        path: impl Into<String>,
+    ) -> Self {
+        ResourceDesc::RemotePath {
+            host: host.into(),
+            nsid: nsid.into(),
+            path: path.into(),
+        }
+    }
+
+    /// The dataspace id, if the end is a path.
+    pub fn nsid(&self) -> Option<&str> {
+        match self {
+            ResourceDesc::MemoryRegion { .. } => None,
+            ResourceDesc::PosixPath { nsid, .. } | ResourceDesc::RemotePath { nsid, .. } => {
+                Some(nsid)
+            }
+        }
+    }
+
+    /// The path inside its dataspace, if the end is a path.
+    pub fn path(&self) -> Option<&str> {
+        match self {
+            ResourceDesc::MemoryRegion { .. } => None,
+            ResourceDesc::PosixPath { path, .. } | ResourceDesc::RemotePath { path, .. } => {
+                Some(path)
+            }
+        }
+    }
+}
+
 wire_enum! {
     /// Task operation (`iotask_init(type, input, output)`).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TaskOp {
+    impl Wire for TaskOp {
         0 => Copy,
         1 => Move,
         2 => Remove,
@@ -85,23 +137,12 @@ wire_enum! {
 }
 
 wire_enum! {
-    /// Durability policy for a stage-out (v8). Governs when the task ACKs
-    /// (reaches a terminal `Finished`) relative to background replication
-    /// to the daemon's registered peers.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub enum Durability {
-        /// The local leg is the whole task — no replication. Best-effort
-        /// durability: origin loss loses the data. The pre-v8 behaviour,
-        /// and the default.
-        #[default]
+    /// Durability policy for a stage-out (v8): when the task ACKs
+    /// relative to background replication to the daemon's registered
+    /// peers.
+    impl Wire for Durability {
         0 => LocalOnly,
-        /// ACK as soon as the local leg lands, then asynchronously push
-        /// one copy to a peer in the background. Origin loss after the
-        /// replication lag drains leaves a surviving replica.
         1 => LocalPlusOne,
-        /// Do not ACK until the local leg *and* every replica
-        /// (`target_copies` peers) have landed. Strongest guarantee,
-        /// highest ACK latency.
         2 => Synchronous,
     }
 }
@@ -126,10 +167,6 @@ wire_struct! {
     }
 }
 
-/// Default task priority (mirrors `norns_sched::DEFAULT_PRIORITY`;
-/// duplicated so the wire crate stays dependency-free).
-pub const DEFAULT_PRIORITY: u8 = 100;
-
 impl TaskSpec {
     /// Spec with the default priority and [`Durability::LocalOnly`].
     pub fn new(op: TaskOp, input: ResourceDesc, output: Option<ResourceDesc>) -> Self {
@@ -142,6 +179,18 @@ impl TaskSpec {
         }
     }
 
+    pub fn copy(input: ResourceDesc, output: ResourceDesc) -> Self {
+        TaskSpec::new(TaskOp::Copy, input, Some(output))
+    }
+
+    pub fn mv(input: ResourceDesc, output: ResourceDesc) -> Self {
+        TaskSpec::new(TaskOp::Move, input, Some(output))
+    }
+
+    pub fn remove(input: ResourceDesc) -> Self {
+        TaskSpec::new(TaskOp::Remove, input, None)
+    }
+
     pub fn with_priority(mut self, priority: u8) -> Self {
         self.priority = priority;
         self
@@ -151,33 +200,34 @@ impl TaskSpec {
         self.durability = durability;
         self
     }
+
+    /// The task's shape, as the admission table (`norns_sched::shape`)
+    /// reads it: the one builder both worlds submit through.
+    pub fn shape(&self) -> Shape {
+        let kind = |end: &ResourceDesc| match end {
+            ResourceDesc::MemoryRegion { .. } => Kind::Memory,
+            ResourceDesc::PosixPath { .. } => Kind::Local,
+            ResourceDesc::RemotePath { .. } => Kind::Remote,
+        };
+        Shape {
+            op: self.op,
+            input: kind(&self.input),
+            output: self.output.as_ref().map(kind),
+            input_names_root: self.input.path().is_some_and(names_root),
+            durable: self.durability != Durability::LocalOnly,
+        }
+    }
 }
 
 wire_enum! {
     /// Task lifecycle states (paper: pending queue → workers → completion
-    /// list), as the wire carries them. Which state a task is in is
-    /// decided by one table, `norns_sched::lifecycle`, that the
-    /// simulator and the daemon both run; the daemon converts its answer
-    /// to this type at its boundary.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TaskState {
+    /// list), decided by `norns_sched::lifecycle` in both worlds.
+    impl Wire for TaskState {
         0 => Pending,
         1 => InProgress,
         2 => Finished,
         3 => FinishedWithError,
-        /// Cancelled: dropped while still pending, or (for decomposed
-        /// chunked/remote transfers) interrupted mid-stream with partial
-        /// output cleaned up (v4).
         4 => Cancelled,
-    }
-}
-
-impl TaskState {
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            TaskState::Finished | TaskState::FinishedWithError | TaskState::Cancelled
-        )
     }
 }
 
@@ -562,6 +612,37 @@ mod tests {
             spec.with_priority(7)
                 .with_durability(Durability::LocalPlusOne),
         );
+    }
+
+    #[test]
+    fn shape_reads_each_end_its_root_and_its_mode() {
+        let memory = ResourceDesc::MemoryRegion { addr: 9, size: 1 };
+        let local = ResourceDesc::posix("pmdk0", "f");
+        let remote = ResourceDesc::remote("node1", "pmdk0", "f");
+        let ends = [
+            (&memory, Kind::Memory),
+            (&local, Kind::Local),
+            (&remote, Kind::Remote),
+        ];
+        for (input, want_in) in ends {
+            for (output, want_out) in ends {
+                let shape = TaskSpec::copy(input.clone(), output.clone()).shape();
+                assert_eq!((shape.input, shape.output), (want_in, Some(want_out)));
+                assert_eq!(shape.op, TaskOp::Copy);
+                assert!(!shape.input_names_root && !shape.durable);
+            }
+        }
+        // A root is a path of `.` components alone; memory has none.
+        for path in ["", ".", "./"] {
+            let root = TaskSpec::remove(ResourceDesc::posix("pmdk0", path));
+            assert!(root.shape().input_names_root, "{path:?}");
+            let root = TaskSpec::mv(ResourceDesc::remote("n", "pmdk0", path), local.clone());
+            assert!(root.shape().input_names_root, "{path:?}");
+        }
+        assert_eq!(TaskSpec::remove(local.clone()).shape().output, None);
+        let durable = TaskSpec::mv(memory, local).with_durability(Durability::LocalPlusOne);
+        assert!(durable.shape().durable);
+        assert_eq!(durable.shape().op, TaskOp::Move);
     }
 
     #[test]

@@ -264,7 +264,10 @@ pub(crate) use wire_struct;
 /// [`WireError::BadDiscriminant`], so a retired code is retired by
 /// leaving its number out. A list field written
 /// `name: Vec<T> [..= CAP]` refuses a longer count with
-/// [`WireError::BadLength`] before allocating.
+/// [`WireError::BadLength`] before allocating. The form
+/// `impl Wire for Name { .. }` lists the codes of a type defined
+/// elsewhere (the task enums of `norns_sched`) and emits the impl
+/// alone.
 macro_rules! wire_enum {
     (@bind $inner:ident $t:ty) => { $inner };
     (@get $buf:ident $t:ty) => { <$t as Wire>::decode($buf)? };
@@ -290,6 +293,27 @@ macro_rules! wire_enum {
             ),+
         }
 
+        wire_enum! {
+            impl Wire for $name {
+                $(
+                    $disc => $variant
+                    $( ( $tuple ) )?
+                    $( { $( $field : $fty $( [..= $cap] )? ),+ } )?
+                ),+
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        impl Wire for $name:ident {
+            $(
+                $disc:literal => $variant:ident
+                $( ( $tuple:ty ) )?
+                $( { $( $field:ident : $fty:ty $( [..= $cap:expr] )? ),+ $(,)? } )?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
         impl Wire for $name {
             fn encode(&self, buf: &mut BytesMut) {
                 match self {

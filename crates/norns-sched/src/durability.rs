@@ -18,12 +18,17 @@
 //! has landed, and keeps it for good if one fails. A `Copy` never
 //! frees anything.
 
-/// The v8 durability modes.
+/// The v8 durability modes (the wire's `Durability`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
+    /// The local leg is the whole task, no replication: origin loss
+    /// loses the data. The pre-v8 behaviour, and the default.
     #[default]
     LocalOnly,
+    /// ACK once the local leg lands, then push one copy to a peer in
+    /// the background.
     LocalPlusOne,
+    /// ACK only once the local leg and every replica have landed.
     Synchronous,
 }
 

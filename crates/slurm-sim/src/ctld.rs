@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use norns::sim::ops as nops;
-use norns::{ApiSource, Durability, JobId as NornsJobId, ResourceRef, TaskCompletion, TaskSpec};
+use norns::{ApiSource, JobId as NornsJobId, ResourceDesc, TaskCompletion, TaskSpec};
 use norns_flow::job::{self, Action, Event};
 use norns_flow::plan::{self, plan, Listing, Stage};
 use simcore::{EventId, Sim, SimDuration, SimTime};
@@ -259,17 +259,9 @@ pub trait HasSlurm: norns::HasNorns {
 /// A script's `#NORNS durability` for its stage-outs, `local_only`
 /// unless it says otherwise (both ends of a simulated stage-out are
 /// local, so every mode applies).
-fn durability(mode: Option<norns_proto::Durability>) -> Durability {
-    match mode {
-        None | Some(norns_proto::Durability::LocalOnly) => Durability::LocalOnly,
-        Some(norns_proto::Durability::LocalPlusOne) => Durability::LocalPlusOne,
-        Some(norns_proto::Durability::Synchronous) => Durability::Synchronous,
-    }
-}
-
-fn local_ref(location: &str) -> ResourceRef {
+fn local_ref(location: &str) -> ResourceDesc {
     let (nsid, path) = split_location(location).expect("directive locations are checked at submit");
-    ResourceRef::local(nsid, path)
+    ResourceDesc::posix(nsid, path)
 }
 
 fn emit<M: HasSlurm>(sim: &mut Sim<M>, event: JobEvent) {
@@ -620,9 +612,12 @@ fn plan_stage_in<M: HasSlurm>(
             let node = nodes[slot.node_slot];
             let (ns, path) = split_location(&slot.origin).map_err(|e| e.to_string())?;
             let src = match &holders {
-                None => ResourceRef::local(ns, path),
+                None => ResourceDesc::posix(ns, path),
                 Some(h) if h.contains(&node) => continue, // data already local
-                Some(h) => ResourceRef::remote(h[slot.index % h.len()], ns, path),
+                Some(h) => {
+                    let host = sim.model.norns_mut().host(h[slot.index % h.len()]);
+                    ResourceDesc::remote(host, ns, path)
+                }
             };
             out.push((node, TaskSpec::copy(src, local_ref(&slot.destination))));
         }
@@ -638,7 +633,7 @@ fn remove_landed<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
     let landed = std::mem::take(&mut sim.model.ctld_mut().job_mut(id).landed);
     let tag = stage_tag(StagePurpose::Cleanup, id);
     for (node, nsid, path) in landed {
-        let spec = TaskSpec::remove(ResourceRef::local(&nsid, &path));
+        let spec = TaskSpec::remove(ResourceDesc::posix(&nsid, &path));
         if nops::submit_task(sim, node, NornsJobId(id.0), ApiSource::Control, spec, tag).is_err() {
             force_remove(sim, node, &nsid, &path);
         }
@@ -729,7 +724,7 @@ fn apply_persist_directives<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
                     .unwrap_or_else(|| nodes.clone());
                 let tag = stage_tag(StagePurpose::Cleanup, id);
                 for node in holders {
-                    let spec = TaskSpec::remove(ResourceRef::local(nsid, path));
+                    let spec = TaskSpec::remove(ResourceDesc::posix(nsid, path));
                     let _ = nops::submit_task(
                         sim,
                         node,
@@ -810,7 +805,7 @@ fn begin_stage_out<M: HasSlurm>(sim: &mut Sim<M>, id: SlurmJobId) {
             job.script.stage_out.clone(),
             job.nodes.clone(),
             job.cred.clone(),
-            durability(job.script.durability),
+            job.script.durability.unwrap_or_default(),
         )
     };
     let (mut legs, mut refused) = (Vec::new(), Vec::new());

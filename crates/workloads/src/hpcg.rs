@@ -79,7 +79,7 @@ pub fn run(sim: &mut Sim<BenchWorld>, nodes: &[usize], cfg: &HpcgConfig) -> Hpcg
 mod tests {
     use super::*;
     use crate::world::register_tiers;
-    use norns::{ApiSource, JobId, JobSpec, ResourceRef, TaskSpec};
+    use norns::{ApiSource, JobId, JobSpec, ResourceDesc, TaskSpec};
     use simstore::{Cred, Mode};
 
     fn world() -> Sim<BenchWorld> {
@@ -136,8 +136,8 @@ mod tests {
             JobId(1),
             ApiSource::Control,
             TaskSpec::mv(
-                ResourceRef::local("pmdk0", "out/data.bin"),
-                ResourceRef::local("lustre", "archive/data.bin"),
+                ResourceDesc::posix("pmdk0", "out/data.bin"),
+                ResourceDesc::posix("lustre", "archive/data.bin"),
             ),
             0,
         )

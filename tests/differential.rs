@@ -966,14 +966,13 @@ mod admission {
     use std::path::{Path, PathBuf};
 
     use norns::sim::ops;
-    use norns::{
-        ApiSource, HasNorns, JobId, JobSpec, NornsError, NornsWorld, ResourceRef, TaskCompletion,
-    };
+    use norns::{ApiSource, HasNorns, JobId, JobSpec, NornsError, NornsWorld, TaskCompletion};
     use norns_ipc::{DaemonConfig, UrdDaemon};
     use norns_proto::{
-        BackendKind, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskSpec, TaskState,
+        BackendKind, DataspaceDesc, Durability, ErrorCode, ResourceDesc, TaskOp, TaskSpec,
+        TaskState,
     };
-    use norns_sched::shape::{admit, Kind, Plugin, Refusal, Shape, TaskOp};
+    use norns_sched::shape::{admit, Kind, Plugin, Refusal, Shape};
     use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim};
     use simstore::{Cred, Mode};
 
@@ -1070,12 +1069,33 @@ mod admission {
         refusal.message().to_string()
     }
 
-    /// The input path of row `i` (created by each world's `seed`).
+    /// The input path of row `i` (created by each world's seeding).
     fn input_path(i: usize, form: Form) -> String {
         match form {
             Form::File => format!("f{i}"),
             Form::Directory => format!("d{i}"),
             Form::Root => String::new(),
+        }
+    }
+
+    /// Row `i`'s one task, submitted unchanged to both worlds: a local
+    /// input on `lustre`, a local output on `pmdk0`, a remote end on
+    /// `peer`'s `pmdk0`.
+    fn spec_of(i: usize, row: Row, peer: &str) -> TaskSpec {
+        let end = |kind: Kind, local: &str, path: String| match kind {
+            Kind::Memory => ResourceDesc::MemoryRegion {
+                addr: 0,
+                size: SIZE,
+            },
+            Kind::Local => ResourceDesc::posix(local, path),
+            Kind::Remote => ResourceDesc::remote(peer, "pmdk0", path),
+        };
+        let input = end(row.input, "lustre", input_path(i, row.form));
+        let output = row.output.map(|kind| end(kind, "pmdk0", format!("o{i}")));
+        let spec = TaskSpec::new(row.op, input, output);
+        match row.durable {
+            true => spec.with_durability(Durability::Synchronous),
+            false => spec,
         }
     }
 
@@ -1120,7 +1140,8 @@ mod admission {
         sim
     }
 
-    fn sim_spec(sim: &mut Sim<Model>, i: usize, row: Row) -> norns::TaskSpec {
+    /// Row `i`'s input files, on node 0's `lustre` or node 1's `pmdk0`.
+    fn sim_seed(sim: &mut Sim<Model>, i: usize, row: Row) {
         let path = input_path(i, row.form);
         let (tier, node) = match row.input {
             Kind::Remote => ("pmdk0", Some(1)),
@@ -1138,29 +1159,13 @@ mod admission {
             let ns = world.storage.ns_mut(tier, node);
             ns.write_file(file, SIZE, &cred, Mode(0o644)).unwrap();
         }
-        // A local input is on `lustre`, a local output on `pmdk0`.
-        let end = |kind: Kind, local: &str, path: String| match kind {
-            Kind::Memory => ResourceRef::memory(SIZE),
-            Kind::Local => ResourceRef::local(local, path),
-            Kind::Remote => ResourceRef::remote(1, "pmdk0", path),
-        };
-        norns::TaskSpec {
-            op: row.op,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input: end(row.input, "lustre", path),
-            output: row.output.map(|kind| end(kind, "pmdk0", format!("o{i}"))),
-            durability: match row.durable {
-                true => norns::Durability::Synchronous,
-                false => norns::Durability::LocalOnly,
-            },
-        }
     }
 
     /// The verdict on `spec`: its submit's, then its run's — a durable
     /// task's run is run out, not judged.
-    fn sim_verdict(sim: &mut Sim<Model>, spec: norns::TaskSpec) -> Verdict {
+    fn sim_verdict(sim: &mut Sim<Model>, spec: TaskSpec) -> Verdict {
         let source = ApiSource::Control;
-        let durable = spec.durability != norns::Durability::LocalOnly;
+        let durable = spec.durability != Durability::LocalOnly;
         let id = match ops::submit_task(sim, 0, JobId(1), source, spec, 0) {
             Ok(id) => id,
             Err(NornsError::BadArgs(why)) => return Err(why),
@@ -1181,7 +1186,8 @@ mod admission {
     }
 
     // ---- the live cluster: node A holds `lustre` (input) and `pmdk0`
-    // (local output), node B its own `pmdk0` (the remote end) ----
+    // (local output), node B its own `pmdk0` (the remote end), which A
+    // knows by the simulator's name for node 1 ----
 
     struct Live {
         root: PathBuf,
@@ -1207,18 +1213,19 @@ mod admission {
         daemon
     }
 
-    fn live_cluster() -> Live {
+    fn live_cluster(peer: &str) -> Live {
         let root =
             std::env::temp_dir().join(format!("norns-diff-admission-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let a = daemon(&root, "a", &["lustre", "pmdk0"]);
         let b = daemon(&root, "b", &["pmdk0"]);
         let b_addr = b.data_addr().unwrap().to_string();
-        a.engine().register_peer("nodeb", b_addr);
+        a.engine().register_peer(peer, b_addr);
         Live { root, a, _b: b }
     }
 
-    fn live_spec(live: &Live, i: usize, row: Row) -> (TaskSpec, Option<Vec<u8>>) {
+    /// Row `i`'s input files, on A's `lustre` or B's `pmdk0`.
+    fn live_seed(live: &Live, i: usize, row: Row) {
         let path = input_path(i, row.form);
         let mount = match row.input {
             Kind::Remote => live.root.join("b/pmdk0"),
@@ -1234,38 +1241,16 @@ mod admission {
             }
             Form::Root => {}
         }
-        let end = |kind: Kind, local: &str, path: String| match kind {
-            Kind::Memory => ResourceDesc::MemoryRegion {
-                addr: 0,
-                size: SIZE,
-            },
-            Kind::Local => ResourceDesc::PosixPath {
-                nsid: local.into(),
-                path,
-            },
-            Kind::Remote => ResourceDesc::RemotePath {
-                host: "nodeb".into(),
-                nsid: "pmdk0".into(),
-                path,
-            },
-        };
-        let op = match row.op {
-            TaskOp::Copy => norns_proto::TaskOp::Copy,
-            TaskOp::Move => norns_proto::TaskOp::Move,
-            TaskOp::Remove => norns_proto::TaskOp::Remove,
-        };
-        let output = row.output.map(|kind| end(kind, "pmdk0", format!("o{i}")));
-        let payload = (row.input == Kind::Memory).then(|| vec![7u8; SIZE as usize]);
-        let spec = TaskSpec::new(op, end(row.input, "lustre", path), output);
-        match row.durable {
-            true => (spec.with_durability(Durability::Synchronous), payload),
-            false => (spec, payload),
-        }
     }
 
-    fn live_verdict(live: &Live, spec: TaskSpec, payload: Option<Vec<u8>>) -> Verdict {
+    /// As [`sim_verdict`]; a memory input's bytes ride as the payload.
+    fn live_verdict(live: &Live, spec: TaskSpec) -> Verdict {
         let engine = live.a.engine();
         let durable = spec.durability != Durability::LocalOnly;
+        let payload = match spec.input {
+            ResourceDesc::MemoryRegion { size, .. } => Some(vec![7u8; size as usize]),
+            _ => None,
+        };
         let id = match engine.submit(1, spec, payload) {
             Ok(id) => id,
             Err(e) if e.code == ErrorCode::BadArgs => return Err(e.message),
@@ -1290,16 +1275,17 @@ mod admission {
         let rows = rows();
         assert_eq!(rows.len(), 2 * 3 * 4 * (1 + 2 * 3), "every shape, twice");
         let mut sim = sim_cluster();
-        let live = live_cluster();
+        let live = live_cluster(sim.model.world.host(1));
         let (mut wrong, mut admitted) = (Vec::new(), [(0, 0); 2]);
         for (i, &row) in rows.iter().enumerate() {
             let verdict = table(row);
             let want_sim: Verdict = verdict.map(drop).map_err(message);
             let want_live = daemon_gap(row).map_or(want_sim.clone(), |gap| Err(message(gap)));
-            let spec = sim_spec(&mut sim, i, row);
-            let got_sim = sim_verdict(&mut sim, spec);
-            let (spec, payload) = live_spec(&live, i, row);
-            let got_live = live_verdict(&live, spec, payload);
+            let spec = spec_of(i, row, sim.model.world.host(1));
+            sim_seed(&mut sim, i, row);
+            let got_sim = sim_verdict(&mut sim, spec.clone());
+            live_seed(&live, i, row);
+            let got_live = live_verdict(&live, spec);
             let counted = &mut admitted[usize::from(row.durable)];
             counted.0 += usize::from(got_sim.is_ok());
             counted.1 += usize::from(got_live.is_ok());
@@ -1346,14 +1332,12 @@ mod durability {
     use std::time::{Duration, Instant};
 
     use norns::sim::ops;
-    use norns::{
-        ApiSource, Durability, HasNorns, JobId, JobSpec, NornsError, NornsWorld, ResourceRef,
-        TaskCompletion, TaskState,
-    };
+    use norns::{ApiSource, HasNorns, JobId, JobSpec, NornsError, NornsWorld, TaskCompletion};
     use norns_ipc::{DaemonConfig, UrdDaemon};
-    use norns_proto::{BackendKind, DataspaceDesc, ResourceDesc, TaskSpec};
+    use norns_proto::{
+        BackendKind, DataspaceDesc, Durability, ResourceDesc, TaskOp, TaskSpec, TaskState,
+    };
     use norns_sched::durability::Why;
-    use norns_sched::shape::TaskOp;
     use simcore::{CompletedFlow, FluidModel, FluidSystem, Sim};
     use simstore::{Cred, Mode};
 
@@ -1425,6 +1409,16 @@ mod durability {
         found.unwrap_or_else(|| panic!("{message:?} is in no durability class"))
     }
 
+    /// The row's one stage-out, `src://in.dat` to `ds0://out.dat`,
+    /// submitted unchanged to both worlds.
+    fn spec_of(row: Row) -> TaskSpec {
+        let (input, output) = (
+            ResourceDesc::posix("src", "in.dat"),
+            ResourceDesc::posix("ds0", "out.dat"),
+        );
+        TaskSpec::new(row.op, input, Some(output)).with_durability(row.mode)
+    }
+
     /// What every row must come to, in both worlds.
     fn expected(row: Row) -> Seen {
         use Durability::*;
@@ -1474,7 +1468,7 @@ mod durability {
         }
     }
 
-    fn sim_row(row: Row) -> Seen {
+    fn sim_row(row: Row, spec: TaskSpec) -> Seen {
         let world = cluster::nextgenio_quiet(3).world;
         let mut sim = Sim::new(
             Model {
@@ -1514,13 +1508,6 @@ mod durability {
         shared
             .write_file("in.dat", SIZE, &cred, Mode(0o644))
             .unwrap();
-        let spec = norns::TaskSpec {
-            op: row.op,
-            priority: norns_sched::DEFAULT_PRIORITY,
-            input: ResourceRef::local("src", "in.dat"),
-            output: Some(ResourceRef::local("ds0", "out.dat")),
-            durability: row.mode,
-        };
         ops::submit_task(&mut sim, 0, JobId(1), ApiSource::Control, spec, 0).unwrap();
         sim.run();
         let (completion, out) = sim.model.verdict.take().expect("the task ended");
@@ -1610,7 +1597,7 @@ mod durability {
         apart.then(|| shm.join(format!("norns-diff-durability-{}", std::process::id())))
     }
 
-    fn live_row(i: usize, row: Row, fast: &Path) -> Seen {
+    fn live_row(i: usize, row: Row, spec: TaskSpec, fast: &Path) -> Seen {
         let root =
             std::env::temp_dir().join(format!("norns-diff-durability-{}-{i}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -1631,21 +1618,6 @@ mod durability {
             engine.register_peer("peer", gate.addr.to_string());
         }
         fs::write(src.join("in.dat"), vec![7u8; SIZE as usize]).unwrap();
-        let op = match row.op {
-            TaskOp::Move => norns_proto::TaskOp::Move,
-            _ => norns_proto::TaskOp::Copy,
-        };
-        let mode = match row.mode {
-            Durability::LocalOnly => norns_proto::Durability::LocalOnly,
-            Durability::LocalPlusOne => norns_proto::Durability::LocalPlusOne,
-            Durability::Synchronous => norns_proto::Durability::Synchronous,
-        };
-        let path = |nsid: &str, path: &str| ResourceDesc::PosixPath {
-            nsid: nsid.into(),
-            path: path.into(),
-        };
-        let spec = TaskSpec::new(op, path("src", "in.dat"), Some(path("ds0", "out.dat")))
-            .with_durability(mode);
         let id = engine.submit(1, spec, None).unwrap();
         let early = engine.wait(id, 200_000).unwrap();
         let out = engine.status().pending_replicas;
@@ -1661,11 +1633,7 @@ mod durability {
         let failure = engine.error_message(id);
         let seen = Seen {
             verdict_before_replica: early.state.is_terminal() && out > 0,
-            state: match stats.state {
-                norns_proto::TaskState::Finished => TaskState::Finished,
-                norns_proto::TaskState::FinishedWithError => TaskState::FinishedWithError,
-                other => panic!("the task ended {other:?}"),
-            },
+            state: stats.state,
             class: failure.as_deref().map(class),
             copies: (
                 root.join("a/ds0/out.dat").exists(),
@@ -1691,8 +1659,9 @@ mod durability {
                 continue;
             }
             let want = expected(row);
-            let sim = sim_row(row);
-            let live = live_row(i, row, &scratch);
+            let spec = spec_of(row);
+            let sim = sim_row(row, spec.clone());
+            let live = live_row(i, row, spec, &scratch);
             if sim != want || live != want {
                 wrong.push(format!(
                     "{row:?}:\n  want {want:?}\n  sim  {sim:?}\n  live {live:?}"
